@@ -79,9 +79,15 @@ type Buffer struct {
 	Size int
 }
 
-// CreateBuffer allocates a device buffer.
+// CreateBuffer allocates a device buffer. A zero-length buffer is legal (an
+// empty input, such as the edge list of a one-node graph) and is backed by
+// one word, so it still has an address to bind as a kernel argument.
 func (c *Context) CreateBuffer(size int) (*Buffer, error) {
-	va, err := c.Drv.AllocGPU(size)
+	alloc := size
+	if size == 0 {
+		alloc = 4
+	}
+	va, err := c.Drv.AllocGPU(alloc)
 	if err != nil {
 		return nil, err
 	}
@@ -289,6 +295,9 @@ func (c *Context) EnqueueBatch(ctx context.Context, launches []Launch) error {
 			}
 		}
 		global, local := normalizeDims(l.Global, l.Local)
+		if l.Global[0] == 0 || global[0]%local[0] != 0 || global[1]%local[1] != 0 || global[2]%local[2] != 0 {
+			return &NDRangeError{Kernel: k.lk.ck.Name, Global: l.Global, Local: l.Local}
+		}
 
 		if k.lk.ck.LocalBytes > 0 {
 			if err := c.ensureLocal(k.lk.ck.LocalBytes); err != nil {
@@ -345,6 +354,22 @@ func (c *Context) ensureLocal(bytes uint32) error {
 	return nil
 }
 
+// NDRangeError reports a dispatch the hardware cannot tile: the Job
+// Manager splits the global range into whole workgroups, so the range must
+// not be empty and every global dimension must be a multiple of its local
+// dimension. Checked host-side — the same descriptor would otherwise
+// surface as an opaque GPU job fault. The sizes are the caller's.
+type NDRangeError struct {
+	Kernel        string
+	Global, Local [3]uint32
+}
+
+func (e *NDRangeError) Error() string {
+	return fmt.Sprintf("cl: kernel %s: global size %v is not a non-empty multiple of local size %v", e.Kernel, e.Global, e.Local)
+}
+
+// normalizeDims reads an unset (zero) dimension as 1, so 1-D and 2-D
+// dispatches may leave the trailing dimensions — and the local size — out.
 func normalizeDims(global, local [3]uint32) ([3]uint32, [3]uint32) {
 	for i := 0; i < 3; i++ {
 		if global[i] == 0 {

@@ -2,6 +2,8 @@ package cl_test
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 
 	"mobilesim/internal/cl"
@@ -164,6 +166,57 @@ func TestUnsetArgumentRejected(t *testing.T) {
 	}
 }
 
+// TestNDRangeValidatedHostSide: a global size that is empty or not a
+// multiple of the local size is refused with a typed error naming both,
+// before any descriptor reaches the GPU (where it would only surface as a
+// job fault).
+func TestNDRangeValidatedHostSide(t *testing.T) {
+	p, c := newStack(t)
+	prog, err := c.BuildProgram(bg, saxpySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := prog.CreateKernel("saxpy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A zero-length buffer is a legal argument.
+	empty, err := c.CreateBuffer(0)
+	if err != nil {
+		t.Fatalf("zero-length buffer: %v", err)
+	}
+	if empty.Size != 0 || empty.VA == 0 {
+		t.Errorf("zero-length buffer = %+v, want size 0 at a real address", empty)
+	}
+	_ = k.SetArgBuffer(0, empty)
+	_ = k.SetArgBuffer(1, empty)
+	_ = k.SetArgFloat(2, 1)
+	_ = k.SetArgInt(3, 0)
+	for _, dims := range [][2][3]uint32{
+		{cl.G2(4, 4), cl.G2(8, 8)},
+		{cl.G1(100), cl.G1(64)},
+		{cl.G1(0), cl.G1(64)},
+		{{64, 1, 3}, {64, 1, 2}},
+	} {
+		err := c.EnqueueKernel(bg, k, dims[0], dims[1])
+		var nd *cl.NDRangeError
+		if !errors.As(err, &nd) {
+			t.Errorf("global %v local %v: err = %v, want an NDRangeError", dims[0], dims[1], err)
+			continue
+		}
+		if nd.Global != dims[0] || nd.Local != dims[1] || nd.Kernel != "saxpy" {
+			t.Errorf("error %+v does not name the caller's sizes %v / %v", nd, dims[0], dims[1])
+		}
+	}
+	if _, sys := p.GPU.Stats(); sys.ComputeJobs != 0 {
+		t.Errorf("%d jobs reached the GPU", sys.ComputeJobs)
+	}
+	// Unset trailing dimensions and an unset local size still mean 1.
+	if err := c.EnqueueKernel(bg, k, [3]uint32{64}, [3]uint32{}); err != nil {
+		t.Errorf("1-D dispatch with unset dimensions: %v", err)
+	}
+}
+
 func TestArgTypeChecking(t *testing.T) {
 	_, c := newStack(t)
 	prog, err := c.BuildProgram(bg, saxpySrc)
@@ -240,6 +293,74 @@ kernel void dbl(global int* a, int n) {
 		want := (vals[i] + 10) * 2
 		if got[i] != want {
 			t.Fatalf("a[%d] = %d, want %d", i, got[i], want)
+		}
+	}
+}
+
+// TestHandOffSchedulingDoesNotLeakIntoCounters pins the driver↔GPU
+// hand-off against host scheduling: the same job list must leave the same
+// system statistics and guest instruction count whether the driver reaches
+// WaitJob before the GPU finishes (no hook) or only after the interrupt is
+// already pending (the hook spins until it is), on one host thread or two.
+// WaitJob used to poll the interrupt status once before blocking, so the
+// first case cost one register read, one write and four guest instructions
+// more per job than the second.
+func TestHandOffSchedulingDoesNotLeakIntoCounters(t *testing.T) {
+	src := `
+kernel void addc(global int* a, int c, int n) {
+    int i = get_global_id(0);
+    if (i < n) { a[i] = a[i] + c; }
+}
+`
+	type counters struct {
+		sys    any
+		instrs uint64
+	}
+	run := func(procs int, gpuFirst bool) counters {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		p, c := newStack(t)
+		if gpuFirst {
+			c.Drv.HandOff = func() {
+				for !p.Intc.Pending() {
+					runtime.Gosched()
+				}
+			}
+		}
+		prog, err := c.BuildProgram(bg, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := prog.CreateKernel("addc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A job list from one workgroup to a few hundred: short jobs the
+		// GPU finishes at once and longer ones the driver has to wait for.
+		for _, n := range []int{32, 8192, 64, 4096, 32} {
+			buf, err := c.CreateBuffer(4 * n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := k.SetArgBuffer(0, buf); err != nil {
+				t.Fatal(err)
+			}
+			_ = k.SetArgInt(1, 3)
+			_ = k.SetArgInt(2, int32(n))
+			if err := c.EnqueueKernel(bg, k, cl.G1(uint32(n)), cl.G1(32)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, sys := p.GPU.Stats()
+		return counters{sys: sys, instrs: p.CPUs[0].Instret}
+	}
+	want := run(1, false)
+	for _, cfg := range []struct {
+		procs    int
+		gpuFirst bool
+	}{{1, true}, {2, false}, {2, true}} {
+		if got := run(cfg.procs, cfg.gpuFirst); got != want {
+			t.Errorf("GOMAXPROCS=%d gpuFirst=%v: counters depend on host scheduling:\n got %+v\nwant %+v",
+				cfg.procs, cfg.gpuFirst, got, want)
 		}
 	}
 }

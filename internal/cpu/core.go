@@ -81,6 +81,13 @@ type Core struct {
 
 	// Instret counts retired instructions.
 	Instret uint64
+	// Decodes counts fetch-and-decode events: every retired instruction on
+	// the interpreter, only the instructions of newly translated blocks on
+	// the DBT. It is the per-instruction dispatch work Fig 9 attributes the
+	// interpreted baseline's scaling to, as a count instead of a duration.
+	// Like the block-cache statistics it is host-side instrumentation, not
+	// architectural state, and is not captured in snapshots.
+	Decodes uint64
 	// Faults counts taken synchronous exceptions.
 	Faults uint64
 	// IRQs counts taken interrupts.

@@ -19,6 +19,7 @@ func (c *Core) runInterp(budget uint64) StopReason {
 			continue // vectored to the fault handler
 		}
 		in := Decode(w)
+		c.Decodes++
 		c.exec(in, c.PC)
 		budget--
 	}
@@ -101,6 +102,7 @@ func (c *Core) translate(start uint64) *block {
 			break // fault will re-trigger when execution reaches it
 		}
 		in := Decode(w)
+		c.Decodes++
 		b.insts = append(b.insts, in)
 		if in.IsBranch() {
 			break

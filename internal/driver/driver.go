@@ -42,6 +42,12 @@ type Driver struct {
 	JobsSubmitted uint64
 	IRQsHandled   uint64
 
+	// HandOff, when set, runs between ringing the doorbell and waiting for
+	// the interrupt: the seam where tests inject a scheduling yield to pin
+	// that no counter depends on which side of the driver↔GPU hand-off
+	// the host scheduler runs first.
+	HandOff func()
+
 	// CPUTime is host wall-clock spent simulating driver-side guest code
 	// (the Fig 9 "driver runtime" metric). Waiting for the GPU does not
 	// count.
@@ -219,9 +225,15 @@ func (d *Driver) SoftStop() error {
 	return err
 }
 
-// WaitJob blocks until the GPU raises an interrupt, runs the guest ISR to
-// read and acknowledge it, and returns the rawstat. A fault rawstat is
-// returned, not an error; hardware-interface errors are.
+// WaitJob blocks until the GPU's interrupt is pending, then runs the guest
+// ISR to read and acknowledge it, and returns the rawstat. A fault rawstat
+// is returned, not an error; hardware-interface errors are.
+//
+// The ISR runs only once the line is pending — exactly one ISR per
+// asserted IRQ (Table III's "one IRQ per job submission"). Polling the
+// status register before blocking would add a register read, a write and
+// four guest instructions whenever the driver got there before the GPU
+// finished: host scheduling leaking into the exact-counter contract.
 //
 // When ctx is cancelled mid-wait the driver soft-stops the chain and then
 // keeps waiting for the GPU's acknowledgement — the hardware owns shared
@@ -231,15 +243,6 @@ func (d *Driver) SoftStop() error {
 func (d *Driver) WaitJob(ctx context.Context) (uint32, error) {
 	cancel := ctx.Done()
 	for {
-		raw, err := d.call("gpu_isr", platform.GPUBase)
-		if err != nil {
-			return 0, err
-		}
-		if raw != 0 {
-			d.IRQsHandled++
-			d.P.Intc.Claim()
-			return uint32(raw), nil
-		}
 		select {
 		case <-d.P.Intc.WaitChan():
 		case <-cancel:
@@ -247,6 +250,19 @@ func (d *Driver) WaitJob(ctx context.Context) (uint32, error) {
 				return 0, err
 			}
 			cancel = nil // stop once; wait for the acknowledgement IRQ
+			continue
+		}
+		if !d.P.Intc.Pending() {
+			continue // woken by a masked line
+		}
+		raw, err := d.call("gpu_isr", platform.GPUBase)
+		if err != nil {
+			return 0, err
+		}
+		d.P.Intc.Claim()
+		if raw != 0 {
+			d.IRQsHandled++
+			return uint32(raw), nil
 		}
 	}
 }
@@ -260,6 +276,9 @@ func (d *Driver) SubmitAndWait(ctx context.Context, head uint64) error {
 	}
 	if err := d.Submit(head); err != nil {
 		return err
+	}
+	if d.HandOff != nil {
+		d.HandOff()
 	}
 	raw, err := d.WaitJob(ctx)
 	if err != nil {

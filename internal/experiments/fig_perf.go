@@ -157,11 +157,19 @@ func runOneCFG(ctx context.Context, spec *workloads.Spec, opt Options) (*runOutc
 	return &runOutcome{res: res, gs: gs, sys: sys, cpuTime: c.Drv.CPUTime}, nil
 }
 
-// Fig9Row is one input size of the driver-runtime scaling sweep.
+// Fig9Row is one input size of the driver-runtime scaling sweep. The
+// durations are host wall-clock and report-only; the instruction and
+// decode counts are the same comparison in deterministic form — both
+// stacks retire guest instructions in proportion to the input, but the
+// interpreted baseline fetches and decodes every one of them while the DBT
+// decodes each basic block once.
 type Fig9Row struct {
 	Dim         int
 	OursCPUTime time.Duration
 	M2SCPUTime  time.Duration
+
+	OursInstrs, OursDecodes uint64
+	M2SInstrs, M2SDecodes   uint64
 }
 
 // Fig9 sweeps SobelFilter input sizes and reports the CPU-side software-
@@ -177,50 +185,59 @@ func Fig9(ctx context.Context, w io.Writer, opt Options) ([]Fig9Row, error) {
 	}
 	var rows []Fig9Row
 	for _, dim := range dims {
-		ours, err := sobelDriverTime(ctx, dim, opt)
-		if err != nil {
+		row := Fig9Row{Dim: dim}
+		if err := sobelDriverTime(ctx, &row, opt); err != nil {
 			return nil, err
 		}
-		base, err := sobelM2STime(dim, opt)
-		if err != nil {
+		if err := sobelM2STime(&row, opt); err != nil {
 			return nil, err
 		}
-		rows = append(rows, Fig9Row{Dim: dim, OursCPUTime: ours, M2SCPUTime: base})
+		rows = append(rows, row)
 	}
 	tw := table(w)
-	fmt.Fprintln(tw, "input\tour simulator\tMulti2Sim-style")
+	fmt.Fprintln(tw, "input\tour simulator\tMulti2Sim-style\tour instrs (decoded)\tMulti2Sim-style instrs (decoded)")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%dx%d\t%v\t%v\n", r.Dim, r.Dim,
-			r.OursCPUTime.Round(time.Millisecond), r.M2SCPUTime.Round(time.Millisecond))
+		fmt.Fprintf(tw, "%dx%d\t%v\t%v\t%d (%d)\t%d (%d)\n", r.Dim, r.Dim,
+			r.OursCPUTime.Round(time.Millisecond), r.M2SCPUTime.Round(time.Millisecond),
+			r.OursInstrs, r.OursDecodes, r.M2SInstrs, r.M2SDecodes)
 	}
 	return rows, tw.Flush()
 }
 
-func sobelDriverTime(ctx context.Context, dim int, opt Options) (time.Duration, error) {
+// sobelDriverTime runs SobelFilter through our stack and fills the row's
+// driver-side columns.
+func sobelDriverTime(ctx context.Context, row *Fig9Row, opt Options) error {
 	p, err := platform.New(platform.Config{RAMSize: 1 << 30, GPU: opt.gpuConfig()})
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer p.Close()
 	c, err := cl.NewContext(p, opt.CompilerVersion)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	inst := workloads.MakeSobelInstance(dim)
+	// Count only the workload: boot and driver probe are the same at every
+	// input size.
+	instrs, decodes := c.Drv.Core.Instret, c.Drv.Core.Decodes
+	cpuTime := c.Drv.CPUTime
+	inst := workloads.MakeSobelInstance(row.Dim)
 	if _, err := inst.Sim(ctx, c); err != nil {
-		return 0, err
+		return err
 	}
-	return c.Drv.CPUTime, nil
+	row.OursCPUTime = c.Drv.CPUTime - cpuTime
+	row.OursInstrs, row.OursDecodes = c.Drv.Core.Instret-instrs, c.Drv.Core.Decodes-decodes
+	return nil
 }
 
-// sobelM2STime runs SobelFilter through the intercepted-runtime baseline.
-func sobelM2STime(dim int, opt Options) (time.Duration, error) {
+// sobelM2STime runs SobelFilter through the intercepted-runtime baseline
+// and fills the row's baseline columns.
+func sobelM2STime(row *Fig9Row, opt Options) error {
 	c, err := m2s.New(1<<30, opt.gpuConfig())
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer c.Close()
-	w := (dim + 15) / 16 * 16
+	w := (row.Dim + 15) / 16 * 16
 	h := w
 	img := make([]byte, w*h)
 	for i := range img {
@@ -228,30 +245,32 @@ func sobelM2STime(dim int, opt Options) (time.Duration, error) {
 	}
 	in, err := c.CreateBuffer(w * h)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	out, err := c.CreateBuffer(w * h)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if err := c.WriteBuffer(in, img); err != nil {
-		return 0, err
+		return err
 	}
 	k, err := c.BuildKernel(sobelM2SSrc, "sobel")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	k.SetArgBuffer(0, in)
 	k.SetArgBuffer(1, out)
 	k.SetArgInt(2, int32(w))
 	k.SetArgInt(3, int32(h))
 	if err := c.Enqueue(k, [3]uint32{uint32(w), uint32(h), 1}, [3]uint32{16, 16, 1}); err != nil {
-		return 0, err
+		return err
 	}
 	if _, err := c.ReadBuffer(out, w*h); err != nil {
-		return 0, err
+		return err
 	}
-	return c.CPUTime, nil
+	row.M2SCPUTime = c.CPUTime
+	row.M2SInstrs, row.M2SDecodes = c.CPUInstret(), c.CPUDecodes()
+	return nil
 }
 
 const sobelM2SSrc = `

@@ -149,9 +149,15 @@ func ParseBinary(b []byte) (*Program, error) {
 	if off != len(b) {
 		return nil, fmt.Errorf("gpu: %d trailing bytes in binary", len(b)-off)
 	}
-	// Validate branch targets so execution cannot escape the program.
+	// Validate branch targets so execution cannot escape the program, and
+	// clause-temporary indices so a register operand cannot escape its file.
 	for i, c := range p.Clauses {
 		for _, in := range c.Instrs {
+			for _, o := range [...]uint8{in.Dst, in.A, in.B} {
+				if kind, idx := OperKind(o); kind == OperTemp && idx >= NumTemp {
+					return nil, fmt.Errorf("gpu: clause %d uses missing clause temporary t%d", i, idx)
+				}
+			}
 			switch in.Op {
 			case OpBR:
 				if in.BranchTarget() >= len(p.Clauses) {

@@ -328,6 +328,14 @@ func FuzzDifferentialEngines(f *testing.F) {
 	for seed := uint64(0); seed < 40; seed++ {
 		f.Add(seed, uint8(seed*7), uint8(seed*3), uint8(16+seed))
 	}
+	// The tape's masked-commit path: divergent kernels (even seeds) over
+	// partial tail warps (local sizes 1, 2, 3, 5, 6, 7), with and without
+	// local memory, misaligned, page-crossing and strided accesses, and
+	// with enough ALU slots to hit most of the case table under a mask.
+	for i, seed := range []uint64{2, 4, 6, 8, 10, 12, 20, 24, 30, 60} {
+		localSel := []uint8{0, 1, 2, 4, 5, 6}[i%6]
+		f.Add(seed, uint8(3+i), localSel, uint8(47))
+	}
 	f.Fuzz(func(t *testing.T, seed uint64, threadsSel, localSel, nALUSel uint8) {
 		runDifferential(t, seed, threadsSel, localSel, nALUSel)
 	})

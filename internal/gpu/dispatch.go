@@ -133,6 +133,7 @@ func (d *Device) execJob(desc *JobDescriptor, prog *Program, uniforms []uint64) 
 				warpSlab: d.warpSlabs.get(),
 			}
 			defer func() { d.warpSlabs.put(ec.warpSlab) }()
+			ec.bindTape()
 			if collectCFG {
 				res.cfg = stats.NewCFG()
 				ec.cfg = res.cfg
@@ -257,6 +258,11 @@ func (e *execContext) runWorkgroup() error {
 	if e.local == nil {
 		e.local = unusableLocal{}
 	}
+	if e.tape != nil {
+		for d, id := range e.wgid {
+			e.uvals[uvWGID+d] = uint64(id)
+		}
+	}
 	lsz := e.lsz
 	total := int(lsz[0]) * int(lsz[1]) * int(lsz[2])
 	nWarps := (total + WarpSize - 1) / WarpSize
@@ -270,11 +276,9 @@ func (e *execContext) runWorkgroup() error {
 		w := &warps[wi].w
 		w.lanes = lane + 1
 		w.active[lane] = true
-		w.lid[lane] = [3]uint32{lx, ly, lz}
-		w.gid[lane] = [3]uint32{
-			e.wgid[0]*lsz[0] + lx,
-			e.wgid[1]*lsz[1] + ly,
-			e.wgid[2]*lsz[2] + lz,
+		for d, l := range [3]uint32{lx, ly, lz} {
+			w.rows[rowLID+d][lane] = uint64(l)
+			w.rows[rowGID+d][lane] = uint64(e.wgid[d]*lsz[d] + l)
 		}
 	}
 

@@ -9,10 +9,11 @@ import "sync"
 type Engine int
 
 const (
-	// EngineWarp (the default) compiles the straight-line body of each
-	// clause into one fused closure that executes a whole warp per call
-	// over SoA register files, with per-lane fallback to the walker /
-	// interpreter for memory system corner cases and rare operand shapes.
+	// EngineWarp (the default) lowers each clause — and each fusable chain
+	// of clauses — to a flat tape of pre-decoded micro-ops that one switch
+	// executes a whole warp at a time over SoA register rows, leaving the
+	// tape only for memory accesses and the rare shapes the per-lane
+	// interpreter handles.
 	EngineWarp Engine = iota
 	// EngineJIT specialises each instruction into a per-lane closure with
 	// pre-resolved operand accessors (the paper's future-work JIT mode).

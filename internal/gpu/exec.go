@@ -86,21 +86,28 @@ type divFrame struct {
 	joinMask [WarpSize]bool
 }
 
-// warp is a quad of threads executing in lockstep. Register files are laid
-// out structure-of-arrays — one [WarpSize] row per register — so the fused
-// warp engine streams a whole warp's operands from one contiguous row.
+// soaRow is one register across the warp's lanes.
+type soaRow = [WarpSize]uint64
+
+// warp is a quad of threads executing in lockstep. The register files are
+// one structure-of-arrays block — a [WarpSize] row per register — so the
+// warp engine streams a whole warp's operands from one contiguous row and
+// indexes it with the operand byte itself: rows 0..63 are r0..r63, 64..67
+// t0..t3, then the lane identifiers gid/lid as rows of their own and the
+// tape executor's scratch rows (warp.go).
 type warp struct {
 	lanes  int // live lanes (tail warps may be partial)
 	active [WarpSize]bool
 	exited [WarpSize]bool
-	regs   [NumGRF][WarpSize]uint64
-	temps  [NumTemp][WarpSize]uint64
-
-	gid [WarpSize][3]uint32
-	lid [WarpSize][3]uint32
+	rows   [numRows]soaRow
 
 	pc    int // current clause index
 	stack []divFrame
+}
+
+// gid returns a lane's global id, for the instruction trace.
+func (w *warp) gid(lane int) [3]uint32 {
+	return [3]uint32{uint32(w.rows[rowGID][lane]), uint32(w.rows[rowGID+1][lane]), uint32(w.rows[rowGID+2][lane])}
 }
 
 func (w *warp) activeCount() int {
@@ -140,6 +147,12 @@ type execContext struct {
 	cfg   *stats.CFG   // nil when CFG collection is off
 	trace *traceSink   // nil when instruction tracing is off
 	stop  *atomic.Bool // soft-stop latch, polled at clause boundaries
+
+	// tape is the program's warp-engine artifact when this context runs
+	// on it, and uvals the table its warp-uniform operands are read from
+	// (see bindTape); both nil on the per-instruction engines.
+	tape  *warpProgram
+	uvals []uint64
 
 	// warpSlab is this worker's recycled per-workgroup warp storage,
 	// checked out of the device's free list for the duration of a job
@@ -188,7 +201,8 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 		if w.pc >= len(e.prog.Clauses) {
 			return warpDone, nil
 		}
-		if w.activeCount() == 0 {
+		act := w.activeCount()
+		if act == 0 {
 			if w.allExited() && len(w.stack) == 0 {
 				return warpDone, nil
 			}
@@ -200,10 +214,10 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 
 		var st warpStatus
 		var err error
-		if sc := e.superClauseAt(w.pc); sc != nil {
-			st, err = e.execSuper(w, sc)
+		if e.tape != nil {
+			st, err = e.execTapeAt(w, uint64(act))
 		} else {
-			st, err = e.execClause(w)
+			st, err = e.execClause(w, uint64(act))
 		}
 		if err != nil {
 			return warpDone, err
@@ -219,73 +233,75 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 	}
 }
 
-// superClauseAt returns the fused superclause headed at clause index ci,
-// or nil when the superclause fast path does not apply: a different
-// engine, instruction tracing (needs per-instruction visibility), CFG
-// collection (needs per-clause block bookkeeping), or simply no chain
-// starting here. Mid-chain clauses never satisfy this with active lanes —
-// every control-flow edge (branch targets, reconvergence points, barrier
-// resumes) lands on a chain head by construction, and the zero-active
-// stepping walk in runWarp advances pc without executing.
-func (e *execContext) superClauseAt(ci int) *superClause {
-	if e.eng != EngineWarp || e.prog.warp == nil || e.trace != nil || e.cfg != nil {
-		return nil
+// bindTape selects the warp engine for this context when it applies — the
+// program is compiled for it and instruction tracing, which needs per-
+// instruction visibility, is off — and builds the uniform-operand table
+// the tape reads: kernel arguments, dispatch sizes and the program's
+// constants. The workgroup id slots are refreshed by runWorkgroup.
+func (e *execContext) bindTape() {
+	e.tape, e.uvals = nil, nil
+	if e.eng != EngineWarp || e.prog.warp == nil || e.trace != nil {
+		return
 	}
-	sup := e.prog.warp.super
-	if ci >= len(sup) {
-		return nil
+	e.tape = e.prog.warp
+	e.uvals = make([]uint64, uvConsts+len(e.tape.consts))
+	copy(e.uvals[:uvWGID], e.uniforms)
+	for d := 0; d < 3; d++ {
+		e.uvals[uvWGID+d], e.uvals[uvGSZ+d], e.uvals[uvLSZ+d] = uint64(e.wgid[d]), uint64(e.gsz[d]), uint64(e.lsz[d])
 	}
-	return sup[ci]
+	copy(e.uvals[uvConsts:], e.tape.consts)
 }
 
-// execSuper runs a fused chain of clauses with one dispatch. Every
-// *original* clause boundary inside the chain keeps its architectural
-// behaviour: the soft-stop latch is polled and the clause-boundary
-// acquire marker issued exactly as the per-clause loop in runWarp does,
-// and the per-clause statistics bump in the same order. The active mask
-// is constant through the chain (no BRC/RET mid-chain), so act is
-// computed once.
-//
-//simlint:commit -- commits the fused superclause instruction mix
-func (e *execContext) execSuper(w *warp, sc *superClause) (warpStatus, error) {
-	act := uint64(w.activeCount())
-	for si := range sc.segs {
-		s := &sc.segs[si]
-		if si > 0 {
-			if e.stop != nil && e.stop.Load() {
-				return warpDone, ErrStopped
-			}
-			mem.LoadFence()
-		}
-		e.gs.ClausesExec++
-		e.gs.ClauseSizeHist[s.histIdx]++
-		e.gs.NopInstr += act * s.padNops
-		if s.body != nil {
-			if err := s.body(e, w, act); err != nil {
-				return warpDone, err
-			}
-		}
-		if s.brCF {
-			// The folded unconditional BR still counts as an executed
-			// control-flow instruction, as execTerminal would bump it.
-			e.gs.CFInstr += act
-		}
+// execTapeAt runs the tape headed at the current clause — a whole fused
+// superclause chain where one starts here — and applies its terminal.
+// Every *original* clause boundary inside a chain keeps its architectural
+// behaviour (soft-stop poll, acquire marker, per-clause statistics; see
+// kBoundary). CFG collection needs per-clause block bookkeeping, so it
+// runs the clause's own tape. Mid-chain clauses are never entered with
+// active lanes — every control-flow edge (branch targets, reconvergence
+// points, barrier resumes) lands on a chain head by construction, and the
+// zero-active stepping walk in runWarp advances pc without executing.
+func (e *execContext) execTapeAt(w *warp, act uint64) (warpStatus, error) {
+	t := &e.tape.heads[w.pc]
+	var blk *stats.CFGBlock
+	if e.cfg != nil {
+		t = &e.tape.clauses[w.pc]
+		blk = e.cfg.Block(e.prog.Clauses[w.pc].Addr)
+		blk.ThreadsIn += act
+		blk.WarpsIn++
 	}
-	if sc.term != nil {
-		return e.execTerminal(w, sc.term, sc.next, nil, act)
+	var mask *soaRow
+	if int(act) != w.lanes {
+		var m soaRow
+		for l := 0; l < w.lanes; l++ {
+			if w.active[l] && !w.exited[l] {
+				m[l] = ^uint64(0)
+			}
+		}
+		mask = &m
 	}
-	return e.endFallthrough(w, sc.next, nil, act)
+	if err := e.execTape(w, t.ops, act, mask); err != nil {
+		return warpDone, err
+	}
+	if t.term == nil {
+		return e.endFallthrough(w, t.next, blk, act)
+	}
+	var pred *soaRow
+	if t.pred.vec {
+		pred = &w.rows[t.pred.row]
+	}
+	return e.execTerminal(w, t.term, t.next, blk, act, pred, t.pred.ctr)
 }
 
-// execClause runs all slots of the current clause on all active lanes and
+// execClause runs all slots of the current clause on all active lanes, one
+// instruction at a time (the interpreter and closure-JIT engines), and
 // applies the clause-terminal control flow. Clause temporaries are
 // (semantically) dead across clause boundaries.
 //
 //simlint:commit -- commits the per-clause instruction mix
-func (e *execContext) execClause(w *warp) (warpStatus, error) {
+func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {
 	ci := w.pc
 	c := &e.prog.Clauses[ci]
-	act := uint64(w.activeCount())
 
 	e.gs.ClausesExec++
 	e.gs.ClauseSizeHist[min(c.Slots(), stats.MaxClauseSlots)]++
@@ -302,32 +318,15 @@ func (e *execContext) execClause(w *warp) (warpStatus, error) {
 		blk.WarpsIn++
 	}
 	if e.trace != nil {
-		e.trace.clauseEntry(e.wgid, w.gid[0][0], ci, c.Addr, int(act))
+		e.trace.clauseEntry(e.wgid, uint32(w.rows[rowGID][0]), ci, c.Addr, int(act))
 	}
 
 	next := ci + 1 // fallthrough
 
-	// Warp-batched fast path: one fused closure executes the whole
-	// straight-line body for all lanes, then the shared terminal handling
-	// applies the clause's control flow (skipped under tracing, which
-	// needs per-instruction visibility).
-	if e.eng == EngineWarp && e.prog.warp != nil && e.trace == nil {
-		wc := &e.prog.warp.clauses[ci]
-		if wc.body != nil {
-			if err := wc.body(e, w, act); err != nil {
-				return warpDone, err
-			}
-		}
-		if wc.term != nil {
-			return e.execTerminal(w, wc.term, next, blk, act)
-		}
-		return e.endFallthrough(w, next, blk, act)
-	}
-
 	for ii := range c.Instrs {
 		in := &c.Instrs[ii]
 		if IsClauseTerminal(in.Op) {
-			return e.execTerminal(w, in, next, blk, act)
+			return e.execTerminal(w, in, next, blk, act, nil, ctrNone)
 		}
 		switch Classify(in.Op) {
 		case ClassNop:
@@ -377,11 +376,14 @@ func (e *execContext) endFallthrough(w *warp, next int, blk *stats.CFGBlock, act
 }
 
 // execTerminal applies a clause-terminal control-flow instruction. Both
-// the per-instruction engines and the fused warp path end clauses here, so
-// divergence, reconvergence-stack and CFG bookkeeping are engine-agnostic.
+// the per-instruction engines and the warp engine's tapes end clauses
+// here, so divergence, reconvergence-stack and CFG bookkeeping are engine-
+// agnostic. The warp engine passes a BRC's predicate as the register row
+// (and operand counter) it resolved at compile time; pred is nil when the
+// operand has to be decoded per lane.
 //
 //simlint:commit -- commits control-flow and divergence counters
-func (e *execContext) execTerminal(w *warp, in *Instr, next int, blk *stats.CFGBlock, act uint64) (warpStatus, error) {
+func (e *execContext) execTerminal(w *warp, in *Instr, next int, blk *stats.CFGBlock, act uint64, pred *soaRow, predCtr ctrKind) (warpStatus, error) {
 	e.gs.CFInstr += act
 
 	switch in.Op {
@@ -429,13 +431,22 @@ func (e *execContext) execTerminal(w *warp, in *Instr, next int, blk *stats.CFGB
 			if !w.active[i] || w.exited[i] {
 				continue
 			}
-			if e.read(w, i, in.A, in) != 0 {
+			var p uint64
+			if pred != nil {
+				p = pred[i]
+			} else {
+				p = e.read(w, i, in.A, in)
+			}
+			if p != 0 {
 				taken[i] = true
 				nTaken++
 			} else {
 				fall[i] = true
 				nFall++
 			}
+		}
+		if pred != nil {
+			predCtr.bump(e.gs, act)
 		}
 		if blk != nil {
 			blk.Terminator = "brc"
@@ -494,10 +505,10 @@ func (e *execContext) read(w *warp, lane int, o uint8, in *Instr) uint64 {
 	switch kind {
 	case OperGRF:
 		e.gs.GRFRead++
-		return w.regs[idx][lane]
+		return w.rows[idx][lane]
 	case OperTemp:
 		e.gs.TempAcc++
-		return w.temps[idx][lane]
+		return w.rows[NumGRF+idx][lane]
 	case OperUniform:
 		e.gs.ConstRead++
 		if int(idx) < len(e.uniforms) {
@@ -518,9 +529,9 @@ func (e *execContext) read(w *warp, lane int, o uint8, in *Instr) uint64 {
 		case SpecZero:
 			return 0
 		case SpecGIDX, SpecGIDY, SpecGIDZ:
-			return uint64(w.gid[lane][idx-SpecGIDX])
+			return w.rows[rowGID+idx-SpecGIDX][lane]
 		case SpecLIDX, SpecLIDY, SpecLIDZ:
-			return uint64(w.lid[lane][idx-SpecLIDX])
+			return w.rows[rowLID+idx-SpecLIDX][lane]
 		case SpecWGIDX, SpecWGIDY, SpecWGIDZ:
 			return uint64(e.wgid[idx-SpecWGIDX])
 		case SpecGSZX, SpecGSZY, SpecGSZZ:
@@ -540,10 +551,10 @@ func (e *execContext) write(w *warp, lane int, o uint8, v uint64) {
 	switch kind {
 	case OperGRF:
 		e.gs.GRFWrite++
-		w.regs[idx][lane] = v
+		w.rows[idx][lane] = v
 	case OperTemp:
 		e.gs.TempAcc++
-		w.temps[idx][lane] = v
+		w.rows[NumGRF+idx][lane] = v
 	}
 }
 
@@ -569,7 +580,7 @@ func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
 		}
 		e.write(w, lane, in.Dst, v)
 		if e.trace != nil {
-			e.trace.inst(lane, w.gid[lane], in, v, true)
+			e.trace.inst(lane, w.gid(lane), in, v, true)
 		}
 		return nil
 
@@ -592,7 +603,7 @@ func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
 			if fault != nil {
 				return fault
 			}
-			e.trace.inst(lane, w.gid[lane], in, v, true)
+			e.trace.inst(lane, w.gid(lane), in, v, true)
 			// Honour the walker's access mode: the store must stay on the
 			// same plain/atomic policy as every other access of this core.
 			if e.walker.Shared() {
@@ -749,7 +760,7 @@ func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
 	}
 	e.write(w, lane, in.Dst, r)
 	if e.trace != nil {
-		e.trace.inst(lane, w.gid[lane], in, r, true)
+		e.trace.inst(lane, w.gid(lane), in, r, true)
 	}
 	return nil
 }

@@ -658,6 +658,17 @@ func TestBinaryValidation(t *testing.T) {
 	if _, err := gpu.ParseBinary(raw); err == nil {
 		t.Error("out-of-range branch target accepted")
 	}
+	// A clause temporary beyond t3 would index past the temporaries' rows
+	// of the register file.
+	p = &gpu.Program{
+		Clauses: []gpu.Clause{clause(gpu.Instr{Op: gpu.OpMOV, Dst: gpu.R(0), A: gpu.OperTemp<<6 | gpu.NumTemp})},
+	}
+	if raw, err = gpu.Serialize(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gpu.ParseBinary(raw); err == nil {
+		t.Error("out-of-range clause temporary accepted")
+	}
 	// Oversized clause rejected at serialise time.
 	big := make([]gpu.Instr, 17)
 	for i := range big {

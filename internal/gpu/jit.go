@@ -41,13 +41,13 @@ func compileReader(o uint8, imm uint32, prog *Program) readFn {
 		i := int(idx)
 		return func(e *execContext, w *warp, lane int) uint64 {
 			e.gs.GRFRead++
-			return w.regs[i][lane]
+			return w.rows[i][lane]
 		}
 	case OperTemp:
 		i := int(idx)
 		return func(e *execContext, w *warp, lane int) uint64 {
 			e.gs.TempAcc++
-			return w.temps[i][lane]
+			return w.rows[NumGRF+i][lane]
 		}
 	case OperUniform:
 		i := int(idx)
@@ -80,11 +80,11 @@ func compileReader(o uint8, imm uint32, prog *Program) readFn {
 		case SpecZero:
 			return func(*execContext, *warp, int) uint64 { return 0 }
 		case SpecGIDX, SpecGIDY, SpecGIDZ:
-			d := int(idx - SpecGIDX)
-			return func(e *execContext, w *warp, lane int) uint64 { return uint64(w.gid[lane][d]) }
+			row := rowGID + int(idx-SpecGIDX)
+			return func(e *execContext, w *warp, lane int) uint64 { return w.rows[row][lane] }
 		case SpecLIDX, SpecLIDY, SpecLIDZ:
-			d := int(idx - SpecLIDX)
-			return func(e *execContext, w *warp, lane int) uint64 { return uint64(w.lid[lane][d]) }
+			row := rowLID + int(idx-SpecLIDX)
+			return func(e *execContext, w *warp, lane int) uint64 { return w.rows[row][lane] }
 		case SpecWGIDX, SpecWGIDY, SpecWGIDZ:
 			d := int(idx - SpecWGIDX)
 			return func(e *execContext, w *warp, lane int) uint64 { return uint64(e.wgid[d]) }
@@ -110,13 +110,13 @@ func compileWriter(o uint8) writeFn {
 		i := int(idx)
 		return func(e *execContext, w *warp, lane int, v uint64) {
 			e.gs.GRFWrite++
-			w.regs[i][lane] = v
+			w.rows[i][lane] = v
 		}
 	case OperTemp:
 		i := int(idx)
 		return func(e *execContext, w *warp, lane int, v uint64) {
 			e.gs.TempAcc++
-			w.temps[i][lane] = v
+			w.rows[NumGRF+i][lane] = v
 		}
 	default:
 		return func(*execContext, *warp, int, uint64) {}

@@ -26,12 +26,9 @@ func superShape(t *testing.T, clauses ...Clause) []int {
 	}
 	p.compile(EngineWarp)
 	shape := make([]int, len(clauses))
-	if p.warp.super == nil {
-		return shape
-	}
-	for ci, sc := range p.warp.super {
-		if sc != nil {
-			shape[ci] = len(sc.segs)
+	for ci, t := range p.warp.heads {
+		if t.n > 1 {
+			shape[ci] = t.n
 		}
 	}
 	return shape
@@ -99,17 +96,26 @@ func TestSuperClauseFusionShapes(t *testing.T) {
 			p.Clauses[i].Addr = uint64(i) * 0x10
 		}
 		p.compile(EngineWarp)
-		sc := p.warp.super[0]
-		if sc == nil || len(sc.segs) != 2 {
+		chain := p.warp.heads[0]
+		if chain.n != 2 {
 			t.Fatalf("BR into single-pred clause did not fuse")
 		}
 		// The folded BR must still be accounted as a control-flow
-		// instruction at the original clause boundary.
-		if !sc.segs[0].brCF {
-			t.Error("folded BR segment lost its CFInstr accounting")
+		// instruction at the original clause boundary — exactly once,
+		// by the boundary micro-op; the final clause's RET stays a live
+		// terminal.
+		var boundaries, foldedBR int
+		for _, u := range chain.ops {
+			if u.kind() == kBoundary {
+				boundaries++
+				foldedBR += int(u.b())
+			}
 		}
-		if sc.segs[1].brCF {
-			t.Error("final segment must not carry a folded-BR bump (its terminal is live)")
+		if boundaries != 1 || foldedBR != 1 {
+			t.Errorf("chain has %d boundaries carrying %d folded-BR bumps, want 1 and 1", boundaries, foldedBR)
+		}
+		if chain.term == nil || chain.term.Op != OpRET {
+			t.Errorf("chain terminal = %v, want the final clause's RET", chain.term)
 		}
 	})
 
@@ -126,41 +132,69 @@ func TestSuperClauseFusionShapes(t *testing.T) {
 			p.Clauses[i].Addr = uint64(i) * 0x10
 		}
 		p.compile(EngineWarp)
-		if p.warp.super != nil {
-			for ci, sc := range p.warp.super {
-				if sc != nil {
-					t.Errorf("clause %d fused a %d-chain into a two-pred join", ci, len(sc.segs))
-				}
+		for ci, t2 := range p.warp.heads {
+			if t2.n > 1 {
+				t.Errorf("clause %d fused a %d-chain into a two-pred join", ci, t2.n)
 			}
 		}
 	})
 }
 
+// warpShapes are the mask shapes every exactness test below runs under:
+// the tape must behave identically for a full warp, a divergent one
+// (masked commit, per-lane memory uops) and a partial tail warp.
+var warpShapes = []struct {
+	name  string
+	shape func(w *warp)
+}{
+	{"full", func(*warp) {}},
+	{"divergent", diverge},
+	{"partial", func(w *warp) { w.lanes = WarpSize - 1; w.active[WarpSize-1] = false }},
+}
+
 // TestSuperClauseSoftStopAtSegBoundary pins the soft-stop contract inside
 // a fused chain: the latch is polled at every *original* clause boundary,
 // so a stop raised before execution aborts after exactly the first
-// segment — its clause-entry statistics committed, the second segment's
+// clause — its clause-entry statistics committed, the second clause's
 // not, and no memory traffic from the second clause issued.
 func TestSuperClauseSoftStopAtSegBoundary(t *testing.T) {
-	ec, w, p := newHotContext(t)
-	sc := p.warp.super[0]
-	if sc == nil || len(sc.segs) != 2 {
-		t.Fatalf("hot program did not fuse into a 2-clause chain")
-	}
-	var stop atomic.Bool
-	stop.Store(true)
-	ec.stop = &stop
+	for _, sh := range warpShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			ec, w, p := newHotContext(t)
+			sh.shape(w)
+			if p.warp.heads[0].n != 2 {
+				t.Fatalf("hot program did not fuse into a 2-clause chain")
+			}
+			var stop atomic.Bool
+			stop.Store(true)
+			ec.stop = &stop
 
-	hits, walks := ec.walker.Hits, ec.walker.Walks
-	st, err := ec.execSuper(w, sc)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("execSuper under stop: status %v, err %v; want ErrStopped", st, err)
-	}
-	if ec.gs.ClausesExec != 1 {
-		t.Errorf("clauses executed before stop = %d, want exactly 1", ec.gs.ClausesExec)
-	}
-	if ec.gs.GlobalLS != 0 || ec.walker.Hits != hits || ec.walker.Walks != walks {
-		t.Errorf("second segment's memory traffic leaked past the stop: GlobalLS=%d", ec.gs.GlobalLS)
+			// The reference: the interpreter runs exactly the first clause.
+			ecI, wI, _ := newHotContext(t)
+			ecI.setEngine(EngineInterp)
+			sh.shape(wI)
+			if _, err := ecI.execClause(wI, uint64(wI.activeCount())); err != nil {
+				t.Fatal(err)
+			}
+
+			hits, walks := ec.walker.Hits, ec.walker.Walks
+			st, err := ec.execTapeAt(w, uint64(w.activeCount()))
+			if !errors.Is(err, ErrStopped) {
+				t.Fatalf("chain under stop: status %v, err %v; want ErrStopped", st, err)
+			}
+			if ec.gs.ClausesExec != 1 {
+				t.Errorf("clauses executed before stop = %d, want exactly 1", ec.gs.ClausesExec)
+			}
+			if ec.gs.GlobalLS != 0 || ec.walker.Hits != hits || ec.walker.Walks != walks {
+				t.Errorf("second clause's memory traffic leaked past the stop: GlobalLS=%d", ec.gs.GlobalLS)
+			}
+			if *ec.gs != *ecI.gs {
+				t.Errorf("stats at the stop differ from one interpreted clause:\nwarp:   %+v\ninterp: %+v", *ec.gs, *ecI.gs)
+			}
+			if regsOf(w) != regsOf(wI) {
+				t.Errorf("registers at the stop differ from one interpreted clause")
+			}
+		})
 	}
 }
 
@@ -170,31 +204,36 @@ func TestSuperClauseSoftStopAtSegBoundary(t *testing.T) {
 // registers (the abort prefix of the faulting instruction included), same
 // GPU statistics, same TLB accounting.
 func TestSuperClauseFaultMatchesInterp(t *testing.T) {
-	mk := func(eng Engine) (*execContext, *warp) {
-		ec, w, _ := newHotContext(t)
-		ec.eng = eng
-		w.regs[4][WarpSize-1] = 0xdead_0000 // unmapped: faults mid-warp, mid-chain
-		return ec, w
-	}
-	ecW, wW := mk(EngineWarp)
-	ecI, wI := mk(EngineInterp)
+	for _, sh := range warpShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			mk := func(eng Engine) (*execContext, *warp) {
+				ec, w, _ := newHotContext(t)
+				ec.setEngine(eng)
+				sh.shape(w)
+				w.rows[4][WarpSize-2] = 0xdead_0000 // unmapped: faults mid-warp, mid-chain
+				return ec, w
+			}
+			ecW, wW := mk(EngineWarp)
+			ecI, wI := mk(EngineInterp)
 
-	_, errW := ecW.runWarp(wW)
-	_, errI := ecI.runWarp(wI)
-	if errW == nil || errI == nil {
-		t.Fatalf("expected a fault from both engines; warp=%v interp=%v", errW, errI)
-	}
-	if errW.Error() != errI.Error() {
-		t.Errorf("fault mismatch:\nwarp:   %v\ninterp: %v", errW, errI)
-	}
-	if wW.regs != wI.regs {
-		t.Errorf("registers diverged after mid-chain fault")
-	}
-	if *ecW.gs != *ecI.gs {
-		t.Errorf("stats diverged after mid-chain fault:\nwarp:   %+v\ninterp: %+v", *ecW.gs, *ecI.gs)
-	}
-	if ecW.walker.Hits != ecI.walker.Hits || ecW.walker.Walks != ecI.walker.Walks {
-		t.Errorf("TLB accounting diverged: warp %d/%d, interp %d/%d",
-			ecW.walker.Hits, ecW.walker.Walks, ecI.walker.Hits, ecI.walker.Walks)
+			_, errW := ecW.runWarp(wW)
+			_, errI := ecI.runWarp(wI)
+			if errW == nil || errI == nil {
+				t.Fatalf("expected a fault from both engines; warp=%v interp=%v", errW, errI)
+			}
+			if errW.Error() != errI.Error() {
+				t.Errorf("fault mismatch:\nwarp:   %v\ninterp: %v", errW, errI)
+			}
+			if regsOf(wW) != regsOf(wI) {
+				t.Errorf("registers diverged after mid-chain fault")
+			}
+			if *ecW.gs != *ecI.gs {
+				t.Errorf("stats diverged after mid-chain fault:\nwarp:   %+v\ninterp: %+v", *ecW.gs, *ecI.gs)
+			}
+			if ecW.walker.Hits != ecI.walker.Hits || ecW.walker.Walks != ecI.walker.Walks {
+				t.Errorf("TLB accounting diverged: warp %d/%d, interp %d/%d",
+					ecW.walker.Hits, ecW.walker.Walks, ecI.walker.Hits, ecI.walker.Walks)
+			}
+		})
 	}
 }

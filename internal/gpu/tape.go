@@ -1,0 +1,763 @@
+package gpu
+
+import (
+	"math"
+
+	"mobilesim/internal/mem"
+	"mobilesim/internal/stats"
+)
+
+// The warp engine's executor (DESIGN.md §9): warpCompile lowers every
+// clause — and every superclause chain — to a flat tape of pre-decoded
+// micro-ops, and execTape runs a tape for one whole warp with a single
+// dense switch. ALU cases are leaf code, the four lanes written out in the
+// case over rows of the warp's unified register file; only operations
+// that can fault or must defer to other code (global/local memory, the
+// rare slow ALU ops, the per-lane interpreter fallback) leave the switch
+// through a call.
+//
+// Counter contract: the interpreter bumps the class counter once per
+// instruction (scaled by the clause's active-lane count) before touching
+// lanes, and operand counters per lane access. ALU instructions cannot
+// fault, so the bumps of a run of them are summed at compile time into
+// one tapeStats applied at the head of the run — same totals at every
+// observable point (fault aborts, soft-stops, completion). Memory
+// instructions CAN fault and abort the warp mid-instruction, so all their
+// counters stay per-lane, interleaved with the walker calls exactly as
+// the interpreter interleaves them.
+
+// The leaf cases spell out the lanes of a row: in a function the size of
+// execLeaf the compiler neither unrolls a WarpSize loop nor keeps its
+// counter in a register.
+var _ [0]struct{} = [WarpSize - 4]struct{}{}
+
+// uopKind selects the executor case of a micro-op.
+type uopKind uint8
+
+const (
+	// kClause enters a clause: ClausesExec and the size histogram slot d.
+	// It is always followed by a kStats word, consumed in the same step:
+	// the clause's issue-slot padding NOPs merged with the ALU run that
+	// opens it.
+	kClause uopKind = iota
+	// kStats heads a run of ALU micro-ops and carries the run's statistics
+	// aggregate in its own operand bytes (tapeStats.encode).
+	kStats
+	kSplat // d = broadcast(uvals[imm])
+	// kBoundary precedes the kClause of every clause but the first in a
+	// superclause chain. It does what the per-clause loop in runWarp would
+	// have done at that original clause boundary: account the folded
+	// unconditional BR (b = 1) as a control-flow instruction, poll the
+	// soft-stop latch and issue the clause-boundary acquire marker.
+	kBoundary
+	kSlow       // d = slow[imm]'s value function of a (and b), per lane
+	kLoadG      // mems[imm]: d = global[a + off]
+	kStoreG     // mems[imm]: global[a + off] = b
+	kLoadL      // mems[imm]: d = local[a + off]
+	kStoreL     // mems[imm]: local[a + off] = b
+	kLaneInterp // slow[imm].in through the interpreter, lane by lane
+
+	// The ALU blocks: kind = block + Opcode. Unary ops and the FMA/SEL
+	// accumulator forms (which also read d) live in the same blocks.
+	kVV                             // d = op(a, b) over rows
+	kVU = kVV + uopKind(NumOpcodes) // d = op(a, uvals[imm])
+	kUV = kVU + uopKind(NumOpcodes) // d = op(uvals[imm], b)
+)
+
+// uop is one pre-decoded micro-op, packed into a word the executor loads
+// once: an executor case (bits 0..7), three row indices into warp.rows (d,
+// a, b: bits 8..31) and one 32-bit payload (a uvals/mems/slow index).
+type uop uint64
+
+func mkUop(kind uopKind, d, a, b uint8, imm uint32) uop {
+	return uop(kind) | uop(d)<<8 | uop(a)<<16 | uop(b)<<24 | uop(imm)<<32
+}
+
+func (u uop) kind() uopKind { return uopKind(u) }
+func (u uop) d() uint8      { return uint8(u >> 8) }
+func (u uop) a() uint8      { return uint8(u >> 16) }
+func (u uop) b() uint8      { return uint8(u >> 24) }
+func (u uop) imm() uint32   { return uint32(u >> 32) }
+
+// tapeStats is the compile-time aggregate of the statistics a run of
+// fault-free instructions bumps per active lane: the instruction-class
+// counters plus the operand-access breakdown. A clause has at most
+// MaxClauseSlotsBinary slots of at most four operand accesses each, so
+// every count fits the byte it is encoded in; the builder splits a run
+// before tapeStatsMax so hand-built oversized clauses stay exact too.
+type tapeStats struct {
+	arith, nop, grfRead, grfWrite, tempAcc, constRead, romRead uint8
+}
+
+const tapeStatsMax = 255 - 4
+
+// encode packs the aggregate into a kStats micro-op.
+func (s tapeStats) encode() uop {
+	return mkUop(kStats, s.arith, s.nop, s.grfRead,
+		uint32(s.grfWrite)|uint32(s.tempAcc)<<8|uint32(s.constRead)<<16|uint32(s.romRead)<<24)
+}
+
+// full reports whether another instruction's counts might overflow a field.
+func (s tapeStats) full() bool {
+	return max(s.arith, s.nop, s.grfRead, s.grfWrite, s.tempAcc, s.constRead, s.romRead) > tapeStatsMax
+}
+
+// ctrKind names the operand counter an operand access bumps.
+type ctrKind uint8
+
+const (
+	ctrNone ctrKind = iota
+	ctrGRFRead
+	ctrGRFWrite
+	ctrTempAcc
+	ctrConstRead
+	ctrROMRead
+)
+
+// count adds one access of counter kind c to the aggregate.
+func (s *tapeStats) count(c ctrKind) {
+	switch c {
+	case ctrGRFRead:
+		s.grfRead++
+	case ctrGRFWrite:
+		s.grfWrite++
+	case ctrTempAcc:
+		s.tempAcc++
+	case ctrConstRead:
+		s.constRead++
+	case ctrROMRead:
+		s.romRead++
+	}
+}
+
+// bump adds n accesses to the live counter: the memory uops' per-lane
+// accounting, which must stay in fault order.
+//
+//simlint:commit -- designated operand-counter bump helper
+func (c ctrKind) bump(gs *stats.GPUStats, n uint64) {
+	switch c {
+	case ctrGRFRead:
+		gs.GRFRead += n
+	case ctrGRFWrite:
+		gs.GRFWrite += n
+	case ctrTempAcc:
+		gs.TempAcc += n
+	case ctrConstRead:
+		gs.ConstRead += n
+	case ctrROMRead:
+		gs.ROMRead += n
+	}
+}
+
+// execTape runs one tape for the whole warp. act is the active-lane count,
+// constant through the tape (masks only change at clause terminals, which
+// never appear mid-tape). mask is nil for a warp whose live lanes are all
+// active; a divergent warp passes its all-ones-per-active-lane row.
+//
+// The work is split in two so the hot loop keeps its state in registers:
+// execLeaf runs micro-ops that need no call, and hands back the index of
+// the first one that does — a memory access, a slow ALU op, the
+// interpreter fallback, a chain boundary — which is executed here.
+//
+//simlint:commit -- accounts the unconditional BR folded into a chain boundary
+func (e *execContext) execTape(w *warp, ops []uop, act uint64, mask *soaRow) error {
+	wp := e.tape
+	for pc := 0; ; pc++ {
+		if pc = e.execLeaf(w, ops, pc, act, mask); pc == len(ops) {
+			return nil
+		}
+		u := ops[pc]
+		var err error
+		switch u.kind() {
+		case kBoundary:
+			e.gs.CFInstr += act * uint64(u.b())
+			if e.stop != nil && e.stop.Load() {
+				return ErrStopped
+			}
+			mem.LoadFence()
+		case kLoadG:
+			err = e.loadGlobal(w, &wp.mems[u.imm()], u, act, mask == nil)
+		case kStoreG:
+			err = e.storeGlobal(w, &wp.mems[u.imm()], u, act, mask == nil)
+		case kLoadL:
+			err = e.loadLocal(w, &wp.mems[u.imm()], u, act)
+		case kStoreL:
+			err = e.storeLocal(w, &wp.mems[u.imm()], u, act)
+		case kLaneInterp:
+			err = e.laneInterp(w, wp.slow[u.imm()].in, act)
+		case kSlow:
+			dst := &w.rows[u.d()]
+			d := dst
+			if mask != nil {
+				d = &w.rows[rowMasked]
+			}
+			wp.slow[u.imm()].run(d, &w.rows[u.a()], &w.rows[u.b()])
+			if mask != nil {
+				commitMasked(dst, d, mask)
+			}
+		default:
+			panic("gpu: tape micro-op without an executor case")
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// commitMasked copies the active lanes of a full-row result into place.
+func commitMasked(dst, src, mask *soaRow) {
+	for l := range dst {
+		dst[l] ^= (dst[l] ^ src[l]) & mask[l]
+	}
+}
+
+// execLeaf is the executor's hot loop: one dense switch whose cases are
+// leaf code. It runs ops from pc and returns the index of the first
+// micro-op it has no case for (len(ops) at the end of the tape). Operand
+// rows are resolved inside each case, and everything else is reached
+// through e, so that little more than the tape position is live across the
+// switch's jump. For a divergent warp every ALU case computes the full row
+// into the rowMasked scratch row (keep/force redirect the destination
+// index without a branch) and the shared tail commits it under the mask —
+// one case table for both. Full warps write every slot of a row, including
+// lanes beyond w.lanes: those are architecturally dead (never active,
+// never stored back, zeroed when the slab is recycled).
+//
+//simlint:commit -- the tape executor commits the pre-aggregated instruction mix
+func (e *execContext) execLeaf(w *warp, ops []uop, pc int, act uint64, mask *soaRow) int {
+	rows := &w.rows
+	keep, force := uint8(0xff), uint8(0)
+	if mask != nil {
+		keep, force = 0, rowMasked
+	}
+	for ; pc < len(ops); pc++ {
+		u := ops[pc]
+		switch u.kind() {
+		default:
+			return pc
+		case kClause:
+			e.gs.ClausesExec++
+			e.gs.ClauseSizeHist[u.d()]++
+			pc++
+			u = ops[pc]
+			fallthrough
+		case kStats:
+			gs, st := e.gs, uint64(u)
+			gs.ArithInstr += st >> 8 & 0xff * act
+			gs.NopInstr += st >> 16 & 0xff * act
+			gs.GRFRead += st >> 24 & 0xff * act
+			gs.GRFWrite += st >> 32 & 0xff * act
+			gs.TempAcc += st >> 40 & 0xff * act
+			gs.ConstRead += st >> 48 & 0xff * act
+			gs.ROMRead += st >> 56 * act
+			continue
+		case kSplat:
+			d, s := &rows[u.d()&keep|force], e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = s, s, s, s
+
+		// --- vector ∘ vector
+		case kVV + uopKind(OpMOV):
+			rows[u.d()&keep|force] = rows[u.a()]
+		case kVV + uopKind(OpI2F):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d[0], d[1], d[2], d[3] = fbits(float32(int32(a[0]))), fbits(float32(int32(a[1]))), fbits(float32(int32(a[2]))), fbits(float32(int32(a[3])))
+		case kVV + uopKind(OpF2I):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(int32(f32(a[0])))), uint64(uint32(int32(f32(a[1])))), uint64(uint32(int32(f32(a[2])))), uint64(uint32(int32(f32(a[3]))))
+		case kVV + uopKind(OpFABS):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d[0], d[1], d[2], d[3] = fbits(float32(math.Abs(float64(f32(a[0]))))), fbits(float32(math.Abs(float64(f32(a[1]))))), fbits(float32(math.Abs(float64(f32(a[2]))))), fbits(float32(math.Abs(float64(f32(a[3])))))
+		case kVV + uopKind(OpFNEG):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d[0], d[1], d[2], d[3] = fbits(-f32(a[0])), fbits(-f32(a[1])), fbits(-f32(a[2])), fbits(-f32(a[3]))
+		case kVV + uopKind(OpFSQRT):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d[0], d[1], d[2], d[3] = fbits(float32(math.Sqrt(float64(f32(a[0]))))), fbits(float32(math.Sqrt(float64(f32(a[1]))))), fbits(float32(math.Sqrt(float64(f32(a[2]))))), fbits(float32(math.Sqrt(float64(f32(a[3])))))
+		case kVV + uopKind(OpFFLOOR):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d[0], d[1], d[2], d[3] = fbits(float32(math.Floor(float64(f32(a[0]))))), fbits(float32(math.Floor(float64(f32(a[1]))))), fbits(float32(math.Floor(float64(f32(a[2]))))), fbits(float32(math.Floor(float64(f32(a[3])))))
+		case kVV + uopKind(OpIADD):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])+uint32(b[0])), uint64(uint32(a[1])+uint32(b[1])), uint64(uint32(a[2])+uint32(b[2])), uint64(uint32(a[3])+uint32(b[3]))
+		case kVV + uopKind(OpISUB):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])-uint32(b[0])), uint64(uint32(a[1])-uint32(b[1])), uint64(uint32(a[2])-uint32(b[2])), uint64(uint32(a[3])-uint32(b[3]))
+		case kVV + uopKind(OpIMUL):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])*uint32(b[0])), uint64(uint32(a[1])*uint32(b[1])), uint64(uint32(a[2])*uint32(b[2])), uint64(uint32(a[3])*uint32(b[3]))
+		case kVV + uopKind(OpSHL):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])<<(uint32(b[0])&31)), uint64(uint32(a[1])<<(uint32(b[1])&31)), uint64(uint32(a[2])<<(uint32(b[2])&31)), uint64(uint32(a[3])<<(uint32(b[3])&31))
+		case kVV + uopKind(OpSHR):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])>>(uint32(b[0])&31)), uint64(uint32(a[1])>>(uint32(b[1])&31)), uint64(uint32(a[2])>>(uint32(b[2])&31)), uint64(uint32(a[3])>>(uint32(b[3])&31))
+		case kVV + uopKind(OpSAR):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(int32(a[0])>>(uint32(b[0])&31))), uint64(uint32(int32(a[1])>>(uint32(b[1])&31))), uint64(uint32(int32(a[2])>>(uint32(b[2])&31))), uint64(uint32(int32(a[3])>>(uint32(b[3])&31)))
+		case kVV + uopKind(OpAND):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
+		case kVV + uopKind(OpOR):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
+		case kVV + uopKind(OpXOR):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = a[0]^b[0], a[1]^b[1], a[2]^b[2], a[3]^b[3]
+		case kVV + uopKind(OpADD64):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = a[0]+b[0], a[1]+b[1], a[2]+b[2], a[3]+b[3]
+		case kVV + uopKind(OpMUL64):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = a[0]*b[0], a[1]*b[1], a[2]*b[2], a[3]*b[3]
+		case kVV + uopKind(OpFADD):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = fbits(f32(a[0])+f32(b[0])), fbits(f32(a[1])+f32(b[1])), fbits(f32(a[2])+f32(b[2])), fbits(f32(a[3])+f32(b[3]))
+		case kVV + uopKind(OpFSUB):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = fbits(f32(a[0])-f32(b[0])), fbits(f32(a[1])-f32(b[1])), fbits(f32(a[2])-f32(b[2])), fbits(f32(a[3])-f32(b[3]))
+		case kVV + uopKind(OpFMUL):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = fbits(f32(a[0])*f32(b[0])), fbits(f32(a[1])*f32(b[1])), fbits(f32(a[2])*f32(b[2])), fbits(f32(a[3])*f32(b[3]))
+		case kVV + uopKind(OpFDIV):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = fbits(f32(a[0])/f32(b[0])), fbits(f32(a[1])/f32(b[1])), fbits(f32(a[2])/f32(b[2])), fbits(f32(a[3])/f32(b[3]))
+		case kVV + uopKind(OpICMPEQ):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) == uint32(b[0])), b2u(uint32(a[1]) == uint32(b[1])), b2u(uint32(a[2]) == uint32(b[2])), b2u(uint32(a[3]) == uint32(b[3]))
+		case kVV + uopKind(OpICMPNE):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) != uint32(b[0])), b2u(uint32(a[1]) != uint32(b[1])), b2u(uint32(a[2]) != uint32(b[2])), b2u(uint32(a[3]) != uint32(b[3]))
+		case kVV + uopKind(OpICMPLT):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = b2u(int32(a[0]) < int32(b[0])), b2u(int32(a[1]) < int32(b[1])), b2u(int32(a[2]) < int32(b[2])), b2u(int32(a[3]) < int32(b[3]))
+		case kVV + uopKind(OpICMPLE):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = b2u(int32(a[0]) <= int32(b[0])), b2u(int32(a[1]) <= int32(b[1])), b2u(int32(a[2]) <= int32(b[2])), b2u(int32(a[3]) <= int32(b[3]))
+		case kVV + uopKind(OpUCMPLT):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) < uint32(b[0])), b2u(uint32(a[1]) < uint32(b[1])), b2u(uint32(a[2]) < uint32(b[2])), b2u(uint32(a[3]) < uint32(b[3]))
+		case kVV + uopKind(OpFCMPEQ):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) == f32(b[0])), b2u(f32(a[1]) == f32(b[1])), b2u(f32(a[2]) == f32(b[2])), b2u(f32(a[3]) == f32(b[3]))
+		case kVV + uopKind(OpFCMPLT):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) < f32(b[0])), b2u(f32(a[1]) < f32(b[1])), b2u(f32(a[2]) < f32(b[2])), b2u(f32(a[3]) < f32(b[3]))
+		case kVV + uopKind(OpFCMPLE):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) <= f32(b[0])), b2u(f32(a[1]) <= f32(b[1])), b2u(f32(a[2]) <= f32(b[2])), b2u(f32(a[3]) <= f32(b[3]))
+		// --- vector ∘ uniform
+		case kVU + uopKind(OpIADD):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])+uint32(s)), uint64(uint32(a[1])+uint32(s)), uint64(uint32(a[2])+uint32(s)), uint64(uint32(a[3])+uint32(s))
+		case kVU + uopKind(OpISUB):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])-uint32(s)), uint64(uint32(a[1])-uint32(s)), uint64(uint32(a[2])-uint32(s)), uint64(uint32(a[3])-uint32(s))
+		case kVU + uopKind(OpIMUL):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])*uint32(s)), uint64(uint32(a[1])*uint32(s)), uint64(uint32(a[2])*uint32(s)), uint64(uint32(a[3])*uint32(s))
+		case kVU + uopKind(OpSHL):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])<<(uint32(s)&31)), uint64(uint32(a[1])<<(uint32(s)&31)), uint64(uint32(a[2])<<(uint32(s)&31)), uint64(uint32(a[3])<<(uint32(s)&31))
+		case kVU + uopKind(OpSHR):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])>>(uint32(s)&31)), uint64(uint32(a[1])>>(uint32(s)&31)), uint64(uint32(a[2])>>(uint32(s)&31)), uint64(uint32(a[3])>>(uint32(s)&31))
+		case kVU + uopKind(OpSAR):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(int32(a[0])>>(uint32(s)&31))), uint64(uint32(int32(a[1])>>(uint32(s)&31))), uint64(uint32(int32(a[2])>>(uint32(s)&31))), uint64(uint32(int32(a[3])>>(uint32(s)&31)))
+		case kVU + uopKind(OpAND):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = a[0]&s, a[1]&s, a[2]&s, a[3]&s
+		case kVU + uopKind(OpOR):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = a[0]|s, a[1]|s, a[2]|s, a[3]|s
+		case kVU + uopKind(OpXOR):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = a[0]^s, a[1]^s, a[2]^s, a[3]^s
+		case kVU + uopKind(OpADD64):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = a[0]+s, a[1]+s, a[2]+s, a[3]+s
+		case kVU + uopKind(OpMUL64):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = a[0]*s, a[1]*s, a[2]*s, a[3]*s
+		case kVU + uopKind(OpFADD):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = fbits(f32(a[0])+f32(s)), fbits(f32(a[1])+f32(s)), fbits(f32(a[2])+f32(s)), fbits(f32(a[3])+f32(s))
+		case kVU + uopKind(OpFSUB):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = fbits(f32(a[0])-f32(s)), fbits(f32(a[1])-f32(s)), fbits(f32(a[2])-f32(s)), fbits(f32(a[3])-f32(s))
+		case kVU + uopKind(OpFMUL):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = fbits(f32(a[0])*f32(s)), fbits(f32(a[1])*f32(s)), fbits(f32(a[2])*f32(s)), fbits(f32(a[3])*f32(s))
+		case kVU + uopKind(OpFDIV):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = fbits(f32(a[0])/f32(s)), fbits(f32(a[1])/f32(s)), fbits(f32(a[2])/f32(s)), fbits(f32(a[3])/f32(s))
+		case kVU + uopKind(OpICMPEQ):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) == uint32(s)), b2u(uint32(a[1]) == uint32(s)), b2u(uint32(a[2]) == uint32(s)), b2u(uint32(a[3]) == uint32(s))
+		case kVU + uopKind(OpICMPNE):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) != uint32(s)), b2u(uint32(a[1]) != uint32(s)), b2u(uint32(a[2]) != uint32(s)), b2u(uint32(a[3]) != uint32(s))
+		case kVU + uopKind(OpICMPLT):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(int32(a[0]) < int32(s)), b2u(int32(a[1]) < int32(s)), b2u(int32(a[2]) < int32(s)), b2u(int32(a[3]) < int32(s))
+		case kVU + uopKind(OpICMPLE):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(int32(a[0]) <= int32(s)), b2u(int32(a[1]) <= int32(s)), b2u(int32(a[2]) <= int32(s)), b2u(int32(a[3]) <= int32(s))
+		case kVU + uopKind(OpUCMPLT):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) < uint32(s)), b2u(uint32(a[1]) < uint32(s)), b2u(uint32(a[2]) < uint32(s)), b2u(uint32(a[3]) < uint32(s))
+		case kVU + uopKind(OpFCMPEQ):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) == f32(s)), b2u(f32(a[1]) == f32(s)), b2u(f32(a[2]) == f32(s)), b2u(f32(a[3]) == f32(s))
+		case kVU + uopKind(OpFCMPLT):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) < f32(s)), b2u(f32(a[1]) < f32(s)), b2u(f32(a[2]) < f32(s)), b2u(f32(a[3]) < f32(s))
+		case kVU + uopKind(OpFCMPLE):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) <= f32(s)), b2u(f32(a[1]) <= f32(s)), b2u(f32(a[2]) <= f32(s)), b2u(f32(a[3]) <= f32(s))
+		// --- uniform ∘ vector (non-commutative ops and float ops, whose NaN payload follows operand order)
+		case kUV + uopKind(OpISUB):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(s)-uint32(b[0])), uint64(uint32(s)-uint32(b[1])), uint64(uint32(s)-uint32(b[2])), uint64(uint32(s)-uint32(b[3]))
+		case kUV + uopKind(OpSHL):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(s)<<(uint32(b[0])&31)), uint64(uint32(s)<<(uint32(b[1])&31)), uint64(uint32(s)<<(uint32(b[2])&31)), uint64(uint32(s)<<(uint32(b[3])&31))
+		case kUV + uopKind(OpSHR):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(s)>>(uint32(b[0])&31)), uint64(uint32(s)>>(uint32(b[1])&31)), uint64(uint32(s)>>(uint32(b[2])&31)), uint64(uint32(s)>>(uint32(b[3])&31))
+		case kUV + uopKind(OpSAR):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(int32(s)>>(uint32(b[0])&31))), uint64(uint32(int32(s)>>(uint32(b[1])&31))), uint64(uint32(int32(s)>>(uint32(b[2])&31))), uint64(uint32(int32(s)>>(uint32(b[3])&31)))
+		case kUV + uopKind(OpFADD):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = fbits(f32(s)+f32(b[0])), fbits(f32(s)+f32(b[1])), fbits(f32(s)+f32(b[2])), fbits(f32(s)+f32(b[3]))
+		case kUV + uopKind(OpFSUB):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = fbits(f32(s)-f32(b[0])), fbits(f32(s)-f32(b[1])), fbits(f32(s)-f32(b[2])), fbits(f32(s)-f32(b[3]))
+		case kUV + uopKind(OpFMUL):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = fbits(f32(s)*f32(b[0])), fbits(f32(s)*f32(b[1])), fbits(f32(s)*f32(b[2])), fbits(f32(s)*f32(b[3]))
+		case kUV + uopKind(OpFDIV):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = fbits(f32(s)/f32(b[0])), fbits(f32(s)/f32(b[1])), fbits(f32(s)/f32(b[2])), fbits(f32(s)/f32(b[3]))
+		case kUV + uopKind(OpICMPLT):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(int32(s) < int32(b[0])), b2u(int32(s) < int32(b[1])), b2u(int32(s) < int32(b[2])), b2u(int32(s) < int32(b[3]))
+		case kUV + uopKind(OpICMPLE):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(int32(s) <= int32(b[0])), b2u(int32(s) <= int32(b[1])), b2u(int32(s) <= int32(b[2])), b2u(int32(s) <= int32(b[3]))
+		case kUV + uopKind(OpUCMPLT):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(uint32(s) < uint32(b[0])), b2u(uint32(s) < uint32(b[1])), b2u(uint32(s) < uint32(b[2])), b2u(uint32(s) < uint32(b[3]))
+		case kUV + uopKind(OpFCMPLT):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(f32(s) < f32(b[0])), b2u(f32(s) < f32(b[1])), b2u(f32(s) < f32(b[2])), b2u(f32(s) < f32(b[3]))
+		case kUV + uopKind(OpFCMPLE):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			d[0], d[1], d[2], d[3] = b2u(f32(s) <= f32(b[0])), b2u(f32(s) <= f32(b[1])), b2u(f32(s) <= f32(b[2])), b2u(f32(s) <= f32(b[3]))
+		// --- accumulator forms: the destination is also the third source
+		case kVV + uopKind(OpFMA):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			acc := &rows[u.d()]
+			d[0], d[1], d[2], d[3] = fbits(f32(acc[0])+f32(a[0])*f32(b[0])), fbits(f32(acc[1])+f32(a[1])*f32(b[1])), fbits(f32(acc[2])+f32(a[2])*f32(b[2])), fbits(f32(acc[3])+f32(a[3])*f32(b[3]))
+		case kVU + uopKind(OpFMA):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			acc := &rows[u.d()]
+			d[0], d[1], d[2], d[3] = fbits(f32(acc[0])+f32(a[0])*f32(s)), fbits(f32(acc[1])+f32(a[1])*f32(s)), fbits(f32(acc[2])+f32(a[2])*f32(s)), fbits(f32(acc[3])+f32(a[3])*f32(s))
+		case kUV + uopKind(OpFMA):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			acc := &rows[u.d()]
+			d[0], d[1], d[2], d[3] = fbits(f32(acc[0])+f32(s)*f32(b[0])), fbits(f32(acc[1])+f32(s)*f32(b[1])), fbits(f32(acc[2])+f32(s)*f32(b[2])), fbits(f32(acc[3])+f32(s)*f32(b[3]))
+		case kVV + uopKind(OpSEL):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			acc := &rows[u.d()]
+			d[0], d[1], d[2], d[3] = sel(acc[0], a[0], b[0]), sel(acc[1], a[1], b[1]), sel(acc[2], a[2], b[2]), sel(acc[3], a[3], b[3])
+		case kVU + uopKind(OpSEL):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := e.uvals[u.imm()]
+			acc := &rows[u.d()]
+			d[0], d[1], d[2], d[3] = sel(acc[0], a[0], s), sel(acc[1], a[1], s), sel(acc[2], a[2], s), sel(acc[3], a[3], s)
+		case kUV + uopKind(OpSEL):
+			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			s := e.uvals[u.imm()]
+			acc := &rows[u.d()]
+			d[0], d[1], d[2], d[3] = sel(acc[0], s, b[0]), sel(acc[1], s, b[1]), sel(acc[2], s, b[2]), sel(acc[3], s, b[3])
+
+		}
+		if mask != nil { // commitMasked, written out: nothing this size inlines here
+			d, r := &rows[u.d()], &rows[rowMasked]
+			d[0], d[1], d[2], d[3] = d[0]^(d[0]^r[0])&mask[0], d[1]^(d[1]^r[1])&mask[1], d[2]^(d[2]^r[2])&mask[2], d[3]^(d[3]^r[3])&mask[3]
+		}
+	}
+	return pc
+}
+
+func sel(pred, a, b uint64) uint64 {
+	if pred != 0 {
+		return a
+	}
+	return b
+}
+
+// run executes an ALU op without a leaf case (transcendentals, IDIV/IMOD,
+// MIN/MAX) through its value function.
+func (s *slowOp) run(d, a, b *soaRow) {
+	for l := range d {
+		if s.un != nil {
+			d[l] = s.un(a[l])
+		} else {
+			d[l] = s.bin(a[l], b[l])
+		}
+	}
+}
+
+// --- Memory -----------------------------------------------------------------
+
+// memOp is the decoded form of a load/store the memory uops share: the
+// sign-extended byte offset, the access size and the operand counters of
+// the address row and of the value row (a load's destination write, a
+// store's value read).
+type memOp struct {
+	off        uint64
+	size       int
+	aCtr, vCtr ctrKind
+}
+
+// batchSpan reports whether all lanes of a fully-active warp touch one
+// virtual page, returning the lowest lane address. addrs is the SoA base
+// row; every lane accesses addrs[l]+imm for size bytes.
+func batchSpan(addrs *soaRow, lanes int, imm uint64, size int) (lo uint64, ok bool) {
+	lo = addrs[0] + imm
+	hi := lo
+	for l := 1; l < lanes; l++ {
+		a := addrs[l] + imm
+		if a < lo {
+			lo = a
+		}
+		if a > hi {
+			hi = a
+		}
+	}
+	return lo, lo&^uint64(mem.PageMask) == (hi+uint64(size)-1)&^uint64(mem.PageMask)
+}
+
+// loadGlobal is the LDG/LDG64/LDGB uop: a per-lane loop over the walker
+// fast path, with a coalesced batch path in front. When the whole warp is
+// active and every lane's access lands inside one virtual page (the
+// uniform-base + lane-stride shape of well-behaved kernels), the page is
+// translated once through Walker.BatchPage — which accounts TLB hits/
+// walks, touched pages and the dirty watermark bit-identically to the
+// per-lane sequence — and the lanes copy straight between the host page
+// view and the SoA register row. The batch cannot fault (BatchPage
+// declines rather than faults), so its counters may bump in bulk.
+// Divergent warps, page-crossing spans, MMIO frames and faulting accesses
+// fall back to the per-lane loop, where counters and walker calls stay in
+// interpreter order so a faulting lane aborts with identical totals.
+//
+//simlint:commit -- warp memory uops keep interpreter-identical counters
+func (e *execContext) loadGlobal(w *warp, m *memOp, u uop, act uint64, full bool) error {
+	gs := e.gs
+	gs.LSInstr += act
+	ar, dr := &w.rows[u.a()], &w.rows[u.d()]
+	if full {
+		if lo, ok := batchSpan(ar, w.lanes, m.off, m.size); ok {
+			if page, ok := e.walker.BatchPage(lo, mem.Read, act); ok {
+				m.aCtr.bump(gs, act)
+				gs.GlobalLS += act
+				gs.MainMemAcc += act
+				m.vCtr.bump(gs, act)
+				if e.walker.Shared() {
+					for l := 0; l < w.lanes; l++ {
+						off := (ar[l] + m.off) & mem.PageMask
+						if m.size == 4 && off&3 == 0 {
+							dr[l] = mem.AtomicLoad32(page, off)
+						} else {
+							dr[l] = mem.AtomicLoadLE(page, off, m.size)
+						}
+					}
+				} else {
+					for l := 0; l < w.lanes; l++ {
+						off := (ar[l] + m.off) & mem.PageMask
+						//simlint:allow sharedmem -- plain-mode BatchPage span: the walker already resolved an unshared page
+						dr[l] = mem.LoadLE(page[off : off+uint64(m.size)])
+					}
+				}
+				return nil
+			}
+		}
+	}
+	for l := 0; l < w.lanes; l++ {
+		if !w.active[l] || w.exited[l] {
+			continue
+		}
+		m.aCtr.bump(gs, 1)
+		gs.GlobalLS++
+		gs.MainMemAcc++
+		v, err := e.walker.Load(ar[l]+m.off, m.size, mem.Read)
+		if err != nil {
+			return err
+		}
+		m.vCtr.bump(gs, 1)
+		dr[l] = v
+	}
+	return nil
+}
+
+// storeGlobal is the STG/STG64/STGB uop, the store mirror of loadGlobal.
+//
+//simlint:commit -- warp memory uops keep interpreter-identical counters
+func (e *execContext) storeGlobal(w *warp, m *memOp, u uop, act uint64, full bool) error {
+	gs := e.gs
+	gs.LSInstr += act
+	ar, br := &w.rows[u.a()], &w.rows[u.b()]
+	if full {
+		if lo, ok := batchSpan(ar, w.lanes, m.off, m.size); ok {
+			if page, ok := e.walker.BatchPage(lo, mem.Write, act); ok {
+				m.aCtr.bump(gs, act)
+				m.vCtr.bump(gs, act)
+				gs.GlobalLS += act
+				gs.MainMemAcc += act
+				// Lane order is preserved: overlapping lane stores
+				// resolve low-lane-first, as the per-lane loop does.
+				if e.walker.Shared() {
+					for l := 0; l < w.lanes; l++ {
+						off := (ar[l] + m.off) & mem.PageMask
+						if m.size == 4 && off&3 == 0 {
+							mem.AtomicStore32(page, off, uint32(br[l]))
+						} else {
+							mem.AtomicStoreLE(page, off, m.size, br[l])
+						}
+					}
+				} else {
+					for l := 0; l < w.lanes; l++ {
+						off := (ar[l] + m.off) & mem.PageMask
+						//simlint:allow sharedmem -- plain-mode BatchPage span: the walker already resolved an unshared page
+						mem.StoreLE(page[off:off+uint64(m.size)], m.size, br[l])
+					}
+				}
+				return nil
+			}
+		}
+	}
+	for l := 0; l < w.lanes; l++ {
+		if !w.active[l] || w.exited[l] {
+			continue
+		}
+		m.aCtr.bump(gs, 1)
+		m.vCtr.bump(gs, 1)
+		gs.GlobalLS++
+		gs.MainMemAcc++
+		if err := e.walker.Store(ar[l]+m.off, m.size, br[l]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loadLocal is the LDL uop: workgroup-local loads stay per-lane.
+//
+//simlint:commit -- warp memory uops keep interpreter-identical counters
+func (e *execContext) loadLocal(w *warp, m *memOp, u uop, act uint64) error {
+	gs := e.gs
+	gs.LSInstr += act
+	ar, dr := &w.rows[u.a()], &w.rows[u.d()]
+	for l := 0; l < w.lanes; l++ {
+		if !w.active[l] || w.exited[l] {
+			continue
+		}
+		m.aCtr.bump(gs, 1)
+		gs.LocalLS++
+		gs.LocalAcc++
+		v, err := e.local.load(ar[l] + m.off)
+		if err != nil {
+			return err
+		}
+		m.vCtr.bump(gs, 1)
+		dr[l] = uint64(v)
+	}
+	return nil
+}
+
+// storeLocal is the STL uop.
+//
+//simlint:commit -- warp memory uops keep interpreter-identical counters
+func (e *execContext) storeLocal(w *warp, m *memOp, u uop, act uint64) error {
+	gs := e.gs
+	gs.LSInstr += act
+	ar, br := &w.rows[u.a()], &w.rows[u.b()]
+	for l := 0; l < w.lanes; l++ {
+		if !w.active[l] || w.exited[l] {
+			continue
+		}
+		m.aCtr.bump(gs, 1)
+		m.vCtr.bump(gs, 1)
+		gs.LocalLS++
+		gs.LocalAcc++
+		if err := e.local.store(ar[l]+m.off, uint32(br[l])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// laneInterp runs one instruction through the interpreter, lane by lane,
+// for the shapes the tape does not lower (a destination that is not a
+// register, an unknown opcode), preserving errors and counters.
+//
+//simlint:commit -- interpreter fallback commits the instruction-mix counters
+func (e *execContext) laneInterp(w *warp, in *Instr, act uint64) error {
+	switch Classify(in.Op) {
+	case ClassArith:
+		e.gs.ArithInstr += act
+	case ClassLS:
+		e.gs.LSInstr += act
+	case ClassNop:
+		e.gs.NopInstr += act
+	}
+	for l := 0; l < w.lanes; l++ {
+		if w.active[l] && !w.exited[l] {
+			if err := e.execLane(w, l, in); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}

@@ -1,122 +1,351 @@
 package gpu
 
-import (
-	"math"
+import "mobilesim/internal/stats"
 
-	"mobilesim/internal/mem"
-	"mobilesim/internal/stats"
+// Warp-batched shader execution — the default engine tier (DESIGN.md §9).
+// warpCompile lowers every clause of a program to a flat tape of
+// pre-decoded micro-ops over the warp's unified SoA register file, then
+// concatenates fusable clause sequences into superclause chain tapes; the
+// executor and the micro-op format live in tape.go. Every operand shape
+// lowers to the tape — uniform operands of ops without a vector∘uniform
+// case are first broadcast into a scratch row — so the only instructions
+// left to the per-lane interpreter are listed in tapeFallbackReason.
+
+// Row indices of warp.rows beyond the operand-addressable registers.
+// OperGRF = 0 and OperTemp = 1 make the operand bytes of r0..r63 and
+// t0..t3 the row indices 0..67 themselves.
+const (
+	rowGID      = NumGRF + NumTemp // gid.x/y/z, one row per dimension
+	rowLID      = rowGID + 3       // lid.x/y/z
+	rowScratchA = rowLID + 3       // broadcast of a uniform A operand
+	rowScratchB = rowScratchA + 1  // broadcast of a uniform B operand
+	rowMasked   = rowScratchB + 1  // full-row result of a divergent warp, before the masked commit
+	numRows     = rowMasked + 1
 )
 
-// Warp-batched shader execution — the third engine tier (DESIGN.md §9).
-// Where the closure JIT still dispatches one closure per instruction per
-// lane, this engine fuses the whole straight-line body of a clause into a
-// single closure that executes all WarpSize lanes per call over the SoA
-// register files, so per-instruction dispatch and mask checks amortise
-// across the warp. Hot operand shapes (register/register, register/
-// warp-uniform) compile to dedicated allocation-free variants; everything
-// else — lane-varying specials, accumulator forms with exotic operands,
-// unknown opcodes — falls back to a per-lane loop around the existing
-// closure-JIT accessors or the interpreter, which keeps the counter and
-// fault semantics bit-identical by construction.
-//
-// Counter contract: the interpreter bumps the class counter once per
-// instruction (scaled by the clause's active-lane count) before touching
-// lanes, and operand counters per lane access. ALU instructions cannot
-// fault, so their per-lane operand bumps are hoisted to one bulk add per
-// warp — same totals at every observable point. Memory instructions CAN
-// fault and abort the warp mid-instruction, so all their counters stay
-// per-lane, interleaved with the walker calls exactly as the interpreter
-// interleaves them.
+// Slots of execContext.uvals, the table warp-uniform operands are read
+// from: the kernel arguments c0..c63, the workgroup-level specials, a zero,
+// then the program's immediates and ROM words (warpProgram.consts).
+const (
+	uvWGID   = 64
+	uvGSZ    = uvWGID + 3
+	uvLSZ    = uvGSZ + 3
+	uvZero   = uvLSZ + 3
+	uvConsts = uvZero + 1
+)
 
-// warpFn executes a fused straight-line clause body for one whole warp.
-// act is the clause's active-lane count — constant through the body, since
-// masks only change at clause terminals and lanes only exit at RET.
-type warpFn func(e *execContext, w *warp, act uint64) error
-
-// warpClause is one compiled clause: the fused body of its straight-line
-// prefix plus the clause-terminal control-flow instruction (nil =
-// fallthrough). Slots after the first terminal are dead in every engine.
-type warpClause struct {
-	body warpFn
-	term *Instr
+// tape is one executable unit of the warp engine: the micro-ops of a
+// clause's straight-line prefix — or of a whole superclause chain — plus
+// the clause-terminal control flow that ends it. Slots after the first
+// terminal are dead in every engine.
+type tape struct {
+	ops  []uop
+	term *Instr  // terminal of the (final) clause; nil = fallthrough
+	next int     // (final) clause index + 1: the terminal's "next"
+	n    int     // clauses covered; ≥ 2 for a superclause chain
+	pred operand // a BRC terminal's predicate; read as a row when pred.vec
 }
 
-// warpProgram mirrors Program.Clauses with one warpClause each, plus the
-// superclause chains built over them (super[ci] is non-nil exactly when a
-// fused multi-clause chain is headed at clause ci).
+// warpProgram is the compiled form of a Program. heads[ci] is what runs
+// when a warp enters clause ci: the superclause chain headed there, or the
+// clause alone. clauses[ci] is always the clause alone — CFG collection
+// needs per-clause block bookkeeping and bypasses the chains. The side
+// tables are indexed by uop.imm.
 type warpProgram struct {
-	clauses []warpClause
-	super   []*superClause
+	clauses []tape
+	heads   []tape
+	mems    []memOp
+	slow    []slowOp
+	consts  []uint64
 }
 
-// superSeg is one original clause inside a fused superclause. The per-
-// clause statistics the interpreter would bump on clause entry (clause
-// count, size histogram, issue-slot padding NOPs) are precomputed here so
-// the fused body still advances them at every original clause boundary.
-type superSeg struct {
-	body    warpFn
-	histIdx int
-	padNops uint64
-	// brCF marks a segment whose original terminal was an unconditional
-	// BR folded into the chain: the jump itself disappears, but the
-	// interpreter counts it as a control-flow instruction, so the fused
-	// runner bumps CFInstr after the segment body exactly as execTerminal
-	// would have.
-	brCF bool
+// slowOp is the payload of a micro-op that leaves the executor's switch.
+type slowOp struct {
+	in  *Instr
+	un  func(a uint64) uint64
+	bin func(a, b uint64) uint64
 }
 
-// superClause is a chain of clauses fused across clause boundaries
-// (DESIGN.md §9): each non-final clause ends in a fallthrough or an
-// unconditional BR, and each non-head clause has exactly one control-flow
-// predecessor and is never a branch, reconvergence or barrier-resume
-// target, so the whole chain executes with one closure dispatch and one
-// terminal round-trip. The active mask is provably constant through the
-// chain — masks only change at BRC/RET terminals, which never appear
-// mid-chain.
-type superClause struct {
-	segs []superSeg // ≥ 2 segments
-	term *Instr     // terminal of the final clause; nil = fallthrough
-	next int        // final clause index + 1 (the terminal's "next")
+// operand is a source operand resolved at compile time: a row of the
+// register file, or a slot of the uniform table.
+type operand struct {
+	vec bool
+	row uint8
+	uv  uint32
+	ctr ctrKind
 }
 
-// warpCompile fuses every clause of a program, then chains fusable
-// clause sequences into superclauses.
+// tapeBuilder lowers instructions onto one clause tape.
+type tapeBuilder struct {
+	p      *Program
+	wp     *warpProgram
+	ops    []uop
+	run    int               // index in ops of the open ALU run's kStats word; -1 after a uop that can fault
+	st     tapeStats         // the open run's aggregate, encoded into ops[run] as it grows
+	consts map[uint64]uint32 // value → uvals slot
+}
+
+// warpCompile lowers every clause of a program, then chains fusable clause
+// sequences into superclauses.
 func warpCompile(p *Program) *warpProgram {
-	wp := &warpProgram{clauses: make([]warpClause, len(p.Clauses))}
+	wp := &warpProgram{clauses: make([]tape, len(p.Clauses))}
+	b := &tapeBuilder{p: p, wp: wp, consts: map[uint64]uint32{}}
 	for ci := range p.Clauses {
 		c := &p.Clauses[ci]
-		wc := &wp.clauses[ci]
-		var ops []warpFn
-		var sts []*opStats
+		t := &wp.clauses[ci]
+		t.next, t.n = ci+1, 1
+		start := len(b.ops)
+		// Unfilled issue slots: a clause of N slots issues in ceil(N/2)
+		// tuples; the odd slot is an architecturally empty issue slot
+		// (Fig 11's "empty slots"), accounted with the clause entry.
+		b.ops = append(b.ops, mkUop(kClause, uint8(min(c.Slots(), stats.MaxClauseSlots)), 0, 0, 0))
+		b.run = -1
+		b.alu().nop += uint8(c.Tuples()*2 - c.Slots())
+		b.seal()
 		for ii := range c.Instrs {
 			in := &c.Instrs[ii]
 			if IsClauseTerminal(in.Op) {
-				wc.term = in
+				t.term = in
+				if in.Op == OpBRC {
+					if o, ok := b.operand(in.A, in.Imm); ok {
+						t.pred = o
+					}
+				}
 				break
 			}
-			fn, st := compileWarpOp(in, p)
-			ops = append(ops, fn)
-			sts = append(sts, st)
+			b.lower(in)
+			b.seal()
 		}
-		wc.body = assembleBody(ops, sts)
+		t.ops = b.ops[start:len(b.ops):len(b.ops)]
 	}
-	wp.super = buildSuperClauses(p, wp)
+	wp.heads = buildSuperClauses(p, wp)
 	return wp
 }
 
-// buildSuperClauses computes the fusion chains. A clause is an *entry* if
-// control flow can land on it from anywhere other than a unique
-// fallthrough/BR predecessor: clause 0, BRC targets, BRC fallthrough
-// successors, BRC reconvergence points (the runWarp loop re-enters there
-// via the divergence stack), barrier successors (warps resume there after
-// the rendezvous), and RET successors (conservatively — the zero-active
-// stepping walk parks there). Entries must stay independently executable
-// chain heads. A clause B fuses into its predecessor's chain iff B is not
-// an entry and has exactly one fallthrough/BR predecessor.
-func buildSuperClauses(p *Program, wp *warpProgram) []*superClause {
+// tapeFallbackReason names why an instruction runs through kLaneInterp
+// instead of lowered micro-ops, or returns "" when it lowers. It is the
+// explicit fallback list the tape coverage test checks opcodes against.
+func tapeFallbackReason(in *Instr) string {
+	switch in.Op {
+	case OpNOP, OpSTG, OpSTG64, OpSTGB, OpSTL:
+		return ""
+	}
+	_, un := unFns[in.Op]
+	_, bin := binFns[in.Op]
+	if Classify(in.Op) != ClassLS && !un && !bin && in.Op != OpFMA && in.Op != OpSEL {
+		return "no ALU lowering: the interpreter executes it or reports the error"
+	}
+	if in.Dst >= NumGRF+NumTemp {
+		return "destination is not a register: the interpreter discards the result"
+	}
+	return ""
+}
+
+// operand resolves a source operand byte. It fails only for a clause-
+// temporary index beyond NumTemp, which ParseBinary rejects.
+func (b *tapeBuilder) operand(o uint8, imm uint32) (operand, bool) {
+	kind, idx := OperKind(o)
+	switch kind {
+	case OperGRF:
+		return operand{vec: true, row: o, ctr: ctrGRFRead}, true
+	case OperTemp:
+		return operand{vec: true, row: o, ctr: ctrTempAcc}, idx < NumTemp
+	case OperUniform:
+		return operand{uv: uint32(idx), ctr: ctrConstRead}, true
+	}
+	switch {
+	case idx == SpecImm:
+		return operand{uv: b.constSlot(uint64(imm)), ctr: ctrROMRead}, true
+	case idx == SpecROM:
+		var v uint64
+		if int(imm) < len(b.p.ROM) {
+			v = b.p.ROM[imm]
+		}
+		return operand{uv: b.constSlot(v), ctr: ctrROMRead}, true
+	case idx >= SpecGIDX && idx <= SpecLIDZ:
+		return operand{vec: true, row: rowGID + idx - SpecGIDX}, true
+	case idx >= SpecWGIDX && idx <= SpecLSZZ:
+		return operand{uv: uvWGID + uint32(idx-SpecWGIDX)}, true
+	}
+	// SpecZero and the undefined dense specials read as zero with no
+	// counter, as read() does.
+	return operand{uv: uvZero}, true
+}
+
+func (b *tapeBuilder) constSlot(v uint64) uint32 {
+	slot, ok := b.consts[v]
+	if !ok {
+		slot = uint32(uvConsts + len(b.wp.consts))
+		b.consts[v] = slot
+		b.wp.consts = append(b.wp.consts, v)
+	}
+	return slot
+}
+
+// alu returns the stats aggregate of the open ALU run, opening one (with
+// its kStats word) when the previous micro-op could fault. The caller's
+// additions reach the tape through seal.
+func (b *tapeBuilder) alu() *tapeStats {
+	if b.run < 0 || b.st.full() {
+		b.run, b.st = len(b.ops), tapeStats{}
+		b.ops = append(b.ops, mkUop(kStats, 0, 0, 0, 0))
+	}
+	return &b.st
+}
+
+// seal writes the open run's aggregate into its kStats word.
+func (b *tapeBuilder) seal() {
+	if b.run >= 0 {
+		b.ops[b.run] = b.st.encode()
+	}
+}
+
+// row returns o as a row index, broadcasting a uniform into scratch first.
+func (b *tapeBuilder) row(o operand, scratch uint8) uint8 {
+	if o.vec {
+		return o.row
+	}
+	b.ops = append(b.ops, mkUop(kSplat, scratch, 0, 0, o.uv))
+	return scratch
+}
+
+func (b *tapeBuilder) slowIdx(s slowOp) uint32 {
+	b.wp.slow = append(b.wp.slow, s)
+	return uint32(len(b.wp.slow) - 1)
+}
+
+// fastVV, fastUV mark the opcodes with a leaf case in the executor's kVV
+// (and kVU) block and in its kUV block. Commutative integer ops need no kUV
+// case — their operands swap into kVU bit-exactly; float arithmetic keeps
+// operand order, which decides the NaN payload.
+var fastVV, fastUV = func() (vv, uv [NumOpcodes]bool) {
+	for _, op := range []Opcode{OpISUB, OpSHL, OpSHR, OpSAR, OpFADD, OpFSUB, OpFMUL, OpFDIV,
+		OpICMPLT, OpICMPLE, OpUCMPLT, OpFCMPLT, OpFCMPLE, OpFMA, OpSEL} {
+		vv[op], uv[op] = true, true
+	}
+	for _, op := range []Opcode{OpIADD, OpIMUL, OpAND, OpOR, OpXOR, OpADD64, OpMUL64,
+		OpICMPEQ, OpICMPNE, OpFCMPEQ, OpMOV, OpI2F, OpF2I, OpFABS, OpFNEG, OpFSQRT, OpFFLOOR} {
+		vv[op] = true
+	}
+	return
+}()
+
+// lower appends the micro-ops of one non-terminal instruction.
+func (b *tapeBuilder) lower(in *Instr) {
+	if Classify(in.Op) == ClassNop {
+		b.alu().nop++
+		return
+	}
+	A, okA := b.operand(in.A, in.Imm)
+	B, okB := b.operand(in.B, in.Imm)
+	if tapeFallbackReason(in) != "" || !okA || !okB {
+		b.ops = append(b.ops, mkUop(kLaneInterp, 0, 0, 0, b.slowIdx(slowOp{in: in})))
+		b.run = -1
+		return
+	}
+	if Classify(in.Op) == ClassLS {
+		b.lowerMem(in, A, B)
+		return
+	}
+	d := in.Dst // GRF/temp operand bytes are row indices
+	dRead, dWrite := ctrGRFRead, ctrGRFWrite
+	if d >= NumGRF {
+		dRead, dWrite = ctrTempAcc, ctrTempAcc
+	}
+	st := b.alu()
+	st.arith++
+	st.count(A.ctr)
+	st.count(dWrite)
+	op := uopKind(in.Op)
+
+	if un, ok := unFns[in.Op]; ok {
+		switch {
+		case !A.vec && in.Op == OpMOV:
+			b.ops = append(b.ops, mkUop(kSplat, d, 0, 0, A.uv))
+		case fastVV[in.Op]:
+			b.ops = append(b.ops, mkUop(kVV+op, d, b.row(A, rowScratchA), 0, 0))
+		default:
+			b.ops = append(b.ops, mkUop(kSlow, d, b.row(A, rowScratchA), 0, b.slowIdx(slowOp{un: un})))
+		}
+		return
+	}
+
+	st.count(B.ctr)
+	if in.Op == OpFMA || in.Op == OpSEL {
+		st.count(dRead) // the accumulator read
+	}
+	if !fastVV[in.Op] {
+		b.ops = append(b.ops, mkUop(kSlow, d, b.row(A, rowScratchA), b.row(B, rowScratchB),
+			b.slowIdx(slowOp{bin: binFns[in.Op]})))
+		return
+	}
+	switch {
+	case B.vec:
+		if A.vec {
+			b.ops = append(b.ops, mkUop(kVV+op, d, A.row, B.row, 0))
+		} else if fastUV[in.Op] {
+			b.ops = append(b.ops, mkUop(kUV+op, d, 0, B.row, A.uv))
+		} else {
+			b.ops = append(b.ops, mkUop(kVU+op, d, B.row, 0, A.uv))
+		}
+	default:
+		b.ops = append(b.ops, mkUop(kVU+op, d, b.row(A, rowScratchA), 0, B.uv))
+	}
+}
+
+// lowerMem appends a load/store micro-op; uniform address or value
+// operands are broadcast first and keep their own operand counter.
+func (b *tapeBuilder) lowerMem(in *Instr, A, B operand) {
+	m := memOp{off: uint64(int64(int32(in.Imm))), size: 4, aCtr: A.ctr}
+	switch in.Op {
+	case OpLDG64, OpSTG64:
+		m.size = 8
+	case OpLDGB, OpSTGB:
+		m.size = 1
+	}
+	kind, d, a, v := kLoadG, in.Dst, b.row(A, rowScratchA), uint8(0)
+	switch in.Op {
+	case OpLDL:
+		kind = kLoadL
+		fallthrough
+	case OpLDG, OpLDG64, OpLDGB:
+		m.vCtr = ctrGRFWrite
+		if d >= NumGRF {
+			m.vCtr = ctrTempAcc
+		}
+	default:
+		kind, d, v, m.vCtr = kStoreG, 0, b.row(B, rowScratchB), B.ctr
+		if in.Op == OpSTL {
+			kind = kStoreL
+		}
+	}
+	b.ops = append(b.ops, mkUop(kind, d, a, v, uint32(len(b.wp.mems))))
+	b.wp.mems = append(b.wp.mems, m)
+	b.run = -1
+}
+
+// buildSuperClauses computes the fusion chains and returns the head tapes.
+// A superclause is a chain of clauses fused across clause boundaries: each
+// non-final clause ends in a fallthrough or an unconditional BR, and each
+// non-head clause has exactly one control-flow predecessor and is never a
+// branch, reconvergence or barrier-resume target, so the whole chain runs
+// as one tape with one terminal round-trip. The active mask is provably
+// constant through the chain — masks only change at BRC/RET terminals,
+// which never appear mid-chain.
+//
+// A clause is an *entry* if control flow can land on it from anywhere
+// other than a unique fallthrough/BR predecessor: clause 0, BRC targets,
+// BRC fallthrough successors, BRC reconvergence points (the runWarp loop
+// re-enters there via the divergence stack), barrier successors (warps
+// resume there after the rendezvous), and RET successors (conservatively —
+// the zero-active stepping walk parks there). Entries must stay
+// independently executable chain heads. A clause B fuses into its
+// predecessor's chain iff B is not an entry and has exactly one
+// fallthrough/BR predecessor.
+func buildSuperClauses(p *Program, wp *warpProgram) []tape {
 	n := len(p.Clauses)
 	if n < 2 {
-		return nil
+		return wp.clauses
 	}
 	entry := make([]bool, n)
 	entry[0] = true
@@ -156,9 +385,8 @@ func buildSuperClauses(p *Program, wp *warpProgram) []*superClause {
 	}
 	absorbable := func(i int) bool { return !entry[i] && preds[i] == 1 }
 
-	super := make([]*superClause, n)
+	heads := wp.clauses
 	inChain := make([]bool, n)
-	any := false
 	for head := 0; head < n; head++ {
 		if absorbable(head) {
 			// Reached (if ever) only through its unique predecessor's
@@ -181,1258 +409,27 @@ func buildSuperClauses(p *Program, wp *warpProgram) []*superClause {
 		if len(chain) < 2 {
 			continue
 		}
-		sc := &superClause{segs: make([]superSeg, len(chain))}
+		if &heads[0] == &wp.clauses[0] {
+			heads = append([]tape(nil), wp.clauses...)
+		}
+		// The chain tape is the clause tapes back to back, a boundary
+		// micro-op between them; it also accounts the unconditional BR
+		// folded away there — the jump disappears, but the interpreter
+		// counts it as a control-flow instruction.
+		var ops []uop
 		for i, ci := range chain {
-			c := &p.Clauses[ci]
-			slots := c.Slots()
-			if slots > stats.MaxClauseSlots {
-				slots = stats.MaxClauseSlots
+			if i > 0 {
+				var foldedBR uint8
+				if wp.clauses[chain[i-1]].term != nil {
+					foldedBR = 1
+				}
+				ops = append(ops, mkUop(kBoundary, 0, 0, foldedBR, 0))
 			}
-			sc.segs[i] = superSeg{
-				body:    wp.clauses[ci].body,
-				histIdx: slots,
-				padNops: uint64(c.Tuples()*2 - c.Slots()),
-				brCF:    i < len(chain)-1 && wp.clauses[ci].term != nil,
-			}
+			ops = append(ops, wp.clauses[ci].ops...)
 		}
-		last := chain[len(chain)-1]
-		sc.term = wp.clauses[last].term
-		sc.next = last + 1
-		super[head] = sc
-		any = true
+		last := wp.clauses[chain[len(chain)-1]]
+		last.ops, last.n = ops, len(chain)
+		heads[head] = last
 	}
-	if !any {
-		return nil
-	}
-	return super
-}
-
-// opStats is the compile-time aggregate of the statistics a run of
-// fault-free instructions bumps per active lane: the instruction-class
-// counters plus the operand-access breakdown. Because none of the ops in
-// the run can fault or abort, the per-op bumps may be summed at compile
-// time and applied in one step at the head of the run — totals at every
-// observable point (fault aborts, soft-stops, completion) are unchanged,
-// which is all the exact-counter contract (DESIGN.md §9) requires.
-type opStats struct {
-	arith, nop                                     uint64
-	grfRead, grfWrite, tempAcc, constRead, romRead uint64
-}
-
-//simlint:commit -- batched per-warp commit of pre-aggregated op counters
-func (s *opStats) apply(gs *stats.GPUStats, act uint64) {
-	gs.ArithInstr += s.arith * act
-	gs.NopInstr += s.nop * act
-	gs.GRFRead += s.grfRead * act
-	gs.GRFWrite += s.grfWrite * act
-	gs.TempAcc += s.tempAcc * act
-	gs.ConstRead += s.constRead * act
-	gs.ROMRead += s.romRead * act
-}
-
-func (s *opStats) merge(o *opStats) {
-	s.arith += o.arith
-	s.nop += o.nop
-	s.grfRead += o.grfRead
-	s.grfWrite += o.grfWrite
-	s.tempAcc += o.tempAcc
-	s.constRead += o.constRead
-	s.romRead += o.romRead
-}
-
-// assembleBody turns a clause's compiled instruction stream into one
-// closure. Consecutive aggregatable ops (pure ALU / NOP with known
-// operand shapes — their stat deltas precomputed, their closures bare)
-// collapse into a single opStats application followed by the bare
-// compute closures; non-aggregatable ops (memory ops, fallback shapes)
-// self-account and stay interleaved in interpreter order. The resulting
-// step list is executed with a flat loop rather than nested wrappers, so
-// dispatch costs one indirect call per step.
-func assembleBody(ops []warpFn, sts []*opStats) warpFn {
-	var steps []warpFn
-	for i := 0; i < len(ops); {
-		if sts[i] == nil {
-			steps = append(steps, ops[i])
-			i++
-			continue
-		}
-		agg := &opStats{}
-		var run []warpFn
-		for i < len(ops) && sts[i] != nil {
-			agg.merge(sts[i])
-			if ops[i] != nil {
-				run = append(run, ops[i])
-			}
-			i++
-		}
-		steps = append(steps, func(e *execContext, w *warp, act uint64) error {
-			agg.apply(e.gs, act)
-			for _, op := range run {
-				if err := op(e, w, act); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	switch len(steps) {
-	case 0:
-		return nil
-	case 1:
-		return steps[0]
-	}
-	return func(e *execContext, w *warp, act uint64) error {
-		for _, op := range steps {
-			if err := op(e, w, act); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// compileWarpOp compiles one non-terminal instruction into a warp closure.
-// A non-nil opStats marks the op aggregatable: it cannot fault, the
-// returned closure does no stat accounting itself, and the deltas it
-// would have bumped per active lane are described by the opStats (the
-// closure may be nil when the op is pure accounting, e.g. NOP).
-func compileWarpOp(in *Instr, p *Program) (warpFn, *opStats) {
-	switch Classify(in.Op) {
-	case ClassNop:
-		return nil, &opStats{nop: 1}
-	case ClassLS:
-		return compileWarpMem(in, p), nil
-	}
-	if bf, ok := binFns[in.Op]; ok {
-		return compileWarpBin(bf, in, p)
-	}
-	if uf, ok := unFns[in.Op]; ok {
-		return compileWarpUn(uf, in, p)
-	}
-	switch in.Op {
-	case OpFMA:
-		return compileWarpAcc(in, p, func(acc, a, b uint64) uint64 {
-			return fbits(f32(acc) + f32(a)*f32(b))
-		})
-	case OpSEL:
-		return compileWarpAcc(in, p, func(acc, a, b uint64) uint64 {
-			if acc != 0 {
-				return a
-			}
-			return b
-		})
-	}
-	// Unknown opcode: defer to the interpreter for the exact error.
-	return warpLaneInterp(in), nil
-}
-
-// --- Operand shapes ---------------------------------------------------------
-
-// bumpFn adds n operand accesses to a stats counter.
-type bumpFn func(gs *stats.GPUStats, n uint64)
-
-func bumpNone(*stats.GPUStats, uint64) {}
-
-//simlint:commit -- designated operand-counter bump helper
-func bumpGRFRead(gs *stats.GPUStats, n uint64) { gs.GRFRead += n }
-
-//simlint:commit -- designated operand-counter bump helper
-func bumpGRFWrite(gs *stats.GPUStats, n uint64) { gs.GRFWrite += n }
-
-//simlint:commit -- designated operand-counter bump helper
-func bumpTempAcc(gs *stats.GPUStats, n uint64) { gs.TempAcc += n }
-
-//simlint:commit -- designated operand-counter bump helper
-func bumpConstRead(gs *stats.GPUStats, n uint64) { gs.ConstRead += n }
-
-//simlint:commit -- designated operand-counter bump helper
-func bumpROMRead(gs *stats.GPUStats, n uint64) { gs.ROMRead += n }
-
-// ctrKind names the operand counter an operand access bumps, so the ALU
-// compilers can fold operand accounting into a compile-time opStats
-// instead of calling the bumpFn at run time (memory ops, whose counters
-// must stay per-lane in fault order, keep using the bumpFn).
-type ctrKind uint8
-
-const (
-	ctrNone ctrKind = iota
-	ctrGRFRead
-	ctrGRFWrite
-	ctrTempAcc
-	ctrConstRead
-	ctrROMRead
-)
-
-// count adds n accesses of counter kind c to the aggregate.
-func (s *opStats) count(c ctrKind, n uint64) {
-	switch c {
-	case ctrGRFRead:
-		s.grfRead += n
-	case ctrGRFWrite:
-		s.grfWrite += n
-	case ctrTempAcc:
-		s.tempAcc += n
-	case ctrConstRead:
-		s.constRead += n
-	case ctrROMRead:
-		s.romRead += n
-	}
-}
-
-// vecSrc is a lane-varying register-file operand resolved to an SoA row.
-type vecSrc struct {
-	idx  int
-	temp bool
-	bump bumpFn
-	ctr  ctrKind
-}
-
-func (v vecSrc) rowOf(w *warp) *[WarpSize]uint64 {
-	if v.temp {
-		return &w.temps[v.idx]
-	}
-	return &w.regs[v.idx]
-}
-
-// compileVecSrc resolves a GRF/clause-temp source operand.
-func compileVecSrc(o uint8) (vecSrc, bool) {
-	kind, idx := OperKind(o)
-	switch kind {
-	case OperGRF:
-		return vecSrc{idx: int(idx), bump: bumpGRFRead, ctr: ctrGRFRead}, true
-	case OperTemp:
-		return vecSrc{idx: int(idx), temp: true, bump: bumpTempAcc, ctr: ctrTempAcc}, true
-	}
-	return vecSrc{}, false
-}
-
-// compileVecDst resolves a GRF/clause-temp destination operand.
-func compileVecDst(o uint8) (vecSrc, bool) {
-	kind, idx := OperKind(o)
-	switch kind {
-	case OperGRF:
-		return vecSrc{idx: int(idx), bump: bumpGRFWrite, ctr: ctrGRFWrite}, true
-	case OperTemp:
-		return vecSrc{idx: int(idx), temp: true, bump: bumpTempAcc, ctr: ctrTempAcc}, true
-	}
-	return vecSrc{}, false
-}
-
-// uniSrc is a warp-uniform source: the same value for every lane of a
-// clause (immediates, ROM, uniforms, workgroup-level specials). It is read
-// once per warp, but its operand counter still counts one access per
-// active lane, as the per-lane engines do.
-type uniSrc struct {
-	val  func(e *execContext) uint64
-	bump bumpFn
-	ctr  ctrKind
-}
-
-func compileUniSrc(o uint8, imm uint32, p *Program) (uniSrc, bool) {
-	kind, idx := OperKind(o)
-	switch kind {
-	case OperGRF, OperTemp:
-		return uniSrc{}, false
-	case OperUniform:
-		i := int(idx)
-		return uniSrc{val: func(e *execContext) uint64 {
-			if i < len(e.uniforms) {
-				return e.uniforms[i]
-			}
-			return 0
-		}, bump: bumpConstRead, ctr: ctrConstRead}, true
-	}
-	switch idx {
-	case SpecImm:
-		v := uint64(imm)
-		return uniSrc{val: func(*execContext) uint64 { return v }, bump: bumpROMRead, ctr: ctrROMRead}, true
-	case SpecROM:
-		var v uint64
-		if int(imm) < len(p.ROM) {
-			v = p.ROM[imm]
-		}
-		return uniSrc{val: func(*execContext) uint64 { return v }, bump: bumpROMRead, ctr: ctrROMRead}, true
-	case SpecZero:
-		return uniSrc{val: func(*execContext) uint64 { return 0 }, bump: bumpNone}, true
-	case SpecGIDX, SpecGIDY, SpecGIDZ, SpecLIDX, SpecLIDY, SpecLIDZ:
-		// Lane-varying specials: not warp-uniform.
-		return uniSrc{}, false
-	case SpecWGIDX, SpecWGIDY, SpecWGIDZ:
-		d := int(idx - SpecWGIDX)
-		return uniSrc{val: func(e *execContext) uint64 { return uint64(e.wgid[d]) }, bump: bumpNone}, true
-	case SpecGSZX, SpecGSZY, SpecGSZZ:
-		d := int(idx - SpecGSZX)
-		return uniSrc{val: func(e *execContext) uint64 { return uint64(e.gsz[d]) }, bump: bumpNone}, true
-	case SpecLSZX, SpecLSZY, SpecLSZZ:
-		d := int(idx - SpecLSZX)
-		return uniSrc{val: func(e *execContext) uint64 { return uint64(e.lsz[d]) }, bump: bumpNone}, true
-	}
-	// Undefined dense specials read as zero with no counter, as read() does.
-	return uniSrc{val: func(*execContext) uint64 { return 0 }, bump: bumpNone}, true
-}
-
-// --- ALU --------------------------------------------------------------------
-
-// binStats builds the aggregatable stat deltas of a two-source ALU op.
-func binStats(ctrs ...ctrKind) *opStats {
-	st := &opStats{arith: 1}
-	for _, c := range ctrs {
-		st.count(c, 1)
-	}
-	return st
-}
-
-// --- Vector ALU kernels -------------------------------------------------------
-//
-// One top-level function per (opcode, operand shape), with the lane loop
-// written directly into the body: a fully-active warp pays one indirect
-// call per *instruction* instead of one per lane (Go cannot inline through
-// the func values in binFns/unFns, and generics share a gcshape dictionary
-// for zero-size operator types, so explicit kernels are the only way to
-// get the op inlined into its loop). Opcodes without a kernel — the rare
-// multi-branch ones like IDIV — keep the per-lane func-value loop. The
-// masked (divergent) path always stays per-lane.
-
-type soaRow = [WarpSize]uint64
-
-// vvKernels: dst[l] = op(a[l], b[l]).
-var vvKernels = map[Opcode]func(d, a, b *soaRow){
-	OpIADD: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(a[l]) + uint32(b[l]))
-		}
-	},
-	OpISUB: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(a[l]) - uint32(b[l]))
-		}
-	},
-	OpIMUL: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(a[l]) * uint32(b[l]))
-		}
-	},
-	OpSHL: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(a[l]) << (uint32(b[l]) & 31))
-		}
-	},
-	OpSHR: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(a[l]) >> (uint32(b[l]) & 31))
-		}
-	},
-	OpSAR: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(int32(a[l]) >> (uint32(b[l]) & 31)))
-		}
-	},
-	OpAND: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = a[l] & b[l]
-		}
-	},
-	OpOR: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = a[l] | b[l]
-		}
-	},
-	OpXOR: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = a[l] ^ b[l]
-		}
-	},
-	OpADD64: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = a[l] + b[l]
-		}
-	},
-	OpMUL64: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = a[l] * b[l]
-		}
-	},
-	OpFADD: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = fbits(f32(a[l]) + f32(b[l]))
-		}
-	},
-	OpFSUB: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = fbits(f32(a[l]) - f32(b[l]))
-		}
-	},
-	OpFMUL: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = fbits(f32(a[l]) * f32(b[l]))
-		}
-	},
-	OpFDIV: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = fbits(f32(a[l]) / f32(b[l]))
-		}
-	},
-	OpICMPEQ: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(uint32(a[l]) == uint32(b[l]))
-		}
-	},
-	OpICMPNE: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(uint32(a[l]) != uint32(b[l]))
-		}
-	},
-	OpICMPLT: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(int32(a[l]) < int32(b[l]))
-		}
-	},
-	OpICMPLE: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(int32(a[l]) <= int32(b[l]))
-		}
-	},
-	OpUCMPLT: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(uint32(a[l]) < uint32(b[l]))
-		}
-	},
-	OpFCMPEQ: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(f32(a[l]) == f32(b[l]))
-		}
-	},
-	OpFCMPLT: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(f32(a[l]) < f32(b[l]))
-		}
-	},
-	OpFCMPLE: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(f32(a[l]) <= f32(b[l]))
-		}
-	},
-}
-
-// vuKernels: dst[l] = op(a[l], b) with warp-uniform b.
-var vuKernels = map[Opcode]func(d, a *soaRow, b uint64){
-	OpIADD: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = uint64(uint32(a[l]) + uint32(b))
-		}
-	},
-	OpISUB: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = uint64(uint32(a[l]) - uint32(b))
-		}
-	},
-	OpIMUL: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = uint64(uint32(a[l]) * uint32(b))
-		}
-	},
-	OpSHL: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = uint64(uint32(a[l]) << (uint32(b) & 31))
-		}
-	},
-	OpSHR: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = uint64(uint32(a[l]) >> (uint32(b) & 31))
-		}
-	},
-	OpSAR: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = uint64(uint32(int32(a[l]) >> (uint32(b) & 31)))
-		}
-	},
-	OpAND: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = a[l] & b
-		}
-	},
-	OpOR: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = a[l] | b
-		}
-	},
-	OpXOR: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = a[l] ^ b
-		}
-	},
-	OpADD64: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = a[l] + b
-		}
-	},
-	OpMUL64: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = a[l] * b
-		}
-	},
-	OpFADD: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = fbits(f32(a[l]) + f32(b))
-		}
-	},
-	OpFSUB: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = fbits(f32(a[l]) - f32(b))
-		}
-	},
-	OpFMUL: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = fbits(f32(a[l]) * f32(b))
-		}
-	},
-	OpFDIV: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = fbits(f32(a[l]) / f32(b))
-		}
-	},
-	OpICMPEQ: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = b2u(uint32(a[l]) == uint32(b))
-		}
-	},
-	OpICMPNE: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = b2u(uint32(a[l]) != uint32(b))
-		}
-	},
-	OpICMPLT: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = b2u(int32(a[l]) < int32(b))
-		}
-	},
-	OpICMPLE: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = b2u(int32(a[l]) <= int32(b))
-		}
-	},
-	OpUCMPLT: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = b2u(uint32(a[l]) < uint32(b))
-		}
-	},
-	OpFCMPEQ: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = b2u(f32(a[l]) == f32(b))
-		}
-	},
-	OpFCMPLT: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = b2u(f32(a[l]) < f32(b))
-		}
-	},
-	OpFCMPLE: func(d, a *soaRow, b uint64) {
-		for l := range d {
-			d[l] = b2u(f32(a[l]) <= f32(b))
-		}
-	},
-}
-
-// uvKernels: dst[l] = op(a, b[l]) with warp-uniform a (the non-commutative
-// shapes matter: constant-minus-register, constant-divided-by-register).
-var uvKernels = map[Opcode]func(d *soaRow, a uint64, b *soaRow){
-	OpIADD: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(a) + uint32(b[l]))
-		}
-	},
-	OpISUB: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(a) - uint32(b[l]))
-		}
-	},
-	OpIMUL: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(a) * uint32(b[l]))
-		}
-	},
-	OpSHL: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(a) << (uint32(b[l]) & 31))
-		}
-	},
-	OpSHR: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(a) >> (uint32(b[l]) & 31))
-		}
-	},
-	OpSAR: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(int32(a) >> (uint32(b[l]) & 31)))
-		}
-	},
-	OpAND: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = a & b[l]
-		}
-	},
-	OpOR: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = a | b[l]
-		}
-	},
-	OpXOR: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = a ^ b[l]
-		}
-	},
-	OpADD64: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = a + b[l]
-		}
-	},
-	OpMUL64: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = a * b[l]
-		}
-	},
-	OpFADD: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = fbits(f32(a) + f32(b[l]))
-		}
-	},
-	OpFSUB: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = fbits(f32(a) - f32(b[l]))
-		}
-	},
-	OpFMUL: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = fbits(f32(a) * f32(b[l]))
-		}
-	},
-	OpFDIV: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = fbits(f32(a) / f32(b[l]))
-		}
-	},
-	OpICMPEQ: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(uint32(a) == uint32(b[l]))
-		}
-	},
-	OpICMPNE: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(uint32(a) != uint32(b[l]))
-		}
-	},
-	OpICMPLT: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(int32(a) < int32(b[l]))
-		}
-	},
-	OpICMPLE: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(int32(a) <= int32(b[l]))
-		}
-	},
-	OpUCMPLT: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(uint32(a) < uint32(b[l]))
-		}
-	},
-	OpFCMPEQ: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(f32(a) == f32(b[l]))
-		}
-	},
-	OpFCMPLT: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(f32(a) < f32(b[l]))
-		}
-	},
-	OpFCMPLE: func(d *soaRow, a uint64, b *soaRow) {
-		for l := range d {
-			d[l] = b2u(f32(a) <= f32(b[l]))
-		}
-	},
-}
-
-// unKernels: dst[l] = op(a[l]).
-var unKernels = map[Opcode]func(d, a *soaRow){
-	OpMOV: func(d, a *soaRow) { *d = *a },
-	OpI2F: func(d, a *soaRow) {
-		for l := range d {
-			d[l] = fbits(float32(int32(a[l])))
-		}
-	},
-	OpF2I: func(d, a *soaRow) {
-		for l := range d {
-			d[l] = uint64(uint32(int32(f32(a[l]))))
-		}
-	},
-	OpFABS: func(d, a *soaRow) {
-		for l := range d {
-			d[l] = fbits(float32(math.Abs(float64(f32(a[l])))))
-		}
-	},
-	OpFNEG: func(d, a *soaRow) {
-		for l := range d {
-			d[l] = fbits(-f32(a[l]))
-		}
-	},
-	OpFSQRT: func(d, a *soaRow) {
-		for l := range d {
-			d[l] = fbits(float32(math.Sqrt(float64(f32(a[l])))))
-		}
-	},
-	OpFFLOOR: func(d, a *soaRow) {
-		for l := range d {
-			d[l] = fbits(float32(math.Floor(float64(f32(a[l])))))
-		}
-	},
-}
-
-// accKernels: dst[l] = op(dst[l], a[l], b[l]) — the accumulator forms.
-var accKernels = map[Opcode]func(d, a, b *soaRow){
-	OpFMA: func(d, a, b *soaRow) {
-		for l := range d {
-			d[l] = fbits(f32(d[l]) + f32(a[l])*f32(b[l]))
-		}
-	},
-	OpSEL: func(d, a, b *soaRow) {
-		for l := range d {
-			if d[l] != 0 {
-				d[l] = a[l]
-			} else {
-				d[l] = b[l]
-			}
-		}
-	},
-}
-
-func compileWarpBin(f func(a, b uint64) uint64, in *Instr, p *Program) (warpFn, *opStats) {
-	d, dok := compileVecDst(in.Dst)
-	if !dok {
-		return warpLaneInterp(in), nil
-	}
-	av, aok := compileVecSrc(in.A)
-	bv, bok := compileVecSrc(in.B)
-	switch {
-	case aok && bok:
-		// The vector kernel writes every slot of the SoA row, including
-		// lanes beyond w.lanes: those are architecturally dead (never
-		// active, never stored back, zeroed when the slab is recycled), and
-		// the constant trip count is what lets the compiler keep the op
-		// inline and unrolled.
-		if k := vvKernels[in.Op]; k != nil {
-			return func(e *execContext, w *warp, act uint64) error {
-				ar, br, dr := av.rowOf(w), bv.rowOf(w), d.rowOf(w)
-				if int(act) == w.lanes {
-					k(dr, ar, br)
-					return nil
-				}
-				for l := 0; l < w.lanes; l++ {
-					if w.active[l] && !w.exited[l] {
-						dr[l] = f(ar[l], br[l])
-					}
-				}
-				return nil
-			}, binStats(av.ctr, bv.ctr, d.ctr)
-		}
-		return func(e *execContext, w *warp, act uint64) error {
-			ar, br, dr := av.rowOf(w), bv.rowOf(w), d.rowOf(w)
-			if int(act) == w.lanes {
-				for l := 0; l < w.lanes; l++ {
-					dr[l] = f(ar[l], br[l])
-				}
-				return nil
-			}
-			for l := 0; l < w.lanes; l++ {
-				if w.active[l] && !w.exited[l] {
-					dr[l] = f(ar[l], br[l])
-				}
-			}
-			return nil
-		}, binStats(av.ctr, bv.ctr, d.ctr)
-	case aok:
-		bu, ok := compileUniSrc(in.B, in.Imm, p)
-		if !ok {
-			return warpLaneInterp(in), nil
-		}
-		if k := vuKernels[in.Op]; k != nil {
-			return func(e *execContext, w *warp, act uint64) error {
-				b := bu.val(e)
-				ar, dr := av.rowOf(w), d.rowOf(w)
-				if int(act) == w.lanes {
-					k(dr, ar, b)
-					return nil
-				}
-				for l := 0; l < w.lanes; l++ {
-					if w.active[l] && !w.exited[l] {
-						dr[l] = f(ar[l], b)
-					}
-				}
-				return nil
-			}, binStats(av.ctr, bu.ctr, d.ctr)
-		}
-		return func(e *execContext, w *warp, act uint64) error {
-			b := bu.val(e)
-			ar, dr := av.rowOf(w), d.rowOf(w)
-			if int(act) == w.lanes {
-				for l := 0; l < w.lanes; l++ {
-					dr[l] = f(ar[l], b)
-				}
-				return nil
-			}
-			for l := 0; l < w.lanes; l++ {
-				if w.active[l] && !w.exited[l] {
-					dr[l] = f(ar[l], b)
-				}
-			}
-			return nil
-		}, binStats(av.ctr, bu.ctr, d.ctr)
-	case bok:
-		au, ok := compileUniSrc(in.A, in.Imm, p)
-		if !ok {
-			return warpLaneInterp(in), nil
-		}
-		if k := uvKernels[in.Op]; k != nil {
-			return func(e *execContext, w *warp, act uint64) error {
-				a := au.val(e)
-				br, dr := bv.rowOf(w), d.rowOf(w)
-				if int(act) == w.lanes {
-					k(dr, a, br)
-					return nil
-				}
-				for l := 0; l < w.lanes; l++ {
-					if w.active[l] && !w.exited[l] {
-						dr[l] = f(a, br[l])
-					}
-				}
-				return nil
-			}, binStats(au.ctr, bv.ctr, d.ctr)
-		}
-		return func(e *execContext, w *warp, act uint64) error {
-			a := au.val(e)
-			br, dr := bv.rowOf(w), d.rowOf(w)
-			if int(act) == w.lanes {
-				for l := 0; l < w.lanes; l++ {
-					dr[l] = f(a, br[l])
-				}
-				return nil
-			}
-			for l := 0; l < w.lanes; l++ {
-				if w.active[l] && !w.exited[l] {
-					dr[l] = f(a, br[l])
-				}
-			}
-			return nil
-		}, binStats(au.ctr, bv.ctr, d.ctr)
-	default:
-		au, okA := compileUniSrc(in.A, in.Imm, p)
-		bu, okB := compileUniSrc(in.B, in.Imm, p)
-		if !okA || !okB {
-			return warpLaneInterp(in), nil
-		}
-		return func(e *execContext, w *warp, act uint64) error {
-			r := f(au.val(e), bu.val(e))
-			dr := d.rowOf(w)
-			for l := 0; l < w.lanes; l++ {
-				if w.active[l] && !w.exited[l] {
-					dr[l] = r
-				}
-			}
-			return nil
-		}, binStats(au.ctr, bu.ctr, d.ctr)
-	}
-}
-
-func compileWarpUn(f func(a uint64) uint64, in *Instr, p *Program) (warpFn, *opStats) {
-	d, dok := compileVecDst(in.Dst)
-	if !dok {
-		return warpLaneInterp(in), nil
-	}
-	if av, ok := compileVecSrc(in.A); ok {
-		if k := unKernels[in.Op]; k != nil {
-			return func(e *execContext, w *warp, act uint64) error {
-				ar, dr := av.rowOf(w), d.rowOf(w)
-				if int(act) == w.lanes {
-					k(dr, ar)
-					return nil
-				}
-				for l := 0; l < w.lanes; l++ {
-					if w.active[l] && !w.exited[l] {
-						dr[l] = f(ar[l])
-					}
-				}
-				return nil
-			}, binStats(av.ctr, d.ctr)
-		}
-		return func(e *execContext, w *warp, act uint64) error {
-			ar, dr := av.rowOf(w), d.rowOf(w)
-			if int(act) == w.lanes {
-				for l := 0; l < w.lanes; l++ {
-					dr[l] = f(ar[l])
-				}
-				return nil
-			}
-			for l := 0; l < w.lanes; l++ {
-				if w.active[l] && !w.exited[l] {
-					dr[l] = f(ar[l])
-				}
-			}
-			return nil
-		}, binStats(av.ctr, d.ctr)
-	}
-	if au, ok := compileUniSrc(in.A, in.Imm, p); ok {
-		return func(e *execContext, w *warp, act uint64) error {
-			r := f(au.val(e))
-			dr := d.rowOf(w)
-			for l := 0; l < w.lanes; l++ {
-				if w.active[l] && !w.exited[l] {
-					dr[l] = r
-				}
-			}
-			return nil
-		}, binStats(au.ctr, d.ctr)
-	}
-	return warpLaneInterp(in), nil
-}
-
-// compileWarpAcc handles the accumulator forms (FMA, SEL): the destination
-// is read as a third source before being written, and the interpreter
-// counts that read with the destination operand's read counter.
-func compileWarpAcc(in *Instr, p *Program, f func(acc, a, b uint64) uint64) (warpFn, *opStats) {
-	d, dok := compileVecDst(in.Dst)
-	acc, aok2 := compileVecSrc(in.Dst)
-	av, aok := compileVecSrc(in.A)
-	bv, bok := compileVecSrc(in.B)
-	if !dok || !aok2 {
-		return warpLaneInterp(in), nil
-	}
-	au, auok := compileUniSrc(in.A, in.Imm, p)
-	bu, buok := compileUniSrc(in.B, in.Imm, p)
-	if (!aok && !auok) || (!bok && !buok) {
-		return warpLaneInterp(in), nil
-	}
-	st := &opStats{arith: 1}
-	if aok {
-		st.count(av.ctr, 1)
-	} else {
-		st.count(au.ctr, 1)
-	}
-	if bok {
-		st.count(bv.ctr, 1)
-	} else {
-		st.count(bu.ctr, 1)
-	}
-	st.count(acc.ctr, 1)
-	st.count(d.ctr, 1)
-	if aok && bok {
-		if k := accKernels[in.Op]; k != nil {
-			return func(e *execContext, w *warp, act uint64) error {
-				ar, br, dr := av.rowOf(w), bv.rowOf(w), d.rowOf(w)
-				if int(act) == w.lanes {
-					k(dr, ar, br)
-					return nil
-				}
-				for l := 0; l < w.lanes; l++ {
-					if w.active[l] && !w.exited[l] {
-						dr[l] = f(dr[l], ar[l], br[l])
-					}
-				}
-				return nil
-			}, st
-		}
-	}
-	return func(e *execContext, w *warp, act uint64) error {
-		var aRow, bRow *[WarpSize]uint64
-		var aVal, bVal uint64
-		if aok {
-			aRow = av.rowOf(w)
-		} else {
-			aVal = au.val(e)
-		}
-		if bok {
-			bRow = bv.rowOf(w)
-		} else {
-			bVal = bu.val(e)
-		}
-		dr := d.rowOf(w)
-		for l := 0; l < w.lanes; l++ {
-			if !w.active[l] || w.exited[l] {
-				continue
-			}
-			a, b := aVal, bVal
-			if aRow != nil {
-				a = aRow[l]
-			}
-			if bRow != nil {
-				b = bRow[l]
-			}
-			dr[l] = f(dr[l], a, b)
-		}
-		return nil
-	}, st
-}
-
-// --- Memory -----------------------------------------------------------------
-
-// batchSpan reports whether all lanes of a fully-active warp touch one
-// virtual page, returning the lowest lane address. addrs is the SoA base
-// row; every lane accesses addrs[l]+imm for size bytes.
-func batchSpan(addrs *[WarpSize]uint64, lanes int, imm uint64, size int) (lo uint64, ok bool) {
-	lo = addrs[0] + imm
-	hi := lo
-	for l := 1; l < lanes; l++ {
-		a := addrs[l] + imm
-		if a < lo {
-			lo = a
-		}
-		if a > hi {
-			hi = a
-		}
-	}
-	return lo, lo&^uint64(mem.PageMask) == (hi+uint64(size)-1)&^uint64(mem.PageMask)
-}
-
-// compileWarpMem fuses a load/store into a per-lane loop over the walker
-// fast path, with a coalesced batch path in front: when the whole warp is
-// active and every lane's access lands inside one virtual page (the
-// uniform-base + lane-stride shape of well-behaved kernels), the page is
-// translated once through Walker.BatchPage — which accounts TLB hits/
-// walks, touched pages and the dirty watermark bit-identically to the
-// per-lane sequence — and the lanes copy straight between the host page
-// view and the SoA register row. The batch cannot fault (BatchPage
-// declines rather than faults), so its counters may bump in bulk.
-// Divergent warps, page-crossing spans, MMIO frames and faulting accesses
-// fall back to the per-lane loop, where counters and walker calls stay in
-// interpreter order so a faulting lane aborts with identical totals.
-//
-//simlint:commit -- warp memory kernels keep interpreter-identical counters
-func compileWarpMem(in *Instr, p *Program) warpFn {
-	imm := uint64(int64(int32(in.Imm)))
-	switch in.Op {
-	case OpLDG, OpLDG64, OpLDGB:
-		size := 4
-		switch in.Op {
-		case OpLDG64:
-			size = 8
-		case OpLDGB:
-			size = 1
-		}
-		av, aok := compileVecSrc(in.A)
-		d, dok := compileVecDst(in.Dst)
-		if !aok || !dok {
-			return warpWrapJit(compileMem(in, p), ClassLS)
-		}
-		return func(e *execContext, w *warp, act uint64) error {
-			e.gs.LSInstr += act
-			ar, dr := av.rowOf(w), d.rowOf(w)
-			if int(act) == w.lanes {
-				if lo, ok := batchSpan(ar, w.lanes, imm, size); ok {
-					if page, ok := e.walker.BatchPage(lo, mem.Read, act); ok {
-						av.bump(e.gs, act)
-						e.gs.GlobalLS += act
-						e.gs.MainMemAcc += act
-						d.bump(e.gs, act)
-						if e.walker.Shared() {
-							for l := 0; l < w.lanes; l++ {
-								off := (ar[l] + imm) & mem.PageMask
-								if size == 4 && off&3 == 0 {
-									dr[l] = mem.AtomicLoad32(page, off)
-								} else {
-									dr[l] = mem.AtomicLoadLE(page, off, size)
-								}
-							}
-						} else {
-							for l := 0; l < w.lanes; l++ {
-								off := (ar[l] + imm) & mem.PageMask
-								//simlint:allow sharedmem -- plain-mode BatchPage span: the walker already resolved an unshared page
-								dr[l] = mem.LoadLE(page[off : off+uint64(size)])
-							}
-						}
-						return nil
-					}
-				}
-			}
-			for l := 0; l < w.lanes; l++ {
-				if !w.active[l] || w.exited[l] {
-					continue
-				}
-				av.bump(e.gs, 1)
-				e.gs.GlobalLS++
-				e.gs.MainMemAcc++
-				v, err := e.walker.Load(ar[l]+imm, size, mem.Read)
-				if err != nil {
-					return err
-				}
-				d.bump(e.gs, 1)
-				dr[l] = v
-			}
-			return nil
-		}
-
-	case OpSTG, OpSTG64, OpSTGB:
-		size := 4
-		switch in.Op {
-		case OpSTG64:
-			size = 8
-		case OpSTGB:
-			size = 1
-		}
-		av, aok := compileVecSrc(in.A)
-		bv, bok := compileVecSrc(in.B)
-		if !aok || !bok {
-			return warpWrapJit(compileMem(in, p), ClassLS)
-		}
-		return func(e *execContext, w *warp, act uint64) error {
-			e.gs.LSInstr += act
-			ar, br := av.rowOf(w), bv.rowOf(w)
-			if int(act) == w.lanes {
-				if lo, ok := batchSpan(ar, w.lanes, imm, size); ok {
-					if page, ok := e.walker.BatchPage(lo, mem.Write, act); ok {
-						av.bump(e.gs, act)
-						bv.bump(e.gs, act)
-						e.gs.GlobalLS += act
-						e.gs.MainMemAcc += act
-						// Lane order is preserved: overlapping lane stores
-						// resolve low-lane-first, as the per-lane loop does.
-						if e.walker.Shared() {
-							for l := 0; l < w.lanes; l++ {
-								off := (ar[l] + imm) & mem.PageMask
-								if size == 4 && off&3 == 0 {
-									mem.AtomicStore32(page, off, uint32(br[l]))
-								} else {
-									mem.AtomicStoreLE(page, off, size, br[l])
-								}
-							}
-						} else {
-							for l := 0; l < w.lanes; l++ {
-								off := (ar[l] + imm) & mem.PageMask
-								//simlint:allow sharedmem -- plain-mode BatchPage span: the walker already resolved an unshared page
-								mem.StoreLE(page[off:off+uint64(size)], size, br[l])
-							}
-						}
-						return nil
-					}
-				}
-			}
-			for l := 0; l < w.lanes; l++ {
-				if !w.active[l] || w.exited[l] {
-					continue
-				}
-				av.bump(e.gs, 1)
-				bv.bump(e.gs, 1)
-				e.gs.GlobalLS++
-				e.gs.MainMemAcc++
-				if err := e.walker.Store(ar[l]+imm, size, br[l]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-
-	case OpLDL:
-		av, aok := compileVecSrc(in.A)
-		d, dok := compileVecDst(in.Dst)
-		if !aok || !dok {
-			return warpWrapJit(compileMem(in, p), ClassLS)
-		}
-		return func(e *execContext, w *warp, act uint64) error {
-			e.gs.LSInstr += act
-			ar, dr := av.rowOf(w), d.rowOf(w)
-			for l := 0; l < w.lanes; l++ {
-				if !w.active[l] || w.exited[l] {
-					continue
-				}
-				av.bump(e.gs, 1)
-				e.gs.LocalLS++
-				e.gs.LocalAcc++
-				v, err := e.local.load(ar[l] + imm)
-				if err != nil {
-					return err
-				}
-				d.bump(e.gs, 1)
-				dr[l] = uint64(v)
-			}
-			return nil
-		}
-
-	case OpSTL:
-		av, aok := compileVecSrc(in.A)
-		bv, bok := compileVecSrc(in.B)
-		if !aok || !bok {
-			return warpWrapJit(compileMem(in, p), ClassLS)
-		}
-		return func(e *execContext, w *warp, act uint64) error {
-			e.gs.LSInstr += act
-			ar, br := av.rowOf(w), bv.rowOf(w)
-			for l := 0; l < w.lanes; l++ {
-				if !w.active[l] || w.exited[l] {
-					continue
-				}
-				av.bump(e.gs, 1)
-				bv.bump(e.gs, 1)
-				e.gs.LocalLS++
-				e.gs.LocalAcc++
-				if err := e.local.store(ar[l]+imm, uint32(br[l])); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	return warpLaneInterp(in)
-}
-
-// --- Fallbacks --------------------------------------------------------------
-
-// warpWrapJit lifts a per-lane closure-JIT op to a warp closure.
-//
-//simlint:commit -- lifted JIT ops commit the instruction-mix counters
-func warpWrapJit(op jitOp, cls Class) warpFn {
-	if op == nil {
-		return nil
-	}
-	return func(e *execContext, w *warp, act uint64) error {
-		switch cls {
-		case ClassArith:
-			e.gs.ArithInstr += act
-		case ClassLS:
-			e.gs.LSInstr += act
-		case ClassNop:
-			e.gs.NopInstr += act
-		}
-		for l := 0; l < w.lanes; l++ {
-			if w.active[l] && !w.exited[l] {
-				if err := op(e, w, l); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-}
-
-// warpLaneInterp lifts the interpreter to a warp closure for shapes the
-// fused variants do not specialise, preserving errors and counters.
-//
-//simlint:commit -- interpreter fallback commits the instruction-mix counters
-func warpLaneInterp(in *Instr) warpFn {
-	cls := Classify(in.Op)
-	return func(e *execContext, w *warp, act uint64) error {
-		switch cls {
-		case ClassArith:
-			e.gs.ArithInstr += act
-		case ClassLS:
-			e.gs.LSInstr += act
-		case ClassNop:
-			e.gs.NopInstr += act
-		}
-		for l := 0; l < w.lanes; l++ {
-			if w.active[l] && !w.exited[l] {
-				if err := e.execLane(w, l, in); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
+	return heads
 }

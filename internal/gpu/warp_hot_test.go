@@ -15,8 +15,9 @@ import (
 // each engine tier.
 
 // hotProgram is a straight-line two-clause kernel whose every slot takes
-// a fused warp closure: vector ALU (including the FMA/SEL accumulator
-// forms), an immediate-shift, and a TLB-hit LDG/STG pair.
+// a leaf tape case or the batched memory path: vector ALU (including the
+// FMA/SEL accumulator forms), an immediate-shift, and a TLB-hit LDG/STG
+// pair.
 func hotProgram() *Program {
 	p := &Program{RegCount: 16, Clauses: []Clause{
 		{Instrs: []Instr{
@@ -65,15 +66,15 @@ func newHotContext(tb testing.TB) (*execContext, *warp, *Program) {
 	w := &warp{lanes: WarpSize}
 	for l := 0; l < WarpSize; l++ {
 		w.active[l] = true
-		w.regs[1][l] = uint64(3 + l)
-		w.regs[2][l] = uint64(17 * (l + 1))
-		w.regs[4][l] = va + uint64(l)*64
-		w.regs[5][l] = va + 4096 + uint64(l)*64
+		w.rows[1][l] = uint64(3 + l)
+		w.rows[2][l] = uint64(17 * (l + 1))
+		w.rows[4][l] = va + uint64(l)*64
+		w.rows[5][l] = va + 4096 + uint64(l)*64
 		// Prime the walker so the measured loop stays on the TLB-hit path.
-		if _, err := walker.Load(w.regs[4][l], 4, mem.Read); err != nil {
+		if _, err := walker.Load(w.rows[4][l], 4, mem.Read); err != nil {
 			tb.Fatal(err)
 		}
-		if err := walker.Store(w.regs[5][l], 4, 0); err != nil {
+		if err := walker.Store(w.rows[5][l], 4, 0); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -90,53 +91,87 @@ func newHotContext(tb testing.TB) (*execContext, *warp, *Program) {
 		gsz:    [3]uint32{WarpSize, 1, 1},
 		lsz:    [3]uint32{WarpSize, 1, 1},
 	}
+	ec.bindTape()
 	return ec, w, p
 }
 
-// runHotClauses executes the whole program once through execClause,
-// starting from clause 0.
+// setEngine switches a rig to another engine tier.
+func (e *execContext) setEngine(eng Engine) {
+	e.eng = eng
+	e.bindTape()
+}
+
+// diverge turns the rig's warp into a divergent one: lane 1 sits out on a
+// pending reconvergence frame that is never reached.
+func diverge(w *warp) {
+	w.stack = append(w.stack, divFrame{rejoin: 1 << 20, pendPC: -1, joinMask: w.active})
+	w.active[1] = false
+}
+
+// regsOf returns the architectural registers (GRF and clause temporaries)
+// of a warp's live lanes; dead lanes of a partial warp and the executor's
+// scratch rows are host-side state the engines need not agree on.
+func regsOf(w *warp) [NumGRF + NumTemp]soaRow {
+	var r [NumGRF + NumTemp]soaRow
+	for i := range r {
+		copy(r[i][:w.lanes], w.rows[i][:w.lanes])
+	}
+	return r
+}
+
+// runHotClauses executes the whole program once through runWarp, starting
+// from clause 0 (the warp engine runs it as one fused chain).
 func runHotClauses(tb testing.TB, ec *execContext, w *warp) {
 	w.pc = 0
-	for ci := 0; ci < len(ec.prog.Clauses); ci++ {
-		if _, err := ec.execClause(w); err != nil {
-			tb.Fatal(err)
+	if _, err := ec.runWarp(w); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestWarpFusedClausesZeroAllocs pins the tape executor — ALU rows,
+// accumulator forms and TLB-hit global load/store, for full and for
+// divergent (masked-commit) warps — to zero heap allocations per chain.
+func TestWarpFusedClausesZeroAllocs(t *testing.T) {
+	for _, masked := range []bool{false, true} {
+		ec, w, _ := newHotContext(t)
+		if masked {
+			diverge(w)
+		}
+		runHotClauses(t, ec, w) // warm up once
+		allocs := testing.AllocsPerRun(1000, func() {
+			runHotClauses(t, ec, w)
+		})
+		if allocs != 0 {
+			t.Errorf("tape chain (masked=%v) allocates %v/op, want 0", masked, allocs)
 		}
 	}
 }
 
-// TestWarpFusedClausesZeroAllocs pins the fused warp path — ALU rows,
-// accumulator forms and TLB-hit global load/store — to zero heap
-// allocations per clause chain.
-func TestWarpFusedClausesZeroAllocs(t *testing.T) {
-	ec, w, _ := newHotContext(t)
-	runHotClauses(t, ec, w) // warm up once
-	allocs := testing.AllocsPerRun(1000, func() {
-		runHotClauses(t, ec, w)
-	})
-	if allocs != 0 {
-		t.Errorf("fused warp clause chain allocates %v/op, want 0", allocs)
-	}
-}
-
 // TestWarpFusedClausesMatchInterp cross-checks the in-package rig itself:
-// the fused closures and the interpreter must leave identical registers
-// and statistics from identical starting state.
+// the tape and the interpreter must leave identical registers and
+// statistics from identical starting state, for a full warp and for a
+// divergent one.
 func TestWarpFusedClausesMatchInterp(t *testing.T) {
-	run := func(eng Engine) ([NumGRF][WarpSize]uint64, stats.GPUStats) {
-		ec, w, _ := newHotContext(t)
-		ec.eng = eng
-		runHotClauses(t, ec, w)
-		return w.regs, *ec.gs
-	}
-	regsI, gsI := run(EngineInterp)
-	regsW, gsW := run(EngineWarp)
-	regsJ, gsJ := run(EngineJIT)
-	if regsI != regsW || gsI != gsW {
-		t.Errorf("warp engine diverges from interpreter:\ninterp regs %v stats %+v\nwarp   regs %v stats %+v",
-			regsI, gsI, regsW, gsW)
-	}
-	if regsI != regsJ || gsI != gsJ {
-		t.Errorf("jit engine diverges from interpreter")
+	for _, masked := range []bool{false, true} {
+		run := func(eng Engine) ([NumGRF + NumTemp]soaRow, stats.GPUStats) {
+			ec, w, _ := newHotContext(t)
+			ec.setEngine(eng)
+			if masked {
+				diverge(w)
+			}
+			runHotClauses(t, ec, w)
+			return regsOf(w), *ec.gs
+		}
+		regsI, gsI := run(EngineInterp)
+		regsW, gsW := run(EngineWarp)
+		regsJ, gsJ := run(EngineJIT)
+		if regsI != regsW || gsI != gsW {
+			t.Errorf("masked=%v: warp engine diverges from interpreter:\ninterp regs %v stats %+v\nwarp   regs %v stats %+v",
+				masked, regsI, gsI, regsW, gsW)
+		}
+		if regsI != regsJ || gsI != gsJ {
+			t.Errorf("masked=%v: jit engine diverges from interpreter", masked)
+		}
 	}
 }
 
@@ -144,18 +179,27 @@ func TestWarpFusedClausesMatchInterp(t *testing.T) {
 // engine tier on the same fused-friendly kernel (companion to the
 // session-level AblationGPUJIT benchmark).
 func BenchmarkWarpClauseEngines(b *testing.B) {
-	for _, eng := range []Engine{EngineInterp, EngineJIT, EngineWarp} {
-		b.Run(eng.String(), func(b *testing.B) {
+	run := func(eng Engine, masked bool) func(b *testing.B) {
+		return func(b *testing.B) {
 			ec, w, _ := newHotContext(b)
-			ec.eng = eng
+			ec.setEngine(eng)
+			if masked {
+				diverge(w)
+			}
 			runHotClauses(b, ec, w)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				runHotClauses(b, ec, w)
 			}
-		})
+		}
 	}
+	for _, eng := range []Engine{EngineInterp, EngineJIT, EngineWarp} {
+		b.Run(eng.String(), run(eng, false))
+	}
+	// The same tape under a divergent warp: every ALU row takes the
+	// masked commit and the memory uops their per-lane loops.
+	b.Run("warp-masked", run(EngineWarp, true))
 }
 
 // TestWarpClauseEnginesBenchAllocs pins BenchmarkWarpClauseEngines/warp's
@@ -193,7 +237,7 @@ func TestWarpSlabPoolRecycles(t *testing.T) {
 		t.Fatalf("warpsFor(4) returned %d warps", len(first))
 	}
 	// Dirty a warp the way a kernel would: registers, mask, divergence.
-	first[2].w.regs[3][1] = 0xdeadbeef
+	first[2].w.rows[3][1] = 0xdeadbeef
 	first[2].w.active[0] = true
 	first[2].w.stack = append(first[2].w.stack, divFrame{rejoin: 7})
 	first[2].done = true
@@ -205,9 +249,9 @@ func TestWarpSlabPoolRecycles(t *testing.T) {
 	if &reused[0] != &first[0] {
 		t.Fatalf("pool.get returned a different backing array")
 	}
-	if w := &reused[2]; w.w.regs[3][1] != 0 || w.w.active[0] || w.done || len(w.w.stack) != 0 {
+	if w := &reused[2]; w.w.rows[3][1] != 0 || w.w.active[0] || w.done || len(w.w.stack) != 0 {
 		t.Errorf("recycled warp not architecturally fresh: regs=%#x active=%v done=%v stack=%d",
-			w.w.regs[3][1], w.w.active[0], w.done, len(w.w.stack))
+			w.w.rows[3][1], w.w.active[0], w.done, len(w.w.stack))
 	}
 	if cap(reused[2].w.stack) != stackCap {
 		t.Errorf("divergence stack capacity not preserved: got %d, want %d", cap(reused[2].w.stack), stackCap)

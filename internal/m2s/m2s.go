@@ -156,6 +156,10 @@ func (c *Context) Device() *gpu.Device { return c.dev }
 // CPUInstret returns guest instructions retired by the runtime-side core.
 func (c *Context) CPUInstret() uint64 { return c.core.Instret }
 
+// CPUDecodes returns the fetch-and-decode events of the runtime-side core:
+// on its interpreter engine, one per retired instruction.
+func (c *Context) CPUDecodes() uint64 { return c.core.Decodes }
+
 // Buffer is a flat-memory allocation.
 type Buffer struct {
 	VA   uint64

@@ -91,6 +91,13 @@ func RunSgemmVariant(ctx context.Context, c *cl.Context, v SgemmVariant, a, b []
 	if m%16 != 0 || n%16 != 0 || k%16 != 0 {
 		return nil, fmt.Errorf("workloads: sgemm dims must be multiples of 16 (got %dx%dx%d)", m, n, k)
 	}
+	// Each variant tiles C by its own workgroup footprint (threads per
+	// group × elements per thread), which for the blocked variants is
+	// coarser than 16.
+	if g := v.Global(m, n); g[0]%v.Local[0] != 0 || g[1]%v.Local[1] != 0 {
+		return nil, fmt.Errorf("workloads: sgemm variant %s tiles C in %dx%d blocks; m=%d n=%d is not a multiple",
+			v.Name, uint32(m)/g[1]*v.Local[1], uint32(n)/g[0]*v.Local[0], m, n)
+	}
 	bIn := b
 	if v.TransposeB {
 		bIn = make([]float32, len(b))

@@ -359,3 +359,42 @@ func TestHostThreads4AllBenchmarksVerify(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryWorkloadAtScaleOne runs the whole registry at the smallest input
+// scale. Degenerate sizes — a one-node graph, a matrix smaller than a
+// variant's tile — must either run and verify or be refused host-side with
+// an error that names the problem; a GPU fault or a bare allocation error
+// is the simulator failing to validate its own inputs.
+func TestEveryWorkloadAtScaleOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole registry")
+	}
+	for _, info := range mobilesim.Workloads() {
+		if info.Kind == mobilesim.KindExperiment {
+			continue // harnesses over the same workloads; they take a scale preset, not a size
+		}
+		t.Run(info.Name, func(t *testing.T) {
+			s, err := mobilesim.New(mobilesim.Config{RAMSize: 256 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			res, err := s.Run(context.Background(), info.Name, mobilesim.WithScale(1))
+			switch {
+			case err != nil:
+				for _, opaque := range []string{"GPU fault", "bad allocation size"} {
+					if strings.Contains(err.Error(), opaque) {
+						t.Errorf("scale 1 fails opaquely: %v", err)
+					}
+				}
+				if info.Name != "sgemm6/2dregblocking" {
+					t.Errorf("scale 1 refused: %v", err)
+				} else if !strings.Contains(err.Error(), "32x32") {
+					t.Errorf("refusal does not name the variant's tile: %v", err)
+				}
+			case info.Kind != mobilesim.KindSLAM && !res.Verified: // the SLAM pipeline has no host-native reference
+				t.Errorf("scale 1 ran but did not verify: %v", res.VerifyErr)
+			}
+		})
+	}
+}
