@@ -41,6 +41,9 @@ func TestClusterMatchesLocalBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots many simulator hosts")
 	}
+	// Every session the hosts fork, run and close — retried, hedged and
+	// killed ones included — must hand back clean guest RAM.
+	mobilesim.AuditRecycledRAM(t)
 	jobs := clusterPinJobs()
 	local, err := (&mobilesim.Batch{Jobs: jobs, Config: clusterPinConfig()}).Run(context.Background())
 	if err != nil {

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"mobilesim/internal/asm"
@@ -90,7 +91,7 @@ const stagingSize = 4 << 20
 
 // New creates a standalone simulator context. gpuCfg mirrors the device
 // shape used by the full-system runs so GPU-side work is comparable.
-func New(ramSize uint64, gpuCfg gpu.Config) (*Context, error) {
+func New(ramSize uint64, gpuCfg gpu.Config) (_ *Context, err error) {
 	if ramSize == 0 {
 		ramSize = 512 << 20
 	}
@@ -98,6 +99,7 @@ func New(ramSize uint64, gpuCfg gpu.Config) (*Context, error) {
 	bus := mem.NewBus(ram)
 	alloc, err := mem.NewPageAllocator(ramBase+(1<<20), ramSize-(1<<20))
 	if err != nil {
+		ram.Recycle()
 		return nil, err
 	}
 	intc := irq.New()
@@ -109,16 +111,23 @@ func New(ramSize uint64, gpuCfg gpu.Config) (*Context, error) {
 	core.SetEngine(cpu.EngineInterp)
 
 	c := &Context{ram: ram, bus: bus, alloc: alloc, intc: intc, dev: dev, core: core}
+	defer func() { // a failed set-up stops the device and returns the RAM
+		if err != nil {
+			c.Close()
+		}
+	}()
 
 	// Load the runtime's copy loop.
-	prog, err := assembleMemcpy()
+	prog, err := memcpyProg()
 	if err != nil {
 		return nil, err
 	}
-	if err := bus.WriteBytes(ramBase+0x1000, prog.code); err != nil {
+	if err := bus.WriteBytes(prog.Base, prog.Code); err != nil {
 		return nil, err
 	}
-	c.memcpyEntry = prog.entry
+	if c.memcpyEntry, err = prog.Entry("memcpy"); err != nil {
+		return nil, err
+	}
 	c.staging, err = alloc.AllocPages(stagingSize / mem.PageSize)
 	if err != nil {
 		return nil, err
@@ -137,17 +146,11 @@ func New(ramSize uint64, gpuCfg gpu.Config) (*Context, error) {
 	return c, nil
 }
 
-// Close stops the device and recycles main memory (see mem.AcquireRAM):
-// everything the run dirtied lies below the page allocator's high
-// watermark (the memcpy routine and staging area sit below the 1 MiB
-// heap base, which is always scrubbed too).
+// Close stops the device and recycles main memory, which scrubs exactly
+// the pages the run wrote (see mem.RAM.Recycle).
 func (c *Context) Close() {
 	c.dev.Close()
-	dirty := uint64(1 << 20)
-	if hw := c.alloc.HighWater(); hw > dirty {
-		dirty = hw
-	}
-	c.ram.Recycle(dirty)
+	c.ram.Recycle()
 }
 
 // Device exposes the underlying GPU (for statistics).
@@ -357,19 +360,8 @@ func (c *Context) Enqueue(k *Kernel, global, local [3]uint32) error {
 	}
 }
 
-type miniProg struct {
-	code  []byte
-	entry uint64
-}
-
-func assembleMemcpy() (*miniProg, error) {
-	prog, err := asm.Assemble(interpMemcpySource, ramBase+0x1000)
-	if err != nil {
-		return nil, err
-	}
-	entry, err := prog.Entry("memcpy")
-	if err != nil {
-		return nil, err
-	}
-	return &miniProg{code: prog.Code, entry: entry}, nil
-}
+// memcpyProg assembles the constant copy loop once per process; the
+// program is shared by every context and never modified.
+var memcpyProg = sync.OnceValues(func() (*asm.Program, error) {
+	return asm.Assemble(interpMemcpySource, ramBase+0x1000)
+})

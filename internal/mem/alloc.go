@@ -77,7 +77,9 @@ func (a *PageAllocator) InUse() int {
 
 // HighWater returns one past the highest physical address ever handed out
 // (the bump pointer). Everything the allocator has ever given a caller lies
-// in [base, HighWater()); RAM recycling scrubs exactly that range.
+// in [base, HighWater()); a snapshot image captures at least that range.
+// (RAM recycling does not use it: Recycle scrubs the pages the RAM's own
+// dirty map names.)
 func (a *PageAllocator) HighWater() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -91,9 +93,8 @@ func (a *PageAllocator) HighWater() uint64 {
 func ZeroPage(ram *RAM, addr uint64) {
 	if ram.cow != nil && addr%PageSize == 0 && ram.Contains(addr, PageSize) {
 		pi := (addr - ram.base) / PageSize
-		if !ram.cow.pagePrivate(pi) {
-			ram.privatizeSkipCopy(pi)
-			ram.markDirty(addr, PageSize)
+		if !ram.pagePrivate(pi) {
+			ram.privatizePage(pi, false)
 			return
 		}
 	}

@@ -324,7 +324,7 @@ func (r *RAM) AtomicWrite(addr uint64, size int, val uint64) error {
 	}
 	off := addr - r.base
 	if r.cow != nil {
-		r.privatizeRange(off, uint64(size))
+		r.privatizeRange(off, uint64(size), false)
 	}
 	AtomicStoreLE(r.words, off, size, val)
 	r.markDirty(addr, size)
@@ -375,7 +375,7 @@ func (b *Bus) AtomicWriteBytes(addr uint64, src []byte) error {
 		return nil
 	}
 	if b.ram.cow != nil {
-		b.ram.privatizeRange(addr-b.ram.base, uint64(len(src)))
+		b.ram.privatizeRange(addr-b.ram.base, uint64(len(src)), false)
 	}
 	AtomicWriteBytes(b.ram.words, addr-b.ram.base, src)
 	b.ram.markDirty(addr, len(src))

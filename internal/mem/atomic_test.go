@@ -196,15 +196,18 @@ func TestBusAtomicRoutesMMIO(t *testing.T) {
 	}
 }
 
-// TestAtomicWriteRaisesDirtyWatermark keeps the RAM-recycling contract:
-// atomic stores must be scrubbed on Recycle like plain ones.
-func TestAtomicWriteRaisesDirtyWatermark(t *testing.T) {
+// TestAtomicWriteMarksDirtyPage keeps the RAM-recycling contract: atomic
+// stores must be scrubbed on Recycle like plain ones.
+func TestAtomicWriteMarksDirtyPage(t *testing.T) {
 	ram := NewRAM(0, 1<<16)
 	if err := ram.AtomicWrite(0x5123, 2, 0xFFFF); err != nil {
 		t.Fatal(err)
 	}
-	if got := ram.dirty.Load(); got < 0x5125 {
-		t.Errorf("dirty watermark %#x does not cover the atomic store", got)
+	if !ram.pageDirty(5) {
+		t.Error("dirty map does not cover the atomic store")
+	}
+	if got := ram.markedTop(); got != 6*PageSize {
+		t.Errorf("markedTop = %#x, want %#x", got, 6*PageSize)
 	}
 }
 

@@ -2,8 +2,8 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // Snapshot images and copy-on-write forking.
@@ -19,20 +19,24 @@ import (
 //
 // Invariants the implementation maintains:
 //
-//   - The fork's private backing store (RAM.words) is all-zero for every
-//     page still shared: only privatization and post-privatization writes
-//     touch it, and both raise the dirty watermark, so Recycle scrubs
-//     exactly the privatized prefix.
-//   - Privatization is serialised per RAM by cowState.mu and published
-//     with an atomic bitmap store, so a concurrent reader either still
-//     sees the shared image page or sees the fully copied private page —
-//     never a partial copy. This composes with the word-granular atomic
-//     accessors: shared pages are read-only, private pages follow the
-//     ordinary guest memory model (DESIGN.md §7).
+//   - One map serves both purposes: the RAM's dirty bit for an image page
+//     *is* its private bit. The fork's private backing store (RAM.words)
+//     is all-zero for every page still shared: only privatization and
+//     post-privatization writes touch it, and privatization sets the bit,
+//     so Recycle scrubs exactly the privatized pages (plus whatever was
+//     written beyond the image).
+//   - Privatization is serialised per RAM by cowState.mu and published by
+//     setting the page's bit (a CAS, because markers of neighbouring pages
+//     share the word and do not take mu) *after* the copy, so a concurrent
+//     reader either still sees the shared image page or sees the fully
+//     copied private page — never a partial copy. This composes with the
+//     word-granular atomic accessors: shared pages are read-only, private
+//     pages follow the ordinary guest memory model (DESIGN.md §7).
 //   - Every write entry point (Write/WriteBytes/Slice/Bytes/Atomic*,
-//     and the MMU's writable page views via PageView) privatizes the
-//     covered pages first; there is no path that stores into a shared
-//     page's backing.
+//     Bus.MarkDirty, and the MMU's writable page views via PageView)
+//     privatizes the covered pages before it stores or marks; there is no
+//     path that stores into a shared page's backing, and none that sets a
+//     shared page's bit without going through privatization.
 //
 // Pages beyond the image prefix (never allocated at capture time) are
 // zero in both the image and the fork, so they are born private.
@@ -75,7 +79,7 @@ func NewImage(base, size uint64, data []byte) (*Image, error) {
 }
 
 // CaptureImage snapshots the RAM's logical contents up to the larger of
-// the region's own dirty watermark and the caller-supplied physical bound
+// the region's highest dirty page and the caller-supplied physical bound
 // (the platform passes its page allocator's high watermark), page
 // rounded. The capture reads through the copy-on-write view, so imaging a
 // forked RAM sees its logical contents, not its raw backing store.
@@ -83,7 +87,7 @@ func (r *RAM) CaptureImage(limit uint64) (*Image, error) {
 	if r.Size()%PageSize != 0 {
 		return nil, fmt.Errorf("mem: cannot image RAM of unaligned size %d", r.Size())
 	}
-	bound := r.dirty.Load()
+	bound := r.markedTop()
 	if limit > r.base && limit-r.base > bound {
 		bound = limit - r.base
 	}
@@ -99,12 +103,9 @@ func (r *RAM) CaptureImage(limit uint64) (*Image, error) {
 // cowState is the per-fork copy-on-write bookkeeping.
 type cowState struct {
 	img *Image
-	// mu serialises privatization; the bitmap store under it publishes
-	// the copied page to concurrent lock-free readers.
+	// mu serialises privatization; setting the page's bit in RAM.dirty
+	// under it publishes the copied page to concurrent lock-free readers.
 	mu sync.Mutex
-	// priv is a bitmap over the image's pages: bit set = the page has
-	// been copied into the fork's own backing store.
-	priv []atomic.Uint64
 	// imgPages is len(img.data)/PageSize; pages at or beyond it are
 	// private by construction (zero in both image and fork).
 	imgPages uint64
@@ -116,12 +117,8 @@ type cowState struct {
 // prefix); writes privatize pages and never reach the shared image.
 func ForkRAM(img *Image) *RAM {
 	r := AcquireRAM(img.base, img.size)
-	imgPages := uint64(len(img.data)) / PageSize
-	r.cow = &cowState{
-		img:      img,
-		priv:     make([]atomic.Uint64, (imgPages+63)/64),
-		imgPages: imgPages,
-	}
+	r.fork.img, r.fork.imgPages = img, uint64(len(img.data))/PageSize
+	r.cow = &r.fork
 	return r
 }
 
@@ -143,89 +140,57 @@ func (r *RAM) PrivatizedPages() int {
 		return 0
 	}
 	n := 0
-	for i := range c.priv {
-		w := c.priv[i].Load()
-		for ; w != 0; w &= w - 1 {
-			n++
+	for wi := uint64(0); wi*64 < c.imgPages; wi++ {
+		w := r.dirty[wi].Load()
+		if rest := c.imgPages - wi*64; rest < 64 {
+			w &= 1<<rest - 1 // pages beyond the image are not counted
 		}
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
 // pagePrivate reports whether the page (by index) is served from the
-// fork's own backing store.
-func (c *cowState) pagePrivate(pi uint64) bool {
-	if pi >= c.imgPages {
-		return true
-	}
-	return c.priv[pi/64].Load()&(1<<(pi%64)) != 0
+// fork's own backing store: every page beyond the image is, and an image
+// page is once privatization has set its dirty bit.
+func (r *RAM) pagePrivate(pi uint64) bool {
+	return pi >= r.cow.imgPages || r.pageDirty(pi)
 }
 
-// privatizePage copies one shared page from the image into the fork's
-// backing store and publishes it. Idempotent and safe for concurrent use;
-// returns once the page is private.
-func (r *RAM) privatizePage(pi uint64) {
-	c := r.cow
-	if pi >= c.imgPages || c.pagePrivate(pi) {
+// privatizePage makes one shared page private and publishes it. The image
+// page is copied into the fork's backing store first, unless copyImage is
+// false: then the caller guarantees the page's full logical content is
+// determined without it — the whole page is about to be overwritten, or
+// the wanted content is all-zero, which a shared page's backing already is
+// (see the invariants above). Idempotent and safe for concurrent use.
+func (r *RAM) privatizePage(pi uint64, copyImage bool) {
+	if r.pagePrivate(pi) {
 		return
 	}
-	c.mu.Lock()
-	if !c.pagePrivate(pi) {
+	c := r.cow
+	c.mu.Lock() // a no-copy caller, too, waits out a copy in flight
+	if copyImage && !r.pageDirty(pi) {
 		off := pi * PageSize
 		copy(r.words[off:off+PageSize], c.img.data[off:off+PageSize])
-		r.markDirty(r.base+off, PageSize)
-		w := &c.priv[pi/64]
-		w.Store(w.Load() | 1<<(pi%64)) // mu serialises writers
 	}
-	c.mu.Unlock()
-}
-
-// privatizeSkipCopy marks one page private *without* copying the image:
-// the caller guarantees the page's full logical content is determined
-// without it — either the whole page is about to be overwritten, or the
-// desired content is all-zero and the fork's backing store is already
-// zero for shared pages (see the invariants above).
-func (r *RAM) privatizeSkipCopy(pi uint64) {
-	c := r.cow
-	if pi >= c.imgPages || c.pagePrivate(pi) {
-		return
-	}
-	c.mu.Lock()
-	if !c.pagePrivate(pi) {
-		w := &c.priv[pi/64]
-		w.Store(w.Load() | 1<<(pi%64))
-	}
+	orBits(&r.dirty[pi/64], 1<<(pi%64)) // publishes the copy
 	c.mu.Unlock()
 }
 
 // privatizeRange privatizes every page covering [off, off+size) in the
-// fork's backing store. off/size are region offsets.
-func (r *RAM) privatizeRange(off, size uint64) {
-	if size == 0 {
-		return
-	}
-	for pi := off / PageSize; pi <= (off+size-1)/PageSize; pi++ {
-		r.privatizePage(pi)
-	}
-}
-
-// privatizeRangeForOverwrite prepares [off, off+size) for a full plain
-// overwrite: pages fully covered by the range are marked private without
-// copying the image (their bytes are about to be replaced wholesale),
-// and only partial boundary pages pay the copy. Plain-path only — on the
-// atomic write path a mark-without-copy would let a concurrent reader
+// fork's backing store; off/size are region offsets. overwrite prepares
+// the range for a full plain overwrite: pages it covers whole skip the
+// image copy and only partial boundary pages pay it. Plain-path only — on
+// the atomic write path a mark-without-copy would let a concurrent reader
 // observe zeros that were never guest-visible, so atomic writers always
 // copy-privatize.
-func (r *RAM) privatizeRangeForOverwrite(off, size uint64) {
+func (r *RAM) privatizeRange(off, size uint64, overwrite bool) {
 	if size == 0 {
 		return
 	}
 	for pi := off / PageSize; pi <= (off+size-1)/PageSize; pi++ {
-		if pi*PageSize >= off && (pi+1)*PageSize <= off+size {
-			r.privatizeSkipCopy(pi)
-		} else {
-			r.privatizePage(pi)
-		}
+		whole := pi*PageSize >= off && (pi+1)*PageSize <= off+size
+		r.privatizePage(pi, !(overwrite && whole))
 	}
 }
 
@@ -237,7 +202,7 @@ func (r *RAM) rangePrivate(off, size uint64) bool {
 		return true
 	}
 	for pi := off / PageSize; pi <= (off+size-1)/PageSize; pi++ {
-		if !c.pagePrivate(pi) {
+		if !r.pagePrivate(pi) {
 			return false
 		}
 	}
@@ -248,7 +213,7 @@ func (r *RAM) rangePrivate(off, size uint64) bool {
 // offset off (shared image page or private backing page).
 func (r *RAM) pageView(off uint64) []byte {
 	po := off &^ uint64(PageMask)
-	if r.cow != nil && !r.cow.pagePrivate(po/PageSize) {
+	if r.cow != nil && !r.pagePrivate(po/PageSize) {
 		return r.cow.img.data[po : po+PageSize]
 	}
 	end := po + PageSize
@@ -288,7 +253,7 @@ func (r *RAM) atomicReadBytesCow(off uint64, dst []byte) {
 			chunk = uint64(len(dst) - n)
 		}
 		pi := cur / PageSize
-		if r.cow.pagePrivate(pi) {
+		if r.pagePrivate(pi) {
 			// Private pages may span into the word-extended tail; use the
 			// full backing store so end-of-region words stay addressable.
 			AtomicReadBytes(r.words, cur, dst[n:n+int(chunk)])
@@ -349,9 +314,9 @@ func (r *RAM) PageView(addr uint64, write bool) (view []byte, ro, ok bool) {
 	}
 	pi := off / PageSize
 	if write {
-		r.privatizePage(pi)
+		r.privatizePage(pi, true)
 	}
-	if c.pagePrivate(pi) {
+	if r.pagePrivate(pi) {
 		return r.data[off : off+PageSize], false, true
 	}
 	return c.img.data[off : off+PageSize], true, true

@@ -260,9 +260,15 @@ func TestForkRecycleScrubsOnlyPrivatePages(t *testing.T) {
 		t.Fatal(err)
 	}
 	words := f.words
-	// Recycle with a huge dirtyTop: a fork must ignore it (the boot
-	// allocations live in the shared image, not the private store).
-	f.Recycle(base + 16*PageSize)
+	// A sentinel planted behind the dirty map's back, in a still-shared
+	// page, shows what Recycle clears: the one private page and no other
+	// (the boot allocations live in the shared image, not in this store).
+	words[2*PageSize] = 0xAA
+	f.Recycle()
+	if words[2*PageSize] != 0xAA {
+		t.Fatal("Recycle cleared a page that was never marked")
+	}
+	words[2*PageSize] = 0 // the store is parked: leave it clean
 	for i, b := range words[:3*PageSize] {
 		if b != 0 {
 			t.Fatalf("byte %d not scrubbed: %#x", i, b)

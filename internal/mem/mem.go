@@ -7,6 +7,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,39 +79,89 @@ type RAM struct {
 	// Guest-visible bounds (Contains, Size) use data's logical length.
 	words []byte
 
-	// dirty is one past the highest offset that may hold a nonzero byte,
-	// rounded up to a page. Every write path records here — Write,
-	// WriteBytes, and (at walk time, page-granular) the MMU's cached
-	// writable page views — so Recycle knows exactly how much to scrub
-	// before the backing store is reused. Atomic: GPU workers write
-	// concurrently.
-	dirty atomic.Uint64
+	// dirty is the page-granular dirty map: bit pi is set once page pi of
+	// the backing store may hold a nonzero byte. Every write path records
+	// here — Write/WriteBytes/Atomic*, Bytes/Slice views, ZeroPage, and
+	// (at walk time) the MMU's cached writable page views — so Recycle
+	// scrubs exactly the pages written. On a copy-on-write fork the same
+	// bit also means "image page pi is private" (see image.go). Atomic:
+	// GPU workers mark concurrently.
+	dirty []atomic.Uint64
 
 	// cow is non-nil for a copy-on-write fork of a snapshot Image (see
 	// image.go): reads of still-shared pages are served from the image,
-	// and every write path privatizes the covered pages first.
-	cow *cowState
+	// and every write path privatizes the covered pages first. It points
+	// at fork, which lives inside the RAM so that forking allocates nothing.
+	cow  *cowState
+	fork cowState
 }
 
-// markDirty raises the dirty watermark to cover [addr, addr+size). The
-// bound is page-rounded so ascending writes inside an already-dirty page
-// skip the CAS after the first.
+// markDirty sets the dirty bits of every page covering [addr, addr+size).
+// The common case — an access inside one already-marked page — is a load
+// and a test, kept apart from the range loop because every Bus.Write pays
+// it (with translation off, that is every guest CPU store).
 func (r *RAM) markDirty(addr uint64, size int) {
-	end := (addr + uint64(size) - r.base + PageMask) &^ uint64(PageMask)
+	off := addr - r.base
+	if pi := off / PageSize; pi == (off+uint64(size)-1)/PageSize && r.pageDirty(pi) {
+		return // one page, already marked
+	}
+	r.markRange(off, size)
+}
+
+// markRange is markDirty's out-of-line part: it sets the bits of every
+// page covering [off, off+size), one map word at a time.
+func (r *RAM) markRange(off uint64, size int) {
+	if size <= 0 {
+		return
+	}
+	lo, hi := off/PageSize, (off+uint64(size)-1)/PageSize
+	for wi := lo / 64; wi <= hi/64; wi++ {
+		mask := ^uint64(0)
+		if wi == lo/64 {
+			mask <<= lo % 64
+		}
+		if wi == hi/64 {
+			mask &= ^uint64(0) >> (63 - hi%64)
+		}
+		orBits(&r.dirty[wi], mask)
+	}
+}
+
+// orBits atomically sets mask in w, skipping the write when every bit is
+// already set. A CAS loop: atomic.Uint64.Or needs Go 1.23, go.mod says 1.21.
+func orBits(w *atomic.Uint64, mask uint64) {
 	for {
-		cur := r.dirty.Load()
-		if end <= cur || r.dirty.CompareAndSwap(cur, end) {
+		old := w.Load()
+		if old&mask == mask || w.CompareAndSwap(old, old|mask) {
 			return
 		}
 	}
 }
 
+// pageDirty reports whether page pi is marked in the dirty map.
+func (r *RAM) pageDirty(pi uint64) bool { return r.dirty[pi/64].Load()&(1<<(pi%64)) != 0 }
+
+// markedTop returns the byte offset one past the highest marked page.
+func (r *RAM) markedTop() uint64 {
+	for wi := len(r.dirty) - 1; wi >= 0; wi-- {
+		if w := r.dirty[wi].Load(); w != 0 {
+			return (uint64(wi)*64 + uint64(bits.Len64(w))) * PageSize
+		}
+	}
+	return 0
+}
+
 // NewRAM allocates a RAM region of the given size at the given physical
 // base. The backing store is a word multiple (see RAM.words); the guest
-// sees exactly size bytes.
+// sees exactly size bytes. Not inlined, so that its allocations are not
+// attributed to AcquireRAM, whose hit path the hotalloc gate pins at zero.
+//
+//go:noinline
 func NewRAM(base, size uint64) *RAM {
 	buf := make([]byte, (size+7)&^uint64(7))
-	return &RAM{base: base, data: buf[:size], words: buf}
+	const perWord = 64 * PageSize // bytes one word of the dirty map covers
+	return &RAM{base: base, data: buf[:size], words: buf,
+		dirty: make([]atomic.Uint64, (len(buf)+perWord-1)/perWord)}
 }
 
 // Base returns the first physical address of the region.
@@ -132,9 +183,9 @@ func (r *RAM) Contains(addr uint64, size int) bool {
 func (r *RAM) Bytes(addr uint64, size int) []byte {
 	off := addr - r.base
 	if r.cow != nil {
-		r.privatizeRange(off, uint64(size))
-		r.markDirty(addr, size)
+		r.privatizeRange(off, uint64(size), false)
 	}
+	r.markDirty(addr, size)
 	return r.data[off : off+uint64(size)]
 }
 
@@ -150,9 +201,9 @@ func (r *RAM) Slice(addr uint64, size int) ([]byte, bool) {
 	}
 	off := addr - r.base
 	if r.cow != nil {
-		r.privatizeRange(off, uint64(size))
-		r.markDirty(addr, size)
+		r.privatizeRange(off, uint64(size), false)
 	}
+	r.markDirty(addr, size)
 	return r.data[off : off+uint64(size)], true
 }
 
@@ -175,7 +226,7 @@ func (r *RAM) Write(addr uint64, size int, val uint64) error {
 	}
 	off := addr - r.base
 	if r.cow != nil {
-		r.privatizeRange(off, uint64(size))
+		r.privatizeRange(off, uint64(size), false)
 	}
 	storeLE(r.data[off:off+uint64(size)], size, val)
 	r.markDirty(addr, size)
@@ -254,10 +305,16 @@ func (b *Bus) Slice(addr uint64, size int) ([]byte, bool) {
 }
 
 // MarkDirty records that the caller may write [addr, addr+size) through a
-// previously obtained host view, keeping the RAM recycling watermark
-// honest. The MMU calls it once per walk when caching a writable page.
+// previously obtained host view, keeping the RAM's dirty map honest. The
+// MMU calls it once per walk when caching a writable page, which is what
+// keeps the per-store hot path free of any marking. On a copy-on-write
+// fork a marked page is a private page, so still-shared pages are
+// privatized first (the MMU only ever marks pages it already privatized).
 func (b *Bus) MarkDirty(addr uint64, size int) {
 	if b.ram.Contains(addr, size) {
+		if b.ram.cow != nil {
+			b.ram.privatizeRange(addr-b.ram.base, uint64(size), false)
+		}
 		b.ram.markDirty(addr, size)
 	}
 }
@@ -356,7 +413,7 @@ func (b *Bus) WriteBytes(addr uint64, src []byte) error {
 	}
 	off := addr - b.ram.base
 	if b.ram.cow != nil {
-		b.ram.privatizeRangeForOverwrite(off, uint64(len(src)))
+		b.ram.privatizeRange(off, uint64(len(src)), true)
 	}
 	copy(b.ram.data[off:off+uint64(len(src))], src)
 	b.ram.markDirty(addr, len(src))

@@ -339,8 +339,8 @@ func TestLoadStoreLE(t *testing.T) {
 
 // TestRecycleScrubsAllWritePaths pins the pool-reuse contract: a recycled
 // backing store must come back all-zero no matter which path dirtied it —
-// Bus.Write, Bus.WriteBytes, or a cached page view handed out for the MMU
-// fast path — even when the caller's own dirtyTop bound misses the write.
+// Bus.Write, Bus.WriteBytes, a Slice view, or a cached page view handed
+// out for the MMU fast path — with nothing but the dirty map to go by.
 func TestRecycleScrubsAllWritePaths(t *testing.T) {
 	const base, size = 0x8000_0000, uint64(1 << 21)
 	// Loop so at least some iterations after the first actually reuse a
@@ -353,7 +353,7 @@ func TestRecycleScrubsAllWritePaths(t *testing.T) {
 				t.Fatalf("iter %d: recycled RAM dirty at +%#x: %#x (err %v)", i, off, got, err)
 			}
 		}
-		// Dirty through all three paths, well above any allocator bound.
+		// Dirty through every path, well above any allocator bound.
 		if err := bus.Write(base+size-PageSize, 8, ^uint64(0)); err != nil {
 			t.Fatal(err)
 		}
@@ -364,9 +364,13 @@ func TestRecycleScrubsAllWritePaths(t *testing.T) {
 		if !ok {
 			t.Fatal("slice refused")
 		}
-		bus.MarkDirty(base+size/4, PageSize)
 		view[10] = 0xEE
-		// Recycle with a deliberately useless caller bound.
-		ram.Recycle(0)
+		page, _, ok := bus.PageView(base+size/8, true)
+		if !ok {
+			t.Fatal("page view refused")
+		}
+		bus.MarkDirty(base+size/8, PageSize) // what the MMU does at walk time
+		page[PageSize-1] = 0xDD
+		ram.Recycle()
 	}
 }

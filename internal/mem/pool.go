@@ -1,6 +1,10 @@
 package mem
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+)
 
 // RAM recycling. Allocating a platform's main memory costs a host
 // make([]byte, 256–512 MiB) — and once the Go allocator starts reusing
@@ -8,61 +12,84 @@ import "sync"
 // short simulations (benchmark iterations, Batch sessions) the clear
 // dominates wall-clock, drowning out the simulation being measured.
 //
-// The pool recycles backing stores across platform lifetimes instead:
-// Recycle scrubs only the prefix the simulation could have dirtied (fixed
-// firmware region plus the page allocator's high watermark — every
-// RAM-backed byte a correct guest can reach) and parks the buffer for the
-// next AcquireRAM of the same size. sync.Pool semantics apply: buffers are
-// dropped under GC pressure, so idle pools do not pin memory forever.
+// The pool recycles regions across platform lifetimes instead: Recycle
+// clears exactly the pages the RAM's dirty map names — the pages the
+// simulation wrote, typically a dozen out of 131 072 — and parks the RAM
+// (backing store and the thereby all-zero map together) for the next
+// AcquireRAM of the same size, which allocates nothing. sync.Pool
+// semantics apply: parked regions are dropped under GC pressure, so idle
+// pools do not pin memory forever.
 
-var ramPools sync.Map // size (uint64) -> *sync.Pool of []byte
+var ramPools struct {
+	sync.Mutex
+	bySize map[uint64]*sync.Pool // backing-store bytes -> pool of *RAM
+}
 
-// AcquireRAM returns a RAM region like NewRAM, preferring a recycled
-// backing store of the same size. Recycled stores are zero up to the
-// dirty watermark their previous owner declared to Recycle, so callers
-// observe the same all-zero initial contents as a fresh allocation.
-func AcquireRAM(base, size uint64) *RAM {
-	key := (size + 7) &^ uint64(7) // backing stores are word-rounded (see NewRAM)
-	if p, ok := ramPools.Load(key); ok {
-		if buf, _ := p.(*sync.Pool).Get().([]byte); buf != nil {
-			return &RAM{base: base, data: buf[:size], words: buf}
+// ramPool returns the pool for backing stores of n bytes.
+func ramPool(n uint64) *sync.Pool {
+	ramPools.Lock()
+	defer ramPools.Unlock()
+	p := ramPools.bySize[n]
+	if p == nil {
+		if ramPools.bySize == nil {
+			ramPools.bySize = make(map[uint64]*sync.Pool)
 		}
+		p = new(sync.Pool)
+		ramPools.bySize[n] = p
+	}
+	return p
+}
+
+// AcquireRAM returns a RAM region like NewRAM, preferring a recycled one
+// of the same size. Recycle zeroed every page its previous owner wrote,
+// so callers observe the same all-zero initial contents as a fresh
+// allocation.
+func AcquireRAM(base, size uint64) *RAM {
+	if r, _ := ramPool((size + 7) &^ uint64(7)).Get().(*RAM); r != nil {
+		r.base, r.data = base, r.words[:size]
+		return r
 	}
 	return NewRAM(base, size)
 }
 
-// Recycle scrubs everything the simulation may have written and returns
-// the backing store to the pool for reuse by a future AcquireRAM of the
-// same size. The scrub bound is the larger of the RAM's own dirty
-// watermark — maintained by Write/WriteBytes and the MMU's walk-time
-// marking of cached writable pages — and dirtyTop, an optional physical
-// address bound the caller derives independently (the platform passes its
-// page allocator's high watermark as belt-and-braces). The RAM must not
-// be used after Recycle; outstanding Bytes/Slice views go stale.
-func (r *RAM) Recycle(dirtyTop uint64) {
+// recycleAudit is a test seam, nil outside tests: see SetRecycleAudit.
+var recycleAudit atomic.Pointer[func(store []byte, markedTop uint64)]
+
+// SetRecycleAudit makes every Recycle call fn (nil: nothing) with the
+// scrubbed backing store, just before it is parked, and the byte offset
+// one past the highest page that was marked. Tests use it to assert that
+// no session leaves guest bytes behind. fn may run on several goroutines.
+func SetRecycleAudit(fn func(store []byte, markedTop uint64)) { recycleAudit.Store(&fn) }
+
+// Recycle zeroes every page the simulation wrote and parks the region for
+// reuse by a future AcquireRAM of the same size. The dirty map is the only
+// bound — there is no caller-derived range — so a write path that forgets
+// to mark leaks guest bytes to the next owner; the isolation audit test
+// scans for exactly that. The RAM must not be used after Recycle;
+// outstanding Bytes/Slice views go stale.
+func (r *RAM) Recycle() {
 	if r.data == nil {
 		return
 	}
-	scrub := r.dirty.Load()
-	if r.cow != nil {
-		// A copy-on-write fork's backing store holds only privatized
-		// pages and post-fork writes — all below the RAM's own dirty
-		// watermark. The caller-derived bound covers the snapshot's boot
-		// allocations, which live in the shared image, not here; honouring
-		// it would re-introduce the multi-MiB scrub forking exists to
-		// avoid.
-		dirtyTop = 0
-		r.cow = nil
+	var top uint64 // one past the highest marked page, for the audit
+	for wi := range r.dirty {
+		w := r.dirty[wi].Load()
+		if w == 0 {
+			continue
+		}
+		r.dirty[wi].Store(0)
+		top = (uint64(wi)*64 + uint64(bits.Len64(w))) * PageSize
+		for w != 0 { // one memclr per run of set bits
+			lo := bits.TrailingZeros64(w)
+			n := bits.TrailingZeros64(^(w >> lo))
+			start := (uint64(wi)*64 + uint64(lo)) * PageSize
+			clear(r.words[start:min(start+uint64(n)*PageSize, uint64(len(r.words)))])
+			w &^= (uint64(1)<<n - 1) << lo
+		}
 	}
-	if dirtyTop > r.base && dirtyTop-r.base > scrub {
-		scrub = dirtyTop - r.base
+	if audit := recycleAudit.Load(); audit != nil && *audit != nil {
+		(*audit)(r.words, top)
 	}
-	if scrub > uint64(len(r.words)) {
-		scrub = uint64(len(r.words))
-	}
-	clear(r.words[:scrub])
-	key := uint64(len(r.words))
-	p, _ := ramPools.LoadOrStore(key, &sync.Pool{})
-	p.(*sync.Pool).Put(r.words)
-	r.data, r.words = nil, nil
+	r.data, r.cow, r.fork.img = nil, nil, nil
+	ramPool(uint64(len(r.words))).Put(r)
 }

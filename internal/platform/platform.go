@@ -8,6 +8,7 @@ package platform
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"mobilesim/internal/asm"
 	"mobilesim/internal/cpu"
@@ -32,6 +33,12 @@ const (
 
 	// heapBase is the first allocatable page, above the firmware image.
 	heapBase = RAMBase + 0x10_0000
+
+	// MinRAMSize is the smallest main memory a platform boots with: the
+	// 1 MiB firmware region below heapBase plus what the driver allocates
+	// at probe time (a 4 MiB staging buffer, page tables, job slots),
+	// rounded up with room for a workload's buffers.
+	MinRAMSize = 16 << 20
 )
 
 // Config selects the platform shape.
@@ -60,16 +67,35 @@ type Platform struct {
 	GPU   *gpu.Device
 	CPUs  []*cpu.Core
 
-	// Firmware holds the assembled guest helper routines.
+	// Firmware holds the assembled guest helper routines. The program is
+	// assembled once per process and shared by every platform (a restored
+	// platform borrows its snapshot's copy instead): treat it as immutable.
 	Firmware *asm.Program
 
 	closed bool
 }
 
+// firmware assembles the constant guest helper routines once per process.
+var firmware = sync.OnceValues(func() (*asm.Program, error) {
+	return asm.Assemble(firmwareSource, FirmwareBase)
+})
+
+// checkRAMSize rejects main memory sizes the platform cannot boot with.
+func checkRAMSize(size uint64) error {
+	if size < MinRAMSize || size%mem.PageSize != 0 {
+		return fmt.Errorf("platform: RAMSize %d must be a multiple of the %d-byte page and at least %d (%d MiB)",
+			size, mem.PageSize, uint64(MinRAMSize), uint64(MinRAMSize)>>20)
+	}
+	return nil
+}
+
 // New builds and starts a platform. Callers must Close it.
-func New(cfg Config) (*Platform, error) {
+func New(cfg Config) (_ *Platform, err error) {
 	if cfg.RAMSize == 0 {
 		cfg.RAMSize = 512 << 20
+	}
+	if err := checkRAMSize(cfg.RAMSize); err != nil {
+		return nil, err
 	}
 	if cfg.Cores <= 0 {
 		cfg.Cores = 4
@@ -79,13 +105,20 @@ func New(cfg Config) (*Platform, error) {
 	}
 
 	// Main memory comes from the recycling pool: platform teardown scrubs
-	// only the dirtied prefix, so short-lived platforms (benchmark
+	// only the pages written, so short-lived platforms (benchmark
 	// iterations, Batch sessions) skip the multi-hundred-MiB clear.
 	ram := mem.AcquireRAM(RAMBase, cfg.RAMSize)
 	bus := mem.NewBus(ram)
 	intc := irq.New()
 
 	p := &Platform{Bus: bus, RAM: ram, Intc: intc}
+	// From here on every failure must stop what was started and hand the
+	// RAM back: Close copes with a half-built platform.
+	defer func() {
+		if err != nil {
+			p.Close()
+		}
+	}()
 
 	p.UART = dev.NewUART(cfg.ConsoleOut, intc, irq.LineUART)
 	if err := bus.MapDevice("uart", UARTBase, dev.UARTSize, p.UART); err != nil {
@@ -119,7 +152,7 @@ func New(cfg Config) (*Platform, error) {
 		p.CPUs = append(p.CPUs, cpu.NewCore(i, bus, intc))
 	}
 
-	fw, err := asm.Assemble(firmwareSource, FirmwareBase)
+	fw, err := firmware()
 	if err != nil {
 		return nil, fmt.Errorf("platform: firmware assembly failed: %w", err)
 	}
@@ -131,22 +164,19 @@ func New(cfg Config) (*Platform, error) {
 }
 
 // Close stops background machinery (the GPU's Job Manager) and recycles
-// main memory. Everything a correct guest can dirty lies below the page
-// allocator's high watermark (the fixed firmware region sits below
-// heapBase, which is always scrubbed too), so only that prefix needs
-// clearing before the backing store is reused. Close is idempotent; the
-// platform must not be used afterwards.
+// main memory, which scrubs exactly the pages the session wrote (see
+// mem.RAM.Recycle). Close is idempotent, and safe on the half-built
+// platform a failed constructor leaves; the platform must not be used
+// afterwards.
 func (p *Platform) Close() {
 	if p.closed {
 		return
 	}
 	p.closed = true
-	p.GPU.Close()
-	dirty := uint64(heapBase)
-	if hw := p.Alloc.HighWater(); hw > dirty {
-		dirty = hw
+	if p.GPU != nil {
+		p.GPU.Close()
 	}
-	p.RAM.Recycle(dirty)
+	p.RAM.Recycle()
 }
 
 // firmwareSource holds the guest-side helper routines the driver and

@@ -2,7 +2,9 @@ package platform_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mobilesim/internal/asm"
@@ -234,4 +236,64 @@ func TestMemoryMapNoOverlaps(t *testing.T) {
 		t.Error("hole in the map should fault")
 	}
 	_ = mem.PageSize
+}
+
+// TestConstructorFailuresLeakNothing pins the error paths of New and
+// NewFromState: a RAM size the platform cannot boot with is refused up
+// front with an error naming it, and a failure after main memory was
+// acquired hands the RAM back and leaves no Job Manager goroutine behind.
+func TestConstructorFailuresLeakNothing(t *testing.T) {
+	var recycled atomic.Int32
+	mem.SetRecycleAudit(func([]byte, uint64) { recycled.Add(1) })
+	defer mem.SetRecycleAudit(nil)
+
+	good, err := platform.New(platform.Config{RAMSize: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	st, err := good.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+
+	for _, size := range []uint64{4096, 512 << 10, 1<<20 + 100, platform.MinRAMSize + 8} {
+		p, err := platform.New(platform.Config{RAMSize: size})
+		if err == nil {
+			p.Close()
+			t.Errorf("RAMSize %d accepted", size)
+			continue
+		}
+		for _, want := range []string{"RAMSize", "16 MiB"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("RAMSize %d: error %q does not mention %q", size, err, want)
+			}
+		}
+	}
+	if n := recycled.Load(); n != 0 {
+		t.Errorf("refused sizes acquired and recycled RAM %d times", n)
+	}
+
+	// A failure past the RAM acquisition: a snapshot whose allocator state
+	// does not parse.
+	bad := *st
+	bad.Alloc.Next++
+	if p, err := platform.NewFromState(platform.Config{}, &bad); err == nil {
+		p.Close()
+		t.Error("corrupt allocator state accepted")
+	}
+	if n := recycled.Load(); n != 1 {
+		t.Errorf("failed restore recycled its RAM %d times, want 1", n)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines: %d before the failed constructors, %d after", before, after)
+	}
+
+	// The intact state still restores, into the RAM the failure returned.
+	p, err := platform.NewFromState(platform.Config{}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
 }

@@ -77,10 +77,13 @@ func (p *Platform) Capture() (*State, error) {
 // supplies only host-side wiring (console writer) and GPU instrumentation
 // knobs; the platform shape (RAM size, core count, disk) comes from the
 // state. Callers must Close the platform as usual.
-func NewFromState(cfg Config, st *State) (*Platform, error) {
+func NewFromState(cfg Config, st *State) (_ *Platform, err error) {
 	if cfg.RAMSize != 0 && cfg.RAMSize != st.RAM.Size() {
 		return nil, fmt.Errorf("platform: config RAM %d MiB does not match snapshot %d MiB",
 			cfg.RAMSize>>20, st.RAM.Size()>>20)
+	}
+	if err := checkRAMSize(st.RAM.Size()); err != nil {
+		return nil, err
 	}
 	if cfg.GPU.ShaderCores == 0 {
 		cfg.GPU = gpu.DefaultConfig()
@@ -91,6 +94,11 @@ func NewFromState(cfg Config, st *State) (*Platform, error) {
 	intc := irq.New()
 
 	p := &Platform{Bus: bus, RAM: ram, Intc: intc}
+	defer func() { // as in New: a failed restore leaks nothing
+		if err != nil {
+			p.Close()
+		}
+	}()
 
 	p.UART = dev.NewUART(cfg.ConsoleOut, intc, irq.LineUART)
 	if err := bus.MapDevice("uart", UARTBase, dev.UARTSize, p.UART); err != nil {

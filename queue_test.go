@@ -47,7 +47,16 @@ func (spinWorkload) Info() mobilesim.WorkloadInfo {
 	}
 }
 
+// spinStarted receives a token (dropped when one is already waiting) each
+// time a spin run begins executing, so a test can cancel "mid-run" on the
+// event rather than on a sleep that a loaded host outlasts.
+var spinStarted = make(chan struct{}, 1)
+
 func (spinWorkload) Execute(ctx context.Context, s *mobilesim.Session, opt *mobilesim.RunOptions) (*mobilesim.RunResult, error) {
+	select {
+	case spinStarted <- struct{}{}:
+	default:
+	}
 	iters := 1 << 20
 	if opt.Scale > 0 {
 		iters = opt.Scale
@@ -441,9 +450,19 @@ func TestBatchMidRunCancellation(t *testing.T) {
 		Workers: 1, // force the second job to queue behind the spin
 		Config:  queueTestConfig(),
 	}
+	select {
+	case <-spinStarted: // a token left by an earlier test's spin
+	default:
+	}
 	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
+		// The batch boots, snapshots and forks before job 0 runs: wait
+		// for the run itself, then let it get into the kernel.
+		select {
+		case <-spinStarted:
+			time.Sleep(50 * time.Millisecond)
+			cancel()
+		case <-ctx.Done(): // the batch failed before running anything
+		}
 	}()
 	res, err := batch.Run(ctx)
 	if !errors.Is(err, context.Canceled) {

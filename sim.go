@@ -129,7 +129,7 @@ func (c *Config) gpuEngine() gpu.Engine {
 	return gpu.EngineWarp
 }
 
-const minRAM = 16 << 20
+const minRAM = platform.MinRAMSize
 
 // validate rejects configurations the platform cannot boot.
 func (c *Config) validate() error {
