@@ -1,0 +1,77 @@
+package cpu_test
+
+import (
+	"testing"
+
+	"mobilesim/internal/asm"
+	"mobilesim/internal/cpu"
+	"mobilesim/internal/platform"
+)
+
+// The CPU layer's micro-benchmarks run the platform's real firmware
+// routines — the guest code the driver executes — through CallRoutine, the
+// way driver.call does.
+
+func firmwarePlatform(tb testing.TB) (*platform.Platform, *cpu.Core) {
+	tb.Helper()
+	p, err := platform.New(platform.Config{RAMSize: platform.MinRAMSize, Cores: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(p.Close)
+	return p, p.CPUs[0]
+}
+
+// firmwareProgram returns the platform's assembled firmware image.
+func firmwareProgram(tb testing.TB) *asm.Program {
+	p, _ := firmwarePlatform(tb)
+	return p.Firmware
+}
+
+// BenchmarkDBTMemcpy is the driver's dominant guest loop: a 64 KiB memcpy
+// (mc_loop8, 7 instructions per 8 bytes). Steady state allocates nothing.
+func BenchmarkDBTMemcpy(b *testing.B) {
+	p, c := firmwarePlatform(b)
+	const n = 64 << 10
+	src, err := p.Alloc.AllocPages(2 * n / 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	memcpy := p.Firmware.MustEntry("memcpy")
+	call := func() {
+		if _, err := c.CallRoutine(memcpy, src+n, src, n); err != nil {
+			b.Fatal(err)
+		}
+	}
+	call() // translate
+	start := c.Instret
+	b.SetBytes(n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		call()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.Instret-start), "ns/guest-instr")
+}
+
+// BenchmarkDBTCallOverhead is the cost of entering and leaving guest code:
+// one store32 round trip (two instructions), the shape of every register
+// write the driver makes.
+func BenchmarkDBTCallOverhead(b *testing.B) {
+	p, c := firmwarePlatform(b)
+	addr, err := p.Alloc.AllocPages(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store32 := p.Firmware.MustEntry("store32")
+	if _, err := c.CallRoutine(store32, addr, 0); err != nil { // translate
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.CallRoutine(store32, addr, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -13,8 +13,8 @@ type Engine int
 
 const (
 	// EngineDBT executes through the basic-block translation cache
-	// (decode once per block, replay thereafter). This is the paper's
-	// QEMU-style mode and the default.
+	// (lower once per block to a chained micro-op tape, run that
+	// thereafter). This is the paper's QEMU-style mode and the default.
 	EngineDBT Engine = iota
 	// EngineInterp decodes every instruction on every execution. It models
 	// the per-instruction-dispatch CPU simulation of the Multi2Sim-style
@@ -77,7 +77,11 @@ type Core struct {
 	intc   *irq.Controller
 
 	engine Engine
-	btc    *blockCache
+	btc    blockCache
+
+	// ldv and stv cache the host view of the page the last guest load and
+	// the last guest store went to; see hostView.
+	ldv, stv pageView
 
 	// Instret counts retired instructions.
 	Instret uint64
@@ -95,6 +99,10 @@ type Core struct {
 
 	halted  bool
 	stopErr error
+	// unhandled backs stopErr for an exception with no vector table. Every
+	// CallRoutine ends in one (the fetch at the return sentinel), so
+	// recording it must not allocate; Err hands out a copy.
+	unhandled unhandledError
 
 	// OnSVC is consulted when VBAR is zero; see SVCHandler.
 	OnSVC SVCHandler
@@ -111,7 +119,6 @@ func NewCore(id int, bus *mem.Bus, intc *irq.Controller) *Core {
 		engine: EngineDBT,
 	}
 	c.sys[SysCPUID] = uint64(id)
-	c.btc = newBlockCache()
 	return c
 }
 
@@ -131,7 +138,19 @@ func (c *Core) Walker() *mmu.Walker { return c.walker }
 func (c *Core) Halted() bool { return c.halted }
 
 // Err returns the unrecoverable error that stopped the core, if any.
-func (c *Core) Err() error { return c.stopErr }
+func (c *Core) Err() error {
+	if c.stopErr == &c.unhandled {
+		e := c.unhandled
+		return &e
+	}
+	return c.stopErr
+}
+
+type unhandledError struct{ cause, far, pc uint64 }
+
+func (e *unhandledError) Error() string {
+	return fmt.Sprintf("cpu: unhandled exception cause=%d far=%#x pc=%#x", e.cause, e.far, e.pc)
+}
 
 // Reset clears halted state and jumps to the entry point. Architectural
 // registers keep their values (like a warm reset); callers zero X
@@ -184,6 +203,7 @@ func (c *Core) RestoreState(st State) {
 	c.Instret, c.Faults, c.IRQs = st.Instret, st.Faults, st.IRQs
 	c.halted = st.Halted
 	c.stopErr = nil
+	c.ldv, c.stv = pageView{}, pageView{}
 	// Reapply MMU side effects only when the restored state needs them: a
 	// fresh core already has translation off and empty caches, and the
 	// redundant TLB flush is a measurable cost on the microsecond fork
@@ -215,6 +235,7 @@ func (c *Core) applyMMU() {
 	}
 	c.walker.SetRoot(root)
 	c.btc.flush() // virtual code mappings may have changed
+	c.ldv, c.stv = pageView{}, pageView{}
 }
 
 // irqEnabled reports whether the guest has interrupts unmasked.
@@ -222,11 +243,50 @@ func (c *Core) irqEnabled() bool { return c.sys[SysIE]&1 != 0 }
 
 // --- Memory access -------------------------------------------------------
 
+// pageView is a one-entry cache of a guest page's host view.
+type pageView struct {
+	base uint64              // guest address of the page
+	page *[mem.PageSize]byte // nil: empty
+}
+
+// hostView returns the host bytes behind the guest access [va, va+size)
+// when it can bypass the bus, refilling the one-page cache v on a miss,
+// and nil when it cannot. With translation off there is no TLB entry to
+// carry a host view, so the core keeps its own: the last page loaded from
+// (ldv) and the last page stored to (stv). Only views that can never go
+// stale are held (mem.Bus.StablePage): MMIO, still-shared copy-on-write
+// pages and page-crossing accesses stay on the bus. Filling stv makes the
+// page private, dirty-marks it once and drops any code translated from it;
+// translate in turn drops an stv of the page it reads, so a store that
+// hits stv never needs noteWrite. With translation on the walker's TLB
+// fast path does this job and counts the access: nothing is cached here.
+func (c *Core) hostView(v *pageView, va uint64, size int, write bool) []byte {
+	off := va - v.base
+	if v.page == nil || off > mem.PageSize-uint64(size) {
+		off = va & mem.PageMask
+		if c.walker.Enabled() || off > mem.PageSize-uint64(size) {
+			return nil
+		}
+		page := c.bus.StablePage(va, write)
+		if page == nil {
+			return nil
+		}
+		if write {
+			c.btc.noteWrite(va)
+		}
+		v.base, v.page = va-off, page
+	}
+	return v.page[off : off+uint64(size)]
+}
+
 // load performs a data load; on fault it takes the exception and reports
-// ok=false so the executor abandons the instruction. It goes through the
-// walker's combined translate-and-access fast path (TLB-cached host page
-// views), falling back to the full translate + bus route on miss or MMIO.
+// ok=false so the executor abandons the instruction. Off the hostView path
+// it goes through the walker's combined translate-and-access (TLB-cached
+// host page views, or the full translate + bus route on miss or MMIO).
 func (c *Core) load(va uint64, size int) (uint64, bool) {
+	if b := c.hostView(&c.ldv, va, size, false); b != nil {
+		return mem.LoadLE(b), true
+	}
 	v, err := c.walker.Load(va, size, mem.Read)
 	if err != nil {
 		c.raiseSync(ExcAbortRead, va, c.PC)
@@ -236,26 +296,40 @@ func (c *Core) load(va uint64, size int) (uint64, bool) {
 }
 
 func (c *Core) store(va uint64, size int, val uint64) bool {
+	if b := c.hostView(&c.stv, va, size, true); b != nil {
+		mem.StoreLE(b, size, val)
+		return true
+	}
 	if err := c.walker.Store(va, size, val); err != nil {
 		c.raiseSync(ExcAbortWrit, va, c.PC)
 		return false
 	}
 	c.btc.noteWrite(va)
+	if last := va + uint64(size) - 1; last>>12 != va>>12 {
+		c.btc.noteWrite(last) // the store straddled two pages
+	}
 	return true
 }
 
-// fetch translates and reads one instruction word.
-func (c *Core) fetch(va uint64) (uint32, bool) {
-	if va%4 != 0 {
-		c.raiseSync(ExcAbortExec, va, va)
+// fetchWord translates and reads one instruction word without raising.
+// With translation off the PC is a physical address, and those are 48 bits
+// wide (the PTE format): a fetch beyond — CallRoutine's return sentinel —
+// aborts without a bus access and the bus error it would allocate.
+func (c *Core) fetchWord(va uint64) (uint32, bool) {
+	if va%4 != 0 || va>>48 != 0 && !c.walker.Enabled() {
 		return 0, false
 	}
 	w, err := c.walker.Load(va, 4, mem.Execute)
-	if err != nil {
+	return uint32(w), err == nil
+}
+
+// fetch is fetchWord that takes the prefetch abort on failure.
+func (c *Core) fetch(va uint64) (uint32, bool) {
+	w, ok := c.fetchWord(va)
+	if !ok {
 		c.raiseSync(ExcAbortExec, va, va)
-		return 0, false
 	}
-	return uint32(w), true
+	return w, ok
 }
 
 // --- Exceptions ----------------------------------------------------------
@@ -269,7 +343,8 @@ func (c *Core) raiseSync(cause, far, retPC uint64) {
 	vbar := c.sys[SysVBAR]
 	if vbar == 0 {
 		c.halted = true
-		c.stopErr = fmt.Errorf("cpu: unhandled exception cause=%d far=%#x pc=%#x", cause, far, retPC)
+		c.unhandled = unhandledError{cause, far, retPC}
+		c.stopErr = &c.unhandled
 		return
 	}
 	c.sys[SysESR] = cause
@@ -349,8 +424,8 @@ func (c *Core) CallRoutine(entry uint64, args ...uint64) (uint64, error) {
 			return c.X[0], nil
 		}
 		if c.halted {
-			if c.stopErr != nil {
-				return 0, c.stopErr
+			if err := c.Err(); err != nil {
+				return 0, err
 			}
 			return c.X[0], nil // HLT also terminates a routine
 		}

@@ -1,6 +1,7 @@
 package cpu_test
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -302,12 +303,12 @@ loop:
 	if r := c.Run(1 << 20); r != cpu.StopHalted {
 		t.Fatalf("run: %v", r)
 	}
-	tr, ex := c.BlockCacheStats()
-	if tr > 4 {
-		t.Errorf("translations = %d, want <= 4 (block cache not reusing)", tr)
+	st := c.BlockCacheStats()
+	if st.Translations > 4 {
+		t.Errorf("translations = %d, want <= 4 (block cache not reusing)", st.Translations)
 	}
-	if ex < 1000 {
-		t.Errorf("executions = %d, want >= 1000", ex)
+	if st.Executions < 1000 {
+		t.Errorf("executions = %d, want >= 1000", st.Executions)
 	}
 }
 
@@ -434,5 +435,88 @@ main:
 	}
 	if gotImm != 42 || gotX0 != 11 || c.X[0] != 99 {
 		t.Errorf("svc hook: imm=%d x0=%d result=%d", gotImm, gotX0, c.X[0])
+	}
+}
+
+// TestBudgetChargesRetiredInstructions: a data abort that vectors out of a
+// long block after its second instruction retired two instructions, not
+// the block's length. Charging the length ended Run(n) with barely half of
+// n retired; the DBT may overshoot n by less than one block, never
+// undershoot it.
+func TestBudgetChargesRetiredInstructions(t *testing.T) {
+	var src strings.Builder
+	src.WriteString(`
+sync:                          // skip the aborting instruction
+    mrs  x28, elr
+    addi x28, x28, #4
+    msr  elr, x28
+    eret
+main:
+    addi x1, x1, #1
+    ldrx x2, [xzr]             // aborts: nothing is mapped at 0
+`)
+	for i := 0; i < 120; i++ {
+		src.WriteString("    addi x3, x3, #1\n")
+	}
+	src.WriteString("    b main\n")
+	prog, err := asm.Assemble(src.String(), ramBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := map[cpu.Engine]uint64{}
+	for _, n := range []uint64{1, 2, 3, 100, 1000, 5000} {
+		for _, engine := range []cpu.Engine{cpu.EngineInterp, cpu.EngineDBT} {
+			c, bus := newCore(t)
+			if err := bus.WriteBytes(ramBase, prog.Code); err != nil {
+				t.Fatal(err)
+			}
+			c.SetEngine(engine)
+			c.SetSys(cpu.SysVBAR, prog.MustEntry("sync"))
+			c.Reset(prog.MustEntry("main"))
+			if r := c.Run(n); r != cpu.StopBudget {
+				t.Fatalf("%v: Run(%d) = %v (%v)", engine, n, r, c.Err())
+			}
+			retired[engine] = c.Instret
+		}
+		if retired[cpu.EngineInterp] != n {
+			t.Errorf("interpreter retired %d of a budget of %d", retired[cpu.EngineInterp], n)
+		}
+		if got := retired[cpu.EngineDBT]; got < n || got >= n+128 {
+			t.Errorf("DBT retired %d of a budget of %d, want [%d, %d)", got, n, n, n+128)
+		}
+	}
+}
+
+// TestChainedLoopBypassesCodePageTable: the firmware's mc_loop8 copies
+// 1 MiB in 131072 trips through one block. Chaining must carry every trip
+// but the first; the code-page table is consulted a constant number of
+// times however long the copy.
+func TestChainedLoopBypassesCodePageTable(t *testing.T) {
+	p, c := firmwarePlatform(t)
+	const n = 1 << 20
+	buf, err := p.Alloc.AllocPages(2 * n / 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memcpy := p.Firmware.MustEntry("memcpy")
+	consulted := func(n uint64) (table, chained uint64) {
+		before := c.BlockCacheStats()
+		if _, err := c.CallRoutine(memcpy, buf+n, buf, n); err != nil {
+			t.Fatal(err)
+		}
+		after := c.BlockCacheStats()
+		return (after.Executions - before.Executions) - (after.Chained - before.Chained), after.Chained - before.Chained
+	}
+	consulted(64) // translate
+	small, _ := consulted(4096)
+	large, chained := consulted(n)
+	if large != small || large > 8 {
+		t.Errorf("code-page table consulted %d times for 4 KiB, %d times for 1 MiB; want equal and small", small, large)
+	}
+	if chained < n/8-1 {
+		t.Errorf("%d chained dispatches for %d loop trips", chained, n/8)
+	}
+	if fl := c.BlockCacheStats().Flushes; fl != 0 {
+		t.Errorf("%d code-cache flushes while copying data", fl)
 	}
 }

@@ -23,6 +23,11 @@ func (c *Core) runInterp(budget uint64) StopReason {
 		c.exec(in, c.PC)
 		budget--
 	}
+	return c.stopReason()
+}
+
+// stopReason classifies why a run loop ended.
+func (c *Core) stopReason() StopReason {
 	if c.halted {
 		if c.stopErr != nil {
 			return StopError
@@ -35,128 +40,174 @@ func (c *Core) runInterp(budget uint64) StopReason {
 // --- DBT engine ----------------------------------------------------------
 
 // maxBlockInsts bounds translated basic blocks. Blocks also end at any
-// potential branch and never cross a page boundary (so one translation
-// covers the whole block and self-modifying-code invalidation is per page).
+// potential branch and never cross a page boundary, so one translation
+// covers the whole block and a block lives in exactly one code page.
 const maxBlockInsts = 128
 
+// block is one translated basic block: its micro-op tape (tape.go) and the
+// chain to the blocks that followed it last time.
 type block struct {
-	insts []Inst
+	ops   []uop
 	start uint64 // virtual PC of first instruction
+
+	// succ caches the last two successors (a conditional branch has two).
+	// One is followed only if its start is the PC actually reached, so
+	// indirect branches and exceptions just miss; and only while epoch
+	// equals the cache's flush count: any invalidation drops every chain.
+	succ  [2]*block
+	epoch uint64
 }
 
-// blockCache is the translated-code cache: virtual PC -> decoded block.
-// It is flushed whenever the address space could have changed (TTBR/SCTLR
-// writes) and per page on stores into translated code pages.
+// codePage indexes the translated blocks of one virtual page by the word
+// offset of their first instruction.
+type codePage struct {
+	vpn    uint64
+	blocks [mem.PageSize / 4]*block
+}
+
+// codeSlots is the number of code pages cached at once, direct-mapped: two
+// pages that collide evict each other, which costs a retranslation only.
+const codeSlots = 64
+
+// blockCache is the translated-code cache: virtual PC -> block, through a
+// direct-indexed table per code page. A store into a page that holds
+// translations drops that page; TTBR/SCTLR writes and engine switches drop
+// everything, as virtual code mappings may have changed.
 type blockCache struct {
-	blocks    map[uint64]*block
-	codePages map[uint64]struct{} // virtual page numbers holding blocks
-
-	// Translations counts block-translation events (cache misses);
-	// Executions counts block dispatches. Their ratio is the DBT hit rate.
-	Translations uint64
-	Executions   uint64
+	pages [codeSlots]*codePage
+	stats BlockCacheStats
 }
 
-func newBlockCache() *blockCache {
-	return &blockCache{
-		blocks:    make(map[uint64]*block),
-		codePages: make(map[uint64]struct{}),
-	}
+// BlockCacheStats is the DBT's host-side instrumentation.
+type BlockCacheStats struct {
+	// Translations counts block translations (cache misses), Executions
+	// block dispatches; their ratio is the DBT hit rate.
+	Translations, Executions uint64
+	// Chained counts the dispatches that followed a successor link
+	// instead of consulting the code-page table.
+	Chained uint64
+	// Flushes counts invalidations: a code page dropped by a guest store
+	// or a table conflict, or the whole cache.
+	Flushes uint64
 }
+
+// BlockCacheStats reports the DBT's instrumentation counters.
+func (c *Core) BlockCacheStats() BlockCacheStats { return c.btc.stats }
 
 func (bc *blockCache) flush() {
-	bc.blocks = make(map[uint64]*block)
-	bc.codePages = make(map[uint64]struct{})
+	bc.pages = [codeSlots]*codePage{}
+	bc.stats.Flushes++
 }
 
-// noteWrite invalidates translated code on a store into a code page.
-// Whole-cache flush keeps the bookkeeping simple; stores into code pages
-// are rare (program loading), exactly the trade QEMU's TB cache makes
-// coarse-grained.
+// slot returns the table entry that holds, or would hold, page vpn.
+func (bc *blockCache) slot(vpn uint64) **codePage { return &bc.pages[(vpn^vpn>>6)%codeSlots] }
+
+// noteWrite drops the translations of the page a guest store at va landed
+// in, if it holds any.
 func (bc *blockCache) noteWrite(va uint64) {
-	if len(bc.codePages) == 0 {
-		return
-	}
-	if _, hot := bc.codePages[va>>12]; hot {
-		bc.flush()
+	if p := bc.slot(va >> 12); *p != nil && (*p).vpn == va>>12 {
+		*p = nil
+		bc.stats.Flushes++
 	}
 }
 
-// BlockCacheStats reports (translations, executions) for instrumentation.
-func (c *Core) BlockCacheStats() (translations, executions uint64) {
-	return c.btc.Translations, c.btc.Executions
+func (bc *blockCache) lookup(pc uint64) *block {
+	if p := *bc.slot(pc >> 12); p != nil && p.vpn == pc>>12 && pc%4 == 0 {
+		return p.blocks[pc&mem.PageMask/4]
+	}
+	return nil
 }
 
-// translate decodes a basic block starting at c.PC. Returns nil when the
-// initial fetch faults (the fault has then been raised).
-func (c *Core) translate(start uint64) *block {
-	c.btc.Translations++
-	b := &block{start: start}
-	pc := start
-	for len(b.insts) < maxBlockInsts {
-		w, ok := c.fetch(pc)
-		if !ok {
-			if len(b.insts) == 0 {
-				return nil
-			}
-			break // fault will re-trigger when execution reaches it
+func (bc *blockCache) insert(b *block) {
+	p := bc.slot(b.start >> 12)
+	if *p == nil || (*p).vpn != b.start>>12 {
+		if *p != nil {
+			bc.stats.Flushes++ // conflict: the resident page's blocks go
 		}
+		*p = &codePage{vpn: b.start >> 12}
+	}
+	(*p).blocks[b.start&mem.PageMask/4] = b
+}
+
+// translate lowers the basic block starting at start to a tape and caches
+// it. Returns nil when the initial fetch faults (the fault has then been
+// raised). Only that first fetch may raise: a later one that fails just
+// ends the block, and faults for real if execution gets there.
+func (c *Core) translate(start uint64) *block {
+	c.btc.stats.Translations++
+	w, ok := c.fetch(start)
+	if !ok {
+		return nil
+	}
+	var tape [maxBlockInsts]uop
+	n, pc := 0, start
+	for {
 		in := Decode(w)
 		c.Decodes++
-		b.insts = append(b.insts, in)
-		if in.IsBranch() {
+		tape[n] = lower(in, w, pc)
+		n++
+		pc += 4
+		if in.IsBranch() || n == maxBlockInsts || pc&mem.PageMask == 0 {
 			break
 		}
-		pc += 4
-		if pc&mem.PageMask == 0 {
-			break // never cross a page
+		if w, ok = c.fetchWord(pc); !ok {
+			break
 		}
 	}
-	c.btc.blocks[start] = b
-	c.btc.codePages[start>>12] = struct{}{}
-	c.btc.codePages[(pc-1)>>12] = struct{}{}
+	b := &block{start: start, ops: append([]uop(nil), tape[:n]...)}
+	c.btc.insert(b)
+	if c.stv.base == start&^mem.PageMask {
+		c.stv = pageView{} // stores to a code page must reach noteWrite
+	}
+	return b
+}
+
+// next returns the block to dispatch at pc after prev (nil: none), by
+// prev's chain when it leads there and through the code-page table,
+// translating on a miss, otherwise. nil means the fetch at pc faulted.
+func (c *Core) next(prev *block, pc uint64) *block {
+	bc := &c.btc
+	if prev != nil && prev.epoch == bc.stats.Flushes {
+		for _, s := range prev.succ {
+			if s != nil && s.start == pc {
+				bc.stats.Chained++
+				return s
+			}
+		}
+	}
+	b := bc.lookup(pc)
+	if b == nil {
+		if b = c.translate(pc); b == nil {
+			return nil
+		}
+	}
+	if prev != nil {
+		if prev.epoch != bc.stats.Flushes {
+			prev.succ, prev.epoch = [2]*block{}, bc.stats.Flushes
+		}
+		prev.succ[0], prev.succ[1] = b, prev.succ[0]
+	}
 	return b
 }
 
 // runDBT executes through the block cache. Interrupts are recognised at
-// block boundaries (QEMU-style), keeping the hot path free of per-
-// instruction checks.
+// block boundaries (QEMU-style) — before every block, chained or not —
+// keeping the tape free of per-instruction checks.
 func (c *Core) runDBT(budget uint64) StopReason {
+	var b *block
 	for budget > 0 && !c.halted {
 		if c.pendingIRQ() {
 			c.takeIRQ(c.PC)
 		}
-		b := c.btc.blocks[c.PC]
-		if b == nil {
-			b = c.translate(c.PC)
-			if b == nil {
-				if c.halted {
-					return StopError
-				}
-				continue // fetch faulted and vectored
-			}
+		if b = c.next(b, c.PC); b == nil {
+			continue // the fetch faulted: vectored, or stopped the core
 		}
-		c.btc.Executions++
-		pc := b.start
-		for _, in := range b.insts {
-			c.exec(in, pc)
-			if c.PC != pc+4 {
-				break // branch taken, fault vectored, or halt
-			}
-			pc = c.PC
-		}
-		n := uint64(len(b.insts))
-		if n > budget {
-			budget = 0
-		} else {
+		c.btc.stats.Executions++
+		if n := c.execTape(b); n < budget {
 			budget -= n
+		} else {
+			budget = 0
 		}
 	}
-	if c.halted {
-		if c.stopErr != nil {
-			return StopError
-		}
-		return StopHalted
-	}
-	return StopBudget
+	return c.stopReason()
 }

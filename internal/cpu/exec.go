@@ -2,8 +2,9 @@ package cpu
 
 // exec executes one decoded instruction located at pc. It updates all
 // architectural state including c.PC (branches redirect, faults vector,
-// everything else falls through to pc+4). Shared by both engines so their
-// semantics cannot drift.
+// everything else falls through to pc+4). It is the interpreter, the DBT's
+// fallback for every instruction without a micro-op of its own, and the
+// specification the tape executor is fuzzed against. c.PC must equal pc.
 func (c *Core) exec(in Inst, pc uint64) {
 	c.Instret++
 	next := pc + 4

@@ -1,21 +1,245 @@
 package cpu_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
+	"mobilesim/internal/asm"
 	"mobilesim/internal/cpu"
 	"mobilesim/internal/irq"
 	"mobilesim/internal/mem"
 )
 
-// Differential fuzzing of the two CPU execution engines: random (but
-// well-formed) straight-line programs must leave identical architectural
-// state under the interpreter and the DBT block cache. This is the
-// CPU-side analogue of the paper's instruction-fuzzing validation.
+// Differential fuzzing of the two CPU execution engines: any program must
+// leave identical architectural state — registers, flags, PC, retired
+// instructions, faults, interrupts, system registers and the whole memory
+// image — under the interpreter and the DBT. This is the CPU-side
+// analogue of the paper's instruction-fuzzing validation. FuzzCPUEngines
+// is the native fuzz target; TestFuzzEnginesAgree and TestFuzzWithBranches
+// drive the same check from fixed seeds on every plain `go test`.
+
+// The fuzz machine: 64 KiB of RAM (small enough to compare in full after
+// every run) holding the program, a vector table and scratch data, plus a
+// doorbell device whose first write raises an interrupt.
+const (
+	fzBase    = 0x8000_0000
+	fzRAMSize = 64 << 10
+	fzCodeMax = 0x4000           // the program occupies [fzBase, fzBase+fzCodeMax)
+	fzVectors = fzBase + 0xC000  // VBAR
+	fzData    = fzBase + 0x8000  // x10: two pages of scratch data
+	fzBell    = 0x1000_0000      // x11: doorbell register window
+	fzCross   = fzData + 0x0FFC  // x13: an 8-byte access here crosses a page
+	fzBudget  = 20000            // guest instructions per run
+	fzBellLen = mem.PageSize / 4 // the doorbell window is smaller than a page
+)
+
+// fzVectorCode is the machine's exception handling. A synchronous
+// exception skips the instruction it returns to (so an aborting load or an
+// undefined word does not loop) using x28; an interrupt just returns.
+var fzVectorCode = func() []byte {
+	p, err := asm.Assemble(`
+sync:
+    mrs  x28, elr
+    addi x28, x28, #4
+    msr  elr, x28
+    eret
+    .zero 112
+irq:
+    eret
+`, fzVectors)
+	if err != nil {
+		panic(err)
+	}
+	if p.MustEntry("irq") != fzVectors+cpu.VecIRQ {
+		panic("fuzz vector table layout")
+	}
+	return p.Code
+}()
+
+// doorbell asserts the timer line on any write and never lowers it, so a
+// run takes at most one interrupt.
+type doorbell struct {
+	intc  *irq.Controller
+	rings int
+}
+
+func (d *doorbell) ReadReg(uint64, int) (uint64, error) { return 0, nil }
+func (d *doorbell) WriteReg(uint64, int, uint64) error {
+	d.rings++
+	d.intc.Assert(irq.LineTimer)
+	return nil
+}
+
+// fzSanitize rewrites, to NOP, the few instructions whose effect depends
+// on *when* an interrupt is recognised — which legitimately differs: the
+// interpreter polls before every instruction, the DBT before every block.
+// WFI would park the run forever; ERET, and MRS/MSR of the exception
+// state, observe the interrupted PC; MSR of VBAR/IE moves or masks the
+// interrupt. MSR TTBR0/SCTLR survives only with the zero register as
+// source: it flushes the translation caches but keeps translation off.
+// The handlers in the vector page are not subject to this.
+func fzSanitize(code []byte) []byte {
+	out := append([]byte(nil), code...)
+	for off := 0; off+4 <= len(out); off += 4 {
+		in := cpu.Decode(binary.LittleEndian.Uint32(out[off:]))
+		sr := cpu.SysReg(in.Imm) % cpu.NumSysRegs
+		keep := true
+		switch in.Op {
+		case cpu.OpWFI, cpu.OpERET:
+			keep = false
+		case cpu.OpMRS:
+			keep = sr != cpu.SysESR && sr != cpu.SysELR && sr != cpu.SysSPSR && sr != cpu.SysIE
+		case cpu.OpMSR:
+			keep = sr == cpu.SysSCRATCH0 || sr == cpu.SysSCRATCH1 ||
+				(sr == cpu.SysTTBR0 || sr == cpu.SysSCTLR) && in.Rd == cpu.ZR
+		}
+		if !keep {
+			binary.LittleEndian.PutUint32(out[off:], cpu.Encode(cpu.Inst{Op: cpu.OpNOP}))
+		}
+	}
+	return out
+}
+
+// fzState is everything the engines must agree on.
+type fzState struct {
+	stop                  cpu.StopReason
+	x                     [32]uint64
+	pc                    uint64
+	n, z, c, v            bool
+	instret, faults, irqs uint64
+	sys                   [cpu.NumSysRegs]uint64
+	rings                 int
+	ram                   []byte
+	bc                    cpu.BlockCacheStats // host-side, not compared
+}
+
+// fzRun executes code (already sanitized) on a fresh fuzz machine.
+func fzRun(tb testing.TB, engine cpu.Engine, code []byte, seed int64, budget uint64) fzState {
+	tb.Helper()
+	bus := mem.NewBus(mem.NewRAM(fzBase, fzRAMSize))
+	intc := irq.New()
+	intc.Enable(irq.LineTimer)
+	bell := &doorbell{intc: intc}
+	if err := bus.MapDevice("doorbell", fzBell, fzBellLen, bell); err != nil {
+		tb.Fatal(err)
+	}
+	c := cpu.NewCore(0, bus, intc)
+	c.SetEngine(engine)
+	if len(code) > fzCodeMax {
+		code = code[:fzCodeMax]
+	}
+	if err := bus.WriteBytes(fzBase, code); err != nil {
+		tb.Fatal(err)
+	}
+	if err := bus.WriteBytes(fzVectors, fzVectorCode); err != nil {
+		tb.Fatal(err)
+	}
+	c.SetSys(cpu.SysVBAR, fzVectors)
+	c.SetSys(cpu.SysIE, 1)
+	rnd := rand.New(rand.NewSource(seed))
+	for i := 0; i < 10; i++ {
+		c.X[i] = rnd.Uint64()
+	}
+	c.X[10], c.X[11], c.X[12], c.X[13] = fzData, fzBell, fzBase, fzCross
+	c.Reset(fzBase)
+
+	// A WFI the sanitizer could not see (the program executed its own data)
+	// parks the core until any line is asserted: once a run has outlived
+	// the typical one, keep poking a masked line.
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		select {
+		case <-stop:
+			return
+		case <-time.After(200 * time.Microsecond):
+		}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				intc.Assert(irq.LineUART)
+				runtime.Gosched()
+			}
+		}
+	}()
+	reason := c.Run(budget)
+	close(stop)
+	<-stopped
+
+	st := fzState{stop: reason, x: c.X, pc: c.PC,
+		n: c.FlagN, z: c.FlagZ, c: c.FlagC, v: c.FlagV,
+		instret: c.Instret, faults: c.Faults, irqs: c.IRQs, rings: bell.rings,
+		ram: make([]byte, fzRAMSize)}
+	for r := range st.sys {
+		st.sys[r] = c.Sys(cpu.SysReg(r))
+	}
+	if err := bus.ReadBytes(fzBase, st.ram); err != nil {
+		tb.Fatal(err)
+	}
+	st.bc = c.BlockCacheStats()
+	return st
+}
+
+// fzCheck runs code under both engines and fails on any disagreement.
+//
+// The DBT retires whole blocks, so it may overshoot its budget; the
+// interpreter is then given exactly the DBT's retired count and must land
+// on the same state. Once the doorbell has rung the engines take the
+// interrupt at different instructions, so only runs that both reach HLT
+// are compared, minus what depends on the interrupted PC: ESR/ELR, and the
+// handler's own retired instruction (it is a lone ERET).
+func fzCheck(tb testing.TB, code []byte, seed int64) (dbt, interp fzState) {
+	tb.Helper()
+	code = fzSanitize(code)
+	dbt = fzRun(tb, cpu.EngineDBT, code, seed, fzBudget)
+	budget := dbt.instret
+	if dbt.rings > 0 {
+		budget = 2 * fzBudget
+	}
+	interp = fzRun(tb, cpu.EngineInterp, code, seed, budget)
+	d, i := dbt, interp
+	if d.rings > 0 || i.rings > 0 {
+		if d.stop != cpu.StopHalted || i.stop != cpu.StopHalted {
+			return dbt, interp
+		}
+		d.instret, i.instret = d.instret-d.irqs, i.instret-i.irqs
+		d.irqs, i.irqs = 0, 0
+		for _, r := range []cpu.SysReg{cpu.SysESR, cpu.SysELR} {
+			d.sys[r], i.sys[r] = 0, 0
+		}
+	}
+	d.bc, i.bc = cpu.BlockCacheStats{}, cpu.BlockCacheStats{}
+	if !bytes.Equal(d.ram, i.ram) {
+		for off := range d.ram {
+			if d.ram[off] != i.ram[off] {
+				tb.Fatalf("memory diverges at %#x: dbt %#x, interp %#x", fzBase+off, d.ram[off], i.ram[off])
+			}
+		}
+	}
+	d.ram, i.ram = nil, nil
+	if fmt.Sprint(d) != fmt.Sprint(i) {
+		tb.Fatalf("engines diverge\n dbt    %+v\n interp %+v", d, i)
+	}
+	return dbt, interp
+}
+
+func words(ws []uint32) []byte {
+	out := make([]byte, 0, 4*len(ws))
+	for _, w := range ws {
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return out
+}
 
 // genProgram emits a random sequence of ALU and memory instructions. x10
-// is pinned to a scratch data region so loads/stores stay in bounds.
+// is pinned to the scratch data region so loads/stores stay in bounds.
 func genProgram(rnd *rand.Rand, n int) []uint32 {
 	var words []uint32
 	emit := func(in cpu.Inst) { words = append(words, cpu.Encode(in)) }
@@ -59,53 +283,12 @@ func genProgram(rnd *rand.Rand, n int) []uint32 {
 	return words
 }
 
-func runEngine(t *testing.T, words []uint32, engine cpu.Engine, seed int64) ([32]uint64, []byte) {
-	t.Helper()
-	bus := mem.NewBus(mem.NewRAM(0x8000_0000, 1<<20))
-	c := cpu.NewCore(0, bus, irq.New())
-	c.SetEngine(engine)
-	code := make([]byte, 4*len(words))
-	for i, w := range words {
-		code[4*i] = byte(w)
-		code[4*i+1] = byte(w >> 8)
-		code[4*i+2] = byte(w >> 16)
-		code[4*i+3] = byte(w >> 24)
-	}
-	if err := bus.WriteBytes(0x8000_0000, code); err != nil {
-		t.Fatal(err)
-	}
-	// Deterministic initial register state; x10 -> scratch region.
-	rnd := rand.New(rand.NewSource(seed))
-	for i := 0; i < 10; i++ {
-		c.X[i] = rnd.Uint64()
-	}
-	const scratch = 0x8008_0000
-	c.X[10] = scratch
-	c.Reset(0x8000_0000)
-	if r := c.Run(1 << 20); r != cpu.StopHalted {
-		t.Fatalf("engine %v: stop reason %v (%v)", engine, r, c.Err())
-	}
-	data := make([]byte, 4096)
-	if err := bus.ReadBytes(scratch, data); err != nil {
-		t.Fatal(err)
-	}
-	return c.X, data
-}
-
 func TestFuzzEnginesAgree(t *testing.T) {
 	rnd := rand.New(rand.NewSource(777))
 	for round := 0; round < 200; round++ {
-		words := genProgram(rnd, 50+rnd.Intn(100))
-		seed := rnd.Int63()
-		regsI, memI := runEngine(t, words, cpu.EngineInterp, seed)
-		regsD, memD := runEngine(t, words, cpu.EngineDBT, seed)
-		if regsI != regsD {
-			t.Fatalf("round %d: register files diverge\ninterp: %v\ndbt:    %v", round, regsI, regsD)
-		}
-		for i := range memI {
-			if memI[i] != memD[i] {
-				t.Fatalf("round %d: memory diverges at offset %d", round, i)
-			}
+		code := words(genProgram(rnd, 50+rnd.Intn(100)))
+		if dbt, _ := fzCheck(t, code, rnd.Int63()); dbt.stop != cpu.StopHalted {
+			t.Fatalf("round %d: stop reason %v", round, dbt.stop)
 		}
 	}
 }
@@ -117,30 +300,209 @@ func TestFuzzWithBranches(t *testing.T) {
 	rnd := rand.New(rand.NewSource(888))
 	for round := 0; round < 100; round++ {
 		n := 60
-		var words []uint32
+		var ws []uint32
 		for i := 0; i < n; i++ {
 			if rnd.Intn(6) == 0 && i < n-2 {
 				// Forward branch over 1..remaining instructions.
 				maxSkip := n - i - 1
 				skip := 1 + rnd.Intn(maxSkip)
-				words = append(words, cpu.Encode(cpu.Inst{
+				ws = append(ws, cpu.Encode(cpu.Inst{
 					Op:   cpu.OpBCOND,
 					Cond: cpu.Cond(rnd.Intn(14)),
 					Imm:  int64(skip),
 				}))
 				continue
 			}
-			words = append(words, cpu.Encode(cpu.Inst{
+			ws = append(ws, cpu.Encode(cpu.Inst{
 				Op: cpu.OpADDS, Rd: uint8(rnd.Intn(10)),
 				Rn: uint8(rnd.Intn(10)), Rm: uint8(rnd.Intn(10)),
 			}))
 		}
-		words = append(words, cpu.Encode(cpu.Inst{Op: cpu.OpHLT}))
-		seed := rnd.Int63()
-		regsI, _ := runEngine(t, words, cpu.EngineInterp, seed)
-		regsD, _ := runEngine(t, words, cpu.EngineDBT, seed)
-		if regsI != regsD {
-			t.Fatalf("round %d: engines diverge on branches", round)
+		ws = append(ws, cpu.Encode(cpu.Inst{Op: cpu.OpHLT}))
+		if dbt, _ := fzCheck(t, words(ws), rnd.Int63()); dbt.stop != cpu.StopHalted {
+			t.Fatalf("round %d: stop reason %v", round, dbt.stop)
 		}
 	}
+}
+
+// fzSeeds is the seed corpus: the shapes the DBT's translation, chaining,
+// invalidation and data fast path must get right, as programs for the fuzz
+// machine. Each is also a named deterministic test (TestFuzzSeeds).
+func fzSeeds(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	assemble := func(src string) []byte {
+		p, err := asm.Assemble(src, fzBase)
+		if err != nil {
+			tb.Fatalf("seed: %v", err)
+		}
+		return p.Code
+	}
+	// The platform's real firmware, from the named routine on (it is
+	// position independent), behind a stub that calls it.
+	fw := firmwareProgram(tb)
+	firmware := func(routine, args string) []byte {
+		stub := assemble(args + "\n bl routine\n hlt\nroutine:\n")
+		return append(stub, fw.Code[fw.MustEntry(routine)-fw.Base:]...)
+	}
+	// movz x5, #2: what the self-modifying seeds patch in.
+	patch := cpu.Encode(cpu.Inst{Op: cpu.OpMOVZ, Rd: 5, Imm: 2})
+	loadPatch := fmt.Sprintf("movz x1, #%d\n movk x1, #%d, lsl #16\n", patch&0xFFFF, patch>>16)
+
+	straight := func(n int) string { // n dependent ALU instructions
+		var b bytes.Buffer
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, " addi x%d, x%d, #%d\n", i%8, (i+1)%8, i)
+		}
+		return b.String()
+	}
+	return map[string][]byte{
+		// mc_loop8 plus the byte tail (the length is odd).
+		"memcpy": firmware("memcpy", "addi x0, x10, #2048\n mov x1, x10\n movz x2, #1003"),
+		"memset": firmware("memset", "addi x0, x10, #3\n movz x1, #0xA5\n movz x2, #777"),
+		// Straight-line code running across a page boundary: the block
+		// ends at 0x...1000 with no branch.
+		"page-boundary": assemble("b run\n .zero 4040\nrun:\n" + straight(40) + " hlt\n"),
+		// More than maxBlockInsts without a branch.
+		"long-block": assemble(straight(300) + " hlt\n"),
+		// A data abort in the middle of a block, VBAR set: the handler
+		// skips the load and execution resumes inside the old block.
+		"mid-block-abort": assemble(`
+    movz x1, #1
+    ldrx x2, [xzr]
+    addi x1, x1, #1
+    strx x1, [x10]
+    ldrx x3, [x11, #2048]     // beyond the doorbell window: unmapped
+    addi x1, x1, #1
+    hlt
+`),
+		// A single block that loops to itself and rings the doorbell on its
+		// 25th trip: the interrupt must be taken although the loop never
+		// goes back to the code-page table.
+		"irq-in-chained-loop": assemble(`
+    movz x1, #50
+loop:
+    subi x1, x1, #1
+    cmpi x1, #25
+    csel x2, x11, x10, eq
+    strw x1, [x2]
+    cmpi x1, #0
+    b.ne loop
+    hlt
+`),
+		// A store that rewrites a later instruction of the block it is in.
+		"smc-own-block": assemble(loadPatch + `
+    movz x5, #0
+    strw x1, [x12, #16]
+    movz x5, #1              // offset 16: patched to movz x5, #2
+    hlt
+`),
+		// A store that rewrites an already-translated other block.
+		"smc-other-block": assemble(loadPatch + `
+    bl   target
+    mov  x6, x5
+    strw x1, [x12, #36]
+    bl   target
+    hlt
+    nop
+    nop
+target:
+    movz x5, #1              // offset 36
+    ret
+`),
+		// An 8-byte store straddling two code pages: the block it rewrites
+		// lives in the second one.
+		"smc-crossing-store": assemble(loadPatch + `
+    bl   target
+    mov  x6, x5
+    lsli x2, x1, #32         // low word: NOP for 0xFFC; high word: the patch
+    movz x3, #0xFFC
+    add  x3, x3, x12
+    strx x2, [x3]
+    bl   target
+    hlt
+    .zero 4056
+target:
+    movz x5, #1              // offset 0x1000
+    ret
+`),
+		// An MMU-control write in the middle of a block flushes every
+		// translation, the running block's included.
+		"msr-flush-mid-block": assemble(`
+    movz x1, #7
+    msr  sctlr, xzr
+    addi x1, x1, #1
+    msr  ttbr0, xzr
+    addi x1, x1, #1
+    hlt
+`),
+		// Accesses whose end wraps past 2^64 abort like any unmapped one.
+		"wrapping-address": assemble(`
+    subi x1, xzr, #4
+    ldrx x2, [x1]
+    strx x2, [x1]
+    ldrb x3, [x1, #3]
+    hlt
+`),
+		// Page-crossing and device accesses never take the host-view path.
+		"cross-and-mmio": assemble(`
+    movz x1, #0x1234
+    strx x1, [x13]
+    ldrx x2, [x13]
+    ldrw x3, [x11]
+    strx x2, [x10, #4092]
+    ldrx x4, [x10, #4092]
+    hlt
+`),
+	}
+}
+
+// TestFuzzSeeds replays the seed corpus and pins what each seed is there
+// to provoke, so that a seed cannot silently stop exercising its shape.
+func TestFuzzSeeds(t *testing.T) {
+	provoked := map[string]func(dbt, interp fzState) bool{
+		"page-boundary": func(d, _ fzState) bool { return d.bc.Translations >= 3 },
+		"long-block":    func(d, _ fzState) bool { return d.bc.Translations == 3 }, // 128 + 128 + 45
+		"mid-block-abort": func(d, _ fzState) bool {
+			return d.faults == 2 && d.x[1] == 3 && d.sys[cpu.SysFAR] == fzBell+2048
+		},
+		"irq-in-chained-loop": func(d, i fzState) bool {
+			return d.irqs == 1 && i.irqs == 1 && d.rings == 1 && d.bc.Chained >= 40
+		},
+		"smc-own-block":       func(d, _ fzState) bool { return d.x[5] == 2 && d.bc.Flushes >= 2 },
+		"smc-other-block":     func(d, _ fzState) bool { return d.x[6] == 1 && d.x[5] == 2 && d.bc.Flushes >= 2 },
+		"smc-crossing-store":  func(d, _ fzState) bool { return d.x[6] == 1 && d.x[5] == 2 && d.pc == fzBase+36 },
+		"msr-flush-mid-block": func(d, _ fzState) bool { return d.x[1] == 9 && d.bc.Translations == 3 },
+		"wrapping-address":    func(d, _ fzState) bool { return d.faults == 3 },
+		"cross-and-mmio":      func(d, _ fzState) bool { return d.x[2] == 0x1234 && d.x[4] == 0x1234 },
+	}
+	for name, code := range fzSeeds(t) {
+		name, code := name, code
+		t.Run(name, func(t *testing.T) {
+			dbt, interp := fzCheck(t, code, 1)
+			if dbt.stop != cpu.StopHalted {
+				t.Fatalf("seed did not run to HLT: %v after %d instructions", dbt.stop, dbt.instret)
+			}
+			if ok := provoked[name]; ok != nil && !ok(dbt, interp) {
+				t.Errorf("seed no longer provokes its shape:\n dbt    %+v\n interp %+v",
+					fzSummary(dbt), fzSummary(interp))
+			}
+		})
+	}
+}
+
+func fzSummary(s fzState) fzState { s.ram = nil; return s }
+
+// FuzzCPUEngines: arbitrary bytes as a VA64 program, interpreter against
+// DBT. Run with
+//
+//	go test -run=NONE -fuzz=FuzzCPUEngines -fuzztime=60s ./internal/cpu/
+func FuzzCPUEngines(f *testing.F) {
+	for _, code := range fzSeeds(f) {
+		f.Add(code, int64(1))
+	}
+	rnd := rand.New(rand.NewSource(999))
+	f.Add(words(genProgram(rnd, 120)), int64(2))
+	f.Fuzz(func(t *testing.T, code []byte, seed int64) {
+		fzCheck(t, code, seed)
+	})
 }

@@ -1,8 +1,15 @@
 // Package cpu implements the VA64 guest CPU: an AArch64-flavoured 64-bit
 // RISC ISA with fixed 32-bit instruction words, a full-system execution
 // model (MMU, exceptions, interrupts, system registers), and two execution
-// engines — a reference interpreter and a basic-block-caching dynamic
-// binary translation (DBT) engine in the style the paper borrows from QEMU.
+// engines. The interpreter (exec.go) decodes and executes one instruction
+// at a time and is the specification. The dynamic binary translation (DBT)
+// engine, in the style the paper borrows from QEMU, lowers each basic
+// block once to a tape of pre-decoded micro-ops run by one dense switch
+// (tape.go), chains blocks to their successors so loops bypass the code
+// cache, indexes that cache by code page and invalidates it per page
+// (engine.go), and serves guest loads and stores from cached host views
+// of RAM pages (Core.hostView). FuzzCPUEngines holds it to the
+// interpreter.
 package cpu
 
 import "fmt"
@@ -172,8 +179,8 @@ const ZR = 31
 // LR is the link register used by BL/BLR.
 const LR = 30
 
-// Inst is one decoded VA64 instruction. The decoder produces it once; the
-// DBT engine caches slices of them per basic block.
+// Inst is one decoded VA64 instruction. The interpreter executes it as is;
+// the DBT engine lowers it to a micro-op (tape.go).
 type Inst struct {
 	Op   Opcode
 	Rd   uint8

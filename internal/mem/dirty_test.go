@@ -110,6 +110,19 @@ func TestDirtyMapCoversEveryWriteEntryPoint(t *testing.T) {
 			}
 			v[0] = 1
 		}, []uint64{0}},
+		{"StablePage store view", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+			if v := bus.StablePage(dirtyBase+2*page+40, false); ram.Shared() != (v == nil) {
+				t.Fatalf("read view of a shared page handed out: shared=%v view=%v", ram.Shared(), v != nil)
+			}
+			v := bus.StablePage(dirtyBase+2*page+40, true)
+			if v == nil {
+				t.Fatal("store view refused")
+			}
+			v[40] = 1
+			if r := bus.StablePage(dirtyBase+2*page, false); r != v {
+				t.Fatal("read view of the now-private page is not the store view")
+			}
+		}, []uint64{2}},
 		{"ZeroPage", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			mem.ZeroPage(ram, dirtyBase+2*page)
 		}, []uint64{2}},

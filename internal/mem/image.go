@@ -33,7 +33,8 @@ import (
 //     word-granular atomic accessors: shared pages are read-only, private
 //     pages follow the ordinary guest memory model (DESIGN.md §7).
 //   - Every write entry point (Write/WriteBytes/Slice/Bytes/Atomic*,
-//     Bus.MarkDirty, and the MMU's writable page views via PageView)
+//     Bus.MarkDirty, the MMU's writable page views via PageView and the
+//     guest CPU's via StablePage)
 //     privatizes the covered pages before it stores or marks; there is no
 //     path that stores into a shared page's backing, and none that sets a
 //     shared page's bit without going through privatization.
@@ -320,6 +321,33 @@ func (r *RAM) PageView(addr uint64, write bool) (view []byte, ro, ok bool) {
 		return r.data[off : off+PageSize], false, true
 	}
 	return c.img.data[off : off+PageSize], true, true
+}
+
+// StablePage returns the host view of the RAM page containing addr, but
+// only when that view can never go stale: the page of a plain RAM, or a
+// page of a copy-on-write fork that is already private (a shared page's
+// view would miss the privatization some other writer — a host-side
+// WriteBytes, the GPU — performs later). write=true makes the page
+// private first and marks it dirty, so the caller may store through the
+// view for as long as the RAM lives. nil for MMIO, unmapped and
+// still-shared pages: those accesses stay on the bus. It is what the guest
+// CPU caches when translation is off and there is no TLB entry to hold a
+// view.
+func (b *Bus) StablePage(addr uint64, write bool) *[PageSize]byte {
+	r := b.ram
+	off := addr&^uint64(PageMask) - r.base
+	if off%PageSize != 0 || !r.Contains(r.base+off, PageSize) {
+		return nil
+	}
+	if write {
+		if r.cow != nil {
+			r.privatizePage(off/PageSize, true)
+		}
+		r.markDirty(r.base+off, PageSize)
+	} else if r.cow != nil && !r.pagePrivate(off/PageSize) {
+		return nil
+	}
+	return (*[PageSize]byte)(r.data[off : off+PageSize])
 }
 
 // PageView is the bus-level wrapper of RAM.PageView; MMIO and unmapped

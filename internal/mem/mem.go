@@ -171,8 +171,11 @@ func (r *RAM) Base() uint64 { return r.base }
 func (r *RAM) Size() uint64 { return uint64(len(r.data)) }
 
 // Contains reports whether a [addr, addr+size) access falls inside the region.
+// Nothing here can wrap — a guest may form any address: an addr below base
+// makes off huge, and addr+size is never computed.
 func (r *RAM) Contains(addr uint64, size int) bool {
-	return addr >= r.base && addr+uint64(size) <= r.base+uint64(len(r.data))
+	off, n := addr-r.base, uint64(len(r.data))
+	return off <= n && uint64(size) <= n-off
 }
 
 // Bytes exposes the backing store for a physical range. It is the fast path

@@ -62,6 +62,14 @@ func TestRAMOutOfRange(t *testing.T) {
 	if _, err := r.Read(0x1FFF, 1); err != nil {
 		t.Errorf("last byte read failed: %v", err)
 	}
+	// An access whose end wraps past 2^64 is outside, not a panic: a guest
+	// can form any address.
+	if _, err := r.Read(^uint64(0)-3, 8); err == nil {
+		t.Error("read wrapping the address space should fail")
+	}
+	if err := r.Write(^uint64(0), 1, 0); err == nil {
+		t.Error("write at the last address should fail")
+	}
 }
 
 func TestRoundTripProperty(t *testing.T) {
