@@ -217,7 +217,8 @@ func (b *Batch) runJob(ctx context.Context, i int, snap *Snapshot) JobResult {
 	var sess *Session
 	var err error
 	if job.Config == nil && snap != nil {
-		sess, err = New(Config{ConsoleOut: b.Config.ConsoleOut}, FromSnapshot(snap))
+		// A snapshot records no host wiring; hand the fork the batch's.
+		sess, err = New(Config{ConsoleOut: b.Config.ConsoleOut, GPUEngine: b.Config.GPUEngine}, FromSnapshot(snap))
 	} else {
 		sess, err = New(b.jobConfig(i))
 	}

@@ -1,6 +1,8 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (regenerating the measurement each iteration), plus
-// ablation benchmarks for the design decisions called out in DESIGN.md §5.
+// One testing.B benchmark per table and figure of the paper's evaluation
+// (regenerating the measurement each iteration), plus ablation benchmarks
+// for the design decisions called out in DESIGN.md §5. CI runs each once
+// (-benchtime=1x) as a compiles-and-runs smoke; the repository's measured
+// performance is bench/ (BENCHMARK.json), not these.
 //
 // Run with:
 //
@@ -313,7 +315,7 @@ func BenchmarkAblationVirtualCores(b *testing.B) {
 			runSobel(b, cfg)
 		})
 	}
-	for _, eng := range []gpu.Engine{gpu.EngineInterp, gpu.EngineJIT, gpu.EngineWarp} {
+	for _, eng := range []gpu.Engine{gpu.EngineInterp, gpu.EngineWarp} {
 		cfg := gpu.DefaultConfig()
 		cfg.HostThreads = 32
 		cfg.Engine = eng
@@ -383,13 +385,12 @@ func BenchmarkAblationInstrumentation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGPUJIT compares the three shader execution engines —
-// reference interpreter, per-lane closure JIT, and warp-batched fused
-// clauses (the default) — on an arithmetic-dense workload. All three
-// produce bit-identical statistics; this ablation measures host speed
-// only.
-func BenchmarkAblationGPUJIT(b *testing.B) {
-	for _, eng := range []gpu.Engine{gpu.EngineInterp, gpu.EngineJIT, gpu.EngineWarp} {
+// BenchmarkAblationGPUEngine compares the two shader execution engines —
+// the reference interpreter and the warp tape (the default) — on an
+// arithmetic-dense workload. Both produce bit-identical statistics; this
+// ablation measures host speed only.
+func BenchmarkAblationGPUEngine(b *testing.B) {
+	for _, eng := range []gpu.Engine{gpu.EngineInterp, gpu.EngineWarp} {
 		name := eng.String()
 		cfg := gpu.DefaultConfig()
 		cfg.Engine = eng
@@ -486,11 +487,10 @@ func BenchmarkSnapshotFork(b *testing.B) {
 	}
 }
 
-// benchName builds a parameterised sub-benchmark name. The separator must
-// not be "-": benchjson strips a trailing -<digits> as the GOMAXPROCS
-// suffix, so "threads-8" and "threads-32" would collapse onto one
-// "threads" key in BENCH_<pr>.json (which is exactly what happened to the
-// thread-scaling history through BENCH_6).
+// benchName builds a parameterised sub-benchmark name. The separator is
+// not "-": go test appends -<GOMAXPROCS> to benchmark names, and tools that
+// strip that suffix would collapse "threads-8" and "threads-32" onto one
+// key.
 func benchName(prefix string, n int) string {
 	return fmt.Sprintf("%s=%d", prefix, n)
 }

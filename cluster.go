@@ -167,7 +167,6 @@ func clusterJobResult(job BatchJob, cj *cluster.JobResult) JobResult {
 	}
 	rr := &RunResult{
 		Workload:       resp.Workload,
-		Benchmark:      resp.Workload,
 		Kind:           WorkloadKind(resp.Kind),
 		Scale:          resp.Scale,
 		Verified:       resp.Verified,

@@ -37,8 +37,7 @@ func main() {
 	cores := flag.Int("cores", 8, "simulated shader cores")
 	compiler := flag.String("compiler", "", "JIT compiler version (5.6..6.2, default 6.1)")
 	cfg := flag.Bool("cfg", false, "collect and print the divergence CFG")
-	engine := flag.String("engine", "", "shader execution engine: warp (default), jit or interp")
-	jit := flag.Bool("jit", false, "use closure-JIT shader execution (shorthand for -engine jit)")
+	engine := flag.String("engine", "", "shader execution engine: warp (default) or interp")
 	workers := flag.Int("workers", 0, "concurrent sessions for multi-workload runs (0 = one per CPU)")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = none); running kernels are interrupted at a clause boundary")
 	list := flag.Bool("list", false, "list registered workloads")
@@ -73,7 +72,6 @@ func main() {
 		CompilerVersion: *compiler,
 		CollectCFG:      *cfg,
 		GPUEngine:       *engine,
-		JITClauses:      *jit,
 	}
 	var err error
 	if flag.NArg() == 1 && *workers <= 1 {

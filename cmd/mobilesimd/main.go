@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	mobilesimd [-addr :8900] [-pool N] [-pool-max N] [-ram MiB] [-cores N] [-threads N] [-compiler VER] [-engine warp|jit|interp]
+//	mobilesimd [-addr :8900] [-pool N] [-pool-max N] [-ram MiB] [-cores N] [-threads N] [-compiler VER] [-engine warp|interp]
 //
 // With -pool-max > -pool, pools autoscale: the warm target follows the
 // request arrival rate (×observed fork latency, with headroom) between
@@ -59,8 +59,7 @@ func main() {
 	cores := flag.Int("cores", 8, "simulated shader cores")
 	threads := flag.Int("threads", 8, "GPU simulation host threads")
 	compiler := flag.String("compiler", "", "JIT compiler version (5.6..6.2, default 6.1)")
-	engine := flag.String("engine", "", "shader execution engine: warp (default), jit or interp")
-	jit := flag.Bool("jit", false, "use closure-JIT shader execution (shorthand for -engine jit)")
+	engine := flag.String("engine", "", "shader execution engine: warp (default) or interp")
 	maxSnaps := flag.Int("max-snapshots", 8, "installed snapshots kept before FIFO eviction")
 	flag.Parse()
 
@@ -71,7 +70,6 @@ func main() {
 			HostThreads:     *threads,
 			CompilerVersion: *compiler,
 			GPUEngine:       *engine,
-			JITClauses:      *jit,
 		},
 		PoolSize:     *pool,
 		PoolMaxSize:  *poolMax,

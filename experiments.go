@@ -2,7 +2,6 @@ package mobilesim
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"strings"
 	"time"
@@ -23,32 +22,9 @@ const (
 	ExperimentScalePaper ExperimentScale = "paper"
 )
 
-// ExperimentOptions configures a paper-experiment run through the legacy
-// RunExperiment entry point.
-type ExperimentOptions struct {
-	// Scale selects input sizes (default ExperimentScaleDefault).
-	Scale ExperimentScale
-	// HostThreads overrides GPU simulation threads (0 = default).
-	HostThreads int
-	// CompilerVersion overrides the JIT version (empty = default).
-	CompilerVersion string
-}
-
-func (o ExperimentOptions) lower() experiments.Options {
-	scale := o.Scale
-	if scale == "" {
-		scale = ExperimentScaleDefault
-	}
-	return experiments.Options{
-		Scale:           experiments.ScaleKind(scale),
-		HostThreads:     o.HostThreads,
-		CompilerVersion: o.CompilerVersion,
-	}
-}
-
 // experimentRunners pairs each experiment name with its harness entry,
-// in paper order; the registry entries, Experiments and RunExperiment are
-// all driven by this single table.
+// in paper order; the registry entries and Experiments are both driven by
+// this single table.
 var experimentRunners = []struct {
 	name string
 	desc string
@@ -145,7 +121,7 @@ func (e experimentWorkload) Execute(ctx context.Context, s *Session, opt *RunOpt
 		return nil, err
 	}
 	return &RunResult{
-		Workload: e.name, Benchmark: e.name, Kind: KindExperiment,
+		Workload: e.name, Kind: KindExperiment,
 		SimDuration: time.Since(t0),
 		// Experiments verify every workload they run internally and fail
 		// otherwise, so reaching here means verified.
@@ -162,19 +138,4 @@ func Experiments() []string {
 		out[i] = e.name
 	}
 	return out
-}
-
-// RunExperiment regenerates one table or figure of the paper's evaluation
-// (see Experiments for names), writing the rendered rows/series to w.
-//
-// Deprecated: use Session.Run(ctx, name, WithOutput(w),
-// WithExperimentScale(...)) — experiments are registered workloads.
-func RunExperiment(w io.Writer, name string, opt ExperimentOptions) error {
-	for _, e := range experimentRunners {
-		if e.name == name {
-			return e.run(context.Background(), w, opt.lower())
-		}
-	}
-	return fmt.Errorf("mobilesim: unknown experiment %q (have %s)",
-		name, strings.Join(Experiments(), ", "))
 }

@@ -409,7 +409,6 @@ func SynthResponse(workload string, scale int) *cluster.RunResponse {
 				TLBWalks:      mix(37),
 			},
 			DriverCPUNS:       int64(mix(41)) * 1001,
-			DriverCPUMS:       float64(int64(mix(41))*1001) / 1e6,
 			GuestInstructions: mix(43) * 97,
 		},
 	}

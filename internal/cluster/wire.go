@@ -3,7 +3,6 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"time"
 
 	"mobilesim/internal/stats"
 )
@@ -69,48 +68,19 @@ type RunRequest struct {
 // are exact integer counter records; DriverCPUNS carries the driver CPU
 // time losslessly.
 type RunStats struct {
-	GPU    stats.GPUStats    `json:"gpu"`
-	System stats.SystemStats `json:"system"`
-	// DriverCPUMS mirrors DriverCPUNS in milliseconds for human readers.
-	// It is never set independently: MakeRunStats and Merge derive it
-	// from DriverCPUNS (msFromNS), the lossless source of truth.
-	//
-	// Deprecated: read DriverCPUNS. The field keeps being emitted for
-	// wire compatibility with existing consumers and will be dropped in a
-	// future protocol revision.
-	DriverCPUMS       float64 `json:"driver_cpu_ms"`
-	DriverCPUNS       int64   `json:"driver_cpu_ns"`
-	GuestInstructions uint64  `json:"guest_instructions"`
-}
-
-// msFromNS is the one place the deprecated millisecond mirror is derived
-// from the lossless nanosecond field.
-func msFromNS(ns int64) float64 { return float64(ns) / 1e6 }
-
-// MakeRunStats composes the wire statistics record from per-run
-// counters. Every producer (internal/hostd today) must build RunStats
-// through it so DriverCPUMS cannot drift from DriverCPUNS.
-func MakeRunStats(gpu stats.GPUStats, system stats.SystemStats, driverCPU time.Duration, guestInstructions uint64) RunStats {
-	ns := int64(driverCPU)
-	return RunStats{
-		GPU:               gpu,
-		System:            system,
-		DriverCPUMS:       msFromNS(ns),
-		DriverCPUNS:       ns,
-		GuestInstructions: guestInstructions,
-	}
+	GPU               stats.GPUStats    `json:"gpu"`
+	System            stats.SystemStats `json:"system"`
+	DriverCPUNS       int64             `json:"driver_cpu_ns"`
+	GuestInstructions uint64            `json:"guest_instructions"`
 }
 
 // Merge accumulates another run's delta. All fields are sums of integer
 // counters (RegistersUsed is a max), so merging is order-independent:
 // any merge order over the same set of deltas yields identical bytes.
-// The deprecated millisecond mirror is recomputed from the summed
-// nanoseconds, never summed itself.
 func (s *RunStats) Merge(o *RunStats) {
 	s.GPU.Merge(&o.GPU)
 	s.System.Merge(&o.System)
 	s.DriverCPUNS += o.DriverCPUNS
-	s.DriverCPUMS = msFromNS(s.DriverCPUNS)
 	s.GuestInstructions += o.GuestInstructions
 }
 

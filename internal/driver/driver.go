@@ -77,14 +77,14 @@ func Open(p *platform.Platform) (*Driver, error) {
 
 // State is the serializable driver-side state for snapshots: the staging
 // buffer address, the GPU address-space geometry (the page tables
-// themselves live in guest RAM) and the driver's counters.
+// themselves live in guest RAM) and the driver's counters. CPUTime is host
+// time, not platform state: a restored driver's meter starts at zero.
 type State struct {
 	Staging       uint64
 	ASRoot        uint64
 	ASPages       int
 	JobsSubmitted uint64
 	IRQsHandled   uint64
-	CPUTime       time.Duration
 }
 
 // CaptureState snapshots the driver.
@@ -95,7 +95,6 @@ func (d *Driver) CaptureState() State {
 		ASPages:       d.AS.MappedPages(),
 		JobsSubmitted: d.JobsSubmitted,
 		IRQsHandled:   d.IRQsHandled,
-		CPUTime:       d.CPUTime,
 	}
 }
 
@@ -114,7 +113,6 @@ func Restore(p *platform.Platform, st State) (*Driver, error) {
 		staging:       st.Staging,
 		JobsSubmitted: st.JobsSubmitted,
 		IRQsHandled:   st.IRQsHandled,
-		CPUTime:       st.CPUTime,
 	}, nil
 }
 

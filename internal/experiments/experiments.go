@@ -4,7 +4,8 @@
 // returns the structured data so benchmarks and tests can assert shape
 // properties. The per-experiment index and expected shape properties
 // live in EXPERIMENTS.md; the design-decision (ablation) index is
-// DESIGN.md §5. The public entry point is mobilesim.RunExperiment.
+// DESIGN.md §5. The public entry point is mobilesim.Session.Run: every
+// experiment is a registered workload ("fig7", "table3", …).
 package experiments
 
 import (

@@ -9,7 +9,7 @@ import (
 
 	"mobilesim/internal/cl"
 	"mobilesim/internal/cpu"
-	"mobilesim/internal/m2s"
+	"mobilesim/internal/experiments/m2s"
 	"mobilesim/internal/platform"
 	"mobilesim/internal/workloads"
 )

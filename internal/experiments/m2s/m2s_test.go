@@ -3,8 +3,8 @@ package m2s_test
 import (
 	"testing"
 
+	"mobilesim/internal/experiments/m2s"
 	"mobilesim/internal/gpu"
-	"mobilesim/internal/m2s"
 )
 
 const vecScaleSrc = `

@@ -48,11 +48,9 @@ type Program struct {
 	// Hash fingerprints the binary bytes for the decode cache.
 	Hash uint64
 
-	// jit and warp hold the lazily built engine artifacts (closure-JIT
-	// and fused warp-batched forms). Each is compiled at most once per
-	// decoded program, under the owning ProgramCache's lock when the
-	// program is shared across sessions (see engine.go).
-	jit  *jitProgram
+	// warp holds the lazily built warp-engine tapes, compiled at most
+	// once per decoded program, under the owning ProgramCache's lock when
+	// the program is shared across sessions (see engine.go).
 	warp *warpProgram
 }
 

@@ -8,21 +8,20 @@ import (
 	"mobilesim/internal/gpu"
 )
 
-// Three-way differential engine testing. The closure-JIT and the
-// warp-batched engines must both be observationally identical to the
-// interpreter: same guest memory after the job, same statistics counters,
-// same faults. These tests generate random but well-formed kernels
-// (random ALU/memory/divergence mixes over disjoint per-thread data,
-// plus misaligned and page-crossing accesses that force the warp engine
-// off its fused fast path) and execute each one under all three engines
-// on fresh devices, comparing final guest memory and the full stats
-// records against the interpreter reference.
+// Differential engine testing. The warp engine must be observationally
+// identical to the interpreter, its specification: same guest memory after
+// the job, same statistics counters, same faults. These tests generate
+// random but well-formed kernels (random ALU/memory/divergence mixes over
+// disjoint per-thread data, plus misaligned and page-crossing accesses
+// that force the warp engine off its fused fast path) and execute each one
+// under both engines on fresh devices, comparing final guest memory and
+// the full stats records against the interpreter reference.
 // `go test` replays the seed corpus; `go test -fuzz=FuzzDifferentialEngines`
 // explores further (CI runs a short-budget smoke of exactly that).
 
 // diffBinOps are the two-source opcodes the generator draws from — every
-// closure-compiled binary op plus the accumulator forms (FMA, SEL), so
-// mixed dispatch within one clause is exercised.
+// value-table binary op plus the accumulator forms (FMA, SEL), so leaf,
+// slow and accumulator micro-ops mix within one clause.
 var diffBinOps = []gpu.Opcode{
 	gpu.OpIADD, gpu.OpISUB, gpu.OpIMUL, gpu.OpIDIV, gpu.OpIMOD,
 	gpu.OpSHL, gpu.OpSHR, gpu.OpSAR, gpu.OpAND, gpu.OpOR, gpu.OpXOR,
@@ -277,7 +276,7 @@ func runDifferentialEngine(t *testing.T, eng gpu.Engine, prog *gpu.Program, in [
 	return out, [2]any{gs, sys}
 }
 
-// runDifferential is one differential trial: generate once, run all three
+// runDifferential is one differential trial: generate once, run both
 // engines, require guest memory and statistics identical to the
 // interpreter reference.
 func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel uint8) {
@@ -301,25 +300,23 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 
 	global, local := [3]uint32{gsz, 1, 1}, [3]uint32{lsz, 1, 1}
 	outRef, statsRef := runDifferentialEngine(t, gpu.EngineInterp, prog, in, global, local, localBytes)
-	for _, eng := range []gpu.Engine{gpu.EngineJIT, gpu.EngineWarp} {
-		out, stats := runDifferentialEngine(t, eng, prog, in, global, local, localBytes)
-		if !bytes.Equal(outRef, out) {
-			for i := range outRef {
-				if outRef[i] != out[i] {
-					t.Fatalf("guest memory diverged at out[%d]: interp %#x, %v %#x\nprogram:\n%s",
-						i, outRef[i], eng, out[i], prog.Disassemble())
-				}
+	out, stats := runDifferentialEngine(t, gpu.EngineWarp, prog, in, global, local, localBytes)
+	if !bytes.Equal(outRef, out) {
+		for i := range outRef {
+			if outRef[i] != out[i] {
+				t.Fatalf("guest memory diverged at out[%d]: interp %#x, warp %#x\nprogram:\n%s",
+					i, outRef[i], out[i], prog.Disassemble())
 			}
 		}
-		if statsRef != stats {
-			t.Fatalf("stats diverged:\ninterp: %+v\n%v: %+v\nprogram:\n%s", statsRef, eng, stats, prog.Disassemble())
-		}
+	}
+	if statsRef != stats {
+		t.Fatalf("stats diverged:\ninterp: %+v\nwarp: %+v\nprogram:\n%s", statsRef, stats, prog.Disassemble())
 	}
 }
 
 // FuzzDifferentialEngines is the fuzz entry point. The seed corpus doubles
 // as the always-on regression suite: plain `go test` replays every seed
-// kernel under all three engines. Seeds are chosen so every generator
+// kernel under both engines. Seeds are chosen so every generator
 // feature combination — divergence inside warp-fused programs, partial
 // tail warps (lsz not a multiple of WarpSize), misaligned and
 // page-crossing LDG/STG, and lane-strided batches that straddle the

@@ -2,10 +2,11 @@ package gpu
 
 import "sync"
 
-// Engine selects the shader execution engine. All three engines implement
-// the same architectural contract — identical guest memory effects and
-// bit-identical statistics counters (the golden-stats files are the spec)
-// — and differ only in host-side speed (DESIGN.md §9).
+// Engine selects the shader execution engine. The interpreter is the
+// specification and the warp tape its implementation: both produce
+// identical guest memory effects and bit-identical statistics counters
+// (the golden-stats files pin them) and differ only in host-side speed
+// (DESIGN.md §9).
 type Engine int
 
 const (
@@ -13,11 +14,9 @@ const (
 	// of clauses — to a flat tape of pre-decoded micro-ops that one switch
 	// executes a whole warp at a time over SoA register rows, leaving the
 	// tape only for memory accesses and the rare shapes the per-lane
-	// interpreter handles.
+	// interpreter handles. It is the paper's future-work "JIT-compiled
+	// execution of GPU code" (§VII-A).
 	EngineWarp Engine = iota
-	// EngineJIT specialises each instruction into a per-lane closure with
-	// pre-resolved operand accessors (the paper's future-work JIT mode).
-	EngineJIT
 	// EngineInterp is the reference interpreter: a full opcode switch with
 	// operand decoding on every access.
 	EngineInterp
@@ -27,8 +26,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineWarp:
 		return "warp"
-	case EngineJIT:
-		return "jit"
 	case EngineInterp:
 		return "interp"
 	}
@@ -41,10 +38,9 @@ func (e Engine) String() string {
 // decodes and compiles each kernel binary exactly once.
 //
 // Entries are immutable once published except for the lazily compiled
-// engine artifacts (Program.jit / Program.warp), which are only written
-// under mu and never replaced once set; readers obtain the program through
-// the mutex before their exec goroutines start, which publishes the
-// artifact pointers race-free.
+// warp artifact (Program.warp), which is only written under mu and never
+// replaced once set; readers obtain the program through the mutex before
+// their exec goroutines start, which publishes the pointer race-free.
 type ProgramCache struct {
 	mu sync.Mutex
 	m  map[uint64]*Program
@@ -55,17 +51,11 @@ func NewProgramCache() *ProgramCache {
 	return &ProgramCache{m: make(map[uint64]*Program)}
 }
 
-// compile ensures the artifact for the chosen engine exists. Callers must
-// hold the owning ProgramCache's mutex when the program is shared.
+// compile ensures the artifact the chosen engine runs exists (the
+// interpreter runs the decoded program itself). Callers must hold the
+// owning ProgramCache's mutex when the program is shared.
 func (p *Program) compile(eng Engine) {
-	switch eng {
-	case EngineJIT:
-		if p.jit == nil {
-			p.jit = jitCompile(p)
-		}
-	case EngineWarp:
-		if p.warp == nil {
-			p.warp = warpCompile(p)
-		}
+	if eng == EngineWarp && p.warp == nil {
+		p.warp = warpCompile(p)
 	}
 }

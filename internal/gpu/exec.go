@@ -133,7 +133,7 @@ func (w *warp) allExited() bool {
 // and worker: program, argument values, memory paths and stat shards.
 type execContext struct {
 	prog     *Program
-	eng      Engine // which engine artifact this worker may consult
+	eng      Engine // a shared program may carry tapes an interpreter device must not run
 	uniforms []uint64
 	bus      *mem.Bus
 	walker   *mmu.Walker
@@ -294,9 +294,9 @@ func (e *execContext) execTapeAt(w *warp, act uint64) (warpStatus, error) {
 }
 
 // execClause runs all slots of the current clause on all active lanes, one
-// instruction at a time (the interpreter and closure-JIT engines), and
-// applies the clause-terminal control flow. Clause temporaries are
-// (semantically) dead across clause boundaries.
+// instruction at a time (the reference interpreter), and applies the
+// clause-terminal control flow. Clause temporaries are (semantically) dead
+// across clause boundaries.
 //
 //simlint:commit -- commits the per-clause instruction mix
 func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {
@@ -338,20 +338,6 @@ func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {
 			e.gs.LSInstr += act
 		}
 
-		// JIT fast path: pre-specialised closure with operand accessors
-		// resolved at decode time (skipped under tracing).
-		if e.eng == EngineJIT && e.prog.jit != nil && e.trace == nil {
-			if op := e.prog.jit.clauses[ci][ii]; op != nil {
-				for i := 0; i < w.lanes; i++ {
-					if w.active[i] && !w.exited[i] {
-						if err := op(e, w, i); err != nil {
-							return warpDone, err
-						}
-					}
-				}
-				continue
-			}
-		}
 		for i := 0; i < w.lanes; i++ {
 			if !w.active[i] || w.exited[i] {
 				continue
@@ -376,10 +362,10 @@ func (e *execContext) endFallthrough(w *warp, next int, blk *stats.CFGBlock, act
 }
 
 // execTerminal applies a clause-terminal control-flow instruction. Both
-// the per-instruction engines and the warp engine's tapes end clauses
-// here, so divergence, reconvergence-stack and CFG bookkeeping are engine-
-// agnostic. The warp engine passes a BRC's predicate as the register row
-// (and operand counter) it resolved at compile time; pred is nil when the
+// the interpreter and the warp engine's tapes end clauses here, so
+// divergence, reconvergence-stack and CFG bookkeeping are engine-agnostic.
+// The warp engine passes a BRC's predicate as the register row (and
+// operand counter) it resolved at compile time; pred is nil when the
 // operand has to be decoded per lane.
 //
 //simlint:commit -- commits control-flow and divergence counters

@@ -1,6 +1,10 @@
 package gpu
 
-import "mobilesim/internal/stats"
+import (
+	"math"
+
+	"mobilesim/internal/stats"
+)
 
 // Warp-batched shader execution — the default engine tier (DESIGN.md §9).
 // warpCompile lowers every clause of a program to a flat tape of
@@ -212,6 +216,84 @@ func (b *tapeBuilder) row(o operand, scratch uint8) uint8 {
 func (b *tapeBuilder) slowIdx(s slowOp) uint32 {
 	b.wp.slow = append(b.wp.slow, s)
 	return uint32(len(b.wp.slow) - 1)
+}
+
+// binFns maps two-source ALU opcodes to their value functions. Membership
+// in binFns/unFns is what "has an ALU lowering" means to the tape builder;
+// the functions themselves run (through kSlow) only for the opcodes
+// without a leaf case in fastVV.
+var binFns = map[Opcode]func(a, b uint64) uint64{
+	OpIADD:   func(a, b uint64) uint64 { return uint64(uint32(a) + uint32(b)) },
+	OpISUB:   func(a, b uint64) uint64 { return uint64(uint32(a) - uint32(b)) },
+	OpIMUL:   func(a, b uint64) uint64 { return uint64(uint32(a) * uint32(b)) },
+	OpSHL:    func(a, b uint64) uint64 { return uint64(uint32(a) << (uint32(b) & 31)) },
+	OpSHR:    func(a, b uint64) uint64 { return uint64(uint32(a) >> (uint32(b) & 31)) },
+	OpSAR:    func(a, b uint64) uint64 { return uint64(uint32(int32(a) >> (uint32(b) & 31))) },
+	OpAND:    func(a, b uint64) uint64 { return a & b },
+	OpOR:     func(a, b uint64) uint64 { return a | b },
+	OpXOR:    func(a, b uint64) uint64 { return a ^ b },
+	OpADD64:  func(a, b uint64) uint64 { return a + b },
+	OpMUL64:  func(a, b uint64) uint64 { return a * b },
+	OpFADD:   func(a, b uint64) uint64 { return fbits(f32(a) + f32(b)) },
+	OpFSUB:   func(a, b uint64) uint64 { return fbits(f32(a) - f32(b)) },
+	OpFMUL:   func(a, b uint64) uint64 { return fbits(f32(a) * f32(b)) },
+	OpFDIV:   func(a, b uint64) uint64 { return fbits(f32(a) / f32(b)) },
+	OpICMPEQ: func(a, b uint64) uint64 { return b2u(uint32(a) == uint32(b)) },
+	OpICMPNE: func(a, b uint64) uint64 { return b2u(uint32(a) != uint32(b)) },
+	OpICMPLT: func(a, b uint64) uint64 { return b2u(int32(a) < int32(b)) },
+	OpICMPLE: func(a, b uint64) uint64 { return b2u(int32(a) <= int32(b)) },
+	OpUCMPLT: func(a, b uint64) uint64 { return b2u(uint32(a) < uint32(b)) },
+	OpFCMPEQ: func(a, b uint64) uint64 { return b2u(f32(a) == f32(b)) },
+	OpFCMPLT: func(a, b uint64) uint64 { return b2u(f32(a) < f32(b)) },
+	OpFCMPLE: func(a, b uint64) uint64 { return b2u(f32(a) <= f32(b)) },
+	OpIDIV: func(a, b uint64) uint64 {
+		if int32(b) == 0 {
+			return 0
+		}
+		if int32(a) == math.MinInt32 && int32(b) == -1 {
+			return uint64(uint32(a))
+		}
+		return uint64(uint32(int32(a) / int32(b)))
+	},
+	OpIMOD: func(a, b uint64) uint64 {
+		if int32(b) == 0 || (int32(a) == math.MinInt32 && int32(b) == -1) {
+			return 0
+		}
+		return uint64(uint32(int32(a) % int32(b)))
+	},
+	OpIMIN: func(a, b uint64) uint64 {
+		if int32(a) < int32(b) {
+			return uint64(uint32(a))
+		}
+		return uint64(uint32(b))
+	},
+	OpIMAX: func(a, b uint64) uint64 {
+		if int32(a) > int32(b) {
+			return uint64(uint32(a))
+		}
+		return uint64(uint32(b))
+	},
+	OpFMIN: func(a, b uint64) uint64 {
+		return fbits(float32(math.Min(float64(f32(a)), float64(f32(b)))))
+	},
+	OpFMAX: func(a, b uint64) uint64 {
+		return fbits(float32(math.Max(float64(f32(a)), float64(f32(b)))))
+	},
+}
+
+// unFns maps one-source ALU opcodes to their value functions.
+var unFns = map[Opcode]func(a uint64) uint64{
+	OpMOV:    func(a uint64) uint64 { return a },
+	OpI2F:    func(a uint64) uint64 { return fbits(float32(int32(a))) },
+	OpF2I:    func(a uint64) uint64 { return uint64(uint32(int32(f32(a)))) },
+	OpFABS:   func(a uint64) uint64 { return fbits(float32(math.Abs(float64(f32(a))))) },
+	OpFNEG:   func(a uint64) uint64 { return fbits(-f32(a)) },
+	OpFSQRT:  func(a uint64) uint64 { return fbits(float32(math.Sqrt(float64(f32(a))))) },
+	OpFEXP:   func(a uint64) uint64 { return fbits(float32(math.Exp(float64(f32(a))))) },
+	OpFLOG:   func(a uint64) uint64 { return fbits(float32(math.Log(float64(f32(a))))) },
+	OpFSIN:   func(a uint64) uint64 { return fbits(float32(math.Sin(float64(f32(a))))) },
+	OpFCOS:   func(a uint64) uint64 { return fbits(float32(math.Cos(float64(f32(a))))) },
+	OpFFLOOR: func(a uint64) uint64 { return fbits(float32(math.Floor(float64(f32(a))))) },
 }
 
 // fastVV, fastUV mark the opcodes with a leaf case in the executor's kVV

@@ -80,7 +80,6 @@ func newHotContext(tb testing.TB) (*execContext, *warp, *Program) {
 	}
 
 	p := hotProgram()
-	p.compile(EngineJIT)
 	p.compile(EngineWarp)
 	ec := &execContext{
 		prog:   p,
@@ -164,20 +163,16 @@ func TestWarpFusedClausesMatchInterp(t *testing.T) {
 		}
 		regsI, gsI := run(EngineInterp)
 		regsW, gsW := run(EngineWarp)
-		regsJ, gsJ := run(EngineJIT)
 		if regsI != regsW || gsI != gsW {
 			t.Errorf("masked=%v: warp engine diverges from interpreter:\ninterp regs %v stats %+v\nwarp   regs %v stats %+v",
 				masked, regsI, gsI, regsW, gsW)
-		}
-		if regsI != regsJ || gsI != gsJ {
-			t.Errorf("masked=%v: jit engine diverges from interpreter", masked)
 		}
 	}
 }
 
 // BenchmarkWarpClauseEngines measures the per-clause-chain cost of each
 // engine tier on the same fused-friendly kernel (companion to the
-// session-level AblationGPUJIT benchmark).
+// session-level AblationGPUEngine benchmark).
 func BenchmarkWarpClauseEngines(b *testing.B) {
 	run := func(eng Engine, masked bool) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -194,7 +189,7 @@ func BenchmarkWarpClauseEngines(b *testing.B) {
 			}
 		}
 	}
-	for _, eng := range []Engine{EngineInterp, EngineJIT, EngineWarp} {
+	for _, eng := range []Engine{EngineInterp, EngineWarp} {
 		b.Run(eng.String(), run(eng, false))
 	}
 	// The same tape under a divergent warp: every ALU row takes the

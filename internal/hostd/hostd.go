@@ -143,13 +143,15 @@ func New(cfg Config) (*Server, error) {
 // newPool builds one warm pool per the configured sizing policy: fixed
 // at PoolSize, or autoscaling between [PoolSize, PoolMaxSize].
 func (c Config) newPool(snap *mobilesim.Snapshot) (*mobilesim.SessionPool, error) {
+	// The shader engine is this host's choice, whoever booted the snapshot.
+	fork := mobilesim.Config{GPUEngine: c.Sim.GPUEngine}
 	if c.PoolMaxSize > c.PoolSize {
 		return mobilesim.NewAutoscalingSessionPool(snap, mobilesim.PoolAutoscale{
 			MinWarm: c.PoolSize,
 			MaxWarm: c.PoolMaxSize,
-		}, mobilesim.Config{})
+		}, fork)
 	}
-	return mobilesim.NewSessionPool(snap, c.PoolSize, mobilesim.Config{})
+	return mobilesim.NewSessionPool(snap, c.PoolSize, fork)
 }
 
 // Close shuts down every pool. Sessions already handed out to in-flight
@@ -514,10 +516,13 @@ func (s *Server) executeRun(ctx context.Context, req *cluster.RunRequest) (int, 
 		WallMS:      float64(res.Wall) / float64(time.Millisecond),
 		QueueWaitMS: float64(res.QueueWait) / float64(time.Millisecond),
 		// Serialization copies into the RPC response, not live
-		// bookkeeping — composed through MakeRunStats so the counters
-		// cross the wire exactly and the deprecated DriverCPUMS mirror is
-		// derived in one place.
-		Stats: cluster.MakeRunStats(res.Stats.GPU, res.Stats.System, res.Stats.DriverCPUTime, res.Stats.GuestInstructions),
+		// bookkeeping: the counters cross the wire exactly.
+		Stats: cluster.RunStats{
+			GPU:               res.Stats.GPU,
+			System:            res.Stats.System,
+			DriverCPUNS:       int64(res.Stats.DriverCPUTime),
+			GuestInstructions: res.Stats.GuestInstructions,
+		},
 		Modeled: cluster.Modeled{
 			MobileCycles:  res.Modeled.MobileCycles,
 			DesktopCycles: res.Modeled.DesktopCycles,

@@ -618,8 +618,7 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestRunResponseModeled: every run response carries the analytical
-// cost-model estimates, and the deprecated DriverCPUMS mirror matches
-// its nanosecond source exactly (single-derivation invariant).
+// cost-model estimates.
 func TestRunResponseModeled(t *testing.T) {
 	srv := testServer(t, hostd.Config{})
 	rec := do(srv.Mux(), http.MethodPost, cluster.PathRun, `{"workload": "BFS", "scale": 4}`)
@@ -635,9 +634,6 @@ func TestRunResponseModeled(t *testing.T) {
 	}
 	if resp.QueueWaitMS < 0 {
 		t.Fatalf("queue_wait_ms = %v, want >= 0", resp.QueueWaitMS)
-	}
-	if want := float64(resp.Stats.DriverCPUNS) / 1e6; resp.Stats.DriverCPUMS != want {
-		t.Fatalf("driver_cpu_ms %v drifted from driver_cpu_ns/1e6 = %v", resp.Stats.DriverCPUMS, want)
 	}
 }
 
@@ -658,5 +654,39 @@ func TestAutoscalingPoolConfig(t *testing.T) {
 	}
 	if pool.WarmTarget < 1 || pool.WarmTarget > 3 {
 		t.Fatalf("warm_target %d outside [1,3]", pool.WarmTarget)
+	}
+}
+
+// interpOnly fails unless its session was configured with the interpreter.
+type interpOnly struct{}
+
+func (interpOnly) Info() mobilesim.WorkloadInfo {
+	return mobilesim.WorkloadInfo{Name: "test/interp-only", Kind: mobilesim.KindBenchmark}
+}
+
+func (interpOnly) Execute(_ context.Context, s *mobilesim.Session, _ *mobilesim.RunOptions) (*mobilesim.RunResult, error) {
+	if got := s.Config().GPUEngine; got != mobilesim.GPUEngineInterp {
+		return nil, fmt.Errorf("session runs engine %q", got)
+	}
+	return &mobilesim.RunResult{Verified: true}, nil
+}
+
+var registerInterpOnly = sync.OnceValue(func() error {
+	return mobilesim.Register(interpOnly{})
+})
+
+// TestPoolForksRunTheHostsEngine: snapshots record no engine, so the
+// sessions a host forks — from its own boot or from an installed snapshot —
+// run the engine the host was started with.
+func TestPoolForksRunTheHostsEngine(t *testing.T) {
+	if err := registerInterpOnly(); err != nil {
+		t.Fatal(err)
+	}
+	srv := testServer(t, hostd.Config{Sim: mobilesim.Config{
+		RAMSize: 128 << 20, HostThreads: 2, GPUEngine: mobilesim.GPUEngineInterp,
+	}})
+	rec := do(srv.Mux(), http.MethodPost, cluster.PathRun, `{"workload": "test/interp-only"}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
 }

@@ -89,16 +89,41 @@ func checkRAMSize(size uint64) error {
 	return nil
 }
 
-// New builds and starts a platform. Callers must Close it.
-func New(cfg Config) (_ *Platform, err error) {
-	if cfg.RAMSize == 0 {
-		cfg.RAMSize = 512 << 20
+// New cold-boots a platform: fresh main memory, a fresh page allocator and
+// the firmware image written to RAM. Callers must Close it.
+func New(cfg Config) (*Platform, error) {
+	return NewFromState(cfg, nil)
+}
+
+// NewFromState builds and starts a platform — the one place the system is
+// wired together. With a nil st it cold-boots (see New). Otherwise it
+// restores captured state: guest memory is a copy-on-write fork of the
+// state's RAM image (many restored platforms share the image's pages until
+// they write), and no guest code runs — the boot work the snapshot
+// captured is not repeated; cfg then supplies only host-side wiring
+// (console writer) and GPU instrumentation knobs, and the platform shape
+// (RAM size, core count, disk) comes from the state. Callers must Close
+// the platform.
+func NewFromState(cfg Config, st *State) (_ *Platform, err error) {
+	if st == nil {
+		if cfg.RAMSize == 0 {
+			cfg.RAMSize = 512 << 20
+		}
+		if cfg.Cores <= 0 {
+			cfg.Cores = 4
+		}
+		if cfg.DiskImage == nil {
+			cfg.DiskImage = make([]byte, 64*dev.SectorSize)
+		}
+	} else {
+		if cfg.RAMSize != 0 && cfg.RAMSize != st.RAM.Size() {
+			return nil, fmt.Errorf("platform: config RAM %d MiB does not match snapshot %d MiB",
+				cfg.RAMSize>>20, st.RAM.Size()>>20)
+		}
+		cfg.RAMSize, cfg.Cores, cfg.DiskImage = st.RAM.Size(), len(st.CPUs), nil
 	}
 	if err := checkRAMSize(cfg.RAMSize); err != nil {
 		return nil, err
-	}
-	if cfg.Cores <= 0 {
-		cfg.Cores = 4
 	}
 	if cfg.GPU.ShaderCores == 0 {
 		cfg.GPU = gpu.DefaultConfig()
@@ -107,7 +132,12 @@ func New(cfg Config) (_ *Platform, err error) {
 	// Main memory comes from the recycling pool: platform teardown scrubs
 	// only the pages written, so short-lived platforms (benchmark
 	// iterations, Batch sessions) skip the multi-hundred-MiB clear.
-	ram := mem.AcquireRAM(RAMBase, cfg.RAMSize)
+	var ram *mem.RAM
+	if st == nil {
+		ram = mem.AcquireRAM(RAMBase, cfg.RAMSize)
+	} else {
+		ram = mem.ForkRAM(st.RAM)
+	}
 	bus := mem.NewBus(ram)
 	intc := irq.New()
 
@@ -128,11 +158,7 @@ func New(cfg Config) (_ *Platform, err error) {
 	if err := bus.MapDevice("timer", TimerBase, dev.TimerSize, p.Timer); err != nil {
 		return nil, err
 	}
-	disk := cfg.DiskImage
-	if disk == nil {
-		disk = make([]byte, 64*dev.SectorSize)
-	}
-	p.Disk = dev.NewBlock(disk, bus, intc, irq.LineBlock)
+	p.Disk = dev.NewBlock(cfg.DiskImage, bus, intc, irq.LineBlock)
 	if err := bus.MapDevice("block", BlockBase, dev.BlkSize, p.Disk); err != nil {
 		return nil, err
 	}
@@ -141,17 +167,20 @@ func New(cfg Config) (_ *Platform, err error) {
 		return nil, err
 	}
 	p.GPU.Start()
-
-	alloc, err := mem.NewPageAllocator(heapBase, cfg.RAMSize-(heapBase-RAMBase))
-	if err != nil {
-		return nil, err
-	}
-	p.Alloc = alloc
-
 	for i := 0; i < cfg.Cores; i++ {
 		p.CPUs = append(p.CPUs, cpu.NewCore(i, bus, intc))
 	}
 
+	if st != nil {
+		if err := p.restore(st); err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+	p.Alloc, err = mem.NewPageAllocator(heapBase, cfg.RAMSize-(heapBase-RAMBase))
+	if err != nil {
+		return nil, err
+	}
 	fw, err := firmware()
 	if err != nil {
 		return nil, fmt.Errorf("platform: firmware assembly failed: %w", err)

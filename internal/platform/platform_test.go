@@ -238,10 +238,11 @@ func TestMemoryMapNoOverlaps(t *testing.T) {
 	_ = mem.PageSize
 }
 
-// TestConstructorFailuresLeakNothing pins the error paths of New and
-// NewFromState: a RAM size the platform cannot boot with is refused up
-// front with an error naming it, and a failure after main memory was
-// acquired hands the RAM back and leaves no Job Manager goroutine behind.
+// TestConstructorFailuresLeakNothing pins the error paths of the one
+// constructor over both of its arms (cold boot and restore from state): a
+// RAM size the platform cannot boot with is refused up front with an error
+// naming it, and a failure after main memory was acquired hands the RAM
+// back and leaves no Job Manager goroutine behind.
 func TestConstructorFailuresLeakNothing(t *testing.T) {
 	var recycled atomic.Int32
 	mem.SetRecycleAudit(func([]byte, uint64) { recycled.Add(1) })
@@ -258,16 +259,42 @@ func TestConstructorFailuresLeakNothing(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 
-	for _, size := range []uint64{4096, 512 << 10, 1<<20 + 100, platform.MinRAMSize + 8} {
-		p, err := platform.New(platform.Config{RAMSize: size})
-		if err == nil {
-			p.Close()
-			t.Errorf("RAMSize %d accepted", size)
-			continue
-		}
-		for _, want := range []string{"RAMSize", "16 MiB"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("RAMSize %d: error %q does not mention %q", size, err, want)
+	// Each arm builds a platform whose main memory is size bytes. An image
+	// is page-granular by construction, so only the page-multiple sizes can
+	// reach the constructor through a state.
+	arms := []struct {
+		name         string
+		pageGranular bool
+		build        func(size uint64) (*platform.Platform, error)
+	}{
+		{"cold", false, func(size uint64) (*platform.Platform, error) {
+			return platform.New(platform.Config{RAMSize: size})
+		}},
+		{"from-state", true, func(size uint64) (*platform.Platform, error) {
+			img, err := mem.NewImage(platform.RAMBase, size, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			small := *st
+			small.RAM = img
+			return platform.NewFromState(platform.Config{}, &small)
+		}},
+	}
+	for _, arm := range arms {
+		for _, size := range []uint64{4096, 512 << 10, 1<<20 + 100, platform.MinRAMSize - 4096, platform.MinRAMSize + 8} {
+			if arm.pageGranular && size%mem.PageSize != 0 {
+				continue
+			}
+			p, err := arm.build(size)
+			if err == nil {
+				p.Close()
+				t.Errorf("%s: RAMSize %d accepted", arm.name, size)
+				continue
+			}
+			for _, want := range []string{"RAMSize", "16 MiB"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: RAMSize %d: error %q does not mention %q", arm.name, size, err, want)
+				}
 			}
 		}
 	}

@@ -70,76 +70,24 @@ func (p *Platform) Capture() (*State, error) {
 	return st, nil
 }
 
-// NewFromState builds a running platform from captured state: guest
-// memory is a copy-on-write fork of the state's RAM image (many restored
-// platforms share the image's pages until they write), and no guest code
-// runs — the boot work the snapshot captured is not repeated. cfg
-// supplies only host-side wiring (console writer) and GPU instrumentation
-// knobs; the platform shape (RAM size, core count, disk) comes from the
-// state. Callers must Close the platform as usual.
-func NewFromState(cfg Config, st *State) (_ *Platform, err error) {
-	if cfg.RAMSize != 0 && cfg.RAMSize != st.RAM.Size() {
-		return nil, fmt.Errorf("platform: config RAM %d MiB does not match snapshot %d MiB",
-			cfg.RAMSize>>20, st.RAM.Size()>>20)
-	}
-	if err := checkRAMSize(st.RAM.Size()); err != nil {
-		return nil, err
-	}
-	if cfg.GPU.ShaderCores == 0 {
-		cfg.GPU = gpu.DefaultConfig()
-	}
-
-	ram := mem.ForkRAM(st.RAM)
-	bus := mem.NewBus(ram)
-	intc := irq.New()
-
-	p := &Platform{Bus: bus, RAM: ram, Intc: intc}
-	defer func() { // as in New: a failed restore leaks nothing
-		if err != nil {
-			p.Close()
-		}
-	}()
-
-	p.UART = dev.NewUART(cfg.ConsoleOut, intc, irq.LineUART)
-	if err := bus.MapDevice("uart", UARTBase, dev.UARTSize, p.UART); err != nil {
-		return nil, err
-	}
+// restore loads captured state into a freshly wired platform (see
+// NewFromState).
+func (p *Platform) restore(st *State) (err error) {
 	p.UART.RestoreState(st.UART)
-	p.Timer = dev.NewTimer(intc, irq.LineTimer)
-	if err := bus.MapDevice("timer", TimerBase, dev.TimerSize, p.Timer); err != nil {
-		return nil, err
-	}
 	p.Timer.RestoreState(st.Timer)
-	p.Disk = dev.NewBlock(nil, bus, intc, irq.LineBlock)
-	if err := bus.MapDevice("block", BlockBase, dev.BlkSize, p.Disk); err != nil {
-		return nil, err
-	}
 	p.Disk.RestoreState(st.Block)
-
-	alloc, err := mem.NewPageAllocatorFromState(st.Alloc)
+	p.Alloc, err = mem.NewPageAllocatorFromState(st.Alloc)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p.Alloc = alloc
-
 	// Restore the interrupt controller before the GPU: the GPU's restore
 	// re-asserts its line when an unmasked interrupt was pending, and the
 	// controller's enable mask must already be in place.
-	intc.RestoreState(st.IRQ)
-
-	p.GPU = gpu.NewDevice(cfg.GPU, bus, intc, irq.LineGPU)
-	if err := bus.MapDevice("gpu", GPUBase, gpu.RegWindowSize, p.GPU); err != nil {
-		return nil, err
-	}
-	p.GPU.Start()
+	p.Intc.RestoreState(st.IRQ)
 	p.GPU.RestoreState(st.GPU)
-
 	for i, cs := range st.CPUs {
-		core := cpu.NewCore(i, bus, intc)
-		core.RestoreState(cs)
-		p.CPUs = append(p.CPUs, core)
+		p.CPUs[i].RestoreState(cs)
 	}
-
 	// The program's code and symbols are borrowed from the (immutable)
 	// state: firmware is never patched after assembly, and forking must
 	// stay allocation-light.
@@ -148,5 +96,5 @@ func NewFromState(cfg Config, st *State) (_ *Platform, err error) {
 		Code:    st.FirmwareCode,
 		Symbols: st.FirmwareSyms,
 	}
-	return p, nil
+	return nil
 }

@@ -10,9 +10,9 @@ import (
 // Race-stress tests for the guest memory model: kernels that contend on
 // shared guest memory from every workgroup at once, dispatched across
 // more host threads than shader cores. Under `go test -race` these are
-// the direct proof that every GPU-side access path (interpreter, JIT,
-// local memory, sub-word stores) goes through the atomic accessors; the
-// facade-level suites only reach the same paths indirectly.
+// the direct proof that every GPU-side access path (interpreter, warp
+// tape, local memory, sub-word stores) goes through the atomic accessors;
+// the facade-level suites only reach the same paths indirectly.
 
 // storeContentionSrc makes every thread hammer the same handful of words:
 // word 0 takes same-value flag stores (the BFS frontier idiom), words
@@ -82,16 +82,6 @@ func TestStoreContentionMultiCore(t *testing.T) {
 // while the same guest words are contended.
 func TestStoreContentionOvercommit(t *testing.T) {
 	runStoreContention(t, NewMP(t, 19), 5)
-}
-
-// TestStoreContentionJIT runs the same contention through the closure-JIT
-// engine: the compiled load/store closures must hit the identical atomic
-// fast path.
-func TestStoreContentionJIT(t *testing.T) {
-	cfg := gpu.DefaultConfig()
-	cfg.HostThreads = 8
-	cfg.Engine = gpu.EngineJIT
-	runStoreContention(t, New(t, cfg), 5)
 }
 
 // TestStoreContentionInterp pins the reference interpreter explicitly (the

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"mobilesim/internal/cl"
 	"mobilesim/internal/cpu"
@@ -24,10 +23,17 @@ const (
 	magic   = "MSIMSNAP"
 	version = uint32(1)
 
-	// maxBlob caps length prefixes while decoding, so a corrupt or
-	// hostile snapshot cannot ask for an absurd allocation. 16 GiB
-	// comfortably exceeds any supported guest RAM.
+	// maxBlob caps length prefixes while decoding. 16 GiB comfortably
+	// exceeds any supported guest RAM.
 	maxBlob = 16 << 30
+
+	// blobChunk is the most a decoder allocates on the strength of a
+	// length prefix alone. A prefix is a claim, not evidence: beyond the
+	// first chunk a buffer grows only as bytes actually arrive, so a
+	// hostile stream costs a small multiple of its own size. A source that
+	// can say how much it holds (decoder.src) is evidence, and skips the
+	// growing.
+	blobChunk = 512 << 10
 )
 
 type encoder struct {
@@ -91,7 +97,11 @@ func (e *encoder) fixed(v any) {
 }
 
 type decoder struct {
-	r   *bufio.Reader
+	r *bufio.Reader
+	// src is the reader under r when it reports its unread length — the
+	// in-memory readers do (bytes.Reader, bytes.Buffer, strings.Reader) —
+	// and nil otherwise.
+	src interface{ Len() int }
 	err error
 }
 
@@ -106,15 +116,24 @@ func (d *decoder) u8() uint8 {
 
 func (d *decoder) boolean() bool { return d.u8() != 0 }
 
+// u32 and u64 return 0 once the stream has failed — never the partial
+// bytes of a short read — so a count or length read past a truncation
+// cannot size an allocation.
 func (d *decoder) u32() uint32 {
 	var b [4]byte
 	d.raw(b[:])
+	if d.err != nil {
+		return 0
+	}
 	return binary.LittleEndian.Uint32(b[:])
 }
 
 func (d *decoder) u64() uint64 {
 	var b [8]byte
 	d.raw(b[:])
+	if d.err != nil {
+		return 0
+	}
 	return binary.LittleEndian.Uint64(b[:])
 }
 
@@ -133,9 +152,23 @@ func (d *decoder) bytes() []byte {
 		d.err = fmt.Errorf("snapshot: blob length %d exceeds limit", n)
 		return nil
 	}
-	b := make([]byte, n)
-	d.raw(b)
-	return b
+	first := min(n, blobChunk)
+	if d.src != nil && n <= uint64(d.src.Len()+d.r.Buffered()) {
+		first = n // the source holds that much: one exact allocation
+	}
+	b := make([]byte, first)
+	for got := 0; ; {
+		d.raw(b[got:])
+		if d.err != nil {
+			return nil
+		}
+		if got = len(b); uint64(got) == n {
+			return b
+		}
+		grown := make([]byte, min(n, 4*uint64(got)))
+		copy(grown, b)
+		b = grown
+	}
 }
 
 func (d *decoder) str() string { return string(d.bytes()) }
@@ -149,9 +182,9 @@ func (d *decoder) u64s() []uint64 {
 		d.err = fmt.Errorf("snapshot: list length %d exceeds limit", n)
 		return nil
 	}
-	v := make([]uint64, n)
-	for i := range v {
-		v[i] = d.u64()
+	v := make([]uint64, 0, min(n, blobChunk/8))
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		v = append(v, d.u64())
 	}
 	return v
 }
@@ -176,7 +209,7 @@ func Encode(w io.Writer, st *State) error {
 	e.u64(uint64(st.Config.HostThreads))
 	e.str(st.Config.CompilerVersion)
 	e.boolean(st.Config.CollectCFG)
-	e.boolean(st.Config.JITClauses)
+	e.u8(0) // reserved: the engine is host wiring, not snapshot state
 	e.boolean(st.Config.DisableDecodeCache)
 
 	// Guest RAM image.
@@ -250,7 +283,7 @@ func Encode(w io.Writer, st *State) error {
 	e.u64(uint64(st.CL.Drv.ASPages))
 	e.u64(st.CL.Drv.JobsSubmitted)
 	e.u64(st.CL.Drv.IRQsHandled)
-	e.u64(uint64(st.CL.Drv.CPUTime))
+	e.u64(0) // reserved: host time is not platform state
 
 	if e.err != nil {
 		return e.err
@@ -261,6 +294,7 @@ func Encode(w io.Writer, st *State) error {
 // Decode reads a state in wire format v1.
 func Decode(r io.Reader) (*State, error) {
 	d := &decoder{r: bufio.NewReader(r)}
+	d.src, _ = r.(interface{ Len() int })
 	var m [len(magic)]byte
 	d.raw(m[:])
 	if d.err == nil && string(m[:]) != magic {
@@ -277,7 +311,7 @@ func Decode(r io.Reader) (*State, error) {
 	st.Config.HostThreads = int(d.u64())
 	st.Config.CompilerVersion = d.str()
 	st.Config.CollectCFG = d.boolean()
-	st.Config.JITClauses = d.boolean()
+	d.u8() // reserved (older writers: 1 = closure JIT)
 	st.Config.DisableDecodeCache = d.boolean()
 
 	p := st.Platform
@@ -298,8 +332,8 @@ func Decode(r io.Reader) (*State, error) {
 	if d.err == nil && nCPUs > 4096 {
 		return nil, fmt.Errorf("snapshot: implausible CPU count %d", nCPUs)
 	}
-	p.CPUs = make([]cpu.State, nCPUs)
-	for i := range p.CPUs {
+	for i := uint64(0); i < nCPUs && d.err == nil; i++ {
+		p.CPUs = append(p.CPUs, cpu.State{})
 		d.fixed(&p.CPUs[i])
 	}
 
@@ -329,7 +363,7 @@ func Decode(r io.Reader) (*State, error) {
 	if d.err == nil && nSyms > 1<<20 {
 		return nil, fmt.Errorf("snapshot: implausible symbol count %d", nSyms)
 	}
-	p.FirmwareSyms = make(map[string]uint64, nSyms)
+	p.FirmwareSyms = make(map[string]uint64)
 	for i := uint64(0); i < nSyms && d.err == nil; i++ {
 		name := d.str()
 		p.FirmwareSyms[name] = d.u64()
@@ -345,9 +379,9 @@ func Decode(r io.Reader) (*State, error) {
 			ASPages:       int(d.u64()),
 			JobsSubmitted: d.u64(),
 			IRQsHandled:   d.u64(),
-			CPUTime:       time.Duration(d.u64()),
 		},
 	}
+	d.u64() // reserved (older writers: driver host time)
 	if d.err != nil {
 		return nil, fmt.Errorf("snapshot: decode: %w", d.err)
 	}

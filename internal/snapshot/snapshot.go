@@ -26,8 +26,8 @@ import (
 )
 
 // Config mirrors the serialisable, shape-defining part of the facade
-// session configuration. Host-side wiring (console writers) is
-// deliberately absent: it is supplied afresh at restore time.
+// session configuration. Host-side wiring (console writers, the shader
+// engine) is deliberately absent: it is supplied afresh at restore time.
 type Config struct {
 	RAMSize            uint64
 	CPUCores           int
@@ -35,7 +35,6 @@ type Config struct {
 	HostThreads        int
 	CompilerVersion    string
 	CollectCFG         bool
-	JITClauses         bool
 	DisableDecodeCache bool
 }
 

@@ -120,12 +120,11 @@ func collectGoldenStats(t *testing.T, name string) goldenStats {
 }
 
 // TestGoldenStatsEngineInvariance pins the exact-counter contract across
-// the three execution engines on real workloads: the full GPU and system
-// statistics records of the closure-JIT and warp-batched engines must be
-// bit-identical to the interpreter's at the reference HostThreads. (The
-// windowed golden table above runs under the default — warp — engine, so
-// together the two tests tie all three engines to the pinned goldens
-// without any per-engine golden files.)
+// the two execution engines on real workloads: the full GPU and system
+// statistics records of the warp engine must be bit-identical to the
+// interpreter's at the reference HostThreads. (The windowed golden table
+// above runs under the default — warp — engine, so together the two tests
+// tie both engines to the pinned goldens without per-engine golden files.)
 func TestGoldenStatsEngineInvariance(t *testing.T) {
 	for _, name := range []string{"SobelFilter", "Reduction", "BitonicSort"} {
 		name := name
@@ -162,14 +161,12 @@ func TestGoldenStatsEngineInvariance(t *testing.T) {
 				return gs, sys
 			}
 			gsRef, sysRef := run(gpu.EngineInterp)
-			for _, eng := range []gpu.Engine{gpu.EngineJIT, gpu.EngineWarp} {
-				gs, sys := run(eng)
-				if gs != gsRef {
-					t.Errorf("GPU stats diverged under %v:\ninterp: %+v\n%v: %+v", eng, gsRef, eng, gs)
-				}
-				if sys != sysRef {
-					t.Errorf("system stats diverged under %v:\ninterp: %+v\n%v: %+v", eng, sysRef, eng, sys)
-				}
+			gs, sys := run(gpu.EngineWarp)
+			if gs != gsRef {
+				t.Errorf("GPU stats diverged:\ninterp: %+v\nwarp: %+v", gsRef, gs)
+			}
+			if sys != sysRef {
+				t.Errorf("system stats diverged:\ninterp: %+v\nwarp: %+v", sysRef, sys)
 			}
 		})
 	}

@@ -226,9 +226,6 @@ func (s *Session) runWorkload(ctx context.Context, w Workload, o *RunOptions, p 
 	if res.Workload == "" {
 		res.Workload = info.Name
 	}
-	if res.Benchmark == "" {
-		res.Benchmark = res.Workload
-	}
 	delta := post.sub(pre)
 	res.Modeled = modeledCost(&delta, w)
 	switch o.StatsScope {

@@ -283,18 +283,17 @@ func TestCloseDrainsQueue(t *testing.T) {
 	}
 }
 
-// TestWorkloadRegistryRoundTrip: every legacy entry point's name space is
+// TestWorkloadRegistryRoundTrip: every workload family's name space is
 // resolvable through the unified registry.
 func TestWorkloadRegistryRoundTrip(t *testing.T) {
 	var names []string
 	for _, b := range mobilesim.Benchmarks() {
-		names = append(names, b.Name) // legacy Session.Run(benchmark, scale)
+		names = append(names, b.Name)
 	}
-	names = append(names, mobilesim.Experiments()...) // legacy RunExperiment
-	for _, v := range mobilesim.SgemmVariants() {     // legacy RunSgemm
+	names = append(names, mobilesim.Experiments()...)
+	for _, v := range mobilesim.SgemmVariants() {
 		names = append(names, "sgemm6/"+strings.ToLower(v.Name))
 	}
-	// Legacy RunSLAM presets.
 	names = append(names, "slam/standard", "slam/fast3", "slam/express")
 
 	for _, name := range names {

@@ -89,17 +89,12 @@ type Config struct {
 	// clause execution.
 	CollectCFG bool
 	// GPUEngine selects the shader execution engine: GPUEngineWarp (the
-	// default for an empty string — warp-batched fused clauses),
-	// GPUEngineJIT (per-lane closure JIT) or GPUEngineInterp (the
-	// reference interpreter). The engines are observationally identical —
-	// bit-identical statistics and guest memory — and differ only in host
-	// speed, so the choice is a host-side knob like HostThreads.
+	// default for an empty string — clauses compiled to micro-op tapes run
+	// a warp at a time) or GPUEngineInterp (the reference interpreter).
+	// The engines are observationally identical — bit-identical statistics
+	// and guest memory — and differ only in host speed, so the choice is a
+	// host-side knob like HostThreads.
 	GPUEngine string
-	// JITClauses enables closure-JIT shader execution.
-	//
-	// Deprecated: use GPUEngine = GPUEngineJIT. Ignored when GPUEngine is
-	// set.
-	JITClauses bool
 	// DisableDecodeCache turns off shader decode caching (§III-B3).
 	// Only useful for ablation studies.
 	DisableDecodeCache bool
@@ -113,17 +108,12 @@ type Config struct {
 // GPU engine names for Config.GPUEngine.
 const (
 	GPUEngineWarp   = "warp"
-	GPUEngineJIT    = "jit"
 	GPUEngineInterp = "interp"
 )
 
-// gpuEngine resolves the effective engine selection, honouring the
-// deprecated JITClauses alias when GPUEngine is unset.
+// gpuEngine resolves the effective engine selection.
 func (c *Config) gpuEngine() gpu.Engine {
-	switch {
-	case c.GPUEngine == GPUEngineJIT || (c.GPUEngine == "" && c.JITClauses):
-		return gpu.EngineJIT
-	case c.GPUEngine == GPUEngineInterp:
+	if c.GPUEngine == GPUEngineInterp {
 		return gpu.EngineInterp
 	}
 	return gpu.EngineWarp
@@ -152,10 +142,10 @@ func (c *Config) validate() error {
 		}
 	}
 	switch c.GPUEngine {
-	case "", GPUEngineWarp, GPUEngineJIT, GPUEngineInterp:
+	case "", GPUEngineWarp, GPUEngineInterp:
 	default:
-		return fmt.Errorf("mobilesim: unknown GPUEngine %q (have %s, %s, %s)",
-			c.GPUEngine, GPUEngineWarp, GPUEngineJIT, GPUEngineInterp)
+		return fmt.Errorf("mobilesim: unknown GPUEngine %q (have %s, %s)",
+			c.GPUEngine, GPUEngineWarp, GPUEngineInterp)
 	}
 	return nil
 }
@@ -529,10 +519,6 @@ type RunResult struct {
 	Workload string
 	Kind     WorkloadKind
 	Scale    int
-	// Benchmark is the legacy alias of Workload.
-	//
-	// Deprecated: use Workload.
-	Benchmark string
 	// SimDuration is time spent in full-stack simulation; NativeDuration
 	// is the host-native reference implementation's time (their ratio is
 	// the paper's Fig 7 slowdown); Wall is total elapsed time including

@@ -217,6 +217,14 @@ func TestBadConfig(t *testing.T) {
 		}
 	}
 
+	// The closure JIT is gone: its name is refused, and the error lists the
+	// two engines there are.
+	if _, err := mobilesim.New(mobilesim.Config{GPUEngine: "jit"}); err == nil {
+		t.Error(`New accepted GPUEngine "jit"`)
+	} else if !strings.Contains(err.Error(), "(have warp, interp)") {
+		t.Errorf(`GPUEngine "jit": error %q does not list exactly warp and interp`, err)
+	}
+
 	// A bad per-job config must fail the whole batch up front, before
 	// any session boots.
 	bad := mobilesim.Config{CompilerVersion: "9.9"}

@@ -31,7 +31,7 @@ type Snapshot struct {
 }
 
 // Config returns the session configuration the snapshot was captured
-// under (without host-side wiring such as ConsoleOut).
+// under (without host-side wiring: ConsoleOut and GPUEngine).
 func (s *Snapshot) Config() Config {
 	c := s.st.Config
 	return Config{
@@ -41,7 +41,6 @@ func (s *Snapshot) Config() Config {
 		HostThreads:        c.HostThreads,
 		CompilerVersion:    c.CompilerVersion,
 		CollectCFG:         c.CollectCFG,
-		JITClauses:         c.JITClauses,
 		DisableDecodeCache: c.DisableDecodeCache,
 	}
 }
@@ -56,7 +55,7 @@ func (s *Snapshot) Encode(w io.Writer) error {
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	st, err := snapshot.Decode(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mobilesim: snapshot: %w", err)
 	}
 	return &Snapshot{st: st}, nil
 }
@@ -117,17 +116,12 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 // mirror.
 func snapshotConfig(c Config) snapshot.Config {
 	return snapshot.Config{
-		RAMSize:         c.RAMSize,
-		CPUCores:        c.CPUCores,
-		ShaderCores:     c.ShaderCores,
-		HostThreads:     c.HostThreads,
-		CompilerVersion: c.CompilerVersion,
-		CollectCFG:      c.CollectCFG,
-		// The wire format predates GPUEngine and carries the engine choice
-		// as the JIT boolean. The engines are observationally identical, so
-		// a restored session losing a warp/interp distinction is harmless —
-		// it degrades to the warp default.
-		JITClauses:         c.gpuEngine() == gpu.EngineJIT,
+		RAMSize:            c.RAMSize,
+		CPUCores:           c.CPUCores,
+		ShaderCores:        c.ShaderCores,
+		HostThreads:        c.HostThreads,
+		CompilerVersion:    c.CompilerVersion,
+		CollectCFG:         c.CollectCFG,
 		DisableDecodeCache: c.DisableDecodeCache,
 	}
 }
@@ -144,12 +138,12 @@ type newOptions struct {
 // image and no guest boot code runs, so the session is ready to run in
 // microseconds.
 //
-// The session's shape is the snapshot's. cfg may supply host-side wiring
-// (ConsoleOut) and override host-side knobs: a non-zero HostThreads
-// replaces the snapshot's, a non-empty GPUEngine replaces the snapshot's
-// engine selection (the engines are counter-identical, so this never
-// changes observable behaviour), and CollectCFG/JITClauses/
-// DisableDecodeCache set in cfg are enabled on top of the snapshot's.
+// The session's shape is the snapshot's. cfg supplies the host-side wiring
+// — ConsoleOut and GPUEngine, neither of which a snapshot records (the
+// engines are counter-identical, so the choice never changes observable
+// behaviour) — and may override host-side knobs: a non-zero HostThreads
+// replaces the snapshot's, and CollectCFG/DisableDecodeCache set in cfg
+// are enabled on top of the snapshot's.
 // Architectural fields (RAMSize, CPUCores, ShaderCores, CompilerVersion)
 // must be zero or equal to the snapshot's — the corresponding state is
 // baked into the image.
@@ -164,7 +158,7 @@ func FromSnapshot(snap *Snapshot) NewOption {
 // default) is accepted.
 func mergeSnapshotConfig(cfg Config, snap *Snapshot) (Config, error) {
 	eff := snap.Config()
-	eff.ConsoleOut = cfg.ConsoleOut
+	eff.ConsoleOut, eff.GPUEngine = cfg.ConsoleOut, cfg.GPUEngine
 	snapRAM := eff.RAMSize
 	if snapRAM == 0 {
 		snapRAM = snap.st.Platform.RAM.Size()
@@ -201,10 +195,6 @@ func mergeSnapshotConfig(cfg Config, snap *Snapshot) (Config, error) {
 		eff.HostThreads = cfg.HostThreads
 	}
 	eff.CollectCFG = eff.CollectCFG || cfg.CollectCFG
-	eff.JITClauses = eff.JITClauses || cfg.JITClauses
-	if cfg.GPUEngine != "" {
-		eff.GPUEngine = cfg.GPUEngine
-	}
 	eff.DisableDecodeCache = eff.DisableDecodeCache || cfg.DisableDecodeCache
 	return eff, nil
 }

@@ -3,11 +3,13 @@ package mobilesim_test
 import (
 	"bytes"
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mobilesim"
+	"mobilesim/internal/cluster"
 )
 
 // snapCfg is the reference configuration for snapshot determinism tests:
@@ -225,8 +227,49 @@ func TestSnapshotSerializationRoundTrip(t *testing.T) {
 		t.Fatalf("decoded snapshot diverges:\ncold:     %+v\nrestored: %+v", cold, restored)
 	}
 
-	if _, err := mobilesim.ReadSnapshot(bytes.NewReader([]byte("not a snapshot"))); err == nil {
+	_, err = mobilesim.ReadSnapshot(bytes.NewReader([]byte("not a snapshot")))
+	if err == nil {
 		t.Fatal("garbage accepted as snapshot")
+	}
+	if !strings.HasPrefix(err.Error(), "mobilesim: snapshot: ") {
+		t.Errorf("decode error %q does not say where it came from", err)
+	}
+}
+
+// TestTwoBootsEncodeIdentically pins that a snapshot's content address is a
+// function of the configuration alone: two boots encode to the same bytes
+// — no host time, no host scheduling in the image — so a cluster ships an
+// image it has already installed zero times.
+func TestTwoBootsEncodeIdentically(t *testing.T) {
+	boot := func() []byte {
+		s, err := mobilesim.New(mobilesim.Config{HostThreads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := snap.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := boot(), boot()
+	if !bytes.Equal(a, b) {
+		if len(a) != len(b) {
+			t.Fatalf("two boots encode to %d and %d bytes", len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("two boots' %d-byte encodings first differ at offset %d (%#x vs %#x)", len(a), i, a[i], b[i])
+			}
+		}
+	}
+	if ra, rb := cluster.Ref(a), cluster.Ref(b); ra != rb {
+		t.Errorf("content addresses differ: %s vs %s", ra, rb)
 	}
 }
 
@@ -336,6 +379,27 @@ func TestFromSnapshotConfigRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
+	// The shader engine is host wiring: a snapshot records none, so a fork
+	// runs the engine its own Config names, whatever booted the snapshot.
+	interp, err := mobilesim.New(mobilesim.Config{RAMSize: 256 << 20, HostThreads: 1, GPUEngine: mobilesim.GPUEngineInterp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	interpSnap, err := interp.Snapshot()
+	interp.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{"", mobilesim.GPUEngineWarp, mobilesim.GPUEngineInterp} {
+		s, err := mobilesim.New(mobilesim.Config{GPUEngine: engine}, mobilesim.FromSnapshot(interpSnap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Config().GPUEngine; got != engine {
+			t.Errorf("fork asked for engine %q runs %q", engine, got)
+		}
+		s.Close()
+	}
 	// HostThreads is a host-side knob and may be overridden.
 	s, err = mobilesim.New(mobilesim.Config{HostThreads: 3}, mobilesim.FromSnapshot(snap))
 	if err != nil {
@@ -464,5 +528,43 @@ func TestBatchForksFromSnapshot(t *testing.T) {
 	wa.DriverCPUTime, ca.DriverCPUTime = 0, 0
 	if wa != ca {
 		t.Fatalf("aggregates diverge:\nwarm: %+v\ncold: %+v", wa, ca)
+	}
+}
+
+// engineProbe reports the engine its session was configured with.
+type engineProbe struct{}
+
+func (engineProbe) Info() mobilesim.WorkloadInfo {
+	return mobilesim.WorkloadInfo{Name: "test/engine", Kind: mobilesim.KindBenchmark}
+}
+
+func (engineProbe) Execute(_ context.Context, s *mobilesim.Session, _ *mobilesim.RunOptions) (*mobilesim.RunResult, error) {
+	return &mobilesim.RunResult{Verified: true, Output: s.Config().GPUEngine}, nil
+}
+
+var registerEngineProbe = sync.OnceValue(func() error {
+	return mobilesim.Register(engineProbe{})
+})
+
+// TestBatchForksKeepTheBatchEngine: a snapshot records no engine, so the
+// batch must hand its own to every fork, as it does its console writer.
+func TestBatchForksKeepTheBatchEngine(t *testing.T) {
+	if err := registerEngineProbe(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := snapCfg
+	cfg.GPUEngine = mobilesim.GPUEngineInterp
+	batch := &mobilesim.Batch{Jobs: []mobilesim.BatchJob{{Benchmark: "test/engine"}, {Benchmark: "test/engine"}}, Config: cfg}
+	res, err := batch.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jr := range res.Jobs {
+		if jr.Err != nil {
+			t.Fatal(jr.Err)
+		}
+		if got := jr.Result.Output; got != mobilesim.GPUEngineInterp {
+			t.Errorf("forked job %d ran engine %q, want %q", jr.Index, got, mobilesim.GPUEngineInterp)
+		}
 	}
 }

@@ -19,9 +19,7 @@ import (
 // contract for everything the simulator can run — the Table II benchmark
 // suite, the SLAMBench pipeline presets (Fig 14), the SGEMM tuning ladder
 // (Fig 15) and the paper-evaluation experiments. Sessions execute
-// workloads by name through Session.Run / Session.Submit; the legacy
-// per-kind entry points (RunSLAM, RunSgemm, RunExperiment) survive as
-// thin wrappers.
+// workloads by name through Session.Run / Session.Submit.
 
 // WorkloadKind classifies a registered workload.
 type WorkloadKind string
@@ -222,7 +220,7 @@ func (b benchmarkWorkload) Execute(ctx context.Context, s *Session, opt *RunOpti
 		return nil, err
 	}
 	return &RunResult{
-		Workload: b.spec.Name, Benchmark: b.spec.Name, Kind: KindBenchmark, Scale: scale,
+		Workload: b.spec.Name, Kind: KindBenchmark, Scale: scale,
 		SimDuration:    res.SimDuration,
 		NativeDuration: res.NativeDuration,
 		Verified:       res.Verified,
@@ -252,23 +250,17 @@ func (w slamWorkload) Execute(ctx context.Context, s *Session, opt *RunOptions) 
 	if scale <= 0 {
 		scale = 1
 	}
-	return runSLAMConfig(ctx, s, w.name, scale, w.preset(scale))
-}
-
-// runSLAMConfig is the shared SLAM execution path (registry presets and
-// the legacy RunSLAM wrapper with its arbitrary Config).
-func runSLAMConfig(ctx context.Context, s *Session, name string, scale int, cfg slam.Config) (*RunResult, error) {
 	var m *SLAMMetrics
 	t0 := time.Now()
 	err := s.withCL(func(c *cl.Context) (e error) {
-		m, e = slam.Run(ctx, c, cfg)
+		m, e = slam.Run(ctx, c, w.preset(scale))
 		return
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &RunResult{
-		Workload: name, Benchmark: name, Kind: KindSLAM, Scale: scale,
+		Workload: w.name, Kind: KindSLAM, Scale: scale,
 		SimDuration: time.Since(t0),
 		SLAM:        m,
 	}, nil
@@ -305,11 +297,7 @@ func (w sgemmWorkload) Execute(ctx context.Context, s *Session, opt *RunOptions)
 	}
 	dim := 16 * scale
 	a, b := workloads.SgemmInputs(dim, dim, dim)
-	res := &RunResult{
-		Workload:  sgemmWorkloadName(w.v),
-		Benchmark: sgemmWorkloadName(w.v),
-		Kind:      KindSgemm, Scale: scale,
-	}
+	res := &RunResult{Workload: sgemmWorkloadName(w.v), Kind: KindSgemm, Scale: scale}
 	var got []float32
 	t0 := time.Now()
 	err := s.withCL(func(c *cl.Context) (e error) {
@@ -347,52 +335,10 @@ func init() {
 	}
 }
 
-// --- Legacy per-kind wrappers and re-exports -------------------------------
-
-// SLAMConfig is one SLAMBench pipeline preset (resolution, pyramid
-// levels, ICP iterations, TSDF volume, frame count).
-type SLAMConfig = slam.Config
+// --- Re-exports ------------------------------------------------------------
 
 // SLAMMetrics summarises one SLAM pipeline run.
 type SLAMMetrics = slam.Metrics
-
-// SLAMStandard returns the baseline KFusion configuration at the given
-// resolution scale (1 = 64×64 input).
-func SLAMStandard(scale int) SLAMConfig { return slam.Standard(scale) }
-
-// SLAMFast3 returns the reduced-accuracy preset.
-func SLAMFast3(scale int) SLAMConfig { return slam.Fast3(scale) }
-
-// SLAMExpress returns the fastest, least accurate preset.
-func SLAMExpress(scale int) SLAMConfig { return slam.Express(scale) }
-
-// RunSLAM executes the dense-SLAM pipeline on this session for
-// cfg.Frames synthetic frames (the Fig 14 workflow), through the
-// session's command queue.
-//
-// Deprecated: use Session.Run(ctx, "slam/standard", ...) (or the other
-// presets) for the unified path; RunSLAM remains for custom SLAMConfig
-// values.
-func (s *Session) RunSLAM(cfg SLAMConfig) (*SLAMMetrics, error) {
-	//simlint:allow ctxflow -- deprecated pre-ctx shim kept for compatibility; use Session.Run(ctx, ...)
-	res, err := s.RunWorkload(context.Background(), configSLAMWorkload{cfg: cfg})
-	if err != nil {
-		return nil, err
-	}
-	return res.SLAM, nil
-}
-
-// configSLAMWorkload wraps an arbitrary SLAMConfig as an unregistered
-// workload so legacy RunSLAM rides the same queue as everything else.
-type configSLAMWorkload struct{ cfg slam.Config }
-
-func (w configSLAMWorkload) Info() WorkloadInfo {
-	return WorkloadInfo{Name: "slam/" + w.cfg.Name, Kind: KindSLAM, Suite: "SLAMBench"}
-}
-
-func (w configSLAMWorkload) Execute(ctx context.Context, s *Session, opt *RunOptions) (*RunResult, error) {
-	return runSLAMConfig(ctx, s, "slam/"+w.cfg.Name, 0, w.cfg)
-}
 
 // SgemmVariant is one step of the desktop-GPU SGEMM optimisation ladder
 // (naive, coalesced, tiled, …) evaluated in Fig 15.
@@ -400,29 +346,6 @@ type SgemmVariant = workloads.SgemmVariant
 
 // SgemmVariants returns the six tuning-ladder variants in order.
 func SgemmVariants() []SgemmVariant { return workloads.SgemmVariants() }
-
-// SgemmInputs builds deterministic m×k and k×n input matrices.
-func SgemmInputs(m, n, k int) (a, b []float32) { return workloads.SgemmInputs(m, n, k) }
-
-// SgemmNative computes the host-native reference product.
-func SgemmNative(a, b []float32, m, n, k int) []float32 {
-	return workloads.SgemmNative(a, b, m, n, k)
-}
-
-// RunSgemm executes one SGEMM variant on this session and returns the
-// m×n result matrix.
-//
-// Deprecated: use Session.Run(ctx, "sgemm6/<variant>", ...) for the
-// unified path; RunSgemm remains for arbitrary shapes and inputs.
-func (s *Session) RunSgemm(v SgemmVariant, a, b []float32, m, n, k int) ([]float32, error) {
-	var out []float32
-	err := s.withCL(func(c *cl.Context) (e error) {
-		//simlint:allow ctxflow -- deprecated pre-ctx shim kept for compatibility; use Session.Run(ctx, ...)
-		out, e = workloads.RunSgemmVariant(context.Background(), c, v, a, b, m, n, k)
-		return
-	})
-	return out, err
-}
 
 // MobileCostModel is the analytical Mali-style cost model: main-memory
 // traffic dominates, local memory is backed by the same L2.
