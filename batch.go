@@ -62,13 +62,10 @@ type BatchResult struct {
 // first scaling layer: many concurrent guests in one host process. Each
 // job gets its own Session (own platform, GPU, driver), so jobs share
 // nothing mutable and scale with host cores until memory bandwidth
-// saturates.
-//
-// Jobs that use the batch-wide Config are forked from one warm snapshot:
-// the batch boots a single session, captures it, and every such job
-// starts as a copy-on-write fork — paying the cold boot once instead of
-// N times. Jobs with their own Config still cold-boot (their shape may
-// differ from the snapshot's).
+// saturates. A local job boots its own platform: a boot costs tens of
+// microseconds (BenchmarkColdBoot), less than capturing a snapshot to fork
+// from. Only cluster mode (Hosts) captures one, because the snapshot is
+// how the batch Config reaches another host.
 type Batch struct {
 	// Jobs are the simulations to run.
 	Jobs []BatchJob
@@ -77,9 +74,6 @@ type Batch struct {
 	Workers int
 	// Config is the session configuration for jobs without their own.
 	Config Config
-	// ColdBoot disables the shared warm snapshot: every job boots its own
-	// platform from scratch, as in the pre-snapshot Batch.
-	ColdBoot bool
 	// Hosts switches the batch to cluster execution: the batch Config is
 	// booted and captured once locally, the encoded snapshot is shipped
 	// to every listed mobilesimd base URL, and jobs fan out over HTTP
@@ -123,17 +117,6 @@ func (b *Batch) Run(ctx context.Context) (*BatchResult, error) {
 	}
 
 	t0 := time.Now()
-	// Boot the batch-wide configuration once and capture it; jobs without
-	// a per-job Config fork from this warm snapshot instead of cold
-	// booting. Any failure here falls back to per-job cold boots — the
-	// snapshot is an optimisation, never a prerequisite.
-	var snap *Snapshot
-	if !b.ColdBoot && b.defaultConfigJobs() >= 2 {
-		if warm, err := New(b.Config); err == nil {
-			snap, _ = warm.Snapshot()
-			warm.Close()
-		}
-	}
 	res := &BatchResult{Jobs: make([]JobResult, len(b.Jobs))}
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
@@ -142,7 +125,7 @@ func (b *Batch) Run(ctx context.Context) (*BatchResult, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				res.Jobs[i] = b.runJob(ctx, i, snap)
+				res.Jobs[i] = b.runJob(ctx, i)
 			}
 		}()
 	}
@@ -190,38 +173,18 @@ func (b *Batch) jobConfig(i int) Config {
 	return b.Config
 }
 
-// defaultConfigJobs counts jobs that would use the batch-wide Config.
-func (b *Batch) defaultConfigJobs() int {
-	n := 0
-	for i := range b.Jobs {
-		if b.Jobs[i].Config == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// runJob obtains a session — a copy-on-write fork of the batch's warm
-// snapshot when the job uses the batch-wide Config, a cold boot otherwise
-// — submits one workload run through the session's command queue and
-// tears down. Riding the queue means batch cancellation reaches into a
-// running job: the kernel is soft-stopped at a clause boundary instead of
-// running to completion.
-func (b *Batch) runJob(ctx context.Context, i int, snap *Snapshot) JobResult {
+// runJob boots a session for job i, submits one workload run through the
+// session's command queue and tears down. Riding the queue means batch
+// cancellation reaches into a running job: the kernel is soft-stopped at a
+// clause boundary instead of running to completion.
+func (b *Batch) runJob(ctx context.Context, i int) JobResult {
 	job := b.Jobs[i]
 	jr := JobResult{Index: i, Job: job}
 	if err := ctx.Err(); err != nil {
 		jr.Err = err
 		return jr
 	}
-	var sess *Session
-	var err error
-	if job.Config == nil && snap != nil {
-		// A snapshot records no host wiring; hand the fork the batch's.
-		sess, err = New(Config{ConsoleOut: b.Config.ConsoleOut, GPUEngine: b.Config.GPUEngine}, FromSnapshot(snap))
-	} else {
-		sess, err = New(b.jobConfig(i))
-	}
+	sess, err := New(b.jobConfig(i))
 	if err != nil {
 		jr.Err = err
 		return jr

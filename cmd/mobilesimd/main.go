@@ -1,18 +1,15 @@
 // Command mobilesimd serves the simulator over HTTP: it boots one
 // platform, captures a warm snapshot, and executes registered workloads
-// on copy-on-write forked sessions drawn from warm pools — so each
-// request gets a private, fully booted guest in microseconds instead of a
-// cold boot. It is also the per-host executor of the cluster protocol
+// on copy-on-write forked sessions drawn from fixed-size warm pools — so
+// each request gets a private, fully booted guest with the configuration
+// (or warmed state) of whoever captured the snapshot, in tens of
+// microseconds. It is also the per-host executor of the cluster protocol
 // (DESIGN.md §11): a coordinator (cmd/mobilesimctl, or Batch.Hosts)
 // installs snapshots and fans jobs out over many mobilesimd processes.
 //
 // Usage:
 //
-//	mobilesimd [-addr :8900] [-pool N] [-pool-max N] [-ram MiB] [-cores N] [-threads N] [-compiler VER] [-engine warp|interp]
-//
-// With -pool-max > -pool, pools autoscale: the warm target follows the
-// request arrival rate (×observed fork latency, with headroom) between
-// the two bounds, decaying back to -pool when traffic goes idle.
+//	mobilesimd [-addr :8900] [-pool N] [-ram MiB] [-cores N] [-threads N] [-compiler VER] [-engine warp|interp]
 //
 // Endpoints:
 //
@@ -54,7 +51,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8900", "HTTP listen address")
 	pool := flag.Int("pool", 4, "warm forked sessions kept ready per pool")
-	poolMax := flag.Int("pool-max", 0, "autoscale warm sessions up to this bound under load (0 = fixed -pool size)")
 	ram := flag.Int("ram", 512, "guest RAM in MiB")
 	cores := flag.Int("cores", 8, "simulated shader cores")
 	threads := flag.Int("threads", 8, "GPU simulation host threads")
@@ -72,7 +68,6 @@ func main() {
 			GPUEngine:       *engine,
 		},
 		PoolSize:     *pool,
-		PoolMaxSize:  *poolMax,
 		MaxSnapshots: *maxSnaps,
 	}
 	srv, err := hostd.New(cfg)

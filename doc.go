@@ -74,18 +74,21 @@
 //
 // Restored sessions reproduce cold-boot statistics bit for bit.
 // Snapshots persist via Encode/ReadSnapshot (a versioned, deterministic
-// wire format), and SessionPool keeps warm forks ready for serving
-// layers (cmd/mobilesimd exposes the pool over HTTP).
+// wire format), and SessionPool keeps a fixed number of warm forks ready
+// for serving layers (cmd/mobilesimd exposes the pool over HTTP). A boot
+// is itself tens of microseconds (BenchmarkColdBoot), so a snapshot is
+// the tool for carrying a Config or warmed state to another host and for
+// forking a session that holds large buffers, not for saving boot time.
 //
 // # Batches
 //
 // A Batch runs N independent simulations across a bounded worker pool —
 // nothing mutable shared between jobs — and merges their statistics.
-// Jobs on the batch-wide configuration fork from one warm snapshot
-// (one cold boot per batch, not per job). Batch jobs ride the session
-// command queue, so batch cancellation interrupts the executing job
-// mid-run (reported as Interrupted) rather than waiting for it to
-// finish:
+// Every local job boots its own session; a cluster batch (Batch.Hosts)
+// ships one snapshot of the batch Config to its hosts. Batch jobs ride
+// the session command queue, so batch cancellation interrupts the
+// executing job mid-run (reported as Interrupted) rather than waiting for
+// it to finish:
 //
 //	batch := &mobilesim.Batch{Jobs: jobs, Workers: 4}
 //	res, err := batch.Run(ctx)

@@ -13,7 +13,7 @@
 //
 // where <decl> is a function name (AtomicLoad32), a method with its
 // pointer-stripped receiver (Walker.Load), or a package-level var whose
-// initializer holds function literals (binFns). By default the
+// initializer holds function literals (slowBin). By default the
 // declaration's body is checked excluding nested function literals
 // (creating a closure heap-allocates at compile time, which is fine off
 // the hot path); with +closures only the literals' bodies are checked —

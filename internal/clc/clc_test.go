@@ -1,6 +1,7 @@
 package clc_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -454,6 +455,42 @@ func TestCompileErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err.Error(), c.wantSub)
 			}
 		})
+	}
+}
+
+// TestParameterLimit: the uniform file holds gpu.NumUniforms kernel
+// arguments. One more is a compile error naming the kernel and the limit,
+// whether or not the surplus parameter is ever read (reading it used to
+// panic in the operand encoder; not reading it produced a binary whose
+// argument block the GPU cannot address).
+func TestParameterLimit(t *testing.T) {
+	kernel := func(params int, body string) string {
+		var b strings.Builder
+		b.WriteString("kernel void wide(global int* o")
+		for i := 1; i < params; i++ {
+			fmt.Fprintf(&b, ", int p%d", i)
+		}
+		return b.String() + ") { " + body + " }"
+	}
+	if _, err := clc.CompileAll(kernel(gpu.NumUniforms, "o[0] = p63;"), clc.Options{}); err != nil {
+		t.Fatalf("%d parameters, the last one read: %v", gpu.NumUniforms, err)
+	}
+	for _, c := range []struct {
+		params int
+		body   string
+	}{
+		{gpu.NumUniforms + 1, "o[0] = 1;"},
+		{gpu.NumUniforms + 2, "o[0] = p65;"},
+	} {
+		_, err := clc.CompileAll(kernel(c.params, c.body), clc.Options{})
+		if err == nil {
+			t.Fatalf("%d parameters (%s) compiled", c.params, c.body)
+		}
+		for _, want := range []string{`"wide"`, fmt.Sprint(c.params), fmt.Sprint(gpu.NumUniforms)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%d parameters: error %q does not mention %s", c.params, err, want)
+			}
+		}
 	}
 }
 

@@ -111,6 +111,9 @@ func CompileAll(src string, opt Options) (map[string]*CompiledKernel, error) {
 		if _, dup := out[k.Name]; dup {
 			return nil, fmt.Errorf("clc: duplicate kernel %q", k.Name)
 		}
+		if len(k.Params) > gpu.NumUniforms {
+			return nil, fmt.Errorf("clc: kernel %q has %d parameters, the uniform file holds %d", k.Name, len(k.Params), gpu.NumUniforms)
+		}
 		fn, err := lowerKernel(k, ver)
 		if err != nil {
 			return nil, err

@@ -3,7 +3,6 @@ package gpu
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 )
 
 // Binary program format. The compiler serialises shader programs into this
@@ -45,8 +44,6 @@ type Program struct {
 	ROM      []uint64
 	RegCount int
 	Uniforms int
-	// Hash fingerprints the binary bytes for the decode cache.
-	Hash uint64
 
 	// warp holds the lazily built warp-engine tapes, compiled at most
 	// once per decoded program, under the owning ProgramCache's lock when
@@ -115,6 +112,9 @@ func ParseBinary(b []byte) (*Program, error) {
 	regCount := int(u32(8))
 	uniforms := int(u32(12))
 	romCount := int(u32(16))
+	if regCount > NumGRF || uniforms > NumUniforms {
+		return nil, fmt.Errorf("gpu: binary declares %d registers and %d uniforms (at most %d and %d)", regCount, uniforms, NumGRF, NumUniforms)
+	}
 	off := 24
 	if len(b) < off+8*romCount {
 		return nil, fmt.Errorf("gpu: truncated ROM table")
@@ -168,9 +168,6 @@ func ParseBinary(b []byte) (*Program, error) {
 			}
 		}
 	}
-	h := fnv.New64a()
-	_, _ = h.Write(b)
-	p.Hash = h.Sum64()
 	return p, nil
 }
 

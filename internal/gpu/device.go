@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -519,49 +520,53 @@ func EncodeDescriptor(desc *JobDescriptor) []byte {
 
 // decodeShader reads the shader binary from guest memory and decodes it,
 // consulting the content-keyed decode cache so each program is decoded
-// exactly once.
+// exactly once. The hash only finds the entry; its bytes decide the hit, so
+// a binary whose hash another binary holds is decoded privately and not
+// cached, as every binary is with the cache off.
 func (d *Device) decodeShader(walker *mmu.Walker, desc *JobDescriptor) (*Program, error) {
 	raw, err := readGuest(walker, desc.ShaderVA, int(desc.ShaderSize))
 	if err != nil {
 		return nil, err
 	}
-	if !d.cfg.DecodeCache {
-		d.decodeMu.Lock()
-		d.DecodesTotal++
-		d.decodeMu.Unlock()
-		p, err := ParseBinary(raw)
-		if err != nil {
-			return nil, err
+	if d.cfg.DecodeCache {
+		key, c := hashBytes(raw), d.programs
+		c.mu.Lock()
+		e, hit := c.m[key]
+		if !hit {
+			p, err := ParseBinary(raw)
+			if err != nil {
+				c.mu.Unlock()
+				return nil, err
+			}
+			d.countDecode()
+			e = cachedProgram{raw: raw, prog: p}
+			c.m[key] = e
 		}
-		p.compile(d.cfg.Engine)
-		return p, nil
-	}
-	key := hashBytes(raw)
-	c := d.programs
-	c.mu.Lock()
-	p, hit := c.m[key]
-	if !hit {
-		var err error
-		p, err = ParseBinary(raw)
-		if err != nil {
+		if bytes.Equal(e.raw, raw) {
+			// Compile under the cache lock: when the cache is shared across
+			// snapshot forks, the lock publishes the artifact pointer to every
+			// other session's Job Manager before its exec workers can observe
+			// the program; once set an artifact is never replaced, so the
+			// workers' lock-free reads are race-free.
+			e.prog.compile(d.cfg.Engine)
 			c.mu.Unlock()
-			return nil, err
+			return e.prog, nil
 		}
-		c.m[key] = p
+		c.mu.Unlock()
 	}
-	// Compile under the cache lock: when the cache is shared across
-	// snapshot forks, the lock publishes the artifact pointer to every
-	// other session's Job Manager before its exec workers can observe the
-	// program; once set an artifact is never replaced, so the workers'
-	// lock-free reads are race-free.
+	d.countDecode()
+	p, err := ParseBinary(raw)
+	if err != nil {
+		return nil, err
+	}
 	p.compile(d.cfg.Engine)
-	c.mu.Unlock()
-	if !hit {
-		d.decodeMu.Lock()
-		d.DecodesTotal++
-		d.decodeMu.Unlock()
-	}
 	return p, nil
+}
+
+func (d *Device) countDecode() {
+	d.decodeMu.Lock()
+	d.DecodesTotal++
+	d.decodeMu.Unlock()
 }
 
 func (d *Device) readUniforms(walker *mmu.Walker, desc *JobDescriptor, prog *Program) ([]uint64, error) {

@@ -43,12 +43,18 @@ func (e Engine) String() string {
 // their exec goroutines start, which publishes the pointer race-free.
 type ProgramCache struct {
 	mu sync.Mutex
-	m  map[uint64]*Program
+	m  map[uint64]cachedProgram // by hashBytes(raw)
+}
+
+// cachedProgram is a decoded program and the binary it was decoded from.
+type cachedProgram struct {
+	raw  []byte
+	prog *Program
 }
 
 // NewProgramCache returns an empty program cache.
 func NewProgramCache() *ProgramCache {
-	return &ProgramCache{m: make(map[uint64]*Program)}
+	return &ProgramCache{m: make(map[uint64]cachedProgram)}
 }
 
 // compile ensures the artifact the chosen engine runs exists (the

@@ -1,0 +1,14 @@
+package gpu
+
+// PlantCollision files squatter's decoded program under victim's cache key,
+// as if the two binaries shared one 64-bit hash.
+func (c *ProgramCache) PlantCollision(victim, squatter []byte) error {
+	p, err := ParseBinary(squatter)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[hashBytes(victim)] = cachedProgram{raw: squatter, prog: p}
+	return nil
+}

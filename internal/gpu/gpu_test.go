@@ -566,6 +566,58 @@ func TestDecodeCacheDecodesOnce(t *testing.T) {
 	}
 }
 
+// TestDecodeCacheHashCollision: the decode cache is shared by every fork of
+// a snapshot, so a 64-bit hash alone must not decide which code a job runs.
+// With another binary's program planted under the vector-add binary's key,
+// a vector-add job must still add — decoded privately, never cached.
+func TestDecodeCacheHashCollision(t *testing.T) {
+	sub := vecAddProgram()
+	sub.Clauses[0].Instrs[5].Op = gpu.OpISUB
+	squatter, err := gpu.Serialize(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := gpu.Serialize(vecAddProgram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := gpu.DefaultConfig()
+	cfg.Programs = gpu.NewProgramCache()
+	if err := cfg.Programs.PlantCollision(victim, squatter); err != nil {
+		t.Fatal(err)
+	}
+	r := newRig(t, cfg)
+	const n = 64
+	a, b, out := r.allocBuf(4*n), r.allocBuf(4*n), r.allocBuf(4*n)
+	av, bv := make([]int32, n), make([]int32, n)
+	for i := range av {
+		av[i], bv[i] = int32(10*i), int32(i+1)
+	}
+	r.writeInts(a, av)
+	r.writeInts(b, bv)
+	progVA, progSize := r.loadProgram(vecAddProgram())
+	for run := 0; run < 2; run++ {
+		raw := r.submit(&gpu.JobDescriptor{
+			JobType:    gpu.JobTypeCompute,
+			GlobalSize: [3]uint32{n, 1, 1},
+			LocalSize:  [3]uint32{16, 1, 1},
+			ShaderVA:   progVA,
+			ShaderSize: progSize,
+		}, []uint64{a, b, out})
+		if raw&gpu.IRQJobDone == 0 {
+			t.Fatalf("run %d: rawstat %#x", run, raw)
+		}
+		for i, got := range r.readInts(out, n) {
+			if want := av[i] + bv[i]; got != want {
+				t.Fatalf("run %d: out[%d] = %d, want %d: the job ran the colliding entry's code", run, i, got, want)
+			}
+		}
+	}
+	if r.dev.DecodesTotal != 2 {
+		t.Errorf("decodes = %d, want 2 (a colliding binary is decoded per job, not cached)", r.dev.DecodesTotal)
+	}
+}
+
 func TestPagesAccessedTracked(t *testing.T) {
 	r := newRig(t, gpu.DefaultConfig())
 	const n = 4096 // 16 KiB per buffer = 4 pages each
@@ -668,6 +720,32 @@ func TestBinaryValidation(t *testing.T) {
 	}
 	if _, err := gpu.ParseBinary(raw); err == nil {
 		t.Error("out-of-range clause temporary accepted")
+	}
+	// Header words that size later allocations: a uniform count sizes the
+	// argument read (0xFFFFFFFF would be a 32 GiB make), a register count
+	// beyond the file is a binary no compiler emits. Hand-made headers over
+	// a valid one-clause body.
+	if raw, err = gpu.Serialize(vecAddProgram()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what   string
+		off    int // header word: 8 = regCount, 12 = uniforms
+		v      uint32
+		accept bool
+	}{
+		{"regCount = NumGRF", 8, gpu.NumGRF, true},
+		{"regCount = NumGRF+1", 8, gpu.NumGRF + 1, false},
+		{"uniforms = NumUniforms", 12, gpu.NumUniforms, true},
+		{"uniforms = NumUniforms+1", 12, gpu.NumUniforms + 1, false},
+		{"uniforms = 0xFFFFFFFF", 12, 0xFFFFFFFF, false},
+		{"regCount = 0xFFFFFFFF", 8, 0xFFFFFFFF, false},
+	} {
+		hdr := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(hdr[c.off:], c.v)
+		if _, err := gpu.ParseBinary(hdr); (err == nil) != c.accept {
+			t.Errorf("header with %s: err = %v, want accepted = %v", c.what, err, c.accept)
+		}
 	}
 	// Oversized clause rejected at serialise time.
 	big := make([]gpu.Instr, 17)

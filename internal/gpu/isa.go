@@ -191,6 +191,10 @@ const NumGRF = 64
 // NumTemp is the number of clause-temporary registers per thread.
 const NumTemp = 4
 
+// NumUniforms is the size of the uniform file: the most kernel arguments a
+// program can declare.
+const NumUniforms = 64
+
 // Operand constructors.
 
 // R returns a GRF register operand.
@@ -211,7 +215,7 @@ func T(i int) uint8 {
 
 // C returns a uniform (constant port) operand.
 func C(i int) uint8 {
-	if i < 0 || i >= 64 {
+	if i < 0 || i >= NumUniforms {
 		panic(fmt.Sprintf("gpu: bad uniform index %d", i))
 	}
 	return OperUniform<<6 | uint8(i)

@@ -134,9 +134,7 @@ func tapeFallbackReason(in *Instr) string {
 	case OpNOP, OpSTG, OpSTG64, OpSTGB, OpSTL:
 		return ""
 	}
-	_, un := unFns[in.Op]
-	_, bin := binFns[in.Op]
-	if Classify(in.Op) != ClassLS && !un && !bin && in.Op != OpFMA && in.Op != OpSEL {
+	if Classify(in.Op) != ClassLS && aluArity[in.Op] == 0 {
 		return "no ALU lowering: the interpreter executes it or reports the error"
 	}
 	if in.Dst >= NumGRF+NumTemp {
@@ -218,34 +216,9 @@ func (b *tapeBuilder) slowIdx(s slowOp) uint32 {
 	return uint32(len(b.wp.slow) - 1)
 }
 
-// binFns maps two-source ALU opcodes to their value functions. Membership
-// in binFns/unFns is what "has an ALU lowering" means to the tape builder;
-// the functions themselves run (through kSlow) only for the opcodes
-// without a leaf case in fastVV.
-var binFns = map[Opcode]func(a, b uint64) uint64{
-	OpIADD:   func(a, b uint64) uint64 { return uint64(uint32(a) + uint32(b)) },
-	OpISUB:   func(a, b uint64) uint64 { return uint64(uint32(a) - uint32(b)) },
-	OpIMUL:   func(a, b uint64) uint64 { return uint64(uint32(a) * uint32(b)) },
-	OpSHL:    func(a, b uint64) uint64 { return uint64(uint32(a) << (uint32(b) & 31)) },
-	OpSHR:    func(a, b uint64) uint64 { return uint64(uint32(a) >> (uint32(b) & 31)) },
-	OpSAR:    func(a, b uint64) uint64 { return uint64(uint32(int32(a) >> (uint32(b) & 31))) },
-	OpAND:    func(a, b uint64) uint64 { return a & b },
-	OpOR:     func(a, b uint64) uint64 { return a | b },
-	OpXOR:    func(a, b uint64) uint64 { return a ^ b },
-	OpADD64:  func(a, b uint64) uint64 { return a + b },
-	OpMUL64:  func(a, b uint64) uint64 { return a * b },
-	OpFADD:   func(a, b uint64) uint64 { return fbits(f32(a) + f32(b)) },
-	OpFSUB:   func(a, b uint64) uint64 { return fbits(f32(a) - f32(b)) },
-	OpFMUL:   func(a, b uint64) uint64 { return fbits(f32(a) * f32(b)) },
-	OpFDIV:   func(a, b uint64) uint64 { return fbits(f32(a) / f32(b)) },
-	OpICMPEQ: func(a, b uint64) uint64 { return b2u(uint32(a) == uint32(b)) },
-	OpICMPNE: func(a, b uint64) uint64 { return b2u(uint32(a) != uint32(b)) },
-	OpICMPLT: func(a, b uint64) uint64 { return b2u(int32(a) < int32(b)) },
-	OpICMPLE: func(a, b uint64) uint64 { return b2u(int32(a) <= int32(b)) },
-	OpUCMPLT: func(a, b uint64) uint64 { return b2u(uint32(a) < uint32(b)) },
-	OpFCMPEQ: func(a, b uint64) uint64 { return b2u(f32(a) == f32(b)) },
-	OpFCMPLT: func(a, b uint64) uint64 { return b2u(f32(a) < f32(b)) },
-	OpFCMPLE: func(a, b uint64) uint64 { return b2u(f32(a) <= f32(b)) },
+// slowBin and slowUn hold the value functions of the ALU opcodes without a
+// leaf case in fastVV; they run through kSlow.
+var slowBin = map[Opcode]func(a, b uint64) uint64{
 	OpIDIV: func(a, b uint64) uint64 {
 		if int32(b) == 0 {
 			return 0
@@ -281,33 +254,37 @@ var binFns = map[Opcode]func(a, b uint64) uint64{
 	},
 }
 
-// unFns maps one-source ALU opcodes to their value functions.
-var unFns = map[Opcode]func(a uint64) uint64{
-	OpMOV:    func(a uint64) uint64 { return a },
-	OpI2F:    func(a uint64) uint64 { return fbits(float32(int32(a))) },
-	OpF2I:    func(a uint64) uint64 { return uint64(uint32(int32(f32(a)))) },
-	OpFABS:   func(a uint64) uint64 { return fbits(float32(math.Abs(float64(f32(a))))) },
-	OpFNEG:   func(a uint64) uint64 { return fbits(-f32(a)) },
-	OpFSQRT:  func(a uint64) uint64 { return fbits(float32(math.Sqrt(float64(f32(a))))) },
-	OpFEXP:   func(a uint64) uint64 { return fbits(float32(math.Exp(float64(f32(a))))) },
-	OpFLOG:   func(a uint64) uint64 { return fbits(float32(math.Log(float64(f32(a))))) },
-	OpFSIN:   func(a uint64) uint64 { return fbits(float32(math.Sin(float64(f32(a))))) },
-	OpFCOS:   func(a uint64) uint64 { return fbits(float32(math.Cos(float64(f32(a))))) },
-	OpFFLOOR: func(a uint64) uint64 { return fbits(float32(math.Floor(float64(f32(a))))) },
+var slowUn = map[Opcode]func(a uint64) uint64{
+	OpFEXP: func(a uint64) uint64 { return fbits(float32(math.Exp(float64(f32(a))))) },
+	OpFLOG: func(a uint64) uint64 { return fbits(float32(math.Log(float64(f32(a))))) },
+	OpFSIN: func(a uint64) uint64 { return fbits(float32(math.Sin(float64(f32(a))))) },
+	OpFCOS: func(a uint64) uint64 { return fbits(float32(math.Cos(float64(f32(a))))) },
 }
 
-// fastVV, fastUV mark the opcodes with a leaf case in the executor's kVV
-// (and kVU) block and in its kUV block. Commutative integer ops need no kUV
-// case — their operands swap into kVU bit-exactly; float arithmetic keeps
-// operand order, which decides the NaN payload.
-var fastVV, fastUV = func() (vv, uv [NumOpcodes]bool) {
+// aluArity is the source-operand count of every opcode with an ALU lowering
+// (FMA and SEL read their destination as well) and 0 for every other opcode
+// byte, defined or not. fastVV, fastUV mark the opcodes with a leaf case in
+// the executor's kVV (and kVU) block and in its kUV block; the others run
+// through kSlow. Commutative integer ops need no kUV case — their operands
+// swap into kVU bit-exactly; float arithmetic keeps operand order, which
+// decides the NaN payload.
+var aluArity, fastVV, fastUV = func() (arity [256]uint8, vv, uv [NumOpcodes]bool) {
 	for _, op := range []Opcode{OpISUB, OpSHL, OpSHR, OpSAR, OpFADD, OpFSUB, OpFMUL, OpFDIV,
 		OpICMPLT, OpICMPLE, OpUCMPLT, OpFCMPLT, OpFCMPLE, OpFMA, OpSEL} {
-		vv[op], uv[op] = true, true
+		arity[op], vv[op], uv[op] = 2, true, true
 	}
 	for _, op := range []Opcode{OpIADD, OpIMUL, OpAND, OpOR, OpXOR, OpADD64, OpMUL64,
-		OpICMPEQ, OpICMPNE, OpFCMPEQ, OpMOV, OpI2F, OpF2I, OpFABS, OpFNEG, OpFSQRT, OpFFLOOR} {
-		vv[op] = true
+		OpICMPEQ, OpICMPNE, OpFCMPEQ} {
+		arity[op], vv[op] = 2, true
+	}
+	for _, op := range []Opcode{OpMOV, OpI2F, OpF2I, OpFABS, OpFNEG, OpFSQRT, OpFFLOOR} {
+		arity[op], vv[op] = 1, true
+	}
+	for op := range slowBin {
+		arity[op] = 2
+	}
+	for op := range slowUn {
+		arity[op] = 1
 	}
 	return
 }()
@@ -340,14 +317,14 @@ func (b *tapeBuilder) lower(in *Instr) {
 	st.count(dWrite)
 	op := uopKind(in.Op)
 
-	if un, ok := unFns[in.Op]; ok {
+	if aluArity[in.Op] == 1 {
 		switch {
 		case !A.vec && in.Op == OpMOV:
 			b.ops = append(b.ops, mkUop(kSplat, d, 0, 0, A.uv))
 		case fastVV[in.Op]:
 			b.ops = append(b.ops, mkUop(kVV+op, d, b.row(A, rowScratchA), 0, 0))
 		default:
-			b.ops = append(b.ops, mkUop(kSlow, d, b.row(A, rowScratchA), 0, b.slowIdx(slowOp{un: un})))
+			b.ops = append(b.ops, mkUop(kSlow, d, b.row(A, rowScratchA), 0, b.slowIdx(slowOp{un: slowUn[in.Op]})))
 		}
 		return
 	}
@@ -358,7 +335,7 @@ func (b *tapeBuilder) lower(in *Instr) {
 	}
 	if !fastVV[in.Op] {
 		b.ops = append(b.ops, mkUop(kSlow, d, b.row(A, rowScratchA), b.row(B, rowScratchB),
-			b.slowIdx(slowOp{bin: binFns[in.Op]})))
+			b.slowIdx(slowOp{bin: slowBin[in.Op]})))
 		return
 	}
 	switch {

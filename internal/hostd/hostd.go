@@ -36,11 +36,6 @@ type Config struct {
 	// PoolSize is the warm-session target of every pool, the default one
 	// and per-snapshot ones (minimum 1).
 	PoolSize int
-	// PoolMaxSize, when greater than PoolSize, turns every pool into a
-	// rate-driven autoscaler: the warm target follows request demand
-	// between [PoolSize, PoolMaxSize] and decays back when traffic goes
-	// idle (see mobilesim.PoolAutoscale). Zero keeps fixed-size pools.
-	PoolMaxSize int
 	// MaxSnapshots caps installed snapshots; the oldest install is
 	// evicted (its pool closed) to admit a new one (default 8).
 	MaxSnapshots int
@@ -52,9 +47,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.PoolSize < 1 {
 		c.PoolSize = 1
-	}
-	if c.PoolMaxSize < c.PoolSize {
-		c.PoolMaxSize = 0 // fixed-size pools
 	}
 	if c.MaxSnapshots <= 0 {
 		c.MaxSnapshots = 8
@@ -83,6 +75,17 @@ type idemEntry struct {
 	body   []byte
 }
 
+// completed reports whether the entry's first delivery has finished; only
+// then may the store evict it.
+func (e *idemEntry) completed() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Server implements the host side of the cluster protocol.
 type Server struct {
 	cfg   Config
@@ -105,10 +108,8 @@ type Server struct {
 
 	mu        sync.Mutex
 	closed    bool
-	snaps     map[string]*poolEntry
-	snapOrder []string
-	idem      map[string]*idemEntry
-	idemOrder []string
+	snaps     *registry[*poolEntry] // installed snapshots, by ref
+	idem      *registry[*idemEntry] // recorded responses, by idempotency key
 	runCounts map[string]uint64
 }
 
@@ -134,24 +135,16 @@ func New(cfg Config) (*Server, error) {
 		def:       &poolEntry{pool: pool},
 		start:     time.Now(),
 		wlLatency: make(map[string]*obs.Histogram),
-		snaps:     make(map[string]*poolEntry),
-		idem:      make(map[string]*idemEntry),
+		snaps:     newRegistry[*poolEntry](cfg.MaxSnapshots),
+		idem:      newRegistry[*idemEntry](cfg.MaxIdempotencyEntries),
 		runCounts: make(map[string]uint64),
 	}, nil
 }
 
-// newPool builds one warm pool per the configured sizing policy: fixed
-// at PoolSize, or autoscaling between [PoolSize, PoolMaxSize].
+// newPool builds one warm pool of PoolSize sessions forked from snap.
 func (c Config) newPool(snap *mobilesim.Snapshot) (*mobilesim.SessionPool, error) {
 	// The shader engine is this host's choice, whoever booted the snapshot.
-	fork := mobilesim.Config{GPUEngine: c.Sim.GPUEngine}
-	if c.PoolMaxSize > c.PoolSize {
-		return mobilesim.NewAutoscalingSessionPool(snap, mobilesim.PoolAutoscale{
-			MinWarm: c.PoolSize,
-			MaxWarm: c.PoolMaxSize,
-		}, fork)
-	}
-	return mobilesim.NewSessionPool(snap, c.PoolSize, fork)
+	return mobilesim.NewSessionPool(snap, c.PoolSize, mobilesim.Config{GPUEngine: c.Sim.GPUEngine})
 }
 
 // Close shuts down every pool. Sessions already handed out to in-flight
@@ -163,11 +156,8 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	entries := make([]*poolEntry, 0, len(s.snaps)+1)
-	entries = append(entries, s.def)
-	for _, e := range s.snaps {
-		entries = append(entries, e)
-	}
+	entries := []*poolEntry{s.def}
+	s.snaps.each(func(_ string, e *poolEntry) { entries = append(entries, e) })
 	s.mu.Unlock()
 	for _, e := range entries {
 		e.pool.Close()
@@ -247,7 +237,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	installed := len(s.snaps)
+	installed := s.snaps.len()
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
@@ -297,7 +287,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	label := r.URL.Query().Get("workload")
 
 	s.mu.Lock()
-	e, exists := s.snaps[ref]
+	e, exists := s.snaps.get(ref)
 	s.mu.Unlock()
 	if exists {
 		writeJSON(w, http.StatusOK, cluster.SnapshotResponse{Ref: ref, AlreadyInstalled: true, Workload: e.workload})
@@ -317,28 +307,20 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	entry := &poolEntry{ref: ref, workload: label, pool: pool}
 
-	var evict *poolEntry
 	s.mu.Lock()
-	if prior, raced := s.snaps[ref]; raced {
+	if prior, raced := s.snaps.get(ref); raced {
 		// A concurrent install of the same bytes won; keep its pool.
 		s.mu.Unlock()
 		pool.Close()
 		writeJSON(w, http.StatusOK, cluster.SnapshotResponse{Ref: ref, AlreadyInstalled: true, Workload: prior.workload})
 		return
 	}
-	s.snaps[ref] = entry
-	s.snapOrder = append(s.snapOrder, ref)
-	if len(s.snapOrder) > s.cfg.MaxSnapshots {
-		oldest := s.snapOrder[0]
-		s.snapOrder = s.snapOrder[1:]
-		evict = s.snaps[oldest]
-		delete(s.snaps, oldest)
-	}
+	evicted := s.snaps.put(ref, entry, func(*poolEntry) bool { return true })
 	s.mu.Unlock()
-	if evict != nil {
+	for _, old := range evicted {
 		// In-flight runs already holding forks are unaffected; later runs
 		// naming the evicted ref get unknown_snapshot and re-ship.
-		evict.pool.Close()
+		old.pool.Close()
 	}
 	s.installs.Add(1)
 	writeJSON(w, http.StatusOK, cluster.SnapshotResponse{Ref: ref, Workload: label})
@@ -402,25 +384,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 func (s *Server) claimIdem(key string) (*idemEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.idem[key]; ok {
+	if e, ok := s.idem.get(key); ok {
 		return e, false
 	}
 	e := &idemEntry{done: make(chan struct{})}
-	s.idem[key] = e
-	s.idemOrder = append(s.idemOrder, key)
-	if len(s.idemOrder) > s.cfg.MaxIdempotencyEntries {
-		oldest := s.idemOrder[0]
-		s.idemOrder = s.idemOrder[1:]
-		if old, ok := s.idem[oldest]; ok {
-			select {
-			case <-old.done:
-				delete(s.idem, oldest) // evict only completed entries
-			default:
-				// Still executing: keep it; the store briefly overshoots.
-				s.idemOrder = append(s.idemOrder, oldest)
-			}
-		}
-	}
+	// Entries still executing are kept; the store briefly overshoots.
+	s.idem.put(key, e, (*idemEntry).completed)
 	return e, true
 }
 
@@ -432,7 +401,7 @@ func (s *Server) finishIdem(key string, e *idemEntry, status int, body []byte) {
 	e.body = body
 	s.mu.Lock()
 	if status != http.StatusOK {
-		delete(s.idem, key)
+		s.idem.delete(key)
 	}
 	s.mu.Unlock()
 	close(e.done)
@@ -445,7 +414,7 @@ func (s *Server) lookupPool(ref string) (*poolEntry, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.snaps[ref]; ok {
+	if e, ok := s.snaps.get(ref); ok {
 		return e, nil
 	}
 	return nil, fmt.Errorf("snapshot %s is not installed on this host", ref)
@@ -556,7 +525,6 @@ func poolStats(e *poolEntry) map[string]any {
 	m := e.pool.Metrics()
 	out := map[string]any{
 		"warm":         m.Warm,
-		"warm_target":  m.WarmTarget,
 		"forked":       m.Forked,
 		"hits":         m.Hits,
 		"inline_forks": m.InlineForks,
@@ -576,12 +544,8 @@ func poolStats(e *poolEntry) map[string]any {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	snaps := make([]map[string]any, 0, len(s.snapOrder))
-	for _, ref := range s.snapOrder {
-		if e, ok := s.snaps[ref]; ok {
-			snaps = append(snaps, poolStats(e))
-		}
-	}
+	snaps := make([]map[string]any, 0, s.snaps.len())
+	s.snaps.each(func(_ string, e *poolEntry) { snaps = append(snaps, poolStats(e)) })
 	runs := make(map[string]uint64, len(s.runCounts))
 	for k, v := range s.runCounts {
 		runs[k] = v
@@ -601,16 +565,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"failures":          s.failures.Load(),
 		"dedup_hits":        s.dedupHits.Load(),
 		"snapshot_installs": s.installs.Load(),
-		// Back-compat flat keys for the default pool, plus the full
-		// per-pool breakdown (pool hit / inline-fork counters are the
-		// ROADMAP observability item; the hedging tests assert on them).
-		"pool_warm":         s.def.pool.Warm(),
-		"pool_forked":       s.def.pool.Forked(),
-		"pool_hits":         s.def.pool.Hits(),
-		"pool_inline_forks": s.def.pool.InlineForks(),
-		"pool":              poolStats(s.def),
-		"snapshots":         snaps,
-		"runs":              runs,
+		// The default pool, then one block per installed snapshot's pool.
+		"pool":      poolStats(s.def),
+		"snapshots": snaps,
+		"runs":      runs,
 		// Latency percentile blocks (DESIGN.md §12): whole-request run
 		// latency, per-run session queue wait, and per-workload splits.
 		"latency": map[string]any{
@@ -636,7 +594,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	pm := s.def.pool.Metrics()
 	obs.WritePromGauge(&b, "mobilesim_pool_warm", "Warm sessions currently in the default pool.", float64(pm.Warm))
-	obs.WritePromGauge(&b, "mobilesim_pool_warm_target", "Warm count the default pool is converging toward.", float64(pm.WarmTarget))
 	obs.WritePromCounter(&b, "mobilesim_pool_forked_total", "Sessions forked by the default pool.", pm.Forked)
 	obs.WritePromCounter(&b, "mobilesim_pool_hits_total", "Get calls served from the warm pool.", pm.Hits)
 	obs.WritePromCounter(&b, "mobilesim_pool_inline_forks_total", "Get calls that forked inline (pool momentarily empty).", pm.InlineForks)

@@ -9,6 +9,7 @@ import (
 	"mobilesim/internal/dev"
 	"mobilesim/internal/mem"
 	"mobilesim/internal/mmu"
+	"mobilesim/internal/simtest"
 )
 
 // The dirty map is the only thing between one session's guest bytes and
@@ -325,7 +326,7 @@ func sparseImage(tb testing.TB) *mem.Image {
 // turnover: re-acquiring a parked RAM — cold or as a fork — and recycling
 // it allocates no object.
 func TestAcquireRecycleAllocatesNothing(t *testing.T) {
-	if raceEnabled {
+	if simtest.RaceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
 	}
 	for name, img := range map[string]*mem.Image{"cold": nil, "fork": sparseImage(t)} {

@@ -208,47 +208,6 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestRateEWMA(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	e := NewRateEWMA(5 * time.Second)
-	if r := e.Rate(t0); r != 0 {
-		t.Fatalf("initial rate = %g, want 0", r)
-	}
-	// A steady 10/s stream converges toward 10/s.
-	tm := t0
-	for i := 0; i < 200; i++ {
-		tm = tm.Add(100 * time.Millisecond)
-		e.Observe(tm)
-	}
-	if r := e.Rate(tm); r < 8 || r > 12 {
-		t.Fatalf("steady-state rate = %g, want ≈10", r)
-	}
-	// One half-life idle halves the estimate; many half-lives drain it.
-	r0 := e.Rate(tm)
-	rHalf := e.Rate(tm.Add(5 * time.Second))
-	if math.Abs(rHalf-r0/2) > 0.01*r0 {
-		t.Errorf("after one half-life: %g, want %g", rHalf, r0/2)
-	}
-	if r := e.Rate(tm.Add(10 * time.Minute)); r > 0.01 {
-		t.Errorf("after long idle: %g, want ≈0", r)
-	}
-}
-
-func TestDurEWMA(t *testing.T) {
-	e := NewDurEWMA(0.5)
-	if e.Value() != 0 {
-		t.Fatalf("initial value = %v, want 0", e.Value())
-	}
-	e.Observe(100 * time.Millisecond)
-	if e.Value() != 100*time.Millisecond {
-		t.Fatalf("seed = %v, want 100ms", e.Value())
-	}
-	e.Observe(200 * time.Millisecond)
-	if e.Value() != 150*time.Millisecond {
-		t.Fatalf("after second obs = %v, want 150ms", e.Value())
-	}
-}
-
 func TestWritePromSummary(t *testing.T) {
 	var h Histogram
 	h.Observe(time.Second)

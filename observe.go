@@ -68,8 +68,7 @@ type kernelProfiler interface {
 }
 
 // modeledCost evaluates both analytical models on a per-run statistics
-// delta. The delta is always the run's own (snapshot-diffed) counters,
-// regardless of the StatsScope selected for RunResult.Stats.
+// delta: the run's own (snapshot-diffed) counters.
 func modeledCost(delta *Stats, w Workload) ModeledCost {
 	prof := costmodel.DefaultProfile()
 	if pw, ok := w.(kernelProfiler); ok {

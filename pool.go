@@ -3,7 +3,6 @@ package mobilesim
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,19 +13,15 @@ import (
 // ErrPoolClosed is returned by SessionPool.Get after Close.
 var ErrPoolClosed = errors.New("mobilesim: session pool is closed")
 
-// SessionPool maintains warm, ready-to-run sessions forked from one
-// snapshot, so serving layers (cmd/mobilesimd, custom front-ends) hand
-// out a booted session in microseconds under load. A background refiller
-// keeps the pool at its warm target; Get falls back to forking
-// synchronously when demand outruns it (forking is itself fast, so the
-// pool degrades gracefully rather than queueing).
+// SessionPool maintains a fixed number of warm, ready-to-run sessions
+// forked from one snapshot. A background refiller forks a replacement
+// after each hand-out; Get forks synchronously when demand outruns it, so
+// the pool degrades to on-demand forking rather than queueing.
 //
-// The warm target is either fixed (NewSessionPool) or driven by demand
-// (NewAutoscalingSessionPool): an EWMA of the request arrival rate
-// multiplied by the observed fork latency — the expected number of
-// arrivals while a replacement fork is in flight — with headroom,
-// bounded to [MinWarm, MaxWarm]. When traffic goes idle the rate
-// estimate decays and the refiller closes surplus warm sessions.
+// A fork costs tens of microseconds (BenchmarkSnapshotFork, DESIGN.md §8),
+// so what a warm hit saves is small next to any run; the pool's value is
+// the hand-out counters and latency histograms serving layers report
+// (cmd/mobilesimd, DESIGN.md §12).
 //
 // Sessions handed out by Get are owned by the caller and single-use by
 // convention: run what you need, then Close the session. Forked sessions
@@ -37,25 +32,14 @@ type SessionPool struct {
 	cfg  Config
 
 	warm chan *Session
-	// kick wakes the refiller after each hand-out (and from tests);
-	// buffered so pokes never block.
+	// kick wakes the refiller after each hand-out; buffered so pokes
+	// never block.
 	kick chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
-
-	sizer poolSizer
-	// now is the wall-clock position source for arrival-rate tracking
-	// and target queries — a seam for fake-clock tests. Latency
-	// *durations* (fork and hand-out timings) always use the real
-	// monotonic clock.
-	now func() time.Time
-	// recheck bounds how long the refiller sleeps between target
-	// re-evaluations, so a decayed target shrinks the pool even with no
-	// Get traffic to poke it.
-	recheck time.Duration
 
 	forked atomic.Uint64
 	hits   atomic.Uint64
@@ -66,127 +50,20 @@ type SessionPool struct {
 	inlineFork obs.Histogram
 }
 
-// poolSizer decides the pool's warm target. Implementations must be safe
-// for concurrent use.
-type poolSizer interface {
-	// observeArrival records one Get call at wall-clock position t.
-	observeArrival(t time.Time)
-	// observeFork records one measured snapshot-fork latency.
-	observeFork(d time.Duration)
-	// target returns the desired warm count as of time t.
-	target(t time.Time) int
-	// bounds returns the static [min, max] clamp.
-	bounds() (min, max int)
-}
-
-// fixedSizer pins the warm target to a constant — the classic
-// fixed-size pool.
-type fixedSizer int
-
-func (z fixedSizer) observeArrival(time.Time)  {}
-func (z fixedSizer) observeFork(time.Duration) {}
-func (z fixedSizer) target(time.Time) int      { return int(z) }
-func (z fixedSizer) bounds() (min, max int)    { return int(z), int(z) }
-
-// rateSizer is the autoscaler: warm target ≈ arrival rate × fork
-// latency × headroom (Little's law applied to the refill loop — the
-// expected number of requests that arrive while one replacement fork is
-// in flight), clamped to [min, max].
-type rateSizer struct {
-	min, max int
-	headroom float64
-	rate     *obs.RateEWMA
-	fork     *obs.DurEWMA
-}
-
-func (z *rateSizer) observeArrival(t time.Time)  { z.rate.Observe(t) }
-func (z *rateSizer) observeFork(d time.Duration) { z.fork.Observe(d) }
-func (z *rateSizer) bounds() (min, max int)      { return z.min, z.max }
-
-func (z *rateSizer) target(t time.Time) int {
-	n := int(math.Ceil(z.rate.Rate(t) * z.fork.Value().Seconds() * z.headroom))
-	if n < z.min {
-		n = z.min
-	}
-	if n > z.max {
-		n = z.max
-	}
-	return n
-}
-
-// PoolAutoscale bounds and tunes the rate-driven warm-target autoscaler
-// (NewAutoscalingSessionPool). The zero value selects all defaults.
-type PoolAutoscale struct {
-	// MinWarm and MaxWarm clamp the warm target (defaults 1 and
-	// 4×MinWarm). The pool never holds more than MaxWarm warm sessions.
-	MinWarm int
-	MaxWarm int
-	// HalfLife is the arrival-rate EWMA half-life: an idle period of one
-	// HalfLife halves the rate estimate (default 5s).
-	HalfLife time.Duration
-	// Headroom multiplies the rate×latency estimate before clamping
-	// (default 2).
-	Headroom float64
-}
-
-// withDefaults resolves zero fields to their documented defaults.
-func (a PoolAutoscale) withDefaults() PoolAutoscale {
-	if a.MinWarm < 1 {
-		a.MinWarm = 1
-	}
-	if a.MaxWarm < a.MinWarm {
-		a.MaxWarm = 4 * a.MinWarm
-	}
-	if a.HalfLife <= 0 {
-		a.HalfLife = 5 * time.Second
-	}
-	if a.Headroom <= 0 {
-		a.Headroom = 2
-	}
-	return a
-}
-
-// NewSessionPool creates a pool holding size warm sessions forked from
-// snap, each configured like New(cfg, FromSnapshot(snap)). The first
-// fork is performed synchronously so configuration errors surface
-// immediately; the rest fill in the background.
+// NewSessionPool creates a pool holding size warm sessions (minimum 1)
+// forked from snap, each configured like New(cfg, FromSnapshot(snap)).
+// The first fork is performed synchronously so configuration errors
+// surface immediately; the rest fill in the background.
 func NewSessionPool(snap *Snapshot, size int, cfg Config) (*SessionPool, error) {
 	if size < 1 {
 		size = 1
 	}
-	return newSessionPool(snap, cfg, fixedSizer(size), time.Now)
-}
-
-// NewAutoscalingSessionPool creates a pool whose warm target follows
-// demand: it grows toward a.MaxWarm when requests arrive faster than
-// forks complete and decays back to a.MinWarm when traffic goes idle
-// (see PoolAutoscale and SessionPool). The first fork is synchronous,
-// like NewSessionPool.
-func NewAutoscalingSessionPool(snap *Snapshot, a PoolAutoscale, cfg Config) (*SessionPool, error) {
-	a = a.withDefaults()
-	z := &rateSizer{
-		min:      a.MinWarm,
-		max:      a.MaxWarm,
-		headroom: a.Headroom,
-		rate:     obs.NewRateEWMA(a.HalfLife),
-		fork:     obs.NewDurEWMA(0.3),
-	}
-	return newSessionPool(snap, cfg, z, time.Now)
-}
-
-// newSessionPool is the shared constructor; tests install their own
-// sizer and clock here.
-func newSessionPool(snap *Snapshot, cfg Config, sizer poolSizer, now func() time.Time) (*SessionPool, error) {
-	_, max := sizer.bounds()
 	p := &SessionPool{
-		snap:    snap,
-		cfg:     cfg,
-		warm:    make(chan *Session, max),
-		kick:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		sizer:   sizer,
-		now:     now,
-		recheck: time.Second,
+		snap: snap,
+		cfg:  cfg,
+		warm: make(chan *Session, size),
+		kick: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	first, err := p.fork()
 	if err != nil {
@@ -198,16 +75,13 @@ func newSessionPool(snap *Snapshot, cfg Config, sizer poolSizer, now func() time
 	return p, nil
 }
 
-// fork creates one fresh session from the snapshot and feeds the fork
-// latency estimate the autoscaler divides arrival rate by.
+// fork creates one fresh session from the snapshot.
 func (p *SessionPool) fork() (*Session, error) {
-	t0 := time.Now()
 	s, err := New(p.cfg, FromSnapshot(p.snap))
 	if err != nil {
 		return nil, err
 	}
 	p.forked.Add(1)
-	p.sizer.observeFork(time.Since(t0))
 	return s, nil
 }
 
@@ -219,9 +93,8 @@ func (p *SessionPool) poke() {
 	}
 }
 
-// refill converges the warm count onto the sizer's target until the
-// pool closes: forking below target, closing surplus sessions above it
-// (the idle-decay path), and sleeping at it.
+// refill keeps the pool full until it closes: it forks while a slot is
+// free and sleeps until the next hand-out otherwise.
 func (p *SessionPool) refill() {
 	defer p.wg.Done()
 	for {
@@ -230,37 +103,28 @@ func (p *SessionPool) refill() {
 			return
 		default:
 		}
-		tgt := p.sizer.target(p.now())
-		if n := len(p.warm); n > tgt {
+		if len(p.warm) == cap(p.warm) {
 			select {
-			case s := <-p.warm:
-				s.Close()
-			default:
-			}
-			continue
-		} else if n < tgt {
-			t0 := time.Now()
-			s, err := p.fork()
-			if err != nil {
-				// Forking failed after the first one succeeded — host
-				// memory pressure, most likely. Back off to on-demand
-				// forking in Get.
-				return
-			}
-			p.refillFork.Observe(time.Since(t0))
-			select {
-			case p.warm <- s:
 			case <-p.done:
-				s.Close()
 				return
+			case <-p.kick:
 			}
 			continue
 		}
-		select {
-		case <-p.done:
+		t0 := time.Now()
+		s, err := p.fork()
+		if err != nil {
+			// Forking failed after the first one succeeded — host
+			// memory pressure, most likely. Back off to on-demand
+			// forking in Get.
 			return
-		case <-p.kick:
-		case <-time.After(p.recheck):
+		}
+		p.refillFork.Observe(time.Since(t0))
+		select {
+		case p.warm <- s:
+		case <-p.done:
+			s.Close()
+			return
 		}
 	}
 }
@@ -274,7 +138,6 @@ func (p *SessionPool) Get(ctx context.Context) (*Session, error) {
 		ctx = context.Background()
 	}
 	t0 := time.Now()
-	p.sizer.observeArrival(p.now())
 	defer p.poke()
 	select {
 	case <-p.done:
@@ -307,11 +170,6 @@ func (p *SessionPool) Get(ctx context.Context) (*Session, error) {
 // pool.
 func (p *SessionPool) Warm() int { return len(p.warm) }
 
-// WarmTarget reports the warm count the pool is currently converging
-// toward: the configured size for a fixed pool, the demand-driven
-// target for an autoscaling one.
-func (p *SessionPool) WarmTarget() int { return p.sizer.target(p.now()) }
-
 // Forked reports how many sessions the pool has forked over its lifetime
 // (warm fills plus on-demand forks).
 func (p *SessionPool) Forked() uint64 { return p.forked.Load() }
@@ -328,10 +186,8 @@ func (p *SessionPool) InlineForks() uint64 { return p.inline.Load() }
 // PoolMetrics is a point-in-time snapshot of a pool's serving metrics
 // (DESIGN.md §12).
 type PoolMetrics struct {
-	// Warm is the current warm count; WarmTarget is what the pool is
-	// converging toward.
-	Warm       int
-	WarmTarget int
+	// Warm is the current warm count.
+	Warm int
 	// Lifetime counters, as the accessor methods report them.
 	Forked      uint64
 	Hits        uint64
@@ -348,7 +204,6 @@ type PoolMetrics struct {
 func (p *SessionPool) Metrics() PoolMetrics {
 	return PoolMetrics{
 		Warm:        p.Warm(),
-		WarmTarget:  p.WarmTarget(),
 		Forked:      p.Forked(),
 		Hits:        p.Hits(),
 		InlineForks: p.InlineForks(),

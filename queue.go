@@ -226,14 +226,8 @@ func (s *Session) runWorkload(ctx context.Context, w Workload, o *RunOptions, p 
 	if res.Workload == "" {
 		res.Workload = info.Name
 	}
-	delta := post.sub(pre)
-	res.Modeled = modeledCost(&delta, w)
-	switch o.StatsScope {
-	case StatsSession:
-		res.Stats = post
-	default:
-		res.Stats = delta
-	}
+	res.Stats = post.sub(pre)
+	res.Modeled = modeledCost(&res.Stats, w)
 	if o.CollectCFG {
 		res.CFG = dev.CFGGraph().Render()
 	}

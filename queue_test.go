@@ -355,15 +355,13 @@ func TestRunStatsDelta(t *testing.T) {
 			cum.GPU.TotalInstr(), r1.Stats.GPU.TotalInstr(), r2.Stats.GPU.TotalInstr())
 	}
 
-	// The session-cumulative scope remains available per run.
-	r3, err := sess.Run(bg, "BinarySearch",
-		mobilesim.WithScale(256), mobilesim.WithStatsScope(mobilesim.StatsSession))
+	// The session-cumulative record keeps growing by one delta per run.
+	r3, err := sess.Run(bg, "BinarySearch", mobilesim.WithScale(256))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.Stats.System.ComputeJobs != cum.System.ComputeJobs+r1.Stats.System.ComputeJobs {
-		t.Errorf("StatsSession scope: jobs %d, want cumulative %d",
-			r3.Stats.System.ComputeJobs, cum.System.ComputeJobs+r1.Stats.System.ComputeJobs)
+	if got, want := sess.Stats().System.ComputeJobs, cum.System.ComputeJobs+r3.Stats.System.ComputeJobs; got != want {
+		t.Errorf("session jobs after a third run: %d, want cumulative %d", got, want)
 	}
 }
 

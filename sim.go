@@ -538,8 +538,7 @@ type RunResult struct {
 	Verified  bool
 	VerifyErr error
 	// Stats is the per-run statistics delta: the session snapshot diffed
-	// around this run (WithStatsScope(StatsSession) selects the session-
-	// cumulative snapshot instead; Session.Stats always has it).
+	// around this run (Session.Stats has the session-cumulative record).
 	Stats Stats
 	// CFG is the rendered divergence control-flow graph, collected when
 	// the run was submitted WithCFG. On sessions created with
@@ -547,10 +546,8 @@ type RunResult struct {
 	// it covers exactly this run.
 	CFG string
 	// Modeled carries the analytical Mali-G71/K20m cost estimates
-	// evaluated on this run's own statistics delta (always the per-run
-	// delta, even when StatsScope selects the session-cumulative snapshot
-	// for Stats). See ModeledCost for what the numbers do and do not
-	// claim.
+	// evaluated on this run's own statistics delta. See ModeledCost for
+	// what the numbers do and do not claim.
 	Modeled ModeledCost
 	// SLAM carries the pipeline metrics of a KindSLAM run.
 	SLAM *SLAMMetrics

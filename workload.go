@@ -116,18 +116,6 @@ func Workloads() []WorkloadInfo {
 	return out
 }
 
-// StatsScope selects what RunResult.Stats covers.
-type StatsScope int
-
-const (
-	// StatsRun reports the per-run delta: the session statistics diffed
-	// around the run. The default.
-	StatsRun StatsScope = iota
-	// StatsSession reports the session-cumulative snapshot at the end of
-	// the run (the pre-PR-3 behaviour).
-	StatsSession
-)
-
 // RunOptions is the resolved option set for one run. Callers construct it
 // through RunOption values; Workload implementations read it.
 type RunOptions struct {
@@ -141,9 +129,6 @@ type RunOptions struct {
 	// and renders it into RunResult.CFG, even when the session was not
 	// created with Config.CollectCFG.
 	CollectCFG bool
-	// StatsScope selects per-run delta (default) or session-cumulative
-	// statistics for RunResult.Stats.
-	StatsScope StatsScope
 	// ExperimentScale selects input sizes for experiment workloads
 	// (default ExperimentScaleDefault).
 	ExperimentScale ExperimentScale
@@ -168,10 +153,6 @@ func WithVerify(on bool) RunOption { return func(o *RunOptions) { o.Verify = on 
 // Config.CollectCFG the device graph is cumulative, so RunResult.CFG
 // then covers every run since session start, not just this one.
 func WithCFG() RunOption { return func(o *RunOptions) { o.CollectCFG = true } }
-
-// WithStatsScope selects per-run delta or session-cumulative statistics
-// for RunResult.Stats.
-func WithStatsScope(sc StatsScope) RunOption { return func(o *RunOptions) { o.StatsScope = sc } }
 
 // WithExperimentScale selects input sizes for experiment workloads.
 func WithExperimentScale(sc ExperimentScale) RunOption {
