@@ -466,20 +466,41 @@ func BenchmarkColdBoot(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotFork creates run-ready sessions by copy-on-write
-// forking a warm snapshot — the path cmd/mobilesimd's pools and cluster
-// batches sit on. 11–17 µs/op, 52 allocs/op over the same eight runs: two
-// to five times cheaper than a boot. One run in eight measured 631 µs/op
-// because the GC had drained the guest-RAM pool mid-loop (ROADMAP item 2).
-// A snapshot earns its keep by carrying a Config or warmed state to another
-// host and by forking sessions that hold large buffers in O(1), not by
-// saving these microseconds.
+// BenchmarkSnapshotFork creates run-ready sessions by forking a boot
+// snapshot — the path cmd/mobilesimd's pools and cluster batches sit on.
+// 11–17 µs/op, 52 allocs/op over the same eight runs: two to five times
+// cheaper than a boot. One run in eight measured 631 µs/op because the GC
+// had drained the guest-RAM pool mid-loop (ROADMAP item 2). A snapshot
+// earns its keep by carrying a Config or warmed state to another host, not
+// by saving these microseconds. The boot image holds one content page;
+// BenchmarkSnapshotForkWarm shows what each further page costs.
 func BenchmarkSnapshotFork(b *testing.B) {
 	parent, err := mobilesim.New(mobilesim.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer parent.Close()
+	benchFork(b, parent)
+}
+
+// BenchmarkSnapshotForkWarm forks a snapshot captured after a Reduction
+// run, whose image holds on the order of a hundred content pages where a
+// boot image holds one: the difference to BenchmarkSnapshotFork is the
+// per-content-page cost of copy-at-fork (DESIGN.md §8).
+func BenchmarkSnapshotForkWarm(b *testing.B) {
+	parent, err := mobilesim.New(mobilesim.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer parent.Close()
+	if _, err := parent.Run(context.Background(), "Reduction"); err != nil {
+		b.Fatal(err)
+	}
+	benchFork(b, parent)
+}
+
+// benchFork times New(FromSnapshot) + Close over a snapshot of parent.
+func benchFork(b *testing.B, parent *mobilesim.Session) {
 	snap, err := parent.Snapshot()
 	if err != nil {
 		b.Fatal(err)

@@ -1,6 +1,6 @@
 // Command mobilesimd serves the simulator over HTTP: it boots one
 // platform, captures a warm snapshot, and executes registered workloads
-// on copy-on-write forked sessions drawn from fixed-size warm pools — so
+// on sessions forked from it, drawn from fixed-size warm pools — so
 // each request gets a private, fully booted guest with the configuration
 // (or warmed state) of whoever captured the snapshot, in tens of
 // microseconds. It is also the per-host executor of the cluster protocol

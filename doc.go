@@ -66,8 +66,8 @@
 // A booted Session can be captured once and forked many times: Snapshot
 // serialises the platform state (guest RAM, MMU, devices, driver,
 // runtime) into an immutable image, and New with FromSnapshot builds a
-// ready-to-run session from it in microseconds — guest memory is shared
-// copy-on-write until the fork writes it, and no boot code re-runs:
+// ready-to-run session from it in microseconds — the fork copies the
+// image's content pages (one, for a boot) and no boot code re-runs:
 //
 //	snap, err := sess.Snapshot()
 //	fork, err := mobilesim.New(mobilesim.Config{}, mobilesim.FromSnapshot(snap))

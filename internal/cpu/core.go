@@ -253,13 +253,13 @@ type pageView struct {
 // when it can bypass the bus, refilling the one-page cache v on a miss,
 // and nil when it cannot. With translation off there is no TLB entry to
 // carry a host view, so the core keeps its own: the last page loaded from
-// (ldv) and the last page stored to (stv). Only views that can never go
-// stale are held (mem.Bus.StablePage): MMIO, still-shared copy-on-write
-// pages and page-crossing accesses stay on the bus. Filling stv makes the
-// page private, dirty-marks it once and drops any code translated from it;
-// translate in turn drops an stv of the page it reads, so a store that
-// hits stv never needs noteWrite. With translation on the walker's TLB
-// fast path does this job and counts the access: nothing is cached here.
+// (ldv) and the last page stored to (stv). A RAM page's view
+// (mem.Bus.PageView) never goes stale; MMIO and page-crossing accesses
+// stay on the bus. Filling stv dirty-marks the page once and drops any
+// code translated from it; translate in turn drops an stv of the page it
+// reads, so a store that hits stv never needs noteWrite. With translation
+// on the walker's TLB fast path does this job and counts the access:
+// nothing is cached here.
 func (c *Core) hostView(v *pageView, va uint64, size int, write bool) []byte {
 	off := va - v.base
 	if v.page == nil || off > mem.PageSize-uint64(size) {
@@ -267,14 +267,15 @@ func (c *Core) hostView(v *pageView, va uint64, size int, write bool) []byte {
 		if c.walker.Enabled() || off > mem.PageSize-uint64(size) {
 			return nil
 		}
-		page := c.bus.StablePage(va, write)
+		page := c.bus.PageView(va)
 		if page == nil {
 			return nil
 		}
 		if write {
+			c.bus.MarkDirty(va-off, mem.PageSize)
 			c.btc.noteWrite(va)
 		}
-		v.base, v.page = va-off, page
+		v.base, v.page = va-off, (*[mem.PageSize]byte)(page)
 	}
 	return v.page[off : off+uint64(size)]
 }

@@ -12,18 +12,17 @@ import (
 	"mobilesim/internal/mmu"
 )
 
-// The guest load/store host-view fast path (Core.hostView) on a
-// copy-on-write fork: it may never serve stale bytes, never write a shared
-// page, never leave a written page unmarked, and never swallow an access
-// that belongs on the bus.
+// The guest load/store host-view fast path (Core.hostView) on a forked
+// RAM: it may never serve stale bytes, never reach the image, never leave
+// a written page unmarked, and never swallow an access that belongs on the
+// bus.
 
 const (
 	dpCode   = ramBase          // the accessor routines
 	dpPageA  = ramBase + 0x4000 // three data pages captured in the image
 	dpPageB  = ramBase + 0x5000
 	dpPageC  = ramBase + 0x6000
-	dpImgEnd = ramBase + 0x8000
-	dpHeap   = ramBase + 0x10000 // page tables for the MMU test
+	dpHeap   = ramBase + 0x10000 // beyond the image: page tables for the MMU test
 	dpDevice = 0x1000_0000
 )
 
@@ -63,8 +62,8 @@ type dpMachine struct {
 	dev *countingDevice
 }
 
-// newForkMachine boots a core on a copy-on-write fork whose image holds
-// the routines and three data pages filled with 0xA1, 0xB2 and 0xC3.
+// newForkMachine boots a core on a fork of an image that holds the
+// routines and three data pages filled with 0xA1, 0xB2 and 0xC3.
 func newForkMachine(t *testing.T) *dpMachine {
 	t.Helper()
 	cold := mem.NewRAM(ramBase, 1<<20)
@@ -77,7 +76,7 @@ func newForkMachine(t *testing.T) *dpMachine {
 	if err := coldBus.WriteBytes(dpCode, dpRoutines.Code); err != nil {
 		t.Fatal(err)
 	}
-	img, err := cold.CaptureImage(dpImgEnd)
+	img, err := cold.CaptureImage()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,23 +113,18 @@ func TestGuestLoadsNeverGoStale(t *testing.T) {
 		t.Run(engine.String(), func(t *testing.T) {
 			m := newForkMachine(t)
 			m.c.SetEngine(engine)
-			// A still-shared page: were its image view cached, the host
-			// write — which privatizes the page — would go unseen.
+			// The first load caches the page's view; it is the page the
+			// host writes, before any guest store to it and after.
 			if got := m.call("load64", dpPageA); got != 0xA1A1A1A1A1A1A1A1 {
-				t.Fatalf("shared page read %#x", got)
+				t.Fatalf("image content read %#x", got)
 			}
 			m.hostWrite(dpPageA, 0x1111)
 			if got := m.call("load64", dpPageA); got != 0x1111 {
-				t.Errorf("load after host write to a shared page = %#x, want 0x1111", got)
-			}
-			// A private page: the view is cached now, and is the page the
-			// host writes.
-			if got := m.call("load64", dpPageA+8); got != 0xA1A1A1A1A1A1A1A1 {
-				t.Fatalf("private page read %#x", got)
+				t.Errorf("load after the first host write to the page = %#x, want 0x1111", got)
 			}
 			m.hostWrite(dpPageA+8, 0x2222)
 			if got := m.call("load64", dpPageA+8); got != 0x2222 {
-				t.Errorf("load after host write to a private page = %#x, want 0x2222", got)
+				t.Errorf("load after a second host write = %#x, want 0x2222", got)
 			}
 			// A guest store and a guest load see each other through their
 			// separate views.
@@ -145,31 +139,42 @@ func TestGuestLoadsNeverGoStale(t *testing.T) {
 	}
 }
 
+// TestGuestStorePrivatizesAndMarks: a guest store through the core's store
+// view stays in the fork, dirty-marks its page and drops code translated
+// from it.
 func TestGuestStorePrivatizesAndMarks(t *testing.T) {
 	m := newForkMachine(t)
-	if n := m.ram.PrivatizedPages(); n != 0 {
-		t.Fatalf("fresh fork has %d private pages", n)
-	}
-	m.call("load64", dpPageB) // loads and fetches privatize nothing
-	if n := m.ram.PrivatizedPages(); n != 0 {
-		t.Fatalf("a guest load privatized %d pages", n)
-	}
+	m.call("load64", dpPageB)
 	m.call("store64", dpPageB+64, 0xFEED)
 	m.call("store64", dpPageB+72, 0xFACE) // second store: through the cached view
-	if n := m.ram.PrivatizedPages(); n != 1 {
-		t.Errorf("two stores to one page privatized %d pages, want 1", n)
-	}
 	m.call("store32", dpPageC, 0xBEEF)
-	if n := m.ram.PrivatizedPages(); n != 2 {
-		t.Errorf("stores to two pages privatized %d pages, want 2", n)
-	}
-	// The page was copied before the store landed, and the image is intact.
+	m.call("store64", dpHeap+8, 0xD1D1) // a page the fork did not start with marked
 	if got, _ := m.bus.Read(dpPageB+56, 8); got != 0xB2B2B2B2B2B2B2B2 {
 		t.Errorf("neighbouring bytes of the stored page = %#x", got)
 	}
-	off := dpPageB - ramBase
-	if !bytes.Equal(m.img.Data()[off:off+mem.PageSize], bytes.Repeat([]byte{0xB2}, mem.PageSize)) {
-		t.Error("a guest store reached the shared image")
+	if got, _ := m.bus.Read(dpPageB+72, 8); got != 0xFACE {
+		t.Errorf("bus read of the guest store = %#x", got)
+	}
+	// Neither the image nor a sibling fork sees any of it.
+	sibling := mem.ForkRAM(m.img)
+	defer sibling.Recycle()
+	for addr, fill := range map[uint64]byte{dpPageB: 0xB2, dpPageC: 0xC3, dpHeap: 0} {
+		want, got := bytes.Repeat([]byte{fill}, mem.PageSize), make([]byte, mem.PageSize)
+		if err := mem.NewBus(sibling).ReadBytes(addr, got); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("a guest store to %#x reached a sibling fork (%v)", addr, err)
+		}
+		if off := addr - ramBase; off < m.img.CapturedBytes() && !bytes.Equal(m.img.Data()[off:off+mem.PageSize], want) {
+			t.Errorf("a guest store to %#x reached the image", addr)
+		}
+	}
+	// A store into a page holding translated code drops the translation:
+	// load32 becomes "movz x0, #7; ret".
+	if got := m.call("load32", dpPageA); got != 0xA1A1A1A1 {
+		t.Fatalf("load32 before the patch = %#x", got)
+	}
+	m.call("store32", dpRoutines.MustEntry("load32"), uint64(cpu.Encode(cpu.Inst{Op: cpu.OpMOVZ, Rd: 0, Imm: 7})))
+	if got := m.call("load32", dpPageA); got != 7 {
+		t.Errorf("patched load32 returned %#x, want 7 (stale translation?)", got)
 	}
 	// Dirty-marked: the recycler scrubs what the guest wrote.
 	audited := false
@@ -197,8 +202,7 @@ func TestDeviceAndPageCrossingAccessesStayOnTheBus(t *testing.T) {
 			t.Fatalf("after %d round trips the device saw %d reads, %d writes", i, m.dev.reads, m.dev.writes)
 		}
 	}
-	// Warm both views on page A, then straddle A|B: B is still shared, so
-	// the store must privatize it on the way.
+	// Warm both views on page A, then straddle A|B.
 	m.call("store64", dpPageA, 1)
 	m.call("load64", dpPageA)
 	const val = 0x1122334455667788
@@ -211,8 +215,9 @@ func TestDeviceAndPageCrossingAccessesStayOnTheBus(t *testing.T) {
 	if lo != val&0xFFFFFFFF || hi != val>>32 {
 		t.Errorf("page-crossing store landed as %#x | %#x", lo, hi)
 	}
-	if n := m.ram.PrivatizedPages(); n != 2 {
-		t.Errorf("%d private pages after a store across a shared page, want 2", n)
+	off := dpPageB - 4 - ramBase
+	if !bytes.Equal(m.img.Data()[off:off+8], []byte{0xA1, 0xA1, 0xA1, 0xA1, 0xB2, 0xB2, 0xB2, 0xB2}) {
+		t.Error("the page-crossing store reached the image")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package hostd is the mobilesimd server: the per-host executor of the
 // cluster protocol (DESIGN.md §11). It boots one platform, captures a
-// warm snapshot, and executes registered workloads on copy-on-write
-// forked sessions drawn from warm pools — the boot-time default pool,
-// plus one pool per snapshot installed over POST /api/v1/snapshot.
+// warm snapshot, and executes registered workloads on sessions forked
+// from it, drawn from warm pools — the boot-time default pool, plus one
+// pool per snapshot installed over POST /api/v1/snapshot.
 //
 // cmd/mobilesimd is the flag-parsing wrapper; the package exists so the
 // serving logic is testable in-process (cmd/mobilesimd's own tests, the

@@ -75,33 +75,9 @@ func (a *PageAllocator) InUse() int {
 	return int((a.next-a.base)/PageSize) - len(a.free)
 }
 
-// HighWater returns one past the highest physical address ever handed out
-// (the bump pointer). Everything the allocator has ever given a caller lies
-// in [base, HighWater()); a snapshot image captures at least that range.
-// (RAM recycling does not use it: Recycle scrubs the pages the RAM's own
-// dirty map names.)
-func (a *PageAllocator) HighWater() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.next
-}
-
-// ZeroPage clears one page frame in the given RAM. On a copy-on-write
-// fork a still-shared page is simply marked private: the fork's backing
-// store is already zero for shared pages, so no copy and no clear is
-// needed.
+// ZeroPage clears one page frame in the given RAM.
 func ZeroPage(ram *RAM, addr uint64) {
-	if ram.cow != nil && addr%PageSize == 0 && ram.Contains(addr, PageSize) {
-		pi := (addr - ram.base) / PageSize
-		if !ram.pagePrivate(pi) {
-			ram.privatizePage(pi, false)
-			return
-		}
-	}
-	b := ram.Bytes(addr, PageSize)
-	for i := range b {
-		b[i] = 0
-	}
+	clear(ram.Bytes(addr, PageSize))
 }
 
 // AllocState is the serializable state of a PageAllocator, captured for

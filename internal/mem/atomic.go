@@ -305,14 +305,9 @@ func LoadFence() {
 // AtomicRead is the atomic variant of Read for shared access paths. It
 // operates on the word-extended backing store (RAM.words) so accesses at
 // the very end of an odd-sized region still have a full containing word.
-// On a copy-on-write fork still-shared pages are served from the image
-// with the same word-granular atomicity.
 func (r *RAM) AtomicRead(addr uint64, size int) (uint64, error) {
 	if !r.Contains(addr, size) {
 		return 0, &BusError{Addr: addr, Size: size, Kind: Read, Why: "outside RAM"}
-	}
-	if r.cow != nil {
-		return r.cowAtomicRead(addr-r.base, size), nil
 	}
 	return AtomicLoadLE(r.words, addr-r.base, size), nil
 }
@@ -322,11 +317,7 @@ func (r *RAM) AtomicWrite(addr uint64, size int, val uint64) error {
 	if !r.Contains(addr, size) {
 		return &BusError{Addr: addr, Size: size, Kind: Write, Why: "outside RAM"}
 	}
-	off := addr - r.base
-	if r.cow != nil {
-		r.privatizeRange(off, uint64(size), false)
-	}
-	AtomicStoreLE(r.words, off, size, val)
+	AtomicStoreLE(r.words, addr-r.base, size, val)
 	r.markDirty(addr, size)
 	return nil
 }
@@ -362,7 +353,7 @@ func (b *Bus) AtomicReadBytes(addr uint64, dst []byte) error {
 	if !b.ram.Contains(addr, len(dst)) {
 		return &BusError{Addr: addr, Size: len(dst), Kind: Read, Why: "bulk access outside RAM"}
 	}
-	b.ram.atomicReadBytesCow(addr-b.ram.base, dst)
+	AtomicReadBytes(b.ram.words, addr-b.ram.base, dst)
 	return nil
 }
 
@@ -373,9 +364,6 @@ func (b *Bus) AtomicWriteBytes(addr uint64, src []byte) error {
 	}
 	if len(src) == 0 {
 		return nil
-	}
-	if b.ram.cow != nil {
-		b.ram.privatizeRange(addr-b.ram.base, uint64(len(src)), false)
 	}
 	AtomicWriteBytes(b.ram.words, addr-b.ram.base, src)
 	b.ram.markDirty(addr, len(src))

@@ -6,9 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"mobilesim/internal/cl"
 	"mobilesim/internal/dev"
 	"mobilesim/internal/mem"
 	"mobilesim/internal/mmu"
+	"mobilesim/internal/platform"
 	"mobilesim/internal/simtest"
 )
 
@@ -48,7 +50,8 @@ func pageRange(lo, hi uint64) []uint64 {
 }
 
 // newRAM returns a cold RAM, or a fork of a four-page image with a
-// recognisable byte in every image page.
+// recognisable byte in every image page: the fork starts with those four
+// content pages marked.
 func newRAM(t *testing.T, fork bool) *mem.RAM {
 	t.Helper()
 	if !fork {
@@ -60,7 +63,7 @@ func newRAM(t *testing.T, fork bool) *mem.RAM {
 			t.Fatal(err)
 		}
 	}
-	img, err := src.CaptureImage(dirtyBase + imgPages*page)
+	img, err := src.CaptureImage()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,68 +78,65 @@ func TestDirtyMapCoversEveryWriteEntryPoint(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name     string
-		forkOnly bool
-		write    func(t *testing.T, ram *mem.RAM, bus *mem.Bus)
-		want     []uint64 // pages newly marked by write
+		name  string
+		write func(t *testing.T, ram *mem.RAM, bus *mem.Bus)
+		want  []uint64 // pages newly marked by write
 	}{
-		{"Write word", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+		{"Write word", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			must(t, bus.Write(dirtyBase+page+8, 4, 0xdead))
 		}, []uint64{1}},
-		{"Write across a page boundary", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+		{"Write across a page boundary", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			must(t, bus.Write(dirtyBase+2*page-4, 8, ^uint64(0)))
 		}, []uint64{1, 2}},
-		{"AtomicWrite byte", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+		{"AtomicWrite byte", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			must(t, bus.AtomicWrite(dirtyBase+200*page+4095, 1, 0xff))
 		}, []uint64{200}},
-		{"AtomicWrite across the image end", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+		{"AtomicWrite across the image end", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			must(t, bus.AtomicWrite(dirtyBase+imgPages*page-2, 4, 0xfeedface))
 		}, []uint64{3, 4}},
-		{"WriteBytes over partial and whole pages", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+		{"WriteBytes over partial and whole pages", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			must(t, bus.WriteBytes(dirtyBase+page+100, bytes.Repeat([]byte{7}, 3*page)))
 		}, []uint64{1, 2, 3, 4}},
-		{"WriteBytes across map words", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+		{"WriteBytes across map words", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			must(t, bus.WriteBytes(dirtyBase+60*page+1, bytes.Repeat([]byte{9}, 70*page)))
 		}, pageRange(60, 130)},
-		{"AtomicWriteBytes", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+		{"AtomicWriteBytes", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			must(t, bus.AtomicWriteBytes(dirtyBase+3*page+4000, bytes.Repeat([]byte{5}, 200)))
 		}, []uint64{3, 4}},
-		{"Bytes view", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+		{"Bytes view", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			ram.Bytes(dirtyBase+5*page, 2*page+1)[2*page] = 1
 		}, []uint64{5, 6, 7}},
-		{"Slice view", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+		{"Slice view", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			v, ok := bus.Slice(dirtyBase, page)
 			if !ok {
 				t.Fatal("slice refused")
 			}
 			v[0] = 1
 		}, []uint64{0}},
-		{"StablePage store view", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
-			if v := bus.StablePage(dirtyBase+2*page+40, false); ram.Shared() != (v == nil) {
-				t.Fatalf("read view of a shared page handed out: shared=%v view=%v", ram.Shared(), v != nil)
-			}
-			v := bus.StablePage(dirtyBase+2*page+40, true)
+		// The guest CPU's store view: PageView itself never marks, the
+		// caller marks once when it caches a view it will store through.
+		{"StablePage store view", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+			before := ram.DirtyPages()
+			v := bus.PageView(dirtyBase + 9*page + 40)
 			if v == nil {
-				t.Fatal("store view refused")
+				t.Fatal("page view refused")
 			}
+			if got := ram.DirtyPages(); !slices.Equal(got, before) {
+				t.Fatalf("PageView marked: %v -> %v", before, got)
+			}
+			bus.MarkDirty(dirtyBase+9*page, page)
 			v[40] = 1
-			if r := bus.StablePage(dirtyBase+2*page, false); r != v {
-				t.Fatal("read view of the now-private page is not the store view")
-			}
-		}, []uint64{2}},
-		{"ZeroPage", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
-			mem.ZeroPage(ram, dirtyBase+2*page)
-		}, []uint64{2}},
-		{"privatizeSkipCopy", true, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
-			ram.PrivatizeSkipCopy(1)
-		}, []uint64{1}},
-		{"store through an MMU-cached writable view", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+		}, []uint64{9}},
+		{"ZeroPage", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+			mem.ZeroPage(ram, dirtyBase+8*page)
+		}, []uint64{8}},
+		{"store through an MMU-cached writable view", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			const va = 0x40_0000
 			alloc, err := mem.NewPageAllocator(dirtyBase+16*page, 16*page)
 			must(t, err)
 			as, err := mmu.NewAddressSpace(bus, alloc)
 			must(t, err)
-			must(t, as.Map(va, dirtyBase+3*page, mmu.PermR|mmu.PermW))
+			must(t, as.Map(va, dirtyBase+10*page, mmu.PermR|mmu.PermW))
 			tables := ram.DirtyPages() // building the tables marks them
 			w := mmu.NewSharedWalker(bus)
 			w.SetRoot(as.Root())
@@ -148,11 +148,11 @@ func TestDirtyMapCoversEveryWriteEntryPoint(t *testing.T) {
 				t.Fatal("store did not take the cached-view path")
 			}
 			got := slices.DeleteFunc(ram.DirtyPages(), func(pi uint64) bool { return slices.Contains(tables, pi) })
-			if !slices.Equal(got, []uint64{3}) {
-				t.Fatalf("MMU store marked %v beyond the tables, want [3]", got)
+			if !slices.Equal(got, []uint64{10}) {
+				t.Fatalf("MMU store marked %v beyond the tables, want [10]", got)
 			}
-		}, append(pageRange(16, 18), 3)},
-		{"block-device DMA through the bus", false, func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
+		}, append(pageRange(16, 18), 10)},
+		{"block-device DMA through the bus", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			disk := dev.NewBlock(bytes.Repeat([]byte{0xd1}, 16*dev.SectorSize), bus, nil, 0)
 			must(t, disk.WriteReg(dev.BlkSector, 8, 1))
 			must(t, disk.WriteReg(dev.BlkAddr, 8, dirtyBase+20*page+512))
@@ -165,21 +165,23 @@ func TestDirtyMapCoversEveryWriteEntryPoint(t *testing.T) {
 	}
 	for _, fork := range []bool{false, true} {
 		for _, tc := range cases {
-			if tc.forkOnly && !fork {
-				continue
-			}
 			name := tc.name + "/cold"
 			if fork {
 				name = tc.name + "/fork"
 			}
 			t.Run(name, func(t *testing.T) {
 				ram := newRAM(t, fork)
-				if got := ram.DirtyPages(); len(got) != 0 {
-					t.Fatalf("fresh RAM has marked pages %v", got)
+				var content []uint64 // what a fresh RAM has marked
+				if fork {
+					content = pageRange(0, imgPages-1)
+				}
+				if got := ram.DirtyPages(); !slices.Equal(got, content) {
+					t.Fatalf("fresh RAM has marked pages %v, want %v", got, content)
 				}
 				tc.write(t, ram, mem.NewBus(ram))
-				got, want := ram.DirtyPages(), slices.Clone(tc.want)
+				got, want := ram.DirtyPages(), append(content, tc.want...)
 				slices.Sort(want)
+				want = slices.Compact(want)
 				if !slices.Equal(got, want) {
 					t.Errorf("marked pages %v, want %v", got, want)
 				}
@@ -255,11 +257,13 @@ func TestRecycleSparse(t *testing.T) {
 }
 
 // TestDirtyMapConcurrentMarkers has every bit of one map word set by its
-// own goroutine at once — on a fork, so image pages are privatized (mutex,
-// copy, CAS) while their neighbours are merely marked (CAS only). No bit
-// may be lost, and the run must be clean under -race.
+// own goroutine at once — on a fork, so the first four start out marked.
+// No bit may be lost, and the run must be clean under -race.
 func TestDirtyMapConcurrentMarkers(t *testing.T) {
 	ram := newRAM(t, true)
+	if got := ram.DirtyPages(); !slices.Equal(got, pageRange(0, imgPages-1)) {
+		t.Fatalf("fresh fork has marked pages %v, want the image's content pages", got)
+	}
 	bus := mem.NewBus(ram)
 	var wg sync.WaitGroup
 	for pi := uint64(0); pi < 64; pi++ {
@@ -278,18 +282,51 @@ func TestDirtyMapConcurrentMarkers(t *testing.T) {
 	if got := ram.DirtyPages(); !slices.Equal(got, pageRange(0, 63)) {
 		t.Errorf("marked pages %v, want 0..63", got)
 	}
-	for pi := uint64(0); pi < imgPages; pi++ { // privatization kept the image bytes
+	for pi := uint64(0); pi < imgPages; pi++ { // the image bytes are still there
 		if v, _ := bus.Read(dirtyBase+pi*page+16, 1); v != 0x40+pi {
 			t.Errorf("page %d lost its image byte: %#x", pi, v)
 		}
-	}
-	if n := ram.PrivatizedPages(); n != imgPages {
-		t.Errorf("PrivatizedPages = %d, want %d (pages beyond the image do not count)", n, imgPages)
 	}
 	store := ram.Store()
 	ram.Recycle()
 	if !allZero(store) {
 		t.Error("recycled store is not all-zero")
+	}
+}
+
+// TestBootImageIsAFewContentPages pins the premise copy-at-fork rests on
+// (DESIGN.md §8): the image of a default boot — platform, driver probe,
+// runtime bring-up — holds at most four pages with a non-zero byte, and a
+// platform forked from it starts with exactly those pages marked.
+func TestBootImageIsAFewContentPages(t *testing.T) {
+	p, err := platform.New(platform.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := cl.NewContext(p, ""); err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var content []uint64
+	for pi, data := uint64(0), st.RAM.Data(); pi*page < uint64(len(data)); pi++ {
+		if !allZero(data[pi*page : (pi+1)*page]) {
+			content = append(content, pi)
+		}
+	}
+	if n := len(content); n == 0 || n > 4 {
+		t.Fatalf("boot image has %d content pages %v, want 1..4", n, content)
+	}
+	fork, err := platform.NewFromState(platform.Config{}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fork.Close()
+	if got := fork.RAM.DirtyPages(); !slices.Equal(got, content) {
+		t.Errorf("a fresh fork of the boot image has pages %v marked, want the content pages %v", got, content)
 	}
 }
 
@@ -315,7 +352,7 @@ func sparseImage(tb testing.TB) *mem.Image {
 	if err := src.Write(dirtyBase+8, 8, 1); err != nil {
 		tb.Fatal(err)
 	}
-	img, err := src.CaptureImage(dirtyBase + 5<<20)
+	img, err := src.CaptureImage()
 	if err != nil {
 		tb.Fatal(err)
 	}

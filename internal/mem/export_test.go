@@ -15,8 +15,5 @@ func (r *RAM) DirtyPages() []uint64 {
 	return out
 }
 
-// Store exposes the raw backing store (not the copy-on-write view).
+// Store exposes the raw backing store.
 func (r *RAM) Store() []byte { return r.words }
-
-// PrivatizeSkipCopy exposes the mark-without-copy privatization.
-func (r *RAM) PrivatizeSkipCopy(pi uint64) { r.privatizePage(pi, false) }

@@ -2,13 +2,15 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 )
 
 // imageFixture builds a small RAM with recognisable content and captures
-// it: page 0 holds 0x11.., page 1 holds 0x22.., page 2 is untouched
-// (zero), pages beyond the watermark are not captured at all.
+// it: page 0 holds 0x11.., page 1 holds 0x22.., page 2 is marked but
+// zero (so the image has two content pages of three), pages beyond the
+// highest dirty page are not captured at all.
 func imageFixture(t *testing.T) (*Image, uint64) {
 	t.Helper()
 	const base = uint64(0x8000_0000)
@@ -21,12 +23,16 @@ func imageFixture(t *testing.T) (*Image, uint64) {
 	if err := r.Write(base+PageSize, 8, 0x2222_2222_2222_2222); err != nil {
 		t.Fatal(err)
 	}
-	img, err := r.CaptureImage(base + 3*PageSize)
+	ZeroPage(r, base+2*PageSize)
+	img, err := r.CaptureImage()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if img.CapturedBytes() != 3*PageSize {
 		t.Fatalf("captured %d bytes, want %d", img.CapturedBytes(), 3*PageSize)
+	}
+	if !slices.Equal(img.content, []uint64{0, 1}) {
+		t.Fatalf("content pages %v, want [0 1]", img.content)
 	}
 	return img, base
 }
@@ -44,8 +50,10 @@ func TestForkReadsImageContent(t *testing.T) {
 	if v, err := f.Read(base+5*PageSize, 8); err != nil || v != 0 {
 		t.Fatalf("uncaptured read %#x (%v)", v, err)
 	}
-	if n := f.PrivatizedPages(); n != 0 {
-		t.Fatalf("reads privatized %d pages", n)
+	// A fresh fork starts with exactly the image's content pages marked,
+	// and reading marks nothing.
+	if got := f.DirtyPages(); !slices.Equal(got, img.content) {
+		t.Fatalf("fresh fork has pages %v marked, want the content pages %v", got, img.content)
 	}
 }
 
@@ -55,9 +63,6 @@ func TestForkWritePrivatizesAndIsolates(t *testing.T) {
 
 	if err := a.Write(base+8, 4, 0xdeadbeef); err != nil {
 		t.Fatal(err)
-	}
-	if n := a.PrivatizedPages(); n != 1 {
-		t.Fatalf("a privatized %d pages, want 1", n)
 	}
 	// a sees its own write and the rest of the page's image content.
 	if v, _ := a.Read(base+8, 4); v != 0xdeadbeef {
@@ -73,40 +78,51 @@ func TestForkWritePrivatizesAndIsolates(t *testing.T) {
 	if got := img.Data()[8]; got != 0x11 {
 		t.Fatalf("write leaked into image: %#x", got)
 	}
-	if n := b.PrivatizedPages(); n != 0 {
-		t.Fatalf("sibling privatized %d pages", n)
-	}
 }
 
+// TestForkWritePathsPrivatize: a store through each write entry point of
+// fork A lands in A and is invisible in sibling fork B and in the image.
+// (The MMU's cached views, the guest CPU's store view and block-device DMA
+// have their own isolation tests in mmu, cpu and TestForkIsolation.)
 func TestForkWritePathsPrivatize(t *testing.T) {
 	img, base := imageFixture(t)
+	one := []byte{1, 0, 0, 0}
 	paths := []struct {
 		name  string
 		write func(r *RAM) error
+		want  uint64 // what the fork then reads at base
 	}{
-		{"Write", func(r *RAM) error { return r.Write(base, 4, 1) }},
-		{"AtomicWrite", func(r *RAM) error { return r.AtomicWrite(base, 4, 1) }},
-		{"Bytes", func(r *RAM) error { r.Bytes(base, 4)[0] = 1; return nil }},
+		{"Write", func(r *RAM) error { return r.Write(base, 4, 1) }, 1},
+		{"AtomicWrite", func(r *RAM) error { return r.AtomicWrite(base, 4, 1) }, 1},
+		{"WriteBytes", func(r *RAM) error { return NewBus(r).WriteBytes(base, one) }, 1},
+		{"AtomicWriteBytes", func(r *RAM) error { return NewBus(r).AtomicWriteBytes(base, one) }, 1},
+		{"Bytes", func(r *RAM) error { copy(r.Bytes(base, 4), one); return nil }, 1},
 		{"Slice", func(r *RAM) error {
 			s, ok := r.Slice(base, 8)
 			if !ok {
 				t.Fatal("slice refused")
 			}
-			s[0] = 1
+			copy(s, one)
 			return nil
-		}},
+		}, 1},
+		{"ZeroPage", func(r *RAM) error { ZeroPage(r, base); return nil }, 0},
+		{"PageView", func(r *RAM) error { copy(NewBus(r).PageView(base+8), one); return nil }, 1},
 	}
+	before := bytes.Clone(img.Data())
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
-			f := ForkRAM(img)
-			if err := p.write(f); err != nil {
+			a, b := ForkRAM(img), ForkRAM(img)
+			if err := p.write(a); err != nil {
 				t.Fatal(err)
 			}
-			if n := f.PrivatizedPages(); n != 1 {
-				t.Fatalf("%s privatized %d pages, want 1", p.name, n)
+			if v, _ := a.Read(base, 4); v != p.want {
+				t.Errorf("%s: the fork reads back %#x, want %#x", p.name, v, p.want)
 			}
-			if img.Data()[0] != 0x11 {
-				t.Fatalf("%s mutated the image", p.name)
+			if v, _ := b.Read(base, 4); v != 0x11111111 {
+				t.Errorf("%s leaked into the sibling fork: %#x", p.name, v)
+			}
+			if !bytes.Equal(img.Data(), before) {
+				t.Errorf("%s mutated the image", p.name)
 			}
 		})
 	}
@@ -117,7 +133,7 @@ func TestForkBusPaths(t *testing.T) {
 	f := ForkRAM(img)
 	bus := NewBus(f)
 
-	// Bulk read from a shared page does not privatize.
+	// Bulk read of image content.
 	dst := make([]byte, 64)
 	if err := bus.ReadBytes(base+PageSize/2, dst); err != nil {
 		t.Fatal(err)
@@ -125,16 +141,10 @@ func TestForkBusPaths(t *testing.T) {
 	if dst[0] != 0x11 {
 		t.Fatalf("bulk read %#x", dst[0])
 	}
-	if n := f.PrivatizedPages(); n != 0 {
-		t.Fatalf("bulk read privatized %d pages", n)
-	}
-	// Bulk write crossing a page boundary privatizes both pages.
+	// Bulk write crossing a page boundary.
 	src := bytes.Repeat([]byte{0xAB}, 32)
 	if err := bus.WriteBytes(base+PageSize-16, src); err != nil {
 		t.Fatal(err)
-	}
-	if n := f.PrivatizedPages(); n != 2 {
-		t.Fatalf("crossing write privatized %d pages, want 2", n)
 	}
 	got := make([]byte, 32)
 	if err := bus.ReadBytes(base+PageSize-16, got); err != nil {
@@ -154,45 +164,17 @@ func TestForkBusPaths(t *testing.T) {
 	if adst[0] != 0xCD || adst[15] != 0xCD {
 		t.Fatalf("atomic crossing readback %x", adst)
 	}
-}
-
-func TestForkFullPageOverwriteSkipsImageCopy(t *testing.T) {
-	img, base := imageFixture(t)
-	f := ForkRAM(img)
-	bus := NewBus(f)
-	// Overwrite pages 0-1 entirely plus a partial tail into page 2: the
-	// fully covered pages must carry exactly src (no stale image bytes),
-	// the partial page must keep its image remainder.
-	src := bytes.Repeat([]byte{0xEE}, 2*PageSize+64)
-	if err := bus.WriteBytes(base, src); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(src))
-	if err := bus.ReadBytes(base, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, src) {
-		t.Fatal("full-page overwrite content mismatch")
-	}
-	if v, _ := f.Read(base+2*PageSize+64, 8); v != 0 { // page 2 was zero in the image
-		t.Fatalf("partial-page remainder %#x", v)
-	}
-	if n := f.PrivatizedPages(); n != 3 {
-		t.Fatalf("privatized %d pages, want 3", n)
-	}
-	if img.Data()[0] != 0x11 {
-		t.Fatal("overwrite mutated the image")
+	if img.Data()[PageSize-16] != 0x11 || img.Data()[2*PageSize-8] != 0 {
+		t.Fatal("a bulk write reached the image")
 	}
 }
 
+// TestForkReadCrossingSharedPrivateBoundary reads across the two edges a
+// fork's contents have: from one content page into the next, and from the
+// last captured page into the never-captured zeros beyond the image's end.
 func TestForkReadCrossingSharedPrivateBoundary(t *testing.T) {
 	img, base := imageFixture(t)
 	f := ForkRAM(img)
-	// Privatize page 0 only; page 1 stays shared.
-	if err := f.Write(base, 1, 0x99); err != nil {
-		t.Fatal(err)
-	}
-	// 8-byte read crossing from private page 0 into shared page 1.
 	v, err := f.Read(base+PageSize-4, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -203,73 +185,64 @@ func TestForkReadCrossingSharedPrivateBoundary(t *testing.T) {
 	if av, err := f.AtomicRead(base+PageSize-4, 8); err != nil || av != v {
 		t.Fatalf("atomic crossing read %#x (%v)", av, err)
 	}
-}
-
-func TestForkZeroPageSkipsCopy(t *testing.T) {
-	img, base := imageFixture(t)
-	f := ForkRAM(img)
-	ZeroPage(f, base) // page 0 holds 0x11.. in the image
-	if v, _ := f.Read(base+128, 8); v != 0 {
-		t.Fatalf("zeroed page reads %#x", v)
+	end := base + img.CapturedBytes()
+	if err := f.Write(end-4, 4, 0x3333_3333); err != nil {
+		t.Fatal(err)
 	}
-	if n := f.PrivatizedPages(); n != 1 {
-		t.Fatalf("ZeroPage privatized %d pages, want 1", n)
-	}
-	if img.Data()[128] != 0x11 {
-		t.Fatal("ZeroPage mutated the image")
+	for _, read := range []func(uint64, int) (uint64, error){f.Read, f.AtomicRead} {
+		if v, err := read(end-4, 8); err != nil || v != 0x3333_3333 {
+			t.Fatalf("read across the image's end %#x (%v)", v, err)
+		}
 	}
 }
 
 func TestForkPageView(t *testing.T) {
 	img, base := imageFixture(t)
 	f := ForkRAM(img)
-	view, ro, ok := f.PageView(base, false)
-	if !ok || !ro {
-		t.Fatalf("read view ro=%v ok=%v", ro, ok)
+	bus := NewBus(f)
+	view := bus.PageView(base + 8) // any address inside the page names it
+	if len(view) != PageSize || view[0] != 0x11 {
+		t.Fatalf("view of %d bytes, first %#x", len(view), view[0])
 	}
-	if view[0] != 0x11 {
-		t.Fatalf("read view content %#x", view[0])
-	}
-	if n := f.PrivatizedPages(); n != 0 {
-		t.Fatal("read view privatized")
-	}
-	wview, ro, ok := f.PageView(base, true)
-	if !ok || ro {
-		t.Fatalf("write view ro=%v ok=%v", ro, ok)
-	}
-	wview[0] = 0x77
+	view[0] = 0x77
 	if v, _ := f.Read(base, 1); v != 0x77 {
 		t.Fatalf("write through view invisible: %#x", v)
 	}
 	if img.Data()[0] != 0x11 {
-		t.Fatal("write view mutated the image")
+		t.Fatal("write through the view mutated the image")
 	}
-	// Unaligned or out-of-range pages are refused.
-	if _, _, ok := f.PageView(base+8, false); ok {
-		t.Fatal("unaligned PageView accepted")
+	// PageView never marks: page 2 is image-zero, so the fork did not mark it.
+	if bus.PageView(base+2*PageSize) == nil || f.pageDirty(2) {
+		t.Fatal("PageView refused a RAM page or marked it")
 	}
-	if _, _, ok := f.PageView(base+1<<30, false); ok {
+	// Pages outside the region have no view.
+	if bus.PageView(base+1<<30) != nil || bus.PageView(base-1) != nil {
 		t.Fatal("out-of-range PageView accepted")
 	}
 }
 
+// TestForkRecycleScrubsOnlyPrivatePages: Recycle clears exactly the pages
+// the fork copied from the image plus the pages written since — nothing
+// else, and those completely.
 func TestForkRecycleScrubsOnlyPrivatePages(t *testing.T) {
 	img, base := imageFixture(t)
 	f := ForkRAM(img)
-	if err := f.Write(base+PageSize, 4, 0xdead); err != nil {
+	if err := f.Write(base+5*PageSize, 4, 0xdead); err != nil {
 		t.Fatal(err)
 	}
+	if got := f.DirtyPages(); !slices.Equal(got, []uint64{0, 1, 5}) {
+		t.Fatalf("marked pages %v, want content [0 1] plus written [5]", got)
+	}
 	words := f.words
-	// A sentinel planted behind the dirty map's back, in a still-shared
-	// page, shows what Recycle clears: the one private page and no other
-	// (the boot allocations live in the shared image, not in this store).
+	// A sentinel planted behind the dirty map's back, in a page neither
+	// copied nor written, shows that Recycle clears no other page.
 	words[2*PageSize] = 0xAA
 	f.Recycle()
 	if words[2*PageSize] != 0xAA {
 		t.Fatal("Recycle cleared a page that was never marked")
 	}
 	words[2*PageSize] = 0 // the store is parked: leave it clean
-	for i, b := range words[:3*PageSize] {
+	for i, b := range words {
 		if b != 0 {
 			t.Fatalf("byte %d not scrubbed: %#x", i, b)
 		}
@@ -282,24 +255,31 @@ func TestCaptureImageOfFork(t *testing.T) {
 	if err := f.Write(base+8, 4, 0xfeedface); err != nil {
 		t.Fatal(err)
 	}
-	img2, err := f.CaptureImage(base + 3*PageSize)
+	img2, err := f.CaptureImage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The re-captured image sees the fork's logical contents: its write
-	// plus the inherited shared pages.
+	// The re-captured image holds the fork's contents: its write plus the
+	// pages inherited from the first image, up to the highest content page
+	// (the zero page 2 was not copied, so it is no longer captured).
+	if img2.CapturedBytes() != 2*PageSize {
+		t.Fatalf("recaptured %d bytes, want %d", img2.CapturedBytes(), 2*PageSize)
+	}
 	f2 := ForkRAM(img2)
 	if v, _ := f2.Read(base+8, 4); v != 0xfeedface {
 		t.Fatalf("recaptured write %#x", v)
 	}
 	if v, _ := f2.Read(base+PageSize, 8); v != 0x2222_2222_2222_2222 {
-		t.Fatalf("recaptured shared page %#x", v)
+		t.Fatalf("recaptured inherited page %#x", v)
+	}
+	if img.Data()[8] != 0x11 {
+		t.Fatal("the fork's write reached the first image")
 	}
 }
 
-// TestForkConcurrentAccess hammers one fork from many goroutines —
-// concurrent privatization, atomic stores and atomic loads on the same
-// pages — and must stay race-clean under -race.
+// TestForkConcurrentAccess hammers one fork from many goroutines — atomic
+// stores and atomic loads on the same pages — and must stay race-clean
+// under -race.
 func TestForkConcurrentAccess(t *testing.T) {
 	img, base := imageFixture(t)
 	f := ForkRAM(img)
@@ -326,10 +306,12 @@ func TestForkConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSiblingForksConcurrent runs two forks of one image concurrently;
-// each writes its own pattern and must read it back unperturbed.
+// TestSiblingForksConcurrent forks one image from several goroutines at
+// once; each fork writes its own pattern and must read it back
+// unperturbed, and the image must come through unchanged.
 func TestSiblingForksConcurrent(t *testing.T) {
 	img, base := imageFixture(t)
+	before := bytes.Clone(img.Data())
 	var wg sync.WaitGroup
 	for s := 0; s < 4; s++ {
 		wg.Add(1)
@@ -350,10 +332,8 @@ func TestSiblingForksConcurrent(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
-	for i := 0; i < 3*PageSize; i += PageSize {
-		if i == 0 && img.Data()[0] != 0x11 {
-			t.Fatal("image mutated")
-		}
+	if !bytes.Equal(img.Data(), before) {
+		t.Fatal("image mutated")
 	}
 }
 
@@ -365,7 +345,7 @@ func TestImageGeometryValidation(t *testing.T) {
 		t.Fatal("oversized data accepted")
 	}
 	r := NewRAM(0x1000, 3*PageSize+8)
-	if _, err := r.CaptureImage(0); err == nil {
+	if _, err := r.CaptureImage(); err == nil {
 		t.Fatal("unaligned RAM imaged")
 	}
 }

@@ -83,17 +83,10 @@ type RAM struct {
 	// the backing store may hold a nonzero byte. Every write path records
 	// here — Write/WriteBytes/Atomic*, Bytes/Slice views, ZeroPage, and
 	// (at walk time) the MMU's cached writable page views — so Recycle
-	// scrubs exactly the pages written. On a copy-on-write fork the same
-	// bit also means "image page pi is private" (see image.go). Atomic:
-	// GPU workers mark concurrently.
+	// scrubs exactly the pages written. A fork starts with its image's
+	// content pages marked (see image.go). Atomic: GPU workers mark
+	// concurrently.
 	dirty []atomic.Uint64
-
-	// cow is non-nil for a copy-on-write fork of a snapshot Image (see
-	// image.go): reads of still-shared pages are served from the image,
-	// and every write path privatizes the covered pages first. It points
-	// at fork, which lives inside the RAM so that forking allocates nothing.
-	cow  *cowState
-	fork cowState
 }
 
 // markDirty sets the dirty bits of every page covering [addr, addr+size).
@@ -181,13 +174,10 @@ func (r *RAM) Contains(addr uint64, size int) bool {
 // Bytes exposes the backing store for a physical range. It is the fast path
 // used by the CPU interpreter and GPU execution engines once an address has
 // been bounds-checked; mutating the returned slice mutates simulated memory.
-// On a copy-on-write fork the covered pages are privatized first (the view
-// is writable), so prefer the read paths for read-only access.
+// The view is writable, so the covered pages are marked dirty: prefer the
+// read paths for read-only access.
 func (r *RAM) Bytes(addr uint64, size int) []byte {
 	off := addr - r.base
-	if r.cow != nil {
-		r.privatizeRange(off, uint64(size), false)
-	}
 	r.markDirty(addr, size)
 	return r.data[off : off+uint64(size)]
 }
@@ -195,17 +185,13 @@ func (r *RAM) Bytes(addr uint64, size int) []byte {
 // Slice is the checked variant of Bytes: it returns a host view of
 // [addr, addr+size) when the range lies entirely inside the region, and
 // (nil, false) otherwise. Mutating the returned slice mutates simulated
-// memory, so on a copy-on-write fork the covered pages are privatized
-// first; the MMU's TLB caching uses PageView instead, which can hand out
-// shared read-only views.
+// memory, so the covered pages are marked dirty; the MMU's TLB caching
+// uses Bus.PageView instead, which does not mark.
 func (r *RAM) Slice(addr uint64, size int) ([]byte, bool) {
 	if !r.Contains(addr, size) {
 		return nil, false
 	}
 	off := addr - r.base
-	if r.cow != nil {
-		r.privatizeRange(off, uint64(size), false)
-	}
 	r.markDirty(addr, size)
 	return r.data[off : off+uint64(size)], true
 }
@@ -216,9 +202,6 @@ func (r *RAM) Read(addr uint64, size int) (uint64, error) {
 		return 0, &BusError{Addr: addr, Size: size, Kind: Read, Why: "outside RAM"}
 	}
 	off := addr - r.base
-	if r.cow != nil {
-		return r.cowRead(off, size), nil
-	}
 	return loadLE(r.data[off : off+uint64(size)]), nil
 }
 
@@ -228,9 +211,6 @@ func (r *RAM) Write(addr uint64, size int, val uint64) error {
 		return &BusError{Addr: addr, Size: size, Kind: Write, Why: "outside RAM"}
 	}
 	off := addr - r.base
-	if r.cow != nil {
-		r.privatizeRange(off, uint64(size), false)
-	}
 	storeLE(r.data[off:off+uint64(size)], size, val)
 	r.markDirty(addr, size)
 	return nil
@@ -310,16 +290,27 @@ func (b *Bus) Slice(addr uint64, size int) ([]byte, bool) {
 // MarkDirty records that the caller may write [addr, addr+size) through a
 // previously obtained host view, keeping the RAM's dirty map honest. The
 // MMU calls it once per walk when caching a writable page, which is what
-// keeps the per-store hot path free of any marking. On a copy-on-write
-// fork a marked page is a private page, so still-shared pages are
-// privatized first (the MMU only ever marks pages it already privatized).
+// keeps the per-store hot path free of any marking; the guest CPU does the
+// same for its store view.
 func (b *Bus) MarkDirty(addr uint64, size int) {
 	if b.ram.Contains(addr, size) {
-		if b.ram.cow != nil {
-			b.ram.privatizeRange(addr-b.ram.base, uint64(size), false)
-		}
 		b.ram.markDirty(addr, size)
 	}
+}
+
+// PageView returns the host view of the RAM page containing addr, or nil
+// when that page is not wholly RAM (MMIO, unmapped): device registers are
+// never served from cached views. The view aliases the store for the life
+// of the RAM, so the MMU's TLB and the guest CPU cache it. It never marks:
+// a caller that will store through the view calls MarkDirty when it caches
+// it.
+func (b *Bus) PageView(addr uint64) []byte {
+	r := b.ram
+	off := addr&^uint64(PageMask) - r.base
+	if off%PageSize != 0 || !r.Contains(r.base+off, PageSize) {
+		return nil
+	}
+	return r.data[off : off+PageSize]
 }
 
 // MapDevice registers a device at [base, base+size). Overlapping RAM or an
@@ -395,14 +386,12 @@ func (b *Bus) Write(addr uint64, size int, val uint64) error {
 }
 
 // ReadBytes copies a physical range out of RAM. Device ranges are not
-// byte-copyable; crossing out of RAM returns a BusError. On a
-// copy-on-write fork the copy is served from the logical view without
-// privatizing anything.
+// byte-copyable; crossing out of RAM returns a BusError.
 func (b *Bus) ReadBytes(addr uint64, dst []byte) error {
 	if !b.ram.Contains(addr, len(dst)) {
 		return &BusError{Addr: addr, Size: len(dst), Kind: Read, Why: "bulk access outside RAM"}
 	}
-	b.ram.readBytesCow(addr-b.ram.base, dst)
+	copy(dst, b.ram.data[addr-b.ram.base:])
 	return nil
 }
 
@@ -414,11 +403,7 @@ func (b *Bus) WriteBytes(addr uint64, src []byte) error {
 	if len(src) == 0 {
 		return nil
 	}
-	off := addr - b.ram.base
-	if b.ram.cow != nil {
-		b.ram.privatizeRange(off, uint64(len(src)), true)
-	}
-	copy(b.ram.data[off:off+uint64(len(src))], src)
+	copy(b.ram.data[addr-b.ram.base:], src)
 	b.ram.markDirty(addr, len(src))
 	return nil
 }

@@ -373,8 +373,8 @@ func TestRecycleScrubsAllWritePaths(t *testing.T) {
 			t.Fatal("slice refused")
 		}
 		view[10] = 0xEE
-		page, _, ok := bus.PageView(base+size/8, true)
-		if !ok {
+		page := bus.PageView(base + size/8)
+		if page == nil {
 			t.Fatal("page view refused")
 		}
 		bus.MarkDirty(base+size/8, PageSize) // what the MMU does at walk time

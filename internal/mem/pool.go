@@ -90,6 +90,6 @@ func (r *RAM) Recycle() {
 	if audit := recycleAudit.Load(); audit != nil && *audit != nil {
 		(*audit)(r.words, top)
 	}
-	r.data, r.cow, r.fork.img = nil, nil, nil
+	r.data = nil
 	ramPool(uint64(len(r.words))).Put(r)
 }

@@ -10,10 +10,10 @@ import (
 // one translation services a whole warp's same-page lane accesses. Its
 // contract has two halves. On success, Hits/Walks and the touched-page
 // set must be exactly what n per-lane Translate calls would have
-// produced. On any decline — fault, permission, MMIO, CoW that cannot
-// privatize — the walker (counters AND TLB) must be left completely
-// untouched, so the engine's per-lane fallback replays the interpreter's
-// accounting verbatim, including a fault's abort prefix.
+// produced. On any decline — fault, permission, MMIO — the walker
+// (counters AND TLB) must be left completely untouched, so the engine's
+// per-lane fallback replays the interpreter's accounting verbatim,
+// including a fault's abort prefix.
 
 func TestBatchPageHitCountsPerLane(t *testing.T) {
 	bus, _, as := newTestEnv(t)
@@ -150,30 +150,27 @@ func TestBatchPageDeclineLeavesWalkerUntouched(t *testing.T) {
 	})
 }
 
-// TestBatchPageCowWrite pins the copy-on-write interaction: a write batch
-// through a read-primed shared view privatizes the page exactly like the
-// per-lane store path, with identical counters, and the returned view is
-// the private page (stores through it must not leak into the image).
+// TestBatchPageCowWrite pins the fork interaction: a write batch through a
+// read-primed view on a forked RAM is served from the TLB like the
+// per-lane store path, and the returned view is the fork's own page
+// (stores through it must not leak into the image or a sibling fork).
 func TestBatchPageCowWrite(t *testing.T) {
-	w, fork, va, _ := cowEnv(t, false)
-	if _, err := w.Load(va, 8, mem.Read); err != nil { // read-prime: shared view
+	w, img, va, pa := cowEnv(t, false)
+	if _, err := w.Load(va, 8, mem.Read); err != nil { // read-prime the view
 		t.Fatal(err)
 	}
-	before := fork.PrivatizedPages()
 	walks := w.Walks
 
 	page, ok := w.BatchPage(va, mem.Write, 4)
 	if !ok {
-		t.Fatal("BatchPage declined a CoW write batch")
-	}
-	if got := fork.PrivatizedPages(); got != before+1 {
-		t.Fatalf("batch write privatized %d pages, want %d", got, before+1)
+		t.Fatal("BatchPage declined a write batch on a fork")
 	}
 	if w.Walks != walks {
-		t.Errorf("privatizing upgrade walked (%d -> %d)", walks, w.Walks)
+		t.Errorf("write batch through the primed view walked (%d -> %d)", walks, w.Walks)
 	}
 	page[16] = 0xbe
 	if v, err := w.Load(va+16, 1, mem.Read); err != nil || v != 0xbe {
 		t.Fatalf("readback through walker: %#x (%v)", v, err)
 	}
+	untouched(t, img, pa)
 }

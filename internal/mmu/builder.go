@@ -37,8 +37,8 @@ func allocTable(bus *mem.Bus, alloc *mem.PageAllocator) (uint64, error) {
 
 // RestoreAddressSpace reconstructs an address space around an existing
 // page-table tree — the snapshot/restore path: the tables themselves live
-// in restored (or copy-on-write forked) RAM, so only the root pointer and
-// the mapping count need to be carried over. No memory is touched.
+// in the restored RAM, so only the root pointer and the mapping count need
+// to be carried over. No memory is touched.
 func RestoreAddressSpace(bus *mem.Bus, alloc *mem.PageAllocator, root uint64, pages int) (*AddressSpace, error) {
 	if root%mem.PageSize != 0 || root == 0 {
 		return nil, fmt.Errorf("mmu: bad restored table root %#x", root)

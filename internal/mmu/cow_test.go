@@ -1,6 +1,7 @@
 package mmu
 
 import (
+	"bytes"
 	"testing"
 
 	"mobilesim/internal/mem"
@@ -8,8 +9,8 @@ import (
 
 // cowEnv builds an address space with one RW mapping over RAM carrying a
 // known pattern, captures an image, and returns a walker over a fork of
-// it plus the fork itself.
-func cowEnv(t *testing.T, shared bool) (*Walker, *mem.RAM, uint64, uint64) {
+// it plus the image.
+func cowEnv(t *testing.T, shared bool) (*Walker, *mem.Image, uint64, uint64) {
 	t.Helper()
 	const va, pa = uint64(0x4000_0000), uint64(0x0050_0000)
 	ram := mem.NewRAM(0, 16<<20)
@@ -30,56 +31,64 @@ func cowEnv(t *testing.T, shared bool) (*Walker, *mem.RAM, uint64, uint64) {
 			t.Fatal(err)
 		}
 	}
-	img, err := ram.CaptureImage(alloc.HighWater())
+	img, err := ram.CaptureImage()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pa+mem.PageSize > img.CapturedBytes() {
 		t.Fatalf("pattern page %#x beyond captured %#x", pa, img.CapturedBytes())
 	}
-	fork := mem.ForkRAM(img)
-	fbus := mem.NewBus(fork)
+	fbus := mem.NewBus(mem.ForkRAM(img))
 	var w *Walker
 	if shared {
 		w = NewSharedWalker(fbus)
 	} else {
 		w = NewWalker(fbus)
 	}
-	w.SetRoot(as.Root()) // page tables live in the forked (shared) RAM
-	return w, fork, va, pa
+	w.SetRoot(as.Root()) // the page tables were forked with the rest
+	return w, img, va, pa
 }
 
-// TestCowReadDoesNotPrivatize pins the point of the design: a read-only
-// access pattern on a forked session shares pages with the image.
+// untouched fails the test unless the pattern page is intact both in the
+// image and in a fresh sibling fork of it: nothing a fork does through its
+// walker may reach either.
+func untouched(t *testing.T, img *mem.Image, pa uint64) {
+	t.Helper()
+	want := bytes.Repeat([]byte{0x51}, mem.PageSize)
+	if !bytes.Equal(img.Data()[pa:pa+mem.PageSize], want) {
+		t.Fatal("the fork's accesses changed the image")
+	}
+	sibling := mem.ForkRAM(img)
+	defer sibling.Recycle()
+	got := make([]byte, mem.PageSize)
+	if err := mem.NewBus(sibling).ReadBytes(pa, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the fork's accesses changed what a sibling fork reads (%v)", err)
+	}
+}
+
+// TestCowReadDoesNotPrivatize: loads through a fork's walker return the
+// image's content.
 func TestCowReadDoesNotPrivatize(t *testing.T) {
-	w, fork, va, _ := cowEnv(t, false)
+	w, img, va, pa := cowEnv(t, false)
 	for off := uint64(0); off < 256; off += 8 {
 		v, err := w.Load(va+off, 8, mem.Read)
 		if err != nil || v != 0x5151_5151_5151_5151 {
 			t.Fatalf("load %#x: %#x (%v)", va+off, v, err)
 		}
 	}
-	// The data page stays shared; only the table walk's dirty marking of
-	// page-table pages may have privatized those.
-	if got := fork.PrivatizedPages(); got > 4 {
-		t.Fatalf("reads privatized %d pages", got)
-	}
+	untouched(t, img, pa)
 }
 
-// TestCowFirstStoreUpgradesView exercises the fault-path routing: the
-// first store to a read-cached shared page privatizes it and upgrades the
-// TLB view; subsequent loads and stores serve from the private page.
+// TestCowFirstStoreUpgradesView: a store through the view a load cached
+// lands in the fork — and only there — without another walk.
 func TestCowFirstStoreUpgradesView(t *testing.T) {
-	w, fork, va, _ := cowEnv(t, false)
+	w, img, va, pa := cowEnv(t, false)
 	if _, err := w.Load(va, 8, mem.Read); err != nil {
 		t.Fatal(err)
 	}
-	before := fork.PrivatizedPages()
+	walks := w.Walks
 	if err := w.Store(va+16, 8, 0xbeef); err != nil {
 		t.Fatal(err)
-	}
-	if got := fork.PrivatizedPages(); got != before+1 {
-		t.Fatalf("store privatized %d pages, want %d", got, before+1)
 	}
 	if v, err := w.Load(va+16, 8, mem.Read); err != nil || v != 0xbeef {
 		t.Fatalf("readback %#x (%v)", v, err)
@@ -87,14 +96,13 @@ func TestCowFirstStoreUpgradesView(t *testing.T) {
 	if v, err := w.Load(va+24, 8, mem.Read); err != nil || v != 0x5151_5151_5151_5151 {
 		t.Fatalf("page remainder %#x (%v)", v, err)
 	}
-	// Second store must hit the upgraded view without another walk.
-	walks := w.Walks
 	if err := w.Store(va+32, 8, 0xcafe); err != nil {
 		t.Fatal(err)
 	}
 	if w.Walks != walks {
-		t.Fatalf("second store walked (%d -> %d)", walks, w.Walks)
+		t.Fatalf("stores through the cached view walked (%d -> %d)", walks, w.Walks)
 	}
+	untouched(t, img, pa)
 }
 
 // TestCowCountersMatchNonFork pins TLB accounting equality: the same
@@ -110,7 +118,7 @@ func TestCowCountersMatchNonFork(t *testing.T) {
 		}{
 			{0, mem.Read, false},
 			{8, mem.Read, false},
-			{16, mem.Write, true}, // first store: upgrade on fork, plain hit otherwise
+			{16, mem.Write, true}, // first store through a read-cached view
 			{24, mem.Read, false},
 			{32, mem.Write, true},
 			{4096, mem.Read, false}, // unmapped neighbour page would fault; stay in page
@@ -163,9 +171,10 @@ func TestCowCountersMatchNonFork(t *testing.T) {
 }
 
 // TestCowSharedWalkerBulk exercises the shared-mode bulk paths over a
-// fork: atomic bulk reads from shared pages, bulk writes privatizing.
+// fork: atomic bulk reads of image content, bulk writes that stay in the
+// fork.
 func TestCowSharedWalkerBulk(t *testing.T) {
-	w, fork, va, _ := cowEnv(t, true)
+	w, img, va, pa := cowEnv(t, true)
 	dst := make([]byte, 128)
 	if err := w.ReadBytes(va+64, dst); err != nil {
 		t.Fatal(err)
@@ -189,7 +198,5 @@ func TestCowSharedWalkerBulk(t *testing.T) {
 			t.Fatalf("bulk readback[%d] = %#x", i, back[i])
 		}
 	}
-	if fork.PrivatizedPages() == 0 {
-		t.Fatal("bulk write did not privatize")
-	}
+	untouched(t, img, pa)
 }

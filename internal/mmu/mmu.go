@@ -99,11 +99,6 @@ type tlbEntry struct {
 	// time when the frame is RAM-backed; nil for MMIO frames, which must
 	// always go through the bus (device reads have side effects).
 	page []byte
-	// ro marks page as a shared copy-on-write view (a forked session
-	// still sharing the page with its snapshot image): loads may be
-	// served from it, but the first store must take the fault path so the
-	// page is privatized and the view upgraded (see Translate).
-	ro bool
 }
 
 // Walker translates virtual addresses through page tables rooted at a
@@ -227,15 +222,6 @@ func (w *Walker) Translate(va uint64, kind mem.AccessKind) (uint64, *Fault) {
 		if !permOK(e.perms, kind) {
 			return 0, &Fault{Type: FaultPermission, VA: va, Kind: kind}
 		}
-		if e.ro && kind == mem.Write {
-			// First store through a shared copy-on-write view: privatize
-			// the backing page and upgrade the cached view in place. The
-			// translation itself (pfn, perms) is unchanged, so this stays
-			// a TLB hit — counters match a non-forked session exactly.
-			if page, ro, ok := w.bus.PageView(e.pfn, true); ok {
-				e.page, e.ro = page, ro
-			}
-		}
 		return e.pfn | (va & mem.PageMask), nil
 	}
 	w.Walks++
@@ -246,17 +232,13 @@ func (w *Walker) Translate(va uint64, kind mem.AccessKind) (uint64, *Fault) {
 	if w.touched != nil {
 		w.touched[vpn>>6] |= 1 << (vpn & 63)
 	}
-	// Cache the host page view. A write access asks for a writable view
-	// (privatizing a copy-on-write page); reads and fetches accept a
-	// shared read-only view so forked sessions keep sharing read-mostly
-	// pages with their snapshot image.
-	page, ro, _ := w.bus.PageView(pfn, kind == mem.Write)
-	if page != nil && !ro && perms&PermW != 0 {
-		// Stores through the cached view bypass the bus, so account the
-		// whole page to the RAM recycling watermark up front.
+	page := w.bus.PageView(pfn)
+	if page != nil && perms&PermW != 0 {
+		// Stores through the cached view bypass the bus, so mark the whole
+		// page in the RAM's dirty map up front.
 		w.bus.MarkDirty(pfn, mem.PageSize)
 	}
-	*e = tlbEntry{vpn: vpn + 1, pfn: pfn, perms: perms, page: page, ro: ro}
+	*e = tlbEntry{vpn: vpn + 1, pfn: pfn, perms: perms, page: page}
 	if !permOK(perms, kind) {
 		return 0, &Fault{Type: FaultPermission, VA: va, Kind: kind}
 	}
@@ -265,18 +247,16 @@ func (w *Walker) Translate(va uint64, kind mem.AccessKind) (uint64, *Fault) {
 
 // hitPage returns the cached host page for va when the access can be
 // served entirely from the TLB: translation on, valid entry, permitted
-// kind, RAM-backed frame, and — for stores — a writable (non-shared)
-// view. It returns nil in every other case without touching any counter;
-// the caller then falls back to Translate, which accounts the access (one
-// Hit or one Walk) exactly as before and upgrades a shared copy-on-write
-// view on the first store.
+// kind, RAM-backed frame. It returns nil in every other case without
+// touching any counter; the caller then falls back to Translate, which
+// accounts the access (one Hit or one Walk).
 func (w *Walker) hitPage(va uint64, kind mem.AccessKind) []byte {
 	if w.root == 0 {
 		return nil
 	}
 	vpn := va >> 12
 	e := &w.tlb[vpn&(tlbSize-1)]
-	if e.vpn != vpn+1 || e.page == nil || !permOK(e.perms, kind) || (e.ro && kind == mem.Write) {
+	if e.vpn != vpn+1 || e.page == nil || !permOK(e.perms, kind) {
 		return nil
 	}
 	w.Hits++
@@ -291,9 +271,8 @@ func (w *Walker) hitPage(va uint64, kind mem.AccessKind) []byte {
 // bookkeeping as Translate — followed by n-1 hits. It returns (nil,
 // false) with NO counters or TLB state touched when the batch cannot be
 // served wholesale: translation off, MMIO frame (device accesses have
-// side effects and must stay per-lane through the bus), translation or
-// permission fault (the faulting lane's counter prefix matters), or a
-// store through a copy-on-write view that failed to privatize. The
+// side effects and must stay per-lane through the bus), or translation or
+// permission fault (the faulting lane's counter prefix matters). The
 // caller then falls back to the per-lane path, which reproduces the
 // interpreter's exact counter and fault sequence.
 func (w *Walker) BatchPage(va uint64, kind mem.AccessKind, n uint64) ([]byte, bool) {
@@ -306,15 +285,6 @@ func (w *Walker) BatchPage(va uint64, kind mem.AccessKind, n uint64) ([]byte, bo
 		if e.page == nil || !permOK(e.perms, kind) {
 			return nil, false
 		}
-		if e.ro && kind == mem.Write {
-			// First store through a shared copy-on-write view: privatize
-			// and upgrade in place, as Translate does on the hit path.
-			page, ro, ok := w.bus.PageView(e.pfn, true)
-			if !ok || page == nil || ro {
-				return nil, false
-			}
-			e.page, e.ro = page, ro
-		}
 		w.Hits += n
 		return e.page, true
 	}
@@ -325,8 +295,8 @@ func (w *Walker) BatchPage(va uint64, kind mem.AccessKind, n uint64) ([]byte, bo
 	if fault != nil || !permOK(perms, kind) {
 		return nil, false
 	}
-	page, ro, _ := w.bus.PageView(pfn, kind == mem.Write)
-	if page == nil || (ro && kind == mem.Write) {
+	page := w.bus.PageView(pfn)
+	if page == nil {
 		return nil, false
 	}
 	// The batch is serviceable: account lane 0's walk exactly as
@@ -335,10 +305,10 @@ func (w *Walker) BatchPage(va uint64, kind mem.AccessKind, n uint64) ([]byte, bo
 	if w.touched != nil {
 		w.touched[vpn>>6] |= 1 << (vpn & 63)
 	}
-	if !ro && perms&PermW != 0 {
+	if perms&PermW != 0 {
 		w.bus.MarkDirty(pfn, mem.PageSize)
 	}
-	*e = tlbEntry{vpn: vpn + 1, pfn: pfn, perms: perms, page: page, ro: ro}
+	*e = tlbEntry{vpn: vpn + 1, pfn: pfn, perms: perms, page: page}
 	w.Hits += n - 1
 	return page, true
 }

@@ -97,13 +97,13 @@ func New(cfg Config) (*Platform, error) {
 
 // NewFromState builds and starts a platform — the one place the system is
 // wired together. With a nil st it cold-boots (see New). Otherwise it
-// restores captured state: guest memory is a copy-on-write fork of the
-// state's RAM image (many restored platforms share the image's pages until
-// they write), and no guest code runs — the boot work the snapshot
-// captured is not repeated; cfg then supplies only host-side wiring
-// (console writer) and GPU instrumentation knobs, and the platform shape
-// (RAM size, core count, disk) comes from the state. Callers must Close
-// the platform.
+// restores captured state: guest memory starts as a copy of the state's
+// RAM image (mem.ForkRAM copies its content pages; any number of platforms
+// can be restored from one state), and no guest code runs — the boot work
+// the snapshot captured is not repeated; cfg then supplies only host-side
+// wiring (console writer) and GPU instrumentation knobs, and the platform
+// shape (RAM size, core count, disk) comes from the state. Callers must
+// Close the platform.
 func NewFromState(cfg Config, st *State) (_ *Platform, err error) {
 	if st == nil {
 		if cfg.RAMSize == 0 {
@@ -119,6 +119,10 @@ func NewFromState(cfg Config, st *State) (_ *Platform, err error) {
 		if cfg.RAMSize != 0 && cfg.RAMSize != st.RAM.Size() {
 			return nil, fmt.Errorf("platform: config RAM %d MiB does not match snapshot %d MiB",
 				cfg.RAMSize>>20, st.RAM.Size()>>20)
+		}
+		if st.RAM.Base() != RAMBase {
+			return nil, fmt.Errorf("platform: snapshot RAM image is based at %#x, the platform's RAM at %#x",
+				st.RAM.Base(), uint64(RAMBase))
 		}
 		cfg.RAMSize, cfg.Cores, cfg.DiskImage = st.RAM.Size(), len(st.CPUs), nil
 	}

@@ -2,6 +2,7 @@ package platform_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -300,6 +301,27 @@ func TestConstructorFailuresLeakNothing(t *testing.T) {
 	}
 	if n := recycled.Load(); n != 0 {
 		t.Errorf("refused sizes acquired and recycled RAM %d times", n)
+	}
+
+	// A state whose RAM image is based anywhere but RAMBase would put main
+	// memory where the devices, the firmware and the allocator do not
+	// expect it (its first run never returned): refused up front, too.
+	moved := *st
+	if moved.RAM, err = mem.NewImage(platform.RAMBase+0x1000, st.RAM.Size(), st.RAM.Data()); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := platform.NewFromState(platform.Config{}, &moved); err == nil {
+		p.Close()
+		t.Error("from-state: RAM image based at RAMBase+0x1000 accepted")
+	} else {
+		for _, want := range []string{fmt.Sprintf("%#x", moved.RAM.Base()), fmt.Sprintf("%#x", uint64(platform.RAMBase))} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("from-state: moved base: error %q does not mention %s", err, want)
+			}
+		}
+	}
+	if n := recycled.Load(); n != 0 {
+		t.Errorf("refused states acquired and recycled RAM %d times", n)
 	}
 
 	// A failure past the RAM acquisition: a snapshot whose allocator state

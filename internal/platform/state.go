@@ -11,12 +11,12 @@ import (
 	"mobilesim/internal/mem"
 )
 
-// State is the full captured platform: guest memory (as an immutable,
-// sharable image), the physical page allocator, every CPU core's
-// architectural state, the interrupt controller, the peripherals and the
-// GPU. It is what a platform snapshot serialises and what copy-on-write
-// forks are built from. The platform must be quiescent when captured (no
-// job chain executing, no guest call in flight).
+// State is the full captured platform: guest memory (as an immutable
+// image), the physical page allocator, every CPU core's architectural
+// state, the interrupt controller, the peripherals and the GPU. It is what
+// a platform snapshot serialises and what forked platforms are built from.
+// The platform must be quiescent when captured (no job chain executing, no
+// guest call in flight).
 type State struct {
 	RAM   *mem.Image
 	Alloc mem.AllocState
@@ -37,14 +37,12 @@ type State struct {
 }
 
 // Capture snapshots the platform. The guest RAM image covers everything
-// up to the page allocator's high watermark (and the RAM's own dirty
-// watermark, whichever is higher) — every byte a correct guest can have
-// written.
+// up to the RAM's highest dirty page — every byte that was ever written.
 func (p *Platform) Capture() (*State, error) {
 	if p.closed {
 		return nil, fmt.Errorf("platform: cannot capture a closed platform")
 	}
-	img, err := p.RAM.CaptureImage(p.Alloc.HighWater())
+	img, err := p.RAM.CaptureImage()
 	if err != nil {
 		return nil, err
 	}

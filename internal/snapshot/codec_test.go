@@ -163,15 +163,26 @@ func TestHostileLengthPrefixAllocationIsBounded(t *testing.T) {
 	}
 }
 
-// TestOldEngineByteIsIgnored decodes a v1 stream as a writer with the
-// closure JIT selected produced it (the reserved byte after CollectCFG set
-// to 1). It must restore on whatever engine the restoring configuration
-// names — the warp default here — and reproduce Reduction's row of
-// goldenTable (internal/workloads/goldenstats_test.go), which is recorded
-// at four host threads.
+// TestOldEngineByteIsIgnored decodes a v1 stream as older writers produced
+// it: with the closure JIT selected (the reserved byte after CollectCFG set
+// to 1), and with the RAM image captured up to the page allocator's bump
+// pointer instead of the highest dirty page (megabytes of zeros after the
+// firmware page). It must restore on whatever engine the restoring
+// configuration names — the warp default here — and reproduce Reduction's
+// row of goldenTable (internal/workloads/goldenstats_test.go), which is
+// recorded at four host threads.
 func TestOldEngineByteIsIgnored(t *testing.T) {
 	st := bootState(t)
-	enc := encode(t, st)
+	pst := *st.Platform
+	padded := make([]byte, pst.Alloc.Next-pst.RAM.Base())
+	if copy(padded, pst.RAM.Data()) == len(padded) {
+		t.Fatalf("boot image already reaches the allocator's bump pointer %#x", pst.Alloc.Next)
+	}
+	var err error
+	if pst.RAM, err = mem.NewImage(pst.RAM.Base(), pst.RAM.Size(), padded); err != nil {
+		t.Fatal(err)
+	}
+	enc := encode(t, &State{Config: st.Config, Platform: &pst, CL: st.CL})
 	engineByte := len(magic) + 4 + 4*8 + 8 + len(st.Config.CompilerVersion) + 1
 	if enc[engineByte] != 0 {
 		t.Fatalf("reserved byte at %d is written %d, want 0", engineByte, enc[engineByte])

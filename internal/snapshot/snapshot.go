@@ -4,12 +4,13 @@
 // runtime bring-up) per session.
 //
 // A snapshot is the composition of every layer's own captured state —
-// guest RAM as a sparse immutable image (mem.Image), the page allocator,
+// guest RAM as an immutable image (mem.Image), the page allocator,
 // CPU cores, interrupt controller, peripherals, GPU, the kernel driver
 // and the CL runtime — plus the session configuration it was taken under.
 // Restoring never runs guest code: the work the snapshot captured is not
-// repeated, and guest memory is a copy-on-write fork of the image, so N
-// restored sessions share the boot pages until they write them.
+// repeated, and guest memory starts as a copy of the image's content pages
+// (mem.ForkRAM), after which a restored session shares nothing with the
+// image or with its siblings.
 //
 // The wire format (Encode/Decode) is versioned and deterministic: the
 // same state always serialises to the same bytes (maps are emitted in
@@ -40,7 +41,7 @@ type Config struct {
 
 // State is one full captured session: configuration, platform and
 // runtime. It is immutable once captured and safe to restore from
-// concurrently (forks share the RAM image read-only).
+// concurrently (a fork only reads the RAM image, while it is built).
 type State struct {
 	Config   Config
 	Platform *platform.State

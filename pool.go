@@ -24,9 +24,10 @@ var ErrPoolClosed = errors.New("mobilesim: session pool is closed")
 // (cmd/mobilesimd, DESIGN.md §12).
 //
 // Sessions handed out by Get are owned by the caller and single-use by
-// convention: run what you need, then Close the session. Forked sessions
-// share the snapshot's memory copy-on-write, so discarding one after a
-// run is cheaper than scrubbing it back to pristine state.
+// convention: run what you need, then Close the session. Close scrubs only
+// the pages the session wrote and the next fork copies only the image's
+// content pages, so discarding a session after a run is cheaper than
+// restoring it to pristine state.
 type SessionPool struct {
 	snap *Snapshot
 	cfg  Config

@@ -212,8 +212,8 @@ type Session struct {
 // the kernel module's probe path would. Callers must Close the session.
 //
 // With FromSnapshot the cold boot is skipped entirely: the session is
-// forked copy-on-write from a captured snapshot and is ready to run in
-// microseconds (see Snapshot).
+// forked from a captured snapshot and is ready to run in microseconds (see
+// Snapshot).
 func New(cfg Config, opts ...NewOption) (*Session, error) {
 	var o newOptions
 	for _, fn := range opts {

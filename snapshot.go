@@ -11,14 +11,16 @@ import (
 // This file is the facade of the snapshot/restore subsystem
 // (internal/snapshot): capture a booted session once, then fork
 // ready-to-run sessions from it in microseconds instead of paying a cold
-// boot each. Forked sessions share the snapshot's guest RAM copy-on-write
-// — pages are shared read-only until a fork writes them — so a warm pool
-// of hundreds of sessions costs little more memory than one.
+// boot each. A fork copies the pages of the snapshot's guest RAM image that
+// hold a non-zero byte — one page for a boot image — into its own memory
+// and shares nothing with the snapshot or with other forks afterwards; its
+// cost grows with the content of the image, not with the size of guest RAM
+// (DESIGN.md §8).
 
 // Snapshot is a captured, immutable image of a booted session: guest RAM
-// (sparse, up to the allocator's high watermark), MMU roots and page
-// tables, device/IRQ/Job-Manager registers, driver and CL-runtime
-// handles, and the accumulated statistics. One Snapshot can be restored
+// (up to the highest page ever written), MMU roots and page tables,
+// device/IRQ/Job-Manager registers, driver and CL-runtime handles, and
+// the accumulated statistics. One Snapshot can be restored
 // into any number of concurrent sessions; it is never mutated by them.
 //
 // Host-side handles from the captured session — *Kernel, *Buffer, the
@@ -134,9 +136,9 @@ type newOptions struct {
 }
 
 // FromSnapshot makes New restore the session from a snapshot instead of
-// cold-booting: guest memory is forked copy-on-write from the snapshot
-// image and no guest boot code runs, so the session is ready to run in
-// microseconds.
+// cold-booting: guest memory starts as a copy of the snapshot image's
+// content pages and no guest boot code runs, so the session is ready to
+// run in microseconds.
 //
 // The session's shape is the snapshot's. cfg supplies the host-side wiring
 // — ConsoleOut and GPUEngine, neither of which a snapshot records (the

@@ -3,6 +3,8 @@ package mobilesim_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"mobilesim"
 	"mobilesim/internal/cluster"
+	"mobilesim/internal/platform"
 	"mobilesim/internal/simtest"
 )
 
@@ -234,6 +237,52 @@ func TestSnapshotSerializationRoundTrip(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "mobilesim: snapshot: ") {
 		t.Errorf("decode error %q does not say where it came from", err)
+	}
+}
+
+// TestSnapshotWithMovedRAMBaseIsRefused patches the RAM image's base
+// address in an encoded boot snapshot — what a POST /api/v1/snapshot body
+// can carry. The stream still decodes, but it must not become a session:
+// with main memory 4 KiB away from where the devices, the firmware and the
+// allocator expect it, the first run never returned.
+func TestSnapshotWithMovedRAMBaseIsRefused(t *testing.T) {
+	s, err := mobilesim.New(snapCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The image section opens with its base and its size, both u64.
+	enc, section := buf.Bytes(), make([]byte, 16)
+	binary.LittleEndian.PutUint64(section, platform.RAMBase)
+	binary.LittleEndian.PutUint64(section[8:], snapCfg.RAMSize)
+	at := bytes.Index(enc, section)
+	if at < 0 {
+		t.Fatal("no RAM image section in the encoded snapshot")
+	}
+	const moved = platform.RAMBase + 0x1000
+	binary.LittleEndian.PutUint64(enc[at:], moved)
+
+	bad, err := mobilesim.ReadSnapshot(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked, err := mobilesim.New(mobilesim.Config{}, mobilesim.FromSnapshot(bad))
+	if err == nil {
+		forked.Close()
+		t.Fatal("a snapshot whose RAM image is not based at RAMBase became a session")
+	}
+	for _, want := range []string{fmt.Sprintf("%#x", uint64(moved)), fmt.Sprintf("%#x", uint64(platform.RAMBase))} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name base %s", err, want)
+		}
 	}
 }
 
