@@ -173,14 +173,19 @@ func (b *Batch) jobConfig(i int) Config {
 	return b.Config
 }
 
-// runJob boots a session for job i, submits one workload run through the
-// session's command queue and tears down. Riding the queue means batch
-// cancellation reaches into a running job: the kernel is soft-stopped at a
-// clause boundary instead of running to completion.
+// runJob boots a session for job i, runs the one workload on it and tears
+// down. The batch context governs the run, so batch cancellation reaches
+// into a running job: the kernel is soft-stopped at a clause boundary
+// instead of running to completion.
 func (b *Batch) runJob(ctx context.Context, i int) JobResult {
 	job := b.Jobs[i]
 	jr := JobResult{Index: i, Job: job}
 	if err := ctx.Err(); err != nil {
+		jr.Err = err
+		return jr
+	}
+	w, err := Lookup(job.Benchmark)
+	if err != nil {
 		jr.Err = err
 		return jr
 	}
@@ -190,17 +195,12 @@ func (b *Batch) runJob(ctx context.Context, i int) JobResult {
 		return jr
 	}
 	defer sess.Close()
-	pending, err := sess.Submit(ctx, job.Benchmark, WithScale(job.Scale))
-	if err != nil {
-		jr.Err = err
-		return jr
-	}
-	run, err := pending.Wait()
+	run, entered, err := sess.run(ctx, w, WithScale(job.Scale))
 	if err != nil {
 		jr.Err = err
 		// Interrupted only when the run had actually begun: a job whose
 		// cancellation landed before Execute started is Skipped.
-		jr.Interrupted = pending.Started() && ctx.Err() != nil && errors.Is(err, ctx.Err())
+		jr.Interrupted = entered && ctx.Err() != nil && errors.Is(err, ctx.Err())
 		return jr
 	}
 	jr.Result = run

@@ -516,6 +516,39 @@ func benchFork(b *testing.B, parent *mobilesim.Session) {
 	}
 }
 
+// noopWorkload does nothing on the device: running it costs exactly what
+// Session.Run adds around any workload.
+type noopWorkload struct{}
+
+func (noopWorkload) Info() mobilesim.WorkloadInfo {
+	return mobilesim.WorkloadInfo{Name: "bench/noop", Kind: mobilesim.KindBenchmark}
+}
+
+func (noopWorkload) Execute(context.Context, *mobilesim.Session, *mobilesim.RunOptions) (*mobilesim.RunResult, error) {
+	return &mobilesim.RunResult{Verified: true}, nil
+}
+
+// BenchmarkRunNoop is the facade's own cost per run: taking the session,
+// scoping the context to the session lifetime, two Stats copies, the delta
+// and the cost model. 1.4–2.3 µs/op, 6 allocs/op, 848 B/op at -cpu 1 and 2
+// on the 2-CPU development host, where the goroutine-per-submission queue
+// it replaced read 4.2–5.5 µs at -cpu 1, 5.3–7.5 µs at -cpu 2, 10 allocs/op
+// (DESIGN.md §4; CI prints the number on every PR).
+func BenchmarkRunNoop(b *testing.B) {
+	s, err := mobilesim.New(mobilesim.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.RunWorkload(bg, noopWorkload{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchName builds a parameterised sub-benchmark name. The separator is
 // not "-": go test appends -<GOMAXPROCS> to benchmark names, and tools that
 // strip that suffix would collapse "threads-8" and "threads-32" onto one

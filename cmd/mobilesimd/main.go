@@ -26,7 +26,7 @@
 //	GET  /metrics          — the same counters and latency summaries in
 //	                         Prometheus text exposition format
 //
-// A run executes through the session command queue with the request's
+// A run executes on its own single-use fork under the request's
 // context: closing the connection (or exceeding timeout_ms) soft-stops
 // the kernel at a clause boundary and the fork is discarded. Responses
 // carry the per-run statistics delta as JSON. The serving logic lives in

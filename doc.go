@@ -32,34 +32,23 @@
 //	res, err := sess.Run(ctx, "slam/standard")
 //	res, err := sess.Run(ctx, "fig7", mobilesim.WithOutput(os.Stdout))
 //
-// Functional options select scale, per-run CFG collection, verification
-// and statistics scope. RunResult.Stats is the per-run delta (the
-// session snapshot diffed around the run); Session.Stats stays
-// cumulative. Custom Workload implementations run through the same path
-// via RunWorkload / SubmitWorkload.
+// Functional options select scale, per-run CFG collection and
+// verification. RunResult.Stats is the per-run delta (the session
+// snapshot diffed around the run); Session.Stats stays cumulative. Custom
+// Workload implementations run through the same path via RunWorkload.
+// Concurrent Run calls on one session execute one at a time, in no
+// promised order, so every delta is exact; independent sessions scale.
 //
 // # Cancellation
 //
-// Run and Submit honour context cancellation mid-kernel: the driver
-// soft-stops the GPU through the job-slot command register and the
-// shader cores quiesce at the next clause boundary — the same
-// granularity the hardware schedules at — so Run returns ctx.Err()
-// promptly and the Session remains usable for subsequent runs.
-//
-// # The command queue
-//
-// Submit enqueues a run without waiting, the clEnqueueNDRangeKernel
-// model: submissions execute strictly in order, each returning a Pending
-// future with Wait and a selectable Done channel:
-//
-//	p1, _ := sess.Submit(ctx, "BinarySearch")
-//	p2, _ := sess.Submit(ctx, "DCT")
-//	res1, err := p1.Wait()
-//	res2, err := p2.Wait()
-//
-// Cancelling a submission's context skips it while queued and
-// soft-stops it mid-run; Close drains the queue, failing queued entries
-// with ErrClosed.
+// Run honours context cancellation mid-kernel: the driver soft-stops the
+// GPU through the job-slot command register and the shader cores quiesce
+// at the next clause boundary — the same granularity the hardware
+// schedules at — so Run returns ctx.Err() promptly and the Session remains
+// usable for subsequent runs. A call cancelled while it waits for another
+// run to finish returns without disturbing that run. Close soft-stops the
+// run in flight the same way and fails it, and every waiting or later
+// call, with ErrClosed.
 //
 // # Snapshots and forking
 //
@@ -85,10 +74,10 @@
 // A Batch runs N independent simulations across a bounded worker pool —
 // nothing mutable shared between jobs — and merges their statistics.
 // Every local job boots its own session; a cluster batch (Batch.Hosts)
-// ships one snapshot of the batch Config to its hosts. Batch jobs ride
-// the session command queue, so batch cancellation interrupts the
-// executing job mid-run (reported as Interrupted) rather than waiting for
-// it to finish:
+// ships one snapshot of the batch Config to its hosts. Every job runs
+// under the batch context, so batch cancellation interrupts the executing
+// job mid-run (reported as Interrupted) rather than waiting for it to
+// finish:
 //
 //	batch := &mobilesim.Batch{Jobs: jobs, Workers: 4}
 //	res, err := batch.Run(ctx)

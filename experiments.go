@@ -90,8 +90,8 @@ func init() {
 
 // experimentWorkload adapts one paper table/figure to the Workload
 // contract. Experiments boot their own dedicated platforms; the session
-// contributes its configuration (host threads, compiler version) and the
-// command-queue slot, and its own device stays idle.
+// contributes its configuration (host threads, compiler version) and its
+// run slot, and its own device stays idle.
 type experimentWorkload struct {
 	name string
 	desc string

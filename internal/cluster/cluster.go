@@ -133,14 +133,6 @@ type Result struct {
 	Wall      time.Duration
 }
 
-// HostState is one host's registry entry, for observability.
-type HostState struct {
-	URL  string
-	Dead bool
-	// Runs counts responses accepted from this host.
-	Runs uint64
-}
-
 type host struct {
 	url   string
 	fails atomic.Int64 // consecutive transport/5xx failures
@@ -237,29 +229,6 @@ func New(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// Retries counts retry attempts dispatched across all jobs.
-func (c *Cluster) Retries() uint64 { return c.retries.Load() }
-
-// Hedges counts hedge attempts launched across all jobs.
-func (c *Cluster) Hedges() uint64 { return c.hedges.Load() }
-
-// Discarded counts completed duplicate responses dropped because another
-// attempt of the same job had already been accepted.
-func (c *Cluster) Discarded() uint64 { return c.discarded.Load() }
-
-// Reships counts snapshot re-installations triggered by hosts reporting
-// an unknown snapshot ref.
-func (c *Cluster) Reships() uint64 { return c.reships.Load() }
-
-// HostStates reports the registry, in Options.Hosts order.
-func (c *Cluster) HostStates() []HostState {
-	out := make([]HostState, len(c.hosts))
-	for i, h := range c.hosts {
-		out[i] = HostState{URL: h.url, Dead: h.dead.Load(), Runs: h.runs.Load()}
-	}
-	return out
-}
-
 // HostLatency is one host's attempt-latency breakdown: every request
 // attempt the coordinator issued against the host, split by delivery
 // path. Failed attempts are included (a fast-failing host reads as a
@@ -278,6 +247,11 @@ type HostLatency struct {
 // delivery machinery: the lifetime delivery counters plus per-host
 // attempt latencies, in Options.Hosts order.
 type Report struct {
+	// Retries and Hedges count the retry and hedge attempts dispatched
+	// across all jobs; Discarded counts completed duplicate responses
+	// dropped because another attempt of the same job had already been
+	// accepted; Reships counts snapshot re-installations triggered by
+	// hosts reporting an unknown snapshot ref.
 	Retries, Hedges, Discarded, Reships uint64
 	Hosts                               []HostLatency
 }

@@ -98,8 +98,8 @@ func TestFanOutWorkStealing(t *testing.T) {
 	if total != uint64(len(jobs)) {
 		t.Fatalf("total requests %d, want %d", total, len(jobs))
 	}
-	if c.Retries() != 0 || c.Hedges() != 0 {
-		t.Fatalf("retries=%d hedges=%d, want 0/0", c.Retries(), c.Hedges())
+	if c.Report().Retries != 0 || c.Report().Hedges != 0 {
+		t.Fatalf("retries=%d hedges=%d, want 0/0", c.Report().Retries, c.Report().Hedges)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestRetryAfter5xx(t *testing.T) {
 	if res.Jobs[0].Attempts < 2 {
 		t.Fatalf("attempts %d, want >= 2", res.Jobs[0].Attempts)
 	}
-	if c.Retries() == 0 {
+	if c.Report().Retries == 0 {
 		t.Fatal("no retries recorded")
 	}
 }
@@ -165,8 +165,8 @@ func TestPermanentFailureNoRetry(t *testing.T) {
 	if jr.Err == nil {
 		t.Fatal("job succeeded, want permanent failure")
 	}
-	if jr.Attempts != 1 || c.Retries() != 0 {
-		t.Fatalf("attempts=%d retries=%d, want 1/0", jr.Attempts, c.Retries())
+	if jr.Attempts != 1 || c.Report().Retries != 0 {
+		t.Fatalf("attempts=%d retries=%d, want 1/0", jr.Attempts, c.Report().Retries)
 	}
 }
 
@@ -194,7 +194,7 @@ func TestHostLossRetriesElsewhere(t *testing.T) {
 	if !hosts[0].Dead() {
 		t.Fatal("scripted Kill did not kill the host")
 	}
-	states := c.HostStates()
+	states := c.Report().Hosts
 	if !states[0].Dead || states[1].Dead {
 		t.Fatalf("host states %+v: want host 0 dead, host 1 live", states)
 	}
@@ -252,8 +252,8 @@ func TestHedgingRacesSlowHost(t *testing.T) {
 	}
 	requireAllCompleted(t, res, jobs)
 	jr := &res.Jobs[0]
-	if !jr.Hedged || c.Hedges() != 1 {
-		t.Fatalf("hedged=%v hedges=%d, want true/1", jr.Hedged, c.Hedges())
+	if !jr.Hedged || c.Report().Hedges != 1 {
+		t.Fatalf("hedged=%v hedges=%d, want true/1", jr.Hedged, c.Report().Hedges)
 	}
 	if jr.Host != hosts[1].URL() {
 		t.Fatalf("accepted from %s, want the hedge host %s", jr.Host, hosts[1].URL())
@@ -265,11 +265,11 @@ func TestHedgingRacesSlowHost(t *testing.T) {
 	// never merged (the aggregate check above already proved single
 	// counting; this proves the loser was accounted as discarded).
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Discarded() == 0 && time.Now().Before(deadline) {
+	for c.Report().Discarded == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if c.Discarded() != 1 {
-		t.Fatalf("discarded %d duplicate responses, want 1", c.Discarded())
+	if c.Report().Discarded != 1 {
+		t.Fatalf("discarded %d duplicate responses, want 1", c.Report().Discarded)
 	}
 }
 
@@ -347,8 +347,8 @@ func TestShipAndUnknownSnapshotReship(t *testing.T) {
 	if res.Jobs[0].Attempts != 1 {
 		t.Fatalf("attempts %d, want 1 (re-ship happens inside the attempt)", res.Jobs[0].Attempts)
 	}
-	if c.Reships() != 1 {
-		t.Fatalf("reships %d, want 1", c.Reships())
+	if c.Report().Reships != 1 {
+		t.Fatalf("reships %d, want 1", c.Report().Reships)
 	}
 	if hosts[0].Requests() != 2 {
 		t.Fatalf("run requests %d, want 2 (rejected + retried)", hosts[0].Requests())

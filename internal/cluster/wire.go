@@ -106,8 +106,8 @@ type RunResponse struct {
 	SimMS    float64 `json:"sim_ms"`
 	NativeMS float64 `json:"native_ms,omitempty"`
 	WallMS   float64 `json:"wall_ms"`
-	// QueueWaitMS is time the run spent queued on its session's command
-	// queue before executing (usually ~0 on a fresh pool fork).
+	// QueueWaitMS is the time the run waited for its session while another
+	// run held it (~0 on a pool fork, which one request holds alone).
 	QueueWaitMS float64 `json:"queue_wait_ms"`
 
 	Stats   RunStats `json:"stats"`

@@ -147,43 +147,15 @@ type Device struct {
 	touchedPages map[uint64]struct{}
 
 	// warpSlabs recycles per-workgroup warp state (wgWarp slices with
-	// their SoA register backing) across jobs: each dispatch worker
-	// checks one slab out for the whole job and reuses it for every
-	// workgroup it runs, so steady-state dispatch allocates no warp
-	// state at all.
-	warpSlabs warpSlabPool
+	// their SoA register backing) across jobs, one slab per virtual core:
+	// dispatch worker wi reuses warpSlabs[wi] for every workgroup it runs,
+	// so steady-state dispatch allocates no warp state at all. Jobs on a
+	// device are strictly serial (one Job Manager, and execJob waits for
+	// its workers), so index wi has one user at a time and needs no lock.
+	// Made by the first job: a session that never launches pays nothing.
+	warpSlabs [][]wgWarp
 
 	trace *traceSink
-}
-
-// warpSlabPool is a per-device free list of warp slabs. A plain mutex-
-// guarded stack (rather than sync.Pool) keeps slabs alive across idle
-// periods — a device serving a job stream reuses the same ~HostThreads
-// slabs for its lifetime.
-type warpSlabPool struct {
-	mu    sync.Mutex
-	slabs [][]wgWarp
-}
-
-func (p *warpSlabPool) get() []wgWarp {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.slabs); n > 0 {
-		s := p.slabs[n-1]
-		p.slabs[n-1] = nil
-		p.slabs = p.slabs[:n-1]
-		return s
-	}
-	return nil
-}
-
-func (p *warpSlabPool) put(s []wgWarp) {
-	if cap(s) == 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.slabs = append(p.slabs, s)
 }
 
 // NewDevice creates a GPU wired to the bus and interrupt line. Call Start

@@ -100,6 +100,9 @@ func (d *Device) execJob(desc *JobDescriptor, prog *Program, uniforms []uint64) 
 		desc.GlobalSize[2] / desc.LocalSize[2],
 	}
 	collectCFG := d.collectCFG.Load()
+	if d.warpSlabs == nil {
+		d.warpSlabs = make([][]wgWarp, d.cfg.HostThreads)
+	}
 
 	results := make([]workerResult, nWorkers)
 	var wg sync.WaitGroup
@@ -127,12 +130,11 @@ func (d *Device) execJob(desc *JobDescriptor, prog *Program, uniforms []uint64) 
 				gs:       &res.gs,
 				trace:    d.trace,
 				stop:     &d.stopReq,
-				// Check a warp slab out of the device free list for the
-				// whole job; every workgroup this worker runs reuses it
-				// (runWorkgroup grows it on demand).
-				warpSlab: d.warpSlabs.get(),
+				// This virtual core's slab: every workgroup the worker
+				// runs reuses it (runWorkgroup grows it on demand).
+				warpSlab: d.warpSlabs[wi],
 			}
-			defer func() { d.warpSlabs.put(ec.warpSlab) }()
+			defer func() { d.warpSlabs[wi] = ec.warpSlab }()
 			ec.bindTape()
 			if collectCFG {
 				res.cfg = stats.NewCFG()

@@ -219,14 +219,14 @@ func TestWarpClauseEnginesBenchAllocs(t *testing.T) {
 	}
 }
 
-// TestWarpSlabPoolRecycles pins the per-device warp free list: a slab
-// returned to the pool comes back with the same backing array, recycled
+// TestWarpSlabRecycles pins how a virtual core's warp slab is reused from
+// one job to the next (execJob hands the slab a worker left behind to the
+// next job's worker): warpsFor returns the same backing array, recycled
 // warps are architecturally fresh (zero registers, empty-but-capacitated
-// divergence stack), and undersized slabs are replaced rather than sliced
+// divergence stack), and an undersized slab is replaced rather than sliced
 // beyond capacity.
-func TestWarpSlabPoolRecycles(t *testing.T) {
-	var pool warpSlabPool
-	ec := &execContext{warpSlab: pool.get()} // empty pool → nil slab is valid
+func TestWarpSlabRecycles(t *testing.T) {
+	ec := &execContext{} // a core's first job: a nil slab is valid
 	first := ec.warpsFor(4)
 	if len(first) != 4 {
 		t.Fatalf("warpsFor(4) returned %d warps", len(first))
@@ -238,11 +238,10 @@ func TestWarpSlabPoolRecycles(t *testing.T) {
 	first[2].done = true
 	stackCap := cap(first[2].w.stack)
 
-	pool.put(ec.warpSlab)
-	ec2 := &execContext{warpSlab: pool.get()}
+	ec2 := &execContext{warpSlab: ec.warpSlab}
 	reused := ec2.warpsFor(3)
 	if &reused[0] != &first[0] {
-		t.Fatalf("pool.get returned a different backing array")
+		t.Fatalf("warpsFor(3) on a 4-warp slab allocated a new backing array")
 	}
 	if w := &reused[2]; w.w.rows[3][1] != 0 || w.w.active[0] || w.done || len(w.w.stack) != 0 {
 		t.Errorf("recycled warp not architecturally fresh: regs=%#x active=%v done=%v stack=%d",

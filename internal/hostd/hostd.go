@@ -5,7 +5,7 @@
 // pool per snapshot installed over POST /api/v1/snapshot.
 //
 // cmd/mobilesimd is the flag-parsing wrapper; the package exists so the
-// serving logic is testable in-process (cmd/mobilesimd's own tests, the
+// serving logic is testable in-process (this package's tests, the
 // clustertest fault-injection harness, and the root cluster-vs-local
 // determinism pin all drive a real Server through its Mux).
 package hostd
@@ -99,10 +99,8 @@ type Server struct {
 
 	// Request latency histograms (DESIGN.md §12): runLatency covers the
 	// whole execution of a run request (pool hand-out + workload run);
-	// queueWait re-aggregates the per-run session queue-wait phase.
 	// wlLatency splits run durations per workload name.
 	runLatency obs.Histogram
-	queueWait  obs.Histogram
 	wlMu       sync.Mutex
 	wlLatency  map[string]*obs.Histogram
 
@@ -326,6 +324,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, cluster.SnapshotResponse{Ref: ref, Workload: label})
 }
 
+// maxRunBody bounds a run request's JSON: a workload name, a scale and a
+// few keys fit in a few hundred bytes.
+const maxRunBody = 1 << 20
+
 // handleRun wraps the run execution in the idempotency layer: the first
 // delivery of a key executes and records its exact response bytes; every
 // later (or concurrently racing) delivery waits and replays them with
@@ -338,8 +340,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req cluster.RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if req.Workload == "" {
@@ -468,7 +475,6 @@ func (s *Server) executeRun(ctx context.Context, req *cluster.RunRequest) (int, 
 		}
 		return status, cluster.ErrorResponse{Error: err.Error()}
 	}
-	s.queueWait.Observe(res.QueueWait)
 
 	entry.runs.Add(1)
 	s.mu.Lock()
@@ -557,7 +563,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		perWorkload[wl.name] = latencyJSON(&wl.snap)
 	}
 	runSnap := s.runLatency.Snapshot()
-	waitSnap := s.queueWait.Snapshot()
 
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_s":          time.Since(s.start).Seconds(),
@@ -570,10 +575,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"snapshots": snaps,
 		"runs":      runs,
 		// Latency percentile blocks (DESIGN.md §12): whole-request run
-		// latency, per-run session queue wait, and per-workload splits.
+		// latency and per-workload splits.
 		"latency": map[string]any{
 			"run":          latencyJSON(&runSnap),
-			"queue_wait":   latencyJSON(&waitSnap),
 			"per_workload": perWorkload,
 		},
 		"workloads":     len(mobilesim.Workloads()),
@@ -604,10 +608,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		obs.WritePromSummary(&b, "mobilesim_run_duration_seconds", `workload="`+obs.EscapeLabel(wl.name)+`"`, &wl.snap)
 	}
 	obs.WritePromSummary(&b, "mobilesim_run_duration_seconds", `workload="all"`, &runSnap)
-
-	waitSnap := s.queueWait.Snapshot()
-	obs.WritePromSummaryHeader(&b, "mobilesim_run_queue_wait_seconds", "Per-run session command-queue wait.")
-	obs.WritePromSummary(&b, "mobilesim_run_queue_wait_seconds", "", &waitSnap)
 
 	obs.WritePromSummaryHeader(&b, "mobilesim_pool_get_wait_seconds", "Default pool hand-out latency.")
 	obs.WritePromSummary(&b, "mobilesim_pool_get_wait_seconds", "", &pm.GetWait)

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -170,6 +172,115 @@ func TestRunMethodAndBodyErrors(t *testing.T) {
 	}
 	if rec := do(mux, http.MethodGet, cluster.PathSnapshot, ""); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET snapshot: status %d", rec.Code)
+	}
+}
+
+// TestRunBodyLimit: a run request's body is bounded. One byte over the
+// limit is refused with 413 and the JSON error envelope before a session is
+// taken from any pool or the request is counted; the server keeps serving.
+func TestRunBodyLimit(t *testing.T) {
+	srv := testServer(t, hostd.Config{})
+	mux := srv.Mux()
+
+	// Leading whitespace is valid JSON framing: unbounded, the decoder
+	// reads through all of it and runs the request.
+	const run = `{"workload": "BinarySearch", "scale": 64}`
+	rec := do(mux, http.MethodPost, cluster.PathRun, strings.Repeat(" ", 1<<20)+run)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit body: status %d, want 413: %.200s", rec.Code, rec.Body)
+	}
+	var er cluster.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
+		t.Fatalf("over-limit body: no error envelope (%v): %.200s", err, rec.Body)
+	}
+	body := statsBody(t, mux)
+	hits, inline := poolHandOuts(t, body)
+	if req := statUint(t, body, "requests"); req != 0 || hits+inline != 0 {
+		t.Fatalf("refused request was counted: requests=%d, pool hand-outs=%d", req, hits+inline)
+	}
+
+	if rec := do(mux, http.MethodPost, cluster.PathRun, run); rec.Code != http.StatusOK {
+		t.Fatalf("normal request after a refused one: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// jsonAt walks a decoded JSON value along a dotted path; a numeric
+// element indexes an array.
+func jsonAt(v any, path string) (any, bool) {
+	for _, key := range strings.Split(path, ".") {
+		switch node := v.(type) {
+		case map[string]any:
+			next, ok := node[key]
+			if !ok {
+				return nil, false
+			}
+			v = next
+		case []any:
+			i, err := strconv.Atoi(key)
+			if err != nil || i >= len(node) {
+				return nil, false
+			}
+			v = node[i]
+		default:
+			return nil, false
+		}
+	}
+	return v, true
+}
+
+// TestWireKeysTheBenchmarkDecodes pins the presence and JSON type of
+// exactly the keys bench/pass.go decodes from a run response
+// (tracingTransport, cluster.RunResponse) and from /api/v1/stats
+// (serveStats). bench/ is a nested module outside `go test ./...`, so
+// without this a renamed key fails the benchmark run, not tier-1.
+func TestWireKeysTheBenchmarkDecodes(t *testing.T) {
+	srv := testServer(t, hostd.Config{})
+	mux := srv.Mux()
+	// The benchmark reads the pool block of the snapshot it shipped.
+	rec := do(mux, http.MethodPost, cluster.PathSnapshot, string(encodeTestSnapshot(t)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("install: status %d: %s", rec.Code, rec.Body)
+	}
+	var sr cluster.SnapshotResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
+		t.Fatal(err)
+	}
+	run := do(mux, http.MethodPost, cluster.PathRun, fmt.Sprintf(`{"workload": "BFS", "scale": 4, "snapshot": %q}`, sr.Ref))
+	if run.Code != http.StatusOK {
+		t.Fatalf("run: status %d: %s", run.Code, run.Body)
+	}
+	stats := do(mux, http.MethodGet, cluster.PathStats, "")
+
+	for _, doc := range []struct {
+		name string
+		body []byte
+		keys map[string]any // path -> a value of the expected JSON type
+	}{
+		{"run response", run.Body.Bytes(), map[string]any{
+			"workload": "", "verified": false,
+			"sim_ms": 0.0, "wall_ms": 0.0, "queue_wait_ms": 0.0,
+			"stats.gpu": map[string]any{}, "stats.system": map[string]any{},
+			"stats.driver_cpu_ns": 0.0, "stats.guest_instructions": 0.0,
+			"modeled.mobile_cycles": 0.0, "modeled.desktop_cycles": 0.0,
+		}},
+		{"stats", stats.Body.Bytes(), map[string]any{
+			"requests": 0.0, "failures": 0.0, "dedup_hits": 0.0,
+			"snapshots.0.hits": 0.0, "snapshots.0.inline_forks": 0.0,
+			"snapshots.0.get_wait.p50_ms": 0.0, "snapshots.0.refill_fork.p50_ms": 0.0,
+		}},
+	} {
+		var v any
+		if err := json.Unmarshal(doc.body, &v); err != nil {
+			t.Fatalf("%s: %v", doc.name, err)
+		}
+		for path, like := range doc.keys {
+			got, ok := jsonAt(v, path)
+			if !ok {
+				t.Errorf("%s: key %q is gone", doc.name, path)
+			} else if reflect.TypeOf(got) != reflect.TypeOf(like) {
+				t.Errorf("%s: key %q is a %T, want %T", doc.name, path, got, like)
+			}
+		}
 	}
 }
 
@@ -594,13 +705,12 @@ func TestStatsJSONShape(t *testing.T) {
 
 	var lat struct {
 		Run         map[string]float64            `json:"run"`
-		QueueWait   map[string]float64            `json:"queue_wait"`
 		PerWorkload map[string]map[string]float64 `json:"per_workload"`
 	}
 	if err := json.Unmarshal(body["latency"], &lat); err != nil {
 		t.Fatalf("latency block: %v", err)
 	}
-	for _, blk := range []map[string]float64{lat.Run, lat.QueueWait, lat.PerWorkload["BFS"]} {
+	for _, blk := range []map[string]float64{lat.Run, lat.PerWorkload["BFS"]} {
 		for _, k := range []string{"count", "mean_ms", "p50_ms", "p90_ms", "p99_ms"} {
 			if _, ok := blk[k]; !ok {
 				t.Fatalf("latency block %v missing key %q", blk, k)
@@ -659,8 +769,6 @@ func TestMetricsExposition(t *testing.T) {
 		`mobilesim_run_duration_seconds{workload="BFS",quantile="0.5"}`,
 		`mobilesim_run_duration_seconds{workload="BFS",quantile="0.99"}`,
 		`mobilesim_run_duration_seconds_count{workload="all"} 1`,
-		"# TYPE mobilesim_run_queue_wait_seconds summary",
-		"mobilesim_run_queue_wait_seconds_count 1",
 		"mobilesim_pool_get_wait_seconds_count 1",
 	} {
 		if !strings.Contains(text, want) {

@@ -6,9 +6,8 @@ import (
 )
 
 // This file is the facade's observability surface: the latency snapshot
-// and summary types re-exported from internal/obs, the per-session phase
-// timing metrics, and the analytical cost estimate attached to every run
-// (DESIGN.md §12).
+// and summary types re-exported from internal/obs, and the analytical cost
+// estimate attached to every run (DESIGN.md §12).
 
 // LatencySnapshot is a mergeable point-in-time copy of a log-bucketed
 // latency histogram. Snapshots from different sessions, pools or hosts
@@ -19,27 +18,6 @@ type LatencySnapshot = obs.Snapshot
 // p50/p90/p99. Quantiles are log-bucket estimates with at most ~2×
 // relative error; Mean is exact.
 type LatencySummary = obs.Summary
-
-// SessionMetrics is a snapshot of one session's command-queue phase
-// timings: how long submissions waited behind their predecessors versus
-// how long they executed. Counters cover every run that reached
-// execution on this session, successful or not.
-type SessionMetrics struct {
-	// QueueWait distributes time from Submit to execution start.
-	QueueWait LatencySnapshot
-	// Exec distributes execution wall time (RunResult.Wall).
-	Exec LatencySnapshot
-}
-
-// Metrics returns the session's current serving metrics. It is cheap
-// (atomic loads) and safe to call concurrently with runs, including on a
-// closed session.
-func (s *Session) Metrics() SessionMetrics {
-	return SessionMetrics{
-		QueueWait: s.obsQueueWait.Snapshot(),
-		Exec:      s.obsExec.Snapshot(),
-	}
-}
 
 // ModeledCost is the analytical timing estimate attached to every run:
 // the paper's Fig 15 cross-platform models evaluated on the run's own

@@ -1,7 +1,6 @@
 // Observability surface tests: every run carries the modelled cost
-// estimates, Session.Metrics() accounts queue-wait and execution
-// latency per run, and the model values are deterministic functions of
-// the run's counters.
+// estimates, and the model values are deterministic functions of the
+// run's counters.
 package mobilesim_test
 
 import (
@@ -44,31 +43,5 @@ func TestRunResultModeled(t *testing.T) {
 	first, second := run(), run()
 	if first != second {
 		t.Fatalf("modelled cost not deterministic: %+v vs %+v", first, second)
-	}
-}
-
-// TestSessionMetricsCounts: the per-session histograms observe one
-// sample per run, queue-wait and execution phase alike.
-func TestSessionMetricsCounts(t *testing.T) {
-	sess, err := mobilesim.New(obsConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	if m := sess.Metrics(); m.QueueWait.Count != 0 || m.Exec.Count != 0 {
-		t.Fatalf("fresh session metrics %+v, want empty", m)
-	}
-	for i := 1; i <= 2; i++ {
-		if _, err := sess.Run(context.Background(), "Reduction", mobilesim.WithScale(1)); err != nil {
-			t.Fatal(err)
-		}
-		m := sess.Metrics()
-		if m.QueueWait.Count != uint64(i) || m.Exec.Count != uint64(i) {
-			t.Fatalf("after %d runs: queue-wait count %d, exec count %d", i, m.QueueWait.Count, m.Exec.Count)
-		}
-		if m.Exec.Quantile(0.5) <= 0 {
-			t.Fatalf("exec p50 = %v, want > 0", m.Exec.Quantile(0.5))
-		}
 	}
 }

@@ -5,191 +5,91 @@ import (
 	"time"
 )
 
-// This file is the session command queue: an in-order, asynchronous
-// submission path modelled on clEnqueueNDRangeKernel + cl_event. Submit
-// enqueues a workload run and returns immediately with a Pending future;
-// runs execute one at a time in submission order on the session's device.
-// Cancelling a submission's context skips it while queued and soft-stops
-// it mid-run at a kernel clause boundary, leaving the Session usable.
+// This file is how a workload run gets the session to itself. A Session
+// has one run slot; Run, Snapshot and Close each hold it for their whole
+// duration, so whole runs are mutually exclusive (every RunResult.Stats
+// delta is exact under concurrent callers), a capture sees only
+// between-runs state, and the platform is never torn down under a run.
+// Callers waiting for the slot are not ordered among themselves.
 
-// Pending is one queued or running submission: a future for its result.
-type Pending struct {
-	workload string
-	// done closes when the outcome is available (Wait/Done). released
-	// closes when the entry no longer holds its queue slot — for a run
-	// that means execution finished; for an entry cancelled while queued
-	// it additionally waits for its predecessor, so a cancellation never
-	// lets a successor overtake a still-running predecessor.
-	done     chan struct{}
-	released chan struct{}
-	res      *RunResult
-	err      error
-	// ran records that the workload's Execute actually began (as opposed
-	// to the entry being cancelled or refused while queued). Written
-	// before done closes; read only after.
-	ran bool
-	// enqueued is the submission time, the zero point for the run's
-	// queue-wait phase (RunResult.QueueWait).
-	enqueued time.Time
-}
-
-// Workload returns the submitted workload's name.
-func (p *Pending) Workload() string { return p.workload }
-
-// Done returns a channel closed when the run completes (successfully,
-// with an error, or by cancellation) — the cl_event analogue, selectable
-// alongside other channels.
-func (p *Pending) Done() <-chan struct{} { return p.done }
-
-// Wait blocks until the run completes and returns its outcome. Wait is
-// idempotent and safe for concurrent use. A run cancelled while queued
-// or mid-kernel returns the submission context's error; a run refused
-// because the session closed returns ErrClosed.
-func (p *Pending) Wait() (*RunResult, error) {
-	<-p.done
-	return p.res, p.err
-}
-
-// Started reports whether the workload's execution actually began — it
-// distinguishes a submission cancelled mid-run (kernel soft-stopped)
-// from one skipped while still queued. It returns false until the
-// outcome is available.
-func (p *Pending) Started() bool {
+// acquire takes the session's run slot. It blocks while another run, a
+// capture or Close holds it, and gives up with ctx.Err() when the caller's
+// context ends first, ErrClosed when the session does. A nil error means
+// the caller holds the slot and must release it.
+func (s *Session) acquire(ctx context.Context) error {
 	select {
-	case <-p.done:
-		return p.ran
-	default:
-		return false
+	case s.slot <- struct{}{}:
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-s.base.Done():
+		return ErrClosed
 	}
+	// select picks among ready cases at random: a free slot does not mean
+	// the context was still live or the session still open.
+	err := ctx.Err()
+	if err == nil && s.base.Err() != nil {
+		err = ErrClosed
+	}
+	if err != nil {
+		s.release()
+	}
+	return err
 }
 
-// Submit enqueues one run of a registered workload (see Workloads) and
-// returns without waiting, like clEnqueueNDRangeKernel: callers may keep
-// many runs in flight per session and Wait on each Pending. Runs execute
-// strictly in submission order.
+func (s *Session) release() { <-s.slot }
+
+// Run executes one registered workload (see Workloads) on the caller's
+// goroutine and returns its result. Concurrent calls on one session run
+// one at a time, in no promised order; a caller that wants a future calls
+// Run from a goroutine of its own.
 //
-// ctx governs the one submission: cancelled while queued, the run is
-// skipped (its predecessors are unaffected, successors proceed);
-// cancelled mid-run, the executing kernel is soft-stopped at the next
-// clause boundary and Wait returns ctx.Err() with the session still
-// usable. A nil ctx means context.Background().
-func (s *Session) Submit(ctx context.Context, ref string, opts ...RunOption) (*Pending, error) {
+// ctx governs the one call: cancelled while waiting for the session, Run
+// returns ctx.Err() without disturbing the run in flight; cancelled
+// mid-run, the executing kernel is soft-stopped at the next clause
+// boundary and Run returns ctx.Err() promptly with the session still
+// usable. A session closed meanwhile returns ErrClosed. A nil ctx means
+// context.Background().
+func (s *Session) Run(ctx context.Context, ref string, opts ...RunOption) (*RunResult, error) {
 	w, err := Lookup(ref)
 	if err != nil {
 		return nil, err
 	}
-	return s.SubmitWorkload(ctx, w, opts...)
+	return s.RunWorkload(ctx, w, opts...)
 }
 
-// SubmitWorkload is Submit for a Workload value, registered or not —
-// custom workloads ride the same queue with the same cancellation
-// semantics.
-func (s *Session) SubmitWorkload(ctx context.Context, w Workload, opts ...RunOption) (*Pending, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	o := resolveOptions(opts)
-	p := &Pending{
-		workload: w.Info().Name,
-		done:     make(chan struct{}),
-		released: make(chan struct{}),
-		enqueued: time.Now(),
-	}
-
-	s.qMu.Lock()
-	if s.qClosed {
-		s.qMu.Unlock()
-		return nil, ErrClosed
-	}
-	prev := s.qTail
-	s.qTail = p
-	s.qMu.Unlock()
-
-	go func() {
-		defer close(p.released)
-		// Drop the tail reference once this entry is finished, so an
-		// idle session does not retain the last result indefinitely.
-		defer func() {
-			s.qMu.Lock()
-			if s.qTail == p {
-				s.qTail = nil
-			}
-			s.qMu.Unlock()
-		}()
-		if prev != nil {
-			// In-order execution: wait for the predecessor to release
-			// the device. Cancellation while queued completes this entry
-			// early for Wait, but its slot still propagates in order so
-			// a successor can never overtake a running predecessor.
-			select {
-			case <-prev.released:
-			case <-ctx.Done():
-				p.err = ctx.Err()
-				close(p.done)
-				<-prev.released
-				return
-			case <-s.base.Done():
-				p.err = ErrClosed
-				close(p.done)
-				<-prev.released
-				return
-			}
-		}
-		p.res, p.err = s.runWorkload(ctx, w, o, p)
-		close(p.done)
-	}()
-	return p, nil
-}
-
-// Run executes one registered workload synchronously: Submit + Wait. It
-// returns ctx.Err() promptly when ctx is cancelled mid-run (the kernel is
-// interrupted at a clause boundary) and the Session remains usable for
-// subsequent runs.
-func (s *Session) Run(ctx context.Context, ref string, opts ...RunOption) (*RunResult, error) {
-	p, err := s.Submit(ctx, ref, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return p.Wait()
-}
-
-// RunWorkload is Run for a Workload value, registered or not.
+// RunWorkload is Run for a Workload value, registered or not — custom
+// workloads get the same exclusion and cancellation semantics.
 func (s *Session) RunWorkload(ctx context.Context, w Workload, opts ...RunOption) (*RunResult, error) {
-	p, err := s.SubmitWorkload(ctx, w, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return p.Wait()
+	res, _, err := s.run(orBackground(ctx), w, opts...)
+	return res, err
 }
 
-// runWorkload executes one queue entry: it scopes the run's context to
-// the session lifetime, wraps the workload with per-run statistics
-// (snapshot-diff) and optional per-run CFG collection, stamps the common
-// RunResult fields (phase timings and the modelled cost estimate
-// included), and feeds the session's queue-wait/execution histograms.
-// p.ran is set once Execute is actually entered (none of the
-// queued-cancellation early exits taken).
-func (s *Session) runWorkload(ctx context.Context, w Workload, o *RunOptions, p *Pending) (*RunResult, error) {
+// run holds the session for one workload run: it scopes the run's context
+// to the session lifetime, wraps the workload with per-run statistics
+// (snapshot-diff) and optional per-run CFG collection, and stamps the
+// common RunResult fields (phase timings and the modelled cost estimate
+// included). entered reports whether the workload's Execute began — false
+// on every path that gave up while waiting — which is how Batch tells an
+// interrupted job from a skipped one.
+func (s *Session) run(ctx context.Context, w Workload, opts ...RunOption) (res *RunResult, entered bool, err error) {
+	o := resolveOptions(opts)
+	called := time.Now()
+	if err := s.acquire(ctx); err != nil {
+		return nil, false, err
+	}
+	defer s.release()
+	t0 := time.Now() // the run has the session from here
+
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	// Closing the session cancels in-flight runs too (mid-kernel, at a
-	// clause boundary), so Close never waits for a long chain to drain.
+	// Closing the session cancels the run in flight too (mid-kernel, at a
+	// clause boundary), so Close never waits for a long kernel to finish.
 	unhook := context.AfterFunc(s.base, cancel)
 	defer unhook()
 
-	fail := func(err error) (*RunResult, error) {
-		if ctx.Err() == nil && s.base.Err() != nil {
-			return nil, ErrClosed
-		}
-		return nil, err
-	}
-	if err := rctx.Err(); err != nil {
-		return fail(err)
-	}
-
 	dev := s.device()
 	if dev == nil {
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
 	restoreCFG := false
 	if o.CollectCFG && !dev.CollectingCFG() {
@@ -200,27 +100,22 @@ func (s *Session) runWorkload(ctx context.Context, w Workload, o *RunOptions, p 
 		restoreCFG = true
 	}
 
-	t0 := time.Now()
-	queueWait := t0.Sub(p.enqueued)
 	pre := s.Stats()
-	p.ran = true
-	res, err := w.Execute(rctx, s, o)
+	res, err = w.Execute(rctx, s, o)
 	post := s.Stats()
 	wall := time.Since(t0)
-	// Phase timings are observed for every run that reached execution,
-	// failed or cancelled ones included — an operator watching queue-wait
-	// percentiles cares about pressure, not verification outcomes.
-	s.obsQueueWait.Observe(queueWait)
-	s.obsExec.Observe(wall)
 	if restoreCFG {
 		dev.SetCollectCFG(false)
 	}
 	if err != nil {
-		return fail(err)
+		if ctx.Err() == nil && s.base.Err() != nil {
+			err = ErrClosed
+		}
+		return nil, true, err
 	}
 
 	res.Wall = wall
-	res.QueueWait = queueWait
+	res.QueueWait = t0.Sub(called)
 	info := w.Info()
 	res.Kind = info.Kind
 	if res.Workload == "" {
@@ -231,5 +126,5 @@ func (s *Session) runWorkload(ctx context.Context, w Workload, o *RunOptions, p 
 	if o.CollectCFG {
 		res.CFG = dev.CFGGraph().Render()
 	}
-	return res, nil
+	return res, true, nil
 }

@@ -1,4 +1,4 @@
-// Queue, registry and cancellation tests for the Workload API. These run
+// Run-exclusion, registry and cancellation tests for the Workload API. These run
 // with HostThreads 1 to keep kernel timing predictable for the
 // cancellation deadlines — not for race avoidance: the guest memory model
 // is race-clean at any HostThreads (the whole tree runs under -race in
@@ -8,9 +8,13 @@ package mobilesim_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,51 +144,135 @@ func TestDeadlineMidKernel(t *testing.T) {
 	}
 }
 
-// TestSubmitInOrder checks the command queue's ordering contract: a later
-// submission only runs after every earlier one completed.
-func TestSubmitInOrder(t *testing.T) {
+// startSpin runs w — spinWorkload or a wrapper of it — on sess from its own
+// goroutine and returns once the spin is executing; the channel delivers
+// the run's error.
+func startSpin(t *testing.T, ctx context.Context, sess *mobilesim.Session, w mobilesim.Workload) <-chan error {
+	t.Helper()
+	select {
+	case <-spinStarted: // a token left by an earlier test's spin
+	default:
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := sess.RunWorkload(ctx, w)
+		done <- err
+	}()
+	select {
+	case <-spinStarted:
+	case err := <-done:
+		t.Fatalf("spin returned %v before executing", err)
+	}
+	return done
+}
+
+// launchesWorkload is built on the facade's device primitives, each of
+// which locks the session for one call only: nothing but the run slot
+// keeps two of its runs from interleaving launch by launch. (The
+// registered benchmarks hold the session lock across their whole Execute.)
+type launchesWorkload struct{}
+
+const launchesPerRun = 8
+
+func (launchesWorkload) Info() mobilesim.WorkloadInfo {
+	return mobilesim.WorkloadInfo{Name: "test/launches", Kind: mobilesim.KindBenchmark}
+}
+
+func (launchesWorkload) Execute(ctx context.Context, s *mobilesim.Session, opt *mobilesim.RunOptions) (*mobilesim.RunResult, error) {
+	const iters = 16
+	k, err := s.LoadKernel(spinSrc, "spin")
+	if err != nil {
+		return nil, err
+	}
+	buf, err := s.NewBuffer(4 * spinThreads)
+	if err != nil {
+		return nil, err
+	}
+	if err := k.SetArgs(buf, iters); err != nil {
+		return nil, err
+	}
+	for i := 0; i < launchesPerRun; i++ {
+		if err := k.Launch(ctx, mobilesim.Dim1(spinThreads), mobilesim.Dim1(4)); err != nil {
+			return nil, err
+		}
+		// Let a run that could interleave here do so, on one processor too.
+		runtime.Gosched()
+	}
+	out, err := buf.Read(ctx, 4*spinThreads)
+	if err != nil {
+		return nil, err
+	}
+	res := &mobilesim.RunResult{Verified: true}
+	for i := 0; i < spinThreads; i++ {
+		if got := binary.LittleEndian.Uint32(out[4*i:]); got != iters*(iters-1)/2 {
+			res.Verified = false
+			res.VerifyErr = fmt.Errorf("out[%d] = %d, want %d", i, got, iters*(iters-1)/2)
+			break
+		}
+	}
+	return res, nil
+}
+
+// TestConcurrentRunsGetExactDeltas pins what the run slot is for: whole
+// runs on one session exclude each other, so under concurrent callers
+// every RunResult.Stats is exactly one run's counters — equal to the
+// delta of a run that had the session to itself — and the deltas add up
+// to what the session has counted since boot. Without the slot the
+// launches of concurrent runs interleave and the snapshot-diffs count
+// each other's jobs.
+func TestConcurrentRunsGetExactDeltas(t *testing.T) {
 	sess := newQueueTestSession(t)
-	ctx := context.Background()
+	bg := context.Background()
 
-	var pendings []*mobilesim.Pending
-	for i := 0; i < 3; i++ {
-		p, err := sess.Submit(ctx, "BinarySearch", mobilesim.WithScale(256))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pendings = append(pendings, p)
+	sum := sess.Stats() // what booting counted
+	alone, err := sess.RunWorkload(bg, launchesWorkload{})
+	if err != nil || !alone.Verified {
+		t.Fatalf("single run: res %+v, err %v", alone, err)
+	}
+	if got := alone.Stats.System.ComputeJobs; got != launchesPerRun {
+		t.Fatalf("single run counted %d compute jobs, want %d", got, launchesPerRun)
 	}
 
-	last := pendings[len(pendings)-1]
-	if res, err := last.Wait(); err != nil || !res.Verified {
-		t.Fatalf("last submission: res %+v, err %v", res, err)
+	// Entry 0 is the run alone; the rest race for the session.
+	const callers = 4
+	results := make([]*mobilesim.RunResult, 1+callers)
+	errs := make([]error, len(results))
+	results[0] = alone
+	var wg sync.WaitGroup
+	for i := 1; i < len(results); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = sess.RunWorkload(bg, launchesWorkload{})
+		}(i)
 	}
-	// In-order completion: once the last entry finished, every
-	// predecessor must already be done.
-	for i, p := range pendings[:len(pendings)-1] {
-		select {
-		case <-p.Done():
-		default:
-			t.Fatalf("submission %d not complete although a later one is", i)
-		}
-		if res, err := p.Wait(); err != nil || !res.Verified {
-			t.Fatalf("submission %d: res %+v, err %v", i, res, err)
-		}
-	}
+	wg.Wait()
 
-	// Per-run deltas are deterministic and identical across the three
-	// identical runs; the cumulative session counters are their sum.
-	r0, _ := pendings[0].Wait()
-	r2, _ := pendings[2].Wait()
-	if r0.Stats.GPU.TotalInstr() == 0 || r0.Stats.GPU.TotalInstr() != r2.Stats.GPU.TotalInstr() {
-		t.Errorf("per-run GPU instruction deltas differ: %d vs %d",
-			r0.Stats.GPU.TotalInstr(), r2.Stats.GPU.TotalInstr())
+	for i, res := range results {
+		if errs[i] != nil || !res.Verified {
+			t.Fatalf("caller %d: res %+v, err %v", i, res, errs[i])
+		}
+		if res.Stats.GPU != alone.Stats.GPU || res.Stats.System != alone.Stats.System ||
+			res.Stats.GuestInstructions != alone.Stats.GuestInstructions {
+			t.Errorf("caller %d: per-run delta differs from a run alone on the session:\n got  %+v\n want %+v",
+				i, res.Stats, alone.Stats)
+		}
+		sum.GPU.Merge(&res.Stats.GPU)
+		sum.System.Merge(&res.Stats.System)
+		sum.GuestInstructions += res.Stats.GuestInstructions
+	}
+	cum := sess.Stats()
+	if cum.GPU != sum.GPU || cum.System != sum.System || cum.GuestInstructions != sum.GuestInstructions {
+		t.Errorf("session record is not the sum of the per-run deltas:\n got  %+v\n want %+v", cum, sum)
 	}
 }
 
-// probeWorkload signals when its Execute actually starts, to observe
-// queue ordering.
-type probeWorkload struct{ started chan struct{} }
+// probeWorkload signals when its Execute actually starts, then runs the
+// workload it wraps, if any.
+type probeWorkload struct {
+	started chan struct{}
+	then    mobilesim.Workload
+}
 
 func (probeWorkload) Info() mobilesim.WorkloadInfo {
 	return mobilesim.WorkloadInfo{Name: "test/probe", Kind: mobilesim.KindBenchmark}
@@ -192,94 +280,120 @@ func (probeWorkload) Info() mobilesim.WorkloadInfo {
 
 func (p probeWorkload) Execute(ctx context.Context, s *mobilesim.Session, opt *mobilesim.RunOptions) (*mobilesim.RunResult, error) {
 	close(p.started)
+	if p.then != nil {
+		return p.then.Execute(ctx, s, opt)
+	}
 	return &mobilesim.RunResult{Verified: true}, nil
 }
 
-// TestCancelQueuedSubmission: cancelling a queued entry skips it without
-// disturbing its predecessor, and without releasing its queue slot early
-// — the successor must not overtake the still-running predecessor.
-func TestCancelQueuedSubmission(t *testing.T) {
+// TestCancelWhileWaitingForSession: a caller whose context ends while
+// another run holds the session returns promptly with the context error,
+// without its workload ever starting and without disturbing the run in
+// flight; the session stays usable.
+func TestCancelWhileWaitingForSession(t *testing.T) {
 	sess := newQueueTestSession(t)
 	bg := context.Background()
 
 	spinCtx, stopSpin := context.WithCancel(bg)
 	defer stopSpin()
-	first, err := sess.Submit(spinCtx, "test/spin")
-	if err != nil {
-		t.Fatal(err)
-	}
+	spinDone := startSpin(t, spinCtx, sess, spinWorkload{})
 
-	queuedCtx, cancelQueued := context.WithCancel(bg)
-	queued, err := sess.Submit(queuedCtx, "BinarySearch", mobilesim.WithScale(256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	waitCtx, cancelWait := context.WithCancel(bg)
+	// Whether the cancel lands before the call or while it waits, the
+	// outcome must be the same.
+	time.AfterFunc(20*time.Millisecond, cancelWait)
 	started := make(chan struct{})
-	after, err := sess.SubmitWorkload(bg, probeWorkload{started: started})
-	if err != nil {
-		t.Fatal(err)
+	t0 := time.Now()
+	res, err := sess.RunWorkload(waitCtx, probeWorkload{started: started})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("waiting call returned (%+v, %v), want (nil, context.Canceled)", res, err)
 	}
-
-	// Cancel the queued entry while the spin still runs: it must complete
-	// promptly with the context error, without waiting for the spin.
-	cancelQueued()
-	if _, err := queued.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("queued entry returned %v, want context.Canceled", err)
+	// Uncancelled the spin holds the session for tens of seconds.
+	if elapsed := time.Since(t0); elapsed > 10*time.Second {
+		t.Fatalf("waiting call took %v to give up", elapsed)
 	}
-	// The cancellation must not have released the queue slot: the
-	// successor stays queued behind the still-running spin.
 	select {
 	case <-started:
-		t.Fatal("successor started while its predecessor was still running")
-	case <-time.After(200 * time.Millisecond):
+		t.Fatal("the cancelled call's workload executed")
+	case err := <-spinDone:
+		t.Fatalf("the run in flight was disturbed: returned %v", err)
+	default:
 	}
 
-	// Now stop the spin; the successor must still run normally.
 	stopSpin()
-	if _, err := first.Wait(); !errors.Is(err, context.Canceled) {
+	if err := <-spinDone; !errors.Is(err, context.Canceled) {
 		t.Fatalf("spin returned %v, want context.Canceled", err)
 	}
-	if res, err := after.Wait(); err != nil || !res.Verified {
-		t.Fatalf("successor: res %+v, err %v", res, err)
-	}
-	select {
-	case <-started:
-	default:
-		t.Fatal("successor completed without executing")
+	if res, err := sess.Run(bg, "BinarySearch", mobilesim.WithScale(256)); err != nil || !res.Verified {
+		t.Fatalf("run after the cancellations: res %+v, err %v", res, err)
 	}
 }
 
-// TestCloseDrainsQueue: Close soft-stops the in-flight run, fails queued
-// entries with ErrClosed, and leaves the session consistently closed.
-func TestCloseDrainsQueue(t *testing.T) {
+// lingerWorkload spins until it is soft-stopped, then stays in Execute a
+// little longer and records whether Close returned meanwhile — which
+// would mean the platform was torn down under a run still holding it.
+type lingerWorkload struct {
+	closeReturned <-chan struct{}
+	tornDown      *atomic.Bool
+}
+
+func (lingerWorkload) Info() mobilesim.WorkloadInfo {
+	return mobilesim.WorkloadInfo{Name: "test/linger", Kind: mobilesim.KindBenchmark}
+}
+
+func (w lingerWorkload) Execute(ctx context.Context, s *mobilesim.Session, opt *mobilesim.RunOptions) (*mobilesim.RunResult, error) {
+	res, err := spinWorkload{}.Execute(ctx, s, opt)
+	select {
+	case <-w.closeReturned:
+		w.tornDown.Store(true)
+	case <-time.After(50 * time.Millisecond):
+	}
+	return res, err
+}
+
+// TestCloseStopsRunAndWaiters: Close soft-stops the run in flight at a
+// clause boundary, waits for it to let go of the platform before tearing
+// down, and fails it, the callers waiting behind it and every later call
+// with ErrClosed.
+func TestCloseStopsRunAndWaiters(t *testing.T) {
 	sess := newQueueTestSession(t)
 	bg := context.Background()
 
-	running, err := sess.Submit(bg, "test/spin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued, err := sess.Submit(bg, "BinarySearch", mobilesim.WithScale(256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	closeReturned := make(chan struct{})
+	var tornDown atomic.Bool
+	running := startSpin(t, bg, sess, lingerWorkload{closeReturned: closeReturned, tornDown: &tornDown})
+	// Waiting already or not yet called when Close lands: ErrClosed both ways.
+	waiting := make(chan error, 1)
+	go func() {
+		_, err := sess.Run(bg, "BinarySearch", mobilesim.WithScale(256))
+		waiting <- err
+	}()
 
-	time.Sleep(20 * time.Millisecond) // let the spin start
 	t0 := time.Now()
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
+	close(closeReturned)
 	if elapsed := time.Since(t0); elapsed > 10*time.Second {
 		t.Fatalf("Close took %v, want prompt mid-kernel stop", elapsed)
 	}
-	if _, err := running.Wait(); !errors.Is(err, mobilesim.ErrClosed) {
-		t.Errorf("in-flight run returned %v, want ErrClosed", err)
+	if err := <-running; !errors.Is(err, mobilesim.ErrClosed) {
+		t.Errorf("run in flight returned %v, want ErrClosed", err)
 	}
-	if _, err := queued.Wait(); !errors.Is(err, mobilesim.ErrClosed) {
-		t.Errorf("queued run returned %v, want ErrClosed", err)
+	if tornDown.Load() {
+		t.Error("Close returned while the run in flight was still executing")
 	}
-	if _, err := sess.Submit(bg, "BinarySearch"); !errors.Is(err, mobilesim.ErrClosed) {
-		t.Errorf("Submit after Close returned %v, want ErrClosed", err)
+	if err := <-waiting; !errors.Is(err, mobilesim.ErrClosed) {
+		t.Errorf("waiting run returned %v, want ErrClosed", err)
+	}
+	if _, err := sess.Run(bg, "BinarySearch"); !errors.Is(err, mobilesim.ErrClosed) {
+		t.Errorf("Run after Close returned %v, want ErrClosed", err)
+	}
+	if _, err := sess.Snapshot(); !errors.Is(err, mobilesim.ErrClosed) {
+		t.Errorf("Snapshot after Close returned %v, want ErrClosed", err)
+	}
+	if err := sess.Close(); err != nil {
+		t.Errorf("second Close returned %v", err)
 	}
 }
 
@@ -452,8 +566,8 @@ func TestBatchMidRunCancellation(t *testing.T) {
 	default:
 	}
 	go func() {
-		// The batch boots, snapshots and forks before job 0 runs: wait
-		// for the run itself, then let it get into the kernel.
+		// The batch boots a session before job 0 runs: wait for the run
+		// itself, then let it get into the kernel.
 		select {
 		case <-spinStarted:
 			time.Sleep(50 * time.Millisecond)

@@ -13,7 +13,6 @@ import (
 	"mobilesim/internal/cl"
 	"mobilesim/internal/clc"
 	"mobilesim/internal/gpu"
-	"mobilesim/internal/obs"
 	"mobilesim/internal/platform"
 	"mobilesim/internal/stats"
 	"mobilesim/internal/workloads"
@@ -189,22 +188,15 @@ type Session struct {
 	// meaningful on a closed session.
 	final Stats
 
-	// base scopes every queued run to the session lifetime: Close cancels
-	// it, which soft-stops an in-flight kernel and fails queued runs.
+	// base scopes every run to the session lifetime: Close cancels it,
+	// which soft-stops the kernel in flight and fails callers waiting for
+	// the slot.
 	base       context.Context
 	baseCancel context.CancelFunc
 
-	// Command-queue state (see queue.go). qTail is the most recently
-	// submitted entry; each submission chains on its predecessor, giving
-	// in-order execution without a dedicated worker.
-	qMu     sync.Mutex
-	qClosed bool
-	qTail   *Pending
-
-	// Serving metrics (see Metrics): queue-wait vs execution phase
-	// timings for every run that reached execution on this session.
-	obsQueueWait obs.Histogram
-	obsExec      obs.Histogram
+	// slot is the run slot (see queue.go): a run, a capture or Close holds
+	// its one token for as long as it needs the platform to itself.
+	slot chan struct{}
 }
 
 // New boots a platform from cfg and opens the device: GPU soft reset,
@@ -239,32 +231,24 @@ func New(cfg Config, opts ...NewOption) (*Session, error) {
 
 // newSession wraps a live platform + runtime pair in the facade.
 func newSession(cfg Config, p *platform.Platform, rt *cl.Context) *Session {
-	s := &Session{cfg: cfg, p: p, rt: rt}
+	s := &Session{cfg: cfg, p: p, rt: rt, slot: make(chan struct{}, 1)}
 	s.base, s.baseCancel = context.WithCancel(context.Background())
 	return s
 }
 
-// Close drains the command queue and stops the platform's background
-// machinery. Queued runs fail with ErrClosed; an in-flight run is
-// soft-stopped at a clause boundary and completes with ErrClosed (or its
-// own context error) before the platform is torn down. Closing twice is a
-// no-op. Afterwards every operation that touches the device fails with
-// ErrClosed; Stats keeps returning the final snapshot taken at Close.
+// Close stops the platform's background machinery. Callers waiting for
+// the session fail with ErrClosed; a run in flight is soft-stopped at a
+// clause boundary and returns ErrClosed (or its own context error) before
+// the platform is torn down. Closing twice is a no-op. Afterwards every
+// operation that touches the device fails with ErrClosed; Stats keeps
+// returning the final snapshot taken at Close.
 func (s *Session) Close() error {
-	s.qMu.Lock()
-	draining := !s.qClosed
-	s.qClosed = true
-	tail := s.qTail
-	s.qMu.Unlock()
-	if draining {
-		s.baseCancel()
-		if tail != nil {
-			// Wait for the slot release, not just the outcome: a tail
-			// cancelled while queued completes early, but the device may
-			// still be executing its predecessor.
-			<-tail.released
-		}
-	}
+	s.baseCancel()
+	// Taking the slot is the wait for the run or capture in flight. It is
+	// given back so that a second Close, like any late caller, gets through
+	// to find the session closed.
+	s.slot <- struct{}{}
+	defer s.release()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -526,10 +510,9 @@ type RunResult struct {
 	SimDuration    time.Duration
 	NativeDuration time.Duration
 	Wall           time.Duration
-	// QueueWait is the time this submission spent queued behind earlier
-	// submissions on the session's command queue before execution began;
-	// Wall covers execution only, so queue pressure and device time are
-	// separately attributable (DESIGN.md §12).
+	// QueueWait is the time this call waited for the session while another
+	// run (or a capture) held it — a fraction of a microsecond when none
+	// did. Wall covers execution only.
 	QueueWait time.Duration
 	// Verified reports whether the simulated output matched the
 	// host-native reference; VerifyErr carries the first mismatch. Both

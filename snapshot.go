@@ -62,45 +62,19 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return &Snapshot{st: st}, nil
 }
 
-// Snapshot captures the session's current state. The capture is
-// serialised on the session's command queue: it waits for every
-// previously submitted run to finish, captures, and only then lets later
-// submissions proceed — so the image is always a quiescent,
-// between-runs state. Capturing a freshly booted session yields the warm
-// "post-boot" image that Batch and SessionPool fork from.
+// Snapshot captures the session's current state. The capture takes the
+// session like a run does: it waits for the run in flight to finish and
+// holds off later ones until it is done, so the image is always a
+// quiescent, between-runs state. Capturing a freshly booted session yields
+// the warm "post-boot" image that SessionPool and cluster batches fork
+// from.
 func (s *Session) Snapshot() (*Snapshot, error) {
-	// Take a queue slot like a run would, so the capture cannot overlap
-	// an executing workload and later submissions cannot overtake it.
-	p := &Pending{workload: "snapshot", done: make(chan struct{}), released: make(chan struct{})}
-	s.qMu.Lock()
-	if s.qClosed {
-		s.qMu.Unlock()
+	// A capture waits as long as the session lives, so the only way not
+	// to get the slot is the session closing.
+	if s.acquire(s.base) != nil {
 		return nil, ErrClosed
 	}
-	prev := s.qTail
-	s.qTail = p
-	s.qMu.Unlock()
-	defer func() {
-		close(p.done)
-		close(p.released)
-		s.qMu.Lock()
-		if s.qTail == p {
-			s.qTail = nil
-		}
-		s.qMu.Unlock()
-	}()
-
-	if prev != nil {
-		select {
-		case <-prev.released:
-		case <-s.base.Done():
-			// Same invariant as a cancelled queue entry: this slot must
-			// not be released before the predecessor releases, or Close
-			// could tear down the platform under a still-executing run.
-			<-prev.released
-			return nil, ErrClosed
-		}
-	}
+	defer s.release()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -323,42 +324,49 @@ func TestTwoBootsEncodeIdentically(t *testing.T) {
 	}
 }
 
-// TestSnapshotSerialisedOnQueue pins capture ordering: a snapshot taken
-// while a run is queued waits for it, so the image includes that run's
-// effects.
-func TestSnapshotSerialisedOnQueue(t *testing.T) {
+// TestSnapshotWaitsForRun pins that a capture happens only between runs:
+// a snapshot requested while a run is executing waits for it, so the image
+// includes all of that run's effects.
+func TestSnapshotWaitsForRun(t *testing.T) {
 	s, err := mobilesim.New(snapCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	pending, err := s.Submit(context.Background(), "MatrixTranspose")
-	if err != nil {
-		t.Fatal(err)
+	// launchesWorkload gives the session lock up between its launches, so
+	// only the run slot keeps a capture from landing among them.
+	w := probeWorkload{started: make(chan struct{}), then: launchesWorkload{}}
+	type outcome struct {
+		res *mobilesim.RunResult
+		err error
 	}
+	ran := make(chan outcome, 1)
+	go func() {
+		res, err := s.RunWorkload(context.Background(), w)
+		ran <- outcome{res, err}
+	}()
+	<-w.started
 	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pending.Wait()
-	if err != nil {
-		t.Fatal(err)
+	run := <-ran
+	if run.err != nil {
+		t.Fatal(run.err)
 	}
-	// The run completed before the capture, so the snapshot's cumulative
-	// statistics include it.
 	f, err := mobilesim.New(mobilesim.Config{}, mobilesim.FromSnapshot(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if got := f.Stats().System.ComputeJobs; got < res.Stats.System.ComputeJobs || got == 0 {
-		t.Fatalf("snapshot misses the queued run: %d jobs", got)
+	if got := f.Stats().System.ComputeJobs; got != launchesPerRun || !run.res.Verified {
+		t.Fatalf("snapshot requested during a run holds %d compute jobs, want the run's %d (verified %v)",
+			got, launchesPerRun, run.res.Verified)
 	}
 }
 
 // blockingWorkload parks in Execute until its context is cancelled —
-// a controllable "long run" for queue-ordering tests.
+// a controllable "long run".
 type blockingWorkload struct{ started chan struct{} }
 
 func (w blockingWorkload) Info() mobilesim.WorkloadInfo {
@@ -372,20 +380,20 @@ func (w blockingWorkload) Execute(ctx context.Context, s *mobilesim.Session, opt
 }
 
 // TestCloseDuringQueuedSnapshot closes the session while a run is
-// executing and a Snapshot is queued behind it: the snapshot must fail
-// with ErrClosed only after the running entry releases its slot, so
-// Close never tears the platform down under an executing run (the
-// released-chain invariant, audited under -race).
+// executing and a Snapshot is waiting behind it: the snapshot must fail
+// with ErrClosed and Close must not tear the platform down until the
+// run has let go of the session (audited under -race).
 func TestCloseDuringQueuedSnapshot(t *testing.T) {
 	s, err := mobilesim.New(snapCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := blockingWorkload{started: make(chan struct{})}
-	pending, err := s.SubmitWorkload(context.Background(), w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := s.RunWorkload(context.Background(), w)
+		runErr <- err
+	}()
 	<-w.started
 
 	snapErr := make(chan error, 1)
@@ -394,12 +402,12 @@ func TestCloseDuringQueuedSnapshot(t *testing.T) {
 		snapErr <- err
 	}()
 	s.Close()
-	// Either outcome is legal — ErrClosed, or a capture that won the race
-	// and completed before teardown — but both must respect the released
-	// chain: no deadlock, no teardown under the executing run (-race
-	// audits the latter).
-	<-snapErr
-	if _, err := pending.Wait(); err == nil {
+	// The capture cannot have run: the session was held from before it was
+	// requested until Close had cancelled everything waiting.
+	if err := <-snapErr; !errors.Is(err, mobilesim.ErrClosed) {
+		t.Errorf("snapshot behind a run on a closing session returned %v, want ErrClosed", err)
+	}
+	if err := <-runErr; err == nil {
 		t.Fatal("blocked run completed without error")
 	}
 }

@@ -53,7 +53,7 @@ type WorkloadInfo struct {
 //
 // Execute runs entirely through the public Session API (or, for built-in
 // workloads, session-internal equivalents); the Session serialises device
-// access per operation, and the command queue serialises whole runs.
+// access per operation, and the session's run slot serialises whole runs.
 // Implementations must honour ctx: return ctx.Err() promptly once the
 // context is cancelled (device operations such as Kernel.Launch already
 // do, interrupting the running kernel at a clause boundary).
