@@ -45,6 +45,13 @@ type Program struct {
 	RegCount int
 	Uniforms int
 
+	// regRows is how many rows of a warp's register file, from r0 up, the
+	// instructions can name: one past the highest general-purpose register
+	// any decoded operand byte references. ParseBinary computes it; it is
+	// what a workgroup's register reset trusts, where RegCount is only the
+	// compiler's report (a claim guest assembly can get wrong).
+	regRows int
+
 	// warp holds the lazily built warp-engine tapes, compiled at most
 	// once per decoded program, under the owning ProgramCache's lock when
 	// the program is shared across sessions (see engine.go).
@@ -152,8 +159,11 @@ func ParseBinary(b []byte) (*Program, error) {
 	for i, c := range p.Clauses {
 		for _, in := range c.Instrs {
 			for _, o := range [...]uint8{in.Dst, in.A, in.B} {
-				if kind, idx := OperKind(o); kind == OperTemp && idx >= NumTemp {
+				switch kind, idx := OperKind(o); {
+				case kind == OperTemp && idx >= NumTemp:
 					return nil, fmt.Errorf("gpu: clause %d uses missing clause temporary t%d", i, idx)
+				case kind == OperGRF:
+					p.regRows = max(p.regRows, int(idx)+1)
 				}
 			}
 			switch in.Op {

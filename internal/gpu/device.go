@@ -146,14 +146,16 @@ type Device struct {
 	cfgGraph     *stats.CFG
 	touchedPages map[uint64]struct{}
 
-	// warpSlabs recycles per-workgroup warp state (wgWarp slices with
-	// their SoA register backing) across jobs, one slab per virtual core:
-	// dispatch worker wi reuses warpSlabs[wi] for every workgroup it runs,
-	// so steady-state dispatch allocates no warp state at all. Jobs on a
-	// device are strictly serial (one Job Manager, and execJob waits for
-	// its workers), so index wi has one user at a time and needs no lock.
-	// Made by the first job: a session that never launches pays nothing.
-	warpSlabs [][]wgWarp
+	// vcores are the persistent virtual cores, one per HostThreads slot,
+	// each made by the first job that reaches its slot (see vcore), and
+	// chainWalker is the Job Manager's own walker for descriptor, shader
+	// and uniform reads, made by the first chain: a session that never
+	// launches pays for neither. workers joins the cores a job starts, and
+	// lids holds the running job's lid rows, which its cores only read.
+	vcores      []*vcore
+	chainWalker *mmu.Walker
+	workers     sync.WaitGroup
+	lids        [][3]soaRow
 
 	trace *traceSink
 }
@@ -407,16 +409,14 @@ func asFault(err error, out **mmu.Fault) bool {
 //
 //simlint:commit -- merges per-chain TLB and compute-job counters
 func (d *Device) runChain(head uint64) error {
-	walker := mmu.NewSharedWalker(d.bus)
-	walker.SetRoot(d.translationRoot())
-	walker.ResetTouched()
+	if d.chainWalker == nil {
+		d.chainWalker = d.newWalker()
+	}
+	walker := d.chainWalker
+	walker.Rebind(d.translationRoot())
 	defer func() {
 		d.statsMu.Lock()
-		d.sysStats.TLBHits += walker.Hits
-		d.sysStats.TLBWalks += walker.Walks
-		walker.ForEachTouched(func(p uint64) {
-			d.touchedPages[p] = struct{}{}
-		})
+		d.mergeWalker(walker)
 		d.statsMu.Unlock()
 	}()
 
@@ -448,6 +448,26 @@ func (d *Device) runChain(head uint64) error {
 		va = desc.NextJobVA
 	}
 	return nil
+}
+
+// newWalker makes a walker the device keeps (the Job Manager's, a virtual
+// core's) and every job re-binds: shared mode, touched pages tracked.
+func (d *Device) newWalker() *mmu.Walker {
+	w := mmu.NewSharedWalker(d.bus)
+	w.ResetTouched()
+	return w
+}
+
+// mergeWalker folds a walker's TLB counters and touched pages into the
+// device totals. The caller holds statsMu.
+//
+//simlint:commit -- merges a walker's TLB counters
+func (d *Device) mergeWalker(w *mmu.Walker) {
+	d.sysStats.TLBHits += w.Hits
+	d.sysStats.TLBWalks += w.Walks
+	w.ForEachTouched(func(p uint64) {
+		d.touchedPages[p] = struct{}{}
+	})
 }
 
 func (d *Device) readDescriptor(walker *mmu.Walker, va uint64) (*JobDescriptor, error) {

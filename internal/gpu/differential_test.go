@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mobilesim/internal/gpu"
+	"mobilesim/internal/mem"
 )
 
 // Differential engine testing. The warp engine must be observationally
@@ -225,6 +226,12 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, withLocal, withDiverge, wi
 // runDifferentialEngine executes prog on a fresh device with the given
 // engine and returns the output buffer plus the stats records.
 func runDifferentialEngine(t *testing.T, eng gpu.Engine, prog *gpu.Program, in []byte, global, local [3]uint32, localBytes uint32) ([]byte, any) {
+	return runDifferentialEngineAt(t, eng, prog, in, global, local, localBytes, 0)
+}
+
+// runDifferentialEngineAt is runDifferentialEngine with the local slots
+// starting localOff bytes into their allocation.
+func runDifferentialEngineAt(t *testing.T, eng gpu.Engine, prog *gpu.Program, in []byte, global, local [3]uint32, localBytes uint32, localOff uint64) ([]byte, any) {
 	t.Helper()
 	cfg := gpu.DefaultConfig()
 	cfg.Engine = eng
@@ -251,7 +258,7 @@ func runDifferentialEngine(t *testing.T, eng gpu.Engine, prog *gpu.Program, in [
 	}
 	if localBytes > 0 {
 		desc.LocalMemBytes = localBytes
-		desc.LocalMemVA = r.allocBuf(int(localBytes) * cfg.ShaderCores)
+		desc.LocalMemVA = r.allocBuf(int(localBytes)*cfg.ShaderCores+int(localOff)) + localOff
 	}
 	raw := r.submit(desc, []uint64{inVA, outVA, 0x1234_5678, scratchVA})
 	if raw&gpu.IRQJobDone == 0 {
@@ -291,16 +298,23 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 	withStride := seed%6 == 0
 
 	prog := genDifferentialProgram(rnd, nALU, withLocal, withDiverge, withMisalign, withCross, withStride)
+	// The top bit of localSel starts the local slots two words before a
+	// page boundary: slot 0's first warp then has lanes on both pages (the
+	// LDL/STL span declines it), every other warp all of its lanes on one.
 	var localBytes uint32
+	var localOff uint64
 	if withLocal {
 		localBytes = 4 * lsz
+		if localSel&0x80 != 0 {
+			localOff = mem.PageSize - 8
+		}
 	}
 	in := make([]byte, int(gsz)*8)
 	rnd.Read(in)
 
 	global, local := [3]uint32{gsz, 1, 1}, [3]uint32{lsz, 1, 1}
-	outRef, statsRef := runDifferentialEngine(t, gpu.EngineInterp, prog, in, global, local, localBytes)
-	out, stats := runDifferentialEngine(t, gpu.EngineWarp, prog, in, global, local, localBytes)
+	outRef, statsRef := runDifferentialEngineAt(t, gpu.EngineInterp, prog, in, global, local, localBytes, localOff)
+	out, stats := runDifferentialEngineAt(t, gpu.EngineWarp, prog, in, global, local, localBytes, localOff)
 	if !bytes.Equal(outRef, out) {
 		for i := range outRef {
 			if outRef[i] != out[i] {
@@ -333,6 +347,10 @@ func FuzzDifferentialEngines(f *testing.F) {
 		localSel := []uint8{0, 1, 2, 4, 5, 6}[i%6]
 		f.Add(seed, uint8(3+i), localSel, uint8(47))
 	}
+	// Local slots that straddle a page, under divergent kernels: full warps
+	// (lsz 8) and a one-lane tail warp (lsz 5).
+	f.Add(uint64(6), uint8(11), uint8(0x80|7), uint8(20))
+	f.Add(uint64(12), uint8(5), uint8(0x80|4), uint8(30))
 	f.Fuzz(func(t *testing.T, seed uint64, threadsSel, localSel, nALUSel uint8) {
 		runDifferential(t, seed, threadsSel, localSel, nALUSel)
 	})

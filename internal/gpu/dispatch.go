@@ -3,7 +3,6 @@ package gpu
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"mobilesim/internal/mem"
 	"mobilesim/internal/mmu"
@@ -58,18 +57,67 @@ func (d *JobDescriptor) Workgroups() (uint64, error) {
 	return n, nil
 }
 
-// workerResult carries one virtual core's shard of statistics.
-type workerResult struct {
+// vcore is one persistent virtual core (§III-B3), made the first time a job
+// reaches its HostThreads slot and kept for the life of the device: a TLB,
+// an execution context with its uniform table and warp slab, a stats
+// shard and both kinds of local store. A job re-binds it all (bind),
+// so a job on a warm device allocates nothing here. Jobs on a device are
+// serial and execJob joins its workers: a core has one user at a time.
+type vcore struct {
+	ec     execContext // its walker is the core's TLB
 	gs     stats.GPUStats
-	cfg    *stats.CFG
-	walker *mmu.Walker // read after wg.Wait for its touched-page bitmap
+	guest  guestLocal
+	shadow shadowLocal
 	err    error
+}
+
+// bind readies core wi for a job exactly as a newly made core would be: a
+// flushed TLB with zeroed counters (a job's TLBWalks count from cold, and
+// page tables rewritten since the last job are honoured), a zeroed stats
+// shard, a refilled uniform table, the job's lid rows and a cleared shadow
+// local store. The caller has built d.lids for the job.
+//
+//simlint:commit -- zeroes the core's stats shard and commits the register-usage report
+func (vc *vcore) bind(d *Device, wi int, desc *JobDescriptor, prog *Program, uniforms []uint64, root uint64) {
+	vc.gs = stats.GPUStats{RegistersUsed: uint64(prog.RegCount)}
+	vc.err = nil
+
+	e := &vc.ec
+	e.walker.Rebind(root)
+	e.eng, e.bus, e.gs, e.stop = d.cfg.Engine, d.bus, &vc.gs, &d.stopReq
+	e.prog, e.uniforms = prog, uniforms
+	e.gsz, e.lsz, e.lids = desc.GlobalSize, desc.LocalSize, d.lids
+	e.trace = d.trace
+	e.cfg = nil
+	if d.collectCFG.Load() {
+		e.cfg = stats.NewCFG()
+	}
+	// The driver allocates guest slots for the architectural core count;
+	// cores beyond that use host shadow buffers so over-commit stays
+	// functionally correct (§III-B3). A job without local memory turns a
+	// local access into a job fault.
+	switch n := uint64(desc.LocalMemBytes); {
+	case n == 0:
+		e.local = unusableLocal{}
+	case desc.LocalMemVA != 0 && wi < d.cfg.ShaderCores:
+		vc.guest = guestLocal{base: desc.LocalMemVA + uint64(wi)*n, size: n, walker: e.walker}
+		e.local = &vc.guest
+	default:
+		if uint64(cap(vc.shadow.buf)) < n {
+			vc.shadow.buf = make([]byte, n)
+		}
+		vc.shadow.buf = vc.shadow.buf[:n]
+		clear(vc.shadow.buf)
+		e.local = &vc.shadow
+	}
+	e.bindTape()
 }
 
 // execJob dispatches a decoded job across the configured host threads.
 // Each host thread is a "virtual core" (§III-B3): it owns a TLB, a stats
 // shard, and — when over-committed beyond the architectural core count —
-// a host-side shadow local memory.
+// a host-side shadow local memory. Core 0 runs on the Job Manager's own
+// goroutine, the others on goroutines started for the job.
 //
 // Workgroups are partitioned statically (virtual core wi runs workgroups
 // wi, wi+n, wi+2n, …): with per-core TLBs, the assignment decides which
@@ -78,7 +126,7 @@ type workerResult struct {
 // striding keeps them — and every other counter of a data-race-free
 // kernel — exactly reproducible for a fixed HostThreads count.
 //
-//simlint:commit -- commits per-job register-usage and TLB counters
+//simlint:commit -- merges the cores' stats shards at job completion
 func (d *Device) execJob(desc *JobDescriptor, prog *Program, uniforms []uint64) error {
 	totalWG, err := desc.Workgroups()
 	if err != nil {
@@ -86,142 +134,83 @@ func (d *Device) execJob(desc *JobDescriptor, prog *Program, uniforms []uint64) 
 	}
 	root := d.translationRoot()
 
-	nWorkers := d.cfg.HostThreads
-	if nWorkers < 1 {
-		nWorkers = 1
+	nWorkers := int(min(uint64(d.cfg.HostThreads), totalWG))
+	if d.vcores == nil {
+		d.vcores = make([]*vcore, d.cfg.HostThreads)
 	}
-	if uint64(nWorkers) > totalWG {
-		nWorkers = int(totalWG)
+	d.lids = lidRows(d.lids, desc.LocalSize)
+	cores := d.vcores[:nWorkers]
+	for wi, vc := range cores {
+		if vc == nil {
+			vc = &vcore{ec: execContext{walker: d.newWalker()}}
+			cores[wi] = vc
+		}
+		vc.bind(d, wi, desc, prog, uniforms, root)
 	}
-
-	wgPerDim := [3]uint32{
-		desc.GlobalSize[0] / desc.LocalSize[0],
-		desc.GlobalSize[1] / desc.LocalSize[1],
-		desc.GlobalSize[2] / desc.LocalSize[2],
+	for wi := 1; wi < nWorkers; wi++ {
+		d.workers.Add(1)
+		go func(vc *vcore, wi int) {
+			defer d.workers.Done()
+			vc.err = vc.ec.runWorkgroups(uint64(wi), uint64(nWorkers), totalWG)
+		}(cores[wi], wi)
 	}
-	collectCFG := d.collectCFG.Load()
-	if d.warpSlabs == nil {
-		d.warpSlabs = make([][]wgWarp, d.cfg.HostThreads)
-	}
-
-	results := make([]workerResult, nWorkers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < nWorkers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			res := &results[wi]
-			walker := mmu.NewSharedWalker(d.bus)
-			walker.SetRoot(root)
-			walker.ResetTouched()
-			res.walker = walker
-
-			local := d.localMemFor(wi, desc, walker)
-
-			ec := &execContext{
-				prog:     prog,
-				eng:      d.cfg.Engine,
-				uniforms: uniforms,
-				bus:      d.bus,
-				walker:   walker,
-				local:    local,
-				gsz:      desc.GlobalSize,
-				lsz:      desc.LocalSize,
-				gs:       &res.gs,
-				trace:    d.trace,
-				stop:     &d.stopReq,
-				// This virtual core's slab: every workgroup the worker
-				// runs reuses it (runWorkgroup grows it on demand).
-				warpSlab: d.warpSlabs[wi],
-			}
-			defer func() { d.warpSlabs[wi] = ec.warpSlab }()
-			ec.bindTape()
-			if collectCFG {
-				res.cfg = stats.NewCFG()
-				ec.cfg = res.cfg
-			}
-			res.gs.RegistersUsed = uint64(prog.RegCount)
-
-			// Job-entry fence: guest-visible state written before the
-			// doorbell (descriptors, inputs) is ordered before any shader
-			// access. The matching job-exit fence below orders every store
-			// of this virtual core before job completion is signalled.
-			// Workgroup boundaries deliberately have no global fence — as
-			// on hardware, cross-core visibility between workgroups of one
-			// job is only word-granular, clause-ordered (see DESIGN.md §7).
-			mem.Fence()
-			for i := uint64(wi); i < totalWG; i += uint64(nWorkers) {
-				if d.stopReq.Load() {
-					res.err = ErrStopped
-					return
-				}
-				ec.wgid = [3]uint32{
-					uint32(i) % wgPerDim[0],
-					(uint32(i) / wgPerDim[0]) % wgPerDim[1],
-					uint32(i) / (wgPerDim[0] * wgPerDim[1]),
-				}
-				if err := ec.runWorkgroup(); err != nil {
-					res.err = err
-					return
-				}
-			}
-			mem.Fence()
-		}(wi)
-	}
-	wg.Wait()
+	cores[0].err = cores[0].ec.runWorkgroups(0, uint64(nWorkers), totalWG)
+	d.workers.Wait()
 
 	// Totalling at job completion requires no further synchronisation
 	// (§IV-A): each shard was written by exactly one goroutine.
 	d.statsMu.Lock()
 	defer d.statsMu.Unlock()
-	for i := range results {
-		r := &results[i]
-		d.gpuStats.Merge(&r.gs)
-		if r.cfg != nil {
-			d.cfgGraph.Merge(r.cfg)
-		}
-		if r.walker != nil {
-			d.sysStats.TLBHits += r.walker.Hits
-			d.sysStats.TLBWalks += r.walker.Walks
-			r.walker.ForEachTouched(func(p uint64) {
-				d.touchedPages[p] = struct{}{}
-			})
-		}
-	}
 	// A genuine fault wins over the soft-stop marker so diagnostics are
 	// not masked when a stop races a faulting workgroup.
-	var stopped bool
-	for i := range results {
-		switch err := results[i].err; {
-		case err == nil:
-		case errors.Is(err, ErrStopped):
-			stopped = true
-		default:
+	var fault, stopped error
+	for _, vc := range cores {
+		d.gpuStats.Merge(&vc.gs)
+		if vc.ec.cfg != nil {
+			d.cfgGraph.Merge(vc.ec.cfg)
+		}
+		d.mergeWalker(vc.ec.walker)
+		switch {
+		case vc.err == nil:
+		case errors.Is(vc.err, ErrStopped):
+			stopped = ErrStopped
+		case fault == nil:
+			fault = vc.err
+		}
+	}
+	if fault != nil {
+		return fault
+	}
+	return stopped
+}
+
+// runWorkgroups runs this core's share of a job: workgroups first,
+// first+stride, … below total.
+func (e *execContext) runWorkgroups(first, stride, total uint64) error {
+	wgPerDim := [2]uint32{e.gsz[0] / e.lsz[0], e.gsz[1] / e.lsz[1]}
+	// Job-entry fence: guest-visible state written before the doorbell
+	// (descriptors, inputs) is ordered before any shader access. The
+	// matching job-exit fence below orders every store of this virtual
+	// core before job completion is signalled. Workgroup boundaries
+	// deliberately have no global fence — as on hardware, cross-core
+	// visibility between workgroups of one job is only word-granular,
+	// clause-ordered (see DESIGN.md §7).
+	mem.Fence()
+	for i := first; i < total; i += stride {
+		if e.stop.Load() {
+			return ErrStopped
+		}
+		e.wgid = [3]uint32{
+			uint32(i) % wgPerDim[0],
+			(uint32(i) / wgPerDim[0]) % wgPerDim[1],
+			uint32(i) / (wgPerDim[0] * wgPerDim[1]),
+		}
+		if err := e.runWorkgroup(); err != nil {
 			return err
 		}
 	}
-	if stopped {
-		return ErrStopped
-	}
+	mem.Fence()
 	return nil
-}
-
-// localMemFor selects the workgroup-local store for a virtual core. The
-// driver allocates guest slots for the architectural core count; workers
-// beyond that use host shadow buffers so over-commit stays functionally
-// correct (§III-B3).
-func (d *Device) localMemFor(worker int, desc *JobDescriptor, walker *mmu.Walker) localMemory {
-	if desc.LocalMemBytes == 0 {
-		return nil
-	}
-	if desc.LocalMemVA != 0 && worker < d.cfg.ShaderCores {
-		return &guestLocal{
-			base:   desc.LocalMemVA + uint64(worker)*uint64(desc.LocalMemBytes),
-			size:   uint64(desc.LocalMemBytes),
-			walker: walker,
-		}
-	}
-	return &shadowLocal{buf: make([]byte, desc.LocalMemBytes)}
 }
 
 // wgWarp couples a warp with its scheduler state.
@@ -231,11 +220,34 @@ type wgWarp struct {
 	atBarrier bool
 }
 
-// warpsFor returns a zeroed slab of n warps, reusing the context's
-// recycled slab when it is large enough. Recycled warps must come back
-// architecturally fresh — a kernel observes zero-initialised registers —
-// so each reused slot is cleared (a single memclr per warp); only the
-// divergence stack's backing array survives, with its length reset.
+// lidRows builds a job's lid.x/y/z rows in rows' storage, one triple per
+// warp of a workgroup: they are the same for every workgroup and every core
+// of the job, and a thread's gid is its workgroup's origin plus its lid.
+func lidRows(rows [][3]soaRow, lsz [3]uint32) [][3]soaRow {
+	total := int(lsz[0]) * int(lsz[1]) * int(lsz[2])
+	if n := (total + WarpSize - 1) / WarpSize; cap(rows) < n {
+		rows = make([][3]soaRow, n)
+	} else {
+		rows = rows[:n]
+		clear(rows)
+	}
+	for t := 0; t < total; t++ {
+		w := &rows[t/WarpSize]
+		w[0][t%WarpSize] = uint64(uint32(t) % lsz[0])
+		w[1][t%WarpSize] = uint64((uint32(t) / lsz[0]) % lsz[1])
+		w[2][t%WarpSize] = uint64(uint32(t) / (lsz[0] * lsz[1]))
+	}
+	return rows
+}
+
+// warpsFor returns the context's warp slab sized to n warps and reset for
+// a new workgroup, growing it when it is too small. A kernel observes
+// zero-initialised registers, so the reset clears the scheduler words and
+// every register row the program can name — r0 up to the highest register
+// any decoded instruction references (Program.regRows) and the clause
+// temporaries. The other rows need none: the lane-id rows are rewritten
+// per workgroup and the executor's scratch rows are written before they
+// are read. The divergence stack keeps its backing array.
 func (e *execContext) warpsFor(n int) []wgWarp {
 	if cap(e.warpSlab) < n {
 		e.warpSlab = make([]wgWarp, n)
@@ -244,22 +256,22 @@ func (e *execContext) warpsFor(n int) []wgWarp {
 	s := e.warpSlab[:n]
 	e.warpSlab = s
 	for i := range s {
-		st := s[i].w.stack[:0]
-		s[i] = wgWarp{}
-		s[i].w.stack = st
+		ww := &s[i]
+		ww.done, ww.atBarrier = false, false
+		w := &ww.w
+		w.active, w.exited, w.pc, w.steps, w.stack = 0, 0, 0, 0, w.stack[:0]
+		clear(w.rows[:e.prog.regRows])
+		clear(w.rows[NumGRF : NumGRF+NumTemp])
 	}
 	return s
 }
 
 // runWorkgroup executes one workgroup: all its threads grouped into
 // quads, scheduled round-robin with barrier rendezvous. The execContext's
-// wgid/gsz/lsz must be set.
+// wgid/gsz/lsz and lid rows must be set.
 //
 //simlint:commit -- counts dispatched workgroups, threads and warps
 func (e *execContext) runWorkgroup() error {
-	if e.local == nil {
-		e.local = unusableLocal{}
-	}
 	if e.tape != nil {
 		for d, id := range e.wgid {
 			e.uvals[uvWGID+d] = uint64(id)
@@ -267,20 +279,19 @@ func (e *execContext) runWorkgroup() error {
 	}
 	lsz := e.lsz
 	total := int(lsz[0]) * int(lsz[1]) * int(lsz[2])
-	nWarps := (total + WarpSize - 1) / WarpSize
+	nWarps := len(e.lids)
 
 	warps := e.warpsFor(nWarps)
-	for t := 0; t < total; t++ {
-		lx := uint32(t) % lsz[0]
-		ly := (uint32(t) / lsz[0]) % lsz[1]
-		lz := uint32(t) / (lsz[0] * lsz[1])
-		wi, lane := t/WarpSize, t%WarpSize
+	for wi := range warps {
 		w := &warps[wi].w
-		w.lanes = lane + 1
-		w.active[lane] = true
-		for d, l := range [3]uint32{lx, ly, lz} {
-			w.rows[rowLID+d][lane] = uint64(l)
-			w.rows[rowGID+d][lane] = uint64(e.wgid[d]*lsz[d] + l)
+		w.lanes = min(WarpSize, total-wi*WarpSize)
+		w.active = fullMask(w.lanes)
+		for d, lid := range e.lids[wi] {
+			origin := e.wgid[d] * lsz[d]
+			w.rows[rowLID+d] = lid
+			for l := range lid {
+				w.rows[rowGID+d][l] = uint64(origin + uint32(lid[l]))
+			}
 		}
 	}
 
@@ -322,9 +333,6 @@ func (e *execContext) runWorkgroup() error {
 					warps[i].atBarrier = false
 				}
 			}
-		} else if remaining > 0 && atBarrier > 0 && atBarrier < remaining {
-			// Some warps are parked but others still progress next pass.
-			continue
 		}
 	}
 	return nil

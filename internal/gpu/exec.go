@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"mobilesim/internal/mem"
@@ -76,14 +77,35 @@ const (
 	warpDone
 )
 
+// laneMask is a set of a warp's lanes, bit l for lane l.
+type laneMask uint8
+
+// fullMask is the mask of a warp's first n lanes.
+func fullMask(n int) laneMask { return 1<<uint(n) - 1 }
+
+func (m laneMask) has(lane int) bool { return m>>uint(lane)&1 != 0 }
+
+// maskRows[m] is mask m as a register row, all-ones in every lane of m: what
+// a divergent warp's tape commits its results under.
+var maskRows = func() (t [1 << WarpSize]soaRow) {
+	for m := range t {
+		for l := 0; l < WarpSize; l++ {
+			if laneMask(m).has(l) {
+				t[m][l] = ^uint64(0)
+			}
+		}
+	}
+	return
+}()
+
 // divFrame is one SIMT reconvergence stack entry. On divergence the warp
 // runs the fallthrough path first; the taken path and the full mask to
 // restore at the reconvergence clause are recorded here.
 type divFrame struct {
 	rejoin   int // clause index where paths reconverge
 	pendPC   int // deferred path entry clause; -1 once consumed
-	pendMask [WarpSize]bool
-	joinMask [WarpSize]bool
+	pendMask laneMask
+	joinMask laneMask
 }
 
 // soaRow is one register across the warp's lanes.
@@ -96,12 +118,16 @@ type soaRow = [WarpSize]uint64
 // t0..t3, then the lane identifiers gid/lid as rows of their own and the
 // tape executor's scratch rows (warp.go).
 type warp struct {
-	lanes  int // live lanes (tail warps may be partial)
-	active [WarpSize]bool
-	exited [WarpSize]bool
-	rows   [numRows]soaRow
+	lanes int // live lanes (tail warps may be partial)
+	// active is the set of lanes executing the current path and exited the
+	// set that has returned. A lane leaves active when it exits and only
+	// re-enters through a mask with the exited lanes taken out, so the two
+	// never intersect and active alone says who runs.
+	active, exited laneMask
+	rows           [numRows]soaRow
 
 	pc    int // current clause index
+	steps int // clauses entered this job, against clauseBudget
 	stack []divFrame
 }
 
@@ -110,24 +136,9 @@ func (w *warp) gid(lane int) [3]uint32 {
 	return [3]uint32{uint32(w.rows[rowGID][lane]), uint32(w.rows[rowGID+1][lane]), uint32(w.rows[rowGID+2][lane])}
 }
 
-func (w *warp) activeCount() int {
-	n := 0
-	for i := 0; i < w.lanes; i++ {
-		if w.active[i] && !w.exited[i] {
-			n++
-		}
-	}
-	return n
-}
+func (w *warp) activeCount() int { return bits.OnesCount8(uint8(w.active)) }
 
-func (w *warp) allExited() bool {
-	for i := 0; i < w.lanes; i++ {
-		if !w.exited[i] {
-			return false
-		}
-	}
-	return true
-}
+func (w *warp) allExited() bool { return w.exited == fullMask(w.lanes) }
 
 // execContext is everything a warp needs from its surrounding workgroup
 // and worker: program, argument values, memory paths and stat shards.
@@ -149,27 +160,30 @@ type execContext struct {
 	stop  *atomic.Bool // soft-stop latch, polled at clause boundaries
 
 	// tape is the program's warp-engine artifact when this context runs
-	// on it, and uvals the table its warp-uniform operands are read from
-	// (see bindTape); both nil on the per-instruction engines.
+	// on it (nil on the interpreter), and uvals the table its warp-uniform
+	// operands are read from (see bindTape).
 	tape  *warpProgram
 	uvals []uint64
 
-	// warpSlab is this worker's recycled per-workgroup warp storage,
-	// checked out of the device's free list for the duration of a job
-	// (see warpsFor). nil is valid: the first workgroup allocates.
+	// warpSlab is this virtual core's per-workgroup warp storage, reset by
+	// warpsFor for every workgroup and kept from job to job. nil is valid:
+	// the first workgroup allocates. lids is the job's lid.x/y/z rows, one
+	// triple per warp of a workgroup (see lidRows), shared by its cores.
 	warpSlab []wgWarp
+	lids     [][3]soaRow
 }
 
 // clauseBudget caps clauses executed per warp per job as a runaway guard
-// (a shader looping forever would otherwise hang the Job Manager).
-const clauseBudget = 1 << 24
+// (a shader looping forever would otherwise hang the Job Manager). A
+// variable so that a test can lower it.
+var clauseBudget = 1 << 24
 
 // runWarp executes the warp until it terminates or reaches a barrier.
 // A pending soft-stop is honoured between clauses — the cancellation
 // granularity of the whole stack: a stopped kernel never splits a clause.
 func (e *execContext) runWarp(w *warp) (warpStatus, error) {
-	for steps := 0; ; steps++ {
-		if steps > clauseBudget {
+	for ; ; w.steps++ {
+		if w.steps > clauseBudget {
 			return warpDone, fmt.Errorf("gpu: clause budget exhausted (infinite loop in shader?)")
 		}
 		if e.stop != nil && e.stop.Load() {
@@ -191,9 +205,7 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 			} else {
 				// Both paths done: restore the pre-branch mask (minus
 				// lanes that exited inside the region).
-				for i := range w.active {
-					w.active[i] = f.joinMask[i] && !w.exited[i]
-				}
+				w.active = f.joinMask &^ w.exited
 				w.stack = w.stack[:len(w.stack)-1]
 			}
 		}
@@ -239,13 +251,18 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 // the tape reads: kernel arguments, dispatch sizes and the program's
 // constants. The workgroup id slots are refreshed by runWorkgroup.
 func (e *execContext) bindTape() {
-	e.tape, e.uvals = nil, nil
+	e.tape = nil
 	if e.eng != EngineWarp || e.prog.warp == nil || e.trace != nil {
 		return
 	}
 	e.tape = e.prog.warp
-	e.uvals = make([]uint64, uvConsts+len(e.tape.consts))
-	copy(e.uvals[:uvWGID], e.uniforms)
+	if n := uvConsts + len(e.tape.consts); cap(e.uvals) < n {
+		e.uvals = make([]uint64, n)
+	} else {
+		e.uvals = e.uvals[:n]
+	}
+	n := copy(e.uvals[:uvWGID], e.uniforms)
+	clear(e.uvals[n:uvConsts]) // arguments the kernel does not take, and uvZero, read as zero
 	for d := 0; d < 3; d++ {
 		e.uvals[uvWGID+d], e.uvals[uvGSZ+d], e.uvals[uvLSZ+d] = uint64(e.wgid[d]), uint64(e.gsz[d]), uint64(e.lsz[d])
 	}
@@ -266,19 +283,11 @@ func (e *execContext) execTapeAt(w *warp, act uint64) (warpStatus, error) {
 	var blk *stats.CFGBlock
 	if e.cfg != nil {
 		t = &e.tape.clauses[w.pc]
-		blk = e.cfg.Block(e.prog.Clauses[w.pc].Addr)
-		blk.ThreadsIn += act
-		blk.WarpsIn++
+		blk = e.cfgEnter(w.pc, act)
 	}
 	var mask *soaRow
 	if int(act) != w.lanes {
-		var m soaRow
-		for l := 0; l < w.lanes; l++ {
-			if w.active[l] && !w.exited[l] {
-				m[l] = ^uint64(0)
-			}
-		}
-		mask = &m
+		mask = &maskRows[w.active]
 	}
 	if err := e.execTape(w, t.ops, act, mask); err != nil {
 		return warpDone, err
@@ -313,9 +322,7 @@ func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {
 
 	var blk *stats.CFGBlock
 	if e.cfg != nil {
-		blk = e.cfg.Block(c.Addr)
-		blk.ThreadsIn += act
-		blk.WarpsIn++
+		blk = e.cfgEnter(ci, act)
 	}
 	if e.trace != nil {
 		e.trace.clauseEntry(e.wgid, uint32(w.rows[rowGID][0]), ci, c.Addr, int(act))
@@ -339,7 +346,7 @@ func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {
 		}
 
 		for i := 0; i < w.lanes; i++ {
-			if !w.active[i] || w.exited[i] {
+			if !w.active.has(i) {
 				continue
 			}
 			if err := e.execLane(w, i, in); err != nil {
@@ -349,6 +356,19 @@ func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {
 	}
 
 	return e.endFallthrough(w, next, blk, act)
+}
+
+// cfgEnter records one warp entering clause ci with act threads in the CFG
+// being collected and returns the clause's block. Not inlined, so that a
+// new block's allocations are not attributed to execTapeAt, which the
+// hotalloc gate pins at zero.
+//
+//go:noinline
+func (e *execContext) cfgEnter(ci int, act uint64) *stats.CFGBlock {
+	blk := e.cfg.Block(e.prog.Clauses[ci].Addr)
+	blk.ThreadsIn += act
+	blk.WarpsIn++
+	return blk
 }
 
 // endFallthrough closes a clause with no terminal instruction.
@@ -386,12 +406,8 @@ func (e *execContext) execTerminal(w *warp, in *Instr, next int, blk *stats.CFGB
 		return warpAtBarrier, nil
 
 	case OpRET:
-		for i := 0; i < w.lanes; i++ {
-			if w.active[i] && !w.exited[i] {
-				w.exited[i] = true
-				w.active[i] = false
-			}
-		}
+		w.exited |= w.active
+		w.active = 0
 		if blk != nil {
 			blk.Terminator = "ret"
 			blk.ExitCount += act
@@ -411,10 +427,9 @@ func (e *execContext) execTerminal(w *warp, in *Instr, next int, blk *stats.CFGB
 	case OpBRC:
 		e.gs.Branches++
 		tgt, rejoin := in.BranchTarget(), in.Reconverge()
-		var taken, fall [WarpSize]bool
-		nTaken, nFall := 0, 0
+		var taken laneMask
 		for i := 0; i < w.lanes; i++ {
-			if !w.active[i] || w.exited[i] {
+			if !w.active.has(i) {
 				continue
 			}
 			var p uint64
@@ -424,13 +439,12 @@ func (e *execContext) execTerminal(w *warp, in *Instr, next int, blk *stats.CFGB
 				p = e.read(w, i, in.A, in)
 			}
 			if p != 0 {
-				taken[i] = true
-				nTaken++
-			} else {
-				fall[i] = true
-				nFall++
+				taken |= 1 << uint(i)
 			}
 		}
+		fall := w.active &^ taken
+		nTaken := bits.OnesCount8(uint8(taken))
+		nFall := bits.OnesCount8(uint8(fall))
 		if pred != nil {
 			predCtr.bump(e.gs, act)
 		}

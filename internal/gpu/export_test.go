@@ -12,3 +12,11 @@ func (c *ProgramCache) PlantCollision(victim, squatter []byte) error {
 	c.m[hashBytes(victim)] = cachedProgram{raw: squatter, prog: p}
 	return nil
 }
+
+// SetClauseBudget lowers the per-warp runaway guard for a test and returns
+// the function that restores it.
+func SetClauseBudget(n int) (restore func()) {
+	old := clauseBudget
+	clauseBudget = n
+	return func() { clauseBudget = old }
+}

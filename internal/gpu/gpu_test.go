@@ -97,6 +97,13 @@ func (r *rig) loadProgram(prog *gpu.Program) (uint64, uint32) {
 // job-done (or fault) interrupt, acknowledging it. Returns the rawstat.
 func (r *rig) submit(desc *gpu.JobDescriptor, args []uint64) uint32 {
 	r.t.Helper()
+	return r.kick(r.stage(desc, args))
+}
+
+// stage writes a descriptor + args into guest memory and returns the
+// descriptor's VA, which kick can submit any number of times.
+func (r *rig) stage(desc *gpu.JobDescriptor, args []uint64) uint64 {
+	r.t.Helper()
 	if len(args) > 0 {
 		argVA := r.allocBuf(8 * len(args))
 		buf := make([]byte, 8*len(args))
@@ -112,6 +119,12 @@ func (r *rig) submit(desc *gpu.JobDescriptor, args []uint64) uint32 {
 	if err := r.bus.WriteBytes(descVA, gpu.EncodeDescriptor(desc)); err != nil {
 		r.t.Fatal(err)
 	}
+	return descVA
+}
+
+// kick rings the doorbell for a staged chain and waits for its interrupt.
+func (r *rig) kick(descVA uint64) uint32 {
+	r.t.Helper()
 	r.wr(gpu.RegJS0Head, descVA)
 	r.wr(gpu.RegJS0Command, 1)
 	return r.waitIRQ()

@@ -149,7 +149,7 @@ var warpShapes = []struct {
 }{
 	{"full", func(*warp) {}},
 	{"divergent", diverge},
-	{"partial", func(w *warp) { w.lanes = WarpSize - 1; w.active[WarpSize-1] = false }},
+	{"partial", func(w *warp) { w.lanes = WarpSize - 1; w.active &^= 1 << (WarpSize - 1) }},
 }
 
 // TestSuperClauseSoftStopAtSegBoundary pins the soft-stop contract inside

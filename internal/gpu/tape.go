@@ -180,9 +180,9 @@ func (e *execContext) execTape(w *warp, ops []uop, act uint64, mask *soaRow) err
 		case kStoreG:
 			err = e.storeGlobal(w, &wp.mems[u.imm()], u, act, mask == nil)
 		case kLoadL:
-			err = e.loadLocal(w, &wp.mems[u.imm()], u, act)
+			err = e.loadLocal(w, &wp.mems[u.imm()], u, act, mask == nil)
 		case kStoreL:
-			err = e.storeLocal(w, &wp.mems[u.imm()], u, act)
+			err = e.storeLocal(w, &wp.mems[u.imm()], u, act, mask == nil)
 		case kLaneInterp:
 			err = e.laneInterp(w, wp.slow[u.imm()].in, act)
 		case kSlow:
@@ -221,7 +221,7 @@ func commitMasked(dst, src, mask *soaRow) {
 // index without a branch) and the shared tail commits it under the mask —
 // one case table for both. Full warps write every slot of a row, including
 // lanes beyond w.lanes: those are architecturally dead (never active,
-// never stored back, zeroed when the slab is recycled).
+// never stored back), so what a row's dead lanes hold is never observed.
 //
 //simlint:commit -- the tape executor commits the pre-aggregated instruction mix
 func (e *execContext) execLeaf(w *warp, ops []uop, pc int, act uint64, mask *soaRow) int {
@@ -625,7 +625,7 @@ func (e *execContext) loadGlobal(w *warp, m *memOp, u uop, act uint64, full bool
 		}
 	}
 	for l := 0; l < w.lanes; l++ {
-		if !w.active[l] || w.exited[l] {
+		if !w.active.has(l) {
 			continue
 		}
 		m.aCtr.bump(gs, 1)
@@ -678,7 +678,7 @@ func (e *execContext) storeGlobal(w *warp, m *memOp, u uop, act uint64, full boo
 		}
 	}
 	for l := 0; l < w.lanes; l++ {
-		if !w.active[l] || w.exited[l] {
+		if !w.active.has(l) {
 			continue
 		}
 		m.aCtr.bump(gs, 1)
@@ -692,15 +692,55 @@ func (e *execContext) storeGlobal(w *warp, m *memOp, u uop, act uint64, full boo
 	return nil
 }
 
-// loadLocal is the LDL uop: workgroup-local loads stay per-lane.
+// localSpan is the LDL/STL counterpart of the global batch path. When the
+// local store is a guest slot and every lane of a warp whose live lanes are
+// all active addresses an in-bounds, word-aligned word of it on one page,
+// Walker.BatchPage translates that page once — counting the lanes' hits, or
+// a walk and the other lanes' hits, as the per-lane accesses would — and
+// localSpan returns it with the VA of slot offset off, to index by lane. A
+// nil page declines with nothing counted: a shadow or absent store, a lane
+// out of bounds, unaligned or on another page, an MMIO frame or a fault all
+// belong to the per-lane loop, where a faulting lane aborts with the
+// interpreter's totals.
+func (e *execContext) localSpan(ar *soaRow, lanes int, off uint64, kind mem.AccessKind) (page []byte, base uint64) {
+	g, ok := e.local.(*guestLocal)
+	if !ok || g.size < 4 {
+		return nil, 0
+	}
+	base = g.base + off
+	first := base + ar[0]
+	for l := 0; l < lanes; l++ {
+		va := base + ar[l]
+		if ar[l]+off > g.size-4 || va&3 != 0 || (va^first)&^uint64(mem.PageMask) != 0 {
+			return nil, 0
+		}
+	}
+	page, _ = g.walker.BatchPage(first, kind, uint64(lanes))
+	return page, base
+}
+
+// loadLocal is the LDL uop: one page translation for a warp that localSpan
+// accepts, the per-lane loop for every other.
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
-func (e *execContext) loadLocal(w *warp, m *memOp, u uop, act uint64) error {
+func (e *execContext) loadLocal(w *warp, m *memOp, u uop, act uint64, full bool) error {
 	gs := e.gs
 	gs.LSInstr += act
 	ar, dr := &w.rows[u.a()], &w.rows[u.d()]
+	if full {
+		if page, base := e.localSpan(ar, w.lanes, m.off, mem.Read); page != nil {
+			m.aCtr.bump(gs, act)
+			gs.LocalLS += act
+			gs.LocalAcc += act
+			m.vCtr.bump(gs, act)
+			for l := 0; l < w.lanes; l++ {
+				dr[l] = mem.AtomicLoad32(page, (base+ar[l])&mem.PageMask)
+			}
+			return nil
+		}
+	}
 	for l := 0; l < w.lanes; l++ {
-		if !w.active[l] || w.exited[l] {
+		if !w.active.has(l) {
 			continue
 		}
 		m.aCtr.bump(gs, 1)
@@ -716,15 +756,28 @@ func (e *execContext) loadLocal(w *warp, m *memOp, u uop, act uint64) error {
 	return nil
 }
 
-// storeLocal is the STL uop.
+// storeLocal is the STL uop, the store mirror of loadLocal; lanes store in
+// lane order on either path.
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
-func (e *execContext) storeLocal(w *warp, m *memOp, u uop, act uint64) error {
+func (e *execContext) storeLocal(w *warp, m *memOp, u uop, act uint64, full bool) error {
 	gs := e.gs
 	gs.LSInstr += act
 	ar, br := &w.rows[u.a()], &w.rows[u.b()]
+	if full {
+		if page, base := e.localSpan(ar, w.lanes, m.off, mem.Write); page != nil {
+			m.aCtr.bump(gs, act)
+			m.vCtr.bump(gs, act)
+			gs.LocalLS += act
+			gs.LocalAcc += act
+			for l := 0; l < w.lanes; l++ {
+				mem.AtomicStore32(page, (base+ar[l])&mem.PageMask, uint32(br[l]))
+			}
+			return nil
+		}
+	}
 	for l := 0; l < w.lanes; l++ {
-		if !w.active[l] || w.exited[l] {
+		if !w.active.has(l) {
 			continue
 		}
 		m.aCtr.bump(gs, 1)
@@ -753,7 +806,7 @@ func (e *execContext) laneInterp(w *warp, in *Instr, act uint64) error {
 		e.gs.NopInstr += act
 	}
 	for l := 0; l < w.lanes; l++ {
-		if w.active[l] && !w.exited[l] {
+		if w.active.has(l) {
 			if err := e.execLane(w, l, in); err != nil {
 				return err
 			}

@@ -63,9 +63,8 @@ func newHotContext(tb testing.TB) (*execContext, *warp, *Program) {
 	walker.SetRoot(as.Root())
 	walker.ResetTouched()
 
-	w := &warp{lanes: WarpSize}
+	w := &warp{lanes: WarpSize, active: fullMask(WarpSize)}
 	for l := 0; l < WarpSize; l++ {
-		w.active[l] = true
 		w.rows[1][l] = uint64(3 + l)
 		w.rows[2][l] = uint64(17 * (l + 1))
 		w.rows[4][l] = va + uint64(l)*64
@@ -104,7 +103,7 @@ func (e *execContext) setEngine(eng Engine) {
 // pending reconvergence frame that is never reached.
 func diverge(w *warp) {
 	w.stack = append(w.stack, divFrame{rejoin: 1 << 20, pendPC: -1, joinMask: w.active})
-	w.active[1] = false
+	w.active &^= 1 << 1
 }
 
 // regsOf returns the architectural registers (GRF and clause temporaries)
@@ -119,9 +118,11 @@ func regsOf(w *warp) [NumGRF + NumTemp]soaRow {
 }
 
 // runHotClauses executes the whole program once through runWarp, starting
-// from clause 0 (the warp engine runs it as one fused chain).
+// from clause 0 (the warp engine runs it as one fused chain) as a job's
+// first clause: a benchmark's worth of calls on one warp must not add up to
+// the runaway guard.
 func runHotClauses(tb testing.TB, ec *execContext, w *warp) {
-	w.pc = 0
+	w.pc, w.steps = 0, 0
 	if _, err := ec.runWarp(w); err != nil {
 		tb.Fatal(err)
 	}
@@ -220,32 +221,34 @@ func TestWarpClauseEnginesBenchAllocs(t *testing.T) {
 }
 
 // TestWarpSlabRecycles pins how a virtual core's warp slab is reused from
-// one job to the next (execJob hands the slab a worker left behind to the
-// next job's worker): warpsFor returns the same backing array, recycled
-// warps are architecturally fresh (zero registers, empty-but-capacitated
-// divergence stack), and an undersized slab is replaced rather than sliced
-// beyond capacity.
+// one workgroup, and one job, to the next: warpsFor returns the same
+// backing array, recycled warps are architecturally fresh (zero in every
+// register the program can name and in the clause temporaries, cleared
+// scheduler words, empty-but-capacitated divergence stack), and an
+// undersized slab is replaced rather than sliced beyond capacity.
 func TestWarpSlabRecycles(t *testing.T) {
-	ec := &execContext{} // a core's first job: a nil slab is valid
+	ec := &execContext{prog: &Program{regRows: 4}} // a core's first job: a nil slab is valid
 	first := ec.warpsFor(4)
 	if len(first) != 4 {
 		t.Fatalf("warpsFor(4) returned %d warps", len(first))
 	}
-	// Dirty a warp the way a kernel would: registers, mask, divergence.
+	// Dirty a warp the way a kernel would: registers, masks, divergence,
+	// the runaway count.
 	first[2].w.rows[3][1] = 0xdeadbeef
-	first[2].w.active[0] = true
+	first[2].w.rows[NumGRF+NumTemp-1][2] = 0xdeadbeef
+	first[2].w.active, first[2].w.exited, first[2].w.steps = 1, 2, 99
 	first[2].w.stack = append(first[2].w.stack, divFrame{rejoin: 7})
 	first[2].done = true
 	stackCap := cap(first[2].w.stack)
 
-	ec2 := &execContext{warpSlab: ec.warpSlab}
+	ec2 := &execContext{prog: ec.prog, warpSlab: ec.warpSlab}
 	reused := ec2.warpsFor(3)
 	if &reused[0] != &first[0] {
 		t.Fatalf("warpsFor(3) on a 4-warp slab allocated a new backing array")
 	}
-	if w := &reused[2]; w.w.rows[3][1] != 0 || w.w.active[0] || w.done || len(w.w.stack) != 0 {
-		t.Errorf("recycled warp not architecturally fresh: regs=%#x active=%v done=%v stack=%d",
-			w.w.rows[3][1], w.w.active[0], w.done, len(w.w.stack))
+	if w := &reused[2]; w.w.rows[3][1] != 0 || w.w.rows[NumGRF+NumTemp-1][2] != 0 || w.w.active|w.w.exited != 0 || w.w.steps != 0 || w.done || len(w.w.stack) != 0 {
+		t.Errorf("recycled warp not architecturally fresh: r3=%#x t3=%#x active=%b exited=%b steps=%d done=%v stack=%d",
+			w.w.rows[3][1], w.w.rows[NumGRF+NumTemp-1][2], w.w.active, w.w.exited, w.w.steps, w.done, len(w.w.stack))
 	}
 	if cap(reused[2].w.stack) != stackCap {
 		t.Errorf("divergence stack capacity not preserved: got %d, want %d", cap(reused[2].w.stack), stackCap)

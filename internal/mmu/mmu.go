@@ -108,11 +108,11 @@ type tlbEntry struct {
 type Walker struct {
 	bus  *mem.Bus
 	root uint64 // physical base of top-level table; 0 = translation off
-	// tlb is allocated lazily on the first non-zero SetRoot: walkers with
-	// translation off (the driver-path CPU cores) never touch it, and the
-	// ~14 KiB zeroed allocation per walker is a measurable cost on the
-	// microsecond snapshot-fork path. All TLB accesses are guarded by
-	// root != 0, which implies tlb != nil.
+	// tlb is allocated lazily on the first non-zero SetRoot, 12 KiB of
+	// first-touch memory: CPU walkers with translation off (the driver
+	// path) never pay it, and a GPU device pays it once per virtual core
+	// and once for its chain walker (see Rebind), not per job. All TLB
+	// accesses are guarded by root != 0, which implies tlb != nil.
 	tlb *[tlbSize]tlbEntry
 
 	// shared selects the race-clean access mode: data loads and stores go
@@ -162,11 +162,18 @@ func (w *Walker) Shared() bool { return w.shared }
 func (w *Walker) SetRoot(root uint64) {
 	w.root = root
 	if root != 0 && w.tlb == nil {
-		w.tlb = new([tlbSize]tlbEntry) // fresh array is already clean
+		w.tlb = newTLB() // fresh array is already clean
 		return
 	}
 	w.FlushTLB()
 }
+
+// newTLB is a walker's first-use allocation. Not inlined, so that it is not
+// attributed to Rebind, whose every later call the hotalloc gate pins at
+// zero.
+//
+//go:noinline
+func newTLB() *[tlbSize]tlbEntry { return new([tlbSize]tlbEntry) }
 
 // Root returns the current top-level table base.
 func (w *Walker) Root() uint64 { return w.root }
@@ -184,6 +191,19 @@ func (w *Walker) FlushTLB() {
 // ResetTouched clears and enables touched-page tracking.
 func (w *Walker) ResetTouched() {
 	w.touched = make(map[uint64]uint64)
+}
+
+// Rebind readies a long-lived walker for its next unit of work — a GPU job
+// on a persistent virtual core — exactly as a newly made walker would be:
+// root set, TLB flushed, counters zeroed, touched pages forgotten (tracking
+// stays as ResetTouched left it). The flush is what the guest observes:
+// page tables the driver rewrote since the last job are honoured, and every
+// job's Walks count starts from a cold TLB. Nothing is allocated once the
+// walker has translated before.
+func (w *Walker) Rebind(root uint64) {
+	w.SetRoot(root)
+	clear(w.touched)
+	w.Hits, w.Walks = 0, 0
 }
 
 // TouchedCount returns the number of distinct virtual pages walked since
