@@ -295,7 +295,7 @@ func (c *Context) EnqueueBatch(ctx context.Context, launches []Launch) error {
 			}
 		}
 		global, local := normalizeDims(l.Global, l.Local)
-		if l.Global[0] == 0 || global[0]%local[0] != 0 || global[1]%local[1] != 0 || global[2]%local[2] != 0 {
+		if _, err := (&gpu.JobDescriptor{GlobalSize: global, LocalSize: local}).Workgroups(); err != nil || l.Global[0] == 0 {
 			return &NDRangeError{Kernel: k.lk.ck.Name, Global: l.Global, Local: l.Local}
 		}
 
@@ -354,18 +354,21 @@ func (c *Context) ensureLocal(bytes uint32) error {
 	return nil
 }
 
-// NDRangeError reports a dispatch the hardware cannot tile: the Job
-// Manager splits the global range into whole workgroups, so the range must
-// not be empty and every global dimension must be a multiple of its local
-// dimension. Checked host-side — the same descriptor would otherwise
-// surface as an opaque GPU job fault. The sizes are the caller's.
+// NDRangeError reports a dispatch the Job Manager would refuse
+// (gpu.JobDescriptor.Workgroups): it splits the global range into whole
+// workgroups, so the range must not be empty and every global dimension
+// must be a multiple of its local dimension, and a core holds a whole
+// workgroup, so one may not exceed gpu.MaxWorkgroupThreads. Checked
+// host-side, before anything is staged — the same descriptor would
+// otherwise surface as an opaque GPU job fault. The sizes are the caller's.
 type NDRangeError struct {
 	Kernel        string
 	Global, Local [3]uint32
 }
 
 func (e *NDRangeError) Error() string {
-	return fmt.Sprintf("cl: kernel %s: global size %v is not a non-empty multiple of local size %v", e.Kernel, e.Global, e.Local)
+	return fmt.Sprintf("cl: kernel %s: global size %v is not a non-empty multiple of local size %v, or a workgroup exceeds %d threads",
+		e.Kernel, e.Global, e.Local, gpu.MaxWorkgroupThreads)
 }
 
 // normalizeDims reads an unset (zero) dimension as 1, so 1-D and 2-D

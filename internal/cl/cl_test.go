@@ -167,9 +167,9 @@ func TestUnsetArgumentRejected(t *testing.T) {
 }
 
 // TestNDRangeValidatedHostSide: a global size that is empty or not a
-// multiple of the local size is refused with a typed error naming both,
-// before any descriptor reaches the GPU (where it would only surface as a
-// job fault).
+// multiple of the local size, or a workgroup above the device limit, is
+// refused with a typed error naming both sizes, before any descriptor
+// reaches the GPU (where it would only surface as a job fault).
 func TestNDRangeValidatedHostSide(t *testing.T) {
 	p, c := newStack(t)
 	prog, err := c.BuildProgram(bg, saxpySrc)
@@ -197,6 +197,8 @@ func TestNDRangeValidatedHostSide(t *testing.T) {
 		{cl.G1(100), cl.G1(64)},
 		{cl.G1(0), cl.G1(64)},
 		{{64, 1, 3}, {64, 1, 2}},
+		{cl.G1(2 * gpu.MaxWorkgroupThreads), cl.G1(2 * gpu.MaxWorkgroupThreads)},
+		{cl.G2(65536, 65536), cl.G2(65536, 65536)},
 	} {
 		err := c.EnqueueKernel(bg, k, dims[0], dims[1])
 		var nd *cl.NDRangeError

@@ -45,13 +45,22 @@ const diffOutStride = 16
 // a 4-byte STG here spans the first scratch page boundary.
 const diffScratchOff = 4094
 
+// diffFeatures selects the optional sections of a generated kernel.
+type diffFeatures struct {
+	withLocal, withDiverge, withMisalign, withCross, withStride bool
+	withUniformBranch, withFault                                bool
+}
+
+// diffUnmapped is an address no differential rig maps.
+const diffUnmapped = 0xE000_0000
+
 // genDifferentialProgram builds a random kernel for the differential
 // campaign. Uniforms: c0 = &in, c1 = &out, c2 = scalar, c3 = &scratch.
 // Every thread works on its own in/out slice (stride 8 and diffOutStride
 // bytes), so the kernel is data-race-free and its output
 // schedule-independent; the optional page-crossing scratch store writes
 // the same constant from every thread, so it too is deterministic.
-func genDifferentialProgram(rnd *rand.Rand, nALU int, withLocal, withDiverge, withMisalign, withCross, withStride bool) *gpu.Program {
+func genDifferentialProgram(rnd *rand.Rand, nALU int, f diffFeatures) *gpu.Program {
 	// Registers: r0..r2 address setup, r3..r5 loaded inputs, r6 local
 	// offset, r7 parity, r8..r20 scratch written by the random section,
 	// r21 output fold, r22..r25 misaligned/crossing loads.
@@ -95,7 +104,7 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, withLocal, withDiverge, wi
 	}}
 	prog := &gpu.Program{RegCount: 26, Uniforms: 4, Clauses: []gpu.Clause{setup}}
 
-	if withMisalign {
+	if f.withMisalign {
 		// Misaligned global loads: in-page but not naturally aligned, so
 		// the warp engine's fused LDG path must reproduce the walker's
 		// unaligned fast-path behaviour exactly. The LDG64 at +3 reads
@@ -127,7 +136,7 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, withLocal, withDiverge, wi
 	}
 	flush()
 
-	if withStride {
+	if f.withStride {
 		// Lane-strided global loads through the warp engine's coalesced
 		// batch path and off it: stride 68 keeps a whole warp's span well
 		// inside one page (batched), stride 1020 makes some warps' spans
@@ -147,7 +156,7 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, withLocal, withDiverge, wi
 		src = append(src, d1, d2)
 	}
 
-	if withCross {
+	if f.withCross {
 		// Page-crossing accesses: the fixed-offset LDG64 straddles the
 		// input buffer's first page boundary (every thread loads the same
 		// address), and the STG straddles the scratch buffer's — both
@@ -164,7 +173,7 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, withLocal, withDiverge, wi
 		src = append(src, gpu.R(25))
 	}
 
-	if withLocal {
+	if f.withLocal {
 		// Per-thread local slot traffic, with a barrier between store and
 		// load (also a guest memory fence).
 		prog.Clauses = append(prog.Clauses,
@@ -179,7 +188,44 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, withLocal, withDiverge, wi
 		src = append(src, gpu.R(nextDst-1))
 	}
 
-	if withDiverge {
+	if f.withUniformBranch {
+		// Branches on a warp-uniform predicate, decided once per warp with
+		// no lane diverging: a loop back-edge whose condition — an argument
+		// the kernel was not given, or the zero special — reads zero, then
+		// a forward branch every lane takes, on c2 or on the branch's own
+		// immediate, over a clause that must not run.
+		k := len(prog.Clauses)
+		zero := []uint8{gpu.C(7), gpu.S(gpu.SpecZero)}[rnd.Intn(2)]
+		taken := []uint8{gpu.C(2), gpu.Imm}[rnd.Intn(2)]
+		prog.Clauses = append(prog.Clauses,
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpIADD, Dst: gpu.R(8), A: gpu.R(8), B: gpu.Imm, Imm: 1},
+				{Op: gpu.OpBRC, A: zero, Imm: gpu.BranchImm(k, k+1)},
+			}},
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpBRC, A: taken, Imm: gpu.BranchImm(k+3, k+3)},
+			}},
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpIADD, Dst: gpu.R(8), A: gpu.R(8), B: gpu.Imm, Imm: 0x7700},
+			}},
+		)
+	}
+
+	if f.withFault {
+		// Every thread faults: a load that succeeds, a run of nothing but
+		// NOPs, a load from an unmapped address. The job ends in a fault
+		// with the NOPs counted and nothing after them.
+		prog.Clauses = append(prog.Clauses, gpu.Clause{Instrs: []gpu.Instr{
+			{Op: gpu.OpMOV, Dst: gpu.R(23), A: gpu.Imm, Imm: diffUnmapped},
+			{Op: gpu.OpLDG, Dst: gpu.R(22), A: gpu.R(1)},
+			{Op: gpu.OpNOP},
+			{Op: gpu.OpNOP},
+			{Op: gpu.OpLDG, Dst: gpu.R(23), A: gpu.R(23)},
+			{Op: gpu.OpIADD, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(23)},
+		}})
+	}
+
+	if f.withDiverge {
 		// clause d:   brc r7 -> taken, rejoin
 		// clause d+1: fall path, br rejoin
 		// clause d+2: taken path, falls through
@@ -209,7 +255,7 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, withLocal, withDiverge, wi
 		{Op: gpu.OpSTG, A: gpu.R(2), B: b, Imm: 8},
 		{Op: gpu.OpSTGB, A: gpu.R(2), B: gpu.R(5), Imm: 12},
 	}
-	if withMisalign {
+	if f.withMisalign {
 		final = append(final,
 			gpu.Instr{Op: gpu.OpSTG, A: gpu.R(2), B: gpu.R(22), Imm: 9},
 			gpu.Instr{Op: gpu.OpSTGB, A: gpu.R(2), B: gpu.R(23), Imm: 15},
@@ -226,12 +272,13 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, withLocal, withDiverge, wi
 // runDifferentialEngine executes prog on a fresh device with the given
 // engine and returns the output buffer plus the stats records.
 func runDifferentialEngine(t *testing.T, eng gpu.Engine, prog *gpu.Program, in []byte, global, local [3]uint32, localBytes uint32) ([]byte, any) {
-	return runDifferentialEngineAt(t, eng, prog, in, global, local, localBytes, 0)
+	return runDifferentialEngineAt(t, eng, prog, in, global, local, localBytes, 0, gpu.IRQJobDone)
 }
 
 // runDifferentialEngineAt is runDifferentialEngine with the local slots
-// starting localOff bytes into their allocation.
-func runDifferentialEngineAt(t *testing.T, eng gpu.Engine, prog *gpu.Program, in []byte, global, local [3]uint32, localBytes uint32, localOff uint64) ([]byte, any) {
+// starting localOff bytes into their allocation, for a job that ends with
+// the interrupt bit want set.
+func runDifferentialEngineAt(t *testing.T, eng gpu.Engine, prog *gpu.Program, in []byte, global, local [3]uint32, localBytes uint32, localOff uint64, want uint32) ([]byte, any) {
 	t.Helper()
 	cfg := gpu.DefaultConfig()
 	cfg.Engine = eng
@@ -261,8 +308,8 @@ func runDifferentialEngineAt(t *testing.T, eng gpu.Engine, prog *gpu.Program, in
 		desc.LocalMemVA = r.allocBuf(int(localBytes)*cfg.ShaderCores+int(localOff)) + localOff
 	}
 	raw := r.submit(desc, []uint64{inVA, outVA, 0x1234_5678, scratchVA})
-	if raw&gpu.IRQJobDone == 0 {
-		t.Fatalf("engine %v: job fault rawstat=%#x", eng, raw)
+	if raw&want == 0 {
+		t.Fatalf("engine %v: rawstat=%#x, want bit %#x", eng, raw, want)
 	}
 	out := make([]byte, outLen)
 	if err := r.bus.ReadBytes(outVA, out); err != nil {
@@ -291,19 +338,29 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 	lsz := uint32(1 + localSel%8)
 	gsz := lsz * uint32(1+threadsSel%12)
 	nALU := int(nALUSel % 48)
-	withLocal := seed%3 == 0
-	withDiverge := seed%2 == 0
-	withMisalign := seed%5 == 0
-	withCross := seed%4 == 0
-	withStride := seed%6 == 0
+	// The low half of the seed picks the sections the corpus has always
+	// had; bits 32 and 33 add the uniform branches and the faulting clause.
+	f := diffFeatures{
+		withLocal:         seed%3 == 0,
+		withDiverge:       seed%2 == 0,
+		withMisalign:      seed%5 == 0,
+		withCross:         seed%4 == 0,
+		withStride:        seed%6 == 0,
+		withUniformBranch: seed>>32&1 != 0,
+		withFault:         seed>>33&1 != 0,
+	}
+	want := uint32(gpu.IRQJobDone)
+	if f.withFault {
+		want = gpu.IRQJobFault
+	}
 
-	prog := genDifferentialProgram(rnd, nALU, withLocal, withDiverge, withMisalign, withCross, withStride)
+	prog := genDifferentialProgram(rnd, nALU, f)
 	// The top bit of localSel starts the local slots two words before a
 	// page boundary: slot 0's first warp then has lanes on both pages (the
 	// LDL/STL span declines it), every other warp all of its lanes on one.
 	var localBytes uint32
 	var localOff uint64
-	if withLocal {
+	if f.withLocal {
 		localBytes = 4 * lsz
 		if localSel&0x80 != 0 {
 			localOff = mem.PageSize - 8
@@ -313,8 +370,8 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 	rnd.Read(in)
 
 	global, local := [3]uint32{gsz, 1, 1}, [3]uint32{lsz, 1, 1}
-	outRef, statsRef := runDifferentialEngineAt(t, gpu.EngineInterp, prog, in, global, local, localBytes, localOff)
-	out, stats := runDifferentialEngineAt(t, gpu.EngineWarp, prog, in, global, local, localBytes, localOff)
+	outRef, statsRef := runDifferentialEngineAt(t, gpu.EngineInterp, prog, in, global, local, localBytes, localOff, want)
+	out, stats := runDifferentialEngineAt(t, gpu.EngineWarp, prog, in, global, local, localBytes, localOff, want)
 	if !bytes.Equal(outRef, out) {
 		for i := range outRef {
 			if outRef[i] != out[i] {
@@ -351,6 +408,12 @@ func FuzzDifferentialEngines(f *testing.F) {
 	// (lsz 8) and a one-lane tail warp (lsz 5).
 	f.Add(uint64(6), uint8(11), uint8(0x80|7), uint8(20))
 	f.Add(uint64(12), uint8(5), uint8(0x80|4), uint8(30))
+	// Statistics beside the tape: a BRC back-edge and a forward BRC on
+	// uniform predicates, in a divergent kernel over a partial tail warp;
+	// and a fault after a run of NOPs, the job ending in a fault under both
+	// engines with the same counters.
+	f.Add(uint64(1<<32|10), uint8(7), uint8(4), uint8(24))
+	f.Add(uint64(1<<33|9), uint8(5), uint8(2), uint8(12))
 	f.Fuzz(func(t *testing.T, seed uint64, threadsSel, localSel, nALUSel uint8) {
 		runDifferential(t, seed, threadsSel, localSel, nALUSel)
 	})

@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"mobilesim/internal/mem"
 	"mobilesim/internal/mmu"
@@ -42,9 +43,22 @@ const JobDescSize = 72
 // JobTypeCompute is the only job type the compute-focused simulator runs.
 const JobTypeCompute = 1
 
-// Workgroups returns the total number of workgroups in the dispatch.
+// MaxWorkgroupThreads bounds a workgroup, as a device limit does on
+// hardware: a core holds a whole workgroup's warps at once, so the bound is
+// what keeps a descriptor's LocalSize from sizing host memory.
+const MaxWorkgroupThreads = 1024
+
+// WorkgroupSizeError reports a LocalSize above MaxWorkgroupThreads.
+type WorkgroupSizeError struct{ Local [3]uint32 }
+
+func (e *WorkgroupSizeError) Error() string {
+	return fmt.Sprintf("gpu: workgroup of %v threads exceeds the %d-thread limit", e.Local, MaxWorkgroupThreads)
+}
+
+// Workgroups returns the total number of workgroups in the dispatch, or why
+// the descriptor cannot be dispatched.
 func (d *JobDescriptor) Workgroups() (uint64, error) {
-	n := uint64(1)
+	n, threads := uint64(1), uint64(1)
 	for i := 0; i < 3; i++ {
 		if d.LocalSize[i] == 0 || d.GlobalSize[i] == 0 {
 			return 0, fmt.Errorf("gpu: zero dimension in job (global=%v local=%v)", d.GlobalSize, d.LocalSize)
@@ -52,7 +66,14 @@ func (d *JobDescriptor) Workgroups() (uint64, error) {
 		if d.GlobalSize[i]%d.LocalSize[i] != 0 {
 			return 0, fmt.Errorf("gpu: global size %d not a multiple of local size %d", d.GlobalSize[i], d.LocalSize[i])
 		}
-		n *= uint64(d.GlobalSize[i] / d.LocalSize[i])
+		// The running product stays below 2^42: checked factor by factor.
+		if threads *= uint64(d.LocalSize[i]); threads > MaxWorkgroupThreads {
+			return 0, &WorkgroupSizeError{Local: d.LocalSize}
+		}
+		var over uint64
+		if over, n = bits.Mul64(n, uint64(d.GlobalSize[i]/d.LocalSize[i])); over != 0 {
+			return 0, fmt.Errorf("gpu: workgroup count of job (global=%v local=%v) overflows 64 bits", d.GlobalSize, d.LocalSize)
+		}
 	}
 	return n, nil
 }
@@ -185,9 +206,13 @@ func (d *Device) execJob(desc *JobDescriptor, prog *Program, uniforms []uint64) 
 }
 
 // runWorkgroups runs this core's share of a job: workgroups first,
-// first+stride, … below total.
+// first+stride, … below total. A descriptor can ask for 2^32 workgroups
+// and more, so the index is decomposed in 64 bits; only a soft-stop ends
+// such a job. However the core's share ends, what its tapes tallied
+// reaches its stats shard before execJob merges it.
 func (e *execContext) runWorkgroups(first, stride, total uint64) error {
-	wgPerDim := [2]uint32{e.gsz[0] / e.lsz[0], e.gsz[1] / e.lsz[1]}
+	defer e.commitTallies()
+	wgX, wgY := uint64(e.gsz[0]/e.lsz[0]), uint64(e.gsz[1]/e.lsz[1])
 	// Job-entry fence: guest-visible state written before the doorbell
 	// (descriptors, inputs) is ordered before any shader access. The
 	// matching job-exit fence below orders every store of this virtual
@@ -200,11 +225,7 @@ func (e *execContext) runWorkgroups(first, stride, total uint64) error {
 		if e.stop.Load() {
 			return ErrStopped
 		}
-		e.wgid = [3]uint32{
-			uint32(i) % wgPerDim[0],
-			(uint32(i) / wgPerDim[0]) % wgPerDim[1],
-			uint32(i) / (wgPerDim[0] * wgPerDim[1]),
-		}
+		e.wgid = [3]uint32{uint32(i % wgX), uint32(i / wgX % wgY), uint32(i / (wgX * wgY))}
 		if err := e.runWorkgroup(); err != nil {
 			return err
 		}

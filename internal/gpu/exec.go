@@ -160,10 +160,15 @@ type execContext struct {
 	stop  *atomic.Bool // soft-stop latch, polled at clause boundaries
 
 	// tape is the program's warp-engine artifact when this context runs
-	// on it (nil on the interpreter), and uvals the table its warp-uniform
+	// on it (nil on the interpreter), tapes what a warp entering a clause
+	// runs — the chain heads, or under CFG collection every clause alone —
+	// tallies the warps and lanes that ran each of them to its end since
+	// the last commitTallies, and uvals the table the tapes' warp-uniform
 	// operands are read from (see bindTape).
-	tape  *warpProgram
-	uvals []uint64
+	tape    *warpProgram
+	tapes   []tape
+	tallies []tally
+	uvals   []uint64
 
 	// warpSlab is this virtual core's per-workgroup warp storage, reset by
 	// warpsFor for every workgroup and kept from job to job. nil is valid:
@@ -247,15 +252,26 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 
 // bindTape selects the warp engine for this context when it applies — the
 // program is compiled for it and instruction tracing, which needs per-
-// instruction visibility, is off — and builds the uniform-operand table
+// instruction visibility, is off — sizes the tallies (all zero between
+// jobs: commitTallies leaves them so) and builds the uniform-operand table
 // the tape reads: kernel arguments, dispatch sizes and the program's
-// constants. The workgroup id slots are refreshed by runWorkgroup.
+// constants. The workgroup id slots are refreshed by runWorkgroup. CFG
+// collection needs per-clause block bookkeeping, so it bypasses the
+// superclause chains and runs each clause's own tape.
 func (e *execContext) bindTape() {
-	e.tape = nil
+	e.tape, e.tapes, e.tallies = nil, nil, e.tallies[:0]
 	if e.eng != EngineWarp || e.prog.warp == nil || e.trace != nil {
 		return
 	}
-	e.tape = e.prog.warp
+	e.tape, e.tapes = e.prog.warp, e.prog.warp.heads
+	if e.cfg != nil {
+		e.tapes = e.tape.clauses
+	}
+	if n := len(e.tapes); cap(e.tallies) < n {
+		e.tallies = make([]tally, n)
+	} else {
+		e.tallies = e.tallies[:n]
+	}
 	if n := uvConsts + len(e.tape.consts); cap(e.uvals) < n {
 		e.uvals = make([]uint64, n)
 	} else {
@@ -269,37 +285,125 @@ func (e *execContext) bindTape() {
 	copy(e.uvals[uvConsts:], e.tape.consts)
 }
 
-// execTapeAt runs the tape headed at the current clause — a whole fused
-// superclause chain where one starts here — and applies its terminal.
-// Every *original* clause boundary inside a chain keeps its architectural
-// behaviour (soft-stop poll, acquire marker, per-clause statistics; see
-// kBoundary). CFG collection needs per-clause block bookkeeping, so it
-// runs the clause's own tape. Mid-chain clauses are never entered with
-// active lanes — every control-flow edge (branch targets, reconvergence
-// points, barrier resumes) lands on a chain head by construction, and the
-// zero-active stepping walk in runWarp advances pc without executing.
+// execTapeAt runs the tape a warp entering the current clause runs — a
+// whole fused superclause chain where one starts here — and applies its
+// terminal. execLeaf runs the micro-ops that need no call and hands back
+// the index of the first one that does — a memory access, a slow ALU op,
+// the interpreter fallback, a chain boundary — which is executed here, so
+// that the hot loop keeps its state in registers. act is the active-lane
+// count, constant through the tape (masks only change at clause terminals,
+// which never appear mid-tape); a divergent warp commits its results under
+// its all-ones-per-active-lane mask row. Every *original* clause boundary
+// inside a chain keeps its architectural behaviour (soft-stop poll,
+// acquire marker, per-clause statistics; see kBoundary). Mid-chain clauses
+// are never entered with active lanes — every control-flow edge (branch
+// targets, reconvergence points, barrier resumes) lands on a chain head by
+// construction, and the zero-active stepping walk in runWarp advances pc
+// without executing.
+//
+// The tape's statistics are its tally (see commitTallies); the terminal is
+// applied as decoded at compile time, its static counts tallied with the
+// rest, and only the data-dependent DivergentBranches is counted here.
+//
+//simlint:commit -- counts divergent branches, the one data-dependent terminal counter
 func (e *execContext) execTapeAt(w *warp, act uint64) (warpStatus, error) {
-	t := &e.tape.heads[w.pc]
+	t, ty := &e.tapes[w.pc], &e.tallies[w.pc]
+	ty.entries++
+	ty.lanes += act
 	var blk *stats.CFGBlock
 	if e.cfg != nil {
-		t = &e.tape.clauses[w.pc]
 		blk = e.cfgEnter(w.pc, act)
 	}
 	var mask *soaRow
 	if int(act) != w.lanes {
 		mask = &maskRows[w.active]
 	}
-	if err := e.execTape(w, t.ops, act, mask); err != nil {
-		return warpDone, err
+	wp, ops := e.tape, t.ops
+	for pc := 0; ; pc++ {
+		if pc = e.execLeaf(w, ops, pc, mask); pc == len(ops) {
+			break
+		}
+		u := ops[pc]
+		var err error
+		switch u.kind() {
+		case kBoundary:
+			if e.stop != nil && e.stop.Load() {
+				err = ErrStopped
+			}
+			mem.LoadFence()
+		case kLoadG:
+			err = e.loadGlobal(w, &wp.mems[u.imm()], u, act, mask == nil)
+		case kStoreG:
+			err = e.storeGlobal(w, &wp.mems[u.imm()], u, act, mask == nil)
+		case kLoadL:
+			err = e.loadLocal(w, &wp.mems[u.imm()], u, act, mask == nil)
+		case kStoreL:
+			err = e.storeLocal(w, &wp.mems[u.imm()], u, act, mask == nil)
+		case kLaneInterp:
+			err = e.laneInterp(w, wp.slow[u.imm()].in, act)
+		case kSlow:
+			dst := &w.rows[u.d()]
+			d := dst
+			if mask != nil {
+				d = &w.rows[rowMasked]
+			}
+			wp.slow[u.imm()].run(d, &w.rows[u.a()], &w.rows[u.b()])
+			if mask != nil {
+				commitMasked(dst, d, mask)
+			}
+		default:
+			panic("gpu: tape micro-op without an executor case")
+		}
+		if err != nil {
+			e.abortTape(t, ty, pc, act)
+			return warpDone, err
+		}
 	}
-	if t.term == nil {
-		return e.endFallthrough(w, t.next, blk, act)
+
+	if blk != nil {
+		// Block bookkeeping and edges: the interpreter's terminal, counted live.
+		if t.term == nil {
+			return e.endFallthrough(w, t.next, blk, act)
+		}
+		return e.execTerminal(w, t.term, t.next, blk, act)
 	}
-	var pred *soaRow
-	if t.pred.vec {
-		pred = &w.rows[t.pred.row]
+	switch t.tk {
+	case tkFall:
+		w.pc = t.next
+	case tkBR:
+		w.pc = t.tgt
+	case tkBARRIER:
+		w.pc = t.next
+		return warpAtBarrier, nil
+	case tkRET:
+		w.exited |= w.active
+		w.active = 0
+		w.pc = t.next
+		return warpDone, nil
+	case tkBRC:
+		// Inactive and dead lanes of the predicate row are masked off.
+		taken := w.active
+		if t.pred.vec {
+			p := &w.rows[t.pred.row]
+			taken &= laneMask(b2u(p[0] != 0) | b2u(p[1] != 0)<<1 | b2u(p[2] != 0)<<2 | b2u(p[3] != 0)<<3)
+		} else if e.uvals[t.pred.uv] == 0 {
+			taken = 0
+		}
+		switch fall := w.active &^ taken; {
+		case fall == 0:
+			w.pc = t.tgt
+		case taken == 0:
+			w.pc = t.next
+		default:
+			e.gs.DivergentBranches++
+			w.stack = append(w.stack, divFrame{rejoin: t.rejoin, pendPC: t.tgt, pendMask: taken, joinMask: w.active})
+			w.active = fall
+			w.pc = t.next
+		}
+	default: // tkInterp
+		return e.execTerminal(w, t.term, t.next, nil, act)
 	}
-	return e.execTerminal(w, t.term, t.next, blk, act, pred, t.pred.ctr)
+	return warpRunning, nil
 }
 
 // execClause runs all slots of the current clause on all active lanes, one
@@ -333,7 +437,7 @@ func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {
 	for ii := range c.Instrs {
 		in := &c.Instrs[ii]
 		if IsClauseTerminal(in.Op) {
-			return e.execTerminal(w, in, next, blk, act, nil, ctrNone)
+			return e.execTerminal(w, in, next, blk, act)
 		}
 		switch Classify(in.Op) {
 		case ClassNop:
@@ -381,15 +485,14 @@ func (e *execContext) endFallthrough(w *warp, next int, blk *stats.CFGBlock, act
 	return warpRunning, nil
 }
 
-// execTerminal applies a clause-terminal control-flow instruction. Both
-// the interpreter and the warp engine's tapes end clauses here, so
-// divergence, reconvergence-stack and CFG bookkeeping are engine-agnostic.
-// The warp engine passes a BRC's predicate as the register row (and
-// operand counter) it resolved at compile time; pred is nil when the
-// operand has to be decoded per lane.
+// execTerminal applies a clause-terminal control-flow instruction as the
+// interpreter does: immediates and the BRC predicate decoded here, every
+// counter live. It is the specification of the terminal execTapeAt applies
+// pre-decoded, and what the warp engine itself still calls when it needs
+// the CFG's block bookkeeping or meets a predicate it could not resolve.
 //
 //simlint:commit -- commits control-flow and divergence counters
-func (e *execContext) execTerminal(w *warp, in *Instr, next int, blk *stats.CFGBlock, act uint64, pred *soaRow, predCtr ctrKind) (warpStatus, error) {
+func (e *execContext) execTerminal(w *warp, in *Instr, next int, blk *stats.CFGBlock, act uint64) (warpStatus, error) {
 	e.gs.CFInstr += act
 
 	switch in.Op {
@@ -432,22 +535,13 @@ func (e *execContext) execTerminal(w *warp, in *Instr, next int, blk *stats.CFGB
 			if !w.active.has(i) {
 				continue
 			}
-			var p uint64
-			if pred != nil {
-				p = pred[i]
-			} else {
-				p = e.read(w, i, in.A, in)
-			}
-			if p != 0 {
+			if e.read(w, i, in.A, in) != 0 {
 				taken |= 1 << uint(i)
 			}
 		}
 		fall := w.active &^ taken
 		nTaken := bits.OnesCount8(uint8(taken))
 		nFall := bits.OnesCount8(uint8(fall))
-		if pred != nil {
-			predCtr.bump(e.gs, act)
-		}
 		if blk != nil {
 			blk.Terminator = "brc"
 			if nTaken > 0 {

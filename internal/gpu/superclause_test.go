@@ -2,8 +2,11 @@ package gpu
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"mobilesim/internal/stats"
 )
 
 // Structural tests for superclause fusion (DESIGN.md §9). The differential
@@ -102,13 +105,17 @@ func TestSuperClauseFusionShapes(t *testing.T) {
 		}
 		// The folded BR must still be accounted as a control-flow
 		// instruction at the original clause boundary — exactly once,
-		// by the boundary micro-op; the final clause's RET stays a live
-		// terminal.
+		// by a mark at the boundary micro-op; the final clause's RET
+		// stays the chain's terminal.
 		var boundaries, foldedBR int
-		for _, u := range chain.ops {
+		for pc, u := range chain.ops {
 			if u.kind() == kBoundary {
 				boundaries++
-				foldedBR += int(u.b())
+				for _, m := range chain.marks {
+					if int(m.pos) == pc {
+						foldedBR += int(m.st.cf)
+					}
+				}
 			}
 		}
 		if boundaries != 1 || foldedBR != 1 {
@@ -179,6 +186,7 @@ func TestSuperClauseSoftStopAtSegBoundary(t *testing.T) {
 
 			hits, walks := ec.walker.Hits, ec.walker.Walks
 			st, err := ec.execTapeAt(w, uint64(w.activeCount()))
+			ec.commitTallies()
 			if !errors.Is(err, ErrStopped) {
 				t.Fatalf("chain under stop: status %v, err %v; want ErrStopped", st, err)
 			}
@@ -217,6 +225,7 @@ func TestSuperClauseFaultMatchesInterp(t *testing.T) {
 			ecI, wI := mk(EngineInterp)
 
 			_, errW := ecW.runWarp(wW)
+			ecW.commitTallies()
 			_, errI := ecI.runWarp(wI)
 			if errW == nil || errI == nil {
 				t.Fatalf("expected a fault from both engines; warp=%v interp=%v", errW, errI)
@@ -235,5 +244,90 @@ func TestSuperClauseFaultMatchesInterp(t *testing.T) {
 					ecW.walker.Hits, ecW.walker.Walks, ecI.walker.Hits, ecI.walker.Walks)
 			}
 		})
+	}
+}
+
+// TestAbortedTapeCommitsWhatItReached pins the abort rule of the statistics
+// beside the tape (DESIGN.md §9). One chain — a padded clause opening with an
+// ALU run, a load, a run of NOPs, a second load and a folded BR, then a
+// boundary and a second clause — is stopped at each place a tape can stop:
+// the first load faults, the second load faults, a soft-stop is latched when
+// the boundary polls. The shard must then hold the interpreter's counters at
+// that point — the runs the tape reached, no later one — and the core's
+// tallies nothing.
+func TestAbortedTapeCommitsWhatItReached(t *testing.T) {
+	prog := &Program{RegCount: 16, Clauses: []Clause{
+		{Instrs: []Instr{
+			{Op: OpIADD, Dst: R(8), A: R(1), B: R(2)},
+			{Op: OpIMUL, Dst: R(9), A: R(8), B: C(0)},
+			{Op: OpLDG, Dst: R(12), A: R(4)},
+			{Op: OpNOP},
+			{Op: OpNOP},
+			{Op: OpLDG, Dst: T(0), A: R(5)},
+			{Op: OpBR, Imm: 1},
+		}},
+		{Instrs: []Instr{{Op: OpIADD, Dst: R(8), A: R(8), B: R(12)}, {Op: OpRET}}},
+	}}
+	prog.compile(EngineWarp)
+	if prog.warp.heads[0].n != 2 {
+		t.Fatalf("the two clauses did not fuse into one chain")
+	}
+	r := newTapeRig(t)
+	raised := new(atomic.Bool)
+	raised.Store(true)
+	for _, ab := range []struct {
+		name string
+		arm  func(w *warp)
+		stop bool
+	}{
+		{"first_load_faults", func(w *warp) { w.rows[4][2] = 0xdead_0000 }, false},
+		{"second_load_faults", func(w *warp) { w.rows[5][2] = 0xdead_0000 }, false},
+		{"soft_stop_at_boundary", func(*warp) {}, true},
+	} {
+		for _, sh := range warpShapes {
+			run := func(eng Engine) ([NumGRF + NumTemp]soaRow, stats.GPUStats, error) {
+				w := r.w0
+				w.stack = nil
+				sh.shape(&w)
+				ab.arm(&w)
+				*r.ec.gs = stats.GPUStats{}
+				r.ec.prog = prog
+				r.ec.setEngine(eng)
+				act := uint64(w.activeCount())
+				var err error
+				switch {
+				case !ab.stop:
+					_, err = r.ec.runWarp(&w)
+				case eng == EngineWarp:
+					r.ec.stop = raised
+					_, err = r.ec.execTapeAt(&w, act)
+					r.ec.stop = nil
+				default:
+					// What the interpreter has run when the latch is polled
+					// between the two clauses: the first one.
+					if _, err = r.ec.execClause(&w, act); err == nil {
+						err = ErrStopped
+					}
+				}
+				r.ec.commitTallies()
+				for ci, ty := range r.ec.tallies {
+					if ty != (tally{}) {
+						t.Errorf("%s [%s]: tally of clause %d after the abort and the commit = %+v, want zero", ab.name, sh.name, ci, ty)
+					}
+				}
+				return regsOf(&w), *r.ec.gs, err
+			}
+			regsI, gsI, errI := run(EngineInterp)
+			regsW, gsW, errW := run(EngineWarp)
+			if errI == nil || fmt.Sprint(errI) != fmt.Sprint(errW) || ab.stop != errors.Is(errW, ErrStopped) {
+				t.Errorf("%s [%s]: error: interp %v, warp %v", ab.name, sh.name, errI, errW)
+			}
+			if gsI != gsW {
+				t.Errorf("%s [%s]: stats at the abort diverge\ninterp %+v\nwarp   %+v", ab.name, sh.name, gsI, gsW)
+			}
+			if regsI != regsW {
+				t.Errorf("%s [%s]: registers at the abort diverge", ab.name, sh.name)
+			}
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // The warp engine's executor (DESIGN.md §9): warpCompile lowers every
 // clause — and every superclause chain — to a flat tape of pre-decoded
-// micro-ops, and execTape runs a tape for one whole warp with a single
+// micro-ops, and execTapeAt runs a tape for one whole warp with a single
 // dense switch. ALU cases are leaf code, the four lanes written out in the
 // case over rows of the warp's unified register file; only operations
 // that can fault or must defer to other code (global/local memory, the
@@ -19,12 +19,15 @@ import (
 // Counter contract: the interpreter bumps the class counter once per
 // instruction (scaled by the clause's active-lane count) before touching
 // lanes, and operand counters per lane access. ALU instructions cannot
-// fault, so the bumps of a run of them are summed at compile time into
-// one tapeStats applied at the head of the run — same totals at every
-// observable point (fault aborts, soft-stops, completion). Memory
-// instructions CAN fault and abort the warp mid-instruction, so all their
-// counters stay per-lane, interleaved with the walker calls exactly as
-// the interpreter interleaves them.
+// fault, so the bumps of a run of them are summed at compile time into a
+// mark beside the tape; a core tallies how many warps and lanes entered
+// each tape and commitTallies multiplies the two when its share of the job
+// ends — a core's shard is private until execJob merges it, so nothing
+// can observe when the counts are added. A tape that stops early commits
+// the marks it reached (abortTape), the interpreter's totals at that
+// point. Memory instructions CAN fault and abort the warp mid-instruction,
+// so all their counters stay per-lane and live, interleaved with the
+// walker calls exactly as the interpreter interleaves them.
 
 // The leaf cases spell out the lanes of a row: in a function the size of
 // execLeaf the compiler neither unrolls a WarpSize loop nor keeps its
@@ -35,20 +38,11 @@ var _ [0]struct{} = [WarpSize - 4]struct{}{}
 type uopKind uint8
 
 const (
-	// kClause enters a clause: ClausesExec and the size histogram slot d.
-	// It is always followed by a kStats word, consumed in the same step:
-	// the clause's issue-slot padding NOPs merged with the ALU run that
-	// opens it.
-	kClause uopKind = iota
-	// kStats heads a run of ALU micro-ops and carries the run's statistics
-	// aggregate in its own operand bytes (tapeStats.encode).
-	kStats
-	kSplat // d = broadcast(uvals[imm])
-	// kBoundary precedes the kClause of every clause but the first in a
-	// superclause chain. It does what the per-clause loop in runWarp would
-	// have done at that original clause boundary: account the folded
-	// unconditional BR (b = 1) as a control-flow instruction, poll the
-	// soft-stop latch and issue the clause-boundary acquire marker.
+	kSplat uopKind = iota // d = broadcast(uvals[imm])
+	// kBoundary sits between two clauses of a superclause chain and does
+	// what the per-clause loop in runWarp would have done at that original
+	// clause boundary: poll the soft-stop latch and issue the clause-
+	// boundary acquire marker.
 	kBoundary
 	kSlow       // d = slow[imm]'s value function of a (and b), per lane
 	kLoadG      // mems[imm]: d = global[a + off]
@@ -81,25 +75,89 @@ func (u uop) imm() uint32   { return uint32(u >> 32) }
 
 // tapeStats is the compile-time aggregate of the statistics a run of
 // fault-free instructions bumps per active lane: the instruction-class
-// counters plus the operand-access breakdown. A clause has at most
-// MaxClauseSlotsBinary slots of at most four operand accesses each, so
-// every count fits the byte it is encoded in; the builder splits a run
-// before tapeStatsMax so hand-built oversized clauses stay exact too.
+// counters plus the operand-access breakdown.
 type tapeStats struct {
-	arith, nop, grfRead, grfWrite, tempAcc, constRead, romRead uint8
+	arith, nop, cf, grfRead, grfWrite, tempAcc, constRead, romRead uint32
 }
 
-const tapeStatsMax = 255 - 4
-
-// encode packs the aggregate into a kStats micro-op.
-func (s tapeStats) encode() uop {
-	return mkUop(kStats, s.arith, s.nop, s.grfRead,
-		uint32(s.grfWrite)|uint32(s.tempAcc)<<8|uint32(s.constRead)<<16|uint32(s.romRead)<<24)
+// commit adds the aggregate to the shard for lanes active lanes.
+//
+//simlint:commit -- the designated bulk commit of a tape's pre-summed counters
+func (s *tapeStats) commit(gs *stats.GPUStats, lanes uint64) {
+	gs.ArithInstr += uint64(s.arith) * lanes
+	gs.NopInstr += uint64(s.nop) * lanes
+	gs.CFInstr += uint64(s.cf) * lanes
+	gs.GRFRead += uint64(s.grfRead) * lanes
+	gs.GRFWrite += uint64(s.grfWrite) * lanes
+	gs.TempAcc += uint64(s.tempAcc) * lanes
+	gs.ConstRead += uint64(s.constRead) * lanes
+	gs.ROMRead += uint64(s.romRead) * lanes
 }
 
-// full reports whether another instruction's counts might overflow a field.
-func (s tapeStats) full() bool {
-	return max(s.arith, s.nop, s.grfRead, s.grfWrite, s.tempAcc, s.constRead, s.romRead) > tapeStatsMax
+// mark carries the statistics of one fault-free run of a tape: the run
+// starts at ops[pos] (len(ops) for a run of NOPs that closes the tape), and
+// slot is the size-histogram slot of the clause that starts there with it,
+// -1 when none does. A tape's marks are in tape order.
+type mark struct {
+	pos  int32
+	slot int32
+	st   tapeStats
+}
+
+// commitMarks adds what entries warps, lanes active lanes between them,
+// count over marks.
+//
+//simlint:commit -- commits clause entries with the marks' pre-summed counters
+func commitMarks(gs *stats.GPUStats, marks []mark, entries, lanes uint64) {
+	for i := range marks {
+		m := &marks[i]
+		if m.slot >= 0 {
+			gs.ClausesExec += entries
+			gs.ClauseSizeHist[m.slot] += entries
+		}
+		m.st.commit(gs, lanes)
+	}
+}
+
+// tally counts the warps that ran a tape to its end, and their active lanes.
+type tally struct{ entries, lanes uint64 }
+
+// abortTape accounts a tape that stopped at ops[pc] — a fault, a soft-stop
+// at a chain boundary, an interpreter-fallback error: its entry leaves the
+// tally and exactly the runs it reached are committed, so the counters at
+// every abort are the interpreter's.
+func (e *execContext) abortTape(t *tape, ty *tally, pc int, act uint64) {
+	ty.entries--
+	ty.lanes -= act
+	n := 0
+	for n < len(t.marks) && int(t.marks[n].pos) <= pc {
+		n++
+	}
+	commitMarks(e.gs, t.marks[:n], 1, act)
+}
+
+// commitTallies adds every completed tape's statistics to the core's shard
+// and zeroes the tallies: runWorkgroups calls it on every path out. Under
+// CFG collection execTerminal has counted the terminals live; otherwise
+// their static counts ride along.
+//
+//simlint:commit -- commits the tallied tapes' pre-summed counters
+func (e *execContext) commitTallies() {
+	for ci := range e.tallies {
+		ty := &e.tallies[ci]
+		if ty.entries == 0 {
+			continue
+		}
+		t := &e.tapes[ci]
+		commitMarks(e.gs, t.marks, ty.entries, ty.lanes)
+		if e.cfg == nil {
+			t.termSt.commit(e.gs, ty.lanes)
+			if t.tk == tkBRC {
+				e.gs.Branches += ty.entries
+			}
+		}
+		*ty = tally{}
+	}
 }
 
 // ctrKind names the operand counter an operand access bumps.
@@ -149,61 +207,6 @@ func (c ctrKind) bump(gs *stats.GPUStats, n uint64) {
 	}
 }
 
-// execTape runs one tape for the whole warp. act is the active-lane count,
-// constant through the tape (masks only change at clause terminals, which
-// never appear mid-tape). mask is nil for a warp whose live lanes are all
-// active; a divergent warp passes its all-ones-per-active-lane row.
-//
-// The work is split in two so the hot loop keeps its state in registers:
-// execLeaf runs micro-ops that need no call, and hands back the index of
-// the first one that does — a memory access, a slow ALU op, the
-// interpreter fallback, a chain boundary — which is executed here.
-//
-//simlint:commit -- accounts the unconditional BR folded into a chain boundary
-func (e *execContext) execTape(w *warp, ops []uop, act uint64, mask *soaRow) error {
-	wp := e.tape
-	for pc := 0; ; pc++ {
-		if pc = e.execLeaf(w, ops, pc, act, mask); pc == len(ops) {
-			return nil
-		}
-		u := ops[pc]
-		var err error
-		switch u.kind() {
-		case kBoundary:
-			e.gs.CFInstr += act * uint64(u.b())
-			if e.stop != nil && e.stop.Load() {
-				return ErrStopped
-			}
-			mem.LoadFence()
-		case kLoadG:
-			err = e.loadGlobal(w, &wp.mems[u.imm()], u, act, mask == nil)
-		case kStoreG:
-			err = e.storeGlobal(w, &wp.mems[u.imm()], u, act, mask == nil)
-		case kLoadL:
-			err = e.loadLocal(w, &wp.mems[u.imm()], u, act, mask == nil)
-		case kStoreL:
-			err = e.storeLocal(w, &wp.mems[u.imm()], u, act, mask == nil)
-		case kLaneInterp:
-			err = e.laneInterp(w, wp.slow[u.imm()].in, act)
-		case kSlow:
-			dst := &w.rows[u.d()]
-			d := dst
-			if mask != nil {
-				d = &w.rows[rowMasked]
-			}
-			wp.slow[u.imm()].run(d, &w.rows[u.a()], &w.rows[u.b()])
-			if mask != nil {
-				commitMasked(dst, d, mask)
-			}
-		default:
-			panic("gpu: tape micro-op without an executor case")
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
 // commitMasked copies the active lanes of a full-row result into place.
 func commitMasked(dst, src, mask *soaRow) {
 	for l := range dst {
@@ -222,9 +225,7 @@ func commitMasked(dst, src, mask *soaRow) {
 // one case table for both. Full warps write every slot of a row, including
 // lanes beyond w.lanes: those are architecturally dead (never active,
 // never stored back), so what a row's dead lanes hold is never observed.
-//
-//simlint:commit -- the tape executor commits the pre-aggregated instruction mix
-func (e *execContext) execLeaf(w *warp, ops []uop, pc int, act uint64, mask *soaRow) int {
+func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 	rows := &w.rows
 	keep, force := uint8(0xff), uint8(0)
 	if mask != nil {
@@ -235,29 +236,17 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, act uint64, mask *soa
 		switch u.kind() {
 		default:
 			return pc
-		case kClause:
-			e.gs.ClausesExec++
-			e.gs.ClauseSizeHist[u.d()]++
-			pc++
-			u = ops[pc]
-			fallthrough
-		case kStats:
-			gs, st := e.gs, uint64(u)
-			gs.ArithInstr += st >> 8 & 0xff * act
-			gs.NopInstr += st >> 16 & 0xff * act
-			gs.GRFRead += st >> 24 & 0xff * act
-			gs.GRFWrite += st >> 32 & 0xff * act
-			gs.TempAcc += st >> 40 & 0xff * act
-			gs.ConstRead += st >> 48 & 0xff * act
-			gs.ROMRead += st >> 56 * act
-			continue
 		case kSplat:
 			d, s := &rows[u.d()&keep|force], e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = s, s, s, s
 
 		// --- vector ∘ vector
 		case kVV + uopKind(OpMOV):
-			rows[u.d()&keep|force] = rows[u.a()]
+			// Word by word: the source row is most often the previous
+			// micro-op's result, stored as four words, and a wider load
+			// over two of those stores cannot be store-forwarded.
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d[0], d[1], d[2], d[3] = a[0], a[1], a[2], a[3]
 		case kVV + uopKind(OpI2F):
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			d[0], d[1], d[2], d[3] = fbits(float32(int32(a[0]))), fbits(float32(int32(a[1]))), fbits(float32(int32(a[2]))), fbits(float32(int32(a[3])))
@@ -285,6 +274,12 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, act uint64, mask *soa
 		case kVV + uopKind(OpIMUL):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])*uint32(b[0])), uint64(uint32(a[1])*uint32(b[1])), uint64(uint32(a[2])*uint32(b[2])), uint64(uint32(a[3])*uint32(b[3]))
+		case kVV + uopKind(OpIMIN):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(min(int32(a[0]), int32(b[0])))), uint64(uint32(min(int32(a[1]), int32(b[1])))), uint64(uint32(min(int32(a[2]), int32(b[2])))), uint64(uint32(min(int32(a[3]), int32(b[3]))))
+		case kVV + uopKind(OpIMAX):
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d[0], d[1], d[2], d[3] = uint64(uint32(max(int32(a[0]), int32(b[0])))), uint64(uint32(max(int32(a[1]), int32(b[1])))), uint64(uint32(max(int32(a[2]), int32(b[2])))), uint64(uint32(max(int32(a[3]), int32(b[3]))))
 		case kVV + uopKind(OpSHL):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])<<(uint32(b[0])&31)), uint64(uint32(a[1])<<(uint32(b[1])&31)), uint64(uint32(a[2])<<(uint32(b[2])&31)), uint64(uint32(a[3])<<(uint32(b[3])&31))
@@ -358,6 +353,14 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, act uint64, mask *soa
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])*uint32(s)), uint64(uint32(a[1])*uint32(s)), uint64(uint32(a[2])*uint32(s)), uint64(uint32(a[3])*uint32(s))
+		case kVU + uopKind(OpIMIN):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := int32(e.uvals[u.imm()])
+			d[0], d[1], d[2], d[3] = uint64(uint32(min(int32(a[0]), s))), uint64(uint32(min(int32(a[1]), s))), uint64(uint32(min(int32(a[2]), s))), uint64(uint32(min(int32(a[3]), s)))
+		case kVU + uopKind(OpIMAX):
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			s := int32(e.uvals[u.imm()])
+			d[0], d[1], d[2], d[3] = uint64(uint32(max(int32(a[0]), s))), uint64(uint32(max(int32(a[1]), s))), uint64(uint32(max(int32(a[2]), s))), uint64(uint32(max(int32(a[3]), s)))
 		case kVU + uopKind(OpSHL):
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
@@ -538,7 +541,7 @@ func sel(pred, a, b uint64) uint64 {
 }
 
 // run executes an ALU op without a leaf case (transcendentals, IDIV/IMOD,
-// MIN/MAX) through its value function.
+// FMIN/FMAX) through its value function.
 func (s *slowOp) run(d, a, b *soaRow) {
 	for l := range d {
 		if s.un != nil {

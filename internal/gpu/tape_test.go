@@ -23,11 +23,12 @@ import (
 var tapeInterpOnly = map[Opcode]string{}
 
 // tapeSlowOps lists the ALU opcodes that run through their value function
-// (kSlow) instead of a leaf case: library transcendentals and
-// the multi-branch integer ops, none of them hot in any workload profile.
+// (kSlow) instead of a leaf case: library transcendentals, the
+// multi-branch integer divisions and the float MIN/MAX (math.Min's NaN
+// rules), none of them hot in any workload profile.
 var tapeSlowOps = map[Opcode]bool{
 	OpFEXP: true, OpFLOG: true, OpFSIN: true, OpFCOS: true,
-	OpIDIV: true, OpIMOD: true, OpIMIN: true, OpIMAX: true, OpFMIN: true, OpFMAX: true,
+	OpIDIV: true, OpIMOD: true, OpFMIN: true, OpFMAX: true,
 }
 
 func oneInstrProgram(in Instr) *Program {
@@ -119,6 +120,7 @@ func (r *tapeRig) run(t *testing.T, prog *Program, eng Engine, shape func(*warp)
 	r.ec.prog = prog
 	r.ec.setEngine(eng)
 	_, err := r.ec.runWarp(&w)
+	r.ec.commitTallies()
 	pages := make([]byte, n)
 	if rerr := r.ec.bus.ReadBytes(pa, pages); rerr != nil {
 		t.Fatal(rerr)
@@ -195,6 +197,29 @@ func TestTapeMatchesInterpEveryShape(t *testing.T) {
 				r.check(t, Instr{Op: op, Dst: R(8), A: a, B: v, Imm: 16})
 				r.check(t, Instr{Op: op, Dst: R(8), A: a, B: v, Imm: 4096}) // beyond the local allocation: faults
 			}
+		}
+	}
+}
+
+// TestLongRunCountsExactly runs a hand-built clause far past the sixteen
+// architectural slots — 300 NOPs interleaved with 300 IADDs, one fault-free
+// run whose counts no byte could hold — and requires exact totals.
+func TestLongRunCountsExactly(t *testing.T) {
+	var c Clause
+	for i := 0; i < 300; i++ {
+		c.Instrs = append(c.Instrs, Instr{Op: OpNOP}, Instr{Op: OpIADD, Dst: R(8), A: R(8), B: R(1)})
+	}
+	prog := &Program{RegCount: 16, Clauses: []Clause{c}}
+	prog.compile(EngineWarp)
+	r := newTapeRig(t)
+	for _, sh := range warpShapes {
+		w := r.w0
+		sh.shape(&w)
+		act := uint64(w.activeCount())
+		_, gsI, _, _ := r.run(t, prog, EngineInterp, sh.shape)
+		_, gsW, _, _ := r.run(t, prog, EngineWarp, sh.shape)
+		if gsW != gsI || gsW.ArithInstr != 300*act || gsW.NopInstr != 300*act || gsW.GRFRead != 600*act || gsW.GRFWrite != 300*act {
+			t.Errorf("[%s]: 300 NOPs and 300 IADDs over %d lanes counted\ninterp %+v\nwarp   %+v", sh.name, act, gsI, gsW)
 		}
 	}
 }

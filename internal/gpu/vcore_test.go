@@ -2,9 +2,11 @@ package gpu_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"mobilesim/internal/gpu"
 	"mobilesim/internal/mem"
@@ -95,7 +97,8 @@ func (r *rig) jobCounts(descVA uint64) jobCounts {
 // core that has run other jobs counts exactly what it counted on the fresh
 // core — instruction mix, TLB hits and walks, pages — and translates
 // through the page tables as they are now, not as a previous job's TLB
-// remembers them.
+// remembers them. Nor does it inherit a tape tally: the job before it faults
+// with its cores' tapes entered and not finished.
 func TestBackToBackJobsCountIdentically(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
@@ -103,7 +106,8 @@ func TestBackToBackJobsCountIdentically(t *testing.T) {
 			cfg.HostThreads = threads
 			r := newRig(t, cfg)
 
-			// A job, a different job over other pages, the first job again.
+			// A job, a different job over other pages, a job that faults
+			// part-way down its tape, the first job again.
 			reverse, _ := r.stageReverse(1024, 32)
 			const n = 2048
 			a, b, sum := r.allocBuf(4*n), r.allocBuf(4*n), r.allocBuf(4*n)
@@ -115,8 +119,25 @@ func TestBackToBackJobsCountIdentically(t *testing.T) {
 				ShaderVA:   progVA,
 				ShaderSize: progSize,
 			}, []uint64{a, b, sum})
+			// Its output's second page is unmapped: every core finishes
+			// workgroups — tapes run to their end, tallied — before the
+			// one that faults.
+			half := r.allocBuf(4 * n)
+			if err := r.as.Unmap(half + mem.PageSize); err != nil {
+				t.Fatal(err)
+			}
+			faulting := r.stage(&gpu.JobDescriptor{
+				JobType:    gpu.JobTypeCompute,
+				GlobalSize: [3]uint32{n, 1, 1},
+				LocalSize:  [3]uint32{64, 1, 1},
+				ShaderVA:   progVA,
+				ShaderSize: progSize,
+			}, []uint64{a, b, half})
 			first := r.jobCounts(reverse)
 			r.jobCounts(vecAdd)
+			if raw := r.kick(faulting); raw&gpu.IRQJobFault == 0 {
+				t.Fatalf("stores to an unmapped page: rawstat = %#x, want a job fault", raw)
+			}
 			if again := r.jobCounts(reverse); again != first || first.sys.TLBWalks == 0 || first.sys.PagesAccessed == 0 {
 				t.Errorf("the same job counted differently after other jobs ran on its cores:\nfirst: %+v\nagain: %+v", first, again)
 			}
@@ -375,5 +396,71 @@ func TestLocalSpanMatchesInterp(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDescriptorSizesCannotKillTheDevice pins what a guest-written job
+// descriptor can ask of the host. A workgroup above MaxWorkgroupThreads —
+// whose warps a core would have to hold all at once — is a job fault before
+// anything is sized by it, and the device runs the next job. A grid of 2^32
+// workgroups, whose index does not fit the 32 bits it used to be decomposed
+// in, starts, runs until it is soft-stopped and ends stopped.
+func TestDescriptorSizesCannotKillTheDevice(t *testing.T) {
+	for _, eng := range bothEngines {
+		cfg := gpu.DefaultConfig()
+		cfg.Engine = eng
+		r := newRig(t, cfg)
+		// Every thread raises a flag, so the test can see the grid running.
+		flag := r.allocBuf(8)
+		progVA, progSize := r.loadProgram(&gpu.Program{RegCount: 1, Uniforms: 1, Clauses: []gpu.Clause{clause(
+			gpu.Instr{Op: gpu.OpSTG, A: gpu.C(0), B: gpu.S(gpu.SpecLSZX)},
+			gpu.Instr{Op: gpu.OpRET},
+		)}})
+		stage := func(global, local [3]uint32) uint64 {
+			return r.stage(&gpu.JobDescriptor{
+				JobType:    gpu.JobTypeCompute,
+				GlobalSize: global,
+				LocalSize:  local,
+				ShaderVA:   progVA,
+				ShaderSize: progSize,
+			}, []uint64{flag})
+		}
+
+		for _, local := range [][3]uint32{{gpu.MaxWorkgroupThreads + 1, 1, 1}, {32, 32, 2}, {65536, 65536, 1}, {1 << 31, 1 << 31, 4}} {
+			raw := r.kick(stage(local, local))
+			// 0xFF: a job error that is not an MMU fault.
+			if raw&gpu.IRQJobFault == 0 || r.rd(gpu.RegJS0Status) != gpu.JSFaulted || r.rd(gpu.RegAS0FaultStat) != 0xFF {
+				t.Errorf("%v, workgroup %v: rawstat %#x, status %d, fault status %#x; want a job fault",
+					eng, local, raw, r.rd(gpu.RegJS0Status), r.rd(gpu.RegAS0FaultStat))
+			}
+		}
+		if _, err := (&gpu.JobDescriptor{GlobalSize: [3]uint32{1 << 31, 1 << 31, 4}, LocalSize: [3]uint32{1, 1, 1}}).Workgroups(); err == nil {
+			t.Errorf("a workgroup count of 2^64 was accepted")
+		}
+		var tooBig *gpu.WorkgroupSizeError
+		if _, err := (&gpu.JobDescriptor{GlobalSize: [3]uint32{2048, 1, 1}, LocalSize: [3]uint32{2048, 1, 1}}).Workgroups(); !errors.As(err, &tooBig) {
+			t.Errorf("a 2048-thread workgroup: %v, want a WorkgroupSizeError", err)
+		}
+		limit := [3]uint32{gpu.MaxWorkgroupThreads, 1, 1}
+		if raw := r.kick(stage(limit, limit)); raw != gpu.IRQJobDone {
+			t.Fatalf("%v: the job after the refused ones, a workgroup at the limit: rawstat %#x, want job done", eng, raw)
+		}
+
+		if err := r.bus.AtomicWrite(flag, 4, 0); err != nil {
+			t.Fatal(err)
+		}
+		r.wr(gpu.RegJS0Head, stage([3]uint32{65536, 65536, 1}, [3]uint32{1, 1, 1}))
+		r.wr(gpu.RegJS0Command, gpu.JSCmdStart)
+		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(time.Millisecond) {
+			if v, err := r.bus.AtomicRead(flag, 4); err != nil || time.Now().After(deadline) {
+				t.Fatalf("%v: the 2^32-workgroup grid never ran a thread (flag read: %v)", eng, err)
+			} else if v != 0 {
+				break
+			}
+		}
+		r.wr(gpu.RegJS0Command, gpu.JSCmdSoftStop)
+		if raw := r.waitIRQ(); raw != gpu.IRQJobStopped || r.rd(gpu.RegJS0Status) != gpu.JSStopped {
+			t.Errorf("%v: soft-stopped 2^32-workgroup grid: rawstat %#x, status %d; want stopped", eng, raw, r.rd(gpu.RegJS0Status))
+		}
 	}
 }

@@ -38,16 +38,38 @@ const (
 	uvConsts = uvZero + 1
 )
 
+// termKind is a tape's terminal, decoded when the tape is built.
+type termKind uint8
+
+const (
+	tkFall termKind = iota // no terminal instruction: on to next
+	tkBR
+	tkBRC
+	tkRET
+	tkBARRIER
+	tkInterp // a BRC whose predicate operand does not resolve: execTerminal decodes it per lane
+)
+
 // tape is one executable unit of the warp engine: the micro-ops of a
-// clause's straight-line prefix — or of a whole superclause chain — plus
-// the clause-terminal control flow that ends it. Slots after the first
+// clause's straight-line prefix — or of a whole superclause chain — with
+// the statistics of their fault-free runs beside them (marks), plus the
+// clause-terminal control flow that ends it. Slots after the first
 // terminal are dead in every engine.
 type tape struct {
-	ops  []uop
-	term *Instr  // terminal of the (final) clause; nil = fallthrough
-	next int     // (final) clause index + 1: the terminal's "next"
-	n    int     // clauses covered; ≥ 2 for a superclause chain
-	pred operand // a BRC terminal's predicate; read as a row when pred.vec
+	ops   []uop
+	marks []mark
+	term  *Instr // terminal of the (final) clause, for execTerminal; nil = fallthrough
+	next  int    // (final) clause index + 1: the terminal's "next"
+	n     int    // clauses covered; ≥ 2 for a superclause chain
+
+	// The terminal as execTapeAt applies it: a branch's target and
+	// reconvergence clause, a BRC's predicate (a row when pred.vec, else a
+	// uvals slot) and what the terminal counts per active lane — CFInstr
+	// and the predicate's operand counter.
+	tk          termKind
+	tgt, rejoin int
+	pred        operand
+	termSt      tapeStats
 }
 
 // warpProgram is the compiled form of a Program. heads[ci] is what runs
@@ -84,8 +106,9 @@ type tapeBuilder struct {
 	p      *Program
 	wp     *warpProgram
 	ops    []uop
-	run    int               // index in ops of the open ALU run's kStats word; -1 after a uop that can fault
-	st     tapeStats         // the open run's aggregate, encoded into ops[run] as it grows
+	marks  []mark
+	start  int               // index in ops where the tape being built starts: marks count from it
+	run    int               // index in marks of the open fault-free run; -1 after a uop that can fault
 	consts map[uint64]uint32 // value → uvals slot
 }
 
@@ -98,32 +121,47 @@ func warpCompile(p *Program) *warpProgram {
 		c := &p.Clauses[ci]
 		t := &wp.clauses[ci]
 		t.next, t.n = ci+1, 1
-		start := len(b.ops)
+		firstMark := len(b.marks)
+		b.start, b.run = len(b.ops), -1
 		// Unfilled issue slots: a clause of N slots issues in ceil(N/2)
 		// tuples; the odd slot is an architecturally empty issue slot
 		// (Fig 11's "empty slots"), accounted with the clause entry.
-		b.ops = append(b.ops, mkUop(kClause, uint8(min(c.Slots(), stats.MaxClauseSlots)), 0, 0, 0))
-		b.run = -1
-		b.alu().nop += uint8(c.Tuples()*2 - c.Slots())
-		b.seal()
+		b.alu().nop += uint32(c.Tuples()*2 - c.Slots())
+		b.marks[b.run].slot = int32(min(c.Slots(), stats.MaxClauseSlots))
 		for ii := range c.Instrs {
 			in := &c.Instrs[ii]
 			if IsClauseTerminal(in.Op) {
-				t.term = in
-				if in.Op == OpBRC {
-					if o, ok := b.operand(in.A, in.Imm); ok {
-						t.pred = o
-					}
-				}
+				b.terminal(t, in)
 				break
 			}
 			b.lower(in)
-			b.seal()
 		}
-		t.ops = b.ops[start:len(b.ops):len(b.ops)]
+		t.ops = b.ops[b.start:len(b.ops):len(b.ops)]
+		t.marks = b.marks[firstMark:len(b.marks):len(b.marks)]
 	}
 	wp.heads = buildSuperClauses(p, wp)
 	return wp
+}
+
+// terminal decodes a clause's terminal instruction into its tape.
+func (b *tapeBuilder) terminal(t *tape, in *Instr) {
+	t.term, t.termSt.cf = in, 1
+	switch in.Op {
+	case OpBR:
+		t.tk, t.tgt = tkBR, in.BranchTarget()
+	case OpRET:
+		t.tk = tkRET
+	case OpBARRIER:
+		t.tk = tkBARRIER
+	case OpBRC:
+		t.tk, t.tgt, t.rejoin = tkBRC, in.BranchTarget(), in.Reconverge()
+		var ok bool
+		if t.pred, ok = b.operand(in.A, in.Imm); ok {
+			t.termSt.count(t.pred.ctr)
+		} else {
+			t.tk, t.termSt = tkInterp, tapeStats{}
+		}
+	}
 }
 
 // tapeFallbackReason names why an instruction runs through kLaneInterp
@@ -184,22 +222,14 @@ func (b *tapeBuilder) constSlot(v uint64) uint32 {
 	return slot
 }
 
-// alu returns the stats aggregate of the open ALU run, opening one (with
-// its kStats word) when the previous micro-op could fault. The caller's
-// additions reach the tape through seal.
+// alu returns the stats aggregate of the open fault-free run, opening one
+// at the next micro-op when the previous one could fault.
 func (b *tapeBuilder) alu() *tapeStats {
-	if b.run < 0 || b.st.full() {
-		b.run, b.st = len(b.ops), tapeStats{}
-		b.ops = append(b.ops, mkUop(kStats, 0, 0, 0, 0))
+	if b.run < 0 {
+		b.run = len(b.marks)
+		b.marks = append(b.marks, mark{pos: int32(len(b.ops) - b.start), slot: -1})
 	}
-	return &b.st
-}
-
-// seal writes the open run's aggregate into its kStats word.
-func (b *tapeBuilder) seal() {
-	if b.run >= 0 {
-		b.ops[b.run] = b.st.encode()
-	}
+	return &b.marks[b.run].st
 }
 
 // row returns o as a row index, broadcasting a uniform into scratch first.
@@ -234,18 +264,6 @@ var slowBin = map[Opcode]func(a, b uint64) uint64{
 		}
 		return uint64(uint32(int32(a) % int32(b)))
 	},
-	OpIMIN: func(a, b uint64) uint64 {
-		if int32(a) < int32(b) {
-			return uint64(uint32(a))
-		}
-		return uint64(uint32(b))
-	},
-	OpIMAX: func(a, b uint64) uint64 {
-		if int32(a) > int32(b) {
-			return uint64(uint32(a))
-		}
-		return uint64(uint32(b))
-	},
 	OpFMIN: func(a, b uint64) uint64 {
 		return fbits(float32(math.Min(float64(f32(a)), float64(f32(b)))))
 	},
@@ -273,7 +291,7 @@ var aluArity, fastVV, fastUV = func() (arity [256]uint8, vv, uv [NumOpcodes]bool
 		OpICMPLT, OpICMPLE, OpUCMPLT, OpFCMPLT, OpFCMPLE, OpFMA, OpSEL} {
 		arity[op], vv[op], uv[op] = 2, true, true
 	}
-	for _, op := range []Opcode{OpIADD, OpIMUL, OpAND, OpOR, OpXOR, OpADD64, OpMUL64,
+	for _, op := range []Opcode{OpIADD, OpIMUL, OpIMIN, OpIMAX, OpAND, OpOR, OpXOR, OpADD64, OpMUL64,
 		OpICMPEQ, OpICMPNE, OpFCMPEQ} {
 		arity[op], vv[op] = 2, true
 	}
@@ -472,22 +490,27 @@ func buildSuperClauses(p *Program, wp *warpProgram) []tape {
 			heads = append([]tape(nil), wp.clauses...)
 		}
 		// The chain tape is the clause tapes back to back, a boundary
-		// micro-op between them; it also accounts the unconditional BR
-		// folded away there — the jump disappears, but the interpreter
-		// counts it as a control-flow instruction.
+		// micro-op between them and their marks re-based. An unconditional
+		// BR folded away at a boundary disappears as a jump, but the
+		// interpreter counts it as a control-flow instruction: its
+		// terminal counts become a mark at the boundary.
 		var ops []uop
+		var marks []mark
 		for i, ci := range chain {
 			if i > 0 {
-				var foldedBR uint8
-				if wp.clauses[chain[i-1]].term != nil {
-					foldedBR = 1
+				if prev := &wp.clauses[chain[i-1]]; prev.term != nil {
+					marks = append(marks, mark{pos: int32(len(ops)), slot: -1, st: prev.termSt})
 				}
-				ops = append(ops, mkUop(kBoundary, 0, 0, foldedBR, 0))
+				ops = append(ops, mkUop(kBoundary, 0, 0, 0, 0))
+			}
+			for _, m := range wp.clauses[ci].marks {
+				m.pos += int32(len(ops))
+				marks = append(marks, m)
 			}
 			ops = append(ops, wp.clauses[ci].ops...)
 		}
 		last := wp.clauses[chain[len(chain)-1]]
-		last.ops, last.n = ops, len(chain)
+		last.ops, last.marks, last.n = ops, marks, len(chain)
 		heads[head] = last
 	}
 	return heads

@@ -126,6 +126,7 @@ func runHotClauses(tb testing.TB, ec *execContext, w *warp) {
 	if _, err := ec.runWarp(w); err != nil {
 		tb.Fatal(err)
 	}
+	ec.commitTallies()
 }
 
 // TestWarpFusedClausesZeroAllocs pins the tape executor — ALU rows,

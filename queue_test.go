@@ -505,6 +505,48 @@ func TestPerRunCFG(t *testing.T) {
 	}
 }
 
+// TestStatsIdenticalWithCFGCollection compares the warp engine's two ways of
+// accounting a clause with each other and with the interpreter's: a plain
+// run tallies whole superclause chains, terminals included, and commits
+// them at job end; a WithCFG run executes every clause's own tape and
+// counts its terminal live. A workload has one GPU statistics record
+// whichever ran — divergent (BFS), barrier-heavy (Reduction), many small
+// jobs (BitonicSort), dense (SobelFilter). One host thread: BFS's guest
+// race makes its counters a function of core timing on more.
+func TestStatsIdenticalWithCFGCollection(t *testing.T) {
+	bg := context.Background()
+	for _, name := range []string{"BFS", "BitonicSort", "Reduction", "SobelFilter"} {
+		var ref mobilesim.GPUStats
+		for i, engine := range []string{mobilesim.GPUEngineInterp, mobilesim.GPUEngineWarp} {
+			for _, opts := range [][]mobilesim.RunOption{
+				{mobilesim.WithScale(64)},
+				{mobilesim.WithScale(64), mobilesim.WithCFG()},
+			} {
+				cfg := queueTestConfig()
+				cfg.GPUEngine = engine
+				sess, err := mobilesim.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sess.Run(bg, name, opts...)
+				sess.Close()
+				if err != nil || !res.Verified {
+					t.Fatalf("%s under %s: %+v, %v", name, engine, res, err)
+				}
+				if withCFG := len(opts) == 2; withCFG != (res.CFG != "") {
+					t.Errorf("%s under %s: WithCFG %v, CFG %q", name, engine, withCFG, res.CFG)
+				}
+				if i == 0 && len(opts) == 1 {
+					ref = res.Stats.GPU
+				} else if res.Stats.GPU != ref {
+					t.Errorf("%s under %s, %d run options: GPU statistics differ from the plain interpreter run's\ngot  %+v\nwant %+v",
+						name, engine, len(opts), res.Stats.GPU, ref)
+				}
+			}
+		}
+	}
+}
+
 // TestUnifiedKinds: one session runs a benchmark, a SLAM preset, a
 // sgemm-ladder variant and an experiment through the same entry point.
 func TestUnifiedKinds(t *testing.T) {
