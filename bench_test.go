@@ -427,6 +427,8 @@ func BenchmarkAblationGPUEngine(b *testing.B) {
 
 // BenchmarkCompiler measures raw JIT throughput (parse + lower + clause
 // formation + regalloc + encode).
+// BenchmarkCompiler times a compile the process has not memoised: each
+// iteration's source differs in a leading comment.
 func BenchmarkCompiler(b *testing.B) {
 	src := `
 kernel void k(global float* a, global float* b, global float* c, int n) {
@@ -441,10 +443,41 @@ kernel void k(global float* a, global float* b, global float* c, int n) {
 }
 `
 	for i := 0; i < b.N; i++ {
-		if _, err := clc.Compile(src, "k", clc.Options{}); err != nil {
+		if _, err := clc.Compile(fmt.Sprintf("/* %d */", i)+src, "k", clc.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLoadKernel is what a session pays to load a kernel the process
+// has compiled before (Session.LoadKernel): a compile-memo hit, the driver's
+// allocations and the binary's copy into guest memory by the simulated CPU.
+// Each load keeps its guest memory, so a fresh session takes over every
+// 256 loads, off the clock.
+func BenchmarkLoadKernel(b *testing.B) {
+	var s *mobilesim.Session
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%256 == 0 {
+			b.StopTimer()
+			if s != nil {
+				s.Close()
+			}
+			var err error
+			if s, err = mobilesim.New(mobilesim.Config{}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.LoadKernel(axpbSrc, "axpb"); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := s.LoadKernel(axpbSrc, "axpb"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	s.Close()
 }
 
 // --- Snapshot/fork trajectory ------------------------------------------------

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"mobilesim/internal/clc"
 	"mobilesim/internal/driver"
@@ -41,7 +42,8 @@ func NewContext(p *platform.Platform, compilerVersion string) (*Context, error) 
 // version and the driver-allocated local-memory slots, plus the nested
 // driver state. Built Programs and Kernels are host-side handles into
 // guest memory and are not captured — a restored context rebuilds them
-// (cheaply, via the device decode cache) from source.
+// from source, cheaply: clc's compile memo and the GPU's program cache are
+// per process.
 type State struct {
 	Version    string
 	LocalVA    uint64
@@ -168,11 +170,18 @@ type loadedKernel struct {
 }
 
 // BuildProgram JIT-compiles source and loads the binaries into GPU-visible
-// memory through the driver, as clBuildProgram does.
+// memory through the driver, as clBuildProgram does. A binary the device
+// would refuse to fetch (gpu.MaxShaderBytes) is refused here, before
+// anything is staged.
 func (c *Context) BuildProgram(ctx context.Context, src string) (*Program, error) {
 	compiled, err := clc.CompileAll(src, clc.Options{Version: c.Version})
 	if err != nil {
 		return nil, err
+	}
+	for _, ck := range compiled {
+		if len(ck.Binary) > gpu.MaxShaderBytes {
+			return nil, fmt.Errorf("cl: kernel %s: %w", ck.Name, &gpu.ShaderSizeError{Size: uint64(len(ck.Binary))})
+		}
 	}
 	p := &Program{ctx: c, kernels: make(map[string]*loadedKernel)}
 	for name, ck := range compiled {
@@ -225,8 +234,9 @@ func (p *Program) CreateKernel(name string) (*Kernel, error) {
 // Report exposes the offline-compiler metrics for the kernel.
 func (k *Kernel) Report() clc.StaticReport { return k.lk.ck.Report }
 
-// Params returns the kernel's declared parameters.
-func (k *Kernel) Params() []clc.Param { return k.lk.ck.Params }
+// Params returns a copy of the kernel's declared parameters: the compiled
+// kernel is shared with every context that built the same source.
+func (k *Kernel) Params() []clc.Param { return slices.Clone(k.lk.ck.Params) }
 
 func (k *Kernel) setRaw(i int, v uint64) error {
 	if i < 0 || i >= len(k.args) {

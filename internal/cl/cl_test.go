@@ -3,10 +3,13 @@ package cl_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mobilesim/internal/cl"
+	"mobilesim/internal/clc"
 	"mobilesim/internal/cpu"
 	"mobilesim/internal/gpu"
 	"mobilesim/internal/platform"
@@ -477,3 +480,90 @@ func TestDriverScalesWithInputOnInterpVsDBT(t *testing.T) {
 }
 
 var _ = gpu.DefaultConfig // keep import for potential extension
+
+// TestSharedKernelIsReadOnly: contexts that build the same source share its
+// compiled kernels (clc's compile memo), so nothing one context's kernel
+// hands out may reach another's. The first context overwrites every
+// parameter Params returned it — names, kinds, element types — and runs;
+// the second builds the same source, sees the declared parameters, and runs
+// the kernel to the same bytes and counters.
+func TestSharedKernelIsReadOnly(t *testing.T) {
+	const n = 256
+	run := func(vandal bool) ([]clc.Param, []float32, [2]any) {
+		p, c := newStack(t)
+		prog, err := c.BuildProgram(bg, saxpySrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := prog.CreateKernel("saxpy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vandal {
+			params := k.Params()
+			for i := range params {
+				params[i] = clc.Param{Name: "vandal", Type: clc.Type{Kind: clc.TypeInt, Elem: clc.ElemInt}}
+			}
+		}
+		xs, ys := make([]float32, n), make([]float32, n)
+		for i := range xs {
+			xs[i], ys[i] = float32(i), float32(n-i)
+		}
+		bx, _ := c.CreateBuffer(4 * n)
+		by, _ := c.CreateBuffer(4 * n)
+		if err := c.WriteF32(bg, bx, xs); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteF32(bg, by, ys); err != nil {
+			t.Fatal(err)
+		}
+		for _, err := range []error{k.SetArgBuffer(0, bx), k.SetArgBuffer(1, by), k.SetArgFloat(2, 0.5), k.SetArgInt(3, n)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.EnqueueKernel(bg, k, cl.G1(n), cl.G1(32)); err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.ReadF32(bg, by, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs, sys := p.GPU.Stats()
+		return k.Params(), out, [2]any{gs, sys}
+	}
+	_, out1, stats1 := run(true)
+	params, out2, stats2 := run(false)
+	var names []string
+	for _, p := range params {
+		names = append(names, p.Name)
+	}
+	if fmt.Sprint(names) != "[x y a n]" || params[0].Type.Kind != clc.TypeGlobalPtr || params[2].Type.Kind != clc.TypeFloat {
+		t.Errorf("the second context's kernel declares %+v: the first context's edits reached it", params)
+	}
+	if fmt.Sprint(out1) != fmt.Sprint(out2) || stats1 != stats2 {
+		t.Errorf("the two contexts ran the shared kernel differently:\nfirst:  %v %+v\nsecond: %v %+v", out1, stats1, out2, stats2)
+	}
+}
+
+// TestBuildProgramRefusesOversizedBinary: a kernel whose binary the GPU
+// would refuse to fetch (gpu.MaxShaderBytes) is refused at build time with
+// the device's typed error, before anything is staged.
+func TestBuildProgramRefusesOversizedBinary(t *testing.T) {
+	_, c := newStack(t)
+	var b strings.Builder
+	b.WriteString("kernel void big(global int* o) { int i = get_global_id(0);")
+	for j := 0; j < 12000; j++ {
+		fmt.Fprintf(&b, " o[i+%d] = i*%d;", j, j+3)
+	}
+	b.WriteString(" }")
+	staged := c.Drv.CaptureState()
+	_, err := c.BuildProgram(bg, b.String())
+	var tooBig *gpu.ShaderSizeError
+	if !errors.As(err, &tooBig) || tooBig.Size <= gpu.MaxShaderBytes {
+		t.Fatalf("BuildProgram of a long kernel: %v, want a ShaderSizeError", err)
+	}
+	if c.Drv.CaptureState() != staged {
+		t.Errorf("the refused build allocated or staged through the driver")
+	}
+}

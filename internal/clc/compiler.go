@@ -2,7 +2,9 @@ package clc
 
 import (
 	"fmt"
+	"maps"
 	"sort"
+	"sync"
 
 	"mobilesim/internal/gpu"
 )
@@ -69,7 +71,9 @@ type StaticReport struct {
 
 // CompiledKernel is the JIT output for one kernel: the serialized binary
 // the driver places in shared memory, plus metadata the runtime needs for
-// argument marshalling.
+// argument marshalling. It is immutable: CompileAll hands the same kernel
+// to every caller that compiles the same source (see memo), so a caller
+// that wants to change a field — Params, Binary, Program — copies it first.
 type CompiledKernel struct {
 	Name       string
 	Params     []Param
@@ -92,7 +96,33 @@ func Compile(src, kernelName string, opt Options) (*CompiledKernel, error) {
 	return k, nil
 }
 
-// CompileAll builds every kernel in the source string.
+// memo holds every successful CompileAll by resolved version and source.
+// Compilation is a pure function of the two, so a process compiles each
+// source once at each version, whichever session asks. The key compares the
+// whole source string, never a hash of it. A failed compile is not kept. At
+// memoCap entries the memo empties itself (a generation reset): a bound with
+// no eviction order to maintain, far above the registry's few dozen kernels.
+var memo = struct {
+	sync.Mutex
+	m     map[memoKey]map[string]*CompiledKernel
+	stats gpu.CacheStats
+}{m: make(map[memoKey]map[string]*CompiledKernel)}
+
+type memoKey struct{ version, src string }
+
+const memoCap = 1024
+
+// MemoStats reports the compile memo's hits, misses and resets since the
+// process started.
+func MemoStats() gpu.CacheStats {
+	memo.Lock()
+	defer memo.Unlock()
+	return memo.stats
+}
+
+// CompileAll builds every kernel in the source string. The kernels are
+// shared with every other caller that compiles the same source at the same
+// version (see CompiledKernel); the map is the caller's own.
 func CompileAll(src string, opt Options) (map[string]*CompiledKernel, error) {
 	verName := opt.Version
 	if verName == "" {
@@ -102,6 +132,32 @@ func CompileAll(src string, opt Options) (map[string]*CompiledKernel, error) {
 	if !ok {
 		return nil, fmt.Errorf("clc: unknown compiler version %q", verName)
 	}
+	key := memoKey{verName, src}
+	memo.Lock()
+	all, hit := memo.m[key]
+	if hit {
+		memo.stats.Hits++
+	} else {
+		memo.stats.Misses++
+	}
+	memo.Unlock()
+	if !hit {
+		var err error
+		if all, err = compileAll(src, ver); err != nil {
+			return nil, err
+		}
+		memo.Lock()
+		if len(memo.m) >= memoCap {
+			clear(memo.m)
+			memo.stats.Resets++
+		}
+		memo.m[key] = all
+		memo.Unlock()
+	}
+	return maps.Clone(all), nil
+}
+
+func compileAll(src string, ver Version) (map[string]*CompiledKernel, error) {
 	kernels, err := ParseKernels(src)
 	if err != nil {
 		return nil, err

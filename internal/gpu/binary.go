@@ -105,8 +105,8 @@ func Serialize(p *Program) ([]byte, error) {
 const MaxClauseSlotsBinary = MaxTuples * 2
 
 // ParseBinary decodes a serialized shader. This is the GPU-side decode
-// phase; Decoder caches its results so each program is decoded exactly
-// once (§III-B3).
+// phase; the program cache keeps its results so each program is decoded
+// once per process (§III-B3).
 func ParseBinary(b []byte) (*Program, error) {
 	if len(b) < 24 {
 		return nil, fmt.Errorf("gpu: binary too short (%d bytes)", len(b))

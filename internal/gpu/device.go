@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -80,8 +79,8 @@ type Config struct {
 	// their local memory host-side (§III-B3).
 	HostThreads int
 	// DecodeCache re-uses decoded programs keyed by binary content, so
-	// each shader is decoded exactly once (§III-B3). Disable only for
-	// the ablation benchmark.
+	// each shader is decoded once per process (§III-B3, ProgramCache).
+	// Disable only for the ablation benchmark.
 	DecodeCache bool
 	// CollectCFG records clause-level control flow with divergence
 	// annotations (Fig 6). Costs a map update per clause execution.
@@ -91,11 +90,6 @@ type Config struct {
 	// bit-identical counters and guest memory — and instruction tracing
 	// always uses the interpreter path regardless of this setting.
 	Engine Engine
-	// Programs, when non-nil, is a shared compiled-program cache: sessions
-	// forked from one snapshot pass the same cache so each kernel binary
-	// is decoded and engine-compiled once across the whole pool. Nil gives
-	// the device a private cache.
-	Programs *ProgramCache
 }
 
 // DefaultConfig returns the paper's default setup: a G71 MP8 simulated
@@ -136,10 +130,6 @@ type Device struct {
 	// (per-run CFG collection in the facade).
 	collectCFG atomic.Bool
 
-	programs     *ProgramCache // content-keyed decode + compile cache
-	decodeMu     sync.Mutex    // guards DecodesTotal
-	DecodesTotal uint64        // decode invocations (ablation metric)
-
 	statsMu      sync.Mutex
 	gpuStats     stats.GPUStats
 	sysStats     stats.SystemStats
@@ -169,10 +159,6 @@ func NewDevice(cfg Config, bus *mem.Bus, intc *irq.Controller, line irq.Line) *D
 	if cfg.HostThreads <= 0 {
 		cfg.HostThreads = cfg.ShaderCores
 	}
-	programs := cfg.Programs
-	if programs == nil {
-		programs = NewProgramCache()
-	}
 	d := &Device{
 		cfg:          cfg,
 		bus:          bus,
@@ -180,7 +166,6 @@ func NewDevice(cfg Config, bus *mem.Bus, intc *irq.Controller, line irq.Line) *D
 		line:         line,
 		doorbell:     make(chan uint64, 64),
 		done:         make(chan struct{}),
-		programs:     programs,
 		cfgGraph:     stats.NewCFG(),
 		touchedPages: make(map[uint64]struct{}),
 	}
@@ -211,10 +196,18 @@ func (d *Device) Start() {
 	go d.jobManager()
 }
 
-// Close stops the Job Manager and waits for it to drain.
+// Close stops the Job Manager and waits for it to drain, then hands its
+// cores' warp slabs to the next device (see slabs).
 func (d *Device) Close() {
 	close(d.done)
 	d.wg.Wait()
+	for _, vc := range d.vcores {
+		if vc != nil && vc.ec.warpSlab != nil {
+			s := vc.ec.warpSlab[:cap(vc.ec.warpSlab)]
+			vc.ec.warpSlab = nil
+			slabs.Put(&s)
+		}
+	}
 }
 
 // --- Register interface (mem.Device) --------------------------------------
@@ -510,55 +503,40 @@ func EncodeDescriptor(desc *JobDescriptor) []byte {
 	return raw
 }
 
-// decodeShader reads the shader binary from guest memory and decodes it,
-// consulting the content-keyed decode cache so each program is decoded
-// exactly once. The hash only finds the entry; its bytes decide the hit, so
-// a binary whose hash another binary holds is decoded privately and not
-// cached, as every binary is with the cache off.
+// MaxShaderBytes bounds a shader binary, as a device limit does on
+// hardware: the Job Manager copies the whole binary out of guest memory
+// before decoding it, so the bound is what keeps a descriptor's ShaderSize
+// from sizing host memory. The largest binary clc emits for any registry,
+// SLAM or example kernel at any compiler version is 2 144 bytes (an SGEMM
+// ladder kernel at 5.6).
+const MaxShaderBytes = 256 << 10
+
+// ShaderSizeError reports a shader binary above MaxShaderBytes.
+type ShaderSizeError struct{ Size uint64 }
+
+func (e *ShaderSizeError) Error() string {
+	return fmt.Sprintf("gpu: shader binary of %d bytes exceeds the %d-byte limit", e.Size, MaxShaderBytes)
+}
+
+// decodeShader reads the shader binary from guest memory and decodes it
+// through the program cache, or privately with the cache off.
 func (d *Device) decodeShader(walker *mmu.Walker, desc *JobDescriptor) (*Program, error) {
+	if desc.ShaderSize > MaxShaderBytes {
+		return nil, &ShaderSizeError{Size: uint64(desc.ShaderSize)}
+	}
 	raw, err := readGuest(walker, desc.ShaderVA, int(desc.ShaderSize))
 	if err != nil {
 		return nil, err
 	}
 	if d.cfg.DecodeCache {
-		key, c := hashBytes(raw), d.programs
-		c.mu.Lock()
-		e, hit := c.m[key]
-		if !hit {
-			p, err := ParseBinary(raw)
-			if err != nil {
-				c.mu.Unlock()
-				return nil, err
-			}
-			d.countDecode()
-			e = cachedProgram{raw: raw, prog: p}
-			c.m[key] = e
-		}
-		if bytes.Equal(e.raw, raw) {
-			// Compile under the cache lock: when the cache is shared across
-			// snapshot forks, the lock publishes the artifact pointer to every
-			// other session's Job Manager before its exec workers can observe
-			// the program; once set an artifact is never replaced, so the
-			// workers' lock-free reads are race-free.
-			e.prog.compile(d.cfg.Engine)
-			c.mu.Unlock()
-			return e.prog, nil
-		}
-		c.mu.Unlock()
+		return programs.get(raw, d.cfg.Engine)
 	}
-	d.countDecode()
 	p, err := ParseBinary(raw)
 	if err != nil {
 		return nil, err
 	}
 	p.compile(d.cfg.Engine)
 	return p, nil
-}
-
-func (d *Device) countDecode() {
-	d.decodeMu.Lock()
-	d.DecodesTotal++
-	d.decodeMu.Unlock()
 }
 
 func (d *Device) readUniforms(walker *mmu.Walker, desc *JobDescriptor, prog *Program) ([]uint64, error) {

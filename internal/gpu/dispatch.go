@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"mobilesim/internal/mem"
 	"mobilesim/internal/mmu"
@@ -164,6 +165,9 @@ func (d *Device) execJob(desc *JobDescriptor, prog *Program, uniforms []uint64) 
 	for wi, vc := range cores {
 		if vc == nil {
 			vc = &vcore{ec: execContext{walker: d.newWalker()}}
+			if s, ok := slabs.Get().(*[]wgWarp); ok {
+				vc.ec.warpSlab = *s
+			}
 			cores[wi] = vc
 		}
 		vc.bind(d, wi, desc, prog, uniforms, root)
@@ -240,6 +244,16 @@ type wgWarp struct {
 	done      bool
 	atBarrier bool
 }
+
+// slabs recycles warp slabs across devices: Device.Close puts its cores'
+// slabs here and a device's new core takes one, so a session's first job
+// does not first-touch a fresh slab (≈ 150 KiB for a 256-thread workgroup).
+// A slab holds register rows and divergence frames only — nothing that
+// points into a session — and warpsFor resets every row a program can name
+// before a workgroup runs, so what a previous session left in it cannot be
+// read (TestRecycledSlabLeaksNoRegisters). TLB arrays are not recycled:
+// they hold host views of the old session's RAM.
+var slabs sync.Pool // of *[]wgWarp
 
 // lidRows builds a job's lid.x/y/z rows in rows' storage, one triple per
 // warp of a workgroup: they are the same for every workgroup and every core

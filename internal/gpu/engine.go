@@ -1,6 +1,9 @@
 package gpu
 
-import "sync"
+import (
+	"bytes"
+	"sync"
+)
 
 // Engine selects the shader execution engine. The interpreter is the
 // specification and the warp tape its implementation: both produce
@@ -33,17 +36,46 @@ func (e Engine) String() string {
 }
 
 // ProgramCache is a content-keyed cache of decoded (and engine-compiled)
-// shader programs. A Device owns a private cache by default; sessions
-// forked from one snapshot share a cache (Config.Programs), so a warm pool
-// decodes and compiles each kernel binary exactly once.
+// shader programs. A decoded program is a pure function of the binary's
+// bytes, so there is one cache per process (programs) and every device —
+// whichever session, snapshot or fork it belongs to — decodes and compiles
+// each kernel binary once. The hash only finds an entry; the bytes decide a
+// hit, so a binary whose hash another binary holds is decoded privately and
+// not cached, as every binary is on a device with Config.DecodeCache off.
 //
 // Entries are immutable once published except for the lazily compiled
 // warp artifact (Program.warp), which is only written under mu and never
 // replaced once set; readers obtain the program through the mutex before
-// their exec goroutines start, which publishes the pointer race-free.
+// their exec goroutines start, which publishes the pointer race-free. At
+// maxCachedPrograms entries the cache empties itself; a program already
+// handed out stays valid.
 type ProgramCache struct {
-	mu sync.Mutex
-	m  map[uint64]cachedProgram // by hashBytes(raw)
+	mu    sync.Mutex
+	m     map[uint64]cachedProgram // by hashBytes(raw)
+	stats CacheStats
+}
+
+// CacheStats counts a process-wide cache's lookups (the program cache, the
+// clc compile memo). They describe the host process, not the simulated
+// machine, so they reach no statistics record and no snapshot.
+type CacheStats struct {
+	Hits, Misses uint64
+	Resets       uint64 // a full cache emptied itself
+}
+
+// maxCachedPrograms bounds the program cache far above the registry's few
+// dozen kernels at five compiler versions.
+const maxCachedPrograms = 1024
+
+// programs is the process-wide program cache.
+var programs = &ProgramCache{m: make(map[uint64]cachedProgram)}
+
+// ProgramCacheStats reports the process-wide program cache's hits, misses
+// and resets.
+func ProgramCacheStats() CacheStats {
+	programs.mu.Lock()
+	defer programs.mu.Unlock()
+	return programs.stats
 }
 
 // cachedProgram is a decoded program and the binary it was decoded from.
@@ -52,9 +84,35 @@ type cachedProgram struct {
 	prog *Program
 }
 
-// NewProgramCache returns an empty program cache.
-func NewProgramCache() *ProgramCache {
-	return &ProgramCache{m: make(map[uint64]cachedProgram)}
+// get returns raw's decoded program with the artifact eng runs compiled.
+// Decode and compile happen under the cache lock: the lock publishes the
+// artifact pointer to every other device's Job Manager before its exec
+// workers can observe the program, and once set an artifact is never
+// replaced, so the workers' lock-free reads are race-free.
+func (c *ProgramCache) get(raw []byte, eng Engine) (*Program, error) {
+	key := hashBytes(raw)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, found := c.m[key]
+	if found && bytes.Equal(e.raw, raw) {
+		c.stats.Hits++
+		e.prog.compile(eng)
+		return e.prog, nil
+	}
+	c.stats.Misses++
+	p, err := ParseBinary(raw)
+	if err != nil {
+		return nil, err
+	}
+	if !found {
+		if len(c.m) >= maxCachedPrograms {
+			clear(c.m)
+			c.stats.Resets++
+		}
+		c.m[key] = cachedProgram{raw: raw, prog: p}
+	}
+	p.compile(eng)
+	return p, nil
 }
 
 // compile ensures the artifact the chosen engine runs exists (the

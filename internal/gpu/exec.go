@@ -171,9 +171,10 @@ type execContext struct {
 	uvals   []uint64
 
 	// warpSlab is this virtual core's per-workgroup warp storage, reset by
-	// warpsFor for every workgroup and kept from job to job. nil is valid:
-	// the first workgroup allocates. lids is the job's lid.x/y/z rows, one
-	// triple per warp of a workgroup (see lidRows), shared by its cores.
+	// warpsFor for every workgroup and kept from job to job — and, through
+	// slabs, from device to device. nil is valid: the first workgroup
+	// allocates. lids is the job's lid.x/y/z rows, one triple per warp of
+	// a workgroup (see lidRows), shared by its cores.
 	warpSlab []wgWarp
 	lids     [][3]soaRow
 }

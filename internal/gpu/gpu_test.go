@@ -558,6 +558,7 @@ func TestMMUFaultReported(t *testing.T) {
 }
 
 func TestDecodeCacheDecodesOnce(t *testing.T) {
+	defer gpu.UsePrivateProgramCache()()
 	r := newRig(t, gpu.DefaultConfig())
 	const n = 64
 	a, b, out := r.allocBuf(4*n), r.allocBuf(4*n), r.allocBuf(4*n)
@@ -574,13 +575,13 @@ func TestDecodeCacheDecodesOnce(t *testing.T) {
 			t.Fatalf("submit %d: rawstat %#x", i, raw)
 		}
 	}
-	if r.dev.DecodesTotal != 1 {
-		t.Errorf("decodes = %d, want 1 (decode-once)", r.dev.DecodesTotal)
+	if st := gpu.ProgramCacheStats(); st.Misses != 1 || st.Hits != 4 {
+		t.Errorf("decodes = %d, hits = %d, want 1 and 4 (decode-once)", st.Misses, st.Hits)
 	}
 }
 
-// TestDecodeCacheHashCollision: the decode cache is shared by every fork of
-// a snapshot, so a 64-bit hash alone must not decide which code a job runs.
+// TestDecodeCacheHashCollision: the decode cache is shared by every device
+// in the process, so a 64-bit hash alone must not decide which code a job runs.
 // With another binary's program planted under the vector-add binary's key,
 // a vector-add job must still add — decoded privately, never cached.
 func TestDecodeCacheHashCollision(t *testing.T) {
@@ -594,12 +595,11 @@ func TestDecodeCacheHashCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := gpu.DefaultConfig()
-	cfg.Programs = gpu.NewProgramCache()
-	if err := cfg.Programs.PlantCollision(victim, squatter); err != nil {
+	defer gpu.UsePrivateProgramCache()()
+	if err := gpu.PlantCollision(victim, squatter); err != nil {
 		t.Fatal(err)
 	}
-	r := newRig(t, cfg)
+	r := newRig(t, gpu.DefaultConfig())
 	const n = 64
 	a, b, out := r.allocBuf(4*n), r.allocBuf(4*n), r.allocBuf(4*n)
 	av, bv := make([]int32, n), make([]int32, n)
@@ -626,8 +626,8 @@ func TestDecodeCacheHashCollision(t *testing.T) {
 			}
 		}
 	}
-	if r.dev.DecodesTotal != 2 {
-		t.Errorf("decodes = %d, want 2 (a colliding binary is decoded per job, not cached)", r.dev.DecodesTotal)
+	if st := gpu.ProgramCacheStats(); st.Misses != 2 || st.Hits != 0 {
+		t.Errorf("decodes = %d, hits = %d, want 2 and 0 (a colliding binary is decoded per job, not cached)", st.Misses, st.Hits)
 	}
 }
 

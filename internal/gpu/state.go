@@ -22,8 +22,6 @@ type State struct {
 	FaultStat  uint64
 	FaultAddr  uint64
 
-	DecodesTotal uint64
-
 	GPUStats stats.GPUStats
 	SysStats stats.SystemStats
 	// TouchedPages is the distinct-page set behind the Table III
@@ -48,10 +46,6 @@ func (d *Device) CaptureState() State {
 		FaultAddr:  d.faultAddr,
 	}
 	d.mu.Unlock()
-
-	d.decodeMu.Lock()
-	st.DecodesTotal = d.DecodesTotal
-	d.decodeMu.Unlock()
 
 	d.statsMu.Lock()
 	st.GPUStats = d.gpuStats
@@ -84,10 +78,6 @@ func (d *Device) RestoreState(st State) {
 	d.faultAddr = st.FaultAddr
 	fire := d.irqRawstat&d.irqMask != 0
 	d.mu.Unlock()
-
-	d.decodeMu.Lock()
-	d.DecodesTotal = st.DecodesTotal
-	d.decodeMu.Unlock()
 
 	d.statsMu.Lock()
 	d.gpuStats = st.GPUStats

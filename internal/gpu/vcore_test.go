@@ -464,3 +464,99 @@ func TestDescriptorSizesCannotKillTheDevice(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedShaderFaultsBeforeAllocating pins MaxShaderBytes: a
+// descriptor whose ShaderSize claims 4 GiB is a job fault on both engines
+// before the Job Manager sizes anything by it, and the device runs the next
+// job.
+func TestOversizedShaderFaultsBeforeAllocating(t *testing.T) {
+	for _, eng := range bothEngines {
+		cfg := gpu.DefaultConfig()
+		cfg.Engine = eng
+		r := newRig(t, cfg)
+		const n = 64
+		a, b, out := r.allocBuf(4*n), r.allocBuf(4*n), r.allocBuf(4*n)
+		progVA, progSize := r.loadProgram(vecAddProgram())
+		stage := func(size uint32) uint64 {
+			return r.stage(&gpu.JobDescriptor{
+				JobType:    gpu.JobTypeCompute,
+				GlobalSize: [3]uint32{n, 1, 1},
+				LocalSize:  [3]uint32{16, 1, 1},
+				ShaderVA:   progVA,
+				ShaderSize: size,
+			}, []uint64{a, b, out})
+		}
+		for _, size := range []uint32{0xFFFF_FFF0, gpu.MaxShaderBytes + 1} {
+			descVA := stage(size)
+			var allocs allocMeter
+			allocs.since()
+			raw := r.kick(descVA)
+			if got := allocs.since(); got >= 1<<20 {
+				t.Errorf("%v: a %#x-byte shader made the device allocate %d bytes", eng, size, got)
+			}
+			// 0xFF: a job error that is not an MMU fault.
+			if raw&gpu.IRQJobFault == 0 || r.rd(gpu.RegJS0Status) != gpu.JSFaulted || r.rd(gpu.RegAS0FaultStat) != 0xFF {
+				t.Errorf("%v, shader of %#x bytes: rawstat %#x, status %d, fault status %#x; want a job fault",
+					eng, size, raw, r.rd(gpu.RegJS0Status), r.rd(gpu.RegAS0FaultStat))
+			}
+		}
+		if raw := r.kick(stage(progSize)); raw != gpu.IRQJobDone {
+			t.Fatalf("%v: the job after the refused ones: rawstat %#x, want job done", eng, raw)
+		}
+	}
+}
+
+// allocMeter reports the bytes the process allocated between two readings.
+type allocMeter struct{ last uint64 }
+
+func (m *allocMeter) since() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	d := ms.TotalAlloc - m.last
+	m.last = ms.TotalAlloc
+	return d
+}
+
+// TestRecycledSlabLeaksNoRegisters extends the workgroup reset across
+// devices: a closed device's warp slabs go to the next device's cores. Each
+// session runs leakProgram, which stores every register it has not written
+// and then fills them all, and closes; the next session, on a new device
+// whose cores took those slabs, must read zero — at one and four host
+// threads, on both engines. GOMAXPROCS is 1 so the pool hands a device the
+// slabs the previous one returned.
+func TestRecycledSlabLeaksNoRegisters(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const threads, words = 24, gpu.NumGRF + gpu.NumTemp - 1
+	for _, eng := range bothEngines {
+		for _, hostThreads := range []int{1, 4} {
+			for session := 0; session < 3; session++ {
+				// The subtest's cleanup closes the device, before the next
+				// session makes its own.
+				t.Run(fmt.Sprintf("%v/threads=%d/session=%d", eng, hostThreads, session), func(t *testing.T) {
+					cfg := gpu.DefaultConfig()
+					cfg.HostThreads, cfg.Engine = hostThreads, eng
+					r := newRig(t, cfg)
+					out := r.allocBuf(8 * words * threads)
+					progVA, progSize := r.loadProgram(leakProgram(gpu.NumGRF))
+					raw := r.submit(&gpu.JobDescriptor{
+						JobType:    gpu.JobTypeCompute,
+						GlobalSize: [3]uint32{threads, 1, 1},
+						LocalSize:  [3]uint32{6, 1, 1}, // four workgroups of a full and a partial warp
+						ShaderVA:   progVA,
+						ShaderSize: progSize,
+					}, []uint64{out})
+					if raw&gpu.IRQJobDone == 0 {
+						t.Fatalf("rawstat = %#x", raw)
+					}
+					buf := make([]byte, 8*words*threads)
+					if err := r.bus.ReadBytes(out, buf); err != nil {
+						t.Fatal(err)
+					}
+					if i := len(buf) - len(bytes.TrimLeft(buf, "\x00")); i < len(buf) {
+						t.Errorf("thread %d read a non-zero byte from unwritten register slot %d", i/(8*words), i%(8*words)/8)
+					}
+				})
+			}
+		}
+	}
+}

@@ -24,7 +24,9 @@ import (
 	"time"
 
 	"mobilesim"
+	"mobilesim/internal/clc"
 	"mobilesim/internal/cluster"
+	"mobilesim/internal/gpu"
 	"mobilesim/internal/obs"
 )
 
@@ -582,7 +584,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		"workloads":     len(mobilesim.Workloads()),
 		"guest_ram_mib": s.cfg.Sim.RAMSize >> 20,
+		// The process-wide caches every session shares (DESIGN.md §3.7, §9).
+		"compile_cache": cacheJSON(clc.MemoStats()),
+		"program_cache": cacheJSON(gpu.ProgramCacheStats()),
 	})
+}
+
+func cacheJSON(c gpu.CacheStats) map[string]any {
+	return map[string]any{"hits": c.Hits, "misses": c.Misses, "resets": c.Resets}
 }
 
 // handleMetrics serves GET /metrics: the same counters and latency
@@ -601,6 +610,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WritePromCounter(&b, "mobilesim_pool_forked_total", "Sessions forked by the default pool.", pm.Forked)
 	obs.WritePromCounter(&b, "mobilesim_pool_hits_total", "Get calls served from the warm pool.", pm.Hits)
 	obs.WritePromCounter(&b, "mobilesim_pool_inline_forks_total", "Get calls that forked inline (pool momentarily empty).", pm.InlineForks)
+	for _, c := range []struct {
+		name, what string
+		st         gpu.CacheStats
+	}{
+		{"compile_cache", "process-wide kernel compile memo", clc.MemoStats()},
+		{"program_cache", "process-wide shader program cache", gpu.ProgramCacheStats()},
+	} {
+		obs.WritePromCounter(&b, "mobilesim_"+c.name+"_hits_total", "Hits in the "+c.what+".", c.st.Hits)
+		obs.WritePromCounter(&b, "mobilesim_"+c.name+"_misses_total", "Misses in the "+c.what+" (each one compiled).", c.st.Misses)
+		obs.WritePromCounter(&b, "mobilesim_"+c.name+"_resets_total", "Times the "+c.what+" emptied itself when full.", c.st.Resets)
+	}
 
 	runSnap := s.runLatency.Snapshot()
 	obs.WritePromSummaryHeader(&b, "mobilesim_run_duration_seconds", "Run request latency (pool hand-out + workload run), per workload.")

@@ -689,6 +689,7 @@ func TestStatsJSONShape(t *testing.T) {
 	want := []string{
 		"uptime_s", "requests", "failures", "dedup_hits", "snapshot_installs",
 		"pool", "snapshots", "runs", "latency", "workloads", "guest_ram_mib",
+		"compile_cache", "program_cache",
 	}
 	for _, k := range want {
 		if _, ok := body[k]; !ok {
@@ -831,5 +832,45 @@ func TestPoolForksRunTheHostsEngine(t *testing.T) {
 	rec := do(srv.Mux(), http.MethodPost, cluster.PathRun, `{"workload": "test/interp-only"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestSecondRunHitsBothCaches: clc's compile memo and the GPU's program
+// cache are per process, so a second identical run — on another fork —
+// compiles and decodes nothing, and both stats surfaces report it.
+func TestSecondRunHitsBothCaches(t *testing.T) {
+	mux := testServer(t, hostd.Config{}).Mux()
+	type counts struct{ Hits, Misses, Resets uint64 }
+	caches := func() (compile, program counts) {
+		body := statsBody(t, mux)
+		for key, into := range map[string]*counts{"compile_cache": &compile, "program_cache": &program} {
+			if err := json.Unmarshal(body[key], into); err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+		}
+		return
+	}
+	run := func() {
+		if rec := do(mux, http.MethodPost, cluster.PathRun, `{"workload": "MatrixTranspose", "scale": 64}`); rec.Code != http.StatusOK {
+			t.Fatalf("run: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	run()
+	c1, p1 := caches()
+	run()
+	c2, p2 := caches()
+	for _, c := range []struct {
+		name          string
+		before, after counts
+	}{{"compile memo", c1, c2}, {"program cache", p1, p2}} {
+		if c.after.Misses != c.before.Misses || c.after.Hits <= c.before.Hits {
+			t.Errorf("%s across the second run: %+v → %+v, want hits only", c.name, c.before, c.after)
+		}
+	}
+	metrics := do(mux, http.MethodGet, cluster.PathMetrics, "").Body.String()
+	for _, name := range []string{"compile_cache_hits", "compile_cache_misses", "program_cache_hits", "program_cache_misses"} {
+		if !strings.Contains(metrics, "# TYPE mobilesim_"+name+"_total counter\n") {
+			t.Errorf("/metrics has no mobilesim_%s_total counter", name)
+		}
 	}
 }

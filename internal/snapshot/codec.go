@@ -255,7 +255,7 @@ func Encode(w io.Writer, st *State) error {
 	e.u64(p.GPU.ASApplied)
 	e.u64(p.GPU.FaultStat)
 	e.u64(p.GPU.FaultAddr)
-	e.u64(p.GPU.DecodesTotal)
+	e.u64(0) // reserved: decode counts belong to the host's program cache
 	e.fixed(&p.GPU.GPUStats)
 	e.fixed(&p.GPU.SysStats)
 	e.u64s(p.GPU.TouchedPages)
@@ -351,8 +351,8 @@ func Decode(r io.Reader) (*State, error) {
 		JSHead: d.u64(), JSStatus: d.u32(),
 		ASTranstab: d.u64(), ASApplied: d.u64(),
 		FaultStat: d.u64(), FaultAddr: d.u64(),
-		DecodesTotal: d.u64(),
 	}
+	d.u64() // reserved (older writers: the device's decode count)
 	d.fixed(&p.GPU.GPUStats)
 	d.fixed(&p.GPU.SysStats)
 	p.GPU.TouchedPages = d.u64s()

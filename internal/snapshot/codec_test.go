@@ -222,3 +222,34 @@ func TestOldEngineByteIsIgnored(t *testing.T) {
 		t.Errorf("GlobalLS, MainMemAcc, TLBHits, TLBWalks, Pages, Jobs, Threads = %v, want %v", got, want)
 	}
 }
+
+// TestOldDecodeCountSlotIsReserved pins the u64 after the GPU's fault
+// address: older writers stored the device's decode count there, which
+// depends on what the process decoded before, so a post-run stream would
+// have differed with process history. It is written 0, and a non-zero value
+// from an older writer decodes and re-encodes as 0.
+func TestOldDecodeCountSlotIsReserved(t *testing.T) {
+	st := bootState(t)
+	pst := *st.Platform
+	pst.GPU.FaultAddr = 0x0123_4567_89ab_cdef // a marker to find the slot by
+	enc := encode(t, &State{Config: st.Config, Platform: &pst, CL: st.CL})
+	var marker [8]byte
+	binary.LittleEndian.PutUint64(marker[:], pst.GPU.FaultAddr)
+	at := bytes.Index(enc, marker[:])
+	if at < 0 || bytes.Index(enc[at+1:], marker[:]) >= 0 {
+		t.Fatal("the fault-address marker is not unique in the stream")
+	}
+	slot := at + 8
+	if v := binary.LittleEndian.Uint64(enc[slot:]); v != 0 {
+		t.Fatalf("reserved slot at %d is written %d, want 0", slot, v)
+	}
+	old := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint64(old[slot:], 5)
+	dec, err := Decode(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := encode(t, dec); !bytes.Equal(again, enc) {
+		t.Errorf("a stream with a decode count in the reserved slot re-encodes differently")
+	}
+}

@@ -19,10 +19,7 @@
 package snapshot
 
 import (
-	"sync"
-
 	"mobilesim/internal/cl"
-	"mobilesim/internal/gpu"
 	"mobilesim/internal/platform"
 )
 
@@ -46,22 +43,6 @@ type State struct {
 	Config   Config
 	Platform *platform.State
 	CL       cl.State
-
-	// progOnce/progs lazily build the decoded-shader program cache shared
-	// by every session restored from this snapshot. Shader binaries live in
-	// the captured guest RAM, so forks submit byte-identical programs; one
-	// shared cache means each binary is decoded (and engine-compiled) once
-	// across the whole fork family instead of once per fork. The cache is
-	// host-side derived state and is not serialised.
-	progOnce sync.Once
-	progs    *gpu.ProgramCache
-}
-
-// Programs returns the snapshot's shared shader program cache, creating it
-// on first use. Safe for concurrent restores.
-func (st *State) Programs() *gpu.ProgramCache {
-	st.progOnce.Do(func() { st.progs = gpu.NewProgramCache() })
-	return st.progs
 }
 
 // Capture snapshots a quiescent platform + runtime pair. The caller must
@@ -79,7 +60,6 @@ func Capture(cfg Config, rt *cl.Context) (*State, error) {
 // and the GPU instrumentation knobs come from pcfg (the facade lowers the
 // restored session's configuration the same way New does).
 func Restore(st *State, pcfg platform.Config) (*platform.Platform, *cl.Context, error) {
-	pcfg.GPU.Programs = st.Programs()
 	p, err := platform.NewFromState(pcfg, st.Platform)
 	if err != nil {
 		return nil, nil, err
