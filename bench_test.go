@@ -361,15 +361,14 @@ func BenchmarkAblationInstrumentation(b *testing.B) {
 		if collect {
 			name = "with-cfg"
 		}
-		cfg := gpu.DefaultConfig()
-		cfg.CollectCFG = collect
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				spec, _ := workloads.ByName("BFS")
-				p, err := platform.New(platform.Config{RAMSize: 256 << 20, GPU: cfg})
+				p, err := platform.New(platform.Config{RAMSize: 256 << 20, GPU: gpu.DefaultConfig()})
 				if err != nil {
 					b.Fatal(err)
 				}
+				p.GPU.SetCollectCFG(collect)
 				c, err := cl.NewContext(p, "")
 				if err != nil {
 					p.Close()

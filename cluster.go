@@ -45,55 +45,20 @@ type ClusterConfig struct {
 	HTTPClient *http.Client
 }
 
-// ClusterHostReport is one host's view in a ClusterReport: liveness,
-// accepted runs, and attempt latency split by delivery path. Failed
-// attempts are observed too, so a fast-failing host reads as a fast
+// ClusterHostReport is one host's view in a ClusterReport: its URL,
+// whether it left the rotation (Dead), the responses accepted from it
+// (Runs), and attempt latency split by delivery path — Dispatch for first
+// attempts, Retry for post-backoff retries, Hedge for hedged duplicates.
+// Failed attempts are observed too, so a fast-failing host reads as a fast
 // histogram with few Runs.
-type ClusterHostReport struct {
-	// URL is the host's base URL; Dead reports it left the rotation.
-	URL  string
-	Dead bool
-	// Runs counts responses accepted from this host.
-	Runs uint64
-	// Dispatch covers first attempts, Retry post-backoff retries, Hedge
-	// hedged duplicates raced against a slow host.
-	Dispatch, Retry, Hedge LatencySnapshot
-}
+type ClusterHostReport = cluster.HostLatency
 
 // ClusterReport summarises the delivery machinery of one cluster batch:
-// lifetime delivery counters and per-host attempt latencies, in
-// Batch.Hosts order. It is attached to BatchResult.Cluster by cluster
-// runs and printed by `mobilesimctl -stats`.
-type ClusterReport struct {
-	// Retries counts retry attempts dispatched; Hedges counts hedged
-	// duplicates launched; Discarded counts completed duplicate responses
-	// dropped because another attempt had been accepted; Reships counts
-	// transparent snapshot re-installations after a host forgot the ref.
-	Retries, Hedges, Discarded, Reships uint64
-	Hosts                               []ClusterHostReport
-}
-
-// clusterReport folds the wire-level report into the facade shape.
-func clusterReport(r cluster.Report) *ClusterReport {
-	out := &ClusterReport{
-		Retries:   r.Retries,
-		Hedges:    r.Hedges,
-		Discarded: r.Discarded,
-		Reships:   r.Reships,
-		Hosts:     make([]ClusterHostReport, len(r.Hosts)),
-	}
-	for i, h := range r.Hosts {
-		out.Hosts[i] = ClusterHostReport{
-			URL:      h.URL,
-			Dead:     h.Dead,
-			Runs:     h.Runs,
-			Dispatch: h.Dispatch,
-			Retry:    h.Retry,
-			Hedge:    h.Hedge,
-		}
-	}
-	return out
-}
+// lifetime delivery counters (Retries, Hedges, Discarded duplicate
+// responses, Reships of the snapshot to a host that forgot it) and
+// per-host attempt latencies, in Batch.Hosts order. It is attached to
+// BatchResult.Cluster by cluster runs and printed by `mobilesimctl -stats`.
+type ClusterReport = cluster.Report
 
 // runCluster executes the batch over b.Hosts: boot the batch Config
 // once, capture and encode the warm snapshot, ship it to every host,
@@ -152,7 +117,8 @@ func (b *Batch) runCluster(ctx context.Context) (*BatchResult, error) {
 	for i := range cres.Jobs {
 		res.Jobs[i] = clusterJobResult(b.Jobs[i], &cres.Jobs[i])
 	}
-	res.Cluster = clusterReport(cl.Report())
+	report := cl.Report()
+	res.Cluster = &report
 	res.tally(ctx)
 	res.Wall = time.Since(t0)
 	return res, ctx.Err()

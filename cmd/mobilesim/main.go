@@ -11,6 +11,8 @@
 // or a paper experiment (fig7). With more than one workload (or
 // -workers > 1) the runs execute as a concurrent batch, one fresh
 // session per workload, and an aggregate summary is printed at the end.
+// -cfg prints the divergence CFG of a single workload's run; a batch has
+// no graph to print, so -cfg with one is a usage error.
 //
 // Ctrl-C — or an elapsed -timeout — cancels mid-run: the executing
 // kernel is soft-stopped at a clause boundary and interrupted jobs are
@@ -56,6 +58,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: mobilesim [flags] <workload>...   (see -list)")
 		os.Exit(2)
 	}
+	single := flag.NArg() == 1 && *workers <= 1
+	if *cfg && !single {
+		fmt.Fprintln(os.Stderr, "usage: mobilesim -cfg <workload>   (-cfg prints one run's graph: one workload, -workers <= 1)")
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -70,12 +77,11 @@ func main() {
 		ShaderCores:     *cores,
 		HostThreads:     *threads,
 		CompilerVersion: *compiler,
-		CollectCFG:      *cfg,
 		GPUEngine:       *engine,
 	}
 	var err error
-	if flag.NArg() == 1 && *workers <= 1 {
-		err = runOne(ctx, flag.Arg(0), *scale, conf)
+	if single {
+		err = runOne(ctx, flag.Arg(0), *scale, *cfg, conf)
 	} else {
 		err = runBatch(ctx, flag.Args(), *scale, *workers, conf)
 	}
@@ -85,16 +91,20 @@ func main() {
 	}
 }
 
-// runOne runs a single workload and prints the full statistics table.
-func runOne(ctx context.Context, name string, scale int, conf mobilesim.Config) error {
+// runOne runs a single workload and prints the full statistics table, and
+// with withCFG the run's divergence control-flow graph.
+func runOne(ctx context.Context, name string, scale int, withCFG bool, conf mobilesim.Config) error {
 	sess, err := mobilesim.New(conf)
 	if err != nil {
 		return err
 	}
 	defer sess.Close()
 
-	res, err := sess.Run(ctx, name,
-		mobilesim.WithScale(scale), mobilesim.WithOutput(os.Stdout))
+	opts := []mobilesim.RunOption{mobilesim.WithScale(scale), mobilesim.WithOutput(os.Stdout)}
+	if withCFG {
+		opts = append(opts, mobilesim.WithCFG())
+	}
+	res, err := sess.Run(ctx, name, opts...)
 	if err != nil {
 		return err
 	}
@@ -106,9 +116,9 @@ func runOne(ctx context.Context, name string, scale int, conf mobilesim.Config) 
 		res.Workload, res.Kind, res.Scale, conf.ShaderCores, conf.HostThreads)
 	printStats(res)
 
-	if conf.CollectCFG {
+	if withCFG {
 		fmt.Println("\ncontrol-flow graph (clause addresses, thread proportions):")
-		fmt.Print(sess.CFG())
+		fmt.Print(res.CFG)
 	}
 	return nil
 }

@@ -7,8 +7,8 @@
 // Four contracts are enforced:
 //
 //   - sharedmem: packages that execute concurrent guest code must reach
-//     guest RAM through the atomic mem accessors / shared mmu.Walker
-//     paths, never through the plain Bus/RAM entry points (DESIGN.md §7).
+//     guest RAM through the atomic mem accessors / mmu.Walker paths,
+//     never through the plain Bus/RAM entry points (DESIGN.md §7).
 //   - statscommit: internal/stats counter fields may only be mutated
 //     inside functions explicitly designated as commit sites, keeping
 //     every engine on the shared bookkeeping the exact-counter contract

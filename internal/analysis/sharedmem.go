@@ -6,18 +6,14 @@ import (
 	"strings"
 )
 
-// memPkg and mmuPkg are the packages whose accessors the sharedmem
-// contract is about.
-const (
-	memPkg = "mobilesim/internal/mem"
-	mmuPkg = "mobilesim/internal/mmu"
-)
+// memPkg is the package whose accessors the sharedmem contract is about.
+const memPkg = "mobilesim/internal/mem"
 
 // sharedMemEnforced lists the packages that execute concurrent guest
 // code: inside them, every guest-RAM access must go through the atomic
-// mem accessors or a shared mmu.Walker (DESIGN.md §7). The GPU package
-// runs one goroutine per virtual shader core plus the Job Manager, all
-// racing on guest memory by (guest) design.
+// mem accessors or an mmu.Walker, whose data accesses are atomic
+// (DESIGN.md §7). The GPU package runs one goroutine per virtual shader
+// core plus the Job Manager, all racing on guest memory by (guest) design.
 var sharedMemEnforced = []string{
 	"mobilesim/internal/gpu",
 }
@@ -37,12 +33,10 @@ var sharedMemMethods = map[string]map[string]bool{
 	},
 }
 
-// forbidden package-level functions: plain little-endian host-view
-// accessors (memPkg) and the plain-mode walker constructor (mmuPkg —
-// concurrent guest executors must build walkers with NewSharedWalker).
+// forbidden package-level functions: the plain little-endian host-view
+// accessors.
 var sharedMemFuncs = map[string]map[string]bool{
 	memPkg: {"LoadLE": true, "StoreLE": true},
-	mmuPkg: {"NewWalker": true},
 }
 
 // SharedMemAnalyzer is the production sharedmem instance, enforcing the
@@ -58,7 +52,7 @@ func NewSharedMem(enforced ...string) *Analyzer {
 	}
 	a := &Analyzer{
 		Name: "sharedmem",
-		Doc:  "guest-RAM accesses in concurrent-guest packages must use the atomic mem accessors / shared mmu.Walker paths",
+		Doc:  "guest-RAM accesses in concurrent-guest packages must use the atomic mem accessors / mmu.Walker paths",
 	}
 	a.Run = func(pass *Pass) {
 		if !set[pass.Pkg.Path()] {
@@ -76,7 +70,7 @@ func NewSharedMem(enforced ...string) *Analyzer {
 				}
 				if recv, name, ok := resolveCallee(pass, sel); ok {
 					pass.Reportf(call.Pos(),
-						"non-atomic guest-RAM access: %s.%s bypasses the race-clean memory model (DESIGN.md §7); use the shared mmu.Walker accessors or mem.Atomic*, or annotate the site",
+						"non-atomic guest-RAM access: %s.%s bypasses the race-clean memory model (DESIGN.md §7); use the mmu.Walker accessors or mem.Atomic*, or annotate the site",
 						recv, name)
 				}
 				return true

@@ -3,15 +3,11 @@
 // at all — the contract binds concurrent-guest packages only.
 package fixture
 
-import (
-	"mobilesim/internal/mem"
-	"mobilesim/internal/mmu"
-)
+import "mobilesim/internal/mem"
 
 func plainAccessOutsideEnforcedSet(b *mem.Bus, r *mem.RAM, page []byte) {
 	b.Read(0x1000, 4)
 	b.Write(0x1000, 4, 7)
 	r.Slice(0x1000, 64)
 	mem.LoadLE(page[:8])
-	mmu.NewWalker(b)
 }

@@ -98,13 +98,12 @@ func Fig6(ctx context.Context, w io.Writer, opt Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cfg := opt.gpuConfig()
-	cfg.CollectCFG = true
-	p, err := platform.New(platform.Config{RAMSize: 512 << 20, GPU: cfg})
+	p, err := platform.New(platform.Config{RAMSize: 512 << 20, GPU: opt.gpuConfig()})
 	if err != nil {
 		return "", err
 	}
 	defer p.Close()
+	p.GPU.SetCollectCFG(true)
 	c, err := cl.NewContext(p, opt.CompilerVersion)
 	if err != nil {
 		return "", err

@@ -137,13 +137,12 @@ func Fig8(ctx context.Context, w io.Writer, opt Options) ([]Fig8Row, error) {
 }
 
 func runOneCFG(ctx context.Context, spec *workloads.Spec, opt Options) (*runOutcome, error) {
-	cfg := opt.gpuConfig()
-	cfg.CollectCFG = true
-	p, err := platform.New(platform.Config{RAMSize: 1 << 30, GPU: cfg})
+	p, err := platform.New(platform.Config{RAMSize: 1 << 30, GPU: opt.gpuConfig()})
 	if err != nil {
 		return nil, err
 	}
 	defer p.Close()
+	p.GPU.SetCollectCFG(true)
 	c, err := cl.NewContext(p, opt.CompilerVersion)
 	if err != nil {
 		return nil, err

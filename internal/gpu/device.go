@@ -82,9 +82,6 @@ type Config struct {
 	// each shader is decoded once per process (§III-B3, ProgramCache).
 	// Disable only for the ablation benchmark.
 	DecodeCache bool
-	// CollectCFG records clause-level control flow with divergence
-	// annotations (Fig 6). Costs a map update per clause execution.
-	CollectCFG bool
 	// Engine selects the shader execution engine (warp-batched by
 	// default; see engine.go). Engines are observationally identical —
 	// bit-identical counters and guest memory — and instruction tracing
@@ -126,8 +123,9 @@ type Device struct {
 	// is interrupted without waiting for the chain to drain.
 	stopReq atomic.Bool
 
-	// collectCFG mirrors cfg.CollectCFG but can be toggled between jobs
-	// (per-run CFG collection in the facade).
+	// collectCFG records clause-level control flow with divergence
+	// annotations (Fig 6), at the cost of a map update per clause
+	// execution. Off until SetCollectCFG; toggled between jobs.
 	collectCFG atomic.Bool
 
 	statsMu      sync.Mutex
@@ -169,15 +167,11 @@ func NewDevice(cfg Config, bus *mem.Bus, intc *irq.Controller, line irq.Line) *D
 		cfgGraph:     stats.NewCFG(),
 		touchedPages: make(map[uint64]struct{}),
 	}
-	d.collectCFG.Store(cfg.CollectCFG)
 	return d
 }
 
 // SetCollectCFG toggles clause-level CFG collection for subsequent jobs.
 func (d *Device) SetCollectCFG(on bool) { d.collectCFG.Store(on) }
-
-// CollectingCFG reports whether CFG collection is currently enabled.
-func (d *Device) CollectingCFG() bool { return d.collectCFG.Load() }
 
 // ClearCFG drops the accumulated control-flow graph (between per-run CFG
 // collections) without touching the counters.
@@ -396,9 +390,9 @@ func asFault(err error, out **mmu.Fault) bool {
 	return ok
 }
 
-// runChain walks a job descriptor chain. Its walker runs in shared mode:
-// descriptor, shader and uniform reads may overlap guest stores from a
-// previous chain's tail or a racy guest, and must stay word-atomic.
+// runChain walks a job descriptor chain. Its walker's descriptor, shader
+// and uniform reads may overlap guest stores from a previous chain's tail
+// or a racy guest, and are word-atomic like every walker access.
 //
 //simlint:commit -- merges per-chain TLB and compute-job counters
 func (d *Device) runChain(head uint64) error {
@@ -444,9 +438,9 @@ func (d *Device) runChain(head uint64) error {
 }
 
 // newWalker makes a walker the device keeps (the Job Manager's, a virtual
-// core's) and every job re-binds: shared mode, touched pages tracked.
+// core's) and every job re-binds, with touched pages tracked.
 func (d *Device) newWalker() *mmu.Walker {
-	w := mmu.NewSharedWalker(d.bus)
+	w := mmu.NewWalker(d.bus)
 	w.ResetTouched()
 	return w
 }
@@ -579,7 +573,7 @@ func (d *Device) Stats() (stats.GPUStats, stats.SystemStats) {
 }
 
 // CFGGraph returns the accumulated control-flow graph (empty unless
-// CollectCFG was set).
+// SetCollectCFG turned collection on).
 func (d *Device) CFGGraph() *stats.CFG {
 	d.statsMu.Lock()
 	defer d.statsMu.Unlock()

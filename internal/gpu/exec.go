@@ -699,13 +699,7 @@ func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
 				return fault
 			}
 			e.trace.inst(lane, w.gid(lane), in, v, true)
-			// Honour the walker's access mode: the store must stay on the
-			// same plain/atomic policy as every other access of this core.
-			if e.walker.Shared() {
-				return e.bus.AtomicWrite(pa, size, v)
-			}
-			//simlint:allow sharedmem -- plain-mode MMIO fallback: walker is unshared, so this core owns the access policy
-			return e.bus.Write(pa, size, v)
+			return e.bus.AtomicWrite(pa, size, v)
 		}
 		return e.walker.Store(addr, size, v)
 

@@ -281,9 +281,8 @@ func divergeProgram() *gpu.Program {
 }
 
 func TestDivergenceReconvergence(t *testing.T) {
-	cfg := gpu.DefaultConfig()
-	cfg.CollectCFG = true
-	r := newRig(t, cfg)
+	r := newRig(t, gpu.DefaultConfig())
+	r.dev.SetCollectCFG(true)
 	const n = 64
 	out := r.allocBuf(4 * n)
 	progVA, progSize := r.loadProgram(divergeProgram())

@@ -607,20 +607,12 @@ func (e *execContext) loadGlobal(w *warp, m *memOp, u uop, act uint64, full bool
 				gs.GlobalLS += act
 				gs.MainMemAcc += act
 				m.vCtr.bump(gs, act)
-				if e.walker.Shared() {
-					for l := 0; l < w.lanes; l++ {
-						off := (ar[l] + m.off) & mem.PageMask
-						if m.size == 4 && off&3 == 0 {
-							dr[l] = mem.AtomicLoad32(page, off)
-						} else {
-							dr[l] = mem.AtomicLoadLE(page, off, m.size)
-						}
-					}
-				} else {
-					for l := 0; l < w.lanes; l++ {
-						off := (ar[l] + m.off) & mem.PageMask
-						//simlint:allow sharedmem -- plain-mode BatchPage span: the walker already resolved an unshared page
-						dr[l] = mem.LoadLE(page[off : off+uint64(m.size)])
+				for l := 0; l < w.lanes; l++ {
+					off := (ar[l] + m.off) & mem.PageMask
+					if m.size == 4 && off&3 == 0 {
+						dr[l] = mem.AtomicLoad32(page, off)
+					} else {
+						dr[l] = mem.AtomicLoadLE(page, off, m.size)
 					}
 				}
 				return nil
@@ -660,20 +652,12 @@ func (e *execContext) storeGlobal(w *warp, m *memOp, u uop, act uint64, full boo
 				gs.MainMemAcc += act
 				// Lane order is preserved: overlapping lane stores
 				// resolve low-lane-first, as the per-lane loop does.
-				if e.walker.Shared() {
-					for l := 0; l < w.lanes; l++ {
-						off := (ar[l] + m.off) & mem.PageMask
-						if m.size == 4 && off&3 == 0 {
-							mem.AtomicStore32(page, off, uint32(br[l]))
-						} else {
-							mem.AtomicStoreLE(page, off, m.size, br[l])
-						}
-					}
-				} else {
-					for l := 0; l < w.lanes; l++ {
-						off := (ar[l] + m.off) & mem.PageMask
-						//simlint:allow sharedmem -- plain-mode BatchPage span: the walker already resolved an unshared page
-						mem.StoreLE(page[off:off+uint64(m.size)], m.size, br[l])
+				for l := 0; l < w.lanes; l++ {
+					off := (ar[l] + m.off) & mem.PageMask
+					if m.size == 4 && off&3 == 0 {
+						mem.AtomicStore32(page, off, uint32(br[l]))
+					} else {
+						mem.AtomicStoreLE(page, off, m.size, br[l])
 					}
 				}
 				return nil

@@ -9,7 +9,7 @@ import (
 )
 
 // In-package pins for the fused warp hot path, mirroring the MMU's
-// TestSharedLoadHitPathZeroAllocs/BenchmarkSharedWalkerLoadHit pair: the
+// TestLoadHitPathZeroAllocs/BenchmarkWalkerLoadHit pair: the
 // steady-state fused clause — ALU rows plus TLB-hit LDG/STG — must not
 // touch the heap, and the micro-benchmark puts a per-clause number on
 // each engine tier.
@@ -42,7 +42,7 @@ func hotProgram() *Program {
 }
 
 // newHotContext builds a minimal execution rig — bus, identity-style
-// address space, shared walker — and a full warp with per-lane load/store
+// address space, walker — and a full warp with per-lane load/store
 // addresses already primed in the TLB.
 func newHotContext(tb testing.TB) (*execContext, *warp, *Program) {
 	tb.Helper()
@@ -59,7 +59,7 @@ func newHotContext(tb testing.TB) (*execContext, *warp, *Program) {
 	if err := as.MapRange(va, 0x0020_0000, 2*mem.PageSize, mmu.PermR|mmu.PermW); err != nil {
 		tb.Fatal(err)
 	}
-	walker := mmu.NewSharedWalker(bus)
+	walker := mmu.NewWalker(bus)
 	walker.SetRoot(as.Root())
 	walker.ResetTouched()
 

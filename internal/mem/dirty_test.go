@@ -138,7 +138,7 @@ func TestDirtyMapCoversEveryWriteEntryPoint(t *testing.T) {
 			must(t, err)
 			must(t, as.Map(va, dirtyBase+10*page, mmu.PermR|mmu.PermW))
 			tables := ram.DirtyPages() // building the tables marks them
-			w := mmu.NewSharedWalker(bus)
+			w := mmu.NewWalker(bus)
 			w.SetRoot(as.Root())
 			if _, err := w.Load(va+8, 4, mem.Read); err != nil { // caches the view
 				t.Fatal(err)

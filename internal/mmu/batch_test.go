@@ -155,7 +155,7 @@ func TestBatchPageDeclineLeavesWalkerUntouched(t *testing.T) {
 // per-lane store path, and the returned view is the fork's own page
 // (stores through it must not leak into the image or a sibling fork).
 func TestBatchPageCowWrite(t *testing.T) {
-	w, img, va, pa := cowEnv(t, false)
+	w, img, va, pa := cowEnv(t)
 	if _, err := w.Load(va, 8, mem.Read); err != nil { // read-prime the view
 		t.Fatal(err)
 	}

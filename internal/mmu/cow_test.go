@@ -10,7 +10,7 @@ import (
 // cowEnv builds an address space with one RW mapping over RAM carrying a
 // known pattern, captures an image, and returns a walker over a fork of
 // it plus the image.
-func cowEnv(t *testing.T, shared bool) (*Walker, *mem.Image, uint64, uint64) {
+func cowEnv(t *testing.T) (*Walker, *mem.Image, uint64, uint64) {
 	t.Helper()
 	const va, pa = uint64(0x4000_0000), uint64(0x0050_0000)
 	ram := mem.NewRAM(0, 16<<20)
@@ -38,13 +38,7 @@ func cowEnv(t *testing.T, shared bool) (*Walker, *mem.Image, uint64, uint64) {
 	if pa+mem.PageSize > img.CapturedBytes() {
 		t.Fatalf("pattern page %#x beyond captured %#x", pa, img.CapturedBytes())
 	}
-	fbus := mem.NewBus(mem.ForkRAM(img))
-	var w *Walker
-	if shared {
-		w = NewSharedWalker(fbus)
-	} else {
-		w = NewWalker(fbus)
-	}
+	w := NewWalker(mem.NewBus(mem.ForkRAM(img)))
 	w.SetRoot(as.Root()) // the page tables were forked with the rest
 	return w, img, va, pa
 }
@@ -69,7 +63,7 @@ func untouched(t *testing.T, img *mem.Image, pa uint64) {
 // TestCowReadDoesNotPrivatize: loads through a fork's walker return the
 // image's content.
 func TestCowReadDoesNotPrivatize(t *testing.T) {
-	w, img, va, pa := cowEnv(t, false)
+	w, img, va, pa := cowEnv(t)
 	for off := uint64(0); off < 256; off += 8 {
 		v, err := w.Load(va+off, 8, mem.Read)
 		if err != nil || v != 0x5151_5151_5151_5151 {
@@ -82,7 +76,7 @@ func TestCowReadDoesNotPrivatize(t *testing.T) {
 // TestCowFirstStoreUpgradesView: a store through the view a load cached
 // lands in the fork — and only there — without another walk.
 func TestCowFirstStoreUpgradesView(t *testing.T) {
-	w, img, va, pa := cowEnv(t, false)
+	w, img, va, pa := cowEnv(t)
 	if _, err := w.Load(va, 8, mem.Read); err != nil {
 		t.Fatal(err)
 	}
@@ -137,44 +131,35 @@ func TestCowCountersMatchNonFork(t *testing.T) {
 		return w.Hits, w.Walks
 	}
 
-	for _, shared := range []bool{false, true} {
-		// Fork walker.
-		fw, _, fva, _ := cowEnv(t, shared)
-		fHits, fWalks := run(fw, fva)
+	// Fork walker.
+	fw, _, fva, _ := cowEnv(t)
+	fHits, fWalks := run(fw, fva)
 
-		// Plain walker over an identical layout (same builder, no fork).
-		const va, pa = uint64(0x4000_0000), uint64(0x0050_0000)
-		ram := mem.NewRAM(0, 16<<20)
-		bus := mem.NewBus(ram)
-		alloc, _ := mem.NewPageAllocator(1<<20, 8<<20)
-		as, err := NewAddressSpace(bus, alloc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := as.Map(va, pa, PermR|PermW); err != nil {
-			t.Fatal(err)
-		}
-		var pw *Walker
-		if shared {
-			pw = NewSharedWalker(bus)
-		} else {
-			pw = NewWalker(bus)
-		}
-		pw.SetRoot(as.Root())
-		pHits, pWalks := run(pw, va)
+	// Walker over plain RAM with an identical layout (same builder, no fork).
+	const va, pa = uint64(0x4000_0000), uint64(0x0050_0000)
+	ram := mem.NewRAM(0, 16<<20)
+	bus := mem.NewBus(ram)
+	alloc, _ := mem.NewPageAllocator(1<<20, 8<<20)
+	as, err := NewAddressSpace(bus, alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Map(va, pa, PermR|PermW); err != nil {
+		t.Fatal(err)
+	}
+	pw := NewWalker(bus)
+	pw.SetRoot(as.Root())
+	pHits, pWalks := run(pw, va)
 
-		if fHits != pHits || fWalks != pWalks {
-			t.Fatalf("shared=%v: fork hits/walks %d/%d, plain %d/%d",
-				shared, fHits, fWalks, pHits, pWalks)
-		}
+	if fHits != pHits || fWalks != pWalks {
+		t.Fatalf("fork hits/walks %d/%d, plain RAM %d/%d", fHits, fWalks, pHits, pWalks)
 	}
 }
 
-// TestCowSharedWalkerBulk exercises the shared-mode bulk paths over a
-// fork: atomic bulk reads of image content, bulk writes that stay in the
-// fork.
+// TestCowSharedWalkerBulk exercises the walker's atomic bulk paths over a
+// fork: bulk reads of image content, bulk writes that stay in the fork.
 func TestCowSharedWalkerBulk(t *testing.T) {
-	w, img, va, pa := cowEnv(t, true)
+	w, img, va, pa := cowEnv(t)
 	dst := make([]byte, 128)
 	if err := w.ReadBytes(va+64, dst); err != nil {
 		t.Fatal(err)

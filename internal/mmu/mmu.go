@@ -104,7 +104,12 @@ type tlbEntry struct {
 // Walker translates virtual addresses through page tables rooted at a
 // table base register. Each CPU core and each GPU address space owns its
 // own Walker (TLBs are per translation agent, as in hardware). A Walker is
-// not safe for concurrent use.
+// not safe for concurrent use, but its data loads and stores go through
+// mem's word-granular atomic accessors, so they compose race-free with
+// other walkers touching the same guest memory — shader-core goroutines
+// race on guest memory by (guest) design. Table walks stay plain reads:
+// page tables are written before the job that uses them is submitted,
+// with a happens-before edge through the doorbell.
 type Walker struct {
 	bus  *mem.Bus
 	root uint64 // physical base of top-level table; 0 = translation off
@@ -114,16 +119,6 @@ type Walker struct {
 	// and once for its chain walker (see Rebind), not per job. All TLB
 	// accesses are guarded by root != 0, which implies tlb != nil.
 	tlb *[tlbSize]tlbEntry
-
-	// shared selects the race-clean access mode: data loads and stores go
-	// through mem's word-granular atomic accessors instead of plain host
-	// memory operations. Every GPU-side walker runs shared — shader-core
-	// goroutines race on guest memory by (guest) design — while the
-	// single-goroutine CPU walkers keep the plain path. Table walks stay
-	// plain in both modes: page tables are written before the job that
-	// uses them is submitted, with a happens-before edge through the
-	// doorbell.
-	shared bool
 
 	// touched is a page bitmap of distinct virtual page numbers walked
 	// since the last ResetTouched: key = vpn>>6, bit = vpn&63. It is
@@ -142,20 +137,6 @@ type Walker struct {
 func NewWalker(bus *mem.Bus) *Walker {
 	return &Walker{bus: bus}
 }
-
-// NewSharedWalker creates a walker in shared-access mode: data loads and
-// stores go through mem's word-granular atomic accessors. A Walker itself
-// is still not safe for concurrent use — each translation agent owns one
-// — but a shared walker's data accesses compose race-free with other
-// shared walkers touching the same guest memory. The mode is fixed at
-// construction: flipping it mid-lifetime would mix plain and atomic
-// accesses to the same words, the exact race class this mode eliminates.
-func NewSharedWalker(bus *mem.Bus) *Walker {
-	return &Walker{bus: bus, shared: true}
-}
-
-// Shared reports whether the walker is in shared-access mode.
-func (w *Walker) Shared() bool { return w.shared }
 
 // SetRoot points the walker at a new top-level table and flushes the TLB.
 // A zero root disables translation (identity mapping, all permissions).
@@ -336,30 +317,25 @@ func (w *Walker) BatchPage(va uint64, kind mem.AccessKind, n uint64) ([]byte, bo
 // Load translates va and loads size little-endian bytes in one step. On a
 // TLB hit to a RAM-backed page it reads the cached host view directly,
 // touching neither the bus nor any lock and allocating nothing; otherwise
-// it falls back to Translate + Bus.Read (TLB miss, MMIO frame, permission
-// fault, page-crossing access, or translation off). The returned error is
-// a *Fault for translation failures or the bus error for physical ones.
+// it falls back to Translate + Bus.AtomicRead (TLB miss, MMIO frame,
+// permission fault, page-crossing access, or translation off). The
+// returned error is a *Fault for translation failures or the bus error for
+// physical ones.
 func (w *Walker) Load(va uint64, size int, kind mem.AccessKind) (uint64, error) {
 	off := va & mem.PageMask
 	if off+uint64(size) <= mem.PageSize {
 		if page := w.hitPage(va, kind); page != nil {
-			if w.shared {
-				if size == 4 && off&3 == 0 {
-					return mem.AtomicLoad32(page, off), nil
-				}
-				return mem.AtomicLoadLE(page, off, size), nil
+			if size == 4 && off&3 == 0 {
+				return mem.AtomicLoad32(page, off), nil
 			}
-			return mem.LoadLE(page[off : off+uint64(size)]), nil
+			return mem.AtomicLoadLE(page, off, size), nil
 		}
 	}
 	pa, fault := w.Translate(va, kind)
 	if fault != nil {
 		return 0, fault
 	}
-	if w.shared {
-		return w.bus.AtomicRead(pa, size)
-	}
-	return w.bus.Read(pa, size)
+	return w.bus.AtomicRead(pa, size)
 }
 
 // Store translates va and stores size little-endian bytes in one step,
@@ -368,15 +344,11 @@ func (w *Walker) Store(va uint64, size int, val uint64) error {
 	off := va & mem.PageMask
 	if off+uint64(size) <= mem.PageSize {
 		if page := w.hitPage(va, mem.Write); page != nil {
-			if w.shared {
-				if size == 4 && off&3 == 0 {
-					mem.AtomicStore32(page, off, uint32(val))
-					return nil
-				}
-				mem.AtomicStoreLE(page, off, size, val)
+			if size == 4 && off&3 == 0 {
+				mem.AtomicStore32(page, off, uint32(val))
 				return nil
 			}
-			mem.StoreLE(page[off:off+uint64(size)], size, val)
+			mem.AtomicStoreLE(page, off, size, val)
 			return nil
 		}
 	}
@@ -384,10 +356,7 @@ func (w *Walker) Store(va uint64, size int, val uint64) error {
 	if fault != nil {
 		return fault
 	}
-	if w.shared {
-		return w.bus.AtomicWrite(pa, size, val)
-	}
-	return w.bus.Write(pa, size, val)
+	return w.bus.AtomicWrite(pa, size, val)
 }
 
 // ReadBytes copies len(dst) bytes out of the virtual address space,
@@ -401,18 +370,13 @@ func (w *Walker) ReadBytes(va uint64, dst []byte) error {
 			chunk = len(dst) - off
 		}
 		if page := w.hitPage(cva, mem.Read); page != nil {
-			po := cva & mem.PageMask
-			if w.shared {
-				mem.AtomicReadBytes(page, po, dst[off:off+chunk])
-			} else {
-				copy(dst[off:off+chunk], page[po:po+uint64(chunk)])
-			}
+			mem.AtomicReadBytes(page, cva&mem.PageMask, dst[off:off+chunk])
 		} else {
 			pa, fault := w.Translate(cva, mem.Read)
 			if fault != nil {
 				return fault
 			}
-			if err := w.busReadBytes(pa, dst[off:off+chunk]); err != nil {
+			if err := w.bus.AtomicReadBytes(pa, dst[off:off+chunk]); err != nil {
 				return err
 			}
 		}
@@ -430,40 +394,19 @@ func (w *Walker) WriteBytes(va uint64, src []byte) error {
 			chunk = len(src) - off
 		}
 		if page := w.hitPage(cva, mem.Write); page != nil {
-			po := cva & mem.PageMask
-			if w.shared {
-				mem.AtomicWriteBytes(page, po, src[off:off+chunk])
-			} else {
-				copy(page[po:po+uint64(chunk)], src[off:off+chunk])
-			}
+			mem.AtomicWriteBytes(page, cva&mem.PageMask, src[off:off+chunk])
 		} else {
 			pa, fault := w.Translate(cva, mem.Write)
 			if fault != nil {
 				return fault
 			}
-			if err := w.busWriteBytes(pa, src[off:off+chunk]); err != nil {
+			if err := w.bus.AtomicWriteBytes(pa, src[off:off+chunk]); err != nil {
 				return err
 			}
 		}
 		off += chunk
 	}
 	return nil
-}
-
-// busReadBytes selects the bulk physical read for the walker's mode.
-func (w *Walker) busReadBytes(pa uint64, dst []byte) error {
-	if w.shared {
-		return w.bus.AtomicReadBytes(pa, dst)
-	}
-	return w.bus.ReadBytes(pa, dst)
-}
-
-// busWriteBytes selects the bulk physical write for the walker's mode.
-func (w *Walker) busWriteBytes(pa uint64, src []byte) error {
-	if w.shared {
-		return w.bus.AtomicWriteBytes(pa, src)
-	}
-	return w.bus.WriteBytes(pa, src)
 }
 
 func permOK(perms uint64, kind mem.AccessKind) bool {

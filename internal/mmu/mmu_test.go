@@ -601,18 +601,16 @@ func BenchmarkWalkerLoadHit(b *testing.B) {
 }
 
 // TestSharedWalkerMatchesPlain runs the fast-path edge cases through a
-// shared-mode walker and checks bit-identical results with the plain
-// path: same values, same fault behaviour, same hit/walk accounting.
+// walker's atomic accessors (the ones that let walkers share guest memory)
+// and checks bit-identical results with the plain bus path: same values,
+// same fault behaviour, same hit/walk accounting.
 func TestSharedWalkerMatchesPlain(t *testing.T) {
 	bus, _, as := newTestEnv(t)
 	const va, pa = 0x4000_0000, 0x0020_0000
 	if err := as.MapRange(va, pa, 2*mem.PageSize, PermR|PermW); err != nil {
 		t.Fatal(err)
 	}
-	w := NewSharedWalker(bus)
-	if !w.Shared() {
-		t.Fatal("NewSharedWalker not shared")
-	}
+	w := NewWalker(bus)
 	w.SetRoot(as.Root())
 
 	cases := []struct {
@@ -644,7 +642,7 @@ func TestSharedWalkerMatchesPlain(t *testing.T) {
 		if got != c.val {
 			t.Errorf("round trip %d@%#x = %#x, want %#x", c.size, c.off, got, c.val)
 		}
-		// Shared stores must mutate the same physical bytes the plain bus
+		// Atomic stores must mutate the same physical bytes the plain bus
 		// path sees, so plain readers (driver copies after a job) agree.
 		busVal, berr := bus.Read(pa+c.off, c.size)
 		if berr != nil || busVal != c.val {
@@ -655,7 +653,8 @@ func TestSharedWalkerMatchesPlain(t *testing.T) {
 		t.Errorf("hits+walks = %d, want %d", total, 2*len(cases))
 	}
 
-	// Bulk paths, page-crossing.
+	// Bulk paths, page-crossing, from an odd start (partial-word head and
+	// tail).
 	src := make([]byte, 3*mem.PageSize/2)
 	for i := range src {
 		src[i] = byte(i * 7)
@@ -672,20 +671,59 @@ func TestSharedWalkerMatchesPlain(t *testing.T) {
 			t.Fatalf("bulk byte %d = %#x, want %#x", i, dst[i], src[i])
 		}
 	}
+	if err := bus.ReadBytes(pa+5, dst); err != nil {
+		t.Fatal(err)
+	}
+	for i := range dst {
+		if dst[i] != src[i] {
+			t.Fatalf("bus sees bulk byte %d = %#x, want %#x", i, dst[i], src[i])
+		}
+	}
 
-	// Permission faults are mode-independent.
+	// Permission faults.
 	if _, err := w.Load(va, 4, mem.Execute); err == nil {
-		t.Error("shared exec load should permission-fault")
+		t.Error("exec load should permission-fault")
 	}
 	if _, err := w.Load(0xdead_0000, 4, mem.Read); err == nil {
-		t.Error("shared unmapped load should fault")
+		t.Error("unmapped load should fault")
+	}
+}
+
+// TestSharedLoadHitPathZeroAllocs pins the atomic fast path to zero
+// allocations, sub-word stores (a CAS loop) included: atomics must not
+// cost heap.
+func TestSharedLoadHitPathZeroAllocs(t *testing.T) {
+	bus, _, as := newTestEnv(t)
+	const va = 0x8000
+	if err := as.Map(va, 0x0020_0000, PermR|PermW); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWalker(bus)
+	w.SetRoot(as.Root())
+	w.ResetTouched()
+	if _, err := w.Load(va, 4, mem.Read); err != nil { // prime
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := w.Load(va+8, 4, mem.Read); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Store(va+16, 4, 7); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Store(va+21, 1, 9); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("TLB-hit atomic load/store allocates %v/op, want 0", allocs)
 	}
 }
 
 // TestSharedWalkersConcurrentSamePage is the core race-clean contract:
-// independent shared walkers (one per virtual core, as the GPU dispatches
-// them) hammer the same guest words concurrently. Run under -race this
-// fails loudly if any access path falls back to plain host memory ops.
+// independent walkers (one per virtual core, as the GPU dispatches them)
+// hammer the same guest words concurrently. Run under -race this fails
+// loudly if any access path falls back to plain host memory ops.
 func TestSharedWalkersConcurrentSamePage(t *testing.T) {
 	bus, _, as := newTestEnv(t)
 	const va = 0x4000_0000
@@ -695,7 +733,7 @@ func TestSharedWalkersConcurrentSamePage(t *testing.T) {
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
-			w := NewSharedWalker(bus)
+			w := NewWalker(bus)
 			w.SetRoot(as.Root())
 			for i := 0; i < 300; i++ {
 				// Same word for everyone (benign guest race)...
@@ -744,65 +782,83 @@ func TestSharedWalkersConcurrentSamePage(t *testing.T) {
 	}
 }
 
-// TestSharedLoadHitPathZeroAllocs pins the shared fast path to zero
-// allocations, same as the plain one: atomics must not cost heap.
-func TestSharedLoadHitPathZeroAllocs(t *testing.T) {
+// TestEveryWalkerComposesRaceFree: a walker needs no mode to be race-clean.
+// Two walkers from the one constructor — the CPU's and a shader core's, say
+// — share guest words, one storing (an aligned word, a bulk copy, a store
+// across a page boundary) while the other loads the same words. Run under
+// -race this fails if any of those paths is a plain host access, with
+// translation off (the driver's CPU path: identity, Translate + bus) and on
+// (TLB-cached page views).
+func TestEveryWalkerComposesRaceFree(t *testing.T) {
 	bus, _, as := newTestEnv(t)
-	const va = 0x8000
-	if err := as.Map(va, 0x0020_0000, PermR|PermW); err != nil {
+	const va, pa = 0x4000_0000, 0x0020_0000
+	if err := as.MapRange(va, pa, 2*mem.PageSize, PermR|PermW); err != nil {
 		t.Fatal(err)
 	}
-	w := NewSharedWalker(bus)
-	w.SetRoot(as.Root())
-	w.ResetTouched()
-	if _, err := w.Load(va, 4, mem.Read); err != nil { // prime
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := w.Load(va+8, 4, mem.Read); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Store(va+16, 4, 7); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Store(va+21, 1, 9); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("shared TLB-hit load/store allocates %v/op, want 0", allocs)
-	}
-}
+	for _, tc := range []struct {
+		name string
+		root uint64
+		base uint64
+	}{
+		{"translation-off", 0, pa},
+		{"translation-on", as.Root(), va},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			word := tc.base + 64                // aligned dword
+			bulk := tc.base + 256               // bulk span
+			cross := tc.base + mem.PageSize - 4 // dword across the page boundary
+			storer, loader := NewWalker(bus), NewWalker(bus)
+			storer.SetRoot(tc.root)
+			loader.SetRoot(tc.root)
 
-// BenchmarkSharedWalkerLoadHit is the shared-mode companion of
-// BenchmarkWalkerLoadHit: the GPU's hot translate-and-access path.
-func BenchmarkSharedWalkerLoadHit(b *testing.B) {
-	bus := mem.NewBus(mem.NewRAM(0, 16<<20))
-	alloc, err := mem.NewPageAllocator(1<<20, 8<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	as, err := NewAddressSpace(bus, alloc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const va = 0x8000
-	if err := as.Map(va, 0x0020_0000, PermR|PermW); err != nil {
-		b.Fatal(err)
-	}
-	w := NewSharedWalker(bus)
-	w.SetRoot(as.Root())
-	w.ResetTouched()
-	if _, err := w.Load(va, 4, mem.Read); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := w.Load(va+uint64(i)%1024, 4, mem.Read)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = v
+			const rounds = 200
+			done := make(chan error, 1)
+			go func() {
+				var buf [64]byte
+				for i := uint64(1); i <= rounds; i++ {
+					v := i<<32 | i // both halves equal: a torn dword shows
+					for j := range buf {
+						buf[j] = byte(i)
+					}
+					if err := storer.Store(word, 8, v); err != nil {
+						done <- err
+						return
+					}
+					if err := storer.WriteBytes(bulk, buf[:]); err != nil {
+						done <- err
+						return
+					}
+					if err := storer.Store(cross, 8, v); err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}()
+			var buf [64]byte
+			for i := 0; i < rounds; i++ {
+				v, err := loader.Load(word, 8, mem.Read)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v>>32 != v&0xffff_ffff {
+					t.Fatalf("aligned dword tore: %#x", v)
+				}
+				if err := loader.ReadBytes(bulk, buf[:]); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := loader.Load(cross, 8, mem.Read); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			for _, addr := range []uint64{word, cross} {
+				if v, err := loader.Load(addr, 8, mem.Read); err != nil || v != rounds<<32|rounds {
+					t.Errorf("final dword at %#x = %#x (%v), want the last store", addr, v, err)
+				}
+			}
+		})
 	}
 }

@@ -208,9 +208,9 @@ func Encode(w io.Writer, st *State) error {
 	e.u64(uint64(st.Config.ShaderCores))
 	e.u64(uint64(st.Config.HostThreads))
 	e.str(st.Config.CompilerVersion)
-	e.boolean(st.Config.CollectCFG)
+	e.u8(0) // reserved: CFG collection is a run option, not snapshot state
 	e.u8(0) // reserved: the engine is host wiring, not snapshot state
-	e.boolean(st.Config.DisableDecodeCache)
+	e.u8(0) // reserved: the decode cache is always on
 
 	// Guest RAM image.
 	p := st.Platform
@@ -310,9 +310,9 @@ func Decode(r io.Reader) (*State, error) {
 	st.Config.ShaderCores = int(d.u64())
 	st.Config.HostThreads = int(d.u64())
 	st.Config.CompilerVersion = d.str()
-	st.Config.CollectCFG = d.boolean()
+	d.u8() // reserved (older writers: 1 = collect the CFG)
 	d.u8() // reserved (older writers: 1 = closure JIT)
-	st.Config.DisableDecodeCache = d.boolean()
+	d.u8() // reserved (older writers: 1 = decode cache off)
 
 	p := st.Platform
 	imgBase := d.u64()

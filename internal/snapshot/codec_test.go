@@ -163,9 +163,15 @@ func TestHostileLengthPrefixAllocationIsBounded(t *testing.T) {
 	}
 }
 
+// reservedConfigBytes is the offset of the three reserved bytes that end
+// the configuration section of st's encoding.
+func reservedConfigBytes(st *State) int {
+	return len(magic) + 4 + 4*8 + 8 + len(st.Config.CompilerVersion)
+}
+
 // TestOldEngineByteIsIgnored decodes a v1 stream as older writers produced
-// it: with the closure JIT selected (the reserved byte after CollectCFG set
-// to 1), and with the RAM image captured up to the page allocator's bump
+// it: with the closure JIT selected (the second reserved configuration byte
+// set to 1), and with the RAM image captured up to the page allocator's bump
 // pointer instead of the highest dirty page (megabytes of zeros after the
 // firmware page). It must restore on whatever engine the restoring
 // configuration names — the warp default here — and reproduce Reduction's
@@ -183,7 +189,7 @@ func TestOldEngineByteIsIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := encode(t, &State{Config: st.Config, Platform: &pst, CL: st.CL})
-	engineByte := len(magic) + 4 + 4*8 + 8 + len(st.Config.CompilerVersion) + 1
+	engineByte := reservedConfigBytes(st) + 1
 	if enc[engineByte] != 0 {
 		t.Fatalf("reserved byte at %d is written %d, want 0", engineByte, enc[engineByte])
 	}
@@ -251,5 +257,50 @@ func TestOldDecodeCountSlotIsReserved(t *testing.T) {
 	}
 	if again := encode(t, dec); !bytes.Equal(again, enc) {
 		t.Errorf("a stream with a decode count in the reserved slot re-encodes differently")
+	}
+}
+
+// TestRetiredConfigSlotsAreReserved pins the three bytes that end the
+// configuration section. Older writers stored CFG collection, the closure
+// JIT and "decode cache off" there; CFG collection is now a run option, the
+// engine host wiring and the decode cache always on, so each byte is
+// written 0 and ignored on read. A stream with all three set to 1 decodes,
+// re-encodes to the bytes a current writer produces, and forks a platform
+// that runs a workload with CFG collection off.
+func TestRetiredConfigSlotsAreReserved(t *testing.T) {
+	st := bootState(t)
+	enc := encode(t, st)
+	at := reservedConfigBytes(st)
+	if got := enc[at : at+3]; !bytes.Equal(got, []byte{0, 0, 0}) {
+		t.Fatalf("reserved configuration bytes at %d are written %v, want zeros", at, got)
+	}
+	old := append([]byte(nil), enc...)
+	copy(old[at:], []byte{1, 1, 1})
+	dec, err := Decode(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := encode(t, dec); !bytes.Equal(again, enc) {
+		t.Fatal("a stream with the reserved configuration bytes set re-encodes differently")
+	}
+
+	p, rt, err := Restore(dec, platform.Config{GPU: gpu.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	spec, err := workloads.ByName("BFS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := spec.Make(spec.SmallScale).Run(context.Background(), rt, spec.Name, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified {
+		t.Fatalf("BFS not verified on the fork: %v", res.VerifyErr)
+	}
+	if g := p.GPU.CFGGraph().Render(); g != "" {
+		t.Errorf("the fork collected a CFG from a reserved byte:\n%s", g)
 	}
 }

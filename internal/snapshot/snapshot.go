@@ -27,13 +27,11 @@ import (
 // session configuration. Host-side wiring (console writers, the shader
 // engine) is deliberately absent: it is supplied afresh at restore time.
 type Config struct {
-	RAMSize            uint64
-	CPUCores           int
-	ShaderCores        int
-	HostThreads        int
-	CompilerVersion    string
-	CollectCFG         bool
-	DisableDecodeCache bool
+	RAMSize         uint64
+	CPUCores        int
+	ShaderCores     int
+	HostThreads     int
+	CompilerVersion string
 }
 
 // State is one full captured session: configuration, platform and
@@ -56,9 +54,9 @@ func Capture(cfg Config, rt *cl.Context) (*State, error) {
 	return &State{Config: cfg, Platform: pst, CL: rt.CaptureState()}, nil
 }
 
-// Restore builds a running platform and runtime from the state. consoleOut
-// and the GPU instrumentation knobs come from pcfg (the facade lowers the
-// restored session's configuration the same way New does).
+// Restore builds a running platform and runtime from the state. The console
+// writer and the GPU's host-side wiring come from pcfg (the facade lowers
+// the restored session's configuration the same way New does).
 func Restore(st *State, pcfg platform.Config) (*platform.Platform, *cl.Context, error) {
 	p, err := platform.NewFromState(pcfg, st.Platform)
 	if err != nil {

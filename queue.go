@@ -91,20 +91,17 @@ func (s *Session) run(ctx context.Context, w Workload, opts ...RunOption) (res *
 	if dev == nil {
 		return nil, false, ErrClosed
 	}
-	restoreCFG := false
-	if o.CollectCFG && !dev.CollectingCFG() {
-		// Per-run CFG: collect only for this run, starting from a clean
-		// graph (session-level collection was off, so nothing is lost).
+	if o.CollectCFG {
+		// The graph covers this run only: start it clean, stop after.
 		dev.ClearCFG()
 		dev.SetCollectCFG(true)
-		restoreCFG = true
 	}
 
 	pre := s.Stats()
 	res, err = w.Execute(rctx, s, o)
 	post := s.Stats()
 	wall := time.Since(t0)
-	if restoreCFG {
+	if o.CollectCFG {
 		dev.SetCollectCFG(false)
 	}
 	if err != nil {

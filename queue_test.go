@@ -479,22 +479,19 @@ func TestRunStatsDelta(t *testing.T) {
 	}
 }
 
-// TestPerRunCFG: WithCFG collects a divergence CFG for one run on a
-// session created without Config.CollectCFG.
+// TestPerRunCFG: WithCFG collects the divergence CFG of exactly one run.
+// A run without it collects nothing, and a second WithCFG run on the same
+// session renders the same graph as the first, not the two runs' union.
 func TestPerRunCFG(t *testing.T) {
 	sess := newQueueTestSession(t)
 	bg := context.Background()
 
-	res, err := sess.Run(bg, "BFS", mobilesim.WithScale(64), mobilesim.WithCFG())
+	first, err := sess.Run(bg, "BFS", mobilesim.WithScale(64), mobilesim.WithCFG())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.CFG, "->") {
-		t.Errorf("per-run CFG missing edges:\n%s", res.CFG)
-	}
-	// Collection was per-run: the session-level CFG stays off.
-	if cfg := sess.CFG(); cfg != "" {
-		t.Errorf("session CFG unexpectedly collected:\n%s", cfg)
+	if !strings.Contains(first.CFG, "->") {
+		t.Errorf("per-run CFG missing edges:\n%s", first.CFG)
 	}
 	plain, err := sess.Run(bg, "BFS", mobilesim.WithScale(64))
 	if err != nil {
@@ -502,6 +499,13 @@ func TestPerRunCFG(t *testing.T) {
 	}
 	if plain.CFG != "" {
 		t.Error("CFG collected without WithCFG")
+	}
+	second, err := sess.Run(bg, "BFS", mobilesim.WithScale(64), mobilesim.WithCFG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.CFG != first.CFG {
+		t.Errorf("a second WithCFG run's graph differs from the first's: not per run\nfirst:\n%s\nsecond:\n%s", first.CFG, second.CFG)
 	}
 }
 

@@ -83,10 +83,6 @@ type Config struct {
 	// CompilerVersion selects the JIT compiler release (5.6 … 6.2);
 	// empty means the default (6.1).
 	CompilerVersion string
-	// CollectCFG records the clause-level control-flow graph with
-	// divergence annotations (Fig 6), at the cost of a map update per
-	// clause execution.
-	CollectCFG bool
 	// GPUEngine selects the shader execution engine: GPUEngineWarp (the
 	// default for an empty string — clauses compiled to micro-op tapes run
 	// a warp at a time) or GPUEngineInterp (the reference interpreter).
@@ -94,9 +90,6 @@ type Config struct {
 	// and guest memory — and differ only in host speed, so the choice is a
 	// host-side knob like HostThreads.
 	GPUEngine string
-	// DisableDecodeCache turns off shader decode caching (§III-B3).
-	// Only useful for ablation studies.
-	DisableDecodeCache bool
 	// ConsoleOut receives simulated UART output (nil discards it). When
 	// one Config is shared across concurrent sessions — e.g. as a
 	// Batch's default — the writer is shared too and must be safe for
@@ -158,8 +151,6 @@ func (c *Config) platformConfig() platform.Config {
 	if c.HostThreads > 0 {
 		gcfg.HostThreads = c.HostThreads
 	}
-	gcfg.DecodeCache = !c.DisableDecodeCache
-	gcfg.CollectCFG = c.CollectCFG
 	gcfg.Engine = c.gpuEngine()
 	return platform.Config{
 		RAMSize:    c.RAMSize,
@@ -320,18 +311,6 @@ func (s *Session) ResetStats() {
 	if !s.closed {
 		s.p.GPU.ResetStats()
 	}
-}
-
-// CFG renders the collected clause-level control-flow graph with
-// divergence annotations. It returns "" unless the session was created
-// with Config.CollectCFG, and "" after Close.
-func (s *Session) CFG() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || !s.cfg.CollectCFG {
-		return ""
-	}
-	return s.p.GPU.CFGGraph().Render()
 }
 
 // Buffer is a device memory allocation owned by one session.
@@ -523,10 +502,8 @@ type RunResult struct {
 	// Stats is the per-run statistics delta: the session snapshot diffed
 	// around this run (Session.Stats has the session-cumulative record).
 	Stats Stats
-	// CFG is the rendered divergence control-flow graph, collected when
-	// the run was submitted WithCFG. On sessions created with
-	// Config.CollectCFG it is cumulative since session start; otherwise
-	// it covers exactly this run.
+	// CFG is the rendered divergence control-flow graph of exactly this
+	// run, collected when the run was submitted WithCFG.
 	CFG string
 	// Modeled carries the analytical Mali-G71/K20m cost estimates
 	// evaluated on this run's own statistics delta. See ModeledCost for

@@ -131,20 +131,6 @@ func TestSessionRunUnknownBenchmark(t *testing.T) {
 	}
 }
 
-func TestSessionCFGCollection(t *testing.T) {
-	sess, err := mobilesim.New(mobilesim.Config{CollectCFG: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if _, err := sess.Run(bg, "BFS", mobilesim.WithScale(smallScale(t, "BFS"))); err != nil {
-		t.Fatal(err)
-	}
-	if cfg := sess.CFG(); !strings.Contains(cfg, "->") {
-		t.Errorf("CFG render missing edges:\n%s", cfg)
-	}
-}
-
 // TestBatch8Way is the acceptance scenario: eight independent sessions
 // across a bounded pool, with aggregated statistics.
 func TestBatch8Way(t *testing.T) {

@@ -37,13 +37,11 @@ type Snapshot struct {
 func (s *Snapshot) Config() Config {
 	c := s.st.Config
 	return Config{
-		RAMSize:            c.RAMSize,
-		CPUCores:           c.CPUCores,
-		ShaderCores:        c.ShaderCores,
-		HostThreads:        c.HostThreads,
-		CompilerVersion:    c.CompilerVersion,
-		CollectCFG:         c.CollectCFG,
-		DisableDecodeCache: c.DisableDecodeCache,
+		RAMSize:         c.RAMSize,
+		CPUCores:        c.CPUCores,
+		ShaderCores:     c.ShaderCores,
+		HostThreads:     c.HostThreads,
+		CompilerVersion: c.CompilerVersion,
 	}
 }
 
@@ -92,13 +90,11 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 // mirror.
 func snapshotConfig(c Config) snapshot.Config {
 	return snapshot.Config{
-		RAMSize:            c.RAMSize,
-		CPUCores:           c.CPUCores,
-		ShaderCores:        c.ShaderCores,
-		HostThreads:        c.HostThreads,
-		CompilerVersion:    c.CompilerVersion,
-		CollectCFG:         c.CollectCFG,
-		DisableDecodeCache: c.DisableDecodeCache,
+		RAMSize:         c.RAMSize,
+		CPUCores:        c.CPUCores,
+		ShaderCores:     c.ShaderCores,
+		HostThreads:     c.HostThreads,
+		CompilerVersion: c.CompilerVersion,
 	}
 }
 
@@ -117,9 +113,8 @@ type newOptions struct {
 // The session's shape is the snapshot's. cfg supplies the host-side wiring
 // — ConsoleOut and GPUEngine, neither of which a snapshot records (the
 // engines are counter-identical, so the choice never changes observable
-// behaviour) — and may override host-side knobs: a non-zero HostThreads
-// replaces the snapshot's, and CollectCFG/DisableDecodeCache set in cfg
-// are enabled on top of the snapshot's.
+// behaviour) — and may override the one host-side knob: a non-zero
+// HostThreads replaces the snapshot's.
 // Architectural fields (RAMSize, CPUCores, ShaderCores, CompilerVersion)
 // must be zero or equal to the snapshot's — the corresponding state is
 // baked into the image.
@@ -170,8 +165,6 @@ func mergeSnapshotConfig(cfg Config, snap *Snapshot) (Config, error) {
 	if cfg.HostThreads != 0 {
 		eff.HostThreads = cfg.HostThreads
 	}
-	eff.CollectCFG = eff.CollectCFG || cfg.CollectCFG
-	eff.DisableDecodeCache = eff.DisableDecodeCache || cfg.DisableDecodeCache
 	return eff, nil
 }
 

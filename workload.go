@@ -19,7 +19,7 @@ import (
 // contract for everything the simulator can run — the Table II benchmark
 // suite, the SLAMBench pipeline presets (Fig 14), the SGEMM tuning ladder
 // (Fig 15) and the paper-evaluation experiments. Sessions execute
-// workloads by name through Session.Run / Session.Submit.
+// workloads by name through Session.Run / Session.RunWorkload.
 
 // WorkloadKind classifies a registered workload.
 type WorkloadKind string
@@ -126,8 +126,7 @@ type RunOptions struct {
 	// reference, for workload kinds that have one (default true).
 	Verify bool
 	// CollectCFG collects the clause-level divergence CFG for this run
-	// and renders it into RunResult.CFG, even when the session was not
-	// created with Config.CollectCFG.
+	// and renders it into RunResult.CFG.
 	CollectCFG bool
 	// ExperimentScale selects input sizes for experiment workloads
 	// (default ExperimentScaleDefault).
@@ -148,10 +147,9 @@ func WithScale(n int) RunOption { return func(o *RunOptions) { o.Scale = n } }
 // RunResult.NativeDuration is zero and Verified false.
 func WithVerify(on bool) RunOption { return func(o *RunOptions) { o.Verify = on } }
 
-// WithCFG collects the divergence control-flow graph for this run and
-// renders it into RunResult.CFG. On a session created with
-// Config.CollectCFG the device graph is cumulative, so RunResult.CFG
-// then covers every run since session start, not just this one.
+// WithCFG collects the divergence control-flow graph (Fig 6) for this run
+// and renders it into RunResult.CFG, at the cost of a map update per
+// clause execution during the run.
 func WithCFG() RunOption { return func(o *RunOptions) { o.CollectCFG = true } }
 
 // WithExperimentScale selects input sizes for experiment workloads.
