@@ -1,7 +1,7 @@
-// Command experiments regenerates the paper's tables and figures through
-// the unified Workload API: each experiment is a registered workload run
-// on one session, whose configuration (host threads, compiler version)
-// parameterises the harness. Ctrl-C cancels mid-experiment.
+// Command experiments regenerates the paper's tables and figures. Each
+// experiment boots the platforms it measures, parameterised by the host
+// thread count and compiler version given here. Ctrl-C cancels
+// mid-experiment.
 //
 // Usage:
 //
@@ -18,8 +18,10 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"text/tabwriter"
 
-	"mobilesim"
+	"mobilesim/internal/clc"
+	"mobilesim/internal/experiments"
 )
 
 func main() {
@@ -29,34 +31,44 @@ func main() {
 	flag.Parse()
 	if flag.NArg() == 0 {
 		flag.Usage()
-		fmt.Fprintf(os.Stderr, "\nexperiments: %s all\n",
-			strings.Join(mobilesim.Experiments(), " "))
+		tw := tabwriter.NewWriter(os.Stderr, 2, 4, 2, ' ', 0)
+		fmt.Fprintln(tw, "\nexperiments (or all):")
+		for _, e := range experiments.Index {
+			fmt.Fprintf(tw, "  %s\t%s\n", e.Name, e.Description)
+		}
+		tw.Flush()
 		os.Exit(2)
+	}
+	if _, ok := clc.Versions[*compiler]; *compiler != "" && !ok {
+		fmt.Fprintf(os.Stderr, "experiments: unknown compiler version %q (have %s)\n",
+			*compiler, strings.Join(clc.VersionNames(), ", "))
+		os.Exit(1)
+	}
+
+	todo := experiments.Index
+	if flag.NArg() > 1 || flag.Arg(0) != "all" {
+		todo = nil
+		for _, n := range flag.Args() {
+			e, err := experiments.Lookup(n)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			todo = append(todo, e)
+		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	sess, err := mobilesim.New(mobilesim.Config{
+	opt := experiments.Options{
+		Scale:           experiments.ScaleKind(*scale),
 		HostThreads:     *threads,
 		CompilerVersion: *compiler,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
 	}
-	defer sess.Close()
-
-	names := flag.Args()
-	if len(names) == 1 && names[0] == "all" {
-		names = mobilesim.Experiments()
-	}
-	for _, n := range names {
-		_, err := sess.Run(ctx, n,
-			mobilesim.WithOutput(os.Stdout),
-			mobilesim.WithExperimentScale(mobilesim.ExperimentScale(*scale)))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", n, err)
+	for _, e := range todo {
+		if err := e.Run(ctx, os.Stdout, opt); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 	}

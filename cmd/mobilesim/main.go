@@ -7,10 +7,11 @@
 //	mobilesim [-scale N] [-ram MiB] [-threads N] [-cores N] [-compiler VER] [-cfg] [-timeout D] [-workers N] [-list] <workload>...
 //
 // A workload is any registered name (see -list): a Table II benchmark, a
-// SLAMBench preset (slam/standard), a SGEMM ladder rung (sgemm6/naive)
-// or a paper experiment (fig7). With more than one workload (or
-// -workers > 1) the runs execute as a concurrent batch, one fresh
-// session per workload, and an aggregate summary is printed at the end.
+// SLAMBench preset (slam/standard) or a SGEMM ladder rung (sgemm6/naive);
+// cmd/experiments prints the paper's tables and figures. With more than
+// one workload (or -workers > 1) the runs execute as a concurrent batch,
+// one fresh session per workload, and an aggregate summary is printed at
+// the end.
 // -cfg prints the divergence CFG of a single workload's run; a batch has
 // no graph to print, so -cfg with one is a usage error.
 //
@@ -39,7 +40,6 @@ func main() {
 	cores := flag.Int("cores", 8, "simulated shader cores")
 	compiler := flag.String("compiler", "", "JIT compiler version (5.6..6.2, default 6.1)")
 	cfg := flag.Bool("cfg", false, "collect and print the divergence CFG")
-	engine := flag.String("engine", "", "shader execution engine: warp (default) or interp")
 	workers := flag.Int("workers", 0, "concurrent sessions for multi-workload runs (0 = one per CPU)")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = none); running kernels are interrupted at a clause boundary")
 	list := flag.Bool("list", false, "list registered workloads")
@@ -77,7 +77,6 @@ func main() {
 		ShaderCores:     *cores,
 		HostThreads:     *threads,
 		CompilerVersion: *compiler,
-		GPUEngine:       *engine,
 	}
 	var err error
 	if single {
@@ -100,7 +99,7 @@ func runOne(ctx context.Context, name string, scale int, withCFG bool, conf mobi
 	}
 	defer sess.Close()
 
-	opts := []mobilesim.RunOption{mobilesim.WithScale(scale), mobilesim.WithOutput(os.Stdout)}
+	opts := []mobilesim.RunOption{mobilesim.WithScale(scale)}
 	if withCFG {
 		opts = append(opts, mobilesim.WithCFG())
 	}

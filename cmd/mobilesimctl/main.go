@@ -40,7 +40,6 @@ func main() {
 	cores := flag.Int("cores", 8, "simulated shader cores")
 	threads := flag.Int("threads", 8, "GPU simulation host threads")
 	compiler := flag.String("compiler", "", "JIT compiler version (5.6..6.2, default 6.1)")
-	engine := flag.String("engine", "", "shader execution engine of the local boot and the -check-local run: warp (default) or interp (each host runs its own mobilesimd -engine)")
 	streams := flag.Int("streams", 0, "concurrent jobs per host (0 = default)")
 	retries := flag.Int("retries", 0, "max attempts per job, hedges included (0 = default)")
 	backoff := flag.Duration("backoff", 0, "initial retry backoff (0 = default)")
@@ -101,7 +100,6 @@ func main() {
 			ShaderCores:     *cores,
 			HostThreads:     *threads,
 			CompilerVersion: *compiler,
-			GPUEngine:       *engine,
 		},
 		Hosts: hostList,
 		Cluster: mobilesim.ClusterConfig{

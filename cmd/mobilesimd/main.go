@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	mobilesimd [-addr :8900] [-pool N] [-ram MiB] [-cores N] [-threads N] [-compiler VER] [-engine warp|interp]
+//	mobilesimd [-addr :8900] [-pool N] [-ram MiB] [-cores N] [-threads N] [-compiler VER]
 //
 // Endpoints:
 //
@@ -55,7 +55,6 @@ func main() {
 	cores := flag.Int("cores", 8, "simulated shader cores")
 	threads := flag.Int("threads", 8, "GPU simulation host threads")
 	compiler := flag.String("compiler", "", "JIT compiler version (5.6..6.2, default 6.1)")
-	engine := flag.String("engine", "", "shader execution engine: warp (default) or interp")
 	maxSnaps := flag.Int("max-snapshots", 8, "installed snapshots kept before FIFO eviction")
 	flag.Parse()
 
@@ -65,7 +64,6 @@ func main() {
 			ShaderCores:     *cores,
 			HostThreads:     *threads,
 			CompilerVersion: *compiler,
-			GPUEngine:       *engine,
 		},
 		PoolSize:     *pool,
 		MaxSnapshots: *maxSnaps,

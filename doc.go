@@ -23,14 +23,16 @@
 //
 // # Workloads
 //
-// Everything the simulator can run — the Table II benchmark suite, the
-// SLAMBench pipeline presets, the SGEMM tuning ladder and the paper's
-// evaluation experiments — lives in one Workload registry (Register,
-// Lookup, Workloads) and executes through one entry point:
+// Everything a session can run — the Table II benchmark suite, the
+// SLAMBench pipeline presets and the SGEMM tuning ladder — lives in one
+// Workload registry (Register, Lookup, Workloads) and executes through one
+// entry point:
 //
 //	res, err := sess.Run(ctx, "BFS", mobilesim.WithScale(2048))
 //	res, err := sess.Run(ctx, "slam/standard")
-//	res, err := sess.Run(ctx, "fig7", mobilesim.WithOutput(os.Stdout))
+//
+// The paper's tables and figures are not workloads: each boots the
+// platforms it measures, and cmd/experiments prints them.
 //
 // Functional options select scale, per-run CFG collection and
 // verification. RunResult.Stats is the per-run delta (the session

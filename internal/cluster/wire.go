@@ -34,6 +34,9 @@ const (
 	// CodeUnknownSnapshot: the run named a snapshot ref the host does not
 	// have installed — the client should re-ship and retry.
 	CodeUnknownSnapshot = "unknown_snapshot"
+	// CodeScaleOutOfRange: the run asked for a scale above the workload's
+	// paper scale (WorkloadInfo.PaperScale), the largest a host runs.
+	CodeScaleOutOfRange = "scale_out_of_range"
 )
 
 // Ref computes the content address of an encoded snapshot. Snapshot

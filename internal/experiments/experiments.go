@@ -4,8 +4,9 @@
 // returns the structured data so benchmarks and tests can assert shape
 // properties. The per-experiment index and expected shape properties
 // live in EXPERIMENTS.md; the design-decision (ablation) index is
-// DESIGN.md §5. The public entry point is mobilesim.Session.Run: every
-// experiment is a registered workload ("fig7", "table3", …).
+// DESIGN.md §5. Index names every experiment ("fig7", "table3", …);
+// cmd/experiments runs them. Each experiment boots its own platforms, so
+// none of them is a workload of the mobilesim registry.
 package experiments
 
 import (

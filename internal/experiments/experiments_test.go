@@ -200,3 +200,15 @@ func absf(x float64) float64 {
 	}
 	return x
 }
+
+func TestIndexLookup(t *testing.T) {
+	for _, e := range Index {
+		got, err := Lookup(e.Name)
+		if err != nil || got.Name != e.Name || got.Run == nil {
+			t.Errorf("Lookup(%q) = %+v, %v", e.Name, got.Name, err)
+		}
+	}
+	if _, err := Lookup("fig07"); err == nil || !strings.Contains(err.Error(), `did you mean "fig7"`) {
+		t.Errorf("unknown name: error %v does not suggest fig7", err)
+	}
+}

@@ -126,7 +126,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	pool, err := cfg.newPool(snap)
+	pool, err := mobilesim.NewSessionPool(snap, cfg.PoolSize)
 	if err != nil {
 		return nil, fmt.Errorf("pool: %w", err)
 	}
@@ -139,12 +139,6 @@ func New(cfg Config) (*Server, error) {
 		idem:      newRegistry[*idemEntry](cfg.MaxIdempotencyEntries),
 		runCounts: make(map[string]uint64),
 	}, nil
-}
-
-// newPool builds one warm pool of PoolSize sessions forked from snap.
-func (c Config) newPool(snap *mobilesim.Snapshot) (*mobilesim.SessionPool, error) {
-	// The shader engine is this host's choice, whoever booted the snapshot.
-	return mobilesim.NewSessionPool(snap, c.PoolSize, mobilesim.Config{GPUEngine: c.Sim.GPUEngine})
 }
 
 // Close shuts down every pool. Sessions already handed out to in-flight
@@ -299,7 +293,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding snapshot: %w", err))
 		return
 	}
-	pool, err := s.cfg.newPool(snap)
+	pool, err := mobilesim.NewSessionPool(snap, s.cfg.PoolSize)
 	if err != nil {
 		s.failures.Add(1)
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("building pool: %w", err))
@@ -355,10 +349,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New(`missing "workload"`))
 		return
 	}
-	// Resolve the name before taking a fork from a pool: a typo should
-	// cost a map lookup and a 404 with suggestions, not a session.
-	if _, err := mobilesim.Lookup(req.Workload); err != nil {
+	// Resolve the name and bound the scale before taking a fork from a
+	// pool: a typo should cost a map lookup and a 404 with suggestions,
+	// not a session. A workload generates its inputs on the host, at the
+	// requested scale, before any guest limit applies, so its paper scale
+	// bounds what one request may make this process allocate.
+	wl, err := mobilesim.Lookup(req.Workload)
+	if err != nil {
 		writeError(w, http.StatusNotFound, err)
+		return
+	}
+	if info := wl.Info(); info.PaperScale > 0 && req.Scale > info.PaperScale {
+		writeJSON(w, http.StatusBadRequest, cluster.ErrorResponse{
+			Error: fmt.Sprintf("scale %d of %s is above its paper scale %d", req.Scale, req.Workload, info.PaperScale),
+			Code:  cluster.CodeScaleOutOfRange,
+		})
 		return
 	}
 

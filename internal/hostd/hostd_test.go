@@ -157,6 +157,47 @@ func TestRunUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestRunRefusedBeforeAFork: a run request that names no workload of the
+// registry — a paper experiment included — is a 404 with suggestions, and
+// a scale above the workload's paper scale is a typed 400. Neither takes a
+// session from a pool or counts as a request.
+func TestRunRefusedBeforeAFork(t *testing.T) {
+	srv := testServer(t, hostd.Config{})
+	mux := srv.Mux()
+	for _, c := range []struct {
+		body    string
+		status  int
+		code    string
+		mention string
+	}{
+		{`{"workload": "fig13"}`, http.StatusNotFound, "", "unknown workload"},
+		{`{"workload": "table2"}`, http.StatusNotFound, "", "unknown workload"},
+		// One over each bound; unbounded, each of these still runs in
+		// seconds, where a large scale makes the host allocate without limit.
+		{`{"workload": "sgemm6/naive", "scale": 17}`, http.StatusBadRequest, cluster.CodeScaleOutOfRange, "paper scale 16"},
+		{`{"workload": "BitonicSort", "scale": 2049}`, http.StatusBadRequest, cluster.CodeScaleOutOfRange, "paper scale 2048"},
+		{`{"workload": "slam/express", "scale": 5}`, http.StatusBadRequest, cluster.CodeScaleOutOfRange, "paper scale 4"},
+	} {
+		rec := do(mux, http.MethodPost, cluster.PathRun, c.body)
+		var er cluster.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Fatalf("%s: no error envelope (%v): %s", c.body, err, rec.Body)
+		}
+		if rec.Code != c.status || er.Code != c.code || !strings.Contains(er.Error, c.mention) {
+			t.Errorf("%s: status %d code %q error %q, want %d %q mentioning %q",
+				c.body, rec.Code, er.Code, er.Error, c.status, c.code, c.mention)
+		}
+	}
+	body := statsBody(t, mux)
+	hits, inline := poolHandOuts(t, body)
+	if req := statUint(t, body, "requests"); req != 0 || hits+inline != 0 {
+		t.Fatalf("refused requests were counted: requests=%d, pool hand-outs=%d", req, hits+inline)
+	}
+	if rec := do(mux, http.MethodPost, cluster.PathRun, `{"workload": "sgemm6/naive", "scale": 1}`); rec.Code != http.StatusOK {
+		t.Fatalf("in-bound scale: status %d: %s", rec.Code, rec.Body)
+	}
+}
+
 func TestRunMethodAndBodyErrors(t *testing.T) {
 	srv := testServer(t, hostd.Config{})
 	mux := srv.Mux()
@@ -798,40 +839,6 @@ func TestRunResponseModeled(t *testing.T) {
 	}
 	if resp.QueueWaitMS < 0 {
 		t.Fatalf("queue_wait_ms = %v, want >= 0", resp.QueueWaitMS)
-	}
-}
-
-// interpOnly fails unless its session was configured with the interpreter.
-type interpOnly struct{}
-
-func (interpOnly) Info() mobilesim.WorkloadInfo {
-	return mobilesim.WorkloadInfo{Name: "test/interp-only", Kind: mobilesim.KindBenchmark}
-}
-
-func (interpOnly) Execute(_ context.Context, s *mobilesim.Session, _ *mobilesim.RunOptions) (*mobilesim.RunResult, error) {
-	if got := s.Config().GPUEngine; got != mobilesim.GPUEngineInterp {
-		return nil, fmt.Errorf("session runs engine %q", got)
-	}
-	return &mobilesim.RunResult{Verified: true}, nil
-}
-
-var registerInterpOnly = sync.OnceValue(func() error {
-	return mobilesim.Register(interpOnly{})
-})
-
-// TestPoolForksRunTheHostsEngine: snapshots record no engine, so the
-// sessions a host forks — from its own boot or from an installed snapshot —
-// run the engine the host was started with.
-func TestPoolForksRunTheHostsEngine(t *testing.T) {
-	if err := registerInterpOnly(); err != nil {
-		t.Fatal(err)
-	}
-	srv := testServer(t, hostd.Config{Sim: mobilesim.Config{
-		RAMSize: 128 << 20, HostThreads: 2, GPUEngine: mobilesim.GPUEngineInterp,
-	}})
-	rec := do(srv.Mux(), http.MethodPost, cluster.PathRun, `{"workload": "test/interp-only"}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
 }
 

@@ -74,8 +74,8 @@ func TestSessionsLeaveNoGuestBytesBehind(t *testing.T) {
 		}
 		base.Close()
 		for _, w := range Workloads() {
-			if w.Kind == KindExperiment || w.SmallScale <= 0 {
-				continue // experiments build their own platforms; test-registered helpers have no scales
+			if w.SmallScale <= 0 {
+				continue // test-registered helpers have no scales
 			}
 			for _, opts := range [][]NewOption{nil, {FromSnapshot(snap)}} {
 				s, err := New(cfg, opts...)

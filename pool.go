@@ -30,7 +30,6 @@ var ErrPoolClosed = errors.New("mobilesim: session pool is closed")
 // restoring it to pristine state.
 type SessionPool struct {
 	snap *Snapshot
-	cfg  Config
 
 	warm chan *Session
 	// kick wakes the refiller after each hand-out; buffered so pokes
@@ -52,16 +51,15 @@ type SessionPool struct {
 }
 
 // NewSessionPool creates a pool holding size warm sessions (minimum 1)
-// forked from snap, each configured like New(cfg, FromSnapshot(snap)).
+// forked from snap, each configured like New(Config{}, FromSnapshot(snap)).
 // The first fork is performed synchronously so configuration errors
 // surface immediately; the rest fill in the background.
-func NewSessionPool(snap *Snapshot, size int, cfg Config) (*SessionPool, error) {
+func NewSessionPool(snap *Snapshot, size int) (*SessionPool, error) {
 	if size < 1 {
 		size = 1
 	}
 	p := &SessionPool{
 		snap: snap,
-		cfg:  cfg,
 		warm: make(chan *Session, size),
 		kick: make(chan struct{}, 1),
 		done: make(chan struct{}),
@@ -78,7 +76,7 @@ func NewSessionPool(snap *Snapshot, size int, cfg Config) (*SessionPool, error) 
 
 // fork creates one fresh session from the snapshot.
 func (p *SessionPool) fork() (*Session, error) {
-	s, err := New(p.cfg, FromSnapshot(p.snap))
+	s, err := New(Config{}, FromSnapshot(p.snap))
 	if err != nil {
 		return nil, err
 	}

@@ -404,7 +404,6 @@ func TestWorkloadRegistryRoundTrip(t *testing.T) {
 	for _, b := range mobilesim.Benchmarks() {
 		names = append(names, b.Name)
 	}
-	names = append(names, mobilesim.Experiments()...)
 	for _, v := range mobilesim.SgemmVariants() {
 		names = append(names, "sgemm6/"+strings.ToLower(v.Name))
 	}
@@ -429,6 +428,14 @@ func TestWorkloadRegistryRoundTrip(t *testing.T) {
 	for _, name := range names {
 		if _, ok := listed[name]; !ok {
 			t.Errorf("Workloads() missing %q", name)
+		}
+	}
+
+	// The paper's tables and figures boot their own platforms: they are
+	// cmd/experiments', not workloads a session runs.
+	for _, name := range []string{"fig7", "table2"} {
+		if _, err := mobilesim.Lookup(name); err == nil {
+			t.Errorf("Lookup(%q) resolved a paper experiment", name)
 		}
 	}
 
@@ -509,53 +516,11 @@ func TestPerRunCFG(t *testing.T) {
 	}
 }
 
-// TestStatsIdenticalWithCFGCollection compares the warp engine's two ways of
-// accounting a clause with each other and with the interpreter's: a plain
-// run tallies whole superclause chains, terminals included, and commits
-// them at job end; a WithCFG run executes every clause's own tape and
-// counts its terminal live. A workload has one GPU statistics record
-// whichever ran — divergent (BFS), barrier-heavy (Reduction), many small
-// jobs (BitonicSort), dense (SobelFilter). One host thread: BFS's guest
-// race makes its counters a function of core timing on more.
-func TestStatsIdenticalWithCFGCollection(t *testing.T) {
-	bg := context.Background()
-	for _, name := range []string{"BFS", "BitonicSort", "Reduction", "SobelFilter"} {
-		var ref mobilesim.GPUStats
-		for i, engine := range []string{mobilesim.GPUEngineInterp, mobilesim.GPUEngineWarp} {
-			for _, opts := range [][]mobilesim.RunOption{
-				{mobilesim.WithScale(64)},
-				{mobilesim.WithScale(64), mobilesim.WithCFG()},
-			} {
-				cfg := queueTestConfig()
-				cfg.GPUEngine = engine
-				sess, err := mobilesim.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := sess.Run(bg, name, opts...)
-				sess.Close()
-				if err != nil || !res.Verified {
-					t.Fatalf("%s under %s: %+v, %v", name, engine, res, err)
-				}
-				if withCFG := len(opts) == 2; withCFG != (res.CFG != "") {
-					t.Errorf("%s under %s: WithCFG %v, CFG %q", name, engine, withCFG, res.CFG)
-				}
-				if i == 0 && len(opts) == 1 {
-					ref = res.Stats.GPU
-				} else if res.Stats.GPU != ref {
-					t.Errorf("%s under %s, %d run options: GPU statistics differ from the plain interpreter run's\ngot  %+v\nwant %+v",
-						name, engine, len(opts), res.Stats.GPU, ref)
-				}
-			}
-		}
-	}
-}
-
-// TestUnifiedKinds: one session runs a benchmark, a SLAM preset, a
-// sgemm-ladder variant and an experiment through the same entry point.
+// TestUnifiedKinds: one session runs a benchmark, a SLAM preset and a
+// sgemm-ladder variant through the same entry point.
 func TestUnifiedKinds(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four workload kinds")
+		t.Skip("runs three workload kinds")
 	}
 	sess := newQueueTestSession(t)
 	bg := context.Background()
@@ -580,13 +545,8 @@ func TestUnifiedKinds(t *testing.T) {
 	if err != nil || !sgemmRes.Verified {
 		t.Fatalf("sgemm: %+v, %v", sgemmRes, err)
 	}
-
-	expRes, err := sess.Run(bg, "table2")
-	if err != nil {
-		t.Fatalf("experiment: %v", err)
-	}
-	if expRes.Kind != mobilesim.KindExperiment || expRes.Output == "" {
-		t.Errorf("experiment result lacks output: %+v", expRes)
+	if sgemmRes.Kind != mobilesim.KindSgemm {
+		t.Errorf("sgemm kind %q", sgemmRes.Kind)
 	}
 }
 

@@ -83,32 +83,11 @@ type Config struct {
 	// CompilerVersion selects the JIT compiler release (5.6 … 6.2);
 	// empty means the default (6.1).
 	CompilerVersion string
-	// GPUEngine selects the shader execution engine: GPUEngineWarp (the
-	// default for an empty string — clauses compiled to micro-op tapes run
-	// a warp at a time) or GPUEngineInterp (the reference interpreter).
-	// The engines are observationally identical — bit-identical statistics
-	// and guest memory — and differ only in host speed, so the choice is a
-	// host-side knob like HostThreads.
-	GPUEngine string
 	// ConsoleOut receives simulated UART output (nil discards it). When
 	// one Config is shared across concurrent sessions — e.g. as a
 	// Batch's default — the writer is shared too and must be safe for
 	// concurrent use.
 	ConsoleOut io.Writer
-}
-
-// GPU engine names for Config.GPUEngine.
-const (
-	GPUEngineWarp   = "warp"
-	GPUEngineInterp = "interp"
-)
-
-// gpuEngine resolves the effective engine selection.
-func (c *Config) gpuEngine() gpu.Engine {
-	if c.GPUEngine == GPUEngineInterp {
-		return gpu.EngineInterp
-	}
-	return gpu.EngineWarp
 }
 
 const minRAM = platform.MinRAMSize
@@ -133,12 +112,6 @@ func (c *Config) validate() error {
 				c.CompilerVersion, strings.Join(clc.VersionNames(), ", "))
 		}
 	}
-	switch c.GPUEngine {
-	case "", GPUEngineWarp, GPUEngineInterp:
-	default:
-		return fmt.Errorf("mobilesim: unknown GPUEngine %q (have %s, %s)",
-			c.GPUEngine, GPUEngineWarp, GPUEngineInterp)
-	}
 	return nil
 }
 
@@ -151,7 +124,6 @@ func (c *Config) platformConfig() platform.Config {
 	if c.HostThreads > 0 {
 		gcfg.HostThreads = c.HostThreads
 	}
-	gcfg.Engine = c.gpuEngine()
 	return platform.Config{
 		RAMSize:    c.RAMSize,
 		Cores:      c.CPUCores,
@@ -511,9 +483,6 @@ type RunResult struct {
 	Modeled ModeledCost
 	// SLAM carries the pipeline metrics of a KindSLAM run.
 	SLAM *SLAMMetrics
-	// Output is an experiment workload's rendered rows, captured when no
-	// WithOutput writer was supplied.
-	Output string
 }
 
 // Benchmark describes one registered workload from the paper's suite

@@ -203,14 +203,6 @@ func TestBadConfig(t *testing.T) {
 		}
 	}
 
-	// The closure JIT is gone: its name is refused, and the error lists the
-	// two engines there are.
-	if _, err := mobilesim.New(mobilesim.Config{GPUEngine: "jit"}); err == nil {
-		t.Error(`New accepted GPUEngine "jit"`)
-	} else if !strings.Contains(err.Error(), "(have warp, interp)") {
-		t.Errorf(`GPUEngine "jit": error %q does not list exactly warp and interp`, err)
-	}
-
 	// A bad per-job config must fail the whole batch up front, before
 	// any session boots.
 	bad := mobilesim.Config{CompilerVersion: "9.9"}
@@ -364,9 +356,6 @@ func TestEveryWorkloadAtScaleOne(t *testing.T) {
 		t.Skip("runs the whole registry")
 	}
 	for _, info := range mobilesim.Workloads() {
-		if info.Kind == mobilesim.KindExperiment {
-			continue // harnesses over the same workloads; they take a scale preset, not a size
-		}
 		t.Run(info.Name, func(t *testing.T) {
 			s, err := mobilesim.New(mobilesim.Config{RAMSize: 256 << 20})
 			if err != nil {

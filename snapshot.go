@@ -33,7 +33,7 @@ type Snapshot struct {
 }
 
 // Config returns the session configuration the snapshot was captured
-// under (without host-side wiring: ConsoleOut and GPUEngine).
+// under (without host-side wiring: ConsoleOut).
 func (s *Snapshot) Config() Config {
 	c := s.st.Config
 	return Config{
@@ -111,10 +111,8 @@ type newOptions struct {
 // run in microseconds.
 //
 // The session's shape is the snapshot's. cfg supplies the host-side wiring
-// — ConsoleOut and GPUEngine, neither of which a snapshot records (the
-// engines are counter-identical, so the choice never changes observable
-// behaviour) — and may override the one host-side knob: a non-zero
-// HostThreads replaces the snapshot's.
+// a snapshot does not record — ConsoleOut — and may override the one
+// host-side knob: a non-zero HostThreads replaces the snapshot's.
 // Architectural fields (RAMSize, CPUCores, ShaderCores, CompilerVersion)
 // must be zero or equal to the snapshot's — the corresponding state is
 // baked into the image.
@@ -129,7 +127,7 @@ func FromSnapshot(snap *Snapshot) NewOption {
 // default) is accepted.
 func mergeSnapshotConfig(cfg Config, snap *Snapshot) (Config, error) {
 	eff := snap.Config()
-	eff.ConsoleOut, eff.GPUEngine = cfg.ConsoleOut, cfg.GPUEngine
+	eff.ConsoleOut = cfg.ConsoleOut
 	snapRAM := eff.RAMSize
 	if snapRAM == 0 {
 		snapRAM = snap.st.Platform.RAM.Size()

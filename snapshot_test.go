@@ -437,27 +437,6 @@ func TestFromSnapshotConfigRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	// The shader engine is host wiring: a snapshot records none, so a fork
-	// runs the engine its own Config names, whatever booted the snapshot.
-	interp, err := mobilesim.New(mobilesim.Config{RAMSize: 256 << 20, HostThreads: 1, GPUEngine: mobilesim.GPUEngineInterp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	interpSnap, err := interp.Snapshot()
-	interp.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, engine := range []string{"", mobilesim.GPUEngineWarp, mobilesim.GPUEngineInterp} {
-		s, err := mobilesim.New(mobilesim.Config{GPUEngine: engine}, mobilesim.FromSnapshot(interpSnap))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.Config().GPUEngine; got != engine {
-			t.Errorf("fork asked for engine %q runs %q", engine, got)
-		}
-		s.Close()
-	}
 	// HostThreads is a host-side knob and may be overridden.
 	s, err = mobilesim.New(mobilesim.Config{HostThreads: 3}, mobilesim.FromSnapshot(snap))
 	if err != nil {
@@ -485,7 +464,7 @@ func TestSessionPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := mobilesim.NewSessionPool(snap, 2, mobilesim.Config{})
+	pool, err := mobilesim.NewSessionPool(snap, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +518,7 @@ func TestSessionPoolCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := mobilesim.NewSessionPool(snap, 1, mobilesim.Config{})
+	pool, err := mobilesim.NewSessionPool(snap, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,52 +582,6 @@ func TestSessionSetupStaysCheap(t *testing.T) {
 		})
 		if allocs > c.bound {
 			t.Errorf("%s: New + Close allocates %v objects, want <= %v", c.name, allocs, c.bound)
-		}
-	}
-}
-
-// engineProbe reports the engine its session was configured with.
-type engineProbe struct{}
-
-func (engineProbe) Info() mobilesim.WorkloadInfo {
-	return mobilesim.WorkloadInfo{Name: "test/engine", Kind: mobilesim.KindBenchmark}
-}
-
-func (engineProbe) Execute(_ context.Context, s *mobilesim.Session, _ *mobilesim.RunOptions) (*mobilesim.RunResult, error) {
-	return &mobilesim.RunResult{Verified: true, Output: s.Config().GPUEngine}, nil
-}
-
-var registerEngineProbe = sync.OnceValue(func() error {
-	return mobilesim.Register(engineProbe{})
-})
-
-// TestBatchJobsRunTheBatchEngine: every job of a local batch, with or
-// without a Config of its own, runs the engine that Config names.
-func TestBatchJobsRunTheBatchEngine(t *testing.T) {
-	if err := registerEngineProbe(); err != nil {
-		t.Fatal(err)
-	}
-	cfg := snapCfg
-	cfg.GPUEngine = mobilesim.GPUEngineInterp
-	own := snapCfg
-	own.GPUEngine = mobilesim.GPUEngineWarp
-	batch := &mobilesim.Batch{Jobs: []mobilesim.BatchJob{
-		{Benchmark: "test/engine"}, {Benchmark: "test/engine"}, {Benchmark: "test/engine", Config: &own},
-	}, Config: cfg}
-	res, err := batch.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, jr := range res.Jobs {
-		if jr.Err != nil {
-			t.Fatal(jr.Err)
-		}
-		want := cfg.GPUEngine
-		if c := jr.Job.Config; c != nil {
-			want = c.GPUEngine
-		}
-		if got := jr.Result.Output; got != want {
-			t.Errorf("job %d ran engine %q, want %q", jr.Index, got, want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package mobilesim
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -16,26 +15,26 @@ import (
 )
 
 // This file is the unified Workload layer: one registry and one execution
-// contract for everything the simulator can run — the Table II benchmark
-// suite, the SLAMBench pipeline presets (Fig 14), the SGEMM tuning ladder
-// (Fig 15) and the paper-evaluation experiments. Sessions execute
-// workloads by name through Session.Run / Session.RunWorkload.
+// contract for everything a session can run — the Table II benchmark
+// suite, the SLAMBench pipeline presets (Fig 14) and the SGEMM tuning
+// ladder (Fig 15). Sessions execute workloads by name through
+// Session.Run / Session.RunWorkload. The paper's tables and figures are
+// not workloads: each boots its own platforms (cmd/experiments).
 
 // WorkloadKind classifies a registered workload.
 type WorkloadKind string
 
 // Workload kinds.
 const (
-	KindBenchmark  WorkloadKind = "benchmark"  // Table II suite member
-	KindSLAM       WorkloadKind = "slam"       // SLAMBench pipeline preset
-	KindSgemm      WorkloadKind = "sgemm"      // SGEMM tuning-ladder variant
-	KindExperiment WorkloadKind = "experiment" // paper table/figure harness
+	KindBenchmark WorkloadKind = "benchmark" // Table II suite member
+	KindSLAM      WorkloadKind = "slam"      // SLAMBench pipeline preset
+	KindSgemm     WorkloadKind = "sgemm"     // SGEMM tuning-ladder variant
 )
 
 // WorkloadInfo describes a registered workload.
 type WorkloadInfo struct {
 	// Name is the registry key (e.g. "BFS", "slam/standard",
-	// "sgemm6/naive", "fig7").
+	// "sgemm6/naive").
 	Name string
 	Kind WorkloadKind
 	// Suite is the originating benchmark suite, when there is one.
@@ -128,12 +127,6 @@ type RunOptions struct {
 	// CollectCFG collects the clause-level divergence CFG for this run
 	// and renders it into RunResult.CFG.
 	CollectCFG bool
-	// ExperimentScale selects input sizes for experiment workloads
-	// (default ExperimentScaleDefault).
-	ExperimentScale ExperimentScale
-	// Output receives an experiment workload's rendered rows as they are
-	// produced; nil captures them into RunResult.Output instead.
-	Output io.Writer
 }
 
 // RunOption mutates a RunOptions.
@@ -152,17 +145,8 @@ func WithVerify(on bool) RunOption { return func(o *RunOptions) { o.Verify = on 
 // clause execution during the run.
 func WithCFG() RunOption { return func(o *RunOptions) { o.CollectCFG = true } }
 
-// WithExperimentScale selects input sizes for experiment workloads.
-func WithExperimentScale(sc ExperimentScale) RunOption {
-	return func(o *RunOptions) { o.ExperimentScale = sc }
-}
-
-// WithOutput streams experiment output to w instead of capturing it into
-// RunResult.Output.
-func WithOutput(w io.Writer) RunOption { return func(o *RunOptions) { o.Output = w } }
-
 func resolveOptions(opts []RunOption) *RunOptions {
-	o := &RunOptions{Verify: true, ExperimentScale: ExperimentScaleDefault}
+	o := &RunOptions{Verify: true}
 	for _, fn := range opts {
 		fn(o)
 	}
