@@ -94,9 +94,7 @@ func BenchmarkFig08VsBaseline(b *testing.B) {
 	b.Run("baseline-interp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			runSpec(b, "DCT", func(p *platform.Platform) {
-				for _, c := range p.CPUs {
-					c.SetEngine(cpu.EngineInterp)
-				}
+				p.CPU.SetEngine(cpu.EngineInterp)
 			})
 		}
 	})
@@ -228,7 +226,7 @@ func BenchmarkAblationDBT(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer p.Close()
-			p.CPUs[0].SetEngine(engine)
+			p.CPU.SetEngine(engine)
 			c, err := cl.NewContext(p, "")
 			if err != nil {
 				b.Fatal(err)

@@ -4,10 +4,10 @@
 //
 // The simulated system couples a VA64 (Arm-flavoured) CPU with DBT-based
 // execution, a Bifrost-style clause-ISA GPU with a Job Manager and full
-// GPU MMU, platform devices, a kbase-style kernel driver, an OpenCL-like
-// runtime and a JIT kernel compiler — so unmodified "guest" compute
-// workloads run through the same hardware/software contract as on a
-// physical Mali-G71 device.
+// GPU MMU, an interrupt controller, a kbase-style kernel driver, an
+// OpenCL-like runtime and a JIT kernel compiler — so unmodified "guest"
+// compute workloads run through the same hardware/software contract as on
+// a physical Mali-G71 device.
 //
 // # Sessions
 //
@@ -55,7 +55,7 @@
 // # Snapshots and forking
 //
 // A booted Session can be captured once and forked many times: Snapshot
-// serialises the platform state (guest RAM, MMU, devices, driver,
+// serialises the platform state (guest RAM, MMU, CPU, GPU, driver,
 // runtime) into an immutable image, and New with FromSnapshot builds a
 // ready-to-run session from it in microseconds — the fork copies the
 // image's content pages (one, for a boot) and no boot code re-runs:

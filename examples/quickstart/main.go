@@ -24,7 +24,7 @@ kernel void axpb(global float* x, global float* y, float a, float b, int n) {
 `
 
 func main() {
-	// 1. Boot a session: CPU cores, Bifrost-style GPU, devices, memory,
+	// 1. Boot a session: CPU, Bifrost-style GPU, interrupt controller, memory,
 	//    kernel driver (GPU soft reset, address-space setup, IRQ
 	//    unmasking — all through guest code and memory-mapped registers)
 	//    and an OpenCL-like context on top.

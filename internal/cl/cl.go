@@ -266,6 +266,35 @@ func (k *Kernel) SetArgFloat(i int, v float32) error {
 	return k.setRaw(i, uint64(math.Float32bits(v)))
 }
 
+// SetArgs binds arguments in declaration order: *Buffer for global
+// pointers, int/int32/uint32 for integer scalars, float32/float64 for
+// float scalars.
+func (k *Kernel) SetArgs(args ...any) error {
+	for i, a := range args {
+		var err error
+		switch v := a.(type) {
+		case *Buffer:
+			err = k.SetArgBuffer(i, v)
+		case int:
+			err = k.SetArgInt(i, int32(v))
+		case int32:
+			err = k.SetArgInt(i, v)
+		case uint32:
+			err = k.SetArgInt(i, int32(v))
+		case float32:
+			err = k.SetArgFloat(i, v)
+		case float64:
+			err = k.SetArgFloat(i, float32(v))
+		default:
+			err = fmt.Errorf("cl: unsupported argument %d type %T", i, a)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Launch describes one NDRange enqueue for batch submission.
 type Launch struct {
 	Kernel *Kernel

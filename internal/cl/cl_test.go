@@ -122,7 +122,7 @@ func TestFullStackSaxpy(t *testing.T) {
 		t.Errorf("kernel launches = %d, want 1", sys.KernelLaunch)
 	}
 	// The driver work ran as guest code on core 0.
-	if p.CPUs[0].Instret == 0 {
+	if p.CPU.Instret == 0 {
 		t.Error("driver executed no guest instructions")
 	}
 }
@@ -356,7 +356,7 @@ kernel void addc(global int* a, int c, int n) {
 			}
 		}
 		_, sys := p.GPU.Stats()
-		return counters{sys: sys, instrs: p.CPUs[0].Instret}
+		return counters{sys: sys, instrs: p.CPU.Instret}
 	}
 	want := run(1, false)
 	for _, cfg := range []struct {
@@ -449,7 +449,7 @@ func TestDriverScalesWithInputOnInterpVsDBT(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer p.Close()
-		p.CPUs[0].SetEngine(engine)
+		p.CPU.SetEngine(engine)
 		c, err := cl.NewContext(p, "")
 		if err != nil {
 			t.Fatal(err)
@@ -461,7 +461,7 @@ func TestDriverScalesWithInputOnInterpVsDBT(t *testing.T) {
 		if err := c.WriteBuffer(bg, buf, make([]byte, 1<<20)); err != nil {
 			t.Fatal(err)
 		}
-		return p.CPUs[0].Instret
+		return p.CPU.Instret
 	}
 	dbt := run(cpu.EngineDBT)
 	interp := run(cpu.EngineInterp)

@@ -14,12 +14,12 @@ import (
 
 func firmwarePlatform(tb testing.TB) (*platform.Platform, *cpu.Core) {
 	tb.Helper()
-	p, err := platform.New(platform.Config{RAMSize: platform.MinRAMSize, Cores: 1})
+	p, err := platform.New(platform.Config{RAMSize: platform.MinRAMSize})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(p.Close)
-	return p, p.CPUs[0]
+	return p, p.CPU
 }
 
 // firmwareProgram returns the platform's assembled firmware image.

@@ -62,7 +62,7 @@ func Open(p *platform.Platform) (*Driver, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Driver{P: p, Core: p.CPUs[0], AS: as}
+	d := &Driver{P: p, Core: p.CPU, AS: as}
 	p.Intc.Enable(irq.LineGPU)
 
 	if _, err := d.call("gpu_init", platform.GPUBase, as.Root()); err != nil {
@@ -109,7 +109,7 @@ func Restore(p *platform.Platform, st State) (*Driver, error) {
 		return nil, err
 	}
 	return &Driver{
-		P: p, Core: p.CPUs[0], AS: as,
+		P: p, Core: p.CPU, AS: as,
 		staging:       st.Staging,
 		JobsSubmitted: st.JobsSubmitted,
 		IRQsHandled:   st.IRQsHandled,

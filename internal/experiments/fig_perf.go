@@ -106,9 +106,7 @@ func Fig8(ctx context.Context, w io.Writer, opt Options) ([]Fig8Row, error) {
 		}
 		// Baseline mode: interpreter CPU (per-instruction dispatch).
 		base, err := runOne(ctx, spec, opt, func(p *platform.Platform) {
-			for _, c := range p.CPUs {
-				c.SetEngine(cpu.EngineInterp)
-			}
+			p.CPU.SetEngine(cpu.EngineInterp)
 		})
 		if err != nil {
 			return nil, err

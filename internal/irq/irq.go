@@ -12,14 +12,11 @@ import (
 // Line identifies one interrupt input to the controller.
 type Line int
 
-// Well-known platform interrupt lines. The platform package wires devices
-// to these numbers; guests discover them through the device tree equivalent
-// (the platform's Config).
+// Platform interrupt lines. The platform package wires the GPU to LineGPU;
+// the number is part of captured controller state and of the CPU's ESR on
+// IRQ entry, so it does not move.
 const (
-	LineTimer Line = 1
-	LineUART  Line = 2
-	LineBlock Line = 3
-	LineGPU   Line = 4
+	LineGPU Line = 4
 
 	// NumLines is the number of input lines the controller supports.
 	NumLines = 32

@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// lineLow and lineHigh are lines no device is wired to, below and above
+// LineGPU.
+const (
+	lineLow  Line = 1
+	lineHigh Line = 9
+)
+
 func TestAssertClaim(t *testing.T) {
 	c := New()
 	c.Enable(LineGPU)
@@ -27,15 +34,15 @@ func TestAssertClaim(t *testing.T) {
 
 func TestMaskingBlocksDelivery(t *testing.T) {
 	c := New()
-	c.Assert(LineTimer)
+	c.Assert(lineLow)
 	if c.Pending() {
 		t.Error("disabled line must not be deliverable")
 	}
-	c.Enable(LineTimer)
+	c.Enable(lineLow)
 	if !c.Pending() {
 		t.Error("enabling should expose latched pending")
 	}
-	c.Disable(LineTimer)
+	c.Disable(lineLow)
 	if c.Pending() {
 		t.Error("disabling should mask again")
 	}
@@ -43,27 +50,27 @@ func TestMaskingBlocksDelivery(t *testing.T) {
 
 func TestEdgeLatching(t *testing.T) {
 	c := New()
-	c.Enable(LineUART)
-	c.Assert(LineUART)
-	c.Assert(LineUART) // second assert while high: no new edge
-	if got := c.Asserted(LineUART); got != 1 {
+	c.Enable(lineHigh)
+	c.Assert(lineHigh)
+	c.Assert(lineHigh) // second assert while high: no new edge
+	if got := c.Asserted(lineHigh); got != 1 {
 		t.Errorf("Asserted = %d, want 1", got)
 	}
-	c.Deassert(LineUART)
-	c.Assert(LineUART)
-	if got := c.Asserted(LineUART); got != 2 {
+	c.Deassert(lineHigh)
+	c.Assert(lineHigh)
+	if got := c.Asserted(lineHigh); got != 2 {
 		t.Errorf("Asserted after re-edge = %d, want 2", got)
 	}
 }
 
 func TestClaimPriorityOrder(t *testing.T) {
 	c := New()
-	c.Enable(LineTimer)
+	c.Enable(lineLow)
 	c.Enable(LineGPU)
 	c.Assert(LineGPU)
-	c.Assert(LineTimer)
+	c.Assert(lineLow)
 	l, ok := c.Claim()
-	if !ok || l != LineTimer {
+	if !ok || l != lineLow {
 		t.Fatalf("lowest line first: got %v", l)
 	}
 	l, ok = c.Claim()

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mobilesim/internal/cl"
-	"mobilesim/internal/dev"
 	"mobilesim/internal/mem"
 	"mobilesim/internal/mmu"
 	"mobilesim/internal/platform"
@@ -152,16 +151,6 @@ func TestDirtyMapCoversEveryWriteEntryPoint(t *testing.T) {
 				t.Fatalf("MMU store marked %v beyond the tables, want [10]", got)
 			}
 		}, append(pageRange(16, 18), 10)},
-		{"block-device DMA through the bus", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
-			disk := dev.NewBlock(bytes.Repeat([]byte{0xd1}, 16*dev.SectorSize), bus, nil, 0)
-			must(t, disk.WriteReg(dev.BlkSector, 8, 1))
-			must(t, disk.WriteReg(dev.BlkAddr, 8, dirtyBase+20*page+512))
-			must(t, disk.WriteReg(dev.BlkCount, 8, 9)) // 4608 bytes: into the next page
-			must(t, disk.WriteReg(dev.BlkCommand, 8, 1))
-			if st, _ := disk.ReadReg(dev.BlkStatus, 8); st != 1 {
-				t.Fatalf("DMA status %d", st)
-			}
-		}, []uint64{20, 21}},
 	}
 	for _, fork := range []bool{false, true} {
 		for _, tc := range cases {

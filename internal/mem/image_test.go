@@ -82,8 +82,8 @@ func TestForkWritePrivatizesAndIsolates(t *testing.T) {
 
 // TestForkWritePathsPrivatize: a store through each write entry point of
 // fork A lands in A and is invisible in sibling fork B and in the image.
-// (The MMU's cached views, the guest CPU's store view and block-device DMA
-// have their own isolation tests in mmu, cpu and TestForkIsolation.)
+// (The MMU's cached views and the guest CPU's store view have their own
+// isolation tests in mmu, cpu and TestForkIsolation.)
 func TestForkWritePathsPrivatize(t *testing.T) {
 	img, base := imageFixture(t)
 	one := []byte{1, 0, 0, 0}

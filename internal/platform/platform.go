@@ -1,18 +1,17 @@
 // Package platform assembles the full simulated system (Fig 5 of the
-// paper): VA64 CPU cores, the Bifrost-style GPU, the interrupt controller
-// and platform devices (UART, timer, block storage), all sharing one
-// physical memory. It stands in for the Arm Versatile Express / Juno
-// platforms the paper models, augmented with a Mali-G71.
+// paper): the VA64 CPU core the driver's guest code runs on, the
+// Bifrost-style GPU and the interrupt controller, sharing one physical
+// memory. It stands in for the Arm Versatile Express / Juno platforms the
+// paper models, augmented with a Mali-G71, cut down to what guest code
+// touches.
 package platform
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"mobilesim/internal/asm"
 	"mobilesim/internal/cpu"
-	"mobilesim/internal/dev"
 	"mobilesim/internal/gpu"
 	"mobilesim/internal/irq"
 	"mobilesim/internal/mem"
@@ -21,11 +20,7 @@ import (
 // Physical memory map.
 const (
 	RAMBase = 0x8000_0000
-
-	UARTBase  = 0x1000_0000
-	TimerBase = 0x1001_0000
-	BlockBase = 0x1002_0000
-	GPUBase   = 0x1003_0000
+	GPUBase = 0x1003_0000
 
 	// FirmwareBase is where the guest helper routines (memcpy, register
 	// accessors, ISR stubs) are loaded.
@@ -45,14 +40,8 @@ const (
 type Config struct {
 	// RAMSize is main memory size in bytes (default 512 MiB).
 	RAMSize uint64
-	// Cores is the CPU core count (default 4).
-	Cores int
 	// GPU configures the simulated GPU.
 	GPU gpu.Config
-	// ConsoleOut receives UART output (nil discards).
-	ConsoleOut io.Writer
-	// DiskImage backs the block device (nil for a small empty disk).
-	DiskImage []byte
 }
 
 // Platform is the assembled system.
@@ -61,11 +50,9 @@ type Platform struct {
 	RAM   *mem.RAM
 	Alloc *mem.PageAllocator
 	Intc  *irq.Controller
-	UART  *dev.UART
-	Timer *dev.Timer
-	Disk  *dev.Block
 	GPU   *gpu.Device
-	CPUs  []*cpu.Core
+	// CPU is the core the driver's guest routines run on.
+	CPU *cpu.Core
 
 	// Firmware holds the assembled guest helper routines. The program is
 	// assembled once per process and shared by every platform (a restored
@@ -100,20 +87,13 @@ func New(cfg Config) (*Platform, error) {
 // restores captured state: guest memory starts as a copy of the state's
 // RAM image (mem.ForkRAM copies its content pages; any number of platforms
 // can be restored from one state), and no guest code runs — the boot work
-// the snapshot captured is not repeated; cfg then supplies only host-side
-// wiring (console writer) and GPU instrumentation knobs, and the platform
-// shape (RAM size, core count, disk) comes from the state. Callers must
-// Close the platform.
+// the snapshot captured is not repeated; cfg then supplies only the GPU
+// configuration, and the RAM size comes from the state. Callers must Close
+// the platform.
 func NewFromState(cfg Config, st *State) (_ *Platform, err error) {
 	if st == nil {
 		if cfg.RAMSize == 0 {
 			cfg.RAMSize = 512 << 20
-		}
-		if cfg.Cores <= 0 {
-			cfg.Cores = 4
-		}
-		if cfg.DiskImage == nil {
-			cfg.DiskImage = make([]byte, 64*dev.SectorSize)
 		}
 	} else {
 		if cfg.RAMSize != 0 && cfg.RAMSize != st.RAM.Size() {
@@ -124,7 +104,7 @@ func NewFromState(cfg Config, st *State) (_ *Platform, err error) {
 			return nil, fmt.Errorf("platform: snapshot RAM image is based at %#x, the platform's RAM at %#x",
 				st.RAM.Base(), uint64(RAMBase))
 		}
-		cfg.RAMSize, cfg.Cores, cfg.DiskImage = st.RAM.Size(), len(st.CPUs), nil
+		cfg.RAMSize = st.RAM.Size()
 	}
 	if err := checkRAMSize(cfg.RAMSize); err != nil {
 		return nil, err
@@ -154,26 +134,12 @@ func NewFromState(cfg Config, st *State) (_ *Platform, err error) {
 		}
 	}()
 
-	p.UART = dev.NewUART(cfg.ConsoleOut, intc, irq.LineUART)
-	if err := bus.MapDevice("uart", UARTBase, dev.UARTSize, p.UART); err != nil {
-		return nil, err
-	}
-	p.Timer = dev.NewTimer(intc, irq.LineTimer)
-	if err := bus.MapDevice("timer", TimerBase, dev.TimerSize, p.Timer); err != nil {
-		return nil, err
-	}
-	p.Disk = dev.NewBlock(cfg.DiskImage, bus, intc, irq.LineBlock)
-	if err := bus.MapDevice("block", BlockBase, dev.BlkSize, p.Disk); err != nil {
-		return nil, err
-	}
 	p.GPU = gpu.NewDevice(cfg.GPU, bus, intc, irq.LineGPU)
 	if err := bus.MapDevice("gpu", GPUBase, gpu.RegWindowSize, p.GPU); err != nil {
 		return nil, err
 	}
 	p.GPU.Start()
-	for i := 0; i < cfg.Cores; i++ {
-		p.CPUs = append(p.CPUs, cpu.NewCore(i, bus, intc))
-	}
+	p.CPU = cpu.NewCore(0, bus, intc)
 
 	if st != nil {
 		if err := p.restore(st); err != nil {

@@ -1,7 +1,6 @@
 package platform_test
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
@@ -9,8 +8,8 @@ import (
 	"testing"
 
 	"mobilesim/internal/asm"
-	"mobilesim/internal/cpu"
-	"mobilesim/internal/dev"
+	"mobilesim/internal/gpu"
+	"mobilesim/internal/irq"
 	"mobilesim/internal/mem"
 	"mobilesim/internal/mmu"
 	"mobilesim/internal/platform"
@@ -22,16 +21,13 @@ func TestBootAndFirmwareLoaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if len(p.CPUs) != 4 {
-		t.Errorf("default core count = %d", len(p.CPUs))
-	}
 	for _, name := range []string{"memcpy", "memset", "store64", "load64", "gpu_isr", "gpu_submit", "gpu_init", "gpu_status"} {
 		if _, err := p.Firmware.Entry(name); err != nil {
 			t.Errorf("firmware routine %s missing: %v", name, err)
 		}
 	}
 	// Firmware routines run.
-	if _, err := p.CPUs[0].CallRoutine(p.Firmware.MustEntry("memset"),
+	if _, err := p.CPU.CallRoutine(p.Firmware.MustEntry("memset"),
 		platform.RAMBase+0x20_0000, 0xAB, 64); err != nil {
 		t.Fatal(err)
 	}
@@ -41,45 +37,10 @@ func TestBootAndFirmwareLoaded(t *testing.T) {
 	}
 }
 
-func TestGuestHelloWorldThroughUART(t *testing.T) {
-	var console bytes.Buffer
-	p, err := platform.New(platform.Config{RAMSize: 64 << 20, ConsoleOut: &console})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	// A bare-metal guest program printing over the UART.
-	prog, err := asm.Assemble(`
-main:
-    movz x1, #0x1000, lsl #16   // UART base
-    movz x2, #72                // 'H'
-    strw x2, [x1]
-    movz x2, #105               // 'i'
-    strw x2, [x1]
-    movz x2, #10                // newline
-    strw x2, [x1]
-    hlt
-`, platform.RAMBase+0x40_0000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Bus.WriteBytes(prog.Base, prog.Code); err != nil {
-		t.Fatal(err)
-	}
-	c := p.CPUs[1]
-	c.Reset(prog.MustEntry("main"))
-	if r := c.Run(1000); r != cpu.StopHalted {
-		t.Fatalf("guest stopped with %v (%v)", r, c.Err())
-	}
-	if console.String() != "Hi\n" {
-		t.Errorf("console output %q", console.String())
-	}
-}
-
 // TestGuestWithMMUAndTimerIRQ boots a guest that builds page tables,
-// enables translation, installs a vector table, unmasks the timer
-// interrupt and services it — the full-system CPU feature set end to end.
+// enables translation, installs a vector table, unmasks interrupts and
+// services one — the full-system CPU feature set end to end. The host
+// raises the GPU's line while the guest spins.
 func TestGuestWithMMUAndTimerIRQ(t *testing.T) {
 	p, err := platform.New(platform.Config{RAMSize: 64 << 20})
 	if err != nil {
@@ -87,8 +48,8 @@ func TestGuestWithMMUAndTimerIRQ(t *testing.T) {
 	}
 	defer p.Close()
 
-	// Host-side "bootloader" builds an identity map for RAM + devices (as
-	// early boot assembly would).
+	// Host-side "bootloader" builds an identity map for RAM (as early boot
+	// assembly would).
 	as, err := mmu.NewAddressSpace(p.Bus, p.Alloc)
 	if err != nil {
 		t.Fatal(err)
@@ -97,14 +58,9 @@ func TestGuestWithMMUAndTimerIRQ(t *testing.T) {
 		mmu.PermR|mmu.PermW|mmu.PermX); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.MapRange(platform.TimerBase, platform.TimerBase, dev.TimerSize,
-		mmu.PermR|mmu.PermW); err != nil {
-		t.Fatal(err)
-	}
 
-	// Guest: vectors at +0x0/+0x80; main enables MMU, arms the timer,
-	// unmasks IRQs and waits; the IRQ handler acknowledges the timer and
-	// sets x20.
+	// Guest: vectors at +0x0/+0x80; main enables the MMU, unmasks IRQs and
+	// waits; the IRQ handler records the claimed line and sets x20.
 	code := `
 vectors:
     b sync_handler
@@ -118,11 +74,6 @@ main:
     movz x2, #1
     msr sctlr, x2          // MMU on
     msr ie, x2             // interrupts on
-    movz x3, #0x1001, lsl #16   // timer base
-    movz x4, #100
-    strx x4, [x3, #8]      // compare = 100
-    movz x4, #1
-    strw x4, [x3, #0x10]   // enable
 spin:
     cmpi x20, #0
     b.eq spin
@@ -130,8 +81,7 @@ spin:
 sync_handler:
     hlt
 irq_handler:
-    movz x3, #0x1001, lsl #16
-    strw xzr, [x3, #0x18]  // ack
+    mrs x21, esr           // 0x100 | the claimed line
     movz x20, #1
     eret
 `
@@ -142,18 +92,21 @@ irq_handler:
 	if err := p.Bus.WriteBytes(prog.Base, prog.Code); err != nil {
 		t.Fatal(err)
 	}
-	c := p.CPUs[0]
-	p.Intc.Enable(2) // wrong line guard: enable timer line properly below
-	p.Intc.Enable(1)
+	c := p.CPU
+	p.Intc.Enable(irq.LineGPU)
 	c.X[0] = as.Root()
 	c.X[1] = prog.MustEntry("vectors")
 	c.X[20] = 0
 	c.Reset(prog.MustEntry("main"))
 
-	// Run in slices, advancing the virtual timer between them.
+	// Let the guest reach its spin loop, then raise the line.
+	c.Run(10_000)
+	if c.Halted() {
+		t.Fatalf("guest halted before the interrupt: pc=%#x err=%v", c.PC, c.Err())
+	}
+	p.Intc.Assert(irq.LineGPU)
 	for i := 0; i < 100 && !c.Halted(); i++ {
 		c.Run(10_000)
-		p.Timer.Tick(20)
 	}
 	if !c.Halted() {
 		t.Fatalf("guest never completed: pc=%#x x20=%d", c.PC, c.X[20])
@@ -164,56 +117,14 @@ irq_handler:
 	if c.X[20] != 1 {
 		t.Error("IRQ handler never ran")
 	}
+	if want := 0x100 | uint64(irq.LineGPU); c.X[21] != want {
+		t.Errorf("handler saw ESR %#x, want %#x", c.X[21], want)
+	}
 	if !c.Walker().Enabled() {
 		t.Error("MMU should be enabled")
 	}
-	if c.IRQs == 0 {
-		t.Error("no IRQ taken")
-	}
-}
-
-func TestBlockDeviceRoundTripFromGuest(t *testing.T) {
-	image := make([]byte, 16*dev.SectorSize)
-	copy(image[dev.SectorSize:], []byte("sector-one-data"))
-	p, err := platform.New(platform.Config{RAMSize: 64 << 20, DiskImage: image})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	// Guest reads sector 1 into RAM via MMIO-programmed DMA.
-	prog, err := asm.Assemble(`
-main:
-    movz x1, #0x1002, lsl #16   // block device base
-    movz x2, #1
-    strx x2, [x1]               // sector = 1
-    movz x3, #0x8030, lsl #16   // DMA target
-    strx x3, [x1, #8]
-    strx x2, [x1, #0x10]        // count = 1
-    strx x2, [x1, #0x18]        // command = read
-    ldrx x4, [x1, #0x20]        // status
-    hlt
-`, platform.RAMBase+0x60_0000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Bus.WriteBytes(prog.Base, prog.Code); err != nil {
-		t.Fatal(err)
-	}
-	c := p.CPUs[2]
-	c.Reset(prog.MustEntry("main"))
-	if r := c.Run(1000); r != cpu.StopHalted {
-		t.Fatalf("run: %v (%v)", r, c.Err())
-	}
-	if c.X[4] != 1 {
-		t.Fatalf("status = %d, want done", c.X[4])
-	}
-	got := make([]byte, 15)
-	if err := p.Bus.ReadBytes(0x8030_0000, got); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(got), "sector-one-data") {
-		t.Errorf("DMA data %q", got)
+	if c.IRQs != 1 {
+		t.Errorf("%d IRQs taken, want 1", c.IRQs)
 	}
 }
 
@@ -223,20 +134,18 @@ func TestMemoryMapNoOverlaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	// Each device answers at its base; RAM answers at its base.
-	for _, base := range []uint64{platform.UARTBase, platform.TimerBase,
-		platform.BlockBase, platform.GPUBase} {
-		if _, err := p.Bus.Read(base, 4); err != nil {
-			t.Errorf("device at %#x unreachable: %v", base, err)
-		}
+	// The GPU answers at its base, RAM at its; nothing else is mapped.
+	if _, err := p.Bus.Read(platform.GPUBase, 4); err != nil {
+		t.Errorf("GPU at %#x unreachable: %v", uint64(platform.GPUBase), err)
 	}
 	if _, err := p.Bus.Read(platform.RAMBase, 8); err != nil {
 		t.Errorf("RAM unreachable: %v", err)
 	}
-	if _, err := p.Bus.Read(0x7000_0000, 4); err == nil {
-		t.Error("hole in the map should fault")
+	for _, hole := range []uint64{0x7000_0000, platform.GPUBase - 0x1000, platform.GPUBase + gpu.RegWindowSize} {
+		if _, err := p.Bus.Read(hole, 4); err == nil {
+			t.Errorf("hole at %#x in the map should fault", hole)
+		}
 	}
-	_ = mem.PageSize
 }
 
 // TestConstructorFailuresLeakNothing pins the error paths of the one

@@ -5,26 +5,22 @@ import (
 
 	"mobilesim/internal/asm"
 	"mobilesim/internal/cpu"
-	"mobilesim/internal/dev"
 	"mobilesim/internal/gpu"
 	"mobilesim/internal/irq"
 	"mobilesim/internal/mem"
 )
 
 // State is the full captured platform: guest memory (as an immutable
-// image), the physical page allocator, every CPU core's architectural
-// state, the interrupt controller, the peripherals and the GPU. It is what
-// a platform snapshot serialises and what forked platforms are built from.
-// The platform must be quiescent when captured (no job chain executing, no
-// guest call in flight).
+// image), the physical page allocator, the CPU core's architectural state,
+// the interrupt controller and the GPU. It is what a platform snapshot
+// serialises and what forked platforms are built from. The platform must be
+// quiescent when captured (no job chain executing, no guest call in
+// flight).
 type State struct {
 	RAM   *mem.Image
 	Alloc mem.AllocState
-	CPUs  []cpu.State
+	CPU   cpu.State
 	IRQ   irq.State
-	Timer dev.TimerState
-	UART  dev.UARTState
-	Block dev.BlockState
 	GPU   gpu.State
 
 	// Firmware carries the assembled guest-helper program's geometry and
@@ -49,10 +45,8 @@ func (p *Platform) Capture() (*State, error) {
 	st := &State{
 		RAM:   img,
 		Alloc: p.Alloc.State(),
+		CPU:   p.CPU.CaptureState(),
 		IRQ:   p.Intc.CaptureState(),
-		Timer: p.Timer.CaptureState(),
-		UART:  p.UART.CaptureState(),
-		Block: p.Disk.CaptureState(),
 		GPU:   p.GPU.CaptureState(),
 
 		FirmwareBase: p.Firmware.Base,
@@ -62,18 +56,12 @@ func (p *Platform) Capture() (*State, error) {
 	for name, addr := range p.Firmware.Symbols {
 		st.FirmwareSyms[name] = addr
 	}
-	for _, c := range p.CPUs {
-		st.CPUs = append(st.CPUs, c.CaptureState())
-	}
 	return st, nil
 }
 
 // restore loads captured state into a freshly wired platform (see
 // NewFromState).
 func (p *Platform) restore(st *State) (err error) {
-	p.UART.RestoreState(st.UART)
-	p.Timer.RestoreState(st.Timer)
-	p.Disk.RestoreState(st.Block)
 	p.Alloc, err = mem.NewPageAllocatorFromState(st.Alloc)
 	if err != nil {
 		return err
@@ -83,9 +71,7 @@ func (p *Platform) restore(st *State) (err error) {
 	// controller's enable mask must already be in place.
 	p.Intc.RestoreState(st.IRQ)
 	p.GPU.RestoreState(st.GPU)
-	for i, cs := range st.CPUs {
-		p.CPUs[i].RestoreState(cs)
-	}
+	p.CPU.RestoreState(st.CPU)
 	// The program's code and symbols are borrowed from the (immutable)
 	// state: firmware is never patched after assembly, and forking must
 	// stay allocation-light.

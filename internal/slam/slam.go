@@ -325,7 +325,7 @@ func Run(ctx context.Context, c *cl.Context, cfg Config) (*Metrics, error) {
 
 	m := &Metrics{Config: cfg}
 	enq := func(k *cl.Kernel, global, local [3]uint32, args ...any) error {
-		if e := bind(k, args...); e != nil {
+		if e := k.SetArgs(args...); e != nil {
 			return e
 		}
 		m.KernelsRun++
@@ -459,28 +459,6 @@ func syntheticDepth(w, h, frame int) []int32 {
 		}
 	}
 	return out
-}
-
-func bind(k *cl.Kernel, args ...any) error {
-	for i, a := range args {
-		var err error
-		switch v := a.(type) {
-		case *cl.Buffer:
-			err = k.SetArgBuffer(i, v)
-		case int:
-			err = k.SetArgInt(i, int32(v))
-		case int32:
-			err = k.SetArgInt(i, v)
-		case float32:
-			err = k.SetArgFloat(i, v)
-		default:
-			err = fmt.Errorf("slam: unsupported arg %d type %T", i, a)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func roundUp(n, m int) int { return (n + m - 1) / m * m }

@@ -8,20 +8,18 @@ import (
 	"sort"
 
 	"mobilesim/internal/cl"
-	"mobilesim/internal/cpu"
-	"mobilesim/internal/dev"
 	"mobilesim/internal/driver"
 	"mobilesim/internal/gpu"
 	"mobilesim/internal/mem"
 	"mobilesim/internal/platform"
 )
 
-// Wire format v1. Little-endian throughout; strings and byte blobs are
+// Wire format v2. Little-endian throughout; strings and byte blobs are
 // u64-length-prefixed; maps are emitted in sorted key order so encoding
 // is a pure function of the state.
 const (
 	magic   = "MSIMSNAP"
-	version = uint32(1)
+	version = uint32(2)
 
 	// maxBlob caps length prefixes while decoding. 16 GiB comfortably
 	// exceeds any supported guest RAM.
@@ -39,20 +37,6 @@ const (
 type encoder struct {
 	w   *bufio.Writer
 	err error
-}
-
-func (e *encoder) u8(v uint8) {
-	if e.err == nil {
-		e.err = e.w.WriteByte(v)
-	}
-}
-
-func (e *encoder) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
 }
 
 func (e *encoder) u32(v uint32) {
@@ -104,17 +88,6 @@ type decoder struct {
 	src interface{ Len() int }
 	err error
 }
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	b, err := d.r.ReadByte()
-	d.err = err
-	return b
-}
-
-func (d *decoder) boolean() bool { return d.u8() != 0 }
 
 // u32 and u64 return 0 once the stream has failed — never the partial
 // bytes of a short read — so a count or length read past a truncation
@@ -195,7 +168,7 @@ func (d *decoder) fixed(v any) {
 	}
 }
 
-// Encode writes the state in wire format v1. Encoding the same state
+// Encode writes the state in wire format v2. Encoding the same state
 // twice produces identical bytes.
 func Encode(w io.Writer, st *State) error {
 	e := &encoder{w: bufio.NewWriter(w)}
@@ -204,13 +177,9 @@ func Encode(w io.Writer, st *State) error {
 
 	// Session configuration.
 	e.u64(st.Config.RAMSize)
-	e.u64(uint64(st.Config.CPUCores))
 	e.u64(uint64(st.Config.ShaderCores))
 	e.u64(uint64(st.Config.HostThreads))
 	e.str(st.Config.CompilerVersion)
-	e.u8(0) // reserved: CFG collection is a run option, not snapshot state
-	e.u8(0) // reserved: the engine is host wiring, not snapshot state
-	e.u8(0) // reserved: the decode cache is always on
 
 	// Guest RAM image.
 	p := st.Platform
@@ -224,27 +193,11 @@ func Encode(w io.Writer, st *State) error {
 	e.u64(p.Alloc.Next)
 	e.u64s(p.Alloc.Free)
 
-	// CPU cores (fixed-size architectural state).
-	e.u64(uint64(len(p.CPUs)))
-	for i := range p.CPUs {
-		e.fixed(&p.CPUs[i])
-	}
+	// CPU core (fixed-size architectural state).
+	e.fixed(&p.CPU)
 
 	// Interrupt controller.
 	e.fixed(&p.IRQ)
-
-	// Peripherals.
-	e.fixed(&p.Timer)
-	e.bytes(p.UART.RX)
-	e.boolean(p.UART.RXIRQ)
-	e.u64(p.UART.TxSent)
-	e.u64(p.Block.Sector)
-	e.u64(p.Block.Addr)
-	e.u64(p.Block.Count)
-	e.u64(p.Block.Status)
-	e.u64(p.Block.Reads)
-	e.u64(p.Block.Writes)
-	e.bytes(p.Block.Image)
 
 	// GPU registers and statistics.
 	e.u32(p.GPU.IRQRawstat)
@@ -255,7 +208,6 @@ func Encode(w io.Writer, st *State) error {
 	e.u64(p.GPU.ASApplied)
 	e.u64(p.GPU.FaultStat)
 	e.u64(p.GPU.FaultAddr)
-	e.u64(0) // reserved: decode counts belong to the host's program cache
 	e.fixed(&p.GPU.GPUStats)
 	e.fixed(&p.GPU.SysStats)
 	e.u64s(p.GPU.TouchedPages)
@@ -283,7 +235,6 @@ func Encode(w io.Writer, st *State) error {
 	e.u64(uint64(st.CL.Drv.ASPages))
 	e.u64(st.CL.Drv.JobsSubmitted)
 	e.u64(st.CL.Drv.IRQsHandled)
-	e.u64(0) // reserved: host time is not platform state
 
 	if e.err != nil {
 		return e.err
@@ -291,7 +242,7 @@ func Encode(w io.Writer, st *State) error {
 	return e.w.Flush()
 }
 
-// Decode reads a state in wire format v1.
+// Decode reads a state in wire format v2.
 func Decode(r io.Reader) (*State, error) {
 	d := &decoder{r: bufio.NewReader(r)}
 	d.src, _ = r.(interface{ Len() int })
@@ -306,13 +257,9 @@ func Decode(r io.Reader) (*State, error) {
 
 	st := &State{Platform: &platform.State{}}
 	st.Config.RAMSize = d.u64()
-	st.Config.CPUCores = int(d.u64())
 	st.Config.ShaderCores = int(d.u64())
 	st.Config.HostThreads = int(d.u64())
 	st.Config.CompilerVersion = d.str()
-	d.u8() // reserved (older writers: 1 = collect the CFG)
-	d.u8() // reserved (older writers: 1 = closure JIT)
-	d.u8() // reserved (older writers: 1 = decode cache off)
 
 	p := st.Platform
 	imgBase := d.u64()
@@ -328,23 +275,8 @@ func Decode(r io.Reader) (*State, error) {
 
 	p.Alloc = mem.AllocState{Base: d.u64(), Limit: d.u64(), Next: d.u64(), Free: d.u64s()}
 
-	nCPUs := d.u64()
-	if d.err == nil && nCPUs > 4096 {
-		return nil, fmt.Errorf("snapshot: implausible CPU count %d", nCPUs)
-	}
-	for i := uint64(0); i < nCPUs && d.err == nil; i++ {
-		p.CPUs = append(p.CPUs, cpu.State{})
-		d.fixed(&p.CPUs[i])
-	}
-
+	d.fixed(&p.CPU)
 	d.fixed(&p.IRQ)
-
-	d.fixed(&p.Timer)
-	p.UART = dev.UARTState{RX: d.bytes(), RXIRQ: d.boolean(), TxSent: d.u64()}
-	p.Block = dev.BlockState{
-		Sector: d.u64(), Addr: d.u64(), Count: d.u64(), Status: d.u64(),
-		Reads: d.u64(), Writes: d.u64(), Image: d.bytes(),
-	}
 
 	p.GPU = gpu.State{
 		IRQRawstat: d.u32(), IRQMask: d.u32(),
@@ -352,7 +284,6 @@ func Decode(r io.Reader) (*State, error) {
 		ASTranstab: d.u64(), ASApplied: d.u64(),
 		FaultStat: d.u64(), FaultAddr: d.u64(),
 	}
-	d.u64() // reserved (older writers: the device's decode count)
 	d.fixed(&p.GPU.GPUStats)
 	d.fixed(&p.GPU.SysStats)
 	p.GPU.TouchedPages = d.u64s()
@@ -381,7 +312,6 @@ func Decode(r io.Reader) (*State, error) {
 			IRQsHandled:   d.u64(),
 		},
 	}
-	d.u64() // reserved (older writers: driver host time)
 	if d.err != nil {
 		return nil, fmt.Errorf("snapshot: decode: %w", d.err)
 	}

@@ -2,21 +2,18 @@ package snapshot
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mobilesim/internal/cl"
-	"mobilesim/internal/gpu"
 	"mobilesim/internal/mem"
 	"mobilesim/internal/platform"
-	"mobilesim/internal/workloads"
 )
 
-// bootRAM is the guest memory of the test platforms. The golden counters
-// below do not depend on it.
+// bootRAM is the guest memory of the test platforms.
 const bootRAM = 64 << 20
 
 // bootState cold-boots a platform and runtime and captures them.
@@ -48,9 +45,8 @@ func encode(t *testing.T, st *State) []byte {
 }
 
 // smallEncoding is a well-formed stream of a few KiB — a booted state cut
-// down to one page of RAM image and one disk sector, with every
-// variable-length section non-empty — small enough to attack at every
-// byte offset.
+// down to one page of RAM image, with every variable-length section
+// non-empty — small enough to attack at every byte offset.
 func smallEncoding(t *testing.T) []byte {
 	t.Helper()
 	st := bootState(t)
@@ -60,8 +56,6 @@ func smallEncoding(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	pst.RAM = img
-	pst.Block.Image = pst.Block.Image[:512]
-	pst.UART.RX = []byte("rx")
 	pst.Alloc.Free = []uint64{pst.Alloc.Base, pst.Alloc.Base + mem.PageSize}
 	pst.GPU.TouchedPages = []uint64{1, 2, 3}
 	cfg := st.Config
@@ -127,16 +121,16 @@ func TestTruncatedStreamsFail(t *testing.T) {
 func TestHostileLengthPrefixAllocationIsBounded(t *testing.T) {
 	const slack = 1 << 20
 
-	// The reported request: magic, version, four u64s and the first length
-	// prefix asking for 16 GiB, then nothing.
+	// The reported request: magic, version, the configuration's three u64s
+	// and the first length prefix asking for 16 GiB, then nothing.
 	enc := smallEncoding(t)
-	body := append([]byte(nil), enc[:len(magic)+4+4*8+8]...)
+	body := append([]byte(nil), enc[:len(magic)+4+3*8+8]...)
 	binary.LittleEndian.PutUint64(body[len(body)-8:], maxBlob)
 	var allocs allocMeter
 	for _, src := range sources {
 		allocs.since()
 		if _, err := Decode(src.open(body)); err == nil {
-			t.Errorf("%s: a 52-byte body decoded", src.name)
+			t.Errorf("%s: a %d-byte body decoded", src.name, len(body))
 		}
 		if got := allocs.since(); got >= slack {
 			t.Errorf("%s: a %d-byte body made the decoder allocate %d bytes", src.name, len(body), got)
@@ -146,7 +140,7 @@ func TestHostileLengthPrefixAllocationIsBounded(t *testing.T) {
 	// Every prefix and count of the format, found by brute force: each
 	// hostile value — the largest every cap admits, per kind of cap — is
 	// written over every 8-byte window of a valid stream.
-	hostile := []uint64{maxBlob, maxBlob / 8, 1 << 20, 4096}
+	hostile := []uint64{maxBlob, maxBlob / 8, 1 << 20}
 	body = make([]byte, len(enc))
 	for _, src := range sources {
 		allocs.since()
@@ -163,144 +157,20 @@ func TestHostileLengthPrefixAllocationIsBounded(t *testing.T) {
 	}
 }
 
-// reservedConfigBytes is the offset of the three reserved bytes that end
-// the configuration section of st's encoding.
-func reservedConfigBytes(st *State) int {
-	return len(magic) + 4 + 4*8 + 8 + len(st.Config.CompilerVersion)
-}
-
-// TestOldEngineByteIsIgnored decodes a v1 stream as older writers produced
-// it: with the closure JIT selected (the second reserved configuration byte
-// set to 1), and with the RAM image captured up to the page allocator's bump
-// pointer instead of the highest dirty page (megabytes of zeros after the
-// firmware page). It must restore on whatever engine the restoring
-// configuration names — the warp default here — and reproduce Reduction's
-// row of goldenTable (internal/workloads/goldenstats_test.go), which is
-// recorded at four host threads.
-func TestOldEngineByteIsIgnored(t *testing.T) {
-	st := bootState(t)
-	pst := *st.Platform
-	padded := make([]byte, pst.Alloc.Next-pst.RAM.Base())
-	if copy(padded, pst.RAM.Data()) == len(padded) {
-		t.Fatalf("boot image already reaches the allocator's bump pointer %#x", pst.Alloc.Next)
+// TestV1HeaderIsRefused: version 2 dropped the CPU core count, the
+// peripherals and v1's reserved slots, and no v1 reader remains, so a
+// stream with a v1 header fails with the version error before anything
+// else is read.
+func TestV1HeaderIsRefused(t *testing.T) {
+	enc := encode(t, bootState(t))
+	if v := binary.LittleEndian.Uint32(enc[len(magic):]); v != version {
+		t.Fatalf("stream header says version %d, want %d", v, version)
 	}
-	var err error
-	if pst.RAM, err = mem.NewImage(pst.RAM.Base(), pst.RAM.Size(), padded); err != nil {
-		t.Fatal(err)
-	}
-	enc := encode(t, &State{Config: st.Config, Platform: &pst, CL: st.CL})
-	engineByte := reservedConfigBytes(st) + 1
-	if enc[engineByte] != 0 {
-		t.Fatalf("reserved byte at %d is written %d, want 0", engineByte, enc[engineByte])
-	}
-	enc[engineByte] = 1
-	old, err := Decode(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	gcfg := gpu.DefaultConfig()
-	gcfg.HostThreads = 4
-	p, rt, err := Restore(old, platform.Config{GPU: gcfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if eng := p.GPU.Config().Engine; eng != gpu.EngineWarp {
-		t.Fatalf("restored on the %v engine, want warp", eng)
-	}
-
-	spec, err := workloads.ByName("Reduction")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := spec.Make(spec.SmallScale).Run(context.Background(), rt, spec.Name, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Verified {
-		t.Fatalf("Reduction not verified: %v", res.VerifyErr)
-	}
-	gs, sys := p.GPU.Stats()
-	got := [...]uint64{gs.GlobalLS, gs.MainMemAcc, sys.TLBHits, sys.TLBWalks, sys.PagesAccessed, sys.ComputeJobs, gs.Threads}
-	want := [...]uint64{4129, 4129, 21476, 33, 9, 2, 4352}
-	if got != want {
-		t.Errorf("GlobalLS, MainMemAcc, TLBHits, TLBWalks, Pages, Jobs, Threads = %v, want %v", got, want)
-	}
-}
-
-// TestOldDecodeCountSlotIsReserved pins the u64 after the GPU's fault
-// address: older writers stored the device's decode count there, which
-// depends on what the process decoded before, so a post-run stream would
-// have differed with process history. It is written 0, and a non-zero value
-// from an older writer decodes and re-encodes as 0.
-func TestOldDecodeCountSlotIsReserved(t *testing.T) {
-	st := bootState(t)
-	pst := *st.Platform
-	pst.GPU.FaultAddr = 0x0123_4567_89ab_cdef // a marker to find the slot by
-	enc := encode(t, &State{Config: st.Config, Platform: &pst, CL: st.CL})
-	var marker [8]byte
-	binary.LittleEndian.PutUint64(marker[:], pst.GPU.FaultAddr)
-	at := bytes.Index(enc, marker[:])
-	if at < 0 || bytes.Index(enc[at+1:], marker[:]) >= 0 {
-		t.Fatal("the fault-address marker is not unique in the stream")
-	}
-	slot := at + 8
-	if v := binary.LittleEndian.Uint64(enc[slot:]); v != 0 {
-		t.Fatalf("reserved slot at %d is written %d, want 0", slot, v)
-	}
-	old := append([]byte(nil), enc...)
-	binary.LittleEndian.PutUint64(old[slot:], 5)
-	dec, err := Decode(bytes.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again := encode(t, dec); !bytes.Equal(again, enc) {
-		t.Errorf("a stream with a decode count in the reserved slot re-encodes differently")
-	}
-}
-
-// TestRetiredConfigSlotsAreReserved pins the three bytes that end the
-// configuration section. Older writers stored CFG collection, the closure
-// JIT and "decode cache off" there; CFG collection is now a run option, the
-// engine host wiring and the decode cache always on, so each byte is
-// written 0 and ignored on read. A stream with all three set to 1 decodes,
-// re-encodes to the bytes a current writer produces, and forks a platform
-// that runs a workload with CFG collection off.
-func TestRetiredConfigSlotsAreReserved(t *testing.T) {
-	st := bootState(t)
-	enc := encode(t, st)
-	at := reservedConfigBytes(st)
-	if got := enc[at : at+3]; !bytes.Equal(got, []byte{0, 0, 0}) {
-		t.Fatalf("reserved configuration bytes at %d are written %v, want zeros", at, got)
-	}
-	old := append([]byte(nil), enc...)
-	copy(old[at:], []byte{1, 1, 1})
-	dec, err := Decode(bytes.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again := encode(t, dec); !bytes.Equal(again, enc) {
-		t.Fatal("a stream with the reserved configuration bytes set re-encodes differently")
-	}
-
-	p, rt, err := Restore(dec, platform.Config{GPU: gpu.DefaultConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	spec, err := workloads.ByName("BFS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := spec.Make(spec.SmallScale).Run(context.Background(), rt, spec.Name, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Verified {
-		t.Fatalf("BFS not verified on the fork: %v", res.VerifyErr)
-	}
-	if g := p.GPU.CFGGraph().Render(); g != "" {
-		t.Errorf("the fork collected a CFG from a reserved byte:\n%s", g)
+	binary.LittleEndian.PutUint32(enc[len(magic):], 1)
+	for _, src := range sources {
+		st, err := Decode(src.open(enc))
+		if err == nil || st != nil || !strings.Contains(err.Error(), "unsupported format version 1") {
+			t.Errorf("%s: a v1 header decoded to state %v, err %v", src.name, st != nil, err)
+		}
 	}
 }

@@ -4,9 +4,9 @@
 // runtime bring-up) per session.
 //
 // A snapshot is the composition of every layer's own captured state —
-// guest RAM as an immutable image (mem.Image), the page allocator,
-// CPU cores, interrupt controller, peripherals, GPU, the kernel driver
-// and the CL runtime — plus the session configuration it was taken under.
+// guest RAM as an immutable image (mem.Image), the page allocator, the
+// CPU core, interrupt controller, GPU, the kernel driver and the CL
+// runtime — plus the session configuration it was taken under.
 // Restoring never runs guest code: the work the snapshot captured is not
 // repeated, and guest memory starts as a copy of the image's content pages
 // (mem.ForkRAM), after which a restored session shares nothing with the
@@ -24,11 +24,10 @@ import (
 )
 
 // Config mirrors the serialisable, shape-defining part of the facade
-// session configuration. Host-side wiring (console writers, the shader
-// engine) is deliberately absent: it is supplied afresh at restore time.
+// session configuration. Host-side wiring (the shader engine) is
+// deliberately absent: it is supplied afresh at restore time.
 type Config struct {
 	RAMSize         uint64
-	CPUCores        int
 	ShaderCores     int
 	HostThreads     int
 	CompilerVersion string
@@ -54,9 +53,9 @@ func Capture(cfg Config, rt *cl.Context) (*State, error) {
 	return &State{Config: cfg, Platform: pst, CL: rt.CaptureState()}, nil
 }
 
-// Restore builds a running platform and runtime from the state. The console
-// writer and the GPU's host-side wiring come from pcfg (the facade lowers
-// the restored session's configuration the same way New does).
+// Restore builds a running platform and runtime from the state. The GPU's
+// host-side wiring comes from pcfg (the facade lowers the restored
+// session's configuration the same way New does).
 func Restore(st *State, pcfg platform.Config) (*platform.Platform, *cl.Context, error) {
 	p, err := platform.NewFromState(pcfg, st.Platform)
 	if err != nil {

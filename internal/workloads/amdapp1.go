@@ -83,7 +83,7 @@ func makeBinarySearch(n int) *Instance {
 					if err := c.WriteI32(ctx, bRes, []int32{int32(lo), int32(lo + size - 1)}); err != nil {
 						return nil, err
 					}
-					if err := bindArgs(k, bArr, bRes, key, lo, seg, n); err != nil {
+					if err := k.SetArgs(bArr, bRes, key, lo, seg, n); err != nil {
 						return nil, err
 					}
 					if err := c.EnqueueKernel(ctx, k, cl.G1(segments), cl.G1(64)); err != nil {
@@ -171,7 +171,7 @@ func makeBitonicSort(n int) *Instance {
 			}
 			for stage := 0; 1<<(stage+1) <= n; stage++ {
 				for dist := 1 << stage; dist > 0; dist >>= 1 {
-					if err := bindArgs(k, buf, stage, dist); err != nil {
+					if err := k.SetArgs(buf, stage, dist); err != nil {
 						return nil, err
 					}
 					if err := c.EnqueueKernel(ctx, k, cl.G1(uint32(half)), cl.G1(uint32(wg))); err != nil {
@@ -322,7 +322,7 @@ func makeFloyd(n int) *Instance {
 				return nil, err
 			}
 			for piv := 0; piv < n; piv++ {
-				if err := bindArgs(k, buf, n, piv); err != nil {
+				if err := k.SetArgs(buf, n, piv); err != nil {
 					return nil, err
 				}
 				if err := c.EnqueueKernel(ctx, k, cl.G2(uint32(n), uint32(n)), cl.G2(16, 16)); err != nil {

@@ -167,7 +167,7 @@ func makeHaar(n int) *Instance {
 			}
 			src, dst := a, b
 			for half := n / 2; half >= 1; half /= 2 {
-				if err := bindArgs(k, src, dst, half, n); err != nil {
+				if err := k.SetArgs(src, dst, half, n); err != nil {
 					return nil, err
 				}
 				wg := uint32(64)
@@ -257,7 +257,7 @@ func makeReduction(n int) *Instance {
 			dst := out
 			for curN > 1 {
 				g := (curN + 255) / 256
-				if err := bindArgs(k, cur, dst, curN); err != nil {
+				if err := k.SetArgs(cur, dst, curN); err != nil {
 					return nil, err
 				}
 				if err := c.EnqueueKernel(ctx, k, cl.G1(uint32(g*256)), cl.G1(256)); err != nil {
@@ -362,7 +362,7 @@ func makeScan(n int) *Instance {
 				if err != nil {
 					return err
 				}
-				if err := bindArgs(kScan, in, out, sums, n); err != nil {
+				if err := kScan.SetArgs(in, out, sums, n); err != nil {
 					return err
 				}
 				if err := c.EnqueueKernel(ctx, kScan, cl.G1(uint32(groups*256)), cl.G1(256)); err != nil {
@@ -376,7 +376,7 @@ func makeScan(n int) *Instance {
 					if err := scan(sums, sumsScanned, groups); err != nil {
 						return err
 					}
-					if err := bindArgs(kAdd, out, sumsScanned, n); err != nil {
+					if err := kAdd.SetArgs(out, sumsScanned, n); err != nil {
 						return err
 					}
 					if err := c.EnqueueKernel(ctx, kAdd, cl.G1(uint32(groups*256)), cl.G1(256)); err != nil {

@@ -307,13 +307,13 @@ func makeRGauss(dim int) *Instance {
 			if err != nil {
 				return nil, err
 			}
-			if err := bindArgs(kr, in, tmp, w, h, alpha); err != nil {
+			if err := kr.SetArgs(in, tmp, w, h, alpha); err != nil {
 				return nil, err
 			}
 			if err := c.EnqueueKernel(ctx, kr, cl.G1(uint32(roundUp(h, 32))), cl.G1(32)); err != nil {
 				return nil, err
 			}
-			if err := bindArgs(kc, tmp, out, w, h, alpha); err != nil {
+			if err := kc.SetArgs(tmp, out, w, h, alpha); err != nil {
 				return nil, err
 			}
 			if err := c.EnqueueKernel(ctx, kc, cl.G1(uint32(roundUp(w, 32))), cl.G1(32)); err != nil {

@@ -106,7 +106,7 @@ func makeBFS(n int) *Instance {
 				if err := c.WriteI32(ctx, bc, []int32{0}); err != nil {
 					return nil, err
 				}
-				if err := bindArgs(k, bo, be, bd, bc, level, n); err != nil {
+				if err := k.SetArgs(bo, be, bd, bc, level, n); err != nil {
 					return nil, err
 				}
 				if err := c.EnqueueKernel(ctx, k, cl.G1(uint32(roundUp(n, 64))), cl.G1(64)); err != nil {
@@ -493,7 +493,7 @@ func makeStencil(edge int) *Instance {
 			}
 			src, dst := a, b
 			for it := 0; it < iters; it++ {
-				if err := bindArgs(k, src, dst, nx, ny, nz, c0, c1); err != nil {
+				if err := k.SetArgs(src, dst, nx, ny, nz, c0, c1); err != nil {
 					return nil, err
 				}
 				if err := c.EnqueueKernel(ctx, k,

@@ -113,7 +113,7 @@ func makeBackprop(inN int) *Instance {
 			if err != nil {
 				return nil, err
 			}
-			if err := bindArgs(kf, bi, bw, bp, hid); err != nil {
+			if err := kf.SetArgs(bi, bw, bp, hid); err != nil {
 				return nil, err
 			}
 			if err := c.EnqueueKernel(ctx, kf,
@@ -148,7 +148,7 @@ func makeBackprop(inN int) *Instance {
 			if err != nil {
 				return nil, err
 			}
-			if err := bindArgs(ka, bd, bi, bw, bo, hid); err != nil {
+			if err := ka.SetArgs(bd, bi, bw, bo, hid); err != nil {
 				return nil, err
 			}
 			if err := c.EnqueueKernel(ctx, ka, cl.G2(16, uint32(inN)), cl.G2(16, 16)); err != nil {

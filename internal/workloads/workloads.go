@@ -276,8 +276,8 @@ func newBufU8(ctx context.Context, c *cl.Context, vals []byte) (*cl.Buffer, erro
 	return b, nil
 }
 
-// kernel1 builds a program with one kernel and binds arguments in order:
-// *cl.Buffer, int32/int, float32.
+// kernel1 builds a program with one kernel and binds arguments in order
+// (see cl.Kernel.SetArgs).
 func kernel1(ctx context.Context, c *cl.Context, src, name string, args ...any) (*cl.Kernel, error) {
 	prog, err := c.BuildProgram(ctx, src)
 	if err != nil {
@@ -287,36 +287,10 @@ func kernel1(ctx context.Context, c *cl.Context, src, name string, args ...any) 
 	if err != nil {
 		return nil, err
 	}
-	if err := bindArgs(k, args...); err != nil {
+	if err := k.SetArgs(args...); err != nil {
 		return nil, err
 	}
 	return k, nil
-}
-
-func bindArgs(k *cl.Kernel, args ...any) error {
-	for i, a := range args {
-		var err error
-		switch v := a.(type) {
-		case *cl.Buffer:
-			err = k.SetArgBuffer(i, v)
-		case int:
-			err = k.SetArgInt(i, int32(v))
-		case int32:
-			err = k.SetArgInt(i, v)
-		case uint32:
-			err = k.SetArgInt(i, int32(v))
-		case float32:
-			err = k.SetArgFloat(i, v)
-		case float64:
-			err = k.SetArgFloat(i, float32(v))
-		default:
-			err = fmt.Errorf("workloads: unsupported arg %d type %T", i, a)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // roundUp rounds n up to a multiple of m.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -66,14 +65,12 @@ func (s Stats) sub(o Stats) Stats {
 }
 
 // Config selects the shape of one simulated platform. The zero value is a
-// usable default: the paper's Mali-G71 MP8 setup with 512 MiB RAM, four
-// CPU cores and JIT compiler 6.1.
+// usable default: the paper's Mali-G71 MP8 setup with 512 MiB RAM and JIT
+// compiler 6.1, beside the one CPU core the driver's guest code runs on.
 type Config struct {
 	// RAMSize is guest physical memory in bytes (default 512 MiB,
 	// minimum 16 MiB).
 	RAMSize uint64
-	// CPUCores is the simulated CPU core count (default 4).
-	CPUCores int
 	// ShaderCores is the architectural GPU core count (default 8, the
 	// G71 MP8 of the paper).
 	ShaderCores int
@@ -83,11 +80,6 @@ type Config struct {
 	// CompilerVersion selects the JIT compiler release (5.6 … 6.2);
 	// empty means the default (6.1).
 	CompilerVersion string
-	// ConsoleOut receives simulated UART output (nil discards it). When
-	// one Config is shared across concurrent sessions — e.g. as a
-	// Batch's default — the writer is shared too and must be safe for
-	// concurrent use.
-	ConsoleOut io.Writer
 }
 
 const minRAM = platform.MinRAMSize
@@ -96,9 +88,6 @@ const minRAM = platform.MinRAMSize
 func (c *Config) validate() error {
 	if c.RAMSize != 0 && c.RAMSize < minRAM {
 		return fmt.Errorf("mobilesim: RAMSize %d below minimum %d", c.RAMSize, uint64(minRAM))
-	}
-	if c.CPUCores < 0 {
-		return fmt.Errorf("mobilesim: negative CPUCores %d", c.CPUCores)
 	}
 	if c.ShaderCores < 0 {
 		return fmt.Errorf("mobilesim: negative ShaderCores %d", c.ShaderCores)
@@ -124,16 +113,11 @@ func (c *Config) platformConfig() platform.Config {
 	if c.HostThreads > 0 {
 		gcfg.HostThreads = c.HostThreads
 	}
-	return platform.Config{
-		RAMSize:    c.RAMSize,
-		Cores:      c.CPUCores,
-		GPU:        gcfg,
-		ConsoleOut: c.ConsoleOut,
-	}
+	return platform.Config{RAMSize: c.RAMSize, GPU: gcfg}
 }
 
-// Session is one booted guest: a full simulated platform (CPU cores, GPU,
-// devices, memory) with the driver loaded and an OpenCL-like context open,
+// Session is one booted guest: a full simulated platform (CPU, GPU,
+// interrupt controller, memory) with the driver loaded and an OpenCL-like context open,
 // behaving like one application running on one device.
 //
 // A Session serialises its operations internally, so it is safe for
@@ -255,7 +239,7 @@ func (s *Session) statsLocked() Stats {
 		GPU:               gs,
 		System:            sys,
 		DriverCPUTime:     s.rt.Drv.CPUTime,
-		GuestInstructions: s.p.CPUs[0].Instret,
+		GuestInstructions: s.p.CPU.Instret,
 	}
 }
 
@@ -273,16 +257,6 @@ func (s *Session) device() *gpu.Device {
 		return nil
 	}
 	return s.p.GPU
-}
-
-// ResetStats clears the accumulated statistics (between measurement
-// phases).
-func (s *Session) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed {
-		s.p.GPU.ResetStats()
-	}
 }
 
 // Buffer is a device memory allocation owned by one session.
@@ -398,32 +372,17 @@ func (s *Session) LoadKernel(src, name string) (*Kernel, error) {
 // float32/float64 for float scalars.
 func (k *Kernel) SetArgs(args ...any) error {
 	return k.s.locked(func() error {
+		bound := make([]any, len(args))
 		for i, a := range args {
-			var err error
-			switch v := a.(type) {
-			case *Buffer:
-				if v.s != k.s {
+			bound[i] = a
+			if b, ok := a.(*Buffer); ok {
+				if b.s != k.s {
 					return fmt.Errorf("mobilesim: argument %d: buffer belongs to a different session", i)
 				}
-				err = k.k.SetArgBuffer(i, v.b)
-			case int:
-				err = k.k.SetArgInt(i, int32(v))
-			case int32:
-				err = k.k.SetArgInt(i, v)
-			case uint32:
-				err = k.k.SetArgInt(i, int32(v))
-			case float32:
-				err = k.k.SetArgFloat(i, v)
-			case float64:
-				err = k.k.SetArgFloat(i, float32(v))
-			default:
-				err = fmt.Errorf("mobilesim: unsupported argument %d type %T", i, a)
-			}
-			if err != nil {
-				return err
+				bound[i] = b.b
 			}
 		}
-		return nil
+		return k.k.SetArgs(bound...)
 	})
 }
 

@@ -192,7 +192,6 @@ func TestBatchEmpty(t *testing.T) {
 func TestBadConfig(t *testing.T) {
 	cases := map[string]mobilesim.Config{
 		"tiny RAM":         {RAMSize: 1 << 20},
-		"negative CPUs":    {CPUCores: -1},
 		"negative shaders": {ShaderCores: -2},
 		"negative threads": {HostThreads: -8},
 		"bad compiler":     {CompilerVersion: "9.9"},

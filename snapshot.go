@@ -33,12 +33,11 @@ type Snapshot struct {
 }
 
 // Config returns the session configuration the snapshot was captured
-// under (without host-side wiring: ConsoleOut).
+// under.
 func (s *Snapshot) Config() Config {
 	c := s.st.Config
 	return Config{
 		RAMSize:         c.RAMSize,
-		CPUCores:        c.CPUCores,
 		ShaderCores:     c.ShaderCores,
 		HostThreads:     c.HostThreads,
 		CompilerVersion: c.CompilerVersion,
@@ -91,7 +90,6 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 func snapshotConfig(c Config) snapshot.Config {
 	return snapshot.Config{
 		RAMSize:         c.RAMSize,
-		CPUCores:        c.CPUCores,
 		ShaderCores:     c.ShaderCores,
 		HostThreads:     c.HostThreads,
 		CompilerVersion: c.CompilerVersion,
@@ -110,12 +108,11 @@ type newOptions struct {
 // content pages and no guest boot code runs, so the session is ready to
 // run in microseconds.
 //
-// The session's shape is the snapshot's. cfg supplies the host-side wiring
-// a snapshot does not record — ConsoleOut — and may override the one
+// The session's shape is the snapshot's. cfg may override the one
 // host-side knob: a non-zero HostThreads replaces the snapshot's.
-// Architectural fields (RAMSize, CPUCores, ShaderCores, CompilerVersion)
-// must be zero or equal to the snapshot's — the corresponding state is
-// baked into the image.
+// Architectural fields (RAMSize, ShaderCores, CompilerVersion) must be
+// zero or equal to the snapshot's — the corresponding state is baked into
+// the image.
 func FromSnapshot(snap *Snapshot) NewOption {
 	return func(o *newOptions) { o.snap = snap }
 }
@@ -123,18 +120,13 @@ func FromSnapshot(snap *Snapshot) NewOption {
 // mergeSnapshotConfig resolves the effective configuration of a restored
 // session (see FromSnapshot). Architectural fields in cfg are compared
 // against the snapshot's *resolved* shape, so asking for the defaults
-// explicitly (e.g. CPUCores: 4 against a snapshot captured with the zero
-// default) is accepted.
+// explicitly (e.g. ShaderCores: 8 against a snapshot captured with the
+// zero default) is accepted.
 func mergeSnapshotConfig(cfg Config, snap *Snapshot) (Config, error) {
 	eff := snap.Config()
-	eff.ConsoleOut = cfg.ConsoleOut
 	snapRAM := eff.RAMSize
 	if snapRAM == 0 {
 		snapRAM = snap.st.Platform.RAM.Size()
-	}
-	snapCPUs := eff.CPUCores
-	if snapCPUs == 0 {
-		snapCPUs = len(snap.st.Platform.CPUs)
 	}
 	snapSC := eff.ShaderCores
 	if snapSC == 0 {
@@ -149,8 +141,6 @@ func mergeSnapshotConfig(cfg Config, snap *Snapshot) (Config, error) {
 	switch {
 	case cfg.RAMSize != 0 && cfg.RAMSize != snapRAM:
 		bad = &mismatch{"RAMSize", snapRAM, cfg.RAMSize}
-	case cfg.CPUCores != 0 && cfg.CPUCores != snapCPUs:
-		bad = &mismatch{"CPUCores", snapCPUs, cfg.CPUCores}
 	case cfg.ShaderCores != 0 && cfg.ShaderCores != snapSC:
 		bad = &mismatch{"ShaderCores", snapSC, cfg.ShaderCores}
 	case cfg.CompilerVersion != "" && cfg.CompilerVersion != eff.CompilerVersion:

@@ -548,7 +548,7 @@ func TestSessionPoolCounters(t *testing.T) {
 
 // TestSessionSetupStaysCheap pins, without a clock, the premise the serving
 // layers are sized on: setting a session up and tearing it down — booted or
-// forked — is a few dozen small allocations (56 and 52 as measured;
+// forked — is a few dozen small allocations (27 and 26 as measured;
 // BenchmarkColdBoot and BenchmarkSnapshotFork have the times). A fixed
 // pool and a Batch that boots every job are the right size only while that
 // holds: re-measure both benchmarks before raising a bound.
@@ -570,8 +570,8 @@ func TestSessionSetupStaysCheap(t *testing.T) {
 		opts  []mobilesim.NewOption
 		bound float64
 	}{
-		{"cold boot", nil, 70},
-		{"snapshot fork", []mobilesim.NewOption{mobilesim.FromSnapshot(snap)}, 65},
+		{"cold boot", nil, 42},
+		{"snapshot fork", []mobilesim.NewOption{mobilesim.FromSnapshot(snap)}, 38},
 	} {
 		allocs := testing.AllocsPerRun(50, func() {
 			s, err := mobilesim.New(mobilesim.Config{}, c.opts...)
