@@ -1,7 +1,8 @@
 // SGEMM tuning study: run the six-step desktop-GPU optimisation ladder
 // through the unified Workload API on the simulated mobile GPU, print the
 // per-variant statistics, and show how the analytical Mali and desktop
-// models rank them differently — the Fig 15 workflow demonstrating that
+// models (each run's RunResult.Modeled) rank them differently — the Fig 15
+// workflow demonstrating that
 // desktop optimisations trigger mobile bottlenecks.
 //
 //	go run ./examples/sgemm-tuning
@@ -12,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"text/tabwriter"
 
 	"mobilesim"
@@ -21,8 +21,6 @@ import (
 func main() {
 	const scale = 4 // 64x64x64 matrices (dim = 16*scale)
 
-	mali := mobilesim.MaliG71()
-	desk := mobilesim.K20m()
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "variant\tinstr\tglobal LS\tlocal LS\tregs\tMali est.\tdesktop est.")
 
@@ -31,8 +29,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sess.Run(context.Background(),
-			"sgemm6/"+strings.ToLower(v.Name), mobilesim.WithScale(scale))
+		res, err := sess.Run(context.Background(), v.WorkloadName(), mobilesim.WithScale(scale))
 		if err != nil {
 			log.Fatalf("%s: %v", v.Name, err)
 		}
@@ -42,7 +39,7 @@ func main() {
 		gs := res.Stats.GPU
 		fmt.Fprintf(tw, "%d:%s\t%d\t%d\t%d\t%d\t%.2e\t%.2e\n",
 			v.ID, v.Name, gs.TotalInstr(), gs.GlobalLS, gs.LocalLS, gs.RegistersUsed,
-			mali.Estimate(&gs), desk.Estimate(&gs, v.Profile, 1))
+			res.Modeled.MobileCycles, res.Modeled.DesktopCycles)
 		sess.Close()
 	}
 	tw.Flush()

@@ -17,7 +17,6 @@ import (
 )
 
 func main() {
-	mali := mobilesim.MaliG71()
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "config\tkernels\tinstr\tglobal LS\tlocal LS\tjobs\tIRQs\tresidual\test. FPS (rel)")
 
@@ -33,7 +32,7 @@ func main() {
 		}
 		gs, sys := res.Stats.GPU, res.Stats.System
 		m := res.SLAM
-		cost := mali.Estimate(&gs)
+		cost := res.Modeled.MobileCycles
 		if baseCost == 0 {
 			baseCost = cost
 		}

@@ -25,11 +25,9 @@ var sharedMemMethods = map[string]map[string]bool{
 	"Bus": {
 		"Read": true, "Write": true,
 		"ReadBytes": true, "WriteBytes": true,
-		"Slice": true,
 	},
 	"RAM": {
-		"Read": true, "Write": true,
-		"Slice": true, "Bytes": true,
+		"Read": true, "Write": true, "Bytes": true,
 	},
 }
 

@@ -19,7 +19,7 @@ func forbiddenBus(b *mem.Bus) {
 func forbiddenRAM(r *mem.RAM) {
 	r.Read(0x1000, 4)     // want "mem.RAM.Read bypasses"
 	r.Write(0x1000, 4, 7) // want "mem.RAM.Write bypasses"
-	r.Slice(0x1000, 64)   // want "mem.RAM.Slice bypasses"
+	r.Bytes(0x1000, 64)   // want "mem.RAM.Bytes bypasses"
 }
 
 func forbiddenHelpers(page []byte) {

@@ -8,6 +8,6 @@ import "mobilesim/internal/mem"
 func plainAccessOutsideEnforcedSet(b *mem.Bus, r *mem.RAM, page []byte) {
 	b.Read(0x1000, 4)
 	b.Write(0x1000, 4, 7)
-	r.Slice(0x1000, 64)
+	r.Bytes(0x1000, 64)
 	mem.LoadLE(page[:8])
 }

@@ -75,8 +75,10 @@ type runOutcome struct {
 	setup   time.Duration // host-native input generation time
 }
 
-// runOne executes a named workload on a fresh platform.
-func runOne(ctx context.Context, spec *workloads.Spec, opt Options, mutate func(*platform.Platform)) (*runOutcome, error) {
+// runOne executes a workload at the given scale on a fresh platform,
+// verified against its host-native reference when it has one. mutate, when
+// set, adjusts the platform before the runtime opens.
+func runOne(ctx context.Context, spec *workloads.Spec, scale int, opt Options, mutate func(*platform.Platform)) (*runOutcome, error) {
 	p, err := platform.New(platform.Config{RAMSize: 1 << 30, GPU: opt.gpuConfig()})
 	if err != nil {
 		return nil, err
@@ -90,13 +92,13 @@ func runOne(ctx context.Context, spec *workloads.Spec, opt Options, mutate func(
 		return nil, err
 	}
 	t0 := time.Now()
-	inst := spec.Make(opt.scaleOf(spec))
+	inst := spec.Make(scale)
 	setup := time.Since(t0)
 	res, err := inst.Run(ctx, c, spec.Name, true)
 	if err != nil {
 		return nil, err
 	}
-	if !res.Verified {
+	if res.VerifyErr != nil {
 		return nil, fmt.Errorf("%s failed verification: %w", spec.Name, res.VerifyErr)
 	}
 	gs, sys := p.GPU.Stats()

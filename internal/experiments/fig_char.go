@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"mobilesim/internal/cl"
 	"mobilesim/internal/costmodel"
-	"mobilesim/internal/platform"
-	"mobilesim/internal/slam"
 	"mobilesim/internal/stats"
 	"mobilesim/internal/workloads"
 )
@@ -36,7 +33,7 @@ func runCharacterisation(ctx context.Context, opt Options) ([]CharRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := runOne(ctx, spec, opt, nil)
+		out, err := runOne(ctx, spec, opt.scaleOf(spec), opt, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -141,41 +138,31 @@ type Fig14Row struct {
 // and reports each metric relative to the standard configuration.
 func Fig14(ctx context.Context, w io.Writer, opt Options) ([]Fig14Row, error) {
 	header(w, "Fig 14: SLAMBench metrics relative to standard configuration")
-	scale := 1
-	if opt.Scale == ScalePaper {
-		scale = 4
-	}
 	type snap struct {
 		gs  stats.GPUStats
 		sys stats.SystemStats
 		fps float64
 	}
-	run := func(cfg slam.Config) (*snap, error) {
-		p, err := platform.New(platform.Config{RAMSize: 1 << 30, GPU: opt.gpuConfig()})
+	run := func(name string) (*snap, error) {
+		spec, err := workloads.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		defer p.Close()
-		c, err := cl.NewContext(p, opt.CompilerVersion)
+		out, err := runOne(ctx, spec, opt.scaleOf(spec), opt, nil)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := slam.Run(ctx, c, cfg); err != nil {
-			return nil, err
-		}
-		gs, sys := p.GPU.Stats()
-		mali := costmodel.MaliG71()
-		return &snap{gs: gs, sys: sys, fps: 1 / mali.Estimate(&gs)}, nil
+		return &snap{gs: out.gs, sys: out.sys, fps: 1 / costmodel.MaliG71().Estimate(&out.gs)}, nil
 	}
-	std, err := run(slam.Standard(scale))
+	std, err := run("slam/standard")
 	if err != nil {
 		return nil, err
 	}
-	fast, err := run(slam.Fast3(scale))
+	fast, err := run("slam/fast3")
 	if err != nil {
 		return nil, err
 	}
-	expr, err := run(slam.Express(scale))
+	expr, err := run("slam/express")
 	if err != nil {
 		return nil, err
 	}
@@ -251,8 +238,9 @@ type Fig15Row struct {
 	NVIDIATime float64 // relative to the slowest variant on NVIDIA model
 }
 
-// Fig15 runs the six SGEMM variants and reports statistics normalised to
-// variant 6 plus the analytical Mali and NVIDIA runtime estimates.
+// Fig15 runs the six SGEMM ladder rungs (dim×dim×dim, scale dim/16) and
+// reports statistics normalised to variant 6 plus the analytical Mali and
+// NVIDIA runtime estimates.
 func Fig15(ctx context.Context, w io.Writer, opt Options) ([]Fig15Row, error) {
 	header(w, "Fig 15: SGEMM optimisation ladder (stats normalised to variant 6)")
 	dim := 64
@@ -262,9 +250,6 @@ func Fig15(ctx context.Context, w io.Writer, opt Options) ([]Fig15Row, error) {
 	case ScalePaper:
 		dim = 1024
 	}
-	a, b := workloads.SgemmInputs(dim, dim, dim)
-	want := workloads.SgemmNative(a, b, dim, dim, dim)
-
 	type snap struct {
 		gs   stats.GPUStats
 		mali float64
@@ -273,35 +258,18 @@ func Fig15(ctx context.Context, w io.Writer, opt Options) ([]Fig15Row, error) {
 	shots := map[int]*snap{}
 	variants := workloads.SgemmVariants()
 	for _, v := range variants {
-		p, err := platform.New(platform.Config{RAMSize: 1 << 30, GPU: opt.gpuConfig()})
+		spec, err := workloads.ByName(v.WorkloadName())
 		if err != nil {
 			return nil, err
 		}
-		c, err := cl.NewContext(p, opt.CompilerVersion)
+		out, err := runOne(ctx, spec, dim/16, opt, nil)
 		if err != nil {
-			p.Close()
 			return nil, err
 		}
-		got, err := workloads.RunSgemmVariant(ctx, c, v, a, b, dim, dim, dim)
-		if err != nil {
-			p.Close()
-			return nil, fmt.Errorf("variant %s: %w", v.Name, err)
-		}
-		for i := range got {
-			d := float64(got[i] - want[i])
-			if d > 1e-2 || d < -1e-2 {
-				p.Close()
-				return nil, fmt.Errorf("variant %s verification failed at %d", v.Name, i)
-			}
-		}
-		gs, _ := p.GPU.Stats()
-		p.Close()
-		mali := costmodel.MaliG71()
-		desk := costmodel.K20m()
 		shots[v.ID] = &snap{
-			gs:   gs,
-			mali: mali.Estimate(&gs),
-			nv:   desk.Estimate(&gs, v.Profile, 1),
+			gs:   out.gs,
+			mali: costmodel.MaliG71().Estimate(&out.gs),
+			nv:   costmodel.K20m().Estimate(&out.gs, spec.CostProfile(), 1),
 		}
 	}
 

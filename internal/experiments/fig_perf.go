@@ -40,7 +40,7 @@ func Fig7(ctx context.Context, w io.Writer, opt Options) ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := runOne(ctx, spec, opt, nil)
+		out, err := runOne(ctx, spec, opt.scaleOf(spec), opt, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -104,19 +104,21 @@ func Fig8(ctx context.Context, w io.Writer, opt Options) ([]Fig8Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		scale := opt.scaleOf(spec)
 		// Baseline mode: interpreter CPU (per-instruction dispatch).
-		base, err := runOne(ctx, spec, opt, func(p *platform.Platform) {
+		base, err := runOne(ctx, spec, scale, opt, func(p *platform.Platform) {
 			p.CPU.SetEngine(cpu.EngineInterp)
 		})
 		if err != nil {
 			return nil, err
 		}
-		ours, err := runOne(ctx, spec, opt, nil)
+		ours, err := runOne(ctx, spec, scale, opt, nil)
 		if err != nil {
 			return nil, err
 		}
-		instrOpt := opt
-		oursInstr, err := runOneCFG(ctx, spec, instrOpt)
+		oursInstr, err := runOne(ctx, spec, scale, opt, func(p *platform.Platform) {
+			p.GPU.SetCollectCFG(true)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -132,26 +134,6 @@ func Fig8(ctx context.Context, w io.Writer, opt Options) ([]Fig8Row, error) {
 		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\n", r.Name, r.Speedup, r.SpeedupInstrumented)
 	}
 	return rows, tw.Flush()
-}
-
-func runOneCFG(ctx context.Context, spec *workloads.Spec, opt Options) (*runOutcome, error) {
-	p, err := platform.New(platform.Config{RAMSize: 1 << 30, GPU: opt.gpuConfig()})
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
-	p.GPU.SetCollectCFG(true)
-	c, err := cl.NewContext(p, opt.CompilerVersion)
-	if err != nil {
-		return nil, err
-	}
-	inst := spec.Make(opt.scaleOf(spec))
-	res, err := inst.Run(ctx, c, spec.Name, true)
-	if err != nil {
-		return nil, err
-	}
-	gs, sys := p.GPU.Stats()
-	return &runOutcome{res: res, gs: gs, sys: sys, cpuTime: c.Drv.CPUTime}, nil
 }
 
 // Fig9Row is one input size of the driver-runtime scaling sweep. The
@@ -180,10 +162,14 @@ func Fig9(ctx context.Context, w io.Writer, opt Options) ([]Fig9Row, error) {
 	} else if opt.Scale == ScaleSmall {
 		dims = []int{64, 128, 256}
 	}
+	spec, err := workloads.ByName("SobelFilter")
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig9Row
 	for _, dim := range dims {
 		row := Fig9Row{Dim: dim}
-		if err := sobelDriverTime(ctx, &row, opt); err != nil {
+		if err := sobelDriverTime(ctx, spec, &row, opt); err != nil {
 			return nil, err
 		}
 		if err := sobelM2STime(&row, opt); err != nil {
@@ -201,9 +187,9 @@ func Fig9(ctx context.Context, w io.Writer, opt Options) ([]Fig9Row, error) {
 	return rows, tw.Flush()
 }
 
-// sobelDriverTime runs SobelFilter through our stack and fills the row's
-// driver-side columns.
-func sobelDriverTime(ctx context.Context, row *Fig9Row, opt Options) error {
+// sobelDriverTime runs SobelFilter at the row's width through our stack
+// and fills the row's driver-side columns.
+func sobelDriverTime(ctx context.Context, spec *workloads.Spec, row *Fig9Row, opt Options) error {
 	p, err := platform.New(platform.Config{RAMSize: 1 << 30, GPU: opt.gpuConfig()})
 	if err != nil {
 		return err
@@ -217,8 +203,7 @@ func sobelDriverTime(ctx context.Context, row *Fig9Row, opt Options) error {
 	// input size.
 	instrs, decodes := c.Drv.Core.Instret, c.Drv.Core.Decodes
 	cpuTime := c.Drv.CPUTime
-	inst := workloads.MakeSobelInstance(row.Dim)
-	if _, err := inst.Sim(ctx, c); err != nil {
+	if _, err := spec.Make(row.Dim).Sim(ctx, c); err != nil {
 		return err
 	}
 	row.OursCPUTime = c.Drv.CPUTime - cpuTime
@@ -251,7 +236,7 @@ func sobelM2STime(row *Fig9Row, opt Options) error {
 	if err := c.WriteBuffer(in, img); err != nil {
 		return err
 	}
-	k, err := c.BuildKernel(sobelM2SSrc, "sobel")
+	k, err := c.BuildKernel(workloads.SobelSrc, "sobel")
 	if err != nil {
 		return err
 	}
@@ -269,29 +254,6 @@ func sobelM2STime(row *Fig9Row, opt Options) error {
 	row.M2SInstrs, row.M2SDecodes = c.CPUInstret(), c.CPUDecodes()
 	return nil
 }
-
-const sobelM2SSrc = `
-kernel void sobel(global uchar* in, global uchar* out, int w, int h) {
-    int x = get_global_id(0);
-    int y = get_global_id(1);
-    if (x > 0 && x < w - 1 && y > 0 && y < h - 1) {
-        int i00 = in[(y - 1) * w + x - 1];
-        int i10 = in[(y - 1) * w + x];
-        int i20 = in[(y - 1) * w + x + 1];
-        int i01 = in[y * w + x - 1];
-        int i21 = in[y * w + x + 1];
-        int i02 = in[(y + 1) * w + x - 1];
-        int i12 = in[(y + 1) * w + x];
-        int i22 = in[(y + 1) * w + x + 1];
-        int gx = i00 + 2 * i01 + i02 - i20 - 2 * i21 - i22;
-        int gy = i00 + 2 * i10 + i20 - i02 - 2 * i12 - i22;
-        float m = sqrt((float)(gx * gx + gy * gy)) / 2.0f;
-        out[y * w + x] = min((int)m, 255);
-    } else if (x < w && y < h) {
-        out[y * w + x] = 0;
-    }
-}
-`
 
 // Fig10Row is one host-thread count of the scaling sweep.
 type Fig10Row struct {
@@ -319,7 +281,7 @@ func Fig10(ctx context.Context, w io.Writer, opt Options) ([]Fig10Row, error) {
 		}
 		o := opt
 		o.HostThreads = ht
-		out, err := runOne(ctx, spec, o, nil)
+		out, err := runOne(ctx, spec, o.scaleOf(spec), o, nil)
 		if err != nil {
 			return 0, err
 		}

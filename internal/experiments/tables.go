@@ -15,7 +15,7 @@ func Table2(w io.Writer) error {
 	header(w, "Table II: benchmarks and data set sizes")
 	tw := table(w)
 	fmt.Fprintln(tw, "benchmark\tsuite\tpaper input\tsmall/default/paper scale")
-	for _, s := range workloads.All() {
+	for _, s := range workloads.OfKind(workloads.KindBenchmark) {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%d / %d / %d\n",
 			s.Name, s.Suite, s.PaperInput, s.SmallScale, s.DefaultScale, s.PaperScale)
 	}
@@ -40,7 +40,7 @@ func Table3(ctx context.Context, w io.Writer, opt Options) ([]Table3Row, error) 
 		if err != nil {
 			return nil, err
 		}
-		out, err := runOne(ctx, spec, opt, nil)
+		out, err := runOne(ctx, spec, opt.scaleOf(spec), opt, nil)
 		if err != nil {
 			return nil, err
 		}

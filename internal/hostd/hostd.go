@@ -28,6 +28,7 @@ import (
 	"mobilesim/internal/cluster"
 	"mobilesim/internal/gpu"
 	"mobilesim/internal/obs"
+	"mobilesim/internal/platform"
 )
 
 // Config shapes a Server.
@@ -570,6 +571,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		perWorkload[wl.name] = latencyJSON(&wl.snap)
 	}
 	runSnap := s.runLatency.Snapshot()
+	ram := s.cfg.Sim.RAMSize
+	if ram == 0 {
+		ram = platform.DefaultRAMSize
+	}
 
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_s":          time.Since(s.start).Seconds(),
@@ -588,7 +593,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"per_workload": perWorkload,
 		},
 		"workloads":     len(mobilesim.Workloads()),
-		"guest_ram_mib": s.cfg.Sim.RAMSize >> 20,
+		"guest_ram_mib": ram >> 20, // what the host booted
 		// The process-wide caches every session shares (DESIGN.md §3.7, §9).
 		"compile_cache": cacheJSON(clc.MemoStats()),
 		"program_cache": cacheJSON(gpu.ProgramCacheStats()),

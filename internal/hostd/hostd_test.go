@@ -23,7 +23,7 @@ import (
 // forks cheap.
 func testServer(t *testing.T, cfg hostd.Config) *hostd.Server {
 	t.Helper()
-	if cfg.Sim.RAMSize == 0 {
+	if cfg.Sim == (mobilesim.Config{}) {
 		cfg.Sim = mobilesim.Config{RAMSize: 128 << 20, HostThreads: 2}
 	}
 	if cfg.PoolSize == 0 {
@@ -720,7 +720,8 @@ func TestRetriedKeyIsNotEvictedEarly(t *testing.T) {
 // latency and pool blocks. A key that disappears (or silently changes
 // type) must fail here, not in someone's dashboard.
 func TestStatsJSONShape(t *testing.T) {
-	srv := testServer(t, hostd.Config{})
+	// The benchmark's host configuration: RAM left at the default.
+	srv := testServer(t, hostd.Config{Sim: mobilesim.Config{HostThreads: 1}})
 	mux := srv.Mux()
 	if rec := do(mux, http.MethodPost, cluster.PathRun, `{"workload": "BFS", "scale": 4}`); rec.Code != http.StatusOK {
 		t.Fatalf("run: status %d: %s", rec.Code, rec.Body)
@@ -743,6 +744,9 @@ func TestStatsJSONShape(t *testing.T) {
 			keys = append(keys, k)
 		}
 		t.Errorf("stats body has %d keys, want %d: %v", len(body), len(want), keys)
+	}
+	if got := statUint(t, body, "guest_ram_mib"); got != 512 {
+		t.Errorf("guest_ram_mib = %d, want the 512 the host booted", got)
 	}
 
 	var lat struct {

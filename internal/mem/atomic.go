@@ -106,9 +106,9 @@ func AtomicStore32(view []byte, off uint64, val uint32) {
 }
 
 // AtomicLoadLE loads size (1, 2, 4 or 8) little-endian bytes at off from a
-// host view obtained through RAM.Slice/Bytes, with the word-granular
-// atomicity contract described in the package comment. The view must
-// start on a host word boundary and contain the word(s) touched — true
+// host view obtained through RAM.Bytes or Bus.PageView, with the
+// word-granular atomicity contract described in the package comment. The
+// view must start on a host word boundary and contain the word(s) touched — true
 // for whole-page views and RAM backing stores, the only callers.
 func AtomicLoadLE(view []byte, off uint64, size int) uint64 {
 	switch size {

@@ -105,13 +105,6 @@ func TestDirtyMapCoversEveryWriteEntryPoint(t *testing.T) {
 		{"Bytes view", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
 			ram.Bytes(dirtyBase+5*page, 2*page+1)[2*page] = 1
 		}, []uint64{5, 6, 7}},
-		{"Slice view", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {
-			v, ok := bus.Slice(dirtyBase, page)
-			if !ok {
-				t.Fatal("slice refused")
-			}
-			v[0] = 1
-		}, []uint64{0}},
 		// The guest CPU's store view: PageView itself never marks, the
 		// caller marks once when it caches a view it will store through.
 		{"StablePage store view", func(t *testing.T, ram *mem.RAM, bus *mem.Bus) {

@@ -97,14 +97,6 @@ func TestForkWritePathsPrivatize(t *testing.T) {
 		{"WriteBytes", func(r *RAM) error { return NewBus(r).WriteBytes(base, one) }, 1},
 		{"AtomicWriteBytes", func(r *RAM) error { return NewBus(r).AtomicWriteBytes(base, one) }, 1},
 		{"Bytes", func(r *RAM) error { copy(r.Bytes(base, 4), one); return nil }, 1},
-		{"Slice", func(r *RAM) error {
-			s, ok := r.Slice(base, 8)
-			if !ok {
-				t.Fatal("slice refused")
-			}
-			copy(s, one)
-			return nil
-		}, 1},
 		{"ZeroPage", func(r *RAM) error { ZeroPage(r, base); return nil }, 0},
 		{"PageView", func(r *RAM) error { copy(NewBus(r).PageView(base+8), one); return nil }, 1},
 	}

@@ -81,7 +81,7 @@ type RAM struct {
 
 	// dirty is the page-granular dirty map: bit pi is set once page pi of
 	// the backing store may hold a nonzero byte. Every write path records
-	// here — Write/WriteBytes/Atomic*, Bytes/Slice views, ZeroPage, and
+	// here — Write/WriteBytes/Atomic*, Bytes views, ZeroPage, and
 	// (at walk time) the MMU's cached writable page views — so Recycle
 	// scrubs exactly the pages written. A fork starts with its image's
 	// content pages marked (see image.go). Atomic: GPU workers mark
@@ -182,20 +182,6 @@ func (r *RAM) Bytes(addr uint64, size int) []byte {
 	return r.data[off : off+uint64(size)]
 }
 
-// Slice is the checked variant of Bytes: it returns a host view of
-// [addr, addr+size) when the range lies entirely inside the region, and
-// (nil, false) otherwise. Mutating the returned slice mutates simulated
-// memory, so the covered pages are marked dirty; the MMU's TLB caching
-// uses Bus.PageView instead, which does not mark.
-func (r *RAM) Slice(addr uint64, size int) ([]byte, bool) {
-	if !r.Contains(addr, size) {
-		return nil, false
-	}
-	off := addr - r.base
-	r.markDirty(addr, size)
-	return r.data[off : off+uint64(size)], true
-}
-
 // Read loads size bytes little-endian.
 func (r *RAM) Read(addr uint64, size int) (uint64, error) {
 	if !r.Contains(addr, size) {
@@ -217,11 +203,11 @@ func (r *RAM) Write(addr uint64, size int, val uint64) error {
 }
 
 // LoadLE loads len(b) bytes little-endian from a host view previously
-// obtained through Slice/Bytes. len(b) must be 1, 2, 4 or 8.
+// obtained through Bytes or PageView. len(b) must be 1, 2, 4 or 8.
 func LoadLE(b []byte) uint64 { return loadLE(b) }
 
 // StoreLE stores size bytes of val little-endian into a host view
-// previously obtained through Slice/Bytes.
+// previously obtained through Bytes or PageView.
 func StoreLE(b []byte, size int, val uint64) { storeLE(b, size, val) }
 
 func loadLE(b []byte) uint64 {
@@ -278,14 +264,6 @@ func NewBus(ram *RAM) *Bus {
 
 // RAM returns the bus's RAM region (for fast-path access after translation).
 func (b *Bus) RAM() *RAM { return b.ram }
-
-// Slice returns a host view of a physical range when it is RAM-backed, and
-// (nil, false) for device or unmapped ranges. Device registers must never be
-// served from cached byte views: every MMIO access has side effects the
-// device model must observe.
-func (b *Bus) Slice(addr uint64, size int) ([]byte, bool) {
-	return b.ram.Slice(addr, size)
-}
 
 // MarkDirty records that the caller may write [addr, addr+size) through a
 // previously obtained host view, keeping the RAM's dirty map honest. The

@@ -227,45 +227,19 @@ func TestPageAllocatorContiguous(t *testing.T) {
 	}
 }
 
-func TestRAMSlice(t *testing.T) {
-	r := NewRAM(0x8000_0000, 1<<16)
-	s, ok := r.Slice(0x8000_0100, PageSize)
-	if !ok || len(s) != PageSize {
-		t.Fatalf("Slice = len %d, ok %v", len(s), ok)
-	}
-	// The view aliases simulated memory in both directions.
-	s[0] = 0x5A
-	if v, err := r.Read(0x8000_0100, 1); err != nil || v != 0x5A {
-		t.Errorf("write through slice invisible: %#x, %v", v, err)
-	}
-	if err := r.Write(0x8000_0101, 1, 0xC3); err != nil {
-		t.Fatal(err)
-	}
-	if s[1] != 0xC3 {
-		t.Errorf("RAM write invisible through slice: %#x", s[1])
-	}
-	// Out-of-range requests are refused, including partial overlaps.
-	if _, ok := r.Slice(0x7FFF_FFF0, 32); ok {
-		t.Error("slice below base accepted")
-	}
-	if _, ok := r.Slice(0x8000_0000+1<<16-8, 16); ok {
-		t.Error("slice crossing end accepted")
-	}
-}
-
-func TestBusSliceRejectsMMIO(t *testing.T) {
+func TestBusPageViewRejectsMMIO(t *testing.T) {
 	bus := NewBus(NewRAM(0x8000_0000, 1<<16))
 	if err := bus.MapDevice("probe", 0x1000_0000, 0x1000, &probeDevice{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := bus.Slice(0x1000_0000, 16); ok {
-		t.Error("Slice must not expose device ranges as bytes")
+	if bus.PageView(0x1000_0000) != nil {
+		t.Error("PageView must not expose device ranges as bytes")
 	}
-	if _, ok := bus.Slice(0x2000_0000, 16); ok {
-		t.Error("Slice must not expose unmapped ranges")
+	if bus.PageView(0x2000_0000) != nil {
+		t.Error("PageView must not expose unmapped ranges")
 	}
-	if s, ok := bus.Slice(0x8000_0000, 64); !ok || len(s) != 64 {
-		t.Errorf("RAM slice refused: len %d ok %v", len(s), ok)
+	if v := bus.PageView(0x8000_0040); len(v) != PageSize {
+		t.Errorf("RAM page view refused: len %d", len(v))
 	}
 }
 
@@ -347,7 +321,7 @@ func TestLoadStoreLE(t *testing.T) {
 
 // TestRecycleScrubsAllWritePaths pins the pool-reuse contract: a recycled
 // backing store must come back all-zero no matter which path dirtied it —
-// Bus.Write, Bus.WriteBytes, a Slice view, or a cached page view handed
+// Bus.Write, Bus.WriteBytes, a Bytes view, or a cached page view handed
 // out for the MMU fast path — with nothing but the dirty map to go by.
 func TestRecycleScrubsAllWritePaths(t *testing.T) {
 	const base, size = 0x8000_0000, uint64(1 << 21)
@@ -368,11 +342,7 @@ func TestRecycleScrubsAllWritePaths(t *testing.T) {
 		if err := bus.WriteBytes(base+size/2, []byte{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
-		view, ok := bus.Slice(base+size/4, PageSize)
-		if !ok {
-			t.Fatal("slice refused")
-		}
-		view[10] = 0xEE
+		ram.Bytes(base+size/4, PageSize)[10] = 0xEE
 		page := bus.PageView(base + size/8)
 		if page == nil {
 			t.Fatal("page view refused")

@@ -66,7 +66,7 @@ func SetRecycleAudit(fn func(store []byte, markedTop uint64)) { recycleAudit.Sto
 // bound — there is no caller-derived range — so a write path that forgets
 // to mark leaks guest bytes to the next owner; the isolation audit test
 // scans for exactly that. The RAM must not be used after Recycle;
-// outstanding Bytes/Slice views go stale.
+// outstanding Bytes and PageView views go stale.
 func (r *RAM) Recycle() {
 	if r.data == nil {
 		return

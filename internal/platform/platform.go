@@ -34,11 +34,14 @@ const (
 	// at probe time (a 4 MiB staging buffer, page tables, job slots),
 	// rounded up with room for a workload's buffers.
 	MinRAMSize = 16 << 20
+
+	// DefaultRAMSize is the main memory a zero Config.RAMSize boots with.
+	DefaultRAMSize = 512 << 20
 )
 
 // Config selects the platform shape.
 type Config struct {
-	// RAMSize is main memory size in bytes (default 512 MiB).
+	// RAMSize is main memory size in bytes (default DefaultRAMSize).
 	RAMSize uint64
 	// GPU configures the simulated GPU.
 	GPU gpu.Config
@@ -93,7 +96,7 @@ func New(cfg Config) (*Platform, error) {
 func NewFromState(cfg Config, st *State) (_ *Platform, err error) {
 	if st == nil {
 		if cfg.RAMSize == 0 {
-			cfg.RAMSize = 512 << 20
+			cfg.RAMSize = DefaultRAMSize
 		}
 	} else {
 		if cfg.RAMSize != 0 && cfg.RAMSize != st.RAM.Size() {

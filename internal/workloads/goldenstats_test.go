@@ -224,14 +224,14 @@ func TestStatsIdenticalWithCFGCollection(t *testing.T) {
 
 func TestGoldenStatsAllWorkloads(t *testing.T) {
 	if os.Getenv("MOBILESIM_GOLDEN") == "print" {
-		for _, spec := range All() {
+		for _, spec := range OfKind(KindBenchmark) {
 			g := collectGoldenStats(t, spec.Name)
 			fmt.Printf("\t%q: {GlobalLS: %d, MainMemAcc: %d, TLBHits: %d, TLBWalks: %d, Pages: %d, Jobs: %d, Threads: %d},\n",
 				spec.Name, g.GlobalLS, g.MainMemAcc, g.TLBHits, g.TLBWalks, g.Pages, g.Jobs, g.Threads)
 		}
 		return
 	}
-	for _, spec := range All() {
+	for _, spec := range OfKind(KindBenchmark) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()

@@ -3,6 +3,7 @@ package workloads
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"mobilesim/internal/cl"
 	"mobilesim/internal/costmodel"
@@ -11,7 +12,33 @@ import (
 // The six SGEMM variants of Fig 15, following the myGEMM/CLBlast
 // optimisation ladder the paper evaluates ([27], [28]): each variant is an
 // optimisation developed for NVIDIA GPUs, applied unchanged to the mobile
-// target. Dimensions must be multiples of 16.
+// target. Dimensions must be multiples of 16. Each rung is registered as a
+// workload whose scale is the matrix dimension in units of 16 (the
+// ladder's tile size), so scale 4 is a 64×64×64 multiply.
+
+func init() {
+	for _, v := range SgemmVariants() {
+		v := v
+		register(&Spec{
+			Name: v.WorkloadName(), Kind: KindSgemm, Suite: "myGEMM",
+			Description: fmt.Sprintf("SGEMM ladder step %d (%s), scale = dim/16", v.ID, v.Name),
+			Profile:     &v.Profile,
+			SmallScale:  1, DefaultScale: 4, PaperScale: 16,
+			Make: func(scale int) *Instance { return makeSgemmRung(v, 16*scale) },
+		})
+	}
+}
+
+func makeSgemmRung(v SgemmVariant, dim int) *Instance {
+	a, b := SgemmInputs(dim, dim, dim)
+	return &Instance{
+		Sim: func(ctx context.Context, c *cl.Context) (any, error) {
+			return RunSgemmVariant(ctx, c, v, a, b, dim, dim, dim)
+		},
+		Native: func() any { return SgemmNative(a, b, dim, dim, dim) },
+		Tol:    1e-2,
+	}
+}
 
 // SgemmVariant is one rung of the optimisation ladder.
 type SgemmVariant struct {
@@ -31,6 +58,9 @@ type SgemmVariant struct {
 	// aggregate counters).
 	Profile costmodel.KernelProfile
 }
+
+// WorkloadName is the rung's registry name, e.g. "sgemm6/naive".
+func (v SgemmVariant) WorkloadName() string { return "sgemm6/" + strings.ToLower(v.Name) }
 
 // SgemmVariants returns the ladder in paper order.
 func SgemmVariants() []SgemmVariant {

@@ -1,9 +1,11 @@
-// Package workloads implements the paper's benchmark suite (Table II):
-// the AMD APP SDK, Parboil and Rodinia kernels plus clBLAS SGEMM, each as
-// CLite OpenCL source executed through the full simulated stack, paired
-// with a host-native Go reference implementation that serves both as the
-// correctness oracle and as the "native execution" baseline for the
-// slowdown measurements (Fig 7).
+// Package workloads defines every workload the repository runs, each as
+// one Spec: the paper's benchmark suite (Table II — the AMD APP SDK,
+// Parboil and Rodinia kernels plus clBLAS SGEMM), the SLAMBench pipeline
+// presets (Fig 14) and the SGEMM tuning ladder (Fig 15). Each is CLite
+// OpenCL source executed through the full simulated stack; the benchmarks
+// and the ladder pair it with a host-native Go reference implementation
+// that serves both as the correctness oracle and as the "native
+// execution" baseline for the slowdown measurements (Fig 7).
 package workloads
 
 import (
@@ -16,28 +18,49 @@ import (
 	"time"
 
 	"mobilesim/internal/cl"
+	"mobilesim/internal/costmodel"
 )
 
-// Instance is one prepared benchmark run: inputs generated, kernels ready.
+// Kind classifies a workload.
+type Kind string
+
+// Workload kinds.
+const (
+	KindBenchmark Kind = "benchmark" // Table II suite member
+	KindSLAM      Kind = "slam"      // SLAMBench pipeline preset
+	KindSgemm     Kind = "sgemm"     // SGEMM tuning-ladder variant
+)
+
+// Instance is one prepared workload run: inputs generated, kernels ready.
 type Instance struct {
 	// Sim runs the full workload on the simulator (buffer traffic, kernel
 	// enqueues, result readback) and returns the output signature. A
 	// cancelled ctx interrupts the running kernel at a clause boundary.
 	Sim func(ctx context.Context, c *cl.Context) (any, error)
 	// Native runs the same computation host-natively and returns the
-	// reference signature.
+	// reference signature; nil when the workload has none (SLAM), in which
+	// case Run never verifies.
 	Native func() any
 	// Tol is the comparison tolerance for float outputs.
 	Tol float64
 }
 
-// Spec describes a benchmark and how to instantiate it at a given scale.
+// Spec describes a workload and how to instantiate it at a given scale.
 // Scale is a linear size knob: SmallScale keeps unit tests fast,
-// DefaultScale drives benches, PaperScale approximates Table II.
+// DefaultScale drives benches, PaperScale approximates the paper's input.
 type Spec struct {
-	Name       string
-	Suite      string
+	Name string
+	// Kind defaults to KindBenchmark at registration.
+	Kind  Kind
+	Suite string
+	// PaperInput is the Table II input size (benchmarks only).
 	PaperInput string
+	// Description is the one-line listing summary; a benchmark's defaults
+	// to its suite and paper input.
+	Description string
+	// Profile is the access-pattern annotation the desktop cost model
+	// reads; nil means costmodel.DefaultProfile (see CostProfile).
+	Profile *costmodel.KernelProfile
 	// Make builds an Instance; scale semantics are per workload but
 	// monotone (bigger scale, bigger input).
 	Make         func(scale int) *Instance
@@ -46,19 +69,47 @@ type Spec struct {
 	PaperScale   int
 }
 
+// CostProfile is the desktop cost model's annotation for this workload.
+func (s *Spec) CostProfile() costmodel.KernelProfile {
+	if s.Profile == nil {
+		return costmodel.DefaultProfile()
+	}
+	return *s.Profile
+}
+
 var registry []*Spec
 
-func register(s *Spec) { registry = append(registry, s) }
+func register(s *Spec) {
+	if s.Kind == "" {
+		s.Kind = KindBenchmark
+	}
+	if s.Description == "" {
+		s.Description = fmt.Sprintf("%s benchmark (paper input %s)", s.Suite, s.PaperInput)
+	}
+	registry = append(registry, s)
+}
 
-// All returns the registered benchmarks sorted by name.
+// All returns every registered workload sorted by name.
 func All() []*Spec {
 	out := append([]*Spec(nil), registry...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// ByName finds a benchmark. The error for an unknown name lists the
-// registered benchmarks and suggests the nearest match, mirroring the
+// OfKind returns the registered workloads of one kind sorted by name;
+// OfKind(KindBenchmark) is the Table II suite.
+func OfKind(k Kind) []*Spec {
+	var out []*Spec
+	for _, s := range All() {
+		if s.Kind == k {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// ByName finds a workload. The error for an unknown name lists the
+// registered workloads and suggests the nearest match, mirroring the
 // compiler-version validation in the facade Config.
 func ByName(name string) (*Spec, error) {
 	for _, s := range registry {
@@ -70,7 +121,7 @@ func ByName(name string) (*Spec, error) {
 	for _, s := range registry {
 		names = append(names, s.Name)
 	}
-	return nil, UnknownNameError("workloads", "benchmark", name, names)
+	return nil, UnknownNameError("workloads", "workload", name, names)
 }
 
 // UnknownNameError builds the standard list-and-suggest error for an
@@ -121,7 +172,9 @@ func editDistance(a, b string) int {
 
 // Result is a completed run.
 type Result struct {
-	Name           string
+	// Output is what the simulator returned: the output signature, or a
+	// SLAM preset's *slam.Metrics.
+	Output         any
 	SimDuration    time.Duration
 	NativeDuration time.Duration
 	Verified       bool
@@ -129,9 +182,9 @@ type Result struct {
 }
 
 // Run executes the instance on the given context, times the simulator and
-// native paths, and verifies outputs. With verify false the host-native
-// reference is neither run nor compared (Result.Verified stays false and
-// NativeDuration zero).
+// native paths, and verifies outputs. With verify false, or without a
+// host-native reference, the reference is neither run nor compared
+// (Result.Verified stays false and NativeDuration zero).
 func (inst *Instance) Run(ctx context.Context, c *cl.Context, name string, verify bool) (*Result, error) {
 	t0 := time.Now()
 	simOut, err := inst.Sim(ctx, c)
@@ -140,8 +193,8 @@ func (inst *Instance) Run(ctx context.Context, c *cl.Context, name string, verif
 	}
 	simDur := time.Since(t0)
 
-	res := &Result{Name: name, SimDuration: simDur}
-	if !verify {
+	res := &Result{Output: simOut, SimDuration: simDur}
+	if !verify || inst.Native == nil {
 		return res, nil
 	}
 	t1 := time.Now()
@@ -155,11 +208,6 @@ func (inst *Instance) Run(ctx context.Context, c *cl.Context, name string, verif
 	}
 	return res, nil
 }
-
-// Compare checks an output signature against its reference with the
-// package's tolerance rules (NaN-aware float comparison, exact integer
-// comparison) — for callers that verify outside Instance.Run.
-func Compare(sim, nat any, tol float64) error { return compare(sim, nat, tol) }
 
 // compare checks output signatures with tolerance for floats.
 func compare(sim, nat any, tol float64) error {

@@ -14,7 +14,7 @@ var bg = context.Background()
 // small scale through the full simulated stack and checks bit-level (int)
 // or tolerance (float) agreement with the host-native reference.
 func TestAllBenchmarksVerifyAgainstNative(t *testing.T) {
-	for _, spec := range All() {
+	for _, spec := range OfKind(KindBenchmark) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
@@ -90,7 +90,7 @@ func TestRegistryComplete(t *testing.T) {
 		"SPMV", "ScanLargeArrays", "SobelFilter", "Stencil", "URNG",
 		"clBLAS-SGEMM",
 	}
-	all := All()
+	all := OfKind(KindBenchmark)
 	if len(all) != len(want) {
 		t.Errorf("registry has %d entries, want %d", len(all), len(want))
 	}

@@ -38,19 +38,14 @@ type ModeledCost struct {
 	DesktopCycles float64
 }
 
-// kernelProfiler is implemented by workloads that carry a per-kernel
-// access-pattern annotation for the desktop model (the SGEMM ladder
-// rungs); all other workloads get costmodel.DefaultProfile.
-type kernelProfiler interface {
-	kernelProfile() costmodel.KernelProfile
-}
-
 // modeledCost evaluates both analytical models on a per-run statistics
-// delta: the run's own (snapshot-diffed) counters.
+// delta: the run's own (snapshot-diffed) counters. The desktop model reads
+// the workload's Spec profile (the SGEMM ladder rungs carry one); custom
+// workloads get costmodel.DefaultProfile.
 func modeledCost(delta *Stats, w Workload) ModeledCost {
 	prof := costmodel.DefaultProfile()
-	if pw, ok := w.(kernelProfiler); ok {
-		prof = pw.kernelProfile()
+	if sw, ok := w.(specWorkload); ok {
+		prof = sw.spec.CostProfile()
 	}
 	return ModeledCost{
 		MobileCycles:  costmodel.MaliG71().Estimate(&delta.GPU),

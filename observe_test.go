@@ -45,3 +45,27 @@ func TestRunResultModeled(t *testing.T) {
 		t.Fatalf("modelled cost not deterministic: %+v vs %+v", first, second)
 	}
 }
+
+// TestLadderModeledUsesRungProfile: a ladder rung's desktop estimate is
+// evaluated with the rung's own access-pattern profile, which the default
+// profile does not reproduce.
+func TestLadderModeledUsesRungProfile(t *testing.T) {
+	sess, err := mobilesim.New(obsConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	naive := mobilesim.SgemmVariants()[0]
+	res, err := sess.Run(context.Background(), naive.WorkloadName(), mobilesim.WithScale(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, launches := res.Stats.GPU, res.Stats.System.KernelLaunch
+	want := mobilesim.K20m().Estimate(&gs, naive.Profile, launches)
+	if res.Modeled.DesktopCycles != want {
+		t.Errorf("desktop estimate %v, want %v from the rung's profile", res.Modeled.DesktopCycles, want)
+	}
+	if def := mobilesim.K20m().Estimate(&gs, mobilesim.DefaultKernelProfile(), launches); def == want {
+		t.Fatalf("the rung's profile and the default estimate alike (%v): the test cannot tell them apart", def)
+	}
+}

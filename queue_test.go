@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"mobilesim"
+	"mobilesim/internal/workloads"
 )
 
 // queueTestConfig keeps GPU dispatch single-threaded (see file comment).
@@ -405,7 +406,7 @@ func TestWorkloadRegistryRoundTrip(t *testing.T) {
 		names = append(names, b.Name)
 	}
 	for _, v := range mobilesim.SgemmVariants() {
-		names = append(names, "sgemm6/"+strings.ToLower(v.Name))
+		names = append(names, v.WorkloadName())
 	}
 	names = append(names, "slam/standard", "slam/fast3", "slam/express")
 
@@ -445,6 +446,61 @@ func TestWorkloadRegistryRoundTrip(t *testing.T) {
 	}
 	if err := mobilesim.Register(spinWorkload{}); err == nil {
 		t.Error("duplicate Register succeeded")
+	}
+}
+
+// TestWorkloadsListTheSpecs: the facade registry is the workloads
+// package's — every Spec of all three kinds is listed with its metadata,
+// and the only other entries are workloads the tests register themselves.
+func TestWorkloadsListTheSpecs(t *testing.T) {
+	listed := make(map[string]mobilesim.WorkloadInfo)
+	for _, info := range mobilesim.Workloads() {
+		listed[info.Name] = info
+	}
+	perKind := make(map[mobilesim.WorkloadKind]int)
+	for _, s := range workloads.All() {
+		perKind[s.Kind]++
+		want := mobilesim.WorkloadInfo{
+			Name: s.Name, Kind: s.Kind, Suite: s.Suite, Description: s.Description,
+			SmallScale: s.SmallScale, DefaultScale: s.DefaultScale, PaperScale: s.PaperScale,
+		}
+		if got, ok := listed[s.Name]; !ok {
+			t.Errorf("Workloads() misses %q", s.Name)
+		} else if got != want {
+			t.Errorf("Workloads() lists %+v, the Spec says %+v", got, want)
+		}
+		delete(listed, s.Name)
+	}
+	for name := range listed {
+		if !strings.HasPrefix(name, "test/") && !strings.HasPrefix(name, "bench/") {
+			t.Errorf("Workloads() lists %q, which is no Spec", name)
+		}
+	}
+	wantKinds := map[mobilesim.WorkloadKind]int{
+		mobilesim.KindBenchmark: len(mobilesim.Benchmarks()),
+		mobilesim.KindSLAM:      3,
+		mobilesim.KindSgemm:     len(mobilesim.SgemmVariants()),
+	}
+	for k, n := range wantKinds {
+		if n == 0 || perKind[k] != n {
+			t.Errorf("%d %s Specs registered, want %d", perKind[k], k, n)
+		}
+	}
+}
+
+// TestSpecSimErrorNamesTheWorkload: a SLAM preset interrupted mid-run
+// fails like a Table II benchmark does — "<name>: sim: …" — and the
+// context error still matches through the prefix.
+func TestSpecSimErrorNamesTheWorkload(t *testing.T) {
+	sess := newQueueTestSession(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err := sess.Run(ctx, "slam/standard", mobilesim.WithScale(2))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("interrupted run returned %v, want a deadline error", err)
+	}
+	if !strings.HasPrefix(err.Error(), "slam/standard: sim: ") {
+		t.Errorf("error %q does not name the workload", err)
 	}
 }
 

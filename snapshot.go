@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"mobilesim/internal/clc"
 	"mobilesim/internal/gpu"
 	"mobilesim/internal/snapshot"
 )
@@ -120,8 +121,8 @@ func FromSnapshot(snap *Snapshot) NewOption {
 // mergeSnapshotConfig resolves the effective configuration of a restored
 // session (see FromSnapshot). Architectural fields in cfg are compared
 // against the snapshot's *resolved* shape, so asking for the defaults
-// explicitly (e.g. ShaderCores: 8 against a snapshot captured with the
-// zero default) is accepted.
+// explicitly (e.g. ShaderCores: 8 or CompilerVersion: "6.1" against a
+// snapshot captured with the zero defaults) is accepted.
 func mergeSnapshotConfig(cfg Config, snap *Snapshot) (Config, error) {
 	eff := snap.Config()
 	snapRAM := eff.RAMSize
@@ -131,6 +132,10 @@ func mergeSnapshotConfig(cfg Config, snap *Snapshot) (Config, error) {
 	snapSC := eff.ShaderCores
 	if snapSC == 0 {
 		snapSC = gpu.DefaultConfig().ShaderCores
+	}
+	snapVer := eff.CompilerVersion
+	if snapVer == "" {
+		snapVer = clc.DefaultVersion
 	}
 	type mismatch struct {
 		field string
@@ -143,8 +148,8 @@ func mergeSnapshotConfig(cfg Config, snap *Snapshot) (Config, error) {
 		bad = &mismatch{"RAMSize", snapRAM, cfg.RAMSize}
 	case cfg.ShaderCores != 0 && cfg.ShaderCores != snapSC:
 		bad = &mismatch{"ShaderCores", snapSC, cfg.ShaderCores}
-	case cfg.CompilerVersion != "" && cfg.CompilerVersion != eff.CompilerVersion:
-		bad = &mismatch{"CompilerVersion", eff.CompilerVersion, cfg.CompilerVersion}
+	case cfg.CompilerVersion != "" && cfg.CompilerVersion != snapVer:
+		bad = &mismatch{"CompilerVersion", snapVer, cfg.CompilerVersion}
 	}
 	if bad != nil {
 		return Config{}, fmt.Errorf("mobilesim: FromSnapshot: %s %v does not match the snapshot's %v",

@@ -452,6 +452,38 @@ func TestFromSnapshotConfigRules(t *testing.T) {
 	s.Close()
 }
 
+// TestFromSnapshotAcceptsRestatedDefaults: against a snapshot of the zero
+// Config, each architectural field may name the default it resolved to —
+// the compiler version included — while a different version is refused.
+func TestFromSnapshotAcceptsRestatedDefaults(t *testing.T) {
+	parent, err := mobilesim.New(mobilesim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parent.Close()
+	snap, err := parent.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cfg mobilesim.Config
+		ok  bool
+	}{
+		{mobilesim.Config{CompilerVersion: "6.1"}, true},
+		{mobilesim.Config{ShaderCores: 8}, true},
+		{mobilesim.Config{RAMSize: 512 << 20}, true},
+		{mobilesim.Config{CompilerVersion: "5.6"}, false},
+	} {
+		s, err := mobilesim.New(tc.cfg, mobilesim.FromSnapshot(snap))
+		if err == nil {
+			s.Close()
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("%+v: accepted %v, want %v (%v)", tc.cfg, err == nil, tc.ok, err)
+		}
+	}
+}
+
 // TestSessionPool exercises the warm pool: hand-out, refill, on-demand
 // forking and close semantics.
 func TestSessionPool(t *testing.T) {

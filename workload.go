@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
-	"time"
 
 	"mobilesim/internal/cl"
 	"mobilesim/internal/costmodel"
@@ -17,18 +15,19 @@ import (
 // This file is the unified Workload layer: one registry and one execution
 // contract for everything a session can run — the Table II benchmark
 // suite, the SLAMBench pipeline presets (Fig 14) and the SGEMM tuning
-// ladder (Fig 15). Sessions execute workloads by name through
-// Session.Run / Session.RunWorkload. The paper's tables and figures are
-// not workloads: each boots its own platforms (cmd/experiments).
+// ladder (Fig 15), each one workloads.Spec. Sessions execute workloads by
+// name through Session.Run / Session.RunWorkload. The paper's tables and
+// figures are not workloads: each boots its own platforms
+// (cmd/experiments).
 
 // WorkloadKind classifies a registered workload.
-type WorkloadKind string
+type WorkloadKind = workloads.Kind
 
 // Workload kinds.
 const (
-	KindBenchmark WorkloadKind = "benchmark" // Table II suite member
-	KindSLAM      WorkloadKind = "slam"      // SLAMBench pipeline preset
-	KindSgemm     WorkloadKind = "sgemm"     // SGEMM tuning-ladder variant
+	KindBenchmark = workloads.KindBenchmark // Table II suite member
+	KindSLAM      = workloads.KindSLAM      // SLAMBench pipeline preset
+	KindSgemm     = workloads.KindSgemm     // SGEMM tuning-ladder variant
 )
 
 // WorkloadInfo describes a registered workload.
@@ -153,148 +152,48 @@ func resolveOptions(opts []RunOption) *RunOptions {
 	return o
 }
 
-// --- Benchmark workloads ---------------------------------------------------
+// --- Spec workloads --------------------------------------------------------
 
-// benchmarkWorkload adapts one Table II suite member.
-type benchmarkWorkload struct{ spec *workloads.Spec }
+// specWorkload adapts one workloads.Spec — a Table II benchmark, a
+// SLAMBench preset or an SGEMM ladder rung — to the registry.
+type specWorkload struct{ spec *workloads.Spec }
 
-func (b benchmarkWorkload) Info() WorkloadInfo {
+func (w specWorkload) Info() WorkloadInfo {
+	s := w.spec
 	return WorkloadInfo{
-		Name:        b.spec.Name,
-		Kind:        KindBenchmark,
-		Suite:       b.spec.Suite,
-		Description: fmt.Sprintf("%s benchmark (paper input %s)", b.spec.Suite, b.spec.PaperInput),
-		SmallScale:  b.spec.SmallScale, DefaultScale: b.spec.DefaultScale, PaperScale: b.spec.PaperScale,
+		Name: s.Name, Kind: s.Kind, Suite: s.Suite, Description: s.Description,
+		SmallScale: s.SmallScale, DefaultScale: s.DefaultScale, PaperScale: s.PaperScale,
 	}
 }
 
-func (b benchmarkWorkload) Execute(ctx context.Context, s *Session, opt *RunOptions) (*RunResult, error) {
+func (w specWorkload) Execute(ctx context.Context, s *Session, opt *RunOptions) (*RunResult, error) {
 	scale := opt.Scale
 	if scale <= 0 {
-		scale = b.spec.DefaultScale
+		scale = w.spec.DefaultScale
 	}
-	inst := b.spec.Make(scale)
+	inst := w.spec.Make(scale)
 	var res *workloads.Result
 	err := s.withCL(func(c *cl.Context) (e error) {
-		res, e = inst.Run(ctx, c, b.spec.Name, opt.Verify)
+		res, e = inst.Run(ctx, c, w.spec.Name, opt.Verify)
 		return
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{
-		Workload: b.spec.Name, Kind: KindBenchmark, Scale: scale,
+	out := &RunResult{
+		Workload: w.spec.Name, Kind: w.spec.Kind, Scale: scale,
 		SimDuration:    res.SimDuration,
 		NativeDuration: res.NativeDuration,
 		Verified:       res.Verified,
 		VerifyErr:      res.VerifyErr,
-	}, nil
-}
-
-// --- SLAM workloads --------------------------------------------------------
-
-// slamWorkload adapts one SLAMBench preset; scale multiplies the input
-// resolution (1 = 64×64 for standard).
-type slamWorkload struct {
-	name   string
-	preset func(scale int) slam.Config
-}
-
-func (w slamWorkload) Info() WorkloadInfo {
-	return WorkloadInfo{
-		Name: w.name, Kind: KindSLAM, Suite: "SLAMBench",
-		Description: "KFusion-style dense-SLAM pipeline (Fig 14 preset)",
-		SmallScale:  1, DefaultScale: 1, PaperScale: 4,
 	}
+	out.SLAM, _ = res.Output.(*SLAMMetrics)
+	return out, nil
 }
-
-func (w slamWorkload) Execute(ctx context.Context, s *Session, opt *RunOptions) (*RunResult, error) {
-	scale := opt.Scale
-	if scale <= 0 {
-		scale = 1
-	}
-	var m *SLAMMetrics
-	t0 := time.Now()
-	err := s.withCL(func(c *cl.Context) (e error) {
-		m, e = slam.Run(ctx, c, w.preset(scale))
-		return
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &RunResult{
-		Workload: w.name, Kind: KindSLAM, Scale: scale,
-		SimDuration: time.Since(t0),
-		SLAM:        m,
-	}, nil
-}
-
-// --- SGEMM tuning-ladder workloads -----------------------------------------
-
-// sgemmWorkload adapts one rung of the Fig 15 optimisation ladder. Scale
-// is the matrix dimension in units of 16 (the ladder's tile size), so
-// scale 4 is a 64×64×64 multiply.
-type sgemmWorkload struct{ v workloads.SgemmVariant }
-
-func sgemmWorkloadName(v workloads.SgemmVariant) string {
-	return "sgemm6/" + strings.ToLower(v.Name)
-}
-
-func (w sgemmWorkload) Info() WorkloadInfo {
-	return WorkloadInfo{
-		Name: sgemmWorkloadName(w.v), Kind: KindSgemm, Suite: "myGEMM",
-		Description: fmt.Sprintf("SGEMM ladder step %d (%s), scale = dim/16", w.v.ID, w.v.Name),
-		SmallScale:  1, DefaultScale: 4, PaperScale: 16,
-	}
-}
-
-// kernelProfile hands the variant's access-pattern annotation to the
-// desktop cost model, so RunResult.Modeled reproduces the Fig 15
-// per-rung desktop estimates instead of using the generic default.
-func (w sgemmWorkload) kernelProfile() costmodel.KernelProfile { return w.v.Profile }
-
-func (w sgemmWorkload) Execute(ctx context.Context, s *Session, opt *RunOptions) (*RunResult, error) {
-	scale := opt.Scale
-	if scale <= 0 {
-		scale = 4
-	}
-	dim := 16 * scale
-	a, b := workloads.SgemmInputs(dim, dim, dim)
-	res := &RunResult{Workload: sgemmWorkloadName(w.v), Kind: KindSgemm, Scale: scale}
-	var got []float32
-	t0 := time.Now()
-	err := s.withCL(func(c *cl.Context) (e error) {
-		got, e = workloads.RunSgemmVariant(ctx, c, w.v, a, b, dim, dim, dim)
-		return
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.SimDuration = time.Since(t0)
-	if opt.Verify {
-		t1 := time.Now()
-		want := workloads.SgemmNative(a, b, dim, dim, dim)
-		res.NativeDuration = time.Since(t1)
-		if err := workloads.Compare(got, want, 1e-2); err != nil {
-			res.VerifyErr = fmt.Errorf("%s: verify: %w", res.Workload, err)
-		} else {
-			res.Verified = true
-		}
-	}
-	return res, nil
-}
-
-// --- Registration ----------------------------------------------------------
 
 func init() {
 	for _, spec := range workloads.All() {
-		mustRegister(benchmarkWorkload{spec: spec})
-	}
-	mustRegister(slamWorkload{name: "slam/standard", preset: slam.Standard})
-	mustRegister(slamWorkload{name: "slam/fast3", preset: slam.Fast3})
-	mustRegister(slamWorkload{name: "slam/express", preset: slam.Express})
-	for _, v := range workloads.SgemmVariants() {
-		mustRegister(sgemmWorkload{v: v})
+		mustRegister(specWorkload{spec: spec})
 	}
 }
 
