@@ -247,38 +247,6 @@ func BenchmarkAblationDBT(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDecodeCache measures decode-once against re-decoding
-// the shader binary on every job (an iterative multi-job workload).
-func BenchmarkAblationDecodeCache(b *testing.B) {
-	for _, cached := range []bool{true, false} {
-		name := "on"
-		if !cached {
-			name = "off"
-		}
-		cfg := gpu.DefaultConfig()
-		cfg.DecodeCache = cached
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				spec, _ := workloads.ByName("BitonicSort")
-				p, err := platform.New(platform.Config{RAMSize: 256 << 20, GPU: cfg})
-				if err != nil {
-					b.Fatal(err)
-				}
-				c, err := cl.NewContext(p, "")
-				if err != nil {
-					p.Close()
-					b.Fatal(err)
-				}
-				if _, err := spec.Make(1024).Run(bg, c, "BitonicSort", true); err != nil {
-					p.Close()
-					b.Fatal(err)
-				}
-				p.Close()
-			}
-		})
-	}
-}
-
 // BenchmarkAblationVirtualCores compares 1:1 shader-core mapping against
 // over-committed virtual cores (§III-B3, evaluated as Fig 10). The
 // engine=... sub-benchmarks re-run the over-committed point under each

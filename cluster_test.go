@@ -69,9 +69,14 @@ func TestClusterMatchesLocalBatch(t *testing.T) {
 			}
 
 			// Fault injection: every delivery-machinery path fires during
-			// the run. The kill only when a survivor exists.
-			hosts[0].ScriptRun(clustertest.Script{Status: 503})
+			// the run. The kill only when a survivor exists. The delay
+			// takes host 0's first request, a first dispatch whose hedge
+			// wins (a delayed hedge would lose, and be observed only after
+			// the report is taken); its other stream then serves the 503
+			// and the disconnect at once, not only if host 0 still gets
+			// requests after the two seconds.
 			hosts[0].ScriptRun(clustertest.Script{Delay: 2 * time.Second}) // forces a hedge (n>1)
+			hosts[0].ScriptRun(clustertest.Script{Status: 503})
 			hosts[0].ScriptRun(clustertest.Script{Disconnect: true, AfterBytes: 40})
 			if n >= 2 {
 				hosts[1].ScriptRun(clustertest.Script{Kill: true})

@@ -78,10 +78,6 @@ type Config struct {
 	// cores"). It may exceed ShaderCores; over-committed workers shadow
 	// their local memory host-side (§III-B3).
 	HostThreads int
-	// DecodeCache re-uses decoded programs keyed by binary content, so
-	// each shader is decoded once per process (§III-B3, ProgramCache).
-	// Disable only for the ablation benchmark.
-	DecodeCache bool
 	// Engine selects the shader execution engine (warp-batched by
 	// default; see engine.go). Engines are observationally identical —
 	// bit-identical counters and guest memory — and instruction tracing
@@ -92,7 +88,7 @@ type Config struct {
 // DefaultConfig returns the paper's default setup: a G71 MP8 simulated
 // with 8 host threads.
 func DefaultConfig() Config {
-	return Config{ShaderCores: 8, HostThreads: 8, DecodeCache: true}
+	return Config{ShaderCores: 8, HostThreads: 8}
 }
 
 // Device is the simulated GPU. Its register file implements mem.Device;
@@ -513,7 +509,7 @@ func (e *ShaderSizeError) Error() string {
 }
 
 // decodeShader reads the shader binary from guest memory and decodes it
-// through the program cache, or privately with the cache off.
+// through the process-wide program cache (§III-B3).
 func (d *Device) decodeShader(walker *mmu.Walker, desc *JobDescriptor) (*Program, error) {
 	if desc.ShaderSize > MaxShaderBytes {
 		return nil, &ShaderSizeError{Size: uint64(desc.ShaderSize)}
@@ -522,15 +518,7 @@ func (d *Device) decodeShader(walker *mmu.Walker, desc *JobDescriptor) (*Program
 	if err != nil {
 		return nil, err
 	}
-	if d.cfg.DecodeCache {
-		return programs.get(raw, d.cfg.Engine)
-	}
-	p, err := ParseBinary(raw)
-	if err != nil {
-		return nil, err
-	}
-	p.compile(d.cfg.Engine)
-	return p, nil
+	return programs.get(raw, d.cfg.Engine)
 }
 
 func (d *Device) readUniforms(walker *mmu.Walker, desc *JobDescriptor, prog *Program) ([]uint64, error) {

@@ -49,6 +49,7 @@ const diffScratchOff = 4094
 type diffFeatures struct {
 	withLocal, withDiverge, withMisalign, withCross, withStride bool
 	withUniformBranch, withFault                                bool
+	withTempAcross, withTempPred, withTempAcc                   bool
 }
 
 // diffUnmapped is an address no differential rig maps.
@@ -135,6 +136,53 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, f diffFeatures) *gpu.Progr
 		}
 	}
 	flush()
+
+	// Temporaries the tape optimiser must not forward out of, folded into
+	// r8 through r26 and r27: one read in the next clause, one read by the
+	// BRC that ends the chain it is written in, and the FMA and SEL forms,
+	// which read their destination.
+	if f.withTempAcross {
+		prog.Clauses = append(prog.Clauses,
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpIADD, Dst: gpu.T(0), A: gpu.R(4), B: gpu.S(gpu.SpecGIDX)},
+				{Op: gpu.OpMOV, Dst: gpu.R(26), A: gpu.T(0)},
+			}},
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpIMUL, Dst: gpu.R(8), A: gpu.R(8), B: gpu.T(0)},
+				{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(26)},
+			}},
+		)
+	}
+	if f.withTempPred {
+		k := len(prog.Clauses)
+		prog.Clauses = append(prog.Clauses,
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpICMPLT, Dst: gpu.T(1), A: gpu.R(4), B: gpu.R(3)},
+				{Op: gpu.OpMOV, Dst: gpu.R(27), A: gpu.T(1)},
+			}},
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpBRC, A: gpu.T(1), Imm: gpu.BranchImm(k+3, k+3)},
+			}},
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpIADD, Dst: gpu.R(8), A: gpu.R(8), B: gpu.Imm, Imm: 0x55},
+			}},
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(27)},
+			}},
+		)
+	}
+	if f.withTempAcc {
+		prog.Clauses = append(prog.Clauses, gpu.Clause{Instrs: []gpu.Instr{
+			{Op: gpu.OpI2F, Dst: gpu.T(2), A: gpu.S(gpu.SpecGIDX)},
+			{Op: gpu.OpFMA, Dst: gpu.T(2), A: gpu.T(2), B: gpu.Imm, Imm: 0x40000000},
+			{Op: gpu.OpMOV, Dst: gpu.R(26), A: gpu.T(2)},
+			{Op: gpu.OpICMPNE, Dst: gpu.T(3), A: gpu.R(4), B: gpu.R(3)},
+			{Op: gpu.OpMOV, Dst: gpu.R(27), A: gpu.T(3)},
+			{Op: gpu.OpSEL, Dst: gpu.T(3), A: gpu.R(26), B: gpu.Imm, Imm: 0x99},
+			{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.T(3)},
+			{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(27)},
+		}})
+	}
 
 	if f.withStride {
 		// Lane-strided global loads through the warp engine's coalesced
@@ -339,7 +387,8 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 	gsz := lsz * uint32(1+threadsSel%12)
 	nALU := int(nALUSel % 48)
 	// The low half of the seed picks the sections the corpus has always
-	// had; bits 32 and 33 add the uniform branches and the faulting clause.
+	// had; bits 32 and 33 add the uniform branches and the faulting clause,
+	// bits 34 to 36 the temporaries the tape optimiser must leave alone.
 	f := diffFeatures{
 		withLocal:         seed%3 == 0,
 		withDiverge:       seed%2 == 0,
@@ -348,6 +397,9 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 		withStride:        seed%6 == 0,
 		withUniformBranch: seed>>32&1 != 0,
 		withFault:         seed>>33&1 != 0,
+		withTempAcross:    seed>>34&1 != 0,
+		withTempPred:      seed>>35&1 != 0,
+		withTempAcc:       seed>>36&1 != 0,
 	}
 	want := uint32(gpu.IRQJobDone)
 	if f.withFault {
@@ -414,6 +466,13 @@ func FuzzDifferentialEngines(f *testing.F) {
 	// engines with the same counters.
 	f.Add(uint64(1<<32|10), uint8(7), uint8(4), uint8(24))
 	f.Add(uint64(1<<33|9), uint8(5), uint8(2), uint8(12))
+	// Temporaries the tape optimiser must not forward: read in the next
+	// clause, read by a chain's BRC predicate, read by FMA and SEL as the
+	// accumulator — in divergent kernels over a partial tail warp and over
+	// full warps, and in a kernel that does not diverge.
+	f.Add(uint64(1<<34|12), uint8(6), uint8(2), uint8(20))
+	f.Add(uint64(1<<35|4), uint8(9), uint8(7), uint8(30))
+	f.Add(uint64(1<<36|7), uint8(4), uint8(3), uint8(16))
 	f.Fuzz(func(t *testing.T, seed uint64, threadsSel, localSel, nALUSel uint8) {
 		runDifferential(t, seed, threadsSel, localSel, nALUSel)
 	})

@@ -41,7 +41,7 @@ func (e Engine) String() string {
 // whichever session, snapshot or fork it belongs to — decodes and compiles
 // each kernel binary once. The hash only finds an entry; the bytes decide a
 // hit, so a binary whose hash another binary holds is decoded privately and
-// not cached, as every binary is on a device with Config.DecodeCache off.
+// not cached.
 //
 // Entries are immutable once published except for the lazily compiled
 // warp artifact (Program.warp), which is only written under mu and never

@@ -187,8 +187,11 @@ var clauseBudget = 1 << 24
 // runWarp executes the warp until it terminates or reaches a barrier.
 // A pending soft-stop is honoured between clauses — the cancellation
 // granularity of the whole stack: a stopped kernel never splits a clause.
+// Every clause entered counts against the budget — each clause of a
+// chain, and a clause that ends at a barrier — as does every step of the
+// zero-active walk.
 func (e *execContext) runWarp(w *warp) (warpStatus, error) {
-	for ; ; w.steps++ {
+	for {
 		if w.steps > clauseBudget {
 			return warpDone, fmt.Errorf("gpu: clause budget exhausted (infinite loop in shader?)")
 		}
@@ -227,14 +230,17 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 			// All current lanes inactive but stack pending: fall through
 			// to the next clause so reconvergence checks progress.
 			w.pc++
+			w.steps++
 			continue
 		}
 
 		var st warpStatus
 		var err error
 		if e.tape != nil {
+			w.steps += e.tapes[w.pc].n
 			st, err = e.execTapeAt(w, uint64(act))
 		} else {
+			w.steps++
 			st, err = e.execClause(w, uint64(act))
 		}
 		if err != nil {
@@ -290,17 +296,18 @@ func (e *execContext) bindTape() {
 // whole fused superclause chain where one starts here — and applies its
 // terminal. execLeaf runs the micro-ops that need no call and hands back
 // the index of the first one that does — a memory access, a slow ALU op,
-// the interpreter fallback, a chain boundary — which is executed here, so
-// that the hot loop keeps its state in registers. act is the active-lane
-// count, constant through the tape (masks only change at clause terminals,
-// which never appear mid-tape); a divergent warp commits its results under
-// its all-ones-per-active-lane mask row. Every *original* clause boundary
-// inside a chain keeps its architectural behaviour (soft-stop poll,
-// acquire marker, per-clause statistics; see kBoundary). Mid-chain clauses
-// are never entered with active lanes — every control-flow edge (branch
-// targets, reconvergence points, barrier resumes) lands on a chain head by
+// the interpreter fallback, a chain boundary with a soft-stop pending —
+// which is executed here, so that the hot loop keeps its state in
+// registers. act is the active-lane count, constant through the tape
+// (masks only change at clause terminals, which never appear mid-tape); a
+// divergent warp commits its results under its all-ones-per-active-lane
+// mask row. Every *original* clause boundary inside a chain keeps its
+// architectural behaviour (soft-stop poll, acquire marker, per-clause
+// statistics; see kBoundary). A clause absorbed into a chain is never
+// entered with active lanes — every control-flow edge (branch targets,
+// reconvergence points, barrier resumes) lands on a chain head by
 // construction, and the zero-active stepping walk in runWarp advances pc
-// without executing.
+// without executing; a loop header a chain ends in a copy of stays a head.
 //
 // The tape's statistics are its tally (see commitTallies); the terminal is
 // applied as decoded at compile time, its static counts tallied with the
@@ -327,11 +334,8 @@ func (e *execContext) execTapeAt(w *warp, act uint64) (warpStatus, error) {
 		u := ops[pc]
 		var err error
 		switch u.kind() {
-		case kBoundary:
-			if e.stop != nil && e.stop.Load() {
-				err = ErrStopped
-			}
-			mem.LoadFence()
+		case kBoundary: // handed back only with a soft-stop pending
+			err = ErrStopped
 		case kLoadG:
 			err = e.loadGlobal(w, &wp.mems[u.imm()], u, act, mask == nil)
 		case kStoreG:
@@ -409,8 +413,8 @@ func (e *execContext) execTapeAt(w *warp, act uint64) (warpStatus, error) {
 
 // execClause runs all slots of the current clause on all active lanes, one
 // instruction at a time (the reference interpreter), and applies the
-// clause-terminal control flow. Clause temporaries are (semantically) dead
-// across clause boundaries.
+// clause-terminal control flow. Clause temporaries keep their values from
+// clause to clause (see the package comment).
 //
 //simlint:commit -- commits the per-clause instruction mix
 func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {

@@ -22,6 +22,65 @@ func PlantCollision(victim, squatter []byte) error {
 	return nil
 }
 
+// CachedPrograms returns the programs in the program cache.
+func CachedPrograms() []*Program {
+	programs.mu.Lock()
+	defer programs.mu.Unlock()
+	var ps []*Program
+	for _, e := range programs.m {
+		ps = append(ps, e.prog)
+	}
+	return ps
+}
+
+// CompileWarp builds p's warp-engine tapes, as a program cache miss does.
+func CompileWarp(p *Program) { p.compile(EngineWarp) }
+
+// Rewrite is a set of the tape optimiser's rewrites.
+type Rewrite = rewrite
+
+// The rewrites a test can switch off one at a time.
+const (
+	RewriteForward   = rwForward
+	RewriteFuseAddr  = rwFuseAddr
+	RewriteFuseTail  = rwFuseTail
+	RewriteDupHeader = rwDupHeader
+)
+
+// TapeSizes counts the micro-ops of a warp-compiled program's clause tapes,
+// and of the tapes a warp can enter on a plain run: the heads reachable
+// from clause 0. With off zero it measures p's own tapes, otherwise p
+// compiled afresh without the rewrites in off.
+func TapeSizes(p *Program, off Rewrite) (clauseOps, headOps int) {
+	wp := p.warp
+	if off != 0 {
+		wp = warpCompileWith(p, allRewrites&^off)
+	}
+	for _, t := range wp.clauses {
+		clauseOps += len(t.ops)
+	}
+	seen := make([]bool, len(wp.heads))
+	var enter func(ci int)
+	enter = func(ci int) {
+		if ci >= len(wp.heads) || seen[ci] {
+			return
+		}
+		seen[ci] = true
+		t := &wp.heads[ci]
+		headOps += len(t.ops)
+		enter(t.next)
+		switch t.tk {
+		case tkBR:
+			enter(t.tgt)
+		case tkBRC, tkInterp:
+			enter(t.tgt)
+			enter(t.rejoin)
+		}
+	}
+	enter(0)
+	return clauseOps, headOps
+}
+
 // SetClauseBudget lowers the per-warp runaway guard for a test and returns
 // the function that restores it.
 func SetClauseBudget(n int) (restore func()) {

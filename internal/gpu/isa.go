@@ -7,8 +7,17 @@
 // properties of Arm's Bifrost architecture as published ([18] in the
 // paper): instructions are bundled into clauses of up to 8 tuples (16
 // instruction slots) that execute unconditionally; clause-temporary
-// registers are live only within their clause and relieve pressure on the
-// global register file; control flow happens only at clause boundaries.
+// registers relieve pressure on the global register file; control flow
+// happens only at clause boundaries.
+//
+// On hardware a clause temporary does not outlive its clause. This model
+// keeps it: both engines leave t0..t3 as the last clause wrote them, and a
+// workgroup starts with them zero, so a program that reads a temporary in
+// a later clause is well defined here. Compiled code never relies on it —
+// clc promotes a value to a temporary only when it is written first and
+// used only in one clause — but hand-written and generated kernels can, and
+// the tape optimiser's liveness (optimise.go) is computed over the whole
+// program for that reason.
 package gpu
 
 import "fmt"

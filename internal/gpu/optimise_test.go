@@ -1,0 +1,150 @@
+package gpu
+
+import (
+	"fmt"
+	"testing"
+)
+
+// Pins for the tape optimiser's guards (DESIGN.md §9). Each program below
+// is shaped so that one guard — of a rewrite, or of a leaf case the
+// rewrites lean on — is all that keeps the warp engine from computing
+// something else; the golden table in optimise_golden_test.go pins that the
+// rewrites fire on real kernels.
+
+// optimiserCase is a hand-built program and what its tapes must look like.
+type optimiserCase struct {
+	name  string
+	prog  *Program
+	shape func(t *testing.T, wp *warpProgram)
+}
+
+func progOf(cs ...[]Instr) *Program {
+	p := &Program{RegCount: 16}
+	for _, in := range cs {
+		p.Clauses = append(p.Clauses, Clause{Instrs: in})
+	}
+	return p
+}
+
+var optimiserCases = []optimiserCase{
+	{
+		// The boundary between the chain's clauses runs inside the leaf
+		// loop and commits no result: under a mask, the sum left in the
+		// scratch row before it must not reach r0, its d field's row.
+		name: "chain_boundary_commits_nothing",
+		prog: progOf(
+			[]Instr{{Op: OpIADD, Dst: R(9), A: R(1), B: R(2)}},
+			[]Instr{{Op: OpIADD, Dst: R(10), A: R(9), B: R(1)}, {Op: OpRET}},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			if wp.heads[0].n != 2 {
+				t.Errorf("the two clauses did not form one chain")
+			}
+		},
+	},
+	{
+		// t0 is read in the next clause, so the move out of it stays.
+		name: "temp_read_in_next_clause",
+		prog: progOf(
+			[]Instr{{Op: OpIADD, Dst: T(0), A: R(1), B: R(2)}, {Op: OpMOV, Dst: R(9), A: T(0)}},
+			[]Instr{{Op: OpIADD, Dst: R(10), A: T(0), B: R(1)}, {Op: OpRET}},
+		),
+	},
+	{
+		// t1 is the predicate of the BRC that ends c0's chain.
+		name: "temp_read_by_chain_brc_predicate",
+		prog: progOf(
+			[]Instr{{Op: OpICMPLT, Dst: T(1), A: R(1), B: R(2)}, {Op: OpMOV, Dst: R(9), A: T(1)}},
+			[]Instr{{Op: OpBRC, A: T(1), Imm: BranchImm(3, 3)}},
+			[]Instr{{Op: OpIADD, Dst: R(10), A: R(1), B: Imm, Imm: 5}},
+			[]Instr{{Op: OpIADD, Dst: R(11), A: R(10), B: R(2)}, {Op: OpRET}},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			if wp.heads[0].n != 2 || wp.heads[0].tk != tkBRC {
+				t.Errorf("c0 and the BRC did not form one chain")
+			}
+		},
+	},
+	{
+		// An FMA accumulates into t2 and a SEL selects on t3: the FMA's
+		// result does not move into r9, and t3's value from the FADD is
+		// live after the move into r10.
+		name: "accumulator_forms",
+		prog: progOf(
+			[]Instr{
+				{Op: OpI2F, Dst: T(2), A: S(SpecGIDX)},
+				{Op: OpFMA, Dst: T(2), A: R(8), B: Imm, Imm: 0x40000000}, // t2 += r8 * 2.0
+				{Op: OpMOV, Dst: R(9), A: T(2)},
+				{Op: OpFADD, Dst: T(3), A: R(8), B: Imm, Imm: 0x3f800000}, // t3 = r8 + 1.0
+				{Op: OpMOV, Dst: R(10), A: T(3)},
+				{Op: OpSEL, Dst: T(3), A: R(1), B: R(2)},
+				{Op: OpMOV, Dst: R(11), A: T(3)},
+				{Op: OpRET},
+			},
+		),
+	},
+	{
+		// A fused address under every mask, loaded from and stored through.
+		name: "fused_address",
+		prog: progOf(
+			[]Instr{
+				{Op: OpIMUL, Dst: T(0), A: S(SpecLIDY), B: C(0)},
+				{Op: OpIADD, Dst: T(1), A: T(0), B: S(SpecGIDX)},
+				{Op: OpMUL64, Dst: T(2), A: T(1), B: Imm, Imm: 4},
+				{Op: OpADD64, Dst: R(10), A: C(2), B: T(2)},
+				{Op: OpLDG, Dst: R(11), A: R(10)},
+				{Op: OpSTG, A: R(10), B: R(1), Imm: 8},
+				{Op: OpRET},
+			},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			if ops := wp.clauses[0].ops; len(ops) != 3 || ops[0].kind() != kAddr {
+				t.Errorf("the address idiom did not fuse into one micro-op: %d micro-ops", len(ops))
+			}
+		},
+	},
+	{
+		// c1 ends in a BR to c3, a short clause the BRC in c0 reconverges
+		// at: the lanes that branched to c2 must join there first.
+		name: "rejoin_clause_is_not_duplicated",
+		prog: progOf(
+			[]Instr{{Op: OpAND, Dst: R(9), A: S(SpecGIDX), B: Imm, Imm: 1}, {Op: OpBRC, A: R(9), Imm: BranchImm(2, 3)}},
+			[]Instr{{Op: OpIADD, Dst: R(10), A: R(1), B: Imm, Imm: 0x100}, {Op: OpBR, Imm: 3}},
+			[]Instr{{Op: OpIADD, Dst: R(10), A: R(1), B: Imm, Imm: 0x200}},
+			[]Instr{{Op: OpIADD, Dst: R(11), A: R(10), B: R(2)}, {Op: OpRET}},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			if n := wp.heads[1].n; n != 1 {
+				t.Errorf("c1's BR into the rejoin clause became a %d-clause chain", n)
+			}
+		},
+	},
+}
+
+// TestOptimisedTapeMatchesInterp runs every optimiserCase under both
+// engines and every warp shape. A dead temporary may hold anything after
+// a rewrite, so the temporaries are not compared; the GRF, the statistics,
+// guest memory and the error are.
+func TestOptimisedTapeMatchesInterp(t *testing.T) {
+	r := newTapeRig(t)
+	for _, c := range optimiserCases {
+		c.prog.compile(EngineWarp)
+		if c.shape != nil {
+			c.shape(t, c.prog.warp)
+		}
+		for _, sh := range warpShapes {
+			regsI, gsI, memI, errI := r.run(t, c.prog, EngineInterp, sh.shape)
+			regsW, gsW, memW, errW := r.run(t, c.prog, EngineWarp, sh.shape)
+			switch {
+			case fmt.Sprint(errI) != fmt.Sprint(errW):
+				t.Errorf("%s [%s]: error: interp %v, warp %v", c.name, sh.name, errI, errW)
+			case [NumGRF]soaRow(regsI[:NumGRF]) != [NumGRF]soaRow(regsW[:NumGRF]):
+				t.Errorf("%s [%s]: registers diverge\ninterp r9..r11 %x\nwarp   r9..r11 %x", c.name, sh.name, regsI[9:12], regsW[9:12])
+			case gsI != gsW:
+				t.Errorf("%s [%s]: stats diverge\ninterp %+v\nwarp   %+v", c.name, sh.name, gsI, gsW)
+			case string(memI) != string(memW):
+				t.Errorf("%s [%s]: guest memory diverges", c.name, sh.name)
+			}
+		}
+	}
+}

@@ -127,22 +127,19 @@ func TestSuperClauseFusionShapes(t *testing.T) {
 	})
 
 	t.Run("two_predecessors_block_fusion", func(t *testing.T) {
-		// Both c0 (BR) and c1 (fallthrough) enter c2: fusing c2 into
-		// either chain would execute it on the wrong path.
-		p := &Program{RegCount: 16, Clauses: []Clause{
-			withTerm(aluClause(), OpBR),
-			aluClause(),
-			withTerm(aluClause(), OpRET),
-		}}
-		p.Clauses[0].Instrs[1].Imm = 2
-		for i := range p.Clauses {
-			p.Clauses[i].Addr = uint64(i) * 0x10
+		// Both c0 (BR) and c1 (fallthrough) enter the join c2: absorbing it
+		// into either chain would execute it on the wrong path. The BR's
+		// chain may end in a copy of a short join, terminal included, while
+		// the join stays its own head.
+		br2 := withTerm(aluClause(), OpBR)
+		br2.Instrs[1].Imm = 2
+		if got := superShape(t, br2, aluClause(), withTerm(aluClause(), OpRET)); got[0] != 2 || got[1] != 0 || got[2] != 0 {
+			t.Errorf("shape = %v, want only c0's BR chain ending in a copy of the join", got)
 		}
-		p.compile(EngineWarp)
-		for ci, t2 := range p.warp.heads {
-			if t2.n > 1 {
-				t.Errorf("clause %d fused a %d-chain into a two-pred join", ci, t2.n)
-			}
+		// A join that heads a chain of its own is neither copied nor ever
+		// absorbed mid-chain.
+		if got := superShape(t, br2, aluClause(), aluClause(), withTerm(aluClause(), OpRET)); got[0] != 0 || got[1] != 0 || got[2] != 2 {
+			t.Errorf("shape = %v, want only the join's own 2-clause chain", got)
 		}
 	})
 }

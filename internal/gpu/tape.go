@@ -42,7 +42,8 @@ const (
 	// kBoundary sits between two clauses of a superclause chain and does
 	// what the per-clause loop in runWarp would have done at that original
 	// clause boundary: poll the soft-stop latch and issue the clause-
-	// boundary acquire marker.
+	// boundary acquire marker. execLeaf runs it in place and hands it back
+	// only with a soft-stop pending.
 	kBoundary
 	kSlow       // d = slow[imm]'s value function of a (and b), per lane
 	kLoadG      // mems[imm]: d = global[a + off]
@@ -50,6 +51,10 @@ const (
 	kLoadL      // mems[imm]: d = local[a + off]
 	kStoreL     // mems[imm]: local[a + off] = b
 	kLaneInterp // slow[imm].in through the interpreter, lane by lane
+	// The fused address idiom (optimise.go), uniforms from the uvals slots
+	// addrs[imm]: imul → iadd → mul64 → add64, and the mul64 → add64 tail.
+	kAddr     // d = uint64(uint32(a)*s1 + uint32(b))*s2 + s3
+	kAddrTail // d = a*s2 + s3
 
 	// The ALU blocks: kind = block + Opcode. Unary ops and the FMA/SEL
 	// accumulator forms (which also read d) live in the same blocks.
@@ -216,7 +221,8 @@ func commitMasked(dst, src, mask *soaRow) {
 
 // execLeaf is the executor's hot loop: one dense switch whose cases are
 // leaf code. It runs ops from pc and returns the index of the first
-// micro-op it has no case for (len(ops) at the end of the tape). Operand
+// micro-op it has no case for (len(ops) at the end of the tape), or of a
+// chain boundary at which a soft-stop is pending. Operand
 // rows are resolved inside each case, and everything else is reached
 // through e, so that little more than the tape position is live across the
 // switch's jump. For a divergent warp every ALU case computes the full row
@@ -239,6 +245,22 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 		case kSplat:
 			d, s := &rows[u.d()&keep|force], e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = s, s, s, s
+		case kBoundary:
+			if e.stop != nil && e.stop.Load() {
+				return pc
+			}
+			mem.LoadFence()
+			continue // no result row to commit
+		case kAddr:
+			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			f := &e.tape.addrs[u.imm()]
+			s1, s2, s3 := uint32(e.uvals[f[0]]), e.uvals[f[1]], e.uvals[f[2]]
+			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])*s1+uint32(b[0]))*s2+s3, uint64(uint32(a[1])*s1+uint32(b[1]))*s2+s3, uint64(uint32(a[2])*s1+uint32(b[2]))*s2+s3, uint64(uint32(a[3])*s1+uint32(b[3]))*s2+s3
+		case kAddrTail:
+			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			f := &e.tape.addrs[u.imm()]
+			s2, s3 := e.uvals[f[1]], e.uvals[f[2]]
+			d[0], d[1], d[2], d[3] = a[0]*s2+s3, a[1]*s2+s3, a[2]*s2+s3, a[3]*s2+s3
 
 		// --- vector ∘ vector
 		case kVV + uopKind(OpMOV):

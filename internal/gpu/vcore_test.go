@@ -283,6 +283,38 @@ func TestBarrierLoopExhaustsClauseBudget(t *testing.T) {
 	}
 }
 
+// TestChainLoopExhaustsClauseBudget pins the runaway guard's unit as the
+// clause, whatever runs it: a one-warp kernel whose loop body is one
+// three-clause chain faults once it has executed the budget's worth of
+// clauses, under both engines — not three times as many on the warp
+// engine, which enters the chain once per iteration.
+func TestChainLoopExhaustsClauseBudget(t *testing.T) {
+	const budget = 999
+	defer gpu.SetClauseBudget(budget)()
+	for _, eng := range bothEngines {
+		cfg := gpu.DefaultConfig()
+		cfg.Engine = eng
+		r := newRig(t, cfg)
+		step := gpu.Instr{Op: gpu.OpIADD, Dst: gpu.R(0), A: gpu.R(0), B: gpu.Imm, Imm: 1}
+		progVA, progSize := r.loadProgram(&gpu.Program{RegCount: 1, Clauses: []gpu.Clause{
+			clause(step), clause(step), clause(step, gpu.Instr{Op: gpu.OpBR, Imm: 0}),
+		}})
+		raw := r.submit(&gpu.JobDescriptor{
+			JobType:    gpu.JobTypeCompute,
+			GlobalSize: [3]uint32{gpu.WarpSize, 1, 1},
+			LocalSize:  [3]uint32{gpu.WarpSize, 1, 1},
+			ShaderVA:   progVA,
+			ShaderSize: progSize,
+		}, nil)
+		if raw&gpu.IRQJobFault == 0 || r.rd(gpu.RegAS0FaultStat) != 0xFF {
+			t.Errorf("%v: rawstat %#x, fault status %#x; want the budget's job fault", eng, raw, r.rd(gpu.RegAS0FaultStat))
+		}
+		if gs, _ := r.dev.Stats(); gs.ClausesExec < budget || gs.ClausesExec > budget+3 {
+			t.Errorf("%v: %d clauses executed before the guard fired, want %d to %d", eng, gs.ClausesExec, budget, budget+3)
+		}
+	}
+}
+
 // localCase is one shape of workgroup-local traffic. Its kernel stores gid
 // at local offset 4·lid + skew, meets at a barrier, and loads the word of
 // the mirror thread — inside a divergent region when diverge is set — into

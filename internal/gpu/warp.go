@@ -8,12 +8,13 @@ import (
 
 // Warp-batched shader execution — the default engine tier (DESIGN.md §9).
 // warpCompile lowers every clause of a program to a flat tape of
-// pre-decoded micro-ops over the warp's unified SoA register file, then
-// concatenates fusable clause sequences into superclause chain tapes; the
-// executor and the micro-op format live in tape.go. Every operand shape
-// lowers to the tape — uniform operands of ops without a vector∘uniform
-// case are first broadcast into a scratch row — so the only instructions
-// left to the per-lane interpreter are listed in tapeFallbackReason.
+// pre-decoded micro-ops over the warp's unified SoA register file,
+// optimises those tapes (optimise.go), then concatenates fusable clause
+// sequences into superclause chain tapes; the executor and the micro-op
+// format live in tape.go. Every operand shape lowers to the tape — uniform
+// operands of ops without a vector∘uniform case are first broadcast into a
+// scratch row — so the only instructions left to the per-lane interpreter
+// are listed in tapeFallbackReason.
 
 // Row indices of warp.rows beyond the operand-addressable registers.
 // OperGRF = 0 and OperTemp = 1 make the operand bytes of r0..r63 and
@@ -82,6 +83,7 @@ type warpProgram struct {
 	heads   []tape
 	mems    []memOp
 	slow    []slowOp
+	addrs   [][3]uint32 // a fused address's uvals slots s1, s2, s3
 	consts  []uint64
 }
 
@@ -112,9 +114,12 @@ type tapeBuilder struct {
 	consts map[uint64]uint32 // value → uvals slot
 }
 
-// warpCompile lowers every clause of a program, then chains fusable clause
-// sequences into superclauses.
-func warpCompile(p *Program) *warpProgram {
+// warpCompile lowers every clause of a program, optimises the clause tapes
+// and chains fusable clause sequences into superclauses.
+func warpCompile(p *Program) *warpProgram { return warpCompileWith(p, allRewrites) }
+
+// warpCompileWith is warpCompile with the optimiser's rewrites rw only.
+func warpCompileWith(p *Program, rw rewrite) *warpProgram {
 	wp := &warpProgram{clauses: make([]tape, len(p.Clauses))}
 	b := &tapeBuilder{p: p, wp: wp, consts: map[uint64]uint32{}}
 	for ci := range p.Clauses {
@@ -139,7 +144,8 @@ func warpCompile(p *Program) *warpProgram {
 		t.ops = b.ops[b.start:len(b.ops):len(b.ops)]
 		t.marks = b.marks[firstMark:len(b.marks):len(b.marks)]
 	}
-	wp.heads = buildSuperClauses(p, wp)
+	wp.optimise(rw)
+	wp.heads = buildSuperClauses(p, wp, rw&rwDupHeader != 0)
 	return wp
 }
 
@@ -419,12 +425,21 @@ func (b *tapeBuilder) lowerMem(in *Instr, A, B operand) {
 // independently executable chain heads. A clause B fuses into its
 // predecessor's chain iff B is not an entry and has exactly one
 // fallthrough/BR predecessor.
-func buildSuperClauses(p *Program, wp *warpProgram) []tape {
+//
+// With dup set, a chain that ends in a BR to a short clause H that is not
+// absorbed anywhere — a loop header, typically — runs H as well, terminal
+// included, so a loop iteration enters one tape instead of two; H stays
+// its own head for its other predecessors. H is not the chain's head,
+// heads no longer chain of its own (so no absorbed clause is entered
+// outside its chain) and is no BRC's reconvergence clause: runWarp checks
+// reconvergence only when it enters a tape, and a warp reaching a rejoin
+// clause mid-chain would run it without waiting for the other path.
+func buildSuperClauses(p *Program, wp *warpProgram, dup bool) []tape {
 	n := len(p.Clauses)
 	if n < 2 {
 		return wp.clauses
 	}
-	entry := make([]bool, n)
+	entry, rejoin := make([]bool, n), make([]bool, n)
 	entry[0] = true
 	markEntry := func(i int) {
 		if i >= 0 && i < n {
@@ -448,6 +463,9 @@ func buildSuperClauses(p *Program, wp *warpProgram) []tape {
 			markEntry(t.BranchTarget())
 			markEntry(t.Reconverge())
 			markEntry(ci + 1)
+			if r := t.Reconverge(); r < n {
+				rejoin[r] = true
+			}
 		case t.Op == OpBARRIER:
 			markEntry(ci + 1)
 		case t.Op == OpRET:
@@ -482,6 +500,13 @@ func buildSuperClauses(p *Program, wp *warpProgram) []tape {
 			inChain[s] = true
 			chain = append(chain, s)
 			cur = s
+		}
+		// Only head is unabsorbable among the chain's clauses, so h != head
+		// also keeps a clause from appearing in its chain twice.
+		end := chain[len(chain)-1]
+		if h := succ[end]; dup && wp.clauses[end].tk == tkBR && h != head && !absorbable(h) && !rejoin[h] &&
+			len(wp.clauses[h].ops) <= maxDupOps && (succ[h] < 0 || !absorbable(succ[h])) {
+			chain = append(chain, h)
 		}
 		if len(chain) < 2 {
 			continue
