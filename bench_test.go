@@ -247,50 +247,6 @@ func BenchmarkAblationDBT(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationVirtualCores compares 1:1 shader-core mapping against
-// over-committed virtual cores (§III-B3, evaluated as Fig 10). The
-// engine=... sub-benchmarks re-run the over-committed point under each
-// execution engine so a thread-scaling regression can be attributed to
-// the threading layer (all engines move together) or to one engine's
-// dispatch path (only that engine moves).
-func BenchmarkAblationVirtualCores(b *testing.B) {
-	runSobel := func(b *testing.B, cfg gpu.Config) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			spec, _ := workloads.ByName("SobelFilter")
-			p, err := platform.New(platform.Config{RAMSize: 512 << 20, GPU: cfg})
-			if err != nil {
-				b.Fatal(err)
-			}
-			c, err := cl.NewContext(p, "")
-			if err != nil {
-				p.Close()
-				b.Fatal(err)
-			}
-			if _, err := spec.Make(192).Run(bg, c, "SobelFilter", true); err != nil {
-				p.Close()
-				b.Fatal(err)
-			}
-			p.Close()
-		}
-	}
-	for _, threads := range []int{8, 32} {
-		cfg := gpu.DefaultConfig()
-		cfg.HostThreads = threads
-		b.Run(benchName("threads", threads), func(b *testing.B) {
-			runSobel(b, cfg)
-		})
-	}
-	for _, eng := range []gpu.Engine{gpu.EngineInterp, gpu.EngineWarp} {
-		cfg := gpu.DefaultConfig()
-		cfg.HostThreads = 32
-		cfg.Engine = eng
-		b.Run("engine="+eng.String(), func(b *testing.B) {
-			runSobel(b, cfg)
-		})
-	}
-}
-
 // BenchmarkAblationClauses compares the clause-forming compiler (6.1)
 // against the short-clause, heavily padded 5.6 pipeline end to end.
 func BenchmarkAblationClauses(b *testing.B) {

@@ -22,11 +22,12 @@ import (
 
 	"mobilesim/internal/clc"
 	"mobilesim/internal/experiments"
+	"mobilesim/internal/gpu"
 )
 
 func main() {
 	scale := flag.String("scale", "default", "input scale: small, default or paper")
-	threads := flag.Int("threads", 0, "GPU simulation host threads (0 = default)")
+	threads := flag.Int("threads", 0, "GPU simulation host threads, at most 8 (0 = one per core)")
 	compiler := flag.String("compiler", "", "JIT compiler version (default 6.1)")
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -42,6 +43,10 @@ func main() {
 	if _, ok := clc.Versions[*compiler]; *compiler != "" && !ok {
 		fmt.Fprintf(os.Stderr, "experiments: unknown compiler version %q (have %s)\n",
 			*compiler, strings.Join(clc.VersionNames(), ", "))
+		os.Exit(1)
+	}
+	if cores := gpu.DefaultConfig().ShaderCores; *threads < 0 || *threads > cores {
+		fmt.Fprintf(os.Stderr, "experiments: -threads %d outside 0…%d (at most one host thread per shader core)\n", *threads, cores)
 		os.Exit(1)
 	}
 

@@ -36,7 +36,7 @@ import (
 func main() {
 	scale := flag.Int("scale", 0, "input scale (0 = workload default)")
 	ram := flag.Int("ram", 1024, "guest RAM in MiB")
-	threads := flag.Int("threads", 8, "GPU simulation host threads")
+	threads := flag.Int("threads", 0, "GPU simulation host threads, at most -cores (0 = one per core)")
 	cores := flag.Int("cores", 8, "simulated shader cores")
 	compiler := flag.String("compiler", "", "JIT compiler version (5.6..6.2, default 6.1)")
 	cfg := flag.Bool("cfg", false, "collect and print the divergence CFG")
@@ -111,8 +111,7 @@ func runOne(ctx context.Context, name string, scale int, withCFG bool, conf mobi
 		return fmt.Errorf("verification FAILED: %v", res.VerifyErr)
 	}
 
-	fmt.Printf("%s (%s), scale %d, %d SCs on %d host threads\n",
-		res.Workload, res.Kind, res.Scale, conf.ShaderCores, conf.HostThreads)
+	fmt.Printf("%s (%s), scale %d, %d SCs\n", res.Workload, res.Kind, res.Scale, conf.ShaderCores)
 	printStats(res)
 
 	if withCFG {

@@ -38,7 +38,7 @@ func main() {
 	small := flag.Bool("small", false, "use each workload's small test scale for -suite jobs (overrides -scale)")
 	ram := flag.Int("ram", 512, "guest RAM in MiB")
 	cores := flag.Int("cores", 8, "simulated shader cores")
-	threads := flag.Int("threads", 8, "GPU simulation host threads")
+	threads := flag.Int("threads", 0, "GPU simulation host threads, at most -cores (0 = one per core)")
 	compiler := flag.String("compiler", "", "JIT compiler version (5.6..6.2, default 6.1)")
 	streams := flag.Int("streams", 0, "concurrent jobs per host (0 = default)")
 	retries := flag.Int("retries", 0, "max attempts per job, hedges included (0 = default)")

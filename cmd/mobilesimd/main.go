@@ -53,7 +53,7 @@ func main() {
 	pool := flag.Int("pool", 4, "warm forked sessions kept ready per pool")
 	ram := flag.Int("ram", 512, "guest RAM in MiB")
 	cores := flag.Int("cores", 8, "simulated shader cores")
-	threads := flag.Int("threads", 8, "GPU simulation host threads")
+	threads := flag.Int("threads", 0, "GPU simulation host threads, at most -cores (0 = one per core)")
 	compiler := flag.String("compiler", "", "JIT compiler version (5.6..6.2, default 6.1)")
 	maxSnaps := flag.Int("max-snapshots", 8, "installed snapshots kept before FIFO eviction")
 	flag.Parse()
@@ -85,8 +85,7 @@ func main() {
 		_ = hs.Shutdown(sd)
 	}()
 
-	log.Printf("mobilesimd: serving on %s (pool %d, %d MiB guests, %d SCs / %d host threads)",
-		*addr, *pool, *ram, *cores, *threads)
+	log.Printf("mobilesimd: serving on %s (pool %d, %d MiB guests, %d SCs)", *addr, *pool, *ram, *cores)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "mobilesimd:", err)
 		os.Exit(1)

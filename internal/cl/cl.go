@@ -377,8 +377,7 @@ func (c *Context) EnqueueBatch(ctx context.Context, launches []Launch) error {
 
 // ensureLocal sizes the driver-allocated local-memory slots for the
 // architectural shader-core count (§III-B3: the driver allocates local
-// storage for the cores it detects; over-committed simulator threads
-// shadow host-side).
+// storage for the cores it detects, one slot per core).
 func (c *Context) ensureLocal(bytes uint32) error {
 	if bytes <= c.localBytes {
 		return nil

@@ -41,7 +41,8 @@ const (
 // (DESIGN.md §10) guards against.
 type Options struct {
 	Scale ScaleKind
-	// HostThreads overrides the GPU worker count (0 = default 8).
+	// HostThreads is the number of host threads that run the MP8's eight
+	// shader cores (0 = one per core). It moves no counter.
 	HostThreads int
 	// CompilerVersion overrides the JIT version (empty = default).
 	CompilerVersion string

@@ -71,12 +71,14 @@ var ErrStopped = errors.New("gpu: job chain soft-stopped")
 
 // Config selects the simulated GPU's shape and instrumentation.
 type Config struct {
-	// ShaderCores is the architectural core count (G71 MP8 = 8). It
-	// bounds guest local-memory slots and is what the guest discovers.
+	// ShaderCores is the architectural core count (G71 MP8 = 8), at most
+	// MaxShaderCores. A job's workgroups are striped over the cores; each
+	// owns a TLB and a guest local-memory slot, and the count is what the
+	// guest discovers.
 	ShaderCores int
-	// HostThreads is the number of simulation worker threads ("virtual
-	// cores"). It may exceed ShaderCores; over-committed workers shadow
-	// their local memory host-side (§III-B3).
+	// HostThreads is the number of host threads that run the cores, each
+	// a fixed set of whole cores (§III-B3): 0 or more than ShaderCores
+	// means one thread per core. It moves no counter.
 	HostThreads int
 	// Engine selects the shader execution engine (warp-batched by
 	// default; see engine.go). Engines are observationally identical —
@@ -85,10 +87,14 @@ type Config struct {
 	Engine Engine
 }
 
-// DefaultConfig returns the paper's default setup: a G71 MP8 simulated
-// with 8 host threads.
+// MaxShaderCores bounds ShaderCores: RegShaderPres is a 64-bit mask of the
+// present cores.
+const MaxShaderCores = 64
+
+// DefaultConfig returns the paper's default setup: a G71 MP8, one host
+// thread per core.
 func DefaultConfig() Config {
-	return Config{ShaderCores: 8, HostThreads: 8}
+	return Config{ShaderCores: 8}
 }
 
 // Device is the simulated GPU. Its register file implements mem.Device;
@@ -130,13 +136,15 @@ type Device struct {
 	cfgGraph     *stats.CFG
 	touchedPages map[uint64]struct{}
 
-	// vcores are the persistent virtual cores, one per HostThreads slot,
-	// each made by the first job that reaches its slot (see vcore), and
-	// chainWalker is the Job Manager's own walker for descriptor, shader
-	// and uniform reads, made by the first chain: a session that never
-	// launches pays for neither. workers joins the cores a job starts, and
-	// lids holds the running job's lid rows, which its cores only read.
-	vcores      []*vcore
+	// cores are the ShaderCores architectural cores and threads the host
+	// threads that run them, each made by the first job that reaches it
+	// (see core and hostThread), and chainWalker is the Job Manager's own
+	// walker for descriptor, shader and uniform reads, made by the first
+	// chain: a session that never launches pays for none of them. workers
+	// joins the threads a job starts, and lids holds the running job's lid
+	// rows, which its threads only read.
+	cores       []core
+	threads     []*hostThread
 	chainWalker *mmu.Walker
 	workers     sync.WaitGroup
 	lids        [][3]soaRow
@@ -150,7 +158,7 @@ func NewDevice(cfg Config, bus *mem.Bus, intc *irq.Controller, line irq.Line) *D
 	if cfg.ShaderCores <= 0 {
 		cfg.ShaderCores = 8
 	}
-	if cfg.HostThreads <= 0 {
+	if cfg.HostThreads <= 0 || cfg.HostThreads > cfg.ShaderCores {
 		cfg.HostThreads = cfg.ShaderCores
 	}
 	d := &Device{
@@ -187,17 +195,22 @@ func (d *Device) Start() {
 }
 
 // Close stops the Job Manager and waits for it to drain, then hands its
-// cores' warp slabs to the next device (see slabs).
+// threads' warp slabs and its walkers' TLB arrays to the next device (see
+// slabs).
 func (d *Device) Close() {
 	close(d.done)
 	d.wg.Wait()
-	for _, vc := range d.vcores {
-		if vc != nil && vc.ec.warpSlab != nil {
-			s := vc.ec.warpSlab[:cap(vc.ec.warpSlab)]
-			vc.ec.warpSlab = nil
+	for _, th := range d.threads {
+		if th != nil && th.ec.warpSlab != nil {
+			s := th.ec.warpSlab[:cap(th.ec.warpSlab)]
+			th.ec.warpSlab = nil
 			slabs.Put(&s)
 		}
 	}
+	for c := range d.cores {
+		d.cores[c].walker.Release()
+	}
+	d.chainWalker.Release()
 }
 
 // --- Register interface (mem.Device) --------------------------------------
@@ -433,8 +446,8 @@ func (d *Device) runChain(head uint64) error {
 	return nil
 }
 
-// newWalker makes a walker the device keeps (the Job Manager's, a virtual
-// core's) and every job re-binds, with touched pages tracked.
+// newWalker makes a walker the device keeps (the Job Manager's, a core's)
+// and every job re-binds, with touched pages tracked.
 func (d *Device) newWalker() *mmu.Walker {
 	w := mmu.NewWalker(d.bus)
 	w.ResetTouched()

@@ -21,7 +21,7 @@ import (
 //	0x14 u32 localSize[3]
 //	0x20 u64 shaderVA
 //	0x28 u64 argsVA
-//	0x30 u64 localMemVA (base of ShaderCores slots; 0 = none)
+//	0x30 u64 localMemVA (base of ShaderCores slots; 0 = none, local accesses fault)
 //	0x38 u32 localMemBytes (per workgroup)
 //	0x3C u32 shaderSize
 //	0x40 u64 nextJobVA (job chain)
@@ -79,34 +79,52 @@ func (d *JobDescriptor) Workgroups() (uint64, error) {
 	return n, nil
 }
 
-// vcore is one persistent virtual core (§III-B3), made the first time a job
-// reaches its HostThreads slot and kept for the life of the device: a TLB,
-// an execution context with its uniform table and warp slab, a stats
-// shard and both kinds of local store. A job re-binds it all (bind),
-// so a job on a warm device allocates nothing here. Jobs on a device are
-// serial and execJob joins its workers: a core has one user at a time.
-type vcore struct {
-	ec     execContext // its walker is the core's TLB
-	gs     stats.GPUStats
-	guest  guestLocal
-	shadow shadowLocal
+// core is one of the ShaderCores architectural cores (§III-B3), made the
+// first time a job reaches it and kept for the life of the device: a TLB
+// and the job's guest local slot. err is how its share of the running job
+// ended.
+type core struct {
+	walker *mmu.Walker
+	local  guestLocal
 	err    error
 }
 
-// bind readies core wi for a job exactly as a newly made core would be: a
+// bind readies core c for a job exactly as a newly made core would be: a
 // flushed TLB with zeroed counters (a job's TLBWalks count from cold, and
-// page tables rewritten since the last job are honoured), a zeroed stats
-// shard, a refilled uniform table, the job's lid rows and a cleared shadow
-// local store. The caller has built d.lids for the job.
-//
-//simlint:commit -- zeroes the core's stats shard and commits the register-usage report
-func (vc *vcore) bind(d *Device, wi int, desc *JobDescriptor, prog *Program, uniforms []uint64, root uint64) {
-	vc.gs = stats.GPUStats{RegistersUsed: uint64(prog.RegCount)}
-	vc.err = nil
+// page tables rewritten since the last job are honoured) and the slot
+// LocalMemVA + c·LocalMemBytes the driver allocated for it. A job without
+// a local allocation turns a local access into a job fault.
+func (k *core) bind(d *Device, c int, desc *JobDescriptor, root uint64) {
+	if k.walker == nil {
+		k.walker = d.newWalker()
+	}
+	k.walker.Rebind(root)
+	k.err, k.local = nil, guestLocal{walker: k.walker}
+	if n := uint64(desc.LocalMemBytes); desc.LocalMemVA != 0 {
+		k.local.base, k.local.size = desc.LocalMemVA+uint64(c)*n, n
+	}
+}
 
-	e := &vc.ec
-	e.walker.Rebind(root)
-	e.eng, e.bus, e.gs, e.stop = d.cfg.Engine, d.bus, &vc.gs, &d.stopReq
+// hostThread is one host thread's execution context, made the first time a
+// job needs it and kept for the life of the device: the context with its
+// uniform table, tallies and warp slab, and a stats shard. A job re-binds
+// it (bind), so a job on a warm device allocates nothing here. Jobs on a
+// device are serial and execJob joins its threads: a context has one user
+// at a time.
+type hostThread struct {
+	ec execContext
+	gs stats.GPUStats
+}
+
+// bind readies the thread for a job: a zeroed stats shard, a refilled
+// uniform table and the job's lid rows. The caller has built d.lids for
+// the job; runCores sets the walker and local store of each core it runs.
+//
+//simlint:commit -- zeroes the thread's stats shard and commits the register-usage report
+func (th *hostThread) bind(d *Device, desc *JobDescriptor, prog *Program, uniforms []uint64) {
+	th.gs = stats.GPUStats{RegistersUsed: uint64(prog.RegCount)}
+	e := &th.ec
+	e.eng, e.bus, e.gs, e.stop = d.cfg.Engine, d.bus, &th.gs, &d.stopReq
 	e.prog, e.uniforms = prog, uniforms
 	e.gsz, e.lsz, e.lids = desc.GlobalSize, desc.LocalSize, d.lids
 	e.trace = d.trace
@@ -114,41 +132,23 @@ func (vc *vcore) bind(d *Device, wi int, desc *JobDescriptor, prog *Program, uni
 	if d.collectCFG.Load() {
 		e.cfg = stats.NewCFG()
 	}
-	// The driver allocates guest slots for the architectural core count;
-	// cores beyond that use host shadow buffers so over-commit stays
-	// functionally correct (§III-B3). A job without local memory turns a
-	// local access into a job fault.
-	switch n := uint64(desc.LocalMemBytes); {
-	case n == 0:
-		e.local = unusableLocal{}
-	case desc.LocalMemVA != 0 && wi < d.cfg.ShaderCores:
-		vc.guest = guestLocal{base: desc.LocalMemVA + uint64(wi)*n, size: n, walker: e.walker}
-		e.local = &vc.guest
-	default:
-		if uint64(cap(vc.shadow.buf)) < n {
-			vc.shadow.buf = make([]byte, n)
-		}
-		vc.shadow.buf = vc.shadow.buf[:n]
-		clear(vc.shadow.buf)
-		e.local = &vc.shadow
-	}
 	e.bindTape()
 }
 
-// execJob dispatches a decoded job across the configured host threads.
-// Each host thread is a "virtual core" (§III-B3): it owns a TLB, a stats
-// shard, and — when over-committed beyond the architectural core count —
-// a host-side shadow local memory. Core 0 runs on the Job Manager's own
-// goroutine, the others on goroutines started for the job.
+// execJob dispatches a decoded job. Its workgroups are striped over
+// min(ShaderCores, workgroups) architectural cores — core c runs
+// workgroups c, c+n, c+2n, … — and host thread t runs cores t, t+T, …,
+// each whole and in index order. Thread 0 is the Job Manager's own
+// goroutine, the others are started for the job.
 //
-// Workgroups are partitioned statically (virtual core wi runs workgroups
-// wi, wi+n, wi+2n, …): with per-core TLBs, the assignment decides which
-// core takes each page's table walk, so a work-stealing counter would
-// make the Table III TLB statistics a function of host scheduling. Static
-// striding keeps them — and every other counter of a data-race-free
-// kernel — exactly reproducible for a fixed HostThreads count.
+// With per-core TLBs, the assignment of workgroups to cores decides which
+// core takes each page's table walk, so a work-stealing counter would make
+// the Table III TLB statistics a function of host scheduling. A core's TLB
+// sees only its own accesses, whichever thread runs it, so every counter
+// and every guest byte of a data-race-free kernel is a function of the job
+// and ShaderCores, not of HostThreads.
 //
-//simlint:commit -- merges the cores' stats shards at job completion
+//simlint:commit -- merges the threads' stats shards at job completion
 func (d *Device) execJob(desc *JobDescriptor, prog *Program, uniforms []uint64) error {
 	totalWG, err := desc.Workgroups()
 	if err != nil {
@@ -156,51 +156,56 @@ func (d *Device) execJob(desc *JobDescriptor, prog *Program, uniforms []uint64) 
 	}
 	root := d.translationRoot()
 
-	nWorkers := int(min(uint64(d.cfg.HostThreads), totalWG))
-	if d.vcores == nil {
-		d.vcores = make([]*vcore, d.cfg.HostThreads)
+	nCores := int(min(uint64(d.cfg.ShaderCores), totalWG))
+	nThreads := min(d.cfg.HostThreads, nCores)
+	if d.cores == nil {
+		d.cores = make([]core, d.cfg.ShaderCores)
+		d.threads = make([]*hostThread, d.cfg.HostThreads)
 	}
 	d.lids = lidRows(d.lids, desc.LocalSize)
-	cores := d.vcores[:nWorkers]
-	for wi, vc := range cores {
-		if vc == nil {
-			vc = &vcore{ec: execContext{walker: d.newWalker()}}
+	cores, threads := d.cores[:nCores], d.threads[:nThreads]
+	for c := range cores {
+		cores[c].bind(d, c, desc, root)
+	}
+	for t, th := range threads {
+		if th == nil {
+			th = &hostThread{}
 			if s, ok := slabs.Get().(*[]wgWarp); ok {
-				vc.ec.warpSlab = *s
+				th.ec.warpSlab = *s
 			}
-			cores[wi] = vc
+			threads[t] = th
 		}
-		vc.bind(d, wi, desc, prog, uniforms, root)
+		th.bind(d, desc, prog, uniforms)
 	}
-	for wi := 1; wi < nWorkers; wi++ {
+	for t := 1; t < nThreads; t++ {
 		d.workers.Add(1)
-		go func(vc *vcore, wi int) {
-			defer d.workers.Done()
-			vc.err = vc.ec.runWorkgroups(uint64(wi), uint64(nWorkers), totalWG)
-		}(cores[wi], wi)
+		go d.runCoresAndDone(t, nThreads, nCores, totalWG)
 	}
-	cores[0].err = cores[0].ec.runWorkgroups(0, uint64(nWorkers), totalWG)
+	d.runCores(0, nThreads, nCores, totalWG)
 	d.workers.Wait()
 
 	// Totalling at job completion requires no further synchronisation
 	// (§IV-A): each shard was written by exactly one goroutine.
 	d.statsMu.Lock()
 	defer d.statsMu.Unlock()
+	for _, th := range threads {
+		d.gpuStats.Merge(&th.gs)
+		if th.ec.cfg != nil {
+			d.cfgGraph.Merge(th.ec.cfg)
+		}
+	}
 	// A genuine fault wins over the soft-stop marker so diagnostics are
 	// not masked when a stop races a faulting workgroup.
 	var fault, stopped error
-	for _, vc := range cores {
-		d.gpuStats.Merge(&vc.gs)
-		if vc.ec.cfg != nil {
-			d.cfgGraph.Merge(vc.ec.cfg)
-		}
-		d.mergeWalker(vc.ec.walker)
+	for c := range cores {
+		k := &cores[c]
+		d.mergeWalker(k.walker)
 		switch {
-		case vc.err == nil:
-		case errors.Is(vc.err, ErrStopped):
+		case k.err == nil:
+		case errors.Is(k.err, ErrStopped):
 			stopped = ErrStopped
 		case fault == nil:
-			fault = vc.err
+			fault = k.err
 		}
 	}
 	if fault != nil {
@@ -209,18 +214,37 @@ func (d *Device) execJob(desc *JobDescriptor, prog *Program, uniforms []uint64) 
 	return stopped
 }
 
-// runWorkgroups runs this core's share of a job: workgroups first,
+// runCores runs host thread t's cores t, t+nThreads, … below nCores, each
+// to the end of its share of the job's total workgroups, whatever the cores
+// before it did. Moving to the next core swaps only the context's walker
+// and local store.
+func (d *Device) runCores(t, nThreads, nCores int, total uint64) {
+	e := &d.threads[t].ec
+	for c := t; c < nCores; c += nThreads {
+		k := &d.cores[c]
+		e.walker, e.local = k.walker, &k.local
+		k.err = e.runWorkgroups(uint64(c), uint64(nCores), total)
+	}
+}
+
+// runCoresAndDone is runCores on a goroutine execJob joins.
+func (d *Device) runCoresAndDone(t, nThreads, nCores int, total uint64) {
+	defer d.workers.Done()
+	d.runCores(t, nThreads, nCores, total)
+}
+
+// runWorkgroups runs one core's share of a job: workgroups first,
 // first+stride, … below total. A descriptor can ask for 2^32 workgroups
 // and more, so the index is decomposed in 64 bits; only a soft-stop ends
 // such a job. However the core's share ends, what its tapes tallied
-// reaches its stats shard before execJob merges it.
+// reaches the thread's stats shard before execJob merges it.
 func (e *execContext) runWorkgroups(first, stride, total uint64) error {
 	defer e.commitTallies()
 	wgX, wgY := uint64(e.gsz[0]/e.lsz[0]), uint64(e.gsz[1]/e.lsz[1])
 	// Job-entry fence: guest-visible state written before the doorbell
 	// (descriptors, inputs) is ordered before any shader access. The
-	// matching job-exit fence below orders every store of this virtual
-	// core before job completion is signalled. Workgroup boundaries
+	// matching job-exit fence below orders every store of this core
+	// before job completion is signalled. Workgroup boundaries
 	// deliberately have no global fence — as on hardware, cross-core
 	// visibility between workgroups of one job is only word-granular,
 	// clause-ordered (see DESIGN.md §7).
@@ -245,14 +269,14 @@ type wgWarp struct {
 	atBarrier bool
 }
 
-// slabs recycles warp slabs across devices: Device.Close puts its cores'
-// slabs here and a device's new core takes one, so a session's first job
+// slabs recycles warp slabs across devices: Device.Close puts its threads'
+// slabs here and a device's new thread takes one, so a session's first job
 // does not first-touch a fresh slab (≈ 150 KiB for a 256-thread workgroup).
 // A slab holds register rows and divergence frames only — nothing that
 // points into a session — and warpsFor resets every row a program can name
 // before a workgroup runs, so what a previous session left in it cannot be
-// read (TestRecycledSlabLeaksNoRegisters). TLB arrays are not recycled:
-// they hold host views of the old session's RAM.
+// read (TestRecycledSlabLeaksNoRegisters). TLB arrays are recycled the same
+// way, flushed, by mmu.Walker.Release.
 var slabs sync.Pool // of *[]wgWarp
 
 // lidRows builds a job's lid.x/y/z rows in rows' storage, one triple per
@@ -371,19 +395,6 @@ func (e *execContext) runWorkgroup() error {
 		}
 	}
 	return nil
-}
-
-// unusableLocal rejects local accesses for kernels launched without local
-// memory, turning a malformed dispatch into a job fault instead of a
-// panic.
-type unusableLocal struct{}
-
-func (unusableLocal) load(uint64) (uint32, error) {
-	return 0, fmt.Errorf("gpu: local memory access but job has no local allocation")
-}
-
-func (unusableLocal) store(uint64, uint32) error {
-	return fmt.Errorf("gpu: local memory access but job has no local allocation")
 }
 
 // readGuest copies n bytes from the GPU address space, page by page (the

@@ -15,16 +15,10 @@ import (
 // that fill the 128-bit data unit and execute in lockstep.
 const WarpSize = 4
 
-// localMemory abstracts the workgroup-local store. Hardware workgroups use
-// driver-allocated guest memory accessed through the GPU MMU; virtual-core
-// over-commit falls back to host shadow buffers (§III-B3).
-type localMemory interface {
-	load(off uint64) (uint32, error)
-	store(off uint64, v uint32) error
-}
-
-// guestLocal is local memory backed by a guest allocation. Accesses go
-// through the walker's TLB-cached fast path, same as global memory.
+// guestLocal is a core's workgroup-local store: its slot of the
+// driver-allocated guest memory. Accesses go through the walker's
+// TLB-cached fast path, same as global memory. A job without a local
+// allocation has a zero-sized slot, so any local access faults.
 type guestLocal struct {
 	base   uint64 // guest VA of the slot
 	size   uint64
@@ -44,28 +38,6 @@ func (g *guestLocal) store(off uint64, v uint32) error {
 		return fmt.Errorf("gpu: local store at %#x beyond %#x", off, g.size)
 	}
 	return g.walker.Store(g.base+off, 4, uint64(v))
-}
-
-// shadowLocal is host-side local memory for over-committed virtual cores.
-type shadowLocal struct{ buf []byte }
-
-func (s *shadowLocal) load(off uint64) (uint32, error) {
-	if off+4 > uint64(len(s.buf)) {
-		return 0, fmt.Errorf("gpu: shadow local load at %#x beyond %#x", off, len(s.buf))
-	}
-	return uint32(s.buf[off]) | uint32(s.buf[off+1])<<8 |
-		uint32(s.buf[off+2])<<16 | uint32(s.buf[off+3])<<24, nil
-}
-
-func (s *shadowLocal) store(off uint64, v uint32) error {
-	if off+4 > uint64(len(s.buf)) {
-		return fmt.Errorf("gpu: shadow local store at %#x beyond %#x", off, len(s.buf))
-	}
-	s.buf[off] = byte(v)
-	s.buf[off+1] = byte(v >> 8)
-	s.buf[off+2] = byte(v >> 16)
-	s.buf[off+3] = byte(v >> 24)
-	return nil
 }
 
 // warpStatus reports how a warp's execution step ended.
@@ -141,14 +113,15 @@ func (w *warp) activeCount() int { return bits.OnesCount8(uint8(w.active)) }
 func (w *warp) allExited() bool { return w.exited == fullMask(w.lanes) }
 
 // execContext is everything a warp needs from its surrounding workgroup
-// and worker: program, argument values, memory paths and stat shards.
+// and host thread: program, argument values, memory paths and stat shards.
+// walker and local are those of the core the thread is running.
 type execContext struct {
 	prog     *Program
 	eng      Engine // a shared program may carry tapes an interpreter device must not run
 	uniforms []uint64
 	bus      *mem.Bus
 	walker   *mmu.Walker
-	local    localMemory
+	local    *guestLocal
 
 	wgid [3]uint32
 	gsz  [3]uint32
@@ -170,11 +143,11 @@ type execContext struct {
 	tallies []tally
 	uvals   []uint64
 
-	// warpSlab is this virtual core's per-workgroup warp storage, reset by
+	// warpSlab is this thread's per-workgroup warp storage, reset by
 	// warpsFor for every workgroup and kept from job to job — and, through
 	// slabs, from device to device. nil is valid: the first workgroup
 	// allocates. lids is the job's lid.x/y/z rows, one triple per warp of
-	// a workgroup (see lidRows), shared by its cores.
+	// a workgroup (see lidRows), shared by its threads.
 	warpSlab []wgWarp
 	lids     [][3]soaRow
 }

@@ -420,23 +420,21 @@ func reverseProgram() *gpu.Program {
 	}
 }
 
-func testReverse(t *testing.T, cfg gpu.Config, useGuestLocal bool) {
+func TestBarrierLocalMemoryGuest(t *testing.T) {
+	cfg := gpu.DefaultConfig()
 	r := newRig(t, cfg)
 	const n, wg = 256, 32
 	out := r.allocBuf(4 * n)
 	progVA, progSize := r.loadProgram(reverseProgram())
-	desc := &gpu.JobDescriptor{
+	raw := r.submit(&gpu.JobDescriptor{
 		JobType:       gpu.JobTypeCompute,
 		GlobalSize:    [3]uint32{n, 1, 1},
 		LocalSize:     [3]uint32{wg, 1, 1},
 		ShaderVA:      progVA,
 		ShaderSize:    progSize,
 		LocalMemBytes: wg * 4,
-	}
-	if useGuestLocal {
-		desc.LocalMemVA = r.allocBuf(cfg.ShaderCores * wg * 4)
-	}
-	raw := r.submit(desc, []uint64{out})
+		LocalMemVA:    r.allocBuf(cfg.ShaderCores * wg * 4),
+	}, []uint64{out})
 	if raw&gpu.IRQJobDone == 0 {
 		t.Fatalf("rawstat = %#x", raw)
 	}
@@ -454,19 +452,35 @@ func testReverse(t *testing.T, cfg gpu.Config, useGuestLocal bool) {
 	}
 }
 
-func TestBarrierLocalMemoryShadow(t *testing.T) {
-	testReverse(t, gpu.DefaultConfig(), false)
-}
-
-func TestBarrierLocalMemoryGuest(t *testing.T) {
-	testReverse(t, gpu.DefaultConfig(), true)
-}
-
-func TestVirtualCoreOverCommit(t *testing.T) {
-	cfg := gpu.DefaultConfig()
-	cfg.ShaderCores = 4
-	cfg.HostThreads = 16 // over-committed: workers 4..15 use shadow local
-	testReverse(t, cfg, true)
+// TestLocalBytesWithoutLocalVAFault: a job that declares local bytes but no
+// guest local allocation to hold them is a job fault on both engines, as a
+// local access in a job that declares none is; the device runs the next
+// job.
+func TestLocalBytesWithoutLocalVAFault(t *testing.T) {
+	for _, eng := range bothEngines {
+		cfg := gpu.DefaultConfig()
+		cfg.Engine = eng
+		r := newRig(t, cfg)
+		const n, wg = 64, 32
+		out := r.allocBuf(4 * n)
+		progVA, progSize := r.loadProgram(reverseProgram())
+		desc := &gpu.JobDescriptor{
+			JobType:       gpu.JobTypeCompute,
+			GlobalSize:    [3]uint32{n, 1, 1},
+			LocalSize:     [3]uint32{wg, 1, 1},
+			ShaderVA:      progVA,
+			ShaderSize:    progSize,
+			LocalMemBytes: wg * 4,
+		}
+		// 0xFF: a job error that is not an MMU fault.
+		if raw := r.submit(desc, []uint64{out}); raw&gpu.IRQJobFault == 0 || r.rd(gpu.RegAS0FaultStat) != 0xFF {
+			t.Errorf("%v: rawstat %#x, fault status %#x; want a job fault", eng, raw, r.rd(gpu.RegAS0FaultStat))
+		}
+		desc.LocalMemVA = r.allocBuf(cfg.ShaderCores * wg * 4)
+		if raw := r.submit(desc, []uint64{out}); raw != gpu.IRQJobDone {
+			t.Errorf("%v: the same job with a local allocation: rawstat %#x, want job done", eng, raw)
+		}
+	}
 }
 
 func TestJobChain(t *testing.T) {

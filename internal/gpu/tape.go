@@ -707,13 +707,13 @@ func (e *execContext) storeGlobal(w *warp, m *memOp, u uop, act uint64, full boo
 // Walker.BatchPage translates that page once — counting the lanes' hits, or
 // a walk and the other lanes' hits, as the per-lane accesses would — and
 // localSpan returns it with the VA of slot offset off, to index by lane. A
-// nil page declines with nothing counted: a shadow or absent store, a lane
+// nil page declines with nothing counted: an absent store, a lane
 // out of bounds, unaligned or on another page, an MMIO frame or a fault all
 // belong to the per-lane loop, where a faulting lane aborts with the
 // interpreter's totals.
 func (e *execContext) localSpan(ar *soaRow, lanes int, off uint64, kind mem.AccessKind) (page []byte, base uint64) {
-	g, ok := e.local.(*guestLocal)
-	if !ok || g.size < 4 {
+	g := e.local
+	if g.size < 4 {
 		return nil, 0
 	}
 	base = g.base + off

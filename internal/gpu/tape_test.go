@@ -82,7 +82,7 @@ func newTapeRig(t *testing.T) *tapeRig {
 	ec, w, _ := newHotContext(t)
 	ec.uniforms = []uint64{7, math.MaxUint32, 0x10000 + 128, uint64(math.Float32bits(-2.5))}
 	ec.wgid, ec.gsz, ec.lsz = [3]uint32{2, 1, 0}, [3]uint32{64, 2, 1}, [3]uint32{WarpSize, 2, 1}
-	ec.local = &shadowLocal{buf: make([]byte, 256)}
+	ec.local = &guestLocal{base: 0x10000 + 2048, size: 256, walker: ec.walker} // inside the mapped pages
 	// Per lane: r1, r2, r8 (the fresh destination, FMA/SEL's accumulator),
 	// t1. No lane pairs two *different* NaNs: x86 propagates the first
 	// operand's payload and the compiler may commute a float add or
@@ -112,7 +112,6 @@ func (r *tapeRig) run(t *testing.T, prog *Program, eng Engine, shape func(*warp)
 	if err := r.ec.bus.WriteBytes(pa, make([]byte, n)); err != nil {
 		t.Fatal(err)
 	}
-	clear(r.ec.local.(*shadowLocal).buf)
 	w := r.w0
 	w.stack = nil
 	shape(&w)

@@ -14,10 +14,10 @@ import (
 	"mobilesim/internal/stats"
 )
 
-// Pins for the persistent virtual cores (DESIGN.md §3.6): what a job
-// re-binds instead of building, what a workgroup resets, the runaway guard
-// and the local-memory span — each against the property that breaks when
-// the mechanism is taken out.
+// Pins for the persistent cores and host threads (DESIGN.md §3.6): what a
+// job re-binds instead of building, what a workgroup resets, the runaway
+// guard and the local-memory span — each against the property that breaks
+// when the mechanism is taken out.
 
 var bothEngines = []gpu.Engine{gpu.EngineInterp, gpu.EngineWarp}
 
@@ -326,7 +326,7 @@ type localCase struct {
 	slotBytes uint32 // LocalMemBytes
 	slotOff   uint64 // where slot 0 starts inside its first page
 	diverge   bool
-	cores     int // ShaderCores; HostThreads is 4
+	cores     int // ShaderCores; four host threads are asked for
 	wantFault bool
 }
 
@@ -399,7 +399,7 @@ func TestLocalSpanMatchesInterp(t *testing.T) {
 		{name: "unaligned", lsz: 16, skew: 2, slotBytes: 68, cores: 8},
 		{name: "divergent", lsz: 16, slotBytes: 64, diverge: true, cores: 8},
 		{name: "partial_tail_warp", lsz: 6, slotBytes: 24, cores: 8},
-		{name: "shadow_beyond_cores", lsz: 16, slotBytes: 64, cores: 2},
+		{name: "threads_beyond_cores", lsz: 16, slotBytes: 64, cores: 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rawI, outI, statsI := c.run(t, gpu.EngineInterp)

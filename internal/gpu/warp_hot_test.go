@@ -221,7 +221,7 @@ func TestWarpClauseEnginesBenchAllocs(t *testing.T) {
 	}
 }
 
-// TestWarpSlabRecycles pins how a virtual core's warp slab is reused from
+// TestWarpSlabRecycles pins how a host thread's warp slab is reused from
 // one workgroup, and one job, to the next: warpsFor returns the same
 // backing array, recycled warps are architecturally fresh (zero in every
 // register the program can name and in the clause temporaries, cleared

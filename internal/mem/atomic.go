@@ -280,7 +280,7 @@ func AtomicWriteBytes(view []byte, off uint64, src []byte) {
 var fenceWord atomic.Uint32
 
 // Fence is a full guest memory fence (sequentially consistent read-
-// modify-write). The GPU issues it at job entry/exit on each virtual core
+// modify-write). The GPU issues it at job entry/exit on each shader core
 // and at guest BARRIER instructions, making guest-visible ordering at
 // those rendezvous points explicit rather than an accident of the host
 // scheduler. Workgroup boundaries deliberately carry no fence (see

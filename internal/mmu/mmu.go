@@ -19,6 +19,7 @@ package mmu
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"mobilesim/internal/mem"
 )
@@ -113,11 +114,12 @@ type tlbEntry struct {
 type Walker struct {
 	bus  *mem.Bus
 	root uint64 // physical base of top-level table; 0 = translation off
-	// tlb is allocated lazily on the first non-zero SetRoot, 12 KiB of
-	// first-touch memory: CPU walkers with translation off (the driver
-	// path) never pay it, and a GPU device pays it once per virtual core
-	// and once for its chain walker (see Rebind), not per job. All TLB
-	// accesses are guarded by root != 0, which implies tlb != nil.
+	// tlb is taken lazily on the first non-zero SetRoot, from the arrays
+	// released walkers left (see Release) or as 12 KiB of first-touch
+	// memory: CPU walkers with translation off (the driver path) never pay
+	// it, and a GPU device pays it once per core and once for its chain
+	// walker (see Rebind), not per job. All TLB accesses are guarded by
+	// root != 0, which implies tlb != nil.
 	tlb *[tlbSize]tlbEntry
 
 	// touched is a page bitmap of distinct virtual page numbers walked
@@ -143,7 +145,7 @@ func NewWalker(bus *mem.Bus) *Walker {
 func (w *Walker) SetRoot(root uint64) {
 	w.root = root
 	if root != 0 && w.tlb == nil {
-		w.tlb = newTLB() // fresh array is already clean
+		w.tlb = newTLB() // a fresh or released array is already clean
 		return
 	}
 	w.FlushTLB()
@@ -154,7 +156,22 @@ func (w *Walker) SetRoot(root uint64) {
 // zero.
 //
 //go:noinline
-func newTLB() *[tlbSize]tlbEntry { return new([tlbSize]tlbEntry) }
+func newTLB() *[tlbSize]tlbEntry { return tlbs.Get().(*[tlbSize]tlbEntry) }
+
+// tlbs recycles TLB arrays across walkers, and so across sessions. Every
+// array in it is flushed: it holds no view of the RAM it last translated.
+var tlbs = sync.Pool{New: func() any { return new([tlbSize]tlbEntry) }}
+
+// Release flushes the walker's TLB, hands the array to the next walker that
+// needs one and turns translation off. A nil walker, or one that never
+// translated, has nothing to release.
+func (w *Walker) Release() {
+	if w != nil && w.tlb != nil {
+		w.FlushTLB()
+		tlbs.Put(w.tlb)
+		w.tlb, w.root = nil, 0
+	}
+}
 
 // Root returns the current top-level table base.
 func (w *Walker) Root() uint64 { return w.root }
@@ -175,7 +192,7 @@ func (w *Walker) ResetTouched() {
 }
 
 // Rebind readies a long-lived walker for its next unit of work — a GPU job
-// on a persistent virtual core — exactly as a newly made walker would be:
+// on a persistent core — exactly as a newly made walker would be:
 // root set, TLB flushed, counters zeroed, touched pages forgotten (tracking
 // stays as ResetTouched left it). The flush is what the guest observes:
 // page tables the driver rewrote since the last job are honoured, and every

@@ -110,6 +110,38 @@ func TestTLBCachesAndFlushes(t *testing.T) {
 	}
 }
 
+// TestReleasedTLBReadsAsFlushed: a walker that takes a TLB array another
+// walker released — here one translating a different RAM, as the next
+// session's would — starts cold and reads its own RAM, never the stale view.
+func TestReleasedTLBReadsAsFlushed(t *testing.T) {
+	const va, pa = 0x1000, 0x0020_0000
+	// walker translates va to a word holding v in a RAM of its own.
+	walker := func(v uint64) *Walker {
+		bus, _, as := newTestEnv(t)
+		if err := as.Map(va, pa, PermR); err != nil {
+			t.Fatal(err)
+		}
+		if err := bus.Write(pa, 4, v); err != nil {
+			t.Fatal(err)
+		}
+		w := NewWalker(bus)
+		w.SetRoot(as.Root())
+		return w
+	}
+	for i := 0; i < 8; i++ { // the pool may drop an array; one reuse suffices
+		old := walker(0xAAAA)
+		if _, err := old.Load(va, 4, mem.Read); err != nil {
+			t.Fatal(err)
+		}
+		old.Release()
+		w := walker(0xBBBB)
+		if got, err := w.Load(va, 4, mem.Read); err != nil || got != 0xBBBB || w.Walks != 1 {
+			t.Fatalf("after a release: load = %#x, %v with %d walks; want 0xbbbb from one walk", got, err, w.Walks)
+		}
+		w.Release()
+	}
+}
+
 func TestTLBPermissionCheckedOnHit(t *testing.T) {
 	bus, _, as := newTestEnv(t)
 	if err := as.Map(0x1000, 0x0020_0000, PermR); err != nil {
@@ -721,7 +753,7 @@ func TestSharedLoadHitPathZeroAllocs(t *testing.T) {
 }
 
 // TestSharedWalkersConcurrentSamePage is the core race-clean contract:
-// independent walkers (one per virtual core, as the GPU dispatches them)
+// independent walkers (one per shader core, as the GPU dispatches them)
 // hammer the same guest words concurrently. Run under -race this fails
 // loudly if any access path falls back to plain host memory ops.
 func TestSharedWalkersConcurrentSamePage(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 
 // Race-stress tests for the guest memory model: kernels that contend on
 // shared guest memory from every workgroup at once, dispatched across
-// more host threads than shader cores. Under `go test -race` these are
+// one host thread per shader core. Under `go test -race` these are
 // the direct proof that every GPU-side access path (interpreter, warp
 // tape, local memory, sub-word stores) goes through the atomic accessors;
 // the facade-level suites only reach the same paths indirectly.
@@ -68,20 +68,13 @@ func runStoreContention(t *testing.T, h *Harness, rounds int) {
 
 // TestStoreContentionMultiCore loops a store-contention kernel across
 // repeated dispatches (the -count idiom, inlined so one `go test -race`
-// run already stresses many schedules) on an over-committed device.
+// run already stresses many schedules) on eight concurrent cores.
 func TestStoreContentionMultiCore(t *testing.T) {
 	rounds := 20
 	if testing.Short() {
 		rounds = 4
 	}
 	runStoreContention(t, NewMP(t, 8), rounds)
-}
-
-// TestStoreContentionOvercommit drives more virtual cores than shader
-// cores, so guest-slot local memory and host shadow local memory coexist
-// while the same guest words are contended.
-func TestStoreContentionOvercommit(t *testing.T) {
-	runStoreContention(t, NewMP(t, 19), 5)
 }
 
 // TestStoreContentionInterp pins the reference interpreter explicitly (the

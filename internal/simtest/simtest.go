@@ -28,9 +28,9 @@ type Harness struct {
 	Dev   *gpu.Device
 }
 
-// NewMP creates a started harness whose device dispatches workgroups
-// across hostThreads concurrent virtual cores — the multi-core
-// configuration the race-clean guest memory model is accountable for.
+// NewMP creates a started harness whose device runs its eight cores on
+// hostThreads concurrent host threads — the multi-core configuration the
+// race-clean guest memory model is accountable for.
 // Tests that hammer shared guest memory use it so GPU concurrency is
 // exercised directly, not only through the facade.
 func NewMP(tb testing.TB, hostThreads int) *Harness {

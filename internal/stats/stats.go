@@ -213,11 +213,11 @@ type SystemStats struct {
 	KernelLaunch  uint64 // runtime-level kernel enqueues
 
 	// GPU MMU traffic, summed over every translation agent the device
-	// ran (the Job Manager's chain walker plus one walker per virtual
-	// core). For data-race-free kernels these are deterministic at a
-	// fixed HostThreads count (workgroups are partitioned statically
-	// across virtual cores); kernels with benign guest races — BFS's
-	// frontier flags — can shift the hit/walk split between runs.
+	// ran (the Job Manager's chain walker plus one walker per shader
+	// core). For data-race-free kernels these are deterministic at any
+	// host thread count (workgroups are striped statically across the
+	// cores); kernels with benign guest races — BFS's frontier flags —
+	// can shift the hit/walk split between runs.
 	TLBHits  uint64 // accesses served from a TLB entry
 	TLBWalks uint64 // full table walks (TLB misses)
 }

@@ -71,10 +71,11 @@ type Config struct {
 	// minimum 16 MiB).
 	RAMSize uint64
 	// ShaderCores is the architectural GPU core count (default 8, the
-	// G71 MP8 of the paper).
+	// G71 MP8 of the paper; at most 64).
 	ShaderCores int
-	// HostThreads is the number of host simulation threads driving the
-	// GPU model; it may exceed ShaderCores (default 8).
+	// HostThreads is the number of host threads that run the shader
+	// cores, each a fixed set of whole cores (default one per core; at
+	// most ShaderCores). It changes no statistic, only how fast a run is.
 	HostThreads int
 	// CompilerVersion selects the JIT compiler release (5.6 … 6.2);
 	// empty means the default (6.1).
@@ -88,11 +89,11 @@ func (c *Config) validate() error {
 	if c.RAMSize != 0 && c.RAMSize < minRAM {
 		return fmt.Errorf("mobilesim: RAMSize %d below minimum %d", c.RAMSize, uint64(minRAM))
 	}
-	if c.ShaderCores < 0 {
-		return fmt.Errorf("mobilesim: negative ShaderCores %d", c.ShaderCores)
+	if c.ShaderCores < 0 || c.ShaderCores > gpu.MaxShaderCores {
+		return fmt.Errorf("mobilesim: ShaderCores %d outside 0…%d", c.ShaderCores, gpu.MaxShaderCores)
 	}
-	if c.HostThreads < 0 {
-		return fmt.Errorf("mobilesim: negative HostThreads %d", c.HostThreads)
+	if cores := c.platformConfig().GPU.ShaderCores; c.HostThreads < 0 || c.HostThreads > cores {
+		return fmt.Errorf("mobilesim: HostThreads %d outside 0…%d (at most one host thread per shader core)", c.HostThreads, cores)
 	}
 	if c.CompilerVersion != "" {
 		if _, ok := clc.Versions[c.CompilerVersion]; !ok {

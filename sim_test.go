@@ -190,16 +190,31 @@ func TestBatchEmpty(t *testing.T) {
 }
 
 func TestBadConfig(t *testing.T) {
-	cases := map[string]mobilesim.Config{
-		"tiny RAM":         {RAMSize: 1 << 20},
-		"negative shaders": {ShaderCores: -2},
-		"negative threads": {HostThreads: -8},
-		"bad compiler":     {CompilerVersion: "9.9"},
+	cases := map[string]struct {
+		cfg  mobilesim.Config
+		want string // in the error
+	}{
+		"tiny RAM":         {mobilesim.Config{RAMSize: 1 << 20}, "RAMSize"},
+		"negative shaders": {mobilesim.Config{ShaderCores: -2}, "ShaderCores -2"},
+		// RegShaderPres is a 64-bit mask: at 65 cores it would read 64.
+		"65 shaders":       {mobilesim.Config{ShaderCores: 65}, "ShaderCores 65 outside 0…64"},
+		"2^40 shaders":     {mobilesim.Config{ShaderCores: 1 << 40}, "ShaderCores 1099511627776"},
+		"negative threads": {mobilesim.Config{HostThreads: -8}, "HostThreads -8"},
+		"threads > cores":  {mobilesim.Config{ShaderCores: 4, HostThreads: 5}, "HostThreads 5 outside 0…4"},
+		"threads > 8":      {mobilesim.Config{HostThreads: 16}, "HostThreads 16 outside 0…8"},
+		"bad compiler":     {mobilesim.Config{CompilerVersion: "9.9"}, "9.9"},
 	}
-	for name, cfg := range cases {
-		if _, err := mobilesim.New(cfg); err == nil {
-			t.Errorf("%s: New accepted bad config %+v", name, cfg)
+	for name, c := range cases {
+		if _, err := mobilesim.New(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: New(%+v) = %v, want an error naming %q", name, c.cfg, err, c.want)
 		}
+	}
+	for _, cfg := range []mobilesim.Config{{ShaderCores: 64, HostThreads: 64}, {ShaderCores: 4}} {
+		s, err := mobilesim.New(cfg)
+		if err != nil {
+			t.Fatalf("New(%+v): %v", cfg, err)
+		}
+		s.Close()
 	}
 
 	// A bad per-job config must fail the whole batch up front, before
@@ -316,10 +331,10 @@ func TestBatchCancellation(t *testing.T) {
 
 // TestHostThreads4AllBenchmarksVerify is the acceptance test for the
 // race-clean guest memory model at the facade level: one session with
-// four concurrent virtual cores runs every Table II workload and every
+// four concurrent host threads runs every Table II workload and every
 // result must verify against its host-native reference. The exact
-// per-workload counter values for this configuration are pinned by the
-// golden-stats test in internal/workloads; here the per-run deltas are
+// per-workload counter values, which no thread count moves, are pinned by
+// the golden-stats test in internal/workloads; here the per-run deltas are
 // sanity-checked so a facade-level stats regression cannot hide behind
 // the internal harness.
 func TestHostThreads4AllBenchmarksVerify(t *testing.T) {

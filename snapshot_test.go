@@ -96,9 +96,8 @@ func TestSnapshotGoldenStatsAllBenchmarks(t *testing.T) {
 	}
 }
 
-// TestSnapshotGoldenStatsReferenceThreads repeats the comparison on the
-// golden-table reference configuration (HostThreads 4) for a
-// deterministic, data-race-free subset.
+// TestSnapshotGoldenStatsReferenceThreads repeats the comparison on four
+// concurrent host threads for a deterministic, data-race-free subset.
 func TestSnapshotGoldenStatsReferenceThreads(t *testing.T) {
 	cfg := mobilesim.Config{RAMSize: 256 << 20, HostThreads: 4}
 	parent, err := mobilesim.New(cfg)
