@@ -185,10 +185,10 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, f diffFeatures) *gpu.Progr
 	}
 
 	if f.withStride {
-		// Lane-strided global loads through the warp engine's coalesced
-		// batch path and off it: stride 68 keeps a whole warp's span well
-		// inside one page (batched), stride 1020 makes some warps' spans
-		// cross a page boundary (per-lane fallback) — data and counters
+		// Lane-strided global loads through the warp engine's leaf path
+		// and off it: stride 68 keeps a whole warp's span well inside one
+		// page (served in execLeaf), stride 1020 makes some warps' spans
+		// cross a page boundary (the per-lane loop) — data and counters
 		// must be identical either way. Addresses stay inside the input
 		// allocation's page of slack (bounded by gid and by gid&7).
 		d1, d2 := dst(), dst()
@@ -409,7 +409,7 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 	prog := genDifferentialProgram(rnd, nALU, f)
 	// The top bit of localSel starts the local slots two words before a
 	// page boundary: slot 0's first warp then has lanes on both pages (the
-	// LDL/STL span declines it), every other warp all of its lanes on one.
+	// leaf hands its LDL/STL back), every other warp all of its lanes on one.
 	var localBytes uint32
 	var localOff uint64
 	if f.withLocal {
@@ -442,8 +442,8 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 // kernel under both engines. Seeds are chosen so every generator
 // feature combination — divergence inside warp-fused programs, partial
 // tail warps (lsz not a multiple of WarpSize), misaligned and
-// page-crossing LDG/STG, and lane-strided batches that straddle the
-// coalescing fallback boundary — appears in the corpus.
+// page-crossing LDG/STG, and lane-strided spans on both sides of the
+// leaf's one-page test — appears in the corpus.
 func FuzzDifferentialEngines(f *testing.F) {
 	for seed := uint64(0); seed < 40; seed++ {
 		f.Add(seed, uint8(seed*7), uint8(seed*3), uint8(16+seed))

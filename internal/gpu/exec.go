@@ -309,14 +309,14 @@ func (e *execContext) execTapeAt(w *warp, act uint64) (warpStatus, error) {
 		switch u.kind() {
 		case kBoundary: // handed back only with a soft-stop pending
 			err = ErrStopped
-		case kLoadG:
-			err = e.loadGlobal(w, &wp.mems[u.imm()], u, act, mask == nil)
-		case kStoreG:
-			err = e.storeGlobal(w, &wp.mems[u.imm()], u, act, mask == nil)
+		case kLoadG, kLoadGB, kLoadG64:
+			err = e.loadGlobal(w, &wp.mems[u.imm()], u, act)
+		case kStoreG, kStoreGB, kStoreG64:
+			err = e.storeGlobal(w, &wp.mems[u.imm()], u, act)
 		case kLoadL:
-			err = e.loadLocal(w, &wp.mems[u.imm()], u, act, mask == nil)
+			err = e.loadLocal(w, &wp.mems[u.imm()], u, act)
 		case kStoreL:
-			err = e.storeLocal(w, &wp.mems[u.imm()], u, act, mask == nil)
+			err = e.storeLocal(w, &wp.mems[u.imm()], u, act)
 		case kLaneInterp:
 			err = e.laneInterp(w, wp.slow[u.imm()].in, act)
 		case kSlow:

@@ -1,0 +1,348 @@
+package gpu
+
+import (
+	"encoding/binary"
+	"fmt"
+	"testing"
+
+	"mobilesim/internal/mem"
+	"mobilesim/internal/mmu"
+	"mobilesim/internal/stats"
+)
+
+// The warp engine serves a full warp's word and byte loads and stores in
+// execLeaf when one TLB probe covers the warp, and hands every other warp
+// to execTapeAt's per-lane loops (DESIGN.md §9). The tests here run every
+// memory micro-op over every shape that decides between the two, under
+// both engines from the same state.
+
+// Guest layout of the memory rig: two read-write pages, a read-only page
+// and a page of device registers.
+const (
+	lmRW     = 0x10000
+	lmRO     = 0x20000
+	lmMMIO   = 0x30000
+	lmRWPA   = 0x0020_0000
+	lmROPA   = 0x0030_0000
+	lmDevPA  = 0x4000_0000 // beyond the rig's RAM
+	lmSlotSz = 256         // local slot size
+)
+
+// regDev is a page of device registers that logs every access.
+type regDev struct {
+	regs [mem.PageSize + 8]byte
+	log  []string
+}
+
+func (d *regDev) ReadReg(off uint64, size int) (uint64, error) {
+	d.log = append(d.log, fmt.Sprintf("r%d@%#x", size, off))
+	return binary.LittleEndian.Uint64(d.regs[off:]) & (^uint64(0) >> (64 - 8*uint(size))), nil
+}
+
+func (d *regDev) WriteReg(off uint64, size int, v uint64) error {
+	d.log = append(d.log, fmt.Sprintf("w%d@%#x=%#x", size, off, v))
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	copy(d.regs[off:off+uint64(size)], b[:size])
+	return nil
+}
+
+// memShape is one warp shape: each lane's VA, the local slot the VAs lie
+// in for LDL/STL, the warp's live and active lanes, and whether the TLB
+// starts cold.
+type memShape struct {
+	name      string
+	vas       soaRow
+	slot      uint64
+	lanes     int
+	active    laneMask
+	cold      bool
+	localOnly bool
+}
+
+var memShapes = []memShape{
+	{name: "tlb_hit", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + 0x80}, slot: lmRW},
+	{name: "tlb_miss", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + 0x80}, slot: lmRW, cold: true},
+	{name: "mmio_frame", vas: soaRow{lmMMIO + 0x10, lmMMIO + 0x14, lmMMIO + 0x18, lmMMIO + 0x1c}, slot: lmMMIO},
+	{name: "read_only_page", vas: soaRow{lmRO + 0x40, lmRO + 0x44, lmRO + 0x48, lmRO + 0x4c}, slot: lmRO},
+	{name: "page_crossing_span", vas: soaRow{lmRW + 0xff8, lmRW + 0xffc, lmRW + 0x1000, lmRW + 0x1004}, slot: lmRW + 0xf00},
+	{name: "misaligned_word", vas: soaRow{lmRW + 0x42, lmRW + 0x46, lmRW + 0x4a, lmRW + 0x4e}, slot: lmRW},
+	{name: "partial_warp", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + 0x80}, slot: lmRW, lanes: 3},
+	{name: "divergent_warp", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + 0x80}, slot: lmRW, active: 0b1101},
+	{name: "local_lane_out_of_bounds", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + lmSlotSz}, slot: lmRW, localOnly: true},
+}
+
+// memOps are the memory instructions of the table: every op and size clc
+// emits, and the doubleword load the leaf always hands back. Imm is the
+// signed offset the address register is biased against.
+var memOps = []Instr{
+	{Op: OpLDG, Dst: R(3), A: R(1), Imm: 8},
+	{Op: OpLDGB, Dst: R(3), A: R(1), Imm: 8},
+	{Op: OpSTG, A: R(1), B: R(2), Imm: 8},
+	{Op: OpSTGB, A: R(1), B: R(2), Imm: 8},
+	{Op: OpLDL, Dst: R(3), A: R(1), Imm: 4},
+	{Op: OpSTL, A: R(1), B: R(2), Imm: 4},
+	{Op: OpLDG64, Dst: R(3), A: R(1), Imm: 8},
+}
+
+func isLocal(op Opcode) bool { return op == OpLDL || op == OpSTL }
+
+// memRig is one fresh machine running one memory instruction on one warp.
+type memRig struct {
+	ram *mem.RAM
+	bus *mem.Bus
+	dev *regDev
+	ec  *execContext
+	w   *warp
+}
+
+func newMemRig(tb testing.TB, eng Engine, in Instr, sh memShape) *memRig {
+	tb.Helper()
+	ram := mem.NewRAM(0, 16<<20)
+	bus := mem.NewBus(ram)
+	dev := &regDev{}
+	for i := range dev.regs {
+		dev.regs[i] = byte(0x90 + i)
+	}
+	if err := bus.MapDevice("regs", lmDevPA, mem.PageSize, dev); err != nil {
+		tb.Fatal(err)
+	}
+	alloc, err := mem.NewPageAllocator(1<<20, 8<<20)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	as, err := mmu.NewAddressSpace(bus, alloc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, m := range []struct {
+		va, pa, n, perms uint64
+	}{{lmRW, lmRWPA, 2, mmu.PermR | mmu.PermW}, {lmRO, lmROPA, 1, mmu.PermR}, {lmMMIO, lmDevPA, 1, mmu.PermR | mmu.PermW}} {
+		if err := as.MapRange(m.va, m.pa, m.n*mem.PageSize, m.perms); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	fill := make([]byte, 3*mem.PageSize)
+	for i := range fill {
+		fill[i] = byte(i*7 + 1)
+	}
+	if err := bus.WriteBytes(lmRWPA, fill[:2*mem.PageSize]); err != nil {
+		tb.Fatal(err)
+	}
+	if err := bus.WriteBytes(lmROPA, fill[2*mem.PageSize:]); err != nil {
+		tb.Fatal(err)
+	}
+	walker := mmu.NewWalker(bus)
+	walker.SetRoot(as.Root())
+	walker.ResetTouched()
+	if !sh.cold {
+		for _, va := range sh.vas {
+			if _, err := walker.Load(va&^mem.PageMask, 4, mem.Read); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+
+	p := &Program{RegCount: 4, Clauses: []Clause{{Instrs: []Instr{in, {Op: OpRET}}}}}
+	p.compile(EngineWarp)
+	ec := &execContext{
+		prog:   p,
+		eng:    eng,
+		bus:    bus,
+		walker: walker,
+		local:  &guestLocal{base: sh.slot, size: lmSlotSz, walker: walker},
+		gs:     &stats.GPUStats{},
+		gsz:    [3]uint32{WarpSize, 1, 1},
+		lsz:    [3]uint32{WarpSize, 1, 1},
+	}
+	ec.bindTape()
+
+	w := &warp{lanes: WarpSize}
+	if sh.lanes != 0 {
+		w.lanes = sh.lanes
+	}
+	w.active = fullMask(w.lanes)
+	if sh.active != 0 {
+		w.active = sh.active
+		w.stack = append(w.stack, divFrame{rejoin: 1 << 20, pendPC: -1, joinMask: fullMask(w.lanes)})
+	}
+	for l := range sh.vas {
+		a := sh.vas[l] - uint64(int64(int32(in.Imm)))
+		if isLocal(in.Op) {
+			a -= sh.slot
+		}
+		w.rows[1][l] = a
+		w.rows[2][l] = 0xa1b2_c3d4 + uint64(l)*0x0101_0101
+		w.rows[3][l] = 0x5555_5555_5555
+	}
+	return &memRig{ram: ram, bus: bus, dev: dev, ec: ec, w: w}
+}
+
+// memOutcome is everything a memory instruction can change that the
+// engines must agree on.
+type memOutcome struct {
+	err          string
+	regs         [NumGRF + NumTemp]soaRow
+	gs           stats.GPUStats
+	hits, walks  uint64
+	touched      int
+	rw, ro, devs string
+}
+
+func (r *memRig) run(tb testing.TB) memOutcome {
+	var o memOutcome
+	if _, err := r.ec.runWarp(r.w); err != nil {
+		o.err = err.Error()
+	}
+	r.ec.commitTallies()
+	o.regs, o.gs = regsOf(r.w), *r.ec.gs
+	o.hits, o.walks, o.touched = r.ec.walker.Hits, r.ec.walker.Walks, r.ec.walker.TouchedCount()
+	rw, ro := make([]byte, 2*mem.PageSize), make([]byte, mem.PageSize)
+	if err := r.bus.ReadBytes(lmRWPA, rw); err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.bus.ReadBytes(lmROPA, ro); err != nil {
+		tb.Fatal(err)
+	}
+	o.rw, o.ro, o.devs = string(rw), string(ro), fmt.Sprint(r.dev.log, r.dev.regs)
+	return o
+}
+
+// leafServes is the rule execLeaf applies, restated: a word or byte access
+// of a full warp whose lanes are naturally aligned on one RAM page the TLB
+// holds with the access's permission — and inside the slot, for a local
+// access.
+func leafServes(in Instr, sh memShape) bool {
+	size := map[Opcode]uint64{OpLDG: 4, OpLDGB: 1, OpSTG: 4, OpSTGB: 1, OpLDL: 4, OpSTL: 4}[in.Op]
+	if size == 0 || sh.cold || sh.lanes != 0 || sh.active != 0 {
+		return false
+	}
+	page := sh.vas[0] &^ mem.PageMask
+	store := in.Op == OpSTG || in.Op == OpSTGB || in.Op == OpSTL
+	if page == lmMMIO || store && page == lmRO {
+		return false
+	}
+	for _, va := range sh.vas {
+		if va&^mem.PageMask != page || va%size != 0 || isLocal(in.Op) && va-sh.slot > lmSlotSz-4 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLeafMemoryMatchesInterp runs LDG, LDGB, STG, STGB, LDL, STL and LDG64
+// over a TLB hit, a TLB miss, an MMIO frame, a read-only page, a span
+// across pages, misaligned words, a partial and a divergent warp and a
+// local lane out of bounds, on the warp engine and on the interpreter: the
+// same fault or none, the same registers, guest bytes, device accesses,
+// GPUStats and TLB hits, walks and touched pages. It also holds execLeaf to
+// its rule: it serves exactly the accesses leafServes names, and hands
+// every other back.
+func TestLeafMemoryMatchesInterp(t *testing.T) {
+	for _, in := range memOps {
+		for _, sh := range memShapes {
+			if sh.localOnly && !isLocal(in.Op) {
+				continue
+			}
+			t.Run(in.Op.String()+"/"+sh.name, func(t *testing.T) {
+				want := newMemRig(t, EngineInterp, in, sh).run(t)
+				got := newMemRig(t, EngineWarp, in, sh).run(t)
+				if got.err != want.err {
+					t.Errorf("fault: warp %q, interpreter %q", got.err, want.err)
+				}
+				if got.regs != want.regs {
+					t.Errorf("registers: warp r3 %#x, interpreter r3 %#x", got.regs[3], want.regs[3])
+				}
+				if got.gs != want.gs {
+					t.Errorf("counters:\nwarp   %+v\ninterp %+v", got.gs, want.gs)
+				}
+				if got.hits != want.hits || got.walks != want.walks || got.touched != want.touched {
+					t.Errorf("TLB hits/walks/touched pages: warp %d/%d/%d, interpreter %d/%d/%d",
+						got.hits, got.walks, got.touched, want.hits, want.walks, want.touched)
+				}
+				if got.rw != want.rw || got.ro != want.ro || got.devs != want.devs {
+					t.Errorf("guest memory or device accesses differ")
+				}
+
+				r := newMemRig(t, EngineWarp, in, sh)
+				var mask *soaRow
+				if int(r.w.activeCount()) != r.w.lanes {
+					mask = &maskRows[r.w.active]
+				}
+				ops := r.ec.tapes[0].ops
+				if served, want := r.ec.execLeaf(r.w, ops, 0, mask) == len(ops), leafServes(in, sh); served != want {
+					t.Errorf("execLeaf served the access: %v, want %v", served, want)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkTapeMemory times the warp engine's memory micro-ops per warp
+// access: word loads on a TLB hit (served in execLeaf), every access a TLB
+// miss (the per-lane loop and one walk per access), byte loads and local
+// loads on a hit, and word loads of a divergent warp (the per-lane loop).
+// Each iteration runs one tape of eight accesses to eight pages.
+func BenchmarkTapeMemory(b *testing.B) {
+	const n = 8
+	bench := func(op Opcode, local, miss, divergent bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			ram := mem.NewRAM(0, 16<<20)
+			bus := mem.NewBus(ram)
+			alloc, err := mem.NewPageAllocator(1<<20, 8<<20)
+			if err != nil {
+				b.Fatal(err)
+			}
+			as, err := mmu.NewAddressSpace(bus, alloc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := as.MapRange(lmRW, lmRWPA, n*mem.PageSize, mmu.PermR|mmu.PermW); err != nil {
+				b.Fatal(err)
+			}
+			walker := mmu.NewWalker(bus)
+			walker.SetRoot(as.Root())
+			var ins []Instr
+			for i := 0; i < n; i++ {
+				ins = append(ins, Instr{Op: op, Dst: R(3 + i), A: R(1), Imm: uint32(i * mem.PageSize)})
+			}
+			p := &Program{RegCount: 3 + n, Clauses: []Clause{{Instrs: append(ins, Instr{Op: OpRET})}}}
+			p.compile(EngineWarp)
+			ec := &execContext{prog: p, eng: EngineWarp, bus: bus, walker: walker, gs: &stats.GPUStats{},
+				local: &guestLocal{base: lmRW, size: n * mem.PageSize, walker: walker}}
+			ec.bindTape()
+			w := &warp{lanes: WarpSize}
+			for l := 0; l < WarpSize; l++ {
+				w.rows[1][l] = uint64(l) * 4
+				if !local {
+					w.rows[1][l] += lmRW
+				}
+			}
+			run := func() {
+				w.pc, w.steps, w.active, w.exited = 0, 0, fullMask(WarpSize), 0
+				if divergent {
+					w.active = 0b1011
+				}
+				if miss {
+					walker.FlushTLB()
+				}
+				if _, err := ec.runWarp(w); err != nil {
+					b.Fatal(err)
+				}
+				ec.commitTallies()
+			}
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/access")
+		}
+	}
+	b.Run("hit", bench(OpLDG, false, false, false))
+	b.Run("miss", bench(OpLDG, false, true, false))
+	b.Run("byte", bench(OpLDGB, false, false, false))
+	b.Run("local", bench(OpLDL, true, false, false))
+	b.Run("divergent", bench(OpLDG, false, false, true))
+}

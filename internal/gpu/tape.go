@@ -11,10 +11,11 @@ import (
 // clause — and every superclause chain — to a flat tape of pre-decoded
 // micro-ops, and execTapeAt runs a tape for one whole warp with a single
 // dense switch. ALU cases are leaf code, the four lanes written out in the
-// case over rows of the warp's unified register file; only operations
-// that can fault or must defer to other code (global/local memory, the
-// rare slow ALU ops, the per-lane interpreter fallback) leave the switch
-// through a call.
+// case over rows of the warp's unified register file. A full warp's word
+// and byte loads and stores are served from the switch too, through one
+// call (leafLoad, leafStore); the memory accesses it hands back, the rare
+// slow ALU ops and the per-lane interpreter fallback leave it for
+// execTapeAt.
 //
 // Counter contract: the interpreter bumps the class counter once per
 // instruction (scaled by the clause's active-lane count) before touching
@@ -26,8 +27,9 @@ import (
 // can observe when the counts are added. A tape that stops early commits
 // the marks it reached (abortTape), the interpreter's totals at that
 // point. Memory instructions CAN fault and abort the warp mid-instruction,
-// so all their counters stay per-lane and live, interleaved with the
-// walker calls exactly as the interpreter interleaves them.
+// so the per-lane loops count live, interleaved with the walker calls
+// exactly as the interpreter interleaves them; an access execLeaf serves
+// cannot fault once its TLB probe hits, and warpPage counts it whole.
 
 // The leaf cases spell out the lanes of a row: in a function the size of
 // execLeaf the compiler neither unrolls a WarpSize loop nor keeps its
@@ -45,11 +47,17 @@ const (
 	// boundary acquire marker. execLeaf runs it in place and hands it back
 	// only with a soft-stop pending.
 	kBoundary
-	kSlow       // d = slow[imm]'s value function of a (and b), per lane
-	kLoadG      // mems[imm]: d = global[a + off]
-	kStoreG     // mems[imm]: global[a + off] = b
-	kLoadL      // mems[imm]: d = local[a + off]
-	kStoreL     // mems[imm]: local[a + off] = b
+	kSlow // d = slow[imm]'s value function of a (and b), per lane
+	// The memory micro-ops, mems[imm] their offset and counters. execLeaf
+	// serves a full warp's word and byte accesses (see loadGlobal).
+	kLoadG      // d = global[a + off], a word
+	kLoadGB     // d = global[a + off], a zero-extended byte
+	kLoadG64    // d = global[a + off], a doubleword: out of line only
+	kStoreG     // global[a + off] = b, a word
+	kStoreGB    // global[a + off] = b, a byte
+	kStoreG64   // global[a + off] = b, a doubleword: out of line only
+	kLoadL      // d = local[a + off]
+	kStoreL     // local[a + off] = b
 	kLaneInterp // slow[imm].in through the interpreter, lane by lane
 	// The fused address idiom (optimise.go), uniforms from the uvals slots
 	// addrs[imm]: imul → iadd → mul64 → add64, and the mul64 → add64 tail.
@@ -221,8 +229,9 @@ func commitMasked(dst, src, mask *soaRow) {
 
 // execLeaf is the executor's hot loop: one dense switch whose cases are
 // leaf code. It runs ops from pc and returns the index of the first
-// micro-op it has no case for (len(ops) at the end of the tape), or of a
-// chain boundary at which a soft-stop is pending. Operand
+// micro-op it has no case for (len(ops) at the end of the tape), of a
+// memory micro-op it hands back (see warpPage), or of a chain boundary at
+// which a soft-stop is pending. Operand
 // rows are resolved inside each case, and everything else is reached
 // through e, so that little more than the tape position is live across the
 // switch's jump. For a divergent warp every ALU case computes the full row
@@ -261,6 +270,16 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			f := &e.tape.addrs[u.imm()]
 			s2, s3 := e.uvals[f[1]], e.uvals[f[2]]
 			d[0], d[1], d[2], d[3] = a[0]*s2+s3, a[1]*s2+s3, a[2]*s2+s3, a[3]*s2+s3
+		case kLoadG, kLoadGB, kLoadL:
+			if !e.leafLoad(w, u, mask) {
+				return pc
+			}
+			continue // a full warp: nothing to commit under a mask
+		case kStoreG, kStoreGB, kStoreL:
+			if !e.leafStore(w, u, mask) {
+				return pc
+			}
+			continue
 
 		// --- vector ∘ vector
 		case kVV + uopKind(OpMOV):
@@ -586,61 +605,104 @@ type memOp struct {
 	aCtr, vCtr ctrKind
 }
 
-// batchSpan reports whether all lanes of a fully-active warp touch one
-// virtual page, returning the lowest lane address. addrs is the SoA base
-// row; every lane accesses addrs[l]+imm for size bytes.
-func batchSpan(addrs *soaRow, lanes int, imm uint64, size int) (lo uint64, ok bool) {
-	lo = addrs[0] + imm
-	hi := lo
-	for l := 1; l < lanes; l++ {
-		a := addrs[l] + imm
-		if a < lo {
-			lo = a
-		}
-		if a > hi {
-			hi = a
-		}
+// warpPage returns the page a full warp's access through m lies on, and the
+// address its lanes offset — lane l accesses base + a[l] — when execLeaf may
+// serve the access: the warp is full (no mask, WarpSize live lanes), every
+// lane's access is naturally aligned and on the page of lane 0's, a local
+// access lies inside the slot, and the core's TLB holds a RAM-backed entry
+// for the page that permits kind. The probe has then counted the lanes' TLB
+// hits, and warpPage counts the rest of what the per-lane loop would: the
+// access can no longer fault, so nothing needs to interleave with it. In
+// every other case it returns nil with nothing counted, and the micro-op
+// goes back to execTapeAt's per-lane loop — a TLB miss there walks for lane
+// 0 and fills the entry lanes 1 to 3 hit, the same walk and hits, touched
+// page, dirty mark and fill.
+//
+//simlint:commit -- a full warp's memory micro-op served by execLeaf
+func (e *execContext) warpPage(w *warp, mask, a *soaRow, m *memOp, kind mem.AccessKind, local bool) (*[mem.PageSize]byte, uint64) {
+	if mask != nil || w.lanes != WarpSize {
+		return nil, 0
 	}
-	return lo, lo&^uint64(mem.PageMask) == (hi+uint64(size)-1)&^uint64(mem.PageMask)
+	base, walker := m.off, e.walker
+	if local {
+		g := e.local
+		if g.size < 4 || max(a[0]+m.off, a[1]+m.off, a[2]+m.off, a[3]+m.off) > g.size-4 {
+			return nil, 0
+		}
+		base, walker = g.base+m.off, g.walker
+	}
+	v0, v1, v2, v3 := base+a[0], base+a[1], base+a[2], base+a[3]
+	if (v0^v1)|(v0^v2)|(v0^v3) > mem.PageMask || (v0|v1|v2|v3)&uint64(m.size-1) != 0 {
+		return nil, 0
+	}
+	p := walker.HitPage(v0, kind, WarpSize)
+	if p == nil {
+		return nil, 0
+	}
+	gs := e.gs
+	gs.LSInstr += WarpSize
+	m.aCtr.bump(gs, WarpSize)
+	if local {
+		gs.LocalLS += WarpSize
+		gs.LocalAcc += WarpSize
+	} else {
+		gs.GlobalLS += WarpSize
+		gs.MainMemAcc += WarpSize
+	}
+	m.vCtr.bump(gs, WarpSize)
+	return p, base
 }
 
-// loadGlobal is the LDG/LDG64/LDGB uop: a per-lane loop over the walker
-// fast path, with a coalesced batch path in front. When the whole warp is
-// active and every lane's access lands inside one virtual page (the
-// uniform-base + lane-stride shape of well-behaved kernels), the page is
-// translated once through Walker.BatchPage — which accounts TLB hits/
-// walks, touched pages and the dirty watermark bit-identically to the
-// per-lane sequence — and the lanes copy straight between the host page
-// view and the SoA register row. The batch cannot fault (BatchPage
-// declines rather than faults), so its counters may bump in bulk.
-// Divergent warps, page-crossing spans, MMIO frames and faulting accesses
-// fall back to the per-lane loop, where counters and walker calls stay in
-// interpreter order so a faulting lane aborts with identical totals.
+// leafLoad is execLeaf's LDG, LDGB and LDL: it serves load u of a warp
+// warpPage accepts and reports whether it did.
+func (e *execContext) leafLoad(w *warp, u uop, mask *soaRow) bool {
+	a := &w.rows[u.a()]
+	p, base := e.warpPage(w, mask, a, &e.tape.mems[u.imm()], mem.Read, u.kind() == kLoadL)
+	if p == nil {
+		return false
+	}
+	d := &w.rows[u.d()]
+	if u.kind() == kLoadGB {
+		d[0], d[1], d[2], d[3] = uint64(mem.LaneLoad8(p, base+a[0])), uint64(mem.LaneLoad8(p, base+a[1])), uint64(mem.LaneLoad8(p, base+a[2])), uint64(mem.LaneLoad8(p, base+a[3]))
+	} else {
+		d[0], d[1], d[2], d[3] = uint64(mem.LaneLoad32(p, base+a[0])), uint64(mem.LaneLoad32(p, base+a[1])), uint64(mem.LaneLoad32(p, base+a[2])), uint64(mem.LaneLoad32(p, base+a[3]))
+	}
+	return true
+}
+
+// leafStore is execLeaf's STG, STGB and STL, the store mirror of leafLoad.
+// Lanes store in lane order, so overlapping lane stores resolve as the
+// per-lane loop resolves them.
+func (e *execContext) leafStore(w *warp, u uop, mask *soaRow) bool {
+	a := &w.rows[u.a()]
+	p, base := e.warpPage(w, mask, a, &e.tape.mems[u.imm()], mem.Write, u.kind() == kStoreL)
+	if p == nil {
+		return false
+	}
+	b := &w.rows[u.b()]
+	if u.kind() == kStoreGB {
+		for l := range b {
+			mem.LaneStore8(p, base+a[l], uint32(b[l]))
+		}
+		return true
+	}
+	for l := range b {
+		mem.LaneStore32(p, base+a[l], uint32(b[l]))
+	}
+	return true
+}
+
+// loadGlobal is the LDG/LDGB/LDG64 micro-op of a warp execLeaf hands back:
+// a divergent or partial warp, a span across pages, a misaligned lane, a
+// TLB miss, an MMIO frame, a fault, every doubleword. It runs the per-lane
+// loop over the walker, counters and walker calls in the interpreter's
+// order, so a faulting lane aborts with the interpreter's totals.
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
-func (e *execContext) loadGlobal(w *warp, m *memOp, u uop, act uint64, full bool) error {
+func (e *execContext) loadGlobal(w *warp, m *memOp, u uop, act uint64) error {
 	gs := e.gs
 	gs.LSInstr += act
 	ar, dr := &w.rows[u.a()], &w.rows[u.d()]
-	if full {
-		if lo, ok := batchSpan(ar, w.lanes, m.off, m.size); ok {
-			if page, ok := e.walker.BatchPage(lo, mem.Read, act); ok {
-				m.aCtr.bump(gs, act)
-				gs.GlobalLS += act
-				gs.MainMemAcc += act
-				m.vCtr.bump(gs, act)
-				for l := 0; l < w.lanes; l++ {
-					off := (ar[l] + m.off) & mem.PageMask
-					if m.size == 4 && off&3 == 0 {
-						dr[l] = mem.AtomicLoad32(page, off)
-					} else {
-						dr[l] = mem.AtomicLoadLE(page, off, m.size)
-					}
-				}
-				return nil
-			}
-		}
-	}
 	for l := 0; l < w.lanes; l++ {
 		if !w.active.has(l) {
 			continue
@@ -658,34 +720,13 @@ func (e *execContext) loadGlobal(w *warp, m *memOp, u uop, act uint64, full bool
 	return nil
 }
 
-// storeGlobal is the STG/STG64/STGB uop, the store mirror of loadGlobal.
+// storeGlobal is the STG/STGB/STG64 micro-op, the store mirror of loadGlobal.
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
-func (e *execContext) storeGlobal(w *warp, m *memOp, u uop, act uint64, full bool) error {
+func (e *execContext) storeGlobal(w *warp, m *memOp, u uop, act uint64) error {
 	gs := e.gs
 	gs.LSInstr += act
 	ar, br := &w.rows[u.a()], &w.rows[u.b()]
-	if full {
-		if lo, ok := batchSpan(ar, w.lanes, m.off, m.size); ok {
-			if page, ok := e.walker.BatchPage(lo, mem.Write, act); ok {
-				m.aCtr.bump(gs, act)
-				m.vCtr.bump(gs, act)
-				gs.GlobalLS += act
-				gs.MainMemAcc += act
-				// Lane order is preserved: overlapping lane stores
-				// resolve low-lane-first, as the per-lane loop does.
-				for l := 0; l < w.lanes; l++ {
-					off := (ar[l] + m.off) & mem.PageMask
-					if m.size == 4 && off&3 == 0 {
-						mem.AtomicStore32(page, off, uint32(br[l]))
-					} else {
-						mem.AtomicStoreLE(page, off, m.size, br[l])
-					}
-				}
-				return nil
-			}
-		}
-	}
 	for l := 0; l < w.lanes; l++ {
 		if !w.active.has(l) {
 			continue
@@ -701,53 +742,14 @@ func (e *execContext) storeGlobal(w *warp, m *memOp, u uop, act uint64, full boo
 	return nil
 }
 
-// localSpan is the LDL/STL counterpart of the global batch path. When the
-// local store is a guest slot and every lane of a warp whose live lanes are
-// all active addresses an in-bounds, word-aligned word of it on one page,
-// Walker.BatchPage translates that page once — counting the lanes' hits, or
-// a walk and the other lanes' hits, as the per-lane accesses would — and
-// localSpan returns it with the VA of slot offset off, to index by lane. A
-// nil page declines with nothing counted: an absent store, a lane
-// out of bounds, unaligned or on another page, an MMIO frame or a fault all
-// belong to the per-lane loop, where a faulting lane aborts with the
-// interpreter's totals.
-func (e *execContext) localSpan(ar *soaRow, lanes int, off uint64, kind mem.AccessKind) (page []byte, base uint64) {
-	g := e.local
-	if g.size < 4 {
-		return nil, 0
-	}
-	base = g.base + off
-	first := base + ar[0]
-	for l := 0; l < lanes; l++ {
-		va := base + ar[l]
-		if ar[l]+off > g.size-4 || va&3 != 0 || (va^first)&^uint64(mem.PageMask) != 0 {
-			return nil, 0
-		}
-	}
-	page, _ = g.walker.BatchPage(first, kind, uint64(lanes))
-	return page, base
-}
-
-// loadLocal is the LDL uop: one page translation for a warp that localSpan
-// accepts, the per-lane loop for every other.
+// loadLocal is the LDL micro-op of a warp execLeaf hands back, the local
+// counterpart of loadGlobal.
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
-func (e *execContext) loadLocal(w *warp, m *memOp, u uop, act uint64, full bool) error {
+func (e *execContext) loadLocal(w *warp, m *memOp, u uop, act uint64) error {
 	gs := e.gs
 	gs.LSInstr += act
 	ar, dr := &w.rows[u.a()], &w.rows[u.d()]
-	if full {
-		if page, base := e.localSpan(ar, w.lanes, m.off, mem.Read); page != nil {
-			m.aCtr.bump(gs, act)
-			gs.LocalLS += act
-			gs.LocalAcc += act
-			m.vCtr.bump(gs, act)
-			for l := 0; l < w.lanes; l++ {
-				dr[l] = mem.AtomicLoad32(page, (base+ar[l])&mem.PageMask)
-			}
-			return nil
-		}
-	}
 	for l := 0; l < w.lanes; l++ {
 		if !w.active.has(l) {
 			continue
@@ -765,26 +767,13 @@ func (e *execContext) loadLocal(w *warp, m *memOp, u uop, act uint64, full bool)
 	return nil
 }
 
-// storeLocal is the STL uop, the store mirror of loadLocal; lanes store in
-// lane order on either path.
+// storeLocal is the STL micro-op, the store mirror of loadLocal.
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
-func (e *execContext) storeLocal(w *warp, m *memOp, u uop, act uint64, full bool) error {
+func (e *execContext) storeLocal(w *warp, m *memOp, u uop, act uint64) error {
 	gs := e.gs
 	gs.LSInstr += act
 	ar, br := &w.rows[u.a()], &w.rows[u.b()]
-	if full {
-		if page, base := e.localSpan(ar, w.lanes, m.off, mem.Write); page != nil {
-			m.aCtr.bump(gs, act)
-			m.vCtr.bump(gs, act)
-			gs.LocalLS += act
-			gs.LocalAcc += act
-			for l := 0; l < w.lanes; l++ {
-				mem.AtomicStore32(page, (base+ar[l])&mem.PageMask, uint32(br[l]))
-			}
-			return nil
-		}
-	}
 	for l := 0; l < w.lanes; l++ {
 		if !w.active.has(l) {
 			continue

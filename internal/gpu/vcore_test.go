@@ -16,7 +16,7 @@ import (
 
 // Pins for the persistent cores and host threads (DESIGN.md §3.6): what a
 // job re-binds instead of building, what a workgroup resets, the runaway
-// guard and the local-memory span — each against the property that breaks
+// guard and the local-memory paths — each against the property that breaks
 // when the mechanism is taken out.
 
 var bothEngines = []gpu.Engine{gpu.EngineInterp, gpu.EngineWarp}
@@ -384,10 +384,12 @@ func (c localCase) run(t *testing.T, eng gpu.Engine) (uint32, []int32, [2]any) {
 	return raw, r.readInts(out, int(n)), [2]any{gs, sys}
 }
 
-// TestLocalSpanMatchesInterp runs every shape the LDL/STL span has to
-// accept or decline under both engines: same memory, same counters — TLB
-// hits and walks included — and, where a lane is out of bounds, the same
-// fault with the same counters at the abort.
+// TestLocalSpanMatchesInterp runs whole jobs over every shape of a warp's
+// LDL/STL span that execLeaf has to serve or hand back, under both engines:
+// same memory, same counters — TLB hits and walks included — and, where a
+// lane is out of bounds, the same fault with the same counters at the
+// abort. TestLeafMemoryMatchesInterp holds the same rule one micro-op at a
+// time.
 func TestLocalSpanMatchesInterp(t *testing.T) {
 	for _, c := range []localCase{
 		{name: "one_page", lsz: 16, slotBytes: 64, cores: 8},

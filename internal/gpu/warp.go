@@ -380,26 +380,31 @@ func (b *tapeBuilder) lower(in *Instr) {
 // operands are broadcast first and keep their own operand counter.
 func (b *tapeBuilder) lowerMem(in *Instr, A, B operand) {
 	m := memOp{off: uint64(int64(int32(in.Imm))), size: 4, aCtr: A.ctr}
+	kind := kLoadG
 	switch in.Op {
-	case OpLDG64, OpSTG64:
-		m.size = 8
-	case OpLDGB, OpSTGB:
-		m.size = 1
-	}
-	kind, d, a, v := kLoadG, in.Dst, b.row(A, rowScratchA), uint8(0)
-	switch in.Op {
+	case OpLDGB:
+		kind, m.size = kLoadGB, 1
+	case OpLDG64:
+		kind, m.size = kLoadG64, 8
 	case OpLDL:
 		kind = kLoadL
-		fallthrough
-	case OpLDG, OpLDG64, OpLDGB:
+	case OpSTG:
+		kind = kStoreG
+	case OpSTGB:
+		kind, m.size = kStoreGB, 1
+	case OpSTG64:
+		kind, m.size = kStoreG64, 8
+	case OpSTL:
+		kind = kStoreL
+	}
+	d, a, v := in.Dst, b.row(A, rowScratchA), uint8(0)
+	switch kind {
+	case kStoreG, kStoreGB, kStoreG64, kStoreL:
+		d, v, m.vCtr = 0, b.row(B, rowScratchB), B.ctr
+	default:
 		m.vCtr = ctrGRFWrite
 		if d >= NumGRF {
 			m.vCtr = ctrTempAcc
-		}
-	default:
-		kind, d, v, m.vCtr = kStoreG, 0, b.row(B, rowScratchB), B.ctr
-		if in.Op == OpSTL {
-			kind = kStoreL
 		}
 	}
 	b.ops = append(b.ops, mkUop(kind, d, a, v, uint32(len(b.wp.mems))))

@@ -312,9 +312,9 @@ var warpEdgeCases = []warpEdgeCase{
 			)
 		},
 	},
-	// Lane stride 1020: warp 0's span (3064 B) fits one page and takes the
-	// batched LDG path, warp 1's span crosses the page boundary and must
-	// fall back per lane — identical data and counters either way.
+	// Lane stride 1020: warp 0's lanes (3064 B apart at most) fit one page
+	// and execLeaf serves its LDG, warp 1's cross the page boundary and go
+	// to the per-lane loop — identical data and counters either way.
 	{
 		name: "strided_ldg_page_cross_fallback", global: [3]uint32{8, 1, 1}, local: [3]uint32{4, 1, 1},
 		prog: func() *gpu.Program {
@@ -329,10 +329,10 @@ var warpEdgeCases = []warpEdgeCase{
 			)
 		},
 	},
-	// Batched stores with lane-permuted (descending within each quad)
-	// addresses, read back by the straight order: batchSpan must handle
-	// non-monotonic lanes, and the bulk copies must preserve per-lane
-	// values exactly (each scratch slot is written by exactly one thread).
+	// Stores with lane-permuted (descending within each quad) addresses,
+	// read back by the straight order: non-monotonic lanes must keep their
+	// per-lane values exactly (each scratch slot is written by exactly one
+	// thread).
 	{
 		name: "permuted_batched_stg", global: [3]uint32{8, 1, 1}, local: [3]uint32{4, 1, 1},
 		prog: func() *gpu.Program {

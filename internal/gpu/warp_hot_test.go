@@ -15,7 +15,7 @@ import (
 // each engine tier.
 
 // hotProgram is a straight-line two-clause kernel whose every slot takes
-// a leaf tape case or the batched memory path: vector ALU (including the
+// a leaf tape case, memory included: vector ALU (including the
 // FMA/SEL accumulator forms), an immediate-shift, and a TLB-hit LDG/STG
 // pair.
 func hotProgram() *Program {

@@ -58,32 +58,41 @@ func le64(v uint64) uint64 {
 }
 
 // ptr32 returns the aligned host word at byte offset off (off%4 == 0).
+// Both checks stay, and neither formats its panic here — the conversion's
+// bounds check panics in the runtime, the alignment check in misaligned —
+// so that ptr32 and ptr64 inline into every accessor.
 func ptr32(view []byte, off uint64) *uint32 {
-	if off+4 > uint64(len(view)) {
-		panic(fmt.Sprintf("mem: atomic word at %#x beyond view of %d bytes", off, len(view)))
-	}
-	p := unsafe.Pointer(&view[off])
+	p := unsafe.Pointer((*[4]byte)(view[off:]))
 	if uintptr(p)&3 != 0 {
-		panic(fmt.Sprintf("mem: atomic access through a misaligned view (host addr %#x)", uintptr(p)))
+		misaligned(p)
 	}
 	return (*uint32)(p)
 }
 
 func ptr64(view []byte, off uint64) *uint64 {
-	if off+8 > uint64(len(view)) {
-		panic(fmt.Sprintf("mem: atomic word at %#x beyond view of %d bytes", off, len(view)))
-	}
-	p := unsafe.Pointer(&view[off])
+	p := unsafe.Pointer((*[8]byte)(view[off:]))
 	if uintptr(p)&7 != 0 {
-		panic(fmt.Sprintf("mem: atomic access through a misaligned view (host addr %#x)", uintptr(p)))
+		misaligned(p)
 	}
 	return (*uint64)(p)
+}
+
+// misaligned panics for an atomic access at a misaligned host address.
+//
+//go:noinline
+func misaligned(p unsafe.Pointer) {
+	panic(fmt.Sprintf("mem: atomic access through a misaligned view (host addr %#x)", uintptr(p)))
 }
 
 // rmw32 atomically replaces the masked bits of the aligned word at off
 // with val (both given as little-endian guest values).
 func rmw32(view []byte, off uint64, mask, val uint32) {
-	p := ptr32(view, off)
+	casBits(ptr32(view, off), mask, val)
+}
+
+// casBits atomically replaces the masked bits of *p with val, both given as
+// little-endian guest values.
+func casBits(p *uint32, mask, val uint32) {
 	m, v := le32(mask), le32(val)
 	for {
 		old := atomic.LoadUint32(p)
@@ -93,16 +102,52 @@ func rmw32(view []byte, off uint64, mask, val uint32) {
 	}
 }
 
-// AtomicLoad32 loads the aligned 32-bit guest word at off (off%4 == 0).
-// It is the single-copy-atomic common case of AtomicLoadLE, kept tiny so
-// it inlines into the MMU's TLB-hit path.
-func AtomicLoad32(view []byte, off uint64) uint64 {
-	return uint64(le32(atomic.LoadUint32(ptr32(view, off))))
+// AlignedPage returns view, the host view of one whole RAM page, as the
+// fixed-size page the lane accessors below index, or nil for a nil view.
+// It asserts once what those accessors then take on trust: the view is a
+// page long and starts on a host word boundary. The MMU calls it where it
+// fills a TLB entry.
+func AlignedPage(view []byte) *[PageSize]byte {
+	if view == nil {
+		return nil
+	}
+	p := (*[PageSize]byte)(view)
+	if uintptr(unsafe.Pointer(p))&7 != 0 {
+		misaligned(unsafe.Pointer(p))
+	}
+	return p
 }
 
-// AtomicStore32 stores the aligned 32-bit guest word at off (off%4 == 0).
-func AtomicStore32(view []byte, off uint64, val uint32) {
-	atomic.StoreUint32(ptr32(view, off), le32(val))
+// The lane accessors serve one lane of a warp whose access the caller has
+// proven naturally aligned and inside page p. They index the word holding
+// off&PageMask, so a lane pays neither a bounds nor an alignment check, and
+// keep the word-atomic model: a word load or store is one host atomic, a
+// byte store CASes its containing word.
+
+// laneWord is the host word of p that holds page offset off&PageMask.
+func laneWord(p *[PageSize]byte, off uint64) *uint32 {
+	return (*uint32)(unsafe.Pointer(&p[off&(PageMask&^3)]))
+}
+
+// LaneLoad32 loads the guest word at off (off%4 == 0) of page p.
+func LaneLoad32(p *[PageSize]byte, off uint64) uint32 {
+	return le32(atomic.LoadUint32(laneWord(p, off)))
+}
+
+// LaneLoad8 loads the guest byte at off of page p.
+func LaneLoad8(p *[PageSize]byte, off uint64) uint32 {
+	return LaneLoad32(p, off) >> (off & 3 * 8) & 0xFF
+}
+
+// LaneStore32 stores the guest word v at off (off%4 == 0) of page p.
+func LaneStore32(p *[PageSize]byte, off uint64, v uint32) {
+	atomic.StoreUint32(laneWord(p, off), le32(v))
+}
+
+// LaneStore8 stores the low byte of v at off of page p.
+func LaneStore8(p *[PageSize]byte, off uint64, v uint32) {
+	sh := off & 3 * 8
+	casBits(laneWord(p, off), 0xFF<<sh, v&0xFF<<sh)
 }
 
 // AtomicLoadLE loads size (1, 2, 4 or 8) little-endian bytes at off from a

@@ -269,8 +269,8 @@ func TestMisalignedAccessWordGranular(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 20000; i++ {
-			AtomicStore32(view, 4, 0)
-			AtomicStore32(view, 4, ^uint32(0))
+			AtomicStoreLE(view, 4, 4, 0)
+			AtomicStoreLE(view, 4, 4, 0xFFFFFFFF)
 		}
 	}()
 	for i := 0; i < 20000; i++ {
@@ -293,10 +293,71 @@ func TestMisalignedAccessWordGranular(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20000; i++ {
-		w := uint32(AtomicLoad32(view, 4))
+		w := uint32(AtomicLoadLE(view, 4, 4))
 		if mid := w & 0xFFFFFF; mid != 0 && mid != 0xFFFFFF {
 			t.Fatalf("misaligned store tore within a word: %#x", w)
 		}
 	}
 	<-done
+}
+
+// TestLaneAccessorsMatchPlain checks the lane accessors against the plain
+// LE accessors on a page view: every word and every byte of the page's
+// first and last 64 bytes, addressed with the page-number bits a guest VA
+// carries above PageMask, which the accessors ignore.
+func TestLaneAccessorsMatchPlain(t *testing.T) {
+	page := AlignedPage(alignedView(PageSize))
+	ref := make([]byte, PageSize)
+	for i := range page {
+		page[i], ref[i] = byte(0x3c+i*5), byte(0x3c+i*5)
+	}
+	const va = 0x7_0000_0000 // page-number bits above the offset
+	var offs []uint64
+	for off := uint64(0); off < 64; off++ {
+		offs = append(offs, off, PageSize-64+off)
+	}
+	for _, off := range offs {
+		if off%4 == 0 {
+			if got, want := LaneLoad32(page, va+off), uint32(loadLE(ref[off:off+4])); got != want {
+				t.Errorf("LaneLoad32(%#x) = %#x, want %#x", off, got, want)
+			}
+			LaneStore32(page, va+off, 0xa1b2c3d4^uint32(off))
+			storeLE(ref[off:off+4], 4, uint64(0xa1b2c3d4^uint32(off)))
+		}
+		if got, want := LaneLoad8(page, va+off), uint32(ref[off]); got != want {
+			t.Errorf("LaneLoad8(%#x) = %#x, want %#x", off, got, want)
+		}
+		LaneStore8(page, va+off, 0x100|uint32(off)) // only the low byte lands
+		ref[off] = byte(off)
+		if string(page[:]) != string(ref) {
+			t.Fatalf("after the stores at %#x the page differs from the plain stores", off)
+		}
+	}
+}
+
+// TestViewChecksPanic pins the checks the accessors keep: a word beyond its
+// view, a view that is not word-aligned, and a page view that is short or
+// misaligned all panic; a nil page view is no page.
+func TestViewChecksPanic(t *testing.T) {
+	view := alignedView(2 * PageSize)
+	for name, f := range map[string]func(){
+		"word beyond the view":  func() { AtomicLoadLE(view[:8], 6, 4) },
+		"dword beyond the view": func() { AtomicLoadLE(view[:8], 8, 8) },
+		"misaligned view":       func() { AtomicLoadLE(view[1:], 0, 4) },
+		"misaligned dword":      func() { AtomicStoreLE(view[4:], 0, 8, 1) },
+		"short page":            func() { AlignedPage(view[:PageSize-1]) },
+		"misaligned page":       func() { AlignedPage(view[4 : 4+PageSize]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	if AlignedPage(nil) != nil {
+		t.Error("AlignedPage(nil) is not nil")
+	}
 }

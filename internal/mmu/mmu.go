@@ -99,7 +99,7 @@ type tlbEntry struct {
 	// page is the host view of the 4 KiB physical page, cached at walk
 	// time when the frame is RAM-backed; nil for MMIO frames, which must
 	// always go through the bus (device reads have side effects).
-	page []byte
+	page *[mem.PageSize]byte
 }
 
 // Walker translates virtual addresses through page tables rooted at a
@@ -250,7 +250,7 @@ func (w *Walker) Translate(va uint64, kind mem.AccessKind) (uint64, *Fault) {
 	if w.touched != nil {
 		w.touched[vpn>>6] |= 1 << (vpn & 63)
 	}
-	page := w.bus.PageView(pfn)
+	page := mem.AlignedPage(w.bus.PageView(pfn))
 	if page != nil && perms&PermW != 0 {
 		// Stores through the cached view bypass the bus, so mark the whole
 		// page in the RAM's dirty map up front.
@@ -263,12 +263,16 @@ func (w *Walker) Translate(va uint64, kind mem.AccessKind) (uint64, *Fault) {
 	return pfn | (va & mem.PageMask), nil
 }
 
-// hitPage returns the cached host page for va when the access can be
-// served entirely from the TLB: translation on, valid entry, permitted
-// kind, RAM-backed frame. It returns nil in every other case without
-// touching any counter; the caller then falls back to Translate, which
-// accounts the access (one Hit or one Walk).
-func (w *Walker) hitPage(va uint64, kind mem.AccessKind) []byte {
+// HitPage is the TLB probe of an access that can be served entirely from
+// the TLB — translation on, valid entry, permitted kind, RAM-backed frame —
+// made by n accesses to one page at once: it counts their n hits and
+// returns the cached host page. In every other case it returns nil without
+// touching any counter or TLB entry; the caller then goes through
+// Translate, access by access, which accounts each one (a hit, or a walk
+// and the fill the next access hits). So n accesses cost the same hits and
+// walks whichever path serves them. The warp engine probes once per full
+// warp (n = 4); Load, Store and the bulk copies probe once per access.
+func (w *Walker) HitPage(va uint64, kind mem.AccessKind, n uint64) *[mem.PageSize]byte {
 	if w.root == 0 {
 		return nil
 	}
@@ -277,58 +281,8 @@ func (w *Walker) hitPage(va uint64, kind mem.AccessKind) []byte {
 	if e.vpn != vpn+1 || e.page == nil || !permOK(e.perms, kind) {
 		return nil
 	}
-	w.Hits++
+	w.Hits += n
 	return e.page
-}
-
-// BatchPage translates one virtual page for a warp-coalesced access of n
-// lanes that all land inside that page, returning the host page view to
-// copy through. On success the TLB counters advance exactly as n
-// independent per-lane accesses would: a resident entry costs n hits; a
-// miss costs one walk — with the same touched-page and dirty-watermark
-// bookkeeping as Translate — followed by n-1 hits. It returns (nil,
-// false) with NO counters or TLB state touched when the batch cannot be
-// served wholesale: translation off, MMIO frame (device accesses have
-// side effects and must stay per-lane through the bus), or translation or
-// permission fault (the faulting lane's counter prefix matters). The
-// caller then falls back to the per-lane path, which reproduces the
-// interpreter's exact counter and fault sequence.
-func (w *Walker) BatchPage(va uint64, kind mem.AccessKind, n uint64) ([]byte, bool) {
-	if w.root == 0 || n == 0 {
-		return nil, false
-	}
-	vpn := va >> 12
-	e := &w.tlb[vpn&(tlbSize-1)]
-	if e.vpn == vpn+1 {
-		if e.page == nil || !permOK(e.perms, kind) {
-			return nil, false
-		}
-		w.Hits += n
-		return e.page, true
-	}
-	// TLB miss: probe the walk without committing any counter, so a
-	// fallback after a fault or MMIO frame replays lane 0's miss
-	// accounting (Walks++ inclusive) through Translate untouched.
-	pfn, perms, fault := w.walk(va, kind)
-	if fault != nil || !permOK(perms, kind) {
-		return nil, false
-	}
-	page := w.bus.PageView(pfn)
-	if page == nil {
-		return nil, false
-	}
-	// The batch is serviceable: account lane 0's walk exactly as
-	// Translate would, then the remaining n-1 lanes as hits.
-	w.Walks++
-	if w.touched != nil {
-		w.touched[vpn>>6] |= 1 << (vpn & 63)
-	}
-	if perms&PermW != 0 {
-		w.bus.MarkDirty(pfn, mem.PageSize)
-	}
-	*e = tlbEntry{vpn: vpn + 1, pfn: pfn, perms: perms, page: page}
-	w.Hits += n - 1
-	return page, true
 }
 
 // Load translates va and loads size little-endian bytes in one step. On a
@@ -341,11 +295,11 @@ func (w *Walker) BatchPage(va uint64, kind mem.AccessKind, n uint64) ([]byte, bo
 func (w *Walker) Load(va uint64, size int, kind mem.AccessKind) (uint64, error) {
 	off := va & mem.PageMask
 	if off+uint64(size) <= mem.PageSize {
-		if page := w.hitPage(va, kind); page != nil {
+		if page := w.HitPage(va, kind, 1); page != nil {
 			if size == 4 && off&3 == 0 {
-				return mem.AtomicLoad32(page, off), nil
+				return uint64(mem.LaneLoad32(page, off)), nil
 			}
-			return mem.AtomicLoadLE(page, off, size), nil
+			return mem.AtomicLoadLE(page[:], off, size), nil
 		}
 	}
 	pa, fault := w.Translate(va, kind)
@@ -360,12 +314,12 @@ func (w *Walker) Load(va uint64, size int, kind mem.AccessKind) (uint64, error) 
 func (w *Walker) Store(va uint64, size int, val uint64) error {
 	off := va & mem.PageMask
 	if off+uint64(size) <= mem.PageSize {
-		if page := w.hitPage(va, mem.Write); page != nil {
+		if page := w.HitPage(va, mem.Write, 1); page != nil {
 			if size == 4 && off&3 == 0 {
-				mem.AtomicStore32(page, off, uint32(val))
+				mem.LaneStore32(page, off, uint32(val))
 				return nil
 			}
-			mem.AtomicStoreLE(page, off, size, val)
+			mem.AtomicStoreLE(page[:], off, size, val)
 			return nil
 		}
 	}
@@ -386,8 +340,8 @@ func (w *Walker) ReadBytes(va uint64, dst []byte) error {
 		if chunk > len(dst)-off {
 			chunk = len(dst) - off
 		}
-		if page := w.hitPage(cva, mem.Read); page != nil {
-			mem.AtomicReadBytes(page, cva&mem.PageMask, dst[off:off+chunk])
+		if page := w.HitPage(cva, mem.Read, 1); page != nil {
+			mem.AtomicReadBytes(page[:], cva&mem.PageMask, dst[off:off+chunk])
 		} else {
 			pa, fault := w.Translate(cva, mem.Read)
 			if fault != nil {
@@ -410,8 +364,8 @@ func (w *Walker) WriteBytes(va uint64, src []byte) error {
 		if chunk > len(src)-off {
 			chunk = len(src) - off
 		}
-		if page := w.hitPage(cva, mem.Write); page != nil {
-			mem.AtomicWriteBytes(page, cva&mem.PageMask, src[off:off+chunk])
+		if page := w.HitPage(cva, mem.Write, 1); page != nil {
+			mem.AtomicWriteBytes(page[:], cva&mem.PageMask, src[off:off+chunk])
 		} else {
 			pa, fault := w.Translate(cva, mem.Write)
 			if fault != nil {
@@ -426,17 +380,14 @@ func (w *Walker) WriteBytes(va uint64, src []byte) error {
 	return nil
 }
 
+// permOK reports whether perms allow an access of kind: PermR, PermW and
+// PermX are the bits 2 + Read, 2 + Write and 2 + Execute, and perms holds no
+// other bit, so any other kind is refused.
 func permOK(perms uint64, kind mem.AccessKind) bool {
-	switch kind {
-	case mem.Read:
-		return perms&PermR != 0
-	case mem.Write:
-		return perms&PermW != 0
-	case mem.Execute:
-		return perms&PermX != 0
-	}
-	return false
+	return perms>>(2+uint(kind))&1 != 0
 }
+
+var _ [0]struct{} = [PermR>>(2+mem.Read) + PermW>>(2+mem.Write) + PermX>>(2+mem.Execute) - 3]struct{}{}
 
 // walk performs the 3-level table walk, returning the page frame base and
 // its permissions.
