@@ -473,6 +473,10 @@ func FuzzDifferentialEngines(f *testing.F) {
 	f.Add(uint64(1<<34|12), uint8(6), uint8(2), uint8(20))
 	f.Add(uint64(1<<35|4), uint8(9), uint8(7), uint8(30))
 	f.Add(uint64(1<<36|7), uint8(4), uint8(3), uint8(16))
+	// Float arithmetic on two NaNs, whose result payload the host picks by
+	// operand order: both engines canonicalise it.
+	f.Add(uint64(122), uint8(0xfb), uint8(74), uint8(76))
+	f.Add(uint64(122), uint8(0x05), uint8(0x84), uint8(0x1c))
 	f.Fuzz(func(t *testing.T, seed uint64, threadsSel, localSel, nALUSel uint8) {
 		runDifferential(t, seed, threadsSel, localSel, nALUSel)
 	})

@@ -568,6 +568,20 @@ func (e *execContext) clauseAddr(idx int) uint64 {
 func f32(v uint64) float32   { return math.Float32frombits(uint32(v)) }
 func fbits(f float32) uint64 { return uint64(math.Float32bits(f)) }
 
+// fres is fbits for the result of FADD, FSUB, FMUL, FDIV and FMA, with
+// every NaN the canonical quiet NaN. On two NaN operands the host returns
+// one of them, chosen by an operand order the compiler may commute
+// differently in each engine; canonical, the result is the same in both.
+// The select compiles to a conditional move, and fres stays within the
+// inlining budget of a function the size of execLeaf.
+func fres(f float32) uint64 {
+	b := uint64(math.Float32bits(f))
+	if f != f {
+		b = 0x7fc00000
+	}
+	return b
+}
+
 // read evaluates a source operand for one lane, recording the data-access
 // breakdown (Fig 12).
 //
@@ -768,16 +782,16 @@ func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
 	case OpMUL64:
 		r = a * b
 	case OpFADD:
-		r = fbits(f32(a) + f32(b))
+		r = fres(f32(a) + f32(b))
 	case OpFSUB:
-		r = fbits(f32(a) - f32(b))
+		r = fres(f32(a) - f32(b))
 	case OpFMUL:
-		r = fbits(f32(a) * f32(b))
+		r = fres(f32(a) * f32(b))
 	case OpFDIV:
-		r = fbits(f32(a) / f32(b))
+		r = fres(f32(a) / f32(b))
 	case OpFMA:
 		acc := e.read(w, lane, in.Dst, in)
-		r = fbits(f32(acc) + f32(a)*f32(b))
+		r = fres(f32(acc) + f32(a)*f32(b))
 	case OpFMIN:
 		r = fbits(float32(math.Min(float64(f32(a)), float64(f32(b)))))
 	case OpFMAX:

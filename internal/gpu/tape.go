@@ -347,16 +347,16 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			d[0], d[1], d[2], d[3] = a[0]*b[0], a[1]*b[1], a[2]*b[2], a[3]*b[3]
 		case kVV + uopKind(OpFADD):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
-			d[0], d[1], d[2], d[3] = fbits(f32(a[0])+f32(b[0])), fbits(f32(a[1])+f32(b[1])), fbits(f32(a[2])+f32(b[2])), fbits(f32(a[3])+f32(b[3]))
+			d[0], d[1], d[2], d[3] = fres(f32(a[0])+f32(b[0])), fres(f32(a[1])+f32(b[1])), fres(f32(a[2])+f32(b[2])), fres(f32(a[3])+f32(b[3]))
 		case kVV + uopKind(OpFSUB):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
-			d[0], d[1], d[2], d[3] = fbits(f32(a[0])-f32(b[0])), fbits(f32(a[1])-f32(b[1])), fbits(f32(a[2])-f32(b[2])), fbits(f32(a[3])-f32(b[3]))
+			d[0], d[1], d[2], d[3] = fres(f32(a[0])-f32(b[0])), fres(f32(a[1])-f32(b[1])), fres(f32(a[2])-f32(b[2])), fres(f32(a[3])-f32(b[3]))
 		case kVV + uopKind(OpFMUL):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
-			d[0], d[1], d[2], d[3] = fbits(f32(a[0])*f32(b[0])), fbits(f32(a[1])*f32(b[1])), fbits(f32(a[2])*f32(b[2])), fbits(f32(a[3])*f32(b[3]))
+			d[0], d[1], d[2], d[3] = fres(f32(a[0])*f32(b[0])), fres(f32(a[1])*f32(b[1])), fres(f32(a[2])*f32(b[2])), fres(f32(a[3])*f32(b[3]))
 		case kVV + uopKind(OpFDIV):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
-			d[0], d[1], d[2], d[3] = fbits(f32(a[0])/f32(b[0])), fbits(f32(a[1])/f32(b[1])), fbits(f32(a[2])/f32(b[2])), fbits(f32(a[3])/f32(b[3]))
+			d[0], d[1], d[2], d[3] = fres(f32(a[0])/f32(b[0])), fres(f32(a[1])/f32(b[1])), fres(f32(a[2])/f32(b[2])), fres(f32(a[3])/f32(b[3]))
 		case kVV + uopKind(OpICMPEQ):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) == uint32(b[0])), b2u(uint32(a[1]) == uint32(b[1])), b2u(uint32(a[2]) == uint32(b[2])), b2u(uint32(a[3]) == uint32(b[3]))
@@ -437,19 +437,19 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 		case kVU + uopKind(OpFADD):
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = fbits(f32(a[0])+f32(s)), fbits(f32(a[1])+f32(s)), fbits(f32(a[2])+f32(s)), fbits(f32(a[3])+f32(s))
+			d[0], d[1], d[2], d[3] = fres(f32(a[0])+f32(s)), fres(f32(a[1])+f32(s)), fres(f32(a[2])+f32(s)), fres(f32(a[3])+f32(s))
 		case kVU + uopKind(OpFSUB):
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = fbits(f32(a[0])-f32(s)), fbits(f32(a[1])-f32(s)), fbits(f32(a[2])-f32(s)), fbits(f32(a[3])-f32(s))
+			d[0], d[1], d[2], d[3] = fres(f32(a[0])-f32(s)), fres(f32(a[1])-f32(s)), fres(f32(a[2])-f32(s)), fres(f32(a[3])-f32(s))
 		case kVU + uopKind(OpFMUL):
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = fbits(f32(a[0])*f32(s)), fbits(f32(a[1])*f32(s)), fbits(f32(a[2])*f32(s)), fbits(f32(a[3])*f32(s))
+			d[0], d[1], d[2], d[3] = fres(f32(a[0])*f32(s)), fres(f32(a[1])*f32(s)), fres(f32(a[2])*f32(s)), fres(f32(a[3])*f32(s))
 		case kVU + uopKind(OpFDIV):
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = fbits(f32(a[0])/f32(s)), fbits(f32(a[1])/f32(s)), fbits(f32(a[2])/f32(s)), fbits(f32(a[3])/f32(s))
+			d[0], d[1], d[2], d[3] = fres(f32(a[0])/f32(s)), fres(f32(a[1])/f32(s)), fres(f32(a[2])/f32(s)), fres(f32(a[3])/f32(s))
 		case kVU + uopKind(OpICMPEQ):
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
@@ -502,19 +502,19 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 		case kUV + uopKind(OpFADD):
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = fbits(f32(s)+f32(b[0])), fbits(f32(s)+f32(b[1])), fbits(f32(s)+f32(b[2])), fbits(f32(s)+f32(b[3]))
+			d[0], d[1], d[2], d[3] = fres(f32(s)+f32(b[0])), fres(f32(s)+f32(b[1])), fres(f32(s)+f32(b[2])), fres(f32(s)+f32(b[3]))
 		case kUV + uopKind(OpFSUB):
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = fbits(f32(s)-f32(b[0])), fbits(f32(s)-f32(b[1])), fbits(f32(s)-f32(b[2])), fbits(f32(s)-f32(b[3]))
+			d[0], d[1], d[2], d[3] = fres(f32(s)-f32(b[0])), fres(f32(s)-f32(b[1])), fres(f32(s)-f32(b[2])), fres(f32(s)-f32(b[3]))
 		case kUV + uopKind(OpFMUL):
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = fbits(f32(s)*f32(b[0])), fbits(f32(s)*f32(b[1])), fbits(f32(s)*f32(b[2])), fbits(f32(s)*f32(b[3]))
+			d[0], d[1], d[2], d[3] = fres(f32(s)*f32(b[0])), fres(f32(s)*f32(b[1])), fres(f32(s)*f32(b[2])), fres(f32(s)*f32(b[3]))
 		case kUV + uopKind(OpFDIV):
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = fbits(f32(s)/f32(b[0])), fbits(f32(s)/f32(b[1])), fbits(f32(s)/f32(b[2])), fbits(f32(s)/f32(b[3]))
+			d[0], d[1], d[2], d[3] = fres(f32(s)/f32(b[0])), fres(f32(s)/f32(b[1])), fres(f32(s)/f32(b[2])), fres(f32(s)/f32(b[3]))
 		case kUV + uopKind(OpICMPLT):
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
@@ -539,17 +539,17 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 		case kVV + uopKind(OpFMA):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
 			acc := &rows[u.d()]
-			d[0], d[1], d[2], d[3] = fbits(f32(acc[0])+f32(a[0])*f32(b[0])), fbits(f32(acc[1])+f32(a[1])*f32(b[1])), fbits(f32(acc[2])+f32(a[2])*f32(b[2])), fbits(f32(acc[3])+f32(a[3])*f32(b[3]))
+			d[0], d[1], d[2], d[3] = fres(f32(acc[0])+f32(a[0])*f32(b[0])), fres(f32(acc[1])+f32(a[1])*f32(b[1])), fres(f32(acc[2])+f32(a[2])*f32(b[2])), fres(f32(acc[3])+f32(a[3])*f32(b[3]))
 		case kVU + uopKind(OpFMA):
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			acc := &rows[u.d()]
-			d[0], d[1], d[2], d[3] = fbits(f32(acc[0])+f32(a[0])*f32(s)), fbits(f32(acc[1])+f32(a[1])*f32(s)), fbits(f32(acc[2])+f32(a[2])*f32(s)), fbits(f32(acc[3])+f32(a[3])*f32(s))
+			d[0], d[1], d[2], d[3] = fres(f32(acc[0])+f32(a[0])*f32(s)), fres(f32(acc[1])+f32(a[1])*f32(s)), fres(f32(acc[2])+f32(a[2])*f32(s)), fres(f32(acc[3])+f32(a[3])*f32(s))
 		case kUV + uopKind(OpFMA):
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			acc := &rows[u.d()]
-			d[0], d[1], d[2], d[3] = fbits(f32(acc[0])+f32(s)*f32(b[0])), fbits(f32(acc[1])+f32(s)*f32(b[1])), fbits(f32(acc[2])+f32(s)*f32(b[2])), fbits(f32(acc[3])+f32(s)*f32(b[3]))
+			d[0], d[1], d[2], d[3] = fres(f32(acc[0])+f32(s)*f32(b[0])), fres(f32(acc[1])+f32(s)*f32(b[1])), fres(f32(acc[2])+f32(s)*f32(b[2])), fres(f32(acc[3])+f32(s)*f32(b[3]))
 		case kVV + uopKind(OpSEL):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
 			acc := &rows[u.d()]
