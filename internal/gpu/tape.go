@@ -49,7 +49,7 @@ const (
 	kBoundary
 	kSlow // d = slow[imm]'s value function of a (and b), per lane
 	// The memory micro-ops, mems[imm] their offset and counters. execLeaf
-	// serves a full warp's word and byte accesses (see loadGlobal).
+	// serves a full warp's word and byte accesses (see warpPage).
 	kLoadG      // d = global[a + off], a word
 	kLoadGB     // d = global[a + off], a zero-extended byte
 	kLoadG64    // d = global[a + off], a doubleword: out of line only
