@@ -101,10 +101,10 @@ func BenchmarkFig08VsBaseline(b *testing.B) {
 }
 
 func BenchmarkFig09DriverScaling(b *testing.B) {
-	// One untimed warm-up sweep fills the RAM recycling pools (the m2s
-	// comparator acquires a fresh GiB-scale backing store per context
-	// otherwise), so the timed iterations measure the steady state the
-	// sweep actually runs in.
+	// One untimed warm-up sweep fills the RAM recycling pools (each of the
+	// sweep's platforms, ours and the interpreter-CPU baseline's, acquires
+	// a fresh GiB-scale backing store otherwise), so the timed iterations
+	// measure the steady state the sweep actually runs in.
 	if _, err := experiments.Fig9(bg, io.Discard, smallOpt); err != nil {
 		b.Fatal(err)
 	}

@@ -40,6 +40,11 @@ func main() {
 		tw.Flush()
 		os.Exit(2)
 	}
+	scaleKind, err := experiments.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
 	if _, ok := clc.Versions[*compiler]; *compiler != "" && !ok {
 		fmt.Fprintf(os.Stderr, "experiments: unknown compiler version %q (have %s)\n",
 			*compiler, strings.Join(clc.VersionNames(), ", "))
@@ -67,7 +72,7 @@ func main() {
 	defer stop()
 
 	opt := experiments.Options{
-		Scale:           experiments.ScaleKind(*scale),
+		Scale:           scaleKind,
 		HostThreads:     *threads,
 		CompilerVersion: *compiler,
 	}

@@ -19,11 +19,6 @@
 //	             internal/analysis/hotalloc/manifest.txt under the
 //	             module root)
 //	-v           also list suppressed (annotated) findings
-//
-// The binary also speaks enough of the `go vet -vettool` protocol
-// (-V=full, -flags, unit .cfg files) to run as a vet tool on toolchains
-// whose vet driver supplies export data; the standalone mode above is
-// the canonical entry point and the one CI gates on.
 package main
 
 import (
@@ -40,20 +35,6 @@ import (
 )
 
 func main() {
-	// go vet -vettool protocol: version/flag queries and unit cfg files.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full":
-			fmt.Printf("simlint version 1 (stdlib analysis suite)\n")
-			return
-		case os.Args[1] == "-flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(vetUnit(os.Args[1]))
-		}
-	}
-
 	var (
 		runList  = flag.String("run", "all", "comma-separated analyzers to run (sharedmem,statscommit,ctxflow,hotalloc)")
 		manifest = flag.String("manifest", "", "hotalloc manifest path (default <module>/internal/analysis/hotalloc/manifest.txt)")

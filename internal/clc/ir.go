@@ -215,26 +215,3 @@ func popcount(x uint64) int {
 	}
 	return n
 }
-
-// Dump renders the IR for debugging and golden tests.
-func (f *Fn) Dump() string {
-	s := fmt.Sprintf("fn %s (%d vregs, %d rom, %d local bytes)\n",
-		f.Name, f.NumVRegs, len(f.ROM), f.LocalBytes)
-	for _, b := range f.Blocks {
-		s += fmt.Sprintf("b%d:\n", b.ID)
-		for _, in := range b.Insts {
-			s += "  " + in.String() + "\n"
-		}
-		switch b.Term {
-		case TermBr:
-			s += fmt.Sprintf("  br b%d\n", b.Target)
-		case TermBrc:
-			s += fmt.Sprintf("  brc %s, b%d\n", b.Cond, b.Target)
-		case TermRet:
-			s += "  ret\n"
-		case TermBarrier:
-			s += "  barrier\n"
-		}
-	}
-	return s
-}

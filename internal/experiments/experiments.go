@@ -33,6 +33,17 @@ const (
 	ScalePaper   ScaleKind = "paper"   // Table II sizes (can take hours)
 )
 
+// ParseScale resolves a scale name. An unknown name is an error, not a
+// fallback: the experiments would otherwise disagree on which scale it
+// means.
+func ParseScale(name string) (ScaleKind, error) {
+	switch k := ScaleKind(name); k {
+	case ScaleSmall, ScaleDefault, ScalePaper:
+		return k, nil
+	}
+	return "", fmt.Errorf("unknown scale %q (have %s, %s, %s)", name, ScaleSmall, ScaleDefault, ScalePaper)
+}
+
 // Options configures a run. Cancellation is not an option: every
 // experiment entry point takes the caller's context.Context explicitly
 // (between workload runs it cancels immediately, inside a run at kernel
@@ -69,11 +80,15 @@ func (o Options) gpuConfig() gpu.Config {
 
 // runOutcome couples a workload result with the stats snapshots.
 type runOutcome struct {
-	res     *workloads.Result
-	gs      stats.GPUStats
-	sys     stats.SystemStats
-	cpuTime time.Duration // driver-side guest simulation time
-	setup   time.Duration // host-native input generation time
+	res   *workloads.Result
+	gs    stats.GPUStats
+	sys   stats.SystemStats
+	setup time.Duration // host-native input generation time
+	// The driver's guest CPU during the workload alone (boot and driver
+	// probe excluded): simulation time, retired instructions and
+	// fetch-and-decode events.
+	cpuTime         time.Duration
+	instrs, decodes uint64
 }
 
 // runOne executes a workload at the given scale on a fresh platform,
@@ -92,6 +107,8 @@ func runOne(ctx context.Context, spec *workloads.Spec, scale int, opt Options, m
 	if err != nil {
 		return nil, err
 	}
+	core := c.Drv.Core
+	cpuTime, instrs, decodes := c.Drv.CPUTime, core.Instret, core.Decodes
 	t0 := time.Now()
 	inst := spec.Make(scale)
 	setup := time.Since(t0)
@@ -103,7 +120,8 @@ func runOne(ctx context.Context, spec *workloads.Spec, scale int, opt Options, m
 		return nil, fmt.Errorf("%s failed verification: %w", spec.Name, res.VerifyErr)
 	}
 	gs, sys := p.GPU.Stats()
-	return &runOutcome{res: res, gs: gs, sys: sys, cpuTime: c.Drv.CPUTime, setup: setup}, nil
+	return &runOutcome{res: res, gs: gs, sys: sys, setup: setup,
+		cpuTime: c.Drv.CPUTime - cpuTime, instrs: core.Instret - instrs, decodes: core.Decodes - decodes}, nil
 }
 
 // table streams aligned columns.

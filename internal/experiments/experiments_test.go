@@ -76,25 +76,30 @@ func TestFig9BaselineScalesWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, last := rows[0], rows[len(rows)-1]
 	// The Fig 9 gap, on counts (the durations are report-only: a few
-	// milliseconds of host time say nothing under load). The interpreted
-	// baseline fetches and decodes every instruction it retires; the DBT
-	// decodes each block once, so at the largest size the baseline has
-	// done far more per-instruction dispatch work than our stack.
-	if last.M2SDecodes != last.M2SInstrs {
-		t.Errorf("baseline decoded %d of %d retired instructions; the interpreter decodes each one", last.M2SDecodes, last.M2SInstrs)
+	// milliseconds of host time say nothing under load). Both runs are the
+	// same SobelFilter on the same stack, so they retire the same guest
+	// instructions; the interpreted baseline fetches and decodes every one
+	// of them, while the DBT decodes each block once.
+	for _, r := range rows {
+		if r.BaselineInstrs != r.OursInstrs {
+			t.Errorf("%dx%d: baseline retired %d guest instructions, ours %d; the baseline must do the same work", r.Dim, r.Dim, r.BaselineInstrs, r.OursInstrs)
+		}
+		if r.BaselineDecodes != r.BaselineInstrs {
+			t.Errorf("%dx%d: baseline decoded %d of %d retired instructions; the interpreter decodes each one", r.Dim, r.Dim, r.BaselineDecodes, r.BaselineInstrs)
+		}
 	}
-	if last.M2SDecodes < 10*last.OursDecodes {
-		t.Errorf("baseline decodes %d not clearly above ours %d", last.M2SDecodes, last.OursDecodes)
+	first, last := rows[0], rows[len(rows)-1]
+	if last.BaselineDecodes < 10*last.OursDecodes {
+		t.Errorf("baseline decodes %d not clearly above ours %d", last.BaselineDecodes, last.OursDecodes)
 	}
 	// Both retire more guest instructions as the input grows, but only the
 	// baseline's dispatch work grows with them.
-	if last.OursInstrs <= first.OursInstrs || last.M2SInstrs <= first.M2SInstrs {
+	if last.OursInstrs <= first.OursInstrs || last.BaselineInstrs <= first.BaselineInstrs {
 		t.Errorf("guest instructions should grow with input size: ours %d -> %d, baseline %d -> %d",
-			first.OursInstrs, last.OursInstrs, first.M2SInstrs, last.M2SInstrs)
+			first.OursInstrs, last.OursInstrs, first.BaselineInstrs, last.BaselineInstrs)
 	}
-	if growth := last.M2SDecodes - first.M2SDecodes; growth <= 10*(last.OursDecodes-first.OursDecodes) {
+	if growth := last.BaselineDecodes - first.BaselineDecodes; growth <= 10*(last.OursDecodes-first.OursDecodes) {
 		t.Errorf("baseline decode growth %d not clearly above ours %d", growth, last.OursDecodes-first.OursDecodes)
 	}
 }
@@ -194,6 +199,19 @@ func TestFig15Shape(t *testing.T) {
 	}
 }
 
+func TestParseScaleRefusesUnknownNames(t *testing.T) {
+	for _, k := range []ScaleKind{ScaleSmall, ScaleDefault, ScalePaper} {
+		if got, err := ParseScale(string(k)); err != nil || got != k {
+			t.Errorf("ParseScale(%q) = %q, %v", k, got, err)
+		}
+	}
+	for _, name := range []string{"bogus", "", "Small"} {
+		if _, err := ParseScale(name); err == nil {
+			t.Errorf("ParseScale(%q) accepted an unknown scale", name)
+		}
+	}
+}
+
 func absf(x float64) float64 {
 	if x < 0 {
 		return -x
@@ -202,10 +220,34 @@ func absf(x float64) float64 {
 }
 
 func TestIndexLookup(t *testing.T) {
+	// Each description names what its experiment measures; the usage text
+	// prints them.
+	want := map[string]string{
+		"fig1":   "compiler-version instruction counts",
+		"fig6":   "BFS divergence CFG",
+		"fig7":   "full-stack slowdown vs native",
+		"fig8":   "simulation-rate comparison",
+		"fig9":   "driver runtime vs input size",
+		"fig10":  "host-thread scaling",
+		"fig11":  "instruction mixes",
+		"fig12":  "data-access breakdowns",
+		"fig13":  "clause-size distributions",
+		"fig14":  "SLAMBench configuration study",
+		"fig15":  "SGEMM tuning-ladder study",
+		"table2": "benchmark suite inventory",
+		"table3": "system-interaction statistics",
+		"table4": "simulator feature comparison",
+	}
+	if len(Index) != len(want) {
+		t.Errorf("Index has %d experiments, want %d", len(Index), len(want))
+	}
 	for _, e := range Index {
 		got, err := Lookup(e.Name)
 		if err != nil || got.Name != e.Name || got.Run == nil {
 			t.Errorf("Lookup(%q) = %+v, %v", e.Name, got.Name, err)
+		}
+		if e.Description != want[e.Name] {
+			t.Errorf("%s: description %q, want %q", e.Name, e.Description, want[e.Name])
 		}
 	}
 	if _, err := Lookup("fig07"); err == nil || !strings.Contains(err.Error(), `did you mean "fig7"`) {

@@ -7,9 +7,7 @@ import (
 	"runtime"
 	"time"
 
-	"mobilesim/internal/cl"
 	"mobilesim/internal/cpu"
-	"mobilesim/internal/experiments/m2s"
 	"mobilesim/internal/platform"
 	"mobilesim/internal/workloads"
 )
@@ -93,9 +91,14 @@ type Fig8Row struct {
 	SpeedupInstrumented float64
 }
 
+// interpCPU is the Multi2Sim-style baseline of Figs 8 and 9: the driver's
+// guest code runs on the interpreter engine, which fetches and decodes every
+// instruction it retires, instead of the DBT. The rest of the stack is ours.
+func interpCPU(p *platform.Platform) { p.CPU.SetEngine(cpu.EngineInterp) }
+
 // Fig8 compares full-system simulation speed against the Multi2Sim-style
-// baseline mode (per-instruction CPU dispatch, flat GPU address space),
-// with and without CFG instrumentation.
+// baseline (per-instruction CPU dispatch), with and without CFG
+// instrumentation.
 func Fig8(ctx context.Context, w io.Writer, opt Options) ([]Fig8Row, error) {
 	header(w, "Fig 8: speed relative to Multi2Sim-style functional baseline (=1.0)")
 	var rows []Fig8Row
@@ -105,10 +108,7 @@ func Fig8(ctx context.Context, w io.Writer, opt Options) ([]Fig8Row, error) {
 			return nil, err
 		}
 		scale := opt.scaleOf(spec)
-		// Baseline mode: interpreter CPU (per-instruction dispatch).
-		base, err := runOne(ctx, spec, scale, opt, func(p *platform.Platform) {
-			p.CPU.SetEngine(cpu.EngineInterp)
-		})
+		base, err := runOne(ctx, spec, scale, opt, interpCPU)
 		if err != nil {
 			return nil, err
 		}
@@ -138,22 +138,21 @@ func Fig8(ctx context.Context, w io.Writer, opt Options) ([]Fig8Row, error) {
 
 // Fig9Row is one input size of the driver-runtime scaling sweep. The
 // durations are host wall-clock and report-only; the instruction and
-// decode counts are the same comparison in deterministic form — both
-// stacks retire guest instructions in proportion to the input, but the
-// interpreted baseline fetches and decodes every one of them while the DBT
-// decodes each basic block once.
+// decode counts are the same comparison in deterministic form. Both runs
+// retire the same guest instructions, but the interpreted baseline fetches
+// and decodes every one of them while the DBT decodes each basic block once.
 type Fig9Row struct {
-	Dim         int
-	OursCPUTime time.Duration
-	M2SCPUTime  time.Duration
+	Dim             int
+	OursCPUTime     time.Duration
+	BaselineCPUTime time.Duration
 
-	OursInstrs, OursDecodes uint64
-	M2SInstrs, M2SDecodes   uint64
+	OursInstrs, OursDecodes         uint64
+	BaselineInstrs, BaselineDecodes uint64
 }
 
-// Fig9 sweeps SobelFilter input sizes and reports the CPU-side software-
-// stack simulation time on our DBT-based stack vs the Multi2Sim-style
-// interpreted runtime.
+// Fig9 sweeps SobelFilter input sizes and reports the driver's guest CPU
+// work and simulation time on our DBT vs the Multi2Sim-style interpreter
+// (interpCPU), both running the registry's SobelFilter.
 func Fig9(ctx context.Context, w io.Writer, opt Options) ([]Fig9Row, error) {
 	header(w, "Fig 9: CPU-side driver runtime vs input size (SobelFilter)")
 	dims := []int{256, 384, 512, 640, 768}
@@ -168,91 +167,29 @@ func Fig9(ctx context.Context, w io.Writer, opt Options) ([]Fig9Row, error) {
 	}
 	var rows []Fig9Row
 	for _, dim := range dims {
-		row := Fig9Row{Dim: dim}
-		if err := sobelDriverTime(ctx, spec, &row, opt); err != nil {
+		ours, err := runOne(ctx, spec, dim, opt, nil)
+		if err != nil {
 			return nil, err
 		}
-		if err := sobelM2STime(&row, opt); err != nil {
+		base, err := runOne(ctx, spec, dim, opt, interpCPU)
+		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		rows = append(rows, Fig9Row{
+			Dim:         dim,
+			OursCPUTime: ours.cpuTime, BaselineCPUTime: base.cpuTime,
+			OursInstrs: ours.instrs, OursDecodes: ours.decodes,
+			BaselineInstrs: base.instrs, BaselineDecodes: base.decodes,
+		})
 	}
 	tw := table(w)
 	fmt.Fprintln(tw, "input\tour simulator\tMulti2Sim-style\tour instrs (decoded)\tMulti2Sim-style instrs (decoded)")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%dx%d\t%v\t%v\t%d (%d)\t%d (%d)\n", r.Dim, r.Dim,
-			r.OursCPUTime.Round(time.Millisecond), r.M2SCPUTime.Round(time.Millisecond),
-			r.OursInstrs, r.OursDecodes, r.M2SInstrs, r.M2SDecodes)
+			r.OursCPUTime.Round(time.Millisecond), r.BaselineCPUTime.Round(time.Millisecond),
+			r.OursInstrs, r.OursDecodes, r.BaselineInstrs, r.BaselineDecodes)
 	}
 	return rows, tw.Flush()
-}
-
-// sobelDriverTime runs SobelFilter at the row's width through our stack
-// and fills the row's driver-side columns.
-func sobelDriverTime(ctx context.Context, spec *workloads.Spec, row *Fig9Row, opt Options) error {
-	p, err := platform.New(platform.Config{RAMSize: 1 << 30, GPU: opt.gpuConfig()})
-	if err != nil {
-		return err
-	}
-	defer p.Close()
-	c, err := cl.NewContext(p, opt.CompilerVersion)
-	if err != nil {
-		return err
-	}
-	// Count only the workload: boot and driver probe are the same at every
-	// input size.
-	instrs, decodes := c.Drv.Core.Instret, c.Drv.Core.Decodes
-	cpuTime := c.Drv.CPUTime
-	if _, err := spec.Make(row.Dim).Sim(ctx, c); err != nil {
-		return err
-	}
-	row.OursCPUTime = c.Drv.CPUTime - cpuTime
-	row.OursInstrs, row.OursDecodes = c.Drv.Core.Instret-instrs, c.Drv.Core.Decodes-decodes
-	return nil
-}
-
-// sobelM2STime runs SobelFilter through the intercepted-runtime baseline
-// and fills the row's baseline columns.
-func sobelM2STime(row *Fig9Row, opt Options) error {
-	c, err := m2s.New(1<<30, opt.gpuConfig())
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	w := (row.Dim + 15) / 16 * 16
-	h := w
-	img := make([]byte, w*h)
-	for i := range img {
-		img[i] = byte(i * 131)
-	}
-	in, err := c.CreateBuffer(w * h)
-	if err != nil {
-		return err
-	}
-	out, err := c.CreateBuffer(w * h)
-	if err != nil {
-		return err
-	}
-	if err := c.WriteBuffer(in, img); err != nil {
-		return err
-	}
-	k, err := c.BuildKernel(workloads.SobelSrc, "sobel")
-	if err != nil {
-		return err
-	}
-	k.SetArgBuffer(0, in)
-	k.SetArgBuffer(1, out)
-	k.SetArgInt(2, int32(w))
-	k.SetArgInt(3, int32(h))
-	if err := c.Enqueue(k, [3]uint32{uint32(w), uint32(h), 1}, [3]uint32{16, 16, 1}); err != nil {
-		return err
-	}
-	if _, err := c.ReadBuffer(out, w*h); err != nil {
-		return err
-	}
-	row.M2SCPUTime = c.CPUTime
-	row.M2SInstrs, row.M2SDecodes = c.CPUInstret(), c.CPUDecodes()
-	return nil
 }
 
 // Fig10Row is one host-thread count of the scaling sweep.

@@ -24,9 +24,9 @@ var Index = []Experiment{
 	}},
 	{"fig6", "BFS divergence CFG", printOnly(Fig6)},
 	{"fig7", "full-stack slowdown vs native", printOnly(Fig7)},
-	{"fig8", "host-thread scaling", printOnly(Fig8)},
+	{"fig8", "simulation-rate comparison", printOnly(Fig8)},
 	{"fig9", "driver runtime vs input size", printOnly(Fig9)},
-	{"fig10", "simulation-rate comparison", printOnly(Fig10)},
+	{"fig10", "host-thread scaling", printOnly(Fig10)},
 	{"fig11", "instruction mixes", printOnly(Fig11)},
 	{"fig12", "data-access breakdowns", printOnly(Fig12)},
 	{"fig13", "clause-size distributions", printOnly(Fig13)},

@@ -482,7 +482,7 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) <= f32(s)), b2u(f32(a[1]) <= f32(s)), b2u(f32(a[2]) <= f32(s)), b2u(f32(a[3]) <= f32(s))
-		// --- uniform ∘ vector (non-commutative ops and float ops, whose NaN payload follows operand order)
+		// --- uniform ∘ vector (non-commutative ops; commutative ones swap into vector ∘ uniform)
 		case kUV + uopKind(OpISUB):
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
@@ -499,18 +499,10 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(int32(s)>>(uint32(b[0])&31))), uint64(uint32(int32(s)>>(uint32(b[1])&31))), uint64(uint32(int32(s)>>(uint32(b[2])&31))), uint64(uint32(int32(s)>>(uint32(b[3])&31)))
-		case kUV + uopKind(OpFADD):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
-			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = fres(f32(s)+f32(b[0])), fres(f32(s)+f32(b[1])), fres(f32(s)+f32(b[2])), fres(f32(s)+f32(b[3]))
 		case kUV + uopKind(OpFSUB):
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = fres(f32(s)-f32(b[0])), fres(f32(s)-f32(b[1])), fres(f32(s)-f32(b[2])), fres(f32(s)-f32(b[3]))
-		case kUV + uopKind(OpFMUL):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
-			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = fres(f32(s)*f32(b[0])), fres(f32(s)*f32(b[1])), fres(f32(s)*f32(b[2])), fres(f32(s)*f32(b[3]))
 		case kUV + uopKind(OpFDIV):
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
@@ -545,11 +537,6 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			s := e.uvals[u.imm()]
 			acc := &rows[u.d()]
 			d[0], d[1], d[2], d[3] = fres(f32(acc[0])+f32(a[0])*f32(s)), fres(f32(acc[1])+f32(a[1])*f32(s)), fres(f32(acc[2])+f32(a[2])*f32(s)), fres(f32(acc[3])+f32(a[3])*f32(s))
-		case kUV + uopKind(OpFMA):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
-			s := e.uvals[u.imm()]
-			acc := &rows[u.d()]
-			d[0], d[1], d[2], d[3] = fres(f32(acc[0])+f32(s)*f32(b[0])), fres(f32(acc[1])+f32(s)*f32(b[1])), fres(f32(acc[2])+f32(s)*f32(b[2])), fres(f32(acc[3])+f32(s)*f32(b[3]))
 		case kVV + uopKind(OpSEL):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
 			acc := &rows[u.d()]

@@ -289,16 +289,16 @@ var slowUn = map[Opcode]func(a uint64) uint64{
 // (FMA and SEL read their destination as well) and 0 for every other opcode
 // byte, defined or not. fastVV, fastUV mark the opcodes with a leaf case in
 // the executor's kVV (and kVU) block and in its kUV block; the others run
-// through kSlow. Commutative integer ops need no kUV case — their operands
-// swap into kVU bit-exactly; float arithmetic keeps operand order, which
-// decides the NaN payload.
+// through kSlow. Commutative ops need no kUV case — their operands swap
+// into kVU bit-exactly. That includes FADD, FMUL and FMA's product: IEEE
+// add and mul commute, and a NaN result is canonical (fres).
 var aluArity, fastVV, fastUV = func() (arity [256]uint8, vv, uv [NumOpcodes]bool) {
-	for _, op := range []Opcode{OpISUB, OpSHL, OpSHR, OpSAR, OpFADD, OpFSUB, OpFMUL, OpFDIV,
-		OpICMPLT, OpICMPLE, OpUCMPLT, OpFCMPLT, OpFCMPLE, OpFMA, OpSEL} {
+	for _, op := range []Opcode{OpISUB, OpSHL, OpSHR, OpSAR, OpFSUB, OpFDIV,
+		OpICMPLT, OpICMPLE, OpUCMPLT, OpFCMPLT, OpFCMPLE, OpSEL} {
 		arity[op], vv[op], uv[op] = 2, true, true
 	}
 	for _, op := range []Opcode{OpIADD, OpIMUL, OpIMIN, OpIMAX, OpAND, OpOR, OpXOR, OpADD64, OpMUL64,
-		OpICMPEQ, OpICMPNE, OpFCMPEQ} {
+		OpICMPEQ, OpICMPNE, OpFCMPEQ, OpFADD, OpFMUL, OpFMA} {
 		arity[op], vv[op] = 2, true
 	}
 	for _, op := range []Opcode{OpMOV, OpI2F, OpF2I, OpFABS, OpFNEG, OpFSQRT, OpFFLOOR} {

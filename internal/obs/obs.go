@@ -1,50 +1,22 @@
-// Package obs is the repo's dependency-free metrics core: atomic
-// counters and gauges, a lock-cheap log-bucketed latency histogram with
-// mergeable snapshots and quantile estimation, and helpers for rendering
-// them in the Prometheus text exposition format.
+// Package obs is the repo's dependency-free metrics core: a lock-cheap
+// log-bucketed latency histogram with mergeable snapshots and quantile
+// estimation, and helpers for rendering it and plain counter and gauge
+// values in the Prometheus text exposition format.
 //
-// Everything here is stdlib-only and safe for concurrent use. Observe and
-// the counter operations are a handful of uncontended atomic adds — cheap
-// enough for per-request serving paths, but still too expensive for the
-// per-instruction simulator hot paths pinned by simlint's hotalloc
-// manifest, which this package must never be called from.
+// Everything here is stdlib-only and safe for concurrent use. Observe is
+// a handful of uncontended atomic adds — cheap enough for per-request
+// serving paths, but still too expensive for the per-instruction
+// simulator hot paths pinned by simlint's hotalloc manifest, which this
+// package must never be called from. Callers keep their counters and
+// gauges in sync/atomic values and render them with WritePromCounter and
+// WritePromGauge.
 package obs
 
 import (
 	"fmt"
 	"io"
 	"strings"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value that can move in both
-// directions.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the value by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // EscapeLabel escapes a Prometheus label value: backslash, double quote
 // and newline must be backslash-escaped per the text exposition format.

@@ -193,21 +193,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestCounterGauge(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Load() != 5 {
-		t.Errorf("counter = %d, want 5", c.Load())
-	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if g.Load() != 4 {
-		t.Errorf("gauge = %d, want 4", g.Load())
-	}
-}
-
 func TestWritePromSummary(t *testing.T) {
 	var h Histogram
 	h.Observe(time.Second)

@@ -12,9 +12,7 @@ import (
 // 3x3 Sobel edge detection over an 8-bit image: the compute-dense,
 // straight-line kernel of Fig 11 and the scaling star of Figs 9/10.
 
-// SobelSrc is the SobelFilter kernel ("sobel"); Fig 9's interpreted
-// baseline compiles it too.
-const SobelSrc = `
+const sobelSrc = `
 kernel void sobel(global uchar* in, global uchar* out, int w, int h) {
     int x = get_global_id(0);
     int y = get_global_id(1);
@@ -63,7 +61,7 @@ func makeSobel(dim int) *Instance {
 			if err != nil {
 				return nil, err
 			}
-			k, err := kernel1(ctx, c, SobelSrc, "sobel", in, out, w, h)
+			k, err := kernel1(ctx, c, sobelSrc, "sobel", in, out, w, h)
 			if err != nil {
 				return nil, err
 			}
