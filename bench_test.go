@@ -32,7 +32,7 @@ var bg = context.Background()
 var smallOpt = experiments.Options{Scale: experiments.ScaleSmall}
 
 // runSpec executes one workload at small scale on a fresh platform.
-func runSpec(b *testing.B, name string, mutate func(*platform.Platform)) {
+func runSpec(b *testing.B, name string) {
 	b.Helper()
 	spec, err := workloads.ByName(name)
 	if err != nil {
@@ -43,9 +43,6 @@ func runSpec(b *testing.B, name string, mutate func(*platform.Platform)) {
 		b.Fatal(err)
 	}
 	defer p.Close()
-	if mutate != nil {
-		mutate(p)
-	}
 	c, err := cl.NewContext(p, "")
 	if err != nil {
 		b.Fatal(err)
@@ -81,23 +78,16 @@ func BenchmarkFig06DivergenceCFG(b *testing.B) {
 func BenchmarkFig07Slowdown(b *testing.B) {
 	// One representative row of the slowdown measurement (SobelFilter).
 	for i := 0; i < b.N; i++ {
-		runSpec(b, "SobelFilter", nil)
+		runSpec(b, "SobelFilter")
 	}
 }
 
 func BenchmarkFig08VsBaseline(b *testing.B) {
-	b.Run("ours-dbt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runSpec(b, "DCT", nil)
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.Fig8(bg, io.Discard, smallOpt); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("baseline-interp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runSpec(b, "DCT", func(p *platform.Platform) {
-				p.CPU.SetEngine(cpu.EngineInterp)
-			})
-		}
-	})
+	}
 }
 
 func BenchmarkFig09DriverScaling(b *testing.B) {
@@ -144,19 +134,19 @@ func BenchmarkFig10ThreadScaling(b *testing.B) {
 
 func BenchmarkFig11InstructionMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runSpec(b, "Reduction", nil)
+		runSpec(b, "Reduction")
 	}
 }
 
 func BenchmarkFig12DataAccess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runSpec(b, "Backprop", nil)
+		runSpec(b, "Backprop")
 	}
 }
 
 func BenchmarkFig13ClauseSizes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runSpec(b, "RecursiveGaussian", nil)
+		runSpec(b, "RecursiveGaussian")
 	}
 }
 
@@ -209,7 +199,7 @@ func BenchmarkFig15SGEMM(b *testing.B) {
 
 func BenchmarkTable3SystemStats(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runSpec(b, "BFS", nil)
+		runSpec(b, "BFS")
 	}
 }
 

@@ -35,9 +35,6 @@ type ClusterConfig struct {
 	MaxAttempts int
 	// RetryBackoff is the initial retry backoff, doubling per retry.
 	RetryBackoff time.Duration
-	// PerHostStreams is the number of jobs dispatched concurrently to one
-	// host.
-	PerHostStreams int
 	// HostFailureLimit is the number of consecutive transport/5xx
 	// failures after which a host leaves the rotation.
 	HostFailureLimit int
@@ -57,7 +54,7 @@ type ClusterHostReport = cluster.HostLatency
 // lifetime delivery counters (Retries, Hedges, Discarded duplicate
 // responses, Reships of the snapshot to a host that forgot it) and
 // per-host attempt latencies, in Batch.Hosts order. It is attached to
-// BatchResult.Cluster by cluster runs and printed by `mobilesimctl -stats`.
+// BatchResult.Cluster by cluster runs and printed by `mobilesim -hosts … -stats`.
 type ClusterReport = cluster.Report
 
 // runCluster executes the batch over b.Hosts: boot the batch Config
@@ -91,7 +88,6 @@ func (b *Batch) runCluster(ctx context.Context) (*BatchResult, error) {
 	cl, err := cluster.New(cluster.Options{
 		Hosts:            b.Hosts,
 		Client:           b.Cluster.HTTPClient,
-		PerHostStreams:   b.Cluster.PerHostStreams,
 		MaxAttempts:      b.Cluster.MaxAttempts,
 		RetryBackoff:     b.Cluster.RetryBackoff,
 		HedgeAfter:       b.Cluster.HedgeAfter,

@@ -4,7 +4,7 @@
 // each request gets a private, fully booted guest with the configuration
 // (or warmed state) of whoever captured the snapshot, in tens of
 // microseconds. It is also the per-host executor of the cluster protocol
-// (DESIGN.md §11): a coordinator (cmd/mobilesimctl, or Batch.Hosts)
+// (DESIGN.md §11): a coordinator (Batch.Hosts, or mobilesim -hosts)
 // installs snapshots and fans jobs out over many mobilesimd processes.
 //
 // Usage:

@@ -295,84 +295,54 @@ func (k *Kernel) SetArgs(args ...any) error {
 	return nil
 }
 
-// Launch describes one NDRange enqueue for batch submission.
-type Launch struct {
-	Kernel *Kernel
-	Global [3]uint32
-	Local  [3]uint32
-}
-
-// EnqueueKernel runs one kernel synchronously (enqueue + finish). A
-// cancelled ctx soft-stops the running kernel at a clause boundary and
-// returns ctx.Err(); the context and device stay usable.
+// EnqueueKernel runs one kernel synchronously (enqueue + finish): it
+// writes the argument table and one job descriptor through the guest-code
+// driver path and rings the doorbell. A cancelled ctx soft-stops the
+// running kernel at a clause boundary and returns ctx.Err(); the context
+// and device stay usable.
 func (c *Context) EnqueueKernel(ctx context.Context, k *Kernel, global, local [3]uint32) error {
-	return c.EnqueueBatch(ctx, []Launch{{Kernel: k, Global: global, Local: local}})
-}
-
-// EnqueueBatch submits a chain of kernel jobs in one doorbell, the job-
-// chain facility the hardware Job Manager provides. Argument tables and
-// descriptors are written through the guest-code driver path.
-func (c *Context) EnqueueBatch(ctx context.Context, launches []Launch) error {
-	if len(launches) == 0 {
-		return nil
+	for i, ok := range k.set {
+		if !ok {
+			return fmt.Errorf("cl: kernel %s argument %d (%s) not set",
+				k.lk.ck.Name, i, k.lk.ck.Params[i].Name)
+		}
 	}
-	seen := make(map[*loadedKernel]bool, len(launches))
-	for _, l := range launches {
-		if seen[l.Kernel.lk] {
-			return fmt.Errorf("cl: kernel %s appears twice in one batch; enqueue separately",
-				l.Kernel.lk.ck.Name)
-		}
-		seen[l.Kernel.lk] = true
+	g, l := normalizeDims(global, local)
+	if _, err := (&gpu.JobDescriptor{GlobalSize: g, LocalSize: l}).Workgroups(); err != nil || global[0] == 0 {
+		return &NDRangeError{Kernel: k.lk.ck.Name, Global: global, Local: local}
 	}
-	for li := len(launches) - 1; li >= 0; li-- {
-		l := launches[li]
-		k := l.Kernel
-		for i, ok := range k.set {
-			if !ok {
-				return fmt.Errorf("cl: kernel %s argument %d (%s) not set",
-					k.lk.ck.Name, i, k.lk.ck.Params[i].Name)
-			}
-		}
-		global, local := normalizeDims(l.Global, l.Local)
-		if _, err := (&gpu.JobDescriptor{GlobalSize: global, LocalSize: local}).Workgroups(); err != nil || l.Global[0] == 0 {
-			return &NDRangeError{Kernel: k.lk.ck.Name, Global: l.Global, Local: l.Local}
-		}
 
-		if k.lk.ck.LocalBytes > 0 {
-			if err := c.ensureLocal(k.lk.ck.LocalBytes); err != nil {
-				return err
-			}
-		}
-		argBuf := make([]byte, 8*len(k.args))
-		for i, a := range k.args {
-			binary.LittleEndian.PutUint64(argBuf[8*i:], a)
-		}
-		if len(argBuf) > 0 {
-			if err := c.Drv.CopyToDevice(ctx, k.lk.argsVA, argBuf); err != nil {
-				return err
-			}
-		}
-		desc := &gpu.JobDescriptor{
-			JobType:    gpu.JobTypeCompute,
-			GlobalSize: global,
-			LocalSize:  local,
-			ShaderVA:   k.lk.binVA,
-			ShaderSize: uint32(len(k.lk.ck.Binary)),
-			ArgsVA:     k.lk.argsVA,
-		}
-		if k.lk.ck.LocalBytes > 0 {
-			desc.LocalMemVA = c.localVA
-			desc.LocalMemBytes = k.lk.ck.LocalBytes
-		}
-		if li+1 < len(launches) {
-			desc.NextJobVA = launches[li+1].Kernel.lk.descVA
-		}
-		if err := c.Drv.WriteDescriptor(ctx, k.lk.descVA, desc); err != nil {
+	if k.lk.ck.LocalBytes > 0 {
+		if err := c.ensureLocal(k.lk.ck.LocalBytes); err != nil {
 			return err
 		}
-		c.P.GPU.NoteKernelLaunch()
 	}
-	return c.Drv.SubmitAndWait(ctx, launches[0].Kernel.lk.descVA)
+	argBuf := make([]byte, 8*len(k.args))
+	for i, a := range k.args {
+		binary.LittleEndian.PutUint64(argBuf[8*i:], a)
+	}
+	if len(argBuf) > 0 {
+		if err := c.Drv.CopyToDevice(ctx, k.lk.argsVA, argBuf); err != nil {
+			return err
+		}
+	}
+	desc := &gpu.JobDescriptor{
+		JobType:    gpu.JobTypeCompute,
+		GlobalSize: g,
+		LocalSize:  l,
+		ShaderVA:   k.lk.binVA,
+		ShaderSize: uint32(len(k.lk.ck.Binary)),
+		ArgsVA:     k.lk.argsVA,
+	}
+	if k.lk.ck.LocalBytes > 0 {
+		desc.LocalMemVA = c.localVA
+		desc.LocalMemBytes = k.lk.ck.LocalBytes
+	}
+	if err := c.Drv.WriteDescriptor(ctx, k.lk.descVA, desc); err != nil {
+		return err
+	}
+	c.P.GPU.NoteKernelLaunch()
+	return c.Drv.SubmitAndWait(ctx, k.lk.descVA)
 }
 
 // ensureLocal sizes the driver-allocated local-memory slots for the

@@ -243,65 +243,6 @@ func TestArgTypeChecking(t *testing.T) {
 	}
 }
 
-func TestJobChainBatch(t *testing.T) {
-	_, c := newStack(t)
-	src := `
-kernel void addc(global int* a, int c, int n) {
-    int i = get_global_id(0);
-    if (i < n) { a[i] = a[i] + c; }
-}
-kernel void dbl(global int* a, int n) {
-    int i = get_global_id(0);
-    if (i < n) { a[i] = a[i] * 2; }
-}
-`
-	const n = 256
-	prog, err := c.BuildProgram(bg, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := c.CreateBuffer(4 * n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]int32, n)
-	for i := range vals {
-		vals[i] = int32(i)
-	}
-	if err := c.WriteI32(bg, buf, vals); err != nil {
-		t.Fatal(err)
-	}
-	k1, _ := prog.CreateKernel("addc")
-	k2, _ := prog.CreateKernel("dbl")
-	if err := k1.SetArgBuffer(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	_ = k1.SetArgInt(1, 10)
-	_ = k1.SetArgInt(2, n)
-	if err := k2.SetArgBuffer(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	_ = k2.SetArgInt(1, n)
-
-	// One doorbell, two chained jobs: (a+10)*2.
-	if err := c.EnqueueBatch(bg, []cl.Launch{
-		{Kernel: k1, Global: cl.G1(n), Local: cl.G1(32)},
-		{Kernel: k2, Global: cl.G1(n), Local: cl.G1(32)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadI32(bg, buf, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		want := (vals[i] + 10) * 2
-		if got[i] != want {
-			t.Fatalf("a[%d] = %d, want %d", i, got[i], want)
-		}
-	}
-}
-
 // TestHandOffSchedulingDoesNotLeakIntoCounters pins the driver↔GPU
 // hand-off against host scheduling: the same job list must leave the same
 // system statistics and guest instruction count whether the driver reaches

@@ -9,7 +9,7 @@ import (
 
 // This file is the single source of truth for the cluster wire protocol
 // (DESIGN.md §11): the JSON shapes exchanged between the coordinator
-// (Cluster, cmd/mobilesimctl) and the per-host executor (internal/hostd,
+// (Cluster, which Batch.Hosts drives) and the per-host executor (internal/hostd,
 // cmd/mobilesimd). Client and server both compile against these types, so
 // the two halves cannot drift.
 

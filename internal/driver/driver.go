@@ -1,7 +1,7 @@
 // Package driver is the simulator's equivalent of the vendor's kernel-
 // space GPU driver ("kbase"): it owns the GPU address space, allocates and
-// maps memory for the runtime, builds and submits job chains, and handles
-// the GPU interrupt. Its only channel to the GPU is the hardware
+// maps memory for the runtime, writes job descriptors and submits them to
+// the Job Manager's job slot, and handles the GPU interrupt. Its only channel to the GPU is the hardware
 // interface — MMIO registers, shared memory, page tables and the IRQ
 // line — and its bulk work (buffer copies, descriptor writes, register
 // accesses) executes as real guest code on the simulated CPU, so the
