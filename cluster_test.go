@@ -63,7 +63,7 @@ func TestClusterMatchesLocalBatch(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(srv.Close)
-				hosts[i] = clustertest.NewWithBackend(srv.Mux())
+				hosts[i] = clustertest.New(srv.Mux())
 				t.Cleanup(hosts[i].Close)
 				urls[i] = hosts[i].URL()
 			}

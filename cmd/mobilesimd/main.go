@@ -14,12 +14,16 @@
 // Endpoints:
 //
 //	GET  /healthz          — liveness + pool state
-//	GET  /api/v1/workloads — the workload registry
-//	POST /api/v1/snapshot  — install an encoded snapshot into a warm pool
-//	                         (content-addressed; idempotent)
+//	GET  /api/v1/workloads — the workload registry, one mobilesim.WorkloadInfo
+//	                         per entry
+//	POST /api/v1/snapshot  — install an encoded snapshot into a warm pool;
+//	                         answers {"ref": "sha256:…"}, its content
+//	                         address, and re-posting the same bytes
+//	                         answers the same ref and installs nothing new
 //	POST /api/v1/run       — run one workload, e.g.
 //	                         {"workload": "BFS", "scale": 4}; optional
-//	                         "snapshot" ref and "idempotency_key"
+//	                         "snapshot" ref, "idempotency_key", "verify"
+//	                         and "timeout_ms"
 //	GET  /api/v1/stats     — server counters: pool hits/inline forks,
 //	                         per-workload run counts, dedup hits, latency
 //	                         percentiles

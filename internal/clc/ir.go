@@ -31,7 +31,6 @@ func uni(slot int) Opd     { return Opd{Kind: OpdUniform, ID: slot} }
 func special(s uint8) Opd  { return Opd{Kind: OpdSpecial, ID: int(s)} }
 func immOpd(v uint32) Opd  { return Opd{Kind: OpdImm, Imm: v} }
 func romOpd(idx int) Opd   { return Opd{Kind: OpdROM, ID: idx} }
-func (o Opd) isImm() bool  { return o.Kind == OpdImm }
 func (o Opd) isVReg() bool { return o.Kind == OpdVReg }
 
 func (o Opd) String() string {

@@ -3,14 +3,14 @@
 // addressed, idempotent), then dispatches jobs with work-stealing,
 // bounded retry-with-backoff on host loss, and optional hedged requests
 // for tail latency. Per-run statistics deltas come back exactly (integer
-// counter records on the wire) and merge in job order, so a cluster run
-// aggregates bit-identically to a local Batch run of the same jobs — the
-// golden-stats determinism guarantee, end to end.
+// counter records on the wire), one accepted response per job, so the
+// facade's Batch tallies a cluster run bit-identically to a local run of
+// the same jobs — the golden-stats determinism guarantee, end to end.
 //
 // Delivery discipline: a job may be attempted on several hosts (retries
 // after failures, hedges racing a slow host), but exactly one response is
-// accepted per job — the first to complete — and only accepted responses
-// are merged. Within one host, RunRequest.IdempotencyKey makes duplicate
+// accepted per job — the first to complete — and every other is
+// discarded. Within one host, RunRequest.IdempotencyKey makes duplicate
 // deliveries replay the recorded response instead of re-executing. Both
 // layers together make "ran at least once, counted exactly once" hold
 // under retries, host loss and duplicate deliveries.
@@ -63,7 +63,7 @@ type Options struct {
 	// HedgeAfter launches a duplicate of a still-running job on a second
 	// host after this delay, racing the two (0 disables hedging). The
 	// duplicate carries the same idempotency key; the first response wins
-	// and the loser is discarded, never merged.
+	// and the loser is discarded, never returned.
 	HedgeAfter time.Duration
 	// HostFailureLimit is the number of consecutive transport/5xx
 	// failures after which a host is declared dead and leaves the
@@ -91,16 +91,12 @@ func (o *Options) withDefaults() Options {
 	return d
 }
 
-// Job is one unit of cluster work: a registered workload name, an input
-// scale and the snapshot ref its session is forked from.
+// Job is one unit of cluster work: a registered workload name and an
+// input scale. Its session is forked from the last shipped snapshot (the
+// host's boot-time pool before any Ship).
 type Job struct {
 	Workload string
 	Scale    int
-	// Verify mirrors RunRequest.Verify (nil = host default, true).
-	Verify *bool
-	// Snapshot is the installed snapshot ref; Run fills it with the last
-	// Ship's ref when empty.
-	Snapshot string
 }
 
 // JobResult is the outcome of one Job.
@@ -121,16 +117,10 @@ type JobResult struct {
 	Err error
 }
 
-// Result summarises a cluster Run.
+// Result is the outcome of a cluster Run, one JobResult per job in job
+// order. The facade's Batch tallies it (DESIGN.md §11).
 type Result struct {
 	Jobs []JobResult
-	// Completed counts jobs that ran and verified; Failed counts jobs
-	// that errored or failed verification; Skipped counts jobs that never
-	// produced a response because the context was cancelled.
-	Completed, Failed, Skipped int
-	// Aggregate merges the accepted per-run deltas in job-index order.
-	Aggregate RunStats
-	Wall      time.Duration
 }
 
 type host struct {
@@ -353,7 +343,6 @@ func (c *Cluster) install(ctx context.Context, h *host, encoded []byte, ref stri
 // failures are reported in the Result, not as an error; the error is
 // ctx.Err() after cancellation and nil otherwise.
 func (c *Cluster) Run(ctx context.Context, jobs []Job) (*Result, error) {
-	t0 := time.Now()
 	res := &Result{Jobs: make([]JobResult, len(jobs))}
 	if len(jobs) == 0 {
 		return res, nil
@@ -365,44 +354,15 @@ func (c *Cluster) Run(ctx context.Context, jobs []Job) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	c.snapMu.Lock()
-	defaultRef := c.snapRef
-	c.snapMu.Unlock()
-
 	var wg sync.WaitGroup
 	for i := range jobs {
-		job := jobs[i]
-		if job.Snapshot == "" {
-			job.Snapshot = defaultRef
-		}
 		wg.Add(1)
-		go func(i int, job Job) {
+		go func(i int) {
 			defer wg.Done()
-			res.Jobs[i] = c.driveJob(ctx, runID, i, job)
-		}(i, job)
+			res.Jobs[i] = c.driveJob(ctx, runID, i, jobs[i])
+		}(i)
 	}
 	wg.Wait()
-
-	// Merge in job-index order. The counters are integer sums (and one
-	// max), so the aggregate is order-independent — but fixing the order
-	// makes it byte-identical to a local Batch merge by construction.
-	for i := range res.Jobs {
-		jr := &res.Jobs[i]
-		switch {
-		case jr.Response != nil:
-			res.Aggregate.Merge(&jr.Response.Stats)
-			if jr.Err != nil {
-				res.Failed++
-			} else {
-				res.Completed++
-			}
-		case ctx.Err() != nil && errors.Is(jr.Err, ctx.Err()):
-			res.Skipped++
-		default:
-			res.Failed++
-		}
-	}
-	res.Wall = time.Since(t0)
 	return res, ctx.Err()
 }
 
@@ -495,7 +455,7 @@ func (c *Cluster) driveJob(ctx context.Context, runID string, idx int, job Job) 
 				if out.err == nil {
 					// First completed response wins; any still-running
 					// duplicate is drained in the background and its
-					// response discarded, never merged.
+					// response discarded, never returned.
 					stopHedge()
 					c.drainDuplicates(results, inflight)
 					out.host.runs.Add(1)
@@ -559,11 +519,13 @@ func (c *Cluster) attempt(ctx context.Context, h *host, job Job, key string, kin
 // doRun performs the HTTP exchange. reshipOK allows one transparent
 // snapshot re-installation when the host reports an unknown ref.
 func (c *Cluster) doRun(ctx context.Context, h *host, job Job, key string, reshipOK bool) (*RunResponse, bool, error) {
+	c.snapMu.Lock()
+	ref := c.snapRef
+	c.snapMu.Unlock()
 	body, err := json.Marshal(RunRequest{
 		Workload:       job.Workload,
 		Scale:          job.Scale,
-		Verify:         job.Verify,
-		Snapshot:       job.Snapshot,
+		Snapshot:       ref,
 		IdempotencyKey: key,
 	})
 	if err != nil {

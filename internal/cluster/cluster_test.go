@@ -1,38 +1,114 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"mobilesim"
 	"mobilesim/internal/cluster"
 	"mobilesim/internal/cluster/clustertest"
+	"mobilesim/internal/hostd"
 )
 
-// startHosts launches n synthetic fault hosts.
-func startHosts(t *testing.T, n int) []*clustertest.Host {
+// hostConfig is the small platform every test host boots and every
+// shipped snapshot is captured from.
+var hostConfig = mobilesim.Config{RAMSize: 32 << 20, HostThreads: 1}
+
+// testHost is one real hostd server behind a clustertest fault layer.
+type testHost struct {
+	*clustertest.Host
+	srv *hostd.Server
+}
+
+// startHost boots a hostd server with cfg (Sim and PoolSize defaulted to
+// the small test shape) and fronts it with a fault layer.
+func startHost(t *testing.T, cfg hostd.Config) testHost {
 	t.Helper()
-	hosts := make([]*clustertest.Host, n)
+	cfg.Sim = hostConfig
+	cfg.PoolSize = 1
+	srv, err := hostd.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	h := clustertest.New(srv.Mux())
+	t.Cleanup(h.Close)
+	return testHost{Host: h, srv: srv}
+}
+
+func startHosts(t *testing.T, n int) []testHost {
+	t.Helper()
+	hosts := make([]testHost, n)
 	for i := range hosts {
-		hosts[i] = clustertest.New()
-		t.Cleanup(hosts[i].Close)
+		hosts[i] = startHost(t, hostd.Config{})
 	}
 	return hosts
 }
 
-func urls(hosts []*clustertest.Host) []string {
-	out := make([]string, len(hosts))
-	for i, h := range hosts {
-		out[i] = h.URL()
+// stat reads one counter from the server's stats JSON, bypassing the
+// fault layer so a killed host still answers.
+func (h testHost) stat(t *testing.T, key string) uint64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.srv.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, cluster.PathStats, nil))
+	var body map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	var v uint64
+	if err := json.Unmarshal(body[key], &v); err != nil {
+		t.Fatalf("stats %q: %v", key, err)
+	}
+	return v
 }
 
-func newCluster(t *testing.T, hosts []*clustertest.Host, opts cluster.Options) *cluster.Cluster {
+var (
+	snapOnce    sync.Once
+	snapEncoded []byte
+	snapErr     error
+)
+
+// encodedSnapshot returns the encoded snapshot of a booted hostConfig
+// session, captured once per test binary.
+func encodedSnapshot(t *testing.T) []byte {
 	t.Helper()
-	opts.Hosts = urls(hosts)
+	snapOnce.Do(func() { snapEncoded, snapErr = encodeSnapshot(hostConfig) })
+	if snapErr != nil {
+		t.Fatal(snapErr)
+	}
+	return snapEncoded
+}
+
+func encodeSnapshot(cfg mobilesim.Config) ([]byte, error) {
+	sess, err := mobilesim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	snap, err := sess.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = snap.Encode(&buf)
+	return buf.Bytes(), err
+}
+
+// newCluster registers the hosts and ships them the test snapshot, so
+// every run forks from an installed snapshot's pool as in production.
+func newCluster(t *testing.T, hosts []testHost, opts cluster.Options) *cluster.Cluster {
+	t.Helper()
+	for _, h := range hosts {
+		opts.Hosts = append(opts.Hosts, h.URL())
+	}
 	if opts.RetryBackoff == 0 {
 		opts.RetryBackoff = 5 * time.Millisecond
 	}
@@ -40,63 +116,71 @@ func newCluster(t *testing.T, hosts []*clustertest.Host, opts cluster.Options) *
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.Ship(context.Background(), encodedSnapshot(t)); err != nil {
+		t.Fatal(err)
+	}
 	return c
 }
 
-// expectedAggregate is the bit-exact aggregate of the jobs' synthetic
-// responses, merged in job order like the client does.
-func expectedAggregate(jobs []cluster.Job) cluster.RunStats {
-	var agg cluster.RunStats
-	for _, j := range jobs {
-		st := clustertest.SynthResponse(j.Workload, j.Scale).Stats
-		agg.Merge(&st)
+// jobs builds one job per registered workload name, at its small scale.
+func jobs(t *testing.T, names ...string) []cluster.Job {
+	t.Helper()
+	out := make([]cluster.Job, len(names))
+	for i, n := range names {
+		w, err := mobilesim.Lookup(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = cluster.Job{Workload: n, Scale: w.Info().SmallScale}
 	}
-	return agg
+	return out
 }
 
+// requireAllCompleted checks that every job has exactly one accepted,
+// verified response for the job it asked for.
 func requireAllCompleted(t *testing.T, res *cluster.Result, jobs []cluster.Job) {
 	t.Helper()
-	if res.Completed != len(jobs) || res.Failed != 0 || res.Skipped != 0 {
-		for i := range res.Jobs {
-			if res.Jobs[i].Err != nil {
-				t.Logf("job %d (%s): %v", i, res.Jobs[i].Job.Workload, res.Jobs[i].Err)
-			}
+	for i := range res.Jobs {
+		jr := &res.Jobs[i]
+		if jr.Err != nil || jr.Response == nil {
+			t.Fatalf("job %d (%s): err=%v response=%v", i, jr.Job.Workload, jr.Err, jr.Response != nil)
 		}
-		t.Fatalf("completed=%d failed=%d skipped=%d, want %d/0/0",
-			res.Completed, res.Failed, res.Skipped, len(jobs))
-	}
-	if want := expectedAggregate(jobs); res.Aggregate != want {
-		t.Fatalf("aggregate mismatch:\n got  %+v\n want %+v", res.Aggregate, want)
+		if r := jr.Response; r.Workload != jobs[i].Workload || r.Scale != jobs[i].Scale || !r.Verified {
+			t.Fatalf("job %d: response %s@%d verified=%v, want %s@%d verified",
+				i, r.Workload, r.Scale, r.Verified, jobs[i].Workload, jobs[i].Scale)
+		}
 	}
 }
 
 // TestFanOutWorkStealing fans nine jobs over three single-stream hosts:
 // every host must serve work (nine waiters drain all three stream
 // tokens), the total request count must equal the job count (no retries,
-// no duplicates), and the merged aggregate must be the bit-exact sum of
-// the synthetic per-job deltas.
+// no duplicates), and every run must execute exactly once, from the
+// shipped snapshot.
 func TestFanOutWorkStealing(t *testing.T) {
 	hosts := startHosts(t, 3)
 	c := newCluster(t, hosts, cluster.Options{PerHostStreams: 1})
-	jobs := make([]cluster.Job, 9)
-	for i := range jobs {
-		jobs[i] = cluster.Job{Workload: "W" + string(rune('A'+i)), Scale: i + 1}
-	}
-	res, err := c.Run(context.Background(), jobs)
+	js := jobs(t, "BFS", "BinarySearch", "Reduction", "SPMV", "DCT",
+		"MatrixTranspose", "URNG", "ScanLargeArrays", "DwtHaar1D")
+	res, err := c.Run(context.Background(), js)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireAllCompleted(t, res, jobs)
+	requireAllCompleted(t, res, js)
 
-	var total uint64
+	var total, executed uint64
 	for i, h := range hosts {
 		if h.Requests() == 0 {
 			t.Errorf("host %d served no requests", i)
 		}
+		if got := h.stat(t, "snapshot_installs"); got != 1 {
+			t.Errorf("host %d: snapshot_installs %d, want 1", i, got)
+		}
 		total += h.Requests()
+		executed += h.stat(t, "requests")
 	}
-	if total != uint64(len(jobs)) {
-		t.Fatalf("total requests %d, want %d", total, len(jobs))
+	if total != uint64(len(js)) || executed != uint64(len(js)) {
+		t.Fatalf("%d requests, %d executed, want %d each", total, executed, len(js))
 	}
 	if c.Report().Retries != 0 || c.Report().Hedges != 0 {
 		t.Fatalf("retries=%d hedges=%d, want 0/0", c.Report().Retries, c.Report().Hedges)
@@ -104,18 +188,18 @@ func TestFanOutWorkStealing(t *testing.T) {
 }
 
 // TestRetryAfter5xx: a scripted 503 must be retried (with backoff) and
-// the job must still complete with a single-counted aggregate.
+// the job must still complete.
 func TestRetryAfter5xx(t *testing.T) {
 	hosts := startHosts(t, 2)
 	hosts[0].ScriptRun(clustertest.Script{Status: 503})
 	hosts[1].ScriptRun(clustertest.Script{Status: 503})
 	c := newCluster(t, hosts, cluster.Options{})
-	jobs := []cluster.Job{{Workload: "BFS", Scale: 4}}
-	res, err := c.Run(context.Background(), jobs)
+	js := jobs(t, "BFS")
+	res, err := c.Run(context.Background(), js)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireAllCompleted(t, res, jobs)
+	requireAllCompleted(t, res, js)
 	if res.Jobs[0].Attempts < 2 {
 		t.Fatalf("attempts %d, want >= 2", res.Jobs[0].Attempts)
 	}
@@ -132,7 +216,7 @@ func TestAttemptsExhausted(t *testing.T) {
 		hosts[0].ScriptRun(clustertest.Script{Status: 503})
 	}
 	c := newCluster(t, hosts, cluster.Options{MaxAttempts: 2, HostFailureLimit: 10})
-	res, err := c.Run(context.Background(), []cluster.Job{{Workload: "BFS"}})
+	res, err := c.Run(context.Background(), jobs(t, "BFS"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,30 +227,30 @@ func TestAttemptsExhausted(t *testing.T) {
 	if jr.Attempts != 2 {
 		t.Fatalf("attempts %d, want 2", jr.Attempts)
 	}
-	if res.Failed != 1 || res.Completed != 0 {
-		t.Fatalf("failed=%d completed=%d, want 1/0", res.Failed, res.Completed)
-	}
 	if !strings.Contains(jr.Err.Error(), "503") {
 		t.Fatalf("error %v does not carry the last HTTP failure", jr.Err)
 	}
+	if got := hosts[0].stat(t, "requests"); got != 0 {
+		t.Fatalf("host executed %d runs, want 0", got)
+	}
 }
 
-// TestPermanentFailureNoRetry: a 4xx rejection (other than unknown
-// snapshot) is permanent — one attempt, immediate failure.
+// TestPermanentFailureNoRetry: the host's 404 for an unregistered
+// workload is permanent — one attempt, immediate failure.
 func TestPermanentFailureNoRetry(t *testing.T) {
 	hosts := startHosts(t, 1)
-	hosts[0].ScriptRun(clustertest.Script{Status: 400})
 	c := newCluster(t, hosts, cluster.Options{MaxAttempts: 5})
-	res, err := c.Run(context.Background(), []cluster.Job{{Workload: "BFS"}})
+	res, err := c.Run(context.Background(), []cluster.Job{{Workload: "NoSuchWorkload"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	jr := &res.Jobs[0]
-	if jr.Err == nil {
-		t.Fatal("job succeeded, want permanent failure")
+	if jr.Err == nil || !strings.Contains(jr.Err.Error(), "HTTP 404") {
+		t.Fatalf("err %v, want the host's 404", jr.Err)
 	}
-	if jr.Attempts != 1 || c.Report().Retries != 0 {
-		t.Fatalf("attempts=%d retries=%d, want 1/0", jr.Attempts, c.Report().Retries)
+	if jr.Attempts != 1 || c.Report().Retries != 0 || hosts[0].Requests() != 1 {
+		t.Fatalf("attempts=%d retries=%d requests=%d, want 1/0/1",
+			jr.Attempts, c.Report().Retries, hosts[0].Requests())
 	}
 }
 
@@ -178,12 +262,12 @@ func TestHostLossRetriesElsewhere(t *testing.T) {
 	hosts := startHosts(t, 2)
 	hosts[0].ScriptRun(clustertest.Script{Kill: true})
 	c := newCluster(t, hosts, cluster.Options{HostFailureLimit: 1, PerHostStreams: 1})
-	jobs := []cluster.Job{{Workload: "SpMV", Scale: 2}}
-	res, err := c.Run(context.Background(), jobs)
+	js := jobs(t, "SPMV")
+	res, err := c.Run(context.Background(), js)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireAllCompleted(t, res, jobs)
+	requireAllCompleted(t, res, js)
 	jr := &res.Jobs[0]
 	if jr.Host != hosts[1].URL() {
 		t.Fatalf("accepted from %s, want the surviving host %s", jr.Host, hosts[1].URL())
@@ -206,10 +290,10 @@ func TestAllHostsLost(t *testing.T) {
 	hosts := startHosts(t, 1)
 	hosts[0].ScriptRun(clustertest.Script{Kill: true})
 	c := newCluster(t, hosts, cluster.Options{HostFailureLimit: 1, PerHostStreams: 1})
-	jobs := []cluster.Job{{Workload: "BFS"}, {Workload: "SpMV"}, {Workload: "FFT"}}
+	js := jobs(t, "BFS", "SPMV", "Reduction")
 	done := make(chan *cluster.Result, 1)
 	go func() {
-		res, _ := c.Run(context.Background(), jobs)
+		res, _ := c.Run(context.Background(), js)
 		done <- res
 	}()
 	var res *cluster.Result
@@ -218,12 +302,13 @@ func TestAllHostsLost(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run hung after losing every host")
 	}
-	if res.Failed != len(jobs) || res.Completed != 0 {
-		t.Fatalf("failed=%d completed=%d, want %d/0", res.Failed, res.Completed, len(jobs))
-	}
 	sawNoHosts := false
 	for i := range res.Jobs {
-		if errors.Is(res.Jobs[i].Err, cluster.ErrNoHosts) {
+		jr := &res.Jobs[i]
+		if jr.Err == nil || jr.Response != nil {
+			t.Fatalf("job %d (%s) completed on a dead cluster", i, jr.Job.Workload)
+		}
+		if errors.Is(jr.Err, cluster.ErrNoHosts) {
 			sawNoHosts = true
 		}
 	}
@@ -234,7 +319,7 @@ func TestAllHostsLost(t *testing.T) {
 
 // TestHedgingRacesSlowHost delays the first host long enough to force a
 // hedge onto the second; the first completed response wins and the
-// aggregate stays single-counted.
+// slow host's later one is discarded.
 func TestHedgingRacesSlowHost(t *testing.T) {
 	hosts := startHosts(t, 2)
 	// The single stream token of host 0 is first in the rotation, so the
@@ -244,13 +329,13 @@ func TestHedgingRacesSlowHost(t *testing.T) {
 		PerHostStreams: 1,
 		HedgeAfter:     20 * time.Millisecond,
 	})
-	jobs := []cluster.Job{{Workload: "Stereo", Scale: 3}}
+	js := jobs(t, "Reduction")
 	t0 := time.Now()
-	res, err := c.Run(context.Background(), jobs)
+	res, err := c.Run(context.Background(), js)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireAllCompleted(t, res, jobs)
+	requireAllCompleted(t, res, js)
 	jr := &res.Jobs[0]
 	if !jr.Hedged || c.Report().Hedges != 1 {
 		t.Fatalf("hedged=%v hedges=%d, want true/1", jr.Hedged, c.Report().Hedges)
@@ -262,8 +347,7 @@ func TestHedgingRacesSlowHost(t *testing.T) {
 		t.Fatalf("run took %v: the hedge did not beat the slow host", wall)
 	}
 	// The slow host's response completes later and must be discarded,
-	// never merged (the aggregate check above already proved single
-	// counting; this proves the loser was accounted as discarded).
+	// never accepted.
 	deadline := time.Now().Add(5 * time.Second)
 	for c.Report().Discarded == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -280,27 +364,27 @@ func TestMidStreamDisconnectDeduped(t *testing.T) {
 	hosts := startHosts(t, 1)
 	hosts[0].ScriptRun(clustertest.Script{Disconnect: true, AfterBytes: 10})
 	c := newCluster(t, hosts, cluster.Options{HostFailureLimit: 10})
-	jobs := []cluster.Job{{Workload: "FFT", Scale: 1}}
-	res, err := c.Run(context.Background(), jobs)
+	js := jobs(t, "DCT")
+	res, err := c.Run(context.Background(), js)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireAllCompleted(t, res, jobs)
+	requireAllCompleted(t, res, js)
 	if res.Jobs[0].Attempts != 2 {
 		t.Fatalf("attempts %d, want 2", res.Jobs[0].Attempts)
 	}
-	if hosts[0].Runs() != 1 {
-		t.Fatalf("host executed %d runs, want 1 (retry must dedup)", hosts[0].Runs())
+	if got := hosts[0].stat(t, "requests"); got != 1 {
+		t.Fatalf("host executed %d runs, want 1 (retry must dedup)", got)
 	}
-	if hosts[0].DedupHits() != 1 {
-		t.Fatalf("dedup hits %d, want 1", hosts[0].DedupHits())
+	if got := hosts[0].stat(t, "dedup_hits"); got != 1 {
+		t.Fatalf("dedup hits %d, want 1", got)
 	}
 }
 
 // TestDuplicateDeliveryReexecuted is the buggy-host variant: the second
-// delivery bypasses the idempotency store and re-executes. The aggregate
-// must still be single-counted — client-side first-result-wins does not
-// depend on the host deduping.
+// delivery bypasses the idempotency store and re-executes. The job must
+// still get exactly one accepted response — client-side
+// first-result-wins does not depend on the host deduping.
 func TestDuplicateDeliveryReexecuted(t *testing.T) {
 	hosts := startHosts(t, 1)
 	hosts[0].ScriptRun(
@@ -308,42 +392,62 @@ func TestDuplicateDeliveryReexecuted(t *testing.T) {
 		clustertest.Script{Rerun: true},
 	)
 	c := newCluster(t, hosts, cluster.Options{HostFailureLimit: 10})
-	jobs := []cluster.Job{{Workload: "Harris", Scale: 2}}
-	res, err := c.Run(context.Background(), jobs)
+	js := jobs(t, "BinarySearch")
+	res, err := c.Run(context.Background(), js)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireAllCompleted(t, res, jobs)
-	if hosts[0].Runs() != 2 {
-		t.Fatalf("host executed %d runs, want 2 (Rerun bypasses dedup)", hosts[0].Runs())
+	requireAllCompleted(t, res, js)
+	if got := hosts[0].stat(t, "requests"); got != 2 {
+		t.Fatalf("host executed %d runs, want 2 (Rerun bypasses dedup)", got)
+	}
+	if got := hosts[0].stat(t, "dedup_hits"); got != 0 {
+		t.Fatalf("dedup hits %d, want 0", got)
 	}
 }
 
-// TestShipAndUnknownSnapshotReship ships a snapshot, then scripts a host
-// to claim the ref is unknown: the client must transparently re-install
-// and retry on the same host within the same attempt.
+// TestShipAndUnknownSnapshotReship ships a snapshot, then makes the host
+// evict it by installing another: the host's unknown-snapshot 404 must
+// make the client transparently re-install and retry on the same host
+// within the same attempt.
 func TestShipAndUnknownSnapshotReship(t *testing.T) {
-	hosts := startHosts(t, 1)
+	hosts := []testHost{startHost(t, hostd.Config{MaxSnapshots: 1})}
 	c := newCluster(t, hosts, cluster.Options{})
-	encoded := []byte("MSIMSNAP fake snapshot payload")
-	ref, err := c.Ship(context.Background(), encoded)
+	if got := hosts[0].stat(t, "snapshot_installs"); got != 1 {
+		t.Fatalf("installs %d, want 1", got)
+	}
+	// Re-shipping the same bytes answers the same ref and installs
+	// nothing new.
+	ref, err := c.Ship(context.Background(), encodedSnapshot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := cluster.Ref(encoded); ref != want {
+	if want := cluster.Ref(encodedSnapshot(t)); ref != want {
 		t.Fatalf("ship returned ref %s, want %s", ref, want)
 	}
-	if hosts[0].Installs() != 1 {
-		t.Fatalf("installs %d, want 1", hosts[0].Installs())
+	if got := hosts[0].stat(t, "snapshot_installs"); got != 1 {
+		t.Fatalf("installs %d after re-shipping the same bytes, want 1", got)
 	}
 
-	hosts[0].ScriptRun(clustertest.Script{Status: 404, Code: cluster.CodeUnknownSnapshot})
-	jobs := []cluster.Job{{Workload: "BFS", Scale: 4}} // Snapshot defaults to the shipped ref
-	res, err := c.Run(context.Background(), jobs)
+	other, err := encodeSnapshot(mobilesim.Config{RAMSize: 48 << 20, HostThreads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireAllCompleted(t, res, jobs)
+	resp, err := http.Post(hosts[0].URL()+cluster.PathSnapshot, "application/octet-stream", bytes.NewReader(other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("installing the evicting snapshot: status %d", resp.StatusCode)
+	}
+
+	js := jobs(t, "BFS")
+	res, err := c.Run(context.Background(), js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireAllCompleted(t, res, js)
 	if res.Jobs[0].Attempts != 1 {
 		t.Fatalf("attempts %d, want 1 (re-ship happens inside the attempt)", res.Jobs[0].Attempts)
 	}
@@ -353,10 +457,13 @@ func TestShipAndUnknownSnapshotReship(t *testing.T) {
 	if hosts[0].Requests() != 2 {
 		t.Fatalf("run requests %d, want 2 (rejected + retried)", hosts[0].Requests())
 	}
+	if got := hosts[0].stat(t, "snapshot_installs"); got != 3 {
+		t.Fatalf("installs %d, want 3 (shipped, evicting, re-shipped)", got)
+	}
 }
 
-// TestRunCancellation: cancelling the context mid-run skips queued jobs
-// and returns ctx.Err().
+// TestRunCancellation: cancelling the context mid-run fails every job
+// with the context error, and Run returns it.
 func TestRunCancellation(t *testing.T) {
 	hosts := startHosts(t, 1)
 	for i := 0; i < 4; i++ {
@@ -365,13 +472,14 @@ func TestRunCancellation(t *testing.T) {
 	c := newCluster(t, hosts, cluster.Options{PerHostStreams: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	jobs := []cluster.Job{{Workload: "BFS"}, {Workload: "SpMV"}, {Workload: "FFT"}}
-	res, err := c.Run(ctx, jobs)
+	res, err := c.Run(ctx, jobs(t, "BFS", "SPMV", "Reduction"))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err %v, want deadline exceeded", err)
 	}
-	if res.Completed != 0 || res.Skipped == 0 {
-		t.Fatalf("completed=%d skipped=%d, want 0 completed, some skipped", res.Completed, res.Skipped)
+	for i := range res.Jobs {
+		if jr := &res.Jobs[i]; jr.Response != nil || !errors.Is(jr.Err, context.DeadlineExceeded) {
+			t.Fatalf("job %d: err=%v response=%v, want the deadline and no response", i, jr.Err, jr.Response != nil)
+		}
 	}
 }
 

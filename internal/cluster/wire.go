@@ -77,16 +77,6 @@ type RunStats struct {
 	GuestInstructions uint64            `json:"guest_instructions"`
 }
 
-// Merge accumulates another run's delta. All fields are sums of integer
-// counters (RegistersUsed is a max), so merging is order-independent:
-// any merge order over the same set of deltas yields identical bytes.
-func (s *RunStats) Merge(o *RunStats) {
-	s.GPU.Merge(&o.GPU)
-	s.System.Merge(&o.System)
-	s.DriverCPUNS += o.DriverCPUNS
-	s.GuestInstructions += o.GuestInstructions
-}
-
 // Modeled carries the analytical cost-model estimates for one run: the
 // Mali-G71 mobile and K20m desktop relative runtimes evaluated on the
 // run's own statistics delta. Both are pure functions of the
@@ -117,16 +107,11 @@ type RunResponse struct {
 	Modeled Modeled  `json:"modeled"`
 }
 
-// SnapshotResponse is the result of POST /api/v1/snapshot.
+// SnapshotResponse is the result of POST /api/v1/snapshot. Installation
+// is idempotent: re-posting installed bytes answers the same Ref.
 type SnapshotResponse struct {
 	// Ref is the content address of the installed snapshot (see Ref).
 	Ref string `json:"ref"`
-	// AlreadyInstalled reports that the host had this ref installed
-	// before the request — installation is idempotent.
-	AlreadyInstalled bool `json:"already_installed,omitempty"`
-	// Workload echoes the optional ?workload= label the snapshot's warm
-	// pool is registered under.
-	Workload string `json:"workload,omitempty"`
 }
 
 // ErrorResponse is the error envelope every non-2xx response carries.

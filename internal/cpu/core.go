@@ -128,9 +128,6 @@ func (c *Core) SetEngine(e Engine) {
 	c.btc.flush()
 }
 
-// Engine returns the active execution engine.
-func (c *Core) Engine() Engine { return c.engine }
-
 // Walker exposes the core's MMU walker (for platform setup and tests).
 func (c *Core) Walker() *mmu.Walker { return c.walker }
 

@@ -5,9 +5,9 @@
 // pool per snapshot installed over POST /api/v1/snapshot.
 //
 // cmd/mobilesimd is the flag-parsing wrapper; the package exists so the
-// serving logic is testable in-process (this package's tests, the
-// clustertest fault-injection harness, and the root cluster-vs-local
-// determinism pin all drive a real Server through its Mux).
+// serving logic is testable in-process (this package's tests, and the
+// cluster tests that put clustertest's fault layer in front of it, drive
+// a real Server through its Mux).
 package hostd
 
 import (
@@ -63,10 +63,9 @@ func (c Config) withDefaults() Config {
 // poolEntry is one warm pool: the default boot pool or an installed
 // snapshot's.
 type poolEntry struct {
-	ref      string // "" for the default pool
-	workload string // optional ?workload= label
-	pool     *mobilesim.SessionPool
-	runs     atomic.Uint64
+	ref  string // "" for the default pool
+	pool *mobilesim.SessionPool
+	runs atomic.Uint64
 }
 
 // idemEntry records one idempotency key's outcome. Waiters (duplicate
@@ -242,31 +241,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// workloadInfo is the registry entry shape served to clients.
-type workloadInfo struct {
-	Name         string `json:"name"`
-	Kind         string `json:"kind"`
-	Suite        string `json:"suite,omitempty"`
-	Description  string `json:"description,omitempty"`
-	SmallScale   int    `json:"small_scale,omitempty"`
-	DefaultScale int    `json:"default_scale,omitempty"`
-	PaperScale   int    `json:"paper_scale,omitempty"`
-}
-
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	var out []workloadInfo
-	for _, wi := range mobilesim.Workloads() {
-		out = append(out, workloadInfo{
-			Name: wi.Name, Kind: string(wi.Kind), Suite: wi.Suite, Description: wi.Description,
-			SmallScale: wi.SmallScale, DefaultScale: wi.DefaultScale, PaperScale: wi.PaperScale,
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"workloads": out})
+	writeJSON(w, http.StatusOK, map[string]any{"workloads": mobilesim.Workloads()})
 }
 
 // handleSnapshot installs an encoded snapshot into a warm pool, keyed by
 // its content-addressed ref. Installation is idempotent: re-posting the
-// same bytes returns the existing ref without building a second pool.
+// same bytes answers the same ref without building a second pool.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -279,13 +260,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ref := cluster.Ref(body)
-	label := r.URL.Query().Get("workload")
 
 	s.mu.Lock()
-	e, exists := s.snaps.get(ref)
+	_, exists := s.snaps.get(ref)
 	s.mu.Unlock()
 	if exists {
-		writeJSON(w, http.StatusOK, cluster.SnapshotResponse{Ref: ref, AlreadyInstalled: true, Workload: e.workload})
+		writeJSON(w, http.StatusOK, cluster.SnapshotResponse{Ref: ref})
 		return
 	}
 
@@ -300,14 +280,14 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("building pool: %w", err))
 		return
 	}
-	entry := &poolEntry{ref: ref, workload: label, pool: pool}
+	entry := &poolEntry{ref: ref, pool: pool}
 
 	s.mu.Lock()
-	if prior, raced := s.snaps.get(ref); raced {
+	if _, raced := s.snaps.get(ref); raced {
 		// A concurrent install of the same bytes won; keep its pool.
 		s.mu.Unlock()
 		pool.Close()
-		writeJSON(w, http.StatusOK, cluster.SnapshotResponse{Ref: ref, AlreadyInstalled: true, Workload: prior.workload})
+		writeJSON(w, http.StatusOK, cluster.SnapshotResponse{Ref: ref})
 		return
 	}
 	evicted := s.snaps.put(ref, entry, func(*poolEntry) bool { return true })
@@ -318,7 +298,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		old.pool.Close()
 	}
 	s.installs.Add(1)
-	writeJSON(w, http.StatusOK, cluster.SnapshotResponse{Ref: ref, Workload: label})
+	writeJSON(w, http.StatusOK, cluster.SnapshotResponse{Ref: ref})
 }
 
 // maxRunBody bounds a run request's JSON: a workload name, a scale and a
@@ -549,9 +529,6 @@ func poolStats(e *poolEntry) map[string]any {
 	}
 	if e.ref != "" {
 		out["ref"] = e.ref
-	}
-	if e.workload != "" {
-		out["workload"] = e.workload
 	}
 	return out
 }

@@ -444,30 +444,12 @@ type RunResult struct {
 	SLAM *SLAMMetrics
 }
 
-// Benchmark describes one registered workload from the paper's suite
-// (Table II).
-type Benchmark struct {
-	Name       string
-	Suite      string
-	PaperInput string
-	// SmallScale keeps tests fast, DefaultScale drives benchmarks,
-	// PaperScale approximates the paper's input sizes.
-	SmallScale   int
-	DefaultScale int
-	PaperScale   int
-}
-
 // Benchmarks lists the Table II suite sorted by name.
-func Benchmarks() []Benchmark {
+func Benchmarks() []WorkloadInfo {
 	specs := workloads.OfKind(workloads.KindBenchmark)
-	out := make([]Benchmark, 0, len(specs))
-	for _, s := range specs {
-		out = append(out, Benchmark{
-			Name:       s.Name,
-			Suite:      s.Suite,
-			PaperInput: s.PaperInput,
-			SmallScale: s.SmallScale, DefaultScale: s.DefaultScale, PaperScale: s.PaperScale,
-		})
+	out := make([]WorkloadInfo, len(specs))
+	for i, s := range specs {
+		out[i] = specWorkload{s}.Info()
 	}
 	return out
 }

@@ -30,20 +30,23 @@ const (
 	KindSgemm     = workloads.KindSgemm     // SGEMM tuning-ladder variant
 )
 
-// WorkloadInfo describes a registered workload.
+// WorkloadInfo describes a registered workload. The JSON tags are the
+// entry shape mobilesimd serves at /api/v1/workloads.
 type WorkloadInfo struct {
 	// Name is the registry key (e.g. "BFS", "slam/standard",
 	// "sgemm6/naive").
-	Name string
-	Kind WorkloadKind
+	Name string       `json:"name"`
+	Kind WorkloadKind `json:"kind"`
 	// Suite is the originating benchmark suite, when there is one.
-	Suite string
+	Suite string `json:"suite,omitempty"`
 	// Description is a one-line summary.
-	Description string
+	Description string `json:"description,omitempty"`
 	// Scale presets: SmallScale keeps tests fast, DefaultScale drives
 	// benchmarks, PaperScale approximates the paper's input sizes. Zero
 	// when the workload does not take an integer scale.
-	SmallScale, DefaultScale, PaperScale int
+	SmallScale   int `json:"small_scale,omitempty"`
+	DefaultScale int `json:"default_scale,omitempty"`
+	PaperScale   int `json:"paper_scale,omitempty"`
 }
 
 // Workload is one runnable unit of work. Implementations must be safe for
