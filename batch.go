@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"mobilesim/internal/workloads"
 )
 
 // BatchJob is one independent simulation in a Batch: a workload name, an
@@ -184,7 +186,7 @@ func (b *Batch) runJob(ctx context.Context, i int) JobResult {
 		jr.Err = err
 		return jr
 	}
-	w, err := Lookup(job.Benchmark)
+	spec, err := workloads.ByName(job.Benchmark)
 	if err != nil {
 		jr.Err = err
 		return jr
@@ -195,11 +197,11 @@ func (b *Batch) runJob(ctx context.Context, i int) JobResult {
 		return jr
 	}
 	defer sess.Close()
-	run, entered, err := sess.run(ctx, w, WithScale(job.Scale))
+	run, entered, err := sess.run(ctx, spec, WithScale(job.Scale))
 	if err != nil {
 		jr.Err = err
 		// Interrupted only when the run had actually begun: a job whose
-		// cancellation landed before Execute started is Skipped.
+		// cancellation landed before it took the session is Skipped.
 		jr.Interrupted = entered && ctx.Err() != nil && errors.Is(err, ctx.Err())
 		return jr
 	}

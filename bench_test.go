@@ -460,24 +460,22 @@ func benchFork(b *testing.B, parent *mobilesim.Session) {
 	}
 }
 
-// noopWorkload does nothing on the device: running it costs exactly what
-// Session.Run adds around any workload.
-type noopWorkload struct{}
+// noopInstance does nothing on the device and has no reference: running
+// it costs exactly what Session.Run adds around any workload.
+var noopInstance = &workloads.Instance{Sim: func(context.Context, *cl.Context) (any, error) { return nil, nil }}
 
-func (noopWorkload) Info() mobilesim.WorkloadInfo {
-	return mobilesim.WorkloadInfo{Name: "bench/noop", Kind: mobilesim.KindBenchmark}
-}
-
-func (noopWorkload) Execute(context.Context, *mobilesim.Session, *mobilesim.RunOptions) (*mobilesim.RunResult, error) {
-	return &mobilesim.RunResult{Verified: true}, nil
+var noopSpec = &workloads.Spec{
+	Name: "noop", Kind: workloads.KindBenchmark,
+	Make: func(int) *workloads.Instance { return noopInstance },
 }
 
 // BenchmarkRunNoop is the facade's own cost per run: taking the session,
-// scoping the context to the session lifetime, two Stats copies, the delta
-// and the cost model. 1.4–2.3 µs/op, 6 allocs/op, 848 B/op at -cpu 1 and 2
-// on the 2-CPU development host, where the goroutine-per-submission queue
-// it replaced read 4.2–5.5 µs at -cpu 1, 5.3–7.5 µs at -cpu 2, 10 allocs/op
-// (DESIGN.md §4; CI prints the number on every PR).
+// scoping the context to the session lifetime, two Stats copies,
+// Instance.Run's result, the delta and the cost model. 1.7–2.6 µs/op,
+// 7 allocs/op, 816 B/op at -cpu 1 and 2 on the 2-CPU development host,
+// where the goroutine-per-submission queue of PR 19 read 4.2–5.5 µs at
+// -cpu 1, 5.3–7.5 µs at -cpu 2, 10 allocs/op (DESIGN.md §4; CI prints the
+// number on every PR).
 func BenchmarkRunNoop(b *testing.B) {
 	s, err := mobilesim.New(mobilesim.Config{})
 	if err != nil {
@@ -487,7 +485,7 @@ func BenchmarkRunNoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.RunWorkload(bg, noopWorkload{}); err != nil {
+		if _, err := s.RunSpec(bg, noopSpec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,9 +24,9 @@
 // # Workloads
 //
 // Everything a session can run — the Table II benchmark suite, the
-// SLAMBench pipeline presets and the SGEMM tuning ladder — lives in one
-// Workload registry (Register, Lookup, Workloads) and executes through one
-// entry point:
+// SLAMBench pipeline presets and the SGEMM tuning ladder — is a named
+// workload (Workloads lists them, Lookup describes one) and runs through
+// one entry point:
 //
 //	res, err := sess.Run(ctx, "BFS", mobilesim.WithScale(2048))
 //	res, err := sess.Run(ctx, "slam/standard")
@@ -36,10 +36,12 @@
 //
 // Functional options select scale, per-run CFG collection and
 // verification. RunResult.Stats is the per-run delta (the session
-// snapshot diffed around the run); Session.Stats stays cumulative. Custom
-// Workload implementations run through the same path via RunWorkload.
-// Concurrent Run calls on one session execute one at a time, in no
-// promised order, so every delta is exact; independent sessions scale.
+// snapshot diffed around the run); Session.Stats stays cumulative. Work
+// of your own runs on the primitives above; diff Session.Stats around it
+// for its delta. A session has one lock, which a run holds from start to
+// end and each primitive for its one call: concurrent calls on one
+// session execute one at a time, in no promised order, so every delta is
+// exact; independent sessions scale.
 //
 // # Cancellation
 //

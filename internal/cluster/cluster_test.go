@@ -127,11 +127,11 @@ func jobs(t *testing.T, names ...string) []cluster.Job {
 	t.Helper()
 	out := make([]cluster.Job, len(names))
 	for i, n := range names {
-		w, err := mobilesim.Lookup(n)
+		info, err := mobilesim.Lookup(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = cluster.Job{Workload: n, Scale: w.Info().SmallScale}
+		out[i] = cluster.Job{Workload: n, Scale: info.SmallScale}
 	}
 	return out
 }

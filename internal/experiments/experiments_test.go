@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -66,6 +67,41 @@ func TestFig7SlowdownShape(t *testing.T) {
 	for _, r := range rows {
 		if r.GPUOnly <= 0 || r.FullSystem <= 0 {
 			t.Errorf("%s: non-positive slowdown %+v", r.Name, r)
+		}
+	}
+}
+
+// TestFig8AndFig10RatiosFinite: Fig 8 has one row per benchmark and Fig
+// 10 one per host-thread count, every speed ratio finite and positive.
+// Which way the ratios point — the DBT stack beating the baseline,
+// throughput growing with host threads — is wall-clock timing, so it is
+// reported, not asserted.
+func TestFig8AndFig10RatiosFinite(t *testing.T) {
+	ok := func(r float64) bool { return r > 0 && !math.IsInf(r, 0) && !math.IsNaN(r) }
+	var buf bytes.Buffer
+	rows8, err := Fig8(context.Background(), &buf, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows8) != len(fig8Benchmarks) {
+		t.Fatalf("Fig 8: %d rows, want one per benchmark (%d)", len(rows8), len(fig8Benchmarks))
+	}
+	for i, r := range rows8 {
+		if r.Name != fig8Benchmarks[i] || !ok(r.Speedup) || !ok(r.SpeedupInstrumented) {
+			t.Errorf("Fig 8 row %d: %+v, want %s with finite positive ratios", i, r, fig8Benchmarks[i])
+		}
+	}
+	rows10, err := Fig10(context.Background(), &buf, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	threads := []int{1, 2, 4, 8}
+	if len(rows10) != len(threads) {
+		t.Fatalf("Fig 10: %d rows, want one per host-thread count %v", len(rows10), threads)
+	}
+	for i, r := range rows10 {
+		if r.Threads != threads[i] || !ok(r.SobelSpeedup) || !ok(r.BinarySearchSpeedup) {
+			t.Errorf("Fig 10 row %d: %+v, want %d threads with finite positive ratios", i, r, threads[i])
 		}
 	}
 }

@@ -331,16 +331,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Resolve the name and bound the scale before taking a fork from a
-	// pool: a typo should cost a map lookup and a 404 with suggestions,
+	// pool: a typo should cost a name lookup and a 404 with suggestions,
 	// not a session. A workload generates its inputs on the host, at the
 	// requested scale, before any guest limit applies, so its paper scale
 	// bounds what one request may make this process allocate.
-	wl, err := mobilesim.Lookup(req.Workload)
+	info, err := mobilesim.Lookup(req.Workload)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	if info := wl.Info(); info.PaperScale > 0 && req.Scale > info.PaperScale {
+	if info.PaperScale > 0 && req.Scale > info.PaperScale {
 		writeJSON(w, http.StatusBadRequest, cluster.ErrorResponse{
 			Error: fmt.Sprintf("scale %d of %s is above its paper scale %d", req.Scale, req.Workload, info.PaperScale),
 			Code:  cluster.CodeScaleOutOfRange,

@@ -172,6 +172,37 @@ func TestRunBFSVerified(t *testing.T) {
 	}
 }
 
+// TestRunVerifyFalse: a run posted with "verify": false skips the
+// host-native reference — unverified, no native time — and leaves the same
+// statistics delta as a verified run of the same job.
+func TestRunVerifyFalse(t *testing.T) {
+	mux := testServer(t, hostd.Config{}).Mux()
+	run := func(body string) cluster.RunResponse {
+		t.Helper()
+		rec := do(mux, http.MethodPost, cluster.PathRun, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var resp cluster.RunResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	verified := run(`{"workload": "BinarySearch", "scale": 256}`)
+	skipped := run(`{"workload": "BinarySearch", "scale": 256, "verify": false}`)
+	if !verified.Verified {
+		t.Fatalf("default run not verified: %+v", verified)
+	}
+	if skipped.Verified || skipped.NativeMS != 0 {
+		t.Errorf("verify=false run: verified %v, native_ms %v; want false, 0", skipped.Verified, skipped.NativeMS)
+	}
+	a, b := verified.Stats, skipped.Stats
+	if a.GPU != b.GPU || a.System != b.System || a.GuestInstructions != b.GuestInstructions {
+		t.Errorf("verify=false changed the statistics delta:\n got  %+v\n want %+v", b, a)
+	}
+}
+
 func TestRunUnknownWorkload(t *testing.T) {
 	srv := testServer(t, hostd.Config{})
 	rec := do(srv.Mux(), http.MethodPost, cluster.PathRun, `{"workload": "BFSS"}`)
@@ -453,65 +484,18 @@ func TestPoolExhaustionInlineFork(t *testing.T) {
 	}
 }
 
-// slowWorkload is a long-running registered workload for the
-// client-disconnect test: uncancelled it spins for tens of seconds on
-// one host thread, so a sub-second 408 proves the soft-stop worked.
-type slowWorkload struct{}
+// slowRun is a request that runs for seconds on slowConfig: clBLAS-SGEMM
+// at its paper scale on one shader core and one host thread, so a
+// sub-second 408 proves the soft-stop worked.
+const slowRun = `{"workload": "clBLAS-SGEMM", "scale": 1024`
 
-const slowSrc = `
-kernel void spin(global int* out, int iters) {
-    int i = get_global_id(0);
-    int acc = 0;
-    for (int j = 0; j < iters; j++) {
-        acc = acc + j;
-    }
-    out[i] = acc;
-}
-`
-
-func (slowWorkload) Info() mobilesim.WorkloadInfo {
-	return mobilesim.WorkloadInfo{
-		Name: "hostdtest/spin", Kind: mobilesim.KindBenchmark,
-		Description: "long-running kernel for disconnect tests",
-	}
-}
-
-func (slowWorkload) Execute(ctx context.Context, s *mobilesim.Session, opt *mobilesim.RunOptions) (*mobilesim.RunResult, error) {
-	iters := 1 << 20
-	if opt.Scale > 0 {
-		iters = opt.Scale
-	}
-	k, err := s.LoadKernel(slowSrc, "spin")
-	if err != nil {
-		return nil, err
-	}
-	buf, err := s.NewBuffer(4 * 256)
-	if err != nil {
-		return nil, err
-	}
-	if err := k.SetArgs(buf, iters); err != nil {
-		return nil, err
-	}
-	if err := k.Launch(ctx, mobilesim.Dim1(256), mobilesim.Dim1(4)); err != nil {
-		return nil, err
-	}
-	return &mobilesim.RunResult{Workload: "hostdtest/spin", Verified: true}, nil
-}
-
-var registerSlow = sync.OnceValue(func() error {
-	return mobilesim.Register(slowWorkload{})
-})
+var slowConfig = mobilesim.Config{RAMSize: 64 << 20, HostThreads: 1, ShaderCores: 1}
 
 // TestClientDisconnectMidRun cancels the request context while the
 // kernel is executing: the run must soft-stop promptly with 408, the
 // fork is discarded, and the server keeps serving.
 func TestClientDisconnectMidRun(t *testing.T) {
-	if err := registerSlow(); err != nil {
-		t.Fatal(err)
-	}
-	srv := testServer(t, hostd.Config{
-		Sim: mobilesim.Config{RAMSize: 64 << 20, HostThreads: 1, ShaderCores: 1},
-	})
+	srv := testServer(t, hostd.Config{Sim: slowConfig})
 	mux := srv.Mux()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -519,7 +503,7 @@ func TestClientDisconnectMidRun(t *testing.T) {
 	go func() {
 		rec := httptest.NewRecorder()
 		r := httptest.NewRequest(http.MethodPost, cluster.PathRun,
-			strings.NewReader(`{"workload": "hostdtest/spin"}`)).WithContext(ctx)
+			strings.NewReader(slowRun+"}")).WithContext(ctx)
 		mux.ServeHTTP(rec, r)
 		done <- rec
 	}()
@@ -547,7 +531,7 @@ func TestClientDisconnectMidRun(t *testing.T) {
 	if err := json.Unmarshal(body["runs"], &runs); err != nil {
 		t.Fatal(err)
 	}
-	if runs["hostdtest/spin"] != 0 {
+	if runs["clBLAS-SGEMM"] != 0 {
 		t.Fatalf("interrupted run was counted: %v", runs)
 	}
 }
@@ -555,13 +539,8 @@ func TestClientDisconnectMidRun(t *testing.T) {
 // TestRunTimeoutMS: an expired request-level timeout behaves like a
 // disconnect — 408, soft-stopped.
 func TestRunTimeoutMS(t *testing.T) {
-	if err := registerSlow(); err != nil {
-		t.Fatal(err)
-	}
-	srv := testServer(t, hostd.Config{
-		Sim: mobilesim.Config{RAMSize: 64 << 20, HostThreads: 1, ShaderCores: 1},
-	})
-	rec := do(srv.Mux(), http.MethodPost, cluster.PathRun, `{"workload": "hostdtest/spin", "timeout_ms": 100}`)
+	srv := testServer(t, hostd.Config{Sim: slowConfig})
+	rec := do(srv.Mux(), http.MethodPost, cluster.PathRun, slowRun+`, "timeout_ms": 100}`)
 	if rec.Code != http.StatusRequestTimeout {
 		t.Fatalf("status %d, want 408: %s", rec.Code, rec.Body)
 	}

@@ -85,9 +85,18 @@ var goldenTable = map[string]goldenStats{
 // traffic: that counts the driver's polling, which depends on host timing.
 func runSmall(t *testing.T, name string, gcfg gpu.Config) (stats.GPUStats, stats.SystemStats) {
 	t.Helper()
+	return runAt(t, name, 0, gcfg)
+}
+
+// runAt is runSmall at a given scale; 0 means the small scale.
+func runAt(t *testing.T, name string, scale int, gcfg gpu.Config) (stats.GPUStats, stats.SystemStats) {
+	t.Helper()
 	spec, err := ByName(name)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if scale == 0 {
+		scale = spec.SmallScale
 	}
 	p, err := platform.New(platform.Config{RAMSize: 256 << 20, GPU: gcfg})
 	if err != nil {
@@ -98,7 +107,7 @@ func runSmall(t *testing.T, name string, gcfg gpu.Config) (stats.GPUStats, stats
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := spec.Make(spec.SmallScale).Run(bg, c, name, true)
+	res, err := spec.Make(scale).Run(bg, c, name, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,28 +134,62 @@ func collectGoldenStats(t *testing.T, name string) goldenStats {
 }
 
 // TestGoldenStatsEngineInvariance pins the exact-counter contract across
-// the two execution engines on real workloads: the full GPU and system
-// statistics records of the warp engine must be bit-identical to the
-// interpreter's. (The windowed golden table above runs under the default —
-// warp — engine, so together the two tests tie both engines to the pinned
+// the two execution engines and one or eight host threads on real
+// workloads: the full GPU and system statistics records of every
+// configuration must be bit-identical to the interpreter's on one thread.
+// (The windowed golden table above runs under the default — warp —
+// engine, so together the two tests tie both engines to the pinned
 // goldens without per-engine golden files.)
+//
+// RecursiveGaussian at 512 touches 774 pages, more than a core's TLB
+// holds, so the TLB evicts and its hit and walk counts depend on the order
+// in which each core's warps touch them: its cell pins those counts
+// exactly, where the small scales, whose pages all fit, cannot.
 func TestGoldenStatsEngineInvariance(t *testing.T) {
-	for _, name := range []string{"SobelFilter", "Reduction", "BitonicSort"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	cases := []struct {
+		name  string
+		scale int          // 0: the small scale
+		want  *goldenStats // the counters pinned exactly, if any
+	}{
+		{name: "SobelFilter"},
+		{name: "Reduction"},
+		{name: "BitonicSort"},
+		{name: "RecursiveGaussian", scale: 512,
+			want: &goldenStats{GlobalLS: 2096128, TLBHits: 1964544, TLBWalks: 131590, Pages: 774}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		sub := tc.name
+		if tc.scale != 0 {
+			sub = fmt.Sprintf("%s@%d", tc.name, tc.scale)
+		}
+		t.Run(sub, func(t *testing.T) {
 			t.Parallel()
-			run := func(eng gpu.Engine) (stats.GPUStats, stats.SystemStats) {
+			run := func(eng gpu.Engine, threads int) (stats.GPUStats, stats.SystemStats) {
 				gcfg := gpu.DefaultConfig()
-				gcfg.Engine = eng
-				return runSmall(t, name, gcfg)
+				gcfg.Engine, gcfg.HostThreads = eng, threads
+				return runAt(t, tc.name, tc.scale, gcfg)
 			}
-			gsRef, sysRef := run(gpu.EngineInterp)
-			gs, sys := run(gpu.EngineWarp)
-			if gs != gsRef {
-				t.Errorf("GPU stats diverged:\ninterp: %+v\nwarp: %+v", gsRef, gs)
+			gsRef, sysRef := run(gpu.EngineInterp, 1)
+			for _, eng := range []gpu.Engine{gpu.EngineInterp, gpu.EngineWarp} {
+				for _, threads := range []int{1, 8} {
+					if eng == gpu.EngineInterp && threads == 1 {
+						continue
+					}
+					gs, sys := run(eng, threads)
+					if gs != gsRef {
+						t.Errorf("GPU stats under %v on %d host threads diverged:\ninterp/1: %+v\ngot: %+v", eng, threads, gsRef, gs)
+					}
+					if sys != sysRef {
+						t.Errorf("system stats under %v on %d host threads diverged:\ninterp/1: %+v\ngot: %+v", eng, threads, sysRef, sys)
+					}
+				}
 			}
-			if sys != sysRef {
-				t.Errorf("system stats diverged:\ninterp: %+v\nwarp: %+v", sysRef, sys)
+			if w := tc.want; w != nil {
+				got := goldenStats{GlobalLS: gsRef.GlobalLS, TLBHits: sysRef.TLBHits, TLBWalks: sysRef.TLBWalks, Pages: sysRef.PagesAccessed}
+				if got != *w {
+					t.Errorf("counters moved:\ngot  %+v\nwant %+v", got, *w)
+				}
 			}
 		})
 	}

@@ -74,9 +74,6 @@ func TestSessionsLeaveNoGuestBytesBehind(t *testing.T) {
 		}
 		base.Close()
 		for _, w := range Workloads() {
-			if w.SmallScale <= 0 {
-				continue // test-registered helpers have no scales
-			}
 			for _, opts := range [][]NewOption{nil, {FromSnapshot(snap)}} {
 				s, err := New(cfg, opts...)
 				if err != nil {

@@ -3,6 +3,7 @@ package mobilesim
 import (
 	"mobilesim/internal/costmodel"
 	"mobilesim/internal/obs"
+	"mobilesim/internal/workloads"
 )
 
 // This file is the facade's observability surface: the latency snapshot
@@ -40,15 +41,10 @@ type ModeledCost struct {
 
 // modeledCost evaluates both analytical models on a per-run statistics
 // delta: the run's own (snapshot-diffed) counters. The desktop model reads
-// the workload's Spec profile (the SGEMM ladder rungs carry one); custom
-// workloads get costmodel.DefaultProfile.
-func modeledCost(delta *Stats, w Workload) ModeledCost {
-	prof := costmodel.DefaultProfile()
-	if sw, ok := w.(specWorkload); ok {
-		prof = sw.spec.CostProfile()
-	}
+// the Spec's profile (the SGEMM ladder rungs carry one).
+func modeledCost(delta *Stats, spec *workloads.Spec) ModeledCost {
 	return ModeledCost{
 		MobileCycles:  costmodel.MaliG71().Estimate(&delta.GPU),
-		DesktopCycles: costmodel.K20m().Estimate(&delta.GPU, prof, delta.System.KernelLaunch),
+		DesktopCycles: costmodel.K20m().Estimate(&delta.GPU, spec.CostProfile(), delta.System.KernelLaunch),
 	}
 }

@@ -3,28 +3,32 @@ package mobilesim
 import (
 	"context"
 	"time"
+
+	"mobilesim/internal/workloads"
 )
 
-// This file is how a workload run gets the session to itself. A Session
-// has one run slot; Run, Snapshot and Close each hold it for their whole
-// duration, so whole runs are mutually exclusive (every RunResult.Stats
-// delta is exact under concurrent callers), a capture sees only
-// between-runs state, and the platform is never torn down under a run.
-// Callers waiting for the slot are not ordered among themselves.
+// This file is how a caller gets the session to itself. A Session has one
+// lock, a one-token channel. Every operation that touches the platform
+// holds it for its whole duration: a run, each device primitive, a
+// capture, Stats and Close. So whole runs are mutually exclusive with
+// each other and with direct primitive calls (every RunResult.Stats delta
+// is exact under concurrent callers), a capture sees only between-runs
+// state, and the platform is never torn down under a run. Callers waiting
+// for the lock are not ordered among themselves.
 
-// acquire takes the session's run slot. It blocks while another run, a
-// capture or Close holds it, and gives up with ctx.Err() when the caller's
-// context ends first, ErrClosed when the session does. A nil error means
-// the caller holds the slot and must release it.
+// acquire takes the session's lock. It blocks while another caller holds
+// it, and gives up with ctx.Err() when the caller's context ends first,
+// ErrClosed when the session does. A nil error means the caller holds the
+// lock of an open session and must release it.
 func (s *Session) acquire(ctx context.Context) error {
 	select {
-	case s.slot <- struct{}{}:
+	case s.lock <- struct{}{}:
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-s.base.Done():
 		return ErrClosed
 	}
-	// select picks among ready cases at random: a free slot does not mean
+	// select picks among ready cases at random: a free lock does not mean
 	// the context was still live or the session still open.
 	err := ctx.Err()
 	if err == nil && s.base.Err() != nil {
@@ -36,12 +40,23 @@ func (s *Session) acquire(ctx context.Context) error {
 	return err
 }
 
-func (s *Session) release() { <-s.slot }
+func (s *Session) release() { <-s.lock }
 
-// Run executes one registered workload (see Workloads) on the caller's
-// goroutine and returns its result. Concurrent calls on one session run
-// one at a time, in no promised order; a caller that wants a future calls
-// Run from a goroutine of its own.
+// locked runs f holding the session's lock. A nil ctx means
+// context.Background(); f gets the resolved context.
+func (s *Session) locked(ctx context.Context, f func(context.Context) error) error {
+	ctx = orBackground(ctx)
+	if err := s.acquire(ctx); err != nil {
+		return err
+	}
+	defer s.release()
+	return f(ctx)
+}
+
+// Run executes one workload (see Workloads) on the caller's goroutine and
+// returns its result. Concurrent calls on one session run one at a time,
+// in no promised order; a caller that wants a future calls Run from a
+// goroutine of its own.
 //
 // ctx governs the one call: cancelled while waiting for the session, Run
 // returns ctx.Err() without disturbing the run in flight; cancelled
@@ -50,28 +65,22 @@ func (s *Session) release() { <-s.slot }
 // usable. A session closed meanwhile returns ErrClosed. A nil ctx means
 // context.Background().
 func (s *Session) Run(ctx context.Context, ref string, opts ...RunOption) (*RunResult, error) {
-	w, err := Lookup(ref)
+	spec, err := workloads.ByName(ref)
 	if err != nil {
 		return nil, err
 	}
-	return s.RunWorkload(ctx, w, opts...)
-}
-
-// RunWorkload is Run for a Workload value, registered or not — custom
-// workloads get the same exclusion and cancellation semantics.
-func (s *Session) RunWorkload(ctx context.Context, w Workload, opts ...RunOption) (*RunResult, error) {
-	res, _, err := s.run(orBackground(ctx), w, opts...)
+	res, _, err := s.run(orBackground(ctx), spec, opts...)
 	return res, err
 }
 
 // run holds the session for one workload run: it scopes the run's context
-// to the session lifetime, wraps the workload with per-run statistics
-// (snapshot-diff) and optional per-run CFG collection, and stamps the
-// common RunResult fields (phase timings and the modelled cost estimate
-// included). entered reports whether the workload's Execute began — false
-// on every path that gave up while waiting — which is how Batch tells an
-// interrupted job from a skipped one.
-func (s *Session) run(ctx context.Context, w Workload, opts ...RunOption) (res *RunResult, entered bool, err error) {
+// to the session lifetime, runs the Spec's Instance on the CL runtime with
+// per-run statistics (snapshot-diff) and optional per-run CFG collection,
+// and stamps the RunResult (phase timings and the modelled cost estimate
+// included). entered reports whether the run began — false on every path
+// that gave up while waiting — which is how Batch tells an interrupted job
+// from a skipped one.
+func (s *Session) run(ctx context.Context, spec *workloads.Spec, opts ...RunOption) (res *RunResult, entered bool, err error) {
 	o := resolveOptions(opts)
 	called := time.Now()
 	if err := s.acquire(ctx); err != nil {
@@ -87,21 +96,22 @@ func (s *Session) run(ctx context.Context, w Workload, opts ...RunOption) (res *
 	unhook := context.AfterFunc(s.base, cancel)
 	defer unhook()
 
-	dev := s.device()
-	if dev == nil {
-		return nil, false, ErrClosed
-	}
-	if o.CollectCFG {
+	dev := s.p.GPU
+	if o.collectCFG {
 		// The graph covers this run only: start it clean, stop after.
 		dev.ClearCFG()
 		dev.SetCollectCFG(true)
 	}
+	scale := o.scale
+	if scale <= 0 {
+		scale = spec.DefaultScale
+	}
 
-	pre := s.Stats()
-	res, err = w.Execute(rctx, s, o)
-	post := s.Stats()
+	pre := s.statsLocked()
+	out, err := spec.Make(scale).Run(rctx, s.rt, spec.Name, o.verify)
+	post := s.statsLocked()
 	wall := time.Since(t0)
-	if o.CollectCFG {
+	if o.collectCFG {
 		dev.SetCollectCFG(false)
 	}
 	if err != nil {
@@ -111,16 +121,19 @@ func (s *Session) run(ctx context.Context, w Workload, opts ...RunOption) (res *
 		return nil, true, err
 	}
 
-	res.Wall = wall
-	res.QueueWait = t0.Sub(called)
-	info := w.Info()
-	res.Kind = info.Kind
-	if res.Workload == "" {
-		res.Workload = info.Name
+	res = &RunResult{
+		Workload: spec.Name, Kind: spec.Kind, Scale: scale,
+		SimDuration:    out.SimDuration,
+		NativeDuration: out.NativeDuration,
+		Wall:           wall,
+		QueueWait:      t0.Sub(called),
+		Verified:       out.Verified,
+		VerifyErr:      out.VerifyErr,
+		Stats:          post.sub(pre),
 	}
-	res.Stats = post.sub(pre)
-	res.Modeled = modeledCost(&res.Stats, w)
-	if o.CollectCFG {
+	res.SLAM, _ = out.Output.(*SLAMMetrics)
+	res.Modeled = modeledCost(&res.Stats, spec)
+	if o.collectCFG {
 		res.CFG = dev.CFGGraph().Render()
 	}
 	return res, true, nil

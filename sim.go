@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"mobilesim/internal/cl"
@@ -120,14 +119,15 @@ func (c *Config) platformConfig() platform.Config {
 // interrupt controller, memory) with the driver loaded and an OpenCL-like context open,
 // behaving like one application running on one device.
 //
-// A Session serialises its operations internally, so it is safe for
-// concurrent use — though calls block each other. For throughput, run
+// A Session holds one lock for every operation, so it is safe for
+// concurrent use — though calls block each other, a primitive call
+// waiting for a whole run in flight. For throughput, run
 // independent Sessions concurrently (see Batch): separate Sessions share
 // nothing and scale with host cores.
 type Session struct {
 	cfg Config
 
-	mu     sync.Mutex
+	// closed, p, rt and final belong to whoever holds lock.
 	closed bool
 	p      *platform.Platform
 	rt     *cl.Context
@@ -137,13 +137,13 @@ type Session struct {
 
 	// base scopes every run to the session lifetime: Close cancels it,
 	// which soft-stops the kernel in flight and fails callers waiting for
-	// the slot.
+	// the lock.
 	base       context.Context
 	baseCancel context.CancelFunc
 
-	// slot is the run slot (see queue.go): a run, a capture or Close holds
-	// its one token for as long as it needs the platform to itself.
-	slot chan struct{}
+	// lock is a one-token channel (see queue.go): every operation that
+	// touches the platform holds its one token for its whole duration.
+	lock chan struct{}
 }
 
 // New boots a platform from cfg and opens the device: GPU soft reset,
@@ -178,7 +178,7 @@ func New(cfg Config, opts ...NewOption) (*Session, error) {
 
 // newSession wraps a live platform + runtime pair in the facade.
 func newSession(cfg Config, p *platform.Platform, rt *cl.Context) *Session {
-	s := &Session{cfg: cfg, p: p, rt: rt, slot: make(chan struct{}, 1)}
+	s := &Session{cfg: cfg, p: p, rt: rt, lock: make(chan struct{}, 1)}
 	s.base, s.baseCancel = context.WithCancel(context.Background())
 	return s
 }
@@ -191,14 +191,11 @@ func newSession(cfg Config, p *platform.Platform, rt *cl.Context) *Session {
 // returning the final snapshot taken at Close.
 func (s *Session) Close() error {
 	s.baseCancel()
-	// Taking the slot is the wait for the run or capture in flight. It is
-	// given back so that a second Close, like any late caller, gets through
-	// to find the session closed.
-	s.slot <- struct{}{}
+	// Taking the lock is the wait for the operation in flight. It is given
+	// back so that a second Close, like any late caller, gets through to
+	// find the session closed.
+	s.lock <- struct{}{}
 	defer s.release()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
@@ -211,22 +208,14 @@ func (s *Session) Close() error {
 // Config returns the configuration the session was created with.
 func (s *Session) Config() Config { return s.cfg }
 
-// locked runs f with the session lock held, failing fast once closed.
-func (s *Session) locked(f func() error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return f()
-}
-
 // Stats returns the session's cumulative statistics snapshot (per-run
-// deltas are in RunResult.Stats). After Close it returns the final
-// snapshot taken at close time.
+// deltas are in RunResult.Stats). It waits for a run in flight, so it
+// reads between runs. After Close it returns the final snapshot taken at
+// close time.
 func (s *Session) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// Like Close, Stats waits out a closing session instead of failing.
+	s.lock <- struct{}{}
+	defer s.release()
 	if s.closed {
 		return s.final
 	}
@@ -243,22 +232,6 @@ func (s *Session) statsLocked() Stats {
 	}
 }
 
-// withCL runs f with the session lock held and the CL runtime exposed —
-// the bridge between Workload implementations and the device.
-func (s *Session) withCL(f func(c *cl.Context) error) error {
-	return s.locked(func() error { return f(s.rt) })
-}
-
-// device returns the GPU device, or nil once closed.
-func (s *Session) device() *gpu.Device {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	return s.p.GPU
-}
-
 // Buffer is a device memory allocation owned by one session.
 type Buffer struct {
 	s *Session
@@ -272,7 +245,7 @@ func (b *Buffer) Size() int { return b.b.Size }
 // driver's allocator and page tables.
 func (s *Session) NewBuffer(size int) (*Buffer, error) {
 	var buf *Buffer
-	err := s.locked(func() error {
+	err := s.locked(nil, func(context.Context) error {
 		b, err := s.rt.CreateBuffer(size)
 		if err != nil {
 			return err
@@ -296,14 +269,14 @@ func orBackground(ctx context.Context) context.Context {
 // path (clEnqueueWriteBuffer). Cancellation is honoured at staging-chunk
 // (4 MiB) granularity; a nil ctx means context.Background().
 func (b *Buffer) Write(ctx context.Context, data []byte) error {
-	return b.s.locked(func() error { return b.s.rt.WriteBuffer(orBackground(ctx), b.b, data) })
+	return b.s.locked(ctx, func(ctx context.Context) error { return b.s.rt.WriteBuffer(ctx, b.b, data) })
 }
 
 // Read copies the first n bytes of the buffer back to the host.
 func (b *Buffer) Read(ctx context.Context, n int) ([]byte, error) {
 	var out []byte
-	err := b.s.locked(func() (err error) {
-		out, err = b.s.rt.ReadBuffer(orBackground(ctx), b.b, n)
+	err := b.s.locked(ctx, func(ctx context.Context) (err error) {
+		out, err = b.s.rt.ReadBuffer(ctx, b.b, n)
 		return
 	})
 	return out, err
@@ -311,14 +284,14 @@ func (b *Buffer) Read(ctx context.Context, n int) ([]byte, error) {
 
 // WriteF32 marshals float32 values into the buffer.
 func (b *Buffer) WriteF32(ctx context.Context, vals []float32) error {
-	return b.s.locked(func() error { return b.s.rt.WriteF32(orBackground(ctx), b.b, vals) })
+	return b.s.locked(ctx, func(ctx context.Context) error { return b.s.rt.WriteF32(ctx, b.b, vals) })
 }
 
 // ReadF32 reads n float32 values from the buffer.
 func (b *Buffer) ReadF32(ctx context.Context, n int) ([]float32, error) {
 	var out []float32
-	err := b.s.locked(func() (err error) {
-		out, err = b.s.rt.ReadF32(orBackground(ctx), b.b, n)
+	err := b.s.locked(ctx, func(ctx context.Context) (err error) {
+		out, err = b.s.rt.ReadF32(ctx, b.b, n)
 		return
 	})
 	return out, err
@@ -326,14 +299,14 @@ func (b *Buffer) ReadF32(ctx context.Context, n int) ([]float32, error) {
 
 // WriteI32 marshals int32 values into the buffer.
 func (b *Buffer) WriteI32(ctx context.Context, vals []int32) error {
-	return b.s.locked(func() error { return b.s.rt.WriteI32(orBackground(ctx), b.b, vals) })
+	return b.s.locked(ctx, func(ctx context.Context) error { return b.s.rt.WriteI32(ctx, b.b, vals) })
 }
 
 // ReadI32 reads n int32 values from the buffer.
 func (b *Buffer) ReadI32(ctx context.Context, n int) ([]int32, error) {
 	var out []int32
-	err := b.s.locked(func() (err error) {
-		out, err = b.s.rt.ReadI32(orBackground(ctx), b.b, n)
+	err := b.s.locked(ctx, func(ctx context.Context) (err error) {
+		out, err = b.s.rt.ReadI32(ctx, b.b, n)
 		return
 	})
 	return out, err
@@ -351,9 +324,8 @@ type Kernel struct {
 // binary into GPU memory through the driver, and returns the named kernel.
 func (s *Session) LoadKernel(src, name string) (*Kernel, error) {
 	var kern *Kernel
-	err := s.locked(func() error {
-		//simlint:allow ctxflow -- LoadKernel predates ctx plumbing; compilation is bounded by the session lifetime, not a call deadline
-		prog, err := s.rt.BuildProgram(context.Background(), src)
+	err := s.locked(nil, func(ctx context.Context) error {
+		prog, err := s.rt.BuildProgram(ctx, src)
 		if err != nil {
 			return err
 		}
@@ -371,7 +343,7 @@ func (s *Session) LoadKernel(src, name string) (*Kernel, error) {
 // *Buffer for global pointers, int/int32/uint32 for integer scalars,
 // float32/float64 for float scalars.
 func (k *Kernel) SetArgs(args ...any) error {
-	return k.s.locked(func() error {
+	return k.s.locked(nil, func(context.Context) error {
 		bound := make([]any, len(args))
 		for i, a := range args {
 			bound[i] = a
@@ -393,7 +365,7 @@ func (k *Kernel) SetArgs(args ...any) error {
 // boundary and returns ctx.Err(); the session stays usable. A nil ctx
 // means context.Background().
 func (k *Kernel) Launch(ctx context.Context, global, local [3]uint32) error {
-	return k.s.locked(func() error { return k.s.rt.EnqueueKernel(orBackground(ctx), k.k, global, local) })
+	return k.s.locked(ctx, func(ctx context.Context) error { return k.s.rt.EnqueueKernel(ctx, k.k, global, local) })
 }
 
 // Dim1 builds a 1-D NDRange dimension triple.
@@ -407,7 +379,7 @@ func Dim3(x, y, z uint32) [3]uint32 { return [3]uint32{x, y, z} }
 
 // RunResult is one completed workload run.
 type RunResult struct {
-	// Workload names what ran (a registry name, see Workloads); Kind
+	// Workload names what ran (see Workloads); Kind
 	// classifies it; Scale is the resolved input scale (0 when the
 	// workload does not take one).
 	Workload string
@@ -420,9 +392,10 @@ type RunResult struct {
 	SimDuration    time.Duration
 	NativeDuration time.Duration
 	Wall           time.Duration
-	// QueueWait is the time this call waited for the session while another
-	// run (or a capture) held it — a fraction of a microsecond when none
-	// did. Wall covers execution only.
+	// QueueWait is the time this call waited for the session's lock while
+	// another run, a capture or a direct primitive call (Launch, buffer
+	// I/O) held it — a fraction of a microsecond when none did. Wall
+	// covers execution only.
 	QueueWait time.Duration
 	// Verified reports whether the simulated output matched the
 	// host-native reference; VerifyErr carries the first mismatch. Both
@@ -449,7 +422,7 @@ func Benchmarks() []WorkloadInfo {
 	specs := workloads.OfKind(workloads.KindBenchmark)
 	out := make([]WorkloadInfo, len(specs))
 	for i, s := range specs {
-		out[i] = specWorkload{s}.Info()
+		out[i] = infoOf(s)
 	}
 	return out
 }

@@ -68,17 +68,11 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 // from.
 func (s *Session) Snapshot() (*Snapshot, error) {
 	// A capture waits as long as the session lives, so the only way not
-	// to get the slot is the session closing.
+	// to get the lock is the session closing.
 	if s.acquire(s.base) != nil {
 		return nil, ErrClosed
 	}
 	defer s.release()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
 	st, err := snapshot.Capture(snapshotConfig(s.cfg), s.rt)
 	if err != nil {
 		return nil, fmt.Errorf("mobilesim: snapshot: %w", err)

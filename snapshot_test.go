@@ -66,9 +66,6 @@ func TestSnapshotGoldenStatsAllBenchmarks(t *testing.T) {
 		name  string
 		scale int
 	}
-	// Benchmarks(), not the registry's KindBenchmark entries: tests that
-	// ran earlier register helpers there (queue_test's test/spin, a
-	// quarter-billion-iteration kernel that took six minutes under -race).
 	for _, b := range mobilesim.Benchmarks() {
 		names = append(names, struct {
 			name  string
@@ -332,19 +329,20 @@ func TestSnapshotWaitsForRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// launchesWorkload gives the session lock up between its launches, so
-	// only the run slot keeps a capture from landing among them.
-	w := probeWorkload{started: make(chan struct{}), then: launchesWorkload{}}
+	// BitonicSort is 36 launches, each a point a capture could land
+	// between.
+	started := make(chan struct{})
+	spec := probe(t, "BitonicSort", started)
 	type outcome struct {
 		res *mobilesim.RunResult
 		err error
 	}
 	ran := make(chan outcome, 1)
 	go func() {
-		res, err := s.RunWorkload(context.Background(), w)
+		res, err := s.RunSpec(context.Background(), spec, mobilesim.WithScale(spec.SmallScale))
 		ran <- outcome{res, err}
 	}()
-	<-w.started
+	<-started
 	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -358,24 +356,10 @@ func TestSnapshotWaitsForRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if got := f.Stats().System.ComputeJobs; got != launchesPerRun || !run.res.Verified {
+	if got := f.Stats().System.ComputeJobs; got != bitonicJobs || !run.res.Verified {
 		t.Fatalf("snapshot requested during a run holds %d compute jobs, want the run's %d (verified %v)",
-			got, launchesPerRun, run.res.Verified)
+			got, bitonicJobs, run.res.Verified)
 	}
-}
-
-// blockingWorkload parks in Execute until its context is cancelled —
-// a controllable "long run".
-type blockingWorkload struct{ started chan struct{} }
-
-func (w blockingWorkload) Info() mobilesim.WorkloadInfo {
-	return mobilesim.WorkloadInfo{Name: "test/blocking"}
-}
-
-func (w blockingWorkload) Execute(ctx context.Context, s *mobilesim.Session, opt *mobilesim.RunOptions) (*mobilesim.RunResult, error) {
-	close(w.started)
-	<-ctx.Done()
-	return nil, ctx.Err()
 }
 
 // TestCloseDuringQueuedSnapshot closes the session while a run is
@@ -387,13 +371,20 @@ func TestCloseDuringQueuedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := blockingWorkload{started: make(chan struct{})}
+	// The run parks until its context is cancelled: a controllable "long
+	// run".
+	started := make(chan struct{})
+	blocking := hooked(t, "BinarySearch", func(ctx context.Context, _ func() (any, error)) (any, error) {
+		close(started)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
 	runErr := make(chan error, 1)
 	go func() {
-		_, err := s.RunWorkload(context.Background(), w)
+		_, err := s.RunSpec(context.Background(), blocking)
 		runErr <- err
 	}()
-	<-w.started
+	<-started
 
 	snapErr := make(chan error, 1)
 	go func() {
