@@ -1,5 +1,7 @@
 package clc
 
+import "sort"
+
 // MemoCap is the compile memo's bound.
 const MemoCap = memoCap
 
@@ -8,4 +10,16 @@ func MemoLen() int {
 	memo.Lock()
 	defer memo.Unlock()
 	return len(memo.m)
+}
+
+// MemoSources returns the sources the compile memo holds.
+func MemoSources() []string {
+	memo.Lock()
+	defer memo.Unlock()
+	var srcs []string
+	for k := range memo.m {
+		srcs = append(srcs, k.src)
+	}
+	sort.Strings(srcs)
+	return srcs
 }

@@ -51,6 +51,9 @@ type Program struct {
 	// what a workgroup's register reset trusts, where RegCount is only the
 	// compiler's report (a claim guest assembly can get wrong).
 	regRows int
+	// idRows has bit i set when an operand names lane-id row rowGID+i (gid.x
+	// to lid.z): the ones a workgroup writes into its warps.
+	idRows uint8
 
 	// warp holds the lazily built warp-engine tapes, compiled at most
 	// once per decoded program, under the owning ProgramCache's lock when
@@ -164,6 +167,8 @@ func ParseBinary(b []byte) (*Program, error) {
 					return nil, fmt.Errorf("gpu: clause %d uses missing clause temporary t%d", i, idx)
 				case kind == OperGRF:
 					p.regRows = max(p.regRows, int(idx)+1)
+				case kind == OperSpecial && idx >= SpecGIDX && idx <= SpecLIDZ:
+					p.idRows |= 1 << (idx - SpecGIDX)
 				}
 			}
 			switch in.Op {

@@ -141,13 +141,15 @@ type Device struct {
 	// (see core and hostThread), and chainWalker is the Job Manager's own
 	// walker for descriptor, shader and uniform reads, made by the first
 	// chain: a session that never launches pays for none of them. workers
-	// joins the threads a job starts, and lids holds the running job's lid
-	// rows, which its threads only read.
+	// joins the threads a job starts, and lids holds the lid rows of
+	// workgroups of lidSize threads (the running job's LocalSize), which
+	// the job's threads only read.
 	cores       []core
 	threads     []*hostThread
 	chainWalker *mmu.Walker
 	workers     sync.WaitGroup
 	lids        [][3]soaRow
+	lidSize     [3]uint32
 
 	trace *traceSink
 }

@@ -162,7 +162,9 @@ func (d *Device) execJob(desc *JobDescriptor, prog *Program, uniforms []uint64) 
 		d.cores = make([]core, d.cfg.ShaderCores)
 		d.threads = make([]*hostThread, d.cfg.HostThreads)
 	}
-	d.lids = lidRows(d.lids, desc.LocalSize)
+	if d.lidSize != desc.LocalSize {
+		d.lids, d.lidSize = lidRows(d.lids, desc.LocalSize), desc.LocalSize
+	}
 	cores, threads := d.cores[:nCores], d.threads[:nThreads]
 	for c := range cores {
 		cores[c].bind(d, c, desc, root)
@@ -304,9 +306,10 @@ func lidRows(rows [][3]soaRow, lsz [3]uint32) [][3]soaRow {
 // zero-initialised registers, so the reset clears the scheduler words and
 // every register row the program can name — r0 up to the highest register
 // any decoded instruction references (Program.regRows) and the clause
-// temporaries. The other rows need none: the lane-id rows are rewritten
-// per workgroup and the executor's scratch rows are written before they
-// are read. The divergence stack keeps its backing array.
+// temporaries. The other rows need none: the lane-id rows the program
+// names are rewritten per workgroup and the executor's scratch rows are
+// written before they are read. The divergence stack keeps its backing
+// array.
 func (e *execContext) warpsFor(n int) []wgWarp {
 	if cap(e.warpSlab) < n {
 		e.warpSlab = make([]wgWarp, n)
@@ -340,16 +343,25 @@ func (e *execContext) runWorkgroup() error {
 	total := int(lsz[0]) * int(lsz[1]) * int(lsz[2])
 	nWarps := len(e.lids)
 
+	// The lane-id rows the program names; instruction tracing prints gid.
+	ids := e.prog.idRows
+	if e.trace != nil {
+		ids = 1<<6 - 1
+	}
 	warps := e.warpsFor(nWarps)
 	for wi := range warps {
 		w := &warps[wi].w
 		w.lanes = min(WarpSize, total-wi*WarpSize)
 		w.active = fullMask(w.lanes)
 		for d, lid := range e.lids[wi] {
-			origin := e.wgid[d] * lsz[d]
-			w.rows[rowLID+d] = lid
-			for l := range lid {
-				w.rows[rowGID+d][l] = uint64(origin + uint32(lid[l]))
+			if ids&(1<<(3+d)) != 0 {
+				w.rows[rowLID+d] = lid
+			}
+			if ids&(1<<d) != 0 {
+				origin := e.wgid[d] * lsz[d]
+				for l := range lid {
+					w.rows[rowGID+d][l] = uint64(origin + uint32(lid[l]))
+				}
 			}
 		}
 	}

@@ -108,8 +108,6 @@ func (w *warp) gid(lane int) [3]uint32 {
 	return [3]uint32{uint32(w.rows[rowGID][lane]), uint32(w.rows[rowGID+1][lane]), uint32(w.rows[rowGID+2][lane])}
 }
 
-func (w *warp) activeCount() int { return bits.OnesCount8(uint8(w.active)) }
-
 func (w *warp) allExited() bool { return w.exited == fullMask(w.lanes) }
 
 // execContext is everything a warp needs from its surrounding workgroup
@@ -157,13 +155,33 @@ type execContext struct {
 // variable so that a test can lower it.
 var clauseBudget = 1 << 24
 
-// runWarp executes the warp until it terminates or reaches a barrier.
-// A pending soft-stop is honoured between clauses — the cancellation
-// granularity of the whole stack: a stopped kernel never splits a clause.
-// Every clause entered counts against the budget — each clause of a
-// chain, and a clause that ends at a barrier — as does every step of the
-// zero-active walk.
+// runWarp executes the warp until it terminates or reaches a barrier, in
+// one loop: each iteration enters one clause — on the warp engine the tape
+// that runs there, a whole superclause chain where one starts — or takes
+// one step of the zero-active walk. A pending soft-stop is honoured where
+// an iteration starts: a stopped kernel never splits a clause, and a tape
+// has no back edge, so a stop waits for at most one tape. Every clause
+// entered counts against the budget — each clause of a chain, and a clause
+// that ends at a barrier — as does every step of the zero-active walk.
+//
+// On the warp engine every control-flow edge lands on a chain head
+// (buildSuperClauses). execLeaf runs the micro-ops that need no call and
+// hands back the first one that does — a memory access, a slow ALU op, the
+// interpreter fallback — which runs here, so that the hot loop keeps its
+// state in registers. act and mask (the row a divergent warp commits its
+// results under) change only where active does. A terminal that lands back
+// on the head it entered, with active unchanged, re-enters that tape
+// without the lookup: the entry popped every frame rejoining there, and
+// the tape pushed none. A tape's statistics are its tally (commitTallies),
+// its terminal's static counts included; only the data-dependent
+// DivergentBranches is counted here.
+//
+//simlint:commit -- counts divergent branches, the one data-dependent terminal counter
 func (e *execContext) runWarp(w *warp) (warpStatus, error) {
+	act, mask := w.activeSet()
+	var t *tape
+	var ty *tally
+	head := -1 // the clause t runs at; -1 while the next entry needs the lookup
 	for {
 		if w.steps > clauseBudget {
 			return warpDone, fmt.Errorf("gpu: clause budget exhausted (infinite loop in shader?)")
@@ -171,50 +189,135 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 		if e.stop != nil && e.stop.Load() {
 			return warpDone, ErrStopped
 		}
-		// Clause-boundary marker of the guest memory model (the ordering
-		// itself comes from the seq-cst shared accessors; see
-		// mem.LoadFence) — the same clause granularity soft-stop uses.
+		// Clause-entry marker of the guest memory model (see mem.LoadFence).
 		mem.LoadFence()
 
-		// Reconvergence: entering the rejoin clause of stacked frames.
-		for len(w.stack) > 0 && w.pc == w.stack[len(w.stack)-1].rejoin {
-			f := &w.stack[len(w.stack)-1]
-			if f.pendPC >= 0 {
-				// Switch to the deferred path; leave a marker frame.
-				w.active = f.pendMask
-				w.pc = f.pendPC
-				f.pendPC = -1
-			} else {
-				// Both paths done: restore the pre-branch mask (minus
-				// lanes that exited inside the region).
-				w.active = f.joinMask &^ w.exited
-				w.stack = w.stack[:len(w.stack)-1]
+		if w.pc != head {
+			// Reconvergence: entering the rejoin clause of stacked frames.
+			for len(w.stack) > 0 && w.pc == w.stack[len(w.stack)-1].rejoin {
+				f := &w.stack[len(w.stack)-1]
+				if f.pendPC >= 0 {
+					// Switch to the deferred path; leave a marker frame.
+					w.active, w.pc, f.pendPC = f.pendMask, f.pendPC, -1
+				} else {
+					// Both paths done: restore the pre-branch mask (minus
+					// lanes that exited inside the region).
+					w.active = f.joinMask &^ w.exited
+					w.stack = w.stack[:len(w.stack)-1]
+				}
+				act, mask = w.activeSet()
 			}
-		}
-
-		if w.pc >= len(e.prog.Clauses) {
-			return warpDone, nil
-		}
-		act := w.activeCount()
-		if act == 0 {
-			if w.allExited() && len(w.stack) == 0 {
+			if w.pc >= len(e.prog.Clauses) {
 				return warpDone, nil
 			}
-			// All current lanes inactive but stack pending: fall through
-			// to the next clause so reconvergence checks progress.
-			w.pc++
-			w.steps++
-			continue
+			if act == 0 {
+				if w.allExited() && len(w.stack) == 0 {
+					return warpDone, nil
+				}
+				// No lane active, a frame pending: step on towards its rejoin.
+				w.pc++
+				w.steps++
+				continue
+			}
+			if e.tape != nil {
+				head, t, ty = w.pc, &e.tapes[w.pc], &e.tallies[w.pc]
+			}
 		}
 
 		var st warpStatus
 		var err error
-		if e.tape != nil {
-			w.steps += e.tapes[w.pc].n
-			st, err = e.execTapeAt(w, uint64(act))
-		} else {
+		if e.tape == nil {
 			w.steps++
-			st, err = e.execClause(w, uint64(act))
+			st, err = e.execClause(w, act)
+		} else {
+			w.steps += t.n
+			ty.entries++
+			ty.lanes += act
+			var blk *stats.CFGBlock
+			if e.cfg != nil {
+				blk = e.cfgEnter(w.pc, act)
+			}
+			for pc := 0; ; pc++ {
+				if pc = e.execLeaf(w, t.ops, pc, mask); pc == len(t.ops) {
+					break
+				}
+				u, wp := t.ops[pc], e.tape
+				var err error
+				switch u.kind() {
+				case kLoadG, kLoadGB, kLoadG64:
+					err = e.loadGlobal(w, &wp.mems[u.imm()], u, act)
+				case kStoreG, kStoreGB, kStoreG64:
+					err = e.storeGlobal(w, &wp.mems[u.imm()], u, act)
+				case kLoadL:
+					err = e.loadLocal(w, &wp.mems[u.imm()], u, act)
+				case kStoreL:
+					err = e.storeLocal(w, &wp.mems[u.imm()], u, act)
+				case kLaneInterp:
+					err = e.laneInterp(w, wp.slow[u.imm()].in, act)
+				case kSlow:
+					dst, d := &w.rows[u.d()], &w.rows[u.d()]
+					if mask != nil {
+						d = &w.rows[rowMasked]
+					}
+					wp.slow[u.imm()].run(d, &w.rows[u.a()], &w.rows[u.b()])
+					if mask != nil {
+						commitMasked(dst, d, mask)
+					}
+				default:
+					panic("gpu: tape micro-op without an executor case")
+				}
+				if err != nil {
+					e.abortTape(t, ty, pc, act)
+					return warpDone, err
+				}
+			}
+
+			tk := t.tk
+			if blk != nil {
+				tk = tkInterp // block bookkeeping and edges
+			}
+			switch tk {
+			case tkFall, tkBR:
+				w.pc = t.tgt
+				continue
+			case tkBARRIER:
+				w.pc = t.next
+				return warpAtBarrier, nil
+			case tkRET:
+				w.exited |= w.active
+				w.active, w.pc = 0, t.next
+				st = warpDone
+			case tkInterp:
+				// The interpreter's terminal, counted live: under CFG
+				// collection, or for a predicate only it resolves.
+				if t.term == nil {
+					st, err = e.endFallthrough(w, t.next, blk, act)
+				} else {
+					st, err = e.execTerminal(w, t.term, t.next, blk, act)
+				}
+			case tkBRC:
+				// Inactive and dead lanes of the predicate row are masked off.
+				taken := w.active
+				if t.pred.vec {
+					p := &w.rows[t.pred.row]
+					taken &= laneMask(b2u(p[0] != 0) | b2u(p[1] != 0)<<1 | b2u(p[2] != 0)<<2 | b2u(p[3] != 0)<<3)
+				} else if e.uvals[t.pred.uv] == 0 {
+					taken = 0
+				}
+				switch fall := w.active &^ taken; {
+				case fall == 0:
+					w.pc = t.tgt
+					continue
+				case taken == 0:
+					w.pc = t.next
+					continue
+				default:
+					e.gs.DivergentBranches++
+					w.stack = append(w.stack, divFrame{rejoin: t.rejoin, pendPC: t.tgt, pendMask: taken, joinMask: w.active})
+					w.active, w.pc = fall, t.next
+				}
+			}
+			head = -1
 		}
 		if err != nil {
 			return warpDone, err
@@ -227,7 +330,18 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				return warpDone, nil
 			}
 		}
+		act, mask = w.activeSet()
 	}
+}
+
+// activeSet returns the warp's active-lane count and, when that is not all
+// of its live lanes, the mask row its results commit under.
+func (w *warp) activeSet() (uint64, *soaRow) {
+	act := uint64(bits.OnesCount8(uint8(w.active)))
+	if int(act) == w.lanes {
+		return act, nil
+	}
+	return act, &maskRows[w.active]
 }
 
 // bindTape selects the warp engine for this context when it applies — the
@@ -263,125 +377,6 @@ func (e *execContext) bindTape() {
 		e.uvals[uvWGID+d], e.uvals[uvGSZ+d], e.uvals[uvLSZ+d] = uint64(e.wgid[d]), uint64(e.gsz[d]), uint64(e.lsz[d])
 	}
 	copy(e.uvals[uvConsts:], e.tape.consts)
-}
-
-// execTapeAt runs the tape a warp entering the current clause runs — a
-// whole fused superclause chain where one starts here — and applies its
-// terminal. execLeaf runs the micro-ops that need no call and hands back
-// the index of the first one that does — a memory access, a slow ALU op,
-// the interpreter fallback, a chain boundary with a soft-stop pending —
-// which is executed here, so that the hot loop keeps its state in
-// registers. act is the active-lane count, constant through the tape
-// (masks only change at clause terminals, which never appear mid-tape); a
-// divergent warp commits its results under its all-ones-per-active-lane
-// mask row. Every *original* clause boundary inside a chain keeps its
-// architectural behaviour (soft-stop poll, acquire marker, per-clause
-// statistics; see kBoundary). A clause absorbed into a chain is never
-// entered with active lanes — every control-flow edge (branch targets,
-// reconvergence points, barrier resumes) lands on a chain head by
-// construction, and the zero-active stepping walk in runWarp advances pc
-// without executing; a loop header a chain ends in a copy of stays a head.
-//
-// The tape's statistics are its tally (see commitTallies); the terminal is
-// applied as decoded at compile time, its static counts tallied with the
-// rest, and only the data-dependent DivergentBranches is counted here.
-//
-//simlint:commit -- counts divergent branches, the one data-dependent terminal counter
-func (e *execContext) execTapeAt(w *warp, act uint64) (warpStatus, error) {
-	t, ty := &e.tapes[w.pc], &e.tallies[w.pc]
-	ty.entries++
-	ty.lanes += act
-	var blk *stats.CFGBlock
-	if e.cfg != nil {
-		blk = e.cfgEnter(w.pc, act)
-	}
-	var mask *soaRow
-	if int(act) != w.lanes {
-		mask = &maskRows[w.active]
-	}
-	wp, ops := e.tape, t.ops
-	for pc := 0; ; pc++ {
-		if pc = e.execLeaf(w, ops, pc, mask); pc == len(ops) {
-			break
-		}
-		u := ops[pc]
-		var err error
-		switch u.kind() {
-		case kBoundary: // handed back only with a soft-stop pending
-			err = ErrStopped
-		case kLoadG, kLoadGB, kLoadG64:
-			err = e.loadGlobal(w, &wp.mems[u.imm()], u, act)
-		case kStoreG, kStoreGB, kStoreG64:
-			err = e.storeGlobal(w, &wp.mems[u.imm()], u, act)
-		case kLoadL:
-			err = e.loadLocal(w, &wp.mems[u.imm()], u, act)
-		case kStoreL:
-			err = e.storeLocal(w, &wp.mems[u.imm()], u, act)
-		case kLaneInterp:
-			err = e.laneInterp(w, wp.slow[u.imm()].in, act)
-		case kSlow:
-			dst := &w.rows[u.d()]
-			d := dst
-			if mask != nil {
-				d = &w.rows[rowMasked]
-			}
-			wp.slow[u.imm()].run(d, &w.rows[u.a()], &w.rows[u.b()])
-			if mask != nil {
-				commitMasked(dst, d, mask)
-			}
-		default:
-			panic("gpu: tape micro-op without an executor case")
-		}
-		if err != nil {
-			e.abortTape(t, ty, pc, act)
-			return warpDone, err
-		}
-	}
-
-	if blk != nil {
-		// Block bookkeeping and edges: the interpreter's terminal, counted live.
-		if t.term == nil {
-			return e.endFallthrough(w, t.next, blk, act)
-		}
-		return e.execTerminal(w, t.term, t.next, blk, act)
-	}
-	switch t.tk {
-	case tkFall:
-		w.pc = t.next
-	case tkBR:
-		w.pc = t.tgt
-	case tkBARRIER:
-		w.pc = t.next
-		return warpAtBarrier, nil
-	case tkRET:
-		w.exited |= w.active
-		w.active = 0
-		w.pc = t.next
-		return warpDone, nil
-	case tkBRC:
-		// Inactive and dead lanes of the predicate row are masked off.
-		taken := w.active
-		if t.pred.vec {
-			p := &w.rows[t.pred.row]
-			taken &= laneMask(b2u(p[0] != 0) | b2u(p[1] != 0)<<1 | b2u(p[2] != 0)<<2 | b2u(p[3] != 0)<<3)
-		} else if e.uvals[t.pred.uv] == 0 {
-			taken = 0
-		}
-		switch fall := w.active &^ taken; {
-		case fall == 0:
-			w.pc = t.tgt
-		case taken == 0:
-			w.pc = t.next
-		default:
-			e.gs.DivergentBranches++
-			w.stack = append(w.stack, divFrame{rejoin: t.rejoin, pendPC: t.tgt, pendMask: taken, joinMask: w.active})
-			w.active = fall
-			w.pc = t.next
-		}
-	default: // tkInterp
-		return e.execTerminal(w, t.term, t.next, nil, act)
-	}
-	return warpRunning, nil
 }
 
 // execClause runs all slots of the current clause on all active lanes, one
@@ -442,7 +437,7 @@ func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {
 
 // cfgEnter records one warp entering clause ci with act threads in the CFG
 // being collected and returns the clause's block. Not inlined, so that a
-// new block's allocations are not attributed to execTapeAt, which the
+// new block's allocations are not attributed to runWarp, which the
 // hotalloc gate pins at zero.
 //
 //go:noinline
@@ -465,7 +460,7 @@ func (e *execContext) endFallthrough(w *warp, next int, blk *stats.CFGBlock, act
 
 // execTerminal applies a clause-terminal control-flow instruction as the
 // interpreter does: immediates and the BRC predicate decoded here, every
-// counter live. It is the specification of the terminal execTapeAt applies
+// counter live. It is the specification of the terminal runWarp applies
 // pre-decoded, and what the warp engine itself still calls when it needs
 // the CFG's block bookkeeping or meets a predicate it could not resolve.
 //

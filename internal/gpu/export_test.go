@@ -33,6 +33,13 @@ func CachedPrograms() []*Program {
 	return ps
 }
 
+// ExecJob runs a decoded job on d as the Job Manager does once it has read
+// the job's descriptor, shader and arguments out of guest memory.
+func (d *Device) ExecJob(desc *JobDescriptor, prog *Program, uniforms []uint64) error {
+	prog.compile(d.cfg.Engine)
+	return d.execJob(desc, prog, uniforms)
+}
+
 // CompileWarp builds p's warp-engine tapes, as a program cache miss does.
 func CompileWarp(p *Program) { p.compile(EngineWarp) }
 

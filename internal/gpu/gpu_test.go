@@ -15,7 +15,7 @@ import (
 // and a started device. Tests drive the register interface directly,
 // standing in for the kernel driver.
 type rig struct {
-	t     *testing.T
+	t     testing.TB
 	bus   *mem.Bus
 	alloc *mem.PageAllocator
 	as    *mmu.AddressSpace
@@ -23,7 +23,7 @@ type rig struct {
 	dev   *gpu.Device
 }
 
-func newRig(t *testing.T, cfg gpu.Config) *rig {
+func newRig(t testing.TB, cfg gpu.Config) *rig {
 	t.Helper()
 	bus := mem.NewBus(mem.NewRAM(0, 64<<20))
 	alloc, err := mem.NewPageAllocator(1<<20, 40<<20)

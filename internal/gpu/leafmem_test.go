@@ -12,7 +12,7 @@ import (
 
 // The warp engine serves a full warp's word and byte loads and stores in
 // execLeaf when one TLB probe covers the warp, and hands every other warp
-// to execTapeAt's per-lane loops (DESIGN.md §9). The tests here run every
+// to runWarp's per-lane loops (DESIGN.md §9). The tests here run every
 // memory micro-op over every shape that decides between the two, under
 // both engines from the same state.
 
@@ -265,10 +265,7 @@ func TestLeafMemoryMatchesInterp(t *testing.T) {
 				}
 
 				r := newMemRig(t, EngineWarp, in, sh)
-				var mask *soaRow
-				if int(r.w.activeCount()) != r.w.lanes {
-					mask = &maskRows[r.w.active]
-				}
+				_, mask := r.w.activeSet()
 				ops := r.ec.tapes[0].ops
 				if served, want := r.ec.execLeaf(r.w, ops, 0, mask) == len(ops), leafServes(in, sh); served != want {
 					t.Errorf("execLeaf served the access: %v, want %v", served, want)

@@ -103,23 +103,30 @@ func TestSuperClauseFusionShapes(t *testing.T) {
 		if chain.n != 2 {
 			t.Fatalf("BR into single-pred clause did not fuse")
 		}
-		// The folded BR must still be accounted as a control-flow
-		// instruction at the original clause boundary — exactly once,
-		// by a mark at the boundary micro-op; the final clause's RET
-		// stays the chain's terminal.
-		var boundaries, foldedBR int
-		for pc, u := range chain.ops {
-			if u.kind() == kBoundary {
-				boundaries++
-				for _, m := range chain.marks {
-					if int(m.pos) == pc {
-						foldedBR += int(m.st.cf)
-					}
+		// No micro-op separates the clauses, and the folded BR is still
+		// accounted as a control-flow instruction — exactly once, by a
+		// mark at c1's first micro-op, ahead of c1's clause-entry mark —
+		// so a fault there commits it as the interpreter did. The final
+		// clause's RET stays the chain's terminal.
+		c0 := len(p.warp.clauses[0].ops)
+		if len(chain.ops) != c0+len(p.warp.clauses[1].ops) {
+			t.Errorf("chain has %d micro-ops, want the clause tapes' %d + %d", len(chain.ops), c0, len(p.warp.clauses[1].ops))
+		}
+		var foldedBR, brMark, entryMark = 0, -1, -1
+		for i, m := range chain.marks {
+			if m.st.cf > 0 {
+				foldedBR += int(m.st.cf)
+				brMark = i
+				if int(m.pos) != c0 {
+					t.Errorf("folded BR's mark at micro-op %d, want c1's first, %d", m.pos, c0)
 				}
 			}
+			if m.slot >= 0 && int(m.pos) == c0 && entryMark < 0 {
+				entryMark = i
+			}
 		}
-		if boundaries != 1 || foldedBR != 1 {
-			t.Errorf("chain has %d boundaries carrying %d folded-BR bumps, want 1 and 1", boundaries, foldedBR)
+		if foldedBR != 1 || brMark < 0 || entryMark < brMark {
+			t.Errorf("folded-BR bumps %d (mark %d), c1's entry mark %d: want 1, ahead of c1's entry", foldedBR, brMark, entryMark)
 		}
 		if chain.term == nil || chain.term.Op != OpRET {
 			t.Errorf("chain terminal = %v, want the final clause's RET", chain.term)
@@ -156,48 +163,60 @@ var warpShapes = []struct {
 	{"partial", func(w *warp) { w.lanes = WarpSize - 1; w.active &^= 1 << (WarpSize - 1) }},
 }
 
-// TestSuperClauseSoftStopAtSegBoundary pins the soft-stop contract inside
-// a fused chain: the latch is polled at every *original* clause boundary,
-// so a stop raised before execution aborts after exactly the first
-// clause — its clause-entry statistics committed, the second clause's
-// not, and no memory traffic from the second clause issued.
+// TestSuperClauseSoftStopAtSegBoundary pins the soft-stop contract around
+// a fused chain: the latch is polled where a warp enters a tape, so a stop
+// raised while the warp waits at a barrier stops it before the two-clause
+// chain behind the barrier — the clause before it committed, nothing of
+// the chain counted, no memory traffic of the chain issued — in the state
+// the interpreter, which polls at every clause, leaves there.
 func TestSuperClauseSoftStopAtSegBoundary(t *testing.T) {
+	hot := hotProgram()
+	prog := &Program{RegCount: 16, Clauses: []Clause{
+		{Instrs: append(hot.Clauses[0].Instrs, Instr{Op: OpBARRIER})},
+		aluClause(),
+		{Instrs: append(hot.Clauses[1].Instrs, Instr{Op: OpRET})},
+	}}
+	for i := range prog.Clauses {
+		prog.Clauses[i].Addr = uint64(i) * 0x10
+	}
+	prog.compile(EngineWarp)
+	if prog.warp.heads[1].n != 2 {
+		t.Fatalf("the clauses behind the barrier did not fuse into a 2-clause chain")
+	}
 	for _, sh := range warpShapes {
 		t.Run(sh.name, func(t *testing.T) {
-			ec, w, p := newHotContext(t)
-			sh.shape(w)
-			if p.warp.heads[0].n != 2 {
-				t.Fatalf("hot program did not fuse into a 2-clause chain")
+			run := func(eng Engine) (*execContext, *warp, error) {
+				ec, w, _ := newHotContext(t)
+				ec.prog = prog
+				ec.setEngine(eng)
+				sh.shape(w)
+				var stop atomic.Bool
+				ec.stop = &stop
+				if st, err := ec.runWarp(w); st != warpAtBarrier || err != nil {
+					t.Fatalf("engine %v before the stop: status %v, err %v; want the barrier", eng, st, err)
+				}
+				stop.Store(true)
+				hits, walks := ec.walker.Hits, ec.walker.Walks
+				_, err := ec.runWarp(w)
+				ec.commitTallies()
+				if ec.gs.GlobalLS != 0 || ec.walker.Hits != hits || ec.walker.Walks != walks {
+					t.Errorf("engine %v: the chain's memory traffic leaked past the stop: GlobalLS=%d", eng, ec.gs.GlobalLS)
+				}
+				return ec, w, err
 			}
-			var stop atomic.Bool
-			stop.Store(true)
-			ec.stop = &stop
-
-			// The reference: the interpreter runs exactly the first clause.
-			ecI, wI, _ := newHotContext(t)
-			ecI.setEngine(EngineInterp)
-			sh.shape(wI)
-			if _, err := ecI.execClause(wI, uint64(wI.activeCount())); err != nil {
-				t.Fatal(err)
+			ec, w, err := run(EngineWarp)
+			ecI, wI, errI := run(EngineInterp)
+			if !errors.Is(err, ErrStopped) || !errors.Is(errI, ErrStopped) {
+				t.Fatalf("resumed under stop: warp err %v, interp err %v; want ErrStopped", err, errI)
 			}
-
-			hits, walks := ec.walker.Hits, ec.walker.Walks
-			st, err := ec.execTapeAt(w, uint64(w.activeCount()))
-			ec.commitTallies()
-			if !errors.Is(err, ErrStopped) {
-				t.Fatalf("chain under stop: status %v, err %v; want ErrStopped", st, err)
-			}
-			if ec.gs.ClausesExec != 1 {
-				t.Errorf("clauses executed before stop = %d, want exactly 1", ec.gs.ClausesExec)
-			}
-			if ec.gs.GlobalLS != 0 || ec.walker.Hits != hits || ec.walker.Walks != walks {
-				t.Errorf("second clause's memory traffic leaked past the stop: GlobalLS=%d", ec.gs.GlobalLS)
+			if ec.gs.ClausesExec != 1 || w.pc != 1 {
+				t.Errorf("stopped at clause %d after %d clauses, want at the chain's head 1 after 1", w.pc, ec.gs.ClausesExec)
 			}
 			if *ec.gs != *ecI.gs {
-				t.Errorf("stats at the stop differ from one interpreted clause:\nwarp:   %+v\ninterp: %+v", *ec.gs, *ecI.gs)
+				t.Errorf("stats at the stop differ from the interpreter's:\nwarp:   %+v\ninterp: %+v", *ec.gs, *ecI.gs)
 			}
-			if regsOf(w) != regsOf(wI) {
-				t.Errorf("registers at the stop differ from one interpreted clause")
+			if regsOf(w) != regsOf(wI) || w.pc != wI.pc {
+				t.Errorf("registers or pc at the stop differ from the interpreter's")
 			}
 		})
 	}
@@ -247,9 +266,10 @@ func TestSuperClauseFaultMatchesInterp(t *testing.T) {
 // TestAbortedTapeCommitsWhatItReached pins the abort rule of the statistics
 // beside the tape (DESIGN.md §9). One chain — a padded clause opening with an
 // ALU run, a load, a run of NOPs, a second load and a folded BR, then a
-// boundary and a second clause — is stopped at each place a tape can stop:
-// the first load faults, the second load faults, a soft-stop is latched when
-// the boundary polls. The shard must then hold the interpreter's counters at
+// second clause opening with a load — is stopped at each place a warp can
+// stop in it: the first load faults, the second load faults, the second
+// clause's load faults (where the folded BR's mark sits), a soft-stop is
+// latched when the warp enters the tape. The shard must then hold the interpreter's counters at
 // that point — the runs the tape reached, no later one — and the core's
 // tallies nothing.
 func TestAbortedTapeCommitsWhatItReached(t *testing.T) {
@@ -263,7 +283,7 @@ func TestAbortedTapeCommitsWhatItReached(t *testing.T) {
 			{Op: OpLDG, Dst: T(0), A: R(5)},
 			{Op: OpBR, Imm: 1},
 		}},
-		{Instrs: []Instr{{Op: OpIADD, Dst: R(8), A: R(8), B: R(12)}, {Op: OpRET}}},
+		{Instrs: []Instr{{Op: OpLDG, Dst: R(13), A: R(7)}, {Op: OpIADD, Dst: R(8), A: R(8), B: R(12)}, {Op: OpRET}}},
 	}}
 	prog.compile(EngineWarp)
 	if prog.warp.heads[0].n != 2 {
@@ -279,33 +299,23 @@ func TestAbortedTapeCommitsWhatItReached(t *testing.T) {
 	}{
 		{"first_load_faults", func(w *warp) { w.rows[4][2] = 0xdead_0000 }, false},
 		{"second_load_faults", func(w *warp) { w.rows[5][2] = 0xdead_0000 }, false},
-		{"soft_stop_at_boundary", func(*warp) {}, true},
+		{"next_clause_load_faults", func(w *warp) { w.rows[7][2] = 0xdead_0000 }, false},
+		{"soft_stop_at_entry", func(*warp) {}, true},
 	} {
 		for _, sh := range warpShapes {
 			run := func(eng Engine) ([NumGRF + NumTemp]soaRow, stats.GPUStats, error) {
 				w := r.w0
-				w.stack = nil
+				w.stack, w.rows[7] = nil, w.rows[4]
 				sh.shape(&w)
 				ab.arm(&w)
 				*r.ec.gs = stats.GPUStats{}
 				r.ec.prog = prog
 				r.ec.setEngine(eng)
-				act := uint64(w.activeCount())
-				var err error
-				switch {
-				case !ab.stop:
-					_, err = r.ec.runWarp(&w)
-				case eng == EngineWarp:
+				if ab.stop {
 					r.ec.stop = raised
-					_, err = r.ec.execTapeAt(&w, act)
-					r.ec.stop = nil
-				default:
-					// What the interpreter has run when the latch is polled
-					// between the two clauses: the first one.
-					if _, err = r.ec.execClause(&w, act); err == nil {
-						err = ErrStopped
-					}
 				}
+				_, err := r.ec.runWarp(&w)
+				r.ec.stop = nil
 				r.ec.commitTallies()
 				for ci, ty := range r.ec.tallies {
 					if ty != (tally{}) {

@@ -9,13 +9,13 @@ import (
 
 // The warp engine's executor (DESIGN.md §9): warpCompile lowers every
 // clause — and every superclause chain — to a flat tape of pre-decoded
-// micro-ops, and execTapeAt runs a tape for one whole warp with a single
+// micro-ops, and runWarp runs a tape for one whole warp with a single
 // dense switch. ALU cases are leaf code, the four lanes written out in the
 // case over rows of the warp's unified register file. A full warp's word
 // and byte loads and stores are served from the switch too, through one
 // call (leafLoad, leafStore); the memory accesses it hands back, the rare
 // slow ALU ops and the per-lane interpreter fallback leave it for
-// execTapeAt.
+// runWarp.
 //
 // Counter contract: the interpreter bumps the class counter once per
 // instruction (scaled by the clause's active-lane count) before touching
@@ -41,13 +41,7 @@ type uopKind uint8
 
 const (
 	kSplat uopKind = iota // d = broadcast(uvals[imm])
-	// kBoundary sits between two clauses of a superclause chain and does
-	// what the per-clause loop in runWarp would have done at that original
-	// clause boundary: poll the soft-stop latch and issue the clause-
-	// boundary acquire marker. execLeaf runs it in place and hands it back
-	// only with a soft-stop pending.
-	kBoundary
-	kSlow // d = slow[imm]'s value function of a (and b), per lane
+	kSlow                 // d = slow[imm]'s value function of a (and b), per lane
 	// The memory micro-ops, mems[imm] their offset and counters. execLeaf
 	// serves a full warp's word and byte accesses (see warpPage).
 	kLoadG      // d = global[a + off], a word
@@ -135,10 +129,10 @@ func commitMarks(gs *stats.GPUStats, marks []mark, entries, lanes uint64) {
 // tally counts the warps that ran a tape to its end, and their active lanes.
 type tally struct{ entries, lanes uint64 }
 
-// abortTape accounts a tape that stopped at ops[pc] — a fault, a soft-stop
-// at a chain boundary, an interpreter-fallback error: its entry leaves the
-// tally and exactly the runs it reached are committed, so the counters at
-// every abort are the interpreter's.
+// abortTape accounts a tape that stopped at ops[pc] — a fault or an
+// interpreter-fallback error: its entry leaves the tally and exactly the
+// runs it reached are committed, so the counters at every abort are the
+// interpreter's.
 func (e *execContext) abortTape(t *tape, ty *tally, pc int, act uint64) {
 	ty.entries--
 	ty.lanes -= act
@@ -229,15 +223,14 @@ func commitMasked(dst, src, mask *soaRow) {
 
 // execLeaf is the executor's hot loop: one dense switch whose cases are
 // leaf code. It runs ops from pc and returns the index of the first
-// micro-op it has no case for (len(ops) at the end of the tape), of a
-// memory micro-op it hands back (see warpPage), or of a chain boundary at
-// which a soft-stop is pending. Operand
-// rows are resolved inside each case, and everything else is reached
-// through e, so that little more than the tape position is live across the
-// switch's jump. For a divergent warp every ALU case computes the full row
-// into the rowMasked scratch row (keep/force redirect the destination
-// index without a branch) and the shared tail commits it under the mask —
-// one case table for both. Full warps write every slot of a row, including
+// micro-op it has no case for (len(ops) at the end of the tape) or of a
+// memory micro-op it hands back (see warpPage). Operand rows are resolved
+// inside each case, and everything else is reached through e, so that
+// little more than the tape position is live across the switch's jump.
+// For a divergent warp every ALU case computes the full row into the
+// rowMasked scratch row (keep/force redirect the destination index without
+// a branch) and the shared tail commits it under the mask — one case table
+// for both. Full warps write every slot of a row, including
 // lanes beyond w.lanes: those are architecturally dead (never active,
 // never stored back), so what a row's dead lanes hold is never observed.
 func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
@@ -254,12 +247,6 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 		case kSplat:
 			d, s := &rows[u.d()&keep|force], e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = s, s, s, s
-		case kBoundary:
-			if e.stop != nil && e.stop.Load() {
-				return pc
-			}
-			mem.LoadFence()
-			continue // no result row to commit
 		case kAddr:
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
 			f := &e.tape.addrs[u.imm()]
@@ -601,7 +588,7 @@ type memOp struct {
 // hits, and warpPage counts the rest of what the per-lane loop would: the
 // access can no longer fault, so nothing needs to interleave with it. In
 // every other case it returns nil with nothing counted, and the micro-op
-// goes back to execTapeAt's per-lane loop — a TLB miss there walks for lane
+// goes back to runWarp's per-lane loop — a TLB miss there walks for lane
 // 0 and fills the entry lanes 1 to 3 hit, the same walk and hits, touched
 // page, dirty mark and fill.
 //

@@ -214,7 +214,7 @@ func TestLongRunCountsExactly(t *testing.T) {
 	for _, sh := range warpShapes {
 		w := r.w0
 		sh.shape(&w)
-		act := uint64(w.activeCount())
+		act, _ := w.activeSet()
 		_, gsI, _, _ := r.run(t, prog, EngineInterp, sh.shape)
 		_, gsW, _, _ := r.run(t, prog, EngineWarp, sh.shape)
 		if gsW != gsI || gsW.ArithInstr != 300*act || gsW.NopInstr != 300*act || gsW.GRFRead != 600*act || gsW.GRFWrite != 300*act {

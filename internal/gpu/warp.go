@@ -63,8 +63,8 @@ type tape struct {
 	next  int    // (final) clause index + 1: the terminal's "next"
 	n     int    // clauses covered; ≥ 2 for a superclause chain
 
-	// The terminal as execTapeAt applies it: a branch's target and
-	// reconvergence clause, a BRC's predicate (a row when pred.vec, else a
+	// The terminal as runWarp applies it: a branch's target (next for a
+	// fallthrough) and reconvergence clause, a BRC's predicate (a row when pred.vec, else a
 	// uvals slot) and what the terminal counts per active lane — CFInstr
 	// and the predicate's operand counter.
 	tk          termKind
@@ -125,7 +125,7 @@ func warpCompileWith(p *Program, rw rewrite) *warpProgram {
 	for ci := range p.Clauses {
 		c := &p.Clauses[ci]
 		t := &wp.clauses[ci]
-		t.next, t.n = ci+1, 1
+		t.next, t.tgt, t.n = ci+1, ci+1, 1
 		firstMark := len(b.marks)
 		b.start, b.run = len(b.ops), -1
 		// Unfilled issue slots: a clause of N slots issues in ceil(N/2)
@@ -519,19 +519,17 @@ func buildSuperClauses(p *Program, wp *warpProgram, dup bool) []tape {
 		if &heads[0] == &wp.clauses[0] {
 			heads = append([]tape(nil), wp.clauses...)
 		}
-		// The chain tape is the clause tapes back to back, a boundary
-		// micro-op between them and their marks re-based. An unconditional
-		// BR folded away at a boundary disappears as a jump, but the
-		// interpreter counts it as a control-flow instruction: its
-		// terminal counts become a mark at the boundary.
+		// The chain tape is the clause tapes back to back, their marks
+		// re-based. An unconditional BR folded away between two clauses
+		// disappears as a jump, but the interpreter counts it as a
+		// control-flow instruction: its terminal counts become a mark at
+		// the next clause's first micro-op, ahead of that clause's own, so
+		// a fault there commits the BR as the interpreter did.
 		var ops []uop
 		var marks []mark
 		for i, ci := range chain {
-			if i > 0 {
-				if prev := &wp.clauses[chain[i-1]]; prev.term != nil {
-					marks = append(marks, mark{pos: int32(len(ops)), slot: -1, st: prev.termSt})
-				}
-				ops = append(ops, mkUop(kBoundary, 0, 0, 0, 0))
+			if i > 0 && wp.clauses[chain[i-1]].term != nil {
+				marks = append(marks, mark{pos: int32(len(ops)), slot: -1, st: wp.clauses[chain[i-1]].termSt})
 			}
 			for _, m := range wp.clauses[ci].marks {
 				m.pos += int32(len(ops))

@@ -334,15 +334,16 @@ func Fence() {
 	fenceWord.Add(0)
 }
 
-// LoadFence marks a clause boundary in the guest memory model. It is an
-// annotation, not a synchronisation primitive: a load of fenceWord
-// creates no happens-before edge of its own, and the actual guarantee —
-// a clause observes every guest store that completed before it started —
-// comes from the shared accessors being sequentially-consistent host
-// atomics. The marker keeps the clause granularity visible in the code
-// (and in profiles) at the cost of one uncontended load; if the
-// accessors are ever weakened below seq-cst, this must become a real
-// fence.
+// LoadFence marks a clause boundary in the guest memory model: a shader
+// warp issues it wherever it enters a clause or a fused chain of clauses
+// (a warp-engine tape). It is an annotation, not a synchronisation
+// primitive: a load of fenceWord creates no happens-before edge of its
+// own, and the actual guarantee — a clause observes every guest store
+// that completed before it started — comes from the shared accessors
+// being sequentially-consistent host atomics. The marker keeps the clause
+// granularity visible in the code (and in profiles) at the cost of one
+// uncontended load; if the accessors are ever weakened below seq-cst,
+// this must become a real fence.
 func LoadFence() {
 	_ = fenceWord.Load()
 }
