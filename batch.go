@@ -11,17 +11,14 @@ import (
 	"mobilesim/internal/workloads"
 )
 
-// BatchJob is one independent simulation in a Batch: a workload name, an
-// input scale, and optionally a per-job platform configuration.
+// BatchJob is one independent simulation in a Batch: a workload name and
+// an input scale, run on a session of the batch's Config.
 type BatchJob struct {
 	// Benchmark names a registered workload (see Workloads) — any kind,
 	// not just Table II benchmarks.
 	Benchmark string
 	// Scale is the input scale; <= 0 selects the workload's default.
 	Scale int
-	// Config overrides the batch-wide session configuration for this job
-	// when non-nil.
-	Config *Config
 }
 
 // JobResult is the outcome of one BatchJob.
@@ -74,7 +71,7 @@ type Batch struct {
 	// Workers bounds concurrent sessions; <= 0 means
 	// min(GOMAXPROCS, len(Jobs)).
 	Workers int
-	// Config is the session configuration for jobs without their own.
+	// Config is the session configuration of every job.
 	Config Config
 	// Hosts switches the batch to cluster execution: the batch Config is
 	// booted and captured once locally, the encoded snapshot is shipped
@@ -82,7 +79,7 @@ type Batch struct {
 	// with work-stealing, bounded retries on host loss and optional
 	// hedging (see ClusterConfig). Per-run statistics deltas merge into
 	// the same BatchResult shape — bit-identically to a local run of the
-	// same jobs. Jobs with a per-job Config are rejected in cluster mode.
+	// same jobs.
 	Hosts []string
 	// Cluster tunes cluster execution; ignored unless Hosts is set.
 	Cluster ClusterConfig
@@ -98,16 +95,12 @@ func (b *Batch) Run(ctx context.Context) (*BatchResult, error) {
 	if len(b.Jobs) == 0 {
 		return &BatchResult{}, nil
 	}
+	// A bad Config fails the batch up front, before any session boots.
+	if err := b.Config.validate(); err != nil {
+		return nil, err
+	}
 	if len(b.Hosts) > 0 {
 		return b.runCluster(ctx)
-	}
-	// Validate every job's config up front: one bad job should fail
-	// fast, not waste a pool slot.
-	for i := range b.Jobs {
-		cfg := b.jobConfig(i)
-		if err := cfg.validate(); err != nil {
-			return nil, fmt.Errorf("job %d: %w", i, err)
-		}
 	}
 
 	workers := b.Workers
@@ -167,14 +160,6 @@ func (res *BatchResult) tally(ctx context.Context) {
 	}
 }
 
-// jobConfig resolves the effective config for job i.
-func (b *Batch) jobConfig(i int) Config {
-	if c := b.Jobs[i].Config; c != nil {
-		return *c
-	}
-	return b.Config
-}
-
 // runJob boots a session for job i, runs the one workload on it and tears
 // down. The batch context governs the run, so batch cancellation reaches
 // into a running job: the kernel is soft-stopped at a clause boundary
@@ -191,7 +176,7 @@ func (b *Batch) runJob(ctx context.Context, i int) JobResult {
 		jr.Err = err
 		return jr
 	}
-	sess, err := New(b.jobConfig(i))
+	sess, err := New(b.Config)
 	if err != nil {
 		jr.Err = err
 		return jr

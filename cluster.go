@@ -61,14 +61,6 @@ type ClusterReport = cluster.Report
 // once, capture and encode the warm snapshot, ship it to every host,
 // fan the jobs out, and fold the per-run deltas back into a BatchResult.
 func (b *Batch) runCluster(ctx context.Context) (*BatchResult, error) {
-	for i := range b.Jobs {
-		if b.Jobs[i].Config != nil {
-			return nil, fmt.Errorf("mobilesim: cluster batch: job %d has a per-job Config, which cannot ride the shipped snapshot (run it in a local Batch)", i)
-		}
-	}
-	if err := b.Config.validate(); err != nil {
-		return nil, err
-	}
 	t0 := time.Now()
 
 	warm, err := New(b.Config)

@@ -7,7 +7,6 @@ package mobilesim_test
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -196,19 +195,5 @@ func TestClusterMatchesLocalBatch(t *testing.T) {
 				t.Errorf("per-host latency histograms observed %d attempts for %d jobs", attempts, len(jobs))
 			}
 		})
-	}
-}
-
-// TestClusterBatchRejectsPerJobConfig: per-job configs cannot ride the
-// shipped snapshot and must be rejected up front.
-func TestClusterBatchRejectsPerJobConfig(t *testing.T) {
-	cfg := clusterPinConfig()
-	batch := &mobilesim.Batch{
-		Jobs:   []mobilesim.BatchJob{{Benchmark: "BFS", Config: &cfg}},
-		Config: clusterPinConfig(),
-		Hosts:  []string{"http://127.0.0.1:1"},
-	}
-	if _, err := batch.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "per-job Config") {
-		t.Fatalf("err=%v, want per-job Config rejection", err)
 	}
 }

@@ -87,7 +87,7 @@ type Fig8Row struct {
 	// difference: instrumentation is always-on counters).
 	Speedup float64
 	// SpeedupInstrumented additionally collects the divergence CFG, the
-	// costly optional instrumentation.
+	// optional instrumentation, on the warp engine.
 	SpeedupInstrumented float64
 }
 

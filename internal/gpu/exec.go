@@ -131,13 +131,11 @@ type execContext struct {
 	stop  *atomic.Bool // soft-stop latch, polled at clause boundaries
 
 	// tape is the program's warp-engine artifact when this context runs
-	// on it (nil on the interpreter), tapes what a warp entering a clause
-	// runs — the chain heads, or under CFG collection every clause alone —
-	// tallies the warps and lanes that ran each of them to its end since
-	// the last commitTallies, and uvals the table the tapes' warp-uniform
-	// operands are read from (see bindTape).
+	// on it (nil on the interpreter), tallies[ci] what the warps that ran
+	// the chain head at clause ci to its end did since the last
+	// commitTallies, and uvals the table the tapes' warp-uniform operands
+	// are read from (see bindTape).
 	tape    *warpProgram
-	tapes   []tape
 	tallies []tally
 	uvals   []uint64
 
@@ -172,11 +170,10 @@ var clauseBudget = 1 << 24
 // results under) change only where active does. A terminal that lands back
 // on the head it entered, with active unchanged, re-enters that tape
 // without the lookup: the entry popped every frame rejoining there, and
-// the tape pushed none. A tape's statistics are its tally (commitTallies),
-// its terminal's static counts included; only the data-dependent
-// DivergentBranches is counted here.
-//
-//simlint:commit -- counts divergent branches, the one data-dependent terminal counter
+// the tape pushed none. A tape's statistics are its tally: the warps and
+// lanes that entered it and, for a BRC, the lanes that took it and the
+// entries that split. commitTallies derives every counter and the CFG from
+// them, so runWarp writes no statistics field.
 func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 	act, mask := w.activeSet()
 	var t *tape
@@ -220,7 +217,7 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				continue
 			}
 			if e.tape != nil {
-				head, t, ty = w.pc, &e.tapes[w.pc], &e.tallies[w.pc]
+				head, t, ty = w.pc, &e.tape.heads[w.pc], &e.tallies[w.pc]
 			}
 		}
 
@@ -233,10 +230,6 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 			w.steps += t.n
 			ty.entries++
 			ty.lanes += act
-			var blk *stats.CFGBlock
-			if e.cfg != nil {
-				blk = e.cfgEnter(w.pc, act)
-			}
 			for pc := 0; ; pc++ {
 				if pc = e.execLeaf(w, t.ops, pc, mask); pc == len(t.ops) {
 					break
@@ -272,11 +265,7 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				}
 			}
 
-			tk := t.tk
-			if blk != nil {
-				tk = tkInterp // block bookkeeping and edges
-			}
-			switch tk {
+			switch t.tk {
 			case tkFall, tkBR:
 				w.pc = t.tgt
 				continue
@@ -287,14 +276,6 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				w.exited |= w.active
 				w.active, w.pc = 0, t.next
 				st = warpDone
-			case tkInterp:
-				// The interpreter's terminal, counted live: under CFG
-				// collection, or for a predicate only it resolves.
-				if t.term == nil {
-					st, err = e.endFallthrough(w, t.next, blk, act)
-				} else {
-					st, err = e.execTerminal(w, t.term, t.next, blk, act)
-				}
 			case tkBRC:
 				// Inactive and dead lanes of the predicate row are masked off.
 				taken := w.active
@@ -306,13 +287,15 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				}
 				switch fall := w.active &^ taken; {
 				case fall == 0:
+					ty.taken += act
 					w.pc = t.tgt
 					continue
 				case taken == 0:
 					w.pc = t.next
 					continue
 				default:
-					e.gs.DivergentBranches++
+					ty.taken += uint64(bits.OnesCount8(uint8(taken)))
+					ty.div++
 					w.stack = append(w.stack, divFrame{rejoin: t.rejoin, pendPC: t.tgt, pendMask: taken, joinMask: w.active})
 					w.active, w.pc = fall, t.next
 				}
@@ -349,19 +332,14 @@ func (w *warp) activeSet() (uint64, *soaRow) {
 // instruction visibility, is off — sizes the tallies (all zero between
 // jobs: commitTallies leaves them so) and builds the uniform-operand table
 // the tape reads: kernel arguments, dispatch sizes and the program's
-// constants. The workgroup id slots are refreshed by runWorkgroup. CFG
-// collection needs per-clause block bookkeeping, so it bypasses the
-// superclause chains and runs each clause's own tape.
+// constants. The workgroup id slots are refreshed by runWorkgroup.
 func (e *execContext) bindTape() {
-	e.tape, e.tapes, e.tallies = nil, nil, e.tallies[:0]
+	e.tape, e.tallies = nil, e.tallies[:0]
 	if e.eng != EngineWarp || e.prog.warp == nil || e.trace != nil {
 		return
 	}
-	e.tape, e.tapes = e.prog.warp, e.prog.warp.heads
-	if e.cfg != nil {
-		e.tapes = e.tape.clauses
-	}
-	if n := len(e.tapes); cap(e.tallies) < n {
+	e.tape = e.prog.warp
+	if n := len(e.tape.heads); cap(e.tallies) < n {
 		e.tallies = make([]tally, n)
 	} else {
 		e.tallies = e.tallies[:n]
@@ -399,7 +377,9 @@ func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {
 
 	var blk *stats.CFGBlock
 	if e.cfg != nil {
-		blk = e.cfgEnter(ci, act)
+		blk = e.cfg.Block(c.Addr)
+		blk.ThreadsIn += act
+		blk.WarpsIn++
 	}
 	if e.trace != nil {
 		e.trace.clauseEntry(e.wgid, uint32(w.rows[rowGID][0]), ci, c.Addr, int(act))
@@ -435,19 +415,6 @@ func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {
 	return e.endFallthrough(w, next, blk, act)
 }
 
-// cfgEnter records one warp entering clause ci with act threads in the CFG
-// being collected and returns the clause's block. Not inlined, so that a
-// new block's allocations are not attributed to runWarp, which the
-// hotalloc gate pins at zero.
-//
-//go:noinline
-func (e *execContext) cfgEnter(ci int, act uint64) *stats.CFGBlock {
-	blk := e.cfg.Block(e.prog.Clauses[ci].Addr)
-	blk.ThreadsIn += act
-	blk.WarpsIn++
-	return blk
-}
-
 // endFallthrough closes a clause with no terminal instruction.
 func (e *execContext) endFallthrough(w *warp, next int, blk *stats.CFGBlock, act uint64) (warpStatus, error) {
 	if blk != nil {
@@ -460,9 +427,8 @@ func (e *execContext) endFallthrough(w *warp, next int, blk *stats.CFGBlock, act
 
 // execTerminal applies a clause-terminal control-flow instruction as the
 // interpreter does: immediates and the BRC predicate decoded here, every
-// counter live. It is the specification of the terminal runWarp applies
-// pre-decoded, and what the warp engine itself still calls when it needs
-// the CFG's block bookkeeping or meets a predicate it could not resolve.
+// counter and CFG edge live. It is the specification of the terminal
+// runWarp applies pre-decoded and commitTallies accounts.
 //
 //simlint:commit -- commits control-flow and divergence counters
 func (e *execContext) execTerminal(w *warp, in *Instr, next int, blk *stats.CFGBlock, act uint64) (warpStatus, error) {

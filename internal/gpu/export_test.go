@@ -55,8 +55,7 @@ const (
 )
 
 // TapeSizes counts the micro-ops of a warp-compiled program's clause tapes,
-// and of the tapes a warp can enter on a plain run: the heads reachable
-// from clause 0. With off zero it measures p's own tapes, otherwise p
+// and of the tapes a warp can enter: the heads reachable from clause 0. With off zero it measures p's own tapes, otherwise p
 // compiled afresh without the rewrites in off.
 func TapeSizes(p *Program, off Rewrite) (clauseOps, headOps int) {
 	wp := p.warp
@@ -79,7 +78,7 @@ func TapeSizes(p *Program, off Rewrite) (clauseOps, headOps int) {
 		switch t.tk {
 		case tkBR:
 			enter(t.tgt)
-		case tkBRC, tkInterp:
+		case tkBRC:
 			enter(t.tgt)
 			enter(t.rejoin)
 		}

@@ -66,13 +66,8 @@ func accumulates(k uopKind) bool {
 
 // termTemps returns the temporaries t's terminal reads.
 func (t *tape) termTemps() tempMask {
-	switch t.tk {
-	case tkBRC:
-		if t.pred.vec {
-			return tempBit(t.pred.row)
-		}
-	case tkInterp:
-		return allTemps
+	if t.tk == tkBRC && t.pred.vec {
+		return tempBit(t.pred.row)
 	}
 	return 0
 }
@@ -108,7 +103,7 @@ func liveOut(clauses []tape) []tempMask {
 			switch t.tk {
 			case tkBR:
 				succ[1] = t.tgt
-			case tkBRC, tkInterp:
+			case tkBRC:
 				succ[1], succ[2] = t.tgt, t.rejoin
 			}
 			out[ci] = 0

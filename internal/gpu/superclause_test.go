@@ -128,8 +128,8 @@ func TestSuperClauseFusionShapes(t *testing.T) {
 		if foldedBR != 1 || brMark < 0 || entryMark < brMark {
 			t.Errorf("folded-BR bumps %d (mark %d), c1's entry mark %d: want 1, ahead of c1's entry", foldedBR, brMark, entryMark)
 		}
-		if chain.term == nil || chain.term.Op != OpRET {
-			t.Errorf("chain terminal = %v, want the final clause's RET", chain.term)
+		if chain.tk != tkRET {
+			t.Errorf("chain terminal kind = %v, want the final clause's RET", chain.tk)
 		}
 	})
 

@@ -26,7 +26,9 @@ import (
 // ends — a core's shard is private until execJob merges it, so nothing
 // can observe when the counts are added. A tape that stops early commits
 // the marks it reached (abortTape), the interpreter's totals at that
-// point. Memory instructions CAN fault and abort the warp mid-instruction,
+// point. The CFG under collection is derived from the same tallies
+// (cfgCommit), so it lacks a faulting tape's entry; a faulted run renders
+// no CFG. Memory instructions CAN fault and abort the warp mid-instruction,
 // so the per-lane loops count live, interleaved with the walker calls
 // exactly as the interpreter interleaves them; an access execLeaf serves
 // cannot fault once its TLB probe hits, and warpPage counts it whole.
@@ -126,8 +128,10 @@ func commitMarks(gs *stats.GPUStats, marks []mark, entries, lanes uint64) {
 	}
 }
 
-// tally counts the warps that ran a tape to its end, and their active lanes.
-type tally struct{ entries, lanes uint64 }
+// tally counts the warps that ran a tape to its end and their active
+// lanes; for a BRC terminal also the lanes that took the branch and the
+// entries that split.
+type tally struct{ entries, lanes, taken, div uint64 }
 
 // abortTape accounts a tape that stopped at ops[pc] — a fault or an
 // interpreter-fallback error: its entry leaves the tally and exactly the
@@ -143,10 +147,9 @@ func (e *execContext) abortTape(t *tape, ty *tally, pc int, act uint64) {
 	commitMarks(e.gs, t.marks[:n], 1, act)
 }
 
-// commitTallies adds every completed tape's statistics to the core's shard
-// and zeroes the tallies: runWorkgroups calls it on every path out. Under
-// CFG collection execTerminal has counted the terminals live; otherwise
-// their static counts ride along.
+// commitTallies adds every completed tape's statistics to the core's shard,
+// and to the CFG being collected, and zeroes the tallies: runWorkgroups
+// calls it on every path out.
 //
 //simlint:commit -- commits the tallied tapes' pre-summed counters
 func (e *execContext) commitTallies() {
@@ -155,15 +158,55 @@ func (e *execContext) commitTallies() {
 		if ty.entries == 0 {
 			continue
 		}
-		t := &e.tapes[ci]
+		t := &e.tape.heads[ci]
 		commitMarks(e.gs, t.marks, ty.entries, ty.lanes)
-		if e.cfg == nil {
-			t.termSt.commit(e.gs, ty.lanes)
-			if t.tk == tkBRC {
-				e.gs.Branches += ty.entries
-			}
+		t.termSt.commit(e.gs, ty.lanes)
+		if t.tk == tkBRC {
+			e.gs.Branches += ty.entries
+			e.gs.DivergentBranches += ty.div
+		}
+		if e.cfg != nil {
+			e.cfgCommit(ci, t, ty)
 		}
 		*ty = tally{}
+	}
+}
+
+// termNames are the CFG's terminator strings, execTerminal's.
+var termNames = [...]string{tkFall: "fallthrough", tkBR: "br", tkBRC: "brc", tkRET: "ret", tkBARRIER: "barrier"}
+
+// cfgCommit adds what ty tallied of the tape t headed at clause head to the
+// CFG, as execClause adds it clause by clause: each of the tape's clauses
+// was entered by every one of its warps with the same lanes, each interior
+// clause left them all to its fallthrough or BR target, and the terminal's
+// edges follow from the tally. Not inlined, so that a new block's or
+// edge's allocations are not attributed to commitTallies, which the
+// hotalloc gate pins at zero.
+//
+//go:noinline
+func (e *execContext) cfgCommit(head int, t *tape, ty *tally) {
+	for i, ci := 0, head; i < t.n; i, ci = i+1, e.tape.clauses[ci].tgt {
+		c := &e.tape.clauses[ci]
+		blk := e.cfg.Block(e.prog.Clauses[ci].Addr)
+		blk.WarpsIn += ty.entries
+		blk.ThreadsIn += ty.lanes
+		blk.Terminator = termNames[c.tk]
+		switch c.tk {
+		case tkFall, tkBR: // every interior clause's
+			blk.Out[e.clauseAddr(c.tgt)] += ty.lanes
+		case tkBARRIER:
+			blk.Out[e.clauseAddr(c.next)] += ty.lanes
+		case tkRET:
+			blk.ExitCount += ty.lanes
+		case tkBRC:
+			if ty.taken > 0 {
+				blk.Out[e.clauseAddr(c.tgt)] += ty.taken
+			}
+			if fall := ty.lanes - ty.taken; fall > 0 {
+				blk.Out[e.clauseAddr(c.next)] += fall
+			}
+			blk.Diverged += ty.div
+		}
 	}
 }
 

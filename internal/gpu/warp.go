@@ -48,7 +48,6 @@ const (
 	tkBRC
 	tkRET
 	tkBARRIER
-	tkInterp // a BRC whose predicate operand does not resolve: execTerminal decodes it per lane
 )
 
 // tape is one executable unit of the warp engine: the micro-ops of a
@@ -59,9 +58,8 @@ const (
 type tape struct {
 	ops   []uop
 	marks []mark
-	term  *Instr // terminal of the (final) clause, for execTerminal; nil = fallthrough
-	next  int    // (final) clause index + 1: the terminal's "next"
-	n     int    // clauses covered; ≥ 2 for a superclause chain
+	next  int // (final) clause index + 1: the terminal's "next"
+	n     int // clauses covered; ≥ 2 for a superclause chain
 
 	// The terminal as runWarp applies it: a branch's target (next for a
 	// fallthrough) and reconvergence clause, a BRC's predicate (a row when pred.vec, else a
@@ -75,9 +73,10 @@ type tape struct {
 
 // warpProgram is the compiled form of a Program. heads[ci] is what runs
 // when a warp enters clause ci: the superclause chain headed there, or the
-// clause alone. clauses[ci] is always the clause alone — CFG collection
-// needs per-clause block bookkeeping and bypasses the chains. The side
-// tables are indexed by uop.imm.
+// clause alone. clauses[ci] is always the clause alone: the optimiser
+// rewrites it, buildSuperClauses chains it and cfgCommit walks a chain's
+// clauses through it; nothing runs it. The side tables are indexed by
+// uop.imm.
 type warpProgram struct {
 	clauses []tape
 	heads   []tape
@@ -151,7 +150,7 @@ func warpCompileWith(p *Program, rw rewrite) *warpProgram {
 
 // terminal decodes a clause's terminal instruction into its tape.
 func (b *tapeBuilder) terminal(t *tape, in *Instr) {
-	t.term, t.termSt.cf = in, 1
+	t.termSt.cf = 1
 	switch in.Op {
 	case OpBR:
 		t.tk, t.tgt = tkBR, in.BranchTarget()
@@ -161,12 +160,8 @@ func (b *tapeBuilder) terminal(t *tape, in *Instr) {
 		t.tk = tkBARRIER
 	case OpBRC:
 		t.tk, t.tgt, t.rejoin = tkBRC, in.BranchTarget(), in.Reconverge()
-		var ok bool
-		if t.pred, ok = b.operand(in.A, in.Imm); ok {
-			t.termSt.count(t.pred.ctr)
-		} else {
-			t.tk, t.termSt = tkInterp, tapeStats{}
-		}
+		t.pred = b.operand(in.A, in.Imm)
+		t.termSt.count(t.pred.ctr)
 	}
 }
 
@@ -187,35 +182,35 @@ func tapeFallbackReason(in *Instr) string {
 	return ""
 }
 
-// operand resolves a source operand byte. It fails only for a clause-
-// temporary index beyond NumTemp, which ParseBinary rejects.
-func (b *tapeBuilder) operand(o uint8, imm uint32) (operand, bool) {
+// operand resolves a source operand byte. A clause temporary's index is
+// below NumTemp: ParseBinary rejects any other.
+func (b *tapeBuilder) operand(o uint8, imm uint32) operand {
 	kind, idx := OperKind(o)
 	switch kind {
 	case OperGRF:
-		return operand{vec: true, row: o, ctr: ctrGRFRead}, true
+		return operand{vec: true, row: o, ctr: ctrGRFRead}
 	case OperTemp:
-		return operand{vec: true, row: o, ctr: ctrTempAcc}, idx < NumTemp
+		return operand{vec: true, row: o, ctr: ctrTempAcc}
 	case OperUniform:
-		return operand{uv: uint32(idx), ctr: ctrConstRead}, true
+		return operand{uv: uint32(idx), ctr: ctrConstRead}
 	}
 	switch {
 	case idx == SpecImm:
-		return operand{uv: b.constSlot(uint64(imm)), ctr: ctrROMRead}, true
+		return operand{uv: b.constSlot(uint64(imm)), ctr: ctrROMRead}
 	case idx == SpecROM:
 		var v uint64
 		if int(imm) < len(b.p.ROM) {
 			v = b.p.ROM[imm]
 		}
-		return operand{uv: b.constSlot(v), ctr: ctrROMRead}, true
+		return operand{uv: b.constSlot(v), ctr: ctrROMRead}
 	case idx >= SpecGIDX && idx <= SpecLIDZ:
-		return operand{vec: true, row: rowGID + idx - SpecGIDX}, true
+		return operand{vec: true, row: rowGID + idx - SpecGIDX}
 	case idx >= SpecWGIDX && idx <= SpecLSZZ:
-		return operand{uv: uvWGID + uint32(idx-SpecWGIDX)}, true
+		return operand{uv: uvWGID + uint32(idx-SpecWGIDX)}
 	}
 	// SpecZero and the undefined dense specials read as zero with no
 	// counter, as read() does.
-	return operand{uv: uvZero}, true
+	return operand{uv: uvZero}
 }
 
 func (b *tapeBuilder) constSlot(v uint64) uint32 {
@@ -319,13 +314,12 @@ func (b *tapeBuilder) lower(in *Instr) {
 		b.alu().nop++
 		return
 	}
-	A, okA := b.operand(in.A, in.Imm)
-	B, okB := b.operand(in.B, in.Imm)
-	if tapeFallbackReason(in) != "" || !okA || !okB {
+	if tapeFallbackReason(in) != "" {
 		b.ops = append(b.ops, mkUop(kLaneInterp, 0, 0, 0, b.slowIdx(slowOp{in: in})))
 		b.run = -1
 		return
 	}
+	A, B := b.operand(in.A, in.Imm), b.operand(in.B, in.Imm)
 	if Classify(in.Op) == ClassLS {
 		b.lowerMem(in, A, B)
 		return
@@ -454,26 +448,21 @@ func buildSuperClauses(p *Program, wp *warpProgram, dup bool) []tape {
 	// succ[ci] is ci's fusable successor (-1 if its terminal ends the
 	// straight-line region).
 	succ := make([]int, n)
-	for ci := range p.Clauses {
+	for ci := range wp.clauses {
 		succ[ci] = -1
-		t := wp.clauses[ci].term
-		switch {
-		case t == nil:
-			if ci+1 < n {
-				succ[ci] = ci + 1
+		switch t := &wp.clauses[ci]; t.tk {
+		case tkFall, tkBR:
+			if t.tgt < n { // the last clause falls through out of the program
+				succ[ci] = t.tgt
 			}
-		case t.Op == OpBR:
-			succ[ci] = t.BranchTarget() // target range checked by ParseBinary
-		case t.Op == OpBRC:
-			markEntry(t.BranchTarget())
-			markEntry(t.Reconverge())
+		case tkBRC:
+			markEntry(t.tgt)
+			markEntry(t.rejoin)
 			markEntry(ci + 1)
-			if r := t.Reconverge(); r < n {
-				rejoin[r] = true
+			if t.rejoin < n {
+				rejoin[t.rejoin] = true
 			}
-		case t.Op == OpBARRIER:
-			markEntry(ci + 1)
-		case t.Op == OpRET:
+		case tkBARRIER, tkRET:
 			markEntry(ci + 1)
 		}
 	}
@@ -528,7 +517,7 @@ func buildSuperClauses(p *Program, wp *warpProgram, dup bool) []tape {
 		var ops []uop
 		var marks []mark
 		for i, ci := range chain {
-			if i > 0 && wp.clauses[chain[i-1]].term != nil {
+			if i > 0 && wp.clauses[chain[i-1]].tk != tkFall {
 				marks = append(marks, mark{pos: int32(len(ops)), slot: -1, st: wp.clauses[chain[i-1]].termSt})
 			}
 			for _, m := range wp.clauses[ci].marks {

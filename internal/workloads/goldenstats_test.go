@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"mobilesim/internal/cl"
@@ -237,53 +238,57 @@ func TestCountersIndependentOfHostThreads(t *testing.T) {
 	}
 }
 
-// TestStatsIdenticalWithCFGCollection compares the warp engine's two ways of
-// accounting a clause with each other and with the interpreter's: a plain
-// run tallies whole superclause chains, terminals included, and commits
-// them at job end; a run collecting the CFG executes every clause's own
-// tape and counts its terminal live. A workload has one GPU statistics
-// record whichever ran — divergent (BFS), barrier-heavy (Reduction), many
-// small jobs (BitonicSort), dense (SobelFilter). One host thread: BFS's
+// TestStatsIdenticalWithCFGCollection runs every Table II workload at small
+// scale on each engine with and without CFG collection. A workload has one
+// GPU statistics record whichever ran, and one CFG on both engines: the
+// interpreter builds it clause by clause as it runs, the warp engine
+// derives it from the tallies of the tapes it ran. One host thread: BFS's
 // guest race makes its counters a function of core timing on more.
 func TestStatsIdenticalWithCFGCollection(t *testing.T) {
-	for _, name := range []string{"BFS", "BitonicSort", "Reduction", "SobelFilter"} {
-		spec, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ref stats.GPUStats
-		for i, eng := range []gpu.Engine{gpu.EngineInterp, gpu.EngineWarp} {
-			for _, withCFG := range []bool{false, true} {
-				gcfg := gpu.DefaultConfig()
-				gcfg.ShaderCores, gcfg.HostThreads, gcfg.Engine = 1, 1, eng
-				p, err := platform.New(platform.Config{RAMSize: 64 << 20, GPU: gcfg})
-				if err != nil {
-					t.Fatal(err)
-				}
-				c, err := cl.NewContext(p, "")
-				if err != nil {
+	for _, spec := range OfKind(KindBenchmark) {
+		t.Run(spec.Name, func(t *testing.T) {
+			var ref stats.GPUStats
+			var refCFG *stats.CFG
+			for i, eng := range []gpu.Engine{gpu.EngineInterp, gpu.EngineWarp} {
+				for _, withCFG := range []bool{false, true} {
+					gcfg := gpu.DefaultConfig()
+					gcfg.ShaderCores, gcfg.HostThreads, gcfg.Engine = 1, 1, eng
+					p, err := platform.New(platform.Config{RAMSize: 64 << 20, GPU: gcfg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, err := cl.NewContext(p, "")
+					if err != nil {
+						p.Close()
+						t.Fatal(err)
+					}
+					p.GPU.SetCollectCFG(withCFG)
+					res, err := spec.Make(spec.SmallScale).Run(bg, c, spec.Name, true)
+					gs, _ := p.GPU.Stats()
+					graph := p.GPU.CFGGraph()
 					p.Close()
-					t.Fatal(err)
-				}
-				p.GPU.SetCollectCFG(withCFG)
-				res, err := spec.Make(64).Run(bg, c, name, true)
-				gs, _ := p.GPU.Stats()
-				graph := p.GPU.CFGGraph().Render()
-				p.Close()
-				if err != nil || !res.Verified {
-					t.Fatalf("%s under %v: %+v, %v", name, eng, res, err)
-				}
-				if withCFG != (graph != "") {
-					t.Errorf("%s under %v: CFG collection %v, graph %q", name, eng, withCFG, graph)
-				}
-				if i == 0 && !withCFG {
-					ref = gs
-				} else if gs != ref {
-					t.Errorf("%s under %v, CFG collection %v: GPU statistics differ from the plain interpreter run's\ngot  %+v\nwant %+v",
-						name, eng, withCFG, gs, ref)
+					if err != nil || !res.Verified {
+						t.Fatalf("under %v: %+v, %v", eng, res, err)
+					}
+					if withCFG != (len(graph.Blocks) > 0) {
+						t.Errorf("under %v: CFG collection %v, graph %q", eng, withCFG, graph.Render())
+					}
+					if i == 0 && !withCFG {
+						ref = gs
+					} else if gs != ref {
+						t.Errorf("under %v, CFG collection %v: GPU statistics differ from the plain interpreter run's\ngot  %+v\nwant %+v",
+							eng, withCFG, gs, ref)
+					}
+					switch {
+					case !withCFG:
+					case i == 0:
+						refCFG = graph
+					case !reflect.DeepEqual(graph, refCFG):
+						t.Errorf("under %v: CFG differs from the interpreter's\ngot\n%s\nwant\n%s", eng, graph.Render(), refCFG.Render())
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // optimisation developed for NVIDIA GPUs, applied unchanged to the mobile
 // target. Dimensions must be multiples of 16. Each rung is registered as a
 // workload whose scale is the matrix dimension in units of 16 (the
-// ladder's tile size), so scale 4 is a 64×64×64 multiply.
+// ladder's tile size), so scale 4 is a 64×64×64 multiply; its small scale
+// is the smallest its own tile of C divides.
 
 func init() {
 	for _, v := range SgemmVariants() {
@@ -23,7 +24,7 @@ func init() {
 			Name: v.WorkloadName(), Kind: KindSgemm, Suite: "myGEMM",
 			Description: fmt.Sprintf("SGEMM ladder step %d (%s), scale = dim/16", v.ID, v.Name),
 			Profile:     &v.Profile,
-			SmallScale:  1, DefaultScale: 4, PaperScale: 16,
+			SmallScale:  v.smallScale(), DefaultScale: 4, PaperScale: 16,
 			Make: func(scale int) *Instance { return makeSgemmRung(v, 16*scale) },
 		})
 	}
@@ -57,6 +58,23 @@ type SgemmVariant struct {
 	// cost model (coalescing and register blocking are not visible in
 	// aggregate counters).
 	Profile costmodel.KernelProfile
+}
+
+// tiles reports whether the rung's workgroups tile an m×n C. Each variant
+// tiles C by its own workgroup footprint (threads per group × elements per
+// thread), which for the blocked variants is coarser than 16.
+func (v SgemmVariant) tiles(m, n int) bool {
+	g := v.Global(m, n)
+	return g[0]%v.Local[0] == 0 && g[1]%v.Local[1] == 0
+}
+
+// smallScale is the smallest scale whose matrix the rung's workgroups tile.
+func (v SgemmVariant) smallScale() int {
+	s := 1
+	for !v.tiles(16*s, 16*s) {
+		s++
+	}
+	return s
 }
 
 // WorkloadName is the rung's registry name, e.g. "sgemm6/naive".
@@ -121,10 +139,8 @@ func RunSgemmVariant(ctx context.Context, c *cl.Context, v SgemmVariant, a, b []
 	if m%16 != 0 || n%16 != 0 || k%16 != 0 {
 		return nil, fmt.Errorf("workloads: sgemm dims must be multiples of 16 (got %dx%dx%d)", m, n, k)
 	}
-	// Each variant tiles C by its own workgroup footprint (threads per
-	// group × elements per thread), which for the blocked variants is
-	// coarser than 16.
-	if g := v.Global(m, n); g[0]%v.Local[0] != 0 || g[1]%v.Local[1] != 0 {
+	if !v.tiles(m, n) {
+		g := v.Global(m, n)
 		return nil, fmt.Errorf("workloads: sgemm variant %s tiles C in %dx%d blocks; m=%d n=%d is not a multiple",
 			v.Name, uint32(m)/g[1]*v.Local[1], uint32(n)/g[0]*v.Local[0], m, n)
 	}

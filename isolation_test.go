@@ -74,19 +74,18 @@ func TestSessionsLeaveNoGuestBytesBehind(t *testing.T) {
 		}
 		base.Close()
 		for _, w := range Workloads() {
-			for _, opts := range [][]NewOption{nil, {FromSnapshot(snap)}} {
-				s, err := New(cfg, opts...)
+			for _, fork := range []bool{false, true} {
+				var s *Session
+				if fork {
+					s, err = New(Config{}, FromSnapshot(snap))
+				} else {
+					s, err = New(cfg)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				// sgemm6/2dregblocking refuses its SmallScale (16x16 is not
-				// a multiple of its 32x32 tile), so allow one step up.
-				_, err = s.Run(context.Background(), w.Name, WithScale(w.SmallScale))
-				if err != nil {
-					_, err = s.Run(context.Background(), w.Name, WithScale(2*w.SmallScale))
-				}
-				if err != nil {
-					t.Errorf("%s threads=%d fork=%t: %v", w.Name, threads, opts != nil, err)
+				if _, err := s.Run(context.Background(), w.Name, WithScale(w.SmallScale)); err != nil {
+					t.Errorf("%s threads=%d fork=%t: %v", w.Name, threads, fork, err)
 				}
 				s.Close()
 			}

@@ -217,12 +217,12 @@ func TestBadConfig(t *testing.T) {
 		s.Close()
 	}
 
-	// A bad per-job config must fail the whole batch up front, before
-	// any session boots.
-	bad := mobilesim.Config{CompilerVersion: "9.9"}
-	batch := &mobilesim.Batch{Jobs: []mobilesim.BatchJob{
-		{Benchmark: "BinarySearch", Scale: 1, Config: &bad},
-	}}
+	// A bad batch Config must fail the whole batch up front, before any
+	// session boots.
+	batch := &mobilesim.Batch{
+		Jobs:   []mobilesim.BatchJob{{Benchmark: "BinarySearch", Scale: 1}},
+		Config: mobilesim.Config{CompilerVersion: "9.9"},
+	}
 	if _, err := batch.Run(context.Background()); err == nil {
 		t.Error("batch accepted job with bad config")
 	}

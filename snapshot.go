@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"mobilesim/internal/clc"
-	"mobilesim/internal/gpu"
 	"mobilesim/internal/snapshot"
 )
 
@@ -103,64 +101,18 @@ type newOptions struct {
 // content pages and no guest boot code runs, so the session is ready to
 // run in microseconds.
 //
-// The session's shape is the snapshot's. cfg may override the one
-// host-side knob: a non-zero HostThreads replaces the snapshot's.
-// Architectural fields (RAMSize, ShaderCores, CompilerVersion) must be
-// zero or equal to the snapshot's — the corresponding state is baked into
-// the image.
+// The session's configuration is the snapshot's own (Snapshot.Config):
+// New's cfg must be the zero Config.
 func FromSnapshot(snap *Snapshot) NewOption {
 	return func(o *newOptions) { o.snap = snap }
 }
 
-// mergeSnapshotConfig resolves the effective configuration of a restored
-// session (see FromSnapshot). Architectural fields in cfg are compared
-// against the snapshot's *resolved* shape, so asking for the defaults
-// explicitly (e.g. ShaderCores: 8 or CompilerVersion: "6.1" against a
-// snapshot captured with the zero defaults) is accepted.
-func mergeSnapshotConfig(cfg Config, snap *Snapshot) (Config, error) {
-	eff := snap.Config()
-	snapRAM := eff.RAMSize
-	if snapRAM == 0 {
-		snapRAM = snap.st.Platform.RAM.Size()
-	}
-	snapSC := eff.ShaderCores
-	if snapSC == 0 {
-		snapSC = gpu.DefaultConfig().ShaderCores
-	}
-	snapVer := eff.CompilerVersion
-	if snapVer == "" {
-		snapVer = clc.DefaultVersion
-	}
-	type mismatch struct {
-		field string
-		want  any
-		have  any
-	}
-	var bad *mismatch
-	switch {
-	case cfg.RAMSize != 0 && cfg.RAMSize != snapRAM:
-		bad = &mismatch{"RAMSize", snapRAM, cfg.RAMSize}
-	case cfg.ShaderCores != 0 && cfg.ShaderCores != snapSC:
-		bad = &mismatch{"ShaderCores", snapSC, cfg.ShaderCores}
-	case cfg.CompilerVersion != "" && cfg.CompilerVersion != snapVer:
-		bad = &mismatch{"CompilerVersion", snapVer, cfg.CompilerVersion}
-	}
-	if bad != nil {
-		return Config{}, fmt.Errorf("mobilesim: FromSnapshot: %s %v does not match the snapshot's %v",
-			bad.field, bad.have, bad.want)
-	}
-	if cfg.HostThreads != 0 {
-		eff.HostThreads = cfg.HostThreads
-	}
-	return eff, nil
-}
-
 // newFromSnapshot is the restore arm of New.
 func newFromSnapshot(cfg Config, snap *Snapshot) (*Session, error) {
-	eff, err := mergeSnapshotConfig(cfg, snap)
-	if err != nil {
-		return nil, err
+	if cfg != (Config{}) {
+		return nil, fmt.Errorf("mobilesim: FromSnapshot restores the snapshot's own Config; New's cfg must be Config{}, not %+v", cfg)
 	}
+	eff := snap.Config()
 	if err := eff.validate(); err != nil {
 		return nil, err
 	}

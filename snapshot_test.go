@@ -402,7 +402,9 @@ func TestCloseDuringQueuedSnapshot(t *testing.T) {
 	}
 }
 
-// TestFromSnapshotConfigRules pins the merge semantics of FromSnapshot.
+// TestFromSnapshotConfigRules: a fork runs under the snapshot's own
+// Config, and New refuses any other cfg beside FromSnapshot — a different
+// shape, a restatement of the snapshot's, or a host-side knob alike.
 func TestFromSnapshotConfigRules(t *testing.T) {
 	parent, err := mobilesim.New(snapCfg)
 	if err != nil {
@@ -413,64 +415,28 @@ func TestFromSnapshotConfigRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Mismatching architectural shape is refused.
-	if _, err := mobilesim.New(mobilesim.Config{RAMSize: 512 << 20}, mobilesim.FromSnapshot(snap)); err == nil {
-		t.Fatal("RAM mismatch accepted")
-	}
-	if _, err := mobilesim.New(mobilesim.Config{ShaderCores: 2}, mobilesim.FromSnapshot(snap)); err == nil {
-		t.Fatal("shader-core mismatch accepted")
-	}
-	// Explicitly restating the snapshot's shape is fine.
-	s, err := mobilesim.New(mobilesim.Config{RAMSize: 256 << 20}, mobilesim.FromSnapshot(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	// HostThreads is a host-side knob and may be overridden.
-	s, err = mobilesim.New(mobilesim.Config{HostThreads: 3}, mobilesim.FromSnapshot(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Config().HostThreads; got != 3 {
-		t.Fatalf("HostThreads override lost: %d", got)
-	}
-	res, err := s.Run(context.Background(), "URNG")
-	if err != nil || res.VerifyErr != nil {
-		t.Fatalf("overridden session run: %v / %v", err, res.VerifyErr)
-	}
-	s.Close()
-}
-
-// TestFromSnapshotAcceptsRestatedDefaults: against a snapshot of the zero
-// Config, each architectural field may name the default it resolved to —
-// the compiler version included — while a different version is refused.
-func TestFromSnapshotAcceptsRestatedDefaults(t *testing.T) {
-	parent, err := mobilesim.New(mobilesim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parent.Close()
-	snap, err := parent.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		cfg mobilesim.Config
-		ok  bool
-	}{
-		{mobilesim.Config{CompilerVersion: "6.1"}, true},
-		{mobilesim.Config{ShaderCores: 8}, true},
-		{mobilesim.Config{RAMSize: 512 << 20}, true},
-		{mobilesim.Config{CompilerVersion: "5.6"}, false},
+	for _, cfg := range []mobilesim.Config{
+		{RAMSize: 512 << 20},
+		{ShaderCores: 2},
+		{CompilerVersion: "5.6"},
+		snapCfg,
+		{RAMSize: 256 << 20},
+		{HostThreads: 3},
 	} {
-		s, err := mobilesim.New(tc.cfg, mobilesim.FromSnapshot(snap))
-		if err == nil {
+		if s, err := mobilesim.New(cfg, mobilesim.FromSnapshot(snap)); err == nil {
 			s.Close()
+			t.Errorf("New(%+v, FromSnapshot) accepted", cfg)
+		} else if !strings.Contains(err.Error(), "Config{}") {
+			t.Errorf("New(%+v, FromSnapshot): %v, want an error naming Config{}", cfg, err)
 		}
-		if (err == nil) != tc.ok {
-			t.Errorf("%+v: accepted %v, want %v (%v)", tc.cfg, err == nil, tc.ok, err)
-		}
+	}
+	s, err := mobilesim.New(mobilesim.Config{}, mobilesim.FromSnapshot(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.Config(); got != snapCfg {
+		t.Errorf("fork's Config = %+v, want the snapshot's %+v", got, snapCfg)
 	}
 }
 
