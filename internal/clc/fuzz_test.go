@@ -12,17 +12,10 @@ import (
 
 // FuzzCLCParse feeds arbitrary CLite source to the compiler: every input
 // up to 64 KiB compiles or returns an error, and none panics. The seeds are
-// the kernel sources of every registered workload: the SGEMM ladder's rungs
-// as SgemmVariants lists them, the others read out of the compile memo
-// after one small-scale run of each.
+// the kernel sources of every registered workload, read out of the compile
+// memo after one run of each at its SmallScale.
 func FuzzCLCParse(f *testing.F) {
-	for _, v := range workloads.SgemmVariants() {
-		f.Add(v.Kernel)
-	}
 	for _, spec := range workloads.All() {
-		if spec.Kind == workloads.KindSgemm {
-			continue
-		}
 		p, err := platform.New(platform.Config{RAMSize: 256 << 20})
 		if err != nil {
 			f.Fatal(err)

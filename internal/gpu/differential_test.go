@@ -50,6 +50,7 @@ type diffFeatures struct {
 	withLocal, withDiverge, withMisalign, withCross, withStride bool
 	withUniformBranch, withFault                                bool
 	withTempAcross, withTempPred, withTempAcc                   bool
+	withBoolRetest                                              bool
 }
 
 // diffUnmapped is an address no differential rig maps.
@@ -182,6 +183,46 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, f diffFeatures) *gpu.Progr
 			{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.T(3)},
 			{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(27)},
 		}})
+	}
+
+	if f.withBoolRetest {
+		// Re-tests of rows the optimiser's rwBool must judge (r28..r31):
+		// of a compare, of an OR of one with a row that is not boolean, of
+		// a compare a load has overwritten; a BRC on the icmpeq of a
+		// compare, its temporary dead after the terminal, and one whose
+		// temporary the clause behind the terminal reads.
+		k := len(prog.Clauses)
+		prog.Clauses = append(prog.Clauses,
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpICMPLT, Dst: gpu.T(0), A: gpu.R(4), B: gpu.R(3)},
+				{Op: gpu.OpOR, Dst: gpu.T(1), A: gpu.T(0), B: gpu.R(8)},
+				{Op: gpu.OpICMPNE, Dst: gpu.R(28), A: gpu.T(1), B: gpu.S(gpu.SpecZero)},
+				{Op: gpu.OpICMPNE, Dst: gpu.R(29), A: gpu.T(0), B: gpu.Imm},
+				{Op: gpu.OpFCMPLT, Dst: gpu.T(2), A: gpu.R(3), B: gpu.R(4)},
+				{Op: gpu.OpLDG, Dst: gpu.T(2), A: gpu.R(1)},
+				{Op: gpu.OpICMPNE, Dst: gpu.R(30), A: gpu.T(2), B: gpu.S(gpu.SpecZero)},
+				{Op: gpu.OpICMPEQ, Dst: gpu.T(3), A: gpu.T(0), B: gpu.S(gpu.SpecZero)},
+				{Op: gpu.OpBRC, A: gpu.T(3), Imm: gpu.BranchImm(k+2, k+2)},
+			}},
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(28)},
+			}},
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(29)},
+				{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(30)},
+				{Op: gpu.OpICMPLE, Dst: gpu.T(1), A: gpu.R(3), B: gpu.R(4)},
+				{Op: gpu.OpICMPEQ, Dst: gpu.R(31), A: gpu.T(1), B: gpu.Imm},
+				{Op: gpu.OpICMPEQ, Dst: gpu.T(3), A: gpu.T(1), B: gpu.Imm},
+				{Op: gpu.OpBRC, A: gpu.T(3), Imm: gpu.BranchImm(k+4, k+4)},
+			}},
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpIADD, Dst: gpu.R(8), A: gpu.R(8), B: gpu.Imm, Imm: 0x33},
+			}},
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.T(3)},
+				{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(31)},
+			}},
+		)
 	}
 
 	if f.withStride {
@@ -388,7 +429,8 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 	nALU := int(nALUSel % 48)
 	// The low half of the seed picks the sections the corpus has always
 	// had; bits 32 and 33 add the uniform branches and the faulting clause,
-	// bits 34 to 36 the temporaries the tape optimiser must leave alone.
+	// bits 34 to 36 the temporaries the tape optimiser must leave alone, bit
+	// 37 the boolean re-tests.
 	f := diffFeatures{
 		withLocal:         seed%3 == 0,
 		withDiverge:       seed%2 == 0,
@@ -400,6 +442,7 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 		withTempAcross:    seed>>34&1 != 0,
 		withTempPred:      seed>>35&1 != 0,
 		withTempAcc:       seed>>36&1 != 0,
+		withBoolRetest:    seed>>37&1 != 0,
 	}
 	want := uint32(gpu.IRQJobDone)
 	if f.withFault {
@@ -477,6 +520,11 @@ func FuzzDifferentialEngines(f *testing.F) {
 	// operand order: both engines canonicalise it.
 	f.Add(uint64(122), uint8(0xfb), uint8(74), uint8(76))
 	f.Add(uint64(122), uint8(0x05), uint8(0x84), uint8(0x1c))
+	// Boolean re-tests the optimiser rewrites and ones it must leave
+	// alone, in a divergent kernel over a partial tail warp and in a kernel
+	// that does not diverge.
+	f.Add(uint64(1<<37|8), uint8(5), uint8(6), uint8(18))
+	f.Add(uint64(1<<37|7), uint8(3), uint8(3), uint8(22))
 	f.Fuzz(func(t *testing.T, seed uint64, threadsSel, localSel, nALUSel uint8) {
 		runDifferential(t, seed, threadsSel, localSel, nALUSel)
 	})

@@ -131,8 +131,8 @@ type execContext struct {
 	stop  *atomic.Bool // soft-stop latch, polled at clause boundaries
 
 	// tape is the program's warp-engine artifact when this context runs
-	// on it (nil on the interpreter), tallies[ci] what the warps that ran
-	// the chain head at clause ci to its end did since the last
+	// on it (nil on the interpreter), tallies[k] what the warps that ran
+	// tape.chains[k] to its end did since the last
 	// commitTallies, and uvals the table the tapes' warp-uniform operands
 	// are read from (see bindTape).
 	tape    *warpProgram
@@ -154,26 +154,31 @@ type execContext struct {
 var clauseBudget = 1 << 24
 
 // runWarp executes the warp until it terminates or reaches a barrier, in
-// one loop: each iteration enters one clause — on the warp engine the tape
-// that runs there, a whole superclause chain where one starts — or takes
-// one step of the zero-active walk. A pending soft-stop is honoured where
-// an iteration starts: a stopped kernel never splits a clause, and a tape
-// has no back edge, so a stop waits for at most one tape. Every clause
-// entered counts against the budget — each clause of a chain, and a clause
-// that ends at a barrier — as does every step of the zero-active walk.
+// one loop: each iteration enters one clause — on the warp engine the chain
+// headed there — or takes one step of the zero-active walk. A pending
+// soft-stop is honoured where an iteration starts: a stopped kernel never
+// splits a clause, and a tape has no back edge, so a stop waits for at most
+// one tape. Every clause entered counts against the budget — each clause of
+// a chain, and a clause that ends at a barrier — as does every step of the
+// zero-active walk.
 //
-// On the warp engine every control-flow edge lands on a chain head
-// (buildSuperClauses). execLeaf runs the micro-ops that need no call and
-// hands back the first one that does — a memory access, a slow ALU op, the
-// interpreter fallback — which runs here, so that the hot loop keeps its
-// state in registers. act and mask (the row a divergent warp commits its
-// results under) change only where active does. A terminal that lands back
-// on the head it entered, with active unchanged, re-enters that tape
-// without the lookup: the entry popped every frame rejoining there, and
-// the tape pushed none. A tape's statistics are its tally: the warps and
-// lanes that entered it and, for a BRC, the lanes that took it and the
-// entries that split. commitTallies derives every counter and the CFG from
-// them, so runWarp writes no statistics field.
+// On the warp engine every clause heads a chain in each of two tables
+// (buildChains), and the divergence stack picks the table where a warp
+// enters a tape: the flat one, which runs through reconvergence clauses,
+// when the stack is empty, else the heads one, which stops before them.
+// Only a BRC terminal pushes a frame and a BRC ends a tape, so no rejoin
+// falls inside a tape the stack chose. execLeaf runs the micro-ops that
+// need no call and hands back the first one that does — a memory access, a
+// slow ALU op, the interpreter fallback — which runs here, so that the hot
+// loop keeps its state in registers. act and mask (the row a divergent warp
+// commits its results under) change only where active does. A terminal
+// that lands back on the head it entered, with active unchanged, re-enters
+// that tape without the lookup: the entry popped every frame rejoining
+// there, and the tape pushed none, so the stack picks the same table. A
+// tape's statistics are its tally: the warps and lanes that entered it and,
+// for a BRC, the lanes that took it and the entries that split.
+// commitTallies derives every counter and the CFG from them, so runWarp
+// writes no statistics field.
 func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 	act, mask := w.activeSet()
 	var t *tape
@@ -217,7 +222,11 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				continue
 			}
 			if e.tape != nil {
-				head, t, ty = w.pc, &e.tape.heads[w.pc], &e.tallies[w.pc]
+				k := w.pc
+				if len(w.stack) == 0 {
+					k += len(e.tape.clauses) // the flat table: no frame to rejoin
+				}
+				head, t, ty = w.pc, &e.tape.chains[k], &e.tallies[k]
 			}
 		}
 
@@ -280,8 +289,8 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				// Inactive and dead lanes of the predicate row are masked off.
 				taken := w.active
 				if t.pred.vec {
-					p := &w.rows[t.pred.row]
-					taken &= laneMask(b2u(p[0] != 0) | b2u(p[1] != 0)<<1 | b2u(p[2] != 0)<<2 | b2u(p[3] != 0)<<3)
+					p, x := &w.rows[t.pred.row], t.pred.neg
+					taken &= laneMask(b2u(p[0]^x != 0) | b2u(p[1]^x != 0)<<1 | b2u(p[2]^x != 0)<<2 | b2u(p[3]^x != 0)<<3)
 				} else if e.uvals[t.pred.uv] == 0 {
 					taken = 0
 				}
@@ -339,7 +348,7 @@ func (e *execContext) bindTape() {
 		return
 	}
 	e.tape = e.prog.warp
-	if n := len(e.tape.heads); cap(e.tallies) < n {
+	if n := len(e.tape.chains); cap(e.tallies) < n {
 		e.tallies = make([]tally, n)
 	} else {
 		e.tallies = e.tallies[:n]

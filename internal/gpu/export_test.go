@@ -1,5 +1,7 @@
 package gpu
 
+import "sync/atomic"
+
 // UsePrivateProgramCache gives the jobs a test starts from now on an empty
 // program cache, so that ProgramCacheStats counts the test's decodes alone,
 // and returns the function that restores the process-wide cache.
@@ -48,16 +50,22 @@ type Rewrite = rewrite
 
 // The rewrites a test can switch off one at a time.
 const (
-	RewriteForward   = rwForward
-	RewriteFuseAddr  = rwFuseAddr
-	RewriteFuseTail  = rwFuseTail
-	RewriteDupHeader = rwDupHeader
+	RewriteForward  = rwForward
+	RewriteFuseAddr = rwFuseAddr
+	RewriteFuseTail = rwFuseTail
+	RewriteBool     = rwBool
 )
 
+// heads is the chain table of a warp inside a divergent region, flat that
+// of a warp with an empty divergence stack.
+func (wp *warpProgram) heads() []tape { return wp.chains[:len(wp.clauses)] }
+func (wp *warpProgram) flat() []tape  { return wp.chains[len(wp.clauses):] }
+
 // TapeSizes counts the micro-ops of a warp-compiled program's clause tapes,
-// and of the tapes a warp can enter: the heads reachable from clause 0. With off zero it measures p's own tapes, otherwise p
-// compiled afresh without the rewrites in off.
-func TapeSizes(p *Program, off Rewrite) (clauseOps, headOps int) {
+// and of the tapes a warp can enter in each chain table: those reachable
+// from clause 0 through the table's own tapes. With off zero it measures
+// p's own tapes, otherwise p compiled afresh without the rewrites in off.
+func TapeSizes(p *Program, off Rewrite) (clauseOps, headOps, flatOps int) {
 	wp := p.warp
 	if off != 0 {
 		wp = warpCompileWith(p, allRewrites&^off)
@@ -65,15 +73,21 @@ func TapeSizes(p *Program, off Rewrite) (clauseOps, headOps int) {
 	for _, t := range wp.clauses {
 		clauseOps += len(t.ops)
 	}
-	seen := make([]bool, len(wp.heads))
+	return clauseOps, reachableOps(wp.heads()), reachableOps(wp.flat())
+}
+
+// reachableOps sums the micro-ops of the tapes of table reachable from
+// clause 0.
+func reachableOps(table []tape) (ops int) {
+	seen := make([]bool, len(table))
 	var enter func(ci int)
 	enter = func(ci int) {
-		if ci >= len(wp.heads) || seen[ci] {
+		if ci >= len(table) || seen[ci] {
 			return
 		}
 		seen[ci] = true
-		t := &wp.heads[ci]
-		headOps += len(t.ops)
+		t := &table[ci]
+		ops += len(t.ops)
 		enter(t.next)
 		switch t.tk {
 		case tkBR:
@@ -84,7 +98,19 @@ func TapeSizes(p *Program, off Rewrite) (clauseOps, headOps int) {
 		}
 	}
 	enter(0)
-	return clauseOps, headOps
+	return ops
+}
+
+// CountTapes counts, from now on, the tapes every warp-engine job enters
+// and the micro-ops they run, and returns the function that reads both
+// counts and the one that stops counting.
+func CountTapes() (read func() (entries, uops uint64), restore func()) {
+	var entries, uops atomic.Uint64
+	countTapes = func(e, u uint64) {
+		entries.Add(e)
+		uops.Add(u)
+	}
+	return func() (uint64, uint64) { return entries.Load(), uops.Load() }, func() { countTapes = nil }
 }
 
 // SetClauseBudget lowers the per-warp runaway guard for a test and returns

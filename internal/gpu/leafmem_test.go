@@ -266,7 +266,7 @@ func TestLeafMemoryMatchesInterp(t *testing.T) {
 
 				r := newMemRig(t, EngineWarp, in, sh)
 				_, mask := r.w.activeSet()
-				ops := r.ec.tape.heads[0].ops
+				ops := r.ec.tape.heads()[0].ops
 				if served, want := r.ec.execLeaf(r.w, ops, 0, mask) == len(ops), leafServes(in, sh); served != want {
 					t.Errorf("execLeaf served the access: %v, want %v", served, want)
 				}

@@ -3,11 +3,10 @@ package gpu
 import "slices"
 
 // The tape optimiser (DESIGN.md §9). warpCompile runs it over the clause
-// tapes between lowering and chaining. It rewrites micro-ops only: the
-// marks beside a tape keep the statistics of the instructions as written,
-// so every counter, every guest byte and the warp schedule are those of the
-// literal tape. Forwarding and address fusion shorten a clause tape here;
-// loop-header duplication is a chain shape, built by buildSuperClauses.
+// tapes between lowering and chaining. It rewrites micro-ops and BRC
+// predicates only: the marks beside a tape keep the statistics of the
+// instructions as written, so every counter, every guest byte and the warp
+// schedule are those of the literal tape.
 //
 // Forwarding and fusion depend on which clause temporaries a later
 // micro-op may still read. Temporaries keep their values across clauses in
@@ -18,16 +17,12 @@ import "slices"
 type rewrite uint8
 
 const (
-	rwForward   rewrite = 1 << iota // op tN; mov rM, tN → op rM
+	rwForward   rewrite = 1 << iota // op tN; …; mov rM, tN → op rM; …
 	rwFuseAddr                      // imul → iadd → mul64 → add64 → kAddr
 	rwFuseTail                      // mul64 → add64 → kAddrTail
-	rwDupHeader                     // a BR's short target ends the chain
-	allRewrites = rwForward | rwFuseAddr | rwFuseTail | rwDupHeader
+	rwBool                          // a boolean row's re-test → a move, or a negated BRC predicate
+	allRewrites = rwForward | rwFuseAddr | rwFuseTail | rwBool
 )
-
-// maxDupOps bounds the micro-ops of a clause loop-header duplication
-// copies into a chain.
-const maxDupOps = 8
 
 // tempMask is a set of clause temporaries, bit i for t<i>.
 type tempMask uint8
@@ -125,6 +120,9 @@ func (wp *warpProgram) optimise(rw rewrite) {
 	out := liveOut(wp.clauses)
 	for ci := range wp.clauses {
 		t := &wp.clauses[ci]
+		if rw&rwBool != 0 {
+			wp.bools(t, out[ci])
+		}
 		end := out[ci] | t.termTemps()
 		if rw&rwForward != 0 {
 			t.forward(end)
@@ -142,23 +140,100 @@ func forwardable(k uopKind) bool {
 	return k == kSplat || k == kSlow || k >= kVV && !accumulates(k)
 }
 
-// forward rewrites op tN; mov rM, tN into op rM where tN is dead after the
-// move. A masked warp writes the active lanes of rM in either form, and
-// the inactive lanes in neither.
+// forward rewrites op tN; …; mov rM, tN into op rM; … where tN is dead
+// after the move and the micro-ops between are leaf ALU cases that neither
+// read nor write tN or rM: none of them can fault, so no abort sees rM
+// written early, and none reads either row. A masked warp writes the
+// active lanes of rM in either form, and the inactive lanes in neither.
 func (t *tape) forward(end tempMask) {
 	after := make([]tempMask, len(t.ops))
 	liveBefore(t.ops, end, after)
-	for i := 0; i+1 < len(t.ops); i++ {
-		u, mv := t.ops[i], t.ops[i+1]
+	for i := 0; i < len(t.ops); i++ {
+		u := t.ops[i]
 		tn := tempBit(u.d())
-		if tn == 0 || !forwardable(u.kind()) || mv.kind() != kVV+uopKind(OpMOV) || mv.a() != u.d() || after[i+1]&tn != 0 {
+		if tn == 0 || !forwardable(u.kind()) {
 			continue
 		}
-		t.ops[i] = mkUop(u.kind(), mv.d(), u.a(), u.b(), u.imm())
-		t.cut(i+1, 1)
-		after = slices.Delete(after, i, i+1)
+		for j := i + 1; j < len(t.ops); j++ {
+			mv := t.ops[j]
+			if mv.kind() == kVV+uopKind(OpMOV) && mv.a() == u.d() {
+				if after[j]&tn == 0 && !slices.ContainsFunc(t.ops[i+1:j], func(v uop) bool { return v.touches(mv.d()) }) {
+					t.ops[i] = mkUop(u.kind(), mv.d(), u.a(), u.b(), u.imm())
+					t.cut(j, 1)
+					after = after[:len(t.ops)]
+					liveBefore(t.ops, end, after)
+					i-- // the new destination may be a temporary another move reads
+				}
+				break
+			}
+			if !leafALU(mv.kind()) || mv.touches(u.d()) {
+				break
+			}
+		}
 	}
 }
+
+// leafALU reports an execLeaf case that cannot fault: every one but the
+// memory micro-ops.
+func leafALU(k uopKind) bool {
+	return k == kSplat || k == kAddr || k == kAddrTail || k >= kVV
+}
+
+// touches reports whether u, a leaf ALU micro-op, may read or write row
+// r. A row field u does not use is 0, so r0 counts as read by every
+// micro-op that leaves one unused.
+func (u uop) touches(r uint8) bool { return u.d() == r || u.a() == r || u.b() == r }
+
+// isZero reports a uvals slot that holds zero in every job.
+func (wp *warpProgram) isZero(uv uint32) bool {
+	return uv == uvZero || uv >= uvConsts && wp.consts[uv-uvConsts] == 0
+}
+
+// bools rewrites the re-tests of boolean rows in the clause tape t, whose
+// terminal leaves the temporaries in live live. A boolean row is one whose
+// written lanes are all 0 or 1: written, earlier in the same clause tape
+// and not overwritten since, by a compare, by an AND or OR of two boolean
+// rows or by a move of one. A tape runs under one mask, so the lanes a
+// re-test reads are lanes written so. icmpne d, b, 0 of a boolean b becomes
+// mov d, b (forwarding may then remove the move); and a BRC whose predicate
+// is icmpeq p, b, 0 of a boolean b — the tape's last micro-op, p a
+// temporary dead after the terminal — reads b negated instead, and the
+// icmpeq goes.
+func (wp *warpProgram) bools(t *tape, live tempMask) {
+	var isBool [numRows]bool
+	negate := false
+	for i, u := range t.ops {
+		k, out := u.kind(), false
+		switch {
+		case k >= kVV && isCompare[Opcode((k-kVV)%uopKind(NumOpcodes))]:
+			out = true
+		case k == kVV+uopKind(OpAND) || k == kVV+uopKind(OpOR):
+			out = isBool[u.a()] && isBool[u.b()]
+		case k == kVV+uopKind(OpMOV):
+			out = isBool[u.a()]
+		}
+		retest := (k == kVU+uopKind(OpICMPNE) || k == kVU+uopKind(OpICMPEQ)) && isBool[u.a()] && wp.isZero(u.imm())
+		switch {
+		case retest && k == kVU+uopKind(OpICMPNE):
+			t.ops[i] = mkUop(kVV+uopKind(OpMOV), u.d(), u.a(), 0, 0)
+		case retest && i == len(t.ops)-1:
+			p := t.pred.row
+			negate = t.tk == tkBRC && t.pred.vec && p == u.d() && tempBit(p)&^live != 0
+		}
+		if k == kLaneInterp {
+			isBool = [numRows]bool{}
+		}
+		isBool[u.d()] = out
+	}
+	if negate {
+		t.pred.row, t.pred.neg = t.ops[len(t.ops)-1].a(), 1
+		t.cut(len(t.ops)-1, 1)
+	}
+}
+
+// isCompare marks the opcodes whose result is 0 or 1.
+var isCompare = [NumOpcodes]bool{OpICMPEQ: true, OpICMPNE: true, OpICMPLT: true, OpICMPLE: true,
+	OpUCMPLT: true, OpFCMPEQ: true, OpFCMPLT: true, OpFCMPLE: true}
 
 // The address idiom's micro-ops: clc computes &p[i*w + j] as imul, iadd,
 // a widening mul64 by the element size and an add64 of the base.

@@ -37,7 +37,7 @@ var optimiserCases = []optimiserCase{
 			[]Instr{{Op: OpIADD, Dst: R(10), A: R(9), B: R(1)}, {Op: OpRET}},
 		),
 		shape: func(t *testing.T, wp *warpProgram) {
-			if wp.heads[0].n != 2 {
+			if wp.heads()[0].n != 2 {
 				t.Errorf("the two clauses did not form one chain")
 			}
 		},
@@ -60,7 +60,7 @@ var optimiserCases = []optimiserCase{
 			[]Instr{{Op: OpIADD, Dst: R(11), A: R(10), B: R(2)}, {Op: OpRET}},
 		),
 		shape: func(t *testing.T, wp *warpProgram) {
-			if wp.heads[0].n != 2 || wp.heads[0].tk != tkBRC {
+			if wp.heads()[0].n != 2 || wp.heads()[0].tk != tkBRC {
 				t.Errorf("c0 and the BRC did not form one chain")
 			}
 		},
@@ -104,18 +104,109 @@ var optimiserCases = []optimiserCase{
 		},
 	},
 	{
-		// c1 ends in a BR to c3, a short clause the BRC in c0 reconverges
-		// at: the lanes that branched to c2 must join there first.
-		name: "rejoin_clause_is_not_duplicated",
+		// rwBool: the icmpne of a compare's AND becomes a move forwarded
+		// into the AND across a leaf op that touches neither row, and the
+		// BRC reads t0 negated in place of the icmpeq of it.
+		name: "boolean_retests",
 		prog: progOf(
-			[]Instr{{Op: OpAND, Dst: R(9), A: S(SpecGIDX), B: Imm, Imm: 1}, {Op: OpBRC, A: R(9), Imm: BranchImm(2, 3)}},
-			[]Instr{{Op: OpIADD, Dst: R(10), A: R(1), B: Imm, Imm: 0x100}, {Op: OpBR, Imm: 3}},
-			[]Instr{{Op: OpIADD, Dst: R(10), A: R(1), B: Imm, Imm: 0x200}},
-			[]Instr{{Op: OpIADD, Dst: R(11), A: R(10), B: R(2)}, {Op: OpRET}},
+			[]Instr{
+				{Op: OpICMPLT, Dst: T(0), A: R(1), B: R(2)},
+				{Op: OpFCMPLT, Dst: T(1), A: R(2), B: R(8)},
+				{Op: OpAND, Dst: T(2), A: T(0), B: T(1)},
+				{Op: OpIADD, Dst: R(12), A: R(1), B: R(2)},
+				{Op: OpICMPNE, Dst: R(9), A: T(2), B: S(SpecZero)},
+				{Op: OpICMPEQ, Dst: T(3), A: T(0), B: Imm},
+				{Op: OpBRC, A: T(3), Imm: BranchImm(2, 2)},
+			},
+			[]Instr{{Op: OpIADD, Dst: R(10), A: R(1), B: Imm, Imm: 0x100}},
+			[]Instr{{Op: OpIADD, Dst: R(11), A: R(9), B: R(2)}, {Op: OpRET}},
 		),
 		shape: func(t *testing.T, wp *warpProgram) {
-			if n := wp.heads[1].n; n != 1 {
-				t.Errorf("c1's BR into the rejoin clause became a %d-clause chain", n)
+			c := &wp.clauses[0]
+			if len(c.ops) != 4 || c.ops[2].kind() != kVV+uopKind(OpAND) || c.ops[2].d() != R(9) {
+				t.Errorf("the re-test of the AND did not become the AND into r9: %d micro-ops", len(c.ops))
+			}
+			if c.pred.row != T(0) || c.pred.neg != 1 {
+				t.Errorf("the BRC reads row %d negated %d, want t0 negated", c.pred.row, c.pred.neg)
+			}
+		},
+	},
+	{
+		// A move that forwarding may not reach back across: a micro-op
+		// between reads the move's destination r9, or the temporary t1.
+		name: "forward_blocked_between",
+		prog: progOf(
+			[]Instr{
+				{Op: OpIADD, Dst: T(0), A: R(1), B: R(2)},
+				{Op: OpIADD, Dst: R(10), A: R(9), B: R(1)},
+				{Op: OpMOV, Dst: R(9), A: T(0)},
+				{Op: OpIADD, Dst: T(1), A: R(1), B: Imm, Imm: 3},
+				{Op: OpIADD, Dst: R(11), A: T(1), B: R(2)},
+				{Op: OpMOV, Dst: R(12), A: T(1)},
+				{Op: OpRET},
+			},
+		),
+	},
+	{
+		// A load between the producer and the move faults: the abort must
+		// find r9 as the interpreter left it, unwritten.
+		name: "forward_not_across_a_fault",
+		prog: progOf(
+			[]Instr{
+				{Op: OpIADD, Dst: T(0), A: R(1), B: R(2)},
+				{Op: OpLDG, Dst: R(13), A: Imm, Imm: 0xdead_0000},
+				{Op: OpMOV, Dst: R(9), A: T(0)},
+				{Op: OpRET},
+			},
+		),
+	},
+	{
+		// Neither an OR of a compare with r8 nor a sum is boolean: both
+		// re-tests stay.
+		name: "retest_of_a_row_that_is_not_boolean",
+		prog: progOf(
+			[]Instr{
+				{Op: OpICMPLT, Dst: T(0), A: R(1), B: R(2)},
+				{Op: OpOR, Dst: T(1), A: T(0), B: R(8)},
+				{Op: OpICMPNE, Dst: R(9), A: T(1), B: S(SpecZero)},
+				{Op: OpIADD, Dst: T(2), A: R(1), B: R(2)},
+				{Op: OpICMPNE, Dst: R(10), A: T(2), B: Imm},
+				{Op: OpRET},
+			},
+		),
+	},
+	{
+		// A compare's result overwritten by a load and by a slow op before
+		// its re-test is no longer boolean.
+		name: "boolean_row_overwritten",
+		prog: progOf(
+			[]Instr{
+				{Op: OpICMPLT, Dst: R(12), A: R(1), B: R(2)},
+				{Op: OpLDG, Dst: R(12), A: R(4)},
+				{Op: OpICMPNE, Dst: R(9), A: R(12), B: S(SpecZero)},
+				{Op: OpFCMPLT, Dst: T(0), A: R(1), B: R(2)},
+				{Op: OpFMIN, Dst: T(0), A: R(1), B: R(8)},
+				{Op: OpICMPNE, Dst: R(10), A: T(0), B: Imm},
+				{Op: OpRET},
+			},
+		),
+	},
+	{
+		// The BRC's icmpeq writes t1, which c2 reads after the terminal:
+		// the icmpeq stays.
+		name: "brc_retest_read_after_the_terminal",
+		prog: progOf(
+			[]Instr{
+				{Op: OpICMPLT, Dst: T(0), A: R(1), B: R(2)},
+				{Op: OpICMPEQ, Dst: T(1), A: T(0), B: S(SpecZero)},
+				{Op: OpBRC, A: T(1), Imm: BranchImm(2, 2)},
+			},
+			[]Instr{{Op: OpIADD, Dst: R(9), A: R(1), B: Imm, Imm: 0x100}},
+			[]Instr{{Op: OpIADD, Dst: R(10), A: T(1), B: R(2)}, {Op: OpRET}},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			if c := &wp.clauses[0]; len(c.ops) != 2 || c.pred.neg != 0 {
+				t.Errorf("the icmpeq feeding the BRC went although c2 reads its result")
 			}
 		},
 	},

@@ -3,105 +3,155 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"mobilesim/internal/stats"
 )
 
-// Structural tests for superclause fusion (DESIGN.md §9). The differential
-// and edge suites prove fused programs *behave* like the interpreter;
-// these pin the fusion decisions themselves — which chains form and,
-// just as important, which control-flow shapes must break them.
+// Structural tests for the chain tables (DESIGN.md §9). The differential
+// and edge suites prove chained programs *behave* like the interpreter;
+// these pin the chain decisions themselves — which chains form and, just as
+// important, where a chain must end.
 
-// aluClause is a minimal fusable clause body.
+// aluClause is a minimal clause body.
 func aluClause() Clause {
 	return Clause{Instrs: []Instr{{Op: OpIADD, Dst: R(8), A: R(1), B: R(2)}}}
 }
 
-// superShape compiles the program for the warp engine and returns, per
-// clause index, the fused chain length headed there (0 = no chain).
-func superShape(t *testing.T, clauses ...Clause) []int {
+// chainShape compiles the program for the warp engine and returns, per
+// clause index, the number of clauses of the chain headed there in the
+// heads table and in the flat table.
+func chainShape(t *testing.T, clauses ...Clause) (heads, flat []int) {
 	t.Helper()
 	p := &Program{RegCount: 16, Clauses: clauses}
 	for i := range p.Clauses {
 		p.Clauses[i].Addr = uint64(i) * 0x10
 	}
 	p.compile(EngineWarp)
-	shape := make([]int, len(clauses))
-	for ci, t := range p.warp.heads {
-		if t.n > 1 {
-			shape[ci] = t.n
-		}
+	for ci := range clauses {
+		heads = append(heads, p.warp.heads()[ci].n)
+		flat = append(flat, p.warp.flat()[ci].n)
 	}
-	return shape
+	return heads, flat
 }
 
 func TestSuperClauseFusionShapes(t *testing.T) {
-	brc := func(target, rejoin int) Clause {
-		return Clause{Instrs: []Instr{{Op: OpBRC, A: R(7), Imm: BranchImm(target, rejoin)}}}
+	brc := func(c Clause, target, rejoin int) Clause {
+		c.Instrs = append(c.Instrs, Instr{Op: OpBRC, A: R(7), Imm: BranchImm(target, rejoin)})
+		return c
 	}
-	withTerm := func(c Clause, op Opcode) Clause {
-		c.Instrs = append(c.Instrs, Instr{Op: op})
+	withTerm := func(c Clause, op Opcode, imm uint32) Clause {
+		c.Instrs = append(c.Instrs, Instr{Op: op, Imm: imm})
 		return c
 	}
 
 	t.Run("straight_line_fuses_whole_program", func(t *testing.T) {
-		got := superShape(t, aluClause(), aluClause(), aluClause(), withTerm(aluClause(), OpRET))
-		if got[0] != 4 {
-			t.Errorf("shape = %v, want one 4-clause chain at 0", got)
+		heads, flat := chainShape(t, aluClause(), aluClause(), aluClause(), withTerm(aluClause(), OpRET, 0))
+		if want := []int{4, 3, 2, 1}; fmt.Sprint(heads) != fmt.Sprint(want) || fmt.Sprint(flat) != fmt.Sprint(want) {
+			t.Errorf("heads %v, flat %v: want %v in both, every clause the head of the chain to the RET", heads, flat, want)
 		}
 	})
 
-	t.Run("branch_into_mid_chain_breaks_fusion", func(t *testing.T) {
-		// c0→c1→c2 would fuse, but c3's BRC targets c1: c1 must stay an
-		// independently executable chain head, so c0 fuses with nothing
-		// and the chain restarts at c1 (absorbing c2 and the BRC clause).
-		got := superShape(t,
-			aluClause(),                  // c0
-			aluClause(),                  // c1: branch target
-			aluClause(),                  // c2
-			brc(1, 4),                    // c3
-			withTerm(aluClause(), OpRET), // c4: rejoin
+	t.Run("heads_stop_before_rejoin_flat_runs_through", func(t *testing.T) {
+		// c0's BRC reconverges at c3, which both paths reach: c1 through
+		// a BR, c2 by falling through. Inside the divergent region a path
+		// must stop before c3; with no frame to rejoin it runs on.
+		heads, flat := chainShape(t,
+			brc(aluClause(), 2, 3),          // c0
+			withTerm(aluClause(), OpBR, 3),  // c1: fall path
+			aluClause(),                     // c2: taken path
+			withTerm(aluClause(), OpRET, 0), // c3: rejoin
 		)
-		if got[0] != 0 {
-			t.Errorf("c0 fused a chain of %d across a branch target", got[0])
+		if want := []int{1, 1, 1, 1}; fmt.Sprint(heads) != fmt.Sprint(want) {
+			t.Errorf("heads %v, want %v: no chain runs into the rejoin clause", heads, want)
 		}
-		if got[1] != 3 {
-			t.Errorf("shape = %v, want a 3-clause chain at c1", got)
+		if want := []int{1, 2, 2, 1}; fmt.Sprint(flat) != fmt.Sprint(want) {
+			t.Errorf("flat %v, want %v: both paths run on through the rejoin clause", flat, want)
 		}
 	})
 
 	t.Run("barrier_breaks_fusion_both_sides", func(t *testing.T) {
-		// The BARRIER terminal parks the warp (no fusing past it), and the
-		// resume clause is an entry (warps re-enter there after the
-		// rendezvous) — but the post-barrier straight line still fuses.
-		got := superShape(t,
-			withTerm(aluClause(), OpBARRIER), // c0
-			aluClause(),                      // c1: barrier resume
-			withTerm(aluClause(), OpRET),     // c2
+		// The BARRIER terminal parks the warp, and the resume clause heads
+		// a chain of its own.
+		heads, flat := chainShape(t,
+			withTerm(aluClause(), OpBARRIER, 0), // c0
+			aluClause(),                         // c1: barrier resume
+			withTerm(aluClause(), OpRET, 0),     // c2
 		)
-		if got[0] != 0 {
-			t.Errorf("fused across a barrier: shape = %v", got)
+		if want := []int{1, 2, 1}; fmt.Sprint(heads) != fmt.Sprint(want) || fmt.Sprint(flat) != fmt.Sprint(want) {
+			t.Errorf("heads %v, flat %v: want %v in both", heads, flat, want)
 		}
-		if got[1] != 2 {
-			t.Errorf("post-barrier chain missing: shape = %v", got)
+	})
+
+	t.Run("loop_body_ends_with_the_header_brc", func(t *testing.T) {
+		// c1 is a loop header whose BRC leaves for c3; the body c2 BRs back
+		// to it. The body's chain runs the header, terminal included, so an
+		// iteration enters one tape.
+		p := &Program{RegCount: 16, Clauses: []Clause{
+			aluClause(),                     // c0: preheader
+			brc(aluClause(), 3, 3),          // c1: header
+			withTerm(aluClause(), OpBR, 1),  // c2: body
+			withTerm(aluClause(), OpRET, 0), // c3: exit
+		}}
+		p.compile(EngineWarp)
+		for name, table := range map[string][]tape{"heads": p.warp.heads(), "flat": p.warp.flat()} {
+			if body := table[2]; body.n != 2 || body.tk != tkBRC || body.tgt != 3 {
+				t.Errorf("%s: the body's chain covers %d clauses and ends in terminal %v to %d, want 2 ending in the header's BRC to c3", name, body.n, body.tk, body.tgt)
+			}
+			if pre := table[0]; pre.n != 2 || pre.tk != tkBRC {
+				t.Errorf("%s: the preheader's chain covers %d clauses, want it and the header", name, pre.n)
+			}
+		}
+	})
+
+	t.Run("cycle_guard", func(t *testing.T) {
+		// Two clauses BR to each other with no BRC between: each chain
+		// holds both once and ends in the BR back to its own head.
+		p := &Program{RegCount: 16, Clauses: []Clause{
+			withTerm(aluClause(), OpBR, 1),
+			withTerm(aluClause(), OpBR, 0),
+		}}
+		p.compile(EngineWarp)
+		for _, table := range [][]tape{p.warp.heads(), p.warp.flat()} {
+			for ci, c := range table {
+				if c.n != 2 || c.tk != tkBR || c.tgt != ci || len(c.ops) != 2 {
+					t.Errorf("chain at c%d: %d clauses, %d micro-ops, terminal %v to %d; want both clauses once, back to c%d", ci, c.n, len(c.ops), c.tk, c.tgt, ci)
+				}
+			}
+		}
+	})
+
+	t.Run("size_bound", func(t *testing.T) {
+		// Clauses of 20 micro-ops: a chain takes three (60), not a fourth
+		// (80 > maxChainOps); a clause longer than the bound heads a chain
+		// alone.
+		wide := func(n int) Clause {
+			var c Clause
+			for i := 0; i < n; i++ {
+				c.Instrs = append(c.Instrs, Instr{Op: OpIADD, Dst: R(8 + i%4), A: R(1), B: R(2)})
+			}
+			return c
+		}
+		heads, flat := chainShape(t, wide(20), wide(20), wide(20), wide(20), wide(maxChainOps+1), withTerm(wide(20), OpRET, 0))
+		if want := []int{3, 3, 2, 1, 1, 1}; fmt.Sprint(heads) != fmt.Sprint(want) || fmt.Sprint(flat) != fmt.Sprint(want) {
+			t.Errorf("heads %v, flat %v: want %v in both", heads, flat, want)
 		}
 	})
 
 	t.Run("unconditional_br_fuses_single_pred_target", func(t *testing.T) {
 		p := &Program{RegCount: 16, Clauses: []Clause{
-			withTerm(aluClause(), OpBR), // c0: BR → c1 (Imm set below)
-			withTerm(aluClause(), OpRET),
+			withTerm(aluClause(), OpBR, 1), // c0: BR → c1
+			withTerm(aluClause(), OpRET, 0),
 		}}
-		p.Clauses[0].Instrs[1].Imm = 1
 		for i := range p.Clauses {
 			p.Clauses[i].Addr = uint64(i) * 0x10
 		}
 		p.compile(EngineWarp)
-		chain := p.warp.heads[0]
+		chain := p.warp.heads()[0]
 		if chain.n != 2 {
-			t.Fatalf("BR into single-pred clause did not fuse")
+			t.Fatalf("BR into the next clause did not chain")
 		}
 		// No micro-op separates the clauses, and the folded BR is still
 		// accounted as a control-flow instruction — exactly once, by a
@@ -132,23 +182,51 @@ func TestSuperClauseFusionShapes(t *testing.T) {
 			t.Errorf("chain terminal kind = %v, want the final clause's RET", chain.tk)
 		}
 	})
+}
 
-	t.Run("two_predecessors_block_fusion", func(t *testing.T) {
-		// Both c0 (BR) and c1 (fallthrough) enter the join c2: absorbing it
-		// into either chain would execute it on the wrong path. The BR's
-		// chain may end in a copy of a short join, terminal included, while
-		// the join stays its own head.
-		br2 := withTerm(aluClause(), OpBR)
-		br2.Instrs[1].Imm = 2
-		if got := superShape(t, br2, aluClause(), withTerm(aluClause(), OpRET)); got[0] != 2 || got[1] != 0 || got[2] != 0 {
-			t.Errorf("shape = %v, want only c0's BR chain ending in a copy of the join", got)
+// TestDivergentWarpWaitsAtRejoin runs a warp that diverges at c0's BRC:
+// its fall path c1 reaches the reconvergence clause c3 through a BR, the
+// taken path c2 by falling through. A warp that enters c0 with an empty
+// divergence stack runs the flat table, and the paths the heads table:
+// the fall path must stop before c3 and wait there for the taken path, so
+// that c3 runs once, under the joined mask. Registers, statistics and the
+// CFG are the interpreter's.
+func TestDivergentWarpWaitsAtRejoin(t *testing.T) {
+	prog := progOf(
+		[]Instr{{Op: OpAND, Dst: R(9), A: S(SpecGIDX), B: Imm, Imm: 1}, {Op: OpBRC, A: R(9), Imm: BranchImm(2, 3)}},
+		[]Instr{{Op: OpIADD, Dst: R(10), A: R(1), B: Imm, Imm: 0x100}, {Op: OpBR, Imm: 3}},
+		[]Instr{{Op: OpIADD, Dst: R(10), A: R(1), B: Imm, Imm: 0x200}},
+		[]Instr{{Op: OpIADD, Dst: R(11), A: R(10), B: R(2)}, {Op: OpRET}},
+	)
+	for i := range prog.Clauses {
+		prog.Clauses[i].Addr = uint64(i) * 0x10
+	}
+	prog.compile(EngineWarp)
+	r := newTapeRig(t)
+	for _, sh := range warpShapes {
+		var cfgs [2]*stats.CFG
+		var regs [2][NumGRF + NumTemp]soaRow
+		var gss [2]stats.GPUStats
+		for i, eng := range []Engine{EngineInterp, EngineWarp} {
+			cfgs[i] = stats.NewCFG()
+			r.ec.cfg = cfgs[i]
+			var err error
+			regs[i], gss[i], _, err = r.run(t, prog, eng, sh.shape)
+			r.ec.cfg = nil
+			if err != nil {
+				t.Fatalf("[%s] engine %v: %v", sh.name, eng, err)
+			}
 		}
-		// A join that heads a chain of its own is neither copied nor ever
-		// absorbed mid-chain.
-		if got := superShape(t, br2, aluClause(), aluClause(), withTerm(aluClause(), OpRET)); got[0] != 0 || got[1] != 0 || got[2] != 2 {
-			t.Errorf("shape = %v, want only the join's own 2-clause chain", got)
+		if regs[0] != regs[1] {
+			t.Errorf("[%s] registers diverge\ninterp r10, r11 %x\nwarp   r10, r11 %x", sh.name, regs[0][10:12], regs[1][10:12])
 		}
-	})
+		if gss[0] != gss[1] {
+			t.Errorf("[%s] stats diverge\ninterp %+v\nwarp   %+v", sh.name, gss[0], gss[1])
+		}
+		if !reflect.DeepEqual(cfgs[0], cfgs[1]) {
+			t.Errorf("[%s] CFGs diverge", sh.name)
+		}
+	}
 }
 
 // warpShapes are the mask shapes every exactness test below runs under:
@@ -180,7 +258,7 @@ func TestSuperClauseSoftStopAtSegBoundary(t *testing.T) {
 		prog.Clauses[i].Addr = uint64(i) * 0x10
 	}
 	prog.compile(EngineWarp)
-	if prog.warp.heads[1].n != 2 {
+	if prog.warp.heads()[1].n != 2 {
 		t.Fatalf("the clauses behind the barrier did not fuse into a 2-clause chain")
 	}
 	for _, sh := range warpShapes {
@@ -286,7 +364,7 @@ func TestAbortedTapeCommitsWhatItReached(t *testing.T) {
 		{Instrs: []Instr{{Op: OpLDG, Dst: R(13), A: R(7)}, {Op: OpIADD, Dst: R(8), A: R(8), B: R(12)}, {Op: OpRET}}},
 	}}
 	prog.compile(EngineWarp)
-	if prog.warp.heads[0].n != 2 {
+	if prog.warp.heads()[0].n != 2 {
 		t.Fatalf("the two clauses did not fuse into one chain")
 	}
 	r := newTapeRig(t)

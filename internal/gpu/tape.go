@@ -8,7 +8,7 @@ import (
 )
 
 // The warp engine's executor (DESIGN.md §9): warpCompile lowers every
-// clause — and every superclause chain — to a flat tape of pre-decoded
+// clause — and every chain of clauses — to a flat tape of pre-decoded
 // micro-ops, and runWarp runs a tape for one whole warp with a single
 // dense switch. ALU cases are leaf code, the four lanes written out in the
 // case over rows of the warp's unified register file. A full warp's word
@@ -147,18 +147,18 @@ func (e *execContext) abortTape(t *tape, ty *tally, pc int, act uint64) {
 	commitMarks(e.gs, t.marks[:n], 1, act)
 }
 
-// commitTallies adds every completed tape's statistics to the core's shard,
-// and to the CFG being collected, and zeroes the tallies: runWorkgroups
-// calls it on every path out.
+// commitTallies adds every completed tape's statistics, in both chain
+// tables, to the core's shard, and to the CFG being collected, and zeroes
+// the tallies: runWorkgroups calls it on every path out.
 //
 //simlint:commit -- commits the tallied tapes' pre-summed counters
 func (e *execContext) commitTallies() {
-	for ci := range e.tallies {
-		ty := &e.tallies[ci]
+	for k := range e.tallies {
+		ty := &e.tallies[k]
 		if ty.entries == 0 {
 			continue
 		}
-		t := &e.tape.heads[ci]
+		t := &e.tape.chains[k]
 		commitMarks(e.gs, t.marks, ty.entries, ty.lanes)
 		t.termSt.commit(e.gs, ty.lanes)
 		if t.tk == tkBRC {
@@ -166,11 +166,19 @@ func (e *execContext) commitTallies() {
 			e.gs.DivergentBranches += ty.div
 		}
 		if e.cfg != nil {
-			e.cfgCommit(ci, t, ty)
+			e.cfgCommit(k%len(e.tape.clauses), t, ty)
+		}
+		if countTapes != nil {
+			countTapes(ty.entries, ty.entries*uint64(len(t.ops)))
 		}
 		*ty = tally{}
 	}
 }
+
+// countTapes, when set, is told the entries of every tape commitTallies
+// commits and the micro-ops they ran: a counting seam for the tests, which
+// the statistics must not carry — the interpreter has no tapes to count.
+var countTapes func(entries, uops uint64)
 
 // termNames are the CFG's terminator strings, execTerminal's.
 var termNames = [...]string{tkFall: "fallthrough", tkBR: "br", tkBRC: "brc", tkRET: "ret", tkBARRIER: "barrier"}

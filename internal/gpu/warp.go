@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"slices"
 
 	"mobilesim/internal/stats"
 )
@@ -9,12 +10,12 @@ import (
 // Warp-batched shader execution — the default engine tier (DESIGN.md §9).
 // warpCompile lowers every clause of a program to a flat tape of
 // pre-decoded micro-ops over the warp's unified SoA register file,
-// optimises those tapes (optimise.go), then concatenates fusable clause
-// sequences into superclause chain tapes; the executor and the micro-op
-// format live in tape.go. Every operand shape lowers to the tape — uniform
-// operands of ops without a vector∘uniform case are first broadcast into a
-// scratch row — so the only instructions left to the per-lane interpreter
-// are listed in tapeFallbackReason.
+// optimises those tapes (optimise.go), then concatenates each clause and
+// its fallthrough and BR successors into a chain tape; the executor and the
+// micro-op format live in tape.go. Every operand shape lowers to the tape —
+// uniform operands of ops without a vector∘uniform case are first broadcast
+// into a scratch row — so the only instructions left to the per-lane
+// interpreter are listed in tapeFallbackReason.
 
 // Row indices of warp.rows beyond the operand-addressable registers.
 // OperGRF = 0 and OperTemp = 1 make the operand bytes of r0..r63 and
@@ -51,7 +52,7 @@ const (
 )
 
 // tape is one executable unit of the warp engine: the micro-ops of a
-// clause's straight-line prefix — or of a whole superclause chain — with
+// clause's straight-line prefix — or of a whole chain of clauses — with
 // the statistics of their fault-free runs beside them (marks), plus the
 // clause-terminal control flow that ends it. Slots after the first
 // terminal are dead in every engine.
@@ -59,27 +60,29 @@ type tape struct {
 	ops   []uop
 	marks []mark
 	next  int // (final) clause index + 1: the terminal's "next"
-	n     int // clauses covered; ≥ 2 for a superclause chain
+	n     int // clauses covered; ≥ 2 for a chain
 
 	// The terminal as runWarp applies it: a branch's target (next for a
-	// fallthrough) and reconvergence clause, a BRC's predicate (a row when pred.vec, else a
-	// uvals slot) and what the terminal counts per active lane — CFInstr
-	// and the predicate's operand counter.
+	// fallthrough) and reconvergence clause, a BRC's predicate (a row, XORed
+	// with pred.neg, when pred.vec, else a uvals slot) and what the terminal
+	// counts per active lane — CFInstr and the predicate's operand counter.
 	tk          termKind
 	tgt, rejoin int
 	pred        operand
 	termSt      tapeStats
 }
 
-// warpProgram is the compiled form of a Program. heads[ci] is what runs
-// when a warp enters clause ci: the superclause chain headed there, or the
-// clause alone. clauses[ci] is always the clause alone: the optimiser
-// rewrites it, buildSuperClauses chains it and cfgCommit walks a chain's
-// clauses through it; nothing runs it. The side tables are indexed by
-// uop.imm.
+// warpProgram is the compiled form of a Program. chains holds the two
+// chain tables buildChains builds, one tape per clause each: chains[ci],
+// the heads table, is what a warp inside a divergent region runs when it
+// enters clause ci, and chains[n+ci], the flat table, what a warp with an
+// empty divergence stack runs there (n clauses). clauses[ci] is always the
+// clause alone: the optimiser rewrites it, buildChains chains it and
+// cfgCommit walks a chain's clauses through it; nothing runs it. The side
+// tables are indexed by uop.imm.
 type warpProgram struct {
 	clauses []tape
-	heads   []tape
+	chains  []tape
 	mems    []memOp
 	slow    []slowOp
 	addrs   [][3]uint32 // a fused address's uvals slots s1, s2, s3
@@ -94,12 +97,14 @@ type slowOp struct {
 }
 
 // operand is a source operand resolved at compile time: a row of the
-// register file, or a slot of the uniform table.
+// register file, or a slot of the uniform table. A BRC predicate row has
+// neg 1 when the optimiser has it read a boolean row negated (rwBool).
 type operand struct {
 	vec bool
 	row uint8
 	uv  uint32
 	ctr ctrKind
+	neg uint64
 }
 
 // tapeBuilder lowers instructions onto one clause tape.
@@ -114,7 +119,7 @@ type tapeBuilder struct {
 }
 
 // warpCompile lowers every clause of a program, optimises the clause tapes
-// and chains fusable clause sequences into superclauses.
+// and builds both chain tables.
 func warpCompile(p *Program) *warpProgram { return warpCompileWith(p, allRewrites) }
 
 // warpCompileWith is warpCompile with the optimiser's rewrites rw only.
@@ -144,7 +149,7 @@ func warpCompileWith(p *Program, rw rewrite) *warpProgram {
 		t.marks = b.marks[firstMark:len(b.marks):len(b.marks)]
 	}
 	wp.optimise(rw)
-	wp.heads = buildSuperClauses(p, wp, rw&rwDupHeader != 0)
+	wp.chains = append(buildChains(wp, true), buildChains(wp, false)...)
 	return wp
 }
 
@@ -406,115 +411,53 @@ func (b *tapeBuilder) lowerMem(in *Instr, A, B operand) {
 	b.run = -1
 }
 
-// buildSuperClauses computes the fusion chains and returns the head tapes.
-// A superclause is a chain of clauses fused across clause boundaries: each
-// non-final clause ends in a fallthrough or an unconditional BR, and each
-// non-head clause has exactly one control-flow predecessor and is never a
-// branch, reconvergence or barrier-resume target, so the whole chain runs
-// as one tape with one terminal round-trip. The active mask is provably
-// constant through the chain — masks only change at BRC/RET terminals,
-// which never appear mid-chain.
-//
-// A clause is an *entry* if control flow can land on it from anywhere
-// other than a unique fallthrough/BR predecessor: clause 0, BRC targets,
-// BRC fallthrough successors, BRC reconvergence points (the runWarp loop
-// re-enters there via the divergence stack), barrier successors (warps
-// resume there after the rendezvous), and RET successors (conservatively —
-// the zero-active stepping walk parks there). Entries must stay
-// independently executable chain heads. A clause B fuses into its
-// predecessor's chain iff B is not an entry and has exactly one
-// fallthrough/BR predecessor.
-//
-// With dup set, a chain that ends in a BR to a short clause H that is not
-// absorbed anywhere — a loop header, typically — runs H as well, terminal
-// included, so a loop iteration enters one tape instead of two; H stays
-// its own head for its other predecessors. H is not the chain's head,
-// heads no longer chain of its own (so no absorbed clause is entered
-// outside its chain) and is no BRC's reconvergence clause: runWarp checks
-// reconvergence only when it enters a tape, and a warp reaching a rejoin
-// clause mid-chain would run it without waiting for the other path.
-func buildSuperClauses(p *Program, wp *warpProgram, dup bool) []tape {
-	n := len(p.Clauses)
-	if n < 2 {
-		return wp.clauses
-	}
-	entry, rejoin := make([]bool, n), make([]bool, n)
-	entry[0] = true
-	markEntry := func(i int) {
-		if i >= 0 && i < n {
-			entry[i] = true
-		}
-	}
-	// succ[ci] is ci's fusable successor (-1 if its terminal ends the
-	// straight-line region).
-	succ := make([]int, n)
-	for ci := range wp.clauses {
-		succ[ci] = -1
-		switch t := &wp.clauses[ci]; t.tk {
-		case tkFall, tkBR:
-			if t.tgt < n { // the last clause falls through out of the program
-				succ[ci] = t.tgt
-			}
-		case tkBRC:
-			markEntry(t.tgt)
-			markEntry(t.rejoin)
-			markEntry(ci + 1)
-			if t.rejoin < n {
-				rejoin[t.rejoin] = true
-			}
-		case tkBARRIER, tkRET:
-			markEntry(ci + 1)
-		}
-	}
-	preds := make([]int, n)
-	for ci := range p.Clauses {
-		if s := succ[ci]; s >= 0 {
-			preds[s]++
-		}
-	}
-	absorbable := func(i int) bool { return !entry[i] && preds[i] == 1 }
+// maxChainOps bounds the micro-ops of a chain: a clause joins a chain only
+// while the chain stays within it. The chain's head always runs.
+const maxChainOps = 64
 
-	heads := wp.clauses
-	inChain := make([]bool, n)
-	for head := 0; head < n; head++ {
-		if absorbable(head) {
-			// Reached (if ever) only through its unique predecessor's
-			// chain; never a chain head of its own.
-			continue
+// buildChains returns one chain table: for every clause ci, the tape a warp
+// entering ci runs. That is ci and its fallthrough and BR successors, up to
+// the first BRC, RET or BARRIER terminal, a clause already in the chain (so
+// a loop body's chain ends where the loop header's BRC does, and no clause
+// runs twice in one tape) or maxChainOps micro-ops. The active mask is
+// constant through a chain: masks change only at BRC and RET terminals,
+// which end one. With stopAtRejoin a chain also ends before any BRC's
+// reconvergence clause, for a warp inside a divergent region: runWarp
+// checks reconvergence only where a warp enters a tape, and a warp reaching
+// a rejoin clause mid-tape would run it before the other path had. A warp
+// with an empty divergence stack has no frame to rejoin, so its table runs
+// through them.
+//
+// A chain tape is the clause tapes back to back, their marks re-based. An
+// unconditional BR folded away between two clauses disappears as a jump,
+// but the interpreter counts it as a control-flow instruction: its terminal
+// counts become a mark at the next clause's first micro-op, ahead of that
+// clause's own, so a fault there commits the BR as the interpreter did.
+func buildChains(wp *warpProgram, stopAtRejoin bool) []tape {
+	n := len(wp.clauses)
+	rejoin := make([]bool, n)
+	for _, t := range wp.clauses {
+		if stopAtRejoin && t.tk == tkBRC && t.rejoin < n {
+			rejoin[t.rejoin] = true
 		}
-		chain := []int{head}
-		for cur := head; ; {
-			s := succ[cur]
-			// inChain doubles as the cycle guard: an unreachable BR loop
-			// of absorbable clauses terminates the walk instead of
-			// spinning (head itself is !absorbable, so s != head).
-			if s < 0 || !absorbable(s) || inChain[s] {
+	}
+	chains := make([]tape, n)
+	var chain []int
+	for head := range chains {
+		chain = append(chain[:0], head)
+		size := len(wp.clauses[head].ops)
+		for t := &wp.clauses[head]; t.tk == tkFall || t.tk == tkBR; t = &wp.clauses[t.tgt] {
+			if t.tgt >= n || rejoin[t.tgt] || slices.Contains(chain, t.tgt) || size+len(wp.clauses[t.tgt].ops) > maxChainOps {
 				break
 			}
-			inChain[s] = true
-			chain = append(chain, s)
-			cur = s
+			chain = append(chain, t.tgt)
+			size += len(wp.clauses[t.tgt].ops)
 		}
-		// Only head is unabsorbable among the chain's clauses, so h != head
-		// also keeps a clause from appearing in its chain twice.
-		end := chain[len(chain)-1]
-		if h := succ[end]; dup && wp.clauses[end].tk == tkBR && h != head && !absorbable(h) && !rejoin[h] &&
-			len(wp.clauses[h].ops) <= maxDupOps && (succ[h] < 0 || !absorbable(succ[h])) {
-			chain = append(chain, h)
-		}
-		if len(chain) < 2 {
+		if len(chain) == 1 {
+			chains[head] = wp.clauses[head]
 			continue
 		}
-		if &heads[0] == &wp.clauses[0] {
-			heads = append([]tape(nil), wp.clauses...)
-		}
-		// The chain tape is the clause tapes back to back, their marks
-		// re-based. An unconditional BR folded away between two clauses
-		// disappears as a jump, but the interpreter counts it as a
-		// control-flow instruction: its terminal counts become a mark at
-		// the next clause's first micro-op, ahead of that clause's own, so
-		// a fault there commits the BR as the interpreter did.
-		var ops []uop
+		ops := make([]uop, 0, size)
 		var marks []mark
 		for i, ci := range chain {
 			if i > 0 && wp.clauses[chain[i-1]].tk != tkFall {
@@ -526,9 +469,9 @@ func buildSuperClauses(p *Program, wp *warpProgram, dup bool) []tape {
 			}
 			ops = append(ops, wp.clauses[ci].ops...)
 		}
-		last := wp.clauses[chain[len(chain)-1]]
-		last.ops, last.marks, last.n = ops, marks, len(chain)
-		heads[head] = last
+		t := wp.clauses[chain[len(chain)-1]]
+		t.ops, t.marks, t.n = ops, marks, len(chain)
+		chains[head] = t
 	}
-	return heads
+	return chains
 }

@@ -39,6 +39,8 @@ func BenchmarkWarpControl(b *testing.B) {
 		b.Fatalf("a warm job allocates %v times, want 0", a)
 	}
 	before, _ := r.dev.Stats()
+	read, stop := gpu.CountTapes()
+	defer stop()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -46,5 +48,7 @@ func BenchmarkWarpControl(b *testing.B) {
 	}
 	b.StopTimer()
 	after, _ := r.dev.Stats()
+	entries, _ := read()
 	b.ReportMetric(float64(after.ClausesExec-before.ClausesExec)/float64(b.N), "clauses/op")
+	b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
 }
