@@ -442,47 +442,63 @@ main:
 // long block after its second instruction retired two instructions, not
 // the block's length. Charging the length ended Run(n) with barely half of
 // n retired; the DBT may overshoot n by less than one block, never
-// undershoot it.
+// undershoot it. The same holds inside a block that loops to itself, which
+// re-enters its own tape without going back to the run loop.
 func TestBudgetChargesRetiredInstructions(t *testing.T) {
-	var src strings.Builder
-	src.WriteString(`
-sync:                          // skip the aborting instruction
-    mrs  x28, elr
-    addi x28, x28, #4
-    msr  elr, x28
-    eret
+	var abort strings.Builder
+	abort.WriteString(`
 main:
     addi x1, x1, #1
     ldrx x2, [xzr]             // aborts: nothing is mapped at 0
 `)
 	for i := 0; i < 120; i++ {
-		src.WriteString("    addi x3, x3, #1\n")
+		abort.WriteString("    addi x3, x3, #1\n")
 	}
-	src.WriteString("    b main\n")
-	prog, err := asm.Assemble(src.String(), ramBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	retired := map[cpu.Engine]uint64{}
-	for _, n := range []uint64{1, 2, 3, 100, 1000, 5000} {
-		for _, engine := range []cpu.Engine{cpu.EngineInterp, cpu.EngineDBT} {
-			c, bus := newCore(t)
-			if err := bus.WriteBytes(ramBase, prog.Code); err != nil {
-				t.Fatal(err)
-			}
-			c.SetEngine(engine)
-			c.SetSys(cpu.SysVBAR, prog.MustEntry("sync"))
-			c.Reset(prog.MustEntry("main"))
-			if r := c.Run(n); r != cpu.StopBudget {
-				t.Fatalf("%v: Run(%d) = %v (%v)", engine, n, r, c.Err())
-			}
-			retired[engine] = c.Instret
+	abort.WriteString("    b main\n")
+	for name, body := range map[string]string{
+		"mid-block-abort": abort.String(),
+		"self-loop": `
+main:
+    movz x1, #0xFFFF           // 4 × 65535 instructions: beyond every budget
+loop:
+    addi x3, x3, #1
+    subi x1, x1, #1
+    cmpi x1, #0
+    b.ne loop
+    hlt
+`,
+	} {
+		prog, err := asm.Assemble(`
+sync:                          // skip the aborting instruction
+    mrs  x28, elr
+    addi x28, x28, #4
+    msr  elr, x28
+    eret
+`+body, ramBase)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if retired[cpu.EngineInterp] != n {
-			t.Errorf("interpreter retired %d of a budget of %d", retired[cpu.EngineInterp], n)
-		}
-		if got := retired[cpu.EngineDBT]; got < n || got >= n+128 {
-			t.Errorf("DBT retired %d of a budget of %d, want [%d, %d)", got, n, n, n+128)
+		retired := map[cpu.Engine]uint64{}
+		for _, n := range []uint64{1, 2, 3, 5, 6, 100, 1000, 5000} {
+			for _, engine := range []cpu.Engine{cpu.EngineInterp, cpu.EngineDBT} {
+				c, bus := newCore(t)
+				if err := bus.WriteBytes(ramBase, prog.Code); err != nil {
+					t.Fatal(err)
+				}
+				c.SetEngine(engine)
+				c.SetSys(cpu.SysVBAR, prog.MustEntry("sync"))
+				c.Reset(prog.MustEntry("main"))
+				if r := c.Run(n); r != cpu.StopBudget {
+					t.Fatalf("%s: %v: Run(%d) = %v (%v)", name, engine, n, r, c.Err())
+				}
+				retired[engine] = c.Instret
+			}
+			if retired[cpu.EngineInterp] != n {
+				t.Errorf("%s: interpreter retired %d of a budget of %d", name, retired[cpu.EngineInterp], n)
+			}
+			if got := retired[cpu.EngineDBT]; got < n || got >= n+128 {
+				t.Errorf("%s: DBT retired %d of a budget of %d, want [%d, %d)", name, got, n, n, n+128)
+			}
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package cpu
 
-import "mobilesim/internal/mem"
+import (
+	"slices"
+
+	"mobilesim/internal/mem"
+)
 
 // runInterp is the reference execution loop: fetch, decode and execute one
 // instruction at a time. Every step pays full translation + decode cost,
@@ -59,11 +63,16 @@ type block struct {
 }
 
 // codePage indexes the translated blocks of one virtual page by the word
-// offset of their first instruction.
+// offset of their first instruction, up to the highest one translated.
 type codePage struct {
 	vpn    uint64
-	blocks [mem.PageSize / 4]*block
+	blocks []*block
 }
+
+// minCodePageBlocks is the least a code page's index grows to (512 bytes
+// of pointers): every routine of the platform firmware starts inside it, so
+// the firmware's code page grows once.
+const minCodePageBlocks = 64
 
 // codeSlots is the number of code pages cached at once, direct-mapped: two
 // pages that collide evict each other, which costs a retranslation only.
@@ -113,7 +122,9 @@ func (bc *blockCache) noteWrite(va uint64) {
 
 func (bc *blockCache) lookup(pc uint64) *block {
 	if p := *bc.slot(pc >> 12); p != nil && p.vpn == pc>>12 && pc%4 == 0 {
-		return p.blocks[pc&mem.PageMask/4]
+		if i := pc & mem.PageMask / 4; i < uint64(len(p.blocks)) {
+			return p.blocks[i]
+		}
 	}
 	return nil
 }
@@ -126,7 +137,11 @@ func (bc *blockCache) insert(b *block) {
 		}
 		*p = &codePage{vpn: b.start >> 12}
 	}
-	(*p).blocks[b.start&mem.PageMask/4] = b
+	pg, i := *p, int(b.start&mem.PageMask/4)
+	if i >= len(pg.blocks) {
+		pg.blocks = slices.Grow(pg.blocks, max(i+1, minCodePageBlocks)-len(pg.blocks))[:i+1]
+	}
+	pg.blocks[i] = b
 }
 
 // translate lowers the basic block starting at start to a tape and caches
@@ -155,6 +170,7 @@ func (c *Core) translate(start uint64) *block {
 		}
 	}
 	b := &block{start: start, ops: append([]uop(nil), tape[:n]...)}
+	fuse(b.ops)
 	c.btc.insert(b)
 	if c.stv.base == start&^mem.PageMask {
 		c.stv = pageView{} // stores to a code page must reach noteWrite
@@ -191,8 +207,9 @@ func (c *Core) next(prev *block, pc uint64) *block {
 }
 
 // runDBT executes through the block cache. Interrupts are recognised at
-// block boundaries (QEMU-style) — before every block, chained or not —
-// keeping the tape free of per-instruction checks.
+// block boundaries (QEMU-style) — before every block, chained or not, and
+// before a tape re-enters itself (execTape) — keeping the tape free of
+// per-instruction checks.
 func (c *Core) runDBT(budget uint64) StopReason {
 	var b *block
 	for budget > 0 && !c.halted {
@@ -203,7 +220,7 @@ func (c *Core) runDBT(budget uint64) StopReason {
 			continue // the fetch faulted: vectored, or stopped the core
 		}
 		c.btc.stats.Executions++
-		if n := c.execTape(b); n < budget {
+		if n := c.execTape(b, budget); n < budget {
 			budget -= n
 		} else {
 			budget = 0

@@ -331,10 +331,20 @@ func TestFuzzWithBranches(t *testing.T) {
 	}
 }
 
+// fzSeed is one program of the seed corpus and the seed of its random
+// registers.
+type fzSeed struct {
+	name string
+	code []byte
+	seed int64
+}
+
 // fzSeeds is the seed corpus: the shapes the DBT's translation, chaining,
-// invalidation and data fast path must get right, as programs for the fuzz
-// machine. Each is also a named deterministic test (TestFuzzSeeds).
-func fzSeeds(tb testing.TB) map[string][]byte {
+// re-entry, invalidation and data fast path must get right, as programs for
+// the fuzz machine. Each is also a named deterministic test
+// (TestFuzzSeeds). The order is FuzzCPUEngines' seed#N numbering: new seeds
+// go at the end, so every earlier number keeps its input.
+func fzSeeds(tb testing.TB) []fzSeed {
 	tb.Helper()
 	assemble := func(src string) []byte {
 		p, err := asm.Assemble(src, fzBase)
@@ -361,18 +371,18 @@ func fzSeeds(tb testing.TB) map[string][]byte {
 		}
 		return b.String()
 	}
-	return map[string][]byte{
+	return []fzSeed{
 		// mc_loop8 plus the byte tail (the length is odd).
-		"memcpy": firmware("memcpy", "addi x0, x10, #2048\n mov x1, x10\n movz x2, #1003"),
-		"memset": firmware("memset", "addi x0, x10, #3\n movz x1, #0xA5\n movz x2, #777"),
+		{"memcpy", firmware("memcpy", "addi x0, x10, #2048\n mov x1, x10\n movz x2, #1003"), 1},
+		{"memset", firmware("memset", "addi x0, x10, #3\n movz x1, #0xA5\n movz x2, #777"), 1},
 		// Straight-line code running across a page boundary: the block
 		// ends at 0x...1000 with no branch.
-		"page-boundary": assemble("b run\n .zero 4040\nrun:\n" + straight(40) + " hlt\n"),
+		{"page-boundary", assemble("b run\n .zero 4040\nrun:\n" + straight(40) + " hlt\n"), 1},
 		// More than maxBlockInsts without a branch.
-		"long-block": assemble(straight(300) + " hlt\n"),
+		{"long-block", assemble(straight(300) + " hlt\n"), 1},
 		// A data abort in the middle of a block, VBAR set: the handler
 		// skips the load and execution resumes inside the old block.
-		"mid-block-abort": assemble(`
+		{"mid-block-abort", assemble(`
     movz x1, #1
     ldrx x2, [xzr]
     addi x1, x1, #1
@@ -380,11 +390,11 @@ func fzSeeds(tb testing.TB) map[string][]byte {
     ldrx x3, [x11, #2048]     // beyond the doorbell window: unmapped
     addi x1, x1, #1
     hlt
-`),
+`), 1},
 		// A single block that loops to itself and rings the doorbell on its
-		// 25th trip: the interrupt must be taken although the loop never
-		// goes back to the code-page table.
-		"irq-in-chained-loop": assemble(`
+		// 25th trip: the interrupt must be taken at the loop head although
+		// the loop re-enters its own tape, never going back to the run loop.
+		{"irq-in-chained-loop", assemble(`
     movz x1, #50
 loop:
     subi x1, x1, #1
@@ -394,16 +404,16 @@ loop:
     cmpi x1, #0
     b.ne loop
     hlt
-`),
+`), 1},
 		// A store that rewrites a later instruction of the block it is in.
-		"smc-own-block": assemble(loadPatch + `
+		{"smc-own-block", assemble(loadPatch + `
     movz x5, #0
     strw x1, [x12, #16]
     movz x5, #1              // offset 16: patched to movz x5, #2
     hlt
-`),
+`), 1},
 		// A store that rewrites an already-translated other block.
-		"smc-other-block": assemble(loadPatch + `
+		{"smc-other-block", assemble(loadPatch + `
     bl   target
     mov  x6, x5
     strw x1, [x12, #36]
@@ -414,10 +424,10 @@ loop:
 target:
     movz x5, #1              // offset 36
     ret
-`),
+`), 1},
 		// An 8-byte store straddling two code pages: the block it rewrites
 		// lives in the second one.
-		"smc-crossing-store": assemble(loadPatch + `
+		{"smc-crossing-store", assemble(loadPatch + `
     bl   target
     mov  x6, x5
     lsli x2, x1, #32         // low word: NOP for 0xFFC; high word: the patch
@@ -430,27 +440,27 @@ target:
 target:
     movz x5, #1              // offset 0x1000
     ret
-`),
+`), 1},
 		// An MMU-control write in the middle of a block flushes every
 		// translation, the running block's included.
-		"msr-flush-mid-block": assemble(`
+		{"msr-flush-mid-block", assemble(`
     movz x1, #7
     msr  sctlr, xzr
     addi x1, x1, #1
     msr  ttbr0, xzr
     addi x1, x1, #1
     hlt
-`),
+`), 1},
 		// Accesses whose end wraps past 2^64 abort like any unmapped one.
-		"wrapping-address": assemble(`
+		{"wrapping-address", assemble(`
     subi x1, xzr, #4
     ldrx x2, [x1]
     strx x2, [x1]
     ldrb x3, [x1, #3]
     hlt
-`),
+`), 1},
 		// Page-crossing and device accesses never take the host-view path.
-		"cross-and-mmio": assemble(`
+		{"cross-and-mmio", assemble(`
     movz x1, #0x1234
     strx x1, [x13]
     ldrx x2, [x13]
@@ -458,7 +468,60 @@ target:
     strx x2, [x10, #4092]
     ldrx x4, [x10, #4092]
     hlt
-`),
+`), 1},
+		// Straight-line ALU and memory code from the generator.
+		{"generated", words(genProgram(rand.New(rand.NewSource(999)), 120)), 2},
+		// A loop that stores into its own code page on its tenth trip, when
+		// it re-enters its tape: the store ends the tape, and the trips after
+		// it run the patched instruction.
+		{"smc-in-reentered-loop", assemble(loadPatch + `
+    movz x6, #0
+    movz x7, #20
+    addi x8, x12, #20        // the loop's first instruction
+loop:
+    movz x5, #1              // offset 20: patched to movz x5, #2
+    add  x6, x6, x5
+    subi x7, x7, #1
+    cmpi x7, #10
+    csel x2, x8, x10, eq
+    strw x1, [x2]
+    cmpi x7, #0
+    b.ne loop
+    hlt
+`), 1},
+		// A self-loop closed by a register SUBS, which is not fused with its
+		// B.cond.
+		{"subs-loop", assemble(`
+    movz x1, #40
+    movz x9, #1
+    movz x6, #0
+loop:
+    addi x6, x6, #3
+    subs x1, x1, x9
+    b.ne loop
+    hlt
+`), 1},
+		// A compare-and-branch self-loop whose branch falls through on its
+		// first trip, so the block is not yet chained to itself when the
+		// branch is first taken: that trip goes back to the run loop, which
+		// links it, and only the trips after it re-enter the tape. The last
+		// flags are a fused op's.
+		{"cmpi-loop-falls-through-first", assemble(`
+    movz x1, #1
+    movz x2, #0
+    movz x3, #0
+    b    loop
+loop:
+    addi x2, x2, #1
+    subi x1, x1, #1
+    cmpi x1, #0
+    b.ne loop
+    addi x3, x3, #1
+    movz x1, #30
+    cmpi x3, #2
+    b.lo loop
+    hlt
+`), 1},
 	}
 }
 
@@ -471,8 +534,10 @@ func TestFuzzSeeds(t *testing.T) {
 		"mid-block-abort": func(d, _ fzState) bool {
 			return d.faults == 2 && d.x[1] == 3 && d.sys[cpu.SysFAR] == fzBell+2048
 		},
+		// Taken at the loop head: the block boundary after the ringing trip.
 		"irq-in-chained-loop": func(d, i fzState) bool {
-			return d.irqs == 1 && i.irqs == 1 && d.rings == 1 && d.bc.Chained >= 40
+			return d.irqs == 1 && i.irqs == 1 && d.rings == 1 && d.bc.Chained >= 40 &&
+				d.sys[cpu.SysELR] == fzBase+4
 		},
 		"smc-own-block":       func(d, _ fzState) bool { return d.x[5] == 2 && d.bc.Flushes >= 2 },
 		"smc-other-block":     func(d, _ fzState) bool { return d.x[6] == 1 && d.x[5] == 2 && d.bc.Flushes >= 2 },
@@ -480,15 +545,22 @@ func TestFuzzSeeds(t *testing.T) {
 		"msr-flush-mid-block": func(d, _ fzState) bool { return d.x[1] == 9 && d.bc.Translations == 3 },
 		"wrapping-address":    func(d, _ fzState) bool { return d.faults == 3 },
 		"cross-and-mmio":      func(d, _ fzState) bool { return d.x[2] == 0x1234 && d.x[4] == 0x1234 },
+		"smc-in-reentered-loop": func(d, _ fzState) bool {
+			return d.x[6] == 10*1+10*2 && d.bc.Chained >= 15
+		},
+		"subs-loop": func(d, _ fzState) bool { return d.x[6] == 120 && d.bc.Chained >= 36 },
+		"cmpi-loop-falls-through-first": func(d, _ fzState) bool {
+			return d.x[2] == 31 && d.x[3] == 2 && d.bc.Chained == 29
+		},
 	}
-	for name, code := range fzSeeds(t) {
-		name, code := name, code
-		t.Run(name, func(t *testing.T) {
-			dbt, interp := fzCheck(t, code, 1)
+	for _, s := range fzSeeds(t) {
+		s := s
+		t.Run(s.name, func(t *testing.T) {
+			dbt, interp := fzCheck(t, s.code, s.seed)
 			if dbt.stop != cpu.StopHalted {
 				t.Fatalf("seed did not run to HLT: %v after %d instructions", dbt.stop, dbt.instret)
 			}
-			if ok := provoked[name]; ok != nil && !ok(dbt, interp) {
+			if ok := provoked[s.name]; ok != nil && !ok(dbt, interp) {
 				t.Errorf("seed no longer provokes its shape:\n dbt    %+v\n interp %+v",
 					fzSummary(dbt), fzSummary(interp))
 			}
@@ -503,11 +575,9 @@ func fzSummary(s fzState) fzState { s.ram = nil; return s }
 //
 //	go test -run=NONE -fuzz=FuzzCPUEngines -fuzztime=60s ./internal/cpu/
 func FuzzCPUEngines(f *testing.F) {
-	for _, code := range fzSeeds(f) {
-		f.Add(code, int64(1))
+	for _, s := range fzSeeds(f) {
+		f.Add(s.code, s.seed)
 	}
-	rnd := rand.New(rand.NewSource(999))
-	f.Add(words(genProgram(rnd, 120)), int64(2))
 	f.Fuzz(func(t *testing.T, code []byte, seed int64) {
 		fzCheck(t, code, seed)
 	})

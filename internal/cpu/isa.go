@@ -4,9 +4,11 @@
 // engines. The interpreter (exec.go) decodes and executes one instruction
 // at a time and is the specification. The dynamic binary translation (DBT)
 // engine, in the style the paper borrows from QEMU, lowers each basic
-// block once to a tape of pre-decoded micro-ops run by one dense switch
-// (tape.go), chains blocks to their successors so loops bypass the code
-// cache, indexes that cache by code page and invalidates it per page
+// block once to a tape of pre-decoded micro-ops run by one dense switch,
+// with a closing compare-and-branch fused into one micro-op, and runs a
+// block that loops to itself by re-entering its tape (tape.go); it chains
+// blocks to their successors so other loops bypass the code cache too,
+// indexes that cache by code page and invalidates it per page
 // (engine.go), and serves guest loads and stores from cached host views
 // of RAM pages (Core.hostView). FuzzCPUEngines holds it to the
 // interpreter.

@@ -21,9 +21,21 @@ type uop struct {
 	imm        uint64
 }
 
-// opExec marks a micro-op the interpreter executes; imm is the instruction
-// word. Decode never produces it: the opcode field is 7 bits wide.
-const opExec Opcode = 0xFF
+// Micro-ops of the tape's own, which lower never emits for a decoded
+// opcode: it turns every undefined one, NumOpcodes included, into opExec.
+const (
+	// opExec marks a micro-op the interpreter executes; imm is the
+	// instruction word. Decode never produces it: the opcode field is 7
+	// bits wide.
+	opExec Opcode = 0xFF
+	// opCmpBranch is a block's closing SUBSI fused with the B.cond after
+	// it (fuse): it writes the flags, resolves the branch from them and
+	// retires both. cond is the B.cond's; the B.cond keeps its slot, and
+	// the target in it, so a tape still holds one micro-op per guest
+	// instruction. Its value keeps execTape's case values dense, which
+	// compiles the switch to a jump table.
+	opCmpBranch = NumOpcodes
+)
 
 // lower translates the instruction word w at pc, already decoded as in.
 // Register fields are at most 31 by construction of Decode.
@@ -61,18 +73,32 @@ func lower(in Inst, w uint32, pc uint64) uop {
 	return u
 }
 
+// fuse turns a tape that ends SUBSI; B.cond — a compare-and-branch loop
+// such as the firmware's mc_loop8 — into one that ends opCmpBranch; B.cond.
+func fuse(ops []uop) {
+	if n := len(ops); n >= 2 && ops[n-1].op == OpBCOND && ops[n-2].op == OpSUBSI {
+		ops[n-2].op, ops[n-2].cond = opCmpBranch, ops[n-1].cond
+	}
+}
+
 // execTape runs b's tape from the top and returns how many guest
 // instructions it retired (already added to c.Instret). It leaves c.PC at
-// the next instruction to execute. The tape is left early when a branch is
-// taken, an exception vectors, the core halts, or the instruction just
-// retired invalidated translated code (a store into a code page, an MSR
-// that reprogrammed the MMU): the rest of this tape may be stale then, and
-// the run loop re-dispatches at the following instruction.
-func (c *Core) execTape(b *block) uint64 {
+// the next instruction to execute. A taken B.cond back to b's own start
+// re-enters the tape wherever the run loop would have chained b to itself;
+// that is a block boundary, so the budget and pending interrupts are
+// checked and the dispatch counted there exactly as runDBT and next do, and
+// the tape overshoots budget by less than one pass. The tape is left when
+// any other branch is taken, an exception vectors, the core halts, or the
+// instruction just retired invalidated translated code (a store into a code
+// page, an MSR that reprogrammed the MMU): the rest of this tape may be
+// stale then, and the run loop re-dispatches at the following instruction.
+func (c *Core) execTape(b *block, budget uint64) uint64 {
 	ops := b.ops
 	epoch := c.btc.stats.Flushes
+	ran := uint64(0)  // retired by the passes before this one
 	i := 0            // micro-ops retired, this one included once fetched
 	done := uint64(0) // of which exec has already counted in c.Instret
+pass:
 	for i < len(ops) {
 		u := &ops[i]
 		i++
@@ -137,13 +163,37 @@ func (c *Core) execTape(b *block) uint64 {
 		case OpMOVK:
 			c.X[rd] = c.X[rd]&^(0xFFFF<<u.rm) | u.imm
 
-		case OpLDRB, OpLDRH, OpLDRW, OpLDRX: // consecutive opcodes, log2(size) apart
+		case OpLDRX:
+			va := c.X[rn] + u.imm
+			if off := va - c.ldv.base; off <= mem.PageSize-8 && c.ldv.page != nil {
+				c.X[rd] = binary.LittleEndian.Uint64(c.ldv.page[off:])
+				continue
+			}
+			c.PC = b.start + uint64(i-1)*4 // the abort's return address
+			v, ok := c.load(va, 8)
+			if !ok {
+				goto out
+			}
+			c.X[rd] = v
+		case OpSTRX:
+			va := c.X[rn] + u.imm
+			if off := va - c.stv.base; off <= mem.PageSize-8 && c.stv.page != nil {
+				binary.LittleEndian.PutUint64(c.stv.page[off:], c.X[rd])
+				continue
+			}
+			c.PC = b.start + uint64(i-1)*4
+			if !c.store(va, 8, c.X[rd]) {
+				goto out
+			}
+			if c.btc.stats.Flushes != epoch {
+				c.PC += 4
+				goto out
+			}
+		case OpLDRB, OpLDRH, OpLDRW: // consecutive opcodes, log2(size) apart
 			va := c.X[rn] + u.imm
 			size := uint64(1) << (u.op - OpLDRB)
 			if off := va - c.ldv.base; off <= mem.PageSize-size && c.ldv.page != nil {
 				switch p := c.ldv.page[off:]; u.op {
-				case OpLDRX:
-					c.X[rd] = binary.LittleEndian.Uint64(p)
 				case OpLDRW:
 					c.X[rd] = uint64(binary.LittleEndian.Uint32(p))
 				case OpLDRH:
@@ -153,19 +203,17 @@ func (c *Core) execTape(b *block) uint64 {
 				}
 				continue
 			}
-			c.PC = b.start + uint64(i-1)*4 // the abort's return address
+			c.PC = b.start + uint64(i-1)*4
 			v, ok := c.load(va, int(size))
 			if !ok {
 				goto out
 			}
 			c.X[rd] = v
-		case OpSTRB, OpSTRH, OpSTRW, OpSTRX:
+		case OpSTRB, OpSTRH, OpSTRW:
 			va := c.X[rn] + u.imm
 			size := uint64(1) << (u.op - OpSTRB)
 			if off := va - c.stv.base; off <= mem.PageSize-size && c.stv.page != nil {
 				switch p := c.stv.page[off:]; u.op {
-				case OpSTRX:
-					binary.LittleEndian.PutUint64(p, c.X[rd])
 				case OpSTRW:
 					binary.LittleEndian.PutUint32(p, uint32(c.X[rd]))
 				case OpSTRH:
@@ -201,12 +249,32 @@ func (c *Core) execTape(b *block) uint64 {
 		case OpBCOND:
 			if c.condHolds(u.cond) {
 				c.PC = u.imm
-				goto out
+				goto taken
+			}
+		case opCmpBranch:
+			c.setReg(rd, c.subFlags(c.X[rn], u.imm))
+			if i++; c.condHolds(u.cond) { // the B.cond retires with it
+				c.PC = ops[i-1].imm
+				goto taken
 			}
 		}
 	}
 	c.PC = b.start + uint64(i)*4 // ran off the end, or B.cond not taken
+	goto out
+taken:
+	// Back at b's start, where next would follow b's link to itself: the
+	// block boundary runDBT would reach, taken here.
+	if c.PC == b.start && b.epoch == c.btc.stats.Flushes && (b.succ[0] == b || b.succ[1] == b) {
+		c.Instret += uint64(i) - done
+		ran += uint64(i)
+		i, done = 0, 0
+		if ran < budget && !c.pendingIRQ() {
+			c.btc.stats.Executions++
+			c.btc.stats.Chained++
+			goto pass
+		}
+	}
 out:
 	c.Instret += uint64(i) - done
-	return uint64(i)
+	return ran + uint64(i)
 }

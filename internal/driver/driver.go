@@ -199,12 +199,6 @@ func (d *Driver) CopyFromDevice(ctx context.Context, va uint64, n int) ([]byte, 
 	return out, nil
 }
 
-// ZeroDevice clears a GPU-visible range via guest memset.
-func (d *Driver) ZeroDevice(va uint64, n int) error {
-	_, err := d.call("memset", va, 0, uint64(n))
-	return err
-}
-
 // Submit writes a job-chain head pointer and rings the job slot doorbell.
 func (d *Driver) Submit(head uint64) error {
 	if _, err := d.call("gpu_submit", platform.GPUBase+gpu.RegJS0Head, head); err != nil {
