@@ -382,10 +382,19 @@ func (c *Core) eret() {
 	c.PC = c.sys[SysELR]
 }
 
-// pendingIRQ reports whether an interrupt should be taken now.
+// pendingIRQ reports whether an interrupt should be taken now. It tests
+// the core's own enable and vector inline and asks the controller only
+// when both are set, so that it inlines into the tape's loop re-entry.
 func (c *Core) pendingIRQ() bool {
-	return c.intc != nil && c.irqEnabled() && c.sys[SysVBAR] != 0 && c.intc.Pending()
+	return c.irqEnabled() && c.sys[SysVBAR] != 0 && c.lineRaised()
 }
+
+// lineRaised reports whether the interrupt controller holds a pending,
+// enabled line. Kept out of line: inlined, it would take pendingIRQ over
+// the inlining budget.
+//
+//go:noinline
+func (c *Core) lineRaised() bool { return c.intc != nil && c.intc.Pending() }
 
 // --- Top-level run loop --------------------------------------------------
 

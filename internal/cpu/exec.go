@@ -206,41 +206,44 @@ func (c *Core) subFlags(a, b uint64) uint64 {
 	return r
 }
 
+// condHolds reports whether cond holds for the current flags: a lookup in
+// condTable, small enough to inline into the tape's compare-and-branch.
 func (c *Core) condHolds(cond Cond) bool {
-	switch cond {
-	case CondEQ:
-		return c.FlagZ
-	case CondNE:
-		return !c.FlagZ
-	case CondHS:
-		return c.FlagC
-	case CondLO:
-		return !c.FlagC
-	case CondMI:
-		return c.FlagN
-	case CondPL:
-		return !c.FlagN
-	case CondVS:
-		return c.FlagV
-	case CondVC:
-		return !c.FlagV
-	case CondHI:
-		return c.FlagC && !c.FlagZ
-	case CondLS:
-		return !c.FlagC || c.FlagZ
-	case CondGE:
-		return c.FlagN == c.FlagV
-	case CondLT:
-		return c.FlagN != c.FlagV
-	case CondGT:
-		return !c.FlagZ && c.FlagN == c.FlagV
-	case CondLE:
-		return c.FlagZ || c.FlagN != c.FlagV
-	case CondAL:
-		return true
+	f := 0
+	if c.FlagN {
+		f |= 8
 	}
-	return false
+	if c.FlagZ {
+		f |= 4
+	}
+	if c.FlagC {
+		f |= 2
+	}
+	if c.FlagV {
+		f |= 1
+	}
+	return condTable[cond&15]>>f&1 != 0
 }
+
+// condTable holds, per condition, the NZCV values it holds for: bit
+// N<<3|Z<<2|C<<1|V.
+var condTable = func() (t [16]uint16) {
+	for f := 0; f < 16; f++ {
+		n, z, c, v := f&8 != 0, f&4 != 0, f&2 != 0, f&1 != 0
+		holds := [...]bool{
+			CondEQ: z, CondNE: !z, CondHS: c, CondLO: !c, CondMI: n, CondPL: !n,
+			CondVS: v, CondVC: !v, CondHI: c && !z, CondLS: !c || z,
+			CondGE: n == v, CondLT: n != v, CondGT: !z && n == v, CondLE: z || n != v,
+			CondAL: true,
+		}
+		for cond, h := range holds {
+			if h {
+				t[cond] |= 1 << f
+			}
+		}
+	}
+	return t
+}()
 
 type svcError struct {
 	pc  uint64

@@ -50,7 +50,7 @@ type diffFeatures struct {
 	withLocal, withDiverge, withMisalign, withCross, withStride bool
 	withUniformBranch, withFault                                bool
 	withTempAcross, withTempPred, withTempAcc                   bool
-	withBoolRetest                                              bool
+	withBoolRetest, withRepeat                                  bool
 }
 
 // diffUnmapped is an address no differential rig maps.
@@ -223,6 +223,64 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, f diffFeatures) *gpu.Progr
 				{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(31)},
 			}},
 		)
+	}
+
+	if f.withRepeat {
+		// Subexpressions one chain computes more than once, as clc emits a
+		// stencil's neighbour rows (r32..r37, folded into r8): two values
+		// each computed again after the literal tape overwrites their
+		// temporaries (the optimiser keeps both in spare rows at once),
+		// again into a register (which stays), again while a register
+		// that is overwritten before the reader holds it, and again over a
+		// source redefined between (a new value); and an address computed
+		// twice for two loads into temporaries moved into registers
+		// (rwLoads). The chain ends in a BRC no lane takes, so its
+		// temporaries are dead after it.
+		ops := []gpu.Opcode{gpu.OpIADD, gpu.OpISUB, gpu.OpIMUL, gpu.OpXOR, gpu.OpSHL, gpu.OpFADD, gpu.OpICMPLT}
+		op1, b1, imm1 := ops[rnd.Intn(len(ops))], operand(), rnd.Uint32()
+		op2, b2, imm2 := ops[rnd.Intn(len(ops))], operand(), rnd.Uint32()
+		e := func(d uint8) gpu.Instr { return gpu.Instr{Op: op1, Dst: d, A: gpu.R(32), B: b1, Imm: imm1} }
+		g := func(d uint8) gpu.Instr { return gpu.Instr{Op: op2, Dst: d, A: gpu.R(32), B: b2, Imm: imm2} }
+		addr := []gpu.Instr{
+			{Op: gpu.OpSHL, Dst: gpu.T(3), A: gpu.S(gpu.SpecGIDX), B: gpu.Imm, Imm: 3},
+			{Op: gpu.OpADD64, Dst: gpu.T(3), A: gpu.C(0), B: gpu.T(3)},
+		}
+		k := len(prog.Clauses)
+		values := []gpu.Instr{
+			{Op: gpu.OpMOV, Dst: gpu.R(32), A: src[rnd.Intn(len(src))]},
+			e(gpu.T(0)),
+			{Op: gpu.OpIADD, Dst: gpu.R(33), A: gpu.T(0), B: gpu.R(4)},
+			{Op: gpu.OpXOR, Dst: gpu.T(0), A: gpu.R(33), B: gpu.R(4)},
+			e(gpu.T(2)),
+			g(gpu.T(1)),
+			{Op: gpu.OpIMUL, Dst: gpu.R(34), A: gpu.T(2), B: gpu.T(1)},
+			{Op: gpu.OpXOR, Dst: gpu.T(1), A: gpu.R(34), B: gpu.R(33)},
+			g(gpu.T(3)),
+			{Op: gpu.OpIADD, Dst: gpu.R(33), A: gpu.R(33), B: gpu.T(3)},
+			e(gpu.R(35)),
+			e(gpu.T(1)),
+			{Op: gpu.OpIADD, Dst: gpu.R(35), A: gpu.R(35), B: gpu.R(33)},
+			{Op: gpu.OpXOR, Dst: gpu.R(34), A: gpu.R(34), B: gpu.T(1)},
+		}
+		loads := []gpu.Instr{
+			{Op: gpu.OpIADD, Dst: gpu.R(32), A: gpu.R(32), B: gpu.Imm, Imm: 1},
+			e(gpu.T(2)),
+			{Op: gpu.OpXOR, Dst: gpu.R(34), A: gpu.R(34), B: gpu.T(2)},
+		}
+		loads = append(loads, addr...)
+		loads = append(loads,
+			gpu.Instr{Op: gpu.OpLDG, Dst: gpu.T(0), A: gpu.T(3)},
+			gpu.Instr{Op: gpu.OpMOV, Dst: gpu.R(36), A: gpu.T(0)})
+		loads = append(loads, addr...)
+		loads = append(loads,
+			gpu.Instr{Op: gpu.OpLDG, Dst: gpu.T(1), A: gpu.T(3), Imm: 4},
+			gpu.Instr{Op: gpu.OpMOV, Dst: gpu.R(37), A: gpu.T(1)},
+			gpu.Instr{Op: gpu.OpBRC, A: gpu.S(gpu.SpecZero), Imm: gpu.BranchImm(k+2, k+2)})
+		var fold []gpu.Instr
+		for r := 33; r <= 37; r++ {
+			fold = append(fold, gpu.Instr{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(r)})
+		}
+		prog.Clauses = append(prog.Clauses, gpu.Clause{Instrs: values}, gpu.Clause{Instrs: loads}, gpu.Clause{Instrs: fold})
 	}
 
 	if f.withStride {
@@ -430,7 +488,7 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 	// The low half of the seed picks the sections the corpus has always
 	// had; bits 32 and 33 add the uniform branches and the faulting clause,
 	// bits 34 to 36 the temporaries the tape optimiser must leave alone, bit
-	// 37 the boolean re-tests.
+	// 37 the boolean re-tests, bit 38 the repeated subexpressions.
 	f := diffFeatures{
 		withLocal:         seed%3 == 0,
 		withDiverge:       seed%2 == 0,
@@ -443,6 +501,7 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 		withTempPred:      seed>>35&1 != 0,
 		withTempAcc:       seed>>36&1 != 0,
 		withBoolRetest:    seed>>37&1 != 0,
+		withRepeat:        seed>>38&1 != 0,
 	}
 	want := uint32(gpu.IRQJobDone)
 	if f.withFault {
@@ -525,6 +584,14 @@ func FuzzDifferentialEngines(f *testing.F) {
 	// that does not diverge.
 	f.Add(uint64(1<<37|8), uint8(5), uint8(6), uint8(18))
 	f.Add(uint64(1<<37|7), uint8(3), uint8(3), uint8(22))
+	// Repeated subexpressions the optimiser computes once, and the ones it
+	// must compute again, in a divergent kernel over a partial tail warp,
+	// in one that does not diverge, with the faulting clause and with
+	// every optimiser section at once.
+	f.Add(uint64(1<<38|4), uint8(5), uint8(6), uint8(18))
+	f.Add(uint64(1<<38|7), uint8(3), uint8(7), uint8(30))
+	f.Add(uint64(1<<38|1<<33|9), uint8(4), uint8(2), uint8(12))
+	f.Add(uint64(0x7f<<32|10), uint8(6), uint8(4), uint8(24))
 	f.Fuzz(func(t *testing.T, seed uint64, threadsSel, localSel, nALUSel uint8) {
 		runDifferential(t, seed, threadsSel, localSel, nALUSel)
 	})

@@ -51,9 +51,11 @@ type Rewrite = rewrite
 // The rewrites a test can switch off one at a time.
 const (
 	RewriteForward  = rwForward
+	RewriteLoads    = rwLoads
 	RewriteFuseAddr = rwFuseAddr
 	RewriteFuseTail = rwFuseTail
 	RewriteBool     = rwBool
+	RewriteValues   = rwValues
 )
 
 // heads is the chain table of a warp inside a divergent region, flat that

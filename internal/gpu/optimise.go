@@ -3,10 +3,11 @@ package gpu
 import "slices"
 
 // The tape optimiser (DESIGN.md §9). warpCompile runs it over the clause
-// tapes between lowering and chaining. It rewrites micro-ops and BRC
-// predicates only: the marks beside a tape keep the statistics of the
-// instructions as written, so every counter, every guest byte and the warp
-// schedule are those of the literal tape.
+// tapes between lowering and chaining, and numbers the values of every
+// chain tape after chaining. It rewrites micro-ops and BRC predicates
+// only: the marks beside a tape keep the statistics of the instructions as
+// written, so every counter, every guest byte and the warp schedule are
+// those of the literal tape.
 //
 // Forwarding and fusion depend on which clause temporaries a later
 // micro-op may still read. Temporaries keep their values across clauses in
@@ -18,10 +19,12 @@ type rewrite uint8
 
 const (
 	rwForward   rewrite = 1 << iota // op tN; …; mov rM, tN → op rM; …
+	rwLoads                         // the same for a load: ld tN; …; mov rM, tN → ld rM; …
 	rwFuseAddr                      // imul → iadd → mul64 → add64 → kAddr
 	rwFuseTail                      // mul64 → add64 → kAddrTail
 	rwBool                          // a boolean row's re-test → a move, or a negated BRC predicate
-	allRewrites = rwForward | rwFuseAddr | rwFuseTail | rwBool
+	rwValues                        // a chain computes each value once (numberValues)
+	allRewrites = rwForward | rwLoads | rwFuseAddr | rwFuseTail | rwBool | rwValues
 )
 
 // tempMask is a set of clause temporaries, bit i for t<i>.
@@ -124,8 +127,8 @@ func (wp *warpProgram) optimise(rw rewrite) {
 			wp.bools(t, out[ci])
 		}
 		end := out[ci] | t.termTemps()
-		if rw&rwForward != 0 {
-			t.forward(end)
+		if rw&(rwForward|rwLoads) != 0 {
+			t.forward(end, rw)
 		}
 		if rw&(rwFuseAddr|rwFuseTail) != 0 {
 			wp.fuse(t, end, rw)
@@ -133,25 +136,33 @@ func (wp *warpProgram) optimise(rw rewrite) {
 	}
 }
 
-// forwardable reports a micro-op whose result may go straight to another
-// row: a leaf ALU case that does not read its destination, a splat or a
-// slow ALU op. Memory micro-ops can fault part-way through a warp.
-func forwardable(k uopKind) bool {
-	return k == kSplat || k == kSlow || k >= kVV && !accumulates(k)
+// forwardable reports a micro-op whose result rw lets go straight to
+// another row: with rwForward a leaf ALU case that does not read its
+// destination, a splat or a slow ALU op; with rwLoads a load, which can
+// fault part-way through a warp but writes its destination only once every
+// lane has loaded (loadGlobal).
+func forwardable(k uopKind, rw rewrite) bool {
+	if isLoad(k) {
+		return rw&rwLoads != 0
+	}
+	return rw&rwForward != 0 && (k == kSplat || k == kSlow || k >= kVV && !accumulates(k))
 }
+
+// isLoad reports a load micro-op.
+func isLoad(k uopKind) bool { return k == kLoadG || k == kLoadGB || k == kLoadG64 || k == kLoadL }
 
 // forward rewrites op tN; …; mov rM, tN into op rM; … where tN is dead
 // after the move and the micro-ops between are leaf ALU cases that neither
 // read nor write tN or rM: none of them can fault, so no abort sees rM
 // written early, and none reads either row. A masked warp writes the
 // active lanes of rM in either form, and the inactive lanes in neither.
-func (t *tape) forward(end tempMask) {
+func (t *tape) forward(end tempMask, rw rewrite) {
 	after := make([]tempMask, len(t.ops))
 	liveBefore(t.ops, end, after)
 	for i := 0; i < len(t.ops); i++ {
 		u := t.ops[i]
 		tn := tempBit(u.d())
-		if tn == 0 || !forwardable(u.kind()) {
+		if tn == 0 || !forwardable(u.kind(), rw) {
 			continue
 		}
 		for j := i + 1; j < len(t.ops); j++ {
@@ -277,9 +288,16 @@ func (wp *warpProgram) fuse(t *tape, end tempMask, rw rewrite) {
 	dead := func(d uint8, last int) bool {
 		return tempBit(d) != 0 && (d == t.ops[last].d() || after[last]&tempBit(d) == 0)
 	}
+	// addr returns the addrs index of the slots, one per distinct triple,
+	// so that equal addresses are equal micro-ops to numberValues.
 	addr := func(s1, s2, s3 uint32) uint32 {
-		wp.addrs = append(wp.addrs, [3]uint32{s1, s2, s3})
-		return uint32(len(wp.addrs) - 1)
+		f := [3]uint32{s1, s2, s3}
+		i := slices.Index(wp.addrs, f)
+		if i < 0 {
+			i = len(wp.addrs)
+			wp.addrs = append(wp.addrs, f)
+		}
+		return uint32(i)
 	}
 	for i := 0; i < len(t.ops); i++ {
 		ops := t.ops[i:]
@@ -296,8 +314,10 @@ func (wp *warpProgram) fuse(t *tape, end tempMask, rw rewrite) {
 }
 
 // cut deletes ops[i : i+n] and re-bases the marks behind them. No mark
-// starts inside a cut: a mark starts a tape or follows a micro-op that can
-// fault, and the rewrites cut only leaf ALU micro-ops that follow another.
+// starts inside a cut of more than one micro-op: a mark starts a tape or
+// follows a micro-op that can fault, and fusion cuts only leaf ALU
+// micro-ops that follow another. A mark at ops[i] stays there, at the
+// micro-op after the cut: an abort there has run the cut one.
 func (t *tape) cut(i, n int) {
 	t.ops = slices.Delete(t.ops, i, i+n)
 	for k := range t.marks {
@@ -305,4 +325,298 @@ func (t *tape) cut(i, n int) {
 			t.marks[k].pos -= int32(n)
 		}
 	}
+}
+
+// --- Value numbering ---------------------------------------------------------
+
+// numberValues runs values over every chain tape, given the temporaries
+// live after its terminal by the program-wide liveness; a chain that ends
+// the program leaves every temporary as written. A chain of one clause
+// shares its micro-ops and marks with the clause tape and with the other
+// table, so every chain is rewritten in copies of its own; a flat-table
+// chain of as many clauses as the heads table's chain from the same clause
+// is that chain, and shares its result.
+func (wp *warpProgram) numberValues() {
+	out, n := liveOut(wp.clauses), len(wp.clauses)
+	for k := range wp.chains {
+		t := &wp.chains[k]
+		switch {
+		case k >= n && t.n == wp.chains[k-n].n:
+			t.ops, t.marks = wp.chains[k-n].ops, wp.chains[k-n].marks
+		case len(t.ops) > 1:
+			t.ops, t.marks = slices.Clone(t.ops), slices.Clone(t.marks)
+			end := out[t.next-1] | t.termTemps()
+			if t.next == n {
+				end = allTemps
+			}
+			wp.values(t, end)
+		}
+	}
+}
+
+// srcs reports which of u's row fields a and b it reads; FMA and SEL also
+// read d (accumulates), and kLaneInterp may read any row.
+func (u uop) srcs() (a, b bool) {
+	switch k := u.kind(); {
+	case k == kSplat:
+		return false, false
+	case k == kAddrTail || isLoad(k):
+		return true, false
+	case k >= kUV:
+		return false, true
+	case k >= kVU:
+		return true, false
+	case k >= kVV:
+		return true, aluArity[k-kVV] == 2
+	}
+	return true, true // kSlow (b is r0 when unary), kAddr, the stores
+}
+
+// writes reports a micro-op that writes its d row.
+func (u uop) writes() bool {
+	switch u.kind() {
+	case kStoreG, kStoreGB, kStoreG64, kStoreL, kLaneInterp:
+		return false
+	}
+	return true
+}
+
+// pure reports a leaf ALU case whose value is a function of its operands
+// alone: a splat, a fused address, a kVV, kVU or kUV case that does not
+// read its destination.
+func pure(k uopKind) bool {
+	return k == kSplat || k == kAddr || k == kAddrTail || k >= kVV && !accumulates(k)
+}
+
+// vkey is what a pure micro-op computes: its case and payload over the
+// value numbers of the rows it reads (-1 for a field it does not read). A
+// tail a*s2 + s3 keys its uniform slots as imm s2 and b s3.
+type vkey struct {
+	k    uopKind
+	imm  uint32
+	a, b int32
+}
+
+// values numbers the values of the chain tape t, whose terminal leaves the
+// temporaries in end live, and deletes every pure micro-op whose value a
+// row still holds when it runs, renaming its readers to that row. A chain
+// runs under one mask, so a row holds a value in every lane a reader
+// reads.
+//
+// A micro-op may go only when its destination is a temporary or a scratch
+// row that no accumulator reads and, for a temporary, that is not live
+// after the tape: the value it would have left there is read through a or
+// b alone, and every such read is renamed. The row chosen holds the value
+// until the definition's last reader: a spare row reserved that long, or
+// any other row the literal tape does not write before then (the rewritten
+// tape writes a row other than a spare only where the literal tape does).
+// A kept micro-op whose value is computed again, after the literal tape
+// overwrites its destination, writes a free spare row instead, reserved
+// until the value's last reader. A kept pure micro-op into a row other
+// than a register whose readers all went goes too. No register's write
+// moves or goes, so no abort sees one early, and a tape with a
+// kLaneInterp, which may read any row, is left alone.
+func (wp *warpProgram) values(t *tape, end tempMask) {
+	ops := t.ops
+	if slices.ContainsFunc(ops, func(u uop) bool { return u.kind() == kLaneInterp }) {
+		return
+	}
+	n := len(ops)
+	// Number the literal tape's values: a row's value on entry is numbered
+	// by the row, the j-th value computed in the tape numRows+j. src[i]
+	// holds the numbers ops[i] reads through a and b, def[i] the one it
+	// writes (-1: none).
+	var vn [numRows]int32
+	for r := range vn {
+		vn[r] = int32(r)
+	}
+	src, def := make([][2]int32, n), make([]int32, n)
+	keys := make([]vkey, 0, 2*n)
+	// number returns the value number of key, a new one when no micro-op
+	// computed it before.
+	number := func(key vkey) int32 {
+		j := slices.Index(keys, key)
+		if j < 0 {
+			j = len(keys)
+			keys = append(keys, key)
+		}
+		return int32(numRows + j)
+	}
+	for i, u := range ops {
+		ra, rb := u.srcs()
+		a, b := int32(-1), int32(-1)
+		if ra {
+			a = vn[u.a()]
+		}
+		if rb {
+			b = vn[u.b()]
+		}
+		src[i], def[i] = [2]int32{a, b}, -1
+		if !u.writes() {
+			continue
+		}
+		switch k := u.kind(); {
+		case k == kVV+uopKind(OpMOV):
+			def[i] = a
+		case k == kAddr:
+			// kAddr is the tail of iadd(imul(a, s1), b), numbered as such
+			// so that it equals the unfused run of the same address.
+			f := wp.addrs[u.imm()]
+			m := number(vkey{kIMUL, f[0], a, -1})
+			s := number(vkey{kIADD, 0, min(m, b), max(m, b)})
+			def[i] = number(vkey{kAddrTail, f[1], s, int32(f[2])})
+		case k == kAddrTail:
+			f := wp.addrs[u.imm()]
+			def[i] = number(vkey{kAddrTail, f[1], a, int32(f[2])})
+		case k == kIADD:
+			def[i] = number(vkey{k, 0, min(a, b), max(a, b)})
+		case pure(k):
+			def[i] = number(vkey{k, u.imm(), a, b})
+		default: // a value no micro-op computes again
+			def[i] = int32(numRows + len(keys))
+			keys = append(keys, vkey{k: kLaneInterp})
+		}
+		vn[u.d()] = def[i]
+	}
+
+	// need[v] is the last micro-op that reads value v. A movable
+	// definition's value is read through a and b alone, and last[i] is the
+	// last micro-op that reads it (i when none does).
+	need := make([]int, numRows+len(keys))
+	last, movable := make([]int, n), make([]bool, n)
+	for i, u := range ops {
+		for _, v := range src[i] {
+			if v >= 0 {
+				need[v] = i
+			}
+		}
+		d := u.d()
+		if def[i] < 0 || !pure(u.kind()) || tempBit(d) == 0 && d != rowScratchA && d != rowScratchB {
+			continue
+		}
+		last[i], movable[i] = i, true
+		redefined := false
+		for j := i + 1; j < n && !redefined; j++ {
+			ra, rb := ops[j].srcs()
+			if ra && ops[j].a() == d || rb && ops[j].b() == d {
+				last[i] = j
+			}
+			if ops[j].writes() && ops[j].d() == d {
+				redefined = true
+				movable[i] = !accumulates(ops[j].kind())
+			}
+		}
+		if !redefined && tempBit(d)&end != 0 {
+			movable[i] = false
+		}
+	}
+	// written reports a literal write of row r by ops[from:to].
+	written := func(r uint8, from, to int) bool {
+		return slices.ContainsFunc(ops[from:max(from, to)], func(u uop) bool { return u.writes() && u.d() == r })
+	}
+	// again reports a movable micro-op after ops[i] that computes v.
+	again := func(v int32, i int) bool {
+		for k := i + 1; k < n; k++ {
+			if movable[k] && def[k] == v {
+				return true
+			}
+		}
+		return false
+	}
+
+	// Rewrite the tape in place, keep[i] marking the micro-ops that stay:
+	// held[r] is the value number row r holds in the rewritten tape, at[r]
+	// the row that holds literal row r's value, busy[s] the last micro-op
+	// that reads spare row s.
+	var held [numRows]int32
+	var at [numRows]uint8
+	for r := range held {
+		held[r], at[r] = int32(r), uint8(r)
+	}
+	var busy [numSpare]int
+	for s := range busy {
+		busy[s] = -1
+	}
+	keep := make([]bool, n)
+	// home returns a row that holds value v from ops[i] through ops[last],
+	// its last reader, and reserves it that long: a spare row, or a row no
+	// literal micro-op between writes.
+	home := func(v int32, i, last int) (uint8, bool) {
+		for r, h := range held {
+			switch {
+			case h != v || r == rowMasked:
+			case r >= rowSpare:
+				busy[r-rowSpare] = max(busy[r-rowSpare], last)
+				return uint8(r), true
+			case !written(uint8(r), i+1, last):
+				return uint8(r), true
+			}
+		}
+		return 0, false
+	}
+	for i, u := range ops {
+		ra, rb := u.srcs()
+		a, b, d, v := u.a(), u.b(), u.d(), def[i]
+		if ra {
+			a = at[a]
+		}
+		if rb {
+			b = at[b]
+		}
+		if movable[i] {
+			if h, ok := home(v, i, last[i]); ok {
+				at[d] = h
+				continue
+			}
+			if need[v] > i && again(v, i) && written(d, i+1, need[v]) {
+				if s := slices.IndexFunc(busy[:], func(b int) bool { return b < i }); s >= 0 {
+					busy[s], d = need[v], uint8(rowSpare+s)
+				}
+			}
+		}
+		if v >= 0 {
+			held[d], at[u.d()] = v, d
+		}
+		ops[i], keep[i] = mkUop(u.kind(), d, a, b, u.imm()), true
+	}
+
+	// A kept pure micro-op whose readers all went is dead: scan back over
+	// the rewritten tape with the rows live after each micro-op — the
+	// registers, the lane ids and the temporaries in end after the tape.
+	var live [numRows]bool
+	for r := range live {
+		live[r] = r < NumGRF || r >= rowGID && r < rowScratchA || tempBit(uint8(r))&end != 0
+	}
+	for i := n - 1; i >= 0; i-- {
+		u := ops[i]
+		if !keep[i] {
+			continue
+		}
+		if u.writes() {
+			if d := u.d(); pure(u.kind()) && !live[d] && d >= NumGRF {
+				keep[i] = false
+				continue
+			}
+			live[u.d()] = accumulates(u.kind())
+		}
+		ra, rb := u.srcs()
+		live[u.a()] = live[u.a()] || ra
+		live[u.b()] = live[u.b()] || rb
+	}
+
+	// Compact, each mark moving to the first kept micro-op at or after it.
+	pos := make([]int32, n+1)
+	w := 0
+	for i := range ops {
+		pos[i] = int32(w)
+		if keep[i] {
+			ops[w] = ops[i]
+			w++
+		}
+	}
+	pos[n] = int32(w)
+	for k := range t.marks {
+		t.marks[k].pos = pos[t.marks[k].pos]
+	}
+	t.ops = ops[:w:w]
 }

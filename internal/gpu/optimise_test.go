@@ -26,6 +26,11 @@ func progOf(cs ...[]Instr) *Program {
 	return p
 }
 
+// endChain ends a chain with a BRC that no lane takes, into a clause that
+// returns: the temporaries a chain that ends the program leaves are
+// those written, so the values rewrites need a chain that does not.
+var endChain = Instr{Op: OpBRC, A: S(SpecZero), Imm: BranchImm(1, 1)}
+
 var optimiserCases = []optimiserCase{
 	{
 		// The boundary between the chain's clauses runs inside the leaf
@@ -207,6 +212,245 @@ var optimiserCases = []optimiserCase{
 		shape: func(t *testing.T, wp *warpProgram) {
 			if c := &wp.clauses[0]; len(c.ops) != 2 || c.pred.neg != 0 {
 				t.Errorf("the icmpeq feeding the BRC went although c2 reads its result")
+			}
+		},
+	},
+	{
+		// rwValues: clc's address of in[(y-1)*w + x] computed twice, for
+		// two loads at different offsets. The second y-1 and the second
+		// fused address go: t0 and t3 still hold them.
+		name: "repeated_address",
+		prog: progOf(
+			[]Instr{
+				{Op: OpISUB, Dst: T(0), A: S(SpecGIDX), B: Imm, Imm: 8},
+				{Op: OpIMUL, Dst: T(1), A: T(0), B: C(0)},
+				{Op: OpIADD, Dst: T(2), A: T(1), B: S(SpecLIDY)},
+				{Op: OpMUL64, Dst: T(3), A: T(2), B: Imm, Imm: 4},
+				{Op: OpADD64, Dst: T(3), A: C(2), B: T(3)},
+				{Op: OpLDG, Dst: R(9), A: T(3)},
+				{Op: OpISUB, Dst: T(0), A: S(SpecGIDX), B: Imm, Imm: 8},
+				{Op: OpIMUL, Dst: T(1), A: T(0), B: C(0)},
+				{Op: OpIADD, Dst: T(2), A: T(1), B: S(SpecLIDY)},
+				{Op: OpMUL64, Dst: T(3), A: T(2), B: Imm, Imm: 4},
+				{Op: OpADD64, Dst: T(3), A: C(2), B: T(3)},
+				{Op: OpLDG, Dst: R(10), A: T(3), Imm: 4},
+				endChain,
+			},
+			[]Instr{{Op: OpRET}},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			if n := len(wp.heads()[0].ops); n != 4 {
+				t.Errorf("the second address was computed again: %d micro-ops, want 4", n)
+			}
+		},
+	},
+	{
+		// A value computed again after the literal tape overwrites its
+		// temporary: the first computation keeps it in a spare row, and
+		// the second goes.
+		name: "repeated_value_kept_in_a_spare_row",
+		prog: progOf(
+			[]Instr{
+				{Op: OpISUB, Dst: T(0), A: R(1), B: C(0)},
+				{Op: OpIADD, Dst: R(9), A: T(0), B: R(8)},
+				{Op: OpIMUL, Dst: T(0), A: R(9), B: R(1)},
+				{Op: OpIADD, Dst: R(10), A: T(0), B: R(2)},
+				{Op: OpISUB, Dst: T(0), A: R(1), B: C(0)},
+				{Op: OpXOR, Dst: R(11), A: T(0), B: R(10)},
+				endChain,
+			},
+			[]Instr{{Op: OpRET}},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			if ops := wp.heads()[0].ops; len(ops) != 5 || ops[0].d() < rowSpare {
+				t.Errorf("the value computed again was not kept in a spare row: %d micro-ops", len(ops))
+			}
+		},
+	},
+	{
+		// r1 is redefined between two isubs of the same text: the second
+		// computes another value and stays.
+		name: "source_redefined_between",
+		prog: progOf(
+			[]Instr{
+				{Op: OpISUB, Dst: T(0), A: R(1), B: C(0)},
+				{Op: OpIADD, Dst: R(9), A: T(0), B: R(8)},
+				{Op: OpIADD, Dst: R(1), A: R(1), B: Imm, Imm: 1},
+				{Op: OpISUB, Dst: T(0), A: R(1), B: C(0)},
+				{Op: OpIADD, Dst: R(10), A: T(0), B: R(8)},
+				{Op: OpRET},
+			},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			if n := len(wp.heads()[0].ops); n != 5 {
+				t.Errorf("%d micro-ops, want all 5", n)
+			}
+		},
+	},
+	{
+		// r9 holds the sum t0 is computed again into, but is overwritten
+		// before t0's reader: the computation stays.
+		name: "holder_overwritten_before_the_reader",
+		prog: progOf(
+			[]Instr{
+				{Op: OpIADD, Dst: R(9), A: R(1), B: R(2)},
+				{Op: OpIADD, Dst: T(0), A: R(1), B: R(2)},
+				{Op: OpIADD, Dst: R(9), A: R(9), B: R(8)},
+				{Op: OpIADD, Dst: R(10), A: T(0), B: R(8)},
+				endChain,
+			},
+			[]Instr{{Op: OpRET}},
+		),
+	},
+	{
+		// r9's first sum is overwritten in the same chain before anything
+		// reads it, but the load between faults: the interpreter leaves
+		// that sum in r9, so its micro-op stays.
+		name: "register_overwritten_after_a_fault",
+		prog: progOf(
+			[]Instr{
+				{Op: OpIADD, Dst: R(9), A: R(1), B: R(2)},
+				{Op: OpLDG, Dst: R(13), A: Imm, Imm: 0xdead_0000},
+				{Op: OpIADD, Dst: R(9), A: R(8), B: R(8)},
+				endChain,
+			},
+			[]Instr{{Op: OpRET}},
+		),
+	},
+	{
+		// SobelFilter's unfused address of a row whose fused address a row
+		// still holds: the tail goes, and the iadd only it read with it.
+		name: "unfused_address_of_a_fused_one",
+		prog: progOf(
+			[]Instr{
+				{Op: OpIMUL, Dst: T(0), A: S(SpecLIDY), B: C(0)},
+				{Op: OpIADD, Dst: T(1), A: T(0), B: S(SpecGIDX)},
+				{Op: OpMUL64, Dst: T(2), A: T(1), B: Imm, Imm: 4},
+				{Op: OpADD64, Dst: T(3), A: C(2), B: T(2)},
+				{Op: OpLDG, Dst: R(9), A: T(3)},
+				{Op: OpIMUL, Dst: R(10), A: S(SpecLIDY), B: C(0)},
+				{Op: OpIADD, Dst: T(0), A: R(10), B: S(SpecGIDX)},
+				{Op: OpMUL64, Dst: T(0), A: T(0), B: Imm, Imm: 4},
+				{Op: OpADD64, Dst: T(0), A: C(2), B: T(0)},
+				{Op: OpLDG, Dst: R(11), A: T(0), Imm: 4},
+				endChain,
+			},
+			[]Instr{{Op: OpRET}},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			if n := len(wp.heads()[0].ops); n != 4 {
+				t.Errorf("%d micro-ops, want 4: the address, two loads and the imul into r10", n)
+			}
+		},
+	},
+	{
+		// An equal computation into a register is the register's write:
+		// it stays.
+		name: "equal_computation_into_a_register",
+		prog: progOf(
+			[]Instr{
+				{Op: OpIADD, Dst: T(0), A: R(1), B: R(2)},
+				{Op: OpIMUL, Dst: R(9), A: T(0), B: R(8)},
+				{Op: OpIADD, Dst: R(10), A: R(2), B: R(1)},
+				{Op: OpRET},
+			},
+		),
+	},
+	{
+		// t1 is computed again before the BRC that ends c0's chain, and c1
+		// reads it: the second computation stays, so t1 holds it when the
+		// chain ends, not only the spare row the first could have kept it
+		// in.
+		name: "value_live_out_of_the_chain",
+		prog: progOf(
+			[]Instr{
+				{Op: OpIADD, Dst: T(1), A: R(1), B: R(2)},
+				{Op: OpIADD, Dst: R(9), A: T(1), B: R(8)},
+				{Op: OpIADD, Dst: T(1), A: R(9), B: R(8)},
+				{Op: OpIADD, Dst: R(10), A: T(1), B: R(1)},
+				{Op: OpIADD, Dst: T(1), A: R(1), B: R(2)},
+				{Op: OpIADD, Dst: R(12), A: T(1), B: R(9)},
+				{Op: OpBRC, A: S(SpecZero), Imm: BranchImm(2, 2)},
+			},
+			[]Instr{{Op: OpIADD, Dst: R(11), A: T(1), B: R(2)}},
+			[]Instr{{Op: OpRET}},
+		),
+	},
+	{
+		// Values computed twice on both paths of a branch that diverges
+		// per lane, each path a chain under its own mask, read after the
+		// paths rejoin.
+		name: "divergent_paths",
+		prog: progOf(
+			[]Instr{
+				{Op: OpICMPLT, Dst: T(0), A: R(1), B: R(8)},
+				{Op: OpBRC, A: T(0), Imm: BranchImm(2, 3)},
+			},
+			[]Instr{
+				{Op: OpISUB, Dst: T(1), A: R(8), B: R(1)},
+				{Op: OpIMUL, Dst: R(9), A: T(1), B: R(2)},
+				{Op: OpIADD, Dst: T(1), A: R(9), B: R(1)},
+				{Op: OpIADD, Dst: R(10), A: T(1), B: R(2)},
+				{Op: OpISUB, Dst: T(1), A: R(8), B: R(1)},
+				{Op: OpIADD, Dst: R(11), A: T(1), B: R(9)},
+				{Op: OpBR, Imm: 3},
+			},
+			[]Instr{
+				{Op: OpMOV, Dst: T(2), A: C(0)},
+				{Op: OpIADD, Dst: R(9), A: T(2), B: R(8)},
+				{Op: OpXOR, Dst: T(2), A: R(9), B: R(1)},
+				{Op: OpIADD, Dst: R(10), A: T(2), B: R(8)},
+				{Op: OpMOV, Dst: T(2), A: C(0)},
+				{Op: OpIADD, Dst: R(11), A: T(2), B: R(10)},
+			},
+			[]Instr{{Op: OpIADD, Dst: R(12), A: R(9), B: R(11)}, {Op: OpRET}},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			if n, m := len(wp.heads()[1].ops), len(wp.heads()[2].ops); n != 5 || m != 5 {
+				t.Errorf("the paths run %d and %d micro-ops, want 5 each", n, m)
+			}
+		},
+	},
+	{
+		// t0 is computed again while t1 holds the value, and an FMA then
+		// a SEL accumulate into it: the accumulator reads t0 in place, so
+		// its computation stays.
+		name: "accumulator_reads_a_value_computed_again",
+		prog: progOf(
+			[]Instr{
+				{Op: OpIADD, Dst: T(1), A: R(1), B: R(2)},
+				{Op: OpIADD, Dst: R(9), A: T(1), B: R(8)},
+				{Op: OpIADD, Dst: T(0), A: R(1), B: R(2)},
+				{Op: OpFMA, Dst: T(0), A: R(8), B: R(2)},
+				{Op: OpMOV, Dst: R(10), A: T(0)},
+				{Op: OpIADD, Dst: T(0), A: R(2), B: R(1)},
+				{Op: OpSEL, Dst: T(0), A: R(8), B: R(9)},
+				{Op: OpMOV, Dst: R(11), A: T(0)},
+				endChain,
+			},
+			[]Instr{{Op: OpRET}},
+		),
+	},
+	{
+		// rwLoads: the load into t1 is forwarded into r9. Lane 2's address
+		// is unmapped, so the load faults there: r9 must be as the
+		// interpreter left it, lanes 0 and 1 not loaded into it.
+		name: "forwarded_load_faults_on_lane_2",
+		prog: progOf(
+			[]Instr{
+				{Op: OpIADD, Dst: R(9), A: R(1), B: R(2)},
+				{Op: OpICMPEQ, Dst: T(2), A: T(0), B: Imm, Imm: 2},
+				{Op: OpIMUL, Dst: T(2), A: T(2), B: Imm, Imm: 0x10_0000},
+				{Op: OpADD64, Dst: T(3), A: R(4), B: T(2)},
+				{Op: OpLDG, Dst: T(1), A: T(3)},
+				{Op: OpMOV, Dst: R(9), A: T(1)},
+				{Op: OpRET},
+			},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			ops := wp.clauses[0].ops
+			if u := ops[len(ops)-1]; len(ops) != 5 || u.kind() != kLoadG || u.d() != R(9) {
+				t.Errorf("the load was not forwarded into r9: %d micro-ops", len(ops))
 			}
 		},
 	},

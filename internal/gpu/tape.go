@@ -623,11 +623,14 @@ func (s *slowOp) run(d, a, b *soaRow) {
 // memOp is the decoded form of a load/store the memory uops share: the
 // sign-extended byte offset, the access size and the operand counters of
 // the address row and of the value row (a load's destination write, a
-// store's value read).
+// store's value read). dst is a load's destination as written, which the
+// optimiser may forward into a register (rwLoads): a fault leaves the lanes
+// loaded before it there, as the interpreter does.
 type memOp struct {
 	off        uint64
 	size       int
 	aCtr, vCtr ctrKind
+	dst        uint8
 }
 
 // warpPage returns the page a full warp's access through m lies on, and the
@@ -721,13 +724,15 @@ func (e *execContext) leafStore(w *warp, u uop, mask *soaRow) bool {
 // a divergent or partial warp, a span across pages, a misaligned lane, a
 // TLB miss, an MMIO frame, a fault, every doubleword. It runs the per-lane
 // loop over the walker, counters and walker calls in the interpreter's
-// order, so a faulting lane aborts with the interpreter's totals.
+// order, so a faulting lane aborts with the interpreter's totals. The lanes
+// load into the rowMasked staging row and reach the destination in
+// commitLoad, so a forwarded load never writes its register early.
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
 func (e *execContext) loadGlobal(w *warp, m *memOp, u uop, act uint64) error {
 	gs := e.gs
 	gs.LSInstr += act
-	ar, dr := &w.rows[u.a()], &w.rows[u.d()]
+	ar, sr := &w.rows[u.a()], &w.rows[rowMasked]
 	for l := 0; l < w.lanes; l++ {
 		if !w.active.has(l) {
 			continue
@@ -737,12 +742,26 @@ func (e *execContext) loadGlobal(w *warp, m *memOp, u uop, act uint64) error {
 		gs.MainMemAcc++
 		v, err := e.walker.Load(ar[l]+m.off, m.size, mem.Read)
 		if err != nil {
+			w.commitLoad(m.dst, l)
 			return err
 		}
 		m.vCtr.bump(gs, 1)
-		dr[l] = v
+		sr[l] = v
 	}
+	w.commitLoad(u.d(), w.lanes)
 	return nil
+}
+
+// commitLoad copies the active lanes below n of a staged per-lane load to
+// row d: every lane to the destination once all have loaded, the lanes
+// before a fault to the destination as written.
+func (w *warp) commitLoad(d uint8, n int) {
+	dr, sr := &w.rows[d], &w.rows[rowMasked]
+	for l := 0; l < n; l++ {
+		if w.active.has(l) {
+			dr[l] = sr[l]
+		}
+	}
 }
 
 // storeGlobal is the STG/STGB/STG64 micro-op, the store mirror of loadGlobal.
@@ -768,13 +787,13 @@ func (e *execContext) storeGlobal(w *warp, m *memOp, u uop, act uint64) error {
 }
 
 // loadLocal is the LDL micro-op of a warp execLeaf hands back, the local
-// counterpart of loadGlobal.
+// counterpart of loadGlobal, staged the same way.
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
 func (e *execContext) loadLocal(w *warp, m *memOp, u uop, act uint64) error {
 	gs := e.gs
 	gs.LSInstr += act
-	ar, dr := &w.rows[u.a()], &w.rows[u.d()]
+	ar, sr := &w.rows[u.a()], &w.rows[rowMasked]
 	for l := 0; l < w.lanes; l++ {
 		if !w.active.has(l) {
 			continue
@@ -784,11 +803,13 @@ func (e *execContext) loadLocal(w *warp, m *memOp, u uop, act uint64) error {
 		gs.LocalAcc++
 		v, err := e.local.load(ar[l] + m.off)
 		if err != nil {
+			w.commitLoad(m.dst, l)
 			return err
 		}
 		m.vCtr.bump(gs, 1)
-		dr[l] = uint64(v)
+		sr[l] = uint64(v)
 	}
+	w.commitLoad(u.d(), w.lanes)
 	return nil
 }
 

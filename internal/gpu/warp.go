@@ -11,8 +11,9 @@ import (
 // warpCompile lowers every clause of a program to a flat tape of
 // pre-decoded micro-ops over the warp's unified SoA register file,
 // optimises those tapes (optimise.go), then concatenates each clause and
-// its fallthrough and BR successors into a chain tape; the executor and the
-// micro-op format live in tape.go. Every operand shape lowers to the tape —
+// its fallthrough and BR successors into a chain tape, which the optimiser
+// value-numbers; the executor and the micro-op format live in tape.go.
+// Every operand shape lowers to the tape —
 // uniform operands of ops without a vector∘uniform case are first broadcast
 // into a scratch row — so the only instructions left to the per-lane
 // interpreter are listed in tapeFallbackReason.
@@ -25,8 +26,10 @@ const (
 	rowLID      = rowGID + 3       // lid.x/y/z
 	rowScratchA = rowLID + 3       // broadcast of a uniform A operand
 	rowScratchB = rowScratchA + 1  // broadcast of a uniform B operand
-	rowMasked   = rowScratchB + 1  // full-row result of a divergent warp, before the masked commit
-	numRows     = rowMasked + 1
+	rowMasked   = rowScratchB + 1  // full-row result of a divergent warp or a per-lane load, before the commit
+	rowSpare    = rowMasked + 1    // numSpare rows where value numbering keeps a value a temporary loses
+	numSpare    = 2
+	numRows     = rowSpare + numSpare
 )
 
 // Slots of execContext.uvals, the table warp-uniform operands are read
@@ -118,8 +121,8 @@ type tapeBuilder struct {
 	consts map[uint64]uint32 // value → uvals slot
 }
 
-// warpCompile lowers every clause of a program, optimises the clause tapes
-// and builds both chain tables.
+// warpCompile lowers every clause of a program, optimises the clause tapes,
+// builds both chain tables and numbers the values of every chain.
 func warpCompile(p *Program) *warpProgram { return warpCompileWith(p, allRewrites) }
 
 // warpCompileWith is warpCompile with the optimiser's rewrites rw only.
@@ -150,6 +153,9 @@ func warpCompileWith(p *Program, rw rewrite) *warpProgram {
 	}
 	wp.optimise(rw)
 	wp.chains = append(buildChains(wp, true), buildChains(wp, false)...)
+	if rw&rwValues != 0 {
+		wp.numberValues()
+	}
 	return wp
 }
 
@@ -406,6 +412,7 @@ func (b *tapeBuilder) lowerMem(in *Instr, A, B operand) {
 			m.vCtr = ctrTempAcc
 		}
 	}
+	m.dst = d
 	b.ops = append(b.ops, mkUop(kind, d, a, v, uint32(len(b.wp.mems))))
 	b.wp.mems = append(b.wp.mems, m)
 	b.run = -1

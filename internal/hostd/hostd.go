@@ -207,10 +207,8 @@ type workloadLatency struct {
 // recorded idempotent replays are byte-identical to first deliveries.
 func encodeJSON(v any) []byte {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return []byte(fmt.Sprintf("{\n  \"error\": %q\n}\n", err.Error()))
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return []byte(fmt.Sprintf("{\"error\":%q}\n", err.Error()))
 	}
 	return buf.Bytes()
 }
