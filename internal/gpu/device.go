@@ -81,9 +81,8 @@ type Config struct {
 	// means one thread per core. It moves no counter.
 	HostThreads int
 	// Engine selects the shader execution engine (warp-batched by
-	// default; see engine.go). Engines are observationally identical —
-	// bit-identical counters and guest memory — and instruction tracing
-	// always uses the interpreter path regardless of this setting.
+	// default; see engine.go). Engines are observationally identical:
+	// bit-identical counters and guest memory.
 	Engine Engine
 }
 
@@ -150,8 +149,6 @@ type Device struct {
 	workers     sync.WaitGroup
 	lids        [][3]soaRow
 	lidSize     [3]uint32
-
-	trace *traceSink
 }
 
 // NewDevice creates a GPU wired to the bus and interrupt line. Call Start
@@ -583,18 +580,6 @@ func (d *Device) CFGGraph() *stats.CFG {
 	g := stats.NewCFG()
 	g.Merge(d.cfgGraph)
 	return g
-}
-
-// ResetStats clears all accumulated statistics (between benchmark phases).
-//
-//simlint:commit -- wholesale counter reset between benchmark phases
-func (d *Device) ResetStats() {
-	d.statsMu.Lock()
-	defer d.statsMu.Unlock()
-	d.gpuStats = stats.GPUStats{}
-	d.sysStats = stats.SystemStats{}
-	d.cfgGraph = stats.NewCFG()
-	d.touchedPages = make(map[uint64]struct{})
 }
 
 // NoteKernelLaunch lets the runtime record kernel enqueues (a runtime-

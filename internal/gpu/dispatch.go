@@ -124,10 +124,9 @@ type hostThread struct {
 func (th *hostThread) bind(d *Device, desc *JobDescriptor, prog *Program, uniforms []uint64) {
 	th.gs = stats.GPUStats{RegistersUsed: uint64(prog.RegCount)}
 	e := &th.ec
-	e.eng, e.bus, e.gs, e.stop = d.cfg.Engine, d.bus, &th.gs, &d.stopReq
+	e.eng, e.gs, e.stop = d.cfg.Engine, &th.gs, &d.stopReq
 	e.prog, e.uniforms = prog, uniforms
 	e.gsz, e.lsz, e.lids = desc.GlobalSize, desc.LocalSize, d.lids
-	e.trace = d.trace
 	e.cfg = nil
 	if d.collectCFG.Load() {
 		e.cfg = stats.NewCFG()
@@ -343,11 +342,7 @@ func (e *execContext) runWorkgroup() error {
 	total := int(lsz[0]) * int(lsz[1]) * int(lsz[2])
 	nWarps := len(e.lids)
 
-	// The lane-id rows the program names; instruction tracing prints gid.
-	ids := e.prog.idRows
-	if e.trace != nil {
-		ids = 1<<6 - 1
-	}
+	ids := e.prog.idRows // the lane-id rows the program names
 	warps := e.warpsFor(nWarps)
 	for wi := range warps {
 		w := &warps[wi].w

@@ -25,12 +25,12 @@ type guestLocal struct {
 	walker *mmu.Walker
 }
 
-func (g *guestLocal) load(off uint64) (uint32, error) {
+func (g *guestLocal) load(off uint64) (uint64, error) {
 	if off+4 > g.size {
 		return 0, fmt.Errorf("gpu: local load at %#x beyond %#x", off, g.size)
 	}
 	v, err := g.walker.Load(g.base+off, 4, mem.Read)
-	return uint32(v), err
+	return uint64(uint32(v)), err
 }
 
 func (g *guestLocal) store(off uint64, v uint32) error {
@@ -103,11 +103,6 @@ type warp struct {
 	stack []divFrame
 }
 
-// gid returns a lane's global id, for the instruction trace.
-func (w *warp) gid(lane int) [3]uint32 {
-	return [3]uint32{uint32(w.rows[rowGID][lane]), uint32(w.rows[rowGID+1][lane]), uint32(w.rows[rowGID+2][lane])}
-}
-
 func (w *warp) allExited() bool { return w.exited == fullMask(w.lanes) }
 
 // execContext is everything a warp needs from its surrounding workgroup
@@ -117,7 +112,6 @@ type execContext struct {
 	prog     *Program
 	eng      Engine // a shared program may carry tapes an interpreter device must not run
 	uniforms []uint64
-	bus      *mem.Bus
 	walker   *mmu.Walker
 	local    *guestLocal
 
@@ -125,10 +119,9 @@ type execContext struct {
 	gsz  [3]uint32
 	lsz  [3]uint32
 
-	gs    *stats.GPUStats
-	cfg   *stats.CFG   // nil when CFG collection is off
-	trace *traceSink   // nil when instruction tracing is off
-	stop  *atomic.Bool // soft-stop latch, polled at clause boundaries
+	gs   *stats.GPUStats
+	cfg  *stats.CFG   // nil when CFG collection is off
+	stop *atomic.Bool // soft-stop latch, polled at clause boundaries
 
 	// tape is the program's warp-engine artifact when this context runs
 	// on it (nil on the interpreter), tallies[k] what the warps that ran
@@ -246,14 +239,10 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				u, wp := t.ops[pc], e.tape
 				var err error
 				switch u.kind() {
-				case kLoadG, kLoadGB, kLoadG64:
-					err = e.loadGlobal(w, &wp.mems[u.imm()], u, act)
-				case kStoreG, kStoreGB, kStoreG64:
-					err = e.storeGlobal(w, &wp.mems[u.imm()], u, act)
-				case kLoadL:
-					err = e.loadLocal(w, &wp.mems[u.imm()], u, act)
-				case kStoreL:
-					err = e.storeLocal(w, &wp.mems[u.imm()], u, act)
+				case kLoadG, kLoadGB, kLoadG64, kLoadL:
+					err = e.loadLanes(w, &wp.mems[u.imm()], u, act)
+				case kStoreG, kStoreGB, kStoreG64, kStoreL:
+					err = e.storeLanes(w, &wp.mems[u.imm()], u, act)
 				case kLaneInterp:
 					err = e.laneInterp(w, wp.slow[u.imm()].in, act)
 				case kSlow:
@@ -336,15 +325,14 @@ func (w *warp) activeSet() (uint64, *soaRow) {
 	return act, &maskRows[w.active]
 }
 
-// bindTape selects the warp engine for this context when it applies — the
-// program is compiled for it and instruction tracing, which needs per-
-// instruction visibility, is off — sizes the tallies (all zero between
-// jobs: commitTallies leaves them so) and builds the uniform-operand table
-// the tape reads: kernel arguments, dispatch sizes and the program's
-// constants. The workgroup id slots are refreshed by runWorkgroup.
+// bindTape selects the warp engine for this context when the program is
+// compiled for it, sizes the tallies (all zero between jobs: commitTallies
+// leaves them so) and builds the uniform-operand table the tape reads:
+// kernel arguments, dispatch sizes and the program's constants. The
+// workgroup id slots are refreshed by runWorkgroup.
 func (e *execContext) bindTape() {
 	e.tape, e.tallies = nil, e.tallies[:0]
-	if e.eng != EngineWarp || e.prog.warp == nil || e.trace != nil {
+	if e.eng != EngineWarp || e.prog.warp == nil {
 		return
 	}
 	e.tape = e.prog.warp
@@ -373,8 +361,7 @@ func (e *execContext) bindTape() {
 //
 //simlint:commit -- commits the per-clause instruction mix
 func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {
-	ci := w.pc
-	c := &e.prog.Clauses[ci]
+	c := &e.prog.Clauses[w.pc]
 
 	e.gs.ClausesExec++
 	e.gs.ClauseSizeHist[min(c.Slots(), stats.MaxClauseSlots)]++
@@ -390,11 +377,8 @@ func (e *execContext) execClause(w *warp, act uint64) (warpStatus, error) {
 		blk.ThreadsIn += act
 		blk.WarpsIn++
 	}
-	if e.trace != nil {
-		e.trace.clauseEntry(e.wgid, uint32(w.rows[rowGID][0]), ci, c.Addr, int(act))
-	}
 
-	next := ci + 1 // fallthrough
+	next := w.pc + 1 // fallthrough
 
 	for ii := range c.Instrs {
 		in := &c.Instrs[ii]
@@ -635,9 +619,6 @@ func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
 			return err
 		}
 		e.write(w, lane, in.Dst, v)
-		if e.trace != nil {
-			e.trace.inst(lane, w.gid(lane), in, v, true)
-		}
 		return nil
 
 	case OpSTG, OpSTG64, OpSTGB:
@@ -652,16 +633,6 @@ func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
 		}
 		e.gs.GlobalLS++
 		e.gs.MainMemAcc++
-		if e.trace != nil {
-			// Preserve the traced-mode ordering exactly: a translation
-			// fault is never traced, a store that reaches the bus is.
-			pa, fault := e.walker.Translate(addr, mem.Write)
-			if fault != nil {
-				return fault
-			}
-			e.trace.inst(lane, w.gid(lane), in, v, true)
-			return e.bus.AtomicWrite(pa, size, v)
-		}
 		return e.walker.Store(addr, size, v)
 
 	case OpLDL:
@@ -672,7 +643,7 @@ func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
 		if err != nil {
 			return err
 		}
-		e.write(w, lane, in.Dst, uint64(v))
+		e.write(w, lane, in.Dst, v)
 		return nil
 
 	case OpSTL:
@@ -809,9 +780,6 @@ func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
 		return fmt.Errorf("gpu: unimplemented opcode %v", in.Op)
 	}
 	e.write(w, lane, in.Dst, r)
-	if e.trace != nil {
-		e.trace.inst(lane, w.gid(lane), in, r, true)
-	}
 	return nil
 }
 

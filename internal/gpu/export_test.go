@@ -45,19 +45,6 @@ func (d *Device) ExecJob(desc *JobDescriptor, prog *Program, uniforms []uint64) 
 // CompileWarp builds p's warp-engine tapes, as a program cache miss does.
 func CompileWarp(p *Program) { p.compile(EngineWarp) }
 
-// Rewrite is a set of the tape optimiser's rewrites.
-type Rewrite = rewrite
-
-// The rewrites a test can switch off one at a time.
-const (
-	RewriteForward  = rwForward
-	RewriteLoads    = rwLoads
-	RewriteFuseAddr = rwFuseAddr
-	RewriteFuseTail = rwFuseTail
-	RewriteBool     = rwBool
-	RewriteValues   = rwValues
-)
-
 // heads is the chain table of a warp inside a divergent region, flat that
 // of a warp with an empty divergence stack.
 func (wp *warpProgram) heads() []tape { return wp.chains[:len(wp.clauses)] }
@@ -65,13 +52,9 @@ func (wp *warpProgram) flat() []tape  { return wp.chains[len(wp.clauses):] }
 
 // TapeSizes counts the micro-ops of a warp-compiled program's clause tapes,
 // and of the tapes a warp can enter in each chain table: those reachable
-// from clause 0 through the table's own tapes. With off zero it measures
-// p's own tapes, otherwise p compiled afresh without the rewrites in off.
-func TapeSizes(p *Program, off Rewrite) (clauseOps, headOps, flatOps int) {
+// from clause 0 through the table's own tapes.
+func TapeSizes(p *Program) (clauseOps, headOps, flatOps int) {
 	wp := p.warp
-	if off != 0 {
-		wp = warpCompileWith(p, allRewrites&^off)
-	}
 	for _, t := range wp.clauses {
 		clauseOps += len(t.ops)
 	}

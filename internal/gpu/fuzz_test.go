@@ -1,10 +1,8 @@
 package gpu_test
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"mobilesim/internal/gpu"
@@ -171,46 +169,4 @@ func TestFuzzALUOpsAgainstReference(t *testing.T) {
 func bothNaN32(a, b uint32) bool {
 	fa, fb := math.Float32frombits(a), math.Float32frombits(b)
 	return fa != fa && fb != fb
-}
-
-func TestInstructionTraceObservable(t *testing.T) {
-	r := newRig(t, gpu.DefaultConfig())
-	var trace bytes.Buffer
-	r.dev.SetTrace(&trace)
-
-	const n = 8
-	a, b, out := r.allocBuf(4*n), r.allocBuf(4*n), r.allocBuf(4*n)
-	r.writeInts(a, make([]int32, n))
-	r.writeInts(b, make([]int32, n))
-	progVA, progSize := r.loadProgram(vecAddProgram())
-	raw := r.submit(&gpu.JobDescriptor{
-		JobType:    gpu.JobTypeCompute,
-		GlobalSize: [3]uint32{n, 1, 1},
-		LocalSize:  [3]uint32{n, 1, 1},
-		ShaderVA:   progVA,
-		ShaderSize: progSize,
-	}, []uint64{a, b, out})
-	if raw&gpu.IRQJobDone == 0 {
-		t.Fatalf("rawstat=%#x", raw)
-	}
-	out1 := trace.String()
-	if !strings.Contains(out1, "clause=0") {
-		t.Error("trace missing clause records")
-	}
-	if !strings.Contains(out1, "ldg") || !strings.Contains(out1, "iadd") {
-		t.Errorf("trace missing instruction effects:\n%s", firstLines(out1, 10))
-	}
-	// Each executed lane-instruction appears: 8 threads x 8 effectful
-	// instructions (6 ALU/addr + ldg x2 ... at least 8 lines/thread).
-	if lines := strings.Count(out1, "\n"); lines < 8*8 {
-		t.Errorf("trace has only %d lines", lines)
-	}
-}
-
-func firstLines(s string, n int) string {
-	parts := strings.SplitN(s, "\n", n+1)
-	if len(parts) > n {
-		parts = parts[:n]
-	}
-	return strings.Join(parts, "\n")
 }

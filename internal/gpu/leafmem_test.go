@@ -70,6 +70,7 @@ var memShapes = []memShape{
 	{name: "partial_warp", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + 0x80}, slot: lmRW, lanes: 3},
 	{name: "divergent_warp", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + 0x80}, slot: lmRW, active: 0b1101},
 	{name: "local_lane_out_of_bounds", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + lmSlotSz}, slot: lmRW, localOnly: true},
+	{name: "divergent_local_lane_out_of_bounds", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + lmSlotSz}, slot: lmRW, active: 0b1101, localOnly: true},
 }
 
 // memOps are the memory instructions of the table: every op and size clc
@@ -148,7 +149,6 @@ func newMemRig(tb testing.TB, eng Engine, in Instr, sh memShape) *memRig {
 	ec := &execContext{
 		prog:   p,
 		eng:    eng,
-		bus:    bus,
 		walker: walker,
 		local:  &guestLocal{base: sh.slot, size: lmSlotSz, walker: walker},
 		gs:     &stats.GPUStats{},
@@ -196,7 +196,8 @@ func (r *memRig) run(tb testing.TB) memOutcome {
 	}
 	r.ec.commitTallies()
 	o.regs, o.gs = regsOf(r.w), *r.ec.gs
-	o.hits, o.walks, o.touched = r.ec.walker.Hits, r.ec.walker.Walks, r.ec.walker.TouchedCount()
+	o.hits, o.walks = r.ec.walker.Hits, r.ec.walker.Walks
+	r.ec.walker.ForEachTouched(func(uint64) { o.touched++ })
 	rw, ro := make([]byte, 2*mem.PageSize), make([]byte, mem.PageSize)
 	if err := r.bus.ReadBytes(lmRWPA, rw); err != nil {
 		tb.Fatal(err)
@@ -233,11 +234,12 @@ func leafServes(in Instr, sh memShape) bool {
 // TestLeafMemoryMatchesInterp runs LDG, LDGB, STG, STGB, LDL, STL and LDG64
 // over a TLB hit, a TLB miss, an MMIO frame, a read-only page, a span
 // across pages, misaligned words, a partial and a divergent warp and a
-// local lane out of bounds, on the warp engine and on the interpreter: the
-// same fault or none, the same registers, guest bytes, device accesses,
-// GPUStats and TLB hits, walks and touched pages. It also holds execLeaf to
-// its rule: it serves exactly the accesses leafServes names, and hands
-// every other back.
+// local lane out of bounds, of a full warp and of a divergent one whose
+// earlier active lanes have loaded, on the warp engine and on the
+// interpreter: the same fault or none, the same registers, guest bytes,
+// device accesses, GPUStats and TLB hits, walks and touched pages. It also
+// holds execLeaf to its rule: it serves exactly the accesses leafServes
+// names, and hands every other back.
 func TestLeafMemoryMatchesInterp(t *testing.T) {
 	for _, in := range memOps {
 		for _, sh := range memShapes {
@@ -305,7 +307,7 @@ func BenchmarkTapeMemory(b *testing.B) {
 			}
 			p := &Program{RegCount: 3 + n, Clauses: []Clause{{Instrs: append(ins, Instr{Op: OpRET})}}}
 			p.compile(EngineWarp)
-			ec := &execContext{prog: p, eng: EngineWarp, bus: bus, walker: walker, gs: &stats.GPUStats{},
+			ec := &execContext{prog: p, eng: EngineWarp, walker: walker, gs: &stats.GPUStats{},
 				local: &guestLocal{base: lmRW, size: n * mem.PageSize, walker: walker}}
 			ec.bindTape()
 			w := &warp{lanes: WarpSize}

@@ -14,19 +14,6 @@ import "slices"
 // this model (isa.go), so liveness is a fixpoint over the whole program,
 // not a scan of one clause.
 
-// rewrite is a set of the optimiser's rewrites.
-type rewrite uint8
-
-const (
-	rwForward   rewrite = 1 << iota // op tN; …; mov rM, tN → op rM; …
-	rwLoads                         // the same for a load: ld tN; …; mov rM, tN → ld rM; …
-	rwFuseAddr                      // imul → iadd → mul64 → add64 → kAddr
-	rwFuseTail                      // mul64 → add64 → kAddrTail
-	rwBool                          // a boolean row's re-test → a move, or a negated BRC predicate
-	rwValues                        // a chain computes each value once (numberValues)
-	allRewrites = rwForward | rwLoads | rwFuseAddr | rwFuseTail | rwBool | rwValues
-)
-
 // tempMask is a set of clause temporaries, bit i for t<i>.
 type tempMask uint8
 
@@ -118,51 +105,42 @@ func liveOut(clauses []tape) []tempMask {
 	return out
 }
 
-// optimise applies the tape rewrites in rw to every clause tape.
-func (wp *warpProgram) optimise(rw rewrite) {
+// optimise rewrites every clause tape: boolean re-tests (bools), then
+// forwarding (forward), then address fusion (fuse).
+func (wp *warpProgram) optimise() {
 	out := liveOut(wp.clauses)
 	for ci := range wp.clauses {
 		t := &wp.clauses[ci]
-		if rw&rwBool != 0 {
-			wp.bools(t, out[ci])
-		}
+		wp.bools(t, out[ci])
 		end := out[ci] | t.termTemps()
-		if rw&(rwForward|rwLoads) != 0 {
-			t.forward(end, rw)
-		}
-		if rw&(rwFuseAddr|rwFuseTail) != 0 {
-			wp.fuse(t, end, rw)
-		}
+		t.forward(end)
+		wp.fuse(t, end)
 	}
 }
 
-// forwardable reports a micro-op whose result rw lets go straight to
-// another row: with rwForward a leaf ALU case that does not read its
-// destination, a splat or a slow ALU op; with rwLoads a load, which can
-// fault part-way through a warp but writes its destination only once every
-// lane has loaded (loadGlobal).
-func forwardable(k uopKind, rw rewrite) bool {
-	if isLoad(k) {
-		return rw&rwLoads != 0
-	}
-	return rw&rwForward != 0 && (k == kSplat || k == kSlow || k >= kVV && !accumulates(k))
+// forwardable reports a micro-op whose result may go straight to another
+// row: a leaf ALU case that does not read its destination, a splat, a slow
+// ALU op or a load, which can fault part-way through a warp but writes its
+// destination only once every lane has loaded (loadLanes).
+func forwardable(k uopKind) bool {
+	return isLoad(k) || k == kSplat || k == kSlow || k >= kVV && !accumulates(k)
 }
 
 // isLoad reports a load micro-op.
 func isLoad(k uopKind) bool { return k == kLoadG || k == kLoadGB || k == kLoadG64 || k == kLoadL }
 
-// forward rewrites op tN; …; mov rM, tN into op rM; … where tN is dead
-// after the move and the micro-ops between are leaf ALU cases that neither
-// read nor write tN or rM: none of them can fault, so no abort sees rM
-// written early, and none reads either row. A masked warp writes the
+// forward rewrites op tN; …; mov rM, tN — a load included — into
+// op rM; … where tN is dead after the move and the micro-ops between are
+// leaf ALU cases that neither read nor write tN or rM: none of them can
+// fault, so no abort sees rM written early, and none reads either row. A masked warp writes the
 // active lanes of rM in either form, and the inactive lanes in neither.
-func (t *tape) forward(end tempMask, rw rewrite) {
+func (t *tape) forward(end tempMask) {
 	after := make([]tempMask, len(t.ops))
 	liveBefore(t.ops, end, after)
 	for i := 0; i < len(t.ops); i++ {
 		u := t.ops[i]
 		tn := tempBit(u.d())
-		if tn == 0 || !forwardable(u.kind(), rw) {
+		if tn == 0 || !forwardable(u.kind()) {
 			continue
 		}
 		for j := i + 1; j < len(t.ops); j++ {
@@ -280,7 +258,7 @@ func addrIdiom(ops []uop) (a, b uint8, ok bool) {
 // fuse replaces each address idiom whose intermediates are temporaries
 // dead after it by one kAddr, and each remaining mul64 → add64 pair with a
 // dead temporary between them by one kAddrTail.
-func (wp *warpProgram) fuse(t *tape, end tempMask, rw rewrite) {
+func (wp *warpProgram) fuse(t *tape, end tempMask) {
 	after := make([]tempMask, len(t.ops))
 	liveBefore(t.ops, end, after)
 	// dead reports that d, an intermediate of the run ending at ops[last],
@@ -301,11 +279,11 @@ func (wp *warpProgram) fuse(t *tape, end tempMask, rw rewrite) {
 	}
 	for i := 0; i < len(t.ops); i++ {
 		ops := t.ops[i:]
-		if a, b, ok := addrIdiom(ops); ok && rw&rwFuseAddr != 0 && dead(ops[0].d(), i+3) && dead(ops[1].d(), i+3) && dead(ops[2].d(), i+3) {
+		if a, b, ok := addrIdiom(ops); ok && dead(ops[0].d(), i+3) && dead(ops[1].d(), i+3) && dead(ops[2].d(), i+3) {
 			t.ops[i] = mkUop(kAddr, ops[3].d(), a, b, addr(ops[0].imm(), ops[2].imm(), ops[3].imm()))
 			t.cut(i+1, 3)
 			after = slices.Delete(after, i, i+3)
-		} else if rw&rwFuseTail != 0 && len(ops) > 1 && ops[0].kind() == kMUL64 && ops[1].kind() == kADD64 && ops[1].a() == ops[0].d() && dead(ops[0].d(), i+1) {
+		} else if len(ops) > 1 && ops[0].kind() == kMUL64 && ops[1].kind() == kADD64 && ops[1].a() == ops[0].d() && dead(ops[0].d(), i+1) {
 			t.ops[i] = mkUop(kAddrTail, ops[1].d(), ops[0].a(), 0, addr(uvZero, ops[0].imm(), ops[1].imm()))
 			t.cut(i+1, 1)
 			after = slices.Delete(after, i, i+1)
@@ -338,6 +316,7 @@ func (t *tape) cut(i, n int) {
 // is that chain, and shares its result.
 func (wp *warpProgram) numberValues() {
 	out, n := liveOut(wp.clauses), len(wp.clauses)
+	sc := valueScratch{ids: map[vkey]int32{}}
 	for k := range wp.chains {
 		t := &wp.chains[k]
 		switch {
@@ -349,7 +328,7 @@ func (wp *warpProgram) numberValues() {
 			if t.next == n {
 				end = allTemps
 			}
-			wp.values(t, end)
+			wp.values(t, end, &sc)
 		}
 	}
 }
@@ -390,11 +369,33 @@ func pure(k uopKind) bool {
 
 // vkey is what a pure micro-op computes: its case and payload over the
 // value numbers of the rows it reads (-1 for a field it does not read). A
-// tail a*s2 + s3 keys its uniform slots as imm s2 and b s3.
+// tail a*s2 + s3 keys its uniform slots as imm s2 and b s3. It has no
+// padding, so that a map hashes it as one 16-byte word.
 type vkey struct {
-	k    uopKind
+	k    uint32 // a uopKind
 	imm  uint32
 	a, b int32
+}
+
+// valueScratch is the working storage of values, kept from chain to chain
+// of one compile.
+type valueScratch struct {
+	ids           map[vkey]int32
+	src           [][2]int32
+	def, pos      []int32
+	need, last    []int
+	movable, keep []bool
+}
+
+// resize returns s with length n and every element zero, reusing its array
+// when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // values numbers the values of the chain tape t, whose terminal leaves the
@@ -416,7 +417,7 @@ type vkey struct {
 // than a register whose readers all went goes too. No register's write
 // moves or goes, so no abort sees one early, and a tape with a
 // kLaneInterp, which may read any row, is left alone.
-func (wp *warpProgram) values(t *tape, end tempMask) {
+func (wp *warpProgram) values(t *tape, end tempMask, sc *valueScratch) {
 	ops := t.ops
 	if slices.ContainsFunc(ops, func(u uop) bool { return u.kind() == kLaneInterp }) {
 		return
@@ -430,17 +431,20 @@ func (wp *warpProgram) values(t *tape, end tempMask) {
 	for r := range vn {
 		vn[r] = int32(r)
 	}
-	src, def := make([][2]int32, n), make([]int32, n)
-	keys := make([]vkey, 0, 2*n)
+	sc.src, sc.def = resize(sc.src, n), resize(sc.def, n)
+	src, def, ids := sc.src, sc.def, sc.ids
+	clear(ids)
+	next := int32(numRows) // the next new value number
 	// number returns the value number of key, a new one when no micro-op
 	// computed it before.
-	number := func(key vkey) int32 {
-		j := slices.Index(keys, key)
-		if j < 0 {
-			j = len(keys)
-			keys = append(keys, key)
+	number := func(k uopKind, imm uint32, a, b int32) int32 {
+		key := vkey{uint32(k), imm, a, b}
+		j, ok := ids[key]
+		if !ok {
+			j, ids[key] = next, next
+			next++
 		}
-		return int32(numRows + j)
+		return j
 	}
 	for i, u := range ops {
 		ra, rb := u.srcs()
@@ -462,19 +466,19 @@ func (wp *warpProgram) values(t *tape, end tempMask) {
 			// kAddr is the tail of iadd(imul(a, s1), b), numbered as such
 			// so that it equals the unfused run of the same address.
 			f := wp.addrs[u.imm()]
-			m := number(vkey{kIMUL, f[0], a, -1})
-			s := number(vkey{kIADD, 0, min(m, b), max(m, b)})
-			def[i] = number(vkey{kAddrTail, f[1], s, int32(f[2])})
+			m := number(kIMUL, f[0], a, -1)
+			s := number(kIADD, 0, min(m, b), max(m, b))
+			def[i] = number(kAddrTail, f[1], s, int32(f[2]))
 		case k == kAddrTail:
 			f := wp.addrs[u.imm()]
-			def[i] = number(vkey{kAddrTail, f[1], a, int32(f[2])})
+			def[i] = number(kAddrTail, f[1], a, int32(f[2]))
 		case k == kIADD:
-			def[i] = number(vkey{k, 0, min(a, b), max(a, b)})
+			def[i] = number(k, 0, min(a, b), max(a, b))
 		case pure(k):
-			def[i] = number(vkey{k, u.imm(), a, b})
+			def[i] = number(k, u.imm(), a, b)
 		default: // a value no micro-op computes again
-			def[i] = int32(numRows + len(keys))
-			keys = append(keys, vkey{k: kLaneInterp})
+			def[i] = next
+			next++
 		}
 		vn[u.d()] = def[i]
 	}
@@ -482,8 +486,8 @@ func (wp *warpProgram) values(t *tape, end tempMask) {
 	// need[v] is the last micro-op that reads value v. A movable
 	// definition's value is read through a and b alone, and last[i] is the
 	// last micro-op that reads it (i when none does).
-	need := make([]int, numRows+len(keys))
-	last, movable := make([]int, n), make([]bool, n)
+	sc.need, sc.last, sc.movable = resize(sc.need, int(next)), resize(sc.last, n), resize(sc.movable, n)
+	need, last, movable := sc.need, sc.last, sc.movable
 	for i, u := range ops {
 		for _, v := range src[i] {
 			if v >= 0 {
@@ -537,7 +541,8 @@ func (wp *warpProgram) values(t *tape, end tempMask) {
 	for s := range busy {
 		busy[s] = -1
 	}
-	keep := make([]bool, n)
+	sc.keep = resize(sc.keep, n)
+	keep := sc.keep
 	// home returns a row that holds value v from ops[i] through ops[last],
 	// its last reader, and reserves it that long: a spare row, or a row no
 	// literal micro-op between writes.
@@ -605,7 +610,8 @@ func (wp *warpProgram) values(t *tape, end tempMask) {
 	}
 
 	// Compact, each mark moving to the first kept micro-op at or after it.
-	pos := make([]int32, n+1)
+	sc.pos = resize(sc.pos, n+1)
+	pos := sc.pos
 	w := 0
 	for i := range ops {
 		pos[i] = int32(w)

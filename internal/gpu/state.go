@@ -8,10 +8,9 @@ import (
 
 // State is the serializable device state for platform snapshots: the
 // guest-visible register file plus the accumulated statistics. Host-side
-// warm-up state — the decode cache, the collected CFG, trace sinks — is
-// deliberately not captured: it is rebuilt on demand and never
-// guest-visible. A device must be quiescent (job slot idle, no chain in
-// flight) when captured.
+// warm-up state — the decode cache, the collected CFG — is deliberately
+// not captured: it is rebuilt on demand and never guest-visible. A device
+// must be quiescent (job slot idle, no chain in flight) when captured.
 type State struct {
 	IRQRawstat uint32
 	IRQMask    uint32

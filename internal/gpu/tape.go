@@ -624,7 +624,7 @@ func (s *slowOp) run(d, a, b *soaRow) {
 // sign-extended byte offset, the access size and the operand counters of
 // the address row and of the value row (a load's destination write, a
 // store's value read). dst is a load's destination as written, which the
-// optimiser may forward into a register (rwLoads): a fault leaves the lanes
+// optimiser may forward into a register (forward): a fault leaves the lanes
 // loaded before it there, as the interpreter does.
 type memOp struct {
 	off        uint64
@@ -720,17 +720,18 @@ func (e *execContext) leafStore(w *warp, u uop, mask *soaRow) bool {
 	return true
 }
 
-// loadGlobal is the LDG/LDGB/LDG64 micro-op of a warp execLeaf hands back:
-// a divergent or partial warp, a span across pages, a misaligned lane, a
-// TLB miss, an MMIO frame, a fault, every doubleword. It runs the per-lane
-// loop over the walker, counters and walker calls in the interpreter's
-// order, so a faulting lane aborts with the interpreter's totals. The lanes
-// load into the rowMasked staging row and reach the destination in
+// loadLanes is the load micro-op of a warp execLeaf hands back: a
+// divergent or partial warp, a span across pages, a misaligned lane, a TLB
+// miss, an MMIO frame, a lane outside the local slot, a fault, every
+// doubleword. It runs the per-lane loop, through the local slot for LDL as
+// warpPage keys it, with counters and walker calls in the interpreter's
+// order, so a faulting lane aborts with the interpreter's totals. The
+// lanes load into the rowMasked staging row and reach the destination in
 // commitLoad, so a forwarded load never writes its register early.
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
-func (e *execContext) loadGlobal(w *warp, m *memOp, u uop, act uint64) error {
-	gs := e.gs
+func (e *execContext) loadLanes(w *warp, m *memOp, u uop, act uint64) error {
+	gs, local := e.gs, u.kind() == kLoadL
 	gs.LSInstr += act
 	ar, sr := &w.rows[u.a()], &w.rows[rowMasked]
 	for l := 0; l < w.lanes; l++ {
@@ -738,9 +739,17 @@ func (e *execContext) loadGlobal(w *warp, m *memOp, u uop, act uint64) error {
 			continue
 		}
 		m.aCtr.bump(gs, 1)
-		gs.GlobalLS++
-		gs.MainMemAcc++
-		v, err := e.walker.Load(ar[l]+m.off, m.size, mem.Read)
+		var v uint64
+		var err error
+		if local {
+			gs.LocalLS++
+			gs.LocalAcc++
+			v, err = e.local.load(ar[l] + m.off)
+		} else {
+			gs.GlobalLS++
+			gs.MainMemAcc++
+			v, err = e.walker.Load(ar[l]+m.off, m.size, mem.Read)
+		}
 		if err != nil {
 			w.commitLoad(m.dst, l)
 			return err
@@ -764,11 +773,12 @@ func (w *warp) commitLoad(d uint8, n int) {
 	}
 }
 
-// storeGlobal is the STG/STGB/STG64 micro-op, the store mirror of loadGlobal.
+// storeLanes is the store micro-op of a warp execLeaf hands back, the store
+// mirror of loadLanes.
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
-func (e *execContext) storeGlobal(w *warp, m *memOp, u uop, act uint64) error {
-	gs := e.gs
+func (e *execContext) storeLanes(w *warp, m *memOp, u uop, act uint64) error {
+	gs, local := e.gs, u.kind() == kStoreL
 	gs.LSInstr += act
 	ar, br := &w.rows[u.a()], &w.rows[u.b()]
 	for l := 0; l < w.lanes; l++ {
@@ -777,58 +787,17 @@ func (e *execContext) storeGlobal(w *warp, m *memOp, u uop, act uint64) error {
 		}
 		m.aCtr.bump(gs, 1)
 		m.vCtr.bump(gs, 1)
-		gs.GlobalLS++
-		gs.MainMemAcc++
-		if err := e.walker.Store(ar[l]+m.off, m.size, br[l]); err != nil {
-			return err
+		var err error
+		if local {
+			gs.LocalLS++
+			gs.LocalAcc++
+			err = e.local.store(ar[l]+m.off, uint32(br[l]))
+		} else {
+			gs.GlobalLS++
+			gs.MainMemAcc++
+			err = e.walker.Store(ar[l]+m.off, m.size, br[l])
 		}
-	}
-	return nil
-}
-
-// loadLocal is the LDL micro-op of a warp execLeaf hands back, the local
-// counterpart of loadGlobal, staged the same way.
-//
-//simlint:commit -- warp memory uops keep interpreter-identical counters
-func (e *execContext) loadLocal(w *warp, m *memOp, u uop, act uint64) error {
-	gs := e.gs
-	gs.LSInstr += act
-	ar, sr := &w.rows[u.a()], &w.rows[rowMasked]
-	for l := 0; l < w.lanes; l++ {
-		if !w.active.has(l) {
-			continue
-		}
-		m.aCtr.bump(gs, 1)
-		gs.LocalLS++
-		gs.LocalAcc++
-		v, err := e.local.load(ar[l] + m.off)
 		if err != nil {
-			w.commitLoad(m.dst, l)
-			return err
-		}
-		m.vCtr.bump(gs, 1)
-		sr[l] = uint64(v)
-	}
-	w.commitLoad(u.d(), w.lanes)
-	return nil
-}
-
-// storeLocal is the STL micro-op, the store mirror of loadLocal.
-//
-//simlint:commit -- warp memory uops keep interpreter-identical counters
-func (e *execContext) storeLocal(w *warp, m *memOp, u uop, act uint64) error {
-	gs := e.gs
-	gs.LSInstr += act
-	ar, br := &w.rows[u.a()], &w.rows[u.b()]
-	for l := 0; l < w.lanes; l++ {
-		if !w.active.has(l) {
-			continue
-		}
-		m.aCtr.bump(gs, 1)
-		m.vCtr.bump(gs, 1)
-		gs.LocalLS++
-		gs.LocalAcc++
-		if err := e.local.store(ar[l]+m.off, uint32(br[l])); err != nil {
 			return err
 		}
 	}

@@ -74,12 +74,13 @@ func TestTapeLowersEveryOpcode(t *testing.T) {
 // tapeRig is the hot-path rig with a swappable program, local memory and
 // lane values that exercise integer, float and special-value behaviour.
 type tapeRig struct {
-	ec *execContext
-	w0 warp // pristine starting warp
+	ec  *execContext
+	bus *mem.Bus
+	w0  warp // pristine starting warp
 }
 
 func newTapeRig(t *testing.T) *tapeRig {
-	ec, w, _ := newHotContext(t)
+	ec, w, bus := newHotContext(t)
 	ec.uniforms = []uint64{7, math.MaxUint32, 0x10000 + 128, uint64(math.Float32bits(-2.5))}
 	ec.wgid, ec.gsz, ec.lsz = [3]uint32{2, 1, 0}, [3]uint32{64, 2, 1}, [3]uint32{WarpSize, 2, 1}
 	ec.local = &guestLocal{base: 0x10000 + 2048, size: 256, walker: ec.walker} // inside the mapped pages
@@ -100,7 +101,7 @@ func newTapeRig(t *testing.T) *tapeRig {
 		w.rows[6][l] = uint64(l) * 4 // local-memory offsets
 		w.rows[rowGID][l], w.rows[rowLID+1][l] = uint64(8+l), uint64(l&1)
 	}
-	return &tapeRig{ec: ec, w0: *w}
+	return &tapeRig{ec: ec, bus: bus, w0: *w}
 }
 
 // run executes prog from the pristine warp under one engine and warp shape
@@ -109,7 +110,7 @@ func newTapeRig(t *testing.T) *tapeRig {
 func (r *tapeRig) run(t *testing.T, prog *Program, eng Engine, shape func(*warp)) ([NumGRF + NumTemp]soaRow, stats.GPUStats, []byte, error) {
 	t.Helper()
 	const pa, n = 0x0020_0000, 2 * mem.PageSize
-	if err := r.ec.bus.WriteBytes(pa, make([]byte, n)); err != nil {
+	if err := r.bus.WriteBytes(pa, make([]byte, n)); err != nil {
 		t.Fatal(err)
 	}
 	w := r.w0
@@ -121,7 +122,7 @@ func (r *tapeRig) run(t *testing.T, prog *Program, eng Engine, shape func(*warp)
 	_, err := r.ec.runWarp(&w)
 	r.ec.commitTallies()
 	pages := make([]byte, n)
-	if rerr := r.ec.bus.ReadBytes(pa, pages); rerr != nil {
+	if rerr := r.bus.ReadBytes(pa, pages); rerr != nil {
 		t.Fatal(rerr)
 	}
 	return regsOf(&w), *r.ec.gs, pages, err

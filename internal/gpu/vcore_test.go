@@ -75,7 +75,9 @@ func TestWarmDeviceJobAllocatesOnlyItsReads(t *testing.T) {
 }
 
 // jobCounts is what a job adds to a device's statistics, less the
-// control-register traffic of the rig's own polling.
+// control-register traffic of the rig's own polling and the register
+// footprint, a high-water mark over the device's jobs. Its PagesAccessed
+// is the pages no job before it touched: the device counts distinct pages.
 type jobCounts struct {
 	gpu stats.GPUStats
 	sys stats.SystemStats
@@ -83,13 +85,13 @@ type jobCounts struct {
 
 func (r *rig) jobCounts(descVA uint64) jobCounts {
 	r.t.Helper()
-	r.dev.ResetStats()
+	gpu0, sys0 := r.dev.Stats()
 	if raw := r.kick(descVA); raw&gpu.IRQJobDone == 0 {
 		r.t.Fatalf("rawstat = %#x", raw)
 	}
-	var c jobCounts
-	c.gpu, c.sys = r.dev.Stats()
-	c.sys.CtrlRegReads, c.sys.CtrlRegWrites = 0, 0
+	gpu1, sys1 := r.dev.Stats()
+	c := jobCounts{gpu1.Sub(&gpu0), sys1.Sub(&sys0)}
+	c.sys.CtrlRegReads, c.sys.CtrlRegWrites, c.gpu.RegistersUsed = 0, 0, 0
 	return c
 }
 
@@ -138,7 +140,10 @@ func TestBackToBackJobsCountIdentically(t *testing.T) {
 			if raw := r.kick(faulting); raw&gpu.IRQJobFault == 0 {
 				t.Fatalf("stores to an unmapped page: rawstat = %#x, want a job fault", raw)
 			}
-			if again := r.jobCounts(reverse); again != first || first.sys.TLBWalks == 0 || first.sys.PagesAccessed == 0 {
+			// The run again touches only pages the first run counted.
+			pages := first.sys.PagesAccessed
+			first.sys.PagesAccessed = 0
+			if again := r.jobCounts(reverse); again != first || first.sys.TLBWalks == 0 || pages == 0 {
 				t.Errorf("the same job counted differently after other jobs ran on its cores:\nfirst: %+v\nagain: %+v", first, again)
 			}
 

@@ -101,7 +101,7 @@ type slowOp struct {
 
 // operand is a source operand resolved at compile time: a row of the
 // register file, or a slot of the uniform table. A BRC predicate row has
-// neg 1 when the optimiser has it read a boolean row negated (rwBool).
+// neg 1 when the optimiser has it read a boolean row negated (bools).
 type operand struct {
 	vec bool
 	row uint8
@@ -123,10 +123,7 @@ type tapeBuilder struct {
 
 // warpCompile lowers every clause of a program, optimises the clause tapes,
 // builds both chain tables and numbers the values of every chain.
-func warpCompile(p *Program) *warpProgram { return warpCompileWith(p, allRewrites) }
-
-// warpCompileWith is warpCompile with the optimiser's rewrites rw only.
-func warpCompileWith(p *Program, rw rewrite) *warpProgram {
+func warpCompile(p *Program) *warpProgram {
 	wp := &warpProgram{clauses: make([]tape, len(p.Clauses))}
 	b := &tapeBuilder{p: p, wp: wp, consts: map[uint64]uint32{}}
 	for ci := range p.Clauses {
@@ -151,11 +148,9 @@ func warpCompileWith(p *Program, rw rewrite) *warpProgram {
 		t.ops = b.ops[b.start:len(b.ops):len(b.ops)]
 		t.marks = b.marks[firstMark:len(b.marks):len(b.marks)]
 	}
-	wp.optimise(rw)
+	wp.optimise()
 	wp.chains = append(buildChains(wp, true), buildChains(wp, false)...)
-	if rw&rwValues != 0 {
-		wp.numberValues()
-	}
+	wp.numberValues()
 	return wp
 }
 

@@ -43,8 +43,8 @@ func hotProgram() *Program {
 
 // newHotContext builds a minimal execution rig — bus, identity-style
 // address space, walker — and a full warp with per-lane load/store
-// addresses already primed in the TLB.
-func newHotContext(tb testing.TB) (*execContext, *warp, *Program) {
+// addresses already primed in the TLB, and returns the bus with them.
+func newHotContext(tb testing.TB) (*execContext, *warp, *mem.Bus) {
 	tb.Helper()
 	bus := mem.NewBus(mem.NewRAM(0, 16<<20))
 	alloc, err := mem.NewPageAllocator(1<<20, 8<<20)
@@ -83,14 +83,13 @@ func newHotContext(tb testing.TB) (*execContext, *warp, *Program) {
 	ec := &execContext{
 		prog:   p,
 		eng:    EngineWarp,
-		bus:    bus,
 		walker: walker,
 		gs:     &stats.GPUStats{},
 		gsz:    [3]uint32{WarpSize, 1, 1},
 		lsz:    [3]uint32{WarpSize, 1, 1},
 	}
 	ec.bindTape()
-	return ec, w, p
+	return ec, w, bus
 }
 
 // setEngine switches a rig to another engine tier.

@@ -204,16 +204,6 @@ func (w *Walker) Rebind(root uint64) {
 	w.Hits, w.Walks = 0, 0
 }
 
-// TouchedCount returns the number of distinct virtual pages walked since
-// the last ResetTouched (the Table III "pages accessed" statistic).
-func (w *Walker) TouchedCount() int {
-	n := 0
-	for _, word := range w.touched {
-		n += bits.OnesCount64(word)
-	}
-	return n
-}
-
 // ForEachTouched calls fn for every distinct virtual page number recorded
 // since the last ResetTouched, in no particular order.
 func (w *Walker) ForEachTouched(fn func(vpn uint64)) {
