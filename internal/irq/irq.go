@@ -1,7 +1,8 @@
 // Package irq implements the platform interrupt controller. It is a small
 // GIC-flavoured distributor: devices assert/deassert numbered lines, the
-// CPU masks and acknowledges them. The GPU's Job Manager asserts lines from
-// its own goroutine, so the controller is safe for concurrent use.
+// driver enables them and the CPU claims them. The GPU's Job Manager
+// asserts lines from its own goroutine, so the controller is safe for
+// concurrent use.
 package irq
 
 import (
@@ -35,10 +36,6 @@ type Controller struct {
 	// waiters are channels to poke when a new interrupt becomes deliverable;
 	// the CPU's WFI implementation parks on one.
 	waiters []chan struct{}
-
-	// Stats counts assert edges per line for system-level instrumentation
-	// (Table III "Interrupts Asserted").
-	asserts [NumLines]uint64
 }
 
 // New creates a controller with all lines deasserted and disabled.
@@ -52,8 +49,7 @@ func (c *Controller) checkLine(l Line) {
 	}
 }
 
-// Assert raises a line. The first edge latches a pending bit and counts as
-// one asserted interrupt.
+// Assert raises a line. The first edge latches a pending bit.
 func (c *Controller) Assert(l Line) {
 	c.checkLine(l)
 	c.mu.Lock()
@@ -61,7 +57,6 @@ func (c *Controller) Assert(l Line) {
 	if c.level&bit == 0 {
 		c.level |= bit
 		c.pending |= bit
-		c.asserts[l]++
 	}
 	waiters := c.waiters
 	c.waiters = nil
@@ -85,14 +80,6 @@ func (c *Controller) Enable(l Line) {
 	c.checkLine(l)
 	c.mu.Lock()
 	c.enabled |= uint32(1) << uint(l)
-	c.mu.Unlock()
-}
-
-// Disable masks a line.
-func (c *Controller) Disable(l Line) {
-	c.checkLine(l)
-	c.mu.Lock()
-	c.enabled &^= uint32(1) << uint(l)
 	c.mu.Unlock()
 }
 
@@ -149,21 +136,20 @@ type State struct {
 	Level   uint32
 	Pending uint32
 	Enabled uint32
-	Asserts [NumLines]uint64
 }
 
 // CaptureState snapshots the controller.
 func (c *Controller) CaptureState() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return State{Level: c.level, Pending: c.pending, Enabled: c.enabled, Asserts: c.asserts}
+	return State{Level: c.level, Pending: c.pending, Enabled: c.enabled}
 }
 
 // RestoreState installs captured controller state and pokes any parked
 // waiter when a deliverable interrupt was restored.
 func (c *Controller) RestoreState(st State) {
 	c.mu.Lock()
-	c.level, c.pending, c.enabled, c.asserts = st.Level, st.Pending, st.Enabled, st.Asserts
+	c.level, c.pending, c.enabled = st.Level, st.Pending, st.Enabled
 	var waiters []chan struct{}
 	if c.pending&c.enabled != 0 {
 		waiters = c.waiters
@@ -173,12 +159,4 @@ func (c *Controller) RestoreState(st State) {
 	for _, w := range waiters {
 		close(w)
 	}
-}
-
-// Asserted returns the number of assert edges observed on a line.
-func (c *Controller) Asserted(l Line) uint64 {
-	c.checkLine(l)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.asserts[l]
 }

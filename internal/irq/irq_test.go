@@ -42,24 +42,23 @@ func TestMaskingBlocksDelivery(t *testing.T) {
 	if !c.Pending() {
 		t.Error("enabling should expose latched pending")
 	}
-	c.Disable(lineLow)
-	if c.Pending() {
-		t.Error("disabling should mask again")
-	}
 }
 
 func TestEdgeLatching(t *testing.T) {
 	c := New()
 	c.Enable(lineHigh)
 	c.Assert(lineHigh)
+	if _, ok := c.Claim(); !ok {
+		t.Fatal("first edge not latched")
+	}
 	c.Assert(lineHigh) // second assert while high: no new edge
-	if got := c.Asserted(lineHigh); got != 1 {
-		t.Errorf("Asserted = %d, want 1", got)
+	if c.Pending() {
+		t.Error("an assert of a line already high latched again")
 	}
 	c.Deassert(lineHigh)
 	c.Assert(lineHigh)
-	if got := c.Asserted(lineHigh); got != 2 {
-		t.Errorf("Asserted after re-edge = %d, want 2", got)
+	if l, ok := c.Claim(); !ok || l != lineHigh {
+		t.Errorf("re-edge after deassert: Claim = %v, %v", l, ok)
 	}
 }
 
@@ -132,10 +131,13 @@ func TestConcurrentAsserts(t *testing.T) {
 		}(l)
 	}
 	wg.Wait()
-	for l := Line(0); l < 8; l++ {
-		if got := c.Asserted(l); got != 100 {
-			t.Errorf("line %d: %d edges, want 100", l, got)
+	for want := Line(0); want < 8; want++ {
+		if l, ok := c.Claim(); !ok || l != want {
+			t.Errorf("Claim = %v, %v; want line %d latched", l, ok, want)
 		}
+	}
+	if c.Pending() {
+		t.Error("pending after every line was claimed")
 	}
 }
 

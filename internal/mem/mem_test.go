@@ -193,15 +193,6 @@ func TestPageAllocator(t *testing.T) {
 	if _, err := alloc.AllocPage(); err == nil {
 		t.Error("exhausted allocator should fail")
 	}
-	// Free then re-alloc reuses a frame.
-	alloc.FreePage(0x10000)
-	p, err := alloc.AllocPage()
-	if err != nil || p != 0x10000 {
-		t.Errorf("free/realloc: got %#x, %v", p, err)
-	}
-	if got := alloc.InUse(); got != 4 {
-		t.Errorf("InUse = %d, want 4", got)
-	}
 }
 
 func TestPageAllocatorAlignmentChecked(t *testing.T) {

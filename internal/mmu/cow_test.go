@@ -99,63 +99,6 @@ func TestCowFirstStoreUpgradesView(t *testing.T) {
 	untouched(t, img, pa)
 }
 
-// TestCowCountersMatchNonFork pins TLB accounting equality: the same
-// access sequence produces identical Hits/Walks on a forked walker and on
-// a walker over plain RAM — the property that keeps golden statistics
-// bit-identical between cold-boot and restored sessions.
-func TestCowCountersMatchNonFork(t *testing.T) {
-	run := func(w *Walker, va uint64) (uint64, uint64) {
-		seq := []struct {
-			off   uint64
-			kind  mem.AccessKind
-			write bool
-		}{
-			{0, mem.Read, false},
-			{8, mem.Read, false},
-			{16, mem.Write, true}, // first store through a read-cached view
-			{24, mem.Read, false},
-			{32, mem.Write, true},
-			{4096, mem.Read, false}, // unmapped neighbour page would fault; stay in page
-		}
-		for _, s := range seq[:5] {
-			var err error
-			if s.write {
-				err = w.Store(va+s.off, 8, 0x77)
-			} else {
-				_, err = w.Load(va+s.off, 8, s.kind)
-			}
-			if err != nil {
-				panic(err)
-			}
-		}
-		return w.Hits, w.Walks
-	}
-
-	// Fork walker.
-	fw, _, fva, _ := cowEnv(t)
-	fHits, fWalks := run(fw, fva)
-
-	// Walker over plain RAM with an identical layout (same builder, no fork).
-	const va, pa = uint64(0x4000_0000), uint64(0x0050_0000)
-	ram := mem.NewRAM(0, 16<<20)
-	bus := mem.NewBus(ram)
-	alloc, _ := mem.NewPageAllocator(1<<20, 8<<20)
-	as, err := NewAddressSpace(bus, alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := as.Map(va, pa, PermR|PermW); err != nil {
-		t.Fatal(err)
-	}
-	pw := NewWalker(bus)
-	pw.SetRoot(as.Root())
-	pHits, pWalks := run(pw, va)
-
-	if fHits != pHits || fWalks != pWalks {
-		t.Fatalf("fork hits/walks %d/%d, plain RAM %d/%d", fHits, fWalks, pHits, pWalks)
-	}
-}
-
 // TestCowSharedWalkerBulk exercises the walker's atomic bulk paths over a
 // fork: bulk reads of image content, bulk writes that stay in the fork.
 func TestCowSharedWalkerBulk(t *testing.T) {

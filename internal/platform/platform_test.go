@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mobilesim/internal/asm"
 	"mobilesim/internal/gpu"
@@ -167,7 +168,7 @@ func TestConstructorFailuresLeakNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 
 	// Each arm builds a platform whose main memory is size bytes. An image
 	// is page-granular by construction, so only the page-multiple sizes can
@@ -244,7 +245,7 @@ func TestConstructorFailuresLeakNothing(t *testing.T) {
 	if n := recycled.Load(); n != 1 {
 		t.Errorf("failed restore recycled its RAM %d times, want 1", n)
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	if after := goroutinesBackTo(before); after > before {
 		t.Errorf("goroutines: %d before the failed constructors, %d after", before, after)
 	}
 
@@ -254,4 +255,30 @@ func TestConstructorFailuresLeakNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// 50 ms, reading for at most 2 s. A goroutine an earlier test joined may
+// still be on its way out: a Job Manager calls wg.Done in a defer, so
+// Device.Close returns before the goroutine has exited.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), time.Now()
+	for deadline := still.Add(2 * time.Second); time.Now().Before(deadline) && time.Since(still) < 50*time.Millisecond; {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, time.Now()
+		}
+	}
+	return n
+}
+
+// goroutinesBackTo waits at most 2 s for the goroutine count to fall to
+// want, and returns the last count read: one that stays above want is a
+// goroutine that outlived its join.
+func goroutinesBackTo(want int) int {
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if n := runtime.NumGoroutine(); n <= want || time.Now().After(deadline) {
+			return n
+		}
+	}
 }

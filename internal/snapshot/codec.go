@@ -14,12 +14,12 @@ import (
 	"mobilesim/internal/platform"
 )
 
-// Wire format v2. Little-endian throughout; strings and byte blobs are
+// Wire format v3. Little-endian throughout; strings and byte blobs are
 // u64-length-prefixed; maps are emitted in sorted key order so encoding
 // is a pure function of the state.
 const (
 	magic   = "MSIMSNAP"
-	version = uint32(2)
+	version = uint32(3)
 
 	// maxBlob caps length prefixes while decoding. 16 GiB comfortably
 	// exceeds any supported guest RAM.
@@ -168,7 +168,7 @@ func (d *decoder) fixed(v any) {
 	}
 }
 
-// Encode writes the state in wire format v2. Encoding the same state
+// Encode writes the state in wire format v3. Encoding the same state
 // twice produces identical bytes.
 func Encode(w io.Writer, st *State) error {
 	e := &encoder{w: bufio.NewWriter(w)}
@@ -191,7 +191,6 @@ func Encode(w io.Writer, st *State) error {
 	e.u64(p.Alloc.Base)
 	e.u64(p.Alloc.Limit)
 	e.u64(p.Alloc.Next)
-	e.u64s(p.Alloc.Free)
 
 	// CPU core (fixed-size architectural state).
 	e.fixed(&p.CPU)
@@ -242,7 +241,7 @@ func Encode(w io.Writer, st *State) error {
 	return e.w.Flush()
 }
 
-// Decode reads a state in wire format v2.
+// Decode reads a state in wire format v3.
 func Decode(r io.Reader) (*State, error) {
 	d := &decoder{r: bufio.NewReader(r)}
 	d.src, _ = r.(interface{ Len() int })
@@ -273,7 +272,7 @@ func Decode(r io.Reader) (*State, error) {
 		p.RAM = img
 	}
 
-	p.Alloc = mem.AllocState{Base: d.u64(), Limit: d.u64(), Next: d.u64(), Free: d.u64s()}
+	p.Alloc = mem.AllocState{Base: d.u64(), Limit: d.u64(), Next: d.u64()}
 
 	d.fixed(&p.CPU)
 	d.fixed(&p.IRQ)

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -56,7 +57,6 @@ func smallEncoding(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	pst.RAM = img
-	pst.Alloc.Free = []uint64{pst.Alloc.Base, pst.Alloc.Base + mem.PageSize}
 	pst.GPU.TouchedPages = []uint64{1, 2, 3}
 	cfg := st.Config
 	cfg.CompilerVersion = "6.1"
@@ -158,19 +158,21 @@ func TestHostileLengthPrefixAllocationIsBounded(t *testing.T) {
 }
 
 // TestV1HeaderIsRefused: version 2 dropped the CPU core count, the
-// peripherals and v1's reserved slots, and no v1 reader remains, so a
-// stream with a v1 header fails with the version error before anything
-// else is read.
+// peripherals and v1's reserved slots, version 3 the page allocator's free
+// list, and no reader of an older version remains, so a stream with a v1
+// or v2 header fails with the version error before anything else is read.
 func TestV1HeaderIsRefused(t *testing.T) {
 	enc := encode(t, bootState(t))
 	if v := binary.LittleEndian.Uint32(enc[len(magic):]); v != version {
 		t.Fatalf("stream header says version %d, want %d", v, version)
 	}
-	binary.LittleEndian.PutUint32(enc[len(magic):], 1)
-	for _, src := range sources {
-		st, err := Decode(src.open(enc))
-		if err == nil || st != nil || !strings.Contains(err.Error(), "unsupported format version 1") {
-			t.Errorf("%s: a v1 header decoded to state %v, err %v", src.name, st != nil, err)
+	for old := uint32(1); old < version; old++ {
+		binary.LittleEndian.PutUint32(enc[len(magic):], old)
+		for _, src := range sources {
+			st, err := Decode(src.open(enc))
+			if err == nil || st != nil || !strings.Contains(err.Error(), fmt.Sprintf("unsupported format version %d", old)) {
+				t.Errorf("%s: a v%d header decoded to state %v, err %v", src.name, old, st != nil, err)
+			}
 		}
 	}
 }

@@ -45,80 +45,6 @@ func runStats(t *testing.T, mk func() (*mobilesim.Session, error), name string, 
 	return st
 }
 
-// TestSnapshotGoldenStatsAllBenchmarks is the determinism acceptance
-// test: for every registered Table II benchmark (and the SGEMM ladder's
-// first rung), a session restored from a warm snapshot must reproduce the
-// cold-boot per-run statistics exactly — instruction mixes, memory
-// accesses, TLB hit/walk counts, pages, jobs, guest instructions, all of
-// it.
-func TestSnapshotGoldenStatsAllBenchmarks(t *testing.T) {
-	parent, err := mobilesim.New(snapCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parent.Close()
-	snap, err := parent.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var names []struct {
-		name  string
-		scale int
-	}
-	for _, b := range mobilesim.Benchmarks() {
-		names = append(names, struct {
-			name  string
-			scale int
-		}{b.Name, b.SmallScale})
-	}
-	names = append(names, struct {
-		name  string
-		scale int
-	}{"sgemm6/naive", 1})
-
-	for _, n := range names {
-		n := n
-		t.Run(n.name, func(t *testing.T) {
-			cold := runStats(t, func() (*mobilesim.Session, error) {
-				return mobilesim.New(snapCfg)
-			}, n.name, n.scale)
-			forked := runStats(t, func() (*mobilesim.Session, error) {
-				return mobilesim.New(mobilesim.Config{}, mobilesim.FromSnapshot(snap))
-			}, n.name, n.scale)
-			if cold != forked {
-				t.Errorf("stats diverge:\ncold:   %+v\nforked: %+v", cold, forked)
-			}
-		})
-	}
-}
-
-// TestSnapshotGoldenStatsReferenceThreads repeats the comparison on four
-// concurrent host threads for a deterministic, data-race-free subset.
-func TestSnapshotGoldenStatsReferenceThreads(t *testing.T) {
-	cfg := mobilesim.Config{RAMSize: 256 << 20, HostThreads: 4}
-	parent, err := mobilesim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parent.Close()
-	snap, err := parent.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"MatrixTranspose", "SGEMM", "FloydWarshall"} {
-		cold := runStats(t, func() (*mobilesim.Session, error) {
-			return mobilesim.New(cfg)
-		}, name, 0)
-		forked := runStats(t, func() (*mobilesim.Session, error) {
-			return mobilesim.New(mobilesim.Config{}, mobilesim.FromSnapshot(snap))
-		}, name, 0)
-		if cold != forked {
-			t.Errorf("%s: stats diverge at HostThreads 4:\ncold:   %+v\nforked: %+v", name, cold, forked)
-		}
-	}
-}
-
 // TestForkIsolation proves a fork's writes never leak: siblings forked
 // from the same snapshot, and the snapshot itself, are unaffected by a
 // fork running workloads. Runs concurrently so -race also audits the
