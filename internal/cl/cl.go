@@ -104,12 +104,22 @@ func (c *Context) WriteBuffer(ctx context.Context, b *Buffer, data []byte) error
 	return c.Drv.CopyToDevice(ctx, b.VA, data)
 }
 
-// ReadBuffer copies a buffer back to the host (clEnqueueReadBuffer).
+// ReadBuffer copies the first n bytes of a buffer back to the host
+// (clEnqueueReadBuffer).
 func (c *Context) ReadBuffer(ctx context.Context, b *Buffer, n int) ([]byte, error) {
-	if n > b.Size {
-		n = b.Size
+	if n < 0 || n > b.Size {
+		return nil, fmt.Errorf("cl: read of %d bytes from %d-byte buffer", n, b.Size)
 	}
 	return c.Drv.CopyFromDevice(ctx, b.VA, n)
+}
+
+// readWords copies the first n 32-bit words of a buffer back to the host.
+// n is held to the buffer's word count, so 4*n cannot wrap.
+func (c *Context) readWords(ctx context.Context, b *Buffer, n int) ([]byte, error) {
+	if n < 0 || n > b.Size/4 {
+		return nil, fmt.Errorf("cl: read of %d 4-byte values from %d-byte buffer", n, b.Size)
+	}
+	return c.ReadBuffer(ctx, b, 4*n)
 }
 
 // WriteF32 marshals float32 data into a buffer.
@@ -123,7 +133,7 @@ func (c *Context) WriteF32(ctx context.Context, b *Buffer, vals []float32) error
 
 // ReadF32 reads n float32 values from a buffer.
 func (c *Context) ReadF32(ctx context.Context, b *Buffer, n int) ([]float32, error) {
-	raw, err := c.ReadBuffer(ctx, b, 4*n)
+	raw, err := c.readWords(ctx, b, n)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +155,7 @@ func (c *Context) WriteI32(ctx context.Context, b *Buffer, vals []int32) error {
 
 // ReadI32 reads n int32 values from a buffer.
 func (c *Context) ReadI32(ctx context.Context, b *Buffer, n int) ([]int32, error) {
-	raw, err := c.ReadBuffer(ctx, b, 4*n)
+	raw, err := c.readWords(ctx, b, n)
 	if err != nil {
 		return nil, err
 	}

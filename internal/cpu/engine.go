@@ -60,6 +60,8 @@ type block struct {
 	// equals the cache's flush count: any invalidation drops every chain.
 	succ  [2]*block
 	epoch uint64
+
+	cp copyLoop // matchCopy's reading of ops
 }
 
 // codePage indexes the translated blocks of one virtual page by the word
@@ -171,6 +173,7 @@ func (c *Core) translate(start uint64) *block {
 	}
 	b := &block{start: start, ops: append([]uop(nil), tape[:n]...)}
 	fuse(b.ops)
+	b.cp = matchCopy(b.ops, start)
 	c.btc.insert(b)
 	if c.stv.base == start&^mem.PageMask {
 		c.stv = pageView{} // stores to a code page must reach noteWrite

@@ -120,6 +120,7 @@ type fzState struct {
 	rings                 int
 	ram                   []byte
 	bc                    cpu.BlockCacheStats // host-side, not compared
+	steps                 uint64              // copy-loop passes run in steps, not compared
 }
 
 // fzRun executes code (already sanitized) on a fresh fuzz machine.
@@ -173,7 +174,9 @@ func fzRun(tb testing.TB, engine cpu.Engine, code []byte, seed int64, budget uin
 			}
 		}
 	}()
+	steps, stopCounting := cpu.CountCopySteps()
 	reason := c.Run(budget)
+	stopCounting()
 	close(stop)
 	<-stopped
 
@@ -187,11 +190,17 @@ func fzRun(tb testing.TB, engine cpu.Engine, code []byte, seed int64, budget uin
 	if err := bus.ReadBytes(fzBase, st.ram); err != nil {
 		tb.Fatal(err)
 	}
-	st.bc = c.BlockCacheStats()
+	st.bc, st.steps = c.BlockCacheStats(), steps()
 	return st
 }
 
 // fzCheck runs code under both engines and fails on any disagreement.
+func fzCheck(tb testing.TB, code []byte, seed int64) (dbt, interp fzState) {
+	tb.Helper()
+	return fzCheckBudget(tb, code, seed, fzBudget)
+}
+
+// fzCheckBudget is fzCheck with the DBT's budget given.
 //
 // The DBT retires whole blocks, so it may overshoot its budget; the
 // interpreter is then given exactly the DBT's retired count and must land
@@ -201,11 +210,11 @@ func fzRun(tb testing.TB, engine cpu.Engine, code []byte, seed int64, budget uin
 // handler's own retired instruction (it is a lone ERET), and SPSR — a DBT
 // block that rings and halts never takes the interrupt the interpreter
 // takes before the HLT, so only one of them saves a status.
-func fzCheck(tb testing.TB, code []byte, seed int64) (dbt, interp fzState) {
+func fzCheckBudget(tb testing.TB, code []byte, seed int64, budget uint64) (dbt, interp fzState) {
 	tb.Helper()
 	code = fzSanitize(code)
-	dbt = fzRun(tb, cpu.EngineDBT, code, seed, fzBudget)
-	budget := dbt.instret
+	dbt = fzRun(tb, cpu.EngineDBT, code, seed, budget)
+	budget = dbt.instret
 	if dbt.rings > 0 {
 		budget = 2 * fzBudget
 	}
@@ -222,6 +231,7 @@ func fzCheck(tb testing.TB, code []byte, seed int64) (dbt, interp fzState) {
 		}
 	}
 	d.bc, i.bc = cpu.BlockCacheStats{}, cpu.BlockCacheStats{}
+	d.steps = 0
 	if !bytes.Equal(d.ram, i.ram) {
 		for off := range d.ram {
 			if d.ram[off] != i.ram[off] {
@@ -364,6 +374,26 @@ func fzSeeds(tb testing.TB) []fzSeed {
 	patch := cpu.Encode(cpu.Inst{Op: cpu.OpMOVZ, Rd: 5, Imm: 2})
 	loadPatch := fmt.Sprintf("movz x1, #%d\n movk x1, #%d, lsl #16\n", patch&0xFFFF, patch>>16)
 
+	// fill writes n doublewords of a varying pattern from x10+off, through
+	// x20..x23; every block it adds is at most 7 instructions long.
+	fill := func(off, n int) string {
+		return fmt.Sprintf(`
+    addi x20, x10, #%d
+    movz x21, #%d
+    movz x22, #1
+    movz x23, #0x9E37
+    movk x23, #0x79B9, lsl #16
+    movk x23, #0x7F4A, lsl #32
+    b    fill
+fill:
+    strx x22, [x20]
+    mul  x22, x22, x23
+    addi x20, x20, #8
+    subi x21, x21, #1
+    cmpi x21, #0
+    b.ne fill
+`, off, n)
+	}
 	straight := func(n int) string { // n dependent ALU instructions
 		var b bytes.Buffer
 		for i := 0; i < n; i++ {
@@ -522,6 +552,86 @@ loop:
     b.lo loop
     hlt
 `), 1},
+		// The copy loops the DBT runs in steps (copyStep). mc_loop8 copying
+		// forward onto its own source, three bytes on: each load reads bytes
+		// the previous pass stored, as they were stored.
+		{"copy-overlap", firmware("memcpy", fill(0, 256)+
+			"addi x0, x10, #3\n mov x1, x10\n movz x2, #2000"), 1},
+		// Source and destination cross page boundaries at different
+		// offsets, an element straddling each boundary: those passes take
+		// the bus, and the pass after each refills a page view.
+		{"copy-cross-pages", firmware("memcpy", fill(0xF00, 776)+
+			"addi x0, x10, #0x1A05\n addi x1, x10, #0xF03\n movz x2, #0x1803"), 1},
+		// A word and a halfword copy loop closed by B.NE, their steps in
+		// other orders than the firmware's.
+		{"copy-word-half-bne", assemble(fill(0, 128) + `
+    addi x0, x10, #0x1004
+    mov  x1, x10
+    movz x2, #1000
+    b    words
+words:
+    ldrw x3, [x1]
+    strw x3, [x0]
+    subi x2, x2, #4
+    addi x1, x1, #4
+    addi x0, x0, #4
+    cmpi x2, #0
+    b.ne words
+    addi x5, x10, #0x1802
+    addi x6, x10, #6
+    movz x7, #700
+    b    halves
+halves:
+    ldrh x8, [x6]
+    strh x8, [x5]
+    addi x5, x5, #2
+    subi x7, x7, #2
+    addi x6, x6, #2
+    cmpi x7, #0
+    b.ne halves
+    hlt
+`), 1},
+		// A source that runs off the end of RAM: the pass after the step
+		// aborts at its load (the handler skips it), and the flags then are
+		// the last stepped compare's.
+		{"copy-source-off-ram", firmware("memcpy",
+			"mov x0, x10\n movz x1, #0xF008\n movk x1, #0x8000, lsl #16\n movz x2, #0x1000"), 1},
+		// A copy into the doorbell's window: no store view, so every pass
+		// runs on the tape, and each rings an interrupt taken at the next
+		// block boundary.
+		{"copy-into-doorbell", firmware("memcpy", "mov x0, x11\n mov x1, x10\n movz x2, #64"), 1},
+		// A copy into its own code page: every store drops the loop's
+		// translation, and no store view ever covers the page.
+		{"copy-into-code-page", firmware("memcpy", "addi x0, x12, #0xC00\n mov x1, x10\n movz x2, #64"), 1},
+		// Near misses that stay on the tape: a source stepped by twice the
+		// element size, and a store of another register than the load's.
+		{"copy-near-miss", assemble(fill(0, 64) + `
+    addi x0, x10, #0x1000
+    mov  x1, x10
+    movz x2, #256
+    b    stride
+stride:
+    ldrx x3, [x1]
+    strx x3, [x0]
+    addi x0, x0, #8
+    addi x1, x1, #16
+    subi x2, x2, #8
+    cmpi x2, #8
+    b.hs stride
+    addi x0, x10, #0x1800
+    mov  x1, x10
+    movz x2, #256
+    b    other
+other:
+    ldrx x3, [x1]
+    strx x4, [x0]
+    addi x0, x0, #8
+    addi x1, x1, #8
+    subi x2, x2, #8
+    cmpi x2, #8
+    b.hs other
+    hlt
+`), 1},
 	}
 }
 
@@ -552,6 +662,21 @@ func TestFuzzSeeds(t *testing.T) {
 		"cmpi-loop-falls-through-first": func(d, _ fzState) bool {
 			return d.x[2] == 31 && d.x[3] == 2 && d.bc.Chained == 29
 		},
+		// Every pass in a step but the first (the loop is not yet chained
+		// to itself), the last (it falls through) and, here, one per page.
+		"memcpy":             func(d, _ fzState) bool { return d.steps == 124 },
+		"copy-overlap":       func(d, _ fzState) bool { return d.steps == 248 },
+		"copy-cross-pages":   func(d, _ fzState) bool { return d.steps == 759 },
+		"copy-word-half-bne": func(d, _ fzState) bool { return d.steps == 596 },
+		"copy-source-off-ram": func(d, _ fzState) bool {
+			return d.steps == 510 && d.faults == 1 && d.sys[cpu.SysFAR] == fzBase+fzRAMSize
+		},
+		// Taken at mc_loop8's head, after the first ringing pass.
+		"copy-into-doorbell": func(d, _ fzState) bool {
+			return d.steps == 0 && d.rings == 8 && d.irqs == 1 && d.sys[cpu.SysELR] == fzBase+32
+		},
+		"copy-into-code-page": func(d, _ fzState) bool { return d.steps == 0 && d.bc.Flushes == 9 },
+		"copy-near-miss":      func(d, _ fzState) bool { return d.steps == 0 && d.bc.Chained == 122 },
 	}
 	for _, s := range fzSeeds(t) {
 		s := s
@@ -569,6 +694,68 @@ func TestFuzzSeeds(t *testing.T) {
 }
 
 func fzSummary(s fzState) fzState { s.ram = nil; return s }
+
+// TestCopyStepCounts: the copy-loop step leaves the dispatch counts, and
+// every other block-cache statistic, at what the tape alone counted before
+// it (these values), and retires the same instructions.
+func TestCopyStepCounts(t *testing.T) {
+	want := map[string]struct {
+		instret uint64
+		bc      cpu.BlockCacheStats
+	}{
+		"copy-cross-pages":   {10072, cpu.BlockCacheStats{Translations: 9, Executions: 1553, Chained: 1541, Flushes: 1}},
+		"copy-word-half-bne": {4984, cpu.BlockCacheStats{Translations: 7, Executions: 732, Chained: 722, Flushes: 1}},
+	}
+	for _, s := range fzSeeds(t) {
+		w, ok := want[s.name]
+		if !ok {
+			continue
+		}
+		d, _ := fzCheck(t, s.code, s.seed)
+		if d.instret != w.instret || d.bc != w.bc || d.steps == 0 {
+			t.Errorf("%s: retired %d, %+v, %d passes in steps; want %d, %+v and some",
+				s.name, d.instret, d.bc, d.steps, w.instret, w.bc)
+		}
+	}
+}
+
+// TestCopyStepBudget: a run whose budget ends inside a copy-loop step stops
+// less than one pass past the budget (every other block of these seeds is
+// as short), in the interpreter's state for the count it retired. One of
+// copy-source-off-ram's budgets ends at the load that aborts after a step,
+// where the flags are the last stepped compare's.
+func TestCopyStepBudget(t *testing.T) {
+	for _, s := range fzSeeds(t) {
+		switch s.name {
+		case "copy-cross-pages", "copy-word-half-bne", "copy-source-off-ram":
+		default:
+			continue
+		}
+		full, _ := fzCheck(t, s.code, s.seed)
+		cut, atAbort := 0, false
+		for budget := uint64(1); budget < full.instret; budget += 13 {
+			d, _ := fzCheckBudget(t, s.code, s.seed, budget)
+			if d.stop != cpu.StopBudget || d.instret-budget >= 7 {
+				t.Fatalf("%s: budget %d: %v after %d instructions", s.name, budget, d.stop, d.instret)
+			}
+			if d.steps > 0 && d.steps < full.steps && d.instret < full.instret {
+				cut++
+			}
+		}
+		if s.name == "copy-source-off-ram" {
+			for budget := full.instret - 30; budget < full.instret-10; budget++ {
+				d, _ := fzCheckBudget(t, s.code, s.seed, budget)
+				atAbort = atAbort || d.faults == 1 && d.pc == fzVectors+cpu.VecSync && d.z
+			}
+			if !atAbort {
+				t.Errorf("%s: no budget stopped at the abort after the step", s.name)
+			}
+		}
+		if cut == 0 {
+			t.Errorf("%s: no budget ended inside a step", s.name)
+		}
+	}
+}
 
 // FuzzCPUEngines: arbitrary bytes as a VA64 program, interpreter against
 // DBT. Run with

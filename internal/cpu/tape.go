@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"mobilesim/internal/mem"
 )
@@ -81,6 +82,54 @@ func fuse(ops []uop) {
 	}
 }
 
+// copyLoop describes a block that is a counted copy loop: each pass loads
+// t from [s], stores it to [d], steps s and d up by size and n down by it,
+// and re-enters while CMPI n, #c leaves cond (HS or NE) holding. size 0:
+// the block is no copy loop.
+type copyLoop struct {
+	size, c    uint64
+	t, s, d, n uint8
+	cond       Cond
+}
+
+// matchCopy recognises a fused self-loop tape LDR t, [s]; STR t, [d] of one
+// size; ADDI s, s, #size, ADDI d, d, #size and SUBI n, n, #size in any
+// order; CMPI n, #c; B.HS or B.NE back to start, with t, s, d and n
+// distinct and none the zero register: the firmware's mc_loop8 and
+// mc_tloop. Anything else is no copy loop.
+func matchCopy(ops []uop, start uint64) copyLoop {
+	if len(ops) != 7 {
+		return copyLoop{}
+	}
+	ld, st, cmp, br := ops[0], ops[1], ops[5], ops[6]
+	if ld.op < OpLDRB || ld.op > OpLDRX || st.op != ld.op+OpSTRB-OpLDRB ||
+		ld.imm != 0 || st.imm != 0 || ld.rd != st.rd ||
+		cmp.op != opCmpBranch || cmp.rd != ZR || cmp.cond != CondHS && cmp.cond != CondNE ||
+		br.imm != start {
+		return copyLoop{}
+	}
+	size := uint64(1) << (ld.op - OpLDRB)
+	cl := copyLoop{size: size, c: cmp.imm, t: ld.rd, s: ld.rn, d: st.rn, n: cmp.rn, cond: cmp.cond}
+	seen := 0 // bit 0: s stepped, 1: d, 2: n
+	for _, u := range ops[2:5] {
+		switch {
+		case u.op != OpADDI || u.rd != u.rn:
+			return copyLoop{}
+		case u.rd == cl.s && u.imm == size:
+			seen |= 1
+		case u.rd == cl.d && u.imm == size:
+			seen |= 2
+		case u.rd == cl.n && u.imm == -size:
+			seen |= 4
+		}
+	}
+	regs := uint32(1)<<cl.t | 1<<cl.s | 1<<cl.d | 1<<cl.n
+	if seen != 7 || regs&(1<<ZR) != 0 || bits.OnesCount32(regs) != 4 {
+		return copyLoop{}
+	}
+	return cl
+}
+
 // execTape runs b's tape from the top and returns how many guest
 // instructions it retired (already added to c.Instret). It leaves c.PC at
 // the next instruction to execute. A taken B.cond back to b's own start
@@ -98,6 +147,9 @@ func (c *Core) execTape(b *block, budget uint64) uint64 {
 	ran := uint64(0)  // retired by the passes before this one
 	i := 0            // micro-ops retired, this one included once fetched
 	done := uint64(0) // of which exec has already counted in c.Instret
+	if b.cp.size != 0 {
+		ran = c.copyStep(b, 0, budget)
+	}
 pass:
 	for i < len(ops) {
 		u := &ops[i]
@@ -271,6 +323,9 @@ taken:
 		if ran < budget && !c.pendingIRQ() {
 			c.btc.stats.Executions++
 			c.btc.stats.Chained++
+			if b.cp.size != 0 {
+				ran += c.copyStep(b, ran, budget)
+			}
 			goto pass
 		}
 	}
@@ -278,3 +333,73 @@ out:
 	c.Instret += uint64(i) - done
 	return ran + uint64(i)
 }
+
+// copyStep runs in one step the passes of copy loop b that the tape, at
+// the top of a pass ran instructions into a run of budget, would run
+// through its one-page fast paths and then re-enter. It returns the
+// instructions they retire, already added to c.Instret; 0 leaves the pass
+// to the tape. A step needs what a re-entry needs (b's link to itself, no
+// pending interrupt) and both page views, so translation is off and
+// neither access is MMIO. The pass whose branch falls through, the pass
+// whose element leaves a view and the pass after which the budget ends the
+// run stay the tape's. The elements are copied one at a time, in ascending
+// order, as the tape copies them, so an overlapping copy reads what the
+// tape would; registers, flags and dispatch counts end as the passes
+// leave them.
+func (c *Core) copyStep(b *block, ran, budget uint64) uint64 {
+	cl := &b.cp
+	if b.epoch != c.btc.stats.Flushes || b.succ[0] != b && b.succ[1] != b ||
+		c.ldv.page == nil || c.stv.page == nil {
+		return 0
+	}
+	size, n := cl.size, c.X[cl.n]
+	if n < cl.c {
+		return 0 // B.HS falls through; B.NE: n would wrap
+	}
+	k := (n - cl.c) / size // B.HS is taken after passes 1..k
+	if cl.cond == CondNE {
+		if n == cl.c || (n-cl.c)%size != 0 {
+			return 0 // n would wrap before it reaches c
+		}
+		k-- // B.NE falls through after pass k+1
+	}
+	src, dst := c.X[cl.s]-c.ldv.base, c.X[cl.d]-c.stv.base
+	if src > mem.PageSize-size || dst > mem.PageSize-size {
+		return 0
+	}
+	pass := uint64(len(b.ops))
+	k = min(k, (mem.PageSize-size-src)/size+1, (mem.PageSize-size-dst)/size+1, (budget-ran-1)/pass)
+	if k == 0 || c.pendingIRQ() {
+		return 0
+	}
+	from, to := c.ldv.page[src:src+k*size], c.stv.page[dst:dst+k*size]
+	var v uint64
+	if size == 8 { // mc_loop8: all but a byte tail of every memcpy
+		for j := 0; j < len(from); j += 8 {
+			v = binary.LittleEndian.Uint64(from[j:])
+			binary.LittleEndian.PutUint64(to[j:], v)
+		}
+	} else {
+		for j := uint64(0); j < k*size; j += size {
+			v = mem.LoadLE(from[j : j+size])
+			mem.StoreLE(to[j:j+size], int(size), v)
+		}
+	}
+	n -= k * size
+	c.X[cl.t], c.X[cl.n] = v, n
+	c.X[cl.s] += k * size
+	c.X[cl.d] += k * size
+	c.subFlags(n, cl.c)
+	c.Instret += k * pass
+	c.btc.stats.Executions += k
+	c.btc.stats.Chained += k
+	if countCopySteps != nil {
+		countCopySteps(k)
+	}
+	return k * pass
+}
+
+// countCopySteps, when set, is told the passes of every copyStep: a
+// counting seam for the tests, which no statistic carries — the
+// interpreter has no steps to count.
+var countCopySteps func(passes uint64)

@@ -3,9 +3,11 @@ package gpu_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mobilesim/internal/gpu"
+	"mobilesim/internal/workloads"
 )
 
 // The paper validates its shader-core model against Arm's reference
@@ -169,4 +171,50 @@ func TestFuzzALUOpsAgainstReference(t *testing.T) {
 func bothNaN32(a, b uint32) bool {
 	fa, fb := math.Float32frombits(a), math.Float32frombits(b)
 	return fa != fa && fb != fb
+}
+
+// FuzzGPUParseBinary: the GPU decodes the shader bytes it reads from guest
+// memory at a job descriptor's ShaderVA, so they cross a trust boundary.
+// For any bytes ParseBinary returns a program or an error; a program it
+// accepts survives Serialize and ParseBinary unchanged and compiles for the
+// warp engine. The seeds are the binaries of every registered workload's
+// kernels. Run with
+//
+//	go test -run=NONE -fuzz=FuzzGPUParseBinary -fuzztime=60s ./internal/gpu/
+func FuzzGPUParseBinary(f *testing.F) {
+	seen := map[string]bool{}
+	for _, spec := range workloads.All() {
+		progs, _ := specRun(f, spec)
+		for _, p := range progs {
+			raw, err := gpu.Serialize(p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if !seen[string(raw)] {
+				seen[string(raw)] = true
+				f.Add(raw)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := gpu.ParseBinary(b)
+		if (p == nil) == (err == nil) {
+			t.Fatalf("ParseBinary returned %v and %v", p, err)
+		}
+		if err != nil {
+			return
+		}
+		raw, err := gpu.Serialize(p)
+		if err != nil {
+			t.Fatalf("Serialize of an accepted program: %v", err)
+		}
+		q, err := gpu.ParseBinary(raw)
+		if err != nil {
+			t.Fatalf("ParseBinary of a serialized program: %v", err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("program changed through Serialize and ParseBinary\n%s\n%s", p.Disassemble(), q.Disassemble())
+		}
+		gpu.CompileWarp(q)
+	})
 }

@@ -395,3 +395,53 @@ func TestEveryWorkloadAtScaleOne(t *testing.T) {
 		})
 	}
 }
+
+// TestBufferReadOutOfRange: a read of a negative count, or of more than
+// the buffer holds, is an error and reads nothing; one of the whole buffer
+// still reads it.
+func TestBufferReadOutOfRange(t *testing.T) {
+	sess, err := mobilesim.New(mobilesim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	buf, err := sess.NewBuffer(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := map[string]func(n int) (int, error){
+		"Read": func(n int) (int, error) { b, err := buf.Read(bg, n); return len(b), err },
+		"ReadF32": func(n int) (int, error) {
+			v, err := buf.ReadF32(bg, n)
+			return len(v), err
+		},
+		"ReadI32": func(n int) (int, error) {
+			v, err := buf.ReadI32(bg, n)
+			return len(v), err
+		},
+	}
+	for _, c := range []struct {
+		call string
+		n    int
+		ok   bool
+	}{
+		{"Read", 16, true},
+		{"Read", 64, false},
+		{"Read", -1, false},
+		{"ReadF32", 4, true},
+		{"ReadF32", 8, false},
+		{"ReadF32", -1, false},
+		{"ReadI32", 4, true},
+		{"ReadI32", 8, false},
+		{"ReadI32", 1 << 62, false},
+		{"ReadI32", -1, false},
+	} {
+		got, err := read[c.call](c.n)
+		switch {
+		case c.ok && (err != nil || got != c.n):
+			t.Errorf("%s(%d) = %d values, %v; want %d", c.call, c.n, got, err, c.n)
+		case !c.ok && (err == nil || got != 0 || !strings.Contains(err.Error(), "16-byte buffer")):
+			t.Errorf("%s(%d) = %d values, %v; want an error naming the 16-byte buffer", c.call, c.n, got, err)
+		}
+	}
+}
