@@ -51,6 +51,7 @@ type diffFeatures struct {
 	withUniformBranch, withFault                                bool
 	withTempAcross, withTempPred, withTempAcc                   bool
 	withBoolRetest, withRepeat                                  bool
+	withDivergentMem                                            bool
 }
 
 // diffUnmapped is an address no differential rig maps.
@@ -378,17 +379,28 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, f diffFeatures) *gpu.Progr
 		// clause d+2: taken path, falls through
 		// clause d+3: rejoin (the final store clause below)
 		d := len(prog.Clauses)
+		fall := []gpu.Instr{{Op: gpu.OpIADD, Dst: gpu.R(8), A: gpu.R(8), B: gpu.Imm, Imm: 0x101}}
+		taken := []gpu.Instr{{Op: gpu.OpFMUL, Dst: gpu.R(8), A: gpu.R(8), B: gpu.Imm, Imm: 0x40490FDB}}
+		if f.withDivergentMem {
+			// Memory under a mask: each path loads the word at gid&7 × 1172
+			// into the input allocation and stores its low byte into the
+			// thread's out slice. The even lanes of the second warp of
+			// eight load from one page, its odd lanes from two.
+			access := []gpu.Instr{
+				{Op: gpu.OpAND, Dst: gpu.T(1), A: gpu.S(gpu.SpecGIDX), B: gpu.Imm, Imm: 7},
+				{Op: gpu.OpIMUL, Dst: gpu.T(1), A: gpu.T(1), B: gpu.Imm, Imm: 1172},
+				{Op: gpu.OpADD64, Dst: gpu.T(1), A: gpu.C(0), B: gpu.T(1)},
+				{Op: gpu.OpLDG, Dst: gpu.R(24), A: gpu.T(1)},
+				{Op: gpu.OpSTGB, A: gpu.R(2), B: gpu.R(24), Imm: 13},
+			}
+			fall, taken = append(fall, access...), append(taken, access...)
+		}
 		prog.Clauses = append(prog.Clauses,
 			gpu.Clause{Instrs: []gpu.Instr{
 				{Op: gpu.OpBRC, A: gpu.R(7), Imm: gpu.BranchImm(d+2, d+3)},
 			}},
-			gpu.Clause{Instrs: []gpu.Instr{
-				{Op: gpu.OpIADD, Dst: gpu.R(8), A: gpu.R(8), B: gpu.Imm, Imm: 0x101},
-				{Op: gpu.OpBR, Imm: uint32(d + 3)},
-			}},
-			gpu.Clause{Instrs: []gpu.Instr{
-				{Op: gpu.OpFMUL, Dst: gpu.R(8), A: gpu.R(8), B: gpu.Imm, Imm: 0x40490FDB},
-			}},
+			gpu.Clause{Instrs: append(fall, gpu.Instr{Op: gpu.OpBR, Imm: uint32(d + 3)})},
+			gpu.Clause{Instrs: taken},
 		)
 	}
 
@@ -488,7 +500,8 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 	// The low half of the seed picks the sections the corpus has always
 	// had; bits 32 and 33 add the uniform branches and the faulting clause,
 	// bits 34 to 36 the temporaries the tape optimiser must leave alone, bit
-	// 37 the boolean re-tests, bit 38 the repeated subexpressions.
+	// 37 the boolean re-tests, bit 38 the repeated subexpressions, bit 39
+	// memory inside the divergent paths.
 	f := diffFeatures{
 		withLocal:         seed%3 == 0,
 		withDiverge:       seed%2 == 0,
@@ -502,6 +515,7 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 		withTempAcc:       seed>>36&1 != 0,
 		withBoolRetest:    seed>>37&1 != 0,
 		withRepeat:        seed>>38&1 != 0,
+		withDivergentMem:  seed>>39&1 != 0,
 	}
 	want := uint32(gpu.IRQJobDone)
 	if f.withFault {
@@ -592,6 +606,15 @@ func FuzzDifferentialEngines(f *testing.F) {
 	f.Add(uint64(1<<38|7), uint8(3), uint8(7), uint8(30))
 	f.Add(uint64(1<<38|1<<33|9), uint8(4), uint8(2), uint8(12))
 	f.Add(uint64(0x7f<<32|10), uint8(6), uint8(4), uint8(24))
+	// Memory under a mask, which execLeaf serves when the TLB holds the
+	// active lanes' pages: divergent kernels whose paths load and store on
+	// one page and, in a warp's odd lanes, on two — over full warps, over a
+	// partial tail warp, with the page-crossing section and with local
+	// slots that straddle a page.
+	f.Add(uint64(1<<39|2), uint8(3), uint8(7), uint8(12))
+	f.Add(uint64(1<<39|14), uint8(5), uint8(5), uint8(20))
+	f.Add(uint64(1<<39|4), uint8(7), uint8(3), uint8(30))
+	f.Add(uint64(1<<39|6), uint8(2), uint8(0x80|7), uint8(16))
 	f.Fuzz(func(t *testing.T, seed uint64, threadsSel, localSel, nALUSel uint8) {
 		runDifferential(t, seed, threadsSel, localSel, nALUSel)
 	})

@@ -125,11 +125,13 @@ type execContext struct {
 
 	// tape is the program's warp-engine artifact when this context runs
 	// on it (nil on the interpreter), tallies[k] what the warps that ran
-	// tape.chains[k] to its end did since the last
-	// commitTallies, and uvals the table the tapes' warp-uniform operands
-	// are read from (see bindTape).
+	// tape.chains[k] to its end did since the last commitTallies, served[k]
+	// the lanes execLeaf served at memory site tape.mems[k] since then, and
+	// uvals the table the tapes' warp-uniform operands are read from (see
+	// bindTape).
 	tape    *warpProgram
 	tallies []tally
+	served  []uint64
 	uvals   []uint64
 
 	// warpSlab is this thread's per-workgroup warp storage, reset by
@@ -237,6 +239,9 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 					break
 				}
 				u, wp := t.ops[pc], e.tape
+				if countHandBack != nil {
+					countHandBack(u)
+				}
 				var err error
 				switch u.kind() {
 				case kLoadG, kLoadGB, kLoadG64, kLoadL:
@@ -326,12 +331,14 @@ func (w *warp) activeSet() (uint64, *soaRow) {
 }
 
 // bindTape selects the warp engine for this context when the program is
-// compiled for it, sizes the tallies (all zero between jobs: commitTallies
-// leaves them so) and builds the uniform-operand table the tape reads:
-// kernel arguments, dispatch sizes and the program's constants. The
-// workgroup id slots are refreshed by runWorkgroup.
+// compiled for it, sizes the tallies and the served-lane counts (all zero
+// between jobs: commitTallies leaves them so; the counts, written on every
+// served access, padded by a cache line on both sides so that no other
+// thread's data shares their lines) and builds the uniform-operand table
+// the tape reads: kernel arguments, dispatch sizes and the program's
+// constants. The workgroup id slots are refreshed by runWorkgroup.
 func (e *execContext) bindTape() {
-	e.tape, e.tallies = nil, e.tallies[:0]
+	e.tape, e.tallies, e.served = nil, e.tallies[:0], e.served[:0]
 	if e.eng != EngineWarp || e.prog.warp == nil {
 		return
 	}
@@ -340,6 +347,11 @@ func (e *execContext) bindTape() {
 		e.tallies = make([]tally, n)
 	} else {
 		e.tallies = e.tallies[:n]
+	}
+	if n := len(e.tape.mems); cap(e.served) < n {
+		e.served = make([]uint64, n+16)[8 : 8+n : 8+n]
+	} else {
+		e.served = e.served[:n]
 	}
 	if n := uvConsts + len(e.tape.consts); cap(e.uvals) < n {
 		e.uvals = make([]uint64, n)

@@ -91,11 +91,55 @@ func reachableOps(table []tape) (ops int) {
 // counts and the one that stops counting.
 func CountTapes() (read func() (entries, uops uint64), restore func()) {
 	var entries, uops atomic.Uint64
-	countTapes = func(e, u uint64) {
+	restore = chainTapes(func(t *tape, e uint64) {
 		entries.Add(e)
-		uops.Add(u)
+		uops.Add(e * uint64(len(t.ops)))
+	})
+	return func() (uint64, uint64) { return entries.Load(), uops.Load() }, restore
+}
+
+// chainTapes adds f to the tape seam, after what is counting already, and
+// returns the function that takes it off again.
+func chainTapes(f func(t *tape, entries uint64)) (restore func()) {
+	old := countTapes
+	countTapes = func(t *tape, e uint64) {
+		if old != nil {
+			old(t, e)
+		}
+		f(t, e)
 	}
-	return func() (uint64, uint64) { return entries.Load(), uops.Load() }, func() { countTapes = nil }
+	return func() { countTapes = old }
+}
+
+// CountLeafMemory counts, from now on, the memory micro-ops every
+// warp-engine job that does not fault runs, and returns the function that
+// reads how many execLeaf served and how many it handed back to runWarp's
+// per-lane loops, and the one that stops counting.
+func CountLeafMemory() (read func() (served, handed uint64), restore func()) {
+	var uops, handed atomic.Uint64
+	untape := chainTapes(func(t *tape, e uint64) {
+		for _, u := range t.ops {
+			if isMemUop(u) {
+				uops.Add(e)
+			}
+		}
+	})
+	countHandBack = func(u uop) {
+		if isMemUop(u) {
+			handed.Add(1)
+		}
+	}
+	return func() (uint64, uint64) { return uops.Load() - handed.Load(), handed.Load() },
+		func() { untape(); countHandBack = nil }
+}
+
+// isMemUop reports whether u is a memory micro-op.
+func isMemUop(u uop) bool {
+	switch u.kind() {
+	case kLoadG, kLoadGB, kLoadG64, kStoreG, kStoreGB, kStoreG64, kLoadL, kStoreL:
+		return true
+	}
+	return false
 }
 
 // SetClauseBudget lowers the per-warp runaway guard for a test and returns

@@ -10,11 +10,12 @@ import (
 	"mobilesim/internal/stats"
 )
 
-// The warp engine serves a full warp's word and byte loads and stores in
-// execLeaf when one TLB probe covers the warp, and hands every other warp
-// to runWarp's per-lane loops (DESIGN.md §9). The tests here run every
-// memory micro-op over every shape that decides between the two, under
-// both engines from the same state.
+// The warp engine serves a warp's word and byte loads and stores in
+// execLeaf when the TLB holds every page its active lanes touch, and hands
+// every other warp to runWarp's per-lane loops (DESIGN.md §9). The tests
+// here run every memory micro-op over every shape that decides between the
+// two, or between a paired, merged or lane-by-lane store, under both
+// engines from the same state.
 
 // Guest layout of the memory rig: two read-write pages, a read-only page
 // and a page of device registers.
@@ -26,6 +27,7 @@ const (
 	lmROPA   = 0x0030_0000
 	lmDevPA  = 0x4000_0000 // beyond the rig's RAM
 	lmSlotSz = 256         // local slot size
+	lmNone   = 0x9000_0000 // unmapped
 )
 
 // regDev is a page of device registers that logs every access.
@@ -49,7 +51,7 @@ func (d *regDev) WriteReg(off uint64, size int, v uint64) error {
 
 // memShape is one warp shape: each lane's VA, the local slot the VAs lie
 // in for LDL/STL, the warp's live and active lanes, and whether the TLB
-// starts cold.
+// starts cold — or holds every page its active lanes touch but coldPage.
 type memShape struct {
 	name      string
 	vas       soaRow
@@ -57,6 +59,7 @@ type memShape struct {
 	lanes     int
 	active    laneMask
 	cold      bool
+	coldPage  uint64
 	localOnly bool
 }
 
@@ -71,6 +74,15 @@ var memShapes = []memShape{
 	{name: "divergent_warp", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + 0x80}, slot: lmRW, active: 0b1101},
 	{name: "local_lane_out_of_bounds", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + lmSlotSz}, slot: lmRW, localOnly: true},
 	{name: "divergent_local_lane_out_of_bounds", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + lmSlotSz}, slot: lmRW, active: 0b1101, localOnly: true},
+	{name: "inactive_lane_unmapped", vas: soaRow{lmRW + 0x40, lmNone, lmRW + 0x44, lmRW + 0x80}, slot: lmRW, active: 0b1101},
+	{name: "divergent_two_pages_hit", vas: soaRow{lmRW + 0xff8, lmRW + 0xffc, lmRW + 0x1000, lmRW + 0x1004}, slot: lmRW + 0xf80, active: 0b1011},
+	{name: "divergent_two_pages_one_miss", vas: soaRow{lmRW + 0xff8, lmRW + 0xffc, lmRW + 0x1000, lmRW + 0x1004}, slot: lmRW + 0xf80, active: 0b1011, coldPage: lmRW + 0x1000},
+	{name: "divergent_tlb_miss", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + 0x80}, slot: lmRW, active: 0b1101, cold: true},
+	{name: "words_from_8_aligned", vas: soaRow{lmRW + 0x40, lmRW + 0x44, lmRW + 0x48, lmRW + 0x4c}, slot: lmRW},
+	{name: "words_from_4_mod_8", vas: soaRow{lmRW + 0x44, lmRW + 0x48, lmRW + 0x4c, lmRW + 0x50}, slot: lmRW},
+	{name: "overlapping_lanes", vas: soaRow{lmRW + 0x40, lmRW + 0x44, lmRW + 0x40, lmRW + 0x44}, slot: lmRW},
+	{name: "bytes_from_word_boundary", vas: soaRow{lmRW + 0x40, lmRW + 0x41, lmRW + 0x42, lmRW + 0x43}, slot: lmRW},
+	{name: "bytes_from_byte_1", vas: soaRow{lmRW + 0x41, lmRW + 0x42, lmRW + 0x43, lmRW + 0x44}, slot: lmRW},
 }
 
 // memOps are the memory instructions of the table: every op and size clc
@@ -88,6 +100,17 @@ var memOps = []Instr{
 
 func isLocal(op Opcode) bool { return op == OpLDL || op == OpSTL }
 
+// activeLanes is the shape's active lane set.
+func (sh memShape) activeLanes() laneMask {
+	switch {
+	case sh.active != 0:
+		return sh.active
+	case sh.lanes != 0:
+		return fullMask(sh.lanes)
+	}
+	return fullMask(WarpSize)
+}
+
 // memRig is one fresh machine running one memory instruction on one warp.
 type memRig struct {
 	ram *mem.RAM
@@ -97,7 +120,9 @@ type memRig struct {
 	w   *warp
 }
 
-func newMemRig(tb testing.TB, eng Engine, in Instr, sh memShape) *memRig {
+// newMemRig builds the machine for in over sh; then, when given, runs in
+// the same clause after in and through the same address row.
+func newMemRig(tb testing.TB, eng Engine, in Instr, sh memShape, then ...Instr) *memRig {
 	tb.Helper()
 	ram := mem.NewRAM(0, 16<<20)
 	bus := mem.NewBus(ram)
@@ -136,15 +161,17 @@ func newMemRig(tb testing.TB, eng Engine, in Instr, sh memShape) *memRig {
 	walker := mmu.NewWalker(bus)
 	walker.SetRoot(as.Root())
 	walker.ResetTouched()
-	if !sh.cold {
-		for _, va := range sh.vas {
-			if _, err := walker.Load(va&^mem.PageMask, 4, mem.Read); err != nil {
-				tb.Fatal(err)
-			}
+	for l, va := range sh.vas {
+		if sh.cold || !sh.activeLanes().has(l) || va&^mem.PageMask == sh.coldPage {
+			continue
+		}
+		if _, err := walker.Load(va&^mem.PageMask, 4, mem.Read); err != nil {
+			tb.Fatal(err)
 		}
 	}
 
-	p := &Program{RegCount: 4, Clauses: []Clause{{Instrs: []Instr{in, {Op: OpRET}}}}}
+	ins := append(append([]Instr{in}, then...), Instr{Op: OpRET})
+	p := &Program{RegCount: 4, Clauses: []Clause{{Instrs: ins}}}
 	p.compile(EngineWarp)
 	ec := &execContext{
 		prog:   p,
@@ -210,21 +237,21 @@ func (r *memRig) run(tb testing.TB) memOutcome {
 }
 
 // leafServes is the rule execLeaf applies, restated: a word or byte access
-// of a full warp whose lanes are naturally aligned on one RAM page the TLB
-// holds with the access's permission — and inside the slot, for a local
-// access.
+// whose active lanes are naturally aligned on RAM pages the TLB holds with
+// the access's permission — and inside the slot, for a local access.
+// Inactive and dead lanes take no part.
 func leafServes(in Instr, sh memShape) bool {
 	size := map[Opcode]uint64{OpLDG: 4, OpLDGB: 1, OpSTG: 4, OpSTGB: 1, OpLDL: 4, OpSTL: 4}[in.Op]
-	if size == 0 || sh.cold || sh.lanes != 0 || sh.active != 0 {
+	if size == 0 || sh.cold {
 		return false
 	}
-	page := sh.vas[0] &^ mem.PageMask
 	store := in.Op == OpSTG || in.Op == OpSTGB || in.Op == OpSTL
-	if page == lmMMIO || store && page == lmRO {
-		return false
-	}
-	for _, va := range sh.vas {
-		if va&^mem.PageMask != page || va%size != 0 || isLocal(in.Op) && va-sh.slot > lmSlotSz-4 {
+	for l, va := range sh.vas {
+		if !sh.activeLanes().has(l) {
+			continue
+		}
+		page := va &^ mem.PageMask
+		if page == sh.coldPage || page == lmMMIO || store && page == lmRO || va%size != 0 || isLocal(in.Op) && va-sh.slot > lmSlotSz-4 {
 			return false
 		}
 	}
@@ -233,13 +260,16 @@ func leafServes(in Instr, sh memShape) bool {
 
 // TestLeafMemoryMatchesInterp runs LDG, LDGB, STG, STGB, LDL, STL and LDG64
 // over a TLB hit, a TLB miss, an MMIO frame, a read-only page, a span
-// across pages, misaligned words, a partial and a divergent warp and a
-// local lane out of bounds, of a full warp and of a divergent one whose
-// earlier active lanes have loaded, on the warp engine and on the
-// interpreter: the same fault or none, the same registers, guest bytes,
-// device accesses, GPUStats and TLB hits, walks and touched pages. It also
-// holds execLeaf to its rule: it serves exactly the accesses leafServes
-// names, and hands every other back.
+// across pages, misaligned words, a partial and a divergent warp, a local
+// lane out of bounds, of a full warp and of a divergent one whose earlier
+// active lanes have loaded, an inactive lane on an unmapped address, a
+// divergent warp over two pages that both hit and over two where one
+// misses, a divergent TLB miss, words that pair and words that do not,
+// lanes that overlap, and bytes that merge and bytes that do not, on the
+// warp engine and on the interpreter: the same fault or none, the same
+// registers, guest bytes, device accesses, GPUStats and TLB hits, walks
+// and touched pages. It also holds execLeaf to its rule: it serves exactly
+// the accesses leafServes names, and hands every other back.
 func TestLeafMemoryMatchesInterp(t *testing.T) {
 	for _, in := range memOps {
 		for _, sh := range memShapes {
@@ -273,6 +303,28 @@ func TestLeafMemoryMatchesInterp(t *testing.T) {
 					t.Errorf("execLeaf served the access: %v, want %v", served, want)
 				}
 			})
+		}
+	}
+}
+
+// TestLeafServedThenFault runs a load execLeaf serves and, in the same tape,
+// a store whose first lane faults on the read-only page: the warp aborts
+// with the interpreter's counters, the served load's included.
+func TestLeafServedThenFault(t *testing.T) {
+	ld := Instr{Op: OpLDG, Dst: R(3), A: R(1), Imm: 8}
+	st := Instr{Op: OpSTG, A: R(1), B: R(2), Imm: 8 + lmRO - lmRW}
+	for _, sh := range memShapes[:1] {
+		want := newMemRig(t, EngineInterp, ld, sh, st).run(t)
+		r := newMemRig(t, EngineWarp, ld, sh, st)
+		got := r.run(t)
+		if want.err == "" || got.err != want.err {
+			t.Errorf("fault: warp %q, interpreter %q", got.err, want.err)
+		}
+		if got.regs != want.regs || got.gs != want.gs || got.hits != want.hits || got.walks != want.walks {
+			t.Errorf("at the abort:\nwarp   %+v\ninterp %+v", got.gs, want.gs)
+		}
+		if n := r.ec.served[0]; n != 0 {
+			t.Errorf("served lanes left uncommitted: %d", n)
 		}
 	}
 }

@@ -194,6 +194,68 @@ func TestTapeRunGolden(t *testing.T) {
 	}
 }
 
+// leafMemGolden pins, for each Table II workload at small scale on one host
+// thread, the memory micro-ops execLeaf serves and those it hands back to
+// the per-lane loops: {served, handed back}. A shape the leaf stops serving
+// moves micro-ops from the first count to the second. Regenerate after an
+// intentional change with:
+//
+//	MOBILESIM_GOLDEN=print go test -v -run TestLeafMemoryGolden ./internal/gpu/
+var leafMemGolden = map[string][2]uint64{
+	"BFS":               {10955, 259},
+	"Backprop":          {14682, 102},
+	"BinarySearch":      {2002, 82},
+	"BinomialOption":    {10684, 12},
+	"BitonicSort":       {4728, 72},
+	"Cutcp":             {33629, 16},
+	"DCT":               {35048, 24},
+	"DwtHaar1D":         {4966, 160},
+	"FloydWarshall":     {32640, 128},
+	"MatrixTranspose":   {4064, 32},
+	"NearestNeighbor":   {744, 24},
+	"RecursiveGaussian": {2028, 4},
+	"Reduction":         {5430, 35},
+	"SGEMM":             {50648, 40},
+	"SPMV":              {1524, 20},
+	"ScanLargeArrays":   {16776, 50},
+	"SobelFilter":       {9068, 16},
+	"Stencil":           {3120, 80},
+	"URNG":              {2032, 16},
+	"clBLAS-SGEMM":      {16884, 12},
+}
+
+// TestLeafMemoryGolden pins how many of the Table II workloads' memory
+// micro-ops execLeaf serves.
+func TestLeafMemoryGolden(t *testing.T) {
+	got := map[string][2]uint64{}
+	for _, spec := range workloads.OfKind(workloads.KindBenchmark) {
+		read, stop := gpu.CountLeafMemory()
+		specRun(t, spec)
+		stop()
+		served, handed := read()
+		got[spec.Name] = [2]uint64{served, handed}
+	}
+	if os.Getenv("MOBILESIM_GOLDEN") == "print" {
+		names := make([]string, 0, len(got))
+		for name := range got {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Printf("\t%q: {%d, %d},\n", name, got[name][0], got[name][1])
+		}
+		return
+	}
+	for name, want := range leafMemGolden {
+		if got[name] != want {
+			t.Errorf("%s: {served, handed back} = %v, want %v", name, got[name], want)
+		}
+	}
+	if len(got) != len(leafMemGolden) {
+		t.Errorf("%d workloads, golden has %d", len(got), len(leafMemGolden))
+	}
+}
+
 // BenchmarkDecodeAndCompile times what a program cache miss costs for the
 // Table II kernels: ParseBinary and the warp engine's compile, optimiser
 // included, of every kernel once per iteration.

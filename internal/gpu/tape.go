@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"math/bits"
 
 	"mobilesim/internal/mem"
 	"mobilesim/internal/stats"
@@ -11,11 +12,11 @@ import (
 // clause — and every chain of clauses — to a flat tape of pre-decoded
 // micro-ops, and runWarp runs a tape for one whole warp with a single
 // dense switch. ALU cases are leaf code, the four lanes written out in the
-// case over rows of the warp's unified register file. A full warp's word
-// and byte loads and stores are served from the switch too, through one
-// call (leafLoad, leafStore); the memory accesses it hands back, the rare
-// slow ALU ops and the per-lane interpreter fallback leave it for
-// runWarp.
+// case over rows of the warp's unified register file. A warp's word and
+// byte loads and stores are served from the switch too, through one call
+// (leafMem), when the TLB holds every page its active lanes touch; the
+// memory accesses it hands back, the rare slow ALU ops and the per-lane
+// interpreter fallback leave it for runWarp.
 //
 // Counter contract: the interpreter bumps the class counter once per
 // instruction (scaled by the clause's active-lane count) before touching
@@ -30,8 +31,10 @@ import (
 // (cfgCommit), so it lacks a faulting tape's entry; a faulted run renders
 // no CFG. Memory instructions CAN fault and abort the warp mid-instruction,
 // so the per-lane loops count live, interleaved with the walker calls
-// exactly as the interpreter interleaves them; an access execLeaf serves
-// cannot fault once its TLB probe hits, and warpPage counts it whole.
+// exactly as the interpreter interleaves them. An access execLeaf serves
+// cannot fault once its TLB probes hit, so its counters are a fixed amount
+// per lane: leafMem tallies the lanes per memory site (served) and
+// commitTallies multiplies them out with the tape tallies.
 
 // The leaf cases spell out the lanes of a row: in a function the size of
 // execLeaf the compiler neither unrolls a WarpSize loop nor keeps its
@@ -45,7 +48,7 @@ const (
 	kSplat uopKind = iota // d = broadcast(uvals[imm])
 	kSlow                 // d = slow[imm]'s value function of a (and b), per lane
 	// The memory micro-ops, mems[imm] their offset and counters. execLeaf
-	// serves a full warp's word and byte accesses (see warpPage).
+	// serves word and byte accesses the TLB covers (see leafMem).
 	kLoadG      // d = global[a + off], a word
 	kLoadGB     // d = global[a + off], a zero-extended byte
 	kLoadG64    // d = global[a + off], a doubleword: out of line only
@@ -169,16 +172,36 @@ func (e *execContext) commitTallies() {
 			e.cfgCommit(k%len(e.tape.clauses), t, ty)
 		}
 		if countTapes != nil {
-			countTapes(ty.entries, ty.entries*uint64(len(t.ops)))
+			countTapes(t, ty.entries)
 		}
 		*ty = tally{}
 	}
+	gs := e.gs
+	for k, n := range e.served {
+		if n == 0 {
+			continue
+		}
+		m := &e.tape.mems[k]
+		gs.LSInstr += n
+		m.aCtr.bump(gs, n)
+		if m.local {
+			gs.LocalLS += n
+			gs.LocalAcc += n
+		} else {
+			gs.GlobalLS += n
+			gs.MainMemAcc += n
+		}
+		m.vCtr.bump(gs, n)
+		e.served[k] = 0
+	}
 }
 
-// countTapes, when set, is told the entries of every tape commitTallies
-// commits and the micro-ops they ran: a counting seam for the tests, which
-// the statistics must not carry — the interpreter has no tapes to count.
-var countTapes func(entries, uops uint64)
+// countTapes, when set, is told every tape commitTallies commits with its
+// entries, and countHandBack every micro-op execLeaf hands back to runWarp:
+// counting seams for the tests, which the statistics must not carry — the
+// interpreter has no tapes to count.
+var countTapes func(t *tape, entries uint64)
+var countHandBack func(u uop)
 
 // termNames are the CFG's terminator strings, execTerminal's.
 var termNames = [...]string{tkFall: "fallthrough", tkBR: "br", tkBRC: "brc", tkRET: "ret", tkBARRIER: "barrier"}
@@ -275,7 +298,7 @@ func commitMasked(dst, src, mask *soaRow) {
 // execLeaf is the executor's hot loop: one dense switch whose cases are
 // leaf code. It runs ops from pc and returns the index of the first
 // micro-op it has no case for (len(ops) at the end of the tape) or of a
-// memory micro-op it hands back (see warpPage). Operand rows are resolved
+// memory micro-op it hands back (see leafMem). Operand rows are resolved
 // inside each case, and everything else is reached through e, so that
 // little more than the tape position is live across the switch's jump.
 // For a divergent warp every ALU case computes the full row into the
@@ -308,16 +331,11 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			f := &e.tape.addrs[u.imm()]
 			s2, s3 := e.uvals[f[1]], e.uvals[f[2]]
 			d[0], d[1], d[2], d[3] = a[0]*s2+s3, a[1]*s2+s3, a[2]*s2+s3, a[3]*s2+s3
-		case kLoadG, kLoadGB, kLoadL:
-			if !e.leafLoad(w, u, mask) {
+		case kLoadG, kLoadGB, kLoadL, kStoreG, kStoreGB, kStoreL:
+			if !e.leafMem(w, u) {
 				return pc
 			}
-			continue // a full warp: nothing to commit under a mask
-		case kStoreG, kStoreGB, kStoreL:
-			if !e.leafStore(w, u, mask) {
-				return pc
-			}
-			continue
+			continue // leafMem writes only the active lanes
 
 		// --- vector ∘ vector
 		case kVV + uopKind(OpMOV):
@@ -621,117 +639,178 @@ func (s *slowOp) run(d, a, b *soaRow) {
 // --- Memory -----------------------------------------------------------------
 
 // memOp is the decoded form of a load/store the memory uops share: the
-// sign-extended byte offset, the access size and the operand counters of
-// the address row and of the value row (a load's destination write, a
-// store's value read). dst is a load's destination as written, which the
-// optimiser may forward into a register (forward): a fault leaves the lanes
-// loaded before it there, as the interpreter does.
+// sign-extended byte offset, the access size, whether it is local and the
+// operand counters of the address row and of the value row (a load's
+// destination write, a store's value read). dst is a load's destination as
+// written, which the optimiser may forward into a register (forward): a
+// fault leaves the lanes loaded before it there, as the interpreter does.
 type memOp struct {
 	off        uint64
 	size       int
+	local      bool
 	aCtr, vCtr ctrKind
 	dst        uint8
 }
 
-// warpPage returns the page a full warp's access through m lies on, and the
-// address its lanes offset — lane l accesses base + a[l] — when execLeaf may
-// serve the access: the warp is full (no mask, WarpSize live lanes), every
-// lane's access is naturally aligned and on the page of lane 0's, a local
-// access lies inside the slot, and the core's TLB holds a RAM-backed entry
-// for the page that permits kind. The probe has then counted the lanes' TLB
-// hits, and warpPage counts the rest of what the per-lane loop would: the
-// access can no longer fault, so nothing needs to interleave with it. In
-// every other case it returns nil with nothing counted, and the micro-op
-// goes back to runWarp's per-lane loop — a TLB miss there walks for lane
-// 0 and fills the entry lanes 1 to 3 hit, the same walk and hits, touched
-// page, dirty mark and fill.
-//
-//simlint:commit -- a full warp's memory micro-op served by execLeaf
-func (e *execContext) warpPage(w *warp, mask, a *soaRow, m *memOp, kind mem.AccessKind, local bool) (*[mem.PageSize]byte, uint64) {
-	if mask != nil || w.lanes != WarpSize {
-		return nil, 0
+// leafMem is execLeaf's LDG, LDGB, STG, STGB, LDL and STL. It serves
+// micro-op u of warp w when every active lane's access is naturally
+// aligned, inside the slot for a local access, and on a RAM page the
+// core's TLB holds with an entry that permits it, and reports whether it
+// did; otherwise nothing is counted and runWarp's per-lane loop takes the
+// micro-op. A served access cannot fault: its probe counts the active
+// lanes' TLB hits, and served tallies its lanes for commitTallies. A full
+// warp on one page is served here, its word stores paired and its byte
+// stores merged where they can be (DESIGN.md §7); any other, by leafLanes.
+func (e *execContext) leafMem(w *warp, u uop) bool {
+	if w.active != fullMask(WarpSize) {
+		return e.leafLanes(w, u)
 	}
-	base, walker := m.off, e.walker
-	if local {
+	k := u.imm()
+	m, a, walker := &e.tape.mems[k], &w.rows[u.a()], e.walker
+	v0, v1, v2, v3 := a[0]+m.off, a[1]+m.off, a[2]+m.off, a[3]+m.off
+	if m.local {
 		g := e.local
-		if g.size < 4 || max(a[0]+m.off, a[1]+m.off, a[2]+m.off, a[3]+m.off) > g.size-4 {
-			return nil, 0
+		if g.size < 4 || max(v0, v1, v2, v3) > g.size-4 {
+			return false
 		}
-		base, walker = g.base+m.off, g.walker
+		v0, v1, v2, v3, walker = g.base+v0, g.base+v1, g.base+v2, g.base+v3, g.walker
 	}
-	v0, v1, v2, v3 := base+a[0], base+a[1], base+a[2], base+a[3]
-	if (v0^v1)|(v0^v2)|(v0^v3) > mem.PageMask || (v0|v1|v2|v3)&uint64(m.size-1) != 0 {
-		return nil, 0
+	if (v0|v1|v2|v3)&uint64(m.size-1) != 0 || (v0^v1)|(v0^v2)|(v0^v3) > mem.PageMask {
+		return e.leafLanes(w, u)
 	}
-	p := walker.HitPage(v0, kind, WarpSize)
-	if p == nil {
-		return nil, 0
-	}
-	gs := e.gs
-	gs.LSInstr += WarpSize
-	m.aCtr.bump(gs, WarpSize)
-	if local {
-		gs.LocalLS += WarpSize
-		gs.LocalAcc += WarpSize
-	} else {
-		gs.GlobalLS += WarpSize
-		gs.MainMemAcc += WarpSize
-	}
-	m.vCtr.bump(gs, WarpSize)
-	return p, base
-}
-
-// leafLoad is execLeaf's LDG, LDGB and LDL: it serves load u of a warp
-// warpPage accepts and reports whether it did.
-func (e *execContext) leafLoad(w *warp, u uop, mask *soaRow) bool {
-	a := &w.rows[u.a()]
-	p, base := e.warpPage(w, mask, a, &e.tape.mems[u.imm()], mem.Read, u.kind() == kLoadL)
-	if p == nil {
-		return false
-	}
-	d := &w.rows[u.d()]
-	if u.kind() == kLoadGB {
-		d[0], d[1], d[2], d[3] = uint64(mem.LaneLoad8(p, base+a[0])), uint64(mem.LaneLoad8(p, base+a[1])), uint64(mem.LaneLoad8(p, base+a[2])), uint64(mem.LaneLoad8(p, base+a[3]))
-	} else {
-		d[0], d[1], d[2], d[3] = uint64(mem.LaneLoad32(p, base+a[0])), uint64(mem.LaneLoad32(p, base+a[1])), uint64(mem.LaneLoad32(p, base+a[2])), uint64(mem.LaneLoad32(p, base+a[3]))
-	}
-	return true
-}
-
-// leafStore is execLeaf's STG, STGB and STL, the store mirror of leafLoad.
-// Lanes store in lane order, so overlapping lane stores resolve as the
-// per-lane loop resolves them.
-func (e *execContext) leafStore(w *warp, u uop, mask *soaRow) bool {
-	a := &w.rows[u.a()]
-	p, base := e.warpPage(w, mask, a, &e.tape.mems[u.imm()], mem.Write, u.kind() == kStoreL)
-	if p == nil {
-		return false
-	}
-	b := &w.rows[u.b()]
-	if u.kind() == kStoreGB {
-		for l := range b {
-			mem.LaneStore8(p, base+a[l], uint32(b[l]))
+	switch u.kind() {
+	case kLoadG, kLoadGB, kLoadL:
+		p := walker.HitPage(v0, mem.Read, WarpSize)
+		if p == nil {
+			return false
+		}
+		e.served[k] += WarpSize
+		d := &w.rows[u.d()]
+		if m.size == 1 {
+			d[0], d[1], d[2], d[3] = uint64(mem.LaneLoad8(p, v0)), uint64(mem.LaneLoad8(p, v1)), uint64(mem.LaneLoad8(p, v2)), uint64(mem.LaneLoad8(p, v3))
+		} else {
+			d[0], d[1], d[2], d[3] = uint64(mem.LaneLoad32(p, v0)), uint64(mem.LaneLoad32(p, v1)), uint64(mem.LaneLoad32(p, v2)), uint64(mem.LaneLoad32(p, v3))
 		}
 		return true
 	}
-	for l := range b {
-		mem.LaneStore32(p, base+a[l], uint32(b[l]))
+	p := walker.HitPage(v0, mem.Write, WarpSize)
+	if p == nil {
+		return false
+	}
+	e.served[k] += WarpSize
+	b := &w.rows[u.b()]
+	switch {
+	case m.size == 4:
+		storePair(p, v0, v1, b[0], b[1])
+		storePair(p, v2, v3, b[2], b[3])
+	case v0&3 == 0 && v1 == v0+1 && v2 == v0+2 && v3 == v0+3:
+		mem.LaneStore32(p, v0, uint32(b[0]&0xFF|b[1]&0xFF<<8|b[2]&0xFF<<16|b[3]<<24))
+	default:
+		mem.LaneStore8(p, v0, uint32(b[0]))
+		mem.LaneStore8(p, v1, uint32(b[1]))
+		mem.LaneStore8(p, v2, uint32(b[2]))
+		mem.LaneStore8(p, v3, uint32(b[3]))
 	}
 	return true
 }
 
-// loadLanes is the load micro-op of a warp execLeaf hands back: a
-// divergent or partial warp, a span across pages, a misaligned lane, a TLB
-// miss, an MMIO frame, a lane outside the local slot, a fault, every
-// doubleword. It runs the per-lane loop, through the local slot for LDL as
-// warpPage keys it, with counters and walker calls in the interpreter's
-// order, so a faulting lane aborts with the interpreter's totals. The
+// storePair stores the words x at va and y at vb of page p, in that order:
+// as one 64-bit host atomic when they are the two halves of an aligned
+// doubleword.
+func storePair(p *[mem.PageSize]byte, va, vb, x, y uint64) {
+	if va&7 == 0 && vb == va+4 {
+		mem.LaneStore64(p, va, x&math.MaxUint32|y<<32)
+		return
+	}
+	mem.LaneStore32(p, va, uint32(x))
+	mem.LaneStore32(p, vb, uint32(y))
+}
+
+// leafLanes is leafMem for any other warp. An inactive lane takes the
+// first active lane's address, so it passes every test that lane passes
+// and probes no other page. Each lane's page is probed without counting;
+// once all have hit, the active lanes' hits are counted and they are
+// served in lane order.
+func (e *execContext) leafLanes(w *warp, u uop) bool {
+	k, act := u.imm(), w.active
+	m, a, walker := &e.tape.mems[k], &w.rows[u.a()], e.walker
+	f, mk := a[bits.TrailingZeros8(uint8(act))], &maskRows[act]
+	v0, v1, v2, v3 := m.off+(f^(a[0]^f)&mk[0]), m.off+(f^(a[1]^f)&mk[1]), m.off+(f^(a[2]^f)&mk[2]), m.off+(f^(a[3]^f)&mk[3])
+	if m.local {
+		g := e.local
+		if g.size < 4 || max(v0, v1, v2, v3) > g.size-4 {
+			return false
+		}
+		v0, v1, v2, v3, walker = g.base+v0, g.base+v1, g.base+v2, g.base+v3, g.walker
+	}
+	size := uint64(m.size)
+	if (v0|v1|v2|v3)&(size-1) != 0 {
+		return false
+	}
+	store, kind := u.kind() == kStoreG || u.kind() == kStoreGB || u.kind() == kStoreL, mem.Read
+	if store {
+		kind = mem.Write
+	}
+	p0, p1, p2, p3 := walker.HitPage(v0, kind, 0), walker.HitPage(v1, kind, 0), walker.HitPage(v2, kind, 0), walker.HitPage(v3, kind, 0)
+	if p0 == nil || p1 == nil || p2 == nil || p3 == nil {
+		return false
+	}
+	n := uint64(bits.OnesCount8(uint8(act)))
+	walker.Hits += n
+	e.served[k] += n
+	if !store { // a word, or a byte shifted down from its word
+		d, lim := &w.rows[u.d()], uint32(1)<<(8*size)-1
+		if act&1 != 0 {
+			d[0] = uint64(mem.LaneLoad32(p0, v0) >> (v0 & 3 * 8) & lim)
+		}
+		if act&2 != 0 {
+			d[1] = uint64(mem.LaneLoad32(p1, v1) >> (v1 & 3 * 8) & lim)
+		}
+		if act&4 != 0 {
+			d[2] = uint64(mem.LaneLoad32(p2, v2) >> (v2 & 3 * 8) & lim)
+		}
+		if act&8 != 0 {
+			d[3] = uint64(mem.LaneLoad32(p3, v3) >> (v3 & 3 * 8) & lim)
+		}
+		return true
+	}
+	b := &w.rows[u.b()]
+	if act&1 != 0 {
+		storeLane(p0, v0, b[0], size)
+	}
+	if act&2 != 0 {
+		storeLane(p1, v1, b[1], size)
+	}
+	if act&4 != 0 {
+		storeLane(p2, v2, b[2], size)
+	}
+	if act&8 != 0 {
+		storeLane(p3, v3, b[3], size)
+	}
+	return true
+}
+
+// storeLane stores x's low word, or byte when size is 1, at v of page p.
+func storeLane(p *[mem.PageSize]byte, v, x, size uint64) {
+	if size == 1 {
+		mem.LaneStore8(p, v, uint32(x))
+	} else {
+		mem.LaneStore32(p, v, uint32(x))
+	}
+}
+
+// loadLanes is the load micro-op of a warp execLeaf hands back: a TLB
+// miss, a misaligned lane, an MMIO frame, a permission fault, a lane
+// outside the local slot, every doubleword. It runs the per-lane loop,
+// through the local slot for LDL as memOp keys it, with counters and
+// walker calls in the interpreter's order, so a faulting lane aborts with
+// the interpreter's totals. The
 // lanes load into the rowMasked staging row and reach the destination in
 // commitLoad, so a forwarded load never writes its register early.
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
 func (e *execContext) loadLanes(w *warp, m *memOp, u uop, act uint64) error {
-	gs, local := e.gs, u.kind() == kLoadL
+	gs, local := e.gs, m.local
 	gs.LSInstr += act
 	ar, sr := &w.rows[u.a()], &w.rows[rowMasked]
 	for l := 0; l < w.lanes; l++ {
@@ -778,7 +857,7 @@ func (w *warp) commitLoad(d uint8, n int) {
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
 func (e *execContext) storeLanes(w *warp, m *memOp, u uop, act uint64) error {
-	gs, local := e.gs, u.kind() == kStoreL
+	gs, local := e.gs, m.local
 	gs.LSInstr += act
 	ar, br := &w.rows[u.a()], &w.rows[u.b()]
 	for l := 0; l < w.lanes; l++ {

@@ -387,7 +387,7 @@ func (b *tapeBuilder) lowerMem(in *Instr, A, B operand) {
 	case OpLDG64:
 		kind, m.size = kLoadG64, 8
 	case OpLDL:
-		kind = kLoadL
+		kind, m.local = kLoadL, true
 	case OpSTG:
 		kind = kStoreG
 	case OpSTGB:
@@ -395,7 +395,7 @@ func (b *tapeBuilder) lowerMem(in *Instr, A, B operand) {
 	case OpSTG64:
 		kind, m.size = kStoreG64, 8
 	case OpSTL:
-		kind = kStoreL
+		kind, m.local = kStoreL, true
 	}
 	d, a, v := in.Dst, b.row(A, rowScratchA), uint8(0)
 	switch kind {

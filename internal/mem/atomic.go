@@ -122,7 +122,9 @@ func AlignedPage(view []byte) *[PageSize]byte {
 // proven naturally aligned and inside page p. They index the word holding
 // off&PageMask, so a lane pays neither a bounds nor an alignment check, and
 // keep the word-atomic model: a word load or store is one host atomic, a
-// byte store CASes its containing word.
+// byte store CASes its containing word, and a doubleword store — two
+// lanes' adjacent words — is one 64-bit host atomic, still single-copy
+// atomic per word.
 
 // laneWord is the host word of p that holds page offset off&PageMask.
 func laneWord(p *[PageSize]byte, off uint64) *uint32 {
@@ -142,6 +144,12 @@ func LaneLoad8(p *[PageSize]byte, off uint64) uint32 {
 // LaneStore32 stores the guest word v at off (off%4 == 0) of page p.
 func LaneStore32(p *[PageSize]byte, off uint64, v uint32) {
 	atomic.StoreUint32(laneWord(p, off), le32(v))
+}
+
+// LaneStore64 stores the guest doubleword v at off (off%8 == 0) of page p,
+// little-endian: the low word at off, the high word at off+4.
+func LaneStore64(p *[PageSize]byte, off uint64, v uint64) {
+	atomic.StoreUint64((*uint64)(unsafe.Pointer(&p[off&(PageMask&^7)])), le64(v))
 }
 
 // LaneStore8 stores the low byte of v at off of page p.

@@ -302,7 +302,7 @@ func TestMisalignedAccessWordGranular(t *testing.T) {
 }
 
 // TestLaneAccessorsMatchPlain checks the lane accessors against the plain
-// LE accessors on a page view: every word and every byte of the page's
+// LE accessors on a page view: every doubleword, word and byte of the page's
 // first and last 64 bytes, addressed with the page-number bits a guest VA
 // carries above PageMask, which the accessors ignore.
 func TestLaneAccessorsMatchPlain(t *testing.T) {
@@ -317,6 +317,10 @@ func TestLaneAccessorsMatchPlain(t *testing.T) {
 		offs = append(offs, off, PageSize-64+off)
 	}
 	for _, off := range offs {
+		if off%8 == 0 {
+			LaneStore64(page, va+off, 0x0f1e2d3c_4b5a6978^off)
+			storeLE(ref[off:off+8], 8, 0x0f1e2d3c_4b5a6978^off)
+		}
 		if off%4 == 0 {
 			if got, want := LaneLoad32(page, va+off), uint32(loadLE(ref[off:off+4])); got != want {
 				t.Errorf("LaneLoad32(%#x) = %#x, want %#x", off, got, want)
