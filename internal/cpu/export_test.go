@@ -10,3 +10,7 @@ func CountCopySteps() (read func() uint64, restore func()) {
 	countCopySteps = func(k uint64) { passes.Add(k) }
 	return passes.Load, func() { countCopySteps = nil }
 }
+
+// Interpreted reports whether the DBT hands the instruction word w to the
+// interpreter (opExec) instead of a tape case of its own.
+func Interpreted(w uint32) bool { return lower(Decode(w), w, 0).op == opExec }

@@ -9,10 +9,11 @@ import (
 
 // The DBT's translated form: one micro-op per guest instruction, with
 // register indices, immediates and branch targets extracted at translation
-// time. The hot subset of the ISA keeps its opcode and is executed by
-// execTape's single dense switch; everything else becomes opExec, which
-// hands the instruction word back to the interpreter's exec — the
-// specification both engines are held to by FuzzCPUEngines.
+// time. The instructions the platform firmware contains — all the guest
+// code the driver runs — keep their opcode and are executed by execTape's
+// single dense switch; everything else becomes opExec, which hands the
+// instruction word back to the interpreter's exec — the specification both
+// engines are held to by FuzzCPUEngines.
 
 // uop is one tape entry (16 bytes).
 type uop struct {
@@ -43,13 +44,12 @@ const (
 func lower(in Inst, w uint32, pc uint64) uop {
 	u := uop{op: in.Op, rd: in.Rd, rn: in.Rn, rm: in.Rm, cond: in.Cond, imm: uint64(in.Imm)}
 	switch in.Op {
-	case OpNOP, OpADDS, OpSUBS, OpSUBSI, OpSTRB, OpSTRH, OpSTRW, OpSTRX, OpBR, OpBLR:
+	case OpNOP, OpSUBSI, OpSTRB, OpSTRW, OpSTRX, OpBR:
 		// No register result, or one besides it that a zero-register
-		// destination must not suppress (flags, the link register).
-	case OpB, OpBL, OpBCOND:
+		// destination must not suppress (the flags).
+	case OpBCOND:
 		u.imm = pc + uint64(in.Imm)*4
-	case OpADD, OpSUB, OpAND, OpORR, OpEOR, OpMUL, OpLSL, OpLSR, OpASR, OpCSEL,
-		OpADDI, OpSUBI, OpANDI, OpORRI, OpEORI, OpLSLI, OpLSRI, OpASRI, OpMOVZ, OpMOVK:
+	case OpORR, OpADDI, OpSUBI, OpMOVZ:
 		// Pure register results, executed with an unconditional write: a
 		// zero-register destination makes them no-ops here.
 		if in.Rd == ZR {
@@ -58,17 +58,14 @@ func lower(in Inst, w uint32, pc uint64) uop {
 		switch in.Op {
 		case OpSUBI:
 			u.op, u.imm = OpADDI, -u.imm
-		case OpLSLI, OpLSRI, OpASRI:
-			u.imm &= 63
-		case OpMOVZ, OpMOVK: // rm becomes the shift, imm the shifted halfword
-			u.rm = 16 * in.Rm
-			u.imm <<= u.rm
+		case OpMOVZ: // imm becomes the shifted halfword
+			u.imm <<= 16 * in.Rm
 		}
-	case OpLDRB, OpLDRH, OpLDRW, OpLDRX:
+	case OpLDRB, OpLDRW, OpLDRX:
 		if in.Rd == ZR { // keep the access and its fault
 			return uop{op: opExec, imm: uint64(w)}
 		}
-	default: // the rare (SVC, ERET, WFI, MRS, MSR, SDIV, UDIV, HLT) and the undefined
+	default: // what the firmware does not contain, and the undefined
 		return uop{op: opExec, imm: uint64(w)}
 	}
 	return u
@@ -166,54 +163,14 @@ pass:
 				goto out
 			}
 		case OpNOP:
-		case OpADD:
-			c.X[rd] = c.X[rn] + c.X[rm]
-		case OpSUB:
-			c.X[rd] = c.X[rn] - c.X[rm]
-		case OpAND:
-			c.X[rd] = c.X[rn] & c.X[rm]
 		case OpORR:
 			c.X[rd] = c.X[rn] | c.X[rm]
-		case OpEOR:
-			c.X[rd] = c.X[rn] ^ c.X[rm]
-		case OpMUL:
-			c.X[rd] = c.X[rn] * c.X[rm]
-		case OpLSL:
-			c.X[rd] = c.X[rn] << (c.X[rm] & 63)
-		case OpLSR:
-			c.X[rd] = c.X[rn] >> (c.X[rm] & 63)
-		case OpASR:
-			c.X[rd] = uint64(int64(c.X[rn]) >> (c.X[rm] & 63))
-		case OpADDS:
-			c.setReg(rd, c.addFlags(c.X[rn], c.X[rm]))
-		case OpSUBS:
-			c.setReg(rd, c.subFlags(c.X[rn], c.X[rm]))
-		case OpSUBSI:
-			c.setReg(rd, c.subFlags(c.X[rn], u.imm))
-		case OpCSEL:
-			if c.condHolds(u.cond) {
-				c.X[rd] = c.X[rn]
-			} else {
-				c.X[rd] = c.X[rm]
-			}
 		case OpADDI:
 			c.X[rd] = c.X[rn] + u.imm
-		case OpANDI:
-			c.X[rd] = c.X[rn] & u.imm
-		case OpORRI:
-			c.X[rd] = c.X[rn] | u.imm
-		case OpEORI:
-			c.X[rd] = c.X[rn] ^ u.imm
-		case OpLSLI:
-			c.X[rd] = c.X[rn] << u.imm
-		case OpLSRI:
-			c.X[rd] = c.X[rn] >> u.imm
-		case OpASRI:
-			c.X[rd] = uint64(int64(c.X[rn]) >> u.imm)
+		case OpSUBSI:
+			c.setReg(rd, c.subFlags(c.X[rn], u.imm))
 		case OpMOVZ:
 			c.X[rd] = u.imm
-		case OpMOVK:
-			c.X[rd] = c.X[rd]&^(0xFFFF<<u.rm) | u.imm
 
 		case OpLDRX:
 			va := c.X[rn] + u.imm
@@ -241,16 +198,13 @@ pass:
 				c.PC += 4
 				goto out
 			}
-		case OpLDRB, OpLDRH, OpLDRW: // consecutive opcodes, log2(size) apart
+		case OpLDRB, OpLDRW: // opcodes log2(size) apart
 			va := c.X[rn] + u.imm
 			size := uint64(1) << (u.op - OpLDRB)
 			if off := va - c.ldv.base; off <= mem.PageSize-size && c.ldv.page != nil {
-				switch p := c.ldv.page[off:]; u.op {
-				case OpLDRW:
+				if p := c.ldv.page[off:]; u.op == OpLDRW {
 					c.X[rd] = uint64(binary.LittleEndian.Uint32(p))
-				case OpLDRH:
-					c.X[rd] = uint64(binary.LittleEndian.Uint16(p))
-				default:
+				} else {
 					c.X[rd] = uint64(p[0])
 				}
 				continue
@@ -261,16 +215,13 @@ pass:
 				goto out
 			}
 			c.X[rd] = v
-		case OpSTRB, OpSTRH, OpSTRW:
+		case OpSTRB, OpSTRW:
 			va := c.X[rn] + u.imm
 			size := uint64(1) << (u.op - OpSTRB)
 			if off := va - c.stv.base; off <= mem.PageSize-size && c.stv.page != nil {
-				switch p := c.stv.page[off:]; u.op {
-				case OpSTRW:
+				if p := c.stv.page[off:]; u.op == OpSTRW {
 					binary.LittleEndian.PutUint32(p, uint32(c.X[rd]))
-				case OpSTRH:
-					binary.LittleEndian.PutUint16(p, uint16(c.X[rd]))
-				default:
+				} else {
 					p[0] = byte(c.X[rd])
 				}
 				continue
@@ -284,19 +235,8 @@ pass:
 				goto out
 			}
 
-		case OpB:
-			c.PC = u.imm
-			goto out
-		case OpBL:
-			c.X[LR] = b.start + uint64(i)*4
-			c.PC = u.imm
-			goto out
 		case OpBR:
 			c.PC = c.X[rn]
-			goto out
-		case OpBLR:
-			c.PC = c.X[rn] // read before the link write: BLR x30 is legal
-			c.X[LR] = b.start + uint64(i)*4
 			goto out
 		case OpBCOND:
 			if c.condHolds(u.cond) {

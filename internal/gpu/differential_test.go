@@ -21,8 +21,9 @@ import (
 // explores further (CI runs a short-budget smoke of exactly that).
 
 // diffBinOps are the two-source opcodes the generator draws from — every
-// value-table binary op plus the accumulator forms (FMA, SEL), so leaf,
-// slow and accumulator micro-ops mix within one clause.
+// value-table binary op plus the accumulator forms (FMA, SEL), so leaf and
+// slow micro-ops mix within one clause with the ops clc emits none of
+// (SHR, UCMPLT, FMA, SEL), which the interpreter runs mid-tape.
 var diffBinOps = []gpu.Opcode{
 	gpu.OpIADD, gpu.OpISUB, gpu.OpIMUL, gpu.OpIDIV, gpu.OpIMOD,
 	gpu.OpSHL, gpu.OpSHR, gpu.OpSAR, gpu.OpAND, gpu.OpOR, gpu.OpXOR,
@@ -142,7 +143,7 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, f diffFeatures) *gpu.Progr
 	// Temporaries the tape optimiser must not forward out of, folded into
 	// r8 through r26 and r27: one read in the next clause, one read by the
 	// BRC that ends the chain it is written in, and the FMA and SEL forms,
-	// which read their destination.
+	// which read their destination (the interpreter runs both).
 	if f.withTempAcross {
 		prog.Clauses = append(prog.Clauses,
 			gpu.Clause{Instrs: []gpu.Instr{

@@ -244,9 +244,9 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				}
 				var err error
 				switch u.kind() {
-				case kLoadG, kLoadGB, kLoadG64, kLoadL:
+				case kLoadG, kLoadGB, kLoadL:
 					err = e.loadLanes(w, &wp.mems[u.imm()], u, act)
-				case kStoreG, kStoreGB, kStoreG64, kStoreL:
+				case kStoreG, kStoreGB, kStoreL:
 					err = e.storeLanes(w, &wp.mems[u.imm()], u, act)
 				case kLaneInterp:
 					err = e.laneInterp(w, wp.slow[u.imm()].in, act)
@@ -690,22 +690,10 @@ func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
 		r = uint64(uint32(a) - uint32(b))
 	case OpIMUL:
 		r = uint64(uint32(a) * uint32(b))
-	case OpIDIV:
-		if int32(b) == 0 {
-			r = 0
-		} else if int32(a) == math.MinInt32 && int32(b) == -1 {
-			r = uint64(uint32(a))
-		} else {
-			r = uint64(uint32(int32(a) / int32(b)))
-		}
-	case OpIMOD:
-		if int32(b) == 0 {
-			r = 0
-		} else if int32(a) == math.MinInt32 && int32(b) == -1 {
-			r = 0
-		} else {
-			r = uint64(uint32(int32(a) % int32(b)))
-		}
+	case OpIDIV, OpIMOD, OpFMIN, OpFMAX:
+		r = slowBin[in.Op](a, b)
+	case OpFEXP, OpFLOG, OpFSIN, OpFCOS:
+		r = slowUn[in.Op](a)
 	case OpSHL:
 		r = uint64(uint32(a) << (uint32(b) & 31))
 	case OpSHR:
@@ -745,24 +733,12 @@ func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
 	case OpFMA:
 		acc := e.read(w, lane, in.Dst, in)
 		r = fres(f32(acc) + f32(a)*f32(b))
-	case OpFMIN:
-		r = fbits(float32(math.Min(float64(f32(a)), float64(f32(b)))))
-	case OpFMAX:
-		r = fbits(float32(math.Max(float64(f32(a)), float64(f32(b)))))
 	case OpFABS:
 		r = fbits(float32(math.Abs(float64(f32(a)))))
 	case OpFNEG:
 		r = fbits(-f32(a))
 	case OpFSQRT:
 		r = fbits(float32(math.Sqrt(float64(f32(a)))))
-	case OpFEXP:
-		r = fbits(float32(math.Exp(float64(f32(a)))))
-	case OpFLOG:
-		r = fbits(float32(math.Log(float64(f32(a)))))
-	case OpFSIN:
-		r = fbits(float32(math.Sin(float64(f32(a)))))
-	case OpFCOS:
-		r = fbits(float32(math.Cos(float64(f32(a)))))
 	case OpFFLOOR:
 		r = fbits(float32(math.Floor(float64(f32(a)))))
 	case OpICMPEQ:

@@ -136,7 +136,7 @@ func CountLeafMemory() (read func() (served, handed uint64), restore func()) {
 // isMemUop reports whether u is a memory micro-op.
 func isMemUop(u uop) bool {
 	switch u.kind() {
-	case kLoadG, kLoadGB, kLoadG64, kStoreG, kStoreGB, kStoreG64, kLoadL, kStoreL:
+	case kLoadG, kLoadGB, kStoreG, kStoreGB, kLoadL, kStoreL:
 		return true
 	}
 	return false
@@ -148,4 +148,22 @@ func SetClauseBudget(n int) (restore func()) {
 	old := clauseBudget
 	clauseBudget = n
 	return func() { clauseBudget = old }
+}
+
+// InterpretedOps returns the opcodes of the kLaneInterp micro-ops — the
+// instructions handed to the interpreter — in p's warp-engine tapes,
+// clause and chain tapes alike.
+func InterpretedOps(p *Program) []Opcode {
+	p.compile(EngineWarp)
+	var ops []Opcode
+	for _, tapes := range [][]tape{p.warp.clauses, p.warp.chains} {
+		for _, t := range tapes {
+			for _, u := range t.ops {
+				if u.kind() == kLaneInterp {
+					ops = append(ops, p.warp.slow[u.imm()].in.Op)
+				}
+			}
+		}
+	}
+	return ops
 }

@@ -28,25 +28,15 @@ func tempBit(r uint8) tempMask {
 }
 
 // temps returns the temporaries u reads and writes. A row field a micro-op
-// does not use is 0, r0's row, so it names no temporary.
+// does not use is 0, r0's row, so it names no temporary. A kLaneInterp may
+// read any operand and write its destination, which it keeps in slow[imm]:
+// it reads every temporary and defines none, so a temporary it writes is
+// live before it, never dead after a write it does not see.
 func (u uop) temps() (use, def tempMask) {
 	if u.kind() == kLaneInterp {
-		return allTemps, 0 // the interpreter may read any operand
+		return allTemps, 0
 	}
-	use, def = tempBit(u.a())|tempBit(u.b()), tempBit(u.d())
-	if accumulates(u.kind()) {
-		use |= def
-	}
-	return use, def
-}
-
-// accumulates reports an FMA or SEL case, which reads its destination.
-func accumulates(k uopKind) bool {
-	if k < kVV {
-		return false
-	}
-	op := Opcode((k - kVV) % uopKind(NumOpcodes))
-	return op == OpFMA || op == OpSEL
+	return tempBit(u.a()) | tempBit(u.b()), tempBit(u.d())
 }
 
 // termTemps returns the temporaries t's terminal reads.
@@ -119,21 +109,24 @@ func (wp *warpProgram) optimise() {
 }
 
 // forwardable reports a micro-op whose result may go straight to another
-// row: a leaf ALU case that does not read its destination, a splat, a slow
-// ALU op or a load, which can fault part-way through a warp but writes its
-// destination only once every lane has loaded (loadLanes).
+// row: a leaf ALU case, a splat, a slow ALU op or a load, which can fault
+// part-way through a warp but writes its destination only once every lane
+// has loaded (loadLanes). Not a kLaneInterp: the interpreter writes the
+// destination it decodes.
 func forwardable(k uopKind) bool {
-	return isLoad(k) || k == kSplat || k == kSlow || k >= kVV && !accumulates(k)
+	return isLoad(k) || k == kSplat || k == kSlow || k >= kVV
 }
 
 // isLoad reports a load micro-op.
-func isLoad(k uopKind) bool { return k == kLoadG || k == kLoadGB || k == kLoadG64 || k == kLoadL }
+func isLoad(k uopKind) bool { return k == kLoadG || k == kLoadGB || k == kLoadL }
 
 // forward rewrites op tN; …; mov rM, tN — a load included — into
 // op rM; … where tN is dead after the move and the micro-ops between are
 // leaf ALU cases that neither read nor write tN or rM: none of them can
-// fault, so no abort sees rM written early, and none reads either row. A masked warp writes the
-// active lanes of rM in either form, and the inactive lanes in neither.
+// fault, so no abort sees rM written early, and none reads either row. A
+// kLaneInterp, which may read or write any row, ends the search. A masked
+// warp writes the active lanes of rM in either form, and the inactive
+// lanes in neither.
 func (t *tape) forward(end tempMask) {
 	after := make([]tempMask, len(t.ops))
 	liveBefore(t.ops, end, after)
@@ -222,7 +215,7 @@ func (wp *warpProgram) bools(t *tape, live tempMask) {
 
 // isCompare marks the opcodes whose result is 0 or 1.
 var isCompare = [NumOpcodes]bool{OpICMPEQ: true, OpICMPNE: true, OpICMPLT: true, OpICMPLE: true,
-	OpUCMPLT: true, OpFCMPEQ: true, OpFCMPLT: true, OpFCMPLE: true}
+	OpFCMPEQ: true, OpFCMPLT: true, OpFCMPLE: true}
 
 // The address idiom's micro-ops: clc computes &p[i*w + j] as imul, iadd,
 // a widening mul64 by the element size and an add64 of the base.
@@ -333,8 +326,8 @@ func (wp *warpProgram) numberValues() {
 	}
 }
 
-// srcs reports which of u's row fields a and b it reads; FMA and SEL also
-// read d (accumulates), and kLaneInterp may read any row.
+// srcs reports which of u's row fields a and b it reads; a kLaneInterp
+// may read any row, and values leaves a tape that holds one alone.
 func (u uop) srcs() (a, b bool) {
 	switch k := u.kind(); {
 	case k == kSplat:
@@ -354,17 +347,16 @@ func (u uop) srcs() (a, b bool) {
 // writes reports a micro-op that writes its d row.
 func (u uop) writes() bool {
 	switch u.kind() {
-	case kStoreG, kStoreGB, kStoreG64, kStoreL, kLaneInterp:
+	case kStoreG, kStoreGB, kStoreL, kLaneInterp:
 		return false
 	}
 	return true
 }
 
 // pure reports a leaf ALU case whose value is a function of its operands
-// alone: a splat, a fused address, a kVV, kVU or kUV case that does not
-// read its destination.
+// alone: a splat, a fused address, a kVV, kVU or kUV case.
 func pure(k uopKind) bool {
-	return k == kSplat || k == kAddr || k == kAddrTail || k >= kVV && !accumulates(k)
+	return k == kSplat || k == kAddr || k == kAddrTail || k >= kVV
 }
 
 // vkey is what a pure micro-op computes: its case and payload over the
@@ -404,19 +396,19 @@ func resize[T any](s []T, n int) []T {
 // runs under one mask, so a row holds a value in every lane a reader
 // reads.
 //
-// A micro-op may go only when its destination is a temporary or a scratch
-// row that no accumulator reads and, for a temporary, that is not live
-// after the tape: the value it would have left there is read through a or
-// b alone, and every such read is renamed. The row chosen holds the value
-// until the definition's last reader: a spare row reserved that long, or
-// any other row the literal tape does not write before then (the rewritten
-// tape writes a row other than a spare only where the literal tape does).
-// A kept micro-op whose value is computed again, after the literal tape
-// overwrites its destination, writes a free spare row instead, reserved
-// until the value's last reader. A kept pure micro-op into a row other
-// than a register whose readers all went goes too. No register's write
-// moves or goes, so no abort sees one early, and a tape with a
-// kLaneInterp, which may read any row, is left alone.
+// A micro-op may go only when its destination is a scratch row or a
+// temporary that is not live after the tape: the value it would have left
+// there is read through a or b alone, and every such read is renamed. The
+// row chosen holds the value until the definition's last reader: a spare
+// row reserved that long, or any other row the literal tape does not write
+// before then (the rewritten tape writes a row other than a spare only
+// where the literal tape does). A kept micro-op whose value is computed
+// again, after the literal tape overwrites its destination, writes a free
+// spare row instead, reserved until the value's last reader. A kept pure
+// micro-op into a row other than a register whose readers all went goes
+// too. No register's write moves or goes, so no abort sees one early, and
+// a tape with a kLaneInterp, which may read and write any row, is left
+// alone.
 func (wp *warpProgram) values(t *tape, end tempMask, sc *valueScratch) {
 	ops := t.ops
 	if slices.ContainsFunc(ops, func(u uop) bool { return u.kind() == kLaneInterp }) {
@@ -505,10 +497,7 @@ func (wp *warpProgram) values(t *tape, end tempMask, sc *valueScratch) {
 			if ra && ops[j].a() == d || rb && ops[j].b() == d {
 				last[i] = j
 			}
-			if ops[j].writes() && ops[j].d() == d {
-				redefined = true
-				movable[i] = !accumulates(ops[j].kind())
-			}
+			redefined = ops[j].writes() && ops[j].d() == d
 		}
 		if !redefined && tempBit(d)&end != 0 {
 			movable[i] = false
@@ -602,7 +591,7 @@ func (wp *warpProgram) values(t *tape, end tempMask, sc *valueScratch) {
 				keep[i] = false
 				continue
 			}
-			live[u.d()] = accumulates(u.kind())
+			live[u.d()] = false
 		}
 		ra, rb := u.srcs()
 		live[u.a()] = live[u.a()] || ra

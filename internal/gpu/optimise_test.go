@@ -71,10 +71,13 @@ var optimiserCases = []optimiserCase{
 		},
 	},
 	{
-		// An FMA accumulates into t2 and a SEL selects on t3: the FMA's
-		// result does not move into r9, and t3's value from the FADD is
-		// live after the move into r10.
-		name: "accumulator_forms",
+		// clc emits no FMA or SEL, so the interpreter runs both
+		// (kLaneInterp) and writes their temporaries: the move out of t2
+		// is not forwarded into the FMA (forward stops at a kLaneInterp),
+		// and t3's value from the FADD, which the SEL reads as its
+		// predicate, is live after the move into r10 (temps: a kLaneInterp
+		// reads every temporary).
+		name: "interpreter_writes_temporaries",
 		prog: progOf(
 			[]Instr{
 				{Op: OpI2F, Dst: T(2), A: S(SpecGIDX)},
@@ -87,6 +90,11 @@ var optimiserCases = []optimiserCase{
 				{Op: OpRET},
 			},
 		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			if ops := wp.clauses[0].ops; len(ops) != 7 || ops[1].kind() != kLaneInterp || ops[5].kind() != kLaneInterp {
+				t.Errorf("want I2F, FMA by the interpreter, three moves, FADD and SEL by the interpreter: %d micro-ops", len(ops))
+			}
+		},
 	},
 	{
 		// A fused address under every mask, loaded from and stored through.
@@ -413,9 +421,9 @@ var optimiserCases = []optimiserCase{
 	},
 	{
 		// t0 is computed again while t1 holds the value, and an FMA then
-		// a SEL accumulate into it: the accumulator reads t0 in place, so
-		// its computation stays.
-		name: "accumulator_reads_a_value_computed_again",
+		// a SEL, run by the interpreter, read t0 in place: values leaves a
+		// chain with a kLaneInterp alone, so t0's computation stays.
+		name: "interpreter_reads_a_value_computed_again",
 		prog: progOf(
 			[]Instr{
 				{Op: OpIADD, Dst: T(1), A: R(1), B: R(2)},

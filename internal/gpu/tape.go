@@ -16,7 +16,9 @@ import (
 // byte loads and stores are served from the switch too, through one call
 // (leafMem), when the TLB holds every page its active lanes touch; the
 // memory accesses it hands back, the rare slow ALU ops and the per-lane
-// interpreter fallback leave it for runWarp.
+// interpreter fallback leave it for runWarp. The switch has cases for what
+// clc emits only: every other instruction runs through the interpreter
+// (tapeFallbackReason).
 //
 // Counter contract: the interpreter bumps the class counter once per
 // instruction (scaled by the clause's active-lane count) before touching
@@ -51,10 +53,8 @@ const (
 	// serves word and byte accesses the TLB covers (see leafMem).
 	kLoadG      // d = global[a + off], a word
 	kLoadGB     // d = global[a + off], a zero-extended byte
-	kLoadG64    // d = global[a + off], a doubleword: out of line only
 	kStoreG     // global[a + off] = b, a word
 	kStoreGB    // global[a + off] = b, a byte
-	kStoreG64   // global[a + off] = b, a doubleword: out of line only
 	kLoadL      // d = local[a + off]
 	kStoreL     // local[a + off] = b
 	kLaneInterp // slow[imm].in through the interpreter, lane by lane
@@ -63,8 +63,8 @@ const (
 	kAddr     // d = uint64(uint32(a)*s1 + uint32(b))*s2 + s3
 	kAddrTail // d = a*s2 + s3
 
-	// The ALU blocks: kind = block + Opcode. Unary ops and the FMA/SEL
-	// accumulator forms (which also read d) live in the same blocks.
+	// The ALU blocks: kind = block + Opcode. Unary ops live in the same
+	// blocks. No case reads its destination.
 	kVV                             // d = op(a, b) over rows
 	kVU = kVV + uopKind(NumOpcodes) // d = op(a, uvals[imm])
 	kUV = kVU + uopKind(NumOpcodes) // d = op(uvals[imm], b)
@@ -380,9 +380,6 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 		case kVV + uopKind(OpSHL):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])<<(uint32(b[0])&31)), uint64(uint32(a[1])<<(uint32(b[1])&31)), uint64(uint32(a[2])<<(uint32(b[2])&31)), uint64(uint32(a[3])<<(uint32(b[3])&31))
-		case kVV + uopKind(OpSHR):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
-			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])>>(uint32(b[0])&31)), uint64(uint32(a[1])>>(uint32(b[1])&31)), uint64(uint32(a[2])>>(uint32(b[2])&31)), uint64(uint32(a[3])>>(uint32(b[3])&31))
 		case kVV + uopKind(OpSAR):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(int32(a[0])>>(uint32(b[0])&31))), uint64(uint32(int32(a[1])>>(uint32(b[1])&31))), uint64(uint32(int32(a[2])>>(uint32(b[2])&31))), uint64(uint32(int32(a[3])>>(uint32(b[3])&31)))
@@ -425,9 +422,6 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 		case kVV + uopKind(OpICMPLE):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = b2u(int32(a[0]) <= int32(b[0])), b2u(int32(a[1]) <= int32(b[1])), b2u(int32(a[2]) <= int32(b[2])), b2u(int32(a[3]) <= int32(b[3]))
-		case kVV + uopKind(OpUCMPLT):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
-			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) < uint32(b[0])), b2u(uint32(a[1]) < uint32(b[1])), b2u(uint32(a[2]) < uint32(b[2])), b2u(uint32(a[3]) < uint32(b[3]))
 		case kVV + uopKind(OpFCMPEQ):
 			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) == f32(b[0])), b2u(f32(a[1]) == f32(b[1])), b2u(f32(a[2]) == f32(b[2])), b2u(f32(a[3]) == f32(b[3]))
@@ -462,10 +456,6 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])<<(uint32(s)&31)), uint64(uint32(a[1])<<(uint32(s)&31)), uint64(uint32(a[2])<<(uint32(s)&31)), uint64(uint32(a[3])<<(uint32(s)&31))
-		case kVU + uopKind(OpSHR):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
-			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])>>(uint32(s)&31)), uint64(uint32(a[1])>>(uint32(s)&31)), uint64(uint32(a[2])>>(uint32(s)&31)), uint64(uint32(a[3])>>(uint32(s)&31))
 		case kVU + uopKind(OpSAR):
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
@@ -522,10 +512,6 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(int32(a[0]) <= int32(s)), b2u(int32(a[1]) <= int32(s)), b2u(int32(a[2]) <= int32(s)), b2u(int32(a[3]) <= int32(s))
-		case kVU + uopKind(OpUCMPLT):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
-			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) < uint32(s)), b2u(uint32(a[1]) < uint32(s)), b2u(uint32(a[2]) < uint32(s)), b2u(uint32(a[3]) < uint32(s))
 		case kVU + uopKind(OpFCMPEQ):
 			d, a := &rows[u.d()&keep|force], &rows[u.a()]
 			s := e.uvals[u.imm()]
@@ -547,10 +533,6 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(s)<<(uint32(b[0])&31)), uint64(uint32(s)<<(uint32(b[1])&31)), uint64(uint32(s)<<(uint32(b[2])&31)), uint64(uint32(s)<<(uint32(b[3])&31))
-		case kUV + uopKind(OpSHR):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
-			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = uint64(uint32(s)>>(uint32(b[0])&31)), uint64(uint32(s)>>(uint32(b[1])&31)), uint64(uint32(s)>>(uint32(b[2])&31)), uint64(uint32(s)>>(uint32(b[3])&31))
 		case kUV + uopKind(OpSAR):
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
@@ -571,10 +553,6 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(int32(s) <= int32(b[0])), b2u(int32(s) <= int32(b[1])), b2u(int32(s) <= int32(b[2])), b2u(int32(s) <= int32(b[3]))
-		case kUV + uopKind(OpUCMPLT):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
-			s := e.uvals[u.imm()]
-			d[0], d[1], d[2], d[3] = b2u(uint32(s) < uint32(b[0])), b2u(uint32(s) < uint32(b[1])), b2u(uint32(s) < uint32(b[2])), b2u(uint32(s) < uint32(b[3]))
 		case kUV + uopKind(OpFCMPLT):
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
@@ -583,31 +561,6 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			d, b := &rows[u.d()&keep|force], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(f32(s) <= f32(b[0])), b2u(f32(s) <= f32(b[1])), b2u(f32(s) <= f32(b[2])), b2u(f32(s) <= f32(b[3]))
-		// --- accumulator forms: the destination is also the third source
-		case kVV + uopKind(OpFMA):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
-			acc := &rows[u.d()]
-			d[0], d[1], d[2], d[3] = fres(f32(acc[0])+f32(a[0])*f32(b[0])), fres(f32(acc[1])+f32(a[1])*f32(b[1])), fres(f32(acc[2])+f32(a[2])*f32(b[2])), fres(f32(acc[3])+f32(a[3])*f32(b[3]))
-		case kVU + uopKind(OpFMA):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
-			s := e.uvals[u.imm()]
-			acc := &rows[u.d()]
-			d[0], d[1], d[2], d[3] = fres(f32(acc[0])+f32(a[0])*f32(s)), fres(f32(acc[1])+f32(a[1])*f32(s)), fres(f32(acc[2])+f32(a[2])*f32(s)), fres(f32(acc[3])+f32(a[3])*f32(s))
-		case kVV + uopKind(OpSEL):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
-			acc := &rows[u.d()]
-			d[0], d[1], d[2], d[3] = sel(acc[0], a[0], b[0]), sel(acc[1], a[1], b[1]), sel(acc[2], a[2], b[2]), sel(acc[3], a[3], b[3])
-		case kVU + uopKind(OpSEL):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
-			s := e.uvals[u.imm()]
-			acc := &rows[u.d()]
-			d[0], d[1], d[2], d[3] = sel(acc[0], a[0], s), sel(acc[1], a[1], s), sel(acc[2], a[2], s), sel(acc[3], a[3], s)
-		case kUV + uopKind(OpSEL):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
-			s := e.uvals[u.imm()]
-			acc := &rows[u.d()]
-			d[0], d[1], d[2], d[3] = sel(acc[0], s, b[0]), sel(acc[1], s, b[1]), sel(acc[2], s, b[2]), sel(acc[3], s, b[3])
-
 		}
 		if mask != nil { // commitMasked, written out: nothing this size inlines here
 			d, r := &rows[u.d()], &rows[rowMasked]
@@ -615,13 +568,6 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 		}
 	}
 	return pc
-}
-
-func sel(pred, a, b uint64) uint64 {
-	if pred != 0 {
-		return a
-	}
-	return b
 }
 
 // run executes an ALU op without a leaf case (transcendentals, IDIV/IMOD,
@@ -801,7 +747,7 @@ func storeLane(p *[mem.PageSize]byte, v, x, size uint64) {
 
 // loadLanes is the load micro-op of a warp execLeaf hands back: a TLB
 // miss, a misaligned lane, an MMIO frame, a permission fault, a lane
-// outside the local slot, every doubleword. It runs the per-lane loop,
+// outside the local slot. It runs the per-lane loop,
 // through the local slot for LDL as memOp keys it, with counters and
 // walker calls in the interpreter's order, so a faulting lane aborts with
 // the interpreter's totals. The
@@ -884,8 +830,9 @@ func (e *execContext) storeLanes(w *warp, m *memOp, u uop, act uint64) error {
 }
 
 // laneInterp runs one instruction through the interpreter, lane by lane,
-// for the shapes the tape does not lower (a destination that is not a
-// register, an unknown opcode), preserving errors and counters.
+// for what the tape does not lower (tapeFallbackReason): its counters, the
+// registers it writes, the guest bytes it touches and the error it returns
+// are the interpreter's by construction.
 //
 //simlint:commit -- interpreter fallback commits the instruction-mix counters
 func (e *execContext) laneInterp(w *warp, in *Instr, act uint64) error {

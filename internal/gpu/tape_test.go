@@ -17,10 +17,16 @@ import (
 // cannot silently take a slow path.
 
 // tapeInterpOnly lists the executable opcodes the tape hands to the
-// per-lane interpreter even with register operands. Empty: every defined
-// opcode lowers. An opcode added to the ISA without a lowering must be
+// per-lane interpreter even with register operands, each with the reason
+// tapeFallbackReason gives: the tape lowers what clc emits, and clc emits
+// none of these. An opcode added to the ISA without a lowering must be
 // entered here, with the reason, to pass TestTapeLowersEveryOpcode.
-var tapeInterpOnly = map[Opcode]string{}
+var tapeInterpOnly = map[Opcode]string{
+	OpSHR: clcEmitsNone, OpUCMPLT: clcEmitsNone, OpFMA: clcEmitsNone,
+	OpSEL: clcEmitsNone, OpLDG64: clcEmitsNone, OpSTG64: clcEmitsNone,
+}
+
+const clcEmitsNone = "clc emits none: the interpreter executes it"
 
 // tapeSlowOps lists the ALU opcodes that run through their value function
 // (kSlow) instead of a leaf case: library transcendentals, the
@@ -51,9 +57,13 @@ func TestTapeLowersEveryOpcode(t *testing.T) {
 				slow = true
 			}
 		}
-		if _, listed := tapeInterpOnly[op]; interp != listed {
+		why, listed := tapeInterpOnly[op]
+		if interp != listed {
 			t.Errorf("%v: interpreter fallback = %v, listed in tapeInterpOnly = %v (reason %q)",
 				op, interp, listed, tapeFallbackReason(&in))
+		}
+		if listed && tapeFallbackReason(&in) != why {
+			t.Errorf("%v: fallback reason %q, want %q", op, tapeFallbackReason(&in), why)
 		}
 		if slow != tapeSlowOps[op] {
 			t.Errorf("%v: slow value-function path = %v, listed in tapeSlowOps = %v", op, slow, tapeSlowOps[op])

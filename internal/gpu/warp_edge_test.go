@@ -353,8 +353,9 @@ var warpEdgeCases = []warpEdgeCase{
 			)
 		},
 	},
-	// Clause temporaries threaded through fused ALU closures, plus the
-	// accumulator forms (FMA reads its destination, SEL selects on it).
+	// Clause temporaries threaded through fused ALU closures, plus FMA
+	// (it reads its destination) and SEL (it selects on it): clc emits
+	// neither, so the interpreter runs both mid-tape and writes r10 and r8.
 	{
 		name: "clause_temps_and_accumulators", global: [3]uint32{8, 1, 1}, local: [3]uint32{4, 1, 1},
 		prog: func() *gpu.Program {
@@ -384,7 +385,7 @@ func fusedALUProgram() *gpu.Program {
 			{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.S(gpu.SpecLIDX)},
 		}},
 		gpu.Clause{Instrs: []gpu.Instr{
-			{Op: gpu.OpSHR, Dst: gpu.R(10), A: gpu.R(8), B: gpu.Imm, Imm: 3},
+			{Op: gpu.OpSAR, Dst: gpu.R(10), A: gpu.R(8), B: gpu.Imm, Imm: 3},
 			{Op: gpu.OpIADD, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(10)},
 		}},
 		edgeStore(),

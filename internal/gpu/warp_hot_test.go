@@ -15,9 +15,9 @@ import (
 // each engine tier.
 
 // hotProgram is a straight-line two-clause kernel whose every slot takes
-// a leaf tape case, memory included: vector ALU (including the
-// FMA/SEL accumulator forms), an immediate-shift, and a TLB-hit LDG/STG
-// pair.
+// a leaf tape case, memory included: vector integer and float ALU, an
+// immediate-shift, and a TLB-hit LDG/STG pair — opcodes clc emits, so that
+// the benchmark measures leaf code and not the interpreter fallback.
 func hotProgram() *Program {
 	p := &Program{RegCount: 16, Clauses: []Clause{
 		{Instrs: []Instr{
@@ -26,13 +26,13 @@ func hotProgram() *Program {
 			{Op: OpXOR, Dst: R(8), A: R(9), B: R(2)},
 			{Op: OpSHL, Dst: R(10), A: R(8), B: Imm, Imm: 3},
 			{Op: OpIADD, Dst: R(8), A: R(10), B: R(9)},
-			{Op: OpFMA, Dst: R(11), A: R(8), B: R(9)},
+			{Op: OpFMUL, Dst: R(11), A: R(8), B: R(9)},
 		}},
 		{Instrs: []Instr{
 			{Op: OpLDG, Dst: R(12), A: R(4)},
 			{Op: OpSTG, A: R(5), B: R(12)},
 			{Op: OpIADD, Dst: R(8), A: R(8), B: R(12)},
-			{Op: OpSEL, Dst: R(13), A: R(8), B: R(9)},
+			{Op: OpIMAX, Dst: R(13), A: R(8), B: R(9)},
 		}},
 	}}
 	for i := range p.Clauses {
@@ -128,8 +128,8 @@ func runHotClauses(tb testing.TB, ec *execContext, w *warp) {
 	ec.commitTallies()
 }
 
-// TestWarpFusedClausesZeroAllocs pins the tape executor — ALU rows,
-// accumulator forms and TLB-hit global load/store, for full and for
+// TestWarpFusedClausesZeroAllocs pins the tape executor — ALU rows and
+// TLB-hit global load/store, for full and for
 // divergent (masked-commit) warps — to zero heap allocations per chain.
 func TestWarpFusedClausesZeroAllocs(t *testing.T) {
 	for _, masked := range []bool{false, true} {
