@@ -335,11 +335,13 @@ func (c *Core) fetch(va uint64) (uint32, bool) {
 // raiseSync enters the synchronous exception vector: ESR/FAR/ELR/SPSR are
 // latched, interrupts masked, and control transfers to VBAR+VecSync. With
 // no vector table installed the core stops with an error (bare-metal test
-// programs are expected not to fault).
+// programs are expected not to fault), and so it does when the fetch of
+// the vector itself aborts: entering it again would abort again, and no
+// instruction would ever retire to charge the run's budget.
 func (c *Core) raiseSync(cause, far, retPC uint64) {
 	c.Faults++
 	vbar := c.sys[SysVBAR]
-	if vbar == 0 {
+	if vbar == 0 || cause == ExcAbortExec && far == vbar+VecSync {
 		c.halted = true
 		c.unhandled = unhandledError{cause, far, retPC}
 		c.stopErr = &c.unhandled

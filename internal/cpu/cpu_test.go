@@ -1,9 +1,11 @@
 package cpu_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mobilesim/internal/asm"
 	"mobilesim/internal/cpu"
@@ -499,6 +501,36 @@ sync:                          // skip the aborting instruction
 			if got := retired[cpu.EngineDBT]; got < n || got >= n+128 {
 				t.Errorf("%s: DBT retired %d of a budget of %d, want [%d, %d)", name, got, n, n, n+128)
 			}
+		}
+	}
+}
+
+// TestVectorFetchAbortStops: with VBAR and the PC both on an unmapped
+// page, the first fetch aborts and so does the fetch of the vector it
+// enters. Each engine must stop the core with the unhandled-exception
+// error for that fetch instead of entering the vector forever, since no
+// instruction retires to charge the budget. A watchdog turns a hang into a
+// failure.
+func TestVectorFetchAbortStops(t *testing.T) {
+	const vbar = 0x4000_0000 // neither RAM nor a device
+	for _, engine := range []cpu.Engine{cpu.EngineInterp, cpu.EngineDBT} {
+		c, _ := newCore(t)
+		c.SetEngine(engine)
+		c.SetSys(cpu.SysVBAR, vbar)
+		c.Reset(vbar + 0x800)
+		done := make(chan cpu.StopReason, 1)
+		go func() { done <- c.Run(1000) }()
+		select {
+		case r := <-done:
+			want := fmt.Sprintf("cause=%d far=%#x", cpu.ExcAbortExec, vbar+cpu.VecSync)
+			if r != cpu.StopError || c.Err() == nil || !strings.Contains(c.Err().Error(), want) {
+				t.Errorf("%v: Run = %v (%v), want %v with %q", engine, r, c.Err(), cpu.StopError, want)
+			}
+			if c.Faults != 2 || c.Instret != 0 {
+				t.Errorf("%v: %d faults, %d retired; want 2 and 0", engine, c.Faults, c.Instret)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%v: Run(1000) has not returned after 2 s", engine)
 		}
 	}
 }

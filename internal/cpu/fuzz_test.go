@@ -203,17 +203,22 @@ func fzCheck(tb testing.TB, code []byte, seed int64) (dbt, interp fzState) {
 //
 // The DBT retires whole blocks, so it may overshoot its budget; the
 // interpreter is then given exactly the DBT's retired count and must land
-// on the same state. Once the doorbell has rung the engines take the
-// interrupt at different instructions, so only runs that both reach HLT
-// are compared, minus what depends on the interrupted PC: ESR/ELR, the
-// handler's own retired instruction (it is a lone ERET), and SPSR — a DBT
-// block that rings and halts never takes the interrupt the interpreter
-// takes before the HLT, so only one of them saves a status.
+// on the same state. A DBT run that stopped on its own, at HLT or at an
+// error, gives the interpreter the same budget: an error stop retires
+// nothing, so the interpreter must reach it with budget left. Once the
+// doorbell has rung the engines take the interrupt at different
+// instructions, so only runs that both reach HLT are compared, minus what
+// depends on the interrupted PC: ESR/ELR, the handler's own retired
+// instruction (it is a lone ERET), and SPSR — a DBT block that rings and
+// halts never takes the interrupt the interpreter takes before the HLT, so
+// only one of them saves a status.
 func fzCheckBudget(tb testing.TB, code []byte, seed int64, budget uint64) (dbt, interp fzState) {
 	tb.Helper()
 	code = fzSanitize(code)
 	dbt = fzRun(tb, cpu.EngineDBT, code, seed, budget)
-	budget = dbt.instret
+	if dbt.stop == cpu.StopBudget {
+		budget = dbt.instret
+	}
 	if dbt.rings > 0 {
 		budget = 2 * fzBudget
 	}
@@ -369,6 +374,10 @@ func fzSeeds(tb testing.TB) []fzSeed {
 		stub := assemble(args + "\n bl routine\n hlt\nroutine:\n")
 		return append(stub, fw.Code[fw.MustEntry(routine)-fw.Base:]...)
 	}
+	// msr vbar, x2 and ldrx x3, [xzr]: what msr-vbar-from-data runs from
+	// its data.
+	msrVBAR := cpu.Encode(cpu.Inst{Op: cpu.OpMSR, Rd: 2, Imm: int64(cpu.SysVBAR)})
+	ldrZero := cpu.Encode(cpu.Inst{Op: cpu.OpLDRX, Rd: 3, Rn: cpu.ZR})
 	// movz x5, #2: what the self-modifying seeds patch in.
 	patch := cpu.Encode(cpu.Inst{Op: cpu.OpMOVZ, Rd: 5, Imm: 2})
 	loadPatch := fmt.Sprintf("movz x1, #%d\n movk x1, #%d, lsl #16\n", patch&0xFFFF, patch>>16)
@@ -634,6 +643,21 @@ other:
     b.hs other
     hlt
 `), 1},
+		// An MSR VBAR the sanitizer cannot see: the program stores it and an
+		// aborting load into its data and runs them there. The vector
+		// table moves to an unmapped page, so the fetch of the vector the
+		// load enters aborts too, and the core stops.
+		{"msr-vbar-from-data", assemble(fmt.Sprintf(`
+    movz x1, #%d
+    movk x1, #%d, lsl #16
+    strw x1, [x10]
+    movz x1, #%d
+    movk x1, #%d, lsl #16
+    strw x1, [x10, #4]
+    movz x2, #0x4000, lsl #16
+    mov  x30, x10
+    ret
+`, msrVBAR&0xFFFF, msrVBAR>>16, ldrZero&0xFFFF, ldrZero>>16)), 1},
 	}
 }
 
@@ -679,13 +703,21 @@ func TestFuzzSeeds(t *testing.T) {
 		},
 		"copy-into-code-page": func(d, _ fzState) bool { return d.steps == 0 && d.bc.Flushes == 9 },
 		"copy-near-miss":      func(d, _ fzState) bool { return d.steps == 0 && d.bc.Chained == 122 },
+		// The data abort, then the vector fetch abort that stops the core.
+		"msr-vbar-from-data": func(d, _ fzState) bool {
+			return d.faults == 2 && d.sys[cpu.SysVBAR] == 0x4000_0000 && d.pc == 0x4000_0000 && d.sys[cpu.SysELR] == fzData+4
+		},
 	}
 	for _, s := range fzSeeds(t) {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
 			dbt, interp := fzCheck(t, s.code, s.seed)
-			if dbt.stop != cpu.StopHalted {
-				t.Fatalf("seed did not run to HLT: %v after %d instructions", dbt.stop, dbt.instret)
+			want := cpu.StopHalted // every seed but the one whose vector faults runs to HLT
+			if s.name == "msr-vbar-from-data" {
+				want = cpu.StopError
+			}
+			if dbt.stop != want {
+				t.Fatalf("seed stopped with %v after %d instructions, want %v", dbt.stop, dbt.instret, want)
 			}
 			if ok := provoked[s.name]; ok != nil && !ok(dbt, interp) {
 				t.Errorf("seed no longer provokes its shape:\n dbt    %+v\n interp %+v",

@@ -16,28 +16,13 @@ import (
 const WarpSize = 4
 
 // guestLocal is a core's workgroup-local store: its slot of the
-// driver-allocated guest memory. Accesses go through the walker's
+// driver-allocated guest memory. Accesses (access) go through the walker's
 // TLB-cached fast path, same as global memory. A job without a local
 // allocation has a zero-sized slot, so any local access faults.
 type guestLocal struct {
 	base   uint64 // guest VA of the slot
 	size   uint64
 	walker *mmu.Walker
-}
-
-func (g *guestLocal) load(off uint64) (uint64, error) {
-	if off+4 > g.size {
-		return 0, fmt.Errorf("gpu: local load at %#x beyond %#x", off, g.size)
-	}
-	v, err := g.walker.Load(g.base+off, 4, mem.Read)
-	return uint64(uint32(v)), err
-}
-
-func (g *guestLocal) store(off uint64, v uint32) error {
-	if off+4 > g.size {
-		return fmt.Errorf("gpu: local store at %#x beyond %#x", off, g.size)
-	}
-	return g.walker.Store(g.base+off, 4, uint64(v))
 }
 
 // warpStatus reports how a warp's execution step ended.
@@ -244,10 +229,8 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				}
 				var err error
 				switch u.kind() {
-				case kLoadG, kLoadGB, kLoadL:
-					err = e.loadLanes(w, &wp.mems[u.imm()], u, act)
-				case kStoreG, kStoreGB, kStoreL:
-					err = e.storeLanes(w, &wp.mems[u.imm()], u, act)
+				case kLoad, kStore:
+					err = e.memLanes(w, &wp.mems[u.imm()], u, act)
 				case kLaneInterp:
 					err = e.laneInterp(w, wp.slow[u.imm()].in, act)
 				case kSlow:
@@ -611,59 +594,18 @@ func (e *execContext) write(w *warp, lane int, o uint8, v uint64) {
 }
 
 // execLane executes a non-control, non-barrier instruction for one lane.
-//
-//simlint:commit -- commits per-lane load/store counters
 func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
-	switch in.Op {
-	case OpLDG, OpLDG64, OpLDGB:
+	if size, local, store := accessOf(in.Op); size != 0 {
 		addr := e.read(w, lane, in.A, in) + uint64(int64(int32(in.Imm)))
-		size := 4
-		switch in.Op {
-		case OpLDG64:
-			size = 8
-		case OpLDGB:
-			size = 1
+		var v uint64
+		if store {
+			v = e.read(w, lane, in.B, in)
 		}
-		e.gs.GlobalLS++
-		e.gs.MainMemAcc++
-		v, err := e.walker.Load(addr, size, mem.Read)
-		if err != nil {
-			return err
+		v, err := e.access(local, store, size, addr, v)
+		if err == nil && !store {
+			e.write(w, lane, in.Dst, v)
 		}
-		e.write(w, lane, in.Dst, v)
-		return nil
-
-	case OpSTG, OpSTG64, OpSTGB:
-		addr := e.read(w, lane, in.A, in) + uint64(int64(int32(in.Imm)))
-		v := e.read(w, lane, in.B, in)
-		size := 4
-		switch in.Op {
-		case OpSTG64:
-			size = 8
-		case OpSTGB:
-			size = 1
-		}
-		e.gs.GlobalLS++
-		e.gs.MainMemAcc++
-		return e.walker.Store(addr, size, v)
-
-	case OpLDL:
-		off := e.read(w, lane, in.A, in) + uint64(int64(int32(in.Imm)))
-		e.gs.LocalLS++
-		e.gs.LocalAcc++
-		v, err := e.local.load(off)
-		if err != nil {
-			return err
-		}
-		e.write(w, lane, in.Dst, v)
-		return nil
-
-	case OpSTL:
-		off := e.read(w, lane, in.A, in) + uint64(int64(int32(in.Imm)))
-		v := e.read(w, lane, in.B, in)
-		e.gs.LocalLS++
-		e.gs.LocalAcc++
-		return e.local.store(off, uint32(v))
+		return err
 	}
 
 	a := e.read(w, lane, in.A, in)
@@ -769,6 +711,52 @@ func (e *execContext) execLane(w *warp, lane int, in *Instr) error {
 	}
 	e.write(w, lane, in.Dst, r)
 	return nil
+}
+
+// accessOf decodes a load or store opcode: its access size in bytes,
+// whether it goes to the local slot and whether it stores. size is 0 for
+// every other opcode.
+func accessOf(op Opcode) (size int, local, store bool) {
+	switch op {
+	case OpLDG, OpSTG, OpLDL, OpSTL:
+		size = 4
+	case OpLDGB, OpSTGB:
+		size = 1
+	case OpLDG64, OpSTG64:
+		size = 8
+	}
+	return size, op == OpLDL || op == OpSTL, op == OpSTG || op == OpSTGB || op == OpSTG64 || op == OpSTL
+}
+
+// access is one lane's load or store of size bytes at addr — a word at an
+// offset into the local slot when local — storing v or returning the value
+// loaded. It is the per-lane memory path of both engines: it counts the
+// access, then goes through the walker, so a faulting lane stops with
+// every counter before it bumped.
+//
+//simlint:commit -- commits per-lane load/store counters
+func (e *execContext) access(local, store bool, size int, addr, v uint64) (uint64, error) {
+	walker := e.walker
+	if local {
+		e.gs.LocalLS++
+		e.gs.LocalAcc++
+		g := e.local
+		if addr+4 > g.size {
+			op := "load"
+			if store {
+				op = "store"
+			}
+			return 0, fmt.Errorf("gpu: local %s at %#x beyond %#x", op, addr, g.size)
+		}
+		addr, walker = g.base+addr, g.walker
+	} else {
+		e.gs.GlobalLS++
+		e.gs.MainMemAcc++
+	}
+	if store {
+		return 0, walker.Store(addr, size, v)
+	}
+	return walker.Load(addr, size, mem.Read)
 }
 
 func b2u(b bool) uint64 {

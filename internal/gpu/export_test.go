@@ -135,11 +135,7 @@ func CountLeafMemory() (read func() (served, handed uint64), restore func()) {
 
 // isMemUop reports whether u is a memory micro-op.
 func isMemUop(u uop) bool {
-	switch u.kind() {
-	case kLoadG, kLoadGB, kStoreG, kStoreGB, kLoadL, kStoreL:
-		return true
-	}
-	return false
+	return u.kind() == kLoad || u.kind() == kStore
 }
 
 // SetClauseBudget lowers the per-warp runaway guard for a test and returns

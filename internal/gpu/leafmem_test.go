@@ -11,20 +11,24 @@ import (
 )
 
 // The warp engine serves a warp's word and byte loads and stores in
-// execLeaf when the TLB holds every page its active lanes touch, and hands
-// every other warp to runWarp's per-lane loops (DESIGN.md §9). The tests
+// execLeaf when the TLB holds every page its active lanes touch, or a walk
+// fills the one page they share, and hands every other warp to memLanes,
+// the interpreter's per-lane access (DESIGN.md §9). The tests
 // here run every memory micro-op over every shape that decides between the
 // two, or between a paired, merged or lane-by-lane store, under both
 // engines from the same state.
 
-// Guest layout of the memory rig: two read-write pages, a read-only page
-// and a page of device registers.
+// Guest layout of the memory rig: two read-write pages, a read-only page,
+// a page of device registers and a read-write page whose TLB entry is
+// lmRW's.
 const (
 	lmRW     = 0x10000
 	lmRO     = 0x20000
 	lmMMIO   = 0x30000
+	lmEvict  = lmRW + 256*mem.PageSize // the TLB is direct-mapped over 256 entries
 	lmRWPA   = 0x0020_0000
 	lmROPA   = 0x0030_0000
+	lmEvPA   = 0x0040_0000
 	lmDevPA  = 0x4000_0000 // beyond the rig's RAM
 	lmSlotSz = 256         // local slot size
 	lmNone   = 0x9000_0000 // unmapped
@@ -52,6 +56,8 @@ func (d *regDev) WriteReg(off uint64, size int, v uint64) error {
 // memShape is one warp shape: each lane's VA, the local slot the VAs lie
 // in for LDL/STL, the warp's live and active lanes, and whether the TLB
 // starts cold — or holds every page its active lanes touch but coldPage.
+// With evict, a word load from lmEvict runs first, in the same tape, and
+// fills the entry the access then evicts.
 type memShape struct {
 	name      string
 	vas       soaRow
@@ -61,6 +67,7 @@ type memShape struct {
 	cold      bool
 	coldPage  uint64
 	localOnly bool
+	evict     bool
 }
 
 var memShapes = []memShape{
@@ -83,6 +90,9 @@ var memShapes = []memShape{
 	{name: "overlapping_lanes", vas: soaRow{lmRW + 0x40, lmRW + 0x44, lmRW + 0x40, lmRW + 0x44}, slot: lmRW},
 	{name: "bytes_from_word_boundary", vas: soaRow{lmRW + 0x40, lmRW + 0x41, lmRW + 0x42, lmRW + 0x43}, slot: lmRW},
 	{name: "bytes_from_byte_1", vas: soaRow{lmRW + 0x41, lmRW + 0x42, lmRW + 0x43, lmRW + 0x44}, slot: lmRW},
+	{name: "miss_evicts_previous_fill", vas: soaRow{lmRW + 0x40, lmRW + 0x48, lmRW + 0x44, lmRW + 0x80}, slot: lmRW, cold: true, evict: true},
+	{name: "read_only_page_miss", vas: soaRow{lmRO + 0x40, lmRO + 0x44, lmRO + 0x48, lmRO + 0x4c}, slot: lmRO, cold: true},
+	{name: "masked_one_page_miss", vas: soaRow{lmRW + 0x40, lmNone, lmRW + 0x44, lmRW + 0x80}, slot: lmRW, active: 0b1101, cold: true},
 }
 
 // memOps are the memory instructions of the table: every op and size clc
@@ -143,7 +153,7 @@ func newMemRig(tb testing.TB, eng Engine, in Instr, sh memShape, then ...Instr) 
 	}
 	for _, m := range []struct {
 		va, pa, n, perms uint64
-	}{{lmRW, lmRWPA, 2, mmu.PermR | mmu.PermW}, {lmRO, lmROPA, 1, mmu.PermR}, {lmMMIO, lmDevPA, 1, mmu.PermR | mmu.PermW}} {
+	}{{lmRW, lmRWPA, 2, mmu.PermR | mmu.PermW}, {lmRO, lmROPA, 1, mmu.PermR}, {lmMMIO, lmDevPA, 1, mmu.PermR | mmu.PermW}, {lmEvict, lmEvPA, 1, mmu.PermR | mmu.PermW}} {
 		if err := as.MapRange(m.va, m.pa, m.n*mem.PageSize, m.perms); err != nil {
 			tb.Fatal(err)
 		}
@@ -171,6 +181,9 @@ func newMemRig(tb testing.TB, eng Engine, in Instr, sh memShape, then ...Instr) 
 	}
 
 	ins := append(append([]Instr{in}, then...), Instr{Op: OpRET})
+	if sh.evict {
+		ins = append([]Instr{{Op: OpLDG, Dst: R(4), A: R(5)}}, ins...)
+	}
 	p := &Program{RegCount: 4, Clauses: []Clause{{Instrs: ins}}}
 	p.compile(EngineWarp)
 	ec := &execContext{
@@ -201,6 +214,7 @@ func newMemRig(tb testing.TB, eng Engine, in Instr, sh memShape, then ...Instr) 
 		w.rows[1][l] = a
 		w.rows[2][l] = 0xa1b2_c3d4 + uint64(l)*0x0101_0101
 		w.rows[3][l] = 0x5555_5555_5555
+		w.rows[5][l] = lmEvict + 0x10*uint64(l)
 	}
 	return &memRig{ram: ram, bus: bus, dev: dev, ec: ec, w: w}
 }
@@ -237,25 +251,28 @@ func (r *memRig) run(tb testing.TB) memOutcome {
 }
 
 // leafServes is the rule execLeaf applies, restated: a word or byte access
-// whose active lanes are naturally aligned on RAM pages the TLB holds with
-// the access's permission — and inside the slot, for a local access.
-// Inactive and dead lanes take no part.
+// whose active lanes are naturally aligned on RAM pages whose entries
+// permit the access — and inside the slot, for a local access — when the
+// TLB holds every page they touch, or they touch one page. Inactive and
+// dead lanes take no part.
 func leafServes(in Instr, sh memShape) bool {
 	size := map[Opcode]uint64{OpLDG: 4, OpLDGB: 1, OpSTG: 4, OpSTGB: 1, OpLDL: 4, OpSTL: 4}[in.Op]
-	if size == 0 || sh.cold {
+	if size == 0 {
 		return false
 	}
 	store := in.Op == OpSTG || in.Op == OpSTGB || in.Op == OpSTL
+	pages, missed := map[uint64]bool{}, false
 	for l, va := range sh.vas {
 		if !sh.activeLanes().has(l) {
 			continue
 		}
 		page := va &^ mem.PageMask
-		if page == sh.coldPage || page == lmMMIO || store && page == lmRO || va%size != 0 || isLocal(in.Op) && va-sh.slot > lmSlotSz-4 {
+		if page == lmMMIO || store && page == lmRO || va%size != 0 || isLocal(in.Op) && va-sh.slot > lmSlotSz-4 {
 			return false
 		}
+		pages[page], missed = true, missed || sh.cold || page == sh.coldPage
 	}
-	return true
+	return !missed || len(pages) == 1
 }
 
 // TestLeafMemoryMatchesInterp runs LDG, LDGB, STG, STGB, LDL, STL and LDG64
@@ -265,7 +282,9 @@ func leafServes(in Instr, sh memShape) bool {
 // active lanes have loaded, an inactive lane on an unmapped address, a
 // divergent warp over two pages that both hit and over two where one
 // misses, a divergent TLB miss, words that pair and words that do not,
-// lanes that overlap, and bytes that merge and bytes that do not, on the
+// lanes that overlap, bytes that merge and bytes that do not, a miss whose
+// fill evicts the entry the micro-op before it filled, a miss on a
+// read-only page and a masked miss whose inactive lane is unmapped, on the
 // warp engine and on the interpreter: the same fault or none, the same
 // registers, guest bytes, device accesses, GPUStats and TLB hits, walks
 // and touched pages. It also holds execLeaf to its rule: it serves exactly
@@ -326,6 +345,42 @@ func TestLeafServedThenFault(t *testing.T) {
 		if n := r.ec.served[0]; n != 0 {
 			t.Errorf("served lanes left uncommitted: %d", n)
 		}
+	}
+}
+
+// TestHandBackReadsRenamedRows computes one address twice, into t0 and t1,
+// and reads it first as a byte, which execLeaf serves, then as a
+// misaligned word, which it hands back. Value numbering deletes the second
+// computation and renames the word load's address row to t0, so t1 is
+// never written on the tape: the hand-back must read the micro-op's rows,
+// not its source instruction's operands, to load what the interpreter
+// loads.
+func TestHandBackReadsRenamedRows(t *testing.T) {
+	sh := memShape{vas: soaRow{lmRW + 0x42, lmRW + 0x46, lmRW + 0x4a, lmRW + 0x4e}, slot: lmRW} // misaligned words
+	addr := Instr{Op: OpIADD, Dst: T(0), A: R(1), B: Imm, Imm: 1}
+	then := []Instr{
+		{Op: OpLDGB, Dst: R(3), A: T(0)},
+		{Op: OpIADD, Dst: T(1), A: R(1), B: Imm, Imm: 1},
+		{Op: OpLDG, Dst: R(2), A: T(1)},
+		{Op: OpMOV, Dst: T(1), A: R(3)}, // t1 is rewritten, so its computation may go
+	}
+	want := newMemRig(t, EngineInterp, addr, sh, then...).run(t)
+	r := newMemRig(t, EngineWarp, addr, sh, then...)
+	ops := r.ec.tape.heads()[0].ops
+	renamed := false
+	for _, u := range ops {
+		renamed = renamed || u.kind() == kLoad && r.ec.tape.mems[u.imm()].size == 4 && u.a() == T(0)
+	}
+	if !renamed {
+		t.Fatalf("value numbering left the word load's address row alone: %v", ops)
+	}
+	if leaf := newMemRig(t, EngineWarp, addr, sh, then...); leaf.ec.execLeaf(leaf.w, ops, 0, nil) != 2 {
+		t.Fatalf("execLeaf did not hand back the word load, the third of %v", ops)
+	}
+	got := r.run(t)
+	if want.err != "" || got.err != want.err || got.regs != want.regs || got.gs != want.gs || got.hits != want.hits || got.walks != want.walks {
+		t.Errorf("warp engine against the interpreter:\nwarp   %q r2 %#x %+v\ninterp %q r2 %#x %+v",
+			got.err, got.regs[2], got.gs, want.err, want.regs[2], want.gs)
 	}
 }
 

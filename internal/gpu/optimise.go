@@ -111,14 +111,11 @@ func (wp *warpProgram) optimise() {
 // forwardable reports a micro-op whose result may go straight to another
 // row: a leaf ALU case, a splat, a slow ALU op or a load, which can fault
 // part-way through a warp but writes its destination only once every lane
-// has loaded (loadLanes). Not a kLaneInterp: the interpreter writes the
+// has loaded (memLanes). Not a kLaneInterp: the interpreter writes the
 // destination it decodes.
 func forwardable(k uopKind) bool {
-	return isLoad(k) || k == kSplat || k == kSlow || k >= kVV
+	return k == kLoad || k == kSplat || k == kSlow || k >= kVV
 }
-
-// isLoad reports a load micro-op.
-func isLoad(k uopKind) bool { return k == kLoadG || k == kLoadGB || k == kLoadL }
 
 // forward rewrites op tN; …; mov rM, tN — a load included — into
 // op rM; … where tN is dead after the move and the micro-ops between are
@@ -332,7 +329,7 @@ func (u uop) srcs() (a, b bool) {
 	switch k := u.kind(); {
 	case k == kSplat:
 		return false, false
-	case k == kAddrTail || isLoad(k):
+	case k == kAddrTail || k == kLoad:
 		return true, false
 	case k >= kUV:
 		return false, true
@@ -347,7 +344,7 @@ func (u uop) srcs() (a, b bool) {
 // writes reports a micro-op that writes its d row.
 func (u uop) writes() bool {
 	switch u.kind() {
-	case kStoreG, kStoreGB, kStoreL, kLaneInterp:
+	case kStore, kLaneInterp:
 		return false
 	}
 	return true

@@ -196,32 +196,32 @@ func TestTapeRunGolden(t *testing.T) {
 
 // leafMemGolden pins, for each Table II workload at small scale on one host
 // thread, the memory micro-ops execLeaf serves and those it hands back to
-// the per-lane loops: {served, handed back}. A shape the leaf stops serving
+// memLanes: {served, handed back}. A shape the leaf stops serving
 // moves micro-ops from the first count to the second. Regenerate after an
 // intentional change with:
 //
 //	MOBILESIM_GOLDEN=print go test -v -run TestLeafMemoryGolden ./internal/gpu/
 var leafMemGolden = map[string][2]uint64{
-	"BFS":               {10955, 259},
-	"Backprop":          {14682, 102},
-	"BinarySearch":      {2002, 82},
-	"BinomialOption":    {10684, 12},
-	"BitonicSort":       {4728, 72},
-	"Cutcp":             {33629, 16},
-	"DCT":               {35048, 24},
-	"DwtHaar1D":         {4966, 160},
-	"FloydWarshall":     {32640, 128},
-	"MatrixTranspose":   {4064, 32},
-	"NearestNeighbor":   {744, 24},
-	"RecursiveGaussian": {2028, 4},
-	"Reduction":         {5430, 35},
-	"SGEMM":             {50648, 40},
-	"SPMV":              {1524, 20},
-	"ScanLargeArrays":   {16776, 50},
-	"SobelFilter":       {9068, 16},
-	"Stencil":           {3120, 80},
-	"URNG":              {2032, 16},
-	"clBLAS-SGEMM":      {16884, 12},
+	"BFS":               {11213, 1},
+	"Backprop":          {14772, 12},
+	"BinarySearch":      {2084, 0},
+	"BinomialOption":    {10696, 0},
+	"BitonicSort":       {4800, 0},
+	"Cutcp":             {33645, 0},
+	"DCT":               {35072, 0},
+	"DwtHaar1D":         {5126, 0},
+	"FloydWarshall":     {32768, 0},
+	"MatrixTranspose":   {4096, 0},
+	"NearestNeighbor":   {768, 0},
+	"RecursiveGaussian": {2032, 0},
+	"Reduction":         {5465, 0},
+	"SGEMM":             {50688, 0},
+	"SPMV":              {1544, 0},
+	"ScanLargeArrays":   {16826, 0},
+	"SobelFilter":       {9084, 0},
+	"Stencil":           {3200, 0},
+	"URNG":              {2048, 0},
+	"clBLAS-SGEMM":      {16896, 0},
 }
 
 // TestLeafMemoryGolden pins how many of the Table II workloads' memory

@@ -457,7 +457,7 @@ var optimiserCases = []optimiserCase{
 		),
 		shape: func(t *testing.T, wp *warpProgram) {
 			ops := wp.clauses[0].ops
-			if u := ops[len(ops)-1]; len(ops) != 5 || u.kind() != kLoadG || u.d() != R(9) {
+			if u := ops[len(ops)-1]; len(ops) != 5 || u.kind() != kLoad || u.d() != R(9) {
 				t.Errorf("the load was not forwarded into r9: %d micro-ops", len(ops))
 			}
 		},

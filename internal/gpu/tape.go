@@ -14,11 +14,13 @@ import (
 // dense switch. ALU cases are leaf code, the four lanes written out in the
 // case over rows of the warp's unified register file. A warp's word and
 // byte loads and stores are served from the switch too, through one call
-// (leafMem), when the TLB holds every page its active lanes touch; the
-// memory accesses it hands back, the rare slow ALU ops and the per-lane
-// interpreter fallback leave it for runWarp. The switch has cases for what
-// clc emits only: every other instruction runs through the interpreter
-// (tapeFallbackReason).
+// (leafMem), when every page its active lanes touch is RAM the TLB holds
+// — or one page a walk reaches, on a miss. The memory accesses it hands
+// back run through memLanes, the interpreter's per-lane access (access)
+// over the active lanes; they, the rare slow ALU ops and the per-lane
+// interpreter fallback leave the switch for runWarp. The switch has cases
+// for what clc emits only: every other instruction runs through the
+// interpreter (tapeFallbackReason).
 //
 // Counter contract: the interpreter bumps the class counter once per
 // instruction (scaled by the clause's active-lane count) before touching
@@ -32,11 +34,12 @@ import (
 // point. The CFG under collection is derived from the same tallies
 // (cfgCommit), so it lacks a faulting tape's entry; a faulted run renders
 // no CFG. Memory instructions CAN fault and abort the warp mid-instruction,
-// so the per-lane loops count live, interleaved with the walker calls
-// exactly as the interpreter interleaves them. An access execLeaf serves
-// cannot fault once its TLB probes hit, so its counters are a fixed amount
-// per lane: leafMem tallies the lanes per memory site (served) and
-// commitTallies multiplies them out with the tape tallies.
+// so memLanes counts live, interleaved with the walker calls exactly as
+// the interpreter interleaves them: each lane goes through the
+// interpreter's own access. An access execLeaf serves cannot fault once
+// its TLB probe succeeds, so its counters are a fixed amount per lane:
+// leafMem tallies the lanes per memory site (served) and commitTallies
+// multiplies them out with the tape tallies.
 
 // The leaf cases spell out the lanes of a row: in a function the size of
 // execLeaf the compiler neither unrolls a WarpSize loop nor keeps its
@@ -49,14 +52,10 @@ type uopKind uint8
 const (
 	kSplat uopKind = iota // d = broadcast(uvals[imm])
 	kSlow                 // d = slow[imm]'s value function of a (and b), per lane
-	// The memory micro-ops, mems[imm] their offset and counters. execLeaf
-	// serves word and byte accesses the TLB covers (see leafMem).
-	kLoadG      // d = global[a + off], a word
-	kLoadGB     // d = global[a + off], a zero-extended byte
-	kStoreG     // global[a + off] = b, a word
-	kStoreGB    // global[a + off] = b, a byte
-	kLoadL      // d = local[a + off]
-	kStoreL     // local[a + off] = b
+	// The memory micro-ops, mems[imm] their offset, size, space and
+	// counters. execLeaf serves the accesses it can (see leafMem).
+	kLoad       // d = mem[a + off]: a word, or a zero-extended byte
+	kStore      // mem[a + off] = b
 	kLaneInterp // slow[imm].in through the interpreter, lane by lane
 	// The fused address idiom (optimise.go), uniforms from the uvals slots
 	// addrs[imm]: imul → iadd → mul64 → add64, and the mul64 → add64 tail.
@@ -331,7 +330,7 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			f := &e.tape.addrs[u.imm()]
 			s2, s3 := e.uvals[f[1]], e.uvals[f[2]]
 			d[0], d[1], d[2], d[3] = a[0]*s2+s3, a[1]*s2+s3, a[2]*s2+s3, a[3]*s2+s3
-		case kLoadG, kLoadGB, kLoadL, kStoreG, kStoreGB, kStoreL:
+		case kLoad, kStore:
 			if !e.leafMem(w, u) {
 				return pc
 			}
@@ -585,28 +584,30 @@ func (s *slowOp) run(d, a, b *soaRow) {
 // --- Memory -----------------------------------------------------------------
 
 // memOp is the decoded form of a load/store the memory uops share: the
-// sign-extended byte offset, the access size, whether it is local and the
-// operand counters of the address row and of the value row (a load's
-// destination write, a store's value read). dst is a load's destination as
-// written, which the optimiser may forward into a register (forward): a
-// fault leaves the lanes loaded before it there, as the interpreter does.
+// sign-extended byte offset, the access size, whether it is local and
+// whether it stores, and the operand counters of the address row and of
+// the value row (a load's destination write, a store's value read). dst is
+// a load's destination as written, which the optimiser may forward into a
+// register (forward): a fault leaves the lanes loaded before it there, as
+// the interpreter does.
 type memOp struct {
-	off        uint64
-	size       int
-	local      bool
-	aCtr, vCtr ctrKind
-	dst        uint8
+	off          uint64
+	size         int
+	local, store bool
+	aCtr, vCtr   ctrKind
+	dst          uint8
 }
 
 // leafMem is execLeaf's LDG, LDGB, STG, STGB, LDL and STL. It serves
 // micro-op u of warp w when every active lane's access is naturally
-// aligned, inside the slot for a local access, and on a RAM page the
-// core's TLB holds with an entry that permits it, and reports whether it
-// did; otherwise nothing is counted and runWarp's per-lane loop takes the
-// micro-op. A served access cannot fault: its probe counts the active
-// lanes' TLB hits, and served tallies its lanes for commitTallies. A full
-// warp on one page is served here, its word stores paired and its byte
-// stores merged where they can be (DESIGN.md §7); any other, by leafLanes.
+// aligned, inside the slot for a local access, and on a RAM page whose
+// entry permits it — one the core's TLB holds or, when the active lanes
+// share one page, one a walk reaches (FillPage) — and reports whether it
+// did; otherwise nothing is counted and memLanes takes the micro-op. A
+// served access cannot fault: its probe counts the active lanes' TLB hits
+// and walk, and served tallies its lanes for commitTallies. A full warp on
+// one page is served here, its word stores paired and its byte stores
+// merged where they can be (DESIGN.md §7); any other, by leafLanes.
 func (e *execContext) leafMem(w *warp, u uop) bool {
 	if w.active != fullMask(WarpSize) {
 		return e.leafLanes(w, u)
@@ -624,11 +625,12 @@ func (e *execContext) leafMem(w *warp, u uop) bool {
 	if (v0|v1|v2|v3)&uint64(m.size-1) != 0 || (v0^v1)|(v0^v2)|(v0^v3) > mem.PageMask {
 		return e.leafLanes(w, u)
 	}
-	switch u.kind() {
-	case kLoadG, kLoadGB, kLoadL:
+	if !m.store {
 		p := walker.HitPage(v0, mem.Read, WarpSize)
 		if p == nil {
-			return false
+			if p = walker.FillPage(v0, mem.Read, WarpSize); p == nil {
+				return false
+			}
 		}
 		e.served[k] += WarpSize
 		d := &w.rows[u.d()]
@@ -641,7 +643,9 @@ func (e *execContext) leafMem(w *warp, u uop) bool {
 	}
 	p := walker.HitPage(v0, mem.Write, WarpSize)
 	if p == nil {
-		return false
+		if p = walker.FillPage(v0, mem.Write, WarpSize); p == nil {
+			return false
+		}
 	}
 	e.served[k] += WarpSize
 	b := &w.rows[u.b()]
@@ -674,9 +678,10 @@ func storePair(p *[mem.PageSize]byte, va, vb, x, y uint64) {
 
 // leafLanes is leafMem for any other warp. An inactive lane takes the
 // first active lane's address, so it passes every test that lane passes
-// and probes no other page. Each lane's page is probed without counting;
-// once all have hit, the active lanes' hits are counted and they are
-// served in lane order.
+// and probes no other page. When the lanes share one page, one probe
+// (HitPage, or FillPage on a miss) counts the active lanes' accesses;
+// otherwise each lane's page is probed without counting, and once all have
+// hit the active lanes' hits are counted. They are served in lane order.
 func (e *execContext) leafLanes(w *warp, u uop) bool {
 	k, act := u.imm(), w.active
 	m, a, walker := &e.tape.mems[k], &w.rows[u.a()], e.walker
@@ -693,18 +698,27 @@ func (e *execContext) leafLanes(w *warp, u uop) bool {
 	if (v0|v1|v2|v3)&(size-1) != 0 {
 		return false
 	}
-	store, kind := u.kind() == kStoreG || u.kind() == kStoreGB || u.kind() == kStoreL, mem.Read
-	if store {
+	kind, n := mem.Read, uint64(bits.OnesCount8(uint8(act)))
+	if m.store {
 		kind = mem.Write
 	}
-	p0, p1, p2, p3 := walker.HitPage(v0, kind, 0), walker.HitPage(v1, kind, 0), walker.HitPage(v2, kind, 0), walker.HitPage(v3, kind, 0)
-	if p0 == nil || p1 == nil || p2 == nil || p3 == nil {
-		return false
+	var p0, p1, p2, p3 *[mem.PageSize]byte
+	if (v0^v1)|(v0^v2)|(v0^v3) <= mem.PageMask {
+		if p0 = walker.HitPage(v0, kind, n); p0 == nil {
+			if p0 = walker.FillPage(v0, kind, n); p0 == nil {
+				return false
+			}
+		}
+		p1, p2, p3 = p0, p0, p0
+	} else {
+		p0, p1, p2, p3 = walker.HitPage(v0, kind, 0), walker.HitPage(v1, kind, 0), walker.HitPage(v2, kind, 0), walker.HitPage(v3, kind, 0)
+		if p0 == nil || p1 == nil || p2 == nil || p3 == nil {
+			return false
+		}
+		walker.Hits += n
 	}
-	n := uint64(bits.OnesCount8(uint8(act)))
-	walker.Hits += n
 	e.served[k] += n
-	if !store { // a word, or a byte shifted down from its word
+	if !m.store { // a word, or a byte shifted down from its word
 		d, lim := &w.rows[u.d()], uint32(1)<<(8*size)-1
 		if act&1 != 0 {
 			d[0] = uint64(mem.LaneLoad32(p0, v0) >> (v0 & 3 * 8) & lim)
@@ -745,88 +759,51 @@ func storeLane(p *[mem.PageSize]byte, v, x, size uint64) {
 	}
 }
 
-// loadLanes is the load micro-op of a warp execLeaf hands back: a TLB
-// miss, a misaligned lane, an MMIO frame, a permission fault, a lane
-// outside the local slot. It runs the per-lane loop,
-// through the local slot for LDL as memOp keys it, with counters and
-// walker calls in the interpreter's order, so a faulting lane aborts with
-// the interpreter's totals. The
-// lanes load into the rowMasked staging row and reach the destination in
-// commitLoad, so a forwarded load never writes its register early.
+// memLanes is the memory micro-op of a warp execLeaf hands back: a
+// misaligned lane, an MMIO frame, a fault, a lane outside the local slot,
+// or lanes over two pages one of which misses. It runs the interpreter's
+// per-lane access over the active lanes, with the operand counters around
+// it in the interpreter's order, so a faulting lane aborts with the
+// interpreter's totals. It reads the micro-op's own rows, which value
+// numbering may have renamed, never its source instruction's. A load's
+// lanes land in the rowMasked staging row and reach its destination once
+// all have loaded, so a forwarded load never writes its register early;
+// at a fault, the lanes before it reach the destination as written.
 //
 //simlint:commit -- warp memory uops keep interpreter-identical counters
-func (e *execContext) loadLanes(w *warp, m *memOp, u uop, act uint64) error {
-	gs, local := e.gs, m.local
+func (e *execContext) memLanes(w *warp, m *memOp, u uop, act uint64) error {
+	gs := e.gs
 	gs.LSInstr += act
-	ar, sr := &w.rows[u.a()], &w.rows[rowMasked]
+	ar, br, sr := &w.rows[u.a()], &w.rows[u.b()], &w.rows[rowMasked]
+	d, n := u.d(), w.lanes
+	var err error
 	for l := 0; l < w.lanes; l++ {
 		if !w.active.has(l) {
 			continue
 		}
 		m.aCtr.bump(gs, 1)
+		if m.store {
+			m.vCtr.bump(gs, 1)
+		}
 		var v uint64
-		var err error
-		if local {
-			gs.LocalLS++
-			gs.LocalAcc++
-			v, err = e.local.load(ar[l] + m.off)
-		} else {
-			gs.GlobalLS++
-			gs.MainMemAcc++
-			v, err = e.walker.Load(ar[l]+m.off, m.size, mem.Read)
+		if v, err = e.access(m.local, m.store, m.size, ar[l]+m.off, br[l]); err != nil {
+			d, n = m.dst, l
+			break
 		}
-		if err != nil {
-			w.commitLoad(m.dst, l)
-			return err
-		}
-		m.vCtr.bump(gs, 1)
-		sr[l] = v
-	}
-	w.commitLoad(u.d(), w.lanes)
-	return nil
-}
-
-// commitLoad copies the active lanes below n of a staged per-lane load to
-// row d: every lane to the destination once all have loaded, the lanes
-// before a fault to the destination as written.
-func (w *warp) commitLoad(d uint8, n int) {
-	dr, sr := &w.rows[d], &w.rows[rowMasked]
-	for l := 0; l < n; l++ {
-		if w.active.has(l) {
-			dr[l] = sr[l]
+		if !m.store {
+			m.vCtr.bump(gs, 1)
+			sr[l] = v
 		}
 	}
-}
-
-// storeLanes is the store micro-op of a warp execLeaf hands back, the store
-// mirror of loadLanes.
-//
-//simlint:commit -- warp memory uops keep interpreter-identical counters
-func (e *execContext) storeLanes(w *warp, m *memOp, u uop, act uint64) error {
-	gs, local := e.gs, m.local
-	gs.LSInstr += act
-	ar, br := &w.rows[u.a()], &w.rows[u.b()]
-	for l := 0; l < w.lanes; l++ {
-		if !w.active.has(l) {
-			continue
-		}
-		m.aCtr.bump(gs, 1)
-		m.vCtr.bump(gs, 1)
-		var err error
-		if local {
-			gs.LocalLS++
-			gs.LocalAcc++
-			err = e.local.store(ar[l]+m.off, uint32(br[l]))
-		} else {
-			gs.GlobalLS++
-			gs.MainMemAcc++
-			err = e.walker.Store(ar[l]+m.off, m.size, br[l])
-		}
-		if err != nil {
-			return err
+	if !m.store {
+		dr := &w.rows[d]
+		for l := 0; l < n; l++ {
+			if w.active.has(l) {
+				dr[l] = sr[l]
+			}
 		}
 	}
-	return nil
+	return err
 }
 
 // laneInterp runs one instruction through the interpreter, lane by lane,

@@ -382,25 +382,12 @@ func (b *tapeBuilder) lower(in *Instr) {
 // lowerMem appends a load/store micro-op; uniform address or value
 // operands are broadcast first and keep their own operand counter.
 func (b *tapeBuilder) lowerMem(in *Instr, A, B operand) {
-	m := memOp{off: uint64(int64(int32(in.Imm))), size: 4, aCtr: A.ctr}
-	kind := kLoadG
-	switch in.Op {
-	case OpLDGB:
-		kind, m.size = kLoadGB, 1
-	case OpLDL:
-		kind, m.local = kLoadL, true
-	case OpSTG:
-		kind = kStoreG
-	case OpSTGB:
-		kind, m.size = kStoreGB, 1
-	case OpSTL:
-		kind, m.local = kStoreL, true
-	}
-	d, a, v := in.Dst, b.row(A, rowScratchA), uint8(0)
-	switch kind {
-	case kStoreG, kStoreGB, kStoreL:
-		d, v, m.vCtr = 0, b.row(B, rowScratchB), B.ctr
-	default:
+	size, local, store := accessOf(in.Op)
+	m := memOp{off: uint64(int64(int32(in.Imm))), size: size, local: local, store: store, aCtr: A.ctr}
+	kind, d, a, v := kLoad, in.Dst, b.row(A, rowScratchA), uint8(0)
+	if store {
+		kind, d, v, m.vCtr = kStore, 0, b.row(B, rowScratchB), B.ctr
+	} else {
 		m.vCtr = ctrGRFWrite
 		if d >= NumGRF {
 			m.vCtr = ctrTempAcc

@@ -34,18 +34,19 @@ func edgeSetup() []gpu.Instr {
 		{Op: gpu.OpADD64, Dst: gpu.R(1), A: gpu.C(0), B: gpu.R(0)},
 		{Op: gpu.OpSHL, Dst: gpu.R(0), A: gpu.S(gpu.SpecGIDX), B: gpu.Imm, Imm: 4},
 		{Op: gpu.OpADD64, Dst: gpu.R(2), A: gpu.C(1), B: gpu.R(0)},
-		{Op: gpu.OpLDG64, Dst: gpu.R(3), A: gpu.R(1)},
+		{Op: gpu.OpLDG, Dst: gpu.R(3), A: gpu.R(1)},
 		{Op: gpu.OpAND, Dst: gpu.R(7), A: gpu.S(gpu.SpecGIDX), B: gpu.Imm, Imm: 1},
 		{Op: gpu.OpAND, Dst: gpu.R(9), A: gpu.S(gpu.SpecGIDX), B: gpu.Imm, Imm: 2},
 	}
 }
 
 // edgeStore is the shared epilogue clause: spill r8 and the raw input
-// into the thread's output slice and terminate.
+// into the thread's output slice and terminate. edgeSetup's load and these
+// stores are words, which the warp engine lowers to memory micro-ops.
 func edgeStore() gpu.Clause {
 	return gpu.Clause{Instrs: []gpu.Instr{
-		{Op: gpu.OpSTG64, A: gpu.R(2), B: gpu.R(8)},
-		{Op: gpu.OpSTG64, A: gpu.R(2), B: gpu.R(3), Imm: 8},
+		{Op: gpu.OpSTG, A: gpu.R(2), B: gpu.R(8)},
+		{Op: gpu.OpSTG, A: gpu.R(2), B: gpu.R(3), Imm: 8},
 		{Op: gpu.OpRET},
 	}}
 }

@@ -233,35 +233,43 @@ func (w *Walker) Translate(va uint64, kind mem.AccessKind) (uint64, *Fault) {
 		return e.pfn | (va & mem.PageMask), nil
 	}
 	w.Walks++
-	pfn, perms, fault := w.walk(va, kind)
+	pfn, perms, fault := w.walk(va, kind, false)
 	if fault != nil {
 		return 0, fault
 	}
-	if w.touched != nil {
-		w.touched[vpn>>6] |= 1 << (vpn & 63)
-	}
-	page := mem.AlignedPage(w.bus.PageView(pfn))
-	if page != nil && perms&PermW != 0 {
-		// Stores through the cached view bypass the bus, so mark the whole
-		// page in the RAM's dirty map up front.
-		w.bus.MarkDirty(pfn, mem.PageSize)
-	}
-	*e = tlbEntry{vpn: vpn + 1, pfn: pfn, perms: perms, page: page}
+	w.fill(e, vpn, pfn, perms)
 	if !permOK(perms, kind) {
 		return 0, &Fault{Type: FaultPermission, VA: va, Kind: kind}
 	}
 	return pfn | (va & mem.PageMask), nil
 }
 
+// fill is the miss half of a walk that reached a page: it records the page
+// as touched, caches its host view when the frame is RAM and plants the
+// entry e. Stores through the cached view bypass the bus, so a writable
+// RAM page is marked in the RAM's dirty map up front.
+func (w *Walker) fill(e *tlbEntry, vpn, pfn, perms uint64) *[mem.PageSize]byte {
+	if w.touched != nil {
+		w.touched[vpn>>6] |= 1 << (vpn & 63)
+	}
+	page := mem.AlignedPage(w.bus.PageView(pfn))
+	if page != nil && perms&PermW != 0 {
+		w.bus.MarkDirty(pfn, mem.PageSize)
+	}
+	*e = tlbEntry{vpn: vpn + 1, pfn: pfn, perms: perms, page: page}
+	return page
+}
+
 // HitPage is the TLB probe of an access that can be served entirely from
 // the TLB — translation on, valid entry, permitted kind, RAM-backed frame —
 // made by n accesses to one page at once: it counts their n hits and
 // returns the cached host page. In every other case it returns nil without
-// touching any counter or TLB entry; the caller then goes through
-// Translate, access by access, which accounts each one (a hit, or a walk
-// and the fill the next access hits). So n accesses cost the same hits and
-// walks whichever path serves them. The warp engine probes once per full
-// warp (n = 4); Load, Store and the bulk copies probe once per access.
+// touching any counter or TLB entry; the caller then tries FillPage on a
+// miss, or goes through Translate, access by access, which accounts each
+// one (a hit, or a walk and the fill the next access hits). So n accesses
+// cost the same hits and walks whichever path serves them. The warp engine
+// probes once for the active lanes of a warp on one page (n of them);
+// Load, Store and the bulk copies probe once per access.
 func (w *Walker) HitPage(va uint64, kind mem.AccessKind, n uint64) *[mem.PageSize]byte {
 	if w.root == 0 {
 		return nil
@@ -273,6 +281,34 @@ func (w *Walker) HitPage(va uint64, kind mem.AccessKind, n uint64) *[mem.PageSiz
 	}
 	w.Hits += n
 	return e.page
+}
+
+// FillPage is HitPage's miss half: the probe of n accesses to one page the
+// TLB does not hold. When the walk — which reads page tables from RAM only,
+// never a device — reaches a RAM page whose entry permits kind, it counts
+// one walk and n-1 hits, fills the entry as Translate would and returns the
+// page: what n per-access probes count, the first walking and the rest
+// hitting the entry it filled. In every other case — translation off, an
+// entry the TLB already holds, a fault, a table or a frame outside RAM, a
+// permission the entry refuses — it returns nil and changes nothing; the
+// per-access path that follows then walks again and accounts each access
+// itself. Kept out of HitPage, whose every call site inlines it.
+func (w *Walker) FillPage(va uint64, kind mem.AccessKind, n uint64) *[mem.PageSize]byte {
+	if w.root == 0 {
+		return nil
+	}
+	vpn := va >> 12
+	e := &w.tlb[vpn&(tlbSize-1)]
+	if e.vpn == vpn+1 {
+		return nil
+	}
+	pfn, perms, fault := w.walk(va, kind, true)
+	if fault != nil || !permOK(perms, kind) || w.bus.PageView(pfn) == nil {
+		return nil
+	}
+	w.Walks++
+	w.Hits += n - 1
+	return w.fill(e, vpn, pfn, perms)
 }
 
 // Load translates va and loads size little-endian bytes in one step. On a
@@ -380,11 +416,15 @@ func permOK(perms uint64, kind mem.AccessKind) bool {
 var _ [0]struct{} = [PermR>>(2+mem.Read) + PermW>>(2+mem.Write) + PermX>>(2+mem.Execute) - 3]struct{}{}
 
 // walk performs the 3-level table walk, returning the page frame base and
-// its permissions.
-func (w *Walker) walk(va uint64, kind mem.AccessKind) (pfn, perms uint64, fault *Fault) {
+// its permissions. With ramOnly a table entry outside RAM is a bus fault
+// without a bus access: such a walk reads no device register.
+func (w *Walker) walk(va uint64, kind mem.AccessKind, ramOnly bool) (pfn, perms uint64, fault *Fault) {
 	table := w.root
 	for level := levels - 1; level >= 0; level-- {
 		entryAddr := table + vaIndex(va, level)*8
+		if ramOnly && !w.bus.RAM().Contains(entryAddr, 8) {
+			return 0, 0, &Fault{Type: FaultBus, VA: va, Kind: kind}
+		}
 		pte, err := w.bus.Read(entryAddr, 8)
 		if err != nil {
 			return 0, 0, &Fault{Type: FaultBus, VA: va, Kind: kind}
