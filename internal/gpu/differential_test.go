@@ -2,7 +2,9 @@ package gpu_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"mobilesim/internal/gpu"
@@ -52,7 +54,7 @@ type diffFeatures struct {
 	withUniformBranch, withFault                                bool
 	withTempAcross, withTempPred, withTempAcc                   bool
 	withBoolRetest, withRepeat                                  bool
-	withDivergentMem                                            bool
+	withDivergentMem, withLoop                                  bool
 }
 
 // diffUnmapped is an address no differential rig maps.
@@ -285,6 +287,48 @@ func genDifferentialProgram(rnd *rand.Rand, nALU int, f diffFeatures) *gpu.Progr
 		prog.Clauses = append(prog.Clauses, gpu.Clause{Instrs: values}, gpu.Clause{Instrs: loads}, gpu.Clause{Instrs: fold})
 	}
 
+	if f.withLoop {
+		// A counted loop that re-enters its own tape, as clc emits DCT's
+		// inner loop: invariant subexpressions over rows the loop never
+		// writes, through temporaries the loop writes again later, into a
+		// register it writes once, and next to a loop-carried row (r40..r43,
+		// folded into r8). Each lane runs 4 + (gid & mask) trips, so with
+		// mask 3 the loop's BRC splits on a later trip.
+		ops := []gpu.Opcode{gpu.OpIADD, gpu.OpISUB, gpu.OpIMUL, gpu.OpXOR, gpu.OpSHL, gpu.OpFADD, gpu.OpICMPLT}
+		op := func() gpu.Opcode { return ops[rnd.Intn(len(ops))] }
+		inv := []uint8{gpu.R(3), gpu.R(4), gpu.R(5), gpu.C(2), gpu.S(gpu.SpecGIDX), gpu.Imm}
+		pick := func() uint8 { return inv[rnd.Intn(len(inv))] }
+		k := len(prog.Clauses)
+		prog.Clauses = append(prog.Clauses,
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpMOV, Dst: gpu.R(38), A: gpu.S(gpu.SpecZero)},
+				{Op: gpu.OpAND, Dst: gpu.R(39), A: gpu.S(gpu.SpecGIDX), B: gpu.Imm, Imm: uint32(rnd.Intn(2) * 3)},
+				{Op: gpu.OpIADD, Dst: gpu.R(39), A: gpu.R(39), B: gpu.Imm, Imm: 4},
+			}},
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: op(), Dst: gpu.T(0), A: pick(), B: pick(), Imm: rnd.Uint32()},
+				{Op: op(), Dst: gpu.T(1), A: gpu.T(0), B: pick(), Imm: rnd.Uint32()},
+				{Op: op(), Dst: gpu.T(0), A: gpu.T(1), B: pick(), Imm: rnd.Uint32()},
+				{Op: gpu.OpIADD, Dst: gpu.T(1), A: gpu.T(0), B: gpu.R(38)},
+				{Op: gpu.OpXOR, Dst: gpu.R(40), A: gpu.R(40), B: gpu.T(1)},
+				{Op: op(), Dst: gpu.R(41), A: pick(), B: pick(), Imm: rnd.Uint32()},
+				{Op: gpu.OpIADD, Dst: gpu.R(42), A: gpu.R(42), B: gpu.R(41)},
+				{Op: op(), Dst: gpu.T(2), A: gpu.R(43), B: pick(), Imm: rnd.Uint32()},
+				{Op: gpu.OpIADD, Dst: gpu.R(43), A: gpu.R(38), B: gpu.T(2)},
+				{Op: gpu.OpIADD, Dst: gpu.T(0), A: gpu.R(40), B: gpu.R(38)},
+				{Op: gpu.OpXOR, Dst: gpu.R(42), A: gpu.R(42), B: gpu.T(0)},
+				{Op: gpu.OpIADD, Dst: gpu.R(38), A: gpu.R(38), B: gpu.Imm, Imm: 1},
+				{Op: gpu.OpICMPLT, Dst: gpu.T(3), A: gpu.R(38), B: gpu.R(39)},
+				{Op: gpu.OpBRC, A: gpu.T(3), Imm: gpu.BranchImm(k+1, k+2)},
+			}},
+			gpu.Clause{Instrs: []gpu.Instr{
+				{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(40)},
+				{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(42)},
+				{Op: gpu.OpXOR, Dst: gpu.R(8), A: gpu.R(8), B: gpu.R(43)},
+			}},
+		)
+	}
+
 	if f.withStride {
 		// Lane-strided global loads through the warp engine's leaf path
 		// and off it: stride 68 keeps a whole warp's span well inside one
@@ -490,6 +534,30 @@ func runDifferentialEngineAt(t *testing.T, eng gpu.Engine, prog *gpu.Program, in
 	return out, [2]any{gs, sys}
 }
 
+// TestRigRAMIsZeroed holds the rig to the premise the differential trials
+// rest on: every guest RAM a rig takes is all zero, although rigs recycle
+// it (newRig). Each RAM parked during a few trials is scanned whole.
+func TestRigRAMIsZeroed(t *testing.T) {
+	var audited, dirty atomic.Int64
+	mem.SetRecycleAudit(func(store []byte, _ uint64) {
+		audited.Add(1)
+		var zero [mem.PageSize]byte
+		for off := 0; off < len(store); off += len(zero) {
+			if !bytes.Equal(store[off:off+len(zero)], zero[:]) {
+				dirty.Add(1)
+				return
+			}
+		}
+	})
+	defer mem.SetRecycleAudit(nil)
+	for _, seed := range []uint64{4, 1<<39 | 6, 1<<40 | 1<<33 | 9} {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { runDifferential(t, seed, 5, 0x80|3, 20) })
+	}
+	if audited.Load() == 0 || dirty.Load() != 0 {
+		t.Errorf("%d of %d recycled rig RAMs were not zeroed", dirty.Load(), audited.Load())
+	}
+}
+
 // runDifferential is one differential trial: generate once, run both
 // engines, require guest memory and statistics identical to the
 // interpreter reference.
@@ -502,7 +570,8 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 	// had; bits 32 and 33 add the uniform branches and the faulting clause,
 	// bits 34 to 36 the temporaries the tape optimiser must leave alone, bit
 	// 37 the boolean re-tests, bit 38 the repeated subexpressions, bit 39
-	// memory inside the divergent paths.
+	// memory inside the divergent paths, bit 40 the counted loop whose
+	// invariants the re-entry variant leaves out.
 	f := diffFeatures{
 		withLocal:         seed%3 == 0,
 		withDiverge:       seed%2 == 0,
@@ -517,6 +586,7 @@ func runDifferential(t *testing.T, seed uint64, threadsSel, localSel, nALUSel ui
 		withBoolRetest:    seed>>37&1 != 0,
 		withRepeat:        seed>>38&1 != 0,
 		withDivergentMem:  seed>>39&1 != 0,
+		withLoop:          seed>>40&1 != 0,
 	}
 	want := uint32(gpu.IRQJobDone)
 	if f.withFault {
@@ -616,6 +686,15 @@ func FuzzDifferentialEngines(f *testing.F) {
 	f.Add(uint64(1<<39|14), uint8(5), uint8(5), uint8(20))
 	f.Add(uint64(1<<39|4), uint8(7), uint8(3), uint8(30))
 	f.Add(uint64(1<<39|6), uint8(2), uint8(0x80|7), uint8(16))
+	// A counted loop the re-entry variant runs, its invariants hoisted: in
+	// a kernel that does not diverge, in divergent kernels over a partial
+	// tail warp and over full warps, with the faulting clause behind it and
+	// with every optimiser section at once.
+	f.Add(uint64(1<<40|7), uint8(3), uint8(7), uint8(12))
+	f.Add(uint64(1<<40|4), uint8(5), uint8(6), uint8(20))
+	f.Add(uint64(1<<40|8), uint8(7), uint8(3), uint8(30))
+	f.Add(uint64(1<<40|1<<33|9), uint8(4), uint8(2), uint8(12))
+	f.Add(uint64(0xff<<32|10), uint8(6), uint8(4), uint8(24))
 	f.Fuzz(func(t *testing.T, seed uint64, threadsSel, localSel, nALUSel uint8) {
 		runDifferential(t, seed, threadsSel, localSel, nALUSel)
 	})

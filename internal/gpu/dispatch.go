@@ -291,11 +291,15 @@ func lidRows(rows [][3]soaRow, lsz [3]uint32) [][3]soaRow {
 		rows = rows[:n]
 		clear(rows)
 	}
-	for t := 0; t < total; t++ {
-		w := &rows[t/WarpSize]
-		w[0][t%WarpSize] = uint64(uint32(t) % lsz[0])
-		w[1][t%WarpSize] = uint64((uint32(t) / lsz[0]) % lsz[1])
-		w[2][t%WarpSize] = uint64(uint32(t) / (lsz[0] * lsz[1]))
+	t := 0 // thread t is (x, y, z), x counting fastest
+	for z := uint64(0); z < uint64(lsz[2]); z++ {
+		for y := uint64(0); y < uint64(lsz[1]); y++ {
+			for x := uint64(0); x < uint64(lsz[0]); x++ {
+				w := &rows[t/WarpSize]
+				w[0][t%WarpSize], w[1][t%WarpSize], w[2][t%WarpSize] = x, y, z
+				t++
+			}
+		}
 	}
 	return rows
 }

@@ -43,7 +43,7 @@ func fullMask(n int) laneMask { return 1<<uint(n) - 1 }
 func (m laneMask) has(lane int) bool { return m>>uint(lane)&1 != 0 }
 
 // maskRows[m] is mask m as a register row, all-ones in every lane of m: what
-// a divergent warp's tape commits its results under.
+// restoreLanes keeps a divergent warp's results under.
 var maskRows = func() (t [1 << WarpSize]soaRow) {
 	for m := range t {
 		for l := 0; l < WarpSize; l++ {
@@ -126,6 +126,11 @@ type execContext struct {
 	// a workgroup (see lidRows), shared by its threads.
 	warpSlab []wgWarp
 	lids     [][3]soaRow
+
+	// saved holds the rows a divergent warp's tape writes (tape.wset) as
+	// they were when the warp entered it: saveRows fills it, restoreLanes
+	// reads it.
+	saved [rowGID]soaRow
 }
 
 // clauseBudget caps clauses executed per warp per job as a runaway guard
@@ -150,12 +155,17 @@ var clauseBudget = 1 << 24
 // falls inside a tape the stack chose. execLeaf runs the micro-ops that
 // need no call and hands back the first one that does — a memory access, a
 // slow ALU op, the interpreter fallback — which runs here, so that the hot
-// loop keeps its state in registers. act and mask (the row a divergent warp
-// commits its results under) change only where active does. A terminal
-// that lands back on the head it entered, with active unchanged, re-enters
-// that tape without the lookup: the entry popped every frame rejoining
-// there, and the tape pushed none, so the stack picks the same table. A
-// tape's statistics are its tally: the warps and lanes that entered it and,
+// loop keeps its state in registers. act and mask (the row restoreLanes
+// keeps a divergent warp's results under) change only where active does;
+// a divergent warp's tape runs at full width between saveRows and
+// restoreLanes. A terminal that lands back on the head it entered, with
+// active unchanged, re-enters that tape without the lookup: the entry
+// popped every frame rejoining there, and the tape pushed none, so the
+// stack picks the same table. Such a re-entry runs the tape's re-entry
+// variant when it has one (again): the same mask ran the tape or the
+// variant just before, so every value the variant leaves out is where its
+// readers find it; any lookup returns to the full tape. A tape's
+// statistics are its tally: the warps and lanes that entered it and,
 // for a BRC, the lanes that took it and the entries that split.
 // commitTallies derives every counter and the CFG from them, so runWarp
 // writes no statistics field.
@@ -208,6 +218,8 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				}
 				head, t, ty = w.pc, &e.tape.chains[k], &e.tallies[k]
 			}
+		} else if k := t.again; k != 0 {
+			t, ty = &e.tape.chains[k], &e.tallies[k]
 		}
 
 		var st warpStatus
@@ -219,8 +231,11 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 			w.steps += t.n
 			ty.entries++
 			ty.lanes += act
+			if mask != nil {
+				e.saveRows(w, t.wset)
+			}
 			for pc := 0; ; pc++ {
-				if pc = e.execLeaf(w, t.ops, pc, mask); pc == len(t.ops) {
+				if pc = e.execLeaf(w, t.ops, pc); pc == len(t.ops) {
 					break
 				}
 				u, wp := t.ops[pc], e.tape
@@ -234,21 +249,20 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				case kLaneInterp:
 					err = e.laneInterp(w, wp.slow[u.imm()].in, act)
 				case kSlow:
-					dst, d := &w.rows[u.d()], &w.rows[u.d()]
-					if mask != nil {
-						d = &w.rows[rowMasked]
-					}
-					wp.slow[u.imm()].run(d, &w.rows[u.a()], &w.rows[u.b()])
-					if mask != nil {
-						commitMasked(dst, d, mask)
-					}
+					wp.slow[u.imm()].run(&w.rows[u.d()], &w.rows[u.a()], &w.rows[u.b()])
 				default:
 					panic("gpu: tape micro-op without an executor case")
 				}
 				if err != nil {
+					if mask != nil {
+						e.restoreLanes(w, t.wset, mask)
+					}
 					e.abortTape(t, ty, pc, act)
 					return warpDone, err
 				}
+			}
+			if mask != nil {
+				e.restoreLanes(w, t.wset, mask)
 			}
 
 			switch t.tk {
@@ -304,13 +318,36 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 }
 
 // activeSet returns the warp's active-lane count and, when that is not all
-// of its live lanes, the mask row its results commit under.
+// of its live lanes, the mask row restoreLanes keeps its tapes' results
+// under.
 func (w *warp) activeSet() (uint64, *soaRow) {
 	act := uint64(bits.OnesCount8(uint8(w.active)))
 	if int(act) == w.lanes {
 		return act, nil
 	}
 	return act, &maskRows[w.active]
+}
+
+// saveRows copies the rows a divergent warp's tape writes into saved, as
+// the warp enters the tape.
+func (e *execContext) saveRows(w *warp, rows []uint8) {
+	for i, r := range rows {
+		e.saved[i] = w.rows[r]
+	}
+}
+
+// restoreLanes puts back, in the rows the tape wrote, the lanes outside
+// mask as saveRows found them: a divergent warp runs its tape at full
+// width, and the interpreter writes no inactive lane. An inactive lane's
+// value reaches no memory access, counter or BRC predicate inside the tape
+// (leafMem and memLanes serve the active lanes, a kLaneInterp runs them
+// alone, the taken mask is ANDed with active, and slowBin and slowUn are
+// total), so once restored nothing shows it was computed.
+func (e *execContext) restoreLanes(w *warp, rows []uint8, mask *soaRow) {
+	for i, r := range rows {
+		o, d := &e.saved[i], &w.rows[r]
+		d[0], d[1], d[2], d[3] = o[0]^(o[0]^d[0])&mask[0], o[1]^(o[1]^d[1])&mask[1], o[2]^(o[2]^d[2])&mask[2], o[3]^(o[3]^d[3])&mask[3]
+	}
 }
 
 // bindTape selects the warp engine for this context when the program is

@@ -48,17 +48,20 @@ func CompileWarp(p *Program) { p.compile(EngineWarp) }
 // heads is the chain table of a warp inside a divergent region, flat that
 // of a warp with an empty divergence stack.
 func (wp *warpProgram) heads() []tape { return wp.chains[:len(wp.clauses)] }
-func (wp *warpProgram) flat() []tape  { return wp.chains[len(wp.clauses):] }
+func (wp *warpProgram) flat() []tape  { return wp.chains[len(wp.clauses) : 2*len(wp.clauses)] }
 
 // TapeSizes counts the micro-ops of a warp-compiled program's clause tapes,
-// and of the tapes a warp can enter in each chain table: those reachable
-// from clause 0 through the table's own tapes.
-func TapeSizes(p *Program) (clauseOps, headOps, flatOps int) {
+// of the tapes a warp can enter in each chain table — those reachable from
+// clause 0 through the table's own tapes — and of the re-entry variants.
+func TapeSizes(p *Program) (clauseOps, headOps, flatOps, againOps int) {
 	wp := p.warp
 	for _, t := range wp.clauses {
 		clauseOps += len(t.ops)
 	}
-	return clauseOps, reachableOps(wp.heads()), reachableOps(wp.flat())
+	for _, t := range wp.chains[2*len(wp.clauses):] {
+		againOps += len(t.ops)
+	}
+	return clauseOps, reachableOps(wp.heads()), reachableOps(wp.flat()), againOps
 }
 
 // reachableOps sums the micro-ops of the tapes of table reachable from

@@ -23,9 +23,15 @@ type rig struct {
 	dev   *gpu.Device
 }
 
+// newRig builds a started device on its own memory and address space. Its
+// guest RAM is recycled: a rig takes a parked region (mem.AcquireRAM),
+// which Recycle zeroed, and parks it again once its device has closed, so
+// a rig does not clear 64 MiB of fresh memory (TestRigRAMIsZeroed).
 func newRig(t testing.TB, cfg gpu.Config) *rig {
 	t.Helper()
-	bus := mem.NewBus(mem.NewRAM(0, 64<<20))
+	ram := mem.AcquireRAM(0, 64<<20)
+	t.Cleanup(ram.Recycle) // after dev.Close: cleanups run last-in first-out
+	bus := mem.NewBus(ram)
 	alloc, err := mem.NewPageAllocator(1<<20, 40<<20)
 	if err != nil {
 		t.Fatal(err)

@@ -316,9 +316,8 @@ func TestLeafMemoryMatchesInterp(t *testing.T) {
 				}
 
 				r := newMemRig(t, EngineWarp, in, sh)
-				_, mask := r.w.activeSet()
 				ops := r.ec.tape.heads()[0].ops
-				if served, want := r.ec.execLeaf(r.w, ops, 0, mask) == len(ops), leafServes(in, sh); served != want {
+				if served, want := r.ec.execLeaf(r.w, ops, 0) == len(ops), leafServes(in, sh); served != want {
 					t.Errorf("execLeaf served the access: %v, want %v", served, want)
 				}
 			})
@@ -374,7 +373,7 @@ func TestHandBackReadsRenamedRows(t *testing.T) {
 	if !renamed {
 		t.Fatalf("value numbering left the word load's address row alone: %v", ops)
 	}
-	if leaf := newMemRig(t, EngineWarp, addr, sh, then...); leaf.ec.execLeaf(leaf.w, ops, 0, nil) != 2 {
+	if leaf := newMemRig(t, EngineWarp, addr, sh, then...); leaf.ec.execLeaf(leaf.w, ops, 0) != 2 {
 		t.Fatalf("execLeaf did not hand back the word load, the third of %v", ops)
 	}
 	got := r.run(t)

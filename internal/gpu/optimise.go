@@ -1,13 +1,17 @@
 package gpu
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // The tape optimiser (DESIGN.md §9). warpCompile runs it over the clause
-// tapes between lowering and chaining, and numbers the values of every
-// chain tape after chaining. It rewrites micro-ops and BRC predicates
-// only: the marks beside a tape keep the statistics of the instructions as
-// written, so every counter, every guest byte and the warp schedule are
-// those of the literal tape.
+// tapes between lowering and chaining, numbers the values of every chain
+// tape after chaining, and then builds the loops' re-entry variants
+// (hoist). It rewrites micro-ops and BRC predicates only: the marks beside
+// a tape keep the statistics of the instructions as written, so every
+// counter, every guest byte and the warp schedule are those of the literal
+// tape.
 //
 // Forwarding and fusion depend on which clause temporaries a later
 // micro-op may still read. Temporaries keep their values across clauses in
@@ -304,9 +308,8 @@ func (t *tape) cut(i, n int) {
 // table, so every chain is rewritten in copies of its own; a flat-table
 // chain of as many clauses as the heads table's chain from the same clause
 // is that chain, and shares its result.
-func (wp *warpProgram) numberValues() {
+func (wp *warpProgram) numberValues(sc *valueScratch) {
 	out, n := liveOut(wp.clauses), len(wp.clauses)
-	sc := valueScratch{ids: map[vkey]int32{}}
 	for k := range wp.chains {
 		t := &wp.chains[k]
 		switch {
@@ -318,7 +321,7 @@ func (wp *warpProgram) numberValues() {
 			if t.next == n {
 				end = allTemps
 			}
-			wp.values(t, end, &sc)
+			wp.values(t, end, sc)
 		}
 	}
 }
@@ -366,15 +369,21 @@ type vkey struct {
 	a, b int32
 }
 
-// valueScratch is the working storage of values, kept from chain to chain
-// of one compile.
+// valueScratch is the working storage of values and reentry, kept from
+// chain to chain of one compile and, through scratchPool, from compile to
+// compile.
 type valueScratch struct {
-	ids           map[vkey]int32
-	src           [][2]int32
-	def, pos      []int32
-	need, last    []int
-	movable, keep []bool
+	ids             map[vkey]int32
+	src             [][2]int32
+	def, pos        []int32
+	need, last, nxt []int
+	lastMove        []int
+	movable, keep   []bool
+	home            []uint8
 }
+
+// scratchPool holds the working storage of warpCompile's passes.
+var scratchPool = sync.Pool{New: func() any { return &valueScratch{ids: map[vkey]int32{}} }}
 
 // resize returns s with length n and every element zero, reusing its array
 // when it is large enough.
@@ -472,47 +481,55 @@ func (wp *warpProgram) values(t *tape, end tempMask, sc *valueScratch) {
 		vn[u.d()] = def[i]
 	}
 
-	// need[v] is the last micro-op that reads value v. A movable
+	// need[v] is the last micro-op that reads value v, nxt[i] the next
+	// micro-op after ops[i] to write its row (n: none). A movable
 	// definition's value is read through a and b alone, and last[i] is the
-	// last micro-op that reads it (i when none does).
+	// last micro-op that reads it (i when none does): a backward scan, with
+	// read[r] the last micro-op reading row r before its next write, -1 for
+	// none.
 	sc.need, sc.last, sc.movable = resize(sc.need, int(next)), resize(sc.last, n), resize(sc.movable, n)
-	need, last, movable := sc.need, sc.last, sc.movable
-	for i, u := range ops {
+	sc.nxt, sc.lastMove = resize(sc.nxt, n), resize(sc.lastMove, int(next))
+	need, last, movable, nxt, lastMove := sc.need, sc.last, sc.movable, sc.nxt, sc.lastMove
+	for i := range ops {
 		for _, v := range src[i] {
 			if v >= 0 {
 				need[v] = i
 			}
 		}
-		d := u.d()
-		if def[i] < 0 || !pure(u.kind()) || tempBit(d) == 0 && d != rowScratchA && d != rowScratchB {
-			continue
+	}
+	var write, read [numRows]int
+	for r := range write {
+		write[r], read[r] = n, -1
+	}
+	for i := n - 1; i >= 0; i-- {
+		u := ops[i]
+		if u.writes() {
+			d := u.d()
+			nxt[i], last[i] = write[d], max(i, read[d])
+			write[d], read[d] = i, -1
+			movable[i] = def[i] >= 0 && pure(u.kind()) && (tempBit(d) != 0 || d == rowScratchA || d == rowScratchB) &&
+				(nxt[i] < n || tempBit(d)&end == 0)
 		}
-		last[i], movable[i] = i, true
-		redefined := false
-		for j := i + 1; j < n && !redefined; j++ {
-			ra, rb := ops[j].srcs()
-			if ra && ops[j].a() == d || rb && ops[j].b() == d {
-				last[i] = j
+		if ra, rb := u.srcs(); ra || rb {
+			if ra && read[u.a()] < 0 {
+				read[u.a()] = i
 			}
-			redefined = ops[j].writes() && ops[j].d() == d
-		}
-		if !redefined && tempBit(d)&end != 0 {
-			movable[i] = false
-		}
-	}
-	// written reports a literal write of row r by ops[from:to].
-	written := func(r uint8, from, to int) bool {
-		return slices.ContainsFunc(ops[from:max(from, to)], func(u uop) bool { return u.writes() && u.d() == r })
-	}
-	// again reports a movable micro-op after ops[i] that computes v.
-	again := func(v int32, i int) bool {
-		for k := i + 1; k < n; k++ {
-			if movable[k] && def[k] == v {
-				return true
+			if rb && read[u.b()] < 0 {
+				read[u.b()] = i
 			}
 		}
-		return false
 	}
+	// lastMove[v] is the last movable micro-op that computes v (0: none
+	// after the first).
+	for i := range ops {
+		if movable[i] {
+			lastMove[def[i]] = i
+		}
+	}
+	// wnext[r] is the next literal write of row r after the micro-op the
+	// rewrite is at (n: none).
+	var wnext [numRows]int
+	copy(wnext[:], write[:])
 
 	// Rewrite the tape in place, keep[i] marking the micro-ops that stay:
 	// held[r] is the value number row r holds in the rewritten tape, at[r]
@@ -532,20 +549,23 @@ func (wp *warpProgram) values(t *tape, end tempMask, sc *valueScratch) {
 	// home returns a row that holds value v from ops[i] through ops[last],
 	// its last reader, and reserves it that long: a spare row, or a row no
 	// literal micro-op between writes.
-	home := func(v int32, i, last int) (uint8, bool) {
+	home := func(v int32, last int) (uint8, bool) {
 		for r, h := range held {
 			switch {
-			case h != v || r == rowMasked:
+			case h != v || r == rowStage:
 			case r >= rowSpare:
 				busy[r-rowSpare] = max(busy[r-rowSpare], last)
 				return uint8(r), true
-			case !written(uint8(r), i+1, last):
+			case wnext[r] >= last:
 				return uint8(r), true
 			}
 		}
 		return 0, false
 	}
 	for i, u := range ops {
+		if u.writes() {
+			wnext[u.d()] = nxt[i]
+		}
 		ra, rb := u.srcs()
 		a, b, d, v := u.a(), u.b(), u.d(), def[i]
 		if ra {
@@ -555,11 +575,11 @@ func (wp *warpProgram) values(t *tape, end tempMask, sc *valueScratch) {
 			b = at[b]
 		}
 		if movable[i] {
-			if h, ok := home(v, i, last[i]); ok {
+			if h, ok := home(v, last[i]); ok {
 				at[d] = h
 				continue
 			}
-			if need[v] > i && again(v, i) && written(d, i+1, need[v]) {
+			if need[v] > i && lastMove[v] > i && nxt[i] < need[v] {
 				if s := slices.IndexFunc(busy[:], func(b int) bool { return b < i }); s >= 0 {
 					busy[s], d = need[v], uint8(rowSpare+s)
 				}
@@ -611,4 +631,174 @@ func (wp *warpProgram) values(t *tape, end tempMask, sc *valueScratch) {
 		t.marks[k].pos = pos[t.marks[k].pos]
 	}
 	t.ops = ops[:w:w]
+}
+
+// --- Loop-invariant hoisting --------------------------------------------------
+
+// hoist builds a re-entry variant of every chain tape, in either table,
+// whose BRC re-enters the clause the tape starts at — its target or its
+// fallthrough is its head — and appends it to chains: the tape's again
+// names it, and its own again names itself. runWarp runs the variant where
+// a terminal re-enters the head with active unchanged, so the tape or its
+// variant has just run under the same mask, nothing has run since, and
+// every row holds what that trip left. A flat-table chain that shares its
+// micro-ops with the heads table's shares its variant.
+func (wp *warpProgram) hoist(sc *valueScratch) {
+	n := len(wp.clauses)
+	for k := 0; k < 2*n; k++ {
+		t := &wp.chains[k]
+		switch {
+		case t.tk != tkBRC || t.tgt != t.head && t.next != t.head:
+		case k >= n && t.n == wp.chains[k-n].n: // numberValues shares its micro-ops
+			t.again = wp.chains[k-n].again
+		default:
+			if v, ok := reentry(t, sc); ok {
+				t.again, v.again = len(wp.chains), len(wp.chains)
+				wp.chains = append(wp.chains, v)
+			}
+		}
+	}
+}
+
+// reentry returns t's re-entry variant: t without the micro-ops whose value
+// every later trip already finds where its readers read it; ok is false
+// when there are none, or t holds a kLaneInterp. It may rename rows of t.
+//
+// A micro-op is invariant when it is pure and every row it reads holds, at
+// that point of the tape, a value the tape never writes or the result of an
+// earlier invariant micro-op: it computes the same value on every trip. The
+// variant leaves one out under values' abort rule, so that no abort sees a
+// register other than the interpreter's:
+//   - its destination is a register the tape writes there alone, or a
+//     temporary or scratch row the tape writes there alone: every later
+//     trip finds the value in it, as the interpreter leaves it;
+//   - or its destination is a temporary or scratch row the tape writes
+//     again later. When a micro-op the variant keeps reads the value before
+//     that write, t writes the value to a hoist row instead, reserved for
+//     the whole tape, and its readers up to that write read the hoist row
+//     in both tapes; with no hoist row left, the micro-op stays.
+//
+// The variant's marks are t's, re-based as cut re-bases them: no hoisted
+// micro-op can fault, so an abort at a kept one has reached the same marks.
+func reentry(t *tape, sc *valueScratch) (v tape, ok bool) {
+	ops := t.ops
+	if slices.ContainsFunc(ops, func(u uop) bool { return u.kind() == kLaneInterp }) {
+		return v, false
+	}
+	n := len(ops)
+	var writes [numRows]int
+	for _, u := range ops {
+		if u.writes() {
+			writes[u.d()]++
+		}
+	}
+	// Forward: keep[i] marks an invariant micro-op, inv[r] a row holding
+	// an invariant value.
+	sc.keep = resize(sc.keep, n)
+	invariant := sc.keep
+	var inv [numRows]bool
+	for r := range inv {
+		inv[r] = writes[r] == 0
+	}
+	for i, u := range ops {
+		if !u.writes() {
+			continue
+		}
+		ra, rb := u.srcs()
+		invariant[i] = pure(u.kind()) && (!ra || inv[u.a()]) && (!rb || inv[u.b()])
+		inv[u.d()] = invariant[i]
+	}
+	// Backward, so that every reader is decided before its definition:
+	// movable[i] marks a micro-op the variant leaves out, home[i] the
+	// hoist row it writes (0: its own destination), nxt[i] the next write
+	// of its destination.
+	sc.movable, sc.home, sc.nxt = resize(sc.movable, n), resize(sc.home, n), resize(sc.nxt, n)
+	hoisted, home, nxt := sc.movable, sc.home, sc.nxt
+	var next [numRows]int
+	for r := range next {
+		next[r] = n
+	}
+	free := uint8(rowHoist)
+	for i := n - 1; i >= 0; i-- {
+		u := ops[i]
+		if !u.writes() {
+			continue
+		}
+		d := u.d()
+		nxt[i] = next[d]
+		next[d] = i
+		switch {
+		case !invariant[i]:
+		case writes[d] == 1:
+			hoisted[i] = true
+		case d < NumGRF || nxt[i] == n: // a register written again, or a row written before only
+		case !keptReader(ops, hoisted, i, d):
+			hoisted[i] = true
+		case free < rowHoist+numHoist:
+			hoisted[i], home[i] = true, free
+			free++
+		}
+	}
+	if !slices.Contains(hoisted, true) {
+		return v, false
+	}
+	// Rename in t, then copy what the variant keeps.
+	for i, h := range home {
+		if h == 0 {
+			continue
+		}
+		u := ops[i]
+		ops[i] = mkUop(u.kind(), h, u.a(), u.b(), u.imm())
+		for j := i + 1; j <= nxt[i]; j++ {
+			ops[j] = rename(ops[j], u.d(), h)
+		}
+	}
+	v = *t
+	v.ops = make([]uop, 0, n)
+	sc.pos = resize(sc.pos, n+1)
+	for i, u := range ops {
+		sc.pos[i] = int32(len(v.ops))
+		if !hoisted[i] {
+			v.ops = append(v.ops, u)
+		}
+	}
+	sc.pos[n] = int32(len(v.ops))
+	v.marks = slices.Clone(t.marks)
+	for k := range v.marks {
+		v.marks[k].pos = sc.pos[v.marks[k].pos]
+	}
+	return v, true
+}
+
+// keptReader reports whether a micro-op the variant keeps reads ops[i]'s
+// value: reads row d after ops[i], up to and including its next write.
+func keptReader(ops []uop, hoisted []bool, i int, d uint8) bool {
+	for j := i + 1; j < len(ops); j++ {
+		if reads(ops[j], d) && !hoisted[j] {
+			return true
+		}
+		if ops[j].writes() && ops[j].d() == d {
+			return false
+		}
+	}
+	return false
+}
+
+// reads reports whether u reads row r through a or b.
+func reads(u uop, r uint8) bool {
+	ra, rb := u.srcs()
+	return ra && u.a() == r || rb && u.b() == r
+}
+
+// rename returns u reading row to where it reads from.
+func rename(u uop, from, to uint8) uop {
+	a, b := u.a(), u.b()
+	ra, rb := u.srcs()
+	if ra && a == from {
+		a = to
+	}
+	if rb && b == from {
+		b = to
+	}
+	return mkUop(u.kind(), u.d(), a, b, u.imm())
 }

@@ -24,28 +24,28 @@ import (
 //
 // Each row is one kernel: {clauses, micro-ops over its clause tapes,
 // micro-ops over the tapes a warp can enter in the heads table, the same in
-// the flat table}, sorted.
-var tapeGolden = map[string][][4]int{
-	"BFS":               {{14, 26, 27, 31}},
-	"Backprop":          {{5, 25, 25, 25}, {19, 65, 58, 58}},
-	"BinarySearch":      {{10, 26, 23, 25}},
-	"BinomialOption":    {{20, 73, 70, 70}},
-	"BitonicSort":       {{5, 27, 26, 26}},
-	"Cutcp":             {{13, 57, 50, 54}},
-	"DCT":               {{12, 39, 38, 38}},
-	"DwtHaar1D":         {{8, 28, 26, 26}},
-	"FloydWarshall":     {{5, 18, 17, 18}},
-	"MatrixTranspose":   {{3, 24, 22, 22}},
-	"NearestNeighbor":   {{4, 15, 15, 15}},
-	"RecursiveGaussian": {{12, 34, 34, 34}, {12, 35, 35, 35}},
-	"Reduction":         {{16, 30, 31, 37}},
-	"SGEMM":             {{8, 22, 22, 22}},
-	"SPMV":              {{8, 20, 22, 22}},
-	"ScanLargeArrays":   {{4, 11, 11, 11}, {25, 57, 58, 72}},
-	"SobelFilter":       {{13, 73, 62, 62}},
-	"Stencil":           {{10, 69, 64, 64}},
-	"URNG":              {{5, 21, 21, 21}},
-	"clBLAS-SGEMM":      {{8, 22, 22, 22}},
+// the flat table, micro-ops over the loops' re-entry variants}, sorted.
+var tapeGolden = map[string][][5]int{
+	"BFS":               {{14, 26, 27, 31, 0}},
+	"Backprop":          {{5, 25, 25, 25, 0}, {19, 65, 58, 58, 0}},
+	"BinarySearch":      {{10, 26, 23, 25, 0}},
+	"BinomialOption":    {{20, 73, 70, 70, 0}},
+	"BitonicSort":       {{5, 27, 26, 26, 0}},
+	"Cutcp":             {{13, 57, 50, 54, 0}},
+	"DCT":               {{12, 39, 38, 38, 9}},
+	"DwtHaar1D":         {{8, 28, 26, 26, 0}},
+	"FloydWarshall":     {{5, 18, 17, 18, 0}},
+	"MatrixTranspose":   {{3, 24, 22, 22, 0}},
+	"NearestNeighbor":   {{4, 15, 15, 15, 0}},
+	"RecursiveGaussian": {{12, 34, 34, 34, 0}, {12, 35, 35, 35, 0}},
+	"Reduction":         {{16, 30, 31, 37, 0}},
+	"SGEMM":             {{8, 22, 22, 22, 0}},
+	"SPMV":              {{8, 20, 22, 22, 12}},
+	"ScanLargeArrays":   {{4, 11, 11, 11, 0}, {25, 57, 58, 72, 0}},
+	"SobelFilter":       {{13, 73, 62, 62, 0}},
+	"Stencil":           {{10, 69, 64, 64, 0}},
+	"URNG":              {{5, 21, 21, 21, 0}},
+	"clBLAS-SGEMM":      {{8, 22, 22, 22, 0}},
 }
 
 // tableIIPrograms runs every Table II workload once at small scale, each on
@@ -94,12 +94,12 @@ func specRun(tb testing.TB, spec *workloads.Spec) ([]*gpu.Program, [2]uint64) {
 }
 
 // tapeTable is the golden table's shape of progs.
-func tapeTable(progs map[string][]*gpu.Program) map[string][][4]int {
-	table := map[string][][4]int{}
+func tapeTable(progs map[string][]*gpu.Program) map[string][][5]int {
+	table := map[string][][5]int{}
 	for name, ps := range progs {
 		for _, p := range ps {
-			c, h, f := gpu.TapeSizes(p)
-			table[name] = append(table[name], [4]int{len(p.Clauses), c, h, f})
+			c, h, f, a := gpu.TapeSizes(p)
+			table[name] = append(table[name], [5]int{len(p.Clauses), c, h, f, a})
 		}
 		sort.Slice(table[name], func(i, j int) bool {
 			return slices.Compare(table[name][i][:], table[name][j][:]) < 0
@@ -122,7 +122,7 @@ func TestTapeGolden(t *testing.T) {
 		for _, name := range names {
 			rows := make([]string, len(got[name]))
 			for i, r := range got[name] {
-				rows[i] = fmt.Sprintf("{%d, %d, %d, %d}", r[0], r[1], r[2], r[3])
+				rows[i] = fmt.Sprintf("{%d, %d, %d, %d, %d}", r[0], r[1], r[2], r[3], r[4])
 			}
 			fmt.Printf("\t%q: {%s},\n", name, strings.Join(rows, ", "))
 		}
@@ -153,7 +153,7 @@ var tapeRunGolden = map[string][2]uint64{
 	"BinomialOption":    {21192, 48664},
 	"BitonicSort":       {2496, 25728},
 	"Cutcp":             {19862, 235074},
-	"DCT":               {21248, 219392},
+	"DCT":               {21248, 176384},
 	"DwtHaar1D":         {7432, 30488},
 	"FloydWarshall":     {16384, 147456},
 	"MatrixTranspose":   {2048, 22528},
@@ -161,7 +161,7 @@ var tapeRunGolden = map[string][2]uint64{
 	"RecursiveGaussian": {1056, 9672},
 	"Reduction":         {31654, 49112},
 	"SGEMM":             {26880, 207360},
-	"SPMV":              {530, 4970},
+	"SPMV":              {530, 4821},
 	"ScanLargeArrays":   {22966, 82346},
 	"SobelFilter":       {2576, 56904},
 	"Stencil":           {2400, 29760},

@@ -464,13 +464,185 @@ var optimiserCases = []optimiserCase{
 	},
 }
 
+// loopOf is a counted loop: c0 zeroes the counter r12 and sets the trip
+// count r13 (bound), c1 is body, the counter step and a BRC back to c1
+// while r12 < r13, rejoining at c2, and then runs tail. c0 and c1 form one
+// chain, so the loop's own tape runs from the second trip and its
+// re-entry variant from the third.
+func loopOf(bound []Instr, body []Instr, tail ...[]Instr) *Program {
+	init := append([]Instr{{Op: OpMOV, Dst: R(12), A: S(SpecZero)}}, bound...)
+	body = append(body,
+		Instr{Op: OpIADD, Dst: R(12), A: R(12), B: Imm, Imm: 1},
+		Instr{Op: OpICMPLT, Dst: T(3), A: R(12), B: R(13)},
+		Instr{Op: OpBRC, A: T(3), Imm: BranchImm(1, 1+len(tail)+1)})
+	return progOf(append([][]Instr{init, body}, append(tail, []Instr{{Op: OpRET}})...)...)
+}
+
+// trips is a loop bound of n trips on every lane.
+func trips(n uint32) []Instr { return []Instr{{Op: OpMOV, Dst: R(13), A: Imm, Imm: n}} }
+
+// loopVariant checks that c1's tape in both tables has a re-entry variant
+// want micro-ops shorter than itself, or none when want is 0.
+func loopVariant(want int) func(t *testing.T, wp *warpProgram) {
+	return func(t *testing.T, wp *warpProgram) {
+		for _, table := range [][]tape{wp.heads(), wp.flat()} {
+			full := &table[1]
+			switch {
+			case want == 0 && full.again != 0:
+				t.Errorf("the loop has a re-entry variant of %d micro-ops, want none", len(wp.chains[full.again].ops))
+			case want == 0:
+			case full.again == 0:
+				t.Errorf("the loop has no re-entry variant")
+			case len(full.ops)-len(wp.chains[full.again].ops) != want:
+				t.Errorf("the re-entry variant leaves out %d micro-ops, want %d", len(full.ops)-len(wp.chains[full.again].ops), want)
+			}
+		}
+	}
+}
+
+// hoistCases pin the loop-invariant hoisting of a chain that re-enters its
+// own head (hoist, reentry).
+var hoistCases = []optimiserCase{
+	{
+		// DCT's inner loop: (r1 + r8) * c0 + r2 is invariant, computed
+		// through t0, t1 and t0 again, and the loop writes both again
+		// later. The last sum is read by a micro-op the variant keeps, so
+		// it goes to a hoist row; the first two are read by hoisted
+		// micro-ops only.
+		name: "invariant_temporary_written_again",
+		prog: loopOf(trips(6), []Instr{
+			{Op: OpIADD, Dst: T(0), A: R(1), B: R(8)},
+			{Op: OpIMUL, Dst: T(1), A: T(0), B: C(0)},
+			{Op: OpIADD, Dst: T(0), A: T(1), B: R(2)},
+			{Op: OpIADD, Dst: T(1), A: T(0), B: R(12)},
+			{Op: OpXOR, Dst: R(20), A: R(20), B: T(1)},
+			{Op: OpIADD, Dst: T(0), A: R(20), B: Imm, Imm: 1},
+			{Op: OpXOR, Dst: R(21), A: R(21), B: T(0)},
+		}),
+		shape: loopVariant(3),
+	},
+	{
+		// r14 is written once in the loop, from rows it never writes:
+		// later trips find it in r14, as the interpreter leaves it.
+		name: "invariant_register_written_once",
+		prog: loopOf(trips(5), []Instr{
+			{Op: OpIMUL, Dst: R(14), A: R(1), B: C(0)},
+			{Op: OpIADD, Dst: R(20), A: R(20), B: R(14)},
+		}),
+		shape: loopVariant(1),
+	},
+	{
+		// r14 is written twice, both times with an invariant value: an
+		// abort between the two must find the first, so neither goes.
+		name: "register_written_twice",
+		prog: loopOf(trips(5), []Instr{
+			{Op: OpIMUL, Dst: R(14), A: R(1), B: C(0)},
+			{Op: OpIADD, Dst: R(20), A: R(20), B: R(14)},
+			{Op: OpIADD, Dst: R(14), A: R(2), B: C(0)},
+			{Op: OpXOR, Dst: R(21), A: R(21), B: R(14)},
+		}),
+		shape: loopVariant(0),
+	},
+	{
+		// r15 is written late in the loop and read earlier: the sum read
+		// from it changes from trip to trip.
+		name: "loop_carried_row",
+		prog: loopOf(trips(5), []Instr{
+			{Op: OpIADD, Dst: T(1), A: R(15), B: C(0)},
+			{Op: OpXOR, Dst: R(20), A: R(20), B: T(1)},
+			{Op: OpIADD, Dst: R(15), A: R(12), B: R(1)},
+		}),
+		shape: loopVariant(0),
+	},
+	{
+		// A load from an address the loop never changes is not invariant:
+		// memory may change, and a load counts.
+		name: "load_fed_value",
+		prog: loopOf(trips(5), []Instr{
+			{Op: OpLDG, Dst: T(2), A: R(4)},
+			{Op: OpIADD, Dst: T(1), A: T(2), B: C(0)},
+			{Op: OpXOR, Dst: R(20), A: R(20), B: T(1)},
+		}),
+		shape: loopVariant(0),
+	},
+	{
+		// numHoist+2 invariant products through t0, each read by a kept
+		// micro-op before the next overwrites it: the last numHoist get
+		// the hoist rows, the first two stay.
+		name: "more_invariants_than_hoist_rows",
+		prog: loopOf(trips(5), func() (body []Instr) {
+			for i := 0; i < numHoist+2; i++ {
+				body = append(body,
+					Instr{Op: OpIMUL, Dst: T(0), A: R(1), B: Imm, Imm: uint32(3 + i)},
+					Instr{Op: OpXOR, Dst: R(20 + i), A: R(20 + i), B: T(0)})
+			}
+			return append(body, Instr{Op: OpIADD, Dst: T(0), A: R(12), B: R(1)}, Instr{Op: OpXOR, Dst: R(19), A: R(19), B: T(0)})
+		}()),
+		shape: loopVariant(numHoist),
+	},
+	{
+		// The loop's fifth trip, in the variant, faults on a load: the
+		// invariant sum before the first load and the product after it are
+		// hoisted, so every mark behind them moves, and the abort commits
+		// the marks it reached — the iadd behind the second load's among
+		// them — with the interpreter's counters and registers.
+		name: "fault_on_a_later_trip",
+		prog: loopOf(trips(8), []Instr{
+			{Op: OpIADD, Dst: T(0), A: R(1), B: C(0)},
+			{Op: OpLDG, Dst: R(15), A: R(4)},
+			{Op: OpIMUL, Dst: T(1), A: R(2), B: C(0)},
+			{Op: OpSHL, Dst: T(2), A: R(12), B: Imm, Imm: 11},
+			{Op: OpADD64, Dst: T(2), A: T(2), B: R(4)},
+			{Op: OpLDG, Dst: R(19), A: R(5)},
+			{Op: OpIADD, Dst: R(16), A: R(16), B: T(1)},
+			{Op: OpLDG, Dst: R(17), A: T(2)},
+			{Op: OpIADD, Dst: R(18), A: R(18), B: T(0)},
+			{Op: OpIADD, Dst: T(0), A: R(12), B: R(18)},
+			{Op: OpXOR, Dst: R(19), A: R(19), B: T(0)},
+		}),
+		shape: loopVariant(2),
+	},
+	{
+		// Lane 0 leaves the loop after two trips, the others after six:
+		// the BRC splits, and lane 0 runs a second loop, whose hoisted
+		// value takes the same hoist row, before the other lanes re-enter
+		// the first. That entry looks the tape up and runs it in full.
+		name: "split_on_a_later_trip",
+		prog: loopOf([]Instr{
+			{Op: OpSHL, Dst: R(13), A: T(0), B: Imm, Imm: 3},
+			{Op: OpIMIN, Dst: R(13), A: R(13), B: Imm, Imm: 6},
+			{Op: OpIMAX, Dst: R(13), A: R(13), B: Imm, Imm: 2},
+			{Op: OpMOV, Dst: R(14), A: S(SpecZero)},
+		}, []Instr{
+			{Op: OpIMUL, Dst: T(0), A: R(1), B: C(0)},
+			{Op: OpIADD, Dst: R(20), A: R(20), B: T(0)},
+			{Op: OpIADD, Dst: T(0), A: R(12), B: R(20)},
+			{Op: OpXOR, Dst: R(22), A: R(22), B: T(0)},
+		}, []Instr{
+			{Op: OpIMUL, Dst: T(0), A: R(2), B: C(2)},
+			{Op: OpIADD, Dst: R(21), A: R(21), B: T(0)},
+			{Op: OpIADD, Dst: T(0), A: R(14), B: R(21)},
+			{Op: OpXOR, Dst: R(23), A: R(23), B: T(0)},
+			{Op: OpIADD, Dst: R(14), A: R(14), B: Imm, Imm: 1},
+			{Op: OpICMPLT, Dst: T(3), A: R(14), B: Imm, Imm: 4},
+			{Op: OpBRC, A: T(3), Imm: BranchImm(2, 3)},
+		}),
+		shape: func(t *testing.T, wp *warpProgram) {
+			loopVariant(1)(t, wp)
+			if wp.heads()[1].ops[0].d() != rowHoist || wp.heads()[2].ops[0].d() != rowHoist || wp.heads()[2].again == 0 {
+				t.Errorf("the two loops do not both hoist into the first hoist row")
+			}
+		},
+	},
+}
+
 // TestOptimisedTapeMatchesInterp runs every optimiserCase under both
 // engines and every warp shape. A dead temporary may hold anything after
 // a rewrite, so the temporaries are not compared; the GRF, the statistics,
 // guest memory and the error are.
 func TestOptimisedTapeMatchesInterp(t *testing.T) {
 	r := newTapeRig(t)
-	for _, c := range optimiserCases {
+	for _, c := range append(optimiserCases, hoistCases...) {
 		c.prog.compile(EngineWarp)
 		if c.shape != nil {
 			c.shape(t, c.prog.warp)

@@ -20,7 +20,13 @@ import (
 // over the active lanes; they, the rare slow ALU ops and the per-lane
 // interpreter fallback leave the switch for runWarp. The switch has cases
 // for what clc emits only: every other instruction runs through the
-// interpreter (tapeFallbackReason).
+// interpreter (tapeFallbackReason). The switch has no masked mode: a
+// divergent warp runs the tape at full width, and runWarp saves the
+// registers and temporaries the tape writes as it enters and puts their
+// inactive lanes back before the terminal or an abort (restoreLanes). A
+// chain whose BRC re-enters its own head has a re-entry variant without
+// its loop-invariant micro-ops (optimise.go: hoist), which runWarp runs on
+// every trip after the first.
 //
 // Counter contract: the interpreter bumps the class counter once per
 // instruction (scaled by the clause's active-lane count) before touching
@@ -168,7 +174,7 @@ func (e *execContext) commitTallies() {
 			e.gs.DivergentBranches += ty.div
 		}
 		if e.cfg != nil {
-			e.cfgCommit(k%len(e.tape.clauses), t, ty)
+			e.cfgCommit(t, ty)
 		}
 		if countTapes != nil {
 			countTapes(t, ty.entries)
@@ -205,7 +211,7 @@ var countHandBack func(u uop)
 // termNames are the CFG's terminator strings, execTerminal's.
 var termNames = [...]string{tkFall: "fallthrough", tkBR: "br", tkBRC: "brc", tkRET: "ret", tkBARRIER: "barrier"}
 
-// cfgCommit adds what ty tallied of the tape t headed at clause head to the
+// cfgCommit adds what ty tallied of the tape t, headed at clause t.head, to the
 // CFG, as execClause adds it clause by clause: each of the tape's clauses
 // was entered by every one of its warps with the same lanes, each interior
 // clause left them all to its fallthrough or BR target, and the terminal's
@@ -214,8 +220,8 @@ var termNames = [...]string{tkFall: "fallthrough", tkBR: "br", tkBRC: "brc", tkR
 // hotalloc gate pins at zero.
 //
 //go:noinline
-func (e *execContext) cfgCommit(head int, t *tape, ty *tally) {
-	for i, ci := 0, head; i < t.n; i, ci = i+1, e.tape.clauses[ci].tgt {
+func (e *execContext) cfgCommit(t *tape, ty *tally) {
+	for i, ci := 0, t.head; i < t.n; i, ci = i+1, e.tape.clauses[ci].tgt {
 		c := &e.tape.clauses[ci]
 		blk := e.cfg.Block(e.prog.Clauses[ci].Addr)
 		blk.WarpsIn += ty.entries
@@ -287,46 +293,33 @@ func (c ctrKind) bump(gs *stats.GPUStats, n uint64) {
 	}
 }
 
-// commitMasked copies the active lanes of a full-row result into place.
-func commitMasked(dst, src, mask *soaRow) {
-	for l := range dst {
-		dst[l] ^= (dst[l] ^ src[l]) & mask[l]
-	}
-}
-
 // execLeaf is the executor's hot loop: one dense switch whose cases are
 // leaf code. It runs ops from pc and returns the index of the first
 // micro-op it has no case for (len(ops) at the end of the tape) or of a
 // memory micro-op it hands back (see leafMem). Operand rows are resolved
 // inside each case, and everything else is reached through e, so that
 // little more than the tape position is live across the switch's jump.
-// For a divergent warp every ALU case computes the full row into the
-// rowMasked scratch row (keep/force redirect the destination index without
-// a branch) and the shared tail commits it under the mask — one case table
-// for both. Full warps write every slot of a row, including
-// lanes beyond w.lanes: those are architecturally dead (never active,
-// never stored back), so what a row's dead lanes hold is never observed.
-func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
+// Every ALU case writes every slot of its row, whatever the mask: a
+// divergent warp's inactive lanes are put back by runWarp when the tape
+// ends (restoreLanes), and lanes beyond w.lanes are architecturally dead
+// (never active, never stored back), so what they hold is never observed.
+func (e *execContext) execLeaf(w *warp, ops []uop, pc int) int {
 	rows := &w.rows
-	keep, force := uint8(0xff), uint8(0)
-	if mask != nil {
-		keep, force = 0, rowMasked
-	}
 	for ; pc < len(ops); pc++ {
 		u := ops[pc]
 		switch u.kind() {
 		default:
 			return pc
 		case kSplat:
-			d, s := &rows[u.d()&keep|force], e.uvals[u.imm()]
+			d, s := &rows[u.d()], e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = s, s, s, s
 		case kAddr:
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			f := &e.tape.addrs[u.imm()]
 			s1, s2, s3 := uint32(e.uvals[f[0]]), e.uvals[f[1]], e.uvals[f[2]]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])*s1+uint32(b[0]))*s2+s3, uint64(uint32(a[1])*s1+uint32(b[1]))*s2+s3, uint64(uint32(a[2])*s1+uint32(b[2]))*s2+s3, uint64(uint32(a[3])*s1+uint32(b[3]))*s2+s3
 		case kAddrTail:
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			f := &e.tape.addrs[u.imm()]
 			s2, s3 := e.uvals[f[1]], e.uvals[f[2]]
 			d[0], d[1], d[2], d[3] = a[0]*s2+s3, a[1]*s2+s3, a[2]*s2+s3, a[3]*s2+s3
@@ -334,236 +327,231 @@ func (e *execContext) execLeaf(w *warp, ops []uop, pc int, mask *soaRow) int {
 			if !e.leafMem(w, u) {
 				return pc
 			}
-			continue // leafMem writes only the active lanes
 
 		// --- vector ∘ vector
 		case kVV + uopKind(OpMOV):
 			// Word by word: the source row is most often the previous
 			// micro-op's result, stored as four words, and a wider load
 			// over two of those stores cannot be store-forwarded.
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			d[0], d[1], d[2], d[3] = a[0], a[1], a[2], a[3]
 		case kVV + uopKind(OpI2F):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			d[0], d[1], d[2], d[3] = fbits(float32(int32(a[0]))), fbits(float32(int32(a[1]))), fbits(float32(int32(a[2]))), fbits(float32(int32(a[3])))
 		case kVV + uopKind(OpF2I):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(int32(f32(a[0])))), uint64(uint32(int32(f32(a[1])))), uint64(uint32(int32(f32(a[2])))), uint64(uint32(int32(f32(a[3]))))
 		case kVV + uopKind(OpFABS):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			d[0], d[1], d[2], d[3] = fbits(float32(math.Abs(float64(f32(a[0]))))), fbits(float32(math.Abs(float64(f32(a[1]))))), fbits(float32(math.Abs(float64(f32(a[2]))))), fbits(float32(math.Abs(float64(f32(a[3])))))
 		case kVV + uopKind(OpFNEG):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			d[0], d[1], d[2], d[3] = fbits(-f32(a[0])), fbits(-f32(a[1])), fbits(-f32(a[2])), fbits(-f32(a[3]))
 		case kVV + uopKind(OpFSQRT):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			d[0], d[1], d[2], d[3] = fbits(float32(math.Sqrt(float64(f32(a[0]))))), fbits(float32(math.Sqrt(float64(f32(a[1]))))), fbits(float32(math.Sqrt(float64(f32(a[2]))))), fbits(float32(math.Sqrt(float64(f32(a[3])))))
 		case kVV + uopKind(OpFFLOOR):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			d[0], d[1], d[2], d[3] = fbits(float32(math.Floor(float64(f32(a[0]))))), fbits(float32(math.Floor(float64(f32(a[1]))))), fbits(float32(math.Floor(float64(f32(a[2]))))), fbits(float32(math.Floor(float64(f32(a[3])))))
 		case kVV + uopKind(OpIADD):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])+uint32(b[0])), uint64(uint32(a[1])+uint32(b[1])), uint64(uint32(a[2])+uint32(b[2])), uint64(uint32(a[3])+uint32(b[3]))
 		case kVV + uopKind(OpISUB):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])-uint32(b[0])), uint64(uint32(a[1])-uint32(b[1])), uint64(uint32(a[2])-uint32(b[2])), uint64(uint32(a[3])-uint32(b[3]))
 		case kVV + uopKind(OpIMUL):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])*uint32(b[0])), uint64(uint32(a[1])*uint32(b[1])), uint64(uint32(a[2])*uint32(b[2])), uint64(uint32(a[3])*uint32(b[3]))
 		case kVV + uopKind(OpIMIN):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(min(int32(a[0]), int32(b[0])))), uint64(uint32(min(int32(a[1]), int32(b[1])))), uint64(uint32(min(int32(a[2]), int32(b[2])))), uint64(uint32(min(int32(a[3]), int32(b[3]))))
 		case kVV + uopKind(OpIMAX):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(max(int32(a[0]), int32(b[0])))), uint64(uint32(max(int32(a[1]), int32(b[1])))), uint64(uint32(max(int32(a[2]), int32(b[2])))), uint64(uint32(max(int32(a[3]), int32(b[3]))))
 		case kVV + uopKind(OpSHL):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])<<(uint32(b[0])&31)), uint64(uint32(a[1])<<(uint32(b[1])&31)), uint64(uint32(a[2])<<(uint32(b[2])&31)), uint64(uint32(a[3])<<(uint32(b[3])&31))
 		case kVV + uopKind(OpSAR):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(int32(a[0])>>(uint32(b[0])&31))), uint64(uint32(int32(a[1])>>(uint32(b[1])&31))), uint64(uint32(int32(a[2])>>(uint32(b[2])&31))), uint64(uint32(int32(a[3])>>(uint32(b[3])&31)))
 		case kVV + uopKind(OpAND):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
 		case kVV + uopKind(OpOR):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
 		case kVV + uopKind(OpXOR):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = a[0]^b[0], a[1]^b[1], a[2]^b[2], a[3]^b[3]
 		case kVV + uopKind(OpADD64):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = a[0]+b[0], a[1]+b[1], a[2]+b[2], a[3]+b[3]
 		case kVV + uopKind(OpMUL64):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = a[0]*b[0], a[1]*b[1], a[2]*b[2], a[3]*b[3]
 		case kVV + uopKind(OpFADD):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = fres(f32(a[0])+f32(b[0])), fres(f32(a[1])+f32(b[1])), fres(f32(a[2])+f32(b[2])), fres(f32(a[3])+f32(b[3]))
 		case kVV + uopKind(OpFSUB):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = fres(f32(a[0])-f32(b[0])), fres(f32(a[1])-f32(b[1])), fres(f32(a[2])-f32(b[2])), fres(f32(a[3])-f32(b[3]))
 		case kVV + uopKind(OpFMUL):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = fres(f32(a[0])*f32(b[0])), fres(f32(a[1])*f32(b[1])), fres(f32(a[2])*f32(b[2])), fres(f32(a[3])*f32(b[3]))
 		case kVV + uopKind(OpFDIV):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = fres(f32(a[0])/f32(b[0])), fres(f32(a[1])/f32(b[1])), fres(f32(a[2])/f32(b[2])), fres(f32(a[3])/f32(b[3]))
 		case kVV + uopKind(OpICMPEQ):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) == uint32(b[0])), b2u(uint32(a[1]) == uint32(b[1])), b2u(uint32(a[2]) == uint32(b[2])), b2u(uint32(a[3]) == uint32(b[3]))
 		case kVV + uopKind(OpICMPNE):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) != uint32(b[0])), b2u(uint32(a[1]) != uint32(b[1])), b2u(uint32(a[2]) != uint32(b[2])), b2u(uint32(a[3]) != uint32(b[3]))
 		case kVV + uopKind(OpICMPLT):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = b2u(int32(a[0]) < int32(b[0])), b2u(int32(a[1]) < int32(b[1])), b2u(int32(a[2]) < int32(b[2])), b2u(int32(a[3]) < int32(b[3]))
 		case kVV + uopKind(OpICMPLE):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = b2u(int32(a[0]) <= int32(b[0])), b2u(int32(a[1]) <= int32(b[1])), b2u(int32(a[2]) <= int32(b[2])), b2u(int32(a[3]) <= int32(b[3]))
 		case kVV + uopKind(OpFCMPEQ):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) == f32(b[0])), b2u(f32(a[1]) == f32(b[1])), b2u(f32(a[2]) == f32(b[2])), b2u(f32(a[3]) == f32(b[3]))
 		case kVV + uopKind(OpFCMPLT):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) < f32(b[0])), b2u(f32(a[1]) < f32(b[1])), b2u(f32(a[2]) < f32(b[2])), b2u(f32(a[3]) < f32(b[3]))
 		case kVV + uopKind(OpFCMPLE):
-			d, a, b := &rows[u.d()&keep|force], &rows[u.a()], &rows[u.b()]
+			d, a, b := &rows[u.d()], &rows[u.a()], &rows[u.b()]
 			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) <= f32(b[0])), b2u(f32(a[1]) <= f32(b[1])), b2u(f32(a[2]) <= f32(b[2])), b2u(f32(a[3]) <= f32(b[3]))
 		// --- vector ∘ uniform
 		case kVU + uopKind(OpIADD):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])+uint32(s)), uint64(uint32(a[1])+uint32(s)), uint64(uint32(a[2])+uint32(s)), uint64(uint32(a[3])+uint32(s))
 		case kVU + uopKind(OpISUB):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])-uint32(s)), uint64(uint32(a[1])-uint32(s)), uint64(uint32(a[2])-uint32(s)), uint64(uint32(a[3])-uint32(s))
 		case kVU + uopKind(OpIMUL):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])*uint32(s)), uint64(uint32(a[1])*uint32(s)), uint64(uint32(a[2])*uint32(s)), uint64(uint32(a[3])*uint32(s))
 		case kVU + uopKind(OpIMIN):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := int32(e.uvals[u.imm()])
 			d[0], d[1], d[2], d[3] = uint64(uint32(min(int32(a[0]), s))), uint64(uint32(min(int32(a[1]), s))), uint64(uint32(min(int32(a[2]), s))), uint64(uint32(min(int32(a[3]), s)))
 		case kVU + uopKind(OpIMAX):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := int32(e.uvals[u.imm()])
 			d[0], d[1], d[2], d[3] = uint64(uint32(max(int32(a[0]), s))), uint64(uint32(max(int32(a[1]), s))), uint64(uint32(max(int32(a[2]), s))), uint64(uint32(max(int32(a[3]), s)))
 		case kVU + uopKind(OpSHL):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(a[0])<<(uint32(s)&31)), uint64(uint32(a[1])<<(uint32(s)&31)), uint64(uint32(a[2])<<(uint32(s)&31)), uint64(uint32(a[3])<<(uint32(s)&31))
 		case kVU + uopKind(OpSAR):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(int32(a[0])>>(uint32(s)&31))), uint64(uint32(int32(a[1])>>(uint32(s)&31))), uint64(uint32(int32(a[2])>>(uint32(s)&31))), uint64(uint32(int32(a[3])>>(uint32(s)&31)))
 		case kVU + uopKind(OpAND):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = a[0]&s, a[1]&s, a[2]&s, a[3]&s
 		case kVU + uopKind(OpOR):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = a[0]|s, a[1]|s, a[2]|s, a[3]|s
 		case kVU + uopKind(OpXOR):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = a[0]^s, a[1]^s, a[2]^s, a[3]^s
 		case kVU + uopKind(OpADD64):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = a[0]+s, a[1]+s, a[2]+s, a[3]+s
 		case kVU + uopKind(OpMUL64):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = a[0]*s, a[1]*s, a[2]*s, a[3]*s
 		case kVU + uopKind(OpFADD):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = fres(f32(a[0])+f32(s)), fres(f32(a[1])+f32(s)), fres(f32(a[2])+f32(s)), fres(f32(a[3])+f32(s))
 		case kVU + uopKind(OpFSUB):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = fres(f32(a[0])-f32(s)), fres(f32(a[1])-f32(s)), fres(f32(a[2])-f32(s)), fres(f32(a[3])-f32(s))
 		case kVU + uopKind(OpFMUL):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = fres(f32(a[0])*f32(s)), fres(f32(a[1])*f32(s)), fres(f32(a[2])*f32(s)), fres(f32(a[3])*f32(s))
 		case kVU + uopKind(OpFDIV):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = fres(f32(a[0])/f32(s)), fres(f32(a[1])/f32(s)), fres(f32(a[2])/f32(s)), fres(f32(a[3])/f32(s))
 		case kVU + uopKind(OpICMPEQ):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) == uint32(s)), b2u(uint32(a[1]) == uint32(s)), b2u(uint32(a[2]) == uint32(s)), b2u(uint32(a[3]) == uint32(s))
 		case kVU + uopKind(OpICMPNE):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(uint32(a[0]) != uint32(s)), b2u(uint32(a[1]) != uint32(s)), b2u(uint32(a[2]) != uint32(s)), b2u(uint32(a[3]) != uint32(s))
 		case kVU + uopKind(OpICMPLT):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(int32(a[0]) < int32(s)), b2u(int32(a[1]) < int32(s)), b2u(int32(a[2]) < int32(s)), b2u(int32(a[3]) < int32(s))
 		case kVU + uopKind(OpICMPLE):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(int32(a[0]) <= int32(s)), b2u(int32(a[1]) <= int32(s)), b2u(int32(a[2]) <= int32(s)), b2u(int32(a[3]) <= int32(s))
 		case kVU + uopKind(OpFCMPEQ):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) == f32(s)), b2u(f32(a[1]) == f32(s)), b2u(f32(a[2]) == f32(s)), b2u(f32(a[3]) == f32(s))
 		case kVU + uopKind(OpFCMPLT):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) < f32(s)), b2u(f32(a[1]) < f32(s)), b2u(f32(a[2]) < f32(s)), b2u(f32(a[3]) < f32(s))
 		case kVU + uopKind(OpFCMPLE):
-			d, a := &rows[u.d()&keep|force], &rows[u.a()]
+			d, a := &rows[u.d()], &rows[u.a()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(f32(a[0]) <= f32(s)), b2u(f32(a[1]) <= f32(s)), b2u(f32(a[2]) <= f32(s)), b2u(f32(a[3]) <= f32(s))
 		// --- uniform ∘ vector (non-commutative ops; commutative ones swap into vector ∘ uniform)
 		case kUV + uopKind(OpISUB):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			d, b := &rows[u.d()], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(s)-uint32(b[0])), uint64(uint32(s)-uint32(b[1])), uint64(uint32(s)-uint32(b[2])), uint64(uint32(s)-uint32(b[3]))
 		case kUV + uopKind(OpSHL):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			d, b := &rows[u.d()], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(s)<<(uint32(b[0])&31)), uint64(uint32(s)<<(uint32(b[1])&31)), uint64(uint32(s)<<(uint32(b[2])&31)), uint64(uint32(s)<<(uint32(b[3])&31))
 		case kUV + uopKind(OpSAR):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			d, b := &rows[u.d()], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = uint64(uint32(int32(s)>>(uint32(b[0])&31))), uint64(uint32(int32(s)>>(uint32(b[1])&31))), uint64(uint32(int32(s)>>(uint32(b[2])&31))), uint64(uint32(int32(s)>>(uint32(b[3])&31)))
 		case kUV + uopKind(OpFSUB):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			d, b := &rows[u.d()], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = fres(f32(s)-f32(b[0])), fres(f32(s)-f32(b[1])), fres(f32(s)-f32(b[2])), fres(f32(s)-f32(b[3]))
 		case kUV + uopKind(OpFDIV):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			d, b := &rows[u.d()], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = fres(f32(s)/f32(b[0])), fres(f32(s)/f32(b[1])), fres(f32(s)/f32(b[2])), fres(f32(s)/f32(b[3]))
 		case kUV + uopKind(OpICMPLT):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			d, b := &rows[u.d()], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(int32(s) < int32(b[0])), b2u(int32(s) < int32(b[1])), b2u(int32(s) < int32(b[2])), b2u(int32(s) < int32(b[3]))
 		case kUV + uopKind(OpICMPLE):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			d, b := &rows[u.d()], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(int32(s) <= int32(b[0])), b2u(int32(s) <= int32(b[1])), b2u(int32(s) <= int32(b[2])), b2u(int32(s) <= int32(b[3]))
 		case kUV + uopKind(OpFCMPLT):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			d, b := &rows[u.d()], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(f32(s) < f32(b[0])), b2u(f32(s) < f32(b[1])), b2u(f32(s) < f32(b[2])), b2u(f32(s) < f32(b[3]))
 		case kUV + uopKind(OpFCMPLE):
-			d, b := &rows[u.d()&keep|force], &rows[u.b()]
+			d, b := &rows[u.d()], &rows[u.b()]
 			s := e.uvals[u.imm()]
 			d[0], d[1], d[2], d[3] = b2u(f32(s) <= f32(b[0])), b2u(f32(s) <= f32(b[1])), b2u(f32(s) <= f32(b[2])), b2u(f32(s) <= f32(b[3]))
-		}
-		if mask != nil { // commitMasked, written out: nothing this size inlines here
-			d, r := &rows[u.d()], &rows[rowMasked]
-			d[0], d[1], d[2], d[3] = d[0]^(d[0]^r[0])&mask[0], d[1]^(d[1]^r[1])&mask[1], d[2]^(d[2]^r[2])&mask[2], d[3]^(d[3]^r[3])&mask[3]
 		}
 	}
 	return pc
@@ -766,7 +754,7 @@ func storeLane(p *[mem.PageSize]byte, v, x, size uint64) {
 // it in the interpreter's order, so a faulting lane aborts with the
 // interpreter's totals. It reads the micro-op's own rows, which value
 // numbering may have renamed, never its source instruction's. A load's
-// lanes land in the rowMasked staging row and reach its destination once
+// lanes land in the rowStage staging row and reach its destination once
 // all have loaded, so a forwarded load never writes its register early;
 // at a fault, the lanes before it reach the destination as written.
 //
@@ -774,7 +762,7 @@ func storeLane(p *[mem.PageSize]byte, v, x, size uint64) {
 func (e *execContext) memLanes(w *warp, m *memOp, u uop, act uint64) error {
 	gs := e.gs
 	gs.LSInstr += act
-	ar, br, sr := &w.rows[u.a()], &w.rows[u.b()], &w.rows[rowMasked]
+	ar, br, sr := &w.rows[u.a()], &w.rows[u.b()], &w.rows[rowStage]
 	d, n := u.d(), w.lanes
 	var err error
 	for l := 0; l < w.lanes; l++ {

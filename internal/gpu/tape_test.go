@@ -233,3 +233,60 @@ func TestLongRunCountsExactly(t *testing.T) {
 		}
 	}
 }
+
+// restoreShapes are the divergent warps the restore tests run: a full warp
+// with lane 1 inactive, and a partial tail warp of three lanes with lane 1
+// inactive.
+var restoreShapes = []struct {
+	name  string
+	shape func(w *warp)
+}{
+	{"full", diverge},
+	{"partial", func(w *warp) { w.lanes = WarpSize - 1; w.active = 0b101 }},
+}
+
+// checkRestored runs prog from the pristine warp under both engines and
+// every restore shape, and requires every register the interpreter leaves
+// — inactive lanes included — plus the statistics and the error.
+func checkRestored(t *testing.T, prog *Program) {
+	t.Helper()
+	r := newTapeRig(t)
+	prog.compile(EngineWarp)
+	for _, sh := range restoreShapes {
+		regsI, gsI, _, errI := r.run(t, prog, EngineInterp, sh.shape)
+		regsW, gsW, _, errW := r.run(t, prog, EngineWarp, sh.shape)
+		if fmt.Sprint(errI) != fmt.Sprint(errW) || gsI != gsW {
+			t.Errorf("[%s]: error %v, warp %v; stats equal %v", sh.name, errI, errW, gsI == gsW)
+		}
+		for reg := 0; reg < NumGRF; reg++ {
+			if regsI[reg] != regsW[reg] {
+				t.Errorf("[%s]: r%d: interp %x, warp %x", sh.name, reg, regsI[reg], regsW[reg])
+			}
+		}
+	}
+}
+
+// TestDivergentFaultRestoresLanes: a divergent warp runs its tape at full
+// width, so the sums its tape writes into r9 and r10 reach the inactive
+// lanes too until runWarp puts them back. The load behind them faults, and
+// the abort must find every register as the interpreter leaves it.
+func TestDivergentFaultRestoresLanes(t *testing.T) {
+	checkRestored(t, progOf([]Instr{
+		{Op: OpIADD, Dst: R(9), A: R(1), B: R(2)},
+		{Op: OpIMUL, Dst: R(10), A: R(9), B: C(0)},
+		{Op: OpLDG, Dst: R(11), A: R(4), Imm: 0x2000},
+		{Op: OpIADD, Dst: R(12), A: R(9), B: R(10)},
+		{Op: OpRET},
+	}))
+}
+
+// TestDivergentSlowOpRestoresLanes: a slow ALU op runs over every lane of a
+// divergent warp; its inactive lanes must read as before.
+func TestDivergentSlowOpRestoresLanes(t *testing.T) {
+	checkRestored(t, progOf([]Instr{
+		{Op: OpIDIV, Dst: R(9), A: R(1), B: R(2)},
+		{Op: OpFSIN, Dst: R(10), A: R(2)},
+		{Op: OpFMAX, Dst: R(2), A: R(2), B: R(8)},
+		{Op: OpRET},
+	}))
+}

@@ -26,10 +26,12 @@ const (
 	rowLID      = rowGID + 3       // lid.x/y/z
 	rowScratchA = rowLID + 3       // broadcast of a uniform A operand
 	rowScratchB = rowScratchA + 1  // broadcast of a uniform B operand
-	rowMasked   = rowScratchB + 1  // full-row result of a divergent warp or a per-lane load, before the commit
-	rowSpare    = rowMasked + 1    // numSpare rows where value numbering keeps a value a temporary loses
+	rowStage    = rowScratchB + 1  // a per-lane load's lanes, before they reach its destination
+	rowSpare    = rowStage + 1     // numSpare rows where value numbering keeps a value a temporary loses
 	numSpare    = 2
-	numRows     = rowSpare + numSpare
+	rowHoist    = rowSpare + numSpare // numHoist rows where a loop's re-entry variant finds a hoisted value
+	numHoist    = 4
+	numRows     = rowHoist + numHoist
 )
 
 // Slots of execContext.uvals, the table warp-uniform operands are read
@@ -73,6 +75,14 @@ type tape struct {
 	tgt, rejoin int
 	pred        operand
 	termSt      tapeStats
+
+	// head is the clause the tape starts at, wset the registers and
+	// temporaries its ALU micro-ops write (what restoreLanes puts back for
+	// a divergent warp), and again the chains index of its re-entry variant
+	// (hoist), 0 when it has none; a variant's is its own.
+	head  int
+	wset  []uint8
+	again int
 }
 
 // warpProgram is the compiled form of a Program. chains holds the two
@@ -129,7 +139,7 @@ func warpCompile(p *Program) *warpProgram {
 	for ci := range p.Clauses {
 		c := &p.Clauses[ci]
 		t := &wp.clauses[ci]
-		t.next, t.tgt, t.n = ci+1, ci+1, 1
+		t.next, t.tgt, t.n, t.head = ci+1, ci+1, 1, ci
 		firstMark := len(b.marks)
 		b.start, b.run = len(b.ops), -1
 		// Unfilled issue slots: a clause of N slots issues in ceil(N/2)
@@ -150,8 +160,35 @@ func warpCompile(p *Program) *warpProgram {
 	}
 	wp.optimise()
 	wp.chains = append(buildChains(wp, true), buildChains(wp, false)...)
-	wp.numberValues()
+	sc := scratchPool.Get().(*valueScratch)
+	wp.numberValues(sc)
+	wp.hoist(sc)
+	scratchPool.Put(sc)
+	wp.writeSets()
 	return wp
+}
+
+// writeSets records every chain tape's write set: the registers and
+// temporaries it writes other than through a load, which like a store and
+// a kLaneInterp writes only active lanes. One array backs them all.
+func (wp *warpProgram) writeSets() {
+	size := 0
+	for k := range wp.chains {
+		size += min(len(wp.chains[k].ops), rowGID)
+	}
+	buf := make([]uint8, 0, size)
+	for k := range wp.chains {
+		t := &wp.chains[k]
+		var in [rowGID]bool
+		start := len(buf)
+		for _, u := range t.ops {
+			if d := u.d(); u.writes() && u.kind() != kLoad && d < rowGID && !in[d] {
+				in[d] = true
+				buf = append(buf, d)
+			}
+		}
+		t.wset = buf[start:len(buf):len(buf)]
+	}
 }
 
 // terminal decodes a clause's terminal instruction into its tape.
@@ -458,7 +495,7 @@ func buildChains(wp *warpProgram, stopAtRejoin bool) []tape {
 			ops = append(ops, wp.clauses[ci].ops...)
 		}
 		t := wp.clauses[chain[len(chain)-1]]
-		t.ops, t.marks, t.n = ops, marks, len(chain)
+		t.ops, t.marks, t.n, t.head = ops, marks, len(chain), head
 		chains[head] = t
 	}
 	return chains

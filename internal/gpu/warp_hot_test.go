@@ -257,3 +257,22 @@ func TestWarpSlabRecycles(t *testing.T) {
 		t.Errorf("warpsFor(16) on a 4-cap slab returned %d warps", len(grown))
 	}
 }
+
+// TestLidRowsMatchDivision holds lidRows to the lane ids of thread t of a
+// workgroup: t mod lsz.x, t / lsz.x mod lsz.y and t / (lsz.x·lsz.y).
+func TestLidRowsMatchDivision(t *testing.T) {
+	for _, lsz := range [][3]uint32{{1, 1, 1}, {3, 5, 7}, {64, 1, 1}, {16, 16, 1}, {256, 1, 1}} {
+		rows := lidRows(nil, lsz)
+		total := lsz[0] * lsz[1] * lsz[2]
+		if want := (int(total) + WarpSize - 1) / WarpSize; len(rows) != want {
+			t.Fatalf("%v: %d warps, want %d", lsz, len(rows), want)
+		}
+		for th := uint32(0); th < total; th++ {
+			w, l := &rows[th/WarpSize], th%WarpSize
+			want := [3]uint64{uint64(th % lsz[0]), uint64(th / lsz[0] % lsz[1]), uint64(th / (lsz[0] * lsz[1]))}
+			if got := [3]uint64{w[0][l], w[1][l], w[2][l]}; got != want {
+				t.Fatalf("%v: thread %d has lid %v, want %v", lsz, th, got, want)
+			}
+		}
+	}
+}
