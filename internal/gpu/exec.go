@@ -43,7 +43,7 @@ func fullMask(n int) laneMask { return 1<<uint(n) - 1 }
 func (m laneMask) has(lane int) bool { return m>>uint(lane)&1 != 0 }
 
 // maskRows[m] is mask m as a register row, all-ones in every lane of m: what
-// restoreLanes keeps a divergent warp's results under.
+// restoreInactive keeps a divergent warp's results under.
 var maskRows = func() (t [1 << WarpSize]soaRow) {
 	for m := range t {
 		for l := 0; l < WarpSize; l++ {
@@ -128,7 +128,7 @@ type execContext struct {
 	lids     [][3]soaRow
 
 	// saved holds the rows a divergent warp's tape writes (tape.wset) as
-	// they were when the warp entered it: saveRows fills it, restoreLanes
+	// they were when the warp entered it: saveRows fills it, restoreInactive
 	// reads it.
 	saved [rowGID]soaRow
 }
@@ -155,10 +155,10 @@ var clauseBudget = 1 << 24
 // falls inside a tape the stack chose. execLeaf runs the micro-ops that
 // need no call and hands back the first one that does — a memory access, a
 // slow ALU op, the interpreter fallback — which runs here, so that the hot
-// loop keeps its state in registers. act and mask (the row restoreLanes
+// loop keeps its state in registers. act and mask (the row restoreInactive
 // keeps a divergent warp's results under) change only where active does;
 // a divergent warp's tape runs at full width between saveRows and
-// restoreLanes. A terminal that lands back on the head it entered, with
+// restoreInactive. A terminal that lands back on the head it entered, with
 // active unchanged, re-enters that tape without the lookup: the entry
 // popped every frame rejoining there, and the tape pushed none, so the
 // stack picks the same table. Such a re-entry runs the tape's re-entry
@@ -255,14 +255,14 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				}
 				if err != nil {
 					if mask != nil {
-						e.restoreLanes(w, t.wset, mask)
+						e.restoreInactive(w, t.wset, mask)
 					}
 					e.abortTape(t, ty, pc, act)
 					return warpDone, err
 				}
 			}
 			if mask != nil {
-				e.restoreLanes(w, t.wset, mask)
+				e.restoreInactive(w, t.wset, mask)
 			}
 
 			switch t.tk {
@@ -277,9 +277,11 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 				w.active, w.pc = 0, t.next
 				st = warpDone
 			case tkBRC:
-				// Inactive and dead lanes of the predicate row are masked off.
+				// Inactive and dead lanes of the predicate are masked off.
 				taken := w.active
-				if t.pred.vec {
+				if t.cmp != 0 {
+					taken &= e.lessLanes(w, t.cmp) ^ laneMask(-t.pred.neg)
+				} else if t.pred.vec {
 					p, x := &w.rows[t.pred.row], t.pred.neg
 					taken &= laneMask(b2u(p[0]^x != 0) | b2u(p[1]^x != 0)<<1 | b2u(p[2]^x != 0)<<2 | b2u(p[3]^x != 0)<<3)
 				} else if e.uvals[t.pred.uv] == 0 {
@@ -318,7 +320,7 @@ func (e *execContext) runWarp(w *warp) (warpStatus, error) {
 }
 
 // activeSet returns the warp's active-lane count and, when that is not all
-// of its live lanes, the mask row restoreLanes keeps its tapes' results
+// of its live lanes, the mask row restoreInactive keeps its tapes' results
 // under.
 func (w *warp) activeSet() (uint64, *soaRow) {
 	act := uint64(bits.OnesCount8(uint8(w.active)))
@@ -326,6 +328,23 @@ func (w *warp) activeSet() (uint64, *soaRow) {
 		return act, nil
 	}
 	return act, &maskRows[w.active]
+}
+
+// lessLanes returns the lanes on which u, the icmplt a BRC evaluates
+// itself (branchCompares), holds; the BRC negates them when its pred.neg
+// is 1.
+func (e *execContext) lessLanes(w *warp, u uop) laneMask {
+	a, b := &w.rows[u.a()], &w.rows[u.b()]
+	var s soaRow
+	switch u.kind() {
+	case kVU + uopKind(OpICMPLT):
+		v := e.uvals[u.imm()]
+		s, b = soaRow{v, v, v, v}, &s
+	case kUV + uopKind(OpICMPLT):
+		v := e.uvals[u.imm()]
+		s, a = soaRow{v, v, v, v}, &s
+	}
+	return laneMask(b2u(int32(a[0]) < int32(b[0])) | b2u(int32(a[1]) < int32(b[1]))<<1 | b2u(int32(a[2]) < int32(b[2]))<<2 | b2u(int32(a[3]) < int32(b[3]))<<3)
 }
 
 // saveRows copies the rows a divergent warp's tape writes into saved, as
@@ -336,14 +355,14 @@ func (e *execContext) saveRows(w *warp, rows []uint8) {
 	}
 }
 
-// restoreLanes puts back, in the rows the tape wrote, the lanes outside
+// restoreInactive puts back, in the rows the tape wrote, the lanes outside
 // mask as saveRows found them: a divergent warp runs its tape at full
 // width, and the interpreter writes no inactive lane. An inactive lane's
 // value reaches no memory access, counter or BRC predicate inside the tape
 // (leafMem and memLanes serve the active lanes, a kLaneInterp runs them
 // alone, the taken mask is ANDed with active, and slowBin and slowUn are
 // total), so once restored nothing shows it was computed.
-func (e *execContext) restoreLanes(w *warp, rows []uint8, mask *soaRow) {
+func (e *execContext) restoreInactive(w *warp, rows []uint8, mask *soaRow) {
 	for i, r := range rows {
 		o, d := &e.saved[i], &w.rows[r]
 		d[0], d[1], d[2], d[3] = o[0]^(o[0]^d[0])&mask[0], o[1]^(o[1]^d[1])&mask[1], o[2]^(o[2]^d[2])&mask[2], o[3]^(o[3]^d[3])&mask[3]
@@ -383,6 +402,7 @@ func (e *execContext) bindTape() {
 	for d := 0; d < 3; d++ {
 		e.uvals[uvWGID+d], e.uvals[uvGSZ+d], e.uvals[uvLSZ+d] = uint64(e.wgid[d]), uint64(e.gsz[d]), uint64(e.lsz[d])
 	}
+	e.uvals[uvOne] = 1
 	copy(e.uvals[uvConsts:], e.tape.consts)
 }
 

@@ -7,8 +7,9 @@ import (
 
 // The tape optimiser (DESIGN.md §9). warpCompile runs it over the clause
 // tapes between lowering and chaining, numbers the values of every chain
-// tape after chaining, and then builds the loops' re-entry variants
-// (hoist). It rewrites micro-ops and BRC predicates only: the marks beside
+// tape after chaining, then builds the loops' re-entry variants (hoist)
+// and last hands each loop's test to its BRC (branchCompares). It rewrites
+// micro-ops and BRC predicates only: the marks beside
 // a tape keep the statistics of the instructions as written, so every
 // counter, every guest byte and the warp schedule are those of the literal
 // tape.
@@ -250,7 +251,8 @@ func addrIdiom(ops []uop) (a, b uint8, ok bool) {
 }
 
 // fuse replaces each address idiom whose intermediates are temporaries
-// dead after it by one kAddr, and each remaining mul64 → add64 pair with a
+// dead after it by one kAddr, each remaining iadd → mul64 → add64 run so by
+// one kAddr whose s1 is uvOne, and each remaining mul64 → add64 pair with a
 // dead temporary between them by one kAddrTail.
 func (wp *warpProgram) fuse(t *tape, end tempMask) {
 	after := make([]tempMask, len(t.ops))
@@ -277,6 +279,11 @@ func (wp *warpProgram) fuse(t *tape, end tempMask) {
 			t.ops[i] = mkUop(kAddr, ops[3].d(), a, b, addr(ops[0].imm(), ops[2].imm(), ops[3].imm()))
 			t.cut(i+1, 3)
 			after = slices.Delete(after, i, i+3)
+		} else if len(ops) > 2 && ops[0].kind() == kIADD && ops[1].kind() == kMUL64 && ops[2].kind() == kADD64 &&
+			ops[1].a() == ops[0].d() && ops[2].a() == ops[1].d() && dead(ops[0].d(), i+2) && dead(ops[1].d(), i+2) {
+			t.ops[i] = mkUop(kAddr, ops[2].d(), ops[0].a(), ops[0].b(), addr(uvOne, ops[1].imm(), ops[2].imm()))
+			t.cut(i+1, 2)
+			after = slices.Delete(after, i, i+2)
 		} else if len(ops) > 1 && ops[0].kind() == kMUL64 && ops[1].kind() == kADD64 && ops[1].a() == ops[0].d() && dead(ops[0].d(), i+1) {
 			t.ops[i] = mkUop(kAddrTail, ops[1].d(), ops[0].a(), 0, addr(uvZero, ops[0].imm(), ops[1].imm()))
 			t.cut(i+1, 1)
@@ -302,21 +309,24 @@ func (t *tape) cut(i, n int) {
 // --- Value numbering ---------------------------------------------------------
 
 // numberValues runs values over every chain tape, given the temporaries
-// live after its terminal by the program-wide liveness; a chain that ends
-// the program leaves every temporary as written. A chain of one clause
-// shares its micro-ops and marks with the clause tape and with the other
-// table, so every chain is rewritten in copies of its own; a flat-table
-// chain of as many clauses as the heads table's chain from the same clause
-// is that chain, and shares its result.
-func (wp *warpProgram) numberValues(sc *valueScratch) {
-	out, n := liveOut(wp.clauses), len(wp.clauses)
+// live after each clause's terminal by the program-wide liveness (out); a
+// chain that ends the program leaves every temporary as written. A chain
+// of one clause shares its micro-ops and marks with the clause tape and
+// with the other table, so it is rewritten in copies of its own; a longer
+// one owns what buildChains built it. A flat-table chain of as many
+// clauses as the heads table's chain from the same clause is that chain,
+// and shares its result.
+func (wp *warpProgram) numberValues(out []tempMask, sc *valueScratch) {
+	n := len(wp.clauses)
 	for k := range wp.chains {
 		t := &wp.chains[k]
 		switch {
 		case k >= n && t.n == wp.chains[k-n].n:
 			t.ops, t.marks = wp.chains[k-n].ops, wp.chains[k-n].marks
 		case len(t.ops) > 1:
-			t.ops, t.marks = slices.Clone(t.ops), slices.Clone(t.marks)
+			if t.n == 1 {
+				t.ops, t.marks = slices.Clone(t.ops), slices.Clone(t.marks)
+			}
 			end := out[t.next-1] | t.termTemps()
 			if t.next == n {
 				end = allTemps
@@ -462,9 +472,13 @@ func (wp *warpProgram) values(t *tape, end tempMask, sc *valueScratch) {
 			def[i] = a
 		case k == kAddr:
 			// kAddr is the tail of iadd(imul(a, s1), b), numbered as such
-			// so that it equals the unfused run of the same address.
+			// so that it equals the unfused run of the same address; an s1
+			// of 1 multiplies nothing.
 			f := wp.addrs[u.imm()]
-			m := number(kIMUL, f[0], a, -1)
+			m := a
+			if f[0] != uvOne {
+				m = number(kIMUL, f[0], a, -1)
+			}
 			s := number(kIADD, 0, min(m, b), max(m, b))
 			def[i] = number(kAddrTail, f[1], s, int32(f[2]))
 		case k == kAddrTail:
@@ -801,4 +815,41 @@ func rename(u uop, from, to uint8) uop {
 		b = to
 	}
 	return mkUop(u.kind(), u.d(), a, b, u.imm())
+}
+
+// --- Branch compares -----------------------------------------------------------
+
+// branchCompares hands the last micro-op of a chain tape to its BRC when it
+// is the icmplt the BRC tests, into a temporary nothing reads after the
+// terminal: runWarp evaluates the compare there (lessLanes), and no row
+// holds its result. A counted loop's i < n so costs no micro-op per trip.
+// The compare's counters stay in the marks, and it cannot fault, so an
+// abort before it finds every row the interpreter leaves; a mark behind it
+// now sits at the tape's end, which only a completed entry reaches. A loop
+// whose re-entry variant leaves the compare out reads its row there, so
+// the tape keeps it. The micro-ops are resliced, not rewritten: a chain may
+// share them with a clause tape or the other table.
+func (wp *warpProgram) branchCompares(out []tempMask) {
+	n := len(wp.clauses)
+	for k := range wp.chains {
+		t := &wp.chains[k]
+		if !t.lessTest(out, n) || t.again != 0 && !wp.chains[t.again].lessTest(out, n) {
+			continue
+		}
+		last := len(t.ops) - 1
+		t.cmp, t.ops = t.ops[last], t.ops[:last:last]
+	}
+}
+
+// lessTest reports whether t ends in an icmplt into the temporary its BRC
+// tests, that no clause reads after the terminal.
+func (t *tape) lessTest(out []tempMask, n int) bool {
+	if t.tk != tkBRC || !t.pred.vec || t.next == n || len(t.ops) == 0 {
+		return false
+	}
+	switch u := t.ops[len(t.ops)-1]; u.kind() {
+	case kVV + uopKind(OpICMPLT), kVU + uopKind(OpICMPLT), kUV + uopKind(OpICMPLT):
+		return u.d() == t.pred.row && tempBit(u.d())&^out[t.next-1] != 0
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -113,6 +114,27 @@ var optimiserCases = []optimiserCase{
 		shape: func(t *testing.T, wp *warpProgram) {
 			if ops := wp.clauses[0].ops; len(ops) != 3 || ops[0].kind() != kAddr {
 				t.Errorf("the address idiom did not fuse into one micro-op: %d micro-ops", len(ops))
+			}
+		},
+	},
+	{
+		// The address of a sum, DCT's inner-loop shape once the product
+		// before it is hoisted: iadd → mul64 → add64 fuses into a kAddr
+		// with an s1 of 1. r1 + gid.x wraps at 32 bits on lane 3 and sets
+		// bit 31 on lane 1, so the sum must be zero-extended before the
+		// 64-bit multiply, as the iadd leaves it.
+		name: "fused_address_of_a_sum",
+		prog: progOf(
+			[]Instr{
+				{Op: OpIADD, Dst: T(1), A: R(1), B: S(SpecGIDX)},
+				{Op: OpMUL64, Dst: T(2), A: T(1), B: Imm, Imm: 4},
+				{Op: OpADD64, Dst: R(10), A: C(2), B: T(2)},
+				{Op: OpRET},
+			},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			if ops := wp.clauses[0].ops; len(ops) != 1 || ops[0].kind() != kAddr {
+				t.Errorf("iadd → mul64 → add64 did not fuse into one micro-op: %d micro-ops", len(ops))
 			}
 		},
 	},
@@ -636,13 +658,132 @@ var hoistCases = []optimiserCase{
 	},
 }
 
+// brcCompare checks the BRC that ends the tape heads[ci] in both tables:
+// that it evaluates an icmplt of kind k itself, or reads its predicate row
+// when k is 0.
+func brcCompare(ci int, k uopKind) func(t *testing.T, wp *warpProgram) {
+	return func(t *testing.T, wp *warpProgram) {
+		for _, table := range [][]tape{wp.heads(), wp.flat()} {
+			tp := &table[ci]
+			switch {
+			case k == 0 && tp.cmp != 0:
+				t.Errorf("c%d's BRC evaluates its compare itself, want it to read the row", ci)
+			case k != 0 && tp.cmp.kind() != k:
+				t.Errorf("c%d's BRC evaluates kind %d, want %d", ci, tp.cmp.kind(), k)
+			case k != 0 && len(tp.ops) > 0 && tp.ops[len(tp.ops)-1].kind() == k:
+				t.Errorf("c%d's tape still ends in the compare its BRC evaluates", ci)
+			}
+		}
+	}
+}
+
+// branchCases pin the compares a loop's BRC evaluates itself
+// (branchCompares). Each loop's trip count differs by lane, so the BRC
+// splits and the compare decides under every mask.
+var branchCases = []optimiserCase{
+	{
+		// i < n over two rows: bounds 1, 2, 4 and 6 by lane.
+		name: "loop_test_in_the_brc",
+		prog: loopOf([]Instr{
+			{Op: OpSHL, Dst: R(13), A: T(0), B: Imm, Imm: 1},
+			{Op: OpIMAX, Dst: R(13), A: R(13), B: Imm, Imm: 1},
+		}, []Instr{{Op: OpIADD, Dst: R(20), A: R(20), B: R(12)}}),
+		shape: brcCompare(1, kVV+uopKind(OpICMPLT)),
+	},
+	{
+		// clc's loop: the header tests i < 5 against an immediate and
+		// leaves the loop when the test is 0, so the BRC negates it; the
+		// body's chain runs through the header and re-enters the body on
+		// its fallthrough. i starts at the lane number.
+		name: "negated_test_in_the_brc",
+		prog: progOf(
+			[]Instr{{Op: OpMOV, Dst: R(12), A: T(0)}},
+			[]Instr{
+				{Op: OpICMPLT, Dst: T(0), A: R(12), B: Imm, Imm: 5},
+				{Op: OpICMPEQ, Dst: T(1), A: T(0), B: S(SpecZero)},
+				{Op: OpBRC, A: T(1), Imm: BranchImm(4, 4)},
+			},
+			[]Instr{{Op: OpIADD, Dst: R(20), A: R(20), B: R(12)}},
+			[]Instr{{Op: OpIADD, Dst: R(12), A: R(12), B: Imm, Imm: 1}, {Op: OpBR, Imm: 1}},
+			[]Instr{{Op: OpRET}},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			brcCompare(2, kVU+uopKind(OpICMPLT))(t, wp)
+			if wp.heads()[2].pred.neg != 1 {
+				t.Errorf("the body's BRC does not negate its test")
+			}
+		},
+	},
+	{
+		// 0 < i, a uniform against a row, counting i down from 2·lane.
+		name: "reversed_test_in_the_brc",
+		prog: progOf(
+			[]Instr{{Op: OpSHL, Dst: R(12), A: T(0), B: Imm, Imm: 1}},
+			[]Instr{
+				{Op: OpISUB, Dst: R(12), A: R(12), B: Imm, Imm: 1},
+				{Op: OpIADD, Dst: R(20), A: R(20), B: R(12)},
+				{Op: OpICMPLT, Dst: T(3), A: S(SpecZero), B: R(12)},
+				{Op: OpBRC, A: T(3), Imm: BranchImm(1, 2)},
+			},
+			[]Instr{{Op: OpRET}},
+		),
+		shape: brcCompare(1, kUV+uopKind(OpICMPLT)),
+	},
+	{
+		// The loop leaves when n < i, and the clause after it reads the
+		// test's temporary: the compare stays, and t3 holds 1 there.
+		name: "test_read_after_the_loop",
+		prog: progOf(
+			[]Instr{{Op: OpMOV, Dst: R(12), A: T(0)}, {Op: OpMOV, Dst: R(13), A: Imm, Imm: 4}},
+			[]Instr{
+				{Op: OpIADD, Dst: R(12), A: R(12), B: Imm, Imm: 1},
+				{Op: OpICMPLT, Dst: T(3), A: R(13), B: R(12)},
+				{Op: OpBRC, A: T(3), Imm: BranchImm(3, 3)},
+			},
+			[]Instr{{Op: OpBR, Imm: 1}},
+			[]Instr{{Op: OpIADD, Dst: R(21), A: T(3), B: R(1)}, {Op: OpRET}},
+		),
+		shape: func(t *testing.T, wp *warpProgram) {
+			brcCompare(1, 0)(t, wp)
+			brcCompare(2, 0)(t, wp)
+		},
+	},
+}
+
+// TestHoistedTestStaysInItsTape: a loop whose test is invariant has a
+// re-entry variant without the compare, whose BRC reads the row the tape's
+// compare wrote, so the tape keeps it. The loop never ends on lanes 0, 1
+// and 3 (r1 < r2), and both engines stop at the clause budget with the
+// same registers and counters.
+func TestHoistedTestStaysInItsTape(t *testing.T) {
+	prog := loopOf(trips(1), []Instr{
+		{Op: OpIADD, Dst: R(20), A: R(20), B: R(1)},
+		{Op: OpICMPLT, Dst: T(2), A: R(1), B: R(2)},
+		{Op: OpBRC, A: T(2), Imm: BranchImm(1, 2)},
+	})
+	prog.compile(EngineWarp)
+	brcCompare(1, 0)(t, prog.warp)
+	if prog.warp.heads()[1].again == 0 {
+		t.Fatalf("the loop has no re-entry variant")
+	}
+	defer SetClauseBudget(64)()
+	r := newTapeRig(t)
+	for _, sh := range warpShapes {
+		regsI, gsI, _, errI := r.run(t, prog, EngineInterp, sh.shape)
+		regsW, gsW, _, errW := r.run(t, prog, EngineWarp, sh.shape)
+		if errI == nil || fmt.Sprint(errI) != fmt.Sprint(errW) || gsI != gsW || [NumGRF]soaRow(regsI[:NumGRF]) != [NumGRF]soaRow(regsW[:NumGRF]) {
+			t.Errorf("[%s]: interp %v, warp %v; stats equal %v; r20 interp %x, warp %x", sh.name, errI, errW, gsI == gsW, regsI[20], regsW[20])
+		}
+	}
+}
+
 // TestOptimisedTapeMatchesInterp runs every optimiserCase under both
 // engines and every warp shape. A dead temporary may hold anything after
 // a rewrite, so the temporaries are not compared; the GRF, the statistics,
 // guest memory and the error are.
 func TestOptimisedTapeMatchesInterp(t *testing.T) {
 	r := newTapeRig(t)
-	for _, c := range append(optimiserCases, hoistCases...) {
+	for _, c := range append(append(slices.Clip(optimiserCases), hoistCases...), branchCases...) {
 		c.prog.compile(EngineWarp)
 		if c.shape != nil {
 			c.shape(t, c.prog.warp)

@@ -23,10 +23,11 @@ import (
 // interpreter (tapeFallbackReason). The switch has no masked mode: a
 // divergent warp runs the tape at full width, and runWarp saves the
 // registers and temporaries the tape writes as it enters and puts their
-// inactive lanes back before the terminal or an abort (restoreLanes). A
+// inactive lanes back before the terminal or an abort (restoreInactive). A
 // chain whose BRC re-enters its own head has a re-entry variant without
 // its loop-invariant micro-ops (optimise.go: hoist), which runWarp runs on
-// every trip after the first.
+// every trip after the first, and a BRC evaluates the icmplt that ends its
+// tape itself when no clause reads the result (branchCompares).
 //
 // Counter contract: the interpreter bumps the class counter once per
 // instruction (scaled by the clause's active-lane count) before touching
@@ -64,7 +65,8 @@ const (
 	kStore      // mem[a + off] = b
 	kLaneInterp // slow[imm].in through the interpreter, lane by lane
 	// The fused address idiom (optimise.go), uniforms from the uvals slots
-	// addrs[imm]: imul → iadd → mul64 → add64, and the mul64 → add64 tail.
+	// addrs[imm]: imul → iadd → mul64 → add64 (iadd → mul64 → add64 with
+	// an s1 of 1), and the mul64 → add64 tail.
 	kAddr     // d = uint64(uint32(a)*s1 + uint32(b))*s2 + s3
 	kAddrTail // d = a*s2 + s3
 
@@ -211,13 +213,13 @@ var countHandBack func(u uop)
 // termNames are the CFG's terminator strings, execTerminal's.
 var termNames = [...]string{tkFall: "fallthrough", tkBR: "br", tkBRC: "brc", tkRET: "ret", tkBARRIER: "barrier"}
 
-// cfgCommit adds what ty tallied of the tape t, headed at clause t.head, to the
-// CFG, as execClause adds it clause by clause: each of the tape's clauses
-// was entered by every one of its warps with the same lanes, each interior
-// clause left them all to its fallthrough or BR target, and the terminal's
-// edges follow from the tally. Not inlined, so that a new block's or
-// edge's allocations are not attributed to commitTallies, which the
-// hotalloc gate pins at zero.
+// cfgCommit adds what ty tallied of the tape t, headed at clause t.head,
+// to the CFG, as execClause adds it clause by clause: each of the tape's
+// clauses was entered by every one of its warps with the same lanes, each
+// interior clause left them all to its fallthrough or BR target, and the
+// terminal's edges follow from the tally. Not inlined, so that a new
+// block's or edge's allocations are not attributed to commitTallies, which
+// the hotalloc gate pins at zero.
 //
 //go:noinline
 func (e *execContext) cfgCommit(t *tape, ty *tally) {
@@ -301,7 +303,7 @@ func (c ctrKind) bump(gs *stats.GPUStats, n uint64) {
 // little more than the tape position is live across the switch's jump.
 // Every ALU case writes every slot of its row, whatever the mask: a
 // divergent warp's inactive lanes are put back by runWarp when the tape
-// ends (restoreLanes), and lanes beyond w.lanes are architecturally dead
+// ends (restoreInactive), and lanes beyond w.lanes are architecturally dead
 // (never active, never stored back), so what they hold is never observed.
 func (e *execContext) execLeaf(w *warp, ops []uop, pc int) int {
 	rows := &w.rows

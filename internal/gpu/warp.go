@@ -36,13 +36,15 @@ const (
 
 // Slots of execContext.uvals, the table warp-uniform operands are read
 // from: the kernel arguments c0..c63, the workgroup-level specials, a zero,
-// then the program's immediates and ROM words (warpProgram.consts).
+// a one (the s1 of a fused address of a sum), then the program's
+// immediates and ROM words (warpProgram.consts).
 const (
 	uvWGID   = 64
 	uvGSZ    = uvWGID + 3
 	uvLSZ    = uvGSZ + 3
 	uvZero   = uvLSZ + 3
-	uvConsts = uvZero + 1
+	uvOne    = uvZero + 1
+	uvConsts = uvOne + 1
 )
 
 // termKind is a tape's terminal, decoded when the tape is built.
@@ -77,12 +79,15 @@ type tape struct {
 	termSt      tapeStats
 
 	// head is the clause the tape starts at, wset the registers and
-	// temporaries its ALU micro-ops write (what restoreLanes puts back for
-	// a divergent warp), and again the chains index of its re-entry variant
-	// (hoist), 0 when it has none; a variant's is its own.
+	// temporaries its ALU micro-ops write (what restoreInactive puts back for
+	// a divergent warp), again the chains index of its re-entry variant
+	// (hoist), 0 when it has none (a variant's is its own), and cmp the
+	// icmplt a BRC evaluates in place of reading pred.row (branchCompares),
+	// 0 when it reads the row.
 	head  int
 	wset  []uint8
 	again int
+	cmp   uop
 }
 
 // warpProgram is the compiled form of a Program. chains holds the two
@@ -132,7 +137,8 @@ type tapeBuilder struct {
 }
 
 // warpCompile lowers every clause of a program, optimises the clause tapes,
-// builds both chain tables and numbers the values of every chain.
+// builds both chain tables, numbers the values of every chain, builds the
+// loops' re-entry variants and hands the loops' tests to their BRCs.
 func warpCompile(p *Program) *warpProgram {
 	wp := &warpProgram{clauses: make([]tape, len(p.Clauses))}
 	b := &tapeBuilder{p: p, wp: wp, consts: map[uint64]uint32{}}
@@ -159,11 +165,16 @@ func warpCompile(p *Program) *warpProgram {
 		t.marks = b.marks[firstMark:len(b.marks):len(b.marks)]
 	}
 	wp.optimise()
-	wp.chains = append(buildChains(wp, true), buildChains(wp, false)...)
+	n := len(wp.clauses)
+	wp.chains = make([]tape, 2*n)
+	buildChains(wp, wp.chains[:n], true)
+	buildChains(wp, wp.chains[n:], false)
+	out := liveOut(wp.clauses)
 	sc := scratchPool.Get().(*valueScratch)
-	wp.numberValues(sc)
+	wp.numberValues(out, sc)
 	wp.hoist(sc)
 	scratchPool.Put(sc)
+	wp.branchCompares(out)
 	wp.writeSets()
 	return wp
 }
@@ -440,11 +451,12 @@ func (b *tapeBuilder) lowerMem(in *Instr, A, B operand) {
 // while the chain stays within it. The chain's head always runs.
 const maxChainOps = 64
 
-// buildChains returns one chain table: for every clause ci, the tape a warp
-// entering ci runs. That is ci and its fallthrough and BR successors, up to
-// the first BRC, RET or BARRIER terminal, a clause already in the chain (so
-// a loop body's chain ends where the loop header's BRC does, and no clause
-// runs twice in one tape) or maxChainOps micro-ops. The active mask is
+// buildChains fills one chain table, chains: for every clause ci, the tape
+// a warp entering ci runs. That is ci and its fallthrough and BR
+// successors, up to the first BRC, RET or BARRIER terminal, a clause
+// already in the chain (so a loop body's chain ends where the loop
+// header's BRC does, and no clause runs twice in one tape) or maxChainOps
+// micro-ops. The active mask is
 // constant through a chain: masks change only at BRC and RET terminals,
 // which end one. With stopAtRejoin a chain also ends before any BRC's
 // reconvergence clause, for a warp inside a divergent region: runWarp
@@ -458,7 +470,7 @@ const maxChainOps = 64
 // but the interpreter counts it as a control-flow instruction: its terminal
 // counts become a mark at the next clause's first micro-op, ahead of that
 // clause's own, so a fault there commits the BR as the interpreter did.
-func buildChains(wp *warpProgram, stopAtRejoin bool) []tape {
+func buildChains(wp *warpProgram, chains []tape, stopAtRejoin bool) {
 	n := len(wp.clauses)
 	rejoin := make([]bool, n)
 	for _, t := range wp.clauses {
@@ -466,7 +478,6 @@ func buildChains(wp *warpProgram, stopAtRejoin bool) []tape {
 			rejoin[t.rejoin] = true
 		}
 	}
-	chains := make([]tape, n)
 	var chain []int
 	for head := range chains {
 		chain = append(chain[:0], head)
@@ -482,8 +493,11 @@ func buildChains(wp *warpProgram, stopAtRejoin bool) []tape {
 			chains[head] = wp.clauses[head]
 			continue
 		}
-		ops := make([]uop, 0, size)
-		var marks []mark
+		nm := len(chain) - 1 // a mark per BR folded away, at most
+		for _, ci := range chain {
+			nm += len(wp.clauses[ci].marks)
+		}
+		ops, marks := make([]uop, 0, size), make([]mark, 0, nm)
 		for i, ci := range chain {
 			if i > 0 && wp.clauses[chain[i-1]].tk != tkFall {
 				marks = append(marks, mark{pos: int32(len(ops)), slot: -1, st: wp.clauses[chain[i-1]].termSt})
@@ -498,5 +512,4 @@ func buildChains(wp *warpProgram, stopAtRejoin bool) []tape {
 		t.ops, t.marks, t.n, t.head = ops, marks, len(chain), head
 		chains[head] = t
 	}
-	return chains
 }
